@@ -156,35 +156,26 @@ func appendState(b []byte, s lattice.State) []byte {
 
 	case *lattice.Set:
 		b = append(b, tagSet)
-		return appendStringList(b, v.Values())
+		return appendStringList(b, v.Sorted())
 
 	case *lattice.Map:
 		b = append(b, tagMap)
-		keys := v.Keys()
-		b = binary.AppendUvarint(b, uint64(len(keys)))
-		for _, k := range keys {
-			b = appendString(b, k)
-			b = appendState(b, v.Get(k))
+		entries := v.Sorted()
+		b = binary.AppendUvarint(b, uint64(len(entries)))
+		for _, e := range entries {
+			b = appendString(b, e.Key)
+			b = appendState(b, e.Val)
 		}
 		return b
 
 	case *crdt.GCounter:
 		b = append(b, tagGCounter)
-		type entry struct {
-			id string
-			v  uint64
-		}
-		var entries []entry
-		v.Range(func(id string, count uint64) bool {
-			entries = append(entries, entry{id, count})
+		b = binary.AppendUvarint(b, uint64(v.Elements()))
+		v.Range(func(id string, count uint64) bool { // ascending by id
+			b = appendString(b, id)
+			b = binary.AppendUvarint(b, count)
 			return true
 		})
-		sort.Slice(entries, func(i, j int) bool { return entries[i].id < entries[j].id })
-		b = binary.AppendUvarint(b, uint64(len(entries)))
-		for _, e := range entries {
-			b = appendString(b, e.id)
-			b = binary.AppendUvarint(b, e.v)
-		}
 		return b
 
 	case *crdt.PNCounter:
@@ -209,7 +200,7 @@ func appendState(b []byte, s lattice.State) []byte {
 
 	case *crdt.GSet:
 		b = append(b, tagGSet)
-		return appendStringList(b, v.Values())
+		return appendStringList(b, v.Sorted())
 
 	case *crdt.TwoPSet:
 		b = append(b, tagTwoPSet)

@@ -180,3 +180,78 @@ func TestDecodeStream(t *testing.T) {
 		t.Error("stream decoded wrong values")
 	}
 }
+
+// TestCanonicalAcrossRepresentations checks that the encoding of a set,
+// counter or map is a function of its contents alone: whatever order the
+// entries arrived in, whichever side of the slice→map promotion (8
+// entries) the state is on, and — for a map that grew past it and shrank
+// again — whichever form holds them, equal states give equal bytes, with
+// the entries in ascending order.
+func TestCanonicalAcrossRepresentations(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	for _, n := range []int{1, 2, 7, 8, 9, 16, 40} {
+		var keys []string
+		for i := 0; i < n; i++ {
+			keys = append(keys, "k"+strconv.Itoa(100+i))
+		}
+		build := func() []lattice.State {
+			set, gset, gc, m := lattice.NewSet(), crdt.NewGSet(), crdt.NewGCounter(), lattice.NewMap()
+			for _, i := range r.Perm(n) {
+				set.Add(keys[i])
+				gset.Add(keys[i])
+				gc.Inc(keys[i], uint64(i+1))
+				m.Set(keys[i], &crdt.LWWRegister{TS: uint64(i + 1), Writer: "w", Val: keys[i]})
+			}
+			return []lattice.State{set, gset, gc, m}
+		}
+		a, b := build(), build()
+		for i := range a {
+			ea, eb := codec.Encode(a[i]), codec.Encode(b[i])
+			if !bytes.Equal(ea, eb) {
+				t.Errorf("n=%d: %T encodes differently after a different insertion order", n, a[i])
+			}
+			// The keys appear in the bytes in ascending order.
+			at := 0
+			for _, k := range keys {
+				next := bytes.Index(ea[at:], []byte(k))
+				if next < 0 {
+					t.Fatalf("n=%d: %T encoding lacks %s after offset %d", n, a[i], k, at)
+				}
+				at += next + len(k)
+			}
+			roundTrip(t, a[i])
+		}
+	}
+
+	// A map that was promoted and then lost entries is in map form; the
+	// same entries inserted into a fresh map are a slice.
+	grown, fresh := lattice.NewMap(), lattice.NewMap()
+	for i := 0; i < 20; i++ {
+		grown.Set("k"+strconv.Itoa(i), lattice.NewMaxInt(uint64(i+1)))
+	}
+	for i := 3; i < 20; i++ {
+		grown.Set("k"+strconv.Itoa(i), lattice.NewMaxInt(0))
+	}
+	for i := 2; i >= 0; i-- {
+		fresh.Set("k"+strconv.Itoa(i), lattice.NewMaxInt(uint64(i+1)))
+	}
+	if !grown.Equal(fresh) || !fresh.Equal(grown) || !bytes.Equal(codec.Encode(grown), codec.Encode(fresh)) {
+		t.Errorf("%v and %v differ, or encode differently", grown, fresh)
+	}
+}
+
+// TestAppendStateAllocs pins that encoding the small states a store
+// ships and hashes per key copies nothing: the entries are walked where
+// they lie, already in canonical order.
+func TestAppendStateAllocs(t *testing.T) {
+	counter := crdt.NewGCounter()
+	counter.Inc("r0", 3)
+	counter.Inc("r1", 4)
+	field := lattice.NewMapEntry("m/n000001/f01", &crdt.LWWRegister{TS: 2, Writer: "r1", Val: "x"})
+	buf := make([]byte, 0, 256)
+	for _, s := range []lattice.State{counter, crdt.NewGSet("e001", "e002", "e003"), lattice.NewSet("a"), field} {
+		if n := testing.AllocsPerRun(100, func() { buf = codec.AppendState(buf[:0], s) }); n != 0 {
+			t.Errorf("AppendState(%v) allocates %.0f times, want 0", s, n)
+		}
+	}
+}

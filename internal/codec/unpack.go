@@ -122,24 +122,41 @@ func (v *FrameView) NumItems() int { return len(v.items) }
 
 // reset clears the view for reuse, releasing references to previously
 // decoded messages and the previous frame's buffer so a pooled view never
-// pins a dead frame or its states.
+// pins a dead frame or its states. Only the prefix the last unpack wrote
+// is cleared — everything past len is zero already, by induction — so the
+// cost follows the last frame's size, not the largest frame the view has
+// ever held.
 func (v *FrameView) reset() {
 	v.Cost = metrics.Transmission{}
 	v.Digests = v.Digests[:0]
 	v.Dropped = 0
-	items := v.items[:cap(v.items)]
-	clear(items)
+	clear(v.items)
 	v.items = v.items[:0]
-	sorted := v.sorted[:cap(v.sorted)]
-	clear(sorted)
+	clear(v.sorted)
 	v.sorted = v.sorted[:0]
+	clear(v.groups) // they alias items and sorted
 	v.groups = v.groups[:0]
 }
 
+// maxRetainedItems bounds the item arrays an idle view keeps: one bulk
+// frame (tens of thousands of items, 72 bytes of view each, twice over
+// with the grouping scratch) must not stay pinned by every pooled view
+// that happened to unpack one.
+const maxRetainedItems = 4096
+
 // Reset clears the view without unpacking a new frame, dropping its
 // references to the last frame's buffer and decoded messages. Callers
-// that pool views call it before Put so an idle pooled view pins nothing.
-func (v *FrameView) Reset() { v.reset() }
+// that pool views call it before Put so an idle pooled view pins nothing;
+// item arrays grown past maxRetainedItems are dropped, not pooled.
+func (v *FrameView) Reset() {
+	v.reset()
+	if cap(v.items) > maxRetainedItems {
+		v.items = nil
+	}
+	if cap(v.sorted) > maxRetainedItems {
+		v.sorted = nil
+	}
+}
 
 // UnpackFrame walks one encoded sharded frame (either variant) into v,
 // grouped by shard. shards is the receiver's shard count: items routed

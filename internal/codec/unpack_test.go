@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+	"time"
 
 	"crdtsync/internal/codec"
 	"crdtsync/internal/crdt"
@@ -435,5 +436,66 @@ func BenchmarkUnpack(b *testing.B) {
 			}
 			b.ReportMetric(float64(items), "items/op")
 		})
+	}
+}
+
+// smallUnpackTime returns the best-of-five time of one unpack of small
+// into v, averaged over rounds unpacks.
+func smallUnpackTime(t testing.TB, v *codec.FrameView, small []byte, shards int) time.Duration {
+	t.Helper()
+	const rounds = 2000
+	best := time.Duration(1 << 62)
+	for rep := 0; rep < 5; rep++ {
+		start := time.Now()
+		for i := 0; i < rounds; i++ {
+			if err := codec.UnpackFrame(small, shards, v); err != nil {
+				t.Fatalf("UnpackFrame: %v", err)
+			}
+		}
+		best = min(best, time.Since(start)/rounds)
+	}
+	return best
+}
+
+// TestUnpackSmallAfterLarge pins that a view's reset costs what its last
+// frame used, not what its largest frame ever used: after one 20 000-item
+// frame (interleaved, so the grouping scratch grows too), a 10-item frame
+// must unpack as fast as into a fresh view. Clearing the item arrays at
+// full capacity made every later small frame memclr ~2.9 MB — a third of
+// the steady workload's CPU once a single bulk frame had passed through.
+func TestUnpackSmallAfterLarge(t *testing.T) {
+	const shards = 64
+	large := unpackBenchFrame(t, shards, 313)
+	// The same frame with its shard batches in descending order takes the
+	// counting-sort path.
+	m, _, err := codec.DecodeMsg(large)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := m.(*protocol.ShardedMsg).Items
+	for i, j := 0, len(items)-1; i < j; i, j = i+1, j-1 {
+		items[i], items[j] = items[j], items[i]
+	}
+	large = encodeMsg(t, protocol.NewShardedMsg(items))
+	small := unpackBenchFrame(t, 2, 5)
+
+	var fresh, used, reset codec.FrameView
+	for _, v := range []*codec.FrameView{&used, &reset} {
+		if err := codec.UnpackFrame(large, shards, v); err != nil {
+			t.Fatal(err)
+		}
+		if v.NumItems() != shards*313 {
+			t.Fatalf("large frame unpacked to %d items", v.NumItems())
+		}
+	}
+	reset.Reset() // as before a pool Put: oversized arrays are dropped
+	base := smallUnpackTime(t, &fresh, small, shards)
+	for name, v := range map[string]*codec.FrameView{"reused": &used, "reset": &reset} {
+		got := smallUnpackTime(t, v, small, shards)
+		t.Logf("10-item frame: %v into a fresh view, %v into a %s one", base, got, name)
+		if got > 2*base {
+			t.Errorf("10-item frame takes %v to unpack into a view %s after a 20k-item frame, %v into a fresh one", got, name, base)
+		}
+		checkUnpacked(t, small, shards, v)
 	}
 }

@@ -34,7 +34,13 @@ func (b *Buffer) Len() int { return len(b.entries) }
 // Clear empties the buffer. Algorithm 1 clears the buffer after every
 // synchronization step (line 13); with lossy channels entries would instead
 // be acknowledged per neighbor, which Buffer supports by rebuilding.
-func (b *Buffer) Clear() { b.entries = b.entries[:0] }
+//
+// Clear releases the entries and their backing array rather than
+// truncating it: a δ-group is garbage once it has been sent, and a
+// truncated array would keep the last δ-group of every object — a second
+// copy of a small state — reachable for as long as the object lives. A
+// per-object store has one Buffer per key, almost all of them empty.
+func (b *Buffer) Clear() { b.entries = nil }
 
 // GroupAll returns the join of every buffered δ-group, or nil if the buffer
 // is empty. This is the classic δ-group d = ⊔Bᵢ (Algorithm 1, line 11).

@@ -62,6 +62,15 @@ func TestBufferClear(t *testing.T) {
 	if b.Len() != 0 || b.GroupAll() != nil {
 		t.Fatal("Clear did not empty the buffer")
 	}
+	// The δ-groups are garbage once sent: Clear must let go of the array
+	// that held them, not truncate it over them.
+	if cap(b.Entries()) != 0 {
+		t.Fatalf("Clear kept a backing array of %d entries", cap(b.Entries()))
+	}
+	b.Add(lattice.NewSet("b"), "n1")
+	if b.Len() != 1 {
+		t.Fatal("a cleared buffer is not reusable")
+	}
 }
 
 func TestBufferAccounting(t *testing.T) {

@@ -19,26 +19,15 @@ import "crdtsync/internal/lattice"
 // with b, yields a ⊔ b. It is optimal: any c with c ⊔ b = a ⊔ b satisfies
 // Δ(a, b) ⊑ c (§III-B of the paper).
 //
+// States that implement lattice.Differ (the counters, sets, maps and
+// chains the stores replicate) produce Δ in one walk over their own
+// entries — one result allocation instead of a singleton state per
+// irreducible; every other state goes through the literal walk over ⇓a,
+// lattice.DeltaByDecomposition, which is also the reference the direct
+// ones are tested against.
+//
 // The result is freshly allocated and never aliases a or b.
-func Delta(a, b lattice.State) lattice.State {
-	if a.Leq(b) {
-		// Every y ∈ ⇓a satisfies y ⊑ a ⊑ b, so the whole decomposition is
-		// redundant and Δ(a, b) = ⊥. This is the steady state of inbound
-		// synchronization — a re-delivered δ-group the local state already
-		// covers — and the subset check costs no per-irreducible
-		// materialization, where the general walk below allocates one
-		// singleton per irreducible.
-		return a.Bottom()
-	}
-	d := a.Bottom()
-	a.Irreducibles(func(y lattice.State) bool {
-		if !y.Leq(b) {
-			d.Merge(y)
-		}
-		return true
-	})
-	return d
-}
+func Delta(a, b lattice.State) lattice.State { return lattice.Delta(a, b) }
 
 // DeltaMutate lifts a standard mutator m into its optimal δ-mutator:
 // mδ(x) = Δ(m(x), x). The mutator must be an inflation (x ⊑ m(x)) and must

@@ -37,11 +37,185 @@ func randMap(r *rand.Rand) lattice.State {
 	return m
 }
 
+// wide bounds the sizes of the "-wide" generators: from empty to several
+// times the slice→map promotion constant of the sets and maps (8), over a
+// universe half as large again, so operands come in either
+// representation, overlap partially, and joins cross the constant.
+const wide = 40
+
+func wideStr(r *rand.Rand) string { return "w" + strconv.Itoa(r.Intn(wide+wide/2)) }
+
+func randWideSet(r *rand.Rand) lattice.State {
+	s := lattice.NewSet()
+	for i, n := 0, r.Intn(wide+1); i < n; i++ {
+		s.Add(wideStr(r))
+	}
+	return s
+}
+
+func randWideGSet(r *rand.Rand) lattice.State {
+	s := crdt.NewGSet()
+	for i, n := 0, r.Intn(wide+1); i < n; i++ {
+		s.Add(wideStr(r))
+	}
+	return s
+}
+
+// randLWW returns a written register; (TS, Writer) identifies a write,
+// so the payload is a function of them (and of salt).
+func randLWW(r *rand.Rand, salt string) *crdt.LWWRegister {
+	ts, w := uint64(1+r.Intn(3)), "r"+strconv.Itoa(r.Intn(3))
+	return &crdt.LWWRegister{TS: ts, Writer: w, Val: salt + "@" + strconv.FormatUint(ts, 10) + w}
+}
+
+// randLWWMap returns a map of last-writer-wins registers, the store's
+// Map object; wide selects the size range.
+func randLWWMap(r *rand.Rand, limit int) lattice.State {
+	m := crdt.NewGMap()
+	for i, n := 0, r.Intn(limit+1); i < n; i++ {
+		k := "f" + strconv.Itoa(r.Intn(limit+limit/2))
+		reg := randLWW(r, k)
+		if cur := m.Get(k); cur != nil {
+			cur.Merge(reg)
+		} else {
+			m.Set(k, reg)
+		}
+	}
+	return m
+}
+
 func gens() map[string]func(*rand.Rand) lattice.State {
 	return map[string]func(*rand.Rand) lattice.State{
-		"set":      randSet,
-		"gcounter": randGCounter,
-		"map":      randMap,
+		"set":       randSet,
+		"gcounter":  randGCounter,
+		"map":       randMap,
+		"set-wide":  randWideSet,
+		"gset":      func(r *rand.Rand) lattice.State { return crdt.NewGSet(randSet(r).(*lattice.Set).Values()...) },
+		"gset-wide": randWideGSet,
+		"gcounter-wide": func(r *rand.Rand) lattice.State {
+			c := crdt.NewGCounter()
+			for i, n := 0, r.Intn(wide+1); i < n; i++ {
+				c.Inc(wideStr(r), uint64(r.Intn(3)+1))
+			}
+			return c
+		},
+		"map-wide": func(r *rand.Rand) lattice.State {
+			m := lattice.NewMap()
+			for i, n := 0, r.Intn(wide+1); i < n; i++ {
+				m.Set(wideStr(r), lattice.NewMaxInt(uint64(r.Intn(4))))
+			}
+			return m
+		},
+		"map-of-sets-wide": func(r *rand.Rand) lattice.State {
+			m := lattice.NewMap()
+			for i, n := 0, r.Intn(4); i < n; i++ {
+				m.Set("k"+strconv.Itoa(r.Intn(4)), randWideSet(r))
+			}
+			return m
+		},
+		"lwwmap":      func(r *rand.Rand) lattice.State { return randLWWMap(r, 4) },
+		"lwwmap-wide": func(r *rand.Rand) lattice.State { return randLWWMap(r, wide) },
+		"lww": func(r *rand.Rand) lattice.State {
+			if r.Intn(4) == 0 {
+				return crdt.NewLWWRegister()
+			}
+			return randLWW(r, "v")
+		},
+		"pncounter": func(r *rand.Rand) lattice.State {
+			c := crdt.NewPNCounter()
+			for i, n := 0, r.Intn(5); i < n; i++ {
+				if r.Intn(2) == 0 {
+					c.Inc("r"+strconv.Itoa(r.Intn(4)), uint64(r.Intn(3)+1))
+				} else {
+					c.Dec("r"+strconv.Itoa(r.Intn(4)), uint64(r.Intn(3)+1))
+				}
+			}
+			return c
+		},
+		"twopset-wide": func(r *rand.Rand) lattice.State {
+			s := crdt.NewTwoPSet()
+			for i, n := 0, r.Intn(wide+1); i < n; i++ {
+				if r.Intn(3) == 0 {
+					s.Remove(wideStr(r))
+				} else {
+					s.Add(wideStr(r))
+				}
+			}
+			return s
+		},
+		"awset": func(r *rand.Rand) lattice.State {
+			s := crdt.NewAWSet()
+			for i, n := 0, r.Intn(8); i < n; i++ {
+				if r.Intn(3) == 0 {
+					s.Remove("e" + strconv.Itoa(r.Intn(5)))
+				} else {
+					s.Add("r"+strconv.Itoa(r.Intn(3)), "e"+strconv.Itoa(r.Intn(5)))
+				}
+			}
+			return s
+		},
+		"pair-wide": func(r *rand.Rand) lattice.State {
+			return lattice.NewPair(randWideSet(r), randGCounter(r))
+		},
+	}
+}
+
+// TestDeltaMatchesDecomposition is the differential test of Δ as the
+// states produce it themselves (lattice.Differ) against the paper's
+// definition evaluated literally over ⇓a, on random pairs of every type
+// — those without a direct Δ included, for which the two must coincide
+// trivially — and checks that the result shares nothing with its
+// operands.
+func TestDeltaMatchesDecomposition(t *testing.T) {
+	for name, gen := range gens() {
+		t.Run(name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(19))
+			for i := 0; i < 300; i++ {
+				a, b := gen(r), gen(r)
+				if i%3 == 0 {
+					b = b.Join(core.Delta(a, gen(r))) // b holds part of a
+				}
+				snapA, snapB := a.Clone(), b.Clone()
+				d, want := core.Delta(a, b), lattice.DeltaByDecomposition(a, b)
+				if !d.Equal(want) || !want.Equal(d) {
+					t.Fatalf("Δ(%v, %v) = %v, decomposition gives %v", a, b, d, want)
+				}
+				d.Merge(a)
+				d.Merge(b)
+				if !a.Equal(snapA) || !b.Equal(snapB) {
+					t.Fatalf("Δ(%v, %v) aliases an operand", snapA, snapB)
+				}
+			}
+		})
+	}
+}
+
+// TestDeltaAllocs pins the cost of Δ on the δ-groups a store receives —
+// one entry, against a state that lacks it: the result and, for a map,
+// the clone of its value. The walk over ⇓a this replaced allocated eight
+// times per item on the benchmark's frames.
+func TestDeltaAllocs(t *testing.T) {
+	cases := map[string][2]lattice.State{
+		"gcounter": {crdt.NewGCounter().IncDelta("r1", 3), crdt.NewGCounter().IncDelta("r0", 5)},
+		"gset":     {crdt.NewGSet("e001"), crdt.NewGSet("e002")},
+		"set":      {lattice.NewSet("e001"), lattice.NewSet("e002")},
+		"lwwmap": {
+			lattice.NewMapEntry("m/n000001/f01", &crdt.LWWRegister{TS: 2, Writer: "r1", Val: "x"}),
+			lattice.NewMapEntry("m/n000001/f01", &crdt.LWWRegister{TS: 1, Writer: "r0", Val: "y"}),
+		},
+		"gmap": {lattice.NewMapEntry("k", lattice.NewMaxInt(4)), lattice.NewMap()},
+	}
+	for name, c := range cases {
+		var d lattice.State
+		if n := testing.AllocsPerRun(100, func() { d = core.Delta(c[0], c[1]) }); n > 2 {
+			t.Errorf("%s: Δ of a one-entry δ-group allocates %.0f times, want ≤ 2", name, n)
+		}
+		if !d.Equal(c[0]) {
+			t.Errorf("%s: Δ(%v, %v) = %v", name, c[0], c[1], d)
+		}
+		if n := testing.AllocsPerRun(100, func() { d = core.Delta(c[0], c[0]) }); n > 1 {
+			t.Errorf("%s: Δ of a covered δ-group allocates %.0f times, want ≤ 1", name, n)
+		}
 	}
 }
 

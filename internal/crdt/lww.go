@@ -100,6 +100,15 @@ func (r *LWWRegister) Irreducibles(yield func(lattice.State) bool) {
 	yield(r.Clone())
 }
 
+// Diff implements lattice.Differ: in a chain Δ(r, b) is r itself when
+// r ⋢ b and bottom otherwise.
+func (r *LWWRegister) Diff(b lattice.State) lattice.State {
+	if r.Leq(b) {
+		return NewLWWRegister()
+	}
+	return r.Clone()
+}
+
 // Equal reports identical version and payload.
 func (r *LWWRegister) Equal(other lattice.State) bool {
 	o, ok := other.(*LWWRegister)

@@ -52,6 +52,15 @@ func (m *MaxInt) Irreducibles(yield func(State) bool) {
 	yield(&MaxInt{V: m.V})
 }
 
+// Diff implements Differ: in a chain Δ(m, b) is m itself when m ⋢ b and
+// bottom otherwise.
+func (m *MaxInt) Diff(b State) State {
+	if m.Leq(b) {
+		return &MaxInt{}
+	}
+	return &MaxInt{V: m.V}
+}
+
 // Equal reports value equality.
 func (m *MaxInt) Equal(other State) bool {
 	o, ok := other.(*MaxInt)

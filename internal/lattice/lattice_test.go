@@ -40,7 +40,34 @@ func generators() map[string]genFunc {
 		}
 		return m
 	}
+	// The wide generators straddle the slice→map promotion constant:
+	// sizes run from empty to twice SmallMax over a universe three times
+	// it, so operands come in both forms, overlap partially, and joins of
+	// two slice-form operands cross the constant.
+	wideStr := func(r *rand.Rand) string { return "w" + strconv.Itoa(r.Intn(3*lattice.SmallMax)) }
+	genWideSet := func(r *rand.Rand) lattice.State {
+		s := lattice.NewSet()
+		for i, n := 0, r.Intn(2*lattice.SmallMax+1); i < n; i++ {
+			s.Add(wideStr(r))
+		}
+		return s
+	}
 	return map[string]genFunc{
+		"set-wide": genWideSet,
+		"map-wide": func(r *rand.Rand) lattice.State {
+			m := lattice.NewMap()
+			for i, n := 0, r.Intn(2*lattice.SmallMax+1); i < n; i++ {
+				m.Set(wideStr(r), lattice.NewMaxInt(uint64(r.Intn(4))))
+			}
+			return m
+		},
+		"nested-map-wide": func(r *rand.Rand) lattice.State {
+			m := lattice.NewMap()
+			for i, n := 0, r.Intn(3); i < n; i++ {
+				m.Set("k"+strconv.Itoa(r.Intn(3)), genWideSet(r))
+			}
+			return m
+		},
 		"maxint": genMax,
 		"flag":   genFlag,
 		"set":    genSet,

@@ -65,6 +65,45 @@ type State interface {
 	SizeBytes() int
 }
 
+// Differ is implemented by states that can produce the optimal delta
+// Δ(x, b) = ⊔{y ∈ ⇓x | y ⋢ b} in one walk over their own representation,
+// instead of materializing every irreducible as a singleton state first.
+// It is an optimization only: Diff must return exactly what
+// DeltaByDecomposition does, freshly allocated and aliasing neither
+// operand.
+type Differ interface {
+	Diff(b State) State
+}
+
+// Delta returns the minimum state Δ(a, b) that, joined with b, yields
+// a ⊔ b (§III-B of the paper), asking a for it directly where the type
+// implements Differ.
+func Delta(a, b State) State {
+	if d, ok := a.(Differ); ok {
+		return d.Diff(b)
+	}
+	return DeltaByDecomposition(a, b)
+}
+
+// DeltaByDecomposition is Δ(a, b) computed literally as the paper defines
+// it, over the join decomposition: ⊔{y ∈ ⇓a | y ⋢ b}. It works for every
+// State and is the reference the Differ implementations are tested
+// against.
+func DeltaByDecomposition(a, b State) State {
+	if a.Leq(b) {
+		// Every y ∈ ⇓a satisfies y ⊑ a ⊑ b: nothing to walk.
+		return a.Bottom()
+	}
+	d := a.Bottom()
+	a.Irreducibles(func(y State) bool {
+		if !y.Leq(b) {
+			d.Merge(y)
+		}
+		return true
+	})
+	return d
+}
+
 // Decompose returns the unique irredundant join decomposition ⇓x as a slice.
 // It is a convenience wrapper around State.Irreducibles.
 func Decompose(x State) []State {

@@ -115,3 +115,24 @@ func TestSingleNode(t *testing.T) {
 		t.Errorf("local ops lost: %d elements, want 5", got)
 	}
 }
+
+// TestClassicOverBPRRElements pins the paper-fidelity count the benchmark
+// reports as protocol.sim_classic_over_bprr_elements (Fig. 7, GSet on the
+// partial mesh): the elements classic delta-based synchronization ships
+// over those BP+RR ships. The simulator is deterministic, so the counts
+// repeat exactly; they move only if Δ stops being minimal or an engine
+// ships something else than before.
+func TestClassicOverBPRRElements(t *testing.T) {
+	elements := func(f protocol.Factory) int {
+		sim := New(topology.PartialMesh(15, 4, 42), f, workload.GSetType{}, Options{Seed: 42})
+		sim.Run(100, workload.GSetGen{})
+		sim.RunQuiet(60)
+		return sim.Collector().TotalSent().Elements
+	}
+	classic, bprr := elements(protocol.NewDeltaClassic()), elements(protocol.NewDeltaBPRR())
+	const wantClassic, wantBPRR = 4543368, 68850
+	if classic != wantClassic || bprr != wantBPRR {
+		t.Errorf("classic ships %d elements, BP+RR %d (ratio %.4f), want %d and %d (65.9894)",
+			classic, bprr, float64(classic)/float64(bprr), wantClassic, wantBPRR)
+	}
+}

@@ -1,6 +1,9 @@
 package protocol
 
 import (
+	"math/bits"
+	"slices"
+
 	"crdtsync/internal/core"
 	"crdtsync/internal/lattice"
 	"crdtsync/internal/metrics"
@@ -38,7 +41,42 @@ type ackedEntry struct {
 	seq    uint64
 	delta  lattice.State
 	origin string
-	acked  map[string]bool
+	acked  bitset // by position in Config.Neighbors
+}
+
+// bitset is a set of small non-negative integers: one inline word for
+// members below 64 (every deployment here), a slice for the rest.
+type bitset struct {
+	lo uint64
+	hi []uint64
+}
+
+func (b *bitset) add(i int) {
+	if i < 64 {
+		b.lo |= 1 << i
+		return
+	}
+	w := i/64 - 1
+	if w >= len(b.hi) {
+		b.hi = append(b.hi, make([]uint64, w+1-len(b.hi))...)
+	}
+	b.hi[w] |= 1 << (i % 64)
+}
+
+func (b *bitset) has(i int) bool {
+	if i < 64 {
+		return b.lo&(1<<i) != 0
+	}
+	w := i/64 - 1
+	return w < len(b.hi) && b.hi[w]&(1<<(i%64)) != 0
+}
+
+func (b *bitset) len() int {
+	n := bits.OnesCount64(b.lo)
+	for _, w := range b.hi {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // deltaAcked is the lossy-channel variant of delta-based synchronization
@@ -50,20 +88,29 @@ type ackedEntry struct {
 // clear-after-send algorithm does not.
 //
 // BP and RR compose with acknowledgments exactly as in Algorithm 1.
+//
+// The buffer holds its entries by value, ascending by seq, and is nil
+// whenever it is empty: the ack that retires the last entry releases the
+// backing array with it, so an idle object keeps no reference to a
+// δ-group it has shipped.
 type deltaAcked struct {
-	cfg     Config
-	bp, rr  bool
+	*deltaConfig
 	x       lattice.State
 	nextSeq uint64
-	buf     []*ackedEntry
+	buf     []ackedEntry
 }
 
 // NewDeltaAcked returns the acknowledgment-based delta engine factory with
 // the given optimizations.
 func NewDeltaAcked(bp, rr bool) Factory {
 	return func(cfg Config) Engine {
-		return &deltaAcked{cfg: cfg, bp: bp, rr: rr, x: cfg.Datatype.New()}
+		return (&deltaAcked{deltaConfig: &deltaConfig{cfg: cfg, bp: bp, rr: rr}}).fork()
 	}
+}
+
+// fork implements forker.
+func (e *deltaAcked) fork() Engine {
+	return &deltaAcked{deltaConfig: e.deltaConfig, x: e.cfg.Datatype.New()}
 }
 
 func (e *deltaAcked) ID() string           { return e.cfg.ID }
@@ -71,12 +118,8 @@ func (e *deltaAcked) State() lattice.State { return e.x }
 
 func (e *deltaAcked) store(s lattice.State, origin string) {
 	e.x.Merge(s)
-	entry := &ackedEntry{
-		delta:  s,
-		origin: origin,
-		acked:  make(map[string]bool),
-	}
-	if e.fullyAcked(entry) {
+	entry := ackedEntry{delta: s, origin: origin}
+	if e.fullyAcked(&entry) {
 		// No neighbor ever needs this entry — e.g. its origin is the
 		// only neighbor under BP, or the node has no neighbors at all.
 		// Buffering it would leak: nothing sends it, so no ack could
@@ -97,14 +140,15 @@ func (e *deltaAcked) LocalOp(op workload.Op) {
 }
 
 func (e *deltaAcked) Sync(send Sender) {
-	for _, j := range e.cfg.Neighbors {
+	for i, j := range e.cfg.Neighbors {
 		var d lattice.State
 		var seqs []uint64
-		for _, entry := range e.buf {
+		for k := range e.buf {
+			entry := &e.buf[k]
 			if e.bp && entry.origin == j {
 				continue
 			}
-			if entry.acked[j] {
+			if entry.acked.has(i) {
 				continue
 			}
 			if d == nil {
@@ -155,31 +199,53 @@ func (e *deltaAcked) Deliver(from string, m Msg, send Sender) {
 		// nothing to acknowledge.
 		e.absorb(msg.Delta, from)
 	case *AckMsg:
-		acked := make(map[uint64]bool, len(msg.Seqs))
-		for _, s := range msg.Seqs {
-			acked[s] = true
-		}
-		kept := e.buf[:0]
-		for _, entry := range e.buf {
-			if acked[entry.seq] {
-				entry.acked[from] = true
-			}
-			if !e.fullyAcked(entry) {
-				kept = append(kept, entry)
-			}
-		}
-		e.buf = kept
+		e.ack(slices.Index(e.cfg.Neighbors, from), msg.Seqs)
 	}
+}
+
+// ack records neighbor's acknowledgment of seqs and drops the entries
+// that are thereby fully acknowledged. An acknowledgment echoes the seqs
+// of one AckedDeltaMsg, which Sync lists in buffer order, so both sides
+// ascend and one two-pointer walk pairs them; seqs in any other order
+// (never sent by this code) are sorted first.
+func (e *deltaAcked) ack(neighbor int, seqs []uint64) {
+	if neighbor < 0 {
+		return
+	}
+	if !slices.IsSorted(seqs) {
+		seqs = slices.Clone(seqs)
+		slices.Sort(seqs)
+	}
+	kept := 0
+	for k := range e.buf {
+		entry := &e.buf[k]
+		for len(seqs) > 0 && seqs[0] < entry.seq {
+			seqs = seqs[1:]
+		}
+		if len(seqs) > 0 && seqs[0] == entry.seq {
+			entry.acked.add(neighbor)
+		}
+		if !e.fullyAcked(entry) {
+			e.buf[kept] = *entry
+			kept++
+		}
+	}
+	if kept == 0 {
+		e.buf = nil
+		return
+	}
+	clear(e.buf[kept:]) // the retired entries' δ-groups
+	e.buf = e.buf[:kept]
 }
 
 // fullyAcked reports whether every neighbor that must receive the entry
 // has acknowledged it (its origin, under BP, never receives it).
 func (e *deltaAcked) fullyAcked(entry *ackedEntry) bool {
-	for _, j := range e.cfg.Neighbors {
+	for i, j := range e.cfg.Neighbors {
 		if e.bp && entry.origin == j {
 			continue
 		}
-		if !entry.acked[j] {
+		if !entry.acked.has(i) {
 			return false
 		}
 	}
@@ -188,9 +254,10 @@ func (e *deltaAcked) fullyAcked(entry *ackedEntry) bool {
 
 func (e *deltaAcked) Memory() metrics.Memory {
 	buf, meta := 0, 0
-	for _, entry := range e.buf {
+	for k := range e.buf {
+		entry := &e.buf[k]
 		buf += entry.delta.SizeBytes() + len(entry.origin)
-		meta += 8 + 8*len(entry.acked)
+		meta += 8 + 8*entry.acked.len()
 	}
 	return metrics.Memory{
 		CRDTBytes:     e.x.SizeBytes(),

@@ -33,18 +33,31 @@ func (m *DeltaMsg) Cost() metrics.Transmission { return m.cost }
 // allowed) the buffer is cleared after each synchronization step; each
 // message carries one sequence number per neighbor as metadata.
 type deltaBased struct {
+	*deltaConfig
+	x   lattice.State
+	buf core.Buffer
+}
+
+// deltaConfig is what every instance of one delta engine over one
+// datatype has in common. It is immutable and held by pointer, so the
+// per-object engines of a keyspace (forker) share one copy instead of
+// carrying the node's Config each.
+type deltaConfig struct {
 	cfg    Config
 	bp, rr bool
-	x      lattice.State
-	buf    core.Buffer
 }
 
 // NewDeltaBased returns a delta-based engine factory with the given
 // optimizations enabled.
 func NewDeltaBased(bp, rr bool) Factory {
 	return func(cfg Config) Engine {
-		return &deltaBased{cfg: cfg, bp: bp, rr: rr, x: cfg.Datatype.New()}
+		return (&deltaBased{deltaConfig: &deltaConfig{cfg: cfg, bp: bp, rr: rr}}).fork()
 	}
+}
+
+// fork implements forker.
+func (e *deltaBased) fork() Engine {
+	return &deltaBased{deltaConfig: e.deltaConfig, x: e.cfg.Datatype.New()}
 }
 
 // NewDeltaClassic returns the classic delta-based factory (no BP, no RR).

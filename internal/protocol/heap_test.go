@@ -1,0 +1,148 @@
+package protocol_test
+
+import (
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+
+	"crdtsync/internal/codec"
+	"crdtsync/internal/protocol"
+	"crdtsync/internal/workload"
+)
+
+// storeObjType is the store's prefix schema: counters, sets, and one
+// LWW map field per remaining key.
+func storeObjType(key string) workload.Datatype {
+	switch {
+	case strings.HasPrefix(key, "c/"):
+		return workload.GCounterType{}
+	case strings.HasPrefix(key, "s/"):
+		return workload.GSetType{}
+	default:
+		return workload.LWWMapType{}
+	}
+}
+
+// storeOp returns the op that creates key i of the 50/30/20
+// counter/set/map-field mix the benchmark writes.
+func storeOp(i int) workload.Op {
+	switch c := i % 10; {
+	case c < 5:
+		return workload.Inc(fmt.Sprintf("c/n%08d", i), uint64(1+i%9))
+	case c < 8:
+		return workload.Add(fmt.Sprintf("s/n%08d", i), fmt.Sprintf("e%03d", i%256))
+	default:
+		return workload.Put(fmt.Sprintf("m/n%06d/f%02d", i/16, i%16), fmt.Sprintf("%x", uint64(i)*0x9e3779b97f4a7c15))
+	}
+}
+
+// mesh is three per-object engines that are mutual neighbours, with
+// messages taken through the wire codec on the way, as between stores:
+// a receiver's states share no memory with the sender's.
+type mesh struct {
+	ids     []string
+	engines map[string]protocol.Engine
+}
+
+func newMesh(inner protocol.Factory) *mesh {
+	m := &mesh{ids: []string{"r0", "r1", "r2"}, engines: make(map[string]protocol.Engine)}
+	f := protocol.NewPerObject(inner, storeObjType)
+	for _, id := range m.ids {
+		var neighbors []string
+		for _, n := range m.ids {
+			if n != id {
+				neighbors = append(neighbors, n)
+			}
+		}
+		m.engines[id] = f(protocol.Config{ID: id, Neighbors: neighbors, Nodes: m.ids})
+	}
+	return m
+}
+
+// round runs one synchronization step of every engine and delivers what
+// it sent, and what that provoked (acknowledgments), until nothing is in
+// flight.
+func (m *mesh) round(t testing.TB) {
+	type env struct {
+		from, to string
+		m        protocol.Msg
+	}
+	var queue []env
+	sender := func(src string) protocol.Sender {
+		return func(to string, msg protocol.Msg) { queue = append(queue, env{src, to, msg}) }
+	}
+	for _, id := range m.ids {
+		m.engines[id].Sync(sender(id))
+	}
+	for len(queue) > 0 {
+		e := queue[0]
+		queue[0] = env{}
+		queue = queue[1:]
+		data, err := codec.EncodeMsg(e.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _, err := codec.DecodeMsg(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.engines[e.to].Deliver(e.from, msg, sender(e.to))
+	}
+}
+
+func heapAlloc() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestPerObjectHeapPerKey pins what a resident key costs: 100 000 keys in
+// the benchmark's 50/30/20 counter/set/map-field mix, each written at one
+// of three replicas, synchronized to the other two and acknowledged, then
+// two collections. This is the benchmark's heap_bytes_per_key without the
+// transport around it; before δ-buffers were released and small states
+// laid out flat it read 877 (delta) and 1157 (acked) bytes.
+func TestPerObjectHeapPerKey(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds three 100k-key engines")
+	}
+	const keys, batch, limit = 100_000, 5_000, 350
+	factories := []struct {
+		name  string
+		inner protocol.Factory
+	}{
+		{"delta", protocol.NewDeltaBPRR()},
+		{"acked", protocol.NewDeltaAcked(true, true)},
+	}
+	for _, f := range factories {
+		t.Run(f.name, func(t *testing.T) {
+			before := heapAlloc()
+			m := newMesh(f.inner)
+			for i := 0; i < keys; i++ {
+				m.engines[m.ids[i%3]].LocalOp(storeOp(i))
+				if i%batch == batch-1 {
+					m.round(t)
+				}
+			}
+			m.round(t)
+			m.round(t) // nothing left to send: every engine goes quiescent
+			perKey := float64(heapAlloc()-before) / (3 * keys)
+			for _, id := range m.ids {
+				if n := m.engines[id].(protocol.KeyedEngine).NumKeys(); n != keys {
+					t.Fatalf("%s holds %d keys, want %d", id, n, keys)
+				}
+				if mem := m.engines[id].Memory(); mem.BufferBytes != 0 {
+					t.Errorf("%s still buffers %d bytes of δ-groups", id, mem.BufferBytes)
+				}
+			}
+			t.Logf("%s: %.0f heap bytes per key", f.name, perKey)
+			if perKey > limit {
+				t.Errorf("%s: %.0f heap bytes per key, want ≤ %d", f.name, perKey, limit)
+			}
+			runtime.KeepAlive(m)
+		})
+	}
+}

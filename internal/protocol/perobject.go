@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"slices"
 	"sort"
 
 	"crdtsync/internal/lattice"
@@ -40,7 +41,16 @@ type perObject struct {
 	inner   Factory
 	objType func(key string) workload.Datatype
 	objects map[string]Engine
-	keys    []string // sorted, for deterministic iteration
+	// protos holds, per datatype name, the first object engine the inner
+	// factory built for that type, if it can be forked: every further
+	// object of the type is stamped out of it and shares its
+	// configuration, instead of carrying a Config copy of its own.
+	protos map[string]forker
+	// keys lists the known keys in ascending order, as Keys returns them;
+	// fresh holds, unordered, the keys created since Keys last ran.
+	// objects is the only index a write consults: a new key costs an
+	// append here, and the order is restored where it is consumed.
+	keys, fresh []string
 	// active holds keys that must be visited on the next Sync: keys
 	// touched by LocalOp/Deliver since the last one, plus keys whose
 	// engine emitted a message last round (it may need to emit again,
@@ -50,11 +60,20 @@ type perObject struct {
 	active map[string]struct{}
 }
 
+// forker is implemented by engines whose configuration is immutable and
+// shareable: fork returns a new engine with a fresh bottom state over
+// the same configuration, without copying it.
+type forker interface {
+	fork() Engine
+}
+
 var _ KeyedEngine = (*perObject)(nil)
 
 // NewPerObject wraps an inner protocol factory so that every distinct
 // op.Key is replicated as an independent object; objType chooses the
-// datatype of each object from its key.
+// datatype of each object from its key. The inner factory is called once
+// per datatype (identified by Datatype.Name), not once per key, when its
+// engines can be forked.
 func NewPerObject(inner Factory, objType func(key string) workload.Datatype) Factory {
 	return func(cfg Config) Engine {
 		return &perObject{
@@ -62,6 +81,7 @@ func NewPerObject(inner Factory, objType func(key string) workload.Datatype) Fac
 			inner:   inner,
 			objType: objType,
 			objects: make(map[string]Engine),
+			protos:  make(map[string]forker),
 			active:  make(map[string]struct{}),
 		}
 	}
@@ -69,8 +89,30 @@ func NewPerObject(inner Factory, objType func(key string) workload.Datatype) Fac
 
 func (e *perObject) ID() string { return e.cfg.ID }
 
-// Keys implements KeyedEngine.
-func (e *perObject) Keys() []string { return e.keys }
+// Keys implements KeyedEngine. Keys created since the last call are
+// sorted and merged in here, from the back, in one pass.
+func (e *perObject) Keys() []string {
+	if len(e.fresh) == 0 {
+		return e.keys
+	}
+	slices.Sort(e.fresh)
+	i, j := len(e.keys)-1, len(e.fresh)-1
+	e.keys = slices.Grow(e.keys, len(e.fresh))[:len(e.keys)+len(e.fresh)]
+	for k := len(e.keys) - 1; j >= 0; k-- {
+		if i >= 0 && e.keys[i] > e.fresh[j] {
+			e.keys[k] = e.keys[i]
+			i--
+		} else {
+			e.keys[k] = e.fresh[j]
+			j--
+		}
+	}
+	e.fresh = nil
+	return e.keys
+}
+
+// NumKeys implements KeyedEngine.
+func (e *perObject) NumKeys() int { return len(e.objects) }
 
 // ObjectState implements KeyedEngine.
 func (e *perObject) ObjectState(key string) lattice.State {
@@ -85,7 +127,7 @@ func (e *perObject) ObjectState(key string) lattice.State {
 // Object states are shared, not cloned; callers must not mutate them.
 func (e *perObject) State() lattice.State {
 	m := lattice.NewMap()
-	for _, key := range e.keys {
+	for _, key := range e.Keys() {
 		if s := e.objects[key].State(); !s.IsBottom() {
 			m.Set(key, s)
 		}
@@ -98,14 +140,20 @@ func (e *perObject) obj(key string) Engine {
 	if eng, ok := e.objects[key]; ok {
 		return eng
 	}
-	cfg := e.cfg
-	cfg.Datatype = e.objType(key)
-	eng := e.inner(cfg)
+	dt := e.objType(key)
+	var eng Engine
+	if proto, ok := e.protos[dt.Name()]; ok {
+		eng = proto.fork()
+	} else {
+		cfg := e.cfg
+		cfg.Datatype = dt
+		eng = e.inner(cfg)
+		if f, ok := eng.(forker); ok {
+			e.protos[dt.Name()] = f
+		}
+	}
 	e.objects[key] = eng
-	i := sort.SearchStrings(e.keys, key)
-	e.keys = append(e.keys, "")
-	copy(e.keys[i+1:], e.keys[i:])
-	e.keys[i] = key
+	e.fresh = append(e.fresh, key)
 	return eng
 }
 
@@ -218,8 +266,8 @@ func (e *perObject) DeliverObject(from string, key []byte, m Msg, send Sender) {
 
 func (e *perObject) Memory() metrics.Memory {
 	var total metrics.Memory
-	for _, key := range e.keys {
-		m := e.objects[key].Memory()
+	for key, eng := range e.objects {
+		m := eng.Memory()
 		total.CRDTBytes += m.CRDTBytes + len(key)
 		total.BufferBytes += m.BufferBytes
 		total.MetadataBytes += m.MetadataBytes

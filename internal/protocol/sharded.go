@@ -74,8 +74,12 @@ func NewShardedDigestMsgWithCost(items []ShardItem, digests []uint64, cost metri
 // callers read one object without materializing the aggregate state map.
 type KeyedEngine interface {
 	Engine
-	// Keys returns the known object keys in sorted order.
+	// Keys returns the known object keys in sorted order. The slice is
+	// the engine's own: valid until the next call that can create an
+	// object, and not to be modified.
 	Keys() []string
+	// NumKeys returns len(Keys()) without putting them in order.
+	NumKeys() int
 	// ObjectState returns the state of one object, or nil if the key is
 	// unknown. The state is shared, not cloned; callers must not mutate.
 	ObjectState(key string) lattice.State

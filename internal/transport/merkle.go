@@ -353,7 +353,7 @@ func (s *Store) treeEligible(sh *shard) bool {
 		return false
 	}
 	sh.mu.Lock()
-	n := len(sh.engine.Keys())
+	n := sh.engine.NumKeys()
 	sh.mu.Unlock()
 	return n >= s.cfg.TreeRepairMinKeys
 }

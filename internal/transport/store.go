@@ -561,7 +561,7 @@ func (s *Store) NumKeys() int {
 	total := 0
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		total += len(sh.engine.Keys())
+		total += sh.engine.NumKeys()
 		sh.mu.Unlock()
 	}
 	return total

@@ -176,7 +176,15 @@ func WithShards(n int) Option { return func(o *options) { o.cfg.Shards = n } }
 // EngineAcked).
 func WithEngine(e Engine) Option { return func(o *options) { o.engine = e } }
 
-// WithSyncEvery sets the synchronization period (default 1s).
+// WithSyncEvery sets the synchronization period (default 1s): the
+// interval of the sync tick. A write does not wait for it — an Update
+// triggers a flush of what has never been sent, no earlier than an eighth
+// of the period after the previous flush or tick — so the period is the
+// maximum delay of a write, the heartbeat, the cadence WithDigestEvery
+// counts in, the clock EngineAcked's retransmissions back off in, and the
+// batching budget: at most eight write-triggered flushes per period. A
+// period nobody waits out (time.Hour) plus explicit SyncNow calls is the
+// manual mode: nothing leaves between two calls.
 func WithSyncEvery(d time.Duration) Option { return func(o *options) { o.cfg.SyncEvery = d } }
 
 // WithDigestEvery enables digest anti-entropy: every n-th sync tick the
@@ -385,8 +393,9 @@ func (s *Store) Watch(prefix string) *Watcher { return s.s.Watch(prefix, 0) }
 // of 256).
 func (s *Store) WatchBuffered(prefix string, buf int) *Watcher { return s.s.Watch(prefix, buf) }
 
-// SyncNow runs one synchronization step immediately, in addition to the
-// periodic ones.
+// SyncNow runs one synchronization tick immediately, in addition to the
+// periodic ones: it ships what is unsent, re-sends what is due, and
+// counts toward WithDigestEvery.
 func (s *Store) SyncNow() { s.s.SyncNow() }
 
 // SnapshotNow runs one snapshot pass immediately, in addition to the
@@ -396,7 +405,8 @@ func (s *Store) SyncNow() { s.s.SyncNow() }
 // store was opened without WithSnapshotDir.
 func (s *Store) SnapshotNow() error { return s.s.SnapshotNow() }
 
-// Ticks returns how many synchronization steps this store has run.
+// Ticks returns how many synchronization ticks — periodic ones and
+// SyncNow calls, not write-triggered flushes — this store has run.
 func (s *Store) Ticks() uint64 { return s.s.Ticks() }
 
 // Stats returns a snapshot of the store's wire, anti-entropy,

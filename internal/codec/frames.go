@@ -3,7 +3,6 @@ package codec
 import (
 	"encoding/binary"
 
-	"crdtsync/internal/metrics"
 	"crdtsync/internal/protocol"
 )
 
@@ -13,8 +12,8 @@ import (
 // each object message inside it) is encoded exactly once, and frames are
 // assembled as header + concatenated pieces. The helpers here expose the
 // two things that requires — per-piece encode-to-buffer and exact header
-// size accounting — so the packer never re-encodes a piece to learn what
-// it would cost. AppendMsg for ShardedMsg/BatchMsg is defined in terms of
+// sizes — so the packer never re-encodes a piece to learn what it would
+// cost. AppendMsg for ShardedMsg/BatchMsg is defined in terms of
 // these same helpers, which keeps packed frames byte-identical to what
 // EncodeMsg would produce for the equivalent message.
 
@@ -26,12 +25,6 @@ func SizeUvarint(v uint64) int {
 		n++
 	}
 	return n
-}
-
-// sizeCost returns the encoded length of a transmission accounting record.
-func sizeCost(c metrics.Transmission) int {
-	return SizeUvarint(uint64(c.Messages)) + SizeUvarint(uint64(c.Elements)) +
-		SizeUvarint(uint64(c.PayloadBytes)) + SizeUvarint(uint64(c.MetadataBytes))
 }
 
 // AppendShardItem appends one shard item's wire encoding (shard index +
@@ -49,17 +42,15 @@ func AppendObjectMsg(b []byte, it protocol.ObjectMsg) ([]byte, error) {
 	return appendMsg(b, it.Inner)
 }
 
-// AppendShardedHeader appends a ShardedMsg frame header: tag, accounting,
-// the optional piggybacked digest vector, and the item count. The item
+// AppendShardedHeader appends a ShardedMsg frame header: tag, the
+// optional piggybacked digest vector, and the item count. The item
 // encodings (AppendShardItem) follow it.
-func AppendShardedHeader(b []byte, cost metrics.Transmission, digests []uint64, count int) []byte {
+func AppendShardedHeader(b []byte, digests []uint64, count int) []byte {
 	if digests == nil {
 		b = append(b, tagShardedMsg)
-		b = appendCost(b, cost)
 		return binary.AppendUvarint(b, uint64(count))
 	}
 	b = append(b, tagShardedDigestMsg)
-	b = appendCost(b, cost)
 	b = binary.AppendUvarint(b, uint64(len(digests)))
 	for _, d := range digests {
 		// Fixed 8-byte words, as in DigestMsg: uvarint averages >9 bytes
@@ -72,45 +63,40 @@ func AppendShardedHeader(b []byte, cost metrics.Transmission, digests []uint64, 
 // ShardedHeaderSize returns the exact encoded length of the header
 // AppendShardedHeader would write — what a packer adds to its accumulated
 // piece bytes to know a candidate frame's final size.
-func ShardedHeaderSize(cost metrics.Transmission, digests []uint64, count int) int {
-	n := 1 + sizeCost(cost) + SizeUvarint(uint64(count))
+func ShardedHeaderSize(digests []uint64, count int) int {
+	n := 1 + SizeUvarint(uint64(count))
 	if digests != nil {
 		n += SizeUvarint(uint64(len(digests))) + 8*len(digests)
 	}
 	return n
 }
 
-// AppendBatchHeader appends a BatchMsg header (tag, accounting, item
-// count); the item encodings (AppendObjectMsg) follow it.
-func AppendBatchHeader(b []byte, cost metrics.Transmission, count int) []byte {
+// AppendBatchHeader appends a BatchMsg header (tag, item count); the item
+// encodings (AppendObjectMsg) follow it.
+func AppendBatchHeader(b []byte, count int) []byte {
 	b = append(b, tagBatchMsg)
-	b = appendCost(b, cost)
 	return binary.AppendUvarint(b, uint64(count))
 }
 
 // BatchHeaderSize returns the exact encoded length of the header
 // AppendBatchHeader would write.
-func BatchHeaderSize(cost metrics.Transmission, count int) int {
-	return 1 + sizeCost(cost) + SizeUvarint(uint64(count))
+func BatchHeaderSize(count int) int {
+	return 1 + SizeUvarint(uint64(count))
 }
 
-// splitSharded parses an encoded plain ShardedMsg into its accounting,
-// item count, and raw item bytes. ok is false for any other encoding
-// (including the digest-carrying variant, whose vector must not survive a
-// merge — it advertises one instant's shard states, not a range).
-func splitSharded(d []byte) (cost metrics.Transmission, count uint64, items []byte, ok bool) {
+// splitSharded parses an encoded plain ShardedMsg into its item count and
+// raw item bytes. ok is false for any other encoding (including the
+// digest-carrying variant, whose vector must not survive a merge — it
+// advertises one instant's shard states, not a range).
+func splitSharded(d []byte) (count uint64, items []byte, ok bool) {
 	if len(d) == 0 || d[0] != tagShardedMsg {
-		return cost, 0, nil, false
+		return 0, nil, false
 	}
-	c, n, err := readCost(d[1:])
+	cnt, n, err := readUvarint(d[1:])
 	if err != nil {
-		return cost, 0, nil, false
+		return 0, nil, false
 	}
-	cnt, m, err := readUvarint(d[1+n:])
-	if err != nil {
-		return cost, 0, nil, false
-	}
-	return c, cnt, d[1+n+m:], true
+	return cnt, d[1+n:], true
 }
 
 // CanMergeSharded reports whether d is a plain ShardedMsg encoding — the
@@ -118,42 +104,39 @@ func splitSharded(d []byte) (cost metrics.Transmission, count uint64, items []by
 // admission predicate of MergeSharded, so a set of frames that each pass
 // it always merges.
 func CanMergeSharded(d []byte) bool {
-	_, _, _, ok := splitSharded(d)
+	_, _, ok := splitSharded(d)
 	return ok
 }
 
 // MergeSharded concatenates encoded plain ShardedMsg frames into one in a
-// single pass, without re-encoding any item: accounting and item counts
-// are summed and the item byte regions appended. The peer write pipeline
-// uses it to coalesce queued frames to the same peer on drain. The merged
-// encoding is never longer than the inputs combined (per-frame tag bytes
-// are saved and uvarint(Σx) never exceeds Σ uvarint(x)), so a size check
-// on the summed input lengths is a safe admission bound. Returns ok=false
-// when any input is not a plain sharded frame (digest-carrying frames,
+// single pass, without re-encoding any item: item counts are summed and
+// the item byte regions appended. The peer write pipeline uses it to
+// coalesce queued frames to the same peer on drain. The merged encoding
+// is never longer than the inputs combined (per-frame tag bytes are saved
+// and uvarint(Σx) never exceeds Σ uvarint(x)), so a size check on the
+// summed input lengths is a safe admission bound. Returns ok=false when
+// any input is not a plain sharded frame (digest-carrying frames,
 // heartbeats, and single-object node frames never merge).
 func MergeSharded(frames [][]byte) ([]byte, bool) {
 	if len(frames) == 0 {
 		return nil, false
 	}
 	var (
-		cost  metrics.Transmission
 		count uint64
 		total int
 	)
 	parts := make([][]byte, 0, len(frames))
 	for _, f := range frames {
-		c, n, items, ok := splitSharded(f)
+		n, items, ok := splitSharded(f)
 		if !ok {
 			return nil, false
 		}
-		cost.Add(c)
 		count += n
 		total += len(items)
 		parts = append(parts, items)
 	}
-	out := make([]byte, 0, 1+sizeCost(cost)+SizeUvarint(count)+total)
+	out := make([]byte, 0, 1+SizeUvarint(count)+total)
 	out = append(out, tagShardedMsg)
-	out = appendCost(out, cost)
 	out = binary.AppendUvarint(out, count)
 	for _, p := range parts {
 		out = append(out, p...)

@@ -7,7 +7,6 @@ import (
 	"crdtsync/internal/codec"
 	"crdtsync/internal/crdt"
 	"crdtsync/internal/lattice"
-	"crdtsync/internal/metrics"
 	"crdtsync/internal/protocol"
 )
 
@@ -54,45 +53,39 @@ func FuzzDecodeState(f *testing.F) {
 // codec is canonical, so decode∘encode must be the identity on the bytes
 // an accepted message re-encodes to.
 func FuzzDecodeMsg(f *testing.F) {
-	cost := metrics.Transmission{Messages: 1}
 	seed := func(m protocol.Msg) {
 		if d, err := codec.EncodeMsg(m); err == nil {
 			f.Add(d)
 		}
 	}
-	seed(protocol.NewDeltaMsg(crdt.NewGSet("x"), cost))
-	seed(protocol.NewAckMsg([]uint64{1, 2}, cost))
+	seed(protocol.NewDeltaMsg(crdt.NewGSet("x")))
+	seed(protocol.NewAckMsg([]uint64{1, 2}))
 	// The store's wire frames: batched sharded data and digests.
-	batch := protocol.NewBatchMsg([]protocol.ObjectMsg{
-		{Key: "obj:1", Inner: protocol.NewDeltaMsg(crdt.NewGSet("a"), cost)},
-		{Key: "obj:2", Inner: protocol.NewAckedDeltaMsg(crdt.NewGSet("b"), []uint64{3}, cost)},
-	}, cost)
+	batch := protocol.BatchOf([]protocol.ObjectMsg{
+		{Key: "obj:1", Inner: protocol.NewDeltaMsg(crdt.NewGSet("a"))},
+		{Key: "obj:2", Inner: protocol.NewAckedDeltaMsg(crdt.NewGSet("b"), []uint64{3})},
+	})
 	seed(batch)
 	seed(protocol.NewShardedMsg([]protocol.ShardItem{
 		{Shard: 0, Msg: batch},
-		{Shard: 7, Msg: protocol.NewAckMsg([]uint64{9}, cost)},
+		{Shard: 7, Msg: protocol.NewAckMsg([]uint64{9})},
 	}))
 	// The digest-carrying sharded variant (piggybacked anti-entropy).
 	seed(protocol.NewShardedDigestMsg([]protocol.ShardItem{
-		{Shard: 3, Msg: protocol.NewDeltaMsg(crdt.NewGSet("p"), cost)},
+		{Shard: 3, Msg: protocol.NewDeltaMsg(crdt.NewGSet("p"))},
 	}, []uint64{0, ^uint64(0), 0xabcdef}))
-	seed(protocol.NewDigestMsg([]uint64{0, ^uint64(0), 0xdeadbeef}, nil,
-		protocol.DigestCost([]uint64{0, 1, 2}, nil)))
-	seed(protocol.NewDigestMsg(nil, []uint32{0, 5, 4294967295},
-		protocol.DigestCost(nil, []uint32{0, 5, 6})))
+	seed(protocol.NewDigestMsg([]uint64{0, ^uint64(0), 0xdeadbeef}, nil))
+	seed(protocol.NewDigestMsg(nil, []uint32{0, 5, 4294967295}))
 	// The Merkle drill-down rounds (query, answer, want).
-	seed(protocol.NewTreeMsg(3, 1, []uint32{0, 15}, nil, nil, nil,
-		protocol.TreeCost([]uint32{0, 15}, nil, nil, nil)))
-	seed(protocol.NewTreeMsg(0, 2, nil, []uint32{7}, []uint64{^uint64(0)}, nil,
-		protocol.TreeCost(nil, []uint32{7}, []uint64{0}, nil)))
-	seed(protocol.NewTreeMsg(1, protocol.TreeDepth, nil, nil, nil, []uint32{protocol.TreeLeaves - 1},
-		protocol.TreeCost(nil, nil, nil, []uint32{0})))
+	seed(protocol.NewTreeMsg(3, 1, []uint32{0, 15}, nil, nil, nil))
+	seed(protocol.NewTreeMsg(0, 2, nil, []uint32{7}, []uint64{^uint64(0)}, nil))
+	seed(protocol.NewTreeMsg(1, protocol.TreeDepth, nil, nil, nil, []uint32{protocol.TreeLeaves - 1}))
 	f.Add([]byte{64})
 	f.Add([]byte{70, 1, 2, 3})
-	f.Add([]byte{72, 0, 0, 0, 0, 2, 1})                   // sharded, 2 items, truncated
-	f.Add([]byte{73, 0, 0, 0, 0, 255, 255, 255, 255, 15}) // digest, hostile count
-	f.Add([]byte{74, 0, 0, 0, 0, 255, 255, 255, 255, 15}) // sharded+digest, hostile count
-	f.Add([]byte{75, 0, 0, 0, 0, 0, 3, 0, 255, 255, 15})  // tree, hostile node count
+	f.Add([]byte{72, 2, 1})                   // sharded, 2 items, truncated
+	f.Add([]byte{73, 255, 255, 255, 255, 15}) // digest, hostile count
+	f.Add([]byte{74, 255, 255, 255, 255, 15}) // sharded+digest, hostile count
+	f.Add([]byte{75, 0, 3, 0, 255, 255, 15})  // tree, hostile node count
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, n, err := codec.DecodeMsg(data)
@@ -206,21 +199,16 @@ func FuzzDigest(f *testing.F) {
 			f.Add(d)
 		}
 	}
-	seed(protocol.NewDigestMsg([]uint64{0, ^uint64(0), 0xdeadbeef}, nil,
-		protocol.DigestCost([]uint64{0, 1, 2}, nil)))
-	seed(protocol.NewDigestMsg(nil, []uint32{0, 5, 4294967295},
-		protocol.DigestCost(nil, []uint32{0, 5, 6})))
-	seed(protocol.NewTreeMsg(0, 1, []uint32{0, 1, 2, 15}, nil, nil, nil,
-		protocol.TreeCost([]uint32{0, 1, 2, 15}, nil, nil, nil)))
-	seed(protocol.NewTreeMsg(7, 2, nil, []uint32{0, 255}, []uint64{1, ^uint64(0)}, nil,
-		protocol.TreeCost(nil, []uint32{0, 255}, []uint64{1, 2}, nil)))
+	seed(protocol.NewDigestMsg([]uint64{0, ^uint64(0), 0xdeadbeef}, nil))
+	seed(protocol.NewDigestMsg(nil, []uint32{0, 5, 4294967295}))
+	seed(protocol.NewTreeMsg(0, 1, []uint32{0, 1, 2, 15}, nil, nil, nil))
+	seed(protocol.NewTreeMsg(7, 2, nil, []uint32{0, 255}, []uint64{1, ^uint64(0)}, nil))
 	seed(protocol.NewTreeMsg(4294967295, protocol.TreeDepth, nil, nil, nil,
-		[]uint32{0, protocol.TreeLeaves - 1},
-		protocol.TreeCost(nil, nil, nil, []uint32{0, 1})))
-	f.Add([]byte{73, 0, 0, 0, 0, 255, 255, 255, 255, 15}) // digest, hostile count
-	f.Add([]byte{75, 0, 0, 0, 0, 0, 0, 0, 0, 0})          // tree, level 0
-	f.Add([]byte{75, 0, 0, 0, 0, 0, 1, 1, 16, 0, 0})      // tree, query index == node count
-	f.Add([]byte{75, 0, 0, 0, 0, 0, 3, 0, 1, 2, 1, 2, 3}) // tree, truncated pair hash
+		[]uint32{0, protocol.TreeLeaves - 1}))
+	f.Add([]byte{73, 255, 255, 255, 255, 15}) // digest, hostile count
+	f.Add([]byte{75, 0, 0, 0, 0, 0})          // tree, level 0
+	f.Add([]byte{75, 0, 1, 1, 16, 0, 0})      // tree, query index == node count
+	f.Add([]byte{75, 0, 3, 0, 1, 2, 1, 2, 3}) // tree, truncated pair hash
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, n, err := codec.DecodeMsg(data)

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 
-	"crdtsync/internal/metrics"
 	"crdtsync/internal/protocol"
 	"crdtsync/internal/vclock"
 )
@@ -33,8 +32,9 @@ const (
 // exhausting the goroutine stack.
 const maxMsgNesting = 8
 
-// EncodeMsg serializes a protocol message, including its transmission
-// accounting, so a receiving transport can reconstruct it exactly.
+// EncodeMsg serializes a protocol message. Transmission accounting is not
+// part of the format: no receiver reads it, and DecodeMsg rebuilds each
+// message's Cost() from its content with the constructors senders use.
 func EncodeMsg(m protocol.Msg) ([]byte, error) {
 	var b []byte
 	return appendMsg(b, m)
@@ -58,27 +58,6 @@ func decodeMsg(data []byte, depth int) (protocol.Msg, int, error) {
 		return nil, 0, err
 	}
 	return m, n + 1, nil
-}
-
-func appendCost(b []byte, c metrics.Transmission) []byte {
-	b = binary.AppendUvarint(b, uint64(c.Messages))
-	b = binary.AppendUvarint(b, uint64(c.Elements))
-	b = binary.AppendUvarint(b, uint64(c.PayloadBytes))
-	return binary.AppendUvarint(b, uint64(c.MetadataBytes))
-}
-
-func readCost(data []byte) (metrics.Transmission, int, error) {
-	var c metrics.Transmission
-	n := 0
-	for _, dst := range []*int{&c.Messages, &c.Elements, &c.PayloadBytes, &c.MetadataBytes} {
-		v, m, err := readUvarint(data[n:])
-		if err != nil {
-			return c, 0, err
-		}
-		*dst = int(v)
-		n += m
-	}
-	return c, n, nil
 }
 
 func appendVClock(b []byte, v *vclock.VClock) []byte {
@@ -159,28 +138,23 @@ func appendMsg(b []byte, m protocol.Msg) ([]byte, error) {
 	switch v := m.(type) {
 	case *protocol.StateMsg:
 		b = append(b, tagStateMsg)
-		b = appendCost(b, v.Cost())
 		return appendState(b, v.State), nil
 
 	case *protocol.DeltaMsg:
 		b = append(b, tagDeltaMsg)
-		b = appendCost(b, v.Cost())
 		return appendState(b, v.Delta), nil
 
 	case *protocol.AckedDeltaMsg:
 		b = append(b, tagAckedDeltaMsg)
-		b = appendCost(b, v.Cost())
 		b = appendSeqs(b, v.Seqs)
 		return appendState(b, v.Delta), nil
 
 	case *protocol.AckMsg:
 		b = append(b, tagAckMsg)
-		b = appendCost(b, v.Cost())
 		return appendSeqs(b, v.Seqs), nil
 
 	case *protocol.SBDigestMsg:
 		b = append(b, tagSBDigestMsg)
-		b = appendCost(b, v.Cost())
 		b = appendVClock(b, v.Vec)
 		if v.Matrix == nil {
 			return append(b, 0), nil
@@ -201,7 +175,6 @@ func appendMsg(b []byte, m protocol.Msg) ([]byte, error) {
 
 	case *protocol.SBDeltasMsg:
 		b = append(b, tagSBDeltasMsg)
-		b = appendCost(b, v.Cost())
 		b = binary.AppendUvarint(b, uint64(len(v.Items)))
 		for _, it := range v.Items {
 			b = appendDot(b, it.Dot)
@@ -211,7 +184,6 @@ func appendMsg(b []byte, m protocol.Msg) ([]byte, error) {
 
 	case *protocol.OpsMsg:
 		b = append(b, tagOpsMsg)
-		b = appendCost(b, v.Cost())
 		b = binary.AppendUvarint(b, uint64(len(v.Ops)))
 		for _, op := range v.Ops {
 			b = appendDot(b, op.Dot)
@@ -222,7 +194,7 @@ func appendMsg(b []byte, m protocol.Msg) ([]byte, error) {
 		return b, nil
 
 	case *protocol.BatchMsg:
-		b = AppendBatchHeader(b, v.Cost(), len(v.Items))
+		b = AppendBatchHeader(b, len(v.Items))
 		for _, it := range v.Items {
 			var err error
 			b, err = AppendObjectMsg(b, it)
@@ -233,7 +205,7 @@ func appendMsg(b []byte, m protocol.Msg) ([]byte, error) {
 		return b, nil
 
 	case *protocol.ShardedMsg:
-		b = AppendShardedHeader(b, v.Cost(), v.Digests, len(v.Items))
+		b = AppendShardedHeader(b, v.Digests, len(v.Items))
 		for _, it := range v.Items {
 			var err error
 			b, err = AppendShardItem(b, it)
@@ -245,7 +217,6 @@ func appendMsg(b []byte, m protocol.Msg) ([]byte, error) {
 
 	case *protocol.DigestMsg:
 		b = append(b, tagDigestMsg)
-		b = appendCost(b, v.Cost())
 		b = binary.AppendUvarint(b, uint64(len(v.Digests)))
 		for _, d := range v.Digests {
 			// Digests are hash values: fixed 8-byte words, since uvarint
@@ -263,7 +234,6 @@ func appendMsg(b []byte, m protocol.Msg) ([]byte, error) {
 			return nil, fmt.Errorf("codec: tree message with %d nodes but %d hashes", len(v.Nodes), len(v.Hashes))
 		}
 		b = append(b, tagTreeMsg)
-		b = appendCost(b, v.Cost())
 		b = binary.AppendUvarint(b, uint64(v.Shard))
 		b = append(b, v.Level)
 		b = binary.AppendUvarint(b, uint64(len(v.Query)))
@@ -317,24 +287,21 @@ func readShardItems(data []byte, depth int) ([]protocol.ShardItem, int, error) {
 }
 
 func readMsgBody(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
-	cost, n, err := readCost(data)
-	if err != nil {
-		return nil, 0, err
-	}
+	n := 0
 	switch tag {
 	case tagStateMsg:
 		s, m, err := readState(data[n:])
 		if err != nil {
 			return nil, 0, err
 		}
-		return protocol.NewStateMsg(s, cost), n + m, nil
+		return protocol.NewStateMsg(s), n + m, nil
 
 	case tagDeltaMsg:
 		s, m, err := readState(data[n:])
 		if err != nil {
 			return nil, 0, err
 		}
-		return protocol.NewDeltaMsg(s, cost), n + m, nil
+		return protocol.NewDeltaMsg(s), n + m, nil
 
 	case tagAckedDeltaMsg:
 		seqs, m, err := readSeqs(data[n:])
@@ -346,14 +313,14 @@ func readMsgBody(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		return protocol.NewAckedDeltaMsg(s, seqs, cost), n + m2, nil
+		return protocol.NewAckedDeltaMsg(s, seqs), n + m2, nil
 
 	case tagAckMsg:
 		seqs, m, err := readSeqs(data[n:])
 		if err != nil {
 			return nil, 0, err
 		}
-		return protocol.NewAckMsg(seqs, cost), n + m, nil
+		return protocol.NewAckMsg(seqs), n + m, nil
 
 	case tagSBDigestMsg:
 		vec, m, err := readVClock(data[n:])
@@ -388,7 +355,7 @@ func readMsgBody(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
 				matrix[k] = v
 			}
 		}
-		return protocol.NewSBDigestMsg(vec, matrix, cost), n, nil
+		return protocol.NewSBDigestMsg(vec, matrix), n, nil
 
 	case tagSBDeltasMsg:
 		count, m, err := readUvarint(data[n:])
@@ -410,7 +377,7 @@ func readMsgBody(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
 			n += m3
 			items = append(items, protocol.SBItem{Dot: d, Delta: s})
 		}
-		return protocol.NewSBDeltasMsg(items, cost), n, nil
+		return protocol.NewSBDeltasMsg(items), n, nil
 
 	case tagOpsMsg:
 		count, m, err := readUvarint(data[n:])
@@ -442,7 +409,7 @@ func readMsgBody(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
 			n += m5
 			ops = append(ops, protocol.TaggedOp{Dot: d, Dep: dep, Payload: payload, OpBytes: int(opBytes)})
 		}
-		return protocol.NewOpsMsg(ops, cost), n, nil
+		return protocol.NewOpsMsg(ops), n, nil
 
 	case tagBatchMsg:
 		count, m, err := readUvarint(data[n:])
@@ -464,14 +431,14 @@ func readMsgBody(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
 			n += m3
 			items = append(items, protocol.ObjectMsg{Key: k, Inner: inner})
 		}
-		return protocol.NewBatchMsg(items, cost), n, nil
+		return protocol.BatchOf(items), n, nil
 
 	case tagShardedMsg:
 		items, m, err := readShardItems(data[n:], depth)
 		if err != nil {
 			return nil, 0, err
 		}
-		return protocol.NewShardedMsgWithCost(items, cost), n + m, nil
+		return protocol.NewShardedMsg(items), n + m, nil
 
 	case tagShardedDigestMsg:
 		dcount, m, err := readUvarint(data[n:])
@@ -496,7 +463,7 @@ func readMsgBody(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		return protocol.NewShardedDigestMsgWithCost(items, digests, cost), n + m, nil
+		return protocol.NewShardedDigestMsg(items, digests), n + m, nil
 
 	case tagDigestMsg:
 		count, m, err := readUvarint(data[n:])
@@ -539,7 +506,7 @@ func readMsgBody(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
 				want = append(want, uint32(w))
 			}
 		}
-		return protocol.NewDigestMsg(digests, want, cost), n, nil
+		return protocol.NewDigestMsg(digests, want), n, nil
 
 	case tagTreeMsg:
 		shard, m, err := readUvarint(data[n:])
@@ -604,7 +571,7 @@ func readMsgBody(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
 			return nil, 0, err
 		}
 		n += m
-		return protocol.NewTreeMsg(uint32(shard), level, query, nodes, hashes, want, cost), n, nil
+		return protocol.NewTreeMsg(uint32(shard), level, query, nodes, hashes, want), n, nil
 
 	default:
 		return nil, 0, fmt.Errorf("%w: %d", ErrUnknownTag, tag)

@@ -6,16 +6,12 @@ import (
 
 	"crdtsync/internal/codec"
 	"crdtsync/internal/crdt"
-	"crdtsync/internal/metrics"
 	"crdtsync/internal/protocol"
 	"crdtsync/internal/vclock"
 )
 
-func cost() metrics.Transmission {
-	return metrics.Transmission{Messages: 1, Elements: 3, PayloadBytes: 17, MetadataBytes: 9}
-}
-
-// msgRoundTrip encodes and decodes a message, checking cost preservation.
+// msgRoundTrip encodes and decodes a message, checking that the decoder
+// rebuilds the sender's accounting from the content.
 func msgRoundTrip(t *testing.T, m protocol.Msg) protocol.Msg {
 	t.Helper()
 	data, err := codec.EncodeMsg(m)
@@ -39,7 +35,7 @@ func msgRoundTrip(t *testing.T, m protocol.Msg) protocol.Msg {
 }
 
 func TestStateMsgRoundTrip(t *testing.T) {
-	m := protocol.NewStateMsg(crdt.NewGSet("a", "b"), cost())
+	m := protocol.NewStateMsg(crdt.NewGSet("a", "b"))
 	got := msgRoundTrip(t, m).(*protocol.StateMsg)
 	if !got.State.Equal(m.State) {
 		t.Error("state payload mismatch")
@@ -47,7 +43,7 @@ func TestStateMsgRoundTrip(t *testing.T) {
 }
 
 func TestDeltaMsgRoundTrip(t *testing.T) {
-	m := protocol.NewDeltaMsg(crdt.NewGSet("d"), cost())
+	m := protocol.NewDeltaMsg(crdt.NewGSet("d"))
 	got := msgRoundTrip(t, m).(*protocol.DeltaMsg)
 	if !got.Delta.Equal(m.Delta) {
 		t.Error("delta payload mismatch")
@@ -55,12 +51,12 @@ func TestDeltaMsgRoundTrip(t *testing.T) {
 }
 
 func TestAckedDeltaAndAckRoundTrip(t *testing.T) {
-	m := protocol.NewAckedDeltaMsg(crdt.NewGSet("x"), []uint64{3, 9, 12}, cost())
+	m := protocol.NewAckedDeltaMsg(crdt.NewGSet("x"), []uint64{3, 9, 12})
 	got := msgRoundTrip(t, m).(*protocol.AckedDeltaMsg)
 	if len(got.Seqs) != 3 || got.Seqs[2] != 12 {
 		t.Errorf("seqs = %v", got.Seqs)
 	}
-	a := protocol.NewAckMsg([]uint64{7}, cost())
+	a := protocol.NewAckMsg([]uint64{7})
 	gotAck := msgRoundTrip(t, a).(*protocol.AckMsg)
 	if len(gotAck.Seqs) != 1 || gotAck.Seqs[0] != 7 {
 		t.Errorf("ack seqs = %v", gotAck.Seqs)
@@ -72,7 +68,7 @@ func TestSBDigestRoundTrip(t *testing.T) {
 	vec.Set("n00", 4)
 	vec.Set("n01", 2)
 	// Plain digest (no matrix).
-	m := protocol.NewSBDigestMsg(vec, nil, cost())
+	m := protocol.NewSBDigestMsg(vec, nil)
 	got := msgRoundTrip(t, m).(*protocol.SBDigestMsg)
 	if !got.Vec.Equal(vec) || got.Matrix != nil {
 		t.Error("plain digest mismatch")
@@ -80,7 +76,7 @@ func TestSBDigestRoundTrip(t *testing.T) {
 	// GC digest with matrix.
 	other := vclock.New()
 	other.Set("n02", 8)
-	mg := protocol.NewSBDigestMsg(vec, map[string]*vclock.VClock{"n00": vec.Clone(), "n02": other}, cost())
+	mg := protocol.NewSBDigestMsg(vec, map[string]*vclock.VClock{"n00": vec.Clone(), "n02": other})
 	gotGC := msgRoundTrip(t, mg).(*protocol.SBDigestMsg)
 	if len(gotGC.Matrix) != 2 || !gotGC.Matrix["n02"].Equal(other) {
 		t.Error("matrix mismatch")
@@ -92,7 +88,7 @@ func TestSBDeltasRoundTrip(t *testing.T) {
 		{Dot: vclock.Dot{Actor: "n00", Seq: 1}, Delta: crdt.NewGSet("p")},
 		{Dot: vclock.Dot{Actor: "n01", Seq: 5}, Delta: crdt.NewGSet("q")},
 	}
-	m := protocol.NewSBDeltasMsg(items, cost())
+	m := protocol.NewSBDeltasMsg(items)
 	got := msgRoundTrip(t, m).(*protocol.SBDeltasMsg)
 	if len(got.Items) != 2 || got.Items[1].Dot.Seq != 5 {
 		t.Errorf("items = %+v", got.Items)
@@ -111,7 +107,7 @@ func TestOpsMsgRoundTrip(t *testing.T) {
 		Payload: crdt.NewGSet("op-elem"),
 		OpBytes: 7,
 	}}
-	m := protocol.NewOpsMsg(ops, cost())
+	m := protocol.NewOpsMsg(ops)
 	got := msgRoundTrip(t, m).(*protocol.OpsMsg)
 	if len(got.Ops) != 1 {
 		t.Fatalf("ops = %d", len(got.Ops))
@@ -124,10 +120,10 @@ func TestOpsMsgRoundTrip(t *testing.T) {
 
 func TestBatchMsgRoundTrip(t *testing.T) {
 	items := []protocol.ObjectMsg{
-		{Key: "obj1", Inner: protocol.NewDeltaMsg(crdt.NewGSet("a"), cost())},
-		{Key: "obj2", Inner: protocol.NewStateMsg(crdt.NewGCounter(), cost())},
+		{Key: "obj1", Inner: protocol.NewDeltaMsg(crdt.NewGSet("a"))},
+		{Key: "obj2", Inner: protocol.NewStateMsg(crdt.NewGCounter())},
 	}
-	m := protocol.NewBatchMsg(items, cost())
+	m := protocol.BatchOf(items)
 	got := msgRoundTrip(t, m).(*protocol.BatchMsg)
 	if len(got.Items) != 2 || got.Items[0].Key != "obj1" {
 		t.Fatalf("items = %+v", got.Items)
@@ -138,13 +134,13 @@ func TestBatchMsgRoundTrip(t *testing.T) {
 }
 
 func TestShardedMsgRoundTrip(t *testing.T) {
-	batch := protocol.NewBatchMsg([]protocol.ObjectMsg{
-		{Key: "user:1", Inner: protocol.NewDeltaMsg(crdt.NewGSet("a"), cost())},
-		{Key: "user:2", Inner: protocol.NewDeltaMsg(crdt.NewGSet("b"), cost())},
-	}, cost())
+	batch := protocol.BatchOf([]protocol.ObjectMsg{
+		{Key: "user:1", Inner: protocol.NewDeltaMsg(crdt.NewGSet("a"))},
+		{Key: "user:2", Inner: protocol.NewDeltaMsg(crdt.NewGSet("b"))},
+	})
 	items := []protocol.ShardItem{
 		{Shard: 0, Msg: batch},
-		{Shard: 13, Msg: protocol.NewDeltaMsg(crdt.NewGSet("c"), cost())},
+		{Shard: 13, Msg: protocol.NewDeltaMsg(crdt.NewGSet("c"))},
 	}
 	m := protocol.NewShardedMsg(items)
 	got := msgRoundTrip(t, m).(*protocol.ShardedMsg)
@@ -162,7 +158,7 @@ func TestShardedMsgRoundTrip(t *testing.T) {
 
 func TestShardedDigestMsgRoundTrip(t *testing.T) {
 	items := []protocol.ShardItem{
-		{Shard: 2, Msg: protocol.NewDeltaMsg(crdt.NewGSet("a"), cost())},
+		{Shard: 2, Msg: protocol.NewDeltaMsg(crdt.NewGSet("a"))},
 	}
 	vec := []uint64{7, 0, ^uint64(0), 0xfeedface}
 	m := protocol.NewShardedDigestMsg(items, vec)
@@ -198,7 +194,7 @@ func TestShardedDigestMsgRoundTrip(t *testing.T) {
 func TestShardedDigestMsgHostileCount(t *testing.T) {
 	// The piggybacked vector's count is bounds-checked against the actual
 	// remaining bytes before allocating, like DigestMsg's.
-	header := []byte{74, 0, 0, 0, 0} // tagShardedDigestMsg, zero cost
+	header := []byte{74} // tagShardedDigestMsg
 	for _, count := range []uint64{1 << 60, 3} {
 		data := binary.AppendUvarint(append([]byte{}, header...), count)
 		data = append(data, make([]byte, 16)...) // room for only 2 digests
@@ -210,11 +206,11 @@ func TestShardedDigestMsgHostileCount(t *testing.T) {
 
 func TestMergeSharded(t *testing.T) {
 	itemsA := []protocol.ShardItem{
-		{Shard: 1, Msg: protocol.NewDeltaMsg(crdt.NewGSet("a"), cost())},
-		{Shard: 2, Msg: protocol.NewDeltaMsg(crdt.NewGSet("b"), cost())},
+		{Shard: 1, Msg: protocol.NewDeltaMsg(crdt.NewGSet("a"))},
+		{Shard: 2, Msg: protocol.NewDeltaMsg(crdt.NewGSet("b"))},
 	}
 	itemsB := []protocol.ShardItem{
-		{Shard: 9, Msg: protocol.NewAckMsg([]uint64{4}, cost())},
+		{Shard: 9, Msg: protocol.NewAckMsg([]uint64{4})},
 	}
 	ma, mb := protocol.NewShardedMsg(itemsA), protocol.NewShardedMsg(itemsB)
 	ea, _ := codec.EncodeMsg(ma)
@@ -237,8 +233,11 @@ func TestMergeSharded(t *testing.T) {
 	if len(sm.Items) != 3 || sm.Items[0].Shard != 1 || sm.Items[2].Shard != 9 {
 		t.Fatalf("merged items = %+v", sm.Items)
 	}
+	// The merged frame accounts as what it is: one message on the wire
+	// carrying both frames' items.
 	wantCost := ma.Cost()
 	wantCost.Add(mb.Cost())
+	wantCost.Messages = 1
 	if sm.Cost() != wantCost {
 		t.Errorf("merged cost = %+v, want summed %+v", sm.Cost(), wantCost)
 	}
@@ -249,7 +248,7 @@ func TestMergeSharded(t *testing.T) {
 	if _, ok := codec.MergeSharded([][]byte{ea, ec}); ok || codec.CanMergeSharded(ec) {
 		t.Error("digest-carrying frame must not merge")
 	}
-	ed, _ := codec.EncodeMsg(protocol.NewAckMsg([]uint64{1}, cost()))
+	ed, _ := codec.EncodeMsg(protocol.NewAckMsg([]uint64{1}))
 	if _, ok := codec.MergeSharded([][]byte{ea, ed}); ok || codec.CanMergeSharded(ed) {
 		t.Error("non-sharded frame must not merge")
 	}
@@ -262,16 +261,14 @@ func TestMergeSharded(t *testing.T) {
 }
 
 func TestShardedMsgCostAggregation(t *testing.T) {
-	inner := protocol.NewDeltaMsg(crdt.NewGSet("x", "y"), metrics.Transmission{
-		Messages: 1, Elements: 2, PayloadBytes: 10, MetadataBytes: 8,
-	})
+	inner := protocol.NewDeltaMsg(crdt.NewGSet("x", "y"))
 	m := protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 3, Msg: inner}})
 	c := m.Cost()
 	if c.Messages != 1 {
 		t.Errorf("messages = %d, want 1 (one frame on the wire)", c.Messages)
 	}
-	if c.Elements != 2 || c.PayloadBytes != 10 {
-		t.Errorf("payload accounting = %+v, want inner sums", c)
+	if ic := inner.Cost(); c.Elements != 2 || c.Elements != ic.Elements || c.PayloadBytes != ic.PayloadBytes {
+		t.Errorf("payload accounting = %+v, want inner sums %+v", c, ic)
 	}
 	if c.MetadataBytes != 8+4 {
 		t.Errorf("metadata = %d, want inner 8 + 4 routing bytes", c.MetadataBytes)
@@ -281,7 +278,7 @@ func TestShardedMsgCostAggregation(t *testing.T) {
 func TestDigestMsgRoundTrip(t *testing.T) {
 	// Advertisement: a digest vector, no wants.
 	vec := []uint64{0, 1, ^uint64(0), 0xdeadbeefcafe}
-	m := protocol.NewDigestMsg(vec, nil, cost())
+	m := protocol.NewDigestMsg(vec, nil)
 	got := msgRoundTrip(t, m).(*protocol.DigestMsg)
 	if len(got.Digests) != 4 || got.Digests[2] != ^uint64(0) || got.Digests[3] != 0xdeadbeefcafe {
 		t.Errorf("digests = %v", got.Digests)
@@ -290,7 +287,7 @@ func TestDigestMsgRoundTrip(t *testing.T) {
 		t.Errorf("want = %v, want nil", got.Want)
 	}
 	// Request: shard indices, no digests.
-	r := protocol.NewDigestMsg(nil, []uint32{0, 13, 4294967295}, cost())
+	r := protocol.NewDigestMsg(nil, []uint32{0, 13, 4294967295})
 	gotR := msgRoundTrip(t, r).(*protocol.DigestMsg)
 	if len(gotR.Want) != 3 || gotR.Want[2] != 4294967295 {
 		t.Errorf("want = %v", gotR.Want)
@@ -302,7 +299,7 @@ func TestDigestMsgRoundTrip(t *testing.T) {
 
 func TestTreeMsgRoundTrip(t *testing.T) {
 	// Query round (drill-down request).
-	q := protocol.NewTreeMsg(7, 1, []uint32{0, 5, 15}, nil, nil, nil, cost())
+	q := protocol.NewTreeMsg(7, 1, []uint32{0, 5, 15}, nil, nil, nil)
 	gotQ := msgRoundTrip(t, q).(*protocol.TreeMsg)
 	if gotQ.Shard != 7 || gotQ.Level != 1 {
 		t.Errorf("shard/level = %d/%d", gotQ.Shard, gotQ.Level)
@@ -311,14 +308,14 @@ func TestTreeMsgRoundTrip(t *testing.T) {
 		t.Errorf("query round = %+v", gotQ)
 	}
 	// Answer round (nodes + hashes, parallel slices).
-	a := protocol.NewTreeMsg(0, 2, nil, []uint32{3, 255}, []uint64{0, ^uint64(0)}, nil, cost())
+	a := protocol.NewTreeMsg(0, 2, nil, []uint32{3, 255}, []uint64{0, ^uint64(0)}, nil)
 	gotA := msgRoundTrip(t, a).(*protocol.TreeMsg)
 	if len(gotA.Nodes) != 2 || gotA.Nodes[1] != 255 || len(gotA.Hashes) != 2 || gotA.Hashes[1] != ^uint64(0) {
 		t.Errorf("answer round = %+v", gotA)
 	}
 	// Want round (leaf-level range request).
 	w := protocol.NewTreeMsg(4294967295, protocol.TreeDepth, nil, nil, nil,
-		[]uint32{0, protocol.TreeLeaves - 1}, cost())
+		[]uint32{0, protocol.TreeLeaves - 1})
 	gotW := msgRoundTrip(t, w).(*protocol.TreeMsg)
 	if gotW.Shard != 4294967295 || len(gotW.Want) != 2 || gotW.Want[1] != protocol.TreeLeaves-1 {
 		t.Errorf("want round = %+v", gotW)
@@ -326,14 +323,14 @@ func TestTreeMsgRoundTrip(t *testing.T) {
 }
 
 func TestEncodeTreeMsgMismatchedHashes(t *testing.T) {
-	m := protocol.NewTreeMsg(0, 1, nil, []uint32{1, 2}, []uint64{9}, nil, cost())
+	m := protocol.NewTreeMsg(0, 1, nil, []uint32{1, 2}, []uint64{9}, nil)
 	if _, err := codec.EncodeMsg(m); err == nil {
 		t.Error("nodes/hashes length mismatch should fail encoding")
 	}
 }
 
 func TestDecodeTreeHostileInput(t *testing.T) {
-	header := []byte{75, 0, 0, 0, 0, 0} // tagTreeMsg, zero cost, shard 0
+	header := []byte{75, 0} // tagTreeMsg, shard 0
 	// Levels outside [1, TreeDepth] bound no node index and must fail.
 	for _, level := range []byte{0, protocol.TreeDepth + 1, 255} {
 		data := append(append([]byte{}, header...), level)
@@ -366,21 +363,21 @@ func TestDecodeTreeHostileInput(t *testing.T) {
 		t.Error("truncated node hash should fail decoding")
 	}
 	// A shard index beyond uint32 must be rejected, as everywhere else.
-	data = []byte{75, 0, 0, 0, 0}
+	data = []byte{75}
 	data = binary.AppendUvarint(data, uint64(1)<<35)
 	data = append(data, 1, 0, 0, 0)
 	if _, _, err := codec.DecodeMsg(data); err == nil {
 		t.Error("out-of-range shard index should fail decoding")
 	}
 	// Truncated before the level byte.
-	data = []byte{75, 0, 0, 0, 0, 0}
+	data = []byte{75, 0}
 	if _, _, err := codec.DecodeMsg(data); err == nil {
 		t.Error("message truncated at level should fail decoding")
 	}
 }
 
 func TestDecodeDigestHostileInput(t *testing.T) {
-	header := []byte{73, 0, 0, 0, 0} // tagDigestMsg, zero cost
+	header := []byte{73} // tagDigestMsg
 	// A count promising 2^60 digests in a few bytes must fail before
 	// allocating, as must one barely above the actual payload.
 	for _, count := range []uint64{1 << 60, 3} {
@@ -409,9 +406,9 @@ func TestDecodeDigestHostileInput(t *testing.T) {
 func TestDecodeShardIndexOutOfRange(t *testing.T) {
 	// A shard index beyond uint32 must be rejected, not truncated into
 	// the valid range where it would bypass the receiver's bounds check.
-	msg := []byte{72, 0, 0, 0, 0, 1}               // sharded, zero cost, 1 item
+	msg := []byte{72, 1}                           // sharded, 1 item
 	msg = binary.AppendUvarint(msg, uint64(1)<<33) // hostile shard index
-	inner, _ := codec.EncodeMsg(protocol.NewAckMsg(nil, cost()))
+	inner, _ := codec.EncodeMsg(protocol.NewAckMsg(nil))
 	msg = append(msg, inner...)
 	if _, _, err := codec.DecodeMsg(msg); err == nil {
 		t.Error("out-of-range shard index should fail decoding")
@@ -423,10 +420,9 @@ func TestDecodeHostileNestingDoesNotPanic(t *testing.T) {
 	// with an error, not exhaust the stack.
 	var msg []byte
 	for i := 0; i < 1000; i++ {
-		msg = append(msg, 72)         // tagShardedMsg
-		msg = append(msg, 0, 0, 0, 0) // zero cost
-		msg = append(msg, 1)          // one item
-		msg = append(msg, 0)          // shard 0
+		msg = append(msg, 72) // tagShardedMsg
+		msg = append(msg, 1)  // one item
+		msg = append(msg, 0)  // shard 0
 	}
 	if _, _, err := codec.DecodeMsg(msg); err == nil {
 		t.Error("deeply nested sharded message should fail")
@@ -448,7 +444,7 @@ func TestDecodeMsgErrors(t *testing.T) {
 	if _, _, err := codec.DecodeMsg([]byte{200, 0, 0, 0, 0}); err == nil {
 		t.Error("unknown tag should fail")
 	}
-	data, _ := codec.EncodeMsg(protocol.NewDeltaMsg(crdt.NewGSet("abc"), cost()))
+	data, _ := codec.EncodeMsg(protocol.NewDeltaMsg(crdt.NewGSet("abc")))
 	if _, _, err := codec.DecodeMsg(data[:3]); err == nil {
 		t.Error("truncated message should fail")
 	}
@@ -458,14 +454,9 @@ func TestDecodeHostileCountDoesNotPanic(t *testing.T) {
 	// A frame declaring an absurd element count (here 2^60 sharded items
 	// in a few bytes) must fail with a decode error, not panic allocating
 	// the claimed capacity. Exercise every counted message shape.
-	encodeHeader := func(tag byte) []byte {
-		b := []byte{tag}
-		b = append(b, 0, 0, 0, 0) // zero cost
-		return b
-	}
 	hugeCount := binary.AppendUvarint(nil, 1<<60)
 	for _, tag := range []byte{68, 69, 70, 71, 72} { // sbdigest..sharded
-		data := encodeHeader(tag)
+		data := []byte{tag}
 		if tag == 68 { // SBDigestMsg: empty vector, matrix present
 			data = append(data, 0, 1)
 		}

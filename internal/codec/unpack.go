@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 
-	"crdtsync/internal/metrics"
 	"crdtsync/internal/protocol"
 )
 
@@ -91,13 +90,10 @@ type ItemGroup struct {
 	Items []ItemView
 }
 
-// FrameView is the reusable result of UnpackFrame: frame-level accounting,
-// the piggybacked digest vector (if any), and the item views grouped by
-// shard. A view is valid until its next Unpack; pool and reuse it — a
+// FrameView is the reusable result of UnpackFrame: the piggybacked digest
+// vector (if any) and the item views grouped by shard. A view is valid until its next Unpack; pool and reuse it — a
 // steady-state unpack allocates nothing.
 type FrameView struct {
-	// Cost is the frame's transmission accounting record.
-	Cost metrics.Transmission
 	// Digests is the piggybacked per-shard digest vector; nil when the
 	// frame carried none. The backing array is reused across unpacks.
 	Digests []uint64
@@ -127,7 +123,6 @@ func (v *FrameView) NumItems() int { return len(v.items) }
 // cost follows the last frame's size, not the largest frame the view has
 // ever held.
 func (v *FrameView) reset() {
-	v.Cost = metrics.Transmission{}
 	v.Digests = v.Digests[:0]
 	v.Dropped = 0
 	clear(v.items)
@@ -174,12 +169,7 @@ func UnpackFrame(data []byte, shards int, v *FrameView) error {
 	if tag != tagShardedMsg && tag != tagShardedDigestMsg {
 		return ErrNotSharded
 	}
-	cost, n, err := readCost(data[1:])
-	if err != nil {
-		return err
-	}
-	n++
-	v.Cost = cost
+	n := 1
 	if tag == tagShardedDigestMsg {
 		dcount, m, err := readUvarint(data[n:])
 		if err != nil {
@@ -260,13 +250,9 @@ func (v *FrameView) appendItem(data []byte, at int, shard uint32, keep bool) (in
 		return n, nil
 	}
 	// A batch: walk its header, then flatten each (key, inner message)
-	// pair into its own view. The batch-level wrapper (its accounting and
-	// count) is never materialized on the receive path.
-	_, n, err := readCost(d[1:])
-	if err != nil {
-		return 0, err
-	}
-	n++
+	// pair into its own view. The batch-level wrapper is never
+	// materialized on the receive path.
+	n := 1
 	count, m, err := readUvarint(d[n:])
 	if err != nil {
 		return 0, err
@@ -368,18 +354,6 @@ func skipStringList(data []byte) (int, error) {
 	}
 	for i := uint64(0); i < count; i++ {
 		m, err := skipString(data[n:])
-		if err != nil {
-			return 0, err
-		}
-		n += m
-	}
-	return n, nil
-}
-
-func skipCost(data []byte) (int, error) {
-	n := 0
-	for i := 0; i < 4; i++ {
-		m, err := skipUvarint(data[n:])
 		if err != nil {
 			return 0, err
 		}
@@ -571,11 +545,7 @@ func skipMsg(data []byte, depth int) (int, error) {
 		return 0, ErrTruncated
 	}
 	tag := data[0]
-	n, err := skipCost(data[1:])
-	if err != nil {
-		return 0, err
-	}
-	n++
+	n := 1
 	body := data
 	switch tag {
 	case tagStateMsg, tagDeltaMsg:

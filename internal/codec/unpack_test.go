@@ -9,7 +9,6 @@ import (
 
 	"crdtsync/internal/codec"
 	"crdtsync/internal/crdt"
-	"crdtsync/internal/metrics"
 	"crdtsync/internal/protocol"
 )
 
@@ -101,9 +100,6 @@ func checkUnpacked(t testing.TB, data []byte, shards int, v *codec.FrameView) {
 	if err := codec.UnpackFrame(data, shards, v); err != nil {
 		t.Fatalf("UnpackFrame: %v", err)
 	}
-	if v.Cost != sm.Cost() {
-		t.Fatalf("cost %+v, want %+v", v.Cost, sm.Cost())
-	}
 	if len(v.Digests) != len(sm.Digests) {
 		t.Fatalf("digests %v, want %v", v.Digests, sm.Digests)
 	}
@@ -148,9 +144,7 @@ func unpackGSetDelta(seed, n int) protocol.Msg {
 		els[i] = fmt.Sprintf("el-%d-%d", seed, i)
 	}
 	s := crdt.NewGSet(els...)
-	return protocol.NewDeltaMsg(s, metrics.Transmission{
-		Messages: 1, Elements: s.Elements(), PayloadBytes: s.SizeBytes(),
-	})
+	return protocol.NewDeltaMsg(s)
 }
 
 func unpackBatch(shard uint32, keys ...string) protocol.ShardItem {
@@ -165,11 +159,10 @@ func unpackBatch(shard uint32, keys ...string) protocol.ShardItem {
 // whose items already arrive in shard order, plus view reuse across
 // frames of both sharded variants.
 func TestUnpackFrameGrouped(t *testing.T) {
-	cost := metrics.Transmission{Messages: 1}
 	var v codec.FrameView
 	first := encodeMsg(t, protocol.NewShardedMsg([]protocol.ShardItem{
 		unpackBatch(0, "a", "b"),
-		{Shard: 1, Msg: protocol.NewAckMsg([]uint64{4, 5}, cost)},
+		{Shard: 1, Msg: protocol.NewAckMsg([]uint64{4, 5})},
 		unpackBatch(1, "c"),
 		unpackBatch(3, "d", "e", "f"),
 	}))
@@ -230,8 +223,8 @@ func TestUnpackFrameNotSharded(t *testing.T) {
 	var v codec.FrameView
 	for _, m := range []protocol.Msg{
 		unpackGSetDelta(1, 3),
-		protocol.NewDigestMsg([]uint64{1, 2}, nil, protocol.DigestCost([]uint64{1, 2}, nil)),
-		protocol.NewBatchMsg(nil, metrics.Transmission{Messages: 1}),
+		protocol.NewDigestMsg([]uint64{1, 2}, nil),
+		protocol.BatchOf(nil),
 	} {
 		if err := codec.UnpackFrame(encodeMsg(t, m), 4, &v); !errors.Is(err, codec.ErrNotSharded) {
 			t.Fatalf("%s: err = %v, want ErrNotSharded", m.Kind(), err)
@@ -247,9 +240,9 @@ func TestUnpackFrameNotSharded(t *testing.T) {
 func TestUnpackFrameHostile(t *testing.T) {
 	var v codec.FrameView
 	for _, data := range [][]byte{
-		{72, 0, 0, 0, 0, 2, 1},                   // sharded, 2 items, truncated
-		{74, 0, 0, 0, 0, 255, 255, 255, 255, 15}, // sharded+digest, hostile digest count
-		{72, 0, 0, 0, 0, 255, 255, 255, 255, 15}, // sharded, hostile item count
+		{72, 2, 1},                   // sharded, 2 items, truncated
+		{74, 255, 255, 255, 255, 15}, // sharded+digest, hostile digest count
+		{72, 255, 255, 255, 255, 15}, // sharded, hostile item count
 	} {
 		if err := codec.UnpackFrame(data, 4, &v); err == nil {
 			t.Fatalf("%v: accepted hostile input", data)
@@ -263,10 +256,9 @@ func TestUnpackFrameHostile(t *testing.T) {
 
 // TestItemViewTags: wire-tag classification without decoding.
 func TestItemViewTags(t *testing.T) {
-	cost := metrics.Transmission{Messages: 1}
 	var v codec.FrameView
 	data := encodeMsg(t, protocol.NewShardedMsg([]protocol.ShardItem{
-		{Shard: 0, Msg: protocol.NewAckMsg([]uint64{1}, cost)},
+		{Shard: 0, Msg: protocol.NewAckMsg([]uint64{1})},
 		unpackBatch(1, "k"),
 	}))
 	if err := codec.UnpackFrame(data, 4, &v); err != nil {
@@ -288,44 +280,40 @@ func TestItemViewTags(t *testing.T) {
 // the eager decoder: on any input, UnpackFrame must never panic, must
 // accept exactly the sharded frames DecodeMsg accepts (rejecting other
 // accepted kinds with ErrNotSharded), and on acceptance must produce the
-// same items, digests, cost and drop count — with every payload view
+// same items, digests and drop count — with every payload view
 // decoding to bytes identical to its eager counterpart (alias safety:
 // views index the input buffer, decodes copy out of it).
 func FuzzUnpackFrame(f *testing.F) {
-	cost := metrics.Transmission{Messages: 1}
 	seed := func(m protocol.Msg) {
 		if d, err := codec.EncodeMsg(m); err == nil {
 			f.Add(d)
 		}
 	}
-	batch := protocol.NewBatchMsg([]protocol.ObjectMsg{
-		{Key: "obj:1", Inner: protocol.NewDeltaMsg(crdt.NewGSet("a"), cost)},
-		{Key: "obj:2", Inner: protocol.NewAckedDeltaMsg(crdt.NewGSet("b"), []uint64{3}, cost)},
-	}, cost)
+	batch := protocol.BatchOf([]protocol.ObjectMsg{
+		{Key: "obj:1", Inner: protocol.NewDeltaMsg(crdt.NewGSet("a"))},
+		{Key: "obj:2", Inner: protocol.NewAckedDeltaMsg(crdt.NewGSet("b"), []uint64{3})},
+	})
 	seed(protocol.NewShardedMsg([]protocol.ShardItem{
 		{Shard: 0, Msg: batch},
-		{Shard: 7, Msg: protocol.NewAckMsg([]uint64{9}, cost)}, // beyond the fuzz shard count: dropped
+		{Shard: 7, Msg: protocol.NewAckMsg([]uint64{9})}, // beyond the fuzz shard count: dropped
 	}))
 	seed(protocol.NewShardedDigestMsg([]protocol.ShardItem{
-		{Shard: 3, Msg: protocol.NewDeltaMsg(crdt.NewGSet("p"), cost)},
+		{Shard: 3, Msg: protocol.NewDeltaMsg(crdt.NewGSet("p"))},
 		{Shard: 1, Msg: batch}, // out of shard order: counting-sort path
 	}, []uint64{0, ^uint64(0), 0xabcdef}))
-	seed(protocol.NewDigestMsg([]uint64{0, ^uint64(0)}, []uint32{1, 3},
-		protocol.DigestCost([]uint64{0, 1}, []uint32{1, 3})))
+	seed(protocol.NewDigestMsg([]uint64{0, ^uint64(0)}, []uint32{1, 3}))
 	// Standalone drill-down rounds (not sharded) and one embedded in a
 	// sharded item, exercising the tree branch of the skip walker.
-	seed(protocol.NewTreeMsg(2, 1, []uint32{0, 15}, nil, nil, nil,
-		protocol.TreeCost([]uint32{0, 15}, nil, nil, nil)))
-	seed(protocol.NewTreeMsg(0, 2, nil, []uint32{9}, []uint64{^uint64(0)}, nil,
-		protocol.TreeCost(nil, []uint32{9}, []uint64{0}, nil)))
+	seed(protocol.NewTreeMsg(2, 1, []uint32{0, 15}, nil, nil, nil))
+	seed(protocol.NewTreeMsg(0, 2, nil, []uint32{9}, []uint64{^uint64(0)}, nil))
 	seed(protocol.NewShardedMsg([]protocol.ShardItem{
 		{Shard: 1, Msg: protocol.NewTreeMsg(1, protocol.TreeDepth, nil, nil, nil,
-			[]uint32{5}, protocol.TreeCost(nil, nil, nil, []uint32{5}))},
+			[]uint32{5})},
 	}))
-	f.Add([]byte{72, 0, 0, 0, 0, 2, 1})                   // sharded, 2 items, truncated
-	f.Add([]byte{74, 0, 0, 0, 0, 255, 255, 255, 255, 15}) // sharded+digest, hostile count
-	f.Add([]byte{72, 0, 0, 0, 0, 1, 3, 70, 0, 0, 0, 0, 1, 1, 97, 64, 0, 0, 0, 0, 1})
-	f.Add([]byte{72, 0, 0, 0, 0, 1, 2, 75, 0, 0, 0, 0, 0, 3, 0, 1, 2, 1, 2, 3}) // embedded tree, truncated pair
+	f.Add([]byte{72, 2, 1})                   // sharded, 2 items, truncated
+	f.Add([]byte{74, 255, 255, 255, 255, 15}) // sharded+digest, hostile count
+	f.Add([]byte{72, 1, 3, 70, 1, 1, 97, 64, 1})
+	f.Add([]byte{72, 1, 2, 75, 0, 3, 0, 1, 2, 1, 2, 3}) // embedded tree, truncated pair
 
 	const shards = 4
 	f.Fuzz(func(t *testing.T, data []byte) {

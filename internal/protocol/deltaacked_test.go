@@ -1,10 +1,10 @@
 package protocol_test
 
 import (
+	"slices"
 	"testing"
 
 	"crdtsync/internal/crdt"
-	"crdtsync/internal/metrics"
 	"crdtsync/internal/protocol"
 	"crdtsync/internal/workload"
 )
@@ -38,20 +38,78 @@ func TestAckedDeltaRetransmitsUntilAcked(t *testing.T) {
 	a, b := twoNodes(protocol.NewDeltaAcked(true, true), workload.GSetType{})
 	a.LocalOp(addOp("x"))
 
-	// Simulate loss: run Sync but drop everything.
-	a.Sync(func(string, protocol.Msg) {})
+	// Simulate loss: every send is dropped. The entry goes out on the
+	// first tick, again one full tick later, then after 2, 4 and 8
+	// ticks, and every 8 from there on.
+	var sentOn []int
+	for tick := 1; tick <= 31; tick++ {
+		a.Sync(func(string, protocol.Msg) { sentOn = append(sentOn, tick) })
+		// A flush between two ticks never sends anything twice.
+		a.(protocol.Flusher).Flush(func(string, protocol.Msg) {
+			t.Errorf("flush after tick %d re-sent an entry", tick)
+		})
+	}
+	if want := []int{1, 2, 4, 8, 16, 24}; !slices.Equal(sentOn, want) {
+		t.Fatalf("sent on ticks %v, want %v", sentOn, want)
+	}
+	if got := a.(interface{ Retransmits() uint64 }).Retransmits(); got != 5 {
+		t.Errorf("Retransmits = %d, want 5", got)
+	}
 	if m := a.Memory(); m.BufferBytes == 0 {
 		t.Fatal("entry pruned without any ack")
 	}
 
-	// Next round retransmits; deliver normally this time.
+	// The next retransmission (tick 32) is delivered normally.
 	engines := map[string]protocol.Engine{"a": a, "b": b}
-	pump(engines, "a")
+	if sent := pump(engines, "a"); len(sent) != 2 {
+		t.Fatalf("tick 32 sent %d messages, want the entry and its ack", len(sent))
+	}
 	if !b.State().(*crdt.GSet).Contains("x") {
 		t.Error("retransmission did not deliver")
 	}
 	if m := a.Memory(); m.BufferBytes != 0 {
 		t.Error("entry not pruned after ack")
+	}
+}
+
+func TestAckedDeltaFlushRetransmitsAfterAFullTick(t *testing.T) {
+	a, _ := twoNodes(protocol.NewDeltaAcked(true, true), workload.GSetType{})
+	fl := a.(protocol.Flusher)
+	if fl.Unsent() || fl.Waiting() {
+		t.Fatal("fresh engine has something to send")
+	}
+	a.LocalOp(addOp("x"))
+	if !fl.Unsent() || !fl.Waiting() {
+		t.Fatal("a local op left nothing unsent")
+	}
+	sent := 0
+	count := func(string, protocol.Msg) { sent++ }
+	fl.Flush(count) // the first transmission, lost
+	if sent != 1 || fl.Unsent() || !fl.Waiting() {
+		t.Fatalf("after the flush: sent=%d unsent=%v waiting=%v", sent, fl.Unsent(), fl.Waiting())
+	}
+	fl.Flush(count)
+	// The tick right after the flush does not complete a full tick since
+	// the send; the one after it does.
+	a.Sync(count)
+	if sent != 1 {
+		t.Fatalf("re-sent %d times less than a full tick after the send", sent-1)
+	}
+	a.Sync(count)
+	if sent != 2 {
+		t.Fatalf("sent = %d, want the retransmission on the second tick", sent)
+	}
+	// An entry written while the first waits is a first transmission of
+	// its own: the next flush ships it, alone.
+	a.LocalOp(addOp("y"))
+	fl.Flush(func(_ string, m protocol.Msg) {
+		sent++
+		if d := m.(*protocol.AckedDeltaMsg); d.Delta.Elements() != 1 || len(d.Seqs) != 1 {
+			t.Errorf("flush shipped %d elements under seqs %v, want only the new entry", d.Delta.Elements(), d.Seqs)
+		}
+	})
+	if sent != 3 {
+		t.Fatalf("sent = %d, want the new entry's first transmission", sent)
 	}
 }
 
@@ -106,7 +164,7 @@ func TestAckedDeltaMergesRepairDeltaMsg(t *testing.T) {
 	_, b := twoNodes(protocol.NewDeltaAcked(true, true), workload.GSetType{})
 	full := crdt.NewGSet("r1", "r2")
 	var replies []protocol.Msg
-	b.Deliver("a", protocol.NewDeltaMsg(full, metrics.Transmission{Messages: 1}), func(_ string, m protocol.Msg) {
+	b.Deliver("a", protocol.NewDeltaMsg(full), func(_ string, m protocol.Msg) {
 		replies = append(replies, m)
 	})
 	if len(replies) != 0 {
@@ -131,7 +189,7 @@ func TestAckedDeltaBuffersRepairForPropagation(t *testing.T) {
 	f := protocol.NewDeltaAcked(true, true)
 	nodes := []string{"a", "b", "c"}
 	b := f(protocol.Config{ID: "b", Neighbors: []string{"a", "c"}, Nodes: nodes, Datatype: workload.GSetType{}})
-	b.Deliver("a", protocol.NewDeltaMsg(crdt.NewGSet("r1"), metrics.Transmission{Messages: 1}), func(string, protocol.Msg) {
+	b.Deliver("a", protocol.NewDeltaMsg(crdt.NewGSet("r1")), func(string, protocol.Msg) {
 		t.Error("repair delta triggered a reply")
 	})
 	if m := b.Memory(); m.BufferBytes == 0 {
@@ -144,7 +202,7 @@ func TestAckedDeltaBuffersRepairForPropagation(t *testing.T) {
 	}
 	// A redundant repair (nothing new) must not grow the buffer.
 	before := b.Memory().BufferBytes
-	b.Deliver("a", protocol.NewDeltaMsg(crdt.NewGSet("r1"), metrics.Transmission{Messages: 1}), func(string, protocol.Msg) {
+	b.Deliver("a", protocol.NewDeltaMsg(crdt.NewGSet("r1")), func(string, protocol.Msg) {
 		t.Error("redundant repair triggered a reply")
 	})
 	if after := b.Memory().BufferBytes; after != before {

@@ -38,13 +38,20 @@ type deltaBased struct {
 	buf core.Buffer
 }
 
+var _ Flusher = (*deltaBased)(nil)
+
 // deltaConfig is what every instance of one delta engine over one
-// datatype has in common. It is immutable and held by pointer, so the
-// per-object engines of a keyspace (forker) share one copy instead of
-// carrying the node's Config each.
+// datatype has in common. It is held by pointer, so the per-object
+// engines of a keyspace (forker) share one copy instead of carrying the
+// node's Config each; the configuration proper is immutable.
 type deltaConfig struct {
 	cfg    Config
 	bp, rr bool
+	// retransmits counts the acked engine's re-sends: the one word the
+	// sharing engines write, under whatever serializes their calls (the
+	// shard lock, in a store), kept here because a counter of their own
+	// would cost every key of a keyspace eight bytes.
+	retransmits uint64
 }
 
 // NewDeltaBased returns a delta-based engine factory with the given
@@ -95,12 +102,20 @@ func (e *deltaBased) Sync(send Sender) {
 		if d == nil || d.IsBottom() {
 			continue
 		}
-		// One sequence number per neighbor is the only metadata
-		// (8 bytes), the paper's "P" cost in Figure 9.
-		send(j, &DeltaMsg{Delta: d, cost: stateCost(d, 8)})
+		send(j, NewDeltaMsg(d))
 	}
 	e.buf.Clear()
 }
+
+// Flush implements Flusher. Clear-after-send never sends anything twice,
+// so the first-transmission pass is the whole of Sync.
+func (e *deltaBased) Flush(send Sender) { e.Sync(send) }
+
+// Unsent implements Flusher.
+func (e *deltaBased) Unsent() bool { return e.buf.Len() > 0 }
+
+// Waiting implements Flusher: nothing outlives the Sync that sent it.
+func (e *deltaBased) Waiting() bool { return e.buf.Len() > 0 }
 
 func (e *deltaBased) Deliver(from string, m Msg, _ Sender) {
 	dm, ok := m.(*DeltaMsg)

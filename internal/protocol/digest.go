@@ -33,17 +33,12 @@ func (m *DigestMsg) Kind() string { return "digest" }
 // Cost implements Msg.
 func (m *DigestMsg) Cost() metrics.Transmission { return m.cost }
 
-// NewDigestMsg builds a DigestMsg with explicit accounting.
-func NewDigestMsg(digests []uint64, want []uint32, cost metrics.Transmission) *DigestMsg {
-	return &DigestMsg{Digests: digests, Want: want, cost: cost}
-}
-
-// DigestCost returns the standard accounting for a digest advertisement
-// or request: one message, 8 bytes per shard digest and 4 bytes per
-// requested shard index of metadata, no payload.
-func DigestCost(digests []uint64, want []uint32) metrics.Transmission {
-	return metrics.Transmission{
+// NewDigestMsg builds a DigestMsg with the standard accounting for an
+// advertisement or request: one message, 8 bytes per shard digest and 4
+// bytes per requested shard index of metadata, no payload.
+func NewDigestMsg(digests []uint64, want []uint32) *DigestMsg {
+	return &DigestMsg{Digests: digests, Want: want, cost: metrics.Transmission{
 		Messages:      1,
 		MetadataBytes: 8*len(digests) + 4*len(want),
-	}
+	}}
 }

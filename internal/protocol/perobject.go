@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"slices"
-	"sort"
 
 	"crdtsync/internal/lattice"
 	"crdtsync/internal/metrics"
@@ -51,13 +50,25 @@ type perObject struct {
 	// objects is the only index a write consults: a new key costs an
 	// append here, and the order is restored where it is consumed.
 	keys, fresh []string
-	// active holds keys that must be visited on the next Sync: keys
-	// touched by LocalOp/Deliver since the last one, plus keys whose
-	// engine emitted a message last round (it may need to emit again,
-	// e.g. unacked retransmissions or Scuttlebutt digests). Quiescent
-	// keys are skipped, making Sync O(changed) instead of O(keyspace):
-	// the large-keyspace win the Retwis evaluation relies on.
-	active map[string]struct{}
+	// active holds the keys the next Sync must visit: keys touched by
+	// LocalOp/Deliver since the last one, plus keys whose engine is
+	// still Waiting (unacknowledged entries that a tick may have to
+	// send again) or, for an engine that is no Flusher, emitted on its
+	// last visit (Scuttlebutt digests). Quiescent keys are skipped,
+	// making Sync O(changed) instead of O(keyspace): the large-keyspace
+	// win the Retwis evaluation relies on. The value says whether the
+	// key is also queued in unsent.
+	active map[string]bool
+	// unsent queues the keys whose engine has something it has never
+	// sent — what Flush walks, so a first-transmission pass never
+	// visits the objects that only wait for an ack. Only Flusher
+	// engines are queued; the rest ship on ticks alone.
+	unsent []string
+	// scratch is Sync's sorted copy of active and b the per-destination
+	// batcher, both kept across calls: a pass allocates the messages it
+	// emits and nothing else.
+	scratch []string
+	b       batcher
 }
 
 // forker is implemented by engines whose configuration is immutable and
@@ -67,7 +78,10 @@ type forker interface {
 	fork() Engine
 }
 
-var _ KeyedEngine = (*perObject)(nil)
+var (
+	_ KeyedEngine = (*perObject)(nil)
+	_ Flusher     = (*perObject)(nil)
+)
 
 // NewPerObject wraps an inner protocol factory so that every distinct
 // op.Key is replicated as an independent object; objType chooses the
@@ -76,14 +90,17 @@ var _ KeyedEngine = (*perObject)(nil)
 // engines can be forked.
 func NewPerObject(inner Factory, objType func(key string) workload.Datatype) Factory {
 	return func(cfg Config) Engine {
-		return &perObject{
+		e := &perObject{
 			cfg:     cfg,
 			inner:   inner,
 			objType: objType,
 			objects: make(map[string]Engine),
 			protos:  make(map[string]forker),
-			active:  make(map[string]struct{}),
+			active:  make(map[string]bool),
 		}
+		e.b.pending = make(map[string][]ObjectMsg, len(cfg.Neighbors))
+		e.b.send = e.b.add
+		return e
 	}
 }
 
@@ -158,35 +175,71 @@ func (e *perObject) obj(key string) Engine {
 }
 
 func (e *perObject) LocalOp(op workload.Op) {
-	e.obj(op.Key).LocalOp(op)
-	e.active[op.Key] = struct{}{}
+	eng := e.obj(op.Key)
+	eng.LocalOp(op)
+	if queued, known := e.active[op.Key]; !queued {
+		if queue, activate := touched(eng, known); queue {
+			e.queue(op.Key)
+		} else if activate {
+			e.active[op.Key] = false
+		}
+	}
+}
+
+// touched says what a LocalOp or a Deliver just handed to eng, an engine
+// not yet queued, asks of the active set. A Flusher is queued for the
+// next Flush when it holds something never sent, and otherwise stays as
+// it was: an ack or a redundant δ-group gives a tick nothing new to do.
+// Any other engine is activated for the next Sync, as ever; known says
+// whether it is active already.
+func touched(eng Engine, known bool) (queue, activate bool) {
+	if f, ok := eng.(Flusher); ok {
+		return f.Unsent(), false
+	}
+	return false, !known
+}
+
+// queue marks key active and due for the next Flush.
+func (e *perObject) queue(key string) {
+	e.active[key] = true
+	e.unsent = append(e.unsent, key)
 }
 
 // batcher accumulates inner sends per destination and flushes them as
-// BatchMsgs.
+// BatchMsgs. key is the object being visited; send is add, bound once.
 type batcher struct {
+	key     string
+	emitted bool // add ran since the caller last cleared it
 	pending map[string][]ObjectMsg
 	order   []string
+	send    Sender
 }
 
-func newBatcher() *batcher {
-	return &batcher{pending: make(map[string][]ObjectMsg)}
-}
-
-func (b *batcher) sender(key string) Sender {
-	return func(to string, m Msg) {
-		if _, ok := b.pending[to]; !ok {
-			b.order = append(b.order, to)
-		}
-		b.pending[to] = append(b.pending[to], ObjectMsg{Key: key, Inner: m})
+func (b *batcher) add(to string, m Msg) {
+	b.emitted = true
+	items := b.pending[to]
+	if len(items) == 0 {
+		b.order = append(b.order, to)
 	}
+	b.pending[to] = append(items, ObjectMsg{Key: b.key, Inner: m})
 }
 
 // flush emits one BatchMsg per destination, rebuilding the accounting.
+// Each batch takes its items slice with it. A send that re-enters the
+// engine (a test harness delivering synchronously) may add and flush in
+// the middle of this loop; it then finds the batches already sent empty
+// and ships the rest itself.
 func (b *batcher) flush(send Sender) {
-	for _, to := range b.order {
-		send(to, BatchOf(b.pending[to]))
+	for i := 0; i < len(b.order); i++ {
+		to := b.order[i]
+		items := b.pending[to]
+		b.pending[to] = nil
+		if len(items) > 0 {
+			send(to, BatchOf(items))
+		}
 	}
+	b.order = b.order[:0]
+	b.key = ""
 }
 
 // BatchOf builds a BatchMsg over items with the standard batch accounting:
@@ -205,30 +258,81 @@ func BatchOf(items []ObjectMsg) *BatchMsg {
 	return &BatchMsg{Items: items, cost: cost}
 }
 
+// Sync implements Engine: one tick over every active object, in key
+// order.
 func (e *perObject) Sync(send Sender) {
 	if len(e.active) == 0 {
 		return
 	}
-	keys := make([]string, 0, len(e.active))
+	keys := e.scratch[:0]
 	for k := range e.active {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	b := newBatcher()
+	slices.Sort(keys)
 	for _, key := range keys {
-		inner := b.sender(key)
-		emitted := false
-		e.objects[key].Sync(func(to string, m Msg) {
-			emitted = true
-			inner(to, m)
-		})
-		if !emitted {
-			// The object had nothing to say and goes quiescent until
-			// the next LocalOp or Deliver touches it.
-			delete(e.active, key)
+		eng := e.objects[key]
+		e.b.key, e.b.emitted = key, false
+		eng.Sync(e.b.send)
+		// An engine that cannot say whether it waits is revisited for
+		// as long as it has something to say.
+		keep := e.b.emitted
+		if f, ok := eng.(Flusher); ok {
+			keep = f.Waiting()
+		}
+		e.settle(key, keep)
+	}
+	clear(keys)
+	e.scratch = keys[:0]
+	clear(e.unsent) // a tick ships everything a flush would have
+	e.unsent = e.unsent[:0]
+	e.b.flush(send)
+}
+
+// Flush implements Flusher: the first-transmission pass over the queued
+// objects, in key order. It finds nothing to do, and allocates nothing,
+// when no LocalOp or Deliver has left anything new since the last pass.
+func (e *perObject) Flush(send Sender) {
+	if len(e.unsent) == 0 {
+		return
+	}
+	slices.Sort(e.unsent)
+	for _, key := range e.unsent {
+		f := e.objects[key].(Flusher) // nothing else is ever queued
+		e.b.key = key
+		f.Flush(e.b.send)
+		e.settle(key, f.Waiting())
+	}
+	clear(e.unsent)
+	e.unsent = e.unsent[:0]
+	e.b.flush(send)
+}
+
+// settle records a visited object as no longer queued: still active when
+// a later tick has to keep visiting it, quiescent until the next LocalOp
+// or Deliver touches it otherwise.
+func (e *perObject) settle(key string, keep bool) {
+	if keep {
+		e.active[key] = false
+	} else {
+		delete(e.active, key)
+	}
+}
+
+// Unsent implements Flusher.
+func (e *perObject) Unsent() bool { return len(e.unsent) > 0 }
+
+// Waiting implements Flusher.
+func (e *perObject) Waiting() bool { return len(e.active) > 0 }
+
+// Retransmits sums the re-sends the object engines have counted.
+func (e *perObject) Retransmits() uint64 {
+	var n uint64
+	for _, proto := range e.protos {
+		if r, ok := proto.(interface{ Retransmits() uint64 }); ok {
+			n += r.Retransmits()
 		}
 	}
-	b.flush(send)
+	return n
 }
 
 func (e *perObject) Deliver(from string, m Msg, send Sender) {
@@ -236,13 +340,12 @@ func (e *perObject) Deliver(from string, m Msg, send Sender) {
 	if !ok {
 		return
 	}
-	b := newBatcher()
 	for _, it := range bm.Items {
-		e.obj(it.Key).Deliver(from, it.Inner, b.sender(it.Key))
-		e.active[it.Key] = struct{}{}
+		e.b.key = it.Key
+		e.DeliverObject(from, []byte(it.Key), it.Inner, e.b.send)
 	}
 	// Replies (e.g. Scuttlebutt pulls) are batched and sent onwards.
-	b.flush(send)
+	e.b.flush(send)
 }
 
 var _ ObjectDeliverer = (*perObject)(nil)
@@ -250,17 +353,21 @@ var _ ObjectDeliverer = (*perObject)(nil)
 // DeliverObject implements ObjectDeliverer: one object's inbound message,
 // delivered without batch materialization. The map lookups convert the key
 // view in place (the compiler elides the allocation for m[string(b)]), so
-// the steady state — an existing, already-active object — allocates
-// nothing here; the key is materialized only when the object is new or
-// transitions back to active.
+// the steady state — an existing object that an ack or a redundant
+// δ-group leaves with nothing new to send — allocates nothing here; the
+// key is materialized only when the object is new or is queued.
 func (e *perObject) DeliverObject(from string, key []byte, m Msg, send Sender) {
 	eng, ok := e.objects[string(key)]
 	if !ok {
 		eng = e.obj(string(key))
 	}
 	eng.Deliver(from, m, send)
-	if _, ok := e.active[string(key)]; !ok {
-		e.active[string(key)] = struct{}{}
+	if queued, known := e.active[string(key)]; !queued {
+		if queue, activate := touched(eng, known); queue {
+			e.queue(string(key))
+		} else if activate {
+			e.active[string(key)] = false
+		}
 	}
 }
 

@@ -84,6 +84,24 @@ type Engine interface {
 	Memory() metrics.Memory
 }
 
+// Flusher is implemented by the engines that tell sending something for
+// the first time from sending it again. Sync stays one tick for every
+// engine — the heartbeat, and the clock retransmissions are counted in;
+// Flush is the pass a transport may run between two ticks, as soon as a
+// write has left something to ship.
+type Flusher interface {
+	// Flush emits what has never been sent, to every neighbor it is owed
+	// to, and nothing else: no retransmission, no periodic message.
+	Flush(send Sender)
+	// Unsent reports whether Flush would have anything to emit.
+	Unsent() bool
+	// Waiting reports whether a later tick still has work here: something
+	// is buffered that a neighbor has not been sent or has not
+	// acknowledged. An engine that is not waiting may be skipped by Sync
+	// until the next LocalOp or Deliver.
+	Waiting() bool
+}
+
 // Factory builds one engine per node; each protocol provides one.
 type Factory func(cfg Config) Engine
 

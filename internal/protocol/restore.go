@@ -52,5 +52,5 @@ func (e *perObject) RestoreObject(key string, st lattice.State) {
 	// An engine without a restore path adopts the state as an inbound
 	// full-state δ-group — correct (idempotent join) but buffered, so it
 	// may be propagated once before acks or clears retire it.
-	eng.Deliver("", NewDeltaMsg(st, stateCost(st, 0)), dropSender)
+	eng.Deliver("", NewDeltaMsg(st), dropSender)
 }

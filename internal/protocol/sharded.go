@@ -57,18 +57,6 @@ func NewShardedDigestMsg(items []ShardItem, digests []uint64) *ShardedMsg {
 	return &ShardedMsg{Items: items, Digests: digests, cost: cost}
 }
 
-// NewShardedMsgWithCost rebuilds a ShardedMsg with explicit accounting;
-// used by transports that deserialize frames from the wire.
-func NewShardedMsgWithCost(items []ShardItem, cost metrics.Transmission) *ShardedMsg {
-	return &ShardedMsg{Items: items, cost: cost}
-}
-
-// NewShardedDigestMsgWithCost rebuilds a digest-carrying ShardedMsg with
-// explicit accounting; used by transports that deserialize frames.
-func NewShardedDigestMsgWithCost(items []ShardItem, digests []uint64, cost metrics.Transmission) *ShardedMsg {
-	return &ShardedMsg{Items: items, Digests: digests, cost: cost}
-}
-
 // KeyedEngine is implemented by engines that replicate a keyspace of named
 // objects (NewPerObject). It adds per-key access on top of Engine, letting
 // callers read one object without materializing the aggregate state map.

@@ -47,7 +47,7 @@ func (e *stateBased) Sync(send Sender) {
 		return
 	}
 	for _, j := range e.cfg.Neighbors {
-		send(j, &StateMsg{State: e.x.Clone(), cost: stateCost(e.x, 0)})
+		send(j, NewStateMsg(e.x.Clone()))
 	}
 }
 

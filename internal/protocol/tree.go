@@ -70,18 +70,14 @@ func (m *TreeMsg) Kind() string { return "tree" }
 // Cost implements Msg.
 func (m *TreeMsg) Cost() metrics.Transmission { return m.cost }
 
-// NewTreeMsg builds a TreeMsg with explicit accounting. Nodes and Hashes
-// must be the same length.
-func NewTreeMsg(shard uint32, level uint8, query, nodes []uint32, hashes []uint64, want []uint32, cost metrics.Transmission) *TreeMsg {
-	return &TreeMsg{Shard: shard, Level: level, Query: query, Nodes: nodes, Hashes: hashes, Want: want, cost: cost}
-}
-
-// TreeCost returns the standard accounting for a drill-down message: one
-// message, 4 bytes per node index, 8 bytes per hash, plus the fixed
-// shard/level header — all metadata, no payload.
-func TreeCost(query, nodes []uint32, hashes []uint64, want []uint32) metrics.Transmission {
-	return metrics.Transmission{
-		Messages:      1,
-		MetadataBytes: 5 + 4*(len(query)+len(nodes)+len(want)) + 8*len(hashes),
-	}
+// NewTreeMsg builds a TreeMsg with the standard accounting for a
+// drill-down message: one message, 4 bytes per node index, 8 bytes per
+// hash, plus the fixed shard/level header — all metadata, no payload.
+// Nodes and Hashes must be the same length.
+func NewTreeMsg(shard uint32, level uint8, query, nodes []uint32, hashes []uint64, want []uint32) *TreeMsg {
+	return &TreeMsg{Shard: shard, Level: level, Query: query, Nodes: nodes, Hashes: hashes, Want: want,
+		cost: metrics.Transmission{
+			Messages:      1,
+			MetadataBytes: 5 + 4*(len(query)+len(nodes)+len(want)) + 8*len(hashes),
+		}}
 }

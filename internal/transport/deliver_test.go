@@ -9,7 +9,6 @@ import (
 
 	"crdtsync/internal/codec"
 	"crdtsync/internal/crdt"
-	"crdtsync/internal/metrics"
 	"crdtsync/internal/protocol"
 	"crdtsync/internal/workload"
 )
@@ -101,8 +100,7 @@ func TestDeliverLocksOncePerShard(t *testing.T) {
 		t.Fatalf("deliverLocks = %d after two frames, want 6", got)
 	}
 	// Control frames take no shard locks on the delivery path.
-	dig := encodeFrame(t, protocol.NewDigestMsg(nil, []uint32{1},
-		protocol.DigestCost(nil, []uint32{1})))
+	dig := encodeFrame(t, protocol.NewDigestMsg(nil, []uint32{1}))
 	if err := s.deliver("peer", dig); err != nil {
 		t.Fatalf("deliver digest: %v", err)
 	}
@@ -146,9 +144,9 @@ func TestDeliverCorruptFrame(t *testing.T) {
 	s := startSoloStore(t, 4)
 	for _, frame := range [][]byte{
 		{},
-		{72, 0, 0, 0, 0, 2, 1},                   // sharded, 2 items, truncated
-		{74, 0, 0, 0, 0, 255, 255, 255, 255, 15}, // hostile digest count
-		{255, 1, 2, 3},                           // unknown tag
+		{72, 2, 1},                   // sharded, 2 items, truncated
+		{74, 255, 255, 255, 255, 15}, // hostile digest count
+		{255, 1, 2, 3},               // unknown tag
 	} {
 		if err := s.deliver("peer", frame); err == nil {
 			t.Fatalf("deliver accepted corrupt frame %v", frame)
@@ -250,9 +248,7 @@ func TestDeliverShardedErrorStillFlushesAndCounts(t *testing.T) {
 	k0 := keysOnShard(s.mask, 0, 1)[0]
 	k1 := keysOnShard(s.mask, 1, 1)[0]
 	gs := crdt.NewGSet("a", "b")
-	acked := protocol.NewAckedDeltaMsg(gs, []uint64{1}, metrics.Transmission{
-		Messages: 1, Elements: gs.Elements(), PayloadBytes: gs.SizeBytes(),
-	})
+	acked := protocol.NewAckedDeltaMsg(gs, []uint64{1})
 	frame := encodeFrame(t, protocol.NewShardedMsg([]protocol.ShardItem{
 		// Shard 0 applies and owes the sender an AckMsg reply.
 		{Shard: 0, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: k0, Inner: acked}})},

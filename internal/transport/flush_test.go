@@ -1,0 +1,286 @@
+package transport
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"crdtsync/internal/crdt"
+	"crdtsync/internal/protocol"
+	"crdtsync/internal/workload"
+)
+
+// The write-triggered flush: a write leaves when it is written, at most
+// eight times per SyncEvery, and everything periodic stays on the tick.
+// The tests wait on Watch events and on polled conditions with a
+// deadline; none sleeps for a fixed time.
+
+// eventually polls cond until it holds, failing the test at the deadline.
+func eventually(t *testing.T, timeout time.Duration, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// flushMesh starts n fully meshed acked-engine stores of GSets.
+func flushMesh(t *testing.T, n int, cfg StoreConfig) []*Store {
+	t.Helper()
+	cfg.ID = "f"
+	cfg.Shards = 8
+	cfg.Factory = protocol.NewDeltaAcked(true, true)
+	cfg.ObjType = func(string) workload.Datatype { return workload.GSetType{} }
+	stores, err := LoopbackCluster(n, cfg)
+	if err != nil {
+		t.Fatalf("cluster: %v", err)
+	}
+	for _, st := range stores {
+		st := st
+		t.Cleanup(func() { st.Close() })
+	}
+	return stores
+}
+
+// idle waits until a full flush window has passed since s's last pass, so
+// that the next write's flush is due at once.
+func idle(t *testing.T, s *Store) {
+	t.Helper()
+	window := int64(s.cfg.SyncEvery / flushesPerTick)
+	eventually(t, 10*time.Second, "an idle window", func() bool {
+		return !s.flushWanted.Load() && s.sinceStart()-s.lastSend.Load() > window
+	})
+}
+
+// awaitKey blocks until w reports key or the deadline passes.
+func awaitKey(t *testing.T, w *Watcher, key string, timeout time.Duration) {
+	t.Helper()
+	deadline := time.After(timeout)
+	for {
+		select {
+		case ev, ok := <-w.Events():
+			if !ok {
+				t.Fatalf("watcher closed before %q arrived", key)
+			}
+			if ev.Key == key {
+				return
+			}
+		case <-deadline:
+			t.Fatalf("%q not visible within %v", key, timeout)
+		}
+	}
+}
+
+// TestFlushWriteVisibleWithinWindow: with a one-second tick, a write on
+// an idle store reaches a peer in well under a tenth of it (it waited
+// for the tick, half a second on average, before the flush existed).
+func TestFlushWriteVisibleWithinWindow(t *testing.T) {
+	stores := flushMesh(t, 3, StoreConfig{SyncEvery: time.Second})
+	w := stores[1].Watch("", 16)
+	defer w.Close()
+	// The first write also dials the connections; measure the second.
+	stores[0].Update(workload.Add("warm", "x"))
+	awaitKey(t, w, "warm", 5*time.Second)
+	idle(t, stores[0])
+	start := time.Now()
+	stores[0].Update(workload.Add("probe", "x"))
+	awaitKey(t, w, "probe", 100*time.Millisecond)
+	if st := stores[0].Stats(); st.WriteFlushes == 0 {
+		t.Errorf("visible after %v without a write-triggered flush: %+v", time.Since(start), st)
+	}
+}
+
+// TestFlushBurstIsBatched: however many writes land within a period, the
+// store runs at most eight flushes in it, and hands each peer at most one
+// frame per pass.
+func TestFlushBurstIsBatched(t *testing.T) {
+	const writes = 10000
+	stores := flushMesh(t, 3, StoreConfig{SyncEvery: time.Second})
+	start := time.Now()
+	for i := 0; i < writes; i++ {
+		stores[0].Update(workload.Add(fmt.Sprintf("k%05d", i%500), fmt.Sprintf("e%d", i)))
+	}
+	if err := WaitConverged(stores, 500, 30*time.Second, nil); err != nil {
+		t.Fatal(err)
+	}
+	st := stores[0].Stats()
+	periods := int(time.Since(start)/time.Second) + 1
+	if st.WriteFlushes == 0 || st.WriteFlushes > (flushesPerTick+1)*periods {
+		t.Errorf("%d write flushes in %d period(s), want 1..%d", st.WriteFlushes, periods, (flushesPerTick+1)*periods)
+	}
+	passes := st.WriteFlushes + int(stores[0].Ticks())
+	for id, ps := range st.Peers {
+		if ps.Enqueued == 0 || ps.Enqueued > passes {
+			t.Errorf("%d frames toward %s from %d passes", ps.Enqueued, id, passes)
+		}
+	}
+	if st.Retransmits != 0 {
+		t.Errorf("%d retransmissions on a lossless mesh", st.Retransmits)
+	}
+}
+
+// TestFlushLeavesDigestCadenceToTicks: flushes between ticks — with and
+// without writes to ship — neither advertise digests nor advance Ticks,
+// so DigestEvery counts exactly what it counted before the flush existed.
+func TestFlushLeavesDigestCadenceToTicks(t *testing.T) {
+	const every, ticks = 4, 16
+	s := newTickStore(t, 1, protocol.NewDeltaAcked(true, true))
+	s.cfg.DigestEvery = every
+	peers := len(s.neighbors)
+	advertised := func() int {
+		st := s.Stats()
+		return st.DigestFrames + st.PiggybackedDigests
+	}
+	// A writing store: every tick is preceded by two write flushes.
+	for tick := 1; tick <= ticks; tick++ {
+		for f := 0; f < 2; f++ {
+			s.Update(workload.Add(fmt.Sprintf("k%d", tick), fmt.Sprintf("e%d", f)))
+			s.writeFlush()
+		}
+		if got := s.Ticks(); got != uint64(tick-1) {
+			t.Fatalf("Ticks = %d after flushes before tick %d", got, tick)
+		}
+		s.tick()
+		if got, want := advertised(), tick/every*peers; got != want {
+			t.Fatalf("after tick %d: %d advertisements, want %d", tick, got, want)
+		}
+	}
+	if st := s.Stats(); st.WriteFlushes != 2*ticks {
+		t.Errorf("write flushes = %d, want %d", st.WriteFlushes, 2*ticks)
+	}
+	// An idle store: exactly one standalone heartbeat per peer per
+	// DigestEvery ticks, whatever flushes run in between.
+	idleStore := newTickStore(t, 1, protocol.NewDeltaAcked(true, true))
+	idleStore.cfg.DigestEvery = every
+	for tick := 1; tick <= 2*every; tick++ {
+		idleStore.writeFlush()
+		idleStore.tick()
+	}
+	if st := idleStore.Stats(); st.DigestFrames != 2*peers || st.Frames != 2*peers {
+		t.Errorf("idle store sent %d frames, %d of them heartbeats, want %d", st.Frames, st.DigestFrames, 2*peers)
+	}
+}
+
+// TestFlushManualModeWaitsForSyncNow pins the contract the test suite and
+// the traced benchmark rest on: under a period nobody waits out, nothing
+// leaves until SyncNow.
+func TestFlushManualModeWaitsForSyncNow(t *testing.T) {
+	stores := flushMesh(t, 2, StoreConfig{SyncEvery: time.Hour})
+	w := stores[1].Watch("", 16)
+	defer w.Close()
+	for i := 0; i < 1000; i++ {
+		stores[0].Update(workload.Add(fmt.Sprintf("k%d", i%10), fmt.Sprintf("e%d", i)))
+	}
+	// The sync loop has seen the request once it has emptied wake.
+	eventually(t, 10*time.Second, "the sync loop to take the flush request", func() bool {
+		return len(stores[0].wake) == 0
+	})
+	if st := stores[0].Stats(); st.Frames != 0 || st.WriteFlushes != 0 {
+		t.Fatalf("sent %d frames in %d flushes before SyncNow", st.Frames, st.WriteFlushes)
+	}
+	stores[0].SyncNow()
+	awaitKey(t, w, "k0", 5*time.Second)
+	if st := stores[0].Stats(); st.Frames != 1 || st.WriteFlushes != 0 {
+		t.Errorf("SyncNow sent %d frames, %d write flushes, want one frame from the tick", st.Frames, st.WriteFlushes)
+	}
+}
+
+// TestCloseShipsDirtyState: an Update followed by Close reaches the peer
+// without any tick in between.
+func TestCloseShipsDirtyState(t *testing.T) {
+	stores := flushMesh(t, 2, StoreConfig{SyncEvery: time.Hour})
+	w := stores[1].Watch("", 16)
+	defer w.Close()
+	stores[0].Update(workload.Add("last-words", "x"))
+	if err := stores[0].Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	awaitKey(t, w, "last-words", 5*time.Second)
+	if st := stores[1].Get("last-words"); st == nil || !st.(*crdt.GSet).Contains("x") {
+		t.Errorf("peer holds %v", st)
+	}
+	if got := stores[0].Ticks(); got != 0 {
+		t.Errorf("Close ran %d ticks", got)
+	}
+}
+
+// TestFlushIdleIsFree: a flush that finds nothing new takes no shard
+// lock and allocates nothing.
+func TestFlushIdleIsFree(t *testing.T) {
+	s := newTickStore(t, 1, protocol.NewDeltaAcked(true, true))
+	// Objects that only wait for acks (their peers are unreachable) are
+	// none of a flush's business.
+	for i := 0; i < 100; i++ {
+		s.Update(workload.Add(fmt.Sprintf("k%d", i), "x"))
+	}
+	s.writeFlush()
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+	}
+	done := make(chan struct{})
+	go func() {
+		s.writeFlush()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("an idle flush waited for a shard lock")
+	}
+	for _, sh := range s.shards {
+		sh.mu.Unlock()
+	}
+	frames := s.Stats().Frames
+	if allocs := testing.AllocsPerRun(100, s.writeFlush); allocs != 0 {
+		t.Errorf("an idle flush allocates %.1f times", allocs)
+	}
+	if got := s.Stats().Frames; got != frames {
+		t.Errorf("idle flushes sent %d frames", got-frames)
+	}
+}
+
+// TestFlushCarriesHeldReplies: acks produced while a flush is due ride
+// it; with none due, or on a store ticked by hand, they leave at once.
+func TestFlushCarriesHeldReplies(t *testing.T) {
+	s := newTickStore(t, 1, protocol.NewDeltaAcked(true, true))
+	inbound := func(seq uint64) []byte {
+		k := keysOnShard(s.mask, 0, 1)[0]
+		d := protocol.NewAckedDeltaMsg(crdt.NewGSet(fmt.Sprintf("e%d", seq)), []uint64{seq})
+		return encodeFrame(t, protocol.NewShardedMsg([]protocol.ShardItem{
+			{Shard: 0, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: k, Inner: d}})},
+		}))
+	}
+	// The delivery itself leaves something to forward (to p2), which
+	// requests the flush its ack to p1 then rides.
+	if err := s.deliver("p1", inbound(1)); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Frames != 0 || !s.flushWanted.Load() {
+		t.Fatalf("frames = %d, flush wanted = %v: the ack did not wait", st.Frames, s.flushWanted.Load())
+	}
+	s.writeFlush()
+	st := s.Stats()
+	if st.Frames != 2 || st.Peers["p1"].Enqueued != 1 || st.Peers["p2"].Enqueued != 1 {
+		t.Fatalf("flush sent %d frames (%+v), want the ack to p1 and the forward to p2", st.Frames, st.Peers)
+	}
+	// A redundant δ-group leaves nothing to forward and no flush due:
+	// its ack leaves at once.
+	if err := s.deliver("p1", inbound(1)); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Frames != 3 || s.flushWanted.Load() {
+		t.Fatalf("frames = %d, flush wanted = %v: the ack of a redundant group waited", st.Frames, s.flushWanted.Load())
+	}
+	// Ticked by hand, the store holds nothing back even with a flush due.
+	s.SyncNow()
+	before := s.Stats().Frames
+	if err := s.deliver("p1", inbound(2)); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().Frames - before; got != 1 || !s.flushWanted.Load() {
+		t.Fatalf("manual store sent %d frames at once (flush wanted %v), want the ack alone", got, s.flushWanted.Load())
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"crdtsync/internal/codec"
-	"crdtsync/internal/metrics"
 	"crdtsync/internal/protocol"
 )
 
@@ -330,7 +329,7 @@ func (s *Store) handleDigests(from string, digests []uint64) {
 		s.statsMu.Lock()
 		s.stats.WantShards += len(flat)
 		s.statsMu.Unlock()
-		m := protocol.NewDigestMsg(nil, flat, protocol.DigestCost(nil, flat))
+		m := protocol.NewDigestMsg(nil, flat)
 		s.transmitMsg(from, m, frameDigest)
 	}
 }
@@ -363,8 +362,7 @@ func (s *Store) sendTreeQuery(to string, shard uint32, level int, query []uint32
 	s.statsMu.Lock()
 	s.stats.TreeRounds++
 	s.statsMu.Unlock()
-	m := protocol.NewTreeMsg(shard, uint8(level), query, nil, nil, nil,
-		protocol.TreeCost(query, nil, nil, nil))
+	m := protocol.NewTreeMsg(shard, uint8(level), query, nil, nil, nil)
 	s.transmitMsg(to, m, frameDigest)
 }
 
@@ -376,7 +374,9 @@ func (s *Store) transmitMsg(to string, m protocol.Msg, kind frameKind) {
 	if err != nil {
 		panic(err)
 	}
-	s.transmit(to, data, m.Cost(), kind)
+	var t wireTally
+	s.transmit(to, data, m.Cost(), kind, &t)
+	s.wire.add(&t)
 }
 
 // handleTree dispatches one drill-down step by which role the message
@@ -421,8 +421,7 @@ func (s *Store) serveTreeQuery(to string, shardIdx uint32, level int, query []ui
 		return
 	}
 	hashes := s.treeNodeHashes(s.shards[shardIdx], level, nodes, make([]uint64, 0, len(nodes)))
-	m := protocol.NewTreeMsg(shardIdx, uint8(level), nil, nodes, hashes, nil,
-		protocol.TreeCost(nil, nodes, hashes, nil))
+	m := protocol.NewTreeMsg(shardIdx, uint8(level), nil, nodes, hashes, nil)
 	s.transmitMsg(to, m, frameDigest)
 }
 
@@ -477,8 +476,7 @@ func (s *Store) continueDrill(from string, shardIdx uint32, level int, nodes []u
 		s.stats.TreeRounds++
 		s.statsMu.Unlock()
 		s.repair.markWant(int(shardIdx), from)
-		m := protocol.NewTreeMsg(shardIdx, uint8(level), nil, nil, nil, diff,
-			protocol.TreeCost(nil, nil, nil, diff))
+		m := protocol.NewTreeMsg(shardIdx, uint8(level), nil, nil, nil, diff)
 		s.transmitMsg(from, m, frameDigest)
 		return
 	}
@@ -488,7 +486,7 @@ func (s *Store) continueDrill(from string, shardIdx uint32, level int, nodes []u
 		s.statsMu.Unlock()
 		s.repair.markWant(int(shardIdx), from)
 		want := []uint32{shardIdx}
-		m := protocol.NewDigestMsg(nil, want, protocol.DigestCost(nil, want))
+		m := protocol.NewDigestMsg(nil, want)
 		s.transmitMsg(from, m, frameDigest)
 		return
 	}
@@ -554,12 +552,8 @@ func (s *Store) rangeBatch(shardIdx uint32, level int, want []uint32) (protocol.
 		st := sh.engine.ObjectState(k).Clone()
 		bytes += len(k) + st.SizeBytes()
 		items = append(items, protocol.ObjectMsg{
-			Key: k,
-			Inner: protocol.NewDeltaMsg(st, metrics.Transmission{
-				Messages:     1,
-				Elements:     st.Elements(),
-				PayloadBytes: st.SizeBytes(),
-			}),
+			Key:   k,
+			Inner: protocol.NewDeltaMsg(st),
 		})
 	}
 	if len(items) == 0 {

@@ -19,8 +19,11 @@ import (
 // cost-proportional-to-divergence argument forbids.
 //
 // Frame sizes are computed exactly, not estimated: codec exposes the
-// header size for any (accounting, digest vector, item count) combination,
-// so a candidate frame is admitted or flushed on its true encoded length.
+// header size for any (digest vector, item count) combination, so a
+// candidate frame is admitted or flushed on its true encoded length.
+//
+// Transmission accounting never reaches the wire; the packer sums it per
+// frame for the sender's own Stats().Sent.
 
 // packedFrame is one ready-to-ship frame: the encoded ShardedMsg bytes
 // plus the accounting the store records at enqueue time.
@@ -91,16 +94,11 @@ func (p *framePacker) frameCost(withVec bool) metrics.Transmission {
 // frame of a split tick would advertise state the remaining frames are
 // still carrying and provoke spurious shard requests.
 func (p *framePacker) tryAdd(piece []byte, c metrics.Transmission) bool {
-	nc := p.cost
-	nc.Add(c)
-	fc := nc
-	fc.Messages = 1
-	size := codec.ShardedHeaderSize(fc, nil, p.count+1) + len(p.body) + len(piece)
-	if size > p.limit {
+	if codec.ShardedHeaderSize(nil, p.count+1)+len(p.body)+len(piece) > p.limit {
 		return false
 	}
 	p.body = append(p.body, piece...)
-	p.cost = nc
+	p.cost.Add(c)
 	p.count++
 	return true
 }
@@ -114,11 +112,10 @@ func (p *framePacker) flush() {
 	if p.withVec {
 		dv = p.vec
 	}
-	fc := p.frameCost(p.withVec)
-	data := make([]byte, 0, codec.ShardedHeaderSize(fc, dv, p.count)+len(p.body))
-	data = codec.AppendShardedHeader(data, fc, dv, p.count)
+	data := make([]byte, 0, codec.ShardedHeaderSize(dv, p.count)+len(p.body))
+	data = codec.AppendShardedHeader(data, dv, p.count)
 	data = append(data, p.body...)
-	p.res.frames = append(p.res.frames, packedFrame{data: data, cost: fc, digests: p.withVec})
+	p.res.frames = append(p.res.frames, packedFrame{data: data, cost: p.frameCost(p.withVec), digests: p.withVec})
 	if p.withVec {
 		p.res.digestsAttached = true
 		p.vec = nil
@@ -180,7 +177,7 @@ func packFrames(items []protocol.ShardItem, encs [][]byte, digests []uint64, lim
 	}
 	// The vector rides the final frame when it fits there.
 	if p.vec != nil && p.count > 0 {
-		if codec.ShardedHeaderSize(p.frameCost(true), p.vec, p.count)+len(p.body) <= p.limit {
+		if codec.ShardedHeaderSize(p.vec, p.count)+len(p.body) <= p.limit {
 			p.withVec = true
 		}
 	}
@@ -197,45 +194,28 @@ func (p *framePacker) packBatch(shard uint32, bm *protocol.BatchMsg) error {
 		scratch []byte
 		body    []byte
 		count   int
-		acc     metrics.Transmission // partial batch accounting sans base
+		// acc is the partial batch's accounting, as protocol.BatchOf and
+		// NewShardedMsg would sum it: inner elements and payload, the
+		// keys, one batch sequence number and one shard index.
+		acc metrics.Transmission
 	)
-	// batchCost mirrors protocol.BatchOf: one message, 8 bytes of sequence
-	// metadata plus the keys, inner elements/payload summed (the inner
-	// per-message metadata is replaced by the batch's).
-	batchCost := func(a metrics.Transmission) metrics.Transmission {
-		return metrics.Transmission{
-			Messages:      1,
-			Elements:      a.Elements,
-			PayloadBytes:  a.PayloadBytes,
-			MetadataBytes: 8 + a.MetadataBytes,
-		}
-	}
-	// wrapCost mirrors protocol.NewShardedMsg over one item.
-	wrapCost := func(bc metrics.Transmission) metrics.Transmission {
-		return metrics.Transmission{
-			Messages:      1,
-			Elements:      bc.Elements,
-			PayloadBytes:  bc.PayloadBytes,
-			MetadataBytes: bc.MetadataBytes + 4,
-		}
-	}
-	size := func(bc, fc metrics.Transmission, count, bodyLen int) int {
-		return codec.ShardedHeaderSize(fc, nil, 1) +
+	size := func(count, bodyLen int) int {
+		return codec.ShardedHeaderSize(nil, 1) +
 			codec.SizeUvarint(uint64(shard)) +
-			codec.BatchHeaderSize(bc, count) + bodyLen
+			codec.BatchHeaderSize(count) + bodyLen
 	}
 	flush := func() {
 		if count == 0 {
 			return
 		}
-		bc := batchCost(acc)
-		fc := wrapCost(bc)
-		data := make([]byte, 0, size(bc, fc, count, len(body)))
-		data = codec.AppendShardedHeader(data, fc, nil, 1)
+		data := make([]byte, 0, size(count, len(body)))
+		data = codec.AppendShardedHeader(data, nil, 1)
 		data = binary.AppendUvarint(data, uint64(shard))
-		data = codec.AppendBatchHeader(data, bc, count)
+		data = codec.AppendBatchHeader(data, count)
 		data = append(data, body...)
-		p.res.frames = append(p.res.frames, packedFrame{data: data, cost: fc})
+		acc.Messages = 1
+		acc.MetadataBytes += 8 + 4
+		p.res.frames = append(p.res.frames, packedFrame{data: data, cost: acc})
 		body = body[:0]
 		count = 0
 		acc = metrics.Transmission{}
@@ -248,29 +228,19 @@ func (p *framePacker) packBatch(shard uint32, bm *protocol.BatchMsg) error {
 			return err
 		}
 		p.res.encodes++
+		if count > 0 && size(count+1, len(body)+len(scratch)) > p.limit {
+			flush()
+		}
+		if size(count+1, len(body)+len(scratch)) > p.limit {
+			p.res.oversized++ // alone in a frame it still exceeds the cap
+			continue
+		}
 		ic := om.Inner.Cost()
-		contrib := metrics.Transmission{
-			Elements:      ic.Elements,
-			PayloadBytes:  ic.PayloadBytes,
-			MetadataBytes: len(om.Key),
-		}
-		admitted := false
-		for try := 0; try < 2 && !admitted; try++ {
-			na := acc
-			na.Add(contrib)
-			bc := batchCost(na)
-			if size(bc, wrapCost(bc), count+1, len(body)+len(scratch)) <= p.limit {
-				body = append(body, scratch...)
-				acc = na
-				count++
-				admitted = true
-			} else if count > 0 {
-				flush()
-			} else {
-				p.res.oversized++
-				break
-			}
-		}
+		acc.Elements += ic.Elements
+		acc.PayloadBytes += ic.PayloadBytes
+		acc.MetadataBytes += len(om.Key)
+		body = append(body, scratch...)
+		count++
 	}
 	flush()
 	return nil

@@ -8,7 +8,6 @@ import (
 
 	"crdtsync/internal/codec"
 	"crdtsync/internal/crdt"
-	"crdtsync/internal/metrics"
 	"crdtsync/internal/protocol"
 )
 
@@ -82,6 +81,11 @@ func decodeFrames(t testing.TB, frames []packedFrame, limit int) (units []unit, 
 		if !bytes.Equal(re, f.data) {
 			t.Fatalf("frame %d: packed bytes are not the canonical encoding", i)
 		}
+		// The accounting is not on the wire: the packer's own sums feed
+		// Stats().Sent and must be what the frame's content accounts for.
+		if f.cost != sm.Cost() {
+			t.Fatalf("frame %d: packer accounted %+v, content says %+v", i, f.cost, sm.Cost())
+		}
 		units = append(units, unitsOf(t, sm.Items)...)
 	}
 	return units, digests, digestFrames
@@ -96,9 +100,7 @@ func gsetDelta(seed, n int) protocol.Msg {
 		els[i] = fmt.Sprintf("el-%d-%d", seed, i)
 	}
 	s := crdt.NewGSet(els...)
-	return protocol.NewDeltaMsg(s, metrics.Transmission{
-		Messages: 1, Elements: s.Elements(), PayloadBytes: s.SizeBytes(),
-	})
+	return protocol.NewDeltaMsg(s)
 }
 
 // randomItems builds a mixed tick: plain delta messages and multi-object
@@ -137,6 +139,11 @@ func checkPacked(t testing.TB, items []protocol.ShardItem, digests []uint64, lim
 	}
 	got, gotVec, digestFrames := decodeFrames(t, res.frames, limit)
 	want := unitsOf(t, items)
+	// One encode per item, plus at most one per object of a batch that
+	// had to split: nothing is encoded twice to learn its size.
+	if res.encodes < len(items) || res.encodes > len(items)+len(want) {
+		t.Fatalf("%d encodes for %d items of %d units", res.encodes, len(items), len(want))
+	}
 	if len(got)+res.oversized != len(want) {
 		t.Fatalf("%d units in, %d out + %d oversized", len(want), len(got), res.oversized)
 	}
@@ -218,7 +225,7 @@ func TestPackEncodesEachItemOnce(t *testing.T) {
 		})
 	}
 	items := []protocol.ShardItem{{Shard: 3, Msg: protocol.BatchOf(oms)}}
-	res := checkPacked(t, items, nil, 512)
+	res := checkPacked(t, items, nil, 384)
 	if len(res.frames) < 10 {
 		t.Fatalf("cap did not force a split: %d frames", len(res.frames))
 	}

@@ -84,10 +84,10 @@ func TestParallelTickFramesByteIdentical(t *testing.T) {
 			}
 		}
 		bs, bp := newOutBatch(), newOutBatch()
-		if ts := serial.collectTick(bs); ts != nil {
+		if ts := serial.collect(bs, true); ts != nil {
 			t.Fatalf("round %d: serial store took the parallel tick path", round)
 		}
-		tsp := parallel.collectTick(bp)
+		tsp := parallel.collect(bp, true)
 		if tsp == nil {
 			t.Fatalf("round %d: 4-worker store took the serial tick path", round)
 		}

@@ -54,7 +54,7 @@ func deliverEager(s *Store, from string, msg protocol.Msg) {
 			sh := s.shards[idx]
 			sh.mu.Lock()
 			sh.engine.Deliver(from, it.Msg, b.sender(it.Shard))
-			sh.markDirty()
+			sh.touched()
 			sh.mu.Unlock()
 		}
 		if s.hasWatchers() {
@@ -92,7 +92,9 @@ func deliverEager(s *Store, from string, msg protocol.Msg) {
 			if err != nil {
 				panic(err)
 			}
-			s.transmit(from, data, reply.Cost(), frameDigest)
+			var t wireTally
+			s.transmit(from, data, reply.Cost(), frameDigest, &t)
+			s.wire.add(&t)
 		}
 		s.flush(b, nil)
 	}()
@@ -114,7 +116,7 @@ func eagerCompareDigests(s *Store, digests []uint64) *protocol.DigestMsg {
 	if len(want) == 0 {
 		return nil
 	}
-	return protocol.NewDigestMsg(nil, want, protocol.DigestCost(nil, want))
+	return protocol.NewDigestMsg(nil, want)
 }
 
 // preRefactorRR replicates the pre-refactor BP+RR engine's Deliver for

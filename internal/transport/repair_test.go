@@ -248,8 +248,7 @@ func TestSmallShardFlatRepair(t *testing.T) {
 	}
 	// A differing advertisement from an unknown peer: the reply is
 	// dropped by the peer net, so the repair stays in flight.
-	adv := encodeFrame(t, protocol.NewDigestMsg([]uint64{12345}, nil,
-		protocol.DigestCost([]uint64{12345}, nil)))
+	adv := encodeFrame(t, protocol.NewDigestMsg([]uint64{12345}, nil))
 	for i := 0; i < 3; i++ {
 		if err := s.deliver("peer", adv); err != nil {
 			t.Fatalf("deliver: %v", err)
@@ -285,8 +284,7 @@ func TestNoTreeRepairKnob(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		s.Update(workload.Add(fmt.Sprintf("k%06d", i), "v"))
 	}
-	adv := encodeFrame(t, protocol.NewDigestMsg([]uint64{12345}, nil,
-		protocol.DigestCost([]uint64{12345}, nil)))
+	adv := encodeFrame(t, protocol.NewDigestMsg([]uint64{12345}, nil))
 	if err := s.deliver("peer", adv); err != nil {
 		t.Fatalf("deliver: %v", err)
 	}
@@ -301,8 +299,7 @@ func TestNoTreeRepairKnob(t *testing.T) {
 // nothing, and must say so in Stats.
 func TestDigestShardMismatchCounted(t *testing.T) {
 	s := startSoloStore(t, 4)
-	adv := encodeFrame(t, protocol.NewDigestMsg(make([]uint64, 8), nil,
-		protocol.DigestCost(make([]uint64, 8), nil)))
+	adv := encodeFrame(t, protocol.NewDigestMsg(make([]uint64, 8), nil))
 	for i := 0; i < 2; i++ {
 		if err := s.deliver("peer", adv); err != nil {
 			t.Fatalf("deliver: %v", err)
@@ -476,14 +473,13 @@ func TestHandleTreeHostileInputs(t *testing.T) {
 	}
 	d := getDeliverState()
 	defer d.release()
-	cost := protocol.TreeCost(nil, nil, nil, nil)
 	hostile := []*protocol.TreeMsg{
-		protocol.NewTreeMsg(99, 1, []uint32{0}, nil, nil, nil, cost), // shard skew
-		protocol.NewTreeMsg(0, 0, []uint32{0}, nil, nil, nil, cost),  // level 0
-		protocol.NewTreeMsg(0, 9, []uint32{0}, nil, nil, nil, cost),  // level past depth
-		protocol.NewTreeMsg(0, 1, []uint32{999999}, nil, nil, nil, cost),
-		protocol.NewTreeMsg(0, 1, nil, []uint32{1, 2}, []uint64{7}, nil, cost), // mismatched answer
-		protocol.NewTreeMsg(0, 3, nil, nil, nil, []uint32{protocol.TreeLeaves + 5}, cost),
+		protocol.NewTreeMsg(99, 1, []uint32{0}, nil, nil, nil), // shard skew
+		protocol.NewTreeMsg(0, 0, []uint32{0}, nil, nil, nil),  // level 0
+		protocol.NewTreeMsg(0, 9, []uint32{0}, nil, nil, nil),  // level past depth
+		protocol.NewTreeMsg(0, 1, []uint32{999999}, nil, nil, nil),
+		protocol.NewTreeMsg(0, 1, nil, []uint32{1, 2}, []uint64{7}, nil), // mismatched answer
+		protocol.NewTreeMsg(0, 3, nil, nil, nil, []uint32{protocol.TreeLeaves + 5}),
 	}
 	for _, m := range hostile {
 		s.handleTree("peer", m, d.b)
@@ -493,7 +489,7 @@ func TestHandleTreeHostileInputs(t *testing.T) {
 	for c := uint32(0); c < protocol.TreeFanout; c++ {
 		wantAll = append(wantAll, c, c) // every level-1 node, twice
 	}
-	s.handleTree("peer", protocol.NewTreeMsg(0, 1, nil, nil, nil, wantAll, cost), d.b)
+	s.handleTree("peer", protocol.NewTreeMsg(0, 1, nil, nil, nil, wantAll), d.b)
 	if got := s.Stats().RepairRanges; got != protocol.TreeFanout {
 		t.Errorf("duplicated Want served %d ranges, want %d", got, protocol.TreeFanout)
 	}
@@ -520,16 +516,15 @@ func TestContinueDrillHostileAnswer(t *testing.T) {
 	if _, ok := s.repair.tryStart(0, "peer", time.Now()); !ok {
 		t.Fatal("tryStart refused a fresh repair slot")
 	}
-	cost := protocol.TreeCost(nil, nil, nil, nil)
 	maxNode := uint32(protocol.TreeNodesAt(1))
 	// Every index out of range for level 1: pre-fix this panicked.
 	s.handleTree("peer", protocol.NewTreeMsg(0, 1, nil,
-		[]uint32{maxNode, 1 << 30}, []uint64{0, 0}, nil, cost), d.b)
+		[]uint32{maxNode, 1 << 30}, []uint64{0, 0}, nil), d.b)
 	// The unusable answer must not have cleared the repair: a mixed
 	// answer on the same slot still drills into its one valid index.
 	rounds := s.Stats().TreeRounds
 	s.handleTree("peer", protocol.NewTreeMsg(0, 1, nil,
-		[]uint32{3, maxNode}, []uint64{0xdeadbeef, 0}, nil, cost), d.b)
+		[]uint32{3, maxNode}, []uint64{0xdeadbeef, 0}, nil), d.b)
 	if got := s.Stats().TreeRounds; got != rounds+1 {
 		t.Errorf("mixed answer drilled %d new rounds, want 1 (valid index alone)", got-rounds)
 	}

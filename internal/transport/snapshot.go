@@ -208,7 +208,7 @@ func (s *Store) restoreSnapshots() {
 			if or, ok := sh.engine.(protocol.ObjectRestorer); ok {
 				sh.mu.Lock()
 				or.RestoreObject(r.key, r.st)
-				sh.markDirty()
+				sh.touched()
 				sh.mu.Unlock()
 			}
 		}

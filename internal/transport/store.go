@@ -43,7 +43,16 @@ type StoreConfig struct {
 	Factory protocol.Factory
 	// ObjType chooses the datatype of each object from its key.
 	ObjType func(key string) workload.Datatype
-	// SyncEvery is the synchronization period (default 1s).
+	// SyncEvery is the synchronization period (default 1s): the interval
+	// of the sync tick. The tick is the maximum delay of a write, the
+	// heartbeat, the clock DigestEvery counts and the clock the acked
+	// engine's retransmissions back off in. A write does not wait for
+	// it: an Update (or a delivery that leaves something to forward)
+	// triggers a flush of what has never been sent, which runs no earlier
+	// than SyncEvery/8 after the previous flush or tick — so the period
+	// is also the batching budget, at most eight write-triggered flushes
+	// per tick. A period nobody waits out (time.Hour) plus explicit
+	// SyncNow calls is the manual mode: nothing leaves between two calls.
 	SyncEvery time.Duration
 	// PeerQueueLen bounds each peer's outbound queue by frame count
 	// (default 128). transmit is a non-blocking enqueue onto a per-peer
@@ -60,8 +69,9 @@ type StoreConfig struct {
 	// over-budget frame is still shipped rather than wedged.
 	PeerQueueBytes int
 	// DigestEvery enables digest anti-entropy: every DigestEvery-th sync
-	// tick the store also ships its per-shard digest vector to every
-	// peer; a peer whose digests differ requests those shards in full.
+	// tick (write-triggered flushes do not count) the store also ships
+	// its per-shard digest vector to every peer; a peer whose digests
+	// differ requests those shards in full.
 	// This repairs divergence the inner engines cannot see (lost frames
 	// under clear-after-send engines, healed partitions) at a
 	// near-constant per-tick cost of 8 bytes per shard once converged.
@@ -129,6 +139,14 @@ type StoreStats struct {
 	Frames int
 	// WireBytes is the total bytes written, including frame headers.
 	WireBytes int
+	// WriteFlushes counts the first-transmission passes that ran between
+	// ticks because a write (or a delivery with something to forward)
+	// asked for one: at most eight per SyncEvery.
+	WriteFlushes int
+	// Retransmits counts δ-buffer entries the acked engine sent again
+	// because a full tick (then 2, 4, … ticks) went by without every
+	// acknowledgement; 0 on a lossless link.
+	Retransmits int
 	// DigestFrames counts the standalone digest frames within Frames —
 	// advertisement heartbeats that found no data frame to ride and
 	// shard-request replies; the rest carry data.
@@ -233,6 +251,8 @@ type StoreStats struct {
 func (s *StoreStats) Add(o StoreStats) {
 	s.Frames += o.Frames
 	s.WireBytes += o.WireBytes
+	s.WriteFlushes += o.WriteFlushes
+	s.Retransmits += o.Retransmits
 	s.DigestFrames += o.DigestFrames
 	s.PiggybackedDigests += o.PiggybackedDigests
 	s.SplitFrames += o.SplitFrames
@@ -290,20 +310,23 @@ func (s *StoreStats) Add(o StoreStats) {
 // plus the mutex that serializes access to it. Updates and syncs on keys
 // hashing to different shards never contend.
 //
-// dirty and the digest cache are read without the mutex (atomically), so
-// the sync loop and digest heartbeat skip clean shards without taking
-// their locks; both are only written while holding mu, which keeps the
-// flags coherent with the engine state they describe.
+// unsent, dirty and the digest cache are read without the mutex
+// (atomically), so flushes, ticks and the digest heartbeat skip clean
+// shards without taking their locks; all are only written while holding
+// mu, which keeps the flags coherent with the engine state they describe.
 type shard struct {
 	mu     sync.Mutex
 	engine protocol.KeyedEngine
-	// od is the same engine through its per-object delivery interface,
-	// asserted once at construction for the frame-delivery hot path.
+	// od and fl are the same engine through its per-object delivery and
+	// first-transmission interfaces, asserted once at construction for
+	// the hot paths.
 	od protocol.ObjectDeliverer
-	// dirty marks a shard that needs a Sync visit: touched by a local
-	// update or an inbound delivery since its last visit, or still
-	// emitting (e.g. unacked retransmissions) on that visit.
-	dirty atomic.Bool
+	fl protocol.Flusher
+	// unsent marks a shard a flush must visit: a local update or an
+	// inbound delivery has left its engine something never sent.
+	// dirty marks a shard a tick must visit: that, or objects still
+	// waiting (for acks, so that the tick can decide to send again).
+	unsent, dirty atomic.Bool
 	// digest caches this shard's content digest; valid while digestOK.
 	// Any mutation (LocalOp, Deliver) invalidates it.
 	digest   atomic.Uint64
@@ -315,22 +338,50 @@ type shard struct {
 	leafOK bool
 }
 
-// markDirty flags the shard for the next sync visit and invalidates its
-// digest and leaf-hash caches; callers hold sh.mu having just mutated
-// the engine.
-func (sh *shard) markDirty() {
-	sh.dirty.Store(true)
+// touched invalidates the shard's digest and leaf-hash caches and flags
+// it for the passes its engine now needs; callers hold sh.mu having just
+// mutated the engine. It reports whether a flush has something to ship.
+func (sh *shard) touched() bool {
 	sh.digestOK.Store(false)
 	sh.leafOK = false
+	if sh.fl.Waiting() {
+		sh.dirty.Store(true)
+	}
+	if !sh.fl.Unsent() {
+		return false
+	}
+	sh.unsent.Store(true)
+	return true
+}
+
+// pass runs one flush (first transmissions) or tick (Sync) over the
+// shard's engine and re-derives the flags; callers hold sh.mu.
+func (sh *shard) pass(tick bool, send protocol.Sender) {
+	sh.unsent.Store(false)
+	if tick {
+		sh.engine.Sync(send)
+	} else {
+		sh.fl.Flush(send)
+	}
+	sh.dirty.Store(sh.fl.Waiting())
+}
+
+// due reports, without the lock, whether the given kind of pass has to
+// visit the shard.
+func (sh *shard) due(tick bool) bool {
+	if tick {
+		return sh.dirty.Load()
+	}
+	return sh.unsent.Load()
 }
 
 // Store is a live replica of a sharded multi-object keyspace: N shards,
 // each holding a map of named CRDT objects with its own engine instance,
 // mutex, and δ-buffers. Keys are routed to shards by hash; per-shard
 // outgoing deltas are coalesced into bounded batched frames per neighbor
-// on each sync tick. A per-shard dirty bitmap makes the steady-state tick
-// O(dirty shards), not O(shards): clean shards are skipped without taking
-// their locks. With DigestEvery set, replicas additionally exchange
+// on each flush or sync tick. Per-shard flags make either pass O(shards
+// with something to do), not O(shards): clean shards are skipped without
+// taking their locks. With DigestEvery set, replicas additionally exchange
 // per-shard digest vectors and pull full shards only on mismatch, so even
 // divergence invisible to the inner engines is repaired while a converged
 // idle cluster exchanges only constant-size heartbeats.
@@ -349,9 +400,30 @@ type Store struct {
 	// delivery path — one per touched shard per frame, an invariant an
 	// instrumented test pins (the eager path took one per item).
 	deliverLocks atomic.Uint64
-	statsMu      sync.Mutex
-	stats        StoreStats
-	repair       repairTable
+	// wire holds the counters every flush bumps, as atomics; stats, under
+	// statsMu, the rest.
+	wire    wireCounters
+	statsMu sync.Mutex
+	stats   StoreStats
+	repair  repairTable
+	// The write-triggered flush. flushWanted is set by the first Update
+	// or forwarding delivery after a pass and cleared by the next pass
+	// (flush or tick); the false→true transition wakes the sync loop,
+	// which runs the flush once lastSend — when the previous pass ended,
+	// on started's monotonic clock — is a window in the past.
+	flushWanted atomic.Bool
+	wake        chan struct{}
+	started     time.Time
+	lastSend    atomic.Int64
+	// manual is set by the first SyncNow call: a store ticked by its
+	// owner cannot know when the next tick comes, so it never holds a
+	// reply back (see holdReplies).
+	manual atomic.Bool
+	// held collects, under heldMu, the replies waiting for the flush
+	// that is due; flushWanted only goes false under heldMu, so a reply
+	// held while it is true is always picked up.
+	heldMu sync.Mutex
+	held   *outBatch
 	// snapMu serializes snapshot passes (the ticker loop and explicit
 	// SnapshotNow calls); snapLast holds each shard's content digest at
 	// its last written snapshot, so unchanged shards are skipped. Both
@@ -441,7 +513,11 @@ func StartStore(cfg StoreConfig) (*Store, error) {
 		if !ok {
 			return nil, fmt.Errorf("transport: per-object engine does not implement ObjectDeliverer")
 		}
-		shards[i] = &shard{engine: keyed, od: od}
+		fl, ok := eng.(protocol.Flusher)
+		if !ok {
+			return nil, fmt.Errorf("transport: per-object engine does not implement Flusher")
+		}
+		shards[i] = &shard{engine: keyed, od: od, fl: fl}
 	}
 	ln := cfg.Listener
 	if ln == nil {
@@ -471,6 +547,9 @@ func StartStore(cfg StoreConfig) (*Store, error) {
 		mask:      uint32(cfg.Shards - 1),
 		neighbors: neighbors,
 		stopping:  make(chan struct{}),
+		wake:      make(chan struct{}, 1),
+		started:   time.Now(),
+		held:      newOutBatch(),
 	}
 	s.workers = resolveSyncWorkers(cfg.SyncWorkers)
 	s.workerShards = make([]atomic.Uint64, s.workers)
@@ -536,8 +615,11 @@ func (s *Store) Update(op workload.Op) {
 	sh := s.shardOf(op.Key)
 	sh.mu.Lock()
 	sh.engine.LocalOp(op)
-	sh.markDirty()
+	unsent := sh.touched()
 	sh.mu.Unlock()
+	if unsent {
+		s.requestFlush()
+	}
 	if s.hasWatchers() {
 		s.notifyWatchers(op.Key)
 	}
@@ -697,6 +779,14 @@ func (s *Store) Stats() StoreStats {
 	s.statsMu.Lock()
 	st := s.stats
 	s.statsMu.Unlock()
+	s.wire.snapshot(&st)
+	for _, sh := range s.shards {
+		if r, ok := sh.engine.(interface{ Retransmits() uint64 }); ok {
+			sh.mu.Lock()
+			st.Retransmits += int(r.Retransmits())
+			sh.mu.Unlock()
+		}
+	}
 	st.Peers = s.net.peerStats()
 	st.SyncWorkers = s.workers
 	st.SyncWorkerShards = make([]uint64, s.workers)
@@ -708,7 +798,8 @@ func (s *Store) Stats() StoreStats {
 	return st
 }
 
-// Ticks returns how many synchronization steps this store has run.
+// Ticks returns how many synchronization steps — timer ticks and SyncNow
+// calls, not write-triggered flushes — this store has run.
 func (s *Store) Ticks() uint64 { return s.ticks.Load() }
 
 // outBatch accumulates per-destination shard items in first-send order.
@@ -737,6 +828,18 @@ func (b *outBatch) add(shardIdx uint32, to string, m protocol.Msg, enc []byte) {
 	}
 	b.perDest[to] = append(b.perDest[to], protocol.ShardItem{Shard: shardIdx, Msg: m})
 	b.perEnc[to] = append(b.perEnc[to], enc)
+}
+
+// take moves every item of o onto the end of b, leaving o empty. Moved
+// items lose their pre-encoded bytes: callers take only reply batches,
+// which never carry any.
+func (b *outBatch) take(o *outBatch) {
+	for _, to := range o.order {
+		for _, it := range o.perDest[to] {
+			b.add(it.Shard, to, it.Msg, nil)
+		}
+	}
+	o.reset()
 }
 
 // sender adapts a shard's engine sends into tagged shard items.
@@ -837,21 +940,60 @@ func (d *replySink) flush(b *outBatch) {
 	d.order = d.order[:0]
 }
 
-// SyncNow runs one synchronization step over the dirty shards and flushes
-// the coalesced frames. Clean shards — the steady state of an idle
-// keyspace — are skipped without taking their locks, so the tick is
-// O(dirty shards). The per-shard work — engine.Sync plus item capture,
-// and the digest recompute — fans out across the shard-work pool
-// (StoreConfig.SyncWorkers) with frame bytes unchanged. Every
-// DigestEvery ticks the per-shard digest vector goes out with the same
-// flush: piggybacked on a data frame to each peer that is getting one
-// anyway, as a standalone heartbeat only to peers the tick has nothing
-// else to say to (every peer, on an idle tick).
+// flushesPerTick is the fixed share of SyncEvery that separates two
+// passes: a write-triggered flush runs no earlier than SyncEvery/8 after
+// the previous flush or tick. A write used to wait for the tick — 2.34 of
+// the 3.29 ms visible_p50_ms on bench's steady workload (5 ms ticks), ~10
+// of ~12 ms on the three 20 ms ones. The fraction bounds the wait of a
+// write that lands right after a pass and the frames a writer that never
+// pauses can cause (eight per peer and period). On the 20 ms workloads it
+// is the median itself (2.0–2.3 ms at an eighth). On steady most flushes
+// find the store idle and leave at once, so it hardly shows: one run
+// each, seed 7, visible_p50_ms / frames per update 1.18 / 2.16 at a
+// quarter, 1.16 / 2.57 at an eighth, 1.03 / 2.65 at a sixteenth (1.19
+// frames per update when every write waited for the tick).
+const flushesPerTick = 8
+
+// requestFlush asks the sync loop for a first-transmission pass. All but
+// the first request since the last pass return after one atomic load.
+func (s *Store) requestFlush() {
+	if s.flushWanted.Load() || !s.flushWanted.CompareAndSwap(false, true) {
+		return
+	}
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+}
+
+// sinceStart is the store's monotonic clock.
+func (s *Store) sinceStart() int64 { return int64(time.Since(s.started)) }
+
+// SyncNow runs one synchronization tick now, in addition to the timer's.
+// A store whose owner ticks it — the manual mode, with a SyncEvery nobody
+// waits out — sends nothing between two calls, and from the first call on
+// never delays a reply (see holdReplies).
 func (s *Store) SyncNow() {
-	d := getDeliverState()
+	s.manual.Store(true)
+	s.tick()
+}
+
+// tick runs one synchronization step over the dirty shards and flushes
+// the coalesced frames: what has never been sent, and what the acked
+// engines decide to send again — retransmissions happen here only. Clean
+// shards — the steady state of an idle keyspace — are skipped without
+// taking their locks, so the tick is O(dirty shards). The per-shard work
+// — engine.Sync plus item capture, and the digest recompute — fans out
+// across the shard-work pool (StoreConfig.SyncWorkers) with frame bytes
+// unchanged. Every DigestEvery ticks the per-shard digest vector goes out
+// with the same flush: piggybacked on a data frame to each peer that is
+// getting one anyway, as a standalone heartbeat only to peers the tick
+// has nothing else to say to (every peer, on an idle tick).
+func (s *Store) tick() {
+	d := s.openPass(getDeliverState())
 	defer d.release()
 	b := d.b
-	if ts := s.collectTick(b); ts != nil {
+	if ts := s.collect(b, true); ts != nil {
 		// The batch's pre-encoded bytes point into the scratch arenas;
 		// release only after flush below has packed them into frames.
 		defer s.releaseTickScratch(ts)
@@ -867,64 +1009,128 @@ func (s *Store) SyncNow() {
 		piggyback = nil
 	}
 	covered := s.flush(b, piggyback)
+	s.lastSend.Store(s.sinceStart())
 	if vec == nil {
 		return
 	}
 	// The heartbeat fallback: peers whose data frames this tick did not
 	// carry the vector still get the advertisement, standalone.
-	m := protocol.NewDigestMsg(vec, nil, protocol.DigestCost(vec, nil))
+	m := protocol.NewDigestMsg(vec, nil)
 	data, err := codec.EncodeMsg(m)
 	if err != nil {
 		panic(err)
 	}
+	var t wireTally
 	for _, to := range s.neighbors {
 		if _, ok := covered[to]; !ok {
-			s.transmit(to, data, m.Cost(), frameDigest)
+			s.transmit(to, data, m.Cost(), frameDigest, &t)
 		}
 	}
+	s.wire.add(&t)
 }
 
-// collectTick runs the per-shard sync stage, accumulating every engine
-// emission on b in ascending shard order. With one worker (or fewer
-// than two dirty shards) it is the plain serial walk; otherwise workers
-// claim dirty shards off the shared cursor, run engine.Sync under each
-// shard's lock capturing emissions privately — encoding each emission
-// into the shard's arena as it is captured, so the per-item codec work
-// rides the pool too — and the merge replays them in shard order. Per-
-// destination item sequences, and therefore packed frame bytes, are
-// identical to a serial tick's (pinned by the determinism test).
+// writeFlush is the pass between two ticks: first transmissions only —
+// no retransmission, no digest advertisement, no heartbeat, and Ticks
+// does not advance. A pass that finds no reply waiting and no shard with
+// anything unsent takes no shard lock and allocates nothing.
+func (s *Store) writeFlush() {
+	d := s.openPass(nil)
+	if d == nil && s.anyDue(false) {
+		d = getDeliverState()
+	}
+	if d != nil {
+		ts := s.collect(d.b, false)
+		s.flush(d.b, nil)
+		if ts != nil {
+			s.releaseTickScratch(ts)
+		}
+		d.release()
+	}
+	s.wire.writeFlushes.Add(1)
+	s.lastSend.Store(s.sinceStart())
+}
+
+// openPass begins a flush or a tick: the flush request is served by it,
+// and the replies that waited for a pass lead its batch. d is the pass's
+// scratch, or nil to have one fetched only if replies waited; the result
+// is nil when neither was the case.
+func (s *Store) openPass(d *deliverState) *deliverState {
+	s.heldMu.Lock()
+	s.flushWanted.Store(false)
+	if len(s.held.order) > 0 {
+		if d == nil {
+			d = getDeliverState()
+		}
+		d.b.take(s.held)
+	}
+	s.heldMu.Unlock()
+	return d
+}
+
+// anyDue reports, without a lock, whether the given kind of pass has a
+// shard to visit.
+func (s *Store) anyDue(tick bool) bool {
+	for _, sh := range s.shards {
+		if sh.due(tick) {
+			return true
+		}
+	}
+	return false
+}
+
+// holdReplies moves the replies (acks, Scuttlebutt pulls) that applying
+// an inbound frame produced onto the flush that is already due, and
+// reports whether it did; otherwise the caller ships them at once. A due
+// flush runs within SyncEvery/8, far inside the tick a sender waits
+// before sending an entry again, so riding never causes a
+// retransmission — provided ticks come from the timer: the peers of a
+// store that is ticked by hand may tick again at any moment, so such a
+// store holds nothing.
+func (s *Store) holdReplies(b *outBatch) bool {
+	if s.manual.Load() || !s.flushWanted.Load() {
+		return false
+	}
+	s.heldMu.Lock()
+	defer s.heldMu.Unlock()
+	if !s.flushWanted.Load() {
+		return false // the pass that would have carried them has begun
+	}
+	s.held.take(b)
+	return true
+}
+
+// collect runs the per-shard stage of a pass — a tick (engine.Sync over
+// the dirty shards) or a flush (first transmissions over the shards with
+// something unsent) — accumulating every engine emission on b in
+// ascending shard order. With one worker (or fewer than two shards due)
+// it is the plain serial walk; otherwise workers claim shards off the
+// shared cursor, run the pass under each shard's lock capturing emissions
+// privately — encoding each emission into the shard's arena as it is
+// captured, so the per-item codec work rides the pool too — and the merge
+// replays them in shard order. Per-destination item sequences, and
+// therefore packed frame bytes, are identical to a serial pass's (pinned
+// by the determinism test).
 //
 // The returned scratch is non-nil exactly when the parallel path ran;
 // the caller must hand it to releaseTickScratch only after flush has
 // consumed b (the pre-encoded bytes live in the scratch arenas).
-func (s *Store) collectTick(b *outBatch) *tickScratch {
-	dirty := 0
+func (s *Store) collect(b *outBatch, tick bool) *tickScratch {
+	due := 0
 	for _, sh := range s.shards {
-		if sh.dirty.Load() {
-			dirty++
+		if sh.due(tick) {
+			due++
 		}
 	}
-	if dirty == 0 {
+	if due == 0 {
 		return nil
 	}
-	if s.workers <= 1 || dirty < 2 {
+	if s.workers <= 1 || due < 2 {
 		for i, sh := range s.shards {
-			if !sh.dirty.Load() {
+			if !sh.due(tick) {
 				continue
 			}
 			sh.mu.Lock()
-			sh.dirty.Store(false)
-			emitted := false
-			send := b.sender(uint32(i))
-			sh.engine.Sync(func(to string, m protocol.Msg) {
-				emitted = true
-				send(to, m)
-			})
-			if emitted {
-				// The engine may need to emit again (unacked
-				// retransmissions, Scuttlebutt digests): revisit next tick.
-				sh.dirty.Store(true)
-			}
+			sh.pass(tick, b.sender(uint32(i)))
 			sh.mu.Unlock()
 		}
 		return nil
@@ -932,16 +1138,13 @@ func (s *Store) collectTick(b *outBatch) *tickScratch {
 	ts := s.tickPool.Get().(*tickScratch)
 	s.runShardStage(func(_, i int) {
 		sh := s.shards[i]
-		if !sh.dirty.Load() {
+		if !sh.due(tick) {
 			return
 		}
 		out := ts.emits[i][:0]
 		buf := ts.bufs[i][:0]
 		sh.mu.Lock()
-		sh.dirty.Store(false)
-		emitted := false
-		sh.engine.Sync(func(to string, m protocol.Msg) {
-			emitted = true
+		sh.pass(tick, func(to string, m protocol.Msg) {
 			start := len(buf)
 			var err error
 			buf, err = codec.AppendShardItem(buf, protocol.ShardItem{Shard: uint32(i), Msg: m})
@@ -955,9 +1158,6 @@ func (s *Store) collectTick(b *outBatch) *tickScratch {
 			}
 			out = append(out, tickEmit{to: to, m: m, enc: buf[start:]})
 		})
-		if emitted {
-			sh.dirty.Store(true) // more to emit next tick (see serial path)
-		}
 		sh.mu.Unlock()
 		ts.emits[i] = out
 		ts.bufs[i] = buf
@@ -976,7 +1176,11 @@ func (s *Store) collectTick(b *outBatch) *tickScratch {
 // reached. Callers must not hold any shard lock: a slow peer can then
 // never block updates or inbound handling on other connections.
 func (s *Store) flush(b *outBatch, vec []uint64) map[string]struct{} {
+	if len(b.order) == 0 {
+		return nil
+	}
 	var covered map[string]struct{}
+	var t wireTally
 	for _, to := range b.order {
 		res, err := packFrames(b.perDest[to], b.perEnc[to], vec, s.maxMsgBytes())
 		if err != nil {
@@ -984,18 +1188,16 @@ func (s *Store) flush(b *outBatch, vec []uint64) map[string]struct{} {
 			// error in the engine/codec pairing.
 			panic(err)
 		}
-		s.statsMu.Lock()
 		if len(res.frames) > 1 {
-			s.stats.SplitFrames += len(res.frames)
+			t.split += len(res.frames)
 		}
-		s.stats.OversizedDropped += res.oversized
-		s.statsMu.Unlock()
+		t.oversized += res.oversized
 		for _, f := range res.frames {
 			kind := frameData
 			if f.digests {
 				kind = framePiggyback
 			}
-			s.transmit(to, f.data, f.cost, kind)
+			s.transmit(to, f.data, f.cost, kind, &t)
 		}
 		if res.digestsAttached {
 			if covered == nil {
@@ -1004,6 +1206,7 @@ func (s *Store) flush(b *outBatch, vec []uint64) map[string]struct{} {
 			covered[to] = struct{}{}
 		}
 	}
+	s.wire.add(&t)
 	return covered
 }
 
@@ -1032,30 +1235,82 @@ const (
 	framePiggyback
 )
 
-// transmit enqueues one frame onto the peer's write pipeline and records
-// wire stats at enqueue time (a dedicated writer goroutine performs the
-// actual dial and write, so stats here count frames handed to the
-// pipeline). A frame lost downstream — queue overflow, failed dial or
-// write — shows up in Stats().Peers[to].Dropped; the neighbor catches up
-// on a later tick when the inner engines resend (acked engines retransmit
-// until acknowledged) or when digest anti-entropy observes the
-// divergence. Pair plain delta-based without digests with this transport
-// only where loss is acceptable.
-func (s *Store) transmit(to string, data []byte, cost metrics.Transmission, kind frameKind) {
+// wireCounters are the counters every frame moves. Flushes come up to
+// eight times as often as ticks, from the sync loop and from every read
+// goroutine at once, so these are atomics — no pass waits for another to
+// count — and a pass adds its wireTally once, however many frames it
+// sent.
+type wireCounters struct {
+	frames, wireBytes, digestFrames, piggybacked atomic.Int64
+	splitFrames, oversized, writeFlushes         atomic.Int64
+	messages, elements, payload, metadata        atomic.Int64 // Sent
+}
+
+// wireTally is what one pass handed to the write pipelines.
+type wireTally struct {
+	frames, wireBytes, digestFrames, piggybacked, split, oversized int
+	sent                                                           metrics.Transmission
+}
+
+func (w *wireCounters) add(t *wireTally) {
+	addN(&w.frames, t.frames)
+	addN(&w.wireBytes, t.wireBytes)
+	addN(&w.digestFrames, t.digestFrames)
+	addN(&w.piggybacked, t.piggybacked)
+	addN(&w.splitFrames, t.split)
+	addN(&w.oversized, t.oversized)
+	addN(&w.messages, t.sent.Messages)
+	addN(&w.elements, t.sent.Elements)
+	addN(&w.payload, t.sent.PayloadBytes)
+	addN(&w.metadata, t.sent.MetadataBytes)
+}
+
+// addN skips the atomic for the counters a pass did not move.
+func addN(c *atomic.Int64, n int) {
+	if n != 0 {
+		c.Add(int64(n))
+	}
+}
+
+// snapshot copies the counters into their StoreStats fields.
+func (w *wireCounters) snapshot(st *StoreStats) {
+	st.Frames = int(w.frames.Load())
+	st.WireBytes = int(w.wireBytes.Load())
+	st.DigestFrames = int(w.digestFrames.Load())
+	st.PiggybackedDigests = int(w.piggybacked.Load())
+	st.SplitFrames = int(w.splitFrames.Load())
+	st.OversizedDropped = int(w.oversized.Load())
+	st.WriteFlushes = int(w.writeFlushes.Load())
+	st.Sent = metrics.Transmission{
+		Messages:      int(w.messages.Load()),
+		Elements:      int(w.elements.Load()),
+		PayloadBytes:  int(w.payload.Load()),
+		MetadataBytes: int(w.metadata.Load()),
+	}
+}
+
+// transmit enqueues one frame onto the peer's write pipeline and tallies
+// it at enqueue time (a dedicated writer goroutine performs the actual
+// dial and write, so the wire stats count frames handed to the pipeline).
+// A frame lost downstream — queue overflow, failed dial or write — shows
+// up in Stats().Peers[to].Dropped; the neighbor catches up on a later
+// tick when the inner engines resend (acked engines retransmit until
+// acknowledged) or when digest anti-entropy observes the divergence. Pair
+// plain delta-based without digests with this transport only where loss
+// is acceptable.
+func (s *Store) transmit(to string, data []byte, cost metrics.Transmission, kind frameKind, t *wireTally) {
 	if err := s.net.transmit(to, data); err != nil {
 		return // neighbor down or unknown; repaired on a later tick
 	}
-	s.statsMu.Lock()
-	s.stats.Frames++
-	s.stats.WireBytes += 4 + 2 + len(s.cfg.ID) + len(data)
+	t.frames++
+	t.wireBytes += 4 + 2 + len(s.cfg.ID) + len(data)
 	switch kind {
 	case frameDigest:
-		s.stats.DigestFrames++
+		t.digestFrames++
 	case framePiggyback:
-		s.stats.PiggybackedDigests++
+		t.piggybacked++
 	}
-	s.stats.Sent.Add(cost)
-	s.statsMu.Unlock()
+	t.sent.Add(cost)
 }
 
 // deliver routes one inbound frame to its handler: sharded data frames
@@ -1082,16 +1337,18 @@ func (s *Store) deliver(from string, frame []byte) error {
 // lock is taken exactly once per frame — the whole group of that shard's
 // items (across every batch in the frame) is decoded and applied under
 // the single hold — instead of once per item as the eager path did, and
-// replies are coalesced per shard group just as syncs are. Replies flush
-// inline on the read goroutine: transmit is a non-blocking enqueue onto
-// the per-peer write pipelines, so no TCP write happens here and two
-// nodes with mutually full send buffers cannot deadlock each other — the
-// hazard that used to force a goroutine per inbound frame.
+// replies are coalesced per shard group just as syncs are. Replies that
+// do not ride a due flush (holdReplies) flush inline on the read
+// goroutine: transmit is a non-blocking enqueue onto the per-peer write
+// pipelines, so no TCP write happens here and two nodes with mutually
+// full send buffers cannot deadlock each other — the hazard that used to
+// force a goroutine per inbound frame.
 func (s *Store) deliverSharded(from string, v *codec.FrameView) error {
 	d := getDeliverState()
 	defer d.release()
 	watched := s.hasWatchers()
 	var derr error
+	forward := false // some shard was left with something never sent
 	for _, g := range v.Groups() {
 		sh := s.shards[g.Shard]
 		d.sink.shard = g.Shard
@@ -1117,7 +1374,7 @@ func (s *Store) deliverSharded(from string, v *codec.FrameView) error {
 			d.sink.key = iv.Key
 			sh.od.DeliverObject(from, iv.Key, m, d.send)
 		}
-		sh.markDirty()
+		forward = sh.touched() || forward
 		sh.mu.Unlock()
 		d.sink.flush(d.b)
 		// Data from the peer a repair was requested from completes that
@@ -1143,10 +1400,15 @@ func (s *Store) deliverSharded(from string, v *codec.FrameView) error {
 		// mid-decode gets no such trust: its digests are skipped.
 		s.handleDigests(from, v.Digests)
 	}
-	// Flush even on error: the replies coalesced here belong to shard
-	// groups that were fully applied — dropping them would discard real
-	// acks and pull replies the peers are owed.
-	if len(d.b.order) > 0 {
+	if forward {
+		s.requestFlush()
+	}
+	// Replies ride the flush that is due — this frame's own forwards, or
+	// an earlier write's — and leave at once when there is none. Even on
+	// error: the replies coalesced here belong to shard groups that were
+	// fully applied — dropping them would discard real acks and pull
+	// replies the peers are owed.
+	if len(d.b.order) > 0 && !s.holdReplies(d.b) {
 		s.flush(d.b, nil)
 	}
 	return derr
@@ -1188,9 +1450,7 @@ func (s *Store) deliverControl(from string, frame []byte) error {
 	default:
 		return nil // stores speak only sharded, digest and tree frames
 	}
-	if len(d.b.order) > 0 {
-		s.flush(d.b, nil)
-	}
+	s.flush(d.b, nil)
 	return nil
 }
 
@@ -1264,12 +1524,8 @@ func (s *Store) serveShard(to string, idx uint32) (int, bool) {
 			st = st.Clone() // the message outlives the lock
 			bytes += sz
 			items = append(items, protocol.ObjectMsg{
-				Key: keys[i],
-				Inner: protocol.NewDeltaMsg(st, metrics.Transmission{
-					Messages:     1,
-					Elements:     st.Elements(),
-					PayloadBytes: st.SizeBytes(),
-				}),
+				Key:   keys[i],
+				Inner: protocol.NewDeltaMsg(st),
 			})
 			i++
 		}
@@ -1288,24 +1544,52 @@ func (s *Store) serveShard(to string, idx uint32) (int, bool) {
 	return total, total > 0
 }
 
+// syncLoop owns the two clocks: the ticker, and the flush timer that
+// holds a requested flush back until a window has passed since the last
+// pass.
 func (s *Store) syncLoop() {
 	defer s.wg.Done()
 	ticker := time.NewTicker(s.cfg.SyncEvery)
 	defer ticker.Stop()
+	window := int64(s.cfg.SyncEvery / flushesPerTick)
+	flushTimer := time.NewTimer(time.Hour)
+	defer flushTimer.Stop()
 	for {
 		select {
 		case <-s.stopping:
 			return
 		case <-ticker.C:
-			s.SyncNow()
+			s.tick()
+			continue
+		case <-s.wake:
+		case <-flushTimer.C:
 		}
+		if !s.flushWanted.Load() {
+			continue // a tick has shipped what the request was for
+		}
+		if wait := s.lastSend.Load() + window - s.sinceStart(); wait > 0 {
+			if !flushTimer.Stop() {
+				select {
+				case <-flushTimer.C:
+				default:
+				}
+			}
+			flushTimer.Reset(time.Duration(wait))
+			continue
+		}
+		s.writeFlush()
 	}
 }
 
-// Close stops the loops, closes every watcher (their Events channels
-// close) and every connection. It is idempotent.
+// Close ships what is still unsent, stops the loops, closes every watcher
+// (their Events channels close) and every connection. It is idempotent.
 func (s *Store) Close() error {
-	s.stopOnce.Do(func() { close(s.stopping) })
+	s.stopOnce.Do(func() {
+		close(s.stopping)
+		// The last pass: an Update followed by Close reaches the peers
+		// without a tick in between; net.close drains it.
+		s.writeFlush()
+	})
 	s.closeWatchers()
 	err := s.net.close()
 	s.wg.Wait()

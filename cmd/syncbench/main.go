@@ -32,12 +32,8 @@ func main() {
 	faultDrop := flag.Float64("fault-drop", 0, "store experiment: drop this fraction of frames on every link (0 disables fault injection)")
 	peerQueue := flag.Int("peer-queue", 0, "store experiment: per-peer outbound frame queue length (0 = default)")
 	peerQueueBytes := flag.Int("peer-queue-bytes", 0, "store experiment: per-peer outbound queue byte budget (0 = default)")
-	noPiggyback := flag.Bool("no-piggyback", false, "store experiment: ship every digest advertisement standalone instead of piggybacking on data frames")
 	scan := flag.Bool("scan", false, "store experiment: after convergence, benchmark the read layer (Get clone baseline vs zero-clone Query vs sorted Scan)")
 	persistOut := flag.String("persist-out", "", "persist experiment: write the BENCH_persist.json artifact to this path")
-	syncWorkers := flag.Int("sync-workers", 0, "store/sync experiments: shard-work pool width (store: 0 = GOMAXPROCS; sync: 0 sweeps 1,2,4,8)")
-	ticks := flag.Int("ticks", 20, "sync experiment: timed all-dirty ticks per pool width")
-	syncOut := flag.String("sync-out", "", "sync experiment: write the BENCH_sync.json artifact to this path")
 	flag.Parse()
 
 	if *list {
@@ -52,19 +48,7 @@ func main() {
 		fmt.Println("tab2   Retwis workload characterization")
 		fmt.Println("store  sharded multi-object store over a real TCP cluster")
 		fmt.Println("persist crash-restart durability: snapshot restore + staleness-proportional repair")
-		fmt.Println("sync   multi-core sync engine: all-dirty tick scaling across pool widths")
-		fmt.Println("all    everything above except store, persist, and sync")
-		return
-	}
-
-	if *expID == "sync" {
-		runSyncBench(syncBenchConfig{
-			Keys:    *keys,
-			Shards:  *shards,
-			Ticks:   *ticks,
-			Workers: *syncWorkers,
-			Out:     *syncOut,
-		})
+		fmt.Println("all    everything above except store and persist")
 		return
 	}
 
@@ -89,10 +73,8 @@ func main() {
 			FaultDrop:      *faultDrop,
 			PeerQueueLen:   *peerQueue,
 			PeerQueueBytes: *peerQueueBytes,
-			NoPiggyback:    *noPiggyback,
 			Scan:           *scan,
 			Seed:           *seed,
-			SyncWorkers:    *syncWorkers,
 		})
 		return
 	}

@@ -43,19 +43,12 @@ type storeBenchConfig struct {
 	// PeerQueueBytes sets each replica's per-peer outbound queue byte
 	// budget (0 = transport default).
 	PeerQueueBytes int
-	// NoPiggyback disables digest piggybacking, shipping every digest
-	// advertisement as its own frame — the pre-piggybacking wire
-	// behavior, kept as a measurement baseline.
-	NoPiggyback bool
 	// Scan, after convergence, measures the read layer: clone-everything
 	// Get baseline vs zero-clone Query vs sorted Scan over the full
 	// keyspace, reporting throughput and allocations per visited key.
 	Scan bool
 	// Seed seeds the fault injector's frame-fate sequence.
 	Seed int64
-	// SyncWorkers sets each replica's shard-work pool width (0 = the
-	// transport default, GOMAXPROCS; 1 = serial ticks).
-	SyncWorkers int
 }
 
 // runStoreBench drives the benchmark and prints a throughput /
@@ -81,10 +74,6 @@ func runStoreBench(cfg storeBenchConfig) {
 		crdtsync.WithSyncEvery(cfg.SyncEvery),
 		crdtsync.WithDigestEvery(cfg.DigestEvery),
 		crdtsync.WithQueueBudget(cfg.PeerQueueLen, cfg.PeerQueueBytes),
-		crdtsync.WithSyncWorkers(cfg.SyncWorkers),
-	}
-	if cfg.NoPiggyback {
-		opts = append(opts, crdtsync.WithoutDigestPiggyback())
 	}
 	if cfg.FaultDrop > 0 {
 		fault := transport.NewFault(cfg.Seed)
@@ -104,11 +93,7 @@ func runStoreBench(cfg storeBenchConfig) {
 		cfg.Nodes, stores[0].NumShards(), cfg.Keys, cfg.SyncEvery)
 	fmt.Printf("engine: %s\n", engineDesc)
 	if cfg.DigestEvery > 0 {
-		mode := "piggybacked on data frames"
-		if cfg.NoPiggyback {
-			mode = "standalone frames only (piggybacking disabled)"
-		}
-		fmt.Printf("anti-entropy: per-shard digests every %d ticks, %s\n", cfg.DigestEvery, mode)
+		fmt.Printf("anti-entropy: per-shard digests every %d ticks, piggybacked on data frames\n", cfg.DigestEvery)
 	}
 	if cfg.FaultDrop > 0 {
 		fmt.Printf("fault injection: dropping %.0f%% of frames on every link\n", cfg.FaultDrop*100)
@@ -191,14 +176,6 @@ func runStoreBench(cfg storeBenchConfig) {
 	}
 	fmt.Printf("pipeline: %d frames enqueued (%s), %d dropped (%s; queue overflow / failed sends), %d coalesced on drain, %d reconnects\n",
 		enq, fmtBytes(enqBytes), dropped, fmtBytes(droppedBytes), coalesced, reconnects)
-	if total.SyncWorkers > 1 {
-		busy := make([]time.Duration, len(total.SyncWorkerBusyNs))
-		for i, ns := range total.SyncWorkerBusyNs {
-			busy[i] = time.Duration(ns).Round(time.Millisecond)
-		}
-		fmt.Printf("pool: %d sync workers/node; cluster-wide shard claims per worker %v, busy %v\n",
-			total.SyncWorkers, total.SyncWorkerShards, busy)
-	}
 	var mem crdtsync.Memory
 	for _, st := range stores {
 		m := st.Memory()

@@ -216,11 +216,6 @@ func WithMaxFrameBytes(n int) Option { return func(o *options) { o.cfg.MaxFrameB
 // fault-injection harnesses wrap it to drop, duplicate or delay frames.
 func WithDial(dial DialFunc) Option { return func(o *options) { o.cfg.Dial = dial } }
 
-// WithoutDigestPiggyback ships every digest advertisement as its own
-// frame instead of riding data frames — a measurement baseline, not a
-// production setting.
-func WithoutDigestPiggyback() Option { return func(o *options) { o.cfg.NoDigestPiggyback = true } }
-
 // WithSnapshotDir enables crash-restart durability: each shard's objects
 // are periodically serialized to an atomic-rename, checksummed file in
 // dir (created if needed), and Open restores from those files before
@@ -234,18 +229,6 @@ func WithSnapshotDir(dir string) Option { return func(o *options) { o.cfg.Snapsh
 // meaningful with WithSnapshotDir). Shards whose contents have not
 // changed since their last snapshot are skipped without I/O.
 func WithSnapshotEvery(d time.Duration) Option { return func(o *options) { o.cfg.SnapshotEvery = d } }
-
-// WithSyncWorkers bounds the shard-work pool: the number of workers the
-// CPU-heavy per-shard stages — the sync tick (engine sync plus item
-// encoding), digest vector recompute, Merkle leaf recompute, and
-// snapshot encoding — fan out across. 1 pins every stage to the calling
-// goroutine, the serial behavior; the default (0) uses GOMAXPROCS.
-// The setting never changes what goes on the wire: workers capture
-// per-shard output and each tick merges it in shard order before frames
-// are packed, so frame bytes are identical at any worker count.
-// Stats().SyncWorkerShards / SyncWorkerBusyNs expose per-worker load,
-// where skew between shards is visible.
-func WithSyncWorkers(n int) Option { return func(o *options) { o.cfg.SyncWorkers = n } }
 
 // objType is the prefix schema shared by every replica: the datatype of
 // an object is a pure function of its key, so remotely learned keys

@@ -33,7 +33,6 @@ func main() {
 	syncEvery := flag.Duration("sync-every", 100*time.Millisecond, "synchronization period")
 	digestEvery := flag.Int("digest-every", 4, "digest heartbeat period in ticks (0 disables)")
 	peerQueue := flag.Int("peer-queue", 0, "per-peer outbound frame queue length (0 = default)")
-	syncWorkers := flag.Int("sync-workers", 0, "shard-work pool width per replica (0 = GOMAXPROCS, 1 = serial)")
 	flag.Parse()
 
 	stores, err := crdtsync.Cluster(*nodes,
@@ -48,10 +47,6 @@ func main() {
 		// goroutine, so one slow replica can never stall frames to the
 		// healthy ones.
 		crdtsync.WithQueueBudget(*peerQueue, 0),
-		// The CPU-heavy per-shard stages of every tick — engine sync,
-		// item encoding, digest recompute — fan out across a bounded
-		// worker pool; frame bytes are identical at any width.
-		crdtsync.WithSyncWorkers(*syncWorkers),
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -109,18 +104,6 @@ func main() {
 		frames, float64(wireBytes)/(1<<20), float64(elements)/float64(frames), piggybacked)
 	fmt.Printf("pipeline: %d frames enqueued, %d dropped, %d coalesced on drain, %d reconnects\n",
 		enqueued, dropped, coalesced, reconnects)
-	if s := stores[0].Stats(); s.SyncWorkers > 1 {
-		var claims crdtsync.Stats
-		for _, st := range stores {
-			claims.Add(st.Stats())
-		}
-		busyMs := make([]int64, len(claims.SyncWorkerBusyNs))
-		for i, ns := range claims.SyncWorkerBusyNs {
-			busyMs[i] = ns / int64(time.Millisecond)
-		}
-		fmt.Printf("pool: %d sync workers/replica; cluster-wide shard claims per worker %v, busy(ms) %v\n",
-			s.SyncWorkers, claims.SyncWorkerShards, busyMs)
-	}
 
 	// The zero-clone read layer sums the whole keyspace without copying
 	// a single counter state: Query visits each shard's live objects

@@ -202,3 +202,30 @@ func TestStoreAckedIdleTicksAreHeartbeatOnly(t *testing.T) {
 		}
 	}
 }
+
+// TestCleanDigestPathNoAllocs pins the idle-store digest tick at zero
+// allocations: with every shard's cached digest valid, the digest vector
+// is a lock-free fill of a free-listed slice.
+func TestCleanDigestPathNoAllocs(t *testing.T) {
+	// Peerless: no write pipelines exist, so nothing allocates in the
+	// background while the test measures.
+	s, err := transport.StartStore(transport.StoreConfig{
+		ID:         "n0",
+		ListenAddr: "127.0.0.1:0",
+		Shards:     64,
+		Factory:    protocol.NewDeltaBPRR(),
+		ObjType:    func(string) workload.Datatype { return workload.GSetType{} },
+		SyncEvery:  time.Hour,
+	})
+	if err != nil {
+		t.Fatalf("StartStore: %v", err)
+	}
+	t.Cleanup(func() { s.Close() })
+	for k := 0; k < 512; k++ {
+		s.Update(workload.Add(fmt.Sprintf("key-%04d", k), "e"))
+	}
+	s.CycleDigestVec() // compute caches, seed the free list
+	if allocs := testing.AllocsPerRun(100, s.CycleDigestVec); allocs != 0 {
+		t.Fatalf("clean-store digest path allocates %.1f per run, want 0", allocs)
+	}
+}

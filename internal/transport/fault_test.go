@@ -382,3 +382,53 @@ func TestStoreConvergesUnderDupAndDelay(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreConvergesUnderLossReorderAndPartition combines the battery's
+// faults on the acked engine with digests: 20% frame loss and reordering
+// on every link, plus a partition that isolates one store while updates
+// land on both sides, healed mid-run. Every counter must still end at
+// exactly its written value on every store.
+func TestStoreConvergesUnderLossReorderAndPartition(t *testing.T) {
+	const keys = 120
+	var partitioned atomic.Bool
+	partitioned.Store(true)
+	side := map[string]int{"s-00": 0, "s-01": 1, "s-02": 1}
+	faultFor := func(i int, id string) *transport.Fault {
+		f := transport.NewFault(int64(100 + i))
+		f.SetDropRate(0.2)
+		f.SetReorder(0.3, 3*time.Millisecond)
+		f.SetSever(func(peer string) bool {
+			return partitioned.Load() && side[id] != side[peer]
+		})
+		return f
+	}
+	stores := startFaultyCluster(t, 3, transport.StoreConfig{
+		Shards:      16,
+		Factory:     protocol.NewDeltaAcked(true, true),
+		ObjType:     func(string) workload.Datatype { return workload.GCounterType{} },
+		SyncEvery:   15 * time.Millisecond,
+		DigestEvery: 2,
+	}, faultFor)
+	for k := 0; k < keys; k++ {
+		stores[k%3].Update(workload.Inc(fmt.Sprintf("key-%03d", k), 1))
+		if k%12 == 11 {
+			time.Sleep(5 * time.Millisecond) // let ticks run mid-load
+		}
+	}
+	partitioned.Store(false)
+	if err := transport.WaitConverged(stores, keys, 90*time.Second, nil); err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < keys; k++ {
+		key := fmt.Sprintf("key-%03d", k)
+		for _, st := range stores {
+			got := st.Get(key)
+			if got == nil {
+				t.Fatalf("%s missing on %s", key, st.ID())
+			}
+			if v := got.(*crdt.GCounter).Value(); v != 1 {
+				t.Errorf("%s on %s = %d, want 1", key, st.ID(), v)
+			}
+		}
+	}
+}

@@ -45,6 +45,29 @@ func flushMesh(t *testing.T, n int, cfg StoreConfig) []*Store {
 	return stores
 }
 
+// newTickStore builds an acked-engine store with two unreachable peers,
+// so engines have neighbors to emit to but nothing ever arrives from the
+// wire; the sync loop is pushed out to an hour so the tests drive every
+// pass explicitly.
+func newTickStore(t *testing.T) *Store {
+	t.Helper()
+	s, err := StartStore(StoreConfig{
+		ID:         "n0",
+		ListenAddr: "127.0.0.1:0",
+		Peers:      map[string]string{"p1": "127.0.0.1:1", "p2": "127.0.0.1:1"},
+		Nodes:      []string{"n0", "p1", "p2"},
+		Shards:     64,
+		Factory:    protocol.NewDeltaAcked(true, true),
+		ObjType:    func(string) workload.Datatype { return workload.GSetType{} },
+		SyncEvery:  time.Hour,
+	})
+	if err != nil {
+		t.Fatalf("StartStore: %v", err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
 // idle waits until a full flush window has passed since s's last pass, so
 // that the next write's flush is due at once.
 func idle(t *testing.T, s *Store) {
@@ -127,7 +150,7 @@ func TestFlushBurstIsBatched(t *testing.T) {
 // so DigestEvery counts exactly what it counted before the flush existed.
 func TestFlushLeavesDigestCadenceToTicks(t *testing.T) {
 	const every, ticks = 4, 16
-	s := newTickStore(t, 1, protocol.NewDeltaAcked(true, true))
+	s := newTickStore(t)
 	s.cfg.DigestEvery = every
 	peers := len(s.neighbors)
 	advertised := func() int {
@@ -153,7 +176,7 @@ func TestFlushLeavesDigestCadenceToTicks(t *testing.T) {
 	}
 	// An idle store: exactly one standalone heartbeat per peer per
 	// DigestEvery ticks, whatever flushes run in between.
-	idleStore := newTickStore(t, 1, protocol.NewDeltaAcked(true, true))
+	idleStore := newTickStore(t)
 	idleStore.cfg.DigestEvery = every
 	for tick := 1; tick <= 2*every; tick++ {
 		idleStore.writeFlush()
@@ -210,7 +233,7 @@ func TestCloseShipsDirtyState(t *testing.T) {
 // TestFlushIdleIsFree: a flush that finds nothing new takes no shard
 // lock and allocates nothing.
 func TestFlushIdleIsFree(t *testing.T) {
-	s := newTickStore(t, 1, protocol.NewDeltaAcked(true, true))
+	s := newTickStore(t)
 	// Objects that only wait for acks (their peers are unreachable) are
 	// none of a flush's business.
 	for i := 0; i < 100; i++ {
@@ -245,7 +268,7 @@ func TestFlushIdleIsFree(t *testing.T) {
 // TestFlushCarriesHeldReplies: acks produced while a flush is due ride
 // it; with none due, or on a store ticked by hand, they leave at once.
 func TestFlushCarriesHeldReplies(t *testing.T) {
-	s := newTickStore(t, 1, protocol.NewDeltaAcked(true, true))
+	s := newTickStore(t)
 	inbound := func(seq uint64) []byte {
 		k := keysOnShard(s.mask, 0, 1)[0]
 		d := protocol.NewAckedDeltaMsg(crdt.NewGSet(fmt.Sprintf("e%d", seq)), []uint64{seq})

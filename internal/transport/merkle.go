@@ -79,10 +79,8 @@ func (t *treeBitmap) has(i uint32) bool { return t[i/64]&(1<<(i%64)) != 0 }
 
 // leafKeyHash is one key's contribution to its leaf: an FNV-1a fold
 // over (key bytes, canonical encoding). Leaves combine contributions by
-// XOR (an empty leaf is 0) — order-independent, so the recompute can
-// fan contiguous key ranges across the shard-work pool and merge the
-// workers' private vectors with a word-wise XOR, while replicas holding
-// equal contents still produce equal leaves regardless of key order.
+// XOR (an empty leaf is 0) — order-independent, so replicas holding
+// equal contents produce equal leaves regardless of key order.
 // Leaf hashes are only ever compared between replicas running the same
 // code, so the combining rule is free to change between versions.
 func leafKeyHash(k string, enc []byte) uint64 {
@@ -90,9 +88,7 @@ func leafKeyHash(k string, enc []byte) uint64 {
 }
 
 // ensureLeavesLocked (re)computes the shard's leaf-hash vector if a
-// mutation invalidated it, serially. Caller holds sh.mu. Large shards
-// go through Store.ensureLeaves, which fans the same computation across
-// the shard-work pool.
+// mutation invalidated it. Caller holds sh.mu.
 func (sh *shard) ensureLeavesLocked() {
 	if sh.leafOK {
 		return
@@ -108,61 +104,6 @@ func (sh *shard) ensureLeavesLocked() {
 		sh.leaf[treeLeafIdx(k)] ^= leafKeyHash(k, scratch)
 	}
 	putEncodeBuf(scratch)
-	sh.leafOK = true
-}
-
-// leafParallelMinKeys is the shard key count from which the leaf
-// recompute fans key ranges across the pool; below it the split and
-// merge overhead outweighs the hashing saved.
-const leafParallelMinKeys = 4096
-
-// ensureLeaves (re)computes sh's leaf vector if invalid, using the
-// shard-work pool for large shards. Caller holds sh.mu; the workers
-// only read the engine (Keys returns the live slice, ObjectState is a
-// map lookup), which the held lock keeps stable. Each worker folds a
-// contiguous key range into a private pooled vector and the merge XORs
-// them — identical to the serial result because XOR commutes.
-func (s *Store) ensureLeaves(sh *shard) {
-	if sh.leafOK {
-		return
-	}
-	keys := sh.engine.Keys()
-	if s.workers <= 1 || len(keys) < leafParallelMinKeys {
-		sh.ensureLeavesLocked()
-		return
-	}
-	if sh.leaf == nil {
-		sh.leaf = make([]uint64, protocol.TreeLeaves)
-	} else {
-		clear(sh.leaf)
-	}
-	n := s.workers
-	chunk := (len(keys) + n - 1) / n
-	parts := make([][]uint64, n)
-	s.runWorkers(n, func(worker int) {
-		lo := worker * chunk
-		hi := min(lo+chunk, len(keys))
-		if lo >= hi {
-			return
-		}
-		vec := s.getLeafVec()
-		scratch := getEncodeBuf()
-		for _, k := range keys[lo:hi] {
-			scratch = codec.AppendState(scratch[:0], sh.engine.ObjectState(k))
-			vec[treeLeafIdx(k)] ^= leafKeyHash(k, scratch)
-		}
-		putEncodeBuf(scratch)
-		parts[worker] = vec
-	})
-	for _, part := range parts {
-		if part == nil {
-			continue
-		}
-		for j, v := range part {
-			sh.leaf[j] ^= v
-		}
-		s.putLeafVec(part)
-	}
 	sh.leafOK = true
 }
 
@@ -188,7 +129,7 @@ func (s *Store) treeNodeHashes(sh *shard, level int, nodes []uint32, out []uint6
 	span := protocol.TreeLeafSpan(level)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	s.ensureLeaves(sh)
+	sh.ensureLeavesLocked()
 	for _, idx := range nodes {
 		lo := idx * span
 		out = append(out, treeNodeHash(sh.leaf[lo:lo+span]))
@@ -348,9 +289,6 @@ var treeLevelOneQuery = func() []uint32 {
 // drill-down rather than a full pull: enough local keys that the hash
 // exchange is cheaper than shipping everything.
 func (s *Store) treeEligible(sh *shard) bool {
-	if s.cfg.NoTreeRepair {
-		return false
-	}
 	sh.mu.Lock()
 	n := sh.engine.NumKeys()
 	sh.mu.Unlock()

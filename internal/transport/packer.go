@@ -41,10 +41,9 @@ type packResult struct {
 	// frame they exceed the cap (a single object's message larger than
 	// MaxFrameBytes); shipping them could never succeed.
 	oversized int
-	// encodes counts encoded pieces consumed: exactly one per shard item
-	// — whether the packer encoded it here or a pool worker captured it
-	// pre-encoded — plus one per object message of each batch that had
-	// to split. BenchmarkPack pins this as the no-re-encoding invariant.
+	// encodes counts codec encoding calls performed: exactly one per
+	// shard item, plus one per object message of each batch that had to
+	// split. BenchmarkPack pins this as the no-re-encoding invariant.
 	encodes int
 	// digestsAttached reports that the digest vector rode one of the
 	// frames; when false the caller falls back to a standalone heartbeat.
@@ -127,42 +126,31 @@ func (p *framePacker) flush() {
 }
 
 // packFrames encodes items once each and packs them greedily into frames
-// whose encoded ShardedMsg size never exceeds limit. encs, when non-nil,
-// runs parallel to items: a non-nil entry is that item's ShardItem bytes
-// already encoded by a tick worker, shipped verbatim (the bytes are
-// identical — both paths run the same canonical codec), so the packer
-// only encodes items captured without bytes. digests, when non-nil, is
-// piggybacked onto the flush's final frame when it has room — after
-// every data piece, so the receiver's digest comparison sees the fully
-// merged tick — and left unattached (for the caller's standalone
+// whose encoded ShardedMsg size never exceeds limit. digests, when
+// non-nil, is piggybacked onto the flush's final frame when it has room —
+// after every data piece, so the receiver's digest comparison sees the
+// fully merged tick — and left unattached (for the caller's standalone
 // heartbeat fallback, which likewise follows the data) when it does not.
 // Items are emitted in order; an item whose encoding alone overflows an
 // empty frame is split at the object level when it is a multi-object
 // batch, and dropped (counted) when irreducible.
-func packFrames(items []protocol.ShardItem, encs [][]byte, digests []uint64, limit int) (packResult, error) {
+func packFrames(items []protocol.ShardItem, digests []uint64, limit int) (packResult, error) {
 	p := &framePacker{limit: limit, vec: digests}
 	var scratch []byte
-	for idx, it := range items {
-		var piece []byte
-		if idx < len(encs) {
-			piece = encs[idx]
-		}
-		if piece == nil {
-			scratch = scratch[:0]
-			var err error
-			scratch, err = codec.AppendShardItem(scratch, it)
-			if err != nil {
-				return p.res, err
-			}
-			piece = scratch
+	for _, it := range items {
+		scratch = scratch[:0]
+		var err error
+		scratch, err = codec.AppendShardItem(scratch, it)
+		if err != nil {
+			return p.res, err
 		}
 		p.res.encodes++
 		c := shardItemCost(it)
-		if p.tryAdd(piece, c) {
+		if p.tryAdd(scratch, c) {
 			continue
 		}
 		p.flush()
-		if p.tryAdd(piece, c) {
+		if p.tryAdd(scratch, c) {
 			continue
 		}
 		// Alone it exceeds the cap: split inside the shard's batch, or

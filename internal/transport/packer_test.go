@@ -133,7 +133,7 @@ func randomItems(rng *rand.Rand) []protocol.ShardItem {
 // (exactly equal, in order, when nothing was dropped).
 func checkPacked(t testing.TB, items []protocol.ShardItem, digests []uint64, limit int) packResult {
 	t.Helper()
-	res, err := packFrames(items, nil, digests, limit)
+	res, err := packFrames(items, digests, limit)
 	if err != nil {
 		t.Fatalf("packFrames: %v", err)
 	}
@@ -248,7 +248,7 @@ func TestPackDropsIrreducibleOversized(t *testing.T) {
 		{Shard: 1, Msg: gsetDelta(2, 500)}, // far beyond the cap
 		{Shard: 2, Msg: gsetDelta(3, 1)},
 	}
-	res, err := packFrames(items, nil, nil, 128)
+	res, err := packFrames(items, nil, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func BenchmarkPack(b *testing.B) {
 	b.Run("greedy", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := packFrames(items, nil, nil, limit)
+			res, err := packFrames(items, nil, limit)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"strconv"
 	"testing"
@@ -33,7 +34,9 @@ func measureRepair(t *testing.T, keys int, noTree bool) repairMeasurement {
 	f0.SetDropRate(1)
 	f1.SetDropRate(1)
 	cfg := repairPairConfig()
-	cfg.NoTreeRepair = noTree
+	if noTree {
+		cfg.TreeRepairMinKeys = math.MaxInt
+	}
 	stores := startFaultyPair(t, cfg, [2]*Fault{f0, f1})
 	s0, s1 := stores[0], stores[1]
 

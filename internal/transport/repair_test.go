@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -240,57 +241,60 @@ func TestTreeRepairConvergence(t *testing.T) {
 
 // TestSmallShardFlatRepair: below TreeRepairMinKeys a diverged shard is
 // pulled whole — the drill-down's hash exchange would cost more than
-// the shard. The repair table still dedups the flat Wants.
+// the shard — whether the shard is small or the threshold is raised above
+// a large one. The repair table still dedups the flat Wants.
 func TestSmallShardFlatRepair(t *testing.T) {
-	s := startSoloStore(t, 1)
-	for i := 0; i < 10; i++ {
-		s.Update(workload.Add(fmt.Sprintf("k%d", i), "v"))
-	}
-	// A differing advertisement from an unknown peer: the reply is
-	// dropped by the peer net, so the repair stays in flight.
-	adv := encodeFrame(t, protocol.NewDigestMsg([]uint64{12345}, nil))
-	for i := 0; i < 3; i++ {
-		if err := s.deliver("peer", adv); err != nil {
-			t.Fatalf("deliver: %v", err)
+	for _, tc := range []struct{ keys, minKeys int }{
+		{keys: 10, minKeys: defaultTreeMinKeys},
+		{keys: 600, minKeys: 1000}, // over the default, under a raised one
+	} {
+		s := startSoloStore(t, 1)
+		s.cfg.TreeRepairMinKeys = tc.minKeys
+		for i := 0; i < tc.keys; i++ {
+			s.Update(workload.Add(fmt.Sprintf("k%06d", i), "v"))
 		}
-	}
-	st := s.Stats()
-	if st.WantShards != 1 {
-		t.Errorf("WantShards = %d, want 1 (flat pull, deduped)", st.WantShards)
-	}
-	if st.TreeRounds != 0 {
-		t.Errorf("TreeRounds = %d, want 0 below TreeRepairMinKeys", st.TreeRounds)
-	}
-	if st.DedupedWants != 2 {
-		t.Errorf("DedupedWants = %d, want 2", st.DedupedWants)
+		// A differing advertisement from an unknown peer: the reply is
+		// dropped by the peer net, so the repair stays in flight.
+		adv := encodeFrame(t, protocol.NewDigestMsg([]uint64{12345}, nil))
+		for i := 0; i < 3; i++ {
+			if err := s.deliver("peer", adv); err != nil {
+				t.Fatalf("deliver: %v", err)
+			}
+		}
+		st := s.Stats()
+		if st.WantShards != 1 {
+			t.Errorf("%d keys: WantShards = %d, want 1 (flat pull, deduped)", tc.keys, st.WantShards)
+		}
+		if st.TreeRounds != 0 {
+			t.Errorf("%d keys: TreeRounds = %d, want 0 below TreeRepairMinKeys", tc.keys, st.TreeRounds)
+		}
+		if st.DedupedWants != 2 {
+			t.Errorf("%d keys: DedupedWants = %d, want 2", tc.keys, st.DedupedWants)
+		}
 	}
 }
 
-// TestNoTreeRepairKnob: with the drill-down disabled, a large diverged
-// shard falls back to the flat full pull.
-func TestNoTreeRepairKnob(t *testing.T) {
-	s, err := StartStore(StoreConfig{
-		ID:           "n0",
-		ListenAddr:   "127.0.0.1:0",
-		Shards:       1,
-		Factory:      protocol.NewDeltaBPRR(),
-		ObjType:      func(string) workload.Datatype { return workload.GSetType{} },
-		NoTreeRepair: true,
-	})
-	if err != nil {
-		t.Fatalf("StartStore: %v", err)
+// CycleDigestVec is one digest advertisement's use of the vector free
+// list — fill, hand back — exported for TestCleanDigestPathNoAllocs in the
+// external test package.
+func (s *Store) CycleDigestVec() { s.putDigestVec(s.shardDigests()) }
+
+// TestEncodeScratchDropsLargeBuffers: the process-wide encode free list
+// recycles the small buffers digest recomputes use, and lets go of one
+// that a multi-megabyte object grew instead of pinning it for good.
+func TestEncodeScratchDropsLargeBuffers(t *testing.T) {
+	for getEncodeBuf() != nil { // start from an empty free list
 	}
-	t.Cleanup(func() { s.Close() })
-	for i := 0; i < 600; i++ {
-		s.Update(workload.Add(fmt.Sprintf("k%06d", i), "v"))
+	s := startSoloStore(t, 1)
+	s.Update(workload.Add("small", "v"))
+	s.Digest()
+	if b := getEncodeBuf(); cap(b) == 0 {
+		t.Error("a small encode buffer was not recycled")
 	}
-	adv := encodeFrame(t, protocol.NewDigestMsg([]uint64{12345}, nil))
-	if err := s.deliver("peer", adv); err != nil {
-		t.Fatalf("deliver: %v", err)
-	}
-	st := s.Stats()
-	if st.WantShards != 1 || st.TreeRounds != 0 {
-		t.Errorf("WantShards = %d TreeRounds = %d, want flat pull only", st.WantShards, st.TreeRounds)
+	s.Update(workload.Add("huge", strings.Repeat("x", 1<<20)))
+	s.Digest()
+	if b := getEncodeBuf(); b != nil {
+		t.Errorf("a %d-byte encode buffer was handed back, want none above %d", cap(b), maxEncodeScratch)
 	}
 }
 

@@ -47,15 +47,13 @@ func (s *Store) snapshotLoop() {
 
 // SnapshotNow runs one snapshot pass: each shard whose content digest
 // moved since its last snapshot is serialized under its own lock and
-// written to a temp file renamed into place. Encoding fans out across
-// the shard-work pool (each worker still holds only the shard it is
-// encoding), while all I/O stays on this one goroutine, draining
-// encodings as they complete — the sync loop and inbound deliveries
-// only ever wait on a shard currently being encoded, never on I/O.
-// Returns the first write error; the pass still visits every shard.
-// Note Close does not snapshot: an explicit SnapshotNow before a
-// planned shutdown is what makes the restart lossless, a crash restores
-// the last periodic pass and repairs the gap.
+// written to a temp file renamed into place, one shard at a time — the
+// sync loop and inbound deliveries only ever wait on the single shard
+// currently being encoded, never on I/O (the write happens after the
+// lock is released). Returns the first write error; the pass still
+// visits every shard. Note Close does not snapshot: an explicit
+// SnapshotNow before a planned shutdown is what makes the restart
+// lossless, a crash restores the last periodic pass and repairs the gap.
 func (s *Store) SnapshotNow() error {
 	if s.cfg.SnapshotDir == "" {
 		return errors.New("transport: store has no SnapshotDir")
@@ -64,45 +62,20 @@ func (s *Store) SnapshotNow() error {
 	defer s.snapMu.Unlock()
 	var firstErr error
 	written, bytes := 0, 0
-	write := func(i int, data []byte, digest uint64) {
+	for i, sh := range s.shards {
+		data, digest, changed := s.encodeShardSnapshot(i, sh)
+		if !changed {
+			continue
+		}
 		if err := writeFileAtomic(snapshotPath(s.cfg.SnapshotDir, i), data); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
-			return
+			continue
 		}
 		s.snapLast[i] = digest
 		written++
 		bytes += len(data)
-	}
-	if s.workers > 1 {
-		type encoded struct {
-			idx    int
-			data   []byte
-			digest uint64
-		}
-		// The channel's capacity bounds the finished-but-unwritten
-		// encodings held in memory to roughly one per worker; the
-		// channel receive also orders each shard's snapLast read (in
-		// encodeShardSnapshot) before its write below.
-		results := make(chan encoded, s.workers)
-		go func() {
-			defer close(results)
-			s.runShardStage(func(_, i int) {
-				if data, digest, changed := s.encodeShardSnapshot(i, s.shards[i]); changed {
-					results <- encoded{i, data, digest}
-				}
-			})
-		}()
-		for r := range results {
-			write(r.idx, r.data, r.digest)
-		}
-	} else {
-		for i, sh := range s.shards {
-			if data, digest, changed := s.encodeShardSnapshot(i, sh); changed {
-				write(i, data, digest)
-			}
-		}
 	}
 	if written > 0 {
 		s.statsMu.Lock()

@@ -82,12 +82,6 @@ type StoreConfig struct {
 	// anything above the transport-wide maximum means the 64 MiB
 	// transport cap. Tests lower it to exercise packing cheaply.
 	MaxFrameBytes int
-	// NoDigestPiggyback disables merging the digest advertisement into
-	// outgoing data frames: every advertisement rides its own DigestMsg
-	// frame, as it did before piggybacking existed. A measurement knob
-	// (syncbench -no-piggyback compares the two), not a production
-	// setting.
-	NoDigestPiggyback bool
 	// RepairTimeout bounds how long one shard's repair request (flat
 	// Want or tree drill-down) stays in flight before a digest mismatch
 	// may retrigger it (default 1s). While a repair is in flight further
@@ -103,10 +97,6 @@ type StoreConfig struct {
 	// (default 256). Below it, shipping the shard whole is cheaper than
 	// the hash exchange.
 	TreeRepairMinKeys int
-	// NoTreeRepair disables the Merkle drill-down: every diverged shard
-	// is pulled whole, as before. A measurement knob (the repair
-	// benchmark compares the two), not a production setting.
-	NoTreeRepair bool
 	// SnapshotDir, when set, enables crash-restart durability: a
 	// background snapshotter periodically serializes each shard's objects
 	// through the canonical codec to an atomic-rename file per shard in
@@ -122,15 +112,6 @@ type StoreConfig struct {
 	// last snapshot, so a quiescent store's pass costs a few atomic
 	// loads and no I/O.
 	SnapshotEvery time.Duration
-	// SyncWorkers bounds the shard-work pool: the workers the CPU-heavy
-	// per-shard stages (the sync tick, digest vector recompute, Merkle
-	// leaf recompute, snapshot encoding) fan out across. 1 pins every
-	// stage to the calling goroutine — the pre-pool serial behavior.
-	// 0 (the default) uses the CRDTSYNC_SYNC_WORKERS environment
-	// variable if set, else GOMAXPROCS. Frame contents are byte-identical
-	// at any setting: workers capture per-shard output and the tick
-	// merges it in shard order before packing.
-	SyncWorkers int
 }
 
 // StoreStats counts what a store has put on the wire.
@@ -167,8 +148,8 @@ type StoreStats struct {
 	// every heartbeat; raise MaxFrameBytes or shrink the object.
 	OversizedDropped int
 	// WantShards counts shards this store requested from peers in full
-	// after a digest mismatch — small shards, drill-downs that found
-	// most of a shard diverged, and tree repair disabled.
+	// after a digest mismatch — small shards and drill-downs that found
+	// most of a shard diverged.
 	WantShards int
 	// RepairShards counts full shards this store served to peers that
 	// requested them.
@@ -221,16 +202,15 @@ type StoreStats struct {
 	// channel too slowly. The watcher itself learns the same fact from
 	// the Lagged mark on its next event.
 	WatchDropped int
-	// SyncWorkers is the effective shard-work pool width (resolved from
-	// StoreConfig.SyncWorkers / CRDTSYNC_SYNC_WORKERS / GOMAXPROCS).
-	SyncWorkers int
-	// SyncWorkerShards counts, per pool worker, the shards that worker
-	// claimed across all parallel stages — skew between entries means
-	// shard work is unevenly sized (one hot shard dominating a tick).
+	// SyncWorkerShards is never populated.
+	//
+	// Deprecated: the shard-work pool it described is gone — one goroutine
+	// runs a pass. The field stays declared only because the frozen bench/
+	// module compiles against it.
 	SyncWorkerShards []uint64
-	// SyncWorkerBusyNs totals, per pool worker, the nanoseconds spent
-	// inside parallel stages. The ratio of max to min entry is the
-	// pool's load imbalance.
+	// SyncWorkerBusyNs is never populated.
+	//
+	// Deprecated: as SyncWorkerShards.
 	SyncWorkerBusyNs []int64
 	// Sent is the aggregated protocol-level transmission accounting.
 	Sent metrics.Transmission
@@ -270,23 +250,6 @@ func (s *StoreStats) Add(o StoreStats) {
 	s.SnapshotRestoredKeys += o.SnapshotRestoredKeys
 	s.SnapshotRestoreErrors += o.SnapshotRestoreErrors
 	s.WatchDropped += o.WatchDropped
-	if o.SyncWorkers > s.SyncWorkers {
-		s.SyncWorkers = o.SyncWorkers // pool widths are not additive
-	}
-	for i, v := range o.SyncWorkerShards {
-		if i < len(s.SyncWorkerShards) {
-			s.SyncWorkerShards[i] += v
-		} else {
-			s.SyncWorkerShards = append(s.SyncWorkerShards, v)
-		}
-	}
-	for i, v := range o.SyncWorkerBusyNs {
-		if i < len(s.SyncWorkerBusyNs) {
-			s.SyncWorkerBusyNs[i] += v
-		} else {
-			s.SyncWorkerBusyNs = append(s.SyncWorkerBusyNs, v)
-		}
-	}
 	s.Sent.Add(o.Sent)
 	for id, ps := range o.Peers {
 		if s.Peers == nil {
@@ -430,19 +393,8 @@ type Store struct {
 	// are only used when cfg.SnapshotDir is set.
 	snapMu   sync.Mutex
 	snapLast []uint64
-	// workers is the effective shard-work pool width; workerShards and
-	// workerBusy are its per-worker claim and busy-time counters (skew
-	// diagnostics, surfaced through Stats).
-	workers      int
-	workerShards []atomic.Uint64
-	workerBusy   []atomic.Int64
-	// tickPool recycles the parallel tick's per-shard emission capture;
-	// digestVecs and leafVecs are typed free lists (channels, so a
-	// Get/Put cycle never allocates) for digest vectors and the workers'
-	// private Merkle leaf accumulators.
-	tickPool   sync.Pool
+	// digestVecs is the free list of digest vectors (see getDigestVec).
 	digestVecs chan []uint64
-	leafVecs   chan []uint64
 	stopping   chan struct{}
 	stopOnce   sync.Once
 	wg         sync.WaitGroup // syncLoop + watcher pumps
@@ -543,25 +495,15 @@ func StartStore(cfg StoreConfig) (*Store, error) {
 			// the same formula.
 			maxMsg: maxMsgFor(cfg.MaxFrameBytes, cfg.ID),
 		}),
-		shards:    shards,
-		mask:      uint32(cfg.Shards - 1),
-		neighbors: neighbors,
-		stopping:  make(chan struct{}),
-		wake:      make(chan struct{}, 1),
-		started:   time.Now(),
-		held:      newOutBatch(),
+		shards:     shards,
+		mask:       uint32(cfg.Shards - 1),
+		neighbors:  neighbors,
+		stopping:   make(chan struct{}),
+		wake:       make(chan struct{}, 1),
+		started:    time.Now(),
+		held:       newOutBatch(),
+		digestVecs: make(chan []uint64, 4),
 	}
-	s.workers = resolveSyncWorkers(cfg.SyncWorkers)
-	s.workerShards = make([]atomic.Uint64, s.workers)
-	s.workerBusy = make([]atomic.Int64, s.workers)
-	s.tickPool.New = func() any {
-		return &tickScratch{
-			emits: make([][]tickEmit, len(s.shards)),
-			bufs:  make([][]byte, len(s.shards)),
-		}
-	}
-	s.digestVecs = make(chan []uint64, 4)
-	s.leafVecs = make(chan []uint64, s.workers)
 	s.repair = repairTable{
 		timeout: cfg.RepairTimeout,
 		entries: make([]repairEntry, cfg.Shards),
@@ -649,26 +591,13 @@ func (s *Store) NumKeys() int {
 	return total
 }
 
-// Keys returns all object keys, sorted. The per-shard walks fan out
-// across the shard-work pool, so a scrape of a huge store does not
-// stall the caller for the full serial lock-by-lock walk.
+// Keys returns all object keys, sorted.
 func (s *Store) Keys() []string {
-	perShard := make([][]string, len(s.shards))
-	s.runShardStage(func(_, i int) {
-		sh := s.shards[i]
+	var all []string
+	for _, sh := range s.shards {
 		sh.mu.Lock()
-		if ks := sh.engine.Keys(); len(ks) > 0 {
-			perShard[i] = append([]string(nil), ks...)
-		}
+		all = append(all, sh.engine.Keys()...)
 		sh.mu.Unlock()
-	})
-	total := 0
-	for _, ks := range perShard {
-		total += len(ks)
-	}
-	all := make([]string, 0, total)
-	for _, ks := range perShard {
-		all = append(all, ks...)
 	}
 	sort.Strings(all)
 	return all
@@ -709,30 +638,71 @@ func (sh *shard) digestLocked() uint64 {
 	return h
 }
 
+// encodeScratch recycles the state-encode buffers the digest and
+// Merkle-leaf recomputes reuse across keys. A bounded global free list:
+// a burst of concurrent recomputes across many stores can pin at most
+// this many buffers, none larger than maxEncodeScratch.
+var encodeScratch = make(chan []byte, 16)
+
+// maxEncodeScratch is the largest buffer the free list keeps: one
+// multi-megabyte object encoded for a digest must not stay pinned for the
+// life of the process.
+const maxEncodeScratch = 64 << 10
+
+func getEncodeBuf() []byte {
+	select {
+	case b := <-encodeScratch:
+		return b
+	default:
+		return nil
+	}
+}
+
+func putEncodeBuf(b []byte) {
+	if cap(b) == 0 || cap(b) > maxEncodeScratch {
+		return
+	}
+	select {
+	case encodeScratch <- b[:0]:
+	default:
+	}
+}
+
 // shardDigests returns the per-shard digest vector in a pooled slice;
 // callers hand it back with putDigestVec once no frame can reference it
 // (packing copies the vector into frame bytes synchronously). Clean
 // shards — all of them, on an idle store — are served from the
-// lock-free digest cache inline, allocation-free; the pool only fans
-// out when at least two shards need recomputation.
+// lock-free digest cache, allocation-free.
 func (s *Store) shardDigests() []uint64 {
 	vec := s.getDigestVec()
-	stale := 0
-	for _, sh := range s.shards {
-		if !sh.digestOK.Load() {
-			stale++
-		}
+	for i, sh := range s.shards {
+		vec[i] = s.shardDigest(sh)
 	}
-	if stale < 2 || s.workers <= 1 {
-		for i, sh := range s.shards {
-			vec[i] = s.shardDigest(sh)
-		}
-		return vec
-	}
-	s.runShardStage(func(_, i int) {
-		vec[i] = s.shardDigest(s.shards[i])
-	})
 	return vec
+}
+
+// getDigestVec hands out a per-shard digest vector from the store's
+// free list. The free list is a typed channel rather than a sync.Pool
+// so that a Get/Put cycle is allocation-free (boxing a slice in an
+// interface allocates) — the clean-store digest path is pinned at zero
+// allocations.
+func (s *Store) getDigestVec() []uint64 {
+	select {
+	case v := <-s.digestVecs:
+		return v
+	default:
+		return make([]uint64, len(s.shards))
+	}
+}
+
+// putDigestVec returns a vector once nothing can reference it — frame
+// packing copies the digest vector into frame bytes synchronously, so
+// after flush returns the vector is free.
+func (s *Store) putDigestVec(v []uint64) {
+	select {
+	case s.digestVecs <- v:
+	default:
+	}
 }
 
 // Digest combines the per-shard digests into one 64-bit value. Two stores
@@ -751,21 +721,13 @@ func (s *Store) Digest() uint64 {
 	return h
 }
 
-// Memory aggregates the memory footprint across shards, fanning the
-// per-shard walks across the shard-work pool.
+// Memory aggregates the memory footprint across shards.
 func (s *Store) Memory() metrics.Memory {
-	partial := make([]metrics.Memory, s.workers)
-	s.runShardStage(func(w, i int) {
-		sh := s.shards[i]
+	var total metrics.Memory
+	for _, sh := range s.shards {
 		sh.mu.Lock()
 		m := sh.engine.Memory()
 		sh.mu.Unlock()
-		partial[w].CRDTBytes += m.CRDTBytes
-		partial[w].BufferBytes += m.BufferBytes
-		partial[w].MetadataBytes += m.MetadataBytes
-	})
-	var total metrics.Memory
-	for _, m := range partial {
 		total.CRDTBytes += m.CRDTBytes
 		total.BufferBytes += m.BufferBytes
 		total.MetadataBytes += m.MetadataBytes
@@ -788,13 +750,6 @@ func (s *Store) Stats() StoreStats {
 		}
 	}
 	st.Peers = s.net.peerStats()
-	st.SyncWorkers = s.workers
-	st.SyncWorkerShards = make([]uint64, s.workers)
-	st.SyncWorkerBusyNs = make([]int64, s.workers)
-	for i := range st.SyncWorkerShards {
-		st.SyncWorkerShards[i] = s.workerShards[i].Load()
-		st.SyncWorkerBusyNs[i] = s.workerBusy[i].Load()
-	}
 	return st
 }
 
@@ -803,40 +758,28 @@ func (s *Store) Stats() StoreStats {
 func (s *Store) Ticks() uint64 { return s.ticks.Load() }
 
 // outBatch accumulates per-destination shard items in first-send order.
-// perEnc runs parallel to perDest: entry i is item i's pre-encoded
-// ShardItem bytes when a pool worker encoded it at capture time (the
-// packer ships those verbatim), nil when the packer encodes the item
-// itself — the serial tick and every inbound reply path.
 type outBatch struct {
 	perDest map[string][]protocol.ShardItem
-	perEnc  map[string][][]byte
 	order   []string
 }
 
 func newOutBatch() *outBatch {
-	return &outBatch{
-		perDest: make(map[string][]protocol.ShardItem),
-		perEnc:  make(map[string][][]byte),
-	}
+	return &outBatch{perDest: make(map[string][]protocol.ShardItem)}
 }
 
-// add appends one emission, with its pre-encoded bytes when the capture
-// already paid for the encode (enc nil otherwise).
-func (b *outBatch) add(shardIdx uint32, to string, m protocol.Msg, enc []byte) {
+// add appends one emission.
+func (b *outBatch) add(shardIdx uint32, to string, m protocol.Msg) {
 	if len(b.perDest[to]) == 0 {
 		b.order = append(b.order, to)
 	}
 	b.perDest[to] = append(b.perDest[to], protocol.ShardItem{Shard: shardIdx, Msg: m})
-	b.perEnc[to] = append(b.perEnc[to], enc)
 }
 
-// take moves every item of o onto the end of b, leaving o empty. Moved
-// items lose their pre-encoded bytes: callers take only reply batches,
-// which never carry any.
+// take moves every item of o onto the end of b, leaving o empty.
 func (b *outBatch) take(o *outBatch) {
 	for _, to := range o.order {
 		for _, it := range o.perDest[to] {
-			b.add(it.Shard, to, it.Msg, nil)
+			b.add(it.Shard, to, it.Msg)
 		}
 	}
 	o.reset()
@@ -845,21 +788,18 @@ func (b *outBatch) take(o *outBatch) {
 // sender adapts a shard's engine sends into tagged shard items.
 func (b *outBatch) sender(shardIdx uint32) protocol.Sender {
 	return func(to string, m protocol.Msg) {
-		b.add(shardIdx, to, m, nil)
+		b.add(shardIdx, to, m)
 	}
 }
 
 // reset clears the batch for reuse, keeping the per-destination slice
 // capacity (the items themselves are zeroed so pooled batches do not pin
-// message or encode-arena memory between frames).
+// message memory between frames).
 func (b *outBatch) reset() {
 	for _, to := range b.order {
 		items := b.perDest[to]
 		clear(items)
 		b.perDest[to] = items[:0]
-		encs := b.perEnc[to]
-		clear(encs)
-		b.perEnc[to] = encs[:0]
 	}
 	b.order = b.order[:0]
 }
@@ -982,33 +922,23 @@ func (s *Store) SyncNow() {
 // the coalesced frames: what has never been sent, and what the acked
 // engines decide to send again — retransmissions happen here only. Clean
 // shards — the steady state of an idle keyspace — are skipped without
-// taking their locks, so the tick is O(dirty shards). The per-shard work
-// — engine.Sync plus item capture, and the digest recompute — fans out
-// across the shard-work pool (StoreConfig.SyncWorkers) with frame bytes
-// unchanged. Every DigestEvery ticks the per-shard digest vector goes out
-// with the same flush: piggybacked on a data frame to each peer that is
-// getting one anyway, as a standalone heartbeat only to peers the tick
-// has nothing else to say to (every peer, on an idle tick).
+// taking their locks, so the tick is O(dirty shards). Every DigestEvery
+// ticks the per-shard digest vector goes out with the same flush:
+// piggybacked on a data frame to each peer that is getting one anyway, as
+// a standalone heartbeat only to peers the tick has nothing else to say
+// to (every peer, on an idle tick).
 func (s *Store) tick() {
 	d := s.openPass(getDeliverState())
 	defer d.release()
 	b := d.b
-	if ts := s.collect(b, true); ts != nil {
-		// The batch's pre-encoded bytes point into the scratch arenas;
-		// release only after flush below has packed them into frames.
-		defer s.releaseTickScratch(ts)
-	}
+	s.collect(b, true)
 	tick := s.ticks.Add(1)
 	var vec []uint64
 	if every := uint64(s.cfg.DigestEvery); every > 0 && tick%every == 0 {
 		vec = s.shardDigests()
 		defer s.putDigestVec(vec)
 	}
-	piggyback := vec
-	if s.cfg.NoDigestPiggyback {
-		piggyback = nil
-	}
-	covered := s.flush(b, piggyback)
+	covered := s.flush(b, vec)
 	s.lastSend.Store(s.sinceStart())
 	if vec == nil {
 		return
@@ -1039,11 +969,8 @@ func (s *Store) writeFlush() {
 		d = getDeliverState()
 	}
 	if d != nil {
-		ts := s.collect(d.b, false)
+		s.collect(d.b, false)
 		s.flush(d.b, nil)
-		if ts != nil {
-			s.releaseTickScratch(ts)
-		}
 		d.release()
 	}
 	s.wire.writeFlushes.Add(1)
@@ -1102,72 +1029,16 @@ func (s *Store) holdReplies(b *outBatch) bool {
 // collect runs the per-shard stage of a pass — a tick (engine.Sync over
 // the dirty shards) or a flush (first transmissions over the shards with
 // something unsent) — accumulating every engine emission on b in
-// ascending shard order. With one worker (or fewer than two shards due)
-// it is the plain serial walk; otherwise workers claim shards off the
-// shared cursor, run the pass under each shard's lock capturing emissions
-// privately — encoding each emission into the shard's arena as it is
-// captured, so the per-item codec work rides the pool too — and the merge
-// replays them in shard order. Per-destination item sequences, and
-// therefore packed frame bytes, are identical to a serial pass's (pinned
-// by the determinism test).
-//
-// The returned scratch is non-nil exactly when the parallel path ran;
-// the caller must hand it to releaseTickScratch only after flush has
-// consumed b (the pre-encoded bytes live in the scratch arenas).
-func (s *Store) collect(b *outBatch, tick bool) *tickScratch {
-	due := 0
-	for _, sh := range s.shards {
-		if sh.due(tick) {
-			due++
-		}
-	}
-	if due == 0 {
-		return nil
-	}
-	if s.workers <= 1 || due < 2 {
-		for i, sh := range s.shards {
-			if !sh.due(tick) {
-				continue
-			}
-			sh.mu.Lock()
-			sh.pass(tick, b.sender(uint32(i)))
-			sh.mu.Unlock()
-		}
-		return nil
-	}
-	ts := s.tickPool.Get().(*tickScratch)
-	s.runShardStage(func(_, i int) {
-		sh := s.shards[i]
+// ascending shard order, each shard's under its own lock.
+func (s *Store) collect(b *outBatch, tick bool) {
+	for i, sh := range s.shards {
 		if !sh.due(tick) {
-			return
+			continue
 		}
-		out := ts.emits[i][:0]
-		buf := ts.bufs[i][:0]
 		sh.mu.Lock()
-		sh.pass(tick, func(to string, m protocol.Msg) {
-			start := len(buf)
-			var err error
-			buf, err = codec.AppendShardItem(buf, protocol.ShardItem{Shard: uint32(i), Msg: m})
-			if err != nil {
-				// Unencodable message: capture without bytes so the
-				// packer's own encode surfaces the same error the
-				// serial path would (flush panics on it).
-				buf = buf[:start]
-				out = append(out, tickEmit{to: to, m: m})
-				return
-			}
-			out = append(out, tickEmit{to: to, m: m, enc: buf[start:]})
-		})
+		sh.pass(tick, b.sender(uint32(i)))
 		sh.mu.Unlock()
-		ts.emits[i] = out
-		ts.bufs[i] = buf
-	})
-	for i, out := range ts.emits {
-		for _, e := range out {
-			b.add(uint32(i), e.to, e.m, e.enc)
-		}
 	}
-	return ts
 }
 
 // flush packs the accumulated items into bounded frames per destination
@@ -1182,7 +1053,7 @@ func (s *Store) flush(b *outBatch, vec []uint64) map[string]struct{} {
 	var covered map[string]struct{}
 	var t wireTally
 	for _, to := range b.order {
-		res, err := packFrames(b.perDest[to], b.perEnc[to], vec, s.maxMsgBytes())
+		res, err := packFrames(b.perDest[to], vec, s.maxMsgBytes())
 		if err != nil {
 			// Engines produced an unencodable message: a programming
 			// error in the engine/codec pairing.

@@ -77,7 +77,9 @@ type Stats = transport.StoreStats
 
 // PeerStats is the per-peer slice of Stats: one outbound write
 // pipeline's enqueued/dropped/coalesced frame and byte counters plus its
-// connection state.
+// connection state, and — under EngineAcked — how far behind the peer
+// is: frames in flight, last sequence number sent, acknowledged and
+// received.
 type PeerStats = transport.PeerStats
 
 // Memory aggregates a store's memory footprint: CRDT state bytes,

@@ -11,6 +11,7 @@ import (
 	"crdtsync/internal/codec"
 	"crdtsync/internal/crdt"
 	"crdtsync/internal/lattice"
+	"crdtsync/internal/protocol"
 )
 
 // The golden values below were captured at the commit before counters,
@@ -126,5 +127,85 @@ func TestGoldenEncodings(t *testing.T) {
 		if got := hex.EncodeToString(sum[:8]); got != c.want {
 			t.Errorf("%s: encoding hashes to %q, want %q", c.name, got, c.want)
 		}
+	}
+}
+
+// goldenItems is one shard item, shard 3, a batch of a counter δ and a
+// set δ; acked builds it as the acked engine emits it, with entry seqs.
+func goldenItems(acked bool) []protocol.ShardItem {
+	counter, set := crdt.NewGCounter().IncDelta("r0", 7), crdt.NewGSet("a", "b")
+	oms := []protocol.ObjectMsg{
+		{Key: "hits", Inner: protocol.NewDeltaMsg(counter)},
+		{Key: "tags", Inner: protocol.NewDeltaMsg(set)},
+	}
+	if acked {
+		oms[0].Inner = protocol.NewAckedDeltaMsg(counter, []uint64{4, 5})
+		oms[1].Inner = protocol.NewAckedDeltaMsg(set, []uint64{9})
+	}
+	return []protocol.ShardItem{{Shard: 3, Msg: protocol.BatchOf(oms)}}
+}
+
+// TestGoldenFrames pins the store's data frames byte for byte. The two
+// plain variants are what a delta-engine store has always sent and were
+// captured before acknowledgement moved to the link; the linked variant is
+// what an acked store sends since, and is the only place its layout may
+// change.
+func TestGoldenFrames(t *testing.T) {
+	// shard 3 | batch of 2 | "hits" δ(GCounter r0:7) | "tags" δ(GSet a b)
+	const items = "03" + "4702" +
+		"0468697473" + "41" + "0501027230" + "07" +
+		"0474616773" + "41" + "070201610162"
+	enc := func(m protocol.Msg) string {
+		data, err := codec.EncodeMsg(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hex.EncodeToString(data)
+	}
+	// tagShardedMsg, 1 item.
+	if got, want := enc(protocol.NewShardedMsg(goldenItems(false))), "48"+"01"+items; got != want {
+		t.Errorf("plain frame\n got %s\nwant %s", got, want)
+	}
+	// tagShardedDigestMsg, 2 digest words, 1 item.
+	if got, want := enc(protocol.NewShardedDigestMsg(goldenItems(false), []uint64{1, ^uint64(0)})),
+		"4a"+"02"+"0000000000000001"+"ffffffffffffffff"+"01"+items; got != want {
+		t.Errorf("digest frame\n got %s\nwant %s", got, want)
+	}
+	// The per-object encoding of the acked engine's δ-groups, which Node
+	// and pairsync still speak: tagAckedDeltaMsg, the entry seqs, the δ.
+	if got, want := enc(protocol.NewShardedMsg(goldenItems(true))), "48"+"01"+"03"+"4702"+
+		"0468697473"+"42"+"020405"+"0501027230"+"07"+
+		"0474616773"+"42"+"0109"+"070201610162"; got != want {
+		t.Errorf("per-object acked frame\n got %s\nwant %s", got, want)
+	}
+	// What an acked store sends: the same δ-groups as plain tagDeltaMsg
+	// items behind a link header.
+	link := protocol.LinkHeader{
+		Seq: protocol.FrameSeq{Inc: 0xa1b2c3d4, Seq: 300, Back: 2},
+		Ack: protocol.FrameAck{Inc: 0x01020304, Cum: 127, Ranges: []protocol.SeqRange{{Lo: 129, Hi: 131}, {Lo: 140, Hi: 140}}},
+	}
+	frame := codec.AppendShardedHeader(nil, link, nil, 1)
+	frame, err := codec.AppendLinkShardItem(frame, goldenItems(true)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "4c" + // tagShardedLinkMsg
+		"03" + // flags: sequence number | acknowledgement
+		"a1b2c3d4" + // the sender's incarnation
+		"ac02" + // this frame's sequence number, 300
+		"02" + // the sender still waits on frames back to 298
+		"01020304" + // the incarnation whose frames are acknowledged
+		"7f" + // every one up to 127
+		"02" + // and two ranges above it:
+		"00" + "02" + // 127+2+0 = 129, two more: 129..131
+		"07" + "00" + // 131+2+7 = 140, alone
+		"01" + items // 1 item
+	if got := hex.EncodeToString(frame); got != want {
+		t.Errorf("linked frame\n got %s\nwant %s", got, want)
+	}
+	// With a digest vector: flag 4, the words after the acknowledgement.
+	frame = codec.AppendShardedHeader(nil, protocol.LinkHeader{Ack: protocol.FrameAck{Inc: 9, Cum: 1}}, []uint64{2}, 0)
+	if got, want := hex.EncodeToString(frame), "4c"+"06"+"00000009"+"01"+"00"+"01"+"0000000000000002"+"00"; got != want {
+		t.Errorf("acknowledgement with digests\n got %s\nwant %s", got, want)
 	}
 }

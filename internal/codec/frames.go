@@ -42,20 +42,107 @@ func AppendObjectMsg(b []byte, it protocol.ObjectMsg) ([]byte, error) {
 	return appendMsg(b, it.Inner)
 }
 
-// AppendShardedHeader appends a ShardedMsg frame header: tag, the
-// optional piggybacked digest vector, and the item count. The item
-// encodings (AppendShardItem) follow it.
-func AppendShardedHeader(b []byte, digests []uint64, count int) []byte {
-	if digests == nil {
-		b = append(b, tagShardedMsg)
-		return binary.AppendUvarint(b, uint64(count))
+// AppendLinkShardItem is AppendShardItem for a frame that is acknowledged
+// as a whole, by the sequence number in its header: an AckedDeltaMsg in a
+// batch — the keyed δ-group a sender records against the frame's number —
+// is written as the plain δ-group a DeltaMsg is. Its entry seqs stay
+// behind, in the sender's record of the frame. Everything else, an
+// AckedDeltaMsg that is the whole item included, is written as ever.
+func AppendLinkShardItem(b []byte, it protocol.ShardItem) ([]byte, error) {
+	bm, ok := it.Msg.(*protocol.BatchMsg)
+	if !ok {
+		return AppendShardItem(b, it)
 	}
-	b = append(b, tagShardedDigestMsg)
-	b = binary.AppendUvarint(b, uint64(len(digests)))
-	for _, d := range digests {
-		// Fixed 8-byte words, as in DigestMsg: uvarint averages >9 bytes
-		// on uniformly random 64-bit hash values.
-		b = binary.BigEndian.AppendUint64(b, d)
+	b = binary.AppendUvarint(b, uint64(it.Shard))
+	b = AppendBatchHeader(b, len(bm.Items))
+	for _, om := range bm.Items {
+		var err error
+		if b, err = AppendLinkObjectMsg(b, om); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
+}
+
+// AppendLinkObjectMsg is AppendObjectMsg under the same rule.
+func AppendLinkObjectMsg(b []byte, it protocol.ObjectMsg) ([]byte, error) {
+	b = appendString(b, it.Key)
+	if v, ok := it.Inner.(*protocol.AckedDeltaMsg); ok {
+		return appendState(append(b, tagDeltaMsg), v.Delta), nil
+	}
+	return appendMsg(b, it.Inner)
+}
+
+// Link header flags: which fields follow the tagShardedLinkMsg tag, in
+// this order.
+const (
+	linkSeq byte = 1 << iota
+	linkAck
+	linkDigests
+)
+
+// linkFlags returns the flag byte of a frame header, 0 when the link
+// header is absent and the frame is one of the two plain variants.
+func linkFlags(link *protocol.LinkHeader, digests []uint64) byte {
+	var f byte
+	if link.Seq.Inc != 0 {
+		f |= linkSeq
+	}
+	if link.Ack.Inc != 0 {
+		f |= linkAck
+	}
+	if f != 0 && digests != nil {
+		f |= linkDigests
+	}
+	return f
+}
+
+// AppendShardedHeader appends a ShardedMsg frame header: tag, the link
+// header and the piggybacked digest vector where present, and the item
+// count. The item encodings (AppendShardItem or, behind a link header,
+// AppendLinkShardItem) follow it. Without a link header the bytes are
+// those of the two plain variants, tagShardedMsg and tagShardedDigestMsg.
+//
+// The linked variant, after the tag and the flag byte:
+//
+//	seq:     incarnation (4 bytes), sequence number, back (uvarints)
+//	ack:     incarnation (4 bytes), cumulative mark, range count, then
+//	         per range the gap to the mark before it minus 2 and the
+//	         range's length minus 1 (uvarints)
+//	digests: word count (uvarint), 8-byte words
+func AppendShardedHeader(b []byte, link protocol.LinkHeader, digests []uint64, count int) []byte {
+	flags := linkFlags(&link, digests)
+	switch {
+	case flags != 0:
+		b = append(b, tagShardedLinkMsg, flags)
+	case digests != nil:
+		b = append(b, tagShardedDigestMsg)
+	default:
+		b = append(b, tagShardedMsg)
+	}
+	if flags&linkSeq != 0 {
+		b = binary.BigEndian.AppendUint32(b, link.Seq.Inc)
+		b = binary.AppendUvarint(b, link.Seq.Seq)
+		b = binary.AppendUvarint(b, link.Seq.Back)
+	}
+	if flags&linkAck != 0 {
+		b = binary.BigEndian.AppendUint32(b, link.Ack.Inc)
+		b = binary.AppendUvarint(b, link.Ack.Cum)
+		b = binary.AppendUvarint(b, uint64(len(link.Ack.Ranges)))
+		mark := link.Ack.Cum
+		for _, r := range link.Ack.Ranges {
+			b = binary.AppendUvarint(b, r.Lo-mark-2)
+			b = binary.AppendUvarint(b, r.Hi-r.Lo)
+			mark = r.Hi
+		}
+	}
+	if digests != nil {
+		b = binary.AppendUvarint(b, uint64(len(digests)))
+		for _, d := range digests {
+			// Fixed 8-byte words, as in DigestMsg: uvarint averages >9 bytes
+			// on uniformly random 64-bit hash values.
+			b = binary.BigEndian.AppendUint64(b, d)
+		}
 	}
 	return binary.AppendUvarint(b, uint64(count))
 }
@@ -63,10 +150,25 @@ func AppendShardedHeader(b []byte, digests []uint64, count int) []byte {
 // ShardedHeaderSize returns the exact encoded length of the header
 // AppendShardedHeader would write — what a packer adds to its accumulated
 // piece bytes to know a candidate frame's final size.
-func ShardedHeaderSize(digests []uint64, count int) int {
+func ShardedHeaderSize(link protocol.LinkHeader, digests []uint64, count int) int {
 	n := 1 + SizeUvarint(uint64(count))
 	if digests != nil {
 		n += SizeUvarint(uint64(len(digests))) + 8*len(digests)
+	}
+	flags := linkFlags(&link, digests)
+	if flags != 0 {
+		n++
+	}
+	if flags&linkSeq != 0 {
+		n += 4 + SizeUvarint(link.Seq.Seq) + SizeUvarint(link.Seq.Back)
+	}
+	if flags&linkAck != 0 {
+		n += 4 + SizeUvarint(link.Ack.Cum) + SizeUvarint(uint64(len(link.Ack.Ranges)))
+		mark := link.Ack.Cum
+		for _, r := range link.Ack.Ranges {
+			n += SizeUvarint(r.Lo-mark-2) + SizeUvarint(r.Hi-r.Lo)
+			mark = r.Hi
+		}
 	}
 	return n
 }
@@ -85,9 +187,10 @@ func BatchHeaderSize(count int) int {
 }
 
 // splitSharded parses an encoded plain ShardedMsg into its item count and
-// raw item bytes. ok is false for any other encoding (including the
-// digest-carrying variant, whose vector must not survive a merge — it
-// advertises one instant's shard states, not a range).
+// raw item bytes. ok is false for any other encoding: the digest-carrying
+// variant, whose vector must not survive a merge — it advertises one
+// instant's shard states, not a range — and the linked variant, whose
+// sequence number names one frame — the unit its receiver acknowledges.
 func splitSharded(d []byte) (count uint64, items []byte, ok bool) {
 	if len(d) == 0 || d[0] != tagShardedMsg {
 		return 0, nil, false
@@ -116,7 +219,8 @@ func CanMergeSharded(d []byte) bool {
 // and uvarint(Σx) never exceeds Σ uvarint(x)), so a size check on the
 // summed input lengths is a safe admission bound. Returns ok=false when
 // any input is not a plain sharded frame (digest-carrying frames,
-// heartbeats, and single-object node frames never merge).
+// numbered or acknowledging frames, heartbeats, and single-object node
+// frames never merge).
 func MergeSharded(frames [][]byte) ([]byte, bool) {
 	if len(frames) == 0 {
 		return nil, false

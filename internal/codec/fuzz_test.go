@@ -86,6 +86,20 @@ func FuzzDecodeMsg(f *testing.F) {
 	f.Add([]byte{73, 255, 255, 255, 255, 15}) // digest, hostile count
 	f.Add([]byte{74, 255, 255, 255, 255, 15}) // sharded+digest, hostile count
 	f.Add([]byte{75, 0, 3, 0, 255, 255, 15})  // tree, hostile node count
+	// The linked sharded variant: a numbered frame, an acknowledgement
+	// with ranges riding one, and a hostile range count.
+	seed(protocol.NewShardedLinkMsg([]protocol.ShardItem{{Shard: 0, Msg: batch}}, nil,
+		protocol.LinkHeader{Seq: protocol.FrameSeq{Inc: 0xfeedbeef, Seq: 300, Back: 2}}))
+	seed(protocol.NewShardedLinkMsg([]protocol.ShardItem{{Shard: 1, Msg: batch}}, []uint64{7}, protocol.LinkHeader{
+		Seq: protocol.FrameSeq{Inc: 1, Seq: 1},
+		Ack: protocol.FrameAck{Inc: 2, Cum: 127, Ranges: []protocol.SeqRange{{Lo: 129, Hi: 129}, {Lo: 140, Hi: 1 << 40}}},
+	}))
+	seed(protocol.NewShardedLinkMsg(nil, nil, protocol.LinkHeader{Ack: protocol.FrameAck{Inc: 3, Cum: 9}}))
+	f.Add([]byte{76, 2, 0, 0, 0, 9, 4, 255, 255, 255, 255, 15})
+	// A numbered frame whose δ-group spells its seqs out all the same.
+	spelled, _ := codec.AppendShardItem(codec.AppendShardedHeader(nil, protocol.LinkHeader{Seq: protocol.FrameSeq{Inc: 1, Seq: 1}}, nil, 1),
+		protocol.ShardItem{Shard: 2, Msg: protocol.NewAckedDeltaMsg(crdt.NewGSet("a"), []uint64{1, 2, 3})})
+	f.Add(spelled)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, n, err := codec.DecodeMsg(data)

@@ -2,8 +2,10 @@ package codec
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"crdtsync/internal/protocol"
@@ -24,6 +26,7 @@ const (
 	tagDigestMsg
 	tagShardedDigestMsg
 	tagTreeMsg
+	tagShardedLinkMsg
 )
 
 // maxMsgNesting bounds message nesting during decoding. Legitimate
@@ -205,10 +208,16 @@ func appendMsg(b []byte, m protocol.Msg) ([]byte, error) {
 		return b, nil
 
 	case *protocol.ShardedMsg:
-		b = AppendShardedHeader(b, v.Digests, len(v.Items))
+		b = AppendShardedHeader(b, v.Link, v.Digests, len(v.Items))
+		// A numbered frame has one encoding, the packer's: the number
+		// acknowledges its δ-groups, which carry no seqs of their own.
+		item := AppendShardItem
+		if v.Link.Seq.Inc != 0 {
+			item = AppendLinkShardItem
+		}
 		for _, it := range v.Items {
 			var err error
-			b, err = AppendShardItem(b, it)
+			b, err = item(b, it)
 			if err != nil {
 				return nil, err
 			}
@@ -257,14 +266,149 @@ func appendMsg(b []byte, m protocol.Msg) ([]byte, error) {
 	}
 }
 
-// readShardItems decodes the shared tail of the sharded frame variants:
-// an item count followed by (shard index, inner message) pairs.
-func readShardItems(data []byte, depth int) ([]protocol.ShardItem, int, error) {
-	count, n, err := readUvarint(data)
-	if err != nil {
-		return nil, 0, err
+// shardedHeader is a parsed sharded frame header, any of the three
+// variants: the link header, the digest vector still as the raw 8-byte
+// words it arrived in, and the item count. The items follow it.
+type shardedHeader struct {
+	link    protocol.LinkHeader
+	digests []byte // nil when the frame carries no vector
+	count   uint64
+}
+
+// errAckRanges rejects an acknowledgement with more ranges than a sender
+// may put in one, whatever the bytes behind the count: a view keeps the
+// room it grew for the ranges of the frames it has unpacked.
+var errAckRanges = errors.New("codec: acknowledgement of more than protocol.MaxAckRanges ranges")
+
+// readShardedHeader parses the header that follows one of the sharded
+// tags. ranges is the backing the acknowledgement's ranges are appended
+// to (nil allocates). Every wire-declared count is checked against the
+// bytes that remain before anything is allocated for it.
+func readShardedHeader(tag byte, data []byte, ranges []protocol.SeqRange) (h shardedHeader, n int, err error) {
+	flags := linkDigests
+	switch tag {
+	case tagShardedMsg:
+		flags = 0
+	case tagShardedLinkMsg:
+		if len(data) == 0 {
+			return h, 0, ErrTruncated
+		}
+		flags = data[0]
+		n = 1
+		// A header with neither half is one of the plain variants, which
+		// is how it re-encodes; refuse the second spelling.
+		if flags&(linkSeq|linkAck) == 0 || flags > linkSeq|linkAck|linkDigests {
+			return h, 0, fmt.Errorf("codec: link header flags %#x", flags)
+		}
 	}
-	items := make([]protocol.ShardItem, 0, capHint(count, data[n:]))
+	if flags&linkSeq != 0 {
+		var m int
+		if h.link.Seq.Inc, m, err = readIncarnation(data[n:]); err != nil {
+			return h, 0, err
+		}
+		n += m
+		if h.link.Seq.Seq, m, err = readUvarint(data[n:]); err != nil {
+			return h, 0, err
+		}
+		n += m
+		if h.link.Seq.Back, m, err = readUvarint(data[n:]); err != nil {
+			return h, 0, err
+		}
+		n += m
+		if h.link.Seq.Back >= h.link.Seq.Seq {
+			return h, 0, fmt.Errorf("codec: frame %d waits on %d frames before it", h.link.Seq.Seq, h.link.Seq.Back)
+		}
+	}
+	if flags&linkAck != 0 {
+		var m int
+		if h.link.Ack.Inc, m, err = readIncarnation(data[n:]); err != nil {
+			return h, 0, err
+		}
+		n += m
+		if h.link.Ack.Cum, m, err = readUvarint(data[n:]); err != nil {
+			return h, 0, err
+		}
+		n += m
+		rcount, m, err := readUvarint(data[n:])
+		if err != nil {
+			return h, 0, err
+		}
+		n += m
+		if rcount > protocol.MaxAckRanges {
+			return h, 0, errAckRanges
+		}
+		// A range is two uvarints, at least two bytes.
+		if rcount > uint64(len(data)-n)/2 {
+			return h, 0, ErrTruncated
+		}
+		if rcount > 0 {
+			ranges = slices.Grow(ranges[:0], int(rcount))
+		}
+		mark := h.link.Ack.Cum
+		for i := uint64(0); i < rcount; i++ {
+			gap, m, err := readUvarint(data[n:])
+			if err != nil {
+				return h, 0, err
+			}
+			n += m
+			span, m, err := readUvarint(data[n:])
+			if err != nil {
+				return h, 0, err
+			}
+			n += m
+			lo := mark + 2 + gap
+			hi := lo + span
+			if mark+2 < mark || lo < gap || hi < lo {
+				return h, 0, fmt.Errorf("codec: acknowledged range overflows")
+			}
+			ranges = append(ranges, protocol.SeqRange{Lo: lo, Hi: hi})
+			mark = hi
+		}
+		if rcount > 0 {
+			h.link.Ack.Ranges = ranges
+		}
+	}
+	if flags&linkDigests != 0 {
+		dcount, m, err := readUvarint(data[n:])
+		if err != nil {
+			return h, 0, err
+		}
+		n += m
+		// Digests are fixed 8-byte words.
+		if dcount > uint64(len(data)-n)/8 {
+			return h, 0, ErrTruncated
+		}
+		// Non-nil even when empty: a decoded message must re-encode to
+		// the same variant, and nil selects the one without a vector.
+		h.digests = data[n : n+8*int(dcount) : n+8*int(dcount)]
+		n += 8 * int(dcount)
+	}
+	var m int
+	if h.count, m, err = readUvarint(data[n:]); err != nil {
+		return h, 0, err
+	}
+	return h, n + m, nil
+}
+
+// readIncarnation reads the 4-byte incarnation that opens either half of
+// a link header. Zero is how a header says the half is absent, so it is
+// never valid on the wire.
+func readIncarnation(data []byte) (uint32, int, error) {
+	if len(data) < 4 {
+		return 0, 0, ErrTruncated
+	}
+	inc := binary.BigEndian.Uint32(data)
+	if inc == 0 {
+		return 0, 0, fmt.Errorf("codec: zero incarnation")
+	}
+	return inc, 4, nil
+}
+
+// readShardItems decodes count (shard index, inner message) pairs, the
+// tail of every sharded frame variant.
+func readShardItems(data []byte, count uint64, depth int) ([]protocol.ShardItem, int, error) {
+	n := 0
+	items := make([]protocol.ShardItem, 0, capHint(count, data))
 	for i := uint64(0); i < count; i++ {
 		shard, m, err := readUvarint(data[n:])
 		if err != nil {
@@ -433,37 +577,24 @@ func readMsgBody(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
 		}
 		return protocol.BatchOf(items), n, nil
 
-	case tagShardedMsg:
-		items, m, err := readShardItems(data[n:], depth)
-		if err != nil {
-			return nil, 0, err
-		}
-		return protocol.NewShardedMsg(items), n + m, nil
-
-	case tagShardedDigestMsg:
-		dcount, m, err := readUvarint(data[n:])
+	case tagShardedMsg, tagShardedDigestMsg, tagShardedLinkMsg:
+		h, m, err := readShardedHeader(tag, data[n:], nil)
 		if err != nil {
 			return nil, 0, err
 		}
 		n += m
-		// Digests are fixed 8-byte words, so a hostile count is checked
-		// against the actual remaining bytes before allocating.
-		if dcount > uint64(len(data)-n)/8 {
-			return nil, 0, ErrTruncated
+		var digests []uint64
+		if h.digests != nil {
+			digests = make([]uint64, len(h.digests)/8)
+			for i := range digests {
+				digests[i] = binary.BigEndian.Uint64(h.digests[8*i:])
+			}
 		}
-		// Non-nil even when empty: a decoded message must re-encode to the
-		// same tag (the canonical fixed point), and nil selects the plain
-		// sharded encoding.
-		digests := make([]uint64, dcount)
-		for i := range digests {
-			digests[i] = binary.BigEndian.Uint64(data[n:])
-			n += 8
-		}
-		items, m, err := readShardItems(data[n:], depth)
+		items, m, err := readShardItems(data[n:], h.count, depth)
 		if err != nil {
 			return nil, 0, err
 		}
-		return protocol.NewShardedDigestMsg(items, digests), n + m, nil
+		return protocol.NewShardedLinkMsg(items, digests, h.link), n + m, nil
 
 	case tagDigestMsg:
 		count, m, err := readUvarint(data[n:])

@@ -1,7 +1,9 @@
 package codec_test
 
 import (
+	"bytes"
 	"encoding/binary"
+	"reflect"
 	"testing"
 
 	"crdtsync/internal/codec"
@@ -252,6 +254,17 @@ func TestMergeSharded(t *testing.T) {
 	if _, ok := codec.MergeSharded([][]byte{ea, ed}); ok || codec.CanMergeSharded(ed) {
 		t.Error("non-sharded frame must not merge")
 	}
+	// Nor does a frame with a link header, numbered or acknowledging: its
+	// receiver acknowledges it as the one frame its number names.
+	for _, link := range []protocol.LinkHeader{
+		{Seq: protocol.FrameSeq{Inc: 7, Seq: 3}},
+		{Ack: protocol.FrameAck{Inc: 7, Cum: 3}},
+	} {
+		el, _ := codec.EncodeMsg(protocol.NewShardedLinkMsg(itemsA, nil, link))
+		if _, ok := codec.MergeSharded([][]byte{ea, el}); ok || codec.CanMergeSharded(el) {
+			t.Errorf("frame with link header %+v must not merge", link)
+		}
+	}
 	if _, ok := codec.MergeSharded([][]byte{nil, ea}); ok {
 		t.Error("empty input must not merge")
 	}
@@ -464,5 +477,151 @@ func TestDecodeHostileCountDoesNotPanic(t *testing.T) {
 		if _, _, err := codec.DecodeMsg(data); err == nil {
 			t.Errorf("tag %d: hostile count should fail", tag)
 		}
+	}
+}
+
+// TestShardedLinkRoundTrip: the linked header variant survives
+// EncodeMsg/DecodeMsg with every combination of its fields, its size is
+// what ShardedHeaderSize says, and without a link header the bytes are
+// those of the two plain variants.
+func TestShardedLinkRoundTrip(t *testing.T) {
+	items := []protocol.ShardItem{
+		{Shard: 5, Msg: protocol.BatchOf([]protocol.ObjectMsg{
+			{Key: "k", Inner: protocol.NewDeltaMsg(crdt.NewGSet("a"))},
+		})},
+	}
+	seq := protocol.FrameSeq{Inc: 0xdeadbeef, Seq: 1 << 21, Back: 200}
+	ack := protocol.FrameAck{Inc: 9, Cum: 16383, Ranges: []protocol.SeqRange{{Lo: 16385, Hi: 16390}, {Lo: 16392, Hi: 16392}}}
+	full := protocol.FrameAck{Inc: 9, Cum: 1} // as many ranges as an acknowledgement may carry
+	for i := uint64(0); i < protocol.MaxAckRanges; i++ {
+		full.Ranges = append(full.Ranges, protocol.SeqRange{Lo: 3 + 2*i, Hi: 3 + 2*i})
+	}
+	for _, c := range []struct {
+		name    string
+		link    protocol.LinkHeader
+		digests []uint64
+		items   []protocol.ShardItem
+	}{
+		{"seq", protocol.LinkHeader{Seq: seq}, nil, items},
+		{"ack-full", protocol.LinkHeader{Ack: full}, nil, items},
+		{"ack", protocol.LinkHeader{Ack: ack}, nil, items},
+		{"ack-alone", protocol.LinkHeader{Ack: protocol.FrameAck{Inc: 9, Cum: 4}}, nil, nil},
+		{"both", protocol.LinkHeader{Seq: seq, Ack: ack}, nil, items},
+		{"both+digests", protocol.LinkHeader{Seq: seq, Ack: ack}, []uint64{1, ^uint64(0)}, items},
+	} {
+		m := protocol.NewShardedLinkMsg(c.items, c.digests, c.link)
+		got := msgRoundTrip(t, m).(*protocol.ShardedMsg)
+		if !reflect.DeepEqual(got.Link, c.link) || !reflect.DeepEqual(got.Digests, c.digests) || len(got.Items) != len(c.items) {
+			t.Errorf("%s: decoded link %+v digests %v items %d", c.name, got.Link, got.Digests, len(got.Items))
+		}
+		data, _ := codec.EncodeMsg(m)
+		body, _ := codec.EncodeMsg(protocol.NewShardedMsg(c.items))
+		if want := codec.ShardedHeaderSize(c.link, c.digests, len(c.items)) + len(body) - 2; len(data) != want {
+			t.Errorf("%s: %d bytes, header size says %d", c.name, len(data), want)
+		}
+	}
+	// No link header: byte for byte the plain encodings.
+	plain, _ := codec.EncodeMsg(protocol.NewShardedLinkMsg(items, nil, protocol.LinkHeader{}))
+	if want, _ := codec.EncodeMsg(protocol.NewShardedMsg(items)); !bytes.Equal(plain, want) {
+		t.Errorf("empty link header changed the plain frame: %x vs %x", plain, want)
+	}
+	withVec, _ := codec.EncodeMsg(protocol.NewShardedLinkMsg(items, []uint64{3}, protocol.LinkHeader{}))
+	if want, _ := codec.EncodeMsg(protocol.NewShardedDigestMsg(items, []uint64{3})); !bytes.Equal(withVec, want) {
+		t.Errorf("empty link header changed the digest frame: %x vs %x", withVec, want)
+	}
+}
+
+// TestLinkItemsCarryNoSeqs: behind a link header a batch's AckedDeltaMsg
+// is the plain δ-group on the wire, and everything else is encoded as it
+// always was — one that is a whole item included, which no record names.
+func TestLinkItemsCarryNoSeqs(t *testing.T) {
+	d := crdt.NewGSet("x", "y")
+	acked := protocol.ShardItem{Shard: 3, Msg: protocol.BatchOf([]protocol.ObjectMsg{
+		{Key: "a", Inner: protocol.NewAckedDeltaMsg(d, []uint64{4, 5})},
+		{Key: "b", Inner: protocol.NewAckMsg([]uint64{1})},
+	})}
+	plain := protocol.ShardItem{Shard: 3, Msg: protocol.BatchOf([]protocol.ObjectMsg{
+		{Key: "a", Inner: protocol.NewDeltaMsg(d)},
+		{Key: "b", Inner: protocol.NewAckMsg([]uint64{1})},
+	})}
+	got, err := codec.AppendLinkShardItem(nil, acked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := codec.AppendShardItem(nil, plain)
+	if !bytes.Equal(got, want) {
+		t.Errorf("linked item %x, want the plain δ-group %x", got, want)
+	}
+	withSeqs, _ := codec.AppendShardItem(nil, acked)
+	if len(withSeqs) <= len(got) {
+		t.Errorf("per-object encoding (%d bytes) is not longer than the linked one (%d)", len(withSeqs), len(got))
+	}
+	whole := protocol.ShardItem{Shard: 3, Msg: protocol.NewAckedDeltaMsg(d, []uint64{4, 5})}
+	gotWhole, _ := codec.AppendLinkShardItem(nil, whole)
+	if want, _ := codec.AppendShardItem(nil, whole); !bytes.Equal(gotWhole, want) {
+		t.Errorf("an item that is no batch changed: %x, want %x", gotWhole, want)
+	}
+	// EncodeMsg writes a numbered frame as the packer does; a frame that
+	// only acknowledges is no such frame, and keeps the old items.
+	numbered := protocol.LinkHeader{Seq: protocol.FrameSeq{Inc: 9, Seq: 2, Back: 1}}
+	frame, _ := codec.EncodeMsg(protocol.NewShardedLinkMsg([]protocol.ShardItem{acked}, nil, numbered))
+	if want := append(codec.AppendShardedHeader(nil, numbered, nil, 1), got...); !bytes.Equal(frame, want) {
+		t.Errorf("numbered frame %x, want header and linked item %x", frame, want)
+	}
+	acking := protocol.LinkHeader{Ack: protocol.FrameAck{Inc: 9, Cum: 2}}
+	frame, _ = codec.EncodeMsg(protocol.NewShardedLinkMsg([]protocol.ShardItem{acked}, nil, acking))
+	if want := append(codec.AppendShardedHeader(nil, acking, nil, 1), withSeqs...); !bytes.Equal(frame, want) {
+		t.Errorf("unnumbered frame %x, want header and per-object item %x", frame, want)
+	}
+	gotObj, _ := codec.AppendLinkObjectMsg(nil, protocol.ObjectMsg{Key: "a", Inner: protocol.NewAckedDeltaMsg(d, []uint64{4})})
+	wantObj, _ := codec.AppendObjectMsg(nil, protocol.ObjectMsg{Key: "a", Inner: protocol.NewDeltaMsg(d)})
+	if !bytes.Equal(gotObj, wantObj) {
+		t.Errorf("linked object message %x, want %x", gotObj, wantObj)
+	}
+}
+
+// TestShardedLinkHostileHeaders: a link header that lies is rejected by
+// the eager decoder and the unpacker alike, a range count before anything
+// is allocated for it.
+func TestShardedLinkHostileHeaders(t *testing.T) {
+	const tag = 76
+	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	cat := func(parts ...[]byte) []byte {
+		var out []byte
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	inc := []byte{0, 0, 0, 9}
+	for name, data := range map[string][]byte{
+		"truncated flags":       {tag},
+		"no half":               {tag, 4, 0, 0},
+		"unknown flag":          {tag, 9, 0, 0, 0, 9, 1, 0, 0},
+		"zero seq incarnation":  cat([]byte{tag, 1, 0, 0, 0, 0}, uv(1), uv(0), uv(0)),
+		"zero ack incarnation":  cat([]byte{tag, 2, 0, 0, 0, 0}, uv(1), uv(0), uv(0)),
+		"zero sequence number":  cat([]byte{tag, 1}, inc, uv(0), uv(0), uv(0)),
+		"back reaches number":   cat([]byte{tag, 1}, inc, uv(5), uv(5), uv(0)),
+		"truncated incarnation": {tag, 1, 0, 0},
+		"hostile range count":   cat([]byte{tag, 2}, inc, uv(1), uv(1<<40), uv(0)),
+		"range count over rest": cat([]byte{tag, 2}, inc, uv(1), uv(3), uv(0), uv(0), uv(0)),
+		"range count over cap":  cat([]byte{tag, 2}, inc, uv(1), uv(protocol.MaxAckRanges+1), bytes.Repeat([]byte{0}, 2*(protocol.MaxAckRanges+1)), uv(0)),
+		"range overflows":       cat([]byte{tag, 2}, inc, uv(1<<63), uv(1), uv(1<<63), uv(0), uv(0)),
+		"range span overflows":  cat([]byte{tag, 2}, inc, uv(1), uv(1), uv(0), uv(^uint64(0)), uv(0)),
+		"hostile digest count":  cat([]byte{tag, 6}, inc, uv(1), uv(0), uv(1<<40), uv(0)),
+	} {
+		if _, _, err := codec.DecodeMsg(data); err == nil {
+			t.Errorf("%s: decoder accepted %x", name, data)
+		}
+		var v codec.FrameView
+		if err := codec.UnpackFrame(data, 4, &v); err == nil {
+			t.Errorf("%s: unpacker accepted %x", name, data)
+		}
+	}
+	// A header-sized frame claiming a billion ranges allocates nothing.
+	hostile := cat([]byte{tag, 2}, inc, uv(1), uv(1<<30), uv(0))
+	var v codec.FrameView
+	if allocs := testing.AllocsPerRun(100, func() { codec.UnpackFrame(hostile, 4, &v) }); allocs != 0 {
+		t.Errorf("rejecting a hostile range count allocates %.1f times", allocs)
 	}
 }

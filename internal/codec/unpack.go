@@ -101,11 +101,15 @@ type FrameView struct {
 	// shard range — a shard-map mismatch between sender and receiver.
 	// They are skipped, not delivered; the transport surfaces the count.
 	Dropped int
+	// Link is the frame's link header, zero when it carried none. The
+	// acknowledged ranges' backing array is reused across unpacks.
+	Link protocol.LinkHeader
 
-	items  []ItemView  // wire order
-	sorted []ItemView  // shard order (scratch for the grouping sort)
-	counts []int       // counting-sort scratch, one slot per shard
-	groups []ItemGroup // contiguous per-shard runs
+	ranges []protocol.SeqRange // backing of Link.Ack.Ranges
+	items  []ItemView          // wire order
+	sorted []ItemView          // shard order (scratch for the grouping sort)
+	counts []int               // counting-sort scratch, one slot per shard
+	groups []ItemGroup         // contiguous per-shard runs
 }
 
 // Groups returns the frame's items grouped by shard, each shard exactly
@@ -125,6 +129,7 @@ func (v *FrameView) NumItems() int { return len(v.items) }
 func (v *FrameView) reset() {
 	v.Digests = v.Digests[:0]
 	v.Dropped = 0
+	v.Link = protocol.LinkHeader{}
 	clear(v.items)
 	v.items = v.items[:0]
 	clear(v.sorted)
@@ -153,7 +158,7 @@ func (v *FrameView) Reset() {
 	}
 }
 
-// UnpackFrame walks one encoded sharded frame (either variant) into v,
+// UnpackFrame walks one encoded sharded frame (any variant) into v,
 // grouped by shard. shards is the receiver's shard count: items routed
 // beyond it are counted in v.Dropped and skipped. It accepts exactly the
 // frames DecodeMsg accepts — the skip walk enforces the same nesting
@@ -166,37 +171,22 @@ func UnpackFrame(data []byte, shards int, v *FrameView) error {
 		return ErrTruncated
 	}
 	tag := data[0]
-	if tag != tagShardedMsg && tag != tagShardedDigestMsg {
+	if tag != tagShardedMsg && tag != tagShardedDigestMsg && tag != tagShardedLinkMsg {
 		return ErrNotSharded
 	}
-	n := 1
-	if tag == tagShardedDigestMsg {
-		dcount, m, err := readUvarint(data[n:])
-		if err != nil {
-			return err
-		}
-		n += m
-		// Digests are fixed 8-byte words: a hostile count is checked
-		// against the actual remaining bytes before any allocation,
-		// exactly as in the eager decoder.
-		if dcount > uint64(len(data)-n)/8 {
-			return ErrTruncated
-		}
-		if cap(v.Digests) < int(dcount) {
-			v.Digests = make([]uint64, dcount)
-		} else {
-			v.Digests = v.Digests[:dcount]
-		}
-		for i := range v.Digests {
-			v.Digests[i] = binary.BigEndian.Uint64(data[n:])
-			n += 8
-		}
-	}
-	count, m, err := readUvarint(data[n:])
+	h, n, err := readShardedHeader(tag, data[1:], v.ranges)
 	if err != nil {
 		return err
 	}
-	n += m
+	n++
+	v.Link = h.link
+	if h.link.Ack.Ranges != nil {
+		v.ranges = h.link.Ack.Ranges
+	}
+	for i := 0; i < len(h.digests); i += 8 {
+		v.Digests = append(v.Digests, binary.BigEndian.Uint64(h.digests[i:]))
+	}
+	count := h.count
 	grouped := true // items arrive in non-decreasing shard order
 	var lastShard uint32
 	for i := uint64(0); i < count; i++ {
@@ -676,23 +666,13 @@ func skipMsg(data []byte, depth int) (int, error) {
 		}
 		return n, nil
 
-	case tagShardedMsg, tagShardedDigestMsg:
-		if tag == tagShardedDigestMsg {
-			dcount, m, err := readUvarint(body[n:])
-			if err != nil {
-				return 0, err
-			}
-			n += m
-			if dcount > uint64(len(body)-n)/8 {
-				return 0, ErrTruncated
-			}
-			n += 8 * int(dcount)
-		}
-		count, m, err := readUvarint(body[n:])
+	case tagShardedMsg, tagShardedDigestMsg, tagShardedLinkMsg:
+		h, m, err := readShardedHeader(tag, body[n:], nil)
 		if err != nil {
 			return 0, err
 		}
 		n += m
+		count := h.count
 		for i := uint64(0); i < count; i++ {
 			shard, m, err := readUvarint(body[n:])
 			if err != nil {

@@ -3,6 +3,7 @@ package codec_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -107,6 +108,9 @@ func checkUnpacked(t testing.TB, data []byte, shards int, v *codec.FrameView) {
 		if v.Digests[i] != sm.Digests[i] {
 			t.Fatalf("digests %v, want %v", v.Digests, sm.Digests)
 		}
+	}
+	if !reflect.DeepEqual(v.Link, sm.Link) {
+		t.Fatalf("link header %+v, want %+v", v.Link, sm.Link)
 	}
 	want, dropped := flattenEager(t, sm, shards)
 	if v.Dropped != dropped {
@@ -276,6 +280,21 @@ func TestItemViewTags(t *testing.T) {
 	}
 }
 
+// linkedFrames returns sharded frames with every shape of link header
+// over the given batch.
+func linkedFrames(batch protocol.Msg) []protocol.Msg {
+	items := []protocol.ShardItem{{Shard: 2, Msg: batch}, {Shard: 0, Msg: batch}}
+	seq := protocol.FrameSeq{Inc: 0xfeedbeef, Seq: 300, Back: 2}
+	ack := protocol.FrameAck{Inc: 0x01020304, Cum: 127, Ranges: []protocol.SeqRange{{Lo: 129, Hi: 129}, {Lo: 140, Hi: 1 << 40}}}
+	return []protocol.Msg{
+		protocol.NewShardedLinkMsg(items, nil, protocol.LinkHeader{Seq: seq}),
+		protocol.NewShardedLinkMsg(items, nil, protocol.LinkHeader{Seq: seq, Ack: ack}),
+		protocol.NewShardedLinkMsg(items, []uint64{7, ^uint64(0)}, protocol.LinkHeader{Seq: seq, Ack: ack}),
+		protocol.NewShardedLinkMsg(nil, nil, protocol.LinkHeader{Ack: protocol.FrameAck{Inc: 1, Cum: 0}}),
+		protocol.NewShardedLinkMsg(nil, []uint64{}, protocol.LinkHeader{Ack: ack}),
+	}
+}
+
 // FuzzUnpackFrame differentially fuzzes the single-pass unpacker against
 // the eager decoder: on any input, UnpackFrame must never panic, must
 // accept exactly the sharded frames DecodeMsg accepts (rejecting other
@@ -314,6 +333,15 @@ func FuzzUnpackFrame(f *testing.F) {
 	f.Add([]byte{74, 255, 255, 255, 255, 15}) // sharded+digest, hostile count
 	f.Add([]byte{72, 1, 3, 70, 1, 1, 97, 64, 1})
 	f.Add([]byte{72, 1, 2, 75, 0, 3, 0, 1, 2, 1, 2, 3}) // embedded tree, truncated pair
+	// The linked variant: numbered, acknowledging with ranges, both with a
+	// digest vector, an acknowledgement with no items, and hostile headers.
+	for _, m := range linkedFrames(batch) {
+		seed(m)
+	}
+	f.Add([]byte{76, 2, 0, 0, 0, 9, 4, 255, 255, 255, 255, 15}) // hostile range count
+	f.Add([]byte{76, 1, 0, 0, 0, 9, 3, 3, 0})                   // back reaches the number
+	f.Add([]byte{76, 4, 0, 0})                                  // neither half
+	f.Add([]byte{76, 2, 0, 0, 0, 0, 1, 0, 0})                   // zero incarnation
 
 	const shards = 4
 	f.Fuzz(func(t *testing.T, data []byte) {

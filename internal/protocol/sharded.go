@@ -24,9 +24,14 @@ type ShardItem struct {
 // data anyway advertises its digests for free instead of paying a second
 // frame. The receiver processes the vector exactly as it would a DigestMsg
 // advertisement.
+//
+// Link carries the acknowledgement state of the link the frame travels:
+// its own sequence number when it holds δ-groups that want an ack, and
+// the sender's acknowledgement of what it has received the other way.
 type ShardedMsg struct {
 	Items   []ShardItem
 	Digests []uint64
+	Link    LinkHeader
 	cost    metrics.Transmission
 }
 
@@ -36,25 +41,105 @@ func (m *ShardedMsg) Kind() string { return "sharded" }
 // Cost implements Msg.
 func (m *ShardedMsg) Cost() metrics.Transmission { return m.cost }
 
+// LinkHeader is what a sharded frame says about the link between its
+// sender and its receiver. Acknowledgement is per neighbor, one sequence
+// number per frame, as in the δ-buffer anti-entropy of delta-state CRDTs
+// and the lossy-channel variant the paper sketches in §IV: the frame is
+// the unit that is lost, so the frame is the unit that is acknowledged.
+// Either half is absent when its incarnation is zero; a frame with both
+// absent is a plain sharded frame.
+type LinkHeader struct {
+	Seq FrameSeq
+	Ack FrameAck
+}
+
+// FrameSeq numbers a frame that carries δ-groups its sender will send
+// again until the receiver acknowledges the frame.
+type FrameSeq struct {
+	// Inc is the sender's incarnation, fixed for the life of a store and
+	// never zero: a restarted store numbers its frames from 1 again, and
+	// the incarnation is how a receiver tells the two sequences apart.
+	Inc uint32
+	// Seq counts the numbered frames the sender has sent this receiver,
+	// from 1.
+	Seq uint64
+	// Back is Seq minus the oldest sequence number the sender still waits
+	// on, always below Seq. A lost frame's entries are sent again under a
+	// new number, so its own number never arrives; Back is how the sender
+	// says that everything below Seq-Back is settled — acknowledged, or
+	// not waited for any more — and the receiver's cumulative mark may
+	// move past it.
+	Back uint64
+}
+
+// FrameAck acknowledges numbered frames received from the frame's
+// destination: every one up to Cum, and those in Ranges above it.
+type FrameAck struct {
+	// Inc is the incarnation of the store whose frames are acknowledged,
+	// as its frames named it: an acknowledgement minted for one life of a
+	// store retires nothing in the next.
+	Inc uint32
+	// Cum is the highest sequence number below which nothing is missing.
+	Cum uint64
+	// Ranges lists what arrived above a gap, ascending and disjoint, each
+	// starting at least two above the mark before it: one lost or
+	// reordered frame holds back only its own acknowledgement. At most
+	// MaxAckRanges of them.
+	Ranges []SeqRange
+}
+
+// MaxAckRanges bounds the ranges of one FrameAck. A receiver with more
+// gaps than that forgets the lowest range — those frames go
+// unacknowledged and their entries arrive again — and a decoder refuses
+// an acknowledgement that claims more.
+const MaxAckRanges = 8
+
+// SeqRange is the closed interval [Lo, Hi] of frame sequence numbers.
+type SeqRange struct{ Lo, Hi uint64 }
+
+// MetadataBytes is the header's share of a frame's accounting: 4 bytes
+// per incarnation and 8 per sequence number, the sizes the rest of the
+// accounting uses.
+func (h LinkHeader) MetadataBytes() int {
+	n := 0
+	if h.Seq.Inc != 0 {
+		n += 4 + 8 + 8
+	}
+	if h.Ack.Inc != 0 {
+		n += 4 + 8 + 16*len(h.Ack.Ranges)
+	}
+	return n
+}
+
 // NewShardedMsg builds a ShardedMsg, aggregating the inner accounting:
 // one message on the wire, inner elements/payload summed, and 4 bytes of
 // routing metadata per shard index.
 func NewShardedMsg(items []ShardItem) *ShardedMsg {
-	return NewShardedDigestMsg(items, nil)
+	return NewShardedLinkMsg(items, nil, LinkHeader{})
 }
 
 // NewShardedDigestMsg builds a ShardedMsg carrying a piggybacked digest
 // vector, charging the standard 8 bytes of metadata per digest word on top
 // of the item accounting.
 func NewShardedDigestMsg(items []ShardItem, digests []uint64) *ShardedMsg {
-	cost := metrics.Transmission{Messages: 1, MetadataBytes: 8 * len(digests)}
+	return NewShardedLinkMsg(items, digests, LinkHeader{})
+}
+
+// NewShardedLinkMsg builds a ShardedMsg with a link header, whose
+// sequence numbers and incarnations are metadata like the digest words.
+// What is acknowledged per frame is not acknowledged per δ-group: a
+// batch's AckedDeltaMsg goes out as the plain δ-group (see
+// codec.AppendLinkShardItem), and a batch's accounting (BatchOf) never
+// counted its entry seqs.
+func NewShardedLinkMsg(items []ShardItem, digests []uint64, link LinkHeader) *ShardedMsg {
+	cost := metrics.Transmission{Messages: 1, MetadataBytes: 8*len(digests) + link.MetadataBytes()}
 	for _, it := range items {
 		ic := it.Msg.Cost()
 		cost.Elements += ic.Elements
 		cost.PayloadBytes += ic.PayloadBytes
 		cost.MetadataBytes += ic.MetadataBytes + 4
 	}
-	return &ShardedMsg{Items: items, Digests: digests, cost: cost}
+	return &ShardedMsg{Items: items, Digests: digests, Link: link, cost: cost}
 }
 
 // KeyedEngine is implemented by engines that replicate a keyspace of named

@@ -99,6 +99,19 @@ type PeerStats struct {
 	// Queued is the queue depth at snapshot time, in frames and bytes.
 	Queued      int
 	QueuedBytes int
+	// The link's view — how far behind the peer is, for a store whose
+	// engine wants acknowledgements (all zero otherwise). InFlight is the
+	// number of numbered frames sent to the peer that it still waits for:
+	// not acknowledged, and younger than the few ticks after which the
+	// link lets the peer's mark pass them (a late acknowledgement still
+	// counts); LastSent the sequence number of the newest of them; LastAcked the peer's cumulative mark, below which it has
+	// acknowledged everything; LastReceived the highest sequence number
+	// seen on the peer's own frames. StoreStats.Add sums InFlight and
+	// clears the three sequence numbers, which are not additive.
+	InFlight     int
+	LastSent     uint64
+	LastAcked    uint64
+	LastReceived uint64
 }
 
 // peerConn is one peer's outbound pipeline: a bounded frame queue feeding
@@ -211,7 +224,9 @@ func (pc *peerConn) next() ([]byte, bool) {
 // coalesceBatch pops the run of queued frames that can merge with frame —
 // plain sharded data frames whose summed length stays within the frame
 // cap — so the caller can splice them into one frame (one header and one
-// syscall instead of k). Digest-carrying frames never merge. The actual
+// syscall instead of k). Digest-carrying frames never merge, nor do
+// frames with a link header: a sequence number names one frame, and its
+// receiver acknowledges it as one. The actual
 // byte splicing happens outside the queue lock: merging is O(bytes) work
 // that must not delay a concurrent transmit's enqueue. Coalescing only
 // happens on an established connection — against a down peer each attempt

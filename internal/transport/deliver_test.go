@@ -178,7 +178,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 			}
 		}
 		limit := 256 + rng.Intn(4096)
-		res, err := packFrames(items, digests, limit)
+		res, err := packFrames(items, digests, limit, nil)
 		if err != nil {
 			t.Fatalf("pack: %v", err)
 		}

@@ -230,8 +230,8 @@ func TestCloseShipsDirtyState(t *testing.T) {
 	}
 }
 
-// TestFlushIdleIsFree: a flush that finds nothing new takes no shard
-// lock and allocates nothing.
+// TestFlushIdleIsFree: a flush that finds nothing new takes no shard's
+// lock and no link's, and allocates nothing.
 func TestFlushIdleIsFree(t *testing.T) {
 	s := newTickStore(t)
 	// Objects that only wait for acks (their peers are unreachable) are
@@ -243,6 +243,10 @@ func TestFlushIdleIsFree(t *testing.T) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 	}
+	for _, lk := range s.linkList {
+		lk.packMu.Lock()
+		lk.mu.Lock()
+	}
 	done := make(chan struct{})
 	go func() {
 		s.writeFlush()
@@ -251,10 +255,14 @@ func TestFlushIdleIsFree(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("an idle flush waited for a shard lock")
+		t.Fatal("an idle flush waited for a shard's or a link's lock")
 	}
 	for _, sh := range s.shards {
 		sh.mu.Unlock()
+	}
+	for _, lk := range s.linkList {
+		lk.mu.Unlock()
+		lk.packMu.Unlock()
 	}
 	frames := s.Stats().Frames
 	if allocs := testing.AllocsPerRun(100, s.writeFlush); allocs != 0 {
@@ -265,20 +273,22 @@ func TestFlushIdleIsFree(t *testing.T) {
 	}
 }
 
-// TestFlushCarriesHeldReplies: acks produced while a flush is due ride
-// it; with none due, or on a store ticked by hand, they leave at once.
+// TestFlushCarriesHeldReplies: the acknowledgement of a frame that
+// arrives while a flush is due leaves with that flush — as a frame of its
+// own to a peer the flush has nothing else for; with none due, or on a
+// store ticked by hand, it leaves at once.
 func TestFlushCarriesHeldReplies(t *testing.T) {
 	s := newTickStore(t)
-	inbound := func(seq uint64) []byte {
+	inbound := func(seq uint64, elem string) []byte {
 		k := keysOnShard(s.mask, 0, 1)[0]
-		d := protocol.NewAckedDeltaMsg(crdt.NewGSet(fmt.Sprintf("e%d", seq)), []uint64{seq})
-		return encodeFrame(t, protocol.NewShardedMsg([]protocol.ShardItem{
-			{Shard: 0, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: k, Inner: d}})},
-		}))
+		d := protocol.NewDeltaMsg(crdt.NewGSet(elem))
+		return linkFrame(t, seq, 0, protocol.FrameAck{}, protocol.ShardItem{
+			Shard: 0, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: k, Inner: d}}),
+		})
 	}
 	// The delivery itself leaves something to forward (to p2), which
-	// requests the flush its ack to p1 then rides.
-	if err := s.deliver("p1", inbound(1)); err != nil {
+	// requests the flush its acknowledgement to p1 then leaves with.
+	if err := s.deliver("p1", inbound(1, "e1")); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.Frames != 0 || !s.flushWanted.Load() {
@@ -286,21 +296,31 @@ func TestFlushCarriesHeldReplies(t *testing.T) {
 	}
 	s.writeFlush()
 	st := s.Stats()
-	if st.Frames != 2 || st.Peers["p1"].Enqueued != 1 || st.Peers["p2"].Enqueued != 1 {
+	if st.Frames != 2 || st.AckFrames != 1 || st.Peers["p1"].Enqueued != 1 || st.Peers["p2"].Enqueued != 1 {
 		t.Fatalf("flush sent %d frames (%+v), want the ack to p1 and the forward to p2", st.Frames, st.Peers)
 	}
 	// A redundant δ-group leaves nothing to forward and no flush due:
 	// its ack leaves at once.
-	if err := s.deliver("p1", inbound(1)); err != nil {
+	if err := s.deliver("p1", inbound(2, "e1")); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Frames != 3 || s.flushWanted.Load() {
+	if st := s.Stats(); st.Frames != 3 || st.AckFrames != 2 || s.flushWanted.Load() {
 		t.Fatalf("frames = %d, flush wanted = %v: the ack of a redundant group waited", st.Frames, s.flushWanted.Load())
+	}
+	// A local write toward p1 with a flush due: the next frame's ack
+	// rides the data frame instead of leading one of its own.
+	s.Update(workload.Add("local", "x"))
+	if err := s.deliver("p1", inbound(3, "e1")); err != nil {
+		t.Fatal(err)
+	}
+	s.writeFlush()
+	if st := s.Stats(); st.Frames != 5 || st.AckFrames != 2 || st.Peers["p1"].Enqueued != 3 {
+		t.Fatalf("frames = %d, %d of them acks alone, %d toward p1: the ack did not ride the data frame", st.Frames, st.AckFrames, st.Peers["p1"].Enqueued)
 	}
 	// Ticked by hand, the store holds nothing back even with a flush due.
 	s.SyncNow()
 	before := s.Stats().Frames
-	if err := s.deliver("p1", inbound(2)); err != nil {
+	if err := s.deliver("p1", inbound(4, "e4")); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Stats().Frames - before; got != 1 || !s.flushWanted.Load() {

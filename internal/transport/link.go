@@ -1,0 +1,324 @@
+package transport
+
+import (
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"crdtsync/internal/protocol"
+)
+
+// Acknowledgement per link. The acked engine numbers the entries of every
+// object's δ-buffer and wants each entry acknowledged by each neighbor;
+// what is lost on the way, though, is a frame. So the store numbers the
+// frames it sends a neighbor, remembers which entries each one carried,
+// and the neighbor acknowledges frames: one cumulative mark plus the few
+// ranges above a gap, on whatever frame goes back next. An acknowledged
+// frame's entries are handed to their engines as the AckMsg the engine
+// would have been sent per object; which entry is sent again, and when,
+// stays the engine's decision.
+
+// maxInflight bounds the records a link keeps. The oldest is dropped to
+// make room: an acknowledgement that names it later retires nothing and
+// its entries go out again on the engine's own timer, as they would toward
+// a peer that never answers. 256 frames is 160 ms of the densest traffic
+// the benchmark produces (a flush every eighth of a 5 ms period), over
+// half a second at a 20 ms period; a round trip longer than the frames it
+// takes to fill the ring is the one that acknowledges nothing.
+const maxInflight = 256
+
+// closeAfter is the number of ticks after which the link stops waiting
+// for a frame nobody has acknowledged: Back shrinks past it, so that the
+// neighbor's mark can close over a number that was lost and its ranges
+// stay few. Only the waiting ends. The record is kept, and an
+// acknowledgement that is merely late — minted before the neighbor could
+// have been told — still retires it (see acknowledge), however long the
+// round trip. What the value costs is a frame overtaken by one sent this
+// many ticks after it: applied, and sent again all the same.
+const closeAfter = 8
+
+// maxAckRanges bounds the ranges above the cumulative mark a link keeps
+// for the frames it has received. Past it the lowest range is forgotten:
+// those frames go unacknowledged and their entries arrive again.
+const maxAckRanges = protocol.MaxAckRanges
+
+// ackItem is one δ-group of a numbered frame: the entries of one object's
+// δ-buffer that the frame's acknowledgement acknowledges.
+type ackItem struct {
+	shard uint32
+	key   string
+	seqs  []uint64
+}
+
+// frameRec is what the link remembers of one numbered frame.
+type frameRec struct {
+	// items is what the frame carried; nil once the record is settled —
+	// retired by an acknowledgement, or dropped.
+	items []ackItem
+	// born is the tick the frame was sent in.
+	born uint64
+	// closed, once the link has stopped waiting for the frame, is the
+	// number of the first frame that may have told the neighbor so.
+	closed uint64
+}
+
+// link is the acknowledgement state shared with one neighbor, in both
+// directions.
+type link struct {
+	// inc is this store's incarnation.
+	inc uint32
+	// packMu is held while a pass packs and enqueues its frames toward
+	// the neighbor, so that frames are numbered and queued by one
+	// goroutine at a time: the packer can size a header from the number
+	// the frame will get.
+	packMu sync.Mutex
+
+	mu sync.Mutex
+	// Frames sent. The records of kept..sent are a ring indexed by
+	// sequence number. Those of first..sent are waited for: first is the
+	// oldest unsettled one (sent+1 when none), open counts them, and every
+	// frame tells the neighbor how far back first lies. Those of
+	// kept..first-1 are closed — not waited for any more, kept for an
+	// acknowledgement that is late. tick is the store's current one.
+	sent, first, kept uint64
+	recs              []frameRec
+	tick              uint64
+	open              int
+	ackedTo           uint64 // highest cumulative mark the neighbor has sent
+	// Frames received, of the neighbor's incarnation peerInc: all up to
+	// cum, and ranges[:nranges] above it, ascending and never adjacent.
+	peerInc  uint32
+	cum      uint64
+	ranges   [maxAckRanges]protocol.SeqRange
+	nranges  int
+	received uint64 // highest sequence number seen
+	// owed is set by a numbered frame's arrival and cleared when an
+	// acknowledgement is taken for sending; read without mu by the
+	// passes, written under it.
+	owed atomic.Bool
+}
+
+func newLink(inc uint32) *link { return &link{inc: inc, first: 1, kept: 1} }
+
+// newIncarnation draws the number that tells this life of a store from
+// any other: the clock's nanoseconds folded to 32 bits, never zero.
+func newIncarnation() uint32 {
+	n := uint64(time.Now().UnixNano())
+	inc := uint32(n) ^ uint32(n>>32)*0x9e3779b1
+	if inc == 0 {
+		inc = 1
+	}
+	return inc
+}
+
+func (l *link) rec(seq uint64) *frameRec { return &l.recs[seq%maxInflight] }
+
+// next returns the header of the next numbered frame without giving the
+// number out; commit does that. Callers hold packMu, so the number is the
+// one the frame gets. Back may be stale by then — an acknowledgement may
+// have settled the oldest record meanwhile — which errs on the safe side.
+func (l *link) next() protocol.FrameSeq {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return protocol.FrameSeq{Inc: l.inc, Seq: l.sent + 1, Back: l.sent + 1 - l.first}
+}
+
+// commit gives fs, the result of next, out and records items, which the
+// link keeps, as what the frame carries.
+func (l *link) commit(fs protocol.FrameSeq, items []ackItem) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.recs == nil {
+		l.recs = make([]frameRec, maxInflight)
+	}
+	if fs.Seq-l.kept == maxInflight {
+		// The ring is full: the oldest record makes room.
+		l.settle(l.kept)
+		l.kept++
+		l.first = max(l.first, l.kept)
+	}
+	l.sent = fs.Seq
+	*l.rec(fs.Seq) = frameRec{items: items, born: l.tick}
+	l.open++
+	l.advance()
+}
+
+// age starts the store's tick-th tick on the link: the frames sent
+// closeAfter ticks ago or earlier are not waited for any longer.
+func (l *link) age(tick uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.tick = tick
+	for l.first <= l.sent {
+		if r := l.rec(l.first); r.items != nil {
+			if r.born+closeAfter > tick {
+				break
+			}
+			// No frame numbered sent or below says so.
+			r.closed = l.sent + 1
+			l.open--
+		}
+		l.first++
+	}
+}
+
+// settle drops one record, and with it the link's only reference to the
+// keys and seq slices it names.
+func (l *link) settle(seq uint64) {
+	r := l.rec(seq)
+	if r.items != nil && seq >= l.first {
+		l.open--
+	}
+	*r = frameRec{}
+}
+
+// advance moves first and kept past the settled records.
+func (l *link) advance() {
+	for l.first <= l.sent && l.rec(l.first).items == nil {
+		l.first++
+	}
+	for l.kept < l.first && l.rec(l.kept).items == nil {
+		l.kept++
+	}
+}
+
+// names reports whether ack acknowledges frame seq.
+func names(ack *protocol.FrameAck, seq uint64) bool {
+	if seq <= ack.Cum {
+		return true
+	}
+	for _, r := range ack.Ranges {
+		if r.Lo <= seq && seq <= r.Hi {
+			return true
+		}
+	}
+	return false
+}
+
+// acknowledge settles the records ack names and appends what they carried
+// to out. It reports false, settling nothing, for an acknowledgement that
+// was minted for another incarnation of this store or that names a frame
+// this one has not sent.
+//
+// The neighbor's mark passes a number for one of two reasons: the frame
+// arrived, or a later frame's Back said it was not waited for any more.
+// Of a frame the link still waits for, nothing has said the second. Of a
+// closed one, frames numbered closed and above may have; the highest
+// number ack names is the highest the neighbor had seen when it minted
+// it, so below closed the acknowledgement means what it says — it is
+// late, at whatever delay — and from closed on the mark means nothing for
+// this frame and never will again: the record is dropped, the entries
+// stay the engine's to send again.
+func (l *link) acknowledge(ack *protocol.FrameAck, out []ackItem) ([]ackItem, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	top := ack.Cum
+	if n := len(ack.Ranges); n > 0 {
+		top = ack.Ranges[n-1].Hi
+	}
+	if ack.Inc != l.inc || top > l.sent {
+		return out, false
+	}
+	for seq := l.kept; seq <= top; seq++ {
+		r := l.rec(seq)
+		switch {
+		case r.items == nil:
+		case seq < l.first && top >= r.closed:
+			l.settle(seq)
+		case names(ack, seq):
+			out = append(out, r.items...)
+			l.settle(seq)
+		}
+	}
+	l.advance()
+	l.ackedTo = max(l.ackedTo, ack.Cum)
+	return out, true
+}
+
+// receive notes the arrival of a numbered frame whose items have all been
+// applied, and that the neighbor is owed an acknowledgement.
+func (l *link) receive(fs protocol.FrameSeq) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if fs.Inc != l.peerInc {
+		// Another life of the neighbor: its numbers start over.
+		l.peerInc, l.cum, l.nranges, l.received = fs.Inc, 0, 0, 0
+	}
+	l.received = max(l.received, fs.Seq)
+	// Everything below Seq-Back is settled at the sender.
+	l.cum = max(l.cum, fs.Seq-fs.Back-1)
+	switch rs := l.ranges[:l.nranges]; {
+	case fs.Seq <= l.cum:
+	case fs.Seq == l.cum+1:
+		l.cum++
+	default:
+		i := 0
+		for i < len(rs) && rs[i].Hi+1 < fs.Seq {
+			i++
+		}
+		switch {
+		case i < len(rs) && rs[i].Hi+1 == fs.Seq:
+			rs[i].Hi++
+			if i+1 < len(rs) && rs[i+1].Lo == fs.Seq+1 {
+				rs[i].Hi = rs[i+1].Hi
+				l.dropRange(i + 1)
+			}
+		case i < len(rs) && rs[i].Lo <= fs.Seq+1:
+			rs[i].Lo = min(rs[i].Lo, fs.Seq)
+		default:
+			if l.nranges == maxAckRanges {
+				if i == 0 {
+					break // lower than everything kept: goes unacknowledged
+				}
+				l.dropRange(0)
+				i--
+			}
+			copy(l.ranges[i+1:l.nranges+1], l.ranges[i:l.nranges])
+			l.ranges[i] = protocol.SeqRange{Lo: fs.Seq, Hi: fs.Seq}
+			l.nranges++
+		}
+	}
+	// The mark absorbs the ranges it has reached.
+	for l.nranges > 0 && l.ranges[0].Lo <= l.cum+1 {
+		l.cum = max(l.cum, l.ranges[0].Hi)
+		l.dropRange(0)
+	}
+	l.owed.Store(true)
+}
+
+func (l *link) dropRange(i int) {
+	copy(l.ranges[i:], l.ranges[i+1:l.nranges])
+	l.nranges--
+}
+
+// takeAck returns the acknowledgement the neighbor is owed, if any, for a
+// frame that is about to leave; the caller must send it or call owe.
+func (l *link) takeAck() (protocol.FrameAck, bool) {
+	if !l.owed.Load() {
+		return protocol.FrameAck{}, false
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.owed.Load() {
+		return protocol.FrameAck{}, false
+	}
+	l.owed.Store(false)
+	ack := protocol.FrameAck{Inc: l.peerInc, Cum: l.cum}
+	if l.nranges > 0 {
+		ack.Ranges = append(ack.Ranges, l.ranges[:l.nranges]...)
+	}
+	return ack, true
+}
+
+// owe puts back an acknowledgement that was taken and did not leave.
+func (l *link) owe() { l.owed.Store(true) }
+
+// fill copies the link's view into the neighbor's stats.
+func (l *link) fill(ps *PeerStats) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ps.InFlight = l.open
+	ps.LastSent = l.sent
+	ps.LastAcked = l.ackedTo
+	ps.LastReceived = l.received
+}

@@ -1,0 +1,935 @@
+package transport
+
+import (
+	"fmt"
+	"net"
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"crdtsync/internal/codec"
+	"crdtsync/internal/crdt"
+	"crdtsync/internal/lattice"
+	"crdtsync/internal/protocol"
+	"crdtsync/internal/workload"
+)
+
+// Acknowledgement per link: the link's own bookkeeping first, then what a
+// store does with it — over hand-built frames where the order of events
+// is the point, over real stores and transport.Fault where the network's
+// behaviour is.
+
+// TestLinkAckReceiveKeepsMarkAndRanges walks the receive record through
+// in-order arrival, a gap, reordering, duplicates, a gap the sender has
+// given up on, more gaps than it keeps ranges for, and a restarted peer.
+func TestLinkAckReceiveKeepsMarkAndRanges(t *testing.T) {
+	type rng = protocol.SeqRange
+	r := func(lo, hi uint64) rng { return rng{Lo: lo, Hi: hi} }
+	fs := func(seq, back uint64) protocol.FrameSeq { return protocol.FrameSeq{Inc: 5, Seq: seq, Back: back} }
+	lk := newLink(1)
+	for i, step := range []struct {
+		in     protocol.FrameSeq
+		cum    uint64
+		ranges []rng
+	}{
+		{fs(1, 0), 1, nil},
+		{fs(2, 0), 2, nil},
+		{fs(4, 1), 2, []rng{r(4, 4)}},                                   // 3 is missing
+		{fs(7, 4), 2, []rng{r(4, 4), r(7, 7)}},                          // so are 5 and 6
+		{fs(6, 3), 2, []rng{r(4, 4), r(6, 7)}},                          // reordered: joins from below
+		{fs(5, 2), 2, []rng{r(4, 7)}},                                   // closes the upper gap
+		{fs(5, 2), 2, []rng{r(4, 7)}},                                   // a duplicate changes nothing
+		{fs(2, 0), 2, []rng{r(4, 7)}},                                   // nor one below the mark
+		{fs(3, 0), 7, nil},                                              // the reordered 3 arrives: the mark jumps
+		{fs(10, 0), 10, nil},                                            // 8 and 9 lost and given up on: Back says so
+		{fs(13, 2), 10, []rng{r(13, 13)}},                               // 11 and 12 still awaited
+		{fs(15, 4), 10, []rng{r(13, 13), r(15, 15)}},                    //
+		{fs(17, 2), 15, []rng{r(17, 17)}},                               // 11, 12, 14 given up on
+		{protocol.FrameSeq{Inc: 6, Seq: 2, Back: 1}, 0, []rng{r(2, 2)}}, // another life: from 1 again
+	} {
+		lk.owed.Store(false)
+		lk.receive(step.in)
+		got := append([]rng(nil), lk.ranges[:lk.nranges]...)
+		if lk.cum != step.cum || !reflect.DeepEqual(got, step.ranges) || !lk.owed.Load() {
+			t.Fatalf("step %d, after %+v: mark %d ranges %v owed %v, want %d %v true",
+				i, step.in, lk.cum, got, lk.owed.Load(), step.cum, step.ranges)
+		}
+	}
+	// More gaps than ranges kept: the lowest is forgotten, never the mark
+	// moved past something missing.
+	lk = newLink(1)
+	for seq := uint64(2); seq <= 2*(maxAckRanges+2); seq += 2 {
+		lk.receive(fs(seq, seq-1))
+	}
+	if lk.cum != 0 || lk.nranges != maxAckRanges || lk.ranges[0].Lo != 6 {
+		t.Fatalf("mark %d, %d ranges from %d; want 0, %d from 6", lk.cum, lk.nranges, lk.ranges[0].Lo, maxAckRanges)
+	}
+	ack, ok := lk.takeAck()
+	if !ok || ack.Inc != 5 || ack.Cum != 0 || len(ack.Ranges) != maxAckRanges || lk.owed.Load() {
+		t.Fatalf("took %+v (%v), still owed %v", ack, ok, lk.owed.Load())
+	}
+	if _, again := lk.takeAck(); again {
+		t.Fatal("the same acknowledgement was handed out twice")
+	}
+}
+
+// numbered commits n one-item frames on lk and returns the items.
+func numbered(lk *link, n int) []ackItem {
+	items := make([]ackItem, n)
+	for i := range items {
+		items[i] = ackItem{shard: uint32(i % 4), key: fmt.Sprintf("k%d", i), seqs: []uint64{uint64(i + 1)}}
+		lk.commit(lk.next(), items[i:i+1])
+	}
+	return items
+}
+
+// TestLinkAckSettlesExactlyWhatIsNamed: the cumulative mark and the ranges
+// retire their frames' entries and nothing else; an acknowledgement for
+// another incarnation or for a frame never sent retires nothing.
+func TestLinkAckSettlesExactlyWhatIsNamed(t *testing.T) {
+	lk := newLink(7)
+	items := numbered(lk, 10)
+	for name, ack := range map[string]protocol.FrameAck{
+		"another incarnation": {Inc: 8, Cum: 10},
+		"mark beyond sent":    {Inc: 7, Cum: 11},
+		"range beyond sent":   {Inc: 7, Cum: 2, Ranges: []protocol.SeqRange{{Lo: 9, Hi: 11}}},
+	} {
+		if out, ok := lk.acknowledge(&ack, nil); ok || len(out) != 0 || lk.open != 10 {
+			t.Fatalf("%s: ok=%v, retired %d, %d still open", name, ok, len(out), lk.open)
+		}
+	}
+	out, ok := lk.acknowledge(&protocol.FrameAck{Inc: 7, Cum: 3, Ranges: []protocol.SeqRange{{Lo: 5, Hi: 6}, {Lo: 9, Hi: 9}}}, nil)
+	want := []ackItem{items[0], items[1], items[2], items[4], items[5], items[8]}
+	if !ok || !reflect.DeepEqual(out, want) {
+		t.Fatalf("retired %+v (%v), want %+v", out, ok, want)
+	}
+	if lk.open != 4 || lk.first != 4 || lk.kept != 4 {
+		t.Fatalf("%d open from %d, kept from %d; want 4 from 4", lk.open, lk.first, lk.kept)
+	}
+	if fs := lk.next(); fs.Seq != 11 || fs.Back != 7 {
+		t.Fatalf("next frame %+v, want number 11 waiting back to 4", fs)
+	}
+	// The same acknowledgement again, and a stale one, retire nothing more.
+	if out, ok := lk.acknowledge(&protocol.FrameAck{Inc: 7, Cum: 3}, nil); !ok || len(out) != 0 {
+		t.Fatalf("a repeated acknowledgement retired %d (%v)", len(out), ok)
+	}
+	if out, _ := lk.acknowledge(&protocol.FrameAck{Inc: 7, Cum: 10}, nil); len(out) != 4 || lk.open != 0 || lk.first != 11 {
+		t.Fatalf("retired %d, %d open from %d; want 4, 0 from 11", len(out), lk.open, lk.first)
+	}
+}
+
+// holdsNothing fails the test if the link still references a record —
+// the only place it keeps the keys and seq slices of what it shipped.
+func holdsNothing(t *testing.T, who string, lk *link) {
+	t.Helper()
+	lk.mu.Lock()
+	defer lk.mu.Unlock()
+	if lk.open != 0 || lk.first != lk.sent+1 || lk.kept != lk.first {
+		t.Errorf("%s: %d frames open, kept from %d, first %d, sent %d", who, lk.open, lk.kept, lk.first, lk.sent)
+	}
+	for _, rec := range lk.recs {
+		if rec.items != nil {
+			t.Errorf("%s: a record outlived its acknowledgement", who)
+		}
+	}
+}
+
+// TestLinkAckTableIsBoundedAndDrains: the table never holds more than
+// maxInflight frames — the oldest is dropped, and an acknowledgement that
+// names it retires nothing — and once everything is acknowledged the link
+// references nothing it shipped.
+func TestLinkAckTableIsBoundedAndDrains(t *testing.T) {
+	lk := newLink(7)
+	const extra = 40
+	numbered(lk, maxInflight+extra)
+	if lk.open != maxInflight || lk.first != extra+1 || lk.kept != extra+1 || lk.sent != maxInflight+extra {
+		t.Fatalf("%d open from %d after %d frames, want %d from %d", lk.open, lk.first, lk.sent, maxInflight, extra+1)
+	}
+	if fs := lk.next(); fs.Back != maxInflight {
+		t.Fatalf("next frame waits back %d, want %d", fs.Back, maxInflight)
+	}
+	if out, ok := lk.acknowledge(&protocol.FrameAck{Inc: 7, Cum: extra}, nil); !ok || len(out) != 0 || lk.open != maxInflight {
+		t.Fatalf("acknowledging dropped frames retired %d (%v), %d open", len(out), ok, lk.open)
+	}
+	out, _ := lk.acknowledge(&protocol.FrameAck{Inc: 7, Cum: lk.sent}, nil)
+	if len(out) != maxInflight {
+		t.Fatalf("retired %d, want %d", len(out), maxInflight)
+	}
+	holdsNothing(t, "link", lk)
+}
+
+// TestLinkAckClosedFrameIsRetiredOnlyByALateAck: once the link has stopped
+// waiting for a frame, an acknowledgement minted before the neighbor can
+// have seen a frame that says so still retires it, at whatever delay; one
+// minted after passes the number because it was told to, and retires
+// nothing of it.
+func TestLinkAckClosedFrameIsRetiredOnlyByALateAck(t *testing.T) {
+	lk := newLink(7)
+	items := numbered(lk, 4) // in tick 0
+	lk.age(closeAfter - 1)
+	if lk.open != 4 || lk.first != 1 {
+		t.Fatalf("after %d ticks: %d open from %d, want all 4", closeAfter-1, lk.open, lk.first)
+	}
+	lk.age(closeAfter)
+	if lk.open != 0 || lk.first != 5 || lk.kept != 1 || lk.rec(2).closed != 5 {
+		t.Fatalf("after %d ticks: %d open from %d, kept from %d, closed at %d; want 0 from 5, kept from 1, closed at 5",
+			closeAfter, lk.open, lk.first, lk.kept, lk.rec(2).closed)
+	}
+	if fs := lk.next(); fs.Seq != 5 || fs.Back != 0 {
+		t.Fatalf("next frame %+v, want number 5 waiting for nothing before it", fs)
+	}
+	more := numbered(lk, 2) // 5 and 6 tell the neighbor
+	// Minted when 3 was the newest frame seen and 2 had not arrived.
+	out, ok := lk.acknowledge(&protocol.FrameAck{Inc: 7, Cum: 1, Ranges: []protocol.SeqRange{{Lo: 3, Hi: 3}}}, nil)
+	if want := []ackItem{items[0], items[2]}; !ok || !reflect.DeepEqual(out, want) || lk.kept != 2 {
+		t.Fatalf("a late acknowledgement retired %+v (%v), kept from %d; want %+v, kept from 2", out, ok, lk.kept, want)
+	}
+	// Minted after 5 arrived: the mark is past 2 and 4 whether or not they
+	// ever did.
+	out, ok = lk.acknowledge(&protocol.FrameAck{Inc: 7, Cum: 5}, nil)
+	if want := []ackItem{more[0]}; !ok || !reflect.DeepEqual(out, want) {
+		t.Fatalf("the mark at 5 retired %+v (%v), want frame 5's %+v alone", out, ok, want)
+	}
+	if lk.kept != 6 || lk.first != 6 || lk.open != 1 {
+		t.Fatalf("kept from %d, %d open from %d; want frame 6 alone", lk.kept, lk.open, lk.first)
+	}
+	// Their records are gone: nothing names them any more.
+	if out, ok := lk.acknowledge(&protocol.FrameAck{Inc: 7, Cum: 1, Ranges: []protocol.SeqRange{{Lo: 4, Hi: 4}}}, nil); !ok || len(out) != 0 {
+		t.Fatalf("an acknowledgement later still retired %+v (%v)", out, ok)
+	}
+	if out, _ := lk.acknowledge(&protocol.FrameAck{Inc: 7, Cum: 6}, nil); len(out) != 1 {
+		t.Fatalf("retired %d, want frame 6's one", len(out))
+	}
+	holdsNothing(t, "link", lk)
+}
+
+// linkFrame encodes a frame of δ-groups as peer incarnation 9 sends it:
+// numbered seq (0 for not at all), waiting back, acknowledging ack.
+func linkFrame(t testing.TB, seq, back uint64, ack protocol.FrameAck, items ...protocol.ShardItem) []byte {
+	t.Helper()
+	var link protocol.LinkHeader
+	if seq != 0 {
+		link.Seq = protocol.FrameSeq{Inc: 9, Seq: seq, Back: back}
+	}
+	link.Ack = ack
+	return encodeFrame(t, protocol.NewShardedLinkMsg(items, nil, link))
+}
+
+// TestLinkAckOnlyAfterEveryItemApplied: a frame one of whose items was
+// dropped for a shard this store does not have, or failed to decode, is
+// not noted as received — its sender keeps every entry it carried.
+func TestLinkAckOnlyAfterEveryItemApplied(t *testing.T) {
+	s := newTickStore(t)
+	s.manual.Store(true) // acknowledge at once, so Frames counts them
+	lk := s.links["p1"]
+	k0 := keysOnShard(s.mask, 0, 1)[0]
+	k1 := keysOnShard(s.mask, 1, 1)[0]
+	ackFrames := func() int { return s.Stats().AckFrames }
+
+	if err := s.deliver("p1", linkFrame(t, 1, 0, protocol.FrameAck{}, shardBatch(0, k0))); err != nil {
+		t.Fatal(err)
+	}
+	if lk.cum != 1 || ackFrames() != 1 {
+		t.Fatalf("a whole frame: mark %d, %d acknowledgement frames; want 1 and 1", lk.cum, ackFrames())
+	}
+	// One item routed beyond the shard count (shard-count skew).
+	skewed := linkFrame(t, 2, 0, protocol.FrameAck{}, shardBatch(1, k1), shardBatch(uint32(len(s.shards)), "skew"))
+	if err := s.deliver("p1", skewed); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); lk.cum != 1 || lk.owed.Load() || st.AckFrames != 1 || st.DroppedItems != 1 {
+		t.Fatalf("a frame with a dropped item: mark %d owed %v, %d acknowledgement frames, %d dropped",
+			lk.cum, lk.owed.Load(), st.AckFrames, st.DroppedItems)
+	}
+	if s.Get(k1) == nil {
+		t.Fatal("the item that could be applied was not")
+	}
+	// One item that fails to decode after the skip walk accepted it.
+	var v codec.FrameView
+	if err := codec.UnpackFrame(linkFrame(t, 3, 1, protocol.FrameAck{}, shardBatch(0, k0), shardBatch(1, k1)), len(s.shards), &v); err != nil {
+		t.Fatal(err)
+	}
+	v.Groups()[1].Items[0].Payload[0] = 0xff
+	if err := s.deliverSharded("p1", &v); err == nil {
+		t.Fatal("mid-frame decode corruption must surface an error")
+	}
+	if lk.cum != 1 || lk.nranges != 0 || lk.owed.Load() || ackFrames() != 1 {
+		t.Fatalf("a frame that failed part-way: mark %d, %d ranges, owed %v, %d acknowledgement frames",
+			lk.cum, lk.nranges, lk.owed.Load(), ackFrames())
+	}
+	// A frame from a store that is no neighbor applies and is not
+	// acknowledged: there is no link to acknowledge it on.
+	if err := s.deliver("stranger", linkFrame(t, 1, 0, protocol.FrameAck{}, shardBatch(0, k0))); err != nil {
+		t.Fatal(err)
+	}
+	if ackFrames() != 1 {
+		t.Fatal("a non-neighbor was sent an acknowledgement")
+	}
+}
+
+// TestLinkAckResendsOnTheGapUnderShardSkew: a receiver with fewer shards
+// drops part of every frame and so acknowledges none; the sender keeps
+// the entries and sends them again 1, 2, 4 and 8 ticks after the send
+// before, exactly as the engine's timer has it.
+func TestLinkAckResendsOnTheGapUnderShardSkew(t *testing.T) {
+	stores, err := LoopbackClusterWith(2, StoreConfig{
+		ID:        "k",
+		Shards:    8,
+		Factory:   protocol.NewDeltaAcked(true, true),
+		ObjType:   func(string) workload.Datatype { return workload.GSetType{} },
+		SyncEvery: time.Hour,
+	}, func(i int, _ string, cfg *StoreConfig) {
+		if i == 1 {
+			cfg.Shards = 4
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range stores {
+		st := st
+		t.Cleanup(func() { st.Close() })
+	}
+	s := stores[0]
+	for shard := uint32(0); shard < 8; shard++ {
+		s.Update(workload.Add(keysOnShard(s.mask, shard, 1)[0], "x"))
+	}
+	for tick, want := range []int{0, 8, 8, 16, 16, 16, 16, 24, 24, 24, 24, 24, 24, 24, 24, 32} {
+		s.SyncNow()
+		if got := s.Stats().Retransmits; got != want {
+			t.Fatalf("tick %d: %d retransmissions, want %d", tick+1, got, want)
+		}
+	}
+	eventually(t, 10*time.Second, "the receiver to count the dropped items", func() bool {
+		return stores[1].Stats().DroppedItems >= 5*4
+	})
+	st := s.Stats()
+	// Five frames, none acknowledged; by tick 16 those of ticks 1, 2, 4
+	// and 8 are not waited for any more.
+	if ps := st.Peers[stores[1].ID()]; ps.InFlight != 1 || ps.LastSent != 5 || ps.LastAcked != 0 {
+		t.Errorf("sender's view of the link: %+v, want 5 frames sent, 1 in flight, none acknowledged", ps)
+	}
+	if got := stores[1].Stats().AckFrames; got != 0 {
+		t.Errorf("the receiver acknowledged %d frames it had dropped items of", got)
+	}
+}
+
+// TestLinkAckAgainstBlackholedPeerStaysBounded: toward a peer that never
+// answers, every pass numbers another frame. Within one tick the table
+// stops growing at its bound; over ticks the link stops waiting for what
+// is older than closeAfter ticks, so it waits for a few ticks' frames —
+// and keeps no more than the ring holds — however long the peer stays
+// away.
+func TestLinkAckAgainstBlackholedPeerStaysBounded(t *testing.T) {
+	s := newTickStore(t)
+	for i := 0; i < maxInflight+50; i++ {
+		s.Update(workload.Add(fmt.Sprintf("k%d", i), "x"))
+		s.writeFlush()
+	}
+	for id, ps := range s.Stats().Peers {
+		if ps.LastSent != maxInflight+50 || ps.InFlight != maxInflight || ps.LastAcked != 0 {
+			t.Errorf("toward %s: %+v, want %d of %d frames in flight", id, ps, maxInflight, maxInflight+50)
+		}
+	}
+	for id, lk := range s.links {
+		held := 0
+		for _, rec := range lk.recs {
+			if rec.items != nil {
+				held++
+			}
+		}
+		if held != maxInflight || len(lk.recs) != maxInflight {
+			t.Errorf("toward %s: %d records held in a ring of %d", id, held, len(lk.recs))
+		}
+	}
+	for i := 0; i < 5*closeAfter; i++ {
+		s.tick()
+		for id, ps := range s.Stats().Peers {
+			if i >= closeAfter && ps.InFlight > closeAfter {
+				t.Fatalf("tick %d toward %s: %d frames in flight, want at most one per tick of the last %d", i, id, ps.InFlight, closeAfter)
+			}
+		}
+	}
+	for id, lk := range s.links {
+		if lk.sent-lk.kept >= maxInflight || lk.first <= lk.kept {
+			t.Errorf("toward %s: records kept from %d, waited for from %d, %d sent", id, lk.kept, lk.first, lk.sent)
+		}
+	}
+	if m := s.Memory(); m.BufferBytes == 0 {
+		t.Error("the engines gave up their entries with the link's records")
+	}
+}
+
+// ackAll returns the frame with which peer acknowledges everything s has
+// sent it.
+func ackAll(t testing.TB, s *Store, peer string) []byte {
+	t.Helper()
+	lk := s.links[peer]
+	return linkFrame(t, 0, 0, protocol.FrameAck{Inc: lk.inc, Cum: lk.sent})
+}
+
+// TestLinkAckAppliesWithoutAllocating: retiring a frame's entries costs no
+// allocation, however many δ-groups the frame carried.
+func TestLinkAckAppliesWithoutAllocating(t *testing.T) {
+	s := newTickStore(t)
+	const keys = 48
+	for i := 0; i < keys; i++ {
+		s.Update(workload.Add(fmt.Sprintf("k%d", i), "x"))
+	}
+	s.tick()
+	lk := s.links["p1"]
+	if lk.open != 1 || len(lk.recs[1].items) != keys {
+		t.Fatalf("%d frames open, the first of %d δ-groups; want 1 of %d", lk.open, len(lk.recs[1].items), keys)
+	}
+	rec := append([]ackItem(nil), lk.recs[1].items...)
+	if err := s.deliver("p1", ackAll(t, s, "p1")); err != nil {
+		t.Fatal(err)
+	}
+	if lk.open != 0 || s.Memory().BufferBytes == 0 {
+		t.Fatalf("%d frames open after p1's acknowledgement, %d buffered bytes still owed to p2", lk.open, s.Memory().BufferBytes)
+	}
+	// Again and again: the same record committed anew, and acknowledged by
+	// a frame unpacked into a view and applied with scratch the test holds
+	// (the pools the inbound path takes both from give nothing back under
+	// the race detector). The engines look for the entries they have
+	// already retired, at full price.
+	d := getDeliverState()
+	defer d.release()
+	var (
+		frame []byte
+		v     codec.FrameView
+	)
+	allocs := testing.AllocsPerRun(200, func() {
+		lk.commit(lk.next(), rec)
+		ack := protocol.LinkHeader{Ack: protocol.FrameAck{Inc: lk.inc, Cum: lk.sent}}
+		frame = codec.AppendShardedHeader(frame[:0], ack, nil, 0)
+		if err := codec.UnpackFrame(frame, len(s.shards), &v); err != nil {
+			t.Fatal(err)
+		}
+		s.applyAck("p1", lk, &v.Link.Ack, d)
+	})
+	if allocs != 0 || lk.open != 0 {
+		t.Errorf("acknowledging a frame of %d δ-groups allocates %.1f times (%d frames left open), want 0", keys, allocs, lk.open)
+	}
+}
+
+// countingSever returns a Fault whose send side drops exactly the nth
+// frame it is asked about, and the counter of frames seen.
+func countingSever(nth int64) (*Fault, *atomic.Int64) {
+	var seen atomic.Int64
+	f := NewFault(1)
+	f.SetSever(func(string) bool { return seen.Add(1) == nth })
+	return f, &seen
+}
+
+// TestLinkAckOneLostFrameResendsOnlyItsEntries: of ten frames the fifth is
+// lost. The receiver acknowledges up to the fourth and the range above
+// the gap, so when the engine's timer fires only the fifth frame's three
+// entries are sent again — nothing else, and nothing twice.
+func TestLinkAckOneLostFrameResendsOnlyItsEntries(t *testing.T) {
+	const frames, perFrame, lost = 10, 3, 5
+	fault, seen := countingSever(lost)
+	stores, err := LoopbackClusterWith(2, StoreConfig{
+		ID:        "l",
+		Shards:    8,
+		Factory:   protocol.NewDeltaAcked(true, true),
+		ObjType:   func(string) workload.Datatype { return workload.GSetType{} },
+		SyncEvery: time.Hour,
+	}, func(i int, _ string, cfg *StoreConfig) {
+		if i == 0 {
+			cfg.Dial = fault.Dialer(nil)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range stores {
+		st := st
+		t.Cleanup(func() { st.Close() })
+	}
+	s, peer := stores[0], stores[1].ID()
+	for f := 0; f < frames; f++ {
+		for i := 0; i < perFrame; i++ {
+			s.Update(workload.Add(fmt.Sprintf("k%02d-%d", f, i), "x"))
+		}
+		s.writeFlush()
+	}
+	link := func() PeerStats { return s.Stats().Peers[peer] }
+	eventually(t, 10*time.Second, "nine of ten frames to be acknowledged", func() bool {
+		return seen.Load() == frames && link().InFlight == 1
+	})
+	if ps := link(); ps.LastSent != frames || ps.LastAcked != lost-1 {
+		t.Fatalf("sender's view: %+v, want %d sent and the mark at %d", ps, frames, lost-1)
+	}
+	if got := s.Stats().Retransmits; got != 0 {
+		t.Fatalf("%d retransmissions before any tick", got)
+	}
+	if got := stores[1].NumKeys(); got != (frames-1)*perFrame {
+		t.Fatalf("receiver holds %d keys, want %d", got, (frames-1)*perFrame)
+	}
+	// Two ticks: the first completes no full tick since the flush.
+	s.tick()
+	s.tick()
+	if got := s.Stats().Retransmits; got != perFrame {
+		t.Fatalf("%d retransmissions, want the lost frame's %d entries", got, perFrame)
+	}
+	// The lost frame's own record stays open — its number will never be
+	// acknowledged — until the link stops waiting for it.
+	eventually(t, 10*time.Second, "the resent frame to be acknowledged", func() bool { return link().InFlight == 1 })
+	if err := WaitConverged(stores, frames*perFrame, 10*time.Second, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < closeAfter; i++ {
+		s.tick()
+	}
+	if st := s.Stats(); st.Retransmits != perFrame || st.Peers[peer].LastSent != frames+1 || st.Peers[peer].InFlight != 0 {
+		t.Errorf("after %d more ticks: %d retransmissions, link %+v; want %d, %d frames sent and none in flight",
+			closeAfter, st.Retransmits, st.Peers[peer], perFrame, frames+1)
+	}
+	if m := s.Memory(); m.BufferBytes != 0 {
+		t.Errorf("sender's δ-buffers still hold %d bytes", m.BufferBytes)
+	}
+	// The record is kept, for an acknowledgement that is only late, until
+	// the receiver has seen a frame that says it is not waited for: the
+	// next one, whose acknowledgement passes the lost number for that
+	// reason alone and retires nothing of it.
+	lk := s.links[peer]
+	if lk.kept != lost || lk.first != frames+2 || lk.rec(lost).closed != frames+2 {
+		t.Fatalf("records kept from %d, waited for from %d, the lost one closed at %d; want %d, %d, %d",
+			lk.kept, lk.first, lk.rec(lost).closed, lost, frames+2, frames+2)
+	}
+	s.Update(workload.Add("one-more", "x"))
+	s.writeFlush()
+	eventually(t, 10*time.Second, "the receiver's mark to pass the lost number", func() bool {
+		ps := link()
+		return ps.InFlight == 0 && ps.LastAcked == frames+2
+	})
+	holdsNothing(t, "sender", lk)
+	if st := s.Stats(); st.Retransmits != perFrame || st.IgnoredAcks != 0 {
+		t.Errorf("%d retransmissions, %d ignored acknowledgements; want %d and 0", st.Retransmits, st.IgnoredAcks, perFrame)
+	}
+}
+
+// TestLinkAckReorderAndDuplicateLinksNeverRetransmit: frames that arrive
+// out of order or twice are all acknowledged in time, by the ranges and
+// the mark; no entry is ever sent again, and the replicas converge
+// exactly.
+func TestLinkAckReorderAndDuplicateLinksNeverRetransmit(t *testing.T) {
+	for name, set := range map[string]func(*Fault){
+		"reorder":   func(f *Fault) { f.SetReorder(0.5, 3*time.Millisecond); f.SetRecvReorder(0.3, 2*time.Millisecond) },
+		"duplicate": func(f *Fault) { f.SetDupRate(0.5); f.SetRecvDupRate(0.3) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			const keys, writes = 40, 600
+			stores, err := LoopbackClusterWith(3, StoreConfig{
+				ID:      "r",
+				Shards:  8,
+				Factory: protocol.NewDeltaAcked(true, true),
+				ObjType: func(string) workload.Datatype { return workload.GSetType{} },
+				// Long against the few milliseconds a frame is held: a
+				// retransmission would take an acknowledgement a whole
+				// period late.
+				SyncEvery: 400 * time.Millisecond,
+			}, func(i int, _ string, cfg *StoreConfig) {
+				f := NewFault(int64(40 + i))
+				set(f)
+				cfg.Dial = f.Dialer(nil)
+				cfg.Listener = f.Listener(cfg.Listener)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, st := range stores {
+				st := st
+				t.Cleanup(func() { st.Close() })
+			}
+			for i := 0; i < writes; i++ {
+				stores[i%3].Update(workload.Add(fmt.Sprintf("k%02d", i%keys), fmt.Sprintf("e%d", i)))
+				if i%20 == 19 {
+					time.Sleep(time.Millisecond)
+				}
+			}
+			if err := WaitConverged(stores, keys, 30*time.Second, nil); err != nil {
+				t.Fatal(err)
+			}
+			elements := 0
+			for _, st := range stores {
+				st.Scan("", func(_ string, state lattice.State) bool {
+					elements += state.Elements()
+					return true
+				})
+			}
+			if elements != 3*writes {
+				t.Errorf("replicas hold %d elements, want %d", elements, 3*writes)
+			}
+			for _, st := range stores {
+				eventually(t, 10*time.Second, "every frame to be acknowledged", func() bool {
+					for _, ps := range st.Stats().Peers {
+						if ps.InFlight != 0 {
+							return false
+						}
+					}
+					return true
+				})
+				if got := st.Stats().Retransmits; got != 0 {
+					t.Errorf("%s sent %d entries again on a link that loses nothing", st.ID(), got)
+				}
+			}
+		})
+	}
+}
+
+// TestLinkAckConvergesUnderLoss: with one frame in five, then one in two,
+// lost in each direction — data and acknowledgements alike — and no
+// digests to heal anything, the engines' retransmissions over numbered
+// frames converge the mesh exactly, and every link drains.
+func TestLinkAckConvergesUnderLoss(t *testing.T) {
+	for _, loss := range []float64{0.2, 0.5} {
+		t.Run(fmt.Sprintf("%.0f%%", 100*loss), func(t *testing.T) {
+			const keys, writes = 60, 360
+			stores, err := LoopbackClusterWith(3, StoreConfig{
+				ID:        "d",
+				Shards:    8,
+				Factory:   protocol.NewDeltaAcked(true, true),
+				ObjType:   func(string) workload.Datatype { return workload.GSetType{} },
+				SyncEvery: 10 * time.Millisecond,
+			}, func(i int, _ string, cfg *StoreConfig) {
+				f := NewFault(int64(70 + i))
+				f.SetDropRate(loss)
+				cfg.Dial = f.Dialer(nil)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, st := range stores {
+				st := st
+				t.Cleanup(func() { st.Close() })
+			}
+			for i := 0; i < writes; i++ {
+				stores[i%3].Update(workload.Add(fmt.Sprintf("k%02d", i%keys), fmt.Sprintf("e%d", i)))
+				if i%30 == 29 {
+					time.Sleep(2 * time.Millisecond)
+				}
+			}
+			if err := WaitConverged(stores, keys, 60*time.Second, nil); err != nil {
+				t.Fatal(err)
+			}
+			elements, resent := 0, 0
+			for _, st := range stores {
+				st.Scan("", func(_ string, state lattice.State) bool {
+					elements += state.Elements()
+					return true
+				})
+				resent += st.Stats().Retransmits
+			}
+			if elements != 3*writes {
+				t.Errorf("replicas hold %d elements, want %d", elements, 3*writes)
+			}
+			if resent == 0 {
+				t.Error("no entry was sent again: the link lost nothing")
+			}
+			// Lost acknowledgements are made up for by later ones, lost
+			// frames given up on: every table drains.
+			eventually(t, 30*time.Second, "every link to drain", func() bool {
+				for _, st := range stores {
+					for _, ps := range st.Stats().Peers {
+						if ps.InFlight != 0 {
+							return false
+						}
+					}
+					if st.Memory().BufferBytes != 0 {
+						return false
+					}
+				}
+				return true
+			})
+		})
+	}
+}
+
+// TestLinkAckSurvivesALongRoundTrip: with every frame held on the wire for
+// longer than the link waits for one, each acknowledgement arrives for a
+// frame that is closed already — and still retires it. Nothing is lost, so
+// once the writes stop every δ-buffer and every table drains and no entry
+// is sent again.
+func TestLinkAckSurvivesALongRoundTrip(t *testing.T) {
+	const keys, writes = 30, 120
+	const period = 5 * time.Millisecond
+	stores, err := LoopbackClusterWith(3, StoreConfig{
+		ID:        "w",
+		Shards:    8,
+		Factory:   protocol.NewDeltaAcked(true, true),
+		ObjType:   func(string) workload.Datatype { return workload.GSetType{} },
+		SyncEvery: period,
+	}, func(i int, _ string, cfg *StoreConfig) {
+		f := NewFault(int64(90 + i))
+		f.SetDelay((closeAfter + 4) * period) // each way
+		cfg.Dial = f.Dialer(nil)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range stores {
+		st := st
+		t.Cleanup(func() { st.Close() })
+	}
+	for i := 0; i < writes; i++ {
+		stores[i%3].Update(workload.Add(fmt.Sprintf("k%02d", i%keys), fmt.Sprintf("e%d", i)))
+		time.Sleep(time.Millisecond)
+	}
+	if err := WaitConverged(stores, keys, 30*time.Second, nil); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, 30*time.Second, "every δ-buffer and every link to drain", func() bool {
+		for _, st := range stores {
+			if st.Memory().BufferBytes != 0 {
+				return false
+			}
+			for _, ps := range st.Stats().Peers {
+				if ps.InFlight != 0 || ps.LastAcked != ps.LastSent {
+					return false
+				}
+			}
+		}
+		return true
+	})
+	resent := func() (n int) {
+		for _, st := range stores {
+			n += st.Stats().Retransmits
+		}
+		return n
+	}
+	before := resent()
+	time.Sleep(3 * closeAfter * period)
+	if after := resent(); after != before {
+		t.Errorf("%d entries sent again after everything was acknowledged", after-before)
+	}
+	for _, st := range stores {
+		if got := st.Stats().IgnoredAcks; got != 0 {
+			t.Errorf("%s ignored %d acknowledgements", st.ID(), got)
+		}
+		for id, lk := range st.links {
+			holdsNothing(t, st.ID()+"→"+id, lk)
+		}
+	}
+}
+
+// wireTap records every frame written on the connections it dials.
+type wireTap struct {
+	mu     sync.Mutex
+	frames [][]byte // codec messages, envelope stripped
+}
+
+type tapConn struct {
+	net.Conn
+	tap *wireTap
+	buf []byte
+}
+
+func (c *tapConn) Write(p []byte) (int, error) {
+	c.buf = append(c.buf, p...)
+	for len(c.buf) >= 4 {
+		total := int(c.buf[0])<<24 | int(c.buf[1])<<16 | int(c.buf[2])<<8 | int(c.buf[3])
+		if len(c.buf) < 4+total {
+			break
+		}
+		body := c.buf[4 : 4+total]
+		idLen := int(body[0])<<8 | int(body[1])
+		c.tap.mu.Lock()
+		c.tap.frames = append(c.tap.frames, append([]byte(nil), body[2+idLen:]...))
+		c.tap.mu.Unlock()
+		c.buf = c.buf[4+total:]
+	}
+	return c.Conn.Write(p)
+}
+
+func (w *wireTap) dial(id, addr string) (net.Conn, error) {
+	c, err := defaultDial(id, addr)
+	if err != nil {
+		return nil, err
+	}
+	return &tapConn{Conn: c, tap: w}, nil
+}
+
+// TestLinkAckLosslessMeshShipsEachEntryOnce taps every connection of a
+// three-store mesh under load: each update's element crosses four links
+// and no more, no frame carries a per-object acknowledgement or a
+// per-item seq, every numbered frame is acknowledged by a header field —
+// at most one per frame — and afterwards no link holds anything.
+func TestLinkAckLosslessMeshShipsEachEntryOnce(t *testing.T) {
+	const keys, writes, shards = 50, 1500, 8
+	tap := &wireTap{}
+	stores, err := LoopbackClusterWith(3, StoreConfig{
+		ID:        "m",
+		Shards:    shards,
+		Factory:   protocol.NewDeltaAcked(true, true),
+		ObjType:   func(string) workload.Datatype { return workload.GSetType{} },
+		SyncEvery: 400 * time.Millisecond,
+	}, func(_ int, _ string, cfg *StoreConfig) { cfg.Dial = tap.dial })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range stores {
+		st := st
+		t.Cleanup(func() { st.Close() })
+	}
+	for i := 0; i < writes; i++ {
+		stores[i%3].Update(workload.Add(fmt.Sprintf("k%02d", i%keys), fmt.Sprintf("e%d", i)))
+		if i%10 == 9 {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if err := WaitConverged(stores, keys, 30*time.Second, nil); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, 10*time.Second, "every frame to be acknowledged", func() bool {
+		for _, st := range stores {
+			for _, ps := range st.Stats().Peers {
+				if ps.InFlight != 0 || ps.Queued != 0 {
+					return false
+				}
+			}
+		}
+		return true
+	})
+	var total StoreStats
+	for _, st := range stores {
+		total.Add(st.Stats())
+	}
+	if total.Retransmits != 0 || total.IgnoredAcks != 0 {
+		t.Errorf("%d retransmissions, %d ignored acknowledgements on a lossless mesh", total.Retransmits, total.IgnoredAcks)
+	}
+	// The origin sends an update's element to both neighbors and each of
+	// them forwards it to the other: four crossings, never a fifth. (A
+	// forward that overtakes the direct copy makes the other forward
+	// redundant, so a run may fall a hair short of 4.00.)
+	perUpdate := float64(total.Sent.Elements) / writes
+	t.Logf("%.3f elements on the wire per update", perUpdate)
+	if total.Sent.Elements > 4*writes || perUpdate < 3.9 {
+		t.Errorf("%d elements on the wire for %d updates (%.3f each), want 4.00", total.Sent.Elements, writes, perUpdate)
+	}
+	deltaTag := encodeFrame(t, protocol.NewDeltaMsg(crdt.NewGSet("x")))[0]
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	var v codec.FrameView
+	numbered, acking, ackOnly, groups := 0, 0, 0, 0
+	for _, f := range tap.frames {
+		if err := codec.UnpackFrame(f, shards, &v); err != nil {
+			t.Fatalf("a frame on the wire does not unpack: %v", err)
+		}
+		for _, g := range v.Groups() {
+			for i := range g.Items {
+				groups++
+				if tag := g.Items[i].Tag(); codec.IsAckTag(tag) || tag != deltaTag || g.Items[i].Key == nil {
+					t.Fatalf("item with tag %d (key %q) on the wire, want only keyed δ-groups tagged %d", tag, g.Items[i].Key, deltaTag)
+				}
+			}
+		}
+		if v.Link.Seq.Inc != 0 {
+			numbered++
+		} else if v.NumItems() > 0 {
+			t.Fatal("a frame of δ-groups without a sequence number")
+		}
+		if v.Link.Ack.Inc != 0 {
+			acking++
+			if v.NumItems() == 0 {
+				ackOnly++
+			}
+		}
+	}
+	// Several updates of one key between two flushes travel as one
+	// δ-group; never more groups than elements.
+	if groups == 0 || groups > total.Sent.Elements {
+		t.Errorf("%d δ-groups for %d elements", groups, total.Sent.Elements)
+	}
+	if numbered == 0 || acking == 0 || acking > numbered {
+		t.Errorf("%d numbered frames, %d frames with an acknowledgement: every one answers at least one numbered frame", numbered, acking)
+	}
+	if ackOnly != total.AckFrames || len(tap.frames) != total.Frames {
+		t.Errorf("tap saw %d frames, %d of them acknowledgements alone; Stats say %d and %d",
+			len(tap.frames), ackOnly, total.Frames, total.AckFrames)
+	}
+	for _, st := range stores {
+		for id, lk := range st.links {
+			holdsNothing(t, st.ID()+"→"+id, lk)
+		}
+	}
+}
+
+// gatedConn blocks every write until the gate opens.
+type gatedConn struct {
+	net.Conn
+	gate <-chan struct{}
+}
+
+func (c *gatedConn) Write(p []byte) (int, error) {
+	<-c.gate
+	return c.Conn.Write(p)
+}
+
+// TestLinkAckNumberedFramesAreNotCoalesced: frames that queued up behind
+// a blocked write leave one by one — a sequence number names one frame —
+// and each is acknowledged.
+func TestLinkAckNumberedFramesAreNotCoalesced(t *testing.T) {
+	const frames = 6
+	gate := make(chan struct{})
+	stores, err := LoopbackClusterWith(2, StoreConfig{
+		ID:        "g",
+		Shards:    8,
+		Factory:   protocol.NewDeltaAcked(true, true),
+		ObjType:   func(string) workload.Datatype { return workload.GSetType{} },
+		SyncEvery: time.Hour,
+	}, func(i int, _ string, cfg *StoreConfig) {
+		if i == 0 {
+			cfg.Dial = func(id, addr string) (net.Conn, error) {
+				c, err := defaultDial(id, addr)
+				if err != nil {
+					return nil, err
+				}
+				return &gatedConn{Conn: c, gate: gate}, nil
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range stores {
+		st := st
+		t.Cleanup(func() { st.Close() })
+	}
+	s, peer := stores[0], stores[1].ID()
+	for i := 0; i < frames; i++ {
+		s.Update(workload.Add(fmt.Sprintf("k%d", i), "x"))
+		s.writeFlush()
+	}
+	close(gate)
+	eventually(t, 10*time.Second, "all six frames to be acknowledged", func() bool {
+		ps := s.Stats().Peers[peer]
+		return ps.InFlight == 0 && ps.LastAcked == frames
+	})
+	if ps := s.Stats().Peers[peer]; ps.Coalesced != 0 || ps.Enqueued != frames || ps.Dropped != 0 {
+		t.Errorf("pipeline toward %s: %+v, want %d frames written one by one", peer, ps, frames)
+	}
+	if got := stores[1].Stats().AckFrames; got != frames {
+		t.Errorf("receiver sent %d acknowledgement frames, want one per frame (%d)", got, frames)
+	}
+}
+
+// TestLinkAckStatsAddUp: StoreStats.Add sums the acknowledgement counters
+// and the frames in flight, and drops the sequence numbers, which mean
+// nothing across stores.
+func TestLinkAckStatsAddUp(t *testing.T) {
+	a := StoreStats{AckFrames: 2, IgnoredAcks: 1, Peers: map[string]PeerStats{
+		"p": {InFlight: 3, LastSent: 10, LastAcked: 7, LastReceived: 4},
+	}}
+	b := StoreStats{AckFrames: 5, IgnoredAcks: 4, Peers: map[string]PeerStats{
+		"p": {InFlight: 1, LastSent: 2, LastAcked: 1, LastReceived: 9},
+	}}
+	a.Add(b)
+	want := PeerStats{InFlight: 4}
+	if a.AckFrames != 7 || a.IgnoredAcks != 5 || a.Peers["p"] != want {
+		t.Errorf("sum: %d acknowledgement frames, %d ignored, peer %+v", a.AckFrames, a.IgnoredAcks, a.Peers["p"])
+	}
+}

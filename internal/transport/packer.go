@@ -24,6 +24,13 @@ import (
 //
 // Transmission accounting never reaches the wire; the packer sums it per
 // frame for the sender's own Stats().Sent.
+//
+// The packer is also where acknowledgement moves from the object to the
+// link. An AckedDeltaMsg goes out as the plain δ-group; the frame that
+// takes it gets a sequence number in its header, and the link records
+// which entries the number stands for — per frame, split batches
+// included, so that the unit acknowledged is the unit that can be lost.
+// The acknowledgement the destination is owed rides the first frame.
 
 // packedFrame is one ready-to-ship frame: the encoded ShardedMsg bytes
 // plus the accounting the store records at enqueue time.
@@ -52,7 +59,7 @@ type packResult struct {
 
 // shardItemCost is one item's contribution to its frame's accounting:
 // the inner message's elements/payload/metadata plus 4 bytes of shard
-// routing metadata (matching protocol.NewShardedMsg).
+// routing metadata (matching protocol.NewShardedLinkMsg).
 func shardItemCost(it protocol.ShardItem) metrics.Transmission {
 	ic := it.Msg.Cost()
 	return metrics.Transmission{
@@ -67,35 +74,57 @@ type framePacker struct {
 	limit int
 	res   packResult
 	vec   []uint64 // digest vector still waiting for a frame to ride
+	lk    *link    // the destination's link; nil numbers nothing
 
 	body    []byte // concatenated encoded pieces of the pending frame
 	cost    metrics.Transmission
 	count   int
 	withVec bool // pending frame carries vec
+	// link is the pending frame's link header: the acknowledgement the
+	// destination is owed, until a frame has taken it, and a sequence
+	// number from the first acked δ-group the frame admits. rec is what
+	// that number stands for.
+	link protocol.LinkHeader
+	rec  []ackItem
+	acks []ackItem // scratch: the acks of the item being placed
 }
 
-// frameCost returns the pending frame's full accounting: the accumulated
-// item contributions, one wire message, and — when the digest vector rides
-// along — 8 bytes of metadata per digest word.
-func (p *framePacker) frameCost(withVec bool) metrics.Transmission {
-	c := p.cost
-	c.Messages = 1
-	if withVec {
-		c.MetadataBytes += 8 * len(p.vec)
+// numbered returns the pending frame's link header as it would be with
+// acks among its δ-groups.
+func (p *framePacker) numbered(acks []ackItem) protocol.LinkHeader {
+	link := p.link
+	if len(acks) > 0 && link.Seq.Inc == 0 {
+		link.Seq = p.lk.next()
 	}
-	return c
+	return link
 }
 
-// tryAdd admits piece into the pending frame if the frame's exact encoded
-// size stays within the cap. The digest vector is not considered here: it
-// attaches to the flush's final frame (see packFrames), so a receiver has
-// merged the whole tick before it compares digests — a vector on an early
-// frame of a split tick would advertise state the remaining frames are
-// still carrying and provoke spurious shard requests.
-func (p *framePacker) tryAdd(piece []byte, c metrics.Transmission) bool {
-	if codec.ShardedHeaderSize(nil, p.count+1)+len(p.body)+len(piece) > p.limit {
+// seal gives the pending frame's sequence number out, if it has one, and
+// returns the header to write; the acknowledgement has then left.
+func (p *framePacker) seal() protocol.LinkHeader {
+	link := p.link
+	if link.Seq.Inc != 0 {
+		p.lk.commit(link.Seq, p.rec)
+		p.rec = nil // the link's now
+	}
+	p.link = protocol.LinkHeader{}
+	return link
+}
+
+// tryAdd admits piece, with the acks of the δ-groups in it, into the
+// pending frame if the frame's exact encoded size stays within the cap.
+// The digest vector is not considered here: it attaches to the flush's
+// final frame (see packFrames), so a receiver has merged the whole tick
+// before it compares digests — a vector on an early frame of a split tick
+// would advertise state the remaining frames are still carrying and
+// provoke spurious shard requests.
+func (p *framePacker) tryAdd(piece []byte, c metrics.Transmission, acks []ackItem) bool {
+	link := p.numbered(acks)
+	if codec.ShardedHeaderSize(link, nil, p.count+1)+len(p.body)+len(piece) > p.limit {
 		return false
 	}
+	p.link = link
+	p.rec = append(p.rec, acks...)
 	p.body = append(p.body, piece...)
 	p.cost.Add(c)
 	p.count++
@@ -111,10 +140,14 @@ func (p *framePacker) flush() {
 	if p.withVec {
 		dv = p.vec
 	}
-	data := make([]byte, 0, codec.ShardedHeaderSize(dv, p.count)+len(p.body))
-	data = codec.AppendShardedHeader(data, dv, p.count)
+	link := p.seal()
+	data := make([]byte, 0, codec.ShardedHeaderSize(link, dv, p.count)+len(p.body))
+	data = codec.AppendShardedHeader(data, link, dv, p.count)
 	data = append(data, p.body...)
-	p.res.frames = append(p.res.frames, packedFrame{data: data, cost: p.frameCost(p.withVec), digests: p.withVec})
+	c := p.cost
+	c.Messages = 1
+	c.MetadataBytes += 8*len(dv) + link.MetadataBytes()
+	p.res.frames = append(p.res.frames, packedFrame{data: data, cost: c, digests: p.withVec})
 	if p.withVec {
 		p.res.digestsAttached = true
 		p.vec = nil
@@ -134,30 +167,55 @@ func (p *framePacker) flush() {
 // Items are emitted in order; an item whose encoding alone overflows an
 // empty frame is split at the object level when it is a multi-object
 // batch, and dropped (counted) when irreducible.
-func packFrames(items []protocol.ShardItem, digests []uint64, limit int) (packResult, error) {
-	p := &framePacker{limit: limit, vec: digests}
+//
+// lk is the destination's link, whose packMu the caller holds: frames
+// that carry acked δ-groups are numbered on it and the first frame takes
+// the acknowledgement it owes. With a nil link nothing is numbered.
+func packFrames(items []protocol.ShardItem, digests []uint64, limit int, lk *link) (packResult, error) {
+	p := &framePacker{limit: limit, vec: digests, lk: lk}
+	if lk != nil {
+		p.link.Ack, _ = lk.takeAck()
+	}
+	err := p.pack(items)
+	if p.link.Ack.Inc != 0 {
+		lk.owe() // no frame left to carry it
+	}
+	return p.res, err
+}
+
+func (p *framePacker) pack(items []protocol.ShardItem) error {
 	var scratch []byte
 	for _, it := range items {
 		scratch = scratch[:0]
 		var err error
-		scratch, err = codec.AppendShardItem(scratch, it)
+		scratch, err = codec.AppendLinkShardItem(scratch, it)
 		if err != nil {
-			return p.res, err
+			return err
 		}
 		p.res.encodes++
 		c := shardItemCost(it)
-		if p.tryAdd(scratch, c) {
+		bm, isBatch := it.Msg.(*protocol.BatchMsg)
+		acks := p.acks[:0]
+		if p.lk != nil && isBatch {
+			for i := range bm.Items {
+				if a, ok := bm.Items[i].Inner.(*protocol.AckedDeltaMsg); ok {
+					acks = append(acks, ackItem{shard: it.Shard, key: bm.Items[i].Key, seqs: a.Seqs})
+				}
+			}
+			p.acks = acks
+		}
+		if p.tryAdd(scratch, c, acks) {
 			continue
 		}
 		p.flush()
-		if p.tryAdd(scratch, c) {
+		if p.tryAdd(scratch, c, acks) {
 			continue
 		}
 		// Alone it exceeds the cap: split inside the shard's batch, or
 		// drop an irreducible message.
-		if bm, ok := it.Msg.(*protocol.BatchMsg); ok && len(bm.Items) > 1 {
+		if isBatch && len(bm.Items) > 1 {
 			if err := p.packBatch(it.Shard, bm); err != nil {
-				return p.res, err
+				return err
 			}
 		} else {
 			p.res.oversized++
@@ -165,12 +223,12 @@ func packFrames(items []protocol.ShardItem, digests []uint64, limit int) (packRe
 	}
 	// The vector rides the final frame when it fits there.
 	if p.vec != nil && p.count > 0 {
-		if codec.ShardedHeaderSize(p.vec, p.count)+len(p.body) <= p.limit {
+		if codec.ShardedHeaderSize(p.link, p.vec, p.count)+len(p.body) <= p.limit {
 			p.withVec = true
 		}
 	}
 	p.flush()
-	return p.res, nil
+	return nil
 }
 
 // packBatch splits one shard's oversized batch across frames: each object
@@ -183,12 +241,12 @@ func (p *framePacker) packBatch(shard uint32, bm *protocol.BatchMsg) error {
 		body    []byte
 		count   int
 		// acc is the partial batch's accounting, as protocol.BatchOf and
-		// NewShardedMsg would sum it: inner elements and payload, the
+		// NewShardedLinkMsg would sum it: inner elements and payload, the
 		// keys, one batch sequence number and one shard index.
 		acc metrics.Transmission
 	)
-	size := func(count, bodyLen int) int {
-		return codec.ShardedHeaderSize(nil, 1) +
+	size := func(link protocol.LinkHeader, count, bodyLen int) int {
+		return codec.ShardedHeaderSize(link, nil, 1) +
 			codec.SizeUvarint(uint64(shard)) +
 			codec.BatchHeaderSize(count) + bodyLen
 	}
@@ -196,13 +254,14 @@ func (p *framePacker) packBatch(shard uint32, bm *protocol.BatchMsg) error {
 		if count == 0 {
 			return
 		}
-		data := make([]byte, 0, size(count, len(body)))
-		data = codec.AppendShardedHeader(data, nil, 1)
+		link := p.seal()
+		data := make([]byte, 0, size(link, count, len(body)))
+		data = codec.AppendShardedHeader(data, link, nil, 1)
 		data = binary.AppendUvarint(data, uint64(shard))
 		data = codec.AppendBatchHeader(data, count)
 		data = append(data, body...)
 		acc.Messages = 1
-		acc.MetadataBytes += 8 + 4
+		acc.MetadataBytes += 8 + 4 + link.MetadataBytes()
 		p.res.frames = append(p.res.frames, packedFrame{data: data, cost: acc})
 		body = body[:0]
 		count = 0
@@ -211,18 +270,27 @@ func (p *framePacker) packBatch(shard uint32, bm *protocol.BatchMsg) error {
 	for _, om := range bm.Items {
 		scratch = scratch[:0]
 		var err error
-		scratch, err = codec.AppendObjectMsg(scratch, om)
+		scratch, err = codec.AppendLinkObjectMsg(scratch, om)
 		if err != nil {
 			return err
 		}
 		p.res.encodes++
-		if count > 0 && size(count+1, len(body)+len(scratch)) > p.limit {
-			flush()
+		acks := p.acks[:0]
+		if a, ok := om.Inner.(*protocol.AckedDeltaMsg); ok && p.lk != nil {
+			acks = append(acks, ackItem{shard: shard, key: om.Key, seqs: a.Seqs})
+			p.acks = acks
 		}
-		if size(count+1, len(body)+len(scratch)) > p.limit {
+		link := p.numbered(acks)
+		if count > 0 && size(link, count+1, len(body)+len(scratch)) > p.limit {
+			flush()
+			link = p.numbered(acks)
+		}
+		if size(link, count+1, len(body)+len(scratch)) > p.limit {
 			p.res.oversized++ // alone in a frame it still exceeds the cap
 			continue
 		}
+		p.link = link
+		p.rec = append(p.rec, acks...)
 		ic := om.Inner.Cost()
 		acc.Elements += ic.Elements
 		acc.PayloadBytes += ic.PayloadBytes

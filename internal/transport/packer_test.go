@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"crdtsync/internal/codec"
@@ -14,12 +15,19 @@ import (
 // unit is the indivisible piece of a packed tick for comparison purposes:
 // a non-batch shard message, or one object message of a batch (batches
 // are the only messages the packer may split). key is empty for non-batch
-// units; enc is the canonical encoding of the inner message.
+// units; enc is the canonical encoding of the inner message as a store
+// puts it on the wire — an AckedDeltaMsg as the plain δ-group, with the
+// entry seqs it leaves behind in seqs (empty for everything else, and
+// for everything decoded off a frame).
 type unit struct {
 	shard uint32
 	key   string
 	enc   string
+	seqs  string
 }
+
+// onWire strips what never reaches the wire.
+func (u unit) onWire() unit { u.seqs = ""; return u }
 
 // unitsOf flattens shard items into comparison units.
 func unitsOf(t testing.TB, items []protocol.ShardItem) []unit {
@@ -28,11 +36,15 @@ func unitsOf(t testing.TB, items []protocol.ShardItem) []unit {
 	for _, it := range items {
 		if bm, ok := it.Msg.(*protocol.BatchMsg); ok {
 			for _, om := range bm.Items {
-				enc, err := codec.EncodeMsg(om.Inner)
+				inner, seqs := om.Inner, ""
+				if a, ok := inner.(*protocol.AckedDeltaMsg); ok {
+					inner, seqs = protocol.NewDeltaMsg(a.Delta), fmt.Sprint(a.Seqs)
+				}
+				enc, err := codec.EncodeMsg(inner)
 				if err != nil {
 					t.Fatalf("encode inner: %v", err)
 				}
-				out = append(out, unit{shard: it.Shard, key: om.Key, enc: string(enc)})
+				out = append(out, unit{shard: it.Shard, key: om.Key, enc: string(enc), seqs: seqs})
 			}
 			continue
 		}
@@ -49,6 +61,25 @@ func unitsOf(t testing.TB, items []protocol.ShardItem) []unit {
 // flattens the carried items back into units; it also returns any digest
 // vector found and on which frame.
 func decodeFrames(t testing.TB, frames []packedFrame, limit int) (units []unit, digests []uint64, digestFrames int) {
+	t.Helper()
+	for _, f := range decodeEach(t, frames, limit) {
+		units = append(units, f.units...)
+		if f.msg.Digests != nil {
+			digestFrames++
+			digests = f.msg.Digests
+		}
+	}
+	return units, digests, digestFrames
+}
+
+// decodedFrame is one packed frame decoded: the message and its units.
+type decodedFrame struct {
+	msg   *protocol.ShardedMsg
+	units []unit
+}
+
+// decodeEach is decodeFrames frame by frame.
+func decodeEach(t testing.TB, frames []packedFrame, limit int) (out []decodedFrame) {
 	t.Helper()
 	for i, f := range frames {
 		if len(f.data) > limit {
@@ -68,10 +99,6 @@ func decodeFrames(t testing.TB, frames []packedFrame, limit int) (units []unit, 
 		if got := sm.Digests != nil; got != f.digests {
 			t.Fatalf("frame %d: digest presence %v, packer said %v", i, got, f.digests)
 		}
-		if sm.Digests != nil {
-			digestFrames++
-			digests = sm.Digests
-		}
 		// Re-encoding the decoded frame must reproduce the packed bytes:
 		// the packer writes the same canonical encoding EncodeMsg would.
 		re, err := codec.EncodeMsg(sm)
@@ -86,9 +113,9 @@ func decodeFrames(t testing.TB, frames []packedFrame, limit int) (units []unit, 
 		if f.cost != sm.Cost() {
 			t.Fatalf("frame %d: packer accounted %+v, content says %+v", i, f.cost, sm.Cost())
 		}
-		units = append(units, unitsOf(t, sm.Items)...)
+		out = append(out, decodedFrame{msg: sm, units: unitsOf(t, sm.Items)})
 	}
-	return units, digests, digestFrames
+	return out
 }
 
 // gsetDelta builds a DeltaMsg over a GSet with n elements derived from
@@ -101,6 +128,32 @@ func gsetDelta(seed, n int) protocol.Msg {
 	}
 	s := crdt.NewGSet(els...)
 	return protocol.NewDeltaMsg(s)
+}
+
+// ackedItems is randomItems as an acked store's engines emit it: about
+// half of the δ-groups in batches are AckedDeltaMsgs with one to three
+// entry seqs.
+func ackedItems(rng *rand.Rand) []protocol.ShardItem {
+	items := randomItems(rng)
+	seq := uint64(1)
+	for _, it := range items {
+		bm, ok := it.Msg.(*protocol.BatchMsg)
+		if !ok {
+			continue
+		}
+		for i, om := range bm.Items {
+			if rng.Intn(2) == 0 {
+				continue
+			}
+			seqs := make([]uint64, 1+rng.Intn(3))
+			for j := range seqs {
+				seqs[j] = seq
+				seq++
+			}
+			bm.Items[i].Inner = protocol.NewAckedDeltaMsg(om.Inner.(*protocol.DeltaMsg).Delta, seqs)
+		}
+	}
+	return items
 }
 
 // randomItems builds a mixed tick: plain delta messages and multi-object
@@ -133,7 +186,13 @@ func randomItems(rng *rand.Rand) []protocol.ShardItem {
 // (exactly equal, in order, when nothing was dropped).
 func checkPacked(t testing.TB, items []protocol.ShardItem, digests []uint64, limit int) packResult {
 	t.Helper()
-	res, err := packFrames(items, digests, limit)
+	return checkPackedOn(t, items, digests, limit, nil)
+}
+
+// checkPackedOn is checkPacked toward a link, nil for none.
+func checkPackedOn(t testing.TB, items []protocol.ShardItem, digests []uint64, limit int, lk *link) packResult {
+	t.Helper()
+	res, err := packFrames(items, digests, limit, lk)
 	if err != nil {
 		t.Fatalf("packFrames: %v", err)
 	}
@@ -149,7 +208,7 @@ func checkPacked(t testing.TB, items []protocol.ShardItem, digests []uint64, lim
 	}
 	if res.oversized == 0 {
 		for i := range want {
-			if got[i] != want[i] {
+			if got[i] != want[i].onWire() {
 				t.Fatalf("unit %d changed: %+v vs %+v", i, got[i], want[i])
 			}
 		}
@@ -191,6 +250,102 @@ func TestPackFramesRoundTrip(t *testing.T) {
 		}
 		checkPacked(t, items, vec, limit)
 	}
+}
+
+// checkNumbered verifies what packing toward a fresh link that owes ack
+// left behind: the frames that carry acked δ-groups, and only they, are
+// numbered 1, 2, … in order; each number's record is exactly the entry
+// seqs of the δ-groups in that frame; the acknowledgement rode the first
+// frame and no other, or is owed again when there was no frame.
+func checkNumbered(t testing.TB, lk *link, ack protocol.FrameAck, items []protocol.ShardItem, res packResult, limit int) {
+	t.Helper()
+	want := unitsOf(t, items)
+	frames := decodeEach(t, res.frames, limit)
+	if len(frames) == 0 {
+		if !lk.owed.Load() {
+			t.Fatal("no frame left and the acknowledgement is not owed again")
+		}
+		return
+	}
+	if lk.owed.Load() {
+		t.Fatal("acknowledgement still owed after a frame took it")
+	}
+	next, pos := uint64(1), 0
+	for i, f := range frames {
+		if wantAck := i == 0; (f.msg.Link.Ack.Inc != 0) != wantAck {
+			t.Fatalf("frame %d: acknowledgement present = %v", i, !wantAck)
+		}
+		if i == 0 && !reflect.DeepEqual(f.msg.Link.Ack, ack) {
+			t.Fatalf("first frame acknowledges %+v, want %+v", f.msg.Link.Ack, ack)
+		}
+		if res.oversized > 0 {
+			continue // a dropped unit breaks the positional match below
+		}
+		var rec []ackItem
+		for _, u := range want[pos : pos+len(f.units)] {
+			if u.seqs != "" {
+				rec = append(rec, ackItem{shard: u.shard, key: u.key})
+			}
+		}
+		pos += len(f.units)
+		fs := f.msg.Link.Seq
+		if len(rec) == 0 {
+			if fs.Inc != 0 {
+				t.Fatalf("frame %d carries no acked δ-group and is numbered %d", i, fs.Seq)
+			}
+			continue
+		}
+		if fs.Inc != lk.inc || fs.Seq != next || fs.Back != next-1 {
+			t.Fatalf("frame %d numbered %+v, want incarnation %d, number %d, back %d", i, fs, lk.inc, next, next-1)
+		}
+		got := lk.rec(next).items
+		if len(got) != len(rec) {
+			t.Fatalf("frame %d: record of %d δ-groups, want %d", i, len(got), len(rec))
+		}
+		acked := 0
+		for _, u := range want[pos-len(f.units) : pos] {
+			if u.seqs == "" {
+				continue
+			}
+			if g := got[acked]; g.shard != u.shard || g.key != u.key || fmt.Sprint(g.seqs) != u.seqs {
+				t.Fatalf("frame %d record %d = %+v, want %+v", i, acked, g, u)
+			}
+			acked++
+		}
+		next++
+	}
+	if res.oversized == 0 && (lk.sent != next-1 || lk.open != int(next-1)) {
+		t.Fatalf("link sent %d, %d open, want %d", lk.sent, lk.open, next-1)
+	}
+}
+
+// TestPackFramesNumbersAckedFrames is the round-trip property over what an
+// acked store packs: frames flatten back to the input with every
+// AckedDeltaMsg a plain δ-group, and the link's records account for every
+// entry seq, frame by frame, split batches included.
+func TestPackFramesNumbersAckedFrames(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		items := ackedItems(rng)
+		limit := 96 + rng.Intn(4096)
+		var vec []uint64
+		if rng.Intn(2) == 0 {
+			vec = []uint64{rng.Uint64(), rng.Uint64()}
+		}
+		lk, ack := owingLink()
+		res := checkPackedOn(t, items, vec, limit, lk)
+		checkNumbered(t, lk, ack, items, res, limit)
+	}
+}
+
+// owingLink returns a fresh link that has received frames 1, 2 and 4 of
+// its neighbor's incarnation 9, and the acknowledgement it owes for them.
+func owingLink() (*link, protocol.FrameAck) {
+	lk := newLink(7)
+	for _, seq := range []uint64{1, 2, 4} {
+		lk.receive(protocol.FrameSeq{Inc: 9, Seq: seq, Back: seq - 1})
+	}
+	return lk, protocol.FrameAck{Inc: 9, Cum: 2, Ranges: []protocol.SeqRange{{Lo: 4, Hi: 4}}}
 }
 
 // TestPackFramesHugeLimitIsOneFrame pins the common case: when everything
@@ -248,7 +403,7 @@ func TestPackDropsIrreducibleOversized(t *testing.T) {
 		{Shard: 1, Msg: gsetDelta(2, 500)}, // far beyond the cap
 		{Shard: 2, Msg: gsetDelta(3, 1)},
 	}
-	res, err := packFrames(items, nil, 128)
+	res, err := packFrames(items, nil, 128, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,6 +439,12 @@ func FuzzPackFrames(f *testing.F) {
 		// legal but degenerate (everything oversized), which the
 		// count-accounting check still covers.
 		checkPacked(t, items, vec, 16+int(cap16))
+		// The same tick as an acked store's, toward a link that owes an
+		// acknowledgement: numbered frames, records, and the ack's ride.
+		acked := ackedItems(rand.New(rand.NewSource(seed)))
+		lk, ack := owingLink()
+		res := checkPackedOn(t, acked, vec, 16+int(cap16), lk)
+		checkNumbered(t, lk, ack, acked, res, 16+int(cap16))
 	})
 }
 
@@ -357,7 +518,7 @@ func BenchmarkPack(b *testing.B) {
 	b.Run("greedy", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := packFrames(items, nil, limit)
+			res, err := packFrames(items, nil, limit, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

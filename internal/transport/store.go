@@ -1,11 +1,13 @@
 package transport
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -128,6 +130,15 @@ type StoreStats struct {
 	// because a full tick (then 2, 4, … ticks) went by without every
 	// acknowledgement; 0 on a lossless link.
 	Retransmits int
+	// AckFrames counts the frames within Frames that carry nothing but an
+	// acknowledgement: the peer was owed one and no data frame was leaving
+	// to carry it.
+	AckFrames int
+	// IgnoredAcks counts the acknowledgements that retired nothing because
+	// they could not be for this store's frames: minted for another
+	// incarnation (a peer's queue outliving a restart of this store),
+	// naming a sequence number never sent, or from a non-neighbor.
+	IgnoredAcks int
 	// DigestFrames counts the standalone digest frames within Frames —
 	// advertisement heartbeats that found no data frame to ride and
 	// shard-request replies; the rest carry data.
@@ -233,6 +244,8 @@ func (s *StoreStats) Add(o StoreStats) {
 	s.WireBytes += o.WireBytes
 	s.WriteFlushes += o.WriteFlushes
 	s.Retransmits += o.Retransmits
+	s.AckFrames += o.AckFrames
+	s.IgnoredAcks += o.IgnoredAcks
 	s.DigestFrames += o.DigestFrames
 	s.PiggybackedDigests += o.PiggybackedDigests
 	s.SplitFrames += o.SplitFrames
@@ -264,7 +277,11 @@ func (s *StoreStats) Add(o StoreStats) {
 		cur.Reconnects += ps.Reconnects
 		cur.Queued += ps.Queued
 		cur.QueuedBytes += ps.QueuedBytes
-		cur.State = "" // connection states from different stores are not additive
+		cur.InFlight += ps.InFlight
+		// Connection states and sequence numbers from different stores
+		// are not additive.
+		cur.State = ""
+		cur.LastSent, cur.LastAcked, cur.LastReceived = 0, 0, 0
 		s.Peers[id] = cur
 	}
 }
@@ -358,7 +375,11 @@ type Store struct {
 	shards    []*shard
 	mask      uint32
 	neighbors []string // sorted peer ids
-	ticks     atomic.Uint64
+	// links holds the acknowledgement state per neighbor, linkList the
+	// same in neighbors order; both fixed at construction.
+	links    map[string]*link
+	linkList []*link
+	ticks    atomic.Uint64
 	// deliverLocks counts the shard-lock acquisitions of the inbound
 	// delivery path — one per touched shard per frame, an invariant an
 	// instrumented test pins (the eager path took one per item).
@@ -379,14 +400,9 @@ type Store struct {
 	started     time.Time
 	lastSend    atomic.Int64
 	// manual is set by the first SyncNow call: a store ticked by its
-	// owner cannot know when the next tick comes, so it never holds a
-	// reply back (see holdReplies).
+	// owner cannot know when the next tick comes, so it never holds an
+	// acknowledgement back for the pass that is due (see deliverSharded).
 	manual atomic.Bool
-	// held collects, under heldMu, the replies waiting for the flush
-	// that is due; flushWanted only goes false under heldMu, so a reply
-	// held while it is true is always picked up.
-	heldMu sync.Mutex
-	held   *outBatch
 	// snapMu serializes snapshot passes (the ticker loop and explicit
 	// SnapshotNow calls); snapLast holds each shard's content digest at
 	// its last written snapshot, so unchanged shards are skipped. Both
@@ -498,11 +514,17 @@ func StartStore(cfg StoreConfig) (*Store, error) {
 		shards:     shards,
 		mask:       uint32(cfg.Shards - 1),
 		neighbors:  neighbors,
+		links:      make(map[string]*link, len(neighbors)),
+		linkList:   make([]*link, len(neighbors)),
 		stopping:   make(chan struct{}),
 		wake:       make(chan struct{}, 1),
 		started:    time.Now(),
-		held:       newOutBatch(),
 		digestVecs: make(chan []uint64, 4),
+	}
+	inc := newIncarnation()
+	for i, id := range neighbors {
+		s.linkList[i] = newLink(inc)
+		s.links[id] = s.linkList[i]
 	}
 	s.repair = repairTable{
 		timeout: cfg.RepairTimeout,
@@ -750,6 +772,11 @@ func (s *Store) Stats() StoreStats {
 		}
 	}
 	st.Peers = s.net.peerStats()
+	for i, id := range s.neighbors {
+		ps := st.Peers[id]
+		s.linkList[i].fill(&ps)
+		st.Peers[id] = ps
+	}
 	return st
 }
 
@@ -773,16 +800,6 @@ func (b *outBatch) add(shardIdx uint32, to string, m protocol.Msg) {
 		b.order = append(b.order, to)
 	}
 	b.perDest[to] = append(b.perDest[to], protocol.ShardItem{Shard: shardIdx, Msg: m})
-}
-
-// take moves every item of o onto the end of b, leaving o empty.
-func (b *outBatch) take(o *outBatch) {
-	for _, to := range o.order {
-		for _, it := range o.perDest[to] {
-			b.add(it.Shard, to, it.Msg)
-		}
-	}
-	o.reset()
 }
 
 // sender adapts a shard's engine sends into tagged shard items.
@@ -820,6 +837,12 @@ type deliverState struct {
 	// seen is serveWants' shard-dedup scratch, pooled so hostile or
 	// chatty peers don't drive a per-frame allocation.
 	seen []bool
+	// acked, ack and key are applyAck's scratch: the δ-groups of the
+	// frames an acknowledgement settled, the message each is handed to
+	// its engine as, and the key view that goes with it.
+	acked []ackItem
+	ack   protocol.AckMsg
+	key   []byte
 }
 
 // seenShards returns the dedup scratch cleared and sized to n shards.
@@ -843,10 +866,12 @@ func getDeliverState() *deliverState { return deliverStates.Get().(*deliverState
 func (d *deliverState) release() {
 	d.b.reset()
 	d.sink.key = nil // never pin a frame buffer across frames
+	d.ack.Seqs = nil
 	deliverStates.Put(d)
 }
 
-// replySink collects the replies (acks, Scuttlebutt pulls) the engines
+// replySink collects the replies (Scuttlebutt pulls; an acked engine's
+// acknowledgements travel in frame headers, see link.go) the engines
 // emit while a shard group is being applied, keyed by destination, and
 // flushes them as one BatchMsg per destination per shard group — the
 // receive-side mirror of the per-object batcher, without allocating when
@@ -912,7 +937,7 @@ func (s *Store) sinceStart() int64 { return int64(time.Since(s.started)) }
 // SyncNow runs one synchronization tick now, in addition to the timer's.
 // A store whose owner ticks it — the manual mode, with a SyncEvery nobody
 // waits out — sends nothing between two calls, and from the first call on
-// never delays a reply (see holdReplies).
+// never delays an acknowledgement (see deliverSharded).
 func (s *Store) SyncNow() {
 	s.manual.Store(true)
 	s.tick()
@@ -928,17 +953,22 @@ func (s *Store) SyncNow() {
 // a standalone heartbeat only to peers the tick has nothing else to say
 // to (every peer, on an idle tick).
 func (s *Store) tick() {
-	d := s.openPass(getDeliverState())
+	s.flushWanted.Store(false) // this pass serves the request
+	d := getDeliverState()
 	defer d.release()
 	b := d.b
-	s.collect(b, true)
 	tick := s.ticks.Add(1)
+	for _, lk := range s.linkList {
+		lk.age(tick)
+	}
+	s.collect(b, true)
 	var vec []uint64
 	if every := uint64(s.cfg.DigestEvery); every > 0 && tick%every == 0 {
 		vec = s.shardDigests()
 		defer s.putDigestVec(vec)
 	}
 	covered := s.flush(b, vec)
+	s.flushAcks()
 	s.lastSend.Store(s.sinceStart())
 	if vec == nil {
 		return
@@ -961,37 +991,19 @@ func (s *Store) tick() {
 
 // writeFlush is the pass between two ticks: first transmissions only —
 // no retransmission, no digest advertisement, no heartbeat, and Ticks
-// does not advance. A pass that finds no reply waiting and no shard with
-// anything unsent takes no shard lock and allocates nothing.
+// does not advance. A pass that finds no peer owed an acknowledgement and
+// no shard with anything unsent takes no lock and allocates nothing.
 func (s *Store) writeFlush() {
-	d := s.openPass(nil)
-	if d == nil && s.anyDue(false) {
-		d = getDeliverState()
-	}
-	if d != nil {
+	s.flushWanted.Store(false) // this pass serves the request
+	if s.anyDue(false) {
+		d := getDeliverState()
 		s.collect(d.b, false)
 		s.flush(d.b, nil)
 		d.release()
 	}
+	s.flushAcks()
 	s.wire.writeFlushes.Add(1)
 	s.lastSend.Store(s.sinceStart())
-}
-
-// openPass begins a flush or a tick: the flush request is served by it,
-// and the replies that waited for a pass lead its batch. d is the pass's
-// scratch, or nil to have one fetched only if replies waited; the result
-// is nil when neither was the case.
-func (s *Store) openPass(d *deliverState) *deliverState {
-	s.heldMu.Lock()
-	s.flushWanted.Store(false)
-	if len(s.held.order) > 0 {
-		if d == nil {
-			d = getDeliverState()
-		}
-		d.b.take(s.held)
-	}
-	s.heldMu.Unlock()
-	return d
 }
 
 // anyDue reports, without a lock, whether the given kind of pass has a
@@ -1003,27 +1015,6 @@ func (s *Store) anyDue(tick bool) bool {
 		}
 	}
 	return false
-}
-
-// holdReplies moves the replies (acks, Scuttlebutt pulls) that applying
-// an inbound frame produced onto the flush that is already due, and
-// reports whether it did; otherwise the caller ships them at once. A due
-// flush runs within SyncEvery/8, far inside the tick a sender waits
-// before sending an entry again, so riding never causes a
-// retransmission — provided ticks come from the timer: the peers of a
-// store that is ticked by hand may tick again at any moment, so such a
-// store holds nothing.
-func (s *Store) holdReplies(b *outBatch) bool {
-	if s.manual.Load() || !s.flushWanted.Load() {
-		return false
-	}
-	s.heldMu.Lock()
-	defer s.heldMu.Unlock()
-	if !s.flushWanted.Load() {
-		return false // the pass that would have carried them has begun
-	}
-	s.held.take(b)
-	return true
 }
 
 // collect runs the per-shard stage of a pass — a tick (engine.Sync over
@@ -1053,24 +1044,7 @@ func (s *Store) flush(b *outBatch, vec []uint64) map[string]struct{} {
 	var covered map[string]struct{}
 	var t wireTally
 	for _, to := range b.order {
-		res, err := packFrames(b.perDest[to], vec, s.maxMsgBytes())
-		if err != nil {
-			// Engines produced an unencodable message: a programming
-			// error in the engine/codec pairing.
-			panic(err)
-		}
-		if len(res.frames) > 1 {
-			t.split += len(res.frames)
-		}
-		t.oversized += res.oversized
-		for _, f := range res.frames {
-			kind := frameData
-			if f.digests {
-				kind = framePiggyback
-			}
-			s.transmit(to, f.data, f.cost, kind, &t)
-		}
-		if res.digestsAttached {
+		if s.flushTo(to, b.perDest[to], vec, &t) {
 			if covered == nil {
 				covered = make(map[string]struct{})
 			}
@@ -1079,6 +1053,62 @@ func (s *Store) flush(b *outBatch, vec []uint64) map[string]struct{} {
 	}
 	s.wire.add(&t)
 	return covered
+}
+
+// flushTo packs and transmits one destination's items, reporting whether
+// vec rode one of the frames. A neighbor's frames are numbered on its
+// link, whose packMu is held until they are queued, in order.
+func (s *Store) flushTo(to string, items []protocol.ShardItem, vec []uint64, t *wireTally) bool {
+	lk := s.links[to]
+	if lk != nil {
+		lk.packMu.Lock()
+		defer lk.packMu.Unlock()
+	}
+	res, err := packFrames(items, vec, s.maxMsgBytes(), lk)
+	if err != nil {
+		// Engines produced an unencodable message: a programming
+		// error in the engine/codec pairing.
+		panic(err)
+	}
+	if len(res.frames) > 1 {
+		t.split += len(res.frames)
+	}
+	t.oversized += res.oversized
+	for _, f := range res.frames {
+		kind := frameData
+		if f.digests {
+			kind = framePiggyback
+		}
+		s.transmit(to, f.data, f.cost, kind, t)
+	}
+	return res.digestsAttached
+}
+
+// flushAcks sends every neighbor that is still owed an acknowledgement a
+// frame that carries nothing else. Passes end with it: an acknowledgement
+// waits for the pass that is due and rides its data frame if the pass has
+// one for that neighbor. With nobody owed it costs one atomic load per
+// neighbor.
+func (s *Store) flushAcks() {
+	for i, lk := range s.linkList {
+		if lk.owed.Load() {
+			s.sendAck(s.neighbors[i], lk)
+		}
+	}
+}
+
+// sendAck ships the acknowledgement to is owed, if it still is, as a
+// sharded frame with a link header and no items.
+func (s *Store) sendAck(to string, lk *link) {
+	ack, ok := lk.takeAck()
+	if !ok {
+		return
+	}
+	link := protocol.LinkHeader{Ack: ack}
+	data := codec.AppendShardedHeader(make([]byte, 0, codec.ShardedHeaderSize(link, nil, 0)), link, nil, 0)
+	var t wireTally
+	s.transmit(to, data, metrics.Transmission{Messages: 1, MetadataBytes: link.MetadataBytes()}, frameAck, &t)
+	s.wire.add(&t)
 }
 
 // maxMsgFor is the largest encoded message that still fits one frame
@@ -1104,6 +1134,8 @@ const (
 	frameDigest
 	// framePiggyback carries shard items plus the digest vector.
 	framePiggyback
+	// frameAck carries an acknowledgement and no items.
+	frameAck
 )
 
 // wireCounters are the counters every frame moves. Flushes come up to
@@ -1114,12 +1146,14 @@ const (
 type wireCounters struct {
 	frames, wireBytes, digestFrames, piggybacked atomic.Int64
 	splitFrames, oversized, writeFlushes         atomic.Int64
+	ackFrames                                    atomic.Int64
 	messages, elements, payload, metadata        atomic.Int64 // Sent
 }
 
 // wireTally is what one pass handed to the write pipelines.
 type wireTally struct {
 	frames, wireBytes, digestFrames, piggybacked, split, oversized int
+	ackFrames                                                      int
 	sent                                                           metrics.Transmission
 }
 
@@ -1128,6 +1162,7 @@ func (w *wireCounters) add(t *wireTally) {
 	addN(&w.wireBytes, t.wireBytes)
 	addN(&w.digestFrames, t.digestFrames)
 	addN(&w.piggybacked, t.piggybacked)
+	addN(&w.ackFrames, t.ackFrames)
 	addN(&w.splitFrames, t.split)
 	addN(&w.oversized, t.oversized)
 	addN(&w.messages, t.sent.Messages)
@@ -1149,6 +1184,7 @@ func (w *wireCounters) snapshot(st *StoreStats) {
 	st.WireBytes = int(w.wireBytes.Load())
 	st.DigestFrames = int(w.digestFrames.Load())
 	st.PiggybackedDigests = int(w.piggybacked.Load())
+	st.AckFrames = int(w.ackFrames.Load())
 	st.SplitFrames = int(w.splitFrames.Load())
 	st.OversizedDropped = int(w.oversized.Load())
 	st.WriteFlushes = int(w.writeFlushes.Load())
@@ -1180,6 +1216,8 @@ func (s *Store) transmit(to string, data []byte, cost metrics.Transmission, kind
 		t.digestFrames++
 	case framePiggyback:
 		t.piggybacked++
+	case frameAck:
+		t.ackFrames++
 	}
 	t.sent.Add(cost)
 }
@@ -1208,15 +1246,23 @@ func (s *Store) deliver(from string, frame []byte) error {
 // lock is taken exactly once per frame — the whole group of that shard's
 // items (across every batch in the frame) is decoded and applied under
 // the single hold — instead of once per item as the eager path did, and
-// replies are coalesced per shard group just as syncs are. Replies that
-// do not ride a due flush (holdReplies) flush inline on the read
-// goroutine: transmit is a non-blocking enqueue onto the per-peer write
+// replies are coalesced per shard group just as syncs are. Replies flush
+// inline on the read goroutine: transmit is a non-blocking enqueue onto the per-peer write
 // pipelines, so no TCP write happens here and two nodes with mutually
 // full send buffers cannot deadlock each other — the hazard that used to
 // force a goroutine per inbound frame.
+//
+// The frame's link header is handled around the items: the
+// acknowledgement it brings retires what this store sent, and its own
+// sequence number is noted as received — and acknowledged — only once
+// every item has been applied.
 func (s *Store) deliverSharded(from string, v *codec.FrameView) error {
 	d := getDeliverState()
 	defer d.release()
+	lk := s.links[from]
+	if v.Link.Ack.Inc != 0 {
+		s.applyAck(from, lk, &v.Link.Ack, d)
+	}
 	watched := s.hasWatchers()
 	var derr error
 	forward := false // some shard was left with something never sent
@@ -1271,18 +1317,71 @@ func (s *Store) deliverSharded(from string, v *codec.FrameView) error {
 		// mid-decode gets no such trust: its digests are skipped.
 		s.handleDigests(from, v.Digests)
 	}
+	// A frame with an item that failed to decode, or that was dropped for
+	// a shard this store does not have, is not acknowledged: the sender
+	// keeps every entry it carried and sends them again.
+	if lk != nil && v.Link.Seq.Inc != 0 && derr == nil && v.Dropped == 0 {
+		lk.receive(v.Link.Seq)
+	}
 	if forward {
 		s.requestFlush()
 	}
-	// Replies ride the flush that is due — this frame's own forwards, or
-	// an earlier write's — and leave at once when there is none. Even on
-	// error: the replies coalesced here belong to shard groups that were
-	// fully applied — dropping them would discard real acks and pull
-	// replies the peers are owed.
-	if len(d.b.order) > 0 && !s.holdReplies(d.b) {
-		s.flush(d.b, nil)
+	// What the engines answered (a Scuttlebutt pull; an acked engine
+	// answers nothing, its acknowledgement is the link's) leaves at once.
+	// Even on error: the replies coalesced here belong to shard groups
+	// that were fully applied — dropping them would discard pull replies
+	// the peers are owed.
+	s.flush(d.b, nil)
+	// The acknowledgement rides the flush that is due — this frame's own
+	// forwards, or an earlier write's — and leaves at once when there is
+	// none. A due flush runs within SyncEvery/8, far inside the tick a
+	// sender waits before sending an entry again, so riding never causes
+	// a retransmission — provided ticks come from the timer: the peers of
+	// a store that is ticked by hand may tick again at any moment, so such
+	// a store holds nothing. The pass that is due ends with flushAcks and
+	// reads owed after it has cleared flushWanted, so one of the two
+	// always sends it.
+	if lk != nil && lk.owed.Load() && (s.manual.Load() || !s.flushWanted.Load()) {
+		s.sendAck(from, lk)
 	}
 	return derr
+}
+
+// applyAck hands the δ-groups of the frames ack settles to their engines,
+// each as the AckMsg the engine would have been sent for it, one lock
+// hold per shard. lk is from's link, nil for a non-neighbor.
+func (s *Store) applyAck(from string, lk *link, ack *protocol.FrameAck, d *deliverState) {
+	ok := false
+	if lk != nil {
+		d.acked, ok = lk.acknowledge(ack, d.acked[:0])
+	}
+	if !ok {
+		s.statsMu.Lock()
+		s.stats.IgnoredAcks++
+		s.statsMu.Unlock()
+		return
+	}
+	items := d.acked
+	// One frame's δ-groups are in shard order; several frames' are not.
+	byShard := func(a, b ackItem) int { return cmp.Compare(a.shard, b.shard) }
+	if !slices.IsSortedFunc(items, byShard) {
+		slices.SortStableFunc(items, byShard)
+	}
+	for i := 0; i < len(items); {
+		sh := s.shards[items[i].shard]
+		d.sink.shard = items[i].shard
+		sh.mu.Lock()
+		s.deliverLocks.Add(1)
+		for ; i < len(items) && items[i].shard == d.sink.shard; i++ {
+			d.key = append(d.key[:0], items[i].key...)
+			d.sink.key = d.key
+			d.ack.Seqs = items[i].seqs
+			sh.od.DeliverObject(from, d.key, &d.ack, d.send)
+		}
+		sh.mu.Unlock()
+		d.sink.flush(d.b)
+	}
+	clear(items)
 }
 
 // notifyGroup offers the keys one shard group's items touched to the

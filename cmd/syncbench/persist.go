@@ -23,7 +23,7 @@ import (
 // persistBenchConfig parameterizes the crash-restart benchmark.
 type persistBenchConfig struct {
 	Keys      int           // shared keyspace loaded before the crash
-	Shards    int           // shards per node (drill-down needs >=256 keys per shard)
+	Shards    int           // shards per node
 	SyncEvery time.Duration // synchronization period
 	Out       string        // JSON artifact path ("" = stdout only)
 }

@@ -140,13 +140,13 @@ func runStoreBench(cfg storeBenchConfig) {
 		fmtBytes(total.Sent.PayloadBytes), fmtBytes(total.Sent.MetadataBytes),
 		total.Sent.Elements)
 	if cfg.DigestEvery > 0 || total.SplitFrames > 0 || total.OversizedDropped > 0 {
-		fmt.Printf("anti-entropy: %d standalone digest frames, %d piggybacked digests, %d shards requested, %d shards served in full; %d split frames, %d oversized drops\n",
+		fmt.Printf("anti-entropy: %d standalone control frames, %d piggybacked digests, %d drills stopped at the root, %d answered there; %d split frames, %d oversized drops\n",
 			total.DigestFrames, total.PiggybackedDigests, total.WantShards, total.RepairShards,
 			total.SplitFrames, total.OversizedDropped)
 	}
 	if total.TreeRounds > 0 || total.DedupedWants > 0 {
-		fmt.Printf("repair: %d drill-down rounds, %d key ranges served, %s repair payload, %d wants deduped against in-flight repairs\n",
-			total.TreeRounds, total.RepairRanges, fmtBytes(total.RepairBytes), total.DedupedWants)
+		fmt.Printf("repair: %d drill messages, %d key ranges answered, %s repair payload, %d mismatches and drills deduped against a drill under way, %d drills given up\n",
+			total.TreeRounds, total.RepairRanges, fmtBytes(total.RepairBytes), total.DedupedWants, total.RepairTimeouts)
 	}
 	if total.DigestShardMismatch > 0 {
 		// Nonzero only when a peer advertises digests for a different shard

@@ -208,4 +208,28 @@ func TestGoldenFrames(t *testing.T) {
 	if got, want := hex.EncodeToString(frame), "4c"+"06"+"00000009"+"01"+"00"+"01"+"0000000000000002"+"00"; got != want {
 		t.Errorf("acknowledgement with digests\n got %s\nwant %s", got, want)
 	}
+	// The standalone advertisement: tagDigestMsg, the words, and the empty
+	// shard-request list it ended with when requests shared the message.
+	if got, want := enc(protocol.NewDigestMsg([]uint64{1, ^uint64(0)})),
+		"49"+"02"+"0000000000000001"+"ffffffffffffffff"+"00"; got != want {
+		t.Errorf("advertisement\n got %s\nwant %s", got, want)
+	}
+	// A drill's hash push: the children of a node go as the node's index
+	// and their TreeFanout hashes, not as TreeFanout (index, hash) pairs.
+	hashes, words := make([]uint64, protocol.TreeFanout), ""
+	for i := range hashes {
+		hashes[i] = uint64(i) << 56
+		words += fmt.Sprintf("%02x00000000000000", i)
+	}
+	if got, want := enc(protocol.NewTreeMsg(3, 1, []uint32{9}, hashes)),
+		"4b"+"03"+"01"+"01"+"01"+"09"+words; got != want { // tagTreeMsg, shard, level, push, 1 node: 9
+		t.Errorf("hash push\n got %s\nwant %s", got, want)
+	}
+	// Its close, the last item of its shard in a data frame: the sender's
+	// states for the ranges, then the nodes it wants the peer's side of.
+	closing := append(goldenItems(false), protocol.ShardItem{Shard: 3, Msg: protocol.NewTreeMsg(3, 2, []uint32{9, 200}, nil)})
+	if got, want := enc(protocol.NewShardedMsg(closing)), "48"+"02"+items+
+		"03"+"4b"+"03"+"02"+"00"+"02"+"09"+"c801"; got != want { // shard | tagTreeMsg, shard, level, close, 2 nodes: 9, 200
+		t.Errorf("close\n got %s\nwant %s", got, want)
+	}
 }

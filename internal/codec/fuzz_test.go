@@ -74,18 +74,19 @@ func FuzzDecodeMsg(f *testing.F) {
 	seed(protocol.NewShardedDigestMsg([]protocol.ShardItem{
 		{Shard: 3, Msg: protocol.NewDeltaMsg(crdt.NewGSet("p"))},
 	}, []uint64{0, ^uint64(0), 0xabcdef}))
-	seed(protocol.NewDigestMsg([]uint64{0, ^uint64(0), 0xdeadbeef}, nil))
-	seed(protocol.NewDigestMsg(nil, []uint32{0, 5, 4294967295}))
-	// The Merkle drill-down rounds (query, answer, want).
-	seed(protocol.NewTreeMsg(3, 1, []uint32{0, 15}, nil, nil, nil))
-	seed(protocol.NewTreeMsg(0, 2, nil, []uint32{7}, []uint64{^uint64(0)}, nil))
-	seed(protocol.NewTreeMsg(1, protocol.TreeDepth, nil, nil, nil, []uint32{protocol.TreeLeaves - 1}))
+	seed(protocol.NewDigestMsg([]uint64{0, ^uint64(0), 0xdeadbeef}))
+	f.Add([]byte{73, 0, 3, 0, 5, 255, 255, 255, 255, 15}) // digest with the shard-request list of old
+	// The drill's messages: a hash push at the root and one further down,
+	// a close at the leaves.
+	seed(protocol.NewTreeMsg(3, 0, []uint32{0}, pushHashes(1)))
+	seed(protocol.NewTreeMsg(0, 2, []uint32{7, 255}, pushHashes(2)))
+	seed(protocol.NewTreeMsg(1, protocol.TreeDepth, []uint32{protocol.TreeLeaves - 1}, nil))
 	f.Add([]byte{64})
 	f.Add([]byte{70, 1, 2, 3})
 	f.Add([]byte{72, 2, 1})                   // sharded, 2 items, truncated
 	f.Add([]byte{73, 255, 255, 255, 255, 15}) // digest, hostile count
 	f.Add([]byte{74, 255, 255, 255, 255, 15}) // sharded+digest, hostile count
-	f.Add([]byte{75, 0, 3, 0, 255, 255, 15})  // tree, hostile node count
+	f.Add([]byte{75, 0, 2, 1, 255, 255, 15})  // tree push, hostile node count
 	// The linked sharded variant: a numbered frame, an acknowledgement
 	// with ranges riding one, and a hostile range count.
 	seed(protocol.NewShardedLinkMsg([]protocol.ShardItem{{Shard: 0, Msg: batch}}, nil,
@@ -201,28 +202,27 @@ func FuzzSnapshot(f *testing.F) {
 }
 
 // FuzzDigest targets the anti-entropy control plane specifically: the
-// digest advertisement/request and the Merkle drill-down rounds, the
-// messages a store decodes straight off hostile connections. Beyond the
-// fixed-point check, accepted tree messages must honor the invariants
-// the transport relies on without re-validating: parallel nodes/hashes,
-// a level inside the drill-down range, and every index under its
-// level's node count.
+// digest advertisement and the drill's messages, which a store decodes
+// straight off hostile connections. Beyond the fixed-point check, accepted
+// tree messages must honor the invariants the transport relies on without
+// re-validating: no hashes or TreeFanout of them per node, a level inside
+// the tree — one short of the leaves for a push, which carries the hashes
+// a level down — and every index under its level's node count.
 func FuzzDigest(f *testing.F) {
 	seed := func(m protocol.Msg) {
 		if d, err := codec.EncodeMsg(m); err == nil {
 			f.Add(d)
 		}
 	}
-	seed(protocol.NewDigestMsg([]uint64{0, ^uint64(0), 0xdeadbeef}, nil))
-	seed(protocol.NewDigestMsg(nil, []uint32{0, 5, 4294967295}))
-	seed(protocol.NewTreeMsg(0, 1, []uint32{0, 1, 2, 15}, nil, nil, nil))
-	seed(protocol.NewTreeMsg(7, 2, nil, []uint32{0, 255}, []uint64{1, ^uint64(0)}, nil))
-	seed(protocol.NewTreeMsg(4294967295, protocol.TreeDepth, nil, nil, nil,
-		[]uint32{0, protocol.TreeLeaves - 1}))
+	seed(protocol.NewDigestMsg([]uint64{0, ^uint64(0), 0xdeadbeef}))
+	f.Add([]byte{73, 0, 3, 0, 5, 255, 255, 255, 255, 15}) // digest with the shard-request list of old
+	seed(protocol.NewTreeMsg(0, 1, []uint32{0, 1, 2, 15}, nil))
+	seed(protocol.NewTreeMsg(7, 2, []uint32{0, 255}, pushHashes(2)))
+	seed(protocol.NewTreeMsg(4294967295, protocol.TreeDepth, []uint32{0, protocol.TreeLeaves - 1}, nil))
 	f.Add([]byte{73, 255, 255, 255, 255, 15}) // digest, hostile count
-	f.Add([]byte{75, 0, 0, 0, 0, 0})          // tree, level 0
-	f.Add([]byte{75, 0, 1, 1, 16, 0, 0})      // tree, query index == node count
-	f.Add([]byte{75, 0, 3, 0, 1, 2, 1, 2, 3}) // tree, truncated pair hash
+	f.Add([]byte{75, 0, 3, 1, 1, 0})          // tree, a push at the leaf level
+	f.Add([]byte{75, 0, 1, 0, 1, 16})         // tree, node index == node count
+	f.Add([]byte{75, 0, 0, 1, 1, 0, 1, 2, 3}) // tree, truncated child hashes
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, n, err := codec.DecodeMsg(data)
@@ -233,18 +233,17 @@ func FuzzDigest(f *testing.F) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
 		if tm, ok := m.(*protocol.TreeMsg); ok {
-			if len(tm.Nodes) != len(tm.Hashes) {
+			push := len(tm.Hashes) > 0
+			if push && (len(tm.Nodes) == 0 || len(tm.Hashes) != protocol.TreeFanout*len(tm.Nodes)) {
 				t.Fatalf("accepted %d nodes with %d hashes", len(tm.Nodes), len(tm.Hashes))
 			}
-			if tm.Level < 1 || tm.Level > protocol.TreeDepth {
-				t.Fatalf("accepted level %d", tm.Level)
+			if tm.Level > protocol.TreeDepth || push && tm.Level == protocol.TreeDepth {
+				t.Fatalf("accepted level %d (push: %v)", tm.Level, push)
 			}
 			maxNode := uint32(protocol.TreeNodesAt(int(tm.Level)))
-			for _, lst := range [][]uint32{tm.Query, tm.Nodes, tm.Want} {
-				for _, idx := range lst {
-					if idx >= maxNode {
-						t.Fatalf("accepted node index %d at level %d (max %d)", idx, tm.Level, maxNode)
-					}
+			for _, idx := range tm.Nodes {
+				if idx >= maxNode {
+					t.Fatalf("accepted node index %d at level %d (max %d)", idx, tm.Level, maxNode)
 				}
 			}
 		}

@@ -232,32 +232,34 @@ func appendMsg(b []byte, m protocol.Msg) ([]byte, error) {
 			// averages >9 bytes on uniformly random 64-bit values.
 			b = binary.BigEndian.AppendUint64(b, d)
 		}
-		b = binary.AppendUvarint(b, uint64(len(v.Want)))
-		for _, w := range v.Want {
-			b = binary.AppendUvarint(b, uint64(w))
-		}
-		return b, nil
+		// The count of the shard-request list advertisements once shared
+		// this message with; requests are TreeMsg closes now, the byte
+		// stays so that an advertisement's encoding does not move.
+		return append(b, 0), nil
 
 	case *protocol.TreeMsg:
-		if len(v.Nodes) != len(v.Hashes) {
-			return nil, fmt.Errorf("codec: tree message with %d nodes but %d hashes", len(v.Nodes), len(v.Hashes))
+		push, role := len(v.Hashes) > 0, byte(treeClose)
+		if push {
+			role = treePush
+			if len(v.Hashes) != protocol.TreeFanout*len(v.Nodes) {
+				return nil, fmt.Errorf("codec: tree message with %d nodes but %d hashes", len(v.Nodes), len(v.Hashes))
+			}
 		}
 		b = append(b, tagTreeMsg)
 		b = binary.AppendUvarint(b, uint64(v.Shard))
-		b = append(b, v.Level)
-		b = binary.AppendUvarint(b, uint64(len(v.Query)))
-		for _, q := range v.Query {
-			b = binary.AppendUvarint(b, uint64(q))
-		}
+		b = append(b, v.Level, role)
 		b = binary.AppendUvarint(b, uint64(len(v.Nodes)))
 		for i, idx := range v.Nodes {
 			b = binary.AppendUvarint(b, uint64(idx))
-			// Hashes are fixed 8-byte words, like digest vectors.
-			b = binary.BigEndian.AppendUint64(b, v.Hashes[i])
-		}
-		b = binary.AppendUvarint(b, uint64(len(v.Want)))
-		for _, w := range v.Want {
-			b = binary.AppendUvarint(b, uint64(w))
+			if !push {
+				continue
+			}
+			// A node's children go as the node's index and their
+			// TreeFanout hashes in child order — fixed 8-byte words, like
+			// digest vectors — not as TreeFanout (index, hash) pairs.
+			for _, h := range v.Hashes[i*protocol.TreeFanout : (i+1)*protocol.TreeFanout] {
+				b = binary.BigEndian.AppendUint64(b, h)
+			}
 		}
 		return b, nil
 
@@ -615,122 +617,135 @@ func readMsgBody(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
 				n += 8
 			}
 		}
-		wcount, m2, err := readUvarint(data[n:])
-		if err != nil {
-			return nil, 0, err
-		}
-		n += m2
-		var want []uint32
-		if wcount > 0 {
-			want = make([]uint32, 0, capHint(wcount, data[n:]))
-			for i := uint64(0); i < wcount; i++ {
-				w, m3, err := readUvarint(data[n:])
-				if err != nil {
-					return nil, 0, err
-				}
-				if w > math.MaxUint32 {
-					// Same rule as sharded routing: never truncate a
-					// corrupt shard index into the valid range.
-					return nil, 0, fmt.Errorf("codec: shard index %d out of range", w)
-				}
-				n += m3
-				want = append(want, uint32(w))
-			}
-		}
-		return protocol.NewDigestMsg(digests, want), n, nil
-
-	case tagTreeMsg:
-		shard, m, err := readUvarint(data[n:])
-		if err != nil {
-			return nil, 0, err
-		}
-		if shard > math.MaxUint32 {
-			return nil, 0, fmt.Errorf("codec: shard index %d out of range", shard)
-		}
-		n += m
 		if len(data) <= n {
 			return nil, 0, ErrTruncated
 		}
-		level := data[n]
-		n++
-		// The level bounds every node index below: tree geometry is a
-		// protocol constant, so a level outside the drill-down range is
-		// corrupt on its face, exactly like an oversized shard index.
-		if level < 1 || level > protocol.TreeDepth {
-			return nil, 0, fmt.Errorf("codec: tree level %d out of range", level)
+		if data[n] != 0 {
+			return nil, 0, fmt.Errorf("codec: digest message with a shard-request list")
 		}
-		maxNode := uint64(protocol.TreeNodesAt(int(level)))
-		query, m, err := readTreeIndices(data[n:], maxNode)
+		return protocol.NewDigestMsg(digests), n + 1, nil
+
+	case tagTreeMsg:
+		h, m, err := readTreeHeader(data[n:])
 		if err != nil {
 			return nil, 0, err
 		}
 		n += m
-		ncount, m, err := readUvarint(data[n:])
-		if err != nil {
-			return nil, 0, err
-		}
-		n += m
-		// Each (node, hash) pair is at least 9 bytes, so a hostile count
-		// is checked against the remaining bytes before allocating.
-		if ncount > uint64(len(data)-n)/9 {
-			return nil, 0, ErrTruncated
-		}
 		var nodes []uint32
 		var hashes []uint64
-		if ncount > 0 {
-			nodes = make([]uint32, 0, ncount)
-			hashes = make([]uint64, 0, ncount)
-			for i := uint64(0); i < ncount; i++ {
-				idx, m2, err := readUvarint(data[n:])
-				if err != nil {
-					return nil, 0, err
-				}
-				if idx >= maxNode {
-					return nil, 0, fmt.Errorf("codec: tree node %d out of range at level %d", idx, level)
-				}
-				n += m2
-				if len(data)-n < 8 {
-					return nil, 0, ErrTruncated
-				}
-				nodes = append(nodes, uint32(idx))
+		if h.count > 0 {
+			nodes = make([]uint32, 0, h.count)
+			if h.push {
+				hashes = make([]uint64, 0, h.count*protocol.TreeFanout)
+			}
+		}
+		for i := uint64(0); i < h.count; i++ {
+			idx, m, err := h.readNode(data[n:])
+			if err != nil {
+				return nil, 0, err
+			}
+			n += m
+			nodes = append(nodes, idx)
+			if !h.push {
+				continue
+			}
+			for c := 0; c < protocol.TreeFanout; c++ {
 				hashes = append(hashes, binary.BigEndian.Uint64(data[n:]))
 				n += 8
 			}
 		}
-		want, m, err := readTreeIndices(data[n:], maxNode)
-		if err != nil {
-			return nil, 0, err
-		}
-		n += m
-		return protocol.NewTreeMsg(uint32(shard), level, query, nodes, hashes, want), n, nil
+		return protocol.NewTreeMsg(h.shard, h.level, nodes, hashes), n, nil
 
 	default:
 		return nil, 0, fmt.Errorf("%w: %d", ErrUnknownTag, tag)
 	}
 }
 
-// readTreeIndices decodes one of a tree message's node-index lists,
-// rejecting indices at or beyond maxNode (the node count of the message's
-// level) — never truncating a corrupt index into the valid range.
-func readTreeIndices(data []byte, maxNode uint64) ([]uint32, int, error) {
-	count, n, err := readUvarint(data)
+// The two roles of a TreeMsg on the wire: a close lists node indices, a
+// push follows each with the TreeFanout hashes of the node's children.
+const (
+	treeClose = 0
+	treePush  = 1
+)
+
+// treeHeader is a TreeMsg up to its node list, validated: the reader and
+// the skip walker share it, so they accept exactly the same messages.
+type treeHeader struct {
+	shard uint32
+	level uint8
+	push  bool
+	count uint64
+}
+
+// readTreeHeader parses and bounds a TreeMsg's fixed part. The level
+// bounds every node index that follows — tree geometry is a protocol
+// constant, so a level outside the tree is corrupt on its face, exactly
+// like an oversized shard index — and a hostile node count is checked
+// against the bytes that remain before anything is allocated.
+func readTreeHeader(data []byte) (treeHeader, int, error) {
+	var h treeHeader
+	shard, n, err := readUvarint(data)
 	if err != nil {
-		return nil, 0, err
+		return h, 0, err
 	}
-	var out []uint32
-	if count > 0 {
-		out = make([]uint32, 0, capHint(count, data[n:]))
-		for i := uint64(0); i < count; i++ {
-			v, m, err := readUvarint(data[n:])
-			if err != nil {
-				return nil, 0, err
-			}
-			if v >= maxNode {
-				return nil, 0, fmt.Errorf("codec: tree node %d out of range", v)
-			}
-			n += m
-			out = append(out, uint32(v))
-		}
+	if shard > math.MaxUint32 {
+		return h, 0, fmt.Errorf("codec: shard index %d out of range", shard)
 	}
-	return out, n, nil
+	h.shard = uint32(shard)
+	if len(data) < n+2 {
+		return h, 0, ErrTruncated
+	}
+	h.level, h.push = data[n], data[n+1] == treePush
+	if data[n+1] > treePush {
+		return h, 0, fmt.Errorf("codec: tree role %d unknown", data[n+1])
+	}
+	n += 2
+	// A push carries the hashes one level down, so it stops a level short.
+	maxLevel := protocol.TreeDepth
+	if h.push {
+		maxLevel--
+	}
+	if int(h.level) > maxLevel {
+		return h, 0, fmt.Errorf("codec: tree level %d out of range", h.level)
+	}
+	count, m, err := readUvarint(data[n:])
+	if err != nil {
+		return h, 0, err
+	}
+	n += m
+	h.count = count
+	if h.push && count == 0 {
+		return h, 0, fmt.Errorf("codec: tree push without nodes")
+	}
+	// A node is at least one byte of index, and its hashes.
+	if count > uint64(len(data)-n)/uint64(1+h.hashBytes()) {
+		return h, 0, ErrTruncated
+	}
+	return h, n, nil
+}
+
+// hashBytes is what follows each node index: in a push, the hashes of the
+// node's children.
+func (h treeHeader) hashBytes() int {
+	if h.push {
+		return 8 * protocol.TreeFanout
+	}
+	return 0
+}
+
+// readNode parses one node index — rejecting one at or beyond the level's
+// node count, never truncating a corrupt index into the valid range — and
+// checks that the node's hashes are there; it returns the index's length.
+func (h treeHeader) readNode(data []byte) (uint32, int, error) {
+	idx, n, err := readUvarint(data)
+	if err != nil {
+		return 0, 0, err
+	}
+	if idx >= uint64(protocol.TreeNodesAt(int(h.level))) {
+		return 0, 0, fmt.Errorf("codec: tree node %d out of range at level %d", idx, h.level)
+	}
+	if len(data)-n < h.hashBytes() {
+		return 0, 0, ErrTruncated
+	}
+	return uint32(idx), n, nil
 }

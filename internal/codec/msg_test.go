@@ -289,103 +289,136 @@ func TestShardedMsgCostAggregation(t *testing.T) {
 }
 
 func TestDigestMsgRoundTrip(t *testing.T) {
-	// Advertisement: a digest vector, no wants.
 	vec := []uint64{0, 1, ^uint64(0), 0xdeadbeefcafe}
-	m := protocol.NewDigestMsg(vec, nil)
+	m := protocol.NewDigestMsg(vec)
 	got := msgRoundTrip(t, m).(*protocol.DigestMsg)
 	if len(got.Digests) != 4 || got.Digests[2] != ^uint64(0) || got.Digests[3] != 0xdeadbeefcafe {
 		t.Errorf("digests = %v", got.Digests)
 	}
-	if got.Want != nil {
-		t.Errorf("want = %v, want nil", got.Want)
-	}
-	// Request: shard indices, no digests.
-	r := protocol.NewDigestMsg(nil, []uint32{0, 13, 4294967295})
-	gotR := msgRoundTrip(t, r).(*protocol.DigestMsg)
-	if len(gotR.Want) != 3 || gotR.Want[2] != 4294967295 {
-		t.Errorf("want = %v", gotR.Want)
-	}
-	if gotR.Digests != nil {
-		t.Errorf("digests = %v, want nil", gotR.Digests)
+	// The advertisement's bytes are what they were when the message could
+	// also carry shard requests: tag, count, the words, an empty list.
+	data, _ := codec.EncodeMsg(protocol.NewDigestMsg([]uint64{1}))
+	if want := []byte{73, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0}; !bytes.Equal(data, want) {
+		t.Errorf("advertisement encodes as %v, want %v", data, want)
 	}
 }
 
+// pushHashes is the hashes of a push naming n nodes, all different.
+func pushHashes(n int) []uint64 {
+	h := make([]uint64, n*protocol.TreeFanout)
+	for i := range h {
+		h[i] = ^uint64(0) - uint64(i)
+	}
+	return h
+}
+
 func TestTreeMsgRoundTrip(t *testing.T) {
-	// Query round (drill-down request).
-	q := protocol.NewTreeMsg(7, 1, []uint32{0, 5, 15}, nil, nil, nil)
-	gotQ := msgRoundTrip(t, q).(*protocol.TreeMsg)
-	if gotQ.Shard != 7 || gotQ.Level != 1 {
-		t.Errorf("shard/level = %d/%d", gotQ.Shard, gotQ.Level)
+	// A hash push: each node followed by its children's hashes.
+	hashes := pushHashes(2)
+	p := protocol.NewTreeMsg(7, 2, []uint32{3, 255}, hashes)
+	gotP := msgRoundTrip(t, p).(*protocol.TreeMsg)
+	if gotP.Shard != 7 || gotP.Level != 2 {
+		t.Errorf("shard/level = %d/%d", gotP.Shard, gotP.Level)
 	}
-	if len(gotQ.Query) != 3 || gotQ.Query[2] != 15 || gotQ.Nodes != nil || gotQ.Want != nil {
-		t.Errorf("query round = %+v", gotQ)
+	if !reflect.DeepEqual(gotP.Nodes, []uint32{3, 255}) || !reflect.DeepEqual(gotP.Hashes, hashes) {
+		t.Errorf("push = %+v", gotP)
 	}
-	// Answer round (nodes + hashes, parallel slices).
-	a := protocol.NewTreeMsg(0, 2, nil, []uint32{3, 255}, []uint64{0, ^uint64(0)}, nil)
-	gotA := msgRoundTrip(t, a).(*protocol.TreeMsg)
-	if len(gotA.Nodes) != 2 || gotA.Nodes[1] != 255 || len(gotA.Hashes) != 2 || gotA.Hashes[1] != ^uint64(0) {
-		t.Errorf("answer round = %+v", gotA)
+	// The children of a node go as its index and TreeFanout 8-byte
+	// hashes, not as TreeFanout (index, hash) pairs: tag, shard, level,
+	// role, count, then 1 + 128 bytes per node below index 128.
+	data, _ := codec.EncodeMsg(protocol.NewTreeMsg(7, 0, []uint32{0}, pushHashes(1)))
+	if want := 5 + 1 + 8*protocol.TreeFanout; len(data) != want {
+		t.Errorf("a one-node push takes %d bytes, want %d", len(data), want)
 	}
-	// Want round (leaf-level range request).
-	w := protocol.NewTreeMsg(4294967295, protocol.TreeDepth, nil, nil, nil,
-		[]uint32{0, protocol.TreeLeaves - 1})
-	gotW := msgRoundTrip(t, w).(*protocol.TreeMsg)
-	if gotW.Shard != 4294967295 || len(gotW.Want) != 2 || gotW.Want[1] != protocol.TreeLeaves-1 {
-		t.Errorf("want round = %+v", gotW)
+	// The close that asks for ranges, at the leaf level and at the root,
+	// and the one that ends a drill, naming nothing.
+	for _, c := range []*protocol.TreeMsg{
+		protocol.NewTreeMsg(4294967295, protocol.TreeDepth, []uint32{0, protocol.TreeLeaves - 1}, nil),
+		protocol.NewTreeMsg(0, 0, []uint32{0}, nil),
+		protocol.NewTreeMsg(3, 2, nil, nil),
+	} {
+		got := msgRoundTrip(t, c).(*protocol.TreeMsg)
+		if got.Shard != c.Shard || got.Level != c.Level || len(got.Hashes) != 0 ||
+			len(got.Nodes) != len(c.Nodes) || len(c.Nodes) > 0 && !reflect.DeepEqual(got.Nodes, c.Nodes) {
+			t.Errorf("close %+v came back as %+v", c, got)
+		}
 	}
 }
 
 func TestEncodeTreeMsgMismatchedHashes(t *testing.T) {
-	m := protocol.NewTreeMsg(0, 1, nil, []uint32{1, 2}, []uint64{9}, nil)
-	if _, err := codec.EncodeMsg(m); err == nil {
-		t.Error("nodes/hashes length mismatch should fail encoding")
+	for _, m := range []*protocol.TreeMsg{
+		protocol.NewTreeMsg(0, 1, []uint32{1, 2}, []uint64{9}),
+		protocol.NewTreeMsg(0, 1, []uint32{1, 2}, pushHashes(1)),
+		protocol.NewTreeMsg(0, 1, nil, pushHashes(1)),
+	} {
+		if _, err := codec.EncodeMsg(m); err == nil {
+			t.Errorf("%d nodes with %d hashes should fail encoding", len(m.Nodes), len(m.Hashes))
+		}
 	}
 }
 
 func TestDecodeTreeHostileInput(t *testing.T) {
+	const (
+		closeRole = 0
+		pushRole  = 1
+	)
 	header := []byte{75, 0} // tagTreeMsg, shard 0
-	// Levels outside [1, TreeDepth] bound no node index and must fail.
-	for _, level := range []byte{0, protocol.TreeDepth + 1, 255} {
-		data := append(append([]byte{}, header...), level)
-		data = append(data, 0, 0, 0) // empty query/nodes/want
+	// A level outside the tree bounds no node index and must fail; a push
+	// carries hashes one level down, so its range ends a level earlier.
+	for _, c := range []struct{ level, role byte }{
+		{protocol.TreeDepth + 1, closeRole}, {255, closeRole}, {protocol.TreeDepth, pushRole},
+	} {
+		data := append(append([]byte{}, header...), c.level, c.role, 0)
 		if _, _, err := codec.DecodeMsg(data); err == nil {
-			t.Errorf("level %d should fail decoding", level)
+			t.Errorf("level %d in role %d should fail decoding", c.level, c.role)
 		}
 	}
-	// A query index at the level's node count must be rejected, not
+	// There are two roles.
+	if _, _, err := codec.DecodeMsg(append(append([]byte{}, header...), 1, 2, 0)); err == nil {
+		t.Error("an unknown role should fail decoding")
+	}
+	// A push has something to compare.
+	if _, _, err := codec.DecodeMsg(append(append([]byte{}, header...), 1, pushRole, 0)); err == nil {
+		t.Error("a push without nodes should fail decoding")
+	}
+	// A node index at the level's node count must be rejected, not
 	// passed through to alias another node.
-	data := append(append([]byte{}, header...), 1) // level 1: 16 nodes
-	data = binary.AppendUvarint(data, 1)           // one query index
-	data = binary.AppendUvarint(data, 16)          // == TreeNodesAt(1)
+	data := append(append([]byte{}, header...), 1, closeRole) // level 1: 16 nodes
+	data = binary.AppendUvarint(data, 1)                      // one node
+	data = binary.AppendUvarint(data, 16)                     // == TreeNodesAt(1)
 	if _, _, err := codec.DecodeMsg(data); err == nil {
-		t.Error("out-of-range query index should fail decoding")
+		t.Error("out-of-range node index should fail decoding")
 	}
-	// A node count promising far more pairs than the payload holds must
-	// fail before allocating.
-	data = append(append([]byte{}, header...), 3, 0) // leaf level, no query
-	data = binary.AppendUvarint(data, 1<<50)
-	if _, _, err := codec.DecodeMsg(data); err == nil {
-		t.Error("hostile node count should fail decoding")
+	// A node count promising far more than the payload holds must fail
+	// before allocating, in either role.
+	for _, role := range []byte{closeRole, pushRole} {
+		data = append(append([]byte{}, header...), 2, role)
+		data = binary.AppendUvarint(data, 1<<50)
+		data = append(data, make([]byte, 300)...)
+		if _, _, err := codec.DecodeMsg(data); err == nil {
+			t.Errorf("hostile node count in role %d should fail decoding", role)
+		}
 	}
-	// A pair whose hash is truncated must fail.
-	data = append(append([]byte{}, header...), 3, 0)
-	data = binary.AppendUvarint(data, 1) // one pair
-	data = binary.AppendUvarint(data, 2) // node index
-	data = append(data, 1, 2, 3)         // only 3 of 8 hash bytes
+	// A node whose hashes are truncated must fail.
+	data = append(append([]byte{}, header...), 2, pushRole)
+	data = binary.AppendUvarint(data, 1)                          // one node
+	data = binary.AppendUvarint(data, 2)                          // its index
+	data = append(data, make([]byte, 8*protocol.TreeFanout-1)...) // one byte short
 	if _, _, err := codec.DecodeMsg(data); err == nil {
-		t.Error("truncated node hash should fail decoding")
+		t.Error("truncated child hashes should fail decoding")
 	}
 	// A shard index beyond uint32 must be rejected, as everywhere else.
 	data = []byte{75}
 	data = binary.AppendUvarint(data, uint64(1)<<35)
-	data = append(data, 1, 0, 0, 0)
+	data = append(data, 1, 0, 0)
 	if _, _, err := codec.DecodeMsg(data); err == nil {
 		t.Error("out-of-range shard index should fail decoding")
 	}
-	// Truncated before the level byte.
-	data = []byte{75, 0}
-	if _, _, err := codec.DecodeMsg(data); err == nil {
-		t.Error("message truncated at level should fail decoding")
+	// Truncated before the level and role bytes.
+	for _, data := range [][]byte{{75, 0}, {75, 0, 1}} {
+		if _, _, err := codec.DecodeMsg(data); err == nil {
+			t.Error("message truncated at level should fail decoding")
+		}
 	}
 }
 
@@ -400,19 +433,17 @@ func TestDecodeDigestHostileInput(t *testing.T) {
 			t.Errorf("count %d over 16 payload bytes should fail", count)
 		}
 	}
-	// A want index beyond uint32 must be rejected, not truncated into the
-	// valid shard range.
+	// The shard-request list that used to follow the digests is gone: one
+	// that is not empty must be rejected, not skipped.
 	data := append(append([]byte{}, header...), 0) // no digests
-	data = binary.AppendUvarint(data, 1)           // one want
-	data = binary.AppendUvarint(data, uint64(1)<<34)
+	data = binary.AppendUvarint(data, 1)           // one shard request
+	data = binary.AppendUvarint(data, 4)
 	if _, _, err := codec.DecodeMsg(data); err == nil {
-		t.Error("out-of-range want index should fail decoding")
+		t.Error("a digest message with shard requests should fail decoding")
 	}
-	// Truncated want list.
-	data = append(append([]byte{}, header...), 0)
-	data = binary.AppendUvarint(data, 5) // promises 5 wants, has none
-	if _, _, err := codec.DecodeMsg(data); err == nil {
-		t.Error("truncated want list should fail decoding")
+	// Truncated before the (empty) list.
+	if _, _, err := codec.DecodeMsg(append(append([]byte{}, header...), 0)); err == nil {
+		t.Error("a digest message without its trailing list should fail decoding")
 	}
 }
 

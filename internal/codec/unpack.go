@@ -700,94 +700,30 @@ func skipMsg(data []byte, depth int) (int, error) {
 			return 0, ErrTruncated
 		}
 		n += 8 * int(dcount)
-		wcount, m, err := readUvarint(body[n:])
-		if err != nil {
-			return 0, err
-		}
-		n += m
-		for i := uint64(0); i < wcount; i++ {
-			w, m, err := readUvarint(body[n:])
-			if err != nil {
-				return 0, err
-			}
-			if w > math.MaxUint32 {
-				return 0, fmt.Errorf("codec: shard index %d out of range", w)
-			}
-			n += m
-		}
-		return n, nil
-
-	case tagTreeMsg:
-		shard, m, err := readUvarint(body[n:])
-		if err != nil {
-			return 0, err
-		}
-		if shard > math.MaxUint32 {
-			return 0, fmt.Errorf("codec: shard index %d out of range", shard)
-		}
-		n += m
 		if len(body) <= n {
 			return 0, ErrTruncated
 		}
-		level := body[n]
-		n++
-		if level < 1 || level > protocol.TreeDepth {
-			return 0, fmt.Errorf("codec: tree level %d out of range", level)
+		if body[n] != 0 {
+			return 0, fmt.Errorf("codec: digest message with a shard-request list")
 		}
-		maxNode := uint64(protocol.TreeNodesAt(int(level)))
-		m, err = skipTreeIndices(body[n:], maxNode)
+		return n + 1, nil
+
+	case tagTreeMsg:
+		h, m, err := readTreeHeader(body[n:])
 		if err != nil {
 			return 0, err
 		}
 		n += m
-		ncount, m, err := readUvarint(body[n:])
-		if err != nil {
-			return 0, err
-		}
-		n += m
-		if ncount > uint64(len(body)-n)/9 {
-			return 0, ErrTruncated
-		}
-		for i := uint64(0); i < ncount; i++ {
-			idx, m, err := readUvarint(body[n:])
+		for i := uint64(0); i < h.count; i++ {
+			_, m, err := h.readNode(body[n:])
 			if err != nil {
 				return 0, err
 			}
-			if idx >= maxNode {
-				return 0, fmt.Errorf("codec: tree node %d out of range at level %d", idx, level)
-			}
-			n += m
-			if len(body)-n < 8 {
-				return 0, ErrTruncated
-			}
-			n += 8
+			n += m + h.hashBytes()
 		}
-		m, err = skipTreeIndices(body[n:], maxNode)
-		if err != nil {
-			return 0, err
-		}
-		return n + m, nil
+		return n, nil
 
 	default:
 		return 0, fmt.Errorf("%w: %d", ErrUnknownTag, tag)
 	}
-}
-
-// skipTreeIndices mirrors readTreeIndices: same per-index level bound.
-func skipTreeIndices(data []byte, maxNode uint64) (int, error) {
-	count, n, err := readUvarint(data)
-	if err != nil {
-		return 0, err
-	}
-	for i := uint64(0); i < count; i++ {
-		v, m, err := readUvarint(data[n:])
-		if err != nil {
-			return 0, err
-		}
-		if v >= maxNode {
-			return 0, fmt.Errorf("codec: tree node %d out of range", v)
-		}
-		n += m
-	}
-	return n, nil
 }

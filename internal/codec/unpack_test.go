@@ -227,7 +227,7 @@ func TestUnpackFrameNotSharded(t *testing.T) {
 	var v codec.FrameView
 	for _, m := range []protocol.Msg{
 		unpackGSetDelta(1, 3),
-		protocol.NewDigestMsg([]uint64{1, 2}, nil),
+		protocol.NewDigestMsg([]uint64{1, 2}),
 		protocol.BatchOf(nil),
 	} {
 		if err := codec.UnpackFrame(encodeMsg(t, m), 4, &v); !errors.Is(err, codec.ErrNotSharded) {
@@ -320,19 +320,20 @@ func FuzzUnpackFrame(f *testing.F) {
 		{Shard: 3, Msg: protocol.NewDeltaMsg(crdt.NewGSet("p"))},
 		{Shard: 1, Msg: batch}, // out of shard order: counting-sort path
 	}, []uint64{0, ^uint64(0), 0xabcdef}))
-	seed(protocol.NewDigestMsg([]uint64{0, ^uint64(0)}, []uint32{1, 3}))
-	// Standalone drill-down rounds (not sharded) and one embedded in a
-	// sharded item, exercising the tree branch of the skip walker.
-	seed(protocol.NewTreeMsg(2, 1, []uint32{0, 15}, nil, nil, nil))
-	seed(protocol.NewTreeMsg(0, 2, nil, []uint32{9}, []uint64{^uint64(0)}, nil))
+	seed(protocol.NewDigestMsg([]uint64{0, ^uint64(0)}))
+	// Standalone hash pushes (not sharded), and a drill's close the way it
+	// travels — the last item of its shard in a sharded frame, after the
+	// states it goes with — exercising the tree branch of the skip walker.
+	seed(protocol.NewTreeMsg(2, 0, []uint32{0}, pushHashes(1)))
+	seed(protocol.NewTreeMsg(0, 2, []uint32{9, 15}, pushHashes(2)))
 	seed(protocol.NewShardedMsg([]protocol.ShardItem{
-		{Shard: 1, Msg: protocol.NewTreeMsg(1, protocol.TreeDepth, nil, nil, nil,
-			[]uint32{5})},
+		{Shard: 1, Msg: batch},
+		{Shard: 1, Msg: protocol.NewTreeMsg(1, protocol.TreeDepth, []uint32{5}, nil)},
 	}))
 	f.Add([]byte{72, 2, 1})                   // sharded, 2 items, truncated
 	f.Add([]byte{74, 255, 255, 255, 255, 15}) // sharded+digest, hostile count
 	f.Add([]byte{72, 1, 3, 70, 1, 1, 97, 64, 1})
-	f.Add([]byte{72, 1, 2, 75, 0, 3, 0, 1, 2, 1, 2, 3}) // embedded tree, truncated pair
+	f.Add([]byte{72, 1, 2, 75, 0, 2, 1, 1, 2, 1, 2, 3}) // embedded tree push, truncated hashes
 	// The linked variant: numbered, acknowledging with ranges, both with a
 	// digest vector, an acknowledgement with no items, and hostile headers.
 	for _, m := range linkedFrames(batch) {

@@ -100,7 +100,7 @@ func TestDeliverLocksOncePerShard(t *testing.T) {
 		t.Fatalf("deliverLocks = %d after two frames, want 6", got)
 	}
 	// Control frames take no shard locks on the delivery path.
-	dig := encodeFrame(t, protocol.NewDigestMsg(nil, []uint32{1}))
+	dig := encodeFrame(t, protocol.NewDigestMsg(make([]uint64, 4)))
 	if err := s.deliver("peer", dig); err != nil {
 		t.Fatalf("deliver digest: %v", err)
 	}

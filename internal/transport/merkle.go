@@ -6,37 +6,32 @@ import (
 	"time"
 
 	"crdtsync/internal/codec"
+	"crdtsync/internal/core"
+	"crdtsync/internal/lattice"
 	"crdtsync/internal/protocol"
 )
 
 // This file implements the repair side of digest anti-entropy: the
-// per-shard Merkle hash tree that turns a root-digest mismatch into a
-// log-depth drill-down (protocol.TreeMsg), and the in-flight repair
-// table that keeps a store from re-requesting a shard on every
-// heartbeat while its repair is still on the wire.
+// per-shard Merkle hash tree, the drill that walks it from a root-digest
+// mismatch down to the ranges worth shipping (protocol.TreeMsg), the
+// state-driven synchronisation that closes a drill, and the slot table
+// that keeps a shard to one drill at a time.
 
 const (
-	// defaultRepairTimeout bounds how long one shard's repair may stay
-	// in flight before the next digest mismatch may retrigger it. It is
-	// also the retry cadence when repair messages are lost, so it stays
-	// close to the scale of a round trip plus a shard ship; re-requesting
-	// a repair early only costs a duplicate idempotent merge.
+	// defaultRepairTimeout bounds how long one shard's drill may hold its
+	// slot without a message from the peer before the next digest mismatch
+	// may start another. It is also the retry cadence when a drill's frame
+	// is lost, so it stays close to the scale of a round trip plus a shard
+	// ship; starting over early only costs a duplicate idempotent merge.
 	defaultRepairTimeout = time.Second
-	// defaultTreeMinKeys is the local key count below which a diverged
-	// shard is pulled whole rather than drilled: under ~a few hundred
-	// keys the full ship is smaller than the hash exchange.
-	defaultTreeMinKeys = 256
-	// treeMaxQuery caps the drill fan-out: when the differing nodes'
-	// children would exceed this many indices, most of the shard differs
-	// and the drill-down falls back to a full-shard pull — which is then
-	// proportional to the divergence by definition.
-	treeMaxQuery = 1024
-	// maxDrillFails is how many consecutive drill-downs on one shard may
-	// time out before repair falls back to the flat full pull. The drill
-	// is a multi-round exchange, so under heavy frame loss its completion
-	// probability decays with every round; the flat pull is two messages
-	// and wins on lossy links even though it ships the whole shard.
-	maxDrillFails = 2
+	// drillStopBytes is where a drill stops descending: one more level
+	// costs TreeFanout hashes of 8 bytes — 128 B — per differing node, and
+	// a frame, so an end whose keys and states in the differing ranges add
+	// up to no more than that per node ships them instead. Fixed by that
+	// arithmetic, not tuned: a shard the size of one hash level never
+	// drills at all (the whole-shard pull is the stop at level 0), and
+	// below the leaf level there is nothing left to hash.
+	drillStopBytes = 8 * protocol.TreeFanout
 )
 
 const (
@@ -77,6 +72,24 @@ type treeBitmap [protocol.TreeLeaves / 64]uint64
 func (t *treeBitmap) set(i uint32)      { t[i/64] |= 1 << (i % 64) }
 func (t *treeBitmap) has(i uint32) bool { return t[i/64]&(1<<(i%64)) != 0 }
 
+// validNodes returns the indices among nodes that exist at level, each
+// once, marking the leaves they cover: whatever a message lists, the work
+// it causes is bounded by the tree, never by its length.
+func validNodes(level int, nodes []uint32, leaves *treeBitmap) []uint32 {
+	maxNode, span := uint32(protocol.TreeNodesAt(level)), protocol.TreeLeafSpan(level)
+	valid := make([]uint32, 0, min(len(nodes), int(maxNode)))
+	for _, idx := range nodes {
+		if idx >= maxNode || leaves.has(idx*span) {
+			continue
+		}
+		valid = append(valid, idx)
+		for l := idx * span; l < (idx+1)*span; l++ {
+			leaves.set(l)
+		}
+	}
+	return valid
+}
+
 // leafKeyHash is one key's contribution to its leaf: an FNV-1a fold
 // over (key bytes, canonical encoding). Leaves combine contributions by
 // XOR (an empty leaf is 0) — order-independent, so replicas holding
@@ -87,24 +100,36 @@ func leafKeyHash(k string, enc []byte) uint64 {
 	return fnvFold(fnvFoldString(fnvOffset64, k), enc)
 }
 
-// ensureLeavesLocked (re)computes the shard's leaf-hash vector if a
-// mutation invalidated it. Caller holds sh.mu.
+// leafVec is one shard's leaf-hash vector. 32 KB: a shard holds one only
+// from the drill that computes it to the next mutation, and they are
+// recycled, so the heap carries as many as there are drills under way.
+type leafVec [protocol.TreeLeaves]uint64
+
+var leafVecs = sync.Pool{New: func() any { return new(leafVec) }}
+
+// ensureLeavesLocked computes the shard's leaf-hash vector unless the one
+// it holds is still valid. Caller holds sh.mu.
 func (sh *shard) ensureLeavesLocked() {
-	if sh.leafOK {
+	if sh.leaf != nil {
 		return
 	}
-	if sh.leaf == nil {
-		sh.leaf = make([]uint64, protocol.TreeLeaves)
-	} else {
-		clear(sh.leaf)
-	}
+	sh.leaf = leafVecs.Get().(*leafVec)
+	clear(sh.leaf[:])
 	scratch := getEncodeBuf()
 	for _, k := range sh.engine.Keys() {
 		scratch = codec.AppendState(scratch[:0], sh.engine.ObjectState(k))
 		sh.leaf[treeLeafIdx(k)] ^= leafKeyHash(k, scratch)
 	}
 	putEncodeBuf(scratch)
-	sh.leafOK = true
+}
+
+// dropLeavesLocked hands the leaf-hash vector back: a mutation has
+// invalidated it, or no drill is left to read it. Caller holds sh.mu.
+func (sh *shard) dropLeavesLocked() {
+	if sh.leaf != nil {
+		leafVecs.Put(sh.leaf)
+		sh.leaf = nil
+	}
 }
 
 // treeNodeHash folds a node's leaf range into one interior hash:
@@ -123,112 +148,119 @@ func treeNodeHash(leaves []uint64) uint64 {
 	return h
 }
 
-// treeNodeHashes appends the shard's hashes for the given node indices
-// at level (indices already validated against the level's node count).
-func (s *Store) treeNodeHashes(sh *shard, level int, nodes []uint32, out []uint64) []uint64 {
-	span := protocol.TreeLeafSpan(level)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.ensureLeavesLocked()
-	for _, idx := range nodes {
-		lo := idx * span
-		out = append(out, treeNodeHash(sh.leaf[lo:lo+span]))
+// childHashLocked is the shard's hash of one child of a node at level
+// (an index already validated against the level's node count).
+func (sh *shard) childHashLocked(level int, node uint32, child int) uint64 {
+	span := protocol.TreeLeafSpan(level + 1)
+	lo := (node<<protocol.TreeFanoutBits + uint32(child)) * span
+	return treeNodeHash(sh.leaf[lo : lo+span])
+}
+
+// noBudget makes rangeKeysLocked list the keys without weighing them.
+const noBudget = -1
+
+// rangeKeysLocked lists the shard's keys whose leaves are marked, in key
+// order. Given a budget it gives up, reporting false, as soon as their
+// keys and states weigh more than that many bytes — the drill's stop
+// test, which on a fat range ends after a handful of keys.
+func (sh *shard) rangeKeysLocked(leaves *treeBitmap, budget int) ([]string, bool) {
+	var keys []string
+	for _, k := range sh.engine.Keys() {
+		if !leaves.has(treeLeafIdx(k)) {
+			continue
+		}
+		if budget != noBudget {
+			if budget -= len(k) + sh.engine.ObjectState(k).SizeBytes(); budget < 0 {
+				return nil, false
+			}
+		}
+		keys = append(keys, k)
 	}
-	return out
+	return keys, true
 }
 
-// repairEntry tracks one shard's in-flight repair: which peer it was
-// requested from, when the request expires if no repair data lands,
-// whether the data request (flat or leaf-level Want) has gone out yet,
-// and how many consecutive attempts have timed out.
+// repairEntry is one shard's drill under way: the peer it runs with —
+// whichever end started it — and when it expires if that peer goes silent.
 type repairEntry struct {
-	active   bool
-	wantSent bool
-	fails    uint8
-	peer     string
-	expires  time.Time
+	active  bool
+	peer    string
+	expires time.Time
 }
 
-// repairTable is the Want-storm gate: at most one outstanding repair
-// request (flat Want or tree drill-down) per shard, cleared when repair
-// data arrives from the peer it was requested from, when the shard's
-// digests re-match, or on timeout.
+// repairTable holds one slot per shard: at most one drill at a time,
+// started here or served, so that heartbeats arriving faster than a
+// repair completes, the peer's mirror-image drill and a third replica's
+// are absorbed instead of run. A slot clears when the peer says the drill
+// is over or this store has said so, when the shard's digests re-match, or
+// by expiry.
 type repairTable struct {
-	mu      sync.Mutex
-	timeout time.Duration
-	entries []repairEntry
+	mu       sync.Mutex
+	timeout  time.Duration
+	entries  []repairEntry
+	timeouts int
 }
 
-// tryStart claims the shard's repair slot, returning ok=false while an
-// unexpired repair is already in flight (the deduped-Want case). When it
-// claims a slot whose previous repair timed out, the consecutive-failure
-// count carries over (and is returned), so the caller can stop drilling
-// and fall back to the flat pull on a link that keeps eating rounds.
-func (r *repairTable) tryStart(shard int, peer string, now time.Time) (fails int, ok bool) {
+// claim takes the shard's slot for a drill with peer, reporting whether
+// the drill may proceed. A start — this store seeing a digest mismatch —
+// is refused while any unexpired drill holds the slot. A drill message
+// from peer claims a free slot (a store serving a drill holds its slot
+// too), extends the deadline of one held against peer — a message is
+// progress — and is refused only by a slot held against somebody else.
+// Taking over an expired slot counts a timeout.
+func (r *repairTable) claim(shard int, peer string, now time.Time, start bool) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e := &r.entries[shard]
 	if e.active && now.Before(e.expires) {
-		return 0, false
-	}
-	f := uint8(0)
-	if e.active { // the previous attempt expired unrepaired
-		if f = e.fails; f < maxDrillFails {
-			f++
+		if start || e.peer != peer {
+			return false
 		}
+		e.expires = now.Add(r.timeout)
+		return true
 	}
-	*e = repairEntry{active: true, fails: f, peer: peer, expires: now.Add(r.timeout)}
-	return int(f), true
-}
-
-// refresh reports whether the shard's in-flight repair is with peer and,
-// when it is, extends its deadline — a drill-down answer is progress.
-func (r *repairTable) refresh(shard int, peer string, now time.Time) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := &r.entries[shard]
-	if !e.active || e.peer != peer || !now.Before(e.expires) {
-		return false
+	if e.active {
+		r.timeouts++
 	}
-	e.expires = now.Add(r.timeout)
+	*e = repairEntry{active: true, peer: peer, expires: now.Add(r.timeout)}
 	return true
 }
 
-// markWant records that the shard's repair has asked peer for data (a
-// flat Want or a leaf-level tree Want), arming clearFrom.
-func (r *repairTable) markWant(shard int, peer string) {
-	r.mu.Lock()
-	if e := &r.entries[shard]; e.active && e.peer == peer {
-		e.wantSent = true
-	}
-	r.mu.Unlock()
-}
-
-// clearFrom releases the shard's repair slot if it is held against peer
-// and has asked it for data — called on every sharded data delivery, so
-// the wantSent gate is what keeps ordinary delta traffic from the same
-// peer from aborting a drill-down mid-flight.
+// clearFrom releases the shard's slot if it is held against peer: the
+// drill with peer is over, by its word or by this store's.
 func (r *repairTable) clearFrom(shard int, peer string) {
 	r.mu.Lock()
-	if e := &r.entries[shard]; e.active && e.wantSent && e.peer == peer {
+	if e := &r.entries[shard]; e.active && e.peer == peer {
 		*e = repairEntry{}
 	}
 	r.mu.Unlock()
 }
 
-// clear releases the shard's repair slot unconditionally — called when
-// the shard's digests match again, however that happened.
-func (r *repairTable) clear(shard int) {
+// clear releases the shard's slot unconditionally — called when the
+// shard's digests match again, however that happened — and reports
+// whether a drill held it.
+func (r *repairTable) clear(shard int) bool {
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	held := r.entries[shard].active
 	r.entries[shard] = repairEntry{}
-	r.mu.Unlock()
+	return held
 }
 
+// expired returns how many drills have been given up on.
+func (r *repairTable) expired() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.timeouts
+}
+
+// rootNode is where every drill starts: level 0's only node, the shard.
+var rootNode = []uint32{0}
+
 // handleDigests compares a peer's digest advertisement against the
-// local shards and starts a repair for whichever differ — unless one is
-// already in flight for that shard (the Want-storm dedup). Large shards
-// repair by Merkle drill-down; small ones are pulled whole, as before.
-func (s *Store) handleDigests(from string, digests []uint64) {
+// local shards and starts a drill on whichever differ — unless one is
+// already under way on that shard. What the drills ship at once (the
+// whole-shard pulls of shards too small to hash) is left on b.
+func (s *Store) handleDigests(from string, digests []uint64, b *outBatch) {
 	if len(digests) == 0 {
 		return
 	}
@@ -242,66 +274,32 @@ func (s *Store) handleDigests(from string, digests []uint64) {
 		return
 	}
 	now := time.Now()
-	var flat []uint32
 	deduped := 0
 	for i, sh := range s.shards {
 		if s.shardDigest(sh) == digests[i] {
-			s.repair.clear(i)
+			if s.repair.clear(i) {
+				sh.mu.Lock()
+				sh.dropLeavesLocked()
+				sh.mu.Unlock()
+			}
 			continue
 		}
-		fails, ok := s.repair.tryStart(i, from, now)
-		if !ok {
+		if !s.repair.claim(i, from, now, true) {
 			deduped++
 			continue
 		}
-		if fails < maxDrillFails && s.treeEligible(sh) {
-			s.sendTreeQuery(from, uint32(i), 1, treeLevelOneQuery)
-		} else {
-			s.repair.markWant(i, from)
-			flat = append(flat, uint32(i))
-		}
+		s.continueDrill(from, uint32(i), 0, rootNode, b)
 	}
-	if deduped > 0 {
-		s.statsMu.Lock()
-		s.stats.DedupedWants += deduped
-		s.statsMu.Unlock()
-	}
-	if len(flat) > 0 {
-		s.statsMu.Lock()
-		s.stats.WantShards += len(flat)
-		s.statsMu.Unlock()
-		m := protocol.NewDigestMsg(nil, flat)
-		s.transmitMsg(from, m, frameDigest)
-	}
+	s.countDeduped(deduped)
 }
 
-// treeLevelOneQuery is the first drill-down step, the same for every
-// repair: all of level 1.
-var treeLevelOneQuery = func() []uint32 {
-	q := make([]uint32, protocol.TreeFanout)
-	for i := range q {
-		q[i] = uint32(i)
+// countDeduped counts mismatches and drill messages a held slot absorbed.
+func (s *Store) countDeduped(n int) {
+	if n > 0 {
+		s.statsMu.Lock()
+		s.stats.DedupedWants += n
+		s.statsMu.Unlock()
 	}
-	return q
-}()
-
-// treeEligible reports whether a diverged shard should repair by
-// drill-down rather than a full pull: enough local keys that the hash
-// exchange is cheaper than shipping everything.
-func (s *Store) treeEligible(sh *shard) bool {
-	sh.mu.Lock()
-	n := sh.engine.NumKeys()
-	sh.mu.Unlock()
-	return n >= s.cfg.TreeRepairMinKeys
-}
-
-// sendTreeQuery ships one drill-down query round and counts it.
-func (s *Store) sendTreeQuery(to string, shard uint32, level int, query []uint32) {
-	s.statsMu.Lock()
-	s.stats.TreeRounds++
-	s.statsMu.Unlock()
-	m := protocol.NewTreeMsg(shard, uint8(level), query, nil, nil, nil)
-	s.transmitMsg(to, m, frameDigest)
 }
 
 // transmitMsg encodes one control message and hands it to the peer's
@@ -317,189 +315,213 @@ func (s *Store) transmitMsg(to string, m protocol.Msg, kind frameKind) {
 	s.wire.add(&t)
 }
 
-// handleTree dispatches one drill-down step by which role the message
-// plays: a Query is answered with hashes, an answer's Nodes/Hashes are
-// compared to continue the drill, a Want is served with range data.
-// The decoder bounds Shard only against uint32 (shard counts are not
-// wire-negotiated), so the shard-map skew check happens here.
+// handleTree takes a hash push: the peer's hashes of the children of the
+// nodes the drill has found to differ so far. Those that differ from this
+// store's own are where the drill continues. The decoder has checked the
+// message's shape; the checks here are for messages built directly, and
+// for the shard count, which is not wire-negotiated.
 func (s *Store) handleTree(from string, tm *protocol.TreeMsg, b *outBatch) {
-	if int(tm.Shard) >= len(s.shards) {
-		return // shard-map skew; the digests were never comparable
-	}
 	level := int(tm.Level)
-	if level < 1 || level > protocol.TreeDepth {
-		return // decoder enforces this; kept for directly built messages
+	if int(tm.Shard) >= len(s.shards) || level >= protocol.TreeDepth ||
+		len(tm.Nodes) == 0 || len(tm.Hashes) != protocol.TreeFanout*len(tm.Nodes) {
+		return // shard-map or level skew, or a close outside a sharded frame
 	}
-	if len(tm.Query) > 0 {
-		s.serveTreeQuery(from, tm.Shard, level, tm.Query)
-	}
-	if len(tm.Nodes) > 0 {
-		s.continueDrill(from, tm.Shard, level, tm.Nodes, tm.Hashes)
-	}
-	if len(tm.Want) > 0 {
-		s.serveTreeWant(from, tm.Shard, level, tm.Want, b)
-	}
-}
-
-// serveTreeQuery answers a drill-down query with this store's hashes of
-// the queried nodes. Duplicate or out-of-range indices are dropped: the
-// reply is sized by the tree geometry, never by the request length.
-func (s *Store) serveTreeQuery(to string, shardIdx uint32, level int, query []uint32) {
-	maxNode := uint32(protocol.TreeNodesAt(level))
-	var seen treeBitmap
-	nodes := make([]uint32, 0, len(query))
-	for _, q := range query {
-		if q >= maxNode || seen.has(q) {
-			continue
-		}
-		seen.set(q)
-		nodes = append(nodes, q)
-	}
-	if len(nodes) == 0 {
+	if !s.repair.claim(int(tm.Shard), from, time.Now(), false) {
+		s.countDeduped(1) // this shard is busy with another peer's drill
 		return
 	}
-	hashes := s.treeNodeHashes(s.shards[shardIdx], level, nodes, make([]uint64, 0, len(nodes)))
-	m := protocol.NewTreeMsg(shardIdx, uint8(level), nil, nodes, hashes, nil)
-	s.transmitMsg(to, m, frameDigest)
-}
-
-// continueDrill compares an answer's hashes against this store's own
-// and takes the next step: query the differing nodes' children, send
-// the leaf-level Want, or — when the divergence turns out wider than
-// drilling pays for — fall back to the flat full-shard pull.
-func (s *Store) continueDrill(from string, shardIdx uint32, level int, nodes []uint32, hashes []uint64) {
-	if len(hashes) != len(nodes) {
-		return // decoder enforces this; kept for directly built messages
-	}
-	if !s.repair.refresh(int(shardIdx), from, time.Now()) {
-		return // stale or foreign answer: not the repair in flight here
-	}
-	// Validate and dedup the answer's indices BEFORE hashing, honoring
-	// treeNodeHashes' "indices already validated" contract (the same
-	// ordering serveTreeQuery uses): an out-of-range index would slice
-	// past the leaf vector and panic the store on a hand-built message —
-	// the wire decoder bounds indices, but this path must not rely on it.
 	maxNode := uint32(protocol.TreeNodesAt(level))
 	var seen treeBitmap
-	valid := make([]uint32, 0, len(nodes))
-	theirs := make([]uint64, 0, len(nodes))
-	for i, idx := range nodes {
+	var diff []uint32
+	sh := s.shards[tm.Shard]
+	sh.mu.Lock()
+	sh.ensureLeavesLocked()
+	for i, idx := range tm.Nodes {
 		if idx >= maxNode || seen.has(idx) {
-			continue
+			continue // each node once, and none the tree does not have
 		}
 		seen.set(idx)
-		valid = append(valid, idx)
-		theirs = append(theirs, hashes[i])
-	}
-	if len(valid) == 0 {
-		return // nothing comparable in the answer
-	}
-	mine := s.treeNodeHashes(s.shards[shardIdx], level, valid, make([]uint64, 0, len(valid)))
-	var diff []uint32
-	for i, idx := range valid {
-		if mine[i] != theirs[i] {
-			diff = append(diff, idx)
+		for c, theirs := range tm.Hashes[i*protocol.TreeFanout : (i+1)*protocol.TreeFanout] {
+			if sh.childHashLocked(level, idx, c) != theirs {
+				diff = append(diff, idx<<protocol.TreeFanoutBits+uint32(c))
+			}
 		}
 	}
 	if len(diff) == 0 {
-		// The root digests differed but no queried node does: either
-		// repair already landed through another path, or the peer holds
-		// keys this store lacks entirely (its advertisement to the peer
-		// repairs that direction). Let the next heartbeat re-evaluate.
-		s.repair.clear(int(shardIdx))
+		// Nothing below those nodes differs any more: repair landed some
+		// other way, and the drill ends here. Saying so frees the peer's
+		// slot at once; left to the next matching digest it would turn
+		// other replicas' drills on the shard away until then.
+		sh.dropLeavesLocked()
+		sh.mu.Unlock()
+		s.repair.clearFrom(int(tm.Shard), from)
+		b.add(tm.Shard, from, protocol.NewTreeMsg(tm.Shard, tm.Level, nil, nil))
 		return
 	}
-	if level == protocol.TreeDepth {
-		s.statsMu.Lock()
-		s.stats.TreeRounds++
-		s.statsMu.Unlock()
-		s.repair.markWant(int(shardIdx), from)
-		m := protocol.NewTreeMsg(shardIdx, uint8(level), nil, nil, nil, diff)
-		s.transmitMsg(from, m, frameDigest)
-		return
-	}
-	if len(diff)*protocol.TreeFanout > treeMaxQuery {
-		s.statsMu.Lock()
-		s.stats.WantShards++
-		s.statsMu.Unlock()
-		s.repair.markWant(int(shardIdx), from)
-		want := []uint32{shardIdx}
-		m := protocol.NewDigestMsg(nil, want)
-		s.transmitMsg(from, m, frameDigest)
-		return
-	}
-	next := make([]uint32, 0, len(diff)*protocol.TreeFanout)
-	for _, idx := range diff {
-		base := idx << protocol.TreeFanoutBits
-		for c := uint32(0); c < protocol.TreeFanout; c++ {
-			next = append(next, base+c)
-		}
-	}
-	s.sendTreeQuery(from, shardIdx, level+1, next)
+	sh.mu.Unlock()
+	s.continueDrill(from, tm.Shard, level+1, diff, b)
 }
 
-// serveTreeWant ships the requested node ranges' keys in full — the
-// range-limited form of the full-shard repair ship.
-func (s *Store) serveTreeWant(from string, shardIdx uint32, level int, want []uint32, b *outBatch) {
-	batch, ranges, bytes, ok := s.rangeBatch(shardIdx, level, want)
-	if !ok {
-		return
-	}
-	b.sender(shardIdx)(from, batch)
-	s.statsMu.Lock()
-	s.stats.RepairRanges += ranges
-	s.stats.RepairBytes += bytes
-	s.statsMu.Unlock()
-}
-
-// rangeBatch builds a BatchMsg of per-key δ-groups carrying the whole
-// states of the keys whose leaf index falls inside the wanted nodes'
-// ranges — fullShardBatch restricted to diverged ranges. Duplicate and
-// out-of-range want indices are served once or not at all, so the work
-// is bounded by the shard, never the request.
-func (s *Store) rangeBatch(shardIdx uint32, level int, want []uint32) (protocol.Msg, int, int, bool) {
-	maxNode := uint32(protocol.TreeNodesAt(level))
-	span := protocol.TreeLeafSpan(level)
+// continueDrill is the step both ends of a drill take on the nodes at
+// level that they have found to differ (validated, each once): push this
+// store's hashes of the nodes' children — one frame, to which the peer
+// answers with the same step a level down — or stop, and close the drill
+// over these ranges, when that is cheaper (drillStopBytes) or the leaves
+// are reached.
+func (s *Store) continueDrill(peer string, shardIdx uint32, level int, nodes []uint32, b *outBatch) {
 	var leaves treeBitmap
-	ranges := 0
-	for _, w := range want {
-		if w >= maxNode {
-			continue
-		}
-		lo := w * span
-		if leaves.has(lo) {
-			continue
-		}
-		ranges++
-		for l := lo; l < lo+span; l++ {
-			leaves.set(l)
-		}
-	}
-	if ranges == 0 {
-		return nil, 0, 0, false
+	nodes = validNodes(level, nodes, &leaves)
+	budget := noBudget // below the leaves there is nothing to hash
+	if level < protocol.TreeDepth {
+		budget = drillStopBytes * len(nodes)
 	}
 	sh := s.shards[shardIdx]
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	var items []protocol.ObjectMsg
-	bytes := 0
-	for _, k := range sh.engine.Keys() {
-		if !leaves.has(treeLeafIdx(k)) {
-			continue
+	keys, stop := sh.rangeKeysLocked(&leaves, budget)
+	var hashes []uint64
+	if !stop {
+		sh.ensureLeavesLocked()
+		hashes = make([]uint64, 0, protocol.TreeFanout*len(nodes))
+		for _, idx := range nodes {
+			for c := 0; c < protocol.TreeFanout; c++ {
+				hashes = append(hashes, sh.childHashLocked(level, idx, c))
+			}
 		}
-		st := sh.engine.ObjectState(k).Clone()
-		bytes += len(k) + st.SizeBytes()
-		items = append(items, protocol.ObjectMsg{
-			Key:   k,
-			Inner: protocol.NewDeltaMsg(st),
-		})
 	}
-	if len(items) == 0 {
-		// Nothing local in those ranges: the divergence is keys this
-		// store lacks, repaired in the opposite direction by its own
-		// advertisements. No delivery will clear the peer's repair slot,
-		// so it expires by timeout.
-		return nil, 0, 0, false
+	sh.mu.Unlock()
+	s.statsMu.Lock()
+	if level == 0 && stop {
+		s.stats.WantShards++
+	} else {
+		s.stats.TreeRounds++
 	}
-	return protocol.BatchOf(items), ranges, bytes, true
+	s.statsMu.Unlock()
+	if !stop {
+		s.transmitMsg(peer, protocol.NewTreeMsg(shardIdx, uint8(level), nodes, hashes), frameDigest)
+		return
+	}
+	s.shipRange(peer, shardIdx, level, nodes, keys, nil, b)
+}
+
+// answerClose serves the close that ended a drill, once its shard group g
+// — the peer's states for the ranges it names — has been merged: this
+// store's answer is, for every key it holds in those ranges, what the
+// peer's state of it lacks.
+func (s *Store) answerClose(from string, tm *protocol.TreeMsg, g codec.ItemGroup, b *outBatch) {
+	level := int(tm.Level)
+	if tm.Shard != g.Shard || level > protocol.TreeDepth {
+		return
+	}
+	var leaves treeBitmap
+	nodes := validNodes(level, tm.Nodes, &leaves)
+	if len(nodes) == 0 {
+		return
+	}
+	if !s.repair.claim(int(g.Shard), from, time.Now(), false) {
+		s.countDeduped(1) // this shard is busy with another peer's drill
+		return
+	}
+	theirs := make(map[string]lattice.State, len(g.Items))
+	for i := range g.Items {
+		iv := &g.Items[i]
+		if m, _ := iv.Msg(); iv.Key != nil && m != nil {
+			if dm, ok := m.(*protocol.DeltaMsg); ok {
+				theirs[string(iv.Key)] = dm.Delta
+			}
+		}
+	}
+	sh := s.shards[g.Shard]
+	sh.mu.Lock()
+	keys, _ := sh.rangeKeysLocked(&leaves, noBudget)
+	sh.dropLeavesLocked() // the drill is over
+	sh.mu.Unlock()
+	shipped := s.shipRange(from, g.Shard, level, nil, keys, theirs, b)
+	s.repair.clearFrom(int(g.Shard), from)
+	if shipped {
+		s.statsMu.Lock()
+		if level == 0 {
+			s.stats.RepairShards++
+		} else {
+			s.stats.RepairRanges += len(nodes)
+		}
+		s.statsMu.Unlock()
+	}
+}
+
+// repairChunkBytes caps the key+state payload cloned and shipped per
+// chunk of a close. A wide answer on a large shard — restoring a peer from
+// a stale snapshot is exactly this workload — would otherwise materialize
+// the entire shard as one monolithic batch and lean on the packer to split
+// it; chunking bounds the clone held in memory and the shard-lock hold
+// time to one chunk at a time.
+const repairChunkBytes = 1 << 20
+
+// shipRange sends to one end's half of a drill's close over the ranges
+// that keys lie in: a sequence of bounded BatchMsgs of per-key δ-groups,
+// then the TreeMsg that says which half it was. A state is a valid
+// δ-group, so the receiver merges each chunk through the ordinary
+// per-object delivery path (RR extracts exactly the missing part) and
+// propagates anything new onwards.
+//
+// With want it is the stopping side's half: whole states, no more than
+// one frame's worth — a state left out is one the answer brings back in
+// full — and the TreeMsg names want, asking for the answer. Without, it is
+// that answer: Δ(mine, theirs) for a key the peer sent its state of, the
+// whole state for any other, as many chunks as it takes, and a TreeMsg
+// naming nothing.
+//
+// The shard lock is released between chunks (the keyspace is grow-only,
+// and a state mutated meanwhile ships its newer value — anti-entropy never
+// needs a point-in-time cut); each chunk but the last leaves on its own
+// frame at once, the last and the TreeMsg are left on b. It reports
+// whether any state was shipped.
+func (s *Store) shipRange(to string, shardIdx uint32, level int, want []uint32, keys []string, theirs map[string]lattice.State, b *outBatch) bool {
+	sh := s.shards[shardIdx]
+	budget := min(s.maxMsgBytes()/2, repairChunkBytes)
+	total := 0
+	for i := 0; ; {
+		var items []protocol.ObjectMsg
+		bytes := 0
+		sh.mu.Lock()
+		for ; i < len(keys); i++ {
+			st, t := sh.engine.ObjectState(keys[i]), theirs[keys[i]]
+			if t != nil {
+				if st = core.Delta(st, t); st.IsBottom() {
+					continue // the peer's state covers this store's
+				}
+			}
+			sz := len(keys[i]) + st.SizeBytes()
+			if len(items) > 0 && bytes+sz > budget {
+				break // chunk full; an oversized single object still ships alone
+			}
+			if t == nil {
+				st = st.Clone() // the message outlives the lock
+			}
+			bytes += sz
+			items = append(items, protocol.ObjectMsg{Key: keys[i], Inner: protocol.NewDeltaMsg(st)})
+		}
+		sh.mu.Unlock()
+		total += bytes
+		last := i == len(keys) || want != nil
+		out := b
+		if !last {
+			// flush must not run under the shard lock, and accumulating
+			// chunks on one batch would defeat the point of chunking.
+			out = newOutBatch()
+		}
+		if len(items) > 0 {
+			out.add(shardIdx, to, protocol.BatchOf(items))
+		}
+		if last {
+			out.add(shardIdx, to, protocol.NewTreeMsg(shardIdx, uint8(level), want, nil))
+			break
+		}
+		s.flush(out, nil)
+	}
+	if total > 0 {
+		s.statsMu.Lock()
+		s.stats.RepairBytes += total
+		s.statsMu.Unlock()
+	}
+	return total > 0
 }

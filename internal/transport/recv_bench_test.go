@@ -43,80 +43,44 @@ func benchRecvFrame(tb testing.TB, shards, objectsPerShard int) []byte {
 // it silently — BenchmarkDeliver measures both.
 func deliverEager(s *Store, from string, msg protocol.Msg) {
 	b := newOutBatch()
-	var reply *protocol.DigestMsg
-	switch m := msg.(type) {
-	case *protocol.ShardedMsg:
-		for _, it := range m.Items {
-			idx := int(it.Shard)
-			if idx >= len(s.shards) {
-				continue
-			}
-			sh := s.shards[idx]
-			sh.mu.Lock()
-			sh.engine.Deliver(from, it.Msg, b.sender(it.Shard))
-			sh.touched()
-			sh.mu.Unlock()
-		}
-		if s.hasWatchers() {
-			for _, it := range m.Items {
-				bm, ok := it.Msg.(*protocol.BatchMsg)
-				if !ok {
-					continue
-				}
-				for _, om := range bm.Items {
-					switch om.Inner.Kind() {
-					case "ack", "sb-digest":
-						continue
-					}
-					s.notifyWatchers(om.Key)
-				}
-			}
-		}
-		reply = eagerCompareDigests(s, m.Digests)
-	case *protocol.DigestMsg:
-		// The pre-refactor serveWants allocated its dedup scratch fresh
-		// per request; the baseline keeps doing so.
-		s.serveWants(from, m.Want, make([]bool, len(s.shards)))
-		reply = eagerCompareDigests(s, m.Digests)
-	default:
+	m, ok := msg.(*protocol.ShardedMsg)
+	if !ok {
 		return
 	}
-	if len(b.order) == 0 && reply == nil {
+	for _, it := range m.Items {
+		idx := int(it.Shard)
+		if idx >= len(s.shards) {
+			continue
+		}
+		sh := s.shards[idx]
+		sh.mu.Lock()
+		sh.engine.Deliver(from, it.Msg, b.sender(it.Shard))
+		sh.touched()
+		sh.mu.Unlock()
+	}
+	if s.hasWatchers() {
+		for _, it := range m.Items {
+			bm, ok := it.Msg.(*protocol.BatchMsg)
+			if !ok {
+				continue
+			}
+			for _, om := range bm.Items {
+				switch om.Inner.Kind() {
+				case "ack", "sb-digest":
+					continue
+				}
+				s.notifyWatchers(om.Key)
+			}
+		}
+	}
+	if len(b.order) == 0 {
 		return
 	}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		if reply != nil {
-			data, err := codec.EncodeMsg(reply)
-			if err != nil {
-				panic(err)
-			}
-			var t wireTally
-			s.transmit(from, data, reply.Cost(), frameDigest, &t)
-			s.wire.add(&t)
-		}
 		s.flush(b, nil)
 	}()
-}
-
-// eagerCompareDigests replicates the pre-refactor flat digest
-// comparison for the baseline: every differing shard is re-requested on
-// every advertisement, with no in-flight dedup and no drill-down.
-func eagerCompareDigests(s *Store, digests []uint64) *protocol.DigestMsg {
-	if len(digests) != len(s.shards) {
-		return nil
-	}
-	var want []uint32
-	for i, sh := range s.shards {
-		if s.shardDigest(sh) != digests[i] {
-			want = append(want, uint32(i))
-		}
-	}
-	if len(want) == 0 {
-		return nil
-	}
-	return protocol.NewDigestMsg(nil, want)
 }
 
 // preRefactorRR replicates the pre-refactor BP+RR engine's Deliver for

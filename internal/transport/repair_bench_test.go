@@ -2,12 +2,12 @@ package transport
 
 import (
 	"encoding/json"
-	"math"
 	"os"
 	"strconv"
 	"testing"
 	"time"
 
+	"crdtsync/internal/protocol"
 	"crdtsync/internal/workload"
 )
 
@@ -18,26 +18,23 @@ type repairMeasurement struct {
 	Keys       int `json:"keys"`
 	WireBytes  int `json:"wire_bytes"`
 	TreeRounds int `json:"tree_rounds"`
-	// RepairPayloadBytes is the key+state payload the advertiser served
-	// (RepairBytes for the drill-down, the full-shard equivalent for the
-	// flat baseline).
+	// RepairPayloadBytes is the key+state payload the two stores shipped
+	// in the drill's closes (RepairBytes, both halves).
 	RepairPayloadBytes int `json:"repair_payload_bytes"`
 }
 
 // measureRepair stages two stores that agree on keys single-shard
 // GSet objects, diverges exactly one key on the first through a black
-// hole, heals, and measures the wire cost of repairing it — with the
-// Merkle drill-down or (noTree) the flat full-shard pull it replaces.
-func measureRepair(t *testing.T, keys int, noTree bool) repairMeasurement {
+// hole, heals, and measures the wire cost of repairing it — by the drill
+// an advertisement starts or (flat) by the same exchange closed at the
+// root with nothing sent along: the second store asks for the first's
+// whole shard, which is what repair costs without the tree.
+func measureRepair(t *testing.T, keys int, flat bool) repairMeasurement {
 	t.Helper()
 	f0, f1 := NewFault(11), NewFault(12)
 	f0.SetDropRate(1)
 	f1.SetDropRate(1)
-	cfg := repairPairConfig()
-	if noTree {
-		cfg.TreeRepairMinKeys = math.MaxInt
-	}
-	stores := startFaultyPair(t, cfg, [2]*Fault{f0, f1})
+	stores := startFaultyPair(t, repairPairConfig(), [2]*Fault{f0, f1})
 	s0, s1 := stores[0], stores[1]
 
 	loadIdentical(stores, keys)
@@ -52,14 +49,20 @@ func measureRepair(t *testing.T, keys int, noTree bool) repairMeasurement {
 	f0.SetDropRate(0)
 	f1.SetDropRate(0)
 	base0, base1 := s0.Stats(), s1.Stats()
-	s0.SyncNow()
+	if flat {
+		b := newOutBatch()
+		s1.shipRange(s0.ID(), 0, 0, rootNode, nil, nil, b)
+		s1.flush(b, nil)
+	} else {
+		s0.SyncNow()
+	}
 	waitPairConverged(t, stores, keys+1, 5*time.Minute)
 	st0, st1 := s0.Stats(), s1.Stats()
 	return repairMeasurement{
 		Keys:               keys,
 		WireBytes:          (st0.WireBytes - base0.WireBytes) + (st1.WireBytes - base1.WireBytes),
-		TreeRounds:         st1.TreeRounds - base1.TreeRounds,
-		RepairPayloadBytes: st0.RepairBytes - base0.RepairBytes,
+		TreeRounds:         (st0.TreeRounds - base0.TreeRounds) + (st1.TreeRounds - base1.TreeRounds),
+		RepairPayloadBytes: (st0.RepairBytes - base0.RepairBytes) + (st1.RepairBytes - base1.RepairBytes),
 	}
 }
 
@@ -83,9 +86,9 @@ func TestRepairBytesProportionalToDivergence(t *testing.T) {
 		t.Errorf("drill-down repair = %d B is not 100x below full ship = %d B (%.1fx)",
 			tree.WireBytes, flat.WireBytes, ratio)
 	}
-	// The drill is log-depth: level queries down the tree plus the want.
-	if tree.TreeRounds < 2 || tree.TreeRounds > 10 {
-		t.Errorf("TreeRounds = %d, want a log-depth handful", tree.TreeRounds)
+	// One frame per level the drill descends, and the close.
+	if tree.TreeRounds < 2 || tree.TreeRounds > protocol.TreeDepth+1 {
+		t.Errorf("TreeRounds = %d, want at most one per level and the close", tree.TreeRounds)
 	}
 }
 

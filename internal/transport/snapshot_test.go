@@ -343,7 +343,7 @@ func TestRepairScalesWithSnapshotStaleness(t *testing.T) {
 // bytes and the total keyspace payload size for comparison.
 func measureStaleRepair(t *testing.T, stale int) (repairBytes, fullBytes int) {
 	t.Helper()
-	const shared = 600 // ≥ TreeRepairMinKeys: drill-down eligible
+	const shared = 600 // far more than a level of hashes: the shard drills
 	f0, f1 := NewFault(1), NewFault(2)
 	f0.SetDropRate(1)
 	f1.SetDropRate(1)

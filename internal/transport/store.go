@@ -73,7 +73,7 @@ type StoreConfig struct {
 	// DigestEvery enables digest anti-entropy: every DigestEvery-th sync
 	// tick (write-triggered flushes do not count) the store also ships
 	// its per-shard digest vector to every peer; a peer whose digests
-	// differ requests those shards in full.
+	// differ drills into those shards for the ranges worth shipping.
 	// This repairs divergence the inner engines cannot see (lost frames
 	// under clear-after-send engines, healed partitions) at a
 	// near-constant per-tick cost of 8 bytes per shard once converged.
@@ -84,21 +84,13 @@ type StoreConfig struct {
 	// anything above the transport-wide maximum means the 64 MiB
 	// transport cap. Tests lower it to exercise packing cheaply.
 	MaxFrameBytes int
-	// RepairTimeout bounds how long one shard's repair request (flat
-	// Want or tree drill-down) stays in flight before a digest mismatch
-	// may retrigger it (default 1s). While a repair is in flight further
-	// mismatching heartbeats for that shard are deduplicated rather than
-	// re-requested — the Want-storm fix. It doubles as the retry cadence
-	// when repair messages are lost; after two consecutive drill-downs
-	// time out on a shard, repair falls back to the flat full pull, whose
-	// two-message exchange survives lossy links the multi-round drill
-	// cannot.
+	// RepairTimeout bounds how long one shard's drill — started here or
+	// served — may go without a message from its peer before a digest
+	// mismatch may start another (default 1s). While a drill is under way
+	// further mismatching heartbeats for that shard, and other peers'
+	// drills on it, are deduplicated rather than run — the Want-storm fix.
+	// It doubles as the retry cadence when a drill's frame is lost.
 	RepairTimeout time.Duration
-	// TreeRepairMinKeys is the local key count from which a diverged
-	// shard repairs by Merkle drill-down instead of a full-shard pull
-	// (default 256). Below it, shipping the shard whole is cheaper than
-	// the hash exchange.
-	TreeRepairMinKeys int
 	// SnapshotDir, when set, enables crash-restart durability: a
 	// background snapshotter periodically serializes each shard's objects
 	// through the canonical codec to an atomic-rename file per shard in
@@ -139,9 +131,9 @@ type StoreStats struct {
 	// incarnation (a peer's queue outliving a restart of this store),
 	// naming a sequence number never sent, or from a non-neighbor.
 	IgnoredAcks int
-	// DigestFrames counts the standalone digest frames within Frames —
-	// advertisement heartbeats that found no data frame to ride and
-	// shard-request replies; the rest carry data.
+	// DigestFrames counts the standalone control frames within Frames —
+	// advertisement heartbeats that found no data frame to ride and the
+	// drills' hash pushes; the rest carry data.
 	DigestFrames int
 	// PiggybackedDigests counts data frames that additionally carried the
 	// per-shard digest vector: advertisements that would each have been a
@@ -158,28 +150,38 @@ type StoreStats struct {
 	// its shard's convergence — peers will keep requesting the shard
 	// every heartbeat; raise MaxFrameBytes or shrink the object.
 	OversizedDropped int
-	// WantShards counts shards this store requested from peers in full
-	// after a digest mismatch — small shards and drill-downs that found
-	// most of a shard diverged.
+	// WantShards counts drills this store stopped at the root: a diverged
+	// shard so small here that it sent its side whole and asked for the
+	// peer's, without hashing anything.
 	WantShards int
-	// RepairShards counts full shards this store served to peers that
-	// requested them.
+	// RepairShards counts the whole-shard closes this store answered with
+	// at least one state.
 	RepairShards int
-	// DedupedWants counts digest mismatches that did not issue a repair
-	// request because one was already in flight for that shard — the
-	// Want storms the repair table absorbed.
+	// DedupedWants counts digest mismatches that started no drill, and
+	// drill messages that were dropped, because the shard's slot was held
+	// by a drill already under way — the Want storms, mirrored drills and
+	// third replicas the repair table absorbed.
 	DedupedWants int
-	// TreeRounds counts Merkle drill-down rounds this store initiated
-	// (level queries and leaf Wants). A single-key repair costs
-	// TreeDepth query rounds plus one Want.
+	// TreeRounds counts the drill messages this store sent below the
+	// root's stop: hash pushes and the closes that asked for ranges. One
+	// diverged key in a large shard costs three cluster-wide — the
+	// starter's level-1 hashes, the peer's level-2 hashes of the one node
+	// that differs, the starter's close.
 	TreeRounds int
-	// RepairRanges counts leaf/node ranges this store served in full to
-	// drilling peers — the range-limited counterpart of RepairShards.
+	// RepairRanges counts the node ranges of the closes this store
+	// answered with at least one state — the range-limited counterpart
+	// of RepairShards.
 	RepairRanges int
-	// RepairBytes totals the key+state payload bytes of the range
-	// repairs served, the measure the drill-down keeps proportional to
-	// divergence rather than shard size.
+	// RepairBytes totals the key+state payload bytes this store shipped
+	// in closes, both halves: what it sent along when it stopped a drill
+	// and what it answered. The drill keeps it proportional to divergence
+	// rather than shard size.
 	RepairBytes int
+	// RepairTimeouts counts drills given up on: a slot found expired —
+	// RepairTimeout without a message from the peer, and no digest
+	// re-match in between — when the next drill took it over. Lost frames
+	// show up here.
+	RepairTimeouts int
 	// DigestShardMismatch counts digest advertisements dropped because
 	// their shard count differs from this store's — a misconfigured
 	// cluster whose divergence anti-entropy cannot repair.
@@ -256,6 +258,7 @@ func (s *StoreStats) Add(o StoreStats) {
 	s.TreeRounds += o.TreeRounds
 	s.RepairRanges += o.RepairRanges
 	s.RepairBytes += o.RepairBytes
+	s.RepairTimeouts += o.RepairTimeouts
 	s.DigestShardMismatch += o.DigestShardMismatch
 	s.DroppedItems += o.DroppedItems
 	s.SnapshotsWritten += o.SnapshotsWritten
@@ -311,11 +314,11 @@ type shard struct {
 	// Any mutation (LocalOp, Deliver) invalidates it.
 	digest   atomic.Uint64
 	digestOK atomic.Bool
-	// leaf caches the Merkle leaf-hash vector repair drill-downs read;
-	// valid while leafOK. Unlike the digest cache it is only touched
-	// under mu, so plain fields suffice.
-	leaf   []uint64
-	leafOK bool
+	// leaf is the Merkle leaf-hash vector drills read, nil unless one has
+	// computed it since the last mutation (see ensureLeavesLocked). Unlike
+	// the digest cache it is only touched under mu, so a plain field
+	// suffices.
+	leaf *leafVec
 }
 
 // touched invalidates the shard's digest and leaf-hash caches and flags
@@ -323,7 +326,7 @@ type shard struct {
 // mutated the engine. It reports whether a flush has something to ship.
 func (sh *shard) touched() bool {
 	sh.digestOK.Store(false)
-	sh.leafOK = false
+	sh.dropLeavesLocked()
 	if sh.fl.Waiting() {
 		sh.dirty.Store(true)
 	}
@@ -362,9 +365,10 @@ func (sh *shard) due(tick bool) bool {
 // on each flush or sync tick. Per-shard flags make either pass O(shards
 // with something to do), not O(shards): clean shards are skipped without
 // taking their locks. With DigestEvery set, replicas additionally exchange
-// per-shard digest vectors and pull full shards only on mismatch, so even
-// divergence invisible to the inner engines is repaired while a converged
-// idle cluster exchanges only constant-size heartbeats.
+// per-shard digest vectors and, on a mismatch, drill down to the ranges
+// that differ and exchange those (merkle.go), so even divergence invisible
+// to the inner engines is repaired while a converged idle cluster
+// exchanges only constant-size heartbeats.
 //
 // Store generalizes Node (one engine, one object, one mutex) to the
 // deployment model of the paper's Retwis evaluation: many independent
@@ -448,9 +452,6 @@ func StartStore(cfg StoreConfig) (*Store, error) {
 	}
 	if cfg.RepairTimeout <= 0 {
 		cfg.RepairTimeout = defaultRepairTimeout
-	}
-	if cfg.TreeRepairMinKeys <= 0 {
-		cfg.TreeRepairMinKeys = defaultTreeMinKeys
 	}
 	if cfg.SnapshotDir != "" && cfg.SnapshotEvery <= 0 {
 		cfg.SnapshotEvery = defaultSnapshotEvery
@@ -764,6 +765,7 @@ func (s *Store) Stats() StoreStats {
 	st := s.stats
 	s.statsMu.Unlock()
 	s.wire.snapshot(&st)
+	st.RepairTimeouts = s.repair.expired()
 	for _, sh := range s.shards {
 		if r, ok := sh.engine.(interface{ Retransmits() uint64 }); ok {
 			sh.mu.Lock()
@@ -834,25 +836,12 @@ type deliverState struct {
 	b    *outBatch
 	sink replySink
 	send protocol.Sender
-	// seen is serveWants' shard-dedup scratch, pooled so hostile or
-	// chatty peers don't drive a per-frame allocation.
-	seen []bool
 	// acked, ack and key are applyAck's scratch: the δ-groups of the
 	// frames an acknowledgement settled, the message each is handed to
 	// its engine as, and the key view that goes with it.
 	acked []ackItem
 	ack   protocol.AckMsg
 	key   []byte
-}
-
-// seenShards returns the dedup scratch cleared and sized to n shards.
-func (d *deliverState) seenShards(n int) []bool {
-	if cap(d.seen) < n {
-		d.seen = make([]bool, n)
-	}
-	d.seen = d.seen[:n]
-	clear(d.seen)
-	return d.seen
 }
 
 var deliverStates = sync.Pool{New: func() any {
@@ -975,7 +964,7 @@ func (s *Store) tick() {
 	}
 	// The heartbeat fallback: peers whose data frames this tick did not
 	// carry the vector still get the advertisement, standalone.
-	m := protocol.NewDigestMsg(vec, nil)
+	m := protocol.NewDigestMsg(vec)
 	data, err := codec.EncodeMsg(m)
 	if err != nil {
 		panic(err)
@@ -1130,7 +1119,7 @@ type frameKind int
 const (
 	// frameData carries shard items only.
 	frameData frameKind = iota
-	// frameDigest is a standalone DigestMsg (heartbeat or shard request).
+	// frameDigest is a standalone DigestMsg heartbeat or TreeMsg hash push.
 	frameDigest
 	// framePiggyback carries shard items plus the digest vector.
 	framePiggyback
@@ -1269,6 +1258,7 @@ func (s *Store) deliverSharded(from string, v *codec.FrameView) error {
 	for _, g := range v.Groups() {
 		sh := s.shards[g.Shard]
 		d.sink.shard = g.Shard
+		var closeMsg *protocol.TreeMsg
 		sh.mu.Lock()
 		s.deliverLocks.Add(1)
 		for i := range g.Items {
@@ -1283,9 +1273,14 @@ func (s *Store) deliverSharded(from string, v *codec.FrameView) error {
 				break
 			}
 			if iv.Key == nil {
-				// A keyless (non-batch) item: hand it to the engine whole,
-				// exactly as the eager path did (perObject ignores it).
-				sh.engine.Deliver(from, m, d.b.sender(g.Shard))
+				// The one bare message stores send inside a data frame is
+				// the TreeMsg that closes a drill, after the states it goes
+				// with; the engines have no use for any other. Should a
+				// drained backlog have spliced two into one group, one that
+				// asks for an answer is the one to keep.
+				if tm, ok := m.(*protocol.TreeMsg); ok && (closeMsg == nil || len(tm.Nodes) > 0) {
+					closeMsg = tm
+				}
 				continue
 			}
 			d.sink.key = iv.Key
@@ -1294,12 +1289,15 @@ func (s *Store) deliverSharded(from string, v *codec.FrameView) error {
 		forward = sh.touched() || forward
 		sh.mu.Unlock()
 		d.sink.flush(d.b)
-		// Data from the peer a repair was requested from completes that
-		// repair (the inner engines may also clear it incidentally with
-		// ordinary deltas; the next heartbeat then re-evaluates).
-		s.repair.clearFrom(int(g.Shard), from)
 		if derr != nil {
 			break
+		}
+		// A close that names ranges asks for this store's side of them; one
+		// that names nothing says the drill with its sender is over.
+		if closeMsg != nil && len(closeMsg.Nodes) > 0 {
+			s.answerClose(from, closeMsg, g, d.b)
+		} else if closeMsg != nil {
+			s.repair.clearFrom(int(g.Shard), from)
 		}
 		if watched {
 			s.notifyGroup(g)
@@ -1315,7 +1313,7 @@ func (s *Store) deliverSharded(from string, v *codec.FrameView) error {
 		// compared after the frame's own items have been merged (they are
 		// part of the state the digests describe). A frame that failed
 		// mid-decode gets no such trust: its digests are skipped.
-		s.handleDigests(from, v.Digests)
+		s.handleDigests(from, v.Digests, d.b)
 	}
 	// A frame with an item that failed to decode, or that was dropped for
 	// a shard this store does not have, is not acknowledged: the sender
@@ -1400,8 +1398,8 @@ func (s *Store) notifyGroup(g codec.ItemGroup) {
 }
 
 // deliverControl handles the non-sharded frames a store speaks: the
-// standalone DigestMsg (advertisement heartbeat or shard request) and
-// the TreeMsg drill-down steps. Anything else well-formed is ignored,
+// standalone DigestMsg (advertisement heartbeat) and the TreeMsg hash
+// pushes of a drill. Anything else well-formed is ignored,
 // preserving the eager path's tolerance; undecodable bytes drop the
 // connection.
 func (s *Store) deliverControl(from string, frame []byte) error {
@@ -1413,8 +1411,7 @@ func (s *Store) deliverControl(from string, frame []byte) error {
 	defer d.release()
 	switch m := msg.(type) {
 	case *protocol.DigestMsg:
-		s.serveWants(from, m.Want, d.seenShards(len(s.shards)))
-		s.handleDigests(from, m.Digests)
+		s.handleDigests(from, m.Digests, d.b)
 	case *protocol.TreeMsg:
 		s.handleTree(from, m, d.b)
 	default:
@@ -1422,96 +1419,6 @@ func (s *Store) deliverControl(from string, frame []byte) error {
 	}
 	s.flush(d.b, nil)
 	return nil
-}
-
-// serveWants answers a peer's shard requests: each validly requested
-// shard is streamed once, in full. seen is the caller's pooled dedup
-// scratch, sized by the shard count and never by the attacker-controlled
-// request length: a hostile Want list of millions of duplicate indices
-// must not amplify into allocation or work.
-func (s *Store) serveWants(from string, want []uint32, seen []bool) {
-	served := 0
-	bytes := 0
-	for _, idx := range want {
-		if int(idx) >= len(s.shards) || seen[idx] {
-			continue // hostile or stale request; serve each shard once
-		}
-		seen[idx] = true
-		if n, ok := s.serveShard(from, idx); ok {
-			served++
-			bytes += n
-		}
-	}
-	if served > 0 {
-		s.statsMu.Lock()
-		s.stats.RepairShards += served
-		s.stats.RepairBytes += bytes
-		s.statsMu.Unlock()
-	}
-}
-
-// repairChunkBytes caps the key+state payload cloned and shipped per
-// chunk when serving a full-shard pull. A wide-divergence repair on a
-// large shard — restoring a peer from a stale snapshot is exactly this
-// workload — used to materialize the entire shard as one monolithic
-// batch and lean on the packer to split it; chunking bounds the clone
-// held in memory and the shard-lock hold time to one chunk at a time.
-const repairChunkBytes = 1 << 20
-
-// serveShard streams one shard's full contents to a peer as a sequence
-// of bounded BatchMsgs of per-key δ-groups carrying whole object states.
-// A full state is a valid δ-group, so the receiver merges each chunk
-// through the ordinary per-object delivery path (RR extracts exactly the
-// missing part) and propagates anything new onwards. The key list is
-// copied once up front; the shard lock is released between chunks (the
-// keyspace is grow-only, and a state mutated meanwhile ships its newer
-// value — anti-entropy never needs a point-in-time cut). Returns the
-// key+state payload bytes shipped and whether anything was.
-func (s *Store) serveShard(to string, idx uint32) (int, bool) {
-	sh := s.shards[idx]
-	sh.mu.Lock()
-	keys := append([]string(nil), sh.engine.Keys()...)
-	sh.mu.Unlock()
-	if len(keys) == 0 {
-		return 0, false
-	}
-	budget := min(s.maxMsgBytes()/2, repairChunkBytes)
-	total := 0
-	for i := 0; i < len(keys); {
-		var items []protocol.ObjectMsg
-		bytes := 0
-		sh.mu.Lock()
-		for i < len(keys) {
-			st := sh.engine.ObjectState(keys[i])
-			if st == nil {
-				i++ // unreachable today (grow-only keyspace); skip defensively
-				continue
-			}
-			sz := len(keys[i]) + st.SizeBytes()
-			if len(items) > 0 && bytes+sz > budget {
-				break // chunk full; an oversized single object still ships alone
-			}
-			st = st.Clone() // the message outlives the lock
-			bytes += sz
-			items = append(items, protocol.ObjectMsg{
-				Key:   keys[i],
-				Inner: protocol.NewDeltaMsg(st),
-			})
-			i++
-		}
-		sh.mu.Unlock()
-		if len(items) == 0 {
-			continue
-		}
-		// Flush each chunk immediately on its own batch — accumulating
-		// chunks in one outBatch would defeat the point of chunking.
-		// flush must not run under the shard lock.
-		b := newOutBatch()
-		b.sender(idx)(to, protocol.BatchOf(items))
-		s.flush(b, nil)
-		total += bytes
-	}
-	return total, total > 0
 }
 
 // syncLoop owns the two clocks: the ticker, and the flush timer that

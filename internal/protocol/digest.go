@@ -10,11 +10,11 @@ import (
 // against its own shard digests and starts a drill (TreeMsg) on each
 // shard that differs.
 //
-// Digests are computed over each shard's sorted keys and canonical state
-// encodings, so two replicas holding the same shard contents always
-// produce equal digests and a converged pair exchanges only the constant
-// size advertisement — the near-constant heartbeat that replaces shipping
-// state on idle keyspaces.
+// Digests combine, in no order, a hash of each key of the shard with its
+// state's canonical encoding, so two replicas holding the same shard
+// contents always produce equal digests and a converged pair exchanges
+// only the constant size advertisement — the near-constant heartbeat that
+// replaces shipping state on idle keyspaces.
 type DigestMsg struct {
 	Digests []uint64
 	cost    metrics.Transmission

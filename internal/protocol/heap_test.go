@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"crdtsync/internal/codec"
+	"crdtsync/internal/lattice"
 	"crdtsync/internal/protocol"
 	"crdtsync/internal/workload"
 )
@@ -104,12 +105,14 @@ func heapAlloc() uint64 {
 // of three replicas, synchronized to the other two and acknowledged, then
 // two collections. This is the benchmark's heap_bytes_per_key without the
 // transport around it; before δ-buffers were released and small states
-// laid out flat it read 877 (delta) and 1157 (acked) bytes.
+// laid out flat it read 877 (delta) and 1157 (acked) bytes, and with every
+// key in a map[string]Engine, a sorted []string and a string of its own,
+// 219 and 241; the key record table reads 191 and 207.
 func TestPerObjectHeapPerKey(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds three 100k-key engines")
 	}
-	const keys, batch, limit = 100_000, 5_000, 350
+	const keys, batch, limit = 100_000, 5_000, 215
 	factories := []struct {
 		name  string
 		inner protocol.Factory
@@ -145,4 +148,35 @@ func TestPerObjectHeapPerKey(t *testing.T) {
 			runtime.KeepAlive(m)
 		})
 	}
+}
+
+// TestPerObjectHeapPerKeySmallShards is the same pin on the other shape a
+// store has: 64 engines of 312 keys each — one replica of a 20 000-key
+// store — written, synchronized into the void and left quiescent. What a
+// large engine amortizes a small one pays in full: key chunks of a fixed
+// 64 KB, or records by the thousand, would cost such a store 500 bytes a
+// key, and a slice that doubles costs it 20. The string-keyed index read
+// 317 here (a map that held every key of a shard as active stays that
+// size); the key record table reads 198.
+func TestPerObjectHeapPerKeySmallShards(t *testing.T) {
+	const shards, perShard, limit = 64, 312, 215
+	before := heapAlloc()
+	engines := make([]protocol.Engine, shards)
+	f := protocol.NewPerObject(protocol.NewDeltaBPRR(), storeObjType)
+	for i := range engines {
+		engines[i] = f(protocol.Config{ID: "r0", Neighbors: []string{"r1"}, Nodes: []string{"r0", "r1"}})
+	}
+	for i := 0; i < shards*perShard; i++ {
+		engines[i%shards].LocalOp(storeOp(i))
+	}
+	for _, e := range engines {
+		e.Sync(func(string, protocol.Msg) {})
+		e.(protocol.KeyedEngine).Scan("", func(string, lattice.State) bool { return true })
+	}
+	perKey := float64(heapAlloc()-before) / (shards * perShard)
+	t.Logf("%.0f heap bytes per key", perKey)
+	if perKey > limit {
+		t.Errorf("%.0f heap bytes per key in %d engines of %d keys, want ≤ %d", perKey, shards, perShard, limit)
+	}
+	runtime.KeepAlive(engines)
 }

@@ -1,7 +1,8 @@
 package protocol
 
 import (
-	"slices"
+	"hash/maphash"
+	"math/bits"
 
 	"crdtsync/internal/lattice"
 	"crdtsync/internal/metrics"
@@ -39,36 +40,40 @@ type perObject struct {
 	cfg     Config
 	inner   Factory
 	objType func(key string) workload.Datatype
-	objects map[string]Engine
+	// ix is the key record table: every object's engine, key and flags,
+	// by id. It is the only index there is.
+	ix keyIndex
 	// protos holds, per datatype name, the first object engine the inner
 	// factory built for that type, if it can be forked: every further
 	// object of the type is stamped out of it and shares its
 	// configuration, instead of carrying a Config copy of its own.
 	protos map[string]forker
-	// keys lists the known keys in ascending order, as Keys returns them;
-	// fresh holds, unordered, the keys created since Keys last ran.
-	// objects is the only index a write consults: a new key costs an
-	// append here, and the order is restored where it is consumed.
-	keys, fresh []string
-	// active holds the keys the next Sync must visit: keys touched by
-	// LocalOp/Deliver since the last one, plus keys whose engine is
+	// active lists the objects the next Sync must visit: those touched by
+	// LocalOp/Deliver since the last one, plus those whose engine is
 	// still Waiting (unacknowledged entries that a tick may have to
 	// send again) or, for an engine that is no Flusher, emitted on its
-	// last visit (Scuttlebutt digests). Quiescent keys are skipped,
+	// last visit (Scuttlebutt digests). Quiescent objects are skipped,
 	// making Sync O(changed) instead of O(keyspace): the large-keyspace
-	// win the Retwis evaluation relies on. The value says whether the
-	// key is also queued in unsent.
-	active map[string]bool
-	// unsent queues the keys whose engine has something it has never
-	// sent — what Flush walks, so a first-transmission pass never
-	// visits the objects that only wait for an ack. Only Flusher
-	// engines are queued; the rest ship on ticks alone.
-	unsent []string
-	// scratch is Sync's sorted copy of active and b the per-destination
-	// batcher, both kept across calls: a pass allocates the messages it
-	// emits and nothing else.
-	scratch []string
-	b       batcher
+	// win the Retwis evaluation relies on. flagActive is the membership;
+	// the list may lag behind it — a Flush that leaves an object quiescent
+	// clears the flag and the next Sync drops the id — so nActive is the
+	// count. An id is listed at most once (flagListed).
+	active  []uint32
+	nActive int
+	// unsent queues the objects (flagQueued) whose engine has something it
+	// has never sent — what Flush walks, so a first-transmission pass never
+	// visits the objects that only wait for an ack. Only Flusher engines
+	// are queued; the rest ship on ticks alone.
+	unsent []uint32
+	// stale has bit id set when the object's state may have changed since
+	// Rehash last visited it, nStale counts the bits. A bitmap rather than
+	// one more id list: an engine whose owner never asks for a digest marks
+	// every object once and never unmarks it, at one bit a key.
+	stale  []uint64
+	nStale int
+	// b is the per-destination batcher, kept across calls like the lists:
+	// a pass allocates the messages it emits and nothing else.
+	b batcher
 }
 
 // forker is implemented by engines whose configuration is immutable and
@@ -94,9 +99,7 @@ func NewPerObject(inner Factory, objType func(key string) workload.Datatype) Fac
 			cfg:     cfg,
 			inner:   inner,
 			objType: objType,
-			objects: make(map[string]Engine),
 			protos:  make(map[string]forker),
-			active:  make(map[string]bool),
 		}
 		e.b.pending = make(map[string][]ObjectMsg, len(cfg.Neighbors))
 		e.b.send = e.b.add
@@ -106,58 +109,76 @@ func NewPerObject(inner Factory, objType func(key string) workload.Datatype) Fac
 
 func (e *perObject) ID() string { return e.cfg.ID }
 
-// Keys implements KeyedEngine. Keys created since the last call are
-// sorted and merged in here, from the back, in one pass.
-func (e *perObject) Keys() []string {
-	if len(e.fresh) == 0 {
-		return e.keys
-	}
-	slices.Sort(e.fresh)
-	i, j := len(e.keys)-1, len(e.fresh)-1
-	e.keys = slices.Grow(e.keys, len(e.fresh))[:len(e.keys)+len(e.fresh)]
-	for k := len(e.keys) - 1; j >= 0; k-- {
-		if i >= 0 && e.keys[i] > e.fresh[j] {
-			e.keys[k] = e.keys[i]
-			i--
-		} else {
-			e.keys[k] = e.fresh[j]
-			j--
-		}
-	}
-	e.fresh = nil
-	return e.keys
-}
-
 // NumKeys implements KeyedEngine.
-func (e *perObject) NumKeys() int { return len(e.objects) }
+func (e *perObject) NumKeys() int { return len(e.ix.recs) }
 
 // ObjectState implements KeyedEngine.
 func (e *perObject) ObjectState(key string) lattice.State {
-	eng, ok := e.objects[key]
+	id, ok := find(&e.ix, maphash.String(keySeed, key), key)
 	if !ok {
 		return nil
 	}
-	return eng.State()
+	return e.ix.recs[id].eng.State()
+}
+
+// Scan implements KeyedEngine.
+func (e *perObject) Scan(prefix string, fn func(key string, st lattice.State) bool) {
+	for _, id := range e.ix.withPrefix(prefix) {
+		r := &e.ix.recs[id]
+		if !fn(e.ix.key(r), r.eng.State()) {
+			return
+		}
+	}
+}
+
+// Stale implements KeyedEngine.
+func (e *perObject) Stale() bool { return e.nStale > 0 }
+
+// Rehash implements KeyedEngine.
+func (e *perObject) Rehash(fn func(key string, st lattice.State, hash *uint64)) {
+	if e.nStale == 0 {
+		return
+	}
+	for w, word := range e.stale {
+		for ; word != 0; word &= word - 1 {
+			r := &e.ix.recs[w<<6|bits.TrailingZeros64(word)]
+			fn(e.ix.key(r), r.eng.State(), &r.hash)
+		}
+		e.stale[w] = 0
+	}
+	e.nStale = 0
+}
+
+// Hashes implements KeyedEngine.
+func (e *perObject) Hashes(fn func(key string, hash uint64)) {
+	for i := range e.ix.recs {
+		r := &e.ix.recs[i]
+		fn(e.ix.key(r), r.hash)
+	}
 }
 
 // State aggregates all object states into a map keyed by object key.
 // Object states are shared, not cloned; callers must not mutate them.
 func (e *perObject) State() lattice.State {
 	m := lattice.NewMap()
-	for _, key := range e.Keys() {
-		if s := e.objects[key].State(); !s.IsBottom() {
+	e.Scan("", func(key string, s lattice.State) bool {
+		if !s.IsBottom() {
 			m.Set(key, s)
 		}
-	}
+		return true
+	})
 	return m
 }
 
-// obj returns (creating if needed) the engine of one object.
-func (e *perObject) obj(key string) Engine {
-	if eng, ok := e.objects[key]; ok {
-		return eng
+// obj returns the id of one object, creating its record and engine if
+// need be; h is the key's table hash. The key is only read: a new
+// record copies it, and the copy is what objType is shown.
+func obj[K string | []byte](e *perObject, h uint64, key K) uint32 {
+	if id, ok := find(&e.ix, h, key); ok {
+		return id
 	}
-	dt := e.objType(key)
+	id := add(&e.ix, h, key)
+	dt := e.objType(e.ix.keyOf(id))
 	var eng Engine
 	if proto, ok := e.protos[dt.Name()]; ok {
 		eng = proto.fork()
@@ -169,40 +190,55 @@ func (e *perObject) obj(key string) Engine {
 			e.protos[dt.Name()] = f
 		}
 	}
-	e.objects[key] = eng
-	e.fresh = append(e.fresh, key)
-	return eng
+	e.ix.recs[id].eng = eng
+	e.mutated(id) // a new key is a change, whatever created it
+	return id
 }
 
 func (e *perObject) LocalOp(op workload.Op) {
-	eng := e.obj(op.Key)
-	eng.LocalOp(op)
-	if queued, known := e.active[op.Key]; !queued {
-		if queue, activate := touched(eng, known); queue {
-			e.queue(op.Key)
-		} else if activate {
-			e.active[op.Key] = false
+	id := obj(e, maphash.String(keySeed, op.Key), op.Key)
+	e.ix.recs[id].eng.LocalOp(op)
+	e.mutated(id)
+	e.touched(id)
+}
+
+// mutated marks the object id, whose state may just have changed, stale.
+func (e *perObject) mutated(id uint32) {
+	w, bit := int(id>>6), uint64(1)<<(id&63)
+	for w >= len(e.stale) {
+		e.stale = append(e.stale, 0)
+	}
+	if e.stale[w]&bit == 0 {
+		e.stale[w] |= bit
+		e.nStale++
+	}
+}
+
+// touched records in the active set what a LocalOp or a Deliver just
+// handed to the object id. A Flusher is queued for the next Flush when it
+// holds something never sent, and otherwise stays as it was: an ack or a
+// redundant δ-group gives a tick nothing new to do. Any other engine is
+// activated for the next Sync, as ever.
+func (e *perObject) touched(id uint32) {
+	r := &e.ix.recs[id]
+	if r.flags&flagQueued != 0 {
+		return
+	}
+	if f, ok := r.eng.(Flusher); ok {
+		if !f.Unsent() {
+			return
+		}
+		r.flags |= flagQueued
+		e.unsent = append(e.unsent, id)
+	}
+	if r.flags&flagActive == 0 {
+		r.flags |= flagActive
+		e.nActive++
+		if r.flags&flagListed == 0 {
+			r.flags |= flagListed
+			e.active = append(e.active, id)
 		}
 	}
-}
-
-// touched says what a LocalOp or a Deliver just handed to eng, an engine
-// not yet queued, asks of the active set. A Flusher is queued for the
-// next Flush when it holds something never sent, and otherwise stays as
-// it was: an ack or a redundant δ-group gives a tick nothing new to do.
-// Any other engine is activated for the next Sync, as ever; known says
-// whether it is active already.
-func touched(eng Engine, known bool) (queue, activate bool) {
-	if f, ok := eng.(Flusher); ok {
-		return f.Unsent(), false
-	}
-	return false, !known
-}
-
-// queue marks key active and due for the next Flush.
-func (e *perObject) queue(key string) {
-	e.active[key] = true
-	e.unsent = append(e.unsent, key)
 }
 
 // batcher accumulates inner sends per destination and flushes them as
@@ -261,17 +297,22 @@ func BatchOf(items []ObjectMsg) *BatchMsg {
 // Sync implements Engine: one tick over every active object, in key
 // order.
 func (e *perObject) Sync(send Sender) {
-	if len(e.active) == 0 {
+	if e.nActive == 0 {
 		return
 	}
-	keys := e.scratch[:0]
-	for k := range e.active {
-		keys = append(keys, k)
+	ids := e.active[:0]
+	for _, id := range e.active {
+		if r := &e.ix.recs[id]; r.flags&flagActive != 0 {
+			ids = append(ids, id)
+		} else {
+			r.flags &^= flagListed // a Flush left it quiescent
+		}
 	}
-	slices.Sort(keys)
-	for _, key := range keys {
-		eng := e.objects[key]
-		e.b.key, e.b.emitted = key, false
+	e.active = ids
+	e.ix.sortByKey(ids)
+	for _, id := range ids {
+		eng := e.ix.recs[id].eng
+		e.b.key, e.b.emitted = e.ix.keyOf(id), false
 		eng.Sync(e.b.send)
 		// An engine that cannot say whether it waits is revisited for
 		// as long as it has something to say.
@@ -279,12 +320,9 @@ func (e *perObject) Sync(send Sender) {
 		if f, ok := eng.(Flusher); ok {
 			keep = f.Waiting()
 		}
-		e.settle(key, keep)
+		e.settle(id, keep)
 	}
-	clear(keys)
-	e.scratch = keys[:0]
-	clear(e.unsent) // a tick ships everything a flush would have
-	e.unsent = e.unsent[:0]
+	e.unsent = e.unsent[:0] // a tick ships everything a flush would have
 	e.b.flush(send)
 }
 
@@ -295,14 +333,13 @@ func (e *perObject) Flush(send Sender) {
 	if len(e.unsent) == 0 {
 		return
 	}
-	slices.Sort(e.unsent)
-	for _, key := range e.unsent {
-		f := e.objects[key].(Flusher) // nothing else is ever queued
-		e.b.key = key
+	e.ix.sortByKey(e.unsent)
+	for _, id := range e.unsent {
+		f := e.ix.recs[id].eng.(Flusher) // nothing else is ever queued
+		e.b.key = e.ix.keyOf(id)
 		f.Flush(e.b.send)
-		e.settle(key, f.Waiting())
+		e.settle(id, f.Waiting())
 	}
-	clear(e.unsent)
 	e.unsent = e.unsent[:0]
 	e.b.flush(send)
 }
@@ -310,11 +347,12 @@ func (e *perObject) Flush(send Sender) {
 // settle records a visited object as no longer queued: still active when
 // a later tick has to keep visiting it, quiescent until the next LocalOp
 // or Deliver touches it otherwise.
-func (e *perObject) settle(key string, keep bool) {
-	if keep {
-		e.active[key] = false
-	} else {
-		delete(e.active, key)
+func (e *perObject) settle(id uint32, keep bool) {
+	r := &e.ix.recs[id]
+	r.flags &^= flagQueued
+	if !keep {
+		r.flags &^= flagActive
+		e.nActive--
 	}
 }
 
@@ -322,7 +360,7 @@ func (e *perObject) settle(key string, keep bool) {
 func (e *perObject) Unsent() bool { return len(e.unsent) > 0 }
 
 // Waiting implements Flusher.
-func (e *perObject) Waiting() bool { return len(e.active) > 0 }
+func (e *perObject) Waiting() bool { return e.nActive > 0 }
 
 // Retransmits sums the re-sends the object engines have counted.
 func (e *perObject) Retransmits() uint64 {
@@ -351,31 +389,26 @@ func (e *perObject) Deliver(from string, m Msg, send Sender) {
 var _ ObjectDeliverer = (*perObject)(nil)
 
 // DeliverObject implements ObjectDeliverer: one object's inbound message,
-// delivered without batch materialization. The map lookups convert the key
-// view in place (the compiler elides the allocation for m[string(b)]), so
-// the steady state — an existing object that an ack or a redundant
-// δ-group leaves with nothing new to send — allocates nothing here; the
-// key is materialized only when the object is new or is queued.
+// delivered without batch materialization. The key view is hashed and
+// compared in place, so the steady state — an existing object that an ack
+// or a redundant δ-group leaves with nothing new to send — allocates
+// nothing here; the key is copied only when the object is new.
 func (e *perObject) DeliverObject(from string, key []byte, m Msg, send Sender) {
-	eng, ok := e.objects[string(key)]
-	if !ok {
-		eng = e.obj(string(key))
+	id := obj(e, maphash.Bytes(keySeed, key), key)
+	e.ix.recs[id].eng.Deliver(from, m, send)
+	// An acknowledgement retires buffer entries and leaves the state alone.
+	if _, ack := m.(*AckMsg); !ack {
+		e.mutated(id)
 	}
-	eng.Deliver(from, m, send)
-	if queued, known := e.active[string(key)]; !queued {
-		if queue, activate := touched(eng, known); queue {
-			e.queue(string(key))
-		} else if activate {
-			e.active[string(key)] = false
-		}
-	}
+	e.touched(id)
 }
 
 func (e *perObject) Memory() metrics.Memory {
 	var total metrics.Memory
-	for key, eng := range e.objects {
-		m := eng.Memory()
-		total.CRDTBytes += m.CRDTBytes + len(key)
+	for i := range e.ix.recs {
+		r := &e.ix.recs[i]
+		m := r.eng.Memory()
+		total.CRDTBytes += m.CRDTBytes + len(e.ix.key(r))
 		total.BufferBytes += m.BufferBytes
 		total.MetadataBytes += m.MetadataBytes
 	}

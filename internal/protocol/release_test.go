@@ -126,7 +126,7 @@ func TestRedundantDeliverObjectAllocs(t *testing.T) {
 }
 
 // TestPerObjectKeysStayOrdered pins the lazily ordered key index: keys
-// created in any order, before, between and after calls to Keys, come
+// created in any order, before, between and after ordered visits, come
 // back ascending and complete, and one engine configuration is shared by
 // all objects of a datatype rather than copied per key.
 func TestPerObjectKeysStayOrdered(t *testing.T) {
@@ -135,16 +135,20 @@ func TestPerObjectKeysStayOrdered(t *testing.T) {
 	want := 0
 	check := func() {
 		t.Helper()
-		keys := e.Keys()
+		var keys []string
+		e.Scan("", func(k string, st lattice.State) bool {
+			if st == nil || st != e.ObjectState(k) {
+				t.Fatalf("key %q visited with state %v, ObjectState has %v", k, st, e.ObjectState(k))
+			}
+			keys = append(keys, k)
+			return true
+		})
 		if len(keys) != want || e.NumKeys() != want {
-			t.Fatalf("Keys has %d, NumKeys says %d, want %d", len(keys), e.NumKeys(), want)
+			t.Fatalf("Scan visits %d, NumKeys says %d, want %d", len(keys), e.NumKeys(), want)
 		}
 		for i, k := range keys {
 			if i > 0 && keys[i-1] >= k {
-				t.Fatalf("Keys()[%d] = %q follows %q", i, k, keys[i-1])
-			}
-			if e.ObjectState(k) == nil {
-				t.Fatalf("key %q has no object", k)
+				t.Fatalf("key %d = %q follows %q", i, k, keys[i-1])
 			}
 		}
 	}

@@ -1,6 +1,10 @@
 package protocol
 
-import "crdtsync/internal/lattice"
+import (
+	"hash/maphash"
+
+	"crdtsync/internal/lattice"
+)
 
 // This file is the protocol side of crash-restart durability: how a
 // snapshot's states re-enter the engines on startup. Restoring is not
@@ -39,12 +43,14 @@ var dropSender Sender = func(string, Msg) {}
 // RestoreObject implements ObjectRestorer. The object's engine is
 // created on demand (datatype from the key, as everywhere) and restored
 // through its Restorer when it has one. Restored keys are deliberately
-// not marked active: a freshly restored store has nothing new to say,
-// and leaving the keyspace quiescent keeps restart cost O(changed), not
-// O(keyspace) — the same property Sync's active set provides in steady
-// state.
+// not marked active, only stale: a freshly restored store has nothing new
+// to say, and leaving the keyspace quiescent keeps restart cost
+// O(changed), not O(keyspace) — the same property Sync's active set
+// provides in steady state.
 func (e *perObject) RestoreObject(key string, st lattice.State) {
-	eng := e.obj(key)
+	id := obj(e, maphash.String(keySeed, key), key)
+	e.mutated(id)
+	eng := e.ix.recs[id].eng
 	if r, ok := eng.(Restorer); ok {
 		r.Restore(st)
 		return

@@ -90,37 +90,48 @@ func validNodes(level int, nodes []uint32, leaves *treeBitmap) []uint32 {
 	return valid
 }
 
-// leafKeyHash is one key's contribution to its leaf: an FNV-1a fold
-// over (key bytes, canonical encoding). Leaves combine contributions by
-// XOR (an empty leaf is 0) — order-independent, so replicas holding
-// equal contents produce equal leaves regardless of key order.
-// Leaf hashes are only ever compared between replicas running the same
-// code, so the combining rule is free to change between versions.
-func leafKeyHash(k string, enc []byte) uint64 {
-	return fnvFold(fnvFoldString(fnvOffset64, k), enc)
+// keyHash is one key's content hash: an FNV-1a fold over (key bytes,
+// canonical encoding), passed through a 64-bit finalizer. A shard's digest
+// and its tree leaves combine these by XOR (an empty shard or leaf is 0)
+// — order-independent and updatable one key at a time, the incremental
+// hashing of Bellare and Micciancio — and a commutative combination needs
+// the finalizer. The bare fold ends in (h ^ lastByte) * prime, so for two
+// keys whose encodings differ only in their last byte (counters holding 2
+// and 3) swapping the states moves each key's hash by ±prime: summed, the
+// moves cancel for one pair of keys in two, and XORed still for one of
+// the 64 pairs TestSwappedStatesChangeDigestAndLeaf tries — two replicas
+// that differ and advertise the same digest.
+// Hashes are only ever compared between replicas running the same code,
+// so the scheme is free to change between versions.
+func keyHash(k string, enc []byte) uint64 {
+	h := fnvFold(fnvFoldString(fnvOffset64, k), enc)
+	h ^= h >> 33 // MurmurHash3's fmix64
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
 }
 
 // leafVec is one shard's leaf-hash vector. 32 KB: a shard holds one only
-// from the drill that computes it to the next mutation, and they are
+// from the drill that folds it to the next mutation, and they are
 // recycled, so the heap carries as many as there are drills under way.
 type leafVec [protocol.TreeLeaves]uint64
 
 var leafVecs = sync.Pool{New: func() any { return new(leafVec) }}
 
-// ensureLeavesLocked computes the shard's leaf-hash vector unless the one
-// it holds is still valid. Caller holds sh.mu.
+// ensureLeavesLocked folds the keys' content hashes, brought up to date,
+// into the shard's leaf-hash vector, unless the one it holds is still
+// valid. Caller holds sh.mu.
 func (sh *shard) ensureLeavesLocked() {
 	if sh.leaf != nil {
 		return
 	}
-	sh.leaf = leafVecs.Get().(*leafVec)
-	clear(sh.leaf[:])
-	scratch := getEncodeBuf()
-	for _, k := range sh.engine.Keys() {
-		scratch = codec.AppendState(scratch[:0], sh.engine.ObjectState(k))
-		sh.leaf[treeLeafIdx(k)] ^= leafKeyHash(k, scratch)
-	}
-	putEncodeBuf(scratch)
+	sh.digestLocked()
+	leaf := leafVecs.Get().(*leafVec)
+	clear(leaf[:])
+	sh.engine.Hashes(func(k string, hash uint64) { leaf[treeLeafIdx(k)] ^= hash })
+	sh.leaf = leaf
 }
 
 // dropLeavesLocked hands the leaf-hash vector back: a mutation has
@@ -159,24 +170,34 @@ func (sh *shard) childHashLocked(level int, node uint32, child int) uint64 {
 // noBudget makes rangeKeysLocked list the keys without weighing them.
 const noBudget = -1
 
-// rangeKeysLocked lists the shard's keys whose leaves are marked, in key
-// order. Given a budget it gives up, reporting false, as soon as their
+// keyState is one object as a drill's close ships it: its key and its
+// live state, to be read under the shard lock only.
+type keyState struct {
+	key string
+	st  lattice.State
+}
+
+// rangeKeysLocked lists the shard's objects whose leaves are marked, in
+// key order. Given a budget it gives up, reporting false, as soon as their
 // keys and states weigh more than that many bytes — the drill's stop
 // test, which on a fat range ends after a handful of keys.
-func (sh *shard) rangeKeysLocked(leaves *treeBitmap, budget int) ([]string, bool) {
-	var keys []string
-	for _, k := range sh.engine.Keys() {
+func (sh *shard) rangeKeysLocked(leaves *treeBitmap, budget int) ([]keyState, bool) {
+	var objs []keyState
+	within := true
+	sh.engine.Scan("", func(k string, st lattice.State) bool {
 		if !leaves.has(treeLeafIdx(k)) {
-			continue
+			return true
 		}
 		if budget != noBudget {
-			if budget -= len(k) + sh.engine.ObjectState(k).SizeBytes(); budget < 0 {
-				return nil, false
+			if budget -= len(k) + st.SizeBytes(); budget < 0 {
+				objs, within = nil, false
+				return false
 			}
 		}
-		keys = append(keys, k)
-	}
-	return keys, true
+		objs = append(objs, keyState{k, st})
+		return true
+	})
+	return objs, within
 }
 
 // repairEntry is one shard's drill under way: the peer it runs with —
@@ -377,7 +398,7 @@ func (s *Store) continueDrill(peer string, shardIdx uint32, level int, nodes []u
 	}
 	sh := s.shards[shardIdx]
 	sh.mu.Lock()
-	keys, stop := sh.rangeKeysLocked(&leaves, budget)
+	objs, stop := sh.rangeKeysLocked(&leaves, budget)
 	var hashes []uint64
 	if !stop {
 		sh.ensureLeavesLocked()
@@ -400,7 +421,7 @@ func (s *Store) continueDrill(peer string, shardIdx uint32, level int, nodes []u
 		s.transmitMsg(peer, protocol.NewTreeMsg(shardIdx, uint8(level), nodes, hashes), frameDigest)
 		return
 	}
-	s.shipRange(peer, shardIdx, level, nodes, keys, nil, b)
+	s.shipRange(peer, shardIdx, level, nodes, objs, nil, b)
 }
 
 // answerClose serves the close that ended a drill, once its shard group g
@@ -432,10 +453,10 @@ func (s *Store) answerClose(from string, tm *protocol.TreeMsg, g codec.ItemGroup
 	}
 	sh := s.shards[g.Shard]
 	sh.mu.Lock()
-	keys, _ := sh.rangeKeysLocked(&leaves, noBudget)
+	objs, _ := sh.rangeKeysLocked(&leaves, noBudget)
 	sh.dropLeavesLocked() // the drill is over
 	sh.mu.Unlock()
-	shipped := s.shipRange(from, g.Shard, level, nil, keys, theirs, b)
+	shipped := s.shipRange(from, g.Shard, level, nil, objs, theirs, b)
 	s.repair.clearFrom(int(g.Shard), from)
 	if shipped {
 		s.statsMu.Lock()
@@ -457,7 +478,7 @@ func (s *Store) answerClose(from string, tm *protocol.TreeMsg, g codec.ItemGroup
 const repairChunkBytes = 1 << 20
 
 // shipRange sends to one end's half of a drill's close over the ranges
-// that keys lie in: a sequence of bounded BatchMsgs of per-key δ-groups,
+// that objs lie in: a sequence of bounded BatchMsgs of per-key δ-groups,
 // then the TreeMsg that says which half it was. A state is a valid
 // δ-group, so the receiver merges each chunk through the ordinary
 // per-object delivery path (RR extracts exactly the missing part) and
@@ -475,7 +496,7 @@ const repairChunkBytes = 1 << 20
 // needs a point-in-time cut); each chunk but the last leaves on its own
 // frame at once, the last and the TreeMsg are left on b. It reports
 // whether any state was shipped.
-func (s *Store) shipRange(to string, shardIdx uint32, level int, want []uint32, keys []string, theirs map[string]lattice.State, b *outBatch) bool {
+func (s *Store) shipRange(to string, shardIdx uint32, level int, want []uint32, objs []keyState, theirs map[string]lattice.State, b *outBatch) bool {
 	sh := s.shards[shardIdx]
 	budget := min(s.maxMsgBytes()/2, repairChunkBytes)
 	total := 0
@@ -483,14 +504,15 @@ func (s *Store) shipRange(to string, shardIdx uint32, level int, want []uint32, 
 		var items []protocol.ObjectMsg
 		bytes := 0
 		sh.mu.Lock()
-		for ; i < len(keys); i++ {
-			st, t := sh.engine.ObjectState(keys[i]), theirs[keys[i]]
+		for ; i < len(objs); i++ {
+			key, st := objs[i].key, objs[i].st
+			t := theirs[key]
 			if t != nil {
 				if st = core.Delta(st, t); st.IsBottom() {
 					continue // the peer's state covers this store's
 				}
 			}
-			sz := len(keys[i]) + st.SizeBytes()
+			sz := len(key) + st.SizeBytes()
 			if len(items) > 0 && bytes+sz > budget {
 				break // chunk full; an oversized single object still ships alone
 			}
@@ -498,11 +520,11 @@ func (s *Store) shipRange(to string, shardIdx uint32, level int, want []uint32, 
 				st = st.Clone() // the message outlives the lock
 			}
 			bytes += sz
-			items = append(items, protocol.ObjectMsg{Key: keys[i], Inner: protocol.NewDeltaMsg(st)})
+			items = append(items, protocol.ObjectMsg{Key: key, Inner: protocol.NewDeltaMsg(st)})
 		}
 		sh.mu.Unlock()
 		total += bytes
-		last := i == len(keys) || want != nil
+		last := i == len(objs) || want != nil
 		out := b
 		if !last {
 			// flush must not run under the shard lock, and accumulating

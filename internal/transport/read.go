@@ -1,8 +1,7 @@
 package transport
 
 import (
-	"sort"
-	"strings"
+	"container/heap"
 
 	"crdtsync/internal/lattice"
 )
@@ -22,15 +21,7 @@ func (s *Store) Query(shard int, fn func(key string, st lattice.State) bool) {
 	sh := s.shards[shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	for _, k := range sh.engine.Keys() {
-		st := sh.engine.ObjectState(k)
-		if st == nil {
-			continue
-		}
-		if !fn(k, st) {
-			return
-		}
-	}
+	sh.engine.Scan("", fn)
 }
 
 // View runs fn on one object's live state under its shard lock and
@@ -51,39 +42,62 @@ func (s *Store) View(key string, fn func(st lattice.State)) bool {
 
 // Scan visits every object whose key starts with prefix, across all
 // shards, in globally sorted key order — deterministic regardless of the
-// shard count or hash layout. The matching keys are collected first with
-// a bounded lock hold per shard (each shard's sorted key slice is
-// range-searched, not walked), then each object is visited under its own
-// shard lock, so no lock is held across fn calls on different shards and
-// a long scan never freezes a shard for its whole duration. Consequently
-// Scan is not a snapshot: objects mutated between collection and visit
-// are seen in their newer state, and fn observes live states under the
-// same zero-clone contract as Query. Returning false stops the scan.
+// shard count or hash layout. The matching objects are collected first
+// with a bounded lock hold per shard (each shard's ordered keys are
+// range-searched, not walked) and each shard's come out in order, so the
+// global order is a merge of the shards' runs, not a sort. Then each
+// object is visited under its own shard lock, so no lock is held across fn
+// calls on different shards and a long scan never freezes a shard for its
+// whole duration. Consequently Scan is not a snapshot: objects mutated
+// between collection and visit are seen in their newer state, and fn
+// observes live states under the same zero-clone contract as Query.
+// Returning false stops the scan.
 func (s *Store) Scan(prefix string, fn func(key string, st lattice.State) bool) {
-	var keys []string
+	m := scanMerge{runs: make([]scanRun, 0, len(s.shards))}
 	for _, sh := range s.shards {
+		lo := len(m.objs)
 		sh.mu.Lock()
-		all := sh.engine.Keys() // sorted within the shard
-		lo := sort.SearchStrings(all, prefix)
-		hi := lo
-		for hi < len(all) && strings.HasPrefix(all[hi], prefix) {
-			hi++
-		}
-		keys = append(keys, all[lo:hi]...)
+		sh.engine.Scan(prefix, func(k string, st lattice.State) bool {
+			m.objs = append(m.objs, keyState{k, st})
+			return true
+		})
 		sh.mu.Unlock()
+		if hi := len(m.objs); hi > lo {
+			m.runs = append(m.runs, scanRun{lo, hi, sh})
+		}
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		sh := s.shardOf(k)
-		sh.mu.Lock()
-		st := sh.engine.ObjectState(k)
-		ok := true
-		if st != nil {
-			ok = fn(k, st)
-		}
-		sh.mu.Unlock()
+	for heap.Init(&m); len(m.runs) > 0; {
+		r := &m.runs[0]
+		o := m.objs[r.lo]
+		r.sh.mu.Lock()
+		ok := fn(o.key, o.st)
+		r.sh.mu.Unlock()
 		if !ok {
 			return
 		}
+		if r.lo++; r.lo == r.hi {
+			heap.Pop(&m)
+		} else {
+			heap.Fix(&m, 0)
+		}
 	}
 }
+
+// scanRun is what is left of one shard's share of a Scan: objs[lo:hi],
+// ascending by key.
+type scanRun struct {
+	lo, hi int
+	sh     *shard
+}
+
+// scanMerge orders the runs of a Scan by their next key (container/heap).
+type scanMerge struct {
+	objs []keyState
+	runs []scanRun
+}
+
+func (m *scanMerge) Len() int           { return len(m.runs) }
+func (m *scanMerge) Less(i, j int) bool { return m.objs[m.runs[i].lo].key < m.objs[m.runs[j].lo].key }
+func (m *scanMerge) Swap(i, j int)      { m.runs[i], m.runs[j] = m.runs[j], m.runs[i] }
+func (m *scanMerge) Push(any)           {} // the runs are all there before Init
+func (m *scanMerge) Pop() any           { m.runs = m.runs[:len(m.runs)-1]; return nil }

@@ -194,8 +194,24 @@ func TestScanPrefixSortedAcrossShards(t *testing.T) {
 		if visits != 1 {
 			t.Fatalf("shards=%d: Scan kept visiting after false: %d visits", shards, visits)
 		}
-		// A prefix matching nothing visits nothing.
-		st.Scan("nope/", func(k string, _ lattice.State) bool { t.Fatalf("visited %q", k); return false })
+		// A prefix matching nothing visits nothing: between two keys, past
+		// the last key, before the first, and a key extended by one byte.
+		for _, prefix := range []string{"nope/", "user/0049x", "user/005", "zzz", "a", "item/0000\x00"} {
+			st.Scan(prefix, func(k string, _ lattice.State) bool { t.Fatalf("Scan(%q) visited %q", prefix, k); return false })
+		}
+		// A prefix equal to a key visits that key and whatever extends it.
+		st.Update(workload.Op{Kind: workload.KindInc, Key: "user/0007/sub", N: 1})
+		got = got[:0]
+		st.Scan("user/0007", func(k string, _ lattice.State) bool { got = append(got, k); return true })
+		if fmt.Sprint(got) != "[user/0007 user/0007/sub]" {
+			t.Fatalf("shards=%d: Scan(user/0007) visited %v", shards, got)
+		}
+		// The empty prefix visits everything, in order.
+		got = got[:0]
+		st.Scan("", func(k string, _ lattice.State) bool { got = append(got, k); return true })
+		if len(got) != 101 || !sort.StringsAreSorted(got) || got[0] != "item/0000" || got[100] != "user/0049" {
+			t.Fatalf("shards=%d: Scan(\"\") visited %d keys from %q to %q", shards, len(got), got[0], got[len(got)-1])
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package transport
 import (
 	"fmt"
 	"net"
-	"strings"
 	"testing"
 	"time"
 
@@ -276,25 +275,6 @@ func TestSmallShardStopsAtRoot(t *testing.T) {
 // list — fill, hand back — exported for TestCleanDigestPathNoAllocs in the
 // external test package.
 func (s *Store) CycleDigestVec() { s.putDigestVec(s.shardDigests()) }
-
-// TestEncodeScratchDropsLargeBuffers: the process-wide encode free list
-// recycles the small buffers digest recomputes use, and lets go of one
-// that a multi-megabyte object grew instead of pinning it for good.
-func TestEncodeScratchDropsLargeBuffers(t *testing.T) {
-	for getEncodeBuf() != nil { // start from an empty free list
-	}
-	s := startSoloStore(t, 1)
-	s.Update(workload.Add("small", "v"))
-	s.Digest()
-	if b := getEncodeBuf(); cap(b) == 0 {
-		t.Error("a small encode buffer was not recycled")
-	}
-	s.Update(workload.Add("huge", strings.Repeat("x", 1<<20)))
-	s.Digest()
-	if b := getEncodeBuf(); b != nil {
-		t.Errorf("a %d-byte encode buffer was handed back, want none above %d", cap(b), maxEncodeScratch)
-	}
-}
 
 // TestDigestShardMismatchCounted pins the misconfiguration satellite: a
 // digest advertisement of foreign width is not comparable, must repair

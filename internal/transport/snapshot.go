@@ -89,11 +89,9 @@ func (s *Store) SnapshotNow() error {
 // encodeShardSnapshot serializes one shard under a single lock hold, so
 // the digest recorded against snapLast and the contents on disk are the
 // same cut. changed is false when the shard's digest equals its last
-// written snapshot's — nothing to do. A zero digest on a never-written
-// shard is indistinguishable from "no snapshot yet" only if the shard's
-// actual digest is zero too, in which case its contents are what the
-// empty file would restore anyway (the FNV basis of an empty shard is
-// nonzero, so in practice every shard writes once).
+// written snapshot's — nothing to do. snapLast starts at zero, which is
+// the digest of the empty shard: a shard nothing has been written to gets
+// no file, and no file is what restores as the empty shard.
 func (s *Store) encodeShardSnapshot(i int, sh *shard) (data []byte, digest uint64, changed bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -101,11 +99,11 @@ func (s *Store) encodeShardSnapshot(i int, sh *shard) (data []byte, digest uint6
 	if d == s.snapLast[i] {
 		return nil, d, false
 	}
-	keys := sh.engine.Keys()
-	w := codec.NewSnapshotWriter(i, len(s.shards), len(keys))
-	for _, k := range keys {
-		w.Add(k, sh.engine.ObjectState(k))
-	}
+	w := codec.NewSnapshotWriter(i, len(s.shards), sh.engine.NumKeys())
+	sh.engine.Scan("", func(k string, st lattice.State) bool {
+		w.Add(k, st)
+		return true
+	})
 	return w.Bytes(), d, true
 }
 

@@ -293,10 +293,10 @@ func (s *StoreStats) Add(o StoreStats) {
 // plus the mutex that serializes access to it. Updates and syncs on keys
 // hashing to different shards never contend.
 //
-// unsent, dirty and the digest cache are read without the mutex
-// (atomically), so flushes, ticks and the digest heartbeat skip clean
-// shards without taking their locks; all are only written while holding
-// mu, which keeps the flags coherent with the engine state they describe.
+// unsent, dirty and the digest are read without the mutex (atomically),
+// so flushes, ticks and the digest heartbeat skip clean shards without
+// taking their locks; all are only written while holding mu, which keeps
+// the flags coherent with the engine state they describe.
 type shard struct {
 	mu     sync.Mutex
 	engine protocol.KeyedEngine
@@ -310,23 +310,26 @@ type shard struct {
 	// dirty marks a shard a tick must visit: that, or objects still
 	// waiting (for acks, so that the tick can decide to send again).
 	unsent, dirty atomic.Bool
-	// digest caches this shard's content digest; valid while digestOK.
-	// Any mutation (LocalOp, Deliver) invalidates it.
+	// digest is this shard's content digest: the XOR of the content hashes
+	// its engine keeps per key (keyHash), as of the last digestLocked. It is
+	// current while digestOK — until the engine next has a stale key.
 	digest   atomic.Uint64
 	digestOK atomic.Bool
 	// leaf is the Merkle leaf-hash vector drills read, nil unless one has
-	// computed it since the last mutation (see ensureLeavesLocked). Unlike
-	// the digest cache it is only touched under mu, so a plain field
-	// suffices.
+	// folded it since the last mutation (see ensureLeavesLocked). Unlike
+	// the digest it is only touched under mu, so a plain field suffices.
 	leaf *leafVec
 }
 
-// touched invalidates the shard's digest and leaf-hash caches and flags
-// it for the passes its engine now needs; callers hold sh.mu having just
-// mutated the engine. It reports whether a flush has something to ship.
+// touched flags the shard for the passes its engine now needs and, if a
+// key's state may have changed, marks the digest out of date and hands the
+// leaf vector back; callers hold sh.mu having just used the engine. It
+// reports whether a flush has something to ship.
 func (sh *shard) touched() bool {
-	sh.digestOK.Store(false)
-	sh.dropLeavesLocked()
+	if sh.engine.Stale() {
+		sh.digestOK.Store(false)
+		sh.dropLeavesLocked()
+	}
 	if sh.fl.Waiting() {
 		sh.dirty.Store(true)
 	}
@@ -616,19 +619,22 @@ func (s *Store) NumKeys() int {
 
 // Keys returns all object keys, sorted.
 func (s *Store) Keys() []string {
-	var all []string
+	all := make([]string, 0, s.NumKeys())
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		all = append(all, sh.engine.Keys()...)
+		sh.engine.Scan("", func(k string, _ lattice.State) bool {
+			all = append(all, k)
+			return true
+		})
 		sh.mu.Unlock()
 	}
 	sort.Strings(all)
 	return all
 }
 
-// shardDigest returns one shard's content digest, from the cache when the
-// shard has not been mutated since the last computation — the common case
-// on an idle keyspace, served without taking the shard lock.
+// shardDigest returns one shard's content digest, without taking the
+// shard lock when no key of it has been touched since the last call — the
+// common case on an idle keyspace.
 func (s *Store) shardDigest(sh *shard) uint64 {
 	if sh.digestOK.Load() {
 		return sh.digest.Load()
@@ -638,64 +644,34 @@ func (s *Store) shardDigest(sh *shard) uint64 {
 	return sh.digestLocked()
 }
 
-// digestLocked computes (and caches) the shard's content digest under an
+// digestLocked brings the shard's content digest up to date under an
 // already-held sh.mu — the snapshotter uses it directly so the digest it
-// records and the contents it serializes come from one lock hold. The
-// inline FNV-1a fold produces the exact values hash/fnv did, without its
-// per-call hasher allocation, and the encode scratch buffer is reused
-// across keys (and pooled across calls) instead of allocated per key.
+// records and the contents it serializes come from one lock hold. Only
+// the keys touched since the last call are encoded and hashed again; each
+// one's old hash leaves the digest as its new one enters (XOR is its own
+// inverse), so a digest costs what changed, not what the shard holds.
 func (sh *shard) digestLocked() uint64 {
+	d := sh.digest.Load()
 	if sh.digestOK.Load() {
-		return sh.digest.Load()
+		return d
 	}
-	h := uint64(fnvOffset64)
-	scratch := getEncodeBuf()
-	for _, k := range sh.engine.Keys() {
-		h = fnvFoldString(h, k)
-		scratch = codec.AppendState(scratch[:0], sh.engine.ObjectState(k))
-		h = fnvFold(h, scratch)
-	}
-	putEncodeBuf(scratch)
-	sh.digest.Store(h)
+	var scratch []byte
+	sh.engine.Rehash(func(k string, st lattice.State, hash *uint64) {
+		scratch = codec.AppendState(scratch[:0], st)
+		h := keyHash(k, scratch)
+		d ^= *hash ^ h
+		*hash = h
+	})
+	sh.digest.Store(d)
 	sh.digestOK.Store(true)
-	return h
-}
-
-// encodeScratch recycles the state-encode buffers the digest and
-// Merkle-leaf recomputes reuse across keys. A bounded global free list:
-// a burst of concurrent recomputes across many stores can pin at most
-// this many buffers, none larger than maxEncodeScratch.
-var encodeScratch = make(chan []byte, 16)
-
-// maxEncodeScratch is the largest buffer the free list keeps: one
-// multi-megabyte object encoded for a digest must not stay pinned for the
-// life of the process.
-const maxEncodeScratch = 64 << 10
-
-func getEncodeBuf() []byte {
-	select {
-	case b := <-encodeScratch:
-		return b
-	default:
-		return nil
-	}
-}
-
-func putEncodeBuf(b []byte) {
-	if cap(b) == 0 || cap(b) > maxEncodeScratch {
-		return
-	}
-	select {
-	case encodeScratch <- b[:0]:
-	default:
-	}
+	return d
 }
 
 // shardDigests returns the per-shard digest vector in a pooled slice;
 // callers hand it back with putDigestVec once no frame can reference it
 // (packing copies the vector into frame bytes synchronously). Clean
-// shards — all of them, on an idle store — are served from the
-// lock-free digest cache, allocation-free.
+// shards — all of them, on an idle store — are read without a lock,
+// allocation-free.
 func (s *Store) shardDigests() []uint64 {
 	vec := s.getDigestVec()
 	for i, sh := range s.shards {
@@ -731,8 +707,8 @@ func (s *Store) putDigestVec(v []uint64) {
 // Digest combines the per-shard digests into one 64-bit value. Two stores
 // with the same shard count that hold the same keyspace in the same
 // states produce equal digests, making convergence checks O(state)
-// without shipping states around — and O(1) on idle stores, since clean
-// shards serve their digests from cache. (The codec is canonical: equal
+// without shipping states around — and O(shards) on idle stores, O(keys
+// written since the last call) otherwise. (The codec is canonical: equal
 // states encode to equal bytes.)
 func (s *Store) Digest() uint64 {
 	h := uint64(fnvOffset64)

@@ -5,7 +5,6 @@
 //
 //	syncbench -exp all                 # every experiment at paper scale
 //	syncbench -exp fig7 -scale test    # one experiment, reduced scale
-//	syncbench -exp store -keys 100000  # sharded multi-object TCP benchmark
 //	syncbench -list                    # list experiment ids
 package main
 
@@ -19,21 +18,10 @@ import (
 )
 
 func main() {
-	expID := flag.String("exp", "all", "experiment id (fig1, fig7, fig8, fig9, fig10, fig11, fig12, tab1, tab2, store, all)")
+	expID := flag.String("exp", "all", "experiment id (fig1, fig7, fig8, fig9, fig10, fig11, fig12, tab1, tab2, all)")
 	scale := flag.String("scale", "paper", "configuration scale: paper or test")
 	seed := flag.Int64("seed", 42, "random seed")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	keys := flag.Int("keys", 100000, "store/persist experiments: number of distinct keys")
-	nodeCount := flag.Int("nodes", 3, "store experiment: TCP cluster size (full mesh)")
-	shards := flag.Int("shards", 64, "store/persist experiments: shards per node (rounded to a power of two)")
-	syncEvery := flag.Duration("sync-every", 100*time.Millisecond, "store/persist experiments: synchronization period")
-	engine := flag.String("engine", "acked", "store experiment: inner protocol (acked or delta)")
-	digestEvery := flag.Int("digest-every", 4, "store experiment: ship per-shard digests every N ticks (0 disables digest anti-entropy)")
-	faultDrop := flag.Float64("fault-drop", 0, "store experiment: drop this fraction of frames on every link (0 disables fault injection)")
-	peerQueue := flag.Int("peer-queue", 0, "store experiment: per-peer outbound frame queue length (0 = default)")
-	peerQueueBytes := flag.Int("peer-queue-bytes", 0, "store experiment: per-peer outbound queue byte budget (0 = default)")
-	scan := flag.Bool("scan", false, "store experiment: after convergence, benchmark the read layer (Get clone baseline vs zero-clone Query vs sorted Scan)")
-	persistOut := flag.String("persist-out", "", "persist experiment: write the BENCH_persist.json artifact to this path")
 	flag.Parse()
 
 	if *list {
@@ -46,36 +34,7 @@ func main() {
 		fmt.Println("fig12  Retwis CPU overhead of classic vs BP+RR")
 		fmt.Println("tab1   micro-benchmark catalog")
 		fmt.Println("tab2   Retwis workload characterization")
-		fmt.Println("store  sharded multi-object store over a real TCP cluster")
-		fmt.Println("persist crash-restart durability: snapshot restore + staleness-proportional repair")
-		fmt.Println("all    everything above except store and persist")
-		return
-	}
-
-	if *expID == "persist" {
-		runPersistBench(persistBenchConfig{
-			Keys:      *keys,
-			Shards:    *shards,
-			SyncEvery: *syncEvery,
-			Out:       *persistOut,
-		})
-		return
-	}
-
-	if *expID == "store" {
-		runStoreBench(storeBenchConfig{
-			Keys:           *keys,
-			Nodes:          *nodeCount,
-			Shards:         *shards,
-			SyncEvery:      *syncEvery,
-			Engine:         *engine,
-			DigestEvery:    *digestEvery,
-			FaultDrop:      *faultDrop,
-			PeerQueueLen:   *peerQueue,
-			PeerQueueBytes: *peerQueueBytes,
-			Scan:           *scan,
-			Seed:           *seed,
-		})
+		fmt.Println("all    everything above")
 		return
 	}
 

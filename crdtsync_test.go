@@ -211,9 +211,9 @@ func equalStrings(a, b []string) bool {
 
 // BenchmarkRead compares the three read strengths on a 10k-counter
 // store: Get clones every object, Query visits a shard's live objects
-// with zero allocation, Scan adds the global ordering pass. This is the
-// backing data for the README's read-path numbers (syncbench -exp store
-// -scan measures the same on a live cluster).
+// with zero allocation, Scan adds the global ordering pass. bench/
+// measures Query and Scan at workload size (transport.query_keys_per_s,
+// transport.scan_keys_per_s); the Get arm exists only here.
 func BenchmarkRead(b *testing.B) {
 	st, err := crdtsync.Open(crdtsync.WithShards(64))
 	if err != nil {

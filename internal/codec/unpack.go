@@ -29,7 +29,7 @@ import (
 
 // ErrNotSharded reports input whose leading tag is not one of the sharded
 // frame encodings. Callers fall back to DecodeMsg for control frames
-// (digest heartbeats, single-object node traffic).
+// (digest heartbeats, tree pushes).
 var ErrNotSharded = errors.New("codec: not a sharded frame")
 
 // ItemView is one object's message within a sharded frame: the shard it

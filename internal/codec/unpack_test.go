@@ -411,8 +411,7 @@ func unpackBenchFrame(tb testing.TB, shards, objectsPerShard int) []byte {
 // frame bytes into shard-grouped, lock-routable items. The view path
 // walks the frame once into payload views that alias the buffer (item
 // decode is deferred to the point of apply, and never happens at all
-// for acks and digests); the decode-baseline is what the transport did
-// before — materialize the full ShardedMsg tree up front.
+// for acks and digests).
 func BenchmarkUnpack(b *testing.B) {
 	for _, shape := range []struct {
 		name            string
@@ -434,21 +433,6 @@ func BenchmarkUnpack(b *testing.B) {
 				}
 				if v.NumItems() != items {
 					b.Fatalf("items = %d, want %d", v.NumItems(), items)
-				}
-			}
-			b.ReportMetric(float64(items), "items/op")
-		})
-		b.Run(shape.name+"/decode-baseline", func(b *testing.B) {
-			b.SetBytes(int64(len(frame)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m, _, err := codec.DecodeMsg(frame)
-				if err != nil {
-					b.Fatalf("DecodeMsg: %v", err)
-				}
-				if _, ok := m.(*protocol.ShardedMsg); !ok {
-					b.Fatalf("decoded %T", m)
 				}
 			}
 			b.ReportMetric(float64(items), "items/op")

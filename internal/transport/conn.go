@@ -390,11 +390,9 @@ func (pc *peerConn) snapshot() PeerStats {
 	return s
 }
 
-// peerNet owns the connection plumbing shared by Node and Store: the
-// listener, one outbound write pipeline per peer, accepted inbound
-// connections, and the accept/read loops that decode frames into protocol
-// messages. Owners supply a deliver callback and keep their own
-// synchronization loops.
+// peerNet owns a Store's connection plumbing: the listener, one outbound
+// write pipeline per peer, accepted inbound connections, and the
+// accept/read loops that hand each frame to the store's deliver callback.
 type peerNet struct {
 	id       string
 	dial     DialFunc
@@ -434,10 +432,9 @@ func newPeerNet(id string, peers map[string]string, ln net.Listener, dial DialFu
 
 // start launches the accept loop and one writer goroutine per peer;
 // deliver runs for every inbound frame, on the connection's read
-// goroutine, with the raw encoded message bytes — owners unpack or decode
-// as their hot path requires. The bytes alias the connection's reused
-// read buffer and are valid only for the duration of the call; a non-nil
-// error drops the connection (a corrupt peer).
+// goroutine, with the raw encoded message bytes. The bytes alias the
+// connection's reused read buffer and are valid only for the duration of
+// the call; a non-nil error drops the connection (a corrupt peer).
 func (p *peerNet) start(deliver func(from string, frame []byte) error) {
 	p.wg.Add(1)
 	go p.acceptLoop(deliver)

@@ -64,7 +64,7 @@ func TestReadFrameBadSenderLength(t *testing.T) {
 
 func TestTransmitToUnknownPeerIsDropped(t *testing.T) {
 	// Transmitting to a peer id that is not configured must fail cleanly
-	// rather than panicking or blocking; Node and Store drop the frame.
+	// rather than panicking or blocking; the store drops the frame.
 	// There is no write pipeline for an unknown peer — pipelines are
 	// fixed at construction.
 	p := newPeerNet("a", map[string]string{}, nil, nil, queueConfig{})

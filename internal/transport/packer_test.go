@@ -466,46 +466,8 @@ func benchItems() []protocol.ShardItem {
 	return items
 }
 
-// resplitFrames is the predecessor algorithm, kept here as the benchmark
-// baseline: recursively halve the batch, re-encoding the remainder at
-// every level, exactly as Store.sendSharded did before the single-pass
-// packer replaced it.
-func resplitFrames(items []protocol.ShardItem, limit int) (frames [][]byte, oversized int) {
-	if len(items) == 0 {
-		return nil, 0
-	}
-	data, err := codec.EncodeMsg(protocol.NewShardedMsg(items))
-	if err != nil {
-		panic(err)
-	}
-	if len(data) <= limit {
-		return [][]byte{data}, 0
-	}
-	if len(items) > 1 {
-		mid := len(items) / 2
-		a, oa := resplitFrames(items[:mid], limit)
-		b, ob := resplitFrames(items[mid:], limit)
-		return append(a, b...), oa + ob
-	}
-	if bm, ok := items[0].Msg.(*protocol.BatchMsg); ok && len(bm.Items) > 1 {
-		mid := len(bm.Items) / 2
-		var out [][]byte
-		for _, half := range [][]protocol.ObjectMsg{bm.Items[:mid], bm.Items[mid:]} {
-			fs, o := resplitFrames([]protocol.ShardItem{
-				{Shard: items[0].Shard, Msg: protocol.BatchOf(half)},
-			}, limit)
-			out = append(out, fs...)
-			oversized += o
-		}
-		return out, oversized
-	}
-	return nil, 1
-}
-
 // BenchmarkPack pins the packer's one-encode-per-item invariant under the
-// benchmark harness and measures it against the recursive re-splitting
-// baseline it replaced. Run with -benchmem: the allocation gap is the
-// re-encoding work the old algorithm burned per split level.
+// benchmark harness.
 func BenchmarkPack(b *testing.B) {
 	items := benchItems()
 	units := 0
@@ -513,7 +475,7 @@ func BenchmarkPack(b *testing.B) {
 		units += len(it.Msg.(*protocol.BatchMsg).Items)
 	}
 	// Low enough that every shard's ~1.5 KiB batch must split across
-	// frames — the case the two algorithms differ on.
+	// frames.
 	const limit = 1024
 	b.Run("greedy", func(b *testing.B) {
 		b.ReportAllocs()
@@ -530,15 +492,6 @@ func BenchmarkPack(b *testing.B) {
 			}
 			if res.oversized != 0 {
 				b.Fatalf("oversized = %d", res.oversized)
-			}
-		}
-	})
-	b.Run("resplit-baseline", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			frames, oversized := resplitFrames(items, limit)
-			if len(frames) == 0 || oversized != 0 {
-				b.Fatalf("frames=%d oversized=%d", len(frames), oversized)
 			}
 		}
 	})

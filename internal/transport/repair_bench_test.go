@@ -1,9 +1,6 @@
 package transport
 
 import (
-	"encoding/json"
-	"os"
-	"strconv"
 	"testing"
 	"time"
 
@@ -15,12 +12,12 @@ import (
 // an n-key shard: the total wire bytes both stores put on the network
 // from the healing heartbeat to digest-checked convergence.
 type repairMeasurement struct {
-	Keys       int `json:"keys"`
-	WireBytes  int `json:"wire_bytes"`
-	TreeRounds int `json:"tree_rounds"`
+	Keys       int
+	WireBytes  int
+	TreeRounds int
 	// RepairPayloadBytes is the key+state payload the two stores shipped
 	// in the drill's closes (RepairBytes, both halves).
-	RepairPayloadBytes int `json:"repair_payload_bytes"`
+	RepairPayloadBytes int
 }
 
 // measureRepair stages two stores that agree on keys single-shard
@@ -71,7 +68,7 @@ func measureRepair(t *testing.T, keys int, flat bool) repairMeasurement {
 // costs O(log n) hash exchange plus one key's payload, at least 100x
 // below the flat anti-entropy's full-shard ship. The shard here is kept
 // to tens of thousands of keys so the pin runs in the ordinary test
-// suite; the BENCH_repair.json artifact measures the 1M-key point.
+// suite.
 func TestRepairBytesProportionalToDivergence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repair ratio pin stages ~50k-key stores; skipped under -short")
@@ -90,47 +87,4 @@ func TestRepairBytesProportionalToDivergence(t *testing.T) {
 	if tree.TreeRounds < 2 || tree.TreeRounds > protocol.TreeDepth+1 {
 		t.Errorf("TreeRounds = %d, want at most one per level and the close", tree.TreeRounds)
 	}
-}
-
-// repairBenchArtifact is the BENCH_repair.json schema: the measured
-// tree and flat repairs of one diverged key plus their ratio.
-type repairBenchArtifact struct {
-	Tree  repairMeasurement `json:"tree"`
-	Flat  repairMeasurement `json:"flat"`
-	Ratio float64           `json:"flat_over_tree_x"`
-}
-
-// TestWriteRepairBenchArtifact emits BENCH_repair.json, the
-// machine-readable repair-path numbers at scale (default one diverged
-// key in a 1M-key shard; BENCH_REPAIR_KEYS overrides for smoke runs).
-// Gated behind BENCH_REPAIR_OUT so the ordinary test run never pays for
-// benchmarking; CI sets it and uploads the artifact.
-func TestWriteRepairBenchArtifact(t *testing.T) {
-	out := os.Getenv("BENCH_REPAIR_OUT")
-	if out == "" {
-		t.Skip("set BENCH_REPAIR_OUT=<path> to write the repair benchmark artifact")
-	}
-	keys := 1_000_000
-	if env := os.Getenv("BENCH_REPAIR_KEYS"); env != "" {
-		n, err := strconv.Atoi(env)
-		if err != nil || n < 1000 {
-			t.Fatalf("BENCH_REPAIR_KEYS = %q: need an integer >= 1000", env)
-		}
-		keys = n
-	}
-	art := repairBenchArtifact{
-		Tree: measureRepair(t, keys, false),
-		Flat: measureRepair(t, keys, true),
-	}
-	art.Ratio = float64(art.Flat.WireBytes) / float64(art.Tree.WireBytes)
-	data, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		t.Fatalf("write %s: %v", out, err)
-	}
-	t.Logf("1 diverged key in %d: drill-down = %d B, full ship = %d B (%.0fx)",
-		keys, art.Tree.WireBytes, art.Flat.WireBytes, art.Ratio)
 }

@@ -373,9 +373,8 @@ func (sh *shard) due(tick bool) bool {
 // to the inner engines is repaired while a converged idle cluster
 // exchanges only constant-size heartbeats.
 //
-// Store generalizes Node (one engine, one object, one mutex) to the
-// deployment model of the paper's Retwis evaluation: many independent
-// objects, each with its own δ-buffer, synchronized together.
+// This is the deployment model of the paper's Retwis evaluation: many
+// independent objects, each with its own δ-buffer, synchronized together.
 type Store struct {
 	cfg       StoreConfig
 	net       *peerNet
@@ -389,7 +388,7 @@ type Store struct {
 	ticks    atomic.Uint64
 	// deliverLocks counts the shard-lock acquisitions of the inbound
 	// delivery path — one per touched shard per frame, an invariant an
-	// instrumented test pins (the eager path took one per item).
+	// instrumented test pins.
 	deliverLocks atomic.Uint64
 	// wire holds the counters every flush bumps, as atomics; stats, under
 	// statsMu, the rest.
@@ -442,6 +441,9 @@ func nextPow2(n int) int {
 func StartStore(cfg StoreConfig) (*Store, error) {
 	if cfg.Factory == nil || cfg.ObjType == nil {
 		return nil, fmt.Errorf("transport: StoreConfig needs Factory and ObjType")
+	}
+	if len(cfg.ID) > maxIDBytes {
+		return nil, fmt.Errorf("transport: replica id is %d bytes, a frame carries at most %d", len(cfg.ID), maxIDBytes)
 	}
 	if cfg.SyncEvery <= 0 {
 		cfg.SyncEvery = time.Second
@@ -1189,7 +1191,7 @@ func (s *Store) transmit(to string, data []byte, cost metrics.Transmission, kind
 
 // deliver routes one inbound frame to its handler: sharded data frames
 // through the single-pass unpacker straight to their shards, anything
-// else (standalone digest frames) through the eager decoder. The frame
+// else (standalone digest and tree frames) through DecodeMsg. The frame
 // bytes alias the connection's read buffer and are only valid during the
 // call, so the view is reset before it returns to the pool. A non-nil
 // error drops the connection (corrupt peer).
@@ -1210,12 +1212,11 @@ func (s *Store) deliver(from string, frame []byte) error {
 // deliverSharded applies one unpacked data frame. Each touched shard's
 // lock is taken exactly once per frame — the whole group of that shard's
 // items (across every batch in the frame) is decoded and applied under
-// the single hold — instead of once per item as the eager path did, and
-// replies are coalesced per shard group just as syncs are. Replies flush
-// inline on the read goroutine: transmit is a non-blocking enqueue onto the per-peer write
-// pipelines, so no TCP write happens here and two nodes with mutually
-// full send buffers cannot deadlock each other — the hazard that used to
-// force a goroutine per inbound frame.
+// the single hold — and replies are coalesced per shard group just as
+// syncs are. Replies flush inline on the read goroutine: transmit is a
+// non-blocking enqueue onto the per-peer write pipelines, so no TCP write
+// happens here and two nodes with mutually full send buffers cannot
+// deadlock each other.
 //
 // The frame's link header is handled around the items: the
 // acknowledgement it brings retires what this store sent, and its own
@@ -1375,9 +1376,8 @@ func (s *Store) notifyGroup(g codec.ItemGroup) {
 
 // deliverControl handles the non-sharded frames a store speaks: the
 // standalone DigestMsg (advertisement heartbeat) and the TreeMsg hash
-// pushes of a drill. Anything else well-formed is ignored,
-// preserving the eager path's tolerance; undecodable bytes drop the
-// connection.
+// pushes of a drill. Anything else well-formed is ignored and the
+// connection kept; undecodable bytes drop the connection.
 func (s *Store) deliverControl(from string, frame []byte) error {
 	msg, _, err := codec.DecodeMsg(frame)
 	if err != nil {

@@ -2,6 +2,7 @@ package transport_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -211,4 +212,67 @@ func TestStoreCloseIsClean(t *testing.T) {
 	// Survivor keeps working with its peer down: sends are dropped.
 	stores[1].Update(workload.Op{Kind: workload.KindInc, Key: "k", N: 1})
 	stores[1].SyncNow()
+}
+
+func isUseOfClosed(err error) bool {
+	return err != nil && strings.Contains(err.Error(), "use of closed")
+}
+
+// TestStoreLineMultiHop: s-00 — s-01 — s-02 — s-03, each store peered
+// with its line neighbors only while Nodes names the full membership. A
+// write at one end must relay through the two middle stores to the other.
+func TestStoreLineMultiHop(t *testing.T) {
+	for name, factory := range map[string]protocol.Factory{
+		"acked": protocol.NewDeltaAcked(true, true),
+		"delta": protocol.NewDeltaBPRR(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			const n = 4
+			stores := startStoreClusterWith(t, n, transport.StoreConfig{
+				Shards:    4,
+				Factory:   factory,
+				ObjType:   gcounters,
+				SyncEvery: 20 * time.Millisecond,
+			}, func(i int, _ string, cfg *transport.StoreConfig) {
+				line := make(map[string]string, 2)
+				for _, j := range []int{i - 1, i + 1} {
+					if j >= 0 && j < n {
+						line[cfg.Nodes[j]] = cfg.Peers[cfg.Nodes[j]]
+					}
+				}
+				cfg.Peers = line
+			})
+			stores[0].Update(workload.Op{Kind: workload.KindInc, Key: "end-to-end", N: 3})
+			waitStoresConverged(t, stores, 1, 10*time.Second)
+			got := stores[n-1].Get("end-to-end")
+			if got == nil || got.(*crdt.GCounter).Value() != 3 {
+				t.Fatalf("far end holds %v, want 3", got)
+			}
+		})
+	}
+}
+
+func TestStoreIDLengthLimit(t *testing.T) {
+	// A frame spends two bytes on the sender id's length: a longer id
+	// would corrupt every frame the store sends, so it must not start.
+	for _, c := range []struct {
+		idLen int
+		ok    bool
+	}{
+		{1<<16 - 1, true},
+		{1 << 16, false},
+	} {
+		st, err := transport.StartStore(transport.StoreConfig{
+			ID:         strings.Repeat("x", c.idLen),
+			ListenAddr: "127.0.0.1:0",
+			Factory:    protocol.NewDeltaBPRR(),
+			ObjType:    gcounters,
+		})
+		if err == nil {
+			st.Close()
+		}
+		if (err == nil) != c.ok {
+			t.Errorf("id of %d bytes: err = %v, want started = %v", c.idLen, err, c.ok)
+		}
+	}
 }

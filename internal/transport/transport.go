@@ -1,219 +1,32 @@
-// Package transport runs protocol engines over real TCP connections,
-// turning the library into a deployable replica: each Node owns one engine,
-// listens for frames from its neighbors, and drives the engine's periodic
-// synchronization on a ticker. Frames are length-prefixed: a 4-byte
-// big-endian length, the sender id (length-prefixed), and one
-// codec-encoded protocol message.
+// Package transport runs a sharded multi-object store over real TCP
+// connections: a Store owns one per-object protocol engine per shard,
+// listens for frames from its neighbors, ships what a write or a
+// delivery left to send on a write-triggered flush, and drives the
+// engines' periodic synchronization, digest anti-entropy and snapshots
+// on a ticker. Frames are length-prefixed: a 4-byte big-endian length,
+// the sender id (length-prefixed), and one codec-encoded sharded message.
 //
-// The simulator (package netsim) remains the measurement substrate — this
-// package is the production path, exercised by loopback integration tests
-// and the tcpcluster example.
+// The simulator (package netsim) remains the measurement substrate for
+// the paper's figures; the store is what crdtsync.Open runs and what
+// bench/ measures.
 package transport
 
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
-	"net"
-	"sort"
-	"sync"
-	"time"
-
-	"crdtsync/internal/codec"
-	"crdtsync/internal/lattice"
-	"crdtsync/internal/protocol"
-	"crdtsync/internal/workload"
 )
 
 // maxFrameBytes bounds a single frame (64 MiB) to fail fast on corrupt
 // length prefixes.
 const maxFrameBytes = 64 << 20
 
+// maxIDBytes is the longest replica id a frame can carry: writeFrame
+// spends two bytes on the sender id's length.
+const maxIDBytes = 1<<16 - 1
+
 // ErrFrameTooLarge reports a frame exceeding maxFrameBytes.
 var ErrFrameTooLarge = errors.New("transport: frame too large")
-
-// Config describes one replica process.
-type Config struct {
-	// ID is this replica's identifier.
-	ID string
-	// ListenAddr is the TCP address to accept neighbor frames on.
-	ListenAddr string
-	// Listener, when non-nil, is used instead of binding ListenAddr —
-	// callers that need every address known before wiring the peer maps
-	// bind first and pass the listeners in.
-	Listener net.Listener
-	// Peers maps neighbor ids to their listen addresses.
-	Peers map[string]string
-	// Nodes is the full membership (sorted); defaults to ID + peers.
-	Nodes []string
-	// Datatype adapts the replicated CRDT.
-	Datatype workload.Datatype
-	// Factory builds the protocol engine (e.g. protocol.NewDeltaBPRR()).
-	Factory protocol.Factory
-	// SyncEvery is the synchronization period (default 1s, the paper's
-	// interval).
-	SyncEvery time.Duration
-}
-
-// Node is a live replica: an engine plus its network plumbing.
-// All engine access is serialized by an internal mutex; Update and Query
-// are safe for concurrent use. Network writes happen outside the engine
-// lock (outbound frames are buffered while the engine runs, then flushed),
-// so a slow peer can never deadlock message handling.
-type Node struct {
-	cfg      Config
-	net      *peerNet
-	engine   protocol.Engine
-	mu       sync.Mutex // guards engine
-	stopping chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup // syncLoop
-}
-
-// outFrame is a frame captured under the engine lock, flushed after it is
-// released.
-type outFrame struct {
-	to   string
-	data []byte
-}
-
-// Start builds the engine, binds the listener, and launches the accept
-// and synchronization loops.
-func Start(cfg Config) (*Node, error) {
-	if cfg.SyncEvery <= 0 {
-		cfg.SyncEvery = time.Second
-	}
-	neighbors := make([]string, 0, len(cfg.Peers))
-	for id := range cfg.Peers {
-		neighbors = append(neighbors, id)
-	}
-	sort.Strings(neighbors)
-	nodes := cfg.Nodes
-	if nodes == nil {
-		nodes = append([]string{cfg.ID}, neighbors...)
-		sort.Strings(nodes)
-	}
-	engine := cfg.Factory(protocol.Config{
-		ID:        cfg.ID,
-		Neighbors: neighbors,
-		Nodes:     nodes,
-		Datatype:  cfg.Datatype,
-	})
-	ln := cfg.Listener
-	if ln == nil {
-		var err error
-		ln, err = net.Listen("tcp", cfg.ListenAddr)
-		if err != nil {
-			return nil, fmt.Errorf("transport: listen %s: %w", cfg.ListenAddr, err)
-		}
-	}
-	n := &Node{
-		cfg:      cfg,
-		net:      newPeerNet(cfg.ID, cfg.Peers, ln, nil, queueConfig{}),
-		engine:   engine,
-		stopping: make(chan struct{}),
-	}
-	n.net.start(func(from string, frame []byte) error {
-		msg, _, err := codec.DecodeMsg(frame)
-		if err != nil {
-			return err // corrupt peer; the read loop drops the connection
-		}
-		// Replies flush inline on the read goroutine: transmitAll is a
-		// non-blocking enqueue onto the per-peer write pipelines, so no
-		// TCP write ever happens here and two nodes with mutually full
-		// send buffers can no longer deadlock each other — the hazard
-		// that used to force a goroutine per inbound frame.
-		n.transmitAll(n.collect(func(send protocol.Sender) {
-			n.engine.Deliver(from, msg, send)
-		}))
-		return nil
-	})
-	n.wg.Add(1)
-	go n.syncLoop()
-	return n, nil
-}
-
-// Addr returns the bound listen address (useful with ":0").
-func (n *Node) Addr() string { return n.net.addr() }
-
-// ID returns the replica identifier.
-func (n *Node) ID() string { return n.cfg.ID }
-
-// collect runs fn under the engine lock, returning the outbound frames it
-// produced for the caller to transmit after the lock is released.
-func (n *Node) collect(fn func(send protocol.Sender)) []outFrame {
-	var out []outFrame
-	n.mu.Lock()
-	fn(func(to string, m protocol.Msg) {
-		data, err := codec.EncodeMsg(m)
-		if err != nil {
-			// Engine produced an unencodable message: a programming
-			// error in the engine/codec pairing.
-			panic(err)
-		}
-		out = append(out, outFrame{to: to, data: data})
-	})
-	n.mu.Unlock()
-	return out
-}
-
-// transmitAll writes the collected frames. Send failures are dropped: a
-// neighbor that is down catches up on a later tick (acked engines resend;
-// plain delta-based assumes reliable channels).
-func (n *Node) transmitAll(out []outFrame) {
-	for _, f := range out {
-		n.net.transmit(f.to, f.data)
-	}
-}
-
-// withEngine runs fn under the engine lock and flushes the messages it
-// sent over TCP after the lock is released.
-func (n *Node) withEngine(fn func(send protocol.Sender)) {
-	n.transmitAll(n.collect(fn))
-}
-
-// Update applies one local operation.
-func (n *Node) Update(op workload.Op) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.engine.LocalOp(op)
-}
-
-// Query runs fn against a snapshot of the local state.
-func (n *Node) Query(fn func(s lattice.State)) {
-	n.mu.Lock()
-	snapshot := n.engine.State().Clone()
-	n.mu.Unlock()
-	fn(snapshot)
-}
-
-// SyncNow forces one synchronization step outside the ticker.
-func (n *Node) SyncNow() {
-	n.withEngine(func(send protocol.Sender) { n.engine.Sync(send) })
-}
-
-// Close stops the loops and closes every connection. It is idempotent.
-func (n *Node) Close() error {
-	n.stopOnce.Do(func() { close(n.stopping) })
-	err := n.net.close()
-	n.wg.Wait()
-	return err
-}
-
-func (n *Node) syncLoop() {
-	defer n.wg.Done()
-	ticker := time.NewTicker(n.cfg.SyncEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-n.stopping:
-			return
-		case <-ticker.C:
-			n.SyncNow()
-		}
-	}
-}
 
 // writeFrame emits [len][from][msg] with a 4-byte big-endian total length.
 func writeFrame(w io.Writer, from string, msg []byte) error {

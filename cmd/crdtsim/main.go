@@ -180,8 +180,8 @@ func runStore(nodes, keys, shards int, syncEvery time.Duration, engineName strin
 	for _, st := range stores {
 		total.Add(st.Stats())
 	}
-	fmt.Printf("wire           %d frames, %d B, %d elements shipped, %d watch drops\n",
-		total.Frames, total.WireBytes, total.Sent.Elements, total.WatchDropped)
+	fmt.Printf("wire           %d frames, %d B, %d elements shipped (%.2f per update), %d watch drops\n",
+		total.Frames, total.WireBytes, total.Sent.Elements, float64(total.Sent.Elements)/float64(keys), total.WatchDropped)
 
 	w.Close()
 	fmt.Printf("watch          saw %d distinct keys change on %s\n", <-watched, stores[len(stores)-1].ID())

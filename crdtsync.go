@@ -78,8 +78,9 @@ type Stats = transport.StoreStats
 // PeerStats is the per-peer slice of Stats: one outbound write
 // pipeline's enqueued/dropped/coalesced frame and byte counters plus its
 // connection state, and — under EngineAcked — how far behind the peer
-// is: frames in flight, last sequence number sent, acknowledged and
-// received.
+// is (frames in flight, last sequence number sent, acknowledged and
+// received) and which of this store's other peers it last announced it
+// reaches.
 type PeerStats = transport.PeerStats
 
 // Memory aggregates a store's memory footprint: CRDT state bytes,
@@ -171,11 +172,23 @@ func WithNodes(nodes []string) Option { return func(o *options) { o.cfg.Nodes = 
 
 // WithShards sets the shard count, rounded up to a power of two
 // (default 16). Every replica in a cluster must use the same value: the
-// shard index is frame routing metadata.
+// shard index is frame routing metadata, and a connection whose hello
+// names another count is refused (Stats().HelloRefused).
 func WithShards(n int) Option { return func(o *options) { o.cfg.Shards = n } }
 
 // WithEngine selects the per-object synchronization algorithm (default
-// EngineAcked).
+// EngineAcked). Every connection opens with a hello naming the peers its
+// sender's pipelines are connected to, and the engines differ in what
+// they make of a neighbor's: EngineAcked does not forward a δ-group to a
+// neighbor that the one it came from has announced it sends to — that
+// neighbor re-sends until acknowledged, so on a full mesh an update
+// crosses each link once — and when an announcement stops holding (the
+// neighbor's connection ends, or it names fewer peers) the store compares
+// digests with whoever was dropped, whatever WithDigestEvery says, until
+// they match. EngineDelta never sends anything twice, so a forward is its
+// only redundancy under loss: it takes no notice of announcements,
+// forwards as Algorithm 1 does and runs no such comparison. Both refuse a
+// connection whose hello names another shard count.
 func WithEngine(e Engine) Option { return func(o *options) { o.engine = e } }
 
 // WithSyncEvery sets the synchronization period (default 1s): the

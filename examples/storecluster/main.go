@@ -84,12 +84,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var frames, wireBytes, elements, piggybacked, enqueued, dropped, coalesced, reconnects int
+	var frames, wireBytes, elements, withheld, piggybacked, enqueued, dropped, coalesced, reconnects int
 	for _, st := range stores {
 		s := st.Stats()
 		frames += s.Frames
 		wireBytes += s.WireBytes
 		elements += s.Sent.Elements
+		withheld += s.Withheld
 		piggybacked += s.PiggybackedDigests
 		for _, ps := range s.Peers {
 			enqueued += ps.Enqueued
@@ -102,6 +103,11 @@ func main() {
 		time.Since(start).Round(time.Millisecond), *keys, stores[0].Digest())
 	fmt.Printf("wire: %d batched frames, %.1f MiB total, %.0f keys/frame average, %d digests piggybacked on data frames\n",
 		frames, float64(wireBytes)/(1<<20), float64(elements)/float64(frames), piggybacked)
+	// One crossing per other replica is the floor; the acked engine is on
+	// it once the replicas have told each other whom they reach, the delta
+	// engine forwards what it receives on top.
+	fmt.Printf("propagation: %.2f elements on the wire per update (%d replicas), %d forwards withheld on a neighbor's announcement\n",
+		float64(elements)/float64(*keys), *nodes, withheld)
 	fmt.Printf("pipeline: %d frames enqueued, %d dropped, %d coalesced on drain, %d reconnects\n",
 		enqueued, dropped, coalesced, reconnects)
 

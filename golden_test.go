@@ -217,6 +217,19 @@ func TestGoldenFrames(t *testing.T) {
 		"49"+"02"+"0000000000000001"+"ffffffffffffffff"+"00"; got != want {
 		t.Errorf("advertisement\n got %s\nwant %s", got, want)
 	}
+	// The one that asks for the receiver's vector back: the same body under
+	// tagDigestEchoMsg.
+	asking := protocol.NewDigestMsg([]uint64{1, ^uint64(0)})
+	asking.Echo = true
+	if got, want := enc(asking), "4e"+"02"+"0000000000000001"+"ffffffffffffffff"+"00"; got != want {
+		t.Errorf("asking advertisement\n got %s\nwant %s", got, want)
+	}
+	// A connection's first frame: tagHelloMsg, the wire version, the shard
+	// count, and the ids of the peers the sender's pipelines are up to.
+	if got, want := enc(protocol.NewHelloMsg(protocol.WireVersion, 64, []string{"s-01", "s-02"})),
+		"4d"+"01"+"40"+"02"+"04"+"732d3031"+"04"+"732d3032"; got != want {
+		t.Errorf("hello\n got %s\nwant %s", got, want)
+	}
 	// A drill's hash push: the children of a node go as the node's index
 	// and their TreeFanout hashes, not as TreeFanout (index, hash) pairs.
 	hashes, words := make([]uint64, protocol.TreeFanout), ""

@@ -101,6 +101,14 @@ func FuzzDecodeMsg(f *testing.F) {
 	spelled, _ := codec.AppendShardItem(codec.AppendShardedHeader(nil, protocol.LinkHeader{Seq: protocol.FrameSeq{Inc: 1, Seq: 1}}, nil, 1),
 		protocol.ShardItem{Shard: 2, Msg: protocol.NewAckedDeltaMsg(crdt.NewGSet("a"), []uint64{1, 2, 3})})
 	f.Add(spelled)
+	// A connection's hello — reaching two, reaching nobody, with a hostile
+	// id count — and the advertisement that asks for one back.
+	seed(protocol.NewHelloMsg(protocol.WireVersion, 64, []string{"s-01", "s-02"}))
+	seed(protocol.NewHelloMsg(protocol.WireVersion, 1, nil))
+	f.Add([]byte{77, 1, 64, 255, 255, 255, 255, 15, 1, 97})
+	asking := protocol.NewDigestMsg([]uint64{0, ^uint64(0)})
+	asking.Echo = true
+	seed(asking)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, n, err := codec.DecodeMsg(data)

@@ -27,6 +27,8 @@ const (
 	tagShardedDigestMsg
 	tagTreeMsg
 	tagShardedLinkMsg
+	tagHelloMsg
+	tagDigestEchoMsg
 )
 
 // maxMsgNesting bounds message nesting during decoding. Legitimate
@@ -225,7 +227,13 @@ func appendMsg(b []byte, m protocol.Msg) ([]byte, error) {
 		return b, nil
 
 	case *protocol.DigestMsg:
-		b = append(b, tagDigestMsg)
+		// An advertisement that asks for one back is the same body under
+		// a tag of its own; a plain one's encoding has not moved.
+		if v.Echo {
+			b = append(b, tagDigestEchoMsg)
+		} else {
+			b = append(b, tagDigestMsg)
+		}
 		b = binary.AppendUvarint(b, uint64(len(v.Digests)))
 		for _, d := range v.Digests {
 			// Digests are hash values: fixed 8-byte words, since uvarint
@@ -236,6 +244,12 @@ func appendMsg(b []byte, m protocol.Msg) ([]byte, error) {
 		// this message with; requests are TreeMsg closes now, the byte
 		// stays so that an advertisement's encoding does not move.
 		return append(b, 0), nil
+
+	case *protocol.HelloMsg:
+		b = append(b, tagHelloMsg)
+		b = binary.AppendUvarint(b, uint64(v.Version))
+		b = binary.AppendUvarint(b, uint64(v.Shards))
+		return appendStringList(b, v.Reaches), nil
 
 	case *protocol.TreeMsg:
 		push, role := len(v.Hashes) > 0, byte(treeClose)
@@ -598,7 +612,7 @@ func readMsgBody(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
 		}
 		return protocol.NewShardedLinkMsg(items, digests, h.link), n + m, nil
 
-	case tagDigestMsg:
+	case tagDigestMsg, tagDigestEchoMsg:
 		count, m, err := readUvarint(data[n:])
 		if err != nil {
 			return nil, 0, err
@@ -623,7 +637,20 @@ func readMsgBody(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
 		if data[n] != 0 {
 			return nil, 0, fmt.Errorf("codec: digest message with a shard-request list")
 		}
-		return protocol.NewDigestMsg(digests), n + 1, nil
+		dm := protocol.NewDigestMsg(digests)
+		dm.Echo = tag == tagDigestEchoMsg
+		return dm, n + 1, nil
+
+	case tagHelloMsg:
+		version, shards, n, err := readHelloFixed(data)
+		if err != nil {
+			return nil, 0, err
+		}
+		reaches, m, err := readStringList(data[n:])
+		if err != nil {
+			return nil, 0, err
+		}
+		return protocol.NewHelloMsg(version, shards, reaches), n + m, nil
 
 	case tagTreeMsg:
 		h, m, err := readTreeHeader(data[n:])
@@ -659,6 +686,24 @@ func readMsgBody(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
 	default:
 		return nil, 0, fmt.Errorf("%w: %d", ErrUnknownTag, tag)
 	}
+}
+
+// readHelloFixed parses a HelloMsg up to its id list: the wire version and
+// the shard count, neither truncated into range. The reader and the skip
+// walker share it.
+func readHelloFixed(data []byte) (version, shards uint32, n int, err error) {
+	for _, field := range []*uint32{&version, &shards} {
+		v, m, err := readUvarint(data[n:])
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		if v > math.MaxUint32 {
+			return 0, 0, 0, fmt.Errorf("codec: hello field %d out of range", v)
+		}
+		*field = uint32(v)
+		n += m
+	}
+	return version, shards, n, nil
 }
 
 // The two roles of a TreeMsg on the wire: a close lists node indices, a

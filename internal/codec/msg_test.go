@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
+	"slices"
 	"testing"
 
 	"crdtsync/internal/codec"
@@ -300,6 +301,65 @@ func TestDigestMsgRoundTrip(t *testing.T) {
 	data, _ := codec.EncodeMsg(protocol.NewDigestMsg([]uint64{1}))
 	if want := []byte{73, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0}; !bytes.Equal(data, want) {
 		t.Errorf("advertisement encodes as %v, want %v", data, want)
+	}
+}
+
+// TestHelloMsgRoundTrip: the announcement survives the wire with its
+// accounting, and the advertisement that asks for one back is the plain
+// one under the next tag.
+func TestHelloMsgRoundTrip(t *testing.T) {
+	m := protocol.NewHelloMsg(protocol.WireVersion, 64, []string{"s-01", "s-02"})
+	got := msgRoundTrip(t, m).(*protocol.HelloMsg)
+	if got.Version != protocol.WireVersion || got.Shards != 64 || !slices.Equal(got.Reaches, m.Reaches) {
+		t.Errorf("hello = %+v", got)
+	}
+	if c := got.Cost(); c.Messages != 1 || c.MetadataBytes != 8+8 || c.Elements != 0 {
+		t.Errorf("hello cost = %+v, want 16 bytes of metadata", c)
+	}
+	if got := msgRoundTrip(t, protocol.NewHelloMsg(1, 1, nil)).(*protocol.HelloMsg); len(got.Reaches) != 0 {
+		t.Errorf("a hello reaching nobody came back reaching %v", got.Reaches)
+	}
+	ask := protocol.NewDigestMsg([]uint64{7})
+	ask.Echo = true
+	if got := msgRoundTrip(t, ask).(*protocol.DigestMsg); !got.Echo || got.Digests[0] != 7 {
+		t.Errorf("asking advertisement = %+v", got)
+	}
+	if got := msgRoundTrip(t, protocol.NewDigestMsg([]uint64{7})).(*protocol.DigestMsg); got.Echo {
+		t.Error("a plain advertisement came back asking")
+	}
+	plain, _ := codec.EncodeMsg(protocol.NewDigestMsg([]uint64{7}))
+	asking, _ := codec.EncodeMsg(ask)
+	if asking[0] == plain[0] || !bytes.Equal(asking[1:], plain[1:]) {
+		t.Errorf("asking advertisement %v, plain %v: want the same body under another tag", asking, plain)
+	}
+}
+
+// TestDecodeHelloHostileInput: counts are checked against the bytes that
+// remain before anything is allocated for them, and a field beyond
+// uint32 is rejected, never truncated into range.
+func TestDecodeHelloHostileInput(t *testing.T) {
+	header := []byte{77, 1, 4} // tagHelloMsg, version 1, 4 shards
+	for _, count := range []uint64{1 << 60, 3} {
+		data := binary.AppendUvarint(append([]byte{}, header...), count)
+		data = append(data, 1, 'a', 1, 'b') // two ids
+		if _, _, err := codec.DecodeMsg(data); err == nil {
+			t.Errorf("%d ids over 4 bytes should fail", count)
+		}
+	}
+	// An id longer than the bytes behind it.
+	if _, _, err := codec.DecodeMsg(append(append([]byte{}, header...), 1, 200, 'a')); err == nil {
+		t.Error("an id of 200 bytes in a 1-byte tail should fail")
+	}
+	for _, data := range [][]byte{
+		binary.AppendUvarint([]byte{77}, 1<<32),    // version beyond uint32
+		binary.AppendUvarint([]byte{77, 1}, 1<<40), // shard count beyond uint32
+		{77}, {77, 1}, {77, 1, 4}, // truncated before the ids
+		append(append([]byte{}, header...), 2, 1, 'a'),           // the second id missing
+		{72, 1, 0, 77, 1, 4, 255, 255, 255, 255, 255, 255, 1, 0}, // nested in a sharded frame, hostile count
+	} {
+		if _, _, err := codec.DecodeMsg(data); err == nil {
+			t.Errorf("%v should fail decoding", data)
+		}
 	}
 }
 

@@ -690,7 +690,7 @@ func skipMsg(data []byte, depth int) (int, error) {
 		}
 		return n, nil
 
-	case tagDigestMsg:
+	case tagDigestMsg, tagDigestEchoMsg:
 		dcount, m, err := readUvarint(body[n:])
 		if err != nil {
 			return 0, err
@@ -707,6 +707,18 @@ func skipMsg(data []byte, depth int) (int, error) {
 			return 0, fmt.Errorf("codec: digest message with a shard-request list")
 		}
 		return n + 1, nil
+
+	case tagHelloMsg:
+		_, _, m, err := readHelloFixed(body[n:])
+		if err != nil {
+			return 0, err
+		}
+		n += m
+		m, err = skipStringList(body[n:])
+		if err != nil {
+			return 0, err
+		}
+		return n + m, nil
 
 	case tagTreeMsg:
 		h, m, err := readTreeHeader(body[n:])

@@ -343,6 +343,11 @@ func FuzzUnpackFrame(f *testing.F) {
 	f.Add([]byte{76, 1, 0, 0, 0, 9, 3, 3, 0})                   // back reaches the number
 	f.Add([]byte{76, 4, 0, 0})                                  // neither half
 	f.Add([]byte{76, 2, 0, 0, 0, 0, 1, 0, 0})                   // zero incarnation
+	// A hello standalone (not sharded), and as an item, where only the skip
+	// walker sees it, whole and with a hostile id count.
+	seed(protocol.NewHelloMsg(protocol.WireVersion, 4, []string{"s-01"}))
+	seed(protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 1, Msg: protocol.NewHelloMsg(protocol.WireVersion, 4, []string{"s-01", "s-02"})}}))
+	f.Add([]byte{72, 1, 1, 77, 1, 4, 255, 255, 255, 255, 15, 1, 97})
 
 	const shards = 4
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -119,7 +119,9 @@ func (b *bitset) len() int {
 // (maxRetransmitGap). The gaps are counted in Sync calls, so a simulator
 // or a test that drives Sync by hand needs no clock.
 //
-// BP and RR compose with acknowledgments exactly as in Algorithm 1.
+// BP and RR compose with acknowledgments exactly as in Algorithm 1, and BP
+// extends from the neighbor an entry came from to the neighbors that one
+// says it delivers to itself (owed).
 //
 // The buffer holds its entries by value, ascending by seq, and is nil
 // whenever it is empty: the ack that retires the last entry releases the
@@ -132,7 +134,18 @@ type deltaAcked struct {
 	buf     []ackedEntry
 }
 
-var _ Flusher = (*deltaAcked)(nil)
+var (
+	_ Flusher        = (*deltaAcked)(nil)
+	_ ReachConsulter = (*deltaAcked)(nil)
+)
+
+// ReachConsulter is implemented by the engines that withhold on
+// Config.Reach, so that whoever runs them knows to keep it up to date and
+// to cover for a neighbor whose word stops holding.
+type ReachConsulter interface{ ConsultsReach() }
+
+// ConsultsReach implements ReachConsulter.
+func (e *deltaAcked) ConsultsReach() {}
 
 // NewDeltaAcked returns the acknowledgment-based delta engine factory with
 // the given optimizations.
@@ -152,12 +165,15 @@ func (e *deltaAcked) State() lattice.State { return e.x }
 
 func (e *deltaAcked) store(s lattice.State, origin string) {
 	e.x.Merge(s)
+	if e.bp {
+		e.cfg.Reach.withhold(origin)
+	}
 	entry := ackedEntry{delta: s, origin: origin}
 	if e.fullyAcked(&entry) {
 		// No neighbor ever needs this entry — e.g. its origin is the
-		// only neighbor under BP, or the node has no neighbors at all.
-		// Buffering it would leak: nothing sends it, so no ack could
-		// ever prune it.
+		// only neighbor under BP or reaches every other one itself, or
+		// the node has no neighbors at all. Buffering it would leak:
+		// nothing sends it, so no ack could ever prune it.
 		return
 	}
 	e.nextSeq++
@@ -201,8 +217,13 @@ func (e *deltaAcked) Waiting() bool { return len(e.buf) > 0 }
 func (e *deltaAcked) Retransmits() uint64 { return e.retransmits }
 
 // ship marks the entries due on this call, then sends each neighbor the
-// join of the due entries it has not acknowledged.
+// join of the due entries it is owed and has not acknowledged.
 func (e *deltaAcked) ship(send Sender, tick bool) {
+	if tick && e.cfg.Reach != nil {
+		// An origin may have announced since the entry was buffered the
+		// last neighbor that had not acknowledged it.
+		e.retire()
+	}
 	due := false
 	for k := range e.buf {
 		entry := &e.buf[k]
@@ -232,7 +253,7 @@ func (e *deltaAcked) ship(send Sender, tick bool) {
 		var seqs []uint64
 		for k := range e.buf {
 			entry := &e.buf[k]
-			if !entry.due || e.bp && entry.origin == j || entry.acked.has(i) {
+			if !entry.due || entry.acked.has(i) || !e.owed(entry.origin, i) {
 				continue
 			}
 			if d == nil {
@@ -299,7 +320,6 @@ func (e *deltaAcked) ack(neighbor int, seqs []uint64) {
 		seqs = slices.Clone(seqs)
 		slices.Sort(seqs)
 	}
-	kept := 0
 	for k := range e.buf {
 		entry := &e.buf[k]
 		for len(seqs) > 0 && seqs[0] < entry.seq {
@@ -308,8 +328,17 @@ func (e *deltaAcked) ack(neighbor int, seqs []uint64) {
 		if len(seqs) > 0 && seqs[0] == entry.seq {
 			entry.acked.add(neighbor)
 		}
-		if !e.fullyAcked(entry) {
-			e.buf[kept] = *entry
+	}
+	e.retire()
+}
+
+// retire drops the entries every neighbor they are owed to has
+// acknowledged.
+func (e *deltaAcked) retire() {
+	kept := 0
+	for k := range e.buf {
+		if !e.fullyAcked(&e.buf[k]) {
+			e.buf[kept] = e.buf[k]
 			kept++
 		}
 	}
@@ -321,14 +350,20 @@ func (e *deltaAcked) ack(neighbor int, seqs []uint64) {
 	e.buf = e.buf[:kept]
 }
 
-// fullyAcked reports whether every neighbor that must receive the entry
-// has acknowledged it (its origin, under BP, never receives it).
+// owed reports whether the neighbor at position i must receive an entry
+// that came from origin. Under BP two neighbors need not: origin itself,
+// and one that origin has announced it sends to (Config.Reach), because
+// origin, or whoever origin had the entry from, up to the node that issued
+// it, holds the entry for that neighbor and sends it until acknowledged.
+func (e *deltaAcked) owed(origin string, i int) bool {
+	return !e.bp || origin != e.cfg.Neighbors[i] && !e.cfg.Reach.has(origin, i)
+}
+
+// fullyAcked reports whether every neighbor the entry is owed to has
+// acknowledged it.
 func (e *deltaAcked) fullyAcked(entry *ackedEntry) bool {
-	for i, j := range e.cfg.Neighbors {
-		if e.bp && entry.origin == j {
-			continue
-		}
-		if !entry.acked.has(i) {
+	for i := range e.cfg.Neighbors {
+		if !entry.acked.has(i) && e.owed(entry.origin, i) {
 			return false
 		}
 	}

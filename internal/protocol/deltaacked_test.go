@@ -156,6 +156,75 @@ func TestAckedDeltaBPSkipsOriginAck(t *testing.T) {
 	}
 }
 
+func TestAckedDeltaReachSkipsAnnouncedNeighbors(t *testing.T) {
+	// BP's sibling: an entry received from a never needs the ack of a
+	// neighbor a has announced it reaches. b, in a mesh with a, c and d,
+	// has heard a say it reaches c: what a sends goes on to d alone, is
+	// pruned on d's ack alone, and is never buffered at all once a
+	// reaches d too. What b writes itself is owed to all three whatever
+	// anybody announced.
+	nodes := []string{"a", "b", "c", "d"}
+	neighbors := []string{"a", "c", "d"}
+	reach := protocol.NewReach(neighbors)
+	if left := reach.Set("a", []string{"c"}); left != nil {
+		t.Fatalf("first announcement: %v left the set", left)
+	}
+	b := protocol.NewDeltaAcked(true, true)(protocol.Config{ID: "b", Neighbors: neighbors, Nodes: nodes, Datatype: workload.GSetType{}, Reach: reach})
+	discard := func(string, protocol.Msg) {}
+	sentTo := func() map[string]int {
+		sent := map[string]int{}
+		b.Sync(func(to string, m protocol.Msg) { sent[to] += m.Cost().Elements })
+		return sent
+	}
+	b.Deliver("a", protocol.NewAckedDeltaMsg(crdt.NewGSet("x"), []uint64{1}), discard)
+	if got := sentTo(); len(got) != 1 || got["d"] != 1 {
+		t.Fatalf("a's entry went to %v, want d alone: a is its origin and reaches c", got)
+	}
+	b.Deliver("d", protocol.NewAckMsg([]uint64{1}), discard)
+	if m := b.Memory(); m.BufferBytes != 0 {
+		t.Errorf("entry not pruned on d's ack alone: buffer=%d", m.BufferBytes)
+	}
+	if got := reach.Withheld(); got != 1 {
+		t.Errorf("Withheld = %d, want the one forward to c", got)
+	}
+	// An entry buffered for d is retired, unacknowledged, by the tick
+	// after a announces that it reaches d as well, and counts as no
+	// retransmission.
+	b.Deliver("a", protocol.NewAckedDeltaMsg(crdt.NewGSet("y"), []uint64{2}), discard)
+	sentTo() // first transmission, to d, lost
+	reach.Set("a", []string{"c", "d", "b", "nobody", "a"})
+	if got := reach.Of("a"); !slices.Equal(got, []string{"c", "d"}) {
+		t.Fatalf("a reaches %v, want c and d: the neighbors among what it named, itself excepted", got)
+	}
+	for tick := 0; tick < 3; tick++ {
+		if got := sentTo(); len(got) != 0 {
+			t.Fatalf("tick %d re-sent %v after a announced d", tick, got)
+		}
+	}
+	if m := b.Memory(); m.BufferBytes != 0 {
+		t.Errorf("entry nobody is owed any more still buffered: %d bytes", m.BufferBytes)
+	}
+	if got := b.(interface{ Retransmits() uint64 }).Retransmits(); got != 0 {
+		t.Errorf("Retransmits = %d, want 0", got)
+	}
+	b.Deliver("a", protocol.NewAckedDeltaMsg(crdt.NewGSet("z"), []uint64{3}), discard)
+	if fl := b.(protocol.Flusher); fl.Unsent() || fl.Waiting() || b.Memory().BufferBytes != 0 {
+		t.Error("an entry whose origin reaches every other neighbor was buffered")
+	}
+	b.LocalOp(addOp("w"))
+	if got := sentTo(); len(got) != 3 {
+		t.Errorf("b's own entry went to %v, want all three neighbors", got)
+	}
+	// When a stops reaching c, c is reported as having left, and owed
+	// a's entries again.
+	if left := reach.Set("a", []string{"d"}); !slices.Equal(left, []string{"c"}) {
+		t.Errorf("a's shrinking announcement: %v left the set, want c", left)
+	}
+	if left := reach.Set("stranger", []string{"c"}); left != nil || reach.Of("stranger") != nil {
+		t.Error("a store that is no neighbor got an entry in the table")
+	}
+}
+
 func TestAckedDeltaMergesRepairDeltaMsg(t *testing.T) {
 	// The store's digest anti-entropy ships full object states as plain
 	// DeltaMsgs outside the acked sequence space. The engine must merge
@@ -207,6 +276,24 @@ func TestAckedDeltaBuffersRepairForPropagation(t *testing.T) {
 	})
 	if after := b.Memory().BufferBytes; after != before {
 		t.Errorf("redundant repair grew the buffer: %d -> %d", before, after)
+	}
+}
+
+func TestAckedDeltaReachForwardsRepairPastAnnounced(t *testing.T) {
+	// The reach sibling of the test above: a repair δ-group from a is
+	// forwarded to exactly the neighbors outside what a reaches.
+	nodes := []string{"a", "b", "c", "d"}
+	neighbors := []string{"a", "c", "d"}
+	reach := protocol.NewReach(neighbors)
+	reach.Set("a", []string{"b", "c"})
+	b := protocol.NewDeltaAcked(true, true)(protocol.Config{ID: "b", Neighbors: neighbors, Nodes: nodes, Datatype: workload.GSetType{}, Reach: reach})
+	b.Deliver("a", protocol.NewDeltaMsg(crdt.NewGSet("r1")), func(string, protocol.Msg) {
+		t.Error("repair delta triggered a reply")
+	})
+	sent := map[string]int{}
+	b.Sync(func(to string, m protocol.Msg) { sent[to]++ })
+	if len(sent) != 1 || sent["d"] != 1 {
+		t.Errorf("repair propagation = %v, want one message to d only: a is the origin and reaches c", sent)
 	}
 }
 

@@ -15,8 +15,15 @@ import (
 // contents always produce equal digests and a converged pair exchanges
 // only the constant size advertisement — the near-constant heartbeat that
 // replaces shipping state on idle keyspaces.
+//
+// Echo asks for the receiver's own vector back at once, plain: a store
+// catching up with a neighbor (a third one stopped reaching it) advertises
+// on every tick until the neighbor's digests match, and a neighbor that
+// advertises on no schedule of its own would otherwise never say so. The
+// answer never asks in turn.
 type DigestMsg struct {
 	Digests []uint64
+	Echo    bool
 	cost    metrics.Transmission
 }
 

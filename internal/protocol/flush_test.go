@@ -25,7 +25,11 @@ type flushEnv struct {
 	m        protocol.Msg
 }
 
-func newFlushNet(n int) *flushNet {
+func newFlushNet(n int) *flushNet { return newFlushNetWith(n, false) }
+
+// newFlushNetWith builds the mesh; with announced, every node has heard
+// every neighbor say that it reaches all the others.
+func newFlushNetWith(n int, announced bool) *flushNet {
 	net := &flushNet{engines: make(map[string]protocol.Engine)}
 	for i := 0; i < n; i++ {
 		net.ids = append(net.ids, fmt.Sprintf("n%d", i))
@@ -34,7 +38,14 @@ func newFlushNet(n int) *flushNet {
 		func(string) workload.Datatype { return workload.GSetType{} })
 	for i, id := range net.ids {
 		neighbors := append(append([]string(nil), net.ids[:i]...), net.ids[i+1:]...)
-		net.engines[id] = factory(protocol.Config{ID: id, Neighbors: neighbors, Nodes: net.ids})
+		var reach *protocol.Reach
+		if announced {
+			reach = protocol.NewReach(neighbors)
+			for _, o := range neighbors {
+				reach.Set(o, net.ids)
+			}
+		}
+		net.engines[id] = factory(protocol.Config{ID: id, Neighbors: neighbors, Nodes: net.ids, Reach: reach})
 	}
 	return net
 }
@@ -70,54 +81,67 @@ func (n *flushNet) retransmits() uint64 {
 
 // TestFlushMeshShipsEachEntryOnce: on a lossless 3-node full mesh, driven
 // by flushes with a tick now and then, every entry reaches each neighbor
-// exactly once — 4 elements per update (two first-hand sends, two
-// forwards BP cannot avoid), nothing retransmitted, every buffer drained.
+// exactly once, nothing is retransmitted and every buffer drains. Under BP
+// alone that is 4 elements per update (two first-hand sends, two forwards
+// BP cannot avoid); once every node has heard that its neighbors reach
+// each other, the forwards go and it is 2.
 func TestFlushMeshShipsEachEntryOnce(t *testing.T) {
-	const updates = 300
-	net := newFlushNet(3)
-	for u := 0; u < updates; u++ {
-		writer := net.ids[u%3]
-		net.engines[writer].LocalOp(workload.Add(fmt.Sprintf("key-%02d", u%17), fmt.Sprintf("e%d", u)))
-		if u%4 == 3 {
-			continue // let a few writes share a flush
-		}
-		net.flush(writer)
-		net.deliver()
-		for _, id := range net.ids { // the forwards the deliveries left
-			net.flush(id)
-		}
-		net.deliver()
-		if u%10 == 9 {
-			for _, id := range net.ids {
-				net.tick(id)
+	for _, c := range []struct {
+		name      string
+		announced bool
+		perUpdate int
+	}{
+		{"bp alone", false, 4},
+		{"neighbors announce whom they reach", true, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			const updates = 300
+			net := newFlushNetWith(3, c.announced)
+			for u := 0; u < updates; u++ {
+				writer := net.ids[u%3]
+				net.engines[writer].LocalOp(workload.Add(fmt.Sprintf("key-%02d", u%17), fmt.Sprintf("e%d", u)))
+				if u%4 == 3 {
+					continue // let a few writes share a flush
+				}
+				net.flush(writer)
+				net.deliver()
+				for _, id := range net.ids { // the forwards the deliveries left
+					net.flush(id)
+				}
+				net.deliver()
+				if u%10 == 9 {
+					for _, id := range net.ids {
+						net.tick(id)
+					}
+					net.deliver()
+				}
 			}
-			net.deliver()
-		}
-	}
-	for round := 0; round < 3; round++ {
-		for _, id := range net.ids {
-			net.tick(id)
-		}
-		net.deliver()
-	}
-	if got := net.elements; got != 4*updates {
-		t.Errorf("%d elements shipped for %d updates, want exactly 4 each", got, updates)
-	}
-	if got := net.retransmits(); got != 0 {
-		t.Errorf("%d retransmissions on a lossless mesh", got)
-	}
-	want := net.engines[net.ids[0]].State()
-	for _, id := range net.ids {
-		e := net.engines[id]
-		if !e.State().Equal(want) {
-			t.Errorf("%s diverged", id)
-		}
-		if m := e.Memory(); m.BufferBytes != 0 {
-			t.Errorf("%s still buffers %d bytes", id, m.BufferBytes)
-		}
-		if fl := e.(protocol.Flusher); fl.Unsent() || fl.Waiting() {
-			t.Errorf("%s not quiescent: unsent=%v waiting=%v", id, fl.Unsent(), fl.Waiting())
-		}
+			for round := 0; round < 3; round++ {
+				for _, id := range net.ids {
+					net.tick(id)
+				}
+				net.deliver()
+			}
+			if got := net.elements; got != c.perUpdate*updates {
+				t.Errorf("%d elements shipped for %d updates, want exactly %d each", got, updates, c.perUpdate)
+			}
+			if got := net.retransmits(); got != 0 {
+				t.Errorf("%d retransmissions on a lossless mesh", got)
+			}
+			want := net.engines[net.ids[0]].State()
+			for _, id := range net.ids {
+				e := net.engines[id]
+				if !e.State().Equal(want) {
+					t.Errorf("%s diverged", id)
+				}
+				if m := e.Memory(); m.BufferBytes != 0 {
+					t.Errorf("%s still buffers %d bytes", id, m.BufferBytes)
+				}
+				if fl := e.(protocol.Flusher); fl.Unsent() || fl.Waiting() {
+					t.Errorf("%s not quiescent: unsent=%v waiting=%v", id, fl.Unsent(), fl.Waiting())
+				}
+			}
+		})
 	}
 }
 

@@ -50,6 +50,9 @@ type Config struct {
 	// (the paper's Figure 9 uses 20-byte ids). Zero means "use the actual
 	// id length".
 	IDBytes int
+	// Reach, when non-nil, is what the neighbors have announced they reach
+	// themselves; only the acked delta engine consults it.
+	Reach *Reach
 }
 
 // idBytes returns the accounting size of one id.

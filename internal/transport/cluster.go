@@ -108,9 +108,9 @@ func WaitConverged(stores []*Store, wantKeys int, timeout time.Duration, progres
 		if time.Now().After(deadline) {
 			// A sick write pipeline is the usual culprit, so the failure
 			// names each store's queued/dropped frame totals alongside
-			// its digest; a non-zero shard-count mismatch counter means
-			// the cluster is misconfigured and anti-entropy can never
-			// repair it.
+			// its digest; a refused hello or a non-zero shard-count
+			// mismatch counter means the cluster is misconfigured and
+			// anti-entropy can never repair it.
 			msg := "transport: cluster did not converge:"
 			for _, st := range stores {
 				queued, dropped := 0, 0
@@ -121,6 +121,10 @@ func WaitConverged(stores []*Store, wantKeys int, timeout time.Duration, progres
 				}
 				msg += fmt.Sprintf(" %s[keys=%d digest=%x queued=%d dropped=%d]",
 					st.ID(), st.NumKeys(), st.Digest(), queued, dropped)
+				if stats.HelloRefused > 0 {
+					msg += fmt.Sprintf(" %s refused %d connections whose hello named another shard count or wire version (misconfigured Shards?)",
+						st.ID(), stats.HelloRefused)
+				}
 				if stats.DigestShardMismatch > 0 {
 					msg += fmt.Sprintf(" %s saw %d digest advertisements with a foreign shard count (misconfigured Shards?)",
 						st.ID(), stats.DigestShardMismatch)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sort"
 	"sync"
 	"time"
 
@@ -112,6 +113,10 @@ type PeerStats struct {
 	LastSent     uint64
 	LastAcked    uint64
 	LastReceived uint64
+	// Reaches is what the peer last announced: the neighbors of this store
+	// that the peer's own pipelines were connected to (empty for a store
+	// whose engine takes no notice). Cleared by StoreStats.Add.
+	Reaches []string
 }
 
 // peerConn is one peer's outbound pipeline: a bounded frame queue feeding
@@ -127,7 +132,7 @@ type peerConn struct {
 	p    *peerNet
 
 	mu         sync.Mutex
-	cond       *sync.Cond // signals queue growth and drain start
+	cond       *sync.Cond // signals queue growth, drain start, a hello due and a dial wanted
 	queue      [][]byte
 	qbytes     int // sum of queued frame lengths
 	qcfg       queueConfig
@@ -137,6 +142,13 @@ type peerConn struct {
 	backoff    time.Duration
 	hadFailure bool // a dial/write failed since the last success
 	stats      PeerStats
+	// helloDue is set when the next frame on the connection must be a
+	// hello: by the dial that established it, and by announce.
+	helloDue bool
+	// dialWanted has the writer establish the connection with nothing
+	// queued (connect); it stays set, and the writer keeps trying at the
+	// backoff's pace, until a dial succeeds.
+	dialWanted bool
 }
 
 // enqueue appends one frame, evicting oldest queued frames while either
@@ -182,6 +194,10 @@ func (pc *peerConn) run() {
 			pc.mu.Unlock()
 			return
 		}
+		if frame == nil {
+			pc.write(nil, 0, 0) // the connection, and the hello due on it
+			continue
+		}
 		batch, bytes := pc.coalesceBatch(frame)
 		if len(batch) == 1 {
 			pc.write(frame, 1, len(frame))
@@ -204,15 +220,20 @@ func (pc *peerConn) run() {
 	}
 }
 
-// next blocks until a frame is available or the pipeline is done.
+// next blocks until a frame is available or the pipeline is done. It
+// returns no frame, and true, when all there is to do is write a hello on
+// a connection that is up, or dial one that is wanted.
 func (pc *peerConn) next() ([]byte, bool) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	for len(pc.queue) == 0 && !pc.closed {
+	for len(pc.queue) == 0 && !pc.closed && !(pc.helloDue && pc.conn != nil) && !(pc.dialWanted && pc.conn == nil) {
 		pc.cond.Wait()
 	}
-	if len(pc.queue) == 0 || pc.hardStopped() {
+	if pc.hardStopped() || len(pc.queue) == 0 && pc.closed {
 		return nil, false
+	}
+	if len(pc.queue) == 0 {
+		return nil, true
 	}
 	f := pc.queue[0]
 	pc.queue[0] = nil
@@ -273,8 +294,9 @@ func (pc *peerConn) hardStopped() bool {
 	}
 }
 
-// write ships one (possibly coalesced) frame, establishing the connection
-// if needed, and reports whether it landed. A failed dial or write drops
+// write ships one (possibly coalesced) frame — after a hello, if one is
+// due; a nil frame is the hello alone — establishing the connection if
+// needed, and reports whether it landed. A failed dial or write drops
 // the frame (counted per peer, same as overflow — frames and bytes name
 // the enqueued frames it represents) and backs off before the next
 // attempt, so a down peer costs one queued frame per attempt instead of
@@ -286,7 +308,11 @@ func (pc *peerConn) write(frame []byte, frames, bytes int) bool {
 		pc.dropFrames(frames, bytes)
 		return false
 	}
-	if err := writeFrame(conn, pc.p.id, frame); err != nil {
+	err := pc.writeHello(conn)
+	if err == nil && frame != nil {
+		err = writeFrame(conn, pc.p.id, frame)
+	}
+	if err != nil {
 		pc.disconnect(conn)
 		pc.dropFrames(frames, bytes)
 		pc.sleepBackoff()
@@ -294,6 +320,21 @@ func (pc *peerConn) write(frame []byte, frames, bytes int) bool {
 	}
 	pc.markHealthy()
 	return true
+}
+
+// writeHello writes the announcement if one is due: the first frame of a
+// connection, and the next one after the set of connected pipelines has
+// changed or a refresh came round. It goes straight to the socket — the
+// queue's eviction never sees it — naming the pipelines that are up now.
+func (pc *peerConn) writeHello(conn net.Conn) error {
+	pc.mu.Lock()
+	due := pc.helloDue && pc.p.hello != nil
+	pc.helloDue = false
+	pc.mu.Unlock()
+	if !due {
+		return nil
+	}
+	return writeFrame(conn, pc.p.id, pc.p.hello(pc.p.up()))
 }
 
 // markHealthy resets the backoff after a successful write — not after a
@@ -327,13 +368,17 @@ func (pc *peerConn) ensureConn() net.Conn {
 		return nil
 	}
 	pc.mu.Lock()
-	defer pc.mu.Unlock()
 	if pc.hardStopped() {
+		pc.mu.Unlock()
 		c.Close()
 		return nil
 	}
 	pc.conn = c
 	pc.state = PeerUp
+	pc.helloDue = true // a connection introduces itself
+	pc.dialWanted = false
+	pc.mu.Unlock()
+	pc.p.announce() // the other neighbors hear that this one is reached
 	return c
 }
 
@@ -368,9 +413,13 @@ func (pc *peerConn) sleepBackoff() {
 		}
 	}
 	d := pc.backoff
+	wasUp := pc.state == PeerUp
 	pc.state = PeerBackoff
 	pc.hadFailure = true
 	pc.mu.Unlock()
+	if wasUp {
+		pc.p.announce()
+	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
@@ -398,8 +447,18 @@ type peerNet struct {
 	dial     DialFunc
 	ln       net.Listener
 	peers    map[string]*peerConn // fixed at construction, read-only after
-	mu       sync.Mutex           // guards accepted
+	mu       sync.Mutex           // guards accepted and inbound
 	accepted map[net.Conn]struct{}
+	// inbound counts the live accepted connections per sender, as their
+	// first frame named it: a peer that redials may briefly hold two.
+	inbound map[string]int
+	// The owner's hooks, fixed by start. deliver runs for every inbound
+	// frame; hello encodes the announcement a connection opens with,
+	// given the peers whose pipelines are up; gone runs when the last
+	// inbound connection from a peer has ended.
+	deliver  func(from string, frame []byte) error
+	hello    func(reaches []string) []byte
+	gone     func(from string)
 	stopping chan struct{}
 	hardStop chan struct{}
 	stopOnce sync.Once
@@ -419,6 +478,7 @@ func newPeerNet(id string, peers map[string]string, ln net.Listener, dial DialFu
 		ln:       ln,
 		peers:    make(map[string]*peerConn, len(peers)),
 		accepted: make(map[net.Conn]struct{}),
+		inbound:  make(map[string]int),
 		stopping: make(chan struct{}),
 		hardStop: make(chan struct{}),
 	}
@@ -434,10 +494,13 @@ func newPeerNet(id string, peers map[string]string, ln net.Listener, dial DialFu
 // deliver runs for every inbound frame, on the connection's read
 // goroutine, with the raw encoded message bytes. The bytes alias the
 // connection's reused read buffer and are valid only for the duration of
-// the call; a non-nil error drops the connection (a corrupt peer).
-func (p *peerNet) start(deliver func(from string, frame []byte) error) {
+// the call; a non-nil error drops the connection (a corrupt peer, or one
+// whose hello this store refuses). hello and gone may be nil: no
+// announcement is written, no ending reported.
+func (p *peerNet) start(deliver func(from string, frame []byte) error, hello func(reaches []string) []byte, gone func(from string)) {
+	p.deliver, p.hello, p.gone = deliver, hello, gone
 	p.wg.Add(1)
-	go p.acceptLoop(deliver)
+	go p.acceptLoop()
 	for _, pc := range p.peers {
 		p.writers.Add(1)
 		go pc.run()
@@ -471,6 +534,48 @@ func (p *peerNet) transmit(to string, data []byte) error {
 	return nil
 }
 
+// up lists the peers whose pipelines are connected, sorted: what a hello
+// announces.
+func (p *peerNet) up() []string {
+	var ids []string
+	for id, pc := range p.peers {
+		pc.mu.Lock()
+		if pc.state == PeerUp {
+			ids = append(ids, id)
+		}
+		pc.mu.Unlock()
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// connect reports whether the pipeline to id has a connection and, if
+// not, has its writer dial now instead of when the next frame is queued:
+// for a caller with frames to send once the peer is there, and none worth
+// queueing toward one that may never be.
+func (p *peerNet) connect(id string) bool {
+	pc := p.peers[id]
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if pc.conn == nil && !pc.dialWanted {
+		pc.dialWanted = true
+		pc.cond.Signal()
+	}
+	return pc.conn != nil
+}
+
+// announce makes a hello the next frame on every connection that is up:
+// the set it names has changed, or a refresh is due. The writers are woken
+// to send it even with nothing queued.
+func (p *peerNet) announce() {
+	for _, pc := range p.peers {
+		pc.mu.Lock()
+		pc.helloDue = true
+		pc.cond.Signal()
+		pc.mu.Unlock()
+	}
+}
+
 // peerStats snapshots every peer pipeline's counters and state.
 func (p *peerNet) peerStats() map[string]PeerStats {
 	out := make(map[string]PeerStats, len(p.peers))
@@ -480,7 +585,7 @@ func (p *peerNet) peerStats() map[string]PeerStats {
 	return out
 }
 
-func (p *peerNet) acceptLoop(deliver func(from string, frame []byte) error) {
+func (p *peerNet) acceptLoop() {
 	defer p.wg.Done()
 	for {
 		conn, err := p.ln.Accept()
@@ -496,17 +601,31 @@ func (p *peerNet) acceptLoop(deliver func(from string, frame []byte) error) {
 		p.accepted[conn] = struct{}{}
 		p.mu.Unlock()
 		p.wg.Add(1)
-		go p.readLoop(conn, deliver)
+		go p.readLoop(conn)
 	}
 }
 
-func (p *peerNet) readLoop(conn net.Conn, deliver func(from string, frame []byte) error) {
+func (p *peerNet) readLoop(conn net.Conn) {
 	defer p.wg.Done()
+	// The connection is its first frame's sender's, for as long as it
+	// lives.
+	var peer string
+	named := false
 	defer func() {
 		conn.Close()
 		p.mu.Lock()
 		delete(p.accepted, conn)
+		last := false
+		if named {
+			p.inbound[peer]--
+			if last = p.inbound[peer] == 0; last {
+				delete(p.inbound, peer)
+			}
+		}
 		p.mu.Unlock()
+		if last && p.gone != nil {
+			p.gone(peer)
+		}
 	}()
 	// One read buffer for the connection's lifetime: deliver is
 	// synchronous and the decoders copy whatever outlives the call, so
@@ -517,8 +636,14 @@ func (p *peerNet) readLoop(conn net.Conn, deliver func(from string, frame []byte
 		if err != nil {
 			return
 		}
-		if err := deliver(from, data); err != nil {
-			return // corrupt peer; drop the connection
+		if !named {
+			peer, named = from, true
+			p.mu.Lock()
+			p.inbound[peer]++
+			p.mu.Unlock()
+		}
+		if err := p.deliver(from, data); err != nil {
+			return // corrupt or refused peer; drop the connection
 		}
 	}
 }

@@ -23,6 +23,14 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 3, 0, 1, 'a'})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})     // length far beyond the cap
 	f.Add([]byte{0, 0, 0, 5, 0, 9, 'x', 'y'}) // sender length past the body
+	// What a connection opens with: a hello (version 1, 64 shards,
+	// reaching s-01), then a data frame behind it in the same stream.
+	hello := []byte{77, 1, 64, 1, 4, 's', '-', '0', '1'}
+	seed("s-00", hello)
+	var stream bytes.Buffer
+	writeFrame(&stream, "s-00", hello)
+	writeFrame(&stream, "s-00", []byte{72, 0})
+	f.Add(stream.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		from, msg, err := readFrame(bytes.NewReader(data))
 		if err != nil {

@@ -96,6 +96,9 @@ type link struct {
 	// acknowledgement is taken for sending; read without mu by the
 	// passes, written under it.
 	owed atomic.Bool
+	// catchUp is the digest comparison owed with the neighbor, which has
+	// nothing to do with acknowledgements but is per neighbor too.
+	catchUp catchUp
 }
 
 func newLink(inc uint32) *link { return &link{inc: inc, first: 1, kept: 1} }

@@ -270,10 +270,12 @@ func TestLinkAckOnlyAfterEveryItemApplied(t *testing.T) {
 }
 
 // TestLinkAckResendsOnTheGapUnderShardSkew: a receiver with fewer shards
-// drops part of every frame and so acknowledges none; the sender keeps
-// the entries and sends them again 1, 2, 4 and 8 ticks after the send
-// before, exactly as the engine's timer has it.
+// that never hears the sender's hello (the fault eats it, and sixteen ticks
+// bring no refresh) drops part of every frame and so acknowledges none;
+// the sender keeps the entries and sends them again 1, 2, 4 and 8 ticks
+// after the send before, exactly as the engine's timer has it.
 func TestLinkAckResendsOnTheGapUnderShardSkew(t *testing.T) {
+	noHello, _ := countingSever(1)
 	stores, err := LoopbackClusterWith(2, StoreConfig{
 		ID:        "k",
 		Shards:    8,
@@ -281,7 +283,9 @@ func TestLinkAckResendsOnTheGapUnderShardSkew(t *testing.T) {
 		ObjType:   func(string) workload.Datatype { return workload.GSetType{} },
 		SyncEvery: time.Hour,
 	}, func(i int, _ string, cfg *StoreConfig) {
-		if i == 1 {
+		if i == 0 {
+			cfg.Dial = noHello.Dialer(nil)
+		} else {
 			cfg.Shards = 4
 		}
 	})
@@ -430,7 +434,7 @@ func countingSever(nth int64) (*Fault, *atomic.Int64) {
 // entries are sent again — nothing else, and nothing twice.
 func TestLinkAckOneLostFrameResendsOnlyItsEntries(t *testing.T) {
 	const frames, perFrame, lost = 10, 3, 5
-	fault, seen := countingSever(lost)
+	fault, seen := countingSever(lost + 1) // behind the connection's hello
 	stores, err := LoopbackClusterWith(2, StoreConfig{
 		ID:        "l",
 		Shards:    8,
@@ -458,7 +462,7 @@ func TestLinkAckOneLostFrameResendsOnlyItsEntries(t *testing.T) {
 	}
 	link := func() PeerStats { return s.Stats().Peers[peer] }
 	eventually(t, 10*time.Second, "nine of ten frames to be acknowledged", func() bool {
-		return seen.Load() == frames && link().InFlight == 1
+		return seen.Load() == frames+1 && link().InFlight == 1
 	})
 	if ps := link(); ps.LastSent != frames || ps.LastAcked != lost-1 {
 		t.Fatalf("sender's view: %+v, want %d sent and the mark at %d", ps, frames, lost-1)
@@ -754,10 +758,12 @@ func (w *wireTap) dial(id, addr string) (net.Conn, error) {
 }
 
 // TestLinkAckLosslessMeshShipsEachEntryOnce taps every connection of a
-// three-store mesh under load: each update's element crosses four links
-// and no more, no frame carries a per-object acknowledgement or a
-// per-item seq, every numbered frame is acknowledged by a header field —
-// at most one per frame — and afterwards no link holds anything.
+// three-store mesh under load: once every store has heard whom the others
+// reach, each update's element crosses two links — from its origin to
+// each of the others, who forward nothing — no frame carries a per-object
+// acknowledgement or a per-item seq, every numbered frame is acknowledged
+// by a header field — at most one per frame — and afterwards no link
+// holds anything.
 func TestLinkAckLosslessMeshShipsEachEntryOnce(t *testing.T) {
 	const keys, writes, shards = 50, 1500, 8
 	tap := &wireTap{}
@@ -775,13 +781,23 @@ func TestLinkAckLosslessMeshShipsEachEntryOnce(t *testing.T) {
 		st := st
 		t.Cleanup(func() { st.Close() })
 	}
+	// A write from each store brings every pipeline up; the hellos that
+	// follow tell everybody that everybody reaches everybody.
+	for i, st := range stores {
+		st.Update(workload.Add(fmt.Sprintf("warm-%d", i), "x"))
+	}
+	awaitFullReach(t, stores)
+	if err := WaitConverged(stores, len(stores), 30*time.Second, nil); err != nil {
+		t.Fatal(err)
+	}
+	warm := clusterStats(stores)
 	for i := 0; i < writes; i++ {
 		stores[i%3].Update(workload.Add(fmt.Sprintf("k%02d", i%keys), fmt.Sprintf("e%d", i)))
 		if i%10 == 9 {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	if err := WaitConverged(stores, keys, 30*time.Second, nil); err != nil {
+	if err := WaitConverged(stores, len(stores)+keys, 30*time.Second, nil); err != nil {
 		t.Fatal(err)
 	}
 	eventually(t, 10*time.Second, "every frame to be acknowledged", func() bool {
@@ -801,21 +817,31 @@ func TestLinkAckLosslessMeshShipsEachEntryOnce(t *testing.T) {
 	if total.Retransmits != 0 || total.IgnoredAcks != 0 {
 		t.Errorf("%d retransmissions, %d ignored acknowledgements on a lossless mesh", total.Retransmits, total.IgnoredAcks)
 	}
-	// The origin sends an update's element to both neighbors and each of
-	// them forwards it to the other: four crossings, never a fifth. (A
-	// forward that overtakes the direct copy makes the other forward
-	// redundant, so a run may fall a hair short of 4.00.)
-	perUpdate := float64(total.Sent.Elements) / writes
-	t.Logf("%.3f elements on the wire per update", perUpdate)
-	if total.Sent.Elements > 4*writes || perUpdate < 3.9 {
-		t.Errorf("%d elements on the wire for %d updates (%.3f each), want 4.00", total.Sent.Elements, writes, perUpdate)
+	// The origin sends an update's element to both neighbors, who know
+	// from its hello that it does and forward nothing: two crossings,
+	// where BP alone made four.
+	elements := total.Sent.Elements - warm.Sent.Elements
+	t.Logf("%.3f elements on the wire per update", float64(elements)/writes)
+	if elements != 2*writes {
+		t.Errorf("%d elements on the wire for %d updates (%.3f each), want 2.00", elements, writes, float64(elements)/writes)
+	}
+	// One forward withheld per δ-group received, which may join several
+	// updates of one key.
+	if got := total.Withheld - warm.Withheld; got == 0 || got > 2*writes {
+		t.Errorf("%d forwards withheld for %d updates, want up to one by each of the two receivers", got, writes)
 	}
 	deltaTag := encodeFrame(t, protocol.NewDeltaMsg(crdt.NewGSet("x")))[0]
 	tap.mu.Lock()
 	defer tap.mu.Unlock()
 	var v codec.FrameView
-	numbered, acking, ackOnly, groups := 0, 0, 0, 0
+	numbered, acking, ackOnly, groups, hellos := 0, 0, 0, 0, 0
 	for _, f := range tap.frames {
+		if m, _, err := codec.DecodeMsg(f); err == nil {
+			if _, ok := m.(*protocol.HelloMsg); ok {
+				hellos++
+				continue
+			}
+		}
 		if err := codec.UnpackFrame(f, shards, &v); err != nil {
 			t.Fatalf("a frame on the wire does not unpack: %v", err)
 		}
@@ -847,15 +873,31 @@ func TestLinkAckLosslessMeshShipsEachEntryOnce(t *testing.T) {
 	if numbered == 0 || acking == 0 || acking > numbered {
 		t.Errorf("%d numbered frames, %d frames with an acknowledgement: every one answers at least one numbered frame", numbered, acking)
 	}
-	if ackOnly != total.AckFrames || len(tap.frames) != total.Frames {
-		t.Errorf("tap saw %d frames, %d of them acknowledgements alone; Stats say %d and %d",
-			len(tap.frames), ackOnly, total.Frames, total.AckFrames)
+	if ackOnly != total.AckFrames || hellos != total.HelloFrames || len(tap.frames) != total.Frames {
+		t.Errorf("tap saw %d frames, %d of them acknowledgements alone and %d hellos; Stats say %d, %d and %d",
+			len(tap.frames), ackOnly, hellos, total.Frames, total.AckFrames, total.HelloFrames)
 	}
 	for _, st := range stores {
 		for id, lk := range st.links {
 			holdsNothing(t, st.ID()+"→"+id, lk)
 		}
 	}
+}
+
+// awaitFullReach waits until every store of a full mesh has heard from
+// every neighbor that it reaches all the others.
+func awaitFullReach(t *testing.T, stores []*Store) {
+	t.Helper()
+	eventually(t, 10*time.Second, "every store to hear that its neighbors reach each other", func() bool {
+		for _, st := range stores {
+			for _, ps := range st.Stats().Peers {
+				if len(ps.Reaches) != len(stores)-2 {
+					return false
+				}
+			}
+		}
+		return true
+	})
 }
 
 // gatedConn blocks every write until the gate opens.
@@ -917,19 +959,22 @@ func TestLinkAckNumberedFramesAreNotCoalesced(t *testing.T) {
 	}
 }
 
-// TestLinkAckStatsAddUp: StoreStats.Add sums the acknowledgement counters
-// and the frames in flight, and drops the sequence numbers, which mean
-// nothing across stores.
+// TestLinkAckStatsAddUp: StoreStats.Add sums the acknowledgement, hello
+// and catch-up counters and the frames in flight, and drops the sequence
+// numbers and the announcements, which mean nothing across stores.
 func TestLinkAckStatsAddUp(t *testing.T) {
-	a := StoreStats{AckFrames: 2, IgnoredAcks: 1, Peers: map[string]PeerStats{
-		"p": {InFlight: 3, LastSent: 10, LastAcked: 7, LastReceived: 4},
+	a := StoreStats{AckFrames: 2, IgnoredAcks: 1, HelloRefused: 1, Withheld: 10, CatchUpShards: 16, Peers: map[string]PeerStats{
+		"p": {InFlight: 3, LastSent: 10, LastAcked: 7, LastReceived: 4, Reaches: []string{"q"}},
 	}}
-	b := StoreStats{AckFrames: 5, IgnoredAcks: 4, Peers: map[string]PeerStats{
+	b := StoreStats{AckFrames: 5, IgnoredAcks: 4, HelloRefused: 2, Withheld: 5, CatchUpShards: 16, Peers: map[string]PeerStats{
 		"p": {InFlight: 1, LastSent: 2, LastAcked: 1, LastReceived: 9},
 	}}
 	a.Add(b)
 	want := PeerStats{InFlight: 4}
-	if a.AckFrames != 7 || a.IgnoredAcks != 5 || a.Peers["p"] != want {
+	if a.AckFrames != 7 || a.IgnoredAcks != 5 || !reflect.DeepEqual(a.Peers["p"], want) {
 		t.Errorf("sum: %d acknowledgement frames, %d ignored, peer %+v", a.AckFrames, a.IgnoredAcks, a.Peers["p"])
+	}
+	if a.HelloRefused != 3 || a.Withheld != 15 || a.CatchUpShards != 32 {
+		t.Errorf("sum: %d hellos refused, %d withheld, %d catch-up shards", a.HelloRefused, a.Withheld, a.CatchUpShards)
 	}
 }

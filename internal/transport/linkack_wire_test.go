@@ -82,6 +82,13 @@ func TestLinkAckFromAnotherLifeRetiresNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer in.Close()
+	// The connection introduces itself before anything else.
+	_, msg := readRawFrame(t, in)
+	m, _, err := codec.DecodeMsg(msg)
+	if hello, ok := m.(*protocol.HelloMsg); err != nil || !ok || hello.Version != protocol.WireVersion ||
+		hello.Shards != 4 || len(hello.Reaches) != 1 || hello.Reaches[0] != "p1" {
+		t.Fatalf("first frame on the connection: %+v (%v), want the hello: version %d, 4 shards, reaching p1", m, err, protocol.WireVersion)
+	}
 	numberedFrame := func() protocol.FrameSeq {
 		from, msg := readRawFrame(t, in)
 		m, _, err := codec.DecodeMsg(msg)

@@ -3,6 +3,7 @@ package transport
 import (
 	"encoding/binary"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"crdtsync/internal/codec"
@@ -274,6 +275,42 @@ func (r *repairTable) expired() int {
 	return r.timeouts
 }
 
+// catchUp is what is left to compare with one neighbor after another
+// stopped reaching it (Store.setReach): bit i is set until an
+// advertisement from the neighbor carries this store's digest of shard i.
+type catchUp struct {
+	// left counts the bits set; ticks and advertisements read it without
+	// the lock, and it is zero all but always.
+	left atomic.Int32
+	mu   sync.Mutex
+	bits []uint64
+}
+
+// all marks every one of shards and returns how many were not yet.
+func (c *catchUp) all(shards int) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.bits == nil {
+		c.bits = make([]uint64, (shards+63)/64)
+	}
+	added := shards - int(c.left.Load())
+	for i := 0; i < shards; i++ {
+		c.bits[i/64] |= 1 << (i % 64)
+	}
+	c.left.Store(int32(shards))
+	return added
+}
+
+// done clears shard i's mark, if set.
+func (c *catchUp) done(i int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.bits[i/64]&(1<<(i%64)) != 0 {
+		c.bits[i/64] &^= 1 << (i % 64)
+		c.left.Add(-1)
+	}
+}
+
 // rootNode is where every drill starts: level 0's only node, the shard.
 var rootNode = []uint32{0}
 
@@ -296,8 +333,16 @@ func (s *Store) handleDigests(from string, digests []uint64, b *outBatch) {
 	}
 	now := time.Now()
 	deduped := 0
+	// Shards this store still has to see match at from, if any.
+	var cu *catchUp
+	if lk := s.links[from]; lk != nil && lk.catchUp.left.Load() > 0 {
+		cu = &lk.catchUp
+	}
 	for i, sh := range s.shards {
 		if s.shardDigest(sh) == digests[i] {
+			if cu != nil {
+				cu.done(i)
+			}
 			if s.repair.clear(i) {
 				sh.mu.Lock()
 				sh.dropLeavesLocked()

@@ -51,8 +51,8 @@ func TestStoreSplitsOversizedTickIntoFrames(t *testing.T) {
 	if st.Frames < 4 {
 		t.Errorf("oversized tick produced %d frames, want several bounded ones", st.Frames)
 	}
-	if st.SplitFrames != st.Frames {
-		t.Errorf("split accounting: %d of %d frames marked split", st.SplitFrames, st.Frames)
+	if data := st.Frames - st.HelloFrames; st.SplitFrames != data {
+		t.Errorf("split accounting: %d of %d data frames marked split", st.SplitFrames, data)
 	}
 	if st.OversizedDropped != 0 {
 		t.Errorf("%d messages dropped as oversized; splitting should have bounded them", st.OversizedDropped)

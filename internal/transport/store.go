@@ -126,6 +126,11 @@ type StoreStats struct {
 	// acknowledgement: the peer was owed one and no data frame was leaving
 	// to carry it.
 	AckFrames int
+	// HelloFrames counts the frames within Frames that are a connection's
+	// announcement: the first on every connection, one per connected
+	// neighbor whenever the set of them changes, and a refresh every 64th
+	// tick.
+	HelloFrames int
 	// IgnoredAcks counts the acknowledgements that retired nothing because
 	// they could not be for this store's frames: minted for another
 	// incarnation (a peer's queue outliving a restart of this store),
@@ -133,7 +138,8 @@ type StoreStats struct {
 	IgnoredAcks int
 	// DigestFrames counts the standalone control frames within Frames —
 	// advertisement heartbeats that found no data frame to ride and the
-	// drills' hash pushes; the rest carry data.
+	// drills' hash pushes; the rest, AckFrames and HelloFrames apart, carry
+	// data.
 	DigestFrames int
 	// PiggybackedDigests counts data frames that additionally carried the
 	// per-shard digest vector: advertisements that would each have been a
@@ -186,6 +192,24 @@ type StoreStats struct {
 	// their shard count differs from this store's — a misconfigured
 	// cluster whose divergence anti-entropy cannot repair.
 	DigestShardMismatch int
+	// HelloRefused counts the inbound connections this store closed at
+	// their hello because it announced another shard count or wire version:
+	// the misconfiguration the two counters above only see once a peer's
+	// items or digests are already unusable, known before any item is
+	// routed. The peer's pipeline redials, so it grows for as long as the
+	// skew lasts.
+	HelloRefused int
+	// Withheld counts the forwards the acked engine did not make because
+	// the neighbor a δ-group came from had announced that it sends to the
+	// other neighbor itself: on a full mesh, one per δ-group received and
+	// other replica.
+	Withheld int
+	// CatchUpShards counts the shards marked for comparison with one
+	// neighbor because another stopped reaching it — its connection here
+	// ended, or it said so — and what was withheld on its word may not
+	// have arrived there: the store advertises its digests to that
+	// neighbor on every tick until each marked shard has matched once.
+	CatchUpShards int
 	// DroppedItems counts inbound shard items discarded because their
 	// shard index was outside this store's shard range — shard-map skew
 	// between sender and receiver (the shard index is frame routing
@@ -247,6 +271,7 @@ func (s *StoreStats) Add(o StoreStats) {
 	s.WriteFlushes += o.WriteFlushes
 	s.Retransmits += o.Retransmits
 	s.AckFrames += o.AckFrames
+	s.HelloFrames += o.HelloFrames
 	s.IgnoredAcks += o.IgnoredAcks
 	s.DigestFrames += o.DigestFrames
 	s.PiggybackedDigests += o.PiggybackedDigests
@@ -260,6 +285,9 @@ func (s *StoreStats) Add(o StoreStats) {
 	s.RepairBytes += o.RepairBytes
 	s.RepairTimeouts += o.RepairTimeouts
 	s.DigestShardMismatch += o.DigestShardMismatch
+	s.HelloRefused += o.HelloRefused
+	s.Withheld += o.Withheld
+	s.CatchUpShards += o.CatchUpShards
 	s.DroppedItems += o.DroppedItems
 	s.SnapshotsWritten += o.SnapshotsWritten
 	s.SnapshotBytes += o.SnapshotBytes
@@ -281,10 +309,11 @@ func (s *StoreStats) Add(o StoreStats) {
 		cur.Queued += ps.Queued
 		cur.QueuedBytes += ps.QueuedBytes
 		cur.InFlight += ps.InFlight
-		// Connection states and sequence numbers from different stores
-		// are not additive.
+		// Connection states, sequence numbers and announcements from
+		// different stores are not additive.
 		cur.State = ""
 		cur.LastSent, cur.LastAcked, cur.LastReceived = 0, 0, 0
+		cur.Reaches = nil
 		s.Peers[id] = cur
 	}
 }
@@ -385,7 +414,11 @@ type Store struct {
 	// same in neighbors order; both fixed at construction.
 	links    map[string]*link
 	linkList []*link
-	ticks    atomic.Uint64
+	// reach is what the neighbors have announced they reach, shared with
+	// every shard's engines; nil when the engine takes no notice of it,
+	// and then no neighbor is ever caught up with either (setReach).
+	reach *protocol.Reach
+	ticks atomic.Uint64
 	// deliverLocks counts the shard-lock acquisitions of the inbound
 	// delivery path — one per touched shard per frame, an invariant an
 	// instrumented test pins.
@@ -471,6 +504,13 @@ func StartStore(cfg StoreConfig) (*Store, error) {
 		nodes = append([]string{cfg.ID}, neighbors...)
 		sort.Strings(nodes)
 	}
+	// Only an engine that withholds on a neighbor's word is given the
+	// table of what the neighbors have said.
+	var reach *protocol.Reach
+	probe := cfg.Factory(protocol.Config{ID: cfg.ID, Neighbors: neighbors, Nodes: nodes, Datatype: cfg.ObjType("")})
+	if _, ok := probe.(protocol.ReachConsulter); ok {
+		reach = protocol.NewReach(neighbors)
+	}
 	factory := protocol.NewPerObject(cfg.Factory, cfg.ObjType)
 	shards := make([]*shard, cfg.Shards)
 	for i := range shards {
@@ -478,6 +518,7 @@ func StartStore(cfg StoreConfig) (*Store, error) {
 			ID:        cfg.ID,
 			Neighbors: neighbors,
 			Nodes:     nodes,
+			Reach:     reach,
 		})
 		keyed, ok := eng.(protocol.KeyedEngine)
 		if !ok {
@@ -522,6 +563,7 @@ func StartStore(cfg StoreConfig) (*Store, error) {
 		neighbors:  neighbors,
 		links:      make(map[string]*link, len(neighbors)),
 		linkList:   make([]*link, len(neighbors)),
+		reach:      reach,
 		stopping:   make(chan struct{}),
 		wake:       make(chan struct{}, 1),
 		started:    time.Now(),
@@ -543,7 +585,7 @@ func StartStore(cfg StoreConfig) (*Store, error) {
 		s.snapLast = make([]uint64, cfg.Shards)
 		s.restoreSnapshots()
 	}
-	s.net.start(s.deliver)
+	s.net.start(s.deliver, s.helloFrame, func(from string) { s.setReach(from, nil) })
 	s.wg.Add(1)
 	go s.syncLoop()
 	if cfg.SnapshotDir != "" {
@@ -755,7 +797,13 @@ func (s *Store) Stats() StoreStats {
 	for i, id := range s.neighbors {
 		ps := st.Peers[id]
 		s.linkList[i].fill(&ps)
+		if s.reach != nil {
+			ps.Reaches = s.reach.Of(id)
+		}
 		st.Peers[id] = ps
+	}
+	if s.reach != nil {
+		st.Withheld = int(s.reach.Withheld())
 	}
 	return st
 }
@@ -929,31 +977,57 @@ func (s *Store) tick() {
 		lk.age(tick)
 	}
 	s.collect(b, true)
-	var vec []uint64
-	if every := uint64(s.cfg.DigestEvery); every > 0 && tick%every == 0 {
+	if tick%helloEvery == 0 {
+		s.net.announce()
+	}
+	// The digest vector goes to every peer on a DigestEvery tick, riding a
+	// data frame where there is one, and standalone on every tick to the
+	// neighbors this store is catching up with.
+	regular := s.cfg.DigestEvery > 0 && tick%uint64(s.cfg.DigestEvery) == 0
+	var vec, ride []uint64
+	if regular || s.catchingUp() {
 		vec = s.shardDigests()
 		defer s.putDigestVec(vec)
+		if regular {
+			ride = vec
+		}
 	}
-	covered := s.flush(b, vec)
+	covered := s.flush(b, ride)
 	s.flushAcks()
 	s.lastSend.Store(s.sinceStart())
 	if vec == nil {
 		return
 	}
-	// The heartbeat fallback: peers whose data frames this tick did not
-	// carry the vector still get the advertisement, standalone.
-	m := protocol.NewDigestMsg(vec)
-	data, err := codec.EncodeMsg(m)
-	if err != nil {
-		panic(err)
+	for i, to := range s.neighbors {
+		// A neighbor being caught up with is asked for its vector back —
+		// it may advertise on no schedule of its own — once the pipeline to
+		// it is up: one that is gone for good is dialed, not sent to.
+		echo := s.linkList[i].catchUp.left.Load() > 0 && s.net.connect(to)
+		if _, ok := covered[to]; !echo && (!regular || ok) {
+			continue
+		}
+		m := protocol.NewDigestMsg(vec)
+		m.Echo = echo
+		s.transmitMsg(to, m, frameDigest)
 	}
-	var t wireTally
-	for _, to := range s.neighbors {
-		if _, ok := covered[to]; !ok {
-			s.transmit(to, data, m.Cost(), frameDigest, &t)
+}
+
+// helloEvery is the number of ticks between two refreshes of the hello on
+// every connection. A hello is only ever lost to a fault — it bypasses the
+// queue — and until the next one the neighbor forwards as if it had never
+// been told, which costs bytes, not convergence; so the refresh is a
+// constant, rare enough to weigh nothing (one small frame per neighbor and
+// 64 ticks).
+const helloEvery = 64
+
+// catchingUp reports whether any neighbor has a shard left to compare.
+func (s *Store) catchingUp() bool {
+	for _, lk := range s.linkList {
+		if lk.catchUp.left.Load() > 0 {
+			return true
 		}
 	}
-	s.wire.add(&t)
+	return false
 }
 
 // writeFlush is the pass between two ticks: first transmissions only —
@@ -1103,6 +1177,8 @@ const (
 	framePiggyback
 	// frameAck carries an acknowledgement and no items.
 	frameAck
+	// frameHello is a connection's announcement.
+	frameHello
 )
 
 // wireCounters are the counters every frame moves. Flushes come up to
@@ -1113,14 +1189,14 @@ const (
 type wireCounters struct {
 	frames, wireBytes, digestFrames, piggybacked atomic.Int64
 	splitFrames, oversized, writeFlushes         atomic.Int64
-	ackFrames                                    atomic.Int64
+	ackFrames, helloFrames                       atomic.Int64
 	messages, elements, payload, metadata        atomic.Int64 // Sent
 }
 
 // wireTally is what one pass handed to the write pipelines.
 type wireTally struct {
 	frames, wireBytes, digestFrames, piggybacked, split, oversized int
-	ackFrames                                                      int
+	ackFrames, helloFrames                                         int
 	sent                                                           metrics.Transmission
 }
 
@@ -1130,6 +1206,7 @@ func (w *wireCounters) add(t *wireTally) {
 	addN(&w.digestFrames, t.digestFrames)
 	addN(&w.piggybacked, t.piggybacked)
 	addN(&w.ackFrames, t.ackFrames)
+	addN(&w.helloFrames, t.helloFrames)
 	addN(&w.splitFrames, t.split)
 	addN(&w.oversized, t.oversized)
 	addN(&w.messages, t.sent.Messages)
@@ -1152,6 +1229,7 @@ func (w *wireCounters) snapshot(st *StoreStats) {
 	st.DigestFrames = int(w.digestFrames.Load())
 	st.PiggybackedDigests = int(w.piggybacked.Load())
 	st.AckFrames = int(w.ackFrames.Load())
+	st.HelloFrames = int(w.helloFrames.Load())
 	st.SplitFrames = int(w.splitFrames.Load())
 	st.OversizedDropped = int(w.oversized.Load())
 	st.WriteFlushes = int(w.writeFlushes.Load())
@@ -1176,6 +1254,11 @@ func (s *Store) transmit(to string, data []byte, cost metrics.Transmission, kind
 	if err := s.net.transmit(to, data); err != nil {
 		return // neighbor down or unknown; repaired on a later tick
 	}
+	s.tally(data, cost, kind, t)
+}
+
+// tally counts one frame of this store's on t.
+func (s *Store) tally(data []byte, cost metrics.Transmission, kind frameKind, t *wireTally) {
 	t.frames++
 	t.wireBytes += 4 + 2 + len(s.cfg.ID) + len(data)
 	switch kind {
@@ -1185,6 +1268,8 @@ func (s *Store) transmit(to string, data []byte, cost metrics.Transmission, kind
 		t.piggybacked++
 	case frameAck:
 		t.ackFrames++
+	case frameHello:
+		t.helloFrames++
 	}
 	t.sent.Add(cost)
 }
@@ -1375,9 +1460,10 @@ func (s *Store) notifyGroup(g codec.ItemGroup) {
 }
 
 // deliverControl handles the non-sharded frames a store speaks: the
-// standalone DigestMsg (advertisement heartbeat) and the TreeMsg hash
-// pushes of a drill. Anything else well-formed is ignored and the
-// connection kept; undecodable bytes drop the connection.
+// HelloMsg a connection opens with, the standalone DigestMsg
+// (advertisement heartbeat) and the TreeMsg hash pushes of a drill.
+// Anything else well-formed is ignored and the connection kept;
+// undecodable bytes, and a hello this store refuses, drop the connection.
 func (s *Store) deliverControl(from string, frame []byte) error {
 	msg, _, err := codec.DecodeMsg(frame)
 	if err != nil {
@@ -1385,16 +1471,90 @@ func (s *Store) deliverControl(from string, frame []byte) error {
 	}
 	d := getDeliverState()
 	defer d.release()
+	echo := false
 	switch m := msg.(type) {
+	case *protocol.HelloMsg:
+		return s.handleHello(from, m)
 	case *protocol.DigestMsg:
 		s.handleDigests(from, m.Digests, d.b)
+		echo = m.Echo
 	case *protocol.TreeMsg:
 		s.handleTree(from, m, d.b)
 	default:
-		return nil // stores speak only sharded, digest and tree frames
+		return nil // stores speak only sharded, hello, digest and tree frames
 	}
 	s.flush(d.b, nil)
+	if echo {
+		s.echoDigests(from) // behind what the drills shipped
+	}
 	return nil
+}
+
+// helloFrame encodes the announcement a connection of this store's opens
+// with — the wire version, the shard count, the peers its pipelines are
+// connected to — and counts it: the pipeline writes it to the socket
+// itself.
+func (s *Store) helloFrame(reaches []string) []byte {
+	m := protocol.NewHelloMsg(protocol.WireVersion, uint32(len(s.shards)), reaches)
+	data, err := codec.EncodeMsg(m)
+	if err != nil {
+		panic(err)
+	}
+	var t wireTally
+	s.tally(data, m.Cost(), frameHello, &t)
+	s.wire.add(&t)
+	return data
+}
+
+// handleHello takes a peer's announcement. One that names another shard
+// count or wire version is refused, which closes the connection before
+// any of its items is routed; otherwise what it reaches replaces what
+// from was known to reach.
+func (s *Store) handleHello(from string, m *protocol.HelloMsg) error {
+	if m.Version != protocol.WireVersion || int(m.Shards) != len(s.shards) {
+		s.statsMu.Lock()
+		s.stats.HelloRefused++
+		s.statsMu.Unlock()
+		return fmt.Errorf("transport: %s refuses %s: it speaks wire version %d over %d shards, not %d over %d",
+			s.cfg.ID, from, m.Version, m.Shards, protocol.WireVersion, len(s.shards))
+	}
+	s.setReach(from, m.Reaches)
+	return nil
+}
+
+// setReach records what neighbor w says it reaches: ids, or nothing once
+// the last inbound connection from w has ended. Every neighbor v that
+// thereby leaves the set is one the engines may have withheld δ-groups from
+// on w's word, and w may not have delivered them: everything w sent here
+// has been applied (TCP order), so from now on matching digests with v
+// prove that v holds it too. Every shard is marked for that comparison
+// (tick, handleDigests); the drill repairs what differs. A store whose
+// engine withholds nothing has nothing to cover for.
+func (s *Store) setReach(w string, ids []string) {
+	if s.reach == nil {
+		return
+	}
+	marked := 0
+	for _, v := range s.reach.Set(w, ids) {
+		marked += s.links[v].catchUp.all(len(s.shards))
+	}
+	if marked > 0 {
+		s.statsMu.Lock()
+		s.stats.CatchUpShards += marked
+		s.statsMu.Unlock()
+	}
+}
+
+// echoDigests answers an advertisement that asked for one back, unless
+// this store is catching up with from itself and so advertises to it on
+// every tick anyway.
+func (s *Store) echoDigests(from string) {
+	if lk := s.links[from]; lk == nil || lk.catchUp.left.Load() > 0 {
+		return
+	}
+	vec := s.shardDigests()
+	s.transmitMsg(from, protocol.NewDigestMsg(vec), frameDigest)
+	s.putDigestVec(vec)
 }
 
 // syncLoop owns the two clocks: the ticker, and the flush timer that

@@ -222,11 +222,6 @@ func WithQueueBudget(frames, bytes int) Option {
 	}
 }
 
-// WithMaxFrameBytes caps one data frame's encoded size (default 64 MiB);
-// sync ticks whose batch exceeds it are packed into multiple bounded
-// frames.
-func WithMaxFrameBytes(n int) Option { return func(o *options) { o.cfg.MaxFrameBytes = n } }
-
 // WithDial replaces the default TCP dialer for outbound connections;
 // fault-injection harnesses wrap it to drop, duplicate or delay frames.
 func WithDial(dial DialFunc) Option { return func(o *options) { o.cfg.Dial = dial } }

@@ -8,6 +8,15 @@
 // are written in sorted order so encodings are canonical (equal states
 // encode to equal bytes). Nested states (map values) recurse. Unknown tags
 // fail decoding with an error, never a panic.
+//
+// Of the protocol messages, the ones a store puts on a connection have a
+// wire form (msg.go): DeltaMsg, AckedDeltaMsg, BatchMsg, the three
+// ShardedMsg frame variants, DigestMsg, TreeMsg and HelloMsg. StateMsg,
+// AckMsg, SBDigestMsg, SBDeltasMsg and OpsMsg have none — they travel in
+// memory, under internal/netsim and inside the acked engine — and their
+// tags are reserved. Each message has one encoder (appendMsg) and one
+// decoder (decodeMsg); UnpackFrame (unpack.go) reads a frame's items
+// through that decoder.
 package codec
 
 import (

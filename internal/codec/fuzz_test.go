@@ -59,7 +59,13 @@ func FuzzDecodeMsg(f *testing.F) {
 		}
 	}
 	seed(protocol.NewDeltaMsg(crdt.NewGSet("x")))
-	seed(protocol.NewAckMsg([]uint64{1, 2}))
+	// The retired messages' old encodings, refused by tag: a full state, a
+	// per-object acknowledgement, Scuttlebutt's digest and deltas, ops.
+	f.Add([]byte{64, 7, 2, 1, 97, 1, 98})
+	f.Add([]byte{67, 2, 1, 2})
+	f.Add([]byte{68, 1, 3, 110, 48, 48, 4, 0})
+	f.Add([]byte{69, 1, 3, 110, 48, 48, 1, 7, 1, 1, 112})
+	f.Add([]byte{70, 1, 3, 110, 48, 48, 3, 1, 3, 110, 48, 48, 2, 7, 7, 1, 1, 101})
 	// The store's wire frames: batched sharded data and digests.
 	batch := protocol.BatchOf([]protocol.ObjectMsg{
 		{Key: "obj:1", Inner: protocol.NewDeltaMsg(crdt.NewGSet("a"))},
@@ -68,8 +74,9 @@ func FuzzDecodeMsg(f *testing.F) {
 	seed(batch)
 	seed(protocol.NewShardedMsg([]protocol.ShardItem{
 		{Shard: 0, Msg: batch},
-		{Shard: 7, Msg: protocol.NewAckMsg([]uint64{9})},
+		{Shard: 7, Msg: protocol.NewDeltaMsg(crdt.NewGSet("q"))},
 	}))
+	f.Add([]byte{72, 2, 0, 65, 7, 1, 1, 97, 7, 67, 1, 9}) // a retired tag as a frame's second item
 	// The digest-carrying sharded variant (piggybacked anti-entropy).
 	seed(protocol.NewShardedDigestMsg([]protocol.ShardItem{
 		{Shard: 3, Msg: protocol.NewDeltaMsg(crdt.NewGSet("p"))},

@@ -6,21 +6,24 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"crdtsync/internal/protocol"
-	"crdtsync/internal/vclock"
 )
 
-// Message tags. Stable on the wire: append, never renumber.
+// Message tags. Stable on the wire: append, never renumber. Only the
+// messages a store sends have a wire form. The tags marked retired belonged
+// to the engines that run under internal/netsim alone (state-based,
+// Scuttlebutt, op-based) and to the per-object acknowledgement the link
+// header replaced: their values stay reserved, EncodeMsg has no format for
+// those messages and the decoders refuse the tags like any unknown one.
 const (
-	tagStateMsg byte = iota + 64
+	tagStateMsg byte = iota + 64 // retired
 	tagDeltaMsg
 	tagAckedDeltaMsg
-	tagAckMsg
-	tagSBDigestMsg
-	tagSBDeltasMsg
-	tagOpsMsg
+	tagAckMsg      // retired
+	tagSBDigestMsg // retired
+	tagSBDeltasMsg // retired
+	tagOpsMsg      // retired
 	tagBatchMsg
 	tagShardedMsg
 	tagDigestMsg
@@ -65,55 +68,6 @@ func decodeMsg(data []byte, depth int) (protocol.Msg, int, error) {
 	return m, n + 1, nil
 }
 
-func appendVClock(b []byte, v *vclock.VClock) []byte {
-	actors := v.Actors()
-	b = binary.AppendUvarint(b, uint64(len(actors)))
-	for _, a := range actors {
-		b = appendString(b, a)
-		b = binary.AppendUvarint(b, v.Get(a))
-	}
-	return b
-}
-
-func readVClock(data []byte) (*vclock.VClock, int, error) {
-	count, n, err := readUvarint(data)
-	if err != nil {
-		return nil, 0, err
-	}
-	v := vclock.New()
-	for i := uint64(0); i < count; i++ {
-		a, m, err := readString(data[n:])
-		if err != nil {
-			return nil, 0, err
-		}
-		n += m
-		s, m2, err := readUvarint(data[n:])
-		if err != nil {
-			return nil, 0, err
-		}
-		n += m2
-		v.Set(a, s)
-	}
-	return v, n, nil
-}
-
-func appendDot(b []byte, d vclock.Dot) []byte {
-	b = appendString(b, d.Actor)
-	return binary.AppendUvarint(b, d.Seq)
-}
-
-func readDot(data []byte) (vclock.Dot, int, error) {
-	a, n, err := readString(data)
-	if err != nil {
-		return vclock.Dot{}, 0, err
-	}
-	s, m, err := readUvarint(data[n:])
-	if err != nil {
-		return vclock.Dot{}, 0, err
-	}
-	return vclock.Dot{Actor: a, Seq: s}, n + m, nil
-}
-
 func appendSeqs(b []byte, seqs []uint64) []byte {
 	b = binary.AppendUvarint(b, uint64(len(seqs)))
 	for _, s := range seqs {
@@ -141,10 +95,6 @@ func readSeqs(data []byte) ([]uint64, int, error) {
 
 func appendMsg(b []byte, m protocol.Msg) ([]byte, error) {
 	switch v := m.(type) {
-	case *protocol.StateMsg:
-		b = append(b, tagStateMsg)
-		return appendState(b, v.State), nil
-
 	case *protocol.DeltaMsg:
 		b = append(b, tagDeltaMsg)
 		return appendState(b, v.Delta), nil
@@ -153,50 +103,6 @@ func appendMsg(b []byte, m protocol.Msg) ([]byte, error) {
 		b = append(b, tagAckedDeltaMsg)
 		b = appendSeqs(b, v.Seqs)
 		return appendState(b, v.Delta), nil
-
-	case *protocol.AckMsg:
-		b = append(b, tagAckMsg)
-		return appendSeqs(b, v.Seqs), nil
-
-	case *protocol.SBDigestMsg:
-		b = append(b, tagSBDigestMsg)
-		b = appendVClock(b, v.Vec)
-		if v.Matrix == nil {
-			return append(b, 0), nil
-		}
-		b = append(b, 1)
-		// Deterministic order: sort the node keys.
-		keys := make([]string, 0, len(v.Matrix))
-		for k := range v.Matrix {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		b = binary.AppendUvarint(b, uint64(len(keys)))
-		for _, k := range keys {
-			b = appendString(b, k)
-			b = appendVClock(b, v.Matrix[k])
-		}
-		return b, nil
-
-	case *protocol.SBDeltasMsg:
-		b = append(b, tagSBDeltasMsg)
-		b = binary.AppendUvarint(b, uint64(len(v.Items)))
-		for _, it := range v.Items {
-			b = appendDot(b, it.Dot)
-			b = appendState(b, it.Delta)
-		}
-		return b, nil
-
-	case *protocol.OpsMsg:
-		b = append(b, tagOpsMsg)
-		b = binary.AppendUvarint(b, uint64(len(v.Ops)))
-		for _, op := range v.Ops {
-			b = appendDot(b, op.Dot)
-			b = appendVClock(b, op.Dep)
-			b = binary.AppendUvarint(b, uint64(op.OpBytes))
-			b = appendState(b, op.Payload)
-		}
-		return b, nil
 
 	case *protocol.BatchMsg:
 		b = AppendBatchHeader(b, len(v.Items))
@@ -449,13 +355,6 @@ func readShardItems(data []byte, count uint64, depth int) ([]protocol.ShardItem,
 func readMsgBody(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
 	n := 0
 	switch tag {
-	case tagStateMsg:
-		s, m, err := readState(data[n:])
-		if err != nil {
-			return nil, 0, err
-		}
-		return protocol.NewStateMsg(s), n + m, nil
-
 	case tagDeltaMsg:
 		s, m, err := readState(data[n:])
 		if err != nil {
@@ -474,102 +373,6 @@ func readMsgBody(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
 			return nil, 0, err
 		}
 		return protocol.NewAckedDeltaMsg(s, seqs), n + m2, nil
-
-	case tagAckMsg:
-		seqs, m, err := readSeqs(data[n:])
-		if err != nil {
-			return nil, 0, err
-		}
-		return protocol.NewAckMsg(seqs), n + m, nil
-
-	case tagSBDigestMsg:
-		vec, m, err := readVClock(data[n:])
-		if err != nil {
-			return nil, 0, err
-		}
-		n += m
-		if len(data) <= n {
-			return nil, 0, ErrTruncated
-		}
-		hasMatrix := data[n] == 1
-		n++
-		var matrix map[string]*vclock.VClock
-		if hasMatrix {
-			count, m2, err := readUvarint(data[n:])
-			if err != nil {
-				return nil, 0, err
-			}
-			n += m2
-			matrix = make(map[string]*vclock.VClock, capHint(count, data[n:]))
-			for i := uint64(0); i < count; i++ {
-				k, m3, err := readString(data[n:])
-				if err != nil {
-					return nil, 0, err
-				}
-				n += m3
-				v, m4, err := readVClock(data[n:])
-				if err != nil {
-					return nil, 0, err
-				}
-				n += m4
-				matrix[k] = v
-			}
-		}
-		return protocol.NewSBDigestMsg(vec, matrix), n, nil
-
-	case tagSBDeltasMsg:
-		count, m, err := readUvarint(data[n:])
-		if err != nil {
-			return nil, 0, err
-		}
-		n += m
-		items := make([]protocol.SBItem, 0, capHint(count, data[n:]))
-		for i := uint64(0); i < count; i++ {
-			d, m2, err := readDot(data[n:])
-			if err != nil {
-				return nil, 0, err
-			}
-			n += m2
-			s, m3, err := readState(data[n:])
-			if err != nil {
-				return nil, 0, err
-			}
-			n += m3
-			items = append(items, protocol.SBItem{Dot: d, Delta: s})
-		}
-		return protocol.NewSBDeltasMsg(items), n, nil
-
-	case tagOpsMsg:
-		count, m, err := readUvarint(data[n:])
-		if err != nil {
-			return nil, 0, err
-		}
-		n += m
-		ops := make([]protocol.TaggedOp, 0, capHint(count, data[n:]))
-		for i := uint64(0); i < count; i++ {
-			d, m2, err := readDot(data[n:])
-			if err != nil {
-				return nil, 0, err
-			}
-			n += m2
-			dep, m3, err := readVClock(data[n:])
-			if err != nil {
-				return nil, 0, err
-			}
-			n += m3
-			opBytes, m4, err := readUvarint(data[n:])
-			if err != nil {
-				return nil, 0, err
-			}
-			n += m4
-			payload, m5, err := readState(data[n:])
-			if err != nil {
-				return nil, 0, err
-			}
-			n += m5
-			ops = append(ops, protocol.TaggedOp{Dot: d, Dep: dep, Payload: payload, OpBytes: int(opBytes)})
-		}
-		return protocol.NewOpsMsg(ops), n, nil
 
 	case tagBatchMsg:
 		count, m, err := readUvarint(data[n:])
@@ -642,68 +445,31 @@ func readMsgBody(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
 		return dm, n + 1, nil
 
 	case tagHelloMsg:
-		version, shards, n, err := readHelloFixed(data)
-		if err != nil {
-			return nil, 0, err
+		// The wire version and the shard count, neither truncated into range.
+		var fixed [2]uint32
+		for i := range fixed {
+			v, m, err := readUvarint(data[n:])
+			if err != nil {
+				return nil, 0, err
+			}
+			if v > math.MaxUint32 {
+				return nil, 0, fmt.Errorf("codec: hello field %d out of range", v)
+			}
+			fixed[i] = uint32(v)
+			n += m
 		}
 		reaches, m, err := readStringList(data[n:])
 		if err != nil {
 			return nil, 0, err
 		}
-		return protocol.NewHelloMsg(version, shards, reaches), n + m, nil
+		return protocol.NewHelloMsg(fixed[0], fixed[1], reaches), n + m, nil
 
 	case tagTreeMsg:
-		h, m, err := readTreeHeader(data[n:])
-		if err != nil {
-			return nil, 0, err
-		}
-		n += m
-		var nodes []uint32
-		var hashes []uint64
-		if h.count > 0 {
-			nodes = make([]uint32, 0, h.count)
-			if h.push {
-				hashes = make([]uint64, 0, h.count*protocol.TreeFanout)
-			}
-		}
-		for i := uint64(0); i < h.count; i++ {
-			idx, m, err := h.readNode(data[n:])
-			if err != nil {
-				return nil, 0, err
-			}
-			n += m
-			nodes = append(nodes, idx)
-			if !h.push {
-				continue
-			}
-			for c := 0; c < protocol.TreeFanout; c++ {
-				hashes = append(hashes, binary.BigEndian.Uint64(data[n:]))
-				n += 8
-			}
-		}
-		return protocol.NewTreeMsg(h.shard, h.level, nodes, hashes), n, nil
+		return readTreeMsg(data)
 
 	default:
 		return nil, 0, fmt.Errorf("%w: %d", ErrUnknownTag, tag)
 	}
-}
-
-// readHelloFixed parses a HelloMsg up to its id list: the wire version and
-// the shard count, neither truncated into range. The reader and the skip
-// walker share it.
-func readHelloFixed(data []byte) (version, shards uint32, n int, err error) {
-	for _, field := range []*uint32{&version, &shards} {
-		v, m, err := readUvarint(data[n:])
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		if v > math.MaxUint32 {
-			return 0, 0, 0, fmt.Errorf("codec: hello field %d out of range", v)
-		}
-		*field = uint32(v)
-		n += m
-	}
-	return version, shards, n, nil
 }
 
 // The two roles of a TreeMsg on the wire: a close lists node indices, a
@@ -713,84 +479,75 @@ const (
 	treePush  = 1
 )
 
-// treeHeader is a TreeMsg up to its node list, validated: the reader and
-// the skip walker share it, so they accept exactly the same messages.
-type treeHeader struct {
-	shard uint32
-	level uint8
-	push  bool
-	count uint64
-}
-
-// readTreeHeader parses and bounds a TreeMsg's fixed part. The level
-// bounds every node index that follows — tree geometry is a protocol
-// constant, so a level outside the tree is corrupt on its face, exactly
-// like an oversized shard index — and a hostile node count is checked
+// readTreeMsg parses a TreeMsg's body. The level bounds every node index
+// that follows — tree geometry is a protocol constant, so a level outside
+// the tree is corrupt on its face, exactly like an oversized shard index,
+// and an index at or beyond the level's node count is rejected, never
+// truncated into the valid range — and a hostile node count is checked
 // against the bytes that remain before anything is allocated.
-func readTreeHeader(data []byte) (treeHeader, int, error) {
-	var h treeHeader
+func readTreeMsg(data []byte) (protocol.Msg, int, error) {
 	shard, n, err := readUvarint(data)
 	if err != nil {
-		return h, 0, err
+		return nil, 0, err
 	}
 	if shard > math.MaxUint32 {
-		return h, 0, fmt.Errorf("codec: shard index %d out of range", shard)
+		return nil, 0, fmt.Errorf("codec: shard index %d out of range", shard)
 	}
-	h.shard = uint32(shard)
 	if len(data) < n+2 {
-		return h, 0, ErrTruncated
+		return nil, 0, ErrTruncated
 	}
-	h.level, h.push = data[n], data[n+1] == treePush
-	if data[n+1] > treePush {
-		return h, 0, fmt.Errorf("codec: tree role %d unknown", data[n+1])
+	level, role := data[n], data[n+1]
+	if role > treePush {
+		return nil, 0, fmt.Errorf("codec: tree role %d unknown", role)
 	}
 	n += 2
-	// A push carries the hashes one level down, so it stops a level short.
-	maxLevel := protocol.TreeDepth
-	if h.push {
+	// A push follows each node index with the hashes of the node's
+	// children, one level down, so it stops a level short.
+	push := role == treePush
+	maxLevel, hashBytes := protocol.TreeDepth, 0
+	if push {
 		maxLevel--
+		hashBytes = 8 * protocol.TreeFanout
 	}
-	if int(h.level) > maxLevel {
-		return h, 0, fmt.Errorf("codec: tree level %d out of range", h.level)
+	if int(level) > maxLevel {
+		return nil, 0, fmt.Errorf("codec: tree level %d out of range", level)
 	}
 	count, m, err := readUvarint(data[n:])
 	if err != nil {
-		return h, 0, err
+		return nil, 0, err
 	}
 	n += m
-	h.count = count
-	if h.push && count == 0 {
-		return h, 0, fmt.Errorf("codec: tree push without nodes")
+	if push && count == 0 {
+		return nil, 0, fmt.Errorf("codec: tree push without nodes")
 	}
 	// A node is at least one byte of index, and its hashes.
-	if count > uint64(len(data)-n)/uint64(1+h.hashBytes()) {
-		return h, 0, ErrTruncated
+	if count > uint64(len(data)-n)/uint64(1+hashBytes) {
+		return nil, 0, ErrTruncated
 	}
-	return h, n, nil
-}
-
-// hashBytes is what follows each node index: in a push, the hashes of the
-// node's children.
-func (h treeHeader) hashBytes() int {
-	if h.push {
-		return 8 * protocol.TreeFanout
+	var nodes []uint32
+	var hashes []uint64
+	if count > 0 {
+		nodes = make([]uint32, 0, count)
+		if push {
+			hashes = make([]uint64, 0, count*protocol.TreeFanout)
+		}
 	}
-	return 0
-}
-
-// readNode parses one node index — rejecting one at or beyond the level's
-// node count, never truncating a corrupt index into the valid range — and
-// checks that the node's hashes are there; it returns the index's length.
-func (h treeHeader) readNode(data []byte) (uint32, int, error) {
-	idx, n, err := readUvarint(data)
-	if err != nil {
-		return 0, 0, err
+	for i := uint64(0); i < count; i++ {
+		idx, m, err := readUvarint(data[n:])
+		if err != nil {
+			return nil, 0, err
+		}
+		if idx >= uint64(protocol.TreeNodesAt(int(level))) {
+			return nil, 0, fmt.Errorf("codec: tree node %d out of range at level %d", idx, level)
+		}
+		n += m
+		if len(data)-n < hashBytes {
+			return nil, 0, ErrTruncated
+		}
+		nodes = append(nodes, uint32(idx))
+		for end := n + hashBytes; n < end; n += 8 {
+			hashes = append(hashes, binary.BigEndian.Uint64(data[n:]))
+		}
 	}
-	if idx >= uint64(protocol.TreeNodesAt(int(h.level))) {
-		return 0, 0, fmt.Errorf("codec: tree node %d out of range at level %d", idx, h.level)
-	}
-	if len(data)-n < h.hashBytes() {
-		return 0, 0, ErrTruncated
-	}
-	return uint32(idx), n, nil
+	return protocol.NewTreeMsg(uint32(shard), level, nodes, hashes), n, nil
 }

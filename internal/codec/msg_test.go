@@ -3,6 +3,7 @@ package codec_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"reflect"
 	"slices"
 	"testing"
@@ -37,14 +38,6 @@ func msgRoundTrip(t *testing.T, m protocol.Msg) protocol.Msg {
 	return got
 }
 
-func TestStateMsgRoundTrip(t *testing.T) {
-	m := protocol.NewStateMsg(crdt.NewGSet("a", "b"))
-	got := msgRoundTrip(t, m).(*protocol.StateMsg)
-	if !got.State.Equal(m.State) {
-		t.Error("state payload mismatch")
-	}
-}
-
 func TestDeltaMsgRoundTrip(t *testing.T) {
 	m := protocol.NewDeltaMsg(crdt.NewGSet("d"))
 	got := msgRoundTrip(t, m).(*protocol.DeltaMsg)
@@ -53,85 +46,81 @@ func TestDeltaMsgRoundTrip(t *testing.T) {
 	}
 }
 
+// retiredMsgs are the messages whose wire form is gone — those of the
+// engines that run under internal/netsim only, and the per-object
+// acknowledgement the link header replaced — each with the bytes it used
+// to encode to.
+type retiredMsg struct {
+	msg  protocol.Msg
+	wire []byte
+}
+
+func retiredMsgs() []retiredMsg {
+	vec, dep := vclock.New(), vclock.New()
+	vec.Set("n00", 4)
+	dep.Set("n00", 2)
+	dot := vclock.Dot{Actor: "n00", Seq: 3}
+	return []retiredMsg{
+		{protocol.NewStateMsg(crdt.NewGSet("a", "b")), []byte{64, 7, 2, 1, 'a', 1, 'b'}},
+		{protocol.NewAckMsg([]uint64{7}), []byte{67, 1, 7}},
+		{protocol.NewSBDigestMsg(vec, nil), []byte{68, 1, 3, 'n', '0', '0', 4, 0}},
+		{protocol.NewSBDeltasMsg([]protocol.SBItem{{Dot: dot, Delta: crdt.NewGSet("p")}}), []byte{69, 1, 3, 'n', '0', '0', 3, 7, 1, 1, 'p'}},
+		{protocol.NewOpsMsg([]protocol.TaggedOp{{Dot: dot, Dep: dep, Payload: crdt.NewGSet("e"), OpBytes: 7}}),
+			[]byte{70, 1, 3, 'n', '0', '0', 3, 1, 3, 'n', '0', '0', 2, 7, 7, 1, 1, 'e'}},
+	}
+}
+
+// TestAckedDeltaAndAckRoundTrip: the acked engine's δ-group keeps its
+// encoding with the entry seqs spelled out; the acknowledgement it used to
+// be answered with, like every retired message, has none — EncodeMsg
+// refuses the message and the decoders refuse its tag as unknown, bare, in
+// a batch and as a frame's item, never skipping it.
 func TestAckedDeltaAndAckRoundTrip(t *testing.T) {
 	m := protocol.NewAckedDeltaMsg(crdt.NewGSet("x"), []uint64{3, 9, 12})
 	got := msgRoundTrip(t, m).(*protocol.AckedDeltaMsg)
 	if len(got.Seqs) != 3 || got.Seqs[2] != 12 {
 		t.Errorf("seqs = %v", got.Seqs)
 	}
-	a := protocol.NewAckMsg([]uint64{7})
-	gotAck := msgRoundTrip(t, a).(*protocol.AckMsg)
-	if len(gotAck.Seqs) != 1 || gotAck.Seqs[0] != 7 {
-		t.Errorf("ack seqs = %v", gotAck.Seqs)
-	}
-}
-
-func TestSBDigestRoundTrip(t *testing.T) {
-	vec := vclock.New()
-	vec.Set("n00", 4)
-	vec.Set("n01", 2)
-	// Plain digest (no matrix).
-	m := protocol.NewSBDigestMsg(vec, nil)
-	got := msgRoundTrip(t, m).(*protocol.SBDigestMsg)
-	if !got.Vec.Equal(vec) || got.Matrix != nil {
-		t.Error("plain digest mismatch")
-	}
-	// GC digest with matrix.
-	other := vclock.New()
-	other.Set("n02", 8)
-	mg := protocol.NewSBDigestMsg(vec, map[string]*vclock.VClock{"n00": vec.Clone(), "n02": other})
-	gotGC := msgRoundTrip(t, mg).(*protocol.SBDigestMsg)
-	if len(gotGC.Matrix) != 2 || !gotGC.Matrix["n02"].Equal(other) {
-		t.Error("matrix mismatch")
-	}
-}
-
-func TestSBDeltasRoundTrip(t *testing.T) {
-	items := []protocol.SBItem{
-		{Dot: vclock.Dot{Actor: "n00", Seq: 1}, Delta: crdt.NewGSet("p")},
-		{Dot: vclock.Dot{Actor: "n01", Seq: 5}, Delta: crdt.NewGSet("q")},
-	}
-	m := protocol.NewSBDeltasMsg(items)
-	got := msgRoundTrip(t, m).(*protocol.SBDeltasMsg)
-	if len(got.Items) != 2 || got.Items[1].Dot.Seq != 5 {
-		t.Errorf("items = %+v", got.Items)
-	}
-	if !got.Items[0].Delta.Equal(items[0].Delta) {
-		t.Error("item delta mismatch")
-	}
-}
-
-func TestOpsMsgRoundTrip(t *testing.T) {
-	dep := vclock.New()
-	dep.Set("n00", 2)
-	ops := []protocol.TaggedOp{{
-		Dot:     vclock.Dot{Actor: "n00", Seq: 3},
-		Dep:     dep,
-		Payload: crdt.NewGSet("op-elem"),
-		OpBytes: 7,
-	}}
-	m := protocol.NewOpsMsg(ops)
-	got := msgRoundTrip(t, m).(*protocol.OpsMsg)
-	if len(got.Ops) != 1 {
-		t.Fatalf("ops = %d", len(got.Ops))
-	}
-	op := got.Ops[0]
-	if op.Dot != ops[0].Dot || op.OpBytes != 7 || !op.Dep.Equal(dep) || !op.Payload.Equal(ops[0].Payload) {
-		t.Errorf("op mismatch: %+v", op)
+	var v codec.FrameView
+	for _, r := range retiredMsgs() {
+		kind := r.msg.Kind()
+		if _, err := codec.EncodeMsg(r.msg); err == nil {
+			t.Errorf("%s: encoded a message without a wire form", kind)
+		}
+		if _, err := codec.AppendObjectMsg(nil, protocol.ObjectMsg{Key: "k", Inner: r.msg}); err == nil {
+			t.Errorf("%s: encoded inside a batch", kind)
+		}
+		inBatch := append([]byte{71, 1, 1, 'k'}, r.wire...)
+		for name, data := range map[string][]byte{
+			"bare":               r.wire,
+			"in a batch":         inBatch,
+			"as an item":         append([]byte{72, 1, 0}, r.wire...),
+			"in an item's batch": append([]byte{72, 1, 0}, inBatch...),
+		} {
+			if _, _, err := codec.DecodeMsg(data); !errors.Is(err, codec.ErrUnknownTag) {
+				t.Errorf("%s %s: DecodeMsg error %v, want ErrUnknownTag", kind, name, err)
+			}
+			if data[0] != 72 {
+				continue
+			}
+			if err := codec.UnpackFrame(data, 4, &v); !errors.Is(err, codec.ErrUnknownTag) {
+				t.Errorf("%s %s: UnpackFrame error %v, want ErrUnknownTag", kind, name, err)
+			}
+		}
 	}
 }
 
 func TestBatchMsgRoundTrip(t *testing.T) {
 	items := []protocol.ObjectMsg{
 		{Key: "obj1", Inner: protocol.NewDeltaMsg(crdt.NewGSet("a"))},
-		{Key: "obj2", Inner: protocol.NewStateMsg(crdt.NewGCounter())},
+		{Key: "obj2", Inner: protocol.NewAckedDeltaMsg(crdt.NewGCounter(), []uint64{1})},
 	}
 	m := protocol.BatchOf(items)
 	got := msgRoundTrip(t, m).(*protocol.BatchMsg)
 	if len(got.Items) != 2 || got.Items[0].Key != "obj1" {
 		t.Fatalf("items = %+v", got.Items)
 	}
-	if got.Items[0].Inner.Kind() != "delta" || got.Items[1].Inner.Kind() != "state" {
+	if got.Items[0].Inner.Kind() != "delta" || got.Items[1].Inner.Kind() != "delta-acked" {
 		t.Error("nested message kinds mismatch")
 	}
 }
@@ -213,7 +202,7 @@ func TestMergeSharded(t *testing.T) {
 		{Shard: 2, Msg: protocol.NewDeltaMsg(crdt.NewGSet("b"))},
 	}
 	itemsB := []protocol.ShardItem{
-		{Shard: 9, Msg: protocol.NewAckMsg([]uint64{4})},
+		{Shard: 9, Msg: protocol.NewDeltaMsg(crdt.NewGSet("c"))},
 	}
 	ma, mb := protocol.NewShardedMsg(itemsA), protocol.NewShardedMsg(itemsB)
 	ea, _ := codec.EncodeMsg(ma)
@@ -251,7 +240,7 @@ func TestMergeSharded(t *testing.T) {
 	if _, ok := codec.MergeSharded([][]byte{ea, ec}); ok || codec.CanMergeSharded(ec) {
 		t.Error("digest-carrying frame must not merge")
 	}
-	ed, _ := codec.EncodeMsg(protocol.NewAckMsg([]uint64{1}))
+	ed, _ := codec.EncodeMsg(protocol.NewDigestMsg([]uint64{1}))
 	if _, ok := codec.MergeSharded([][]byte{ea, ed}); ok || codec.CanMergeSharded(ed) {
 		t.Error("non-sharded frame must not merge")
 	}
@@ -512,7 +501,7 @@ func TestDecodeShardIndexOutOfRange(t *testing.T) {
 	// the valid range where it would bypass the receiver's bounds check.
 	msg := []byte{72, 1}                           // sharded, 1 item
 	msg = binary.AppendUvarint(msg, uint64(1)<<33) // hostile shard index
-	inner, _ := codec.EncodeMsg(protocol.NewAckMsg(nil))
+	inner, _ := codec.EncodeMsg(protocol.NewDeltaMsg(crdt.NewGSet("a")))
 	msg = append(msg, inner...)
 	if _, _, err := codec.DecodeMsg(msg); err == nil {
 		t.Error("out-of-range shard index should fail decoding")
@@ -559,12 +548,8 @@ func TestDecodeHostileCountDoesNotPanic(t *testing.T) {
 	// in a few bytes) must fail with a decode error, not panic allocating
 	// the claimed capacity. Exercise every counted message shape.
 	hugeCount := binary.AppendUvarint(nil, 1<<60)
-	for _, tag := range []byte{68, 69, 70, 71, 72} { // sbdigest..sharded
-		data := []byte{tag}
-		if tag == 68 { // SBDigestMsg: empty vector, matrix present
-			data = append(data, 0, 1)
-		}
-		data = append(data, hugeCount...)
+	for _, tag := range []byte{66, 71, 72} { // acked δ-group seqs, batch, sharded
+		data := append([]byte{tag}, hugeCount...)
 		if _, _, err := codec.DecodeMsg(data); err == nil {
 			t.Errorf("tag %d: hostile count should fail", tag)
 		}
@@ -629,11 +614,11 @@ func TestLinkItemsCarryNoSeqs(t *testing.T) {
 	d := crdt.NewGSet("x", "y")
 	acked := protocol.ShardItem{Shard: 3, Msg: protocol.BatchOf([]protocol.ObjectMsg{
 		{Key: "a", Inner: protocol.NewAckedDeltaMsg(d, []uint64{4, 5})},
-		{Key: "b", Inner: protocol.NewAckMsg([]uint64{1})},
+		{Key: "b", Inner: protocol.NewDeltaMsg(crdt.NewGSet("z"))},
 	})}
 	plain := protocol.ShardItem{Shard: 3, Msg: protocol.BatchOf([]protocol.ObjectMsg{
 		{Key: "a", Inner: protocol.NewDeltaMsg(d)},
-		{Key: "b", Inner: protocol.NewAckMsg([]uint64{1})},
+		{Key: "b", Inner: protocol.NewDeltaMsg(crdt.NewGSet("z"))},
 	})}
 	got, err := codec.AppendLinkShardItem(nil, acked)
 	if err != nil {

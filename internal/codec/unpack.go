@@ -9,23 +9,25 @@ import (
 	"crdtsync/internal/protocol"
 )
 
-// Single-pass inbound frame unpacking. The transport's receive path used
-// to decode a frame fully — ShardedMsg, item slice, every batch, every
-// object message, every state — before touching a single shard. UnpackFrame
-// is the mirror of the single-pass packer: it walks the raw frame once,
-// validating structure with the same hostile-input bounds as the eager
-// decoders but materializing nothing, and groups the items by shard into
-// reusable views whose key and payload bytes alias the frame buffer.
-// Payloads decode lazily (ItemView.Msg), exactly once, at the moment a
-// shard engine needs the message — and a consumer that only needs to
-// classify an item (ack vs data, for watcher notification) reads its wire
-// tag without decoding anything.
+// Single-pass inbound frame unpacking. UnpackFrame is the mirror of the
+// single-pass packer: it walks the raw frame once, decoding each item with
+// the one message decoder (decodeMsg, so the decode is the item's extent
+// and its validation, under the eager decoder's hostile-input bounds),
+// flattens batches without materializing the ShardedMsg or BatchMsg
+// wrappers, and groups the items by shard into reusable views. A frame
+// either unpacks — every item decoded — or is refused whole, before its
+// receiver has touched a shard.
+//
+// The messages with a wire form are the ones a store sends: DeltaMsg and
+// AckedDeltaMsg items, batched per shard, a TreeMsg closing a drill, in
+// sharded frames; HelloMsg, DigestMsg and TreeMsg standalone (see the tag
+// block in msg.go for what is retired).
 //
 // A FrameView and everything it hands out is only valid until the next
-// Unpack on the same view, and aliases the frame buffer: callers that
-// reuse read buffers must finish with the view before reusing the frame's
-// bytes. Decoded messages never alias the buffer (the decoders copy), so
-// only the views themselves are scoped.
+// Unpack on the same view, and an item's Key and Payload alias the frame
+// buffer: callers that reuse read buffers must finish with the view before
+// reusing the frame's bytes. Decoded messages never alias the buffer (the
+// decoders copy), so only the views themselves are scoped.
 
 // ErrNotSharded reports input whose leading tag is not one of the sharded
 // frame encodings. Callers fall back to DecodeMsg for control frames
@@ -33,10 +35,11 @@ import (
 var ErrNotSharded = errors.New("codec: not a sharded frame")
 
 // ItemView is one object's message within a sharded frame: the shard it
-// routes to, its key, and the raw encoding of its inner message. Key and
-// Payload alias the frame buffer. Key is nil for a shard item that is not
-// a per-object batch (a bare engine message — conforming stores never send
-// one, and the keyed engines ignore them).
+// routes to, its key, the raw encoding of its inner message and that
+// message decoded. Key and Payload alias the frame buffer. Key is nil for a
+// shard item that is not a per-object batch (a bare message — the TreeMsg
+// that closes a drill is the one stores send; the keyed engines ignore
+// any other).
 type ItemView struct {
 	// Shard is the destination shard index, already bounds-checked
 	// against the receiver's shard count by UnpackFrame.
@@ -48,40 +51,26 @@ type ItemView struct {
 	// aliasing the frame buffer.
 	Payload []byte
 
-	msg protocol.Msg // decoded on first Msg call
+	msg protocol.Msg // Payload, decoded by the walk that found its extent
 }
 
-// Tag returns the payload's wire tag — enough to classify an item (ack,
-// anti-entropy digest, delta) without decoding it.
+// Tag returns the payload's wire tag.
 func (iv *ItemView) Tag() byte { return iv.Payload[0] }
 
-// IsAckTag reports whether tag names a pure acknowledgement or protocol
-// digest — messages that carry no object state, so watcher notification
-// and similar state-change consumers skip them by tag alone.
+// IsAckTag reports whether tag names a per-object acknowledgement or a
+// Scuttlebutt digest. Both tags are retired — no frame that unpacks holds
+// an item it is true of — and it remains for bench/tap.go, which the frozen
+// benchmark compiles against it.
 func IsAckTag(tag byte) bool {
 	return tag == tagAckMsg || tag == tagSBDigestMsg
 }
 
-// Msg decodes the payload into a protocol message, once; repeated calls
-// return the cached result. The decoded message owns its memory (the
-// decoders copy out of the input), so it stays valid after the frame
-// buffer is reused — only the view itself is frame-scoped.
-func (iv *ItemView) Msg() (protocol.Msg, error) {
-	if iv.msg != nil {
-		return iv.msg, nil
-	}
-	m, n, err := DecodeMsg(iv.Payload)
-	if err != nil {
-		return nil, err
-	}
-	if n != len(iv.Payload) {
-		// The skip walk and the decoder disagree on the payload extent:
-		// a codec bug, surfaced instead of silently misrouting bytes.
-		return nil, fmt.Errorf("codec: item decode consumed %d of %d bytes", n, len(iv.Payload))
-	}
-	iv.msg = m
-	return m, nil
-}
+// Msg returns the item's message, which UnpackFrame decoded; the error is
+// always nil (the frozen bench/ compiles against the signature). The
+// message owns its memory (the decoders copy out of the input), so it
+// stays valid after the frame buffer is reused — only the view itself is
+// frame-scoped.
+func (iv *ItemView) Msg() (protocol.Msg, error) { return iv.msg, nil }
 
 // ItemGroup is one shard's run of item views within an unpacked frame —
 // the unit the store applies under a single lock hold.
@@ -91,15 +80,16 @@ type ItemGroup struct {
 }
 
 // FrameView is the reusable result of UnpackFrame: the piggybacked digest
-// vector (if any) and the item views grouped by shard. A view is valid until its next Unpack; pool and reuse it — a
-// steady-state unpack allocates nothing.
+// vector (if any) and the item views grouped by shard. A view is valid
+// until its next Unpack; pool and reuse it — a steady-state unpack
+// allocates what its items' messages take and nothing for the view.
 type FrameView struct {
 	// Digests is the piggybacked per-shard digest vector; nil when the
 	// frame carried none. The backing array is reused across unpacks.
 	Digests []uint64
 	// Dropped counts items whose shard index was outside the receiver's
 	// shard range — a shard-map mismatch between sender and receiver.
-	// They are skipped, not delivered; the transport surfaces the count.
+	// They are decoded, not delivered; the transport surfaces the count.
 	Dropped int
 	// Link is the frame's link header, zero when it carried none. The
 	// acknowledged ranges' backing array is reused across unpacks.
@@ -160,13 +150,23 @@ func (v *FrameView) Reset() {
 
 // UnpackFrame walks one encoded sharded frame (any variant) into v,
 // grouped by shard. shards is the receiver's shard count: items routed
-// beyond it are counted in v.Dropped and skipped. It accepts exactly the
-// frames DecodeMsg accepts — the skip walk enforces the same nesting
-// depth, count-versus-remaining-bytes, and index-range bounds, so hostile
-// input fails with an error before any large allocation — and returns
-// ErrNotSharded for any other message kind, which callers decode eagerly.
+// beyond it are counted in v.Dropped and left out. It accepts exactly the
+// frames DecodeMsg accepts — the items go through the same decoder, under
+// the same nesting depth, count-versus-remaining-bytes and index-range
+// bounds, so hostile input fails with an error before any allocation
+// larger than the input — and returns ErrNotSharded for any other message
+// kind, which callers decode eagerly. After an error v is empty: a pooled
+// view never holds the decoded half of a frame that was refused.
 func UnpackFrame(data []byte, shards int, v *FrameView) error {
 	v.reset()
+	err := v.unpack(data, shards)
+	if err != nil {
+		v.reset()
+	}
+	return err
+}
+
+func (v *FrameView) unpack(data []byte, shards int) error {
 	if len(data) == 0 {
 		return ErrTruncated
 	}
@@ -186,10 +186,9 @@ func UnpackFrame(data []byte, shards int, v *FrameView) error {
 	for i := 0; i < len(h.digests); i += 8 {
 		v.Digests = append(v.Digests, binary.BigEndian.Uint64(h.digests[i:]))
 	}
-	count := h.count
 	grouped := true // items arrive in non-decreasing shard order
 	var lastShard uint32
-	for i := uint64(0); i < count; i++ {
+	for i := uint64(0); i < h.count; i++ {
 		shard, m, err := readUvarint(data[n:])
 		if err != nil {
 			return err
@@ -201,7 +200,7 @@ func UnpackFrame(data []byte, shards int, v *FrameView) error {
 		}
 		n += m
 		keep := shard < uint64(shards)
-		m, err = v.appendItem(data, n, uint32(shard), keep)
+		m, err = v.appendItem(data[n:], uint32(shard), keep)
 		if err != nil {
 			return err
 		}
@@ -219,35 +218,30 @@ func UnpackFrame(data []byte, shards int, v *FrameView) error {
 	return nil
 }
 
-// appendItem walks one shard item starting at data[at:], appending its
-// flattened views to v.items when keep is true (always validating, so a
-// dropped or out-of-range item still costs the sender a full structural
-// check). A per-object batch flattens into one view per object message;
-// any other message becomes a single keyless view.
-func (v *FrameView) appendItem(data []byte, at int, shard uint32, keep bool) (int, error) {
-	d := data[at:]
-	if len(d) == 0 {
-		return 0, ErrTruncated
-	}
-	if d[0] != tagBatchMsg {
-		n, err := skipMsg(d, 1)
+// appendItem decodes the shard item that d starts with and returns its
+// length, appending its flattened views to v.items when keep is true (an
+// out-of-range item is decoded all the same, so it costs its sender the
+// full check). A per-object batch flattens into one view per object
+// message; any other message becomes a single keyless view.
+func (v *FrameView) appendItem(d []byte, shard uint32, keep bool) (int, error) {
+	if len(d) == 0 || d[0] != tagBatchMsg {
+		msg, n, err := decodeMsg(d, 1)
 		if err != nil {
 			return 0, err
 		}
 		if keep {
-			v.items = append(v.items, ItemView{Shard: shard, Payload: d[:n]})
+			v.items = append(v.items, ItemView{Shard: shard, Payload: d[:n], msg: msg})
 		}
 		return n, nil
 	}
-	// A batch: walk its header, then flatten each (key, inner message)
-	// pair into its own view. The batch-level wrapper is never
-	// materialized on the receive path.
-	n := 1
-	count, m, err := readUvarint(d[n:])
+	// A batch: each (key, inner message) pair becomes its own view, as the
+	// batch case of readMsgBody would read it. The batch-level wrapper is
+	// never materialized on the receive path.
+	count, n, err := readUvarint(d[1:])
 	if err != nil {
 		return 0, err
 	}
-	n += m
+	n++
 	for i := uint64(0); i < count; i++ {
 		klen, m, err := readUvarint(d[n:])
 		if err != nil {
@@ -258,12 +252,12 @@ func (v *FrameView) appendItem(data []byte, at int, shard uint32, keep bool) (in
 		}
 		key := d[n+m : n+m+int(klen)]
 		n += m + int(klen)
-		inner, err := skipMsg(d[n:], 2)
+		msg, inner, err := decodeMsg(d[n:], 2)
 		if err != nil {
 			return 0, err
 		}
 		if keep {
-			v.items = append(v.items, ItemView{Shard: shard, Key: key, Payload: d[n : n+inner]})
+			v.items = append(v.items, ItemView{Shard: shard, Key: key, Payload: d[n : n+inner], msg: msg})
 		}
 		n += inner
 	}
@@ -310,432 +304,5 @@ func (v *FrameView) group(shards int, grouped bool) {
 		}
 		v.groups = append(v.groups, ItemGroup{Shard: items[i].Shard, Items: items[i:j]})
 		i = j
-	}
-}
-
-// The skip walkers: structural validation that computes encoded extents
-// without materializing anything. Each mirrors its reader exactly — same
-// bounds, same nesting limits, same rejections — so a payload the walk
-// accepts always decodes, and one it rejects never would have.
-
-func skipUvarint(data []byte) (int, error) {
-	_, n := binary.Uvarint(data)
-	if n <= 0 {
-		return 0, ErrTruncated
-	}
-	return n, nil
-}
-
-func skipString(data []byte) (int, error) {
-	l, n, err := readUvarint(data)
-	if err != nil {
-		return 0, err
-	}
-	if l > uint64(len(data)-n) {
-		return 0, ErrTruncated
-	}
-	return n + int(l), nil
-}
-
-func skipStringList(data []byte) (int, error) {
-	count, n, err := readUvarint(data)
-	if err != nil {
-		return 0, err
-	}
-	for i := uint64(0); i < count; i++ {
-		m, err := skipString(data[n:])
-		if err != nil {
-			return 0, err
-		}
-		n += m
-	}
-	return n, nil
-}
-
-func skipVClock(data []byte) (int, error) {
-	count, n, err := readUvarint(data)
-	if err != nil {
-		return 0, err
-	}
-	for i := uint64(0); i < count; i++ {
-		m, err := skipString(data[n:])
-		if err != nil {
-			return 0, err
-		}
-		n += m
-		m, err = skipUvarint(data[n:])
-		if err != nil {
-			return 0, err
-		}
-		n += m
-	}
-	return n, nil
-}
-
-func skipDot(data []byte) (int, error) {
-	n, err := skipString(data)
-	if err != nil {
-		return 0, err
-	}
-	m, err := skipUvarint(data[n:])
-	if err != nil {
-		return 0, err
-	}
-	return n + m, nil
-}
-
-func skipSeqs(data []byte) (int, error) {
-	count, n, err := readUvarint(data)
-	if err != nil {
-		return 0, err
-	}
-	for i := uint64(0); i < count; i++ {
-		m, err := skipUvarint(data[n:])
-		if err != nil {
-			return 0, err
-		}
-		n += m
-	}
-	return n, nil
-}
-
-// skipState computes one encoded state's extent, mirroring readStateDepth.
-func skipState(data []byte, depth int) (int, error) {
-	if depth >= maxStateNesting {
-		return 0, ErrNestingTooDeep
-	}
-	if len(data) == 0 {
-		return 0, ErrTruncated
-	}
-	tag, body := data[0], data[1:]
-	var (
-		n   int
-		err error
-	)
-	switch tag {
-	case tagMaxInt:
-		n, err = skipUvarint(body)
-
-	case tagFlag:
-		if len(body) < 1 {
-			return 0, ErrTruncated
-		}
-		n = 1
-
-	case tagSet, tagGSet:
-		n, err = skipStringList(body)
-
-	case tagMap:
-		var count uint64
-		var m int
-		count, n, err = readUvarint(body)
-		if err != nil {
-			return 0, err
-		}
-		for i := uint64(0); i < count; i++ {
-			m, err = skipString(body[n:])
-			if err != nil {
-				return 0, err
-			}
-			n += m
-			m, err = skipState(body[n:], depth+1)
-			if err != nil {
-				return 0, err
-			}
-			n += m
-		}
-
-	case tagGCounter, tagPNCounter:
-		uvarints := 1 // per-entry counters after the id
-		if tag == tagPNCounter {
-			uvarints = 2
-		}
-		var count uint64
-		var m int
-		count, n, err = readUvarint(body)
-		if err != nil {
-			return 0, err
-		}
-		for i := uint64(0); i < count; i++ {
-			m, err = skipString(body[n:])
-			if err != nil {
-				return 0, err
-			}
-			n += m
-			for u := 0; u < uvarints; u++ {
-				m, err = skipUvarint(body[n:])
-				if err != nil {
-					return 0, err
-				}
-				n += m
-			}
-		}
-
-	case tagTwoPSet:
-		var m int
-		n, err = skipStringList(body)
-		if err != nil {
-			return 0, err
-		}
-		m, err = skipStringList(body[n:])
-		n += m
-
-	case tagLWW:
-		var m int
-		n, err = skipUvarint(body)
-		if err != nil {
-			return 0, err
-		}
-		for i := 0; i < 2; i++ {
-			m, err = skipString(body[n:])
-			if err != nil {
-				return 0, err
-			}
-			n += m
-		}
-
-	case tagAWSet:
-		var count uint64
-		var m int
-		count, n, err = readUvarint(body)
-		if err != nil {
-			return 0, err
-		}
-		// An AWSet atom is (elem, actor, seq): two strings then a
-		// uvarint — an elem string followed by a dot.
-		for i := uint64(0); i < count; i++ {
-			m, err = skipString(body[n:])
-			if err != nil {
-				return 0, err
-			}
-			n += m
-			m, err = skipDot(body[n:])
-			if err != nil {
-				return 0, err
-			}
-			n += m
-		}
-
-	default:
-		return 0, fmt.Errorf("%w: %d", ErrUnknownTag, tag)
-	}
-	if err != nil {
-		return 0, err
-	}
-	return n + 1, nil
-}
-
-// skipMsg computes one encoded protocol message's extent, mirroring
-// decodeMsg/readMsgBody: same tags, same bounds, same depth limit.
-func skipMsg(data []byte, depth int) (int, error) {
-	if depth >= maxMsgNesting {
-		return 0, ErrNestingTooDeep
-	}
-	if len(data) == 0 {
-		return 0, ErrTruncated
-	}
-	tag := data[0]
-	n := 1
-	body := data
-	switch tag {
-	case tagStateMsg, tagDeltaMsg:
-		m, err := skipState(body[n:], 0)
-		if err != nil {
-			return 0, err
-		}
-		return n + m, nil
-
-	case tagAckedDeltaMsg:
-		m, err := skipSeqs(body[n:])
-		if err != nil {
-			return 0, err
-		}
-		n += m
-		m, err = skipState(body[n:], 0)
-		if err != nil {
-			return 0, err
-		}
-		return n + m, nil
-
-	case tagAckMsg:
-		m, err := skipSeqs(body[n:])
-		if err != nil {
-			return 0, err
-		}
-		return n + m, nil
-
-	case tagSBDigestMsg:
-		m, err := skipVClock(body[n:])
-		if err != nil {
-			return 0, err
-		}
-		n += m
-		if len(body) <= n {
-			return 0, ErrTruncated
-		}
-		hasMatrix := body[n] == 1
-		n++
-		if hasMatrix {
-			count, m, err := readUvarint(body[n:])
-			if err != nil {
-				return 0, err
-			}
-			n += m
-			for i := uint64(0); i < count; i++ {
-				m, err = skipString(body[n:])
-				if err != nil {
-					return 0, err
-				}
-				n += m
-				m, err = skipVClock(body[n:])
-				if err != nil {
-					return 0, err
-				}
-				n += m
-			}
-		}
-		return n, nil
-
-	case tagSBDeltasMsg:
-		count, m, err := readUvarint(body[n:])
-		if err != nil {
-			return 0, err
-		}
-		n += m
-		for i := uint64(0); i < count; i++ {
-			m, err = skipDot(body[n:])
-			if err != nil {
-				return 0, err
-			}
-			n += m
-			m, err = skipState(body[n:], 0)
-			if err != nil {
-				return 0, err
-			}
-			n += m
-		}
-		return n, nil
-
-	case tagOpsMsg:
-		count, m, err := readUvarint(body[n:])
-		if err != nil {
-			return 0, err
-		}
-		n += m
-		for i := uint64(0); i < count; i++ {
-			m, err = skipDot(body[n:])
-			if err != nil {
-				return 0, err
-			}
-			n += m
-			m, err = skipVClock(body[n:])
-			if err != nil {
-				return 0, err
-			}
-			n += m
-			m, err = skipUvarint(body[n:])
-			if err != nil {
-				return 0, err
-			}
-			n += m
-			m, err = skipState(body[n:], 0)
-			if err != nil {
-				return 0, err
-			}
-			n += m
-		}
-		return n, nil
-
-	case tagBatchMsg:
-		count, m, err := readUvarint(body[n:])
-		if err != nil {
-			return 0, err
-		}
-		n += m
-		for i := uint64(0); i < count; i++ {
-			m, err = skipString(body[n:])
-			if err != nil {
-				return 0, err
-			}
-			n += m
-			m, err = skipMsg(body[n:], depth+1)
-			if err != nil {
-				return 0, err
-			}
-			n += m
-		}
-		return n, nil
-
-	case tagShardedMsg, tagShardedDigestMsg, tagShardedLinkMsg:
-		h, m, err := readShardedHeader(tag, body[n:], nil)
-		if err != nil {
-			return 0, err
-		}
-		n += m
-		count := h.count
-		for i := uint64(0); i < count; i++ {
-			shard, m, err := readUvarint(body[n:])
-			if err != nil {
-				return 0, err
-			}
-			if shard > math.MaxUint32 {
-				return 0, fmt.Errorf("codec: shard index %d out of range", shard)
-			}
-			n += m
-			m, err = skipMsg(body[n:], depth+1)
-			if err != nil {
-				return 0, err
-			}
-			n += m
-		}
-		return n, nil
-
-	case tagDigestMsg, tagDigestEchoMsg:
-		dcount, m, err := readUvarint(body[n:])
-		if err != nil {
-			return 0, err
-		}
-		n += m
-		if dcount > uint64(len(body)-n)/8 {
-			return 0, ErrTruncated
-		}
-		n += 8 * int(dcount)
-		if len(body) <= n {
-			return 0, ErrTruncated
-		}
-		if body[n] != 0 {
-			return 0, fmt.Errorf("codec: digest message with a shard-request list")
-		}
-		return n + 1, nil
-
-	case tagHelloMsg:
-		_, _, m, err := readHelloFixed(body[n:])
-		if err != nil {
-			return 0, err
-		}
-		n += m
-		m, err = skipStringList(body[n:])
-		if err != nil {
-			return 0, err
-		}
-		return n + m, nil
-
-	case tagTreeMsg:
-		h, m, err := readTreeHeader(body[n:])
-		if err != nil {
-			return 0, err
-		}
-		n += m
-		for i := uint64(0); i < h.count; i++ {
-			_, m, err := h.readNode(body[n:])
-			if err != nil {
-				return 0, err
-			}
-			n += m + h.hashBytes()
-		}
-		return n, nil
-
-	default:
-		return 0, fmt.Errorf("%w: %d", ErrUnknownTag, tag)
 	}
 }

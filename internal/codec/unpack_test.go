@@ -1,9 +1,11 @@
 package codec_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -52,8 +54,8 @@ func flattenEager(t testing.TB, sm *protocol.ShardedMsg, shards int) (kept []fla
 
 // flattenView lowers a FrameView's groups into comparison items, checking
 // the grouping invariants on the way: every group's items carry its shard,
-// no shard appears in two groups, and each view's lazy decode agrees with
-// its raw payload.
+// no shard appears in two groups, and each view holds its payload's
+// message.
 func flattenView(t testing.TB, v *codec.FrameView) []flatItem {
 	t.Helper()
 	var out []flatItem
@@ -69,13 +71,12 @@ func flattenView(t testing.TB, v *codec.FrameView) []flatItem {
 				t.Fatalf("item shard %d inside group %d", iv.Shard, g.Shard)
 			}
 			m, err := iv.Msg()
-			if err != nil {
-				t.Fatalf("lazy decode: %v", err)
+			if err != nil || m == nil {
+				t.Fatalf("unpacked item holds message %v, error %v", m, err)
 			}
 			// Compare re-encodings, not raw payload bytes: the decoders
-			// (and the skip walk, identically) tolerate non-minimal
-			// uvarints, so an accepted hostile payload may re-encode
-			// shorter than the wire form.
+			// tolerate non-minimal uvarints, so an accepted hostile payload
+			// may re-encode shorter than the wire form.
 			enc, err := codec.EncodeMsg(m)
 			if err != nil {
 				t.Fatalf("re-encode decoded item: %v", err)
@@ -166,7 +167,7 @@ func TestUnpackFrameGrouped(t *testing.T) {
 	var v codec.FrameView
 	first := encodeMsg(t, protocol.NewShardedMsg([]protocol.ShardItem{
 		unpackBatch(0, "a", "b"),
-		{Shard: 1, Msg: protocol.NewAckMsg([]uint64{4, 5})},
+		{Shard: 1, Msg: protocol.NewTreeMsg(1, protocol.TreeDepth, []uint32{5}, nil)}, // keyless
 		unpackBatch(1, "c"),
 		unpackBatch(3, "d", "e", "f"),
 	}))
@@ -258,25 +259,76 @@ func TestUnpackFrameHostile(t *testing.T) {
 	})), 4, &v)
 }
 
-// TestItemViewTags: wire-tag classification without decoding.
+// TestItemViewTags: an item's view carries its wire tag, and an item with
+// one of the tags IsAckTag names is not skipped by tag any more — no such
+// message has a wire form, so the frame it sits in is refused whole, what
+// unpacked before it included.
 func TestItemViewTags(t *testing.T) {
 	var v codec.FrameView
-	data := encodeMsg(t, protocol.NewShardedMsg([]protocol.ShardItem{
-		{Shard: 0, Msg: protocol.NewAckMsg([]uint64{1})},
-		unpackBatch(1, "k"),
-	}))
+	good, err := codec.AppendShardItem(nil, unpackBatch(1, "k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := append(codec.AppendShardedHeader(nil, protocol.LinkHeader{}, nil, 1), good...)
 	if err := codec.UnpackFrame(data, 4, &v); err != nil {
 		t.Fatalf("UnpackFrame: %v", err)
 	}
-	groups := v.Groups()
-	if len(groups) != 2 {
-		t.Fatalf("groups = %d, want 2", len(groups))
+	if iv := &v.Groups()[0].Items[0]; iv.Tag() != 65 || codec.IsAckTag(iv.Tag()) {
+		t.Fatalf("delta item has tag %d, classified as ack: %v", iv.Tag(), codec.IsAckTag(iv.Tag()))
 	}
-	if !codec.IsAckTag(groups[0].Items[0].Tag()) {
-		t.Fatalf("ack item not classified by tag")
+	for _, c := range []struct {
+		tag  byte
+		item []byte
+	}{
+		{67, []byte{0, 67, 1, 1}},                // shard 0: a per-object acknowledgement
+		{68, []byte{0, 68, 0, 0}},                // shard 0: a Scuttlebutt digest
+		{67, []byte{0, 71, 1, 1, 'k', 67, 1, 1}}, // the acknowledgement inside a batch
+	} {
+		if !codec.IsAckTag(c.tag) {
+			t.Fatalf("tag %d is not an ack tag", c.tag)
+		}
+		data := append(codec.AppendShardedHeader(nil, protocol.LinkHeader{}, nil, 2), good...)
+		data = append(data, c.item...)
+		if err := codec.UnpackFrame(data, 4, &v); !errors.Is(err, codec.ErrUnknownTag) {
+			t.Fatalf("item %v: error %v, want ErrUnknownTag", c.item, err)
+		}
+		if v.NumItems() != 0 || len(v.Groups()) != 0 {
+			t.Fatalf("item %v: the refused frame left %d items in %d groups", c.item, v.NumItems(), len(v.Groups()))
+		}
 	}
-	if codec.IsAckTag(groups[1].Items[0].Tag()) {
-		t.Fatalf("delta item classified as ack")
+}
+
+// TestUnpackHostileItemCount: a frame and a batch that each claim 2^40
+// items over a few dozen bytes are refused having allocated what the items
+// that are there decode to — nothing is sized from a count.
+func TestUnpackHostileItemCount(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1<<40)
+	data := append([]byte{72}, huge...)         // sharded, 2^40 items
+	data = append(append(data, 0, 71), huge...) // shard 0: a batch of 2^40
+	for _, k := range []string{"a", "b", "c"} {
+		var err error
+		if data, err = codec.AppendObjectMsg(data, protocol.ObjectMsg{Key: k, Inner: unpackGSetDelta(0, 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var v codec.FrameView
+	if err := codec.UnpackFrame(data, 4, &v); !errors.Is(err, codec.ErrTruncated) {
+		t.Fatalf("error %v, want ErrTruncated", err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 100
+	for i := 0; i < runs; i++ {
+		codec.UnpackFrame(data, 4, &v)
+	}
+	runtime.ReadMemStats(&after)
+	// Three one-element sets: a state, its element slice, the element and
+	// the message, each a few dozen bytes.
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 16*uint64(len(data)) {
+		t.Fatalf("refusing %d hostile bytes allocates %d bytes", len(data), per)
+	}
+	if _, _, err := codec.DecodeMsg(data); !errors.Is(err, codec.ErrTruncated) {
+		t.Fatalf("eager decode: error %v, want ErrTruncated", err)
 	}
 }
 
@@ -299,9 +351,10 @@ func linkedFrames(batch protocol.Msg) []protocol.Msg {
 // the eager decoder: on any input, UnpackFrame must never panic, must
 // accept exactly the sharded frames DecodeMsg accepts (rejecting other
 // accepted kinds with ErrNotSharded), and on acceptance must produce the
-// same items, digests and drop count — with every payload view
-// decoding to bytes identical to its eager counterpart (alias safety:
-// views index the input buffer, decodes copy out of it).
+// same items, digests and drop count — with every view's message
+// encoding to bytes identical to its eager counterpart, still so after
+// the buffer is overwritten (alias safety: views index the input buffer,
+// decodes copy out of it). After any input it rejects the view is empty.
 func FuzzUnpackFrame(f *testing.F) {
 	seed := func(m protocol.Msg) {
 		if d, err := codec.EncodeMsg(m); err == nil {
@@ -314,8 +367,12 @@ func FuzzUnpackFrame(f *testing.F) {
 	})
 	seed(protocol.NewShardedMsg([]protocol.ShardItem{
 		{Shard: 0, Msg: batch},
-		{Shard: 7, Msg: protocol.NewAckMsg([]uint64{9})}, // beyond the fuzz shard count: dropped
+		{Shard: 7, Msg: protocol.NewDeltaMsg(crdt.NewGSet("q"))}, // beyond the fuzz shard count: dropped
 	}))
+	// A retired tag (a per-object acknowledgement) behind an item that
+	// unpacks, and in an item that is dropped: refused, not skipped.
+	f.Add([]byte{72, 2, 0, 65, 7, 1, 1, 97, 0, 67, 1, 9})
+	f.Add([]byte{72, 1, 7, 67, 1, 9})
 	seed(protocol.NewShardedDigestMsg([]protocol.ShardItem{
 		{Shard: 3, Msg: protocol.NewDeltaMsg(crdt.NewGSet("p"))},
 		{Shard: 1, Msg: batch}, // out of shard order: counting-sort path
@@ -323,7 +380,7 @@ func FuzzUnpackFrame(f *testing.F) {
 	seed(protocol.NewDigestMsg([]uint64{0, ^uint64(0)}))
 	// Standalone hash pushes (not sharded), and a drill's close the way it
 	// travels — the last item of its shard in a sharded frame, after the
-	// states it goes with — exercising the tree branch of the skip walker.
+	// states it goes with.
 	seed(protocol.NewTreeMsg(2, 0, []uint32{0}, pushHashes(1)))
 	seed(protocol.NewTreeMsg(0, 2, []uint32{9, 15}, pushHashes(2)))
 	seed(protocol.NewShardedMsg([]protocol.ShardItem{
@@ -343,8 +400,8 @@ func FuzzUnpackFrame(f *testing.F) {
 	f.Add([]byte{76, 1, 0, 0, 0, 9, 3, 3, 0})                   // back reaches the number
 	f.Add([]byte{76, 4, 0, 0})                                  // neither half
 	f.Add([]byte{76, 2, 0, 0, 0, 0, 1, 0, 0})                   // zero incarnation
-	// A hello standalone (not sharded), and as an item, where only the skip
-	// walker sees it, whole and with a hostile id count.
+	// A hello standalone (not sharded), and as an item, whole and with a
+	// hostile id count.
 	seed(protocol.NewHelloMsg(protocol.WireVersion, 4, []string{"s-01"}))
 	seed(protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 1, Msg: protocol.NewHelloMsg(protocol.WireVersion, 4, []string{"s-01", "s-02"})}}))
 	f.Add([]byte{72, 1, 1, 77, 1, 4, 255, 255, 255, 255, 15, 1, 97})
@@ -366,18 +423,24 @@ func FuzzUnpackFrame(f *testing.F) {
 			if uerr == nil {
 				t.Fatalf("unpacker accepted input the decoder rejects: %v", derr)
 			}
-			return
 		case !sharded:
 			if !errors.Is(uerr, codec.ErrNotSharded) {
 				t.Fatalf("non-sharded %s: err = %v, want ErrNotSharded", m.Kind(), uerr)
 			}
-			return
 		case uerr != nil:
 			t.Fatalf("unpacker rejected a decodable sharded frame: %v", uerr)
 		}
+		if uerr != nil {
+			// A pooled view never pins the decoded half of a refused frame.
+			if v.NumItems() != 0 || len(v.Groups()) != 0 {
+				t.Fatalf("rejected input left %d items in %d groups", v.NumItems(), len(v.Groups()))
+			}
+			return
+		}
 		// Mutating the input after unpacking must not corrupt decoded
-		// messages: Msg() copies out of the buffer. Decode every view
-		// first, then clobber, then compare against the eager flattening.
+		// messages: the decoders copy out of the buffer. Encode every view's
+		// message first, then clobber, then compare against the eager
+		// flattening.
 		checkUnpacked(t, buf, shards, &v)
 		got := flattenView(t, &v)
 		for i := range buf {
@@ -413,10 +476,10 @@ func unpackBenchFrame(tb testing.TB, shards, objectsPerShard int) []byte {
 }
 
 // BenchmarkUnpack measures the codec half of the inbound path: turning
-// frame bytes into shard-grouped, lock-routable items. The view path
-// walks the frame once into payload views that alias the buffer (item
-// decode is deferred to the point of apply, and never happens at all
-// for acks and digests).
+// frame bytes into shard-grouped, lock-routable, decoded items. The one
+// walk decodes each item's message, so an unpack allocates what the
+// messages take (the views themselves are reused); BenchmarkDeliver in
+// internal/transport is the figure that spans the whole inbound path.
 func BenchmarkUnpack(b *testing.B) {
 	for _, shape := range []struct {
 		name            string

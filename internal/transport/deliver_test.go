@@ -1,11 +1,13 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
 	"crdtsync/internal/codec"
 	"crdtsync/internal/crdt"
@@ -223,62 +225,148 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDeliverShardedErrorStillFlushesAndCounts is the regression test
-// for the mid-frame decode-error path: deliverSharded used to return
-// the moment an item failed to decode, before flushing the replies the
-// already-applied shard groups had coalesced (discarding real acks the
-// peer was owed) and before counting the frame's dropped items. An
-// error must still flush and still count — only the failed group's
-// remainder and the frame's piggybacked digests are abandoned.
-func TestDeliverShardedErrorStillFlushesAndCounts(t *testing.T) {
-	// A configured-but-unreachable peer: transmit enqueues onto its
-	// pipeline (counting the frame) and the dial fails lazily later.
+// corruptLastItem returns copies of a frame that ends in shardBatch(shard,
+// key), each with one byte of that item changed so that the item no longer
+// decodes: the ways a frame can be bad past its first shard group.
+func corruptLastItem(t testing.TB, frame []byte, key string) map[string][]byte {
+	t.Helper()
+	// The item is: shard, batch tag, count 1, key length, key, message tag
+	// (a DeltaMsg), state tag (a GSet), element count, elements.
+	at := bytes.LastIndex(frame, []byte(key)) + len(key)
+	if at < len(key) || frame[at] != 65 || frame[at+1] != 7 {
+		t.Fatalf("no δ-group of a GSet under key %q at the end of the frame", key)
+	}
+	out := make(map[string][]byte)
+	for name, edit := range map[string]func(item []byte){
+		"unknown state tag":   func(item []byte) { item[1] = 0xee },
+		"truncated set":       func(item []byte) { item[2]++ },    // one element more than there are bytes for
+		"retired message tag": func(item []byte) { item[0] = 64 }, // a StateMsg, whose body was a DeltaMsg's
+	} {
+		bad := bytes.Clone(frame)
+		edit(bad[at:])
+		out[name] = bad
+	}
+	return out
+}
+
+// engineFactories are the two engines a store runs.
+var engineFactories = map[string]protocol.Factory{
+	"delta": protocol.NewDeltaBPRR(),
+	"acked": protocol.NewDeltaAcked(true, true),
+}
+
+// startPeeredStore builds a store with one configured but unreachable
+// peer: a frame sent to it is enqueued on its pipeline, and counted, and
+// the dial fails lazily later.
+func startPeeredStore(t testing.TB, factory protocol.Factory) *Store {
+	t.Helper()
 	s, err := StartStore(StoreConfig{
 		ID:         "n0",
 		ListenAddr: "127.0.0.1:0",
 		Peers:      map[string]string{"peer": "127.0.0.1:1"},
 		Shards:     2,
-		Factory:    protocol.NewDeltaAcked(true, true),
+		Factory:    factory,
 		ObjType:    func(string) workload.Datatype { return workload.GSetType{} },
+		SyncEvery:  time.Hour,
 	})
 	if err != nil {
 		t.Fatalf("StartStore: %v", err)
 	}
 	t.Cleanup(func() { s.Close() })
-	k0 := keysOnShard(s.mask, 0, 1)[0]
-	k1 := keysOnShard(s.mask, 1, 1)[0]
-	gs := crdt.NewGSet("a", "b")
-	acked := protocol.NewAckedDeltaMsg(gs, []uint64{1})
-	frame := encodeFrame(t, protocol.NewShardedMsg([]protocol.ShardItem{
-		// Shard 0 applies and owes the sender an AckMsg reply.
-		{Shard: 0, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: k0, Inner: acked}})},
-		shardBatch(1, k1),
-		shardBatch(9, "skew"), // beyond the shard count: dropped at unpack
-	}))
-	var v codec.FrameView
-	if err := codec.UnpackFrame(frame, len(s.shards), &v); err != nil {
-		t.Fatalf("unpack: %v", err)
+	return s
+}
+
+// TestDeliverShardedErrorStillFlushesAndCounts: a frame is applied whole
+// or not at all. It used to hold only while two walkers agreed on what an
+// item was — this test patched an unpacked view to make them disagree, and
+// pinned what the half-applied frame still flushed and counted. Now the
+// corrupt byte is in the encoded frame, in the last shard's item, and the
+// entry point is the read loop's: deliver returns an error (the connection
+// closes), no key of the first shard was applied, nothing was counted or
+// sent; the same frame uncorrupted then applies and counts its drop.
+func TestDeliverShardedErrorStillFlushesAndCounts(t *testing.T) {
+	for engine, factory := range engineFactories {
+		s := startPeeredStore(t, factory)
+		k0 := keysOnShard(s.mask, 0, 1)[0]
+		k1 := keysOnShard(s.mask, 1, 1)[0]
+		frame := encodeFrame(t, protocol.NewShardedMsg([]protocol.ShardItem{
+			shardBatch(0, k0),
+			shardBatch(9, "skew"), // beyond the shard count: dropped at unpack
+			shardBatch(1, k1),
+		}))
+		before := s.Stats()
+		for name, bad := range corruptLastItem(t, frame, k1) {
+			if err := s.deliver("peer", bad); err == nil {
+				t.Fatalf("%s, %s: deliver accepted the frame", engine, name)
+			}
+			if s.Get(k0) != nil || s.Get(k1) != nil {
+				t.Fatalf("%s, %s: part of a refused frame was applied", engine, name)
+			}
+			if st := s.Stats(); st.DroppedItems != before.DroppedItems || st.Frames != before.Frames || st.AckFrames != before.AckFrames {
+				t.Fatalf("%s, %s: a refused frame counted %d dropped items, %d frames, %d acknowledgement frames",
+					engine, name, st.DroppedItems, st.Frames-before.Frames, st.AckFrames-before.AckFrames)
+			}
+		}
+		if err := s.deliver("peer", frame); err != nil {
+			t.Fatalf("%s: the frame as it was encoded: %v", engine, err)
+		}
+		if s.Get(k0) == nil || s.Get(k1) == nil || s.Stats().DroppedItems != 1 {
+			t.Fatalf("%s: the whole frame left %v and %v, %d dropped", engine, s.Get(k0), s.Get(k1), s.Stats().DroppedItems)
+		}
 	}
-	if len(v.Groups()) != 2 || v.Dropped != 1 {
-		t.Fatalf("unpacked %d groups, %d dropped; want 2 groups, 1 dropped",
-			len(v.Groups()), v.Dropped)
-	}
-	// Corrupt the shard-1 item to an unknown tag after the skip walk
-	// accepted it: Msg() now fails mid-frame, the condition the eager
-	// return used to take.
-	v.Groups()[1].Items[0].Payload[0] = 0xff
-	if err := s.deliverSharded("peer", &v); err == nil {
-		t.Fatal("mid-frame decode corruption must surface an error")
-	}
-	if st := s.Get(k0); st == nil || st.IsBottom() {
-		t.Fatal("shard-0 group did not apply before the error")
-	}
-	stats := s.Stats()
-	if stats.DroppedItems != 1 {
-		t.Fatalf("DroppedItems = %d despite the error, want 1", stats.DroppedItems)
-	}
-	if stats.Frames == 0 {
-		t.Fatal("shard-0's ack reply was not flushed after the error")
+}
+
+// TestDeliverRetiredAndLegacyItems: nothing a peer sends reaches a panic
+// on the way out. A δ-group that spells out its entry seqs — the form
+// older than the link header, which the acked engine answers with an
+// AckMsg that no longer encodes — is absorbed and answered with nothing;
+// an item with a retired tag, bare or in a batch, is refused as unknown
+// and its frame applies nothing.
+func TestDeliverRetiredAndLegacyItems(t *testing.T) {
+	for engine, factory := range engineFactories {
+		s := startPeeredStore(t, factory)
+		k0 := keysOnShard(s.mask, 0, 2)
+		k1 := keysOnShard(s.mask, 1, 1)[0]
+		legacy := encodeFrame(t, protocol.NewShardedMsg([]protocol.ShardItem{
+			{Shard: 0, Msg: protocol.BatchOf([]protocol.ObjectMsg{
+				{Key: k0[0], Inner: protocol.NewAckedDeltaMsg(crdt.NewGSet("a", "b"), []uint64{1, 2})},
+			})},
+		}))
+		before := s.Stats().Frames
+		if err := s.deliver("peer", legacy); err != nil {
+			t.Fatalf("%s: a δ-group with its seqs spelled out: %v", engine, err)
+		}
+		// Only the acked engine reads the form.
+		if st := s.Get(k0[0]); engine == "acked" && (st == nil || !st.Equal(crdt.NewGSet("a", "b"))) {
+			t.Fatalf("%s: the δ-group left %v", engine, st)
+		}
+		if got := s.Stats().Frames; got != before {
+			t.Fatalf("%s: the δ-group was answered with %d frames", engine, got-before)
+		}
+		good, err := codec.AppendShardItem(nil, shardBatch(0, k0[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, body := range map[string][]byte{
+			"state":     {64, 7, 1, 1, 'a'},
+			"ack":       {67, 1, 1},
+			"sb-digest": {68, 0, 0},
+			"sb-deltas": {69, 0},
+			"ops":       {70, 0},
+		} {
+			bare := append([]byte{1}, body...)
+			batched := append(append([]byte{1, 71, 1, byte(len(k1))}, k1...), body...)
+			for form, item := range map[string][]byte{"bare": bare, "in a batch": batched} {
+				frame := codec.AppendShardedHeader(nil, protocol.LinkHeader{}, nil, 2)
+				frame = append(append(frame, good...), item...)
+				if err := s.deliver("peer", frame); !errors.Is(err, codec.ErrUnknownTag) {
+					t.Fatalf("%s, %s %s: deliver error %v, want ErrUnknownTag", engine, name, form, err)
+				}
+				if s.Get(k0[1]) != nil || s.Get(k1) != nil {
+					t.Fatalf("%s, %s %s: part of a refused frame was applied", engine, name, form)
+				}
+			}
+		}
 	}
 }
 

@@ -218,7 +218,7 @@ func linkFrame(t testing.TB, seq, back uint64, ack protocol.FrameAck, items ...p
 }
 
 // TestLinkAckOnlyAfterEveryItemApplied: a frame one of whose items was
-// dropped for a shard this store does not have, or failed to decode, is
+// dropped for a shard this store does not have, or does not decode, is
 // not noted as received — its sender keeps every entry it carried.
 func TestLinkAckOnlyAfterEveryItemApplied(t *testing.T) {
 	s := newTickStore(t)
@@ -246,25 +246,41 @@ func TestLinkAckOnlyAfterEveryItemApplied(t *testing.T) {
 	if s.Get(k1) == nil {
 		t.Fatal("the item that could be applied was not")
 	}
-	// One item that fails to decode after the skip walk accepted it.
-	var v codec.FrameView
-	if err := codec.UnpackFrame(linkFrame(t, 3, 1, protocol.FrameAck{}, shardBatch(0, k0), shardBatch(1, k1)), len(s.shards), &v); err != nil {
+	// One item, the last shard's, that does not decode: the frame is refused
+	// before its first item is applied or its acknowledgement read, so it is
+	// not noted as received and retires nothing this store sent.
+	s.Update(workload.Add(k1, "mine"))
+	s.SyncNow()
+	if lk.open != 1 {
+		t.Fatalf("%d frames open towards p1 after one write and a tick, want 1", lk.open)
+	}
+	k2 := keysOnShard(s.mask, 2, 1)[0]
+	third := linkFrame(t, 3, 1, protocol.FrameAck{Inc: lk.inc, Cum: 1}, shardBatch(0, k0), shardBatch(2, k2))
+	acks := ackFrames()
+	for name, bad := range corruptLastItem(t, third, k2) {
+		if err := s.deliver("p1", bad); err == nil {
+			t.Fatalf("%s: deliver accepted the frame", name)
+		}
+		if lk.cum != 1 || lk.nranges != 0 || lk.owed.Load() || ackFrames() != acks || lk.open != 1 || s.Get(k2) != nil {
+			t.Fatalf("%s: mark %d, %d ranges, owed %v, %d acknowledgement frames, %d open, %v applied",
+				name, lk.cum, lk.nranges, lk.owed.Load(), ackFrames()-acks, lk.open, s.Get(k2))
+		}
+	}
+	// The same frame as it was encoded is applied, retires the write and is
+	// acknowledged — by a range, frame 2 never having been received.
+	if err := s.deliver("p1", third); err != nil {
 		t.Fatal(err)
 	}
-	v.Groups()[1].Items[0].Payload[0] = 0xff
-	if err := s.deliverSharded("p1", &v); err == nil {
-		t.Fatal("mid-frame decode corruption must surface an error")
-	}
-	if lk.cum != 1 || lk.nranges != 0 || lk.owed.Load() || ackFrames() != 1 {
-		t.Fatalf("a frame that failed part-way: mark %d, %d ranges, owed %v, %d acknowledgement frames",
-			lk.cum, lk.nranges, lk.owed.Load(), ackFrames())
+	if lk.cum != 1 || lk.nranges != 1 || ackFrames() != acks+1 || lk.open != 0 || s.Get(k2) == nil {
+		t.Fatalf("the whole frame: mark %d, %d ranges, %d acknowledgement frames, %d open, %v applied",
+			lk.cum, lk.nranges, ackFrames()-acks, lk.open, s.Get(k2))
 	}
 	// A frame from a store that is no neighbor applies and is not
 	// acknowledged: there is no link to acknowledge it on.
 	if err := s.deliver("stranger", linkFrame(t, 1, 0, protocol.FrameAck{}, shardBatch(0, k0))); err != nil {
 		t.Fatal(err)
 	}
-	if ackFrames() != 1 {
+	if ackFrames() != acks+1 {
 		t.Fatal("a non-neighbor was sent an acknowledgement")
 	}
 }

@@ -490,10 +490,9 @@ func (s *Store) answerClose(from string, tm *protocol.TreeMsg, g codec.ItemGroup
 	theirs := make(map[string]lattice.State, len(g.Items))
 	for i := range g.Items {
 		iv := &g.Items[i]
-		if m, _ := iv.Msg(); iv.Key != nil && m != nil {
-			if dm, ok := m.(*protocol.DeltaMsg); ok {
-				theirs[string(iv.Key)] = dm.Delta
-			}
+		m, _ := iv.Msg()
+		if dm, ok := m.(*protocol.DeltaMsg); ok && iv.Key != nil {
+			theirs[string(iv.Key)] = dm.Delta
 		}
 	}
 	sh := s.shards[g.Shard]

@@ -854,14 +854,10 @@ func (b *outBatch) reset() {
 // slices) across every frame it receives.
 var frameViews = sync.Pool{New: func() any { return new(codec.FrameView) }}
 
-// deliverState bundles the per-frame delivery scratch — the outbound
-// reply batch, the per-object reply sink, and the Sender method value
-// bound to it — so one pool Get covers all three and the method-value
-// allocation happens once per pooled instance, not once per frame.
+// deliverState bundles the per-frame delivery scratch, so one pool Get
+// covers the outbound batch and applyAck's buffers.
 type deliverState struct {
-	b    *outBatch
-	sink replySink
-	send protocol.Sender
+	b *outBatch
 	// acked, ack and key are applyAck's scratch: the δ-groups of the
 	// frames an acknowledgement settled, the message each is handed to
 	// its engine as, and the key view that goes with it.
@@ -870,55 +866,22 @@ type deliverState struct {
 	key   []byte
 }
 
-var deliverStates = sync.Pool{New: func() any {
-	d := &deliverState{b: newOutBatch()}
-	d.send = d.sink.send
-	return d
-}}
+var deliverStates = sync.Pool{New: func() any { return &deliverState{b: newOutBatch()} }}
 
 func getDeliverState() *deliverState { return deliverStates.Get().(*deliverState) }
 
 func (d *deliverState) release() {
 	d.b.reset()
-	d.sink.key = nil // never pin a frame buffer across frames
 	d.ack.Seqs = nil
 	deliverStates.Put(d)
 }
 
-// replySink collects the replies (Scuttlebutt pulls; an acked engine's
-// acknowledgements travel in frame headers, see link.go) the engines
-// emit while a shard group is being applied, keyed by destination, and
-// flushes them as one BatchMsg per destination per shard group — the
-// receive-side mirror of the per-object batcher, without allocating when
-// a frame produces no replies (the common delta-based case).
-type replySink struct {
-	shard   uint32
-	key     []byte
-	pending map[string][]protocol.ObjectMsg
-	order   []string
-}
-
-func (d *replySink) send(to string, m protocol.Msg) {
-	if d.pending == nil {
-		d.pending = make(map[string][]protocol.ObjectMsg)
-	}
-	if len(d.pending[to]) == 0 {
-		d.order = append(d.order, to)
-	}
-	d.pending[to] = append(d.pending[to], protocol.ObjectMsg{Key: string(d.key), Inner: m})
-}
-
-// flush wraps the pending replies into per-destination batches on b. The
-// accumulated slices are handed to BatchOf and must not be reused, so the
-// map entries are reset to nil rather than truncated.
-func (d *replySink) flush(b *outBatch) {
-	for _, to := range d.order {
-		items := d.pending[to]
-		d.pending[to] = nil // BatchOf keeps the slice; never reuse it
-		b.sender(d.shard)(to, protocol.BatchOf(items))
-	}
-	d.order = d.order[:0]
-}
+// noReply is the Sender a delivery is handed: neither store engine answers
+// one — an acked engine's acknowledgement is the link's (link.go). The one
+// answer either has, an AckMsg to a δ-group that spells out its entry seqs
+// (the per-object form, older than the link header, which a peer may still
+// put in a frame), has no wire form and ends here.
+func noReply(string, protocol.Msg) {}
 
 // flushesPerTick is the fixed share of SyncEvery that separates two
 // passes: a write-triggered flush runs no earlier than SyncEvery/8 after
@@ -1276,16 +1239,19 @@ func (s *Store) tally(data []byte, cost metrics.Transmission, kind frameKind, t 
 
 // deliver routes one inbound frame to its handler: sharded data frames
 // through the single-pass unpacker straight to their shards, anything
-// else (standalone digest and tree frames) through DecodeMsg. The frame
-// bytes alias the connection's read buffer and are only valid during the
-// call, so the view is reset before it returns to the pool. A non-nil
-// error drops the connection (corrupt peer).
+// else (hello, standalone digest and tree frames) through DecodeMsg. A
+// data frame is applied whole or not at all: UnpackFrame has decoded every
+// item before the first shard lock is taken or the frame's acknowledgement
+// applied, and what it refuses touches nothing. The frame bytes alias the
+// connection's read buffer and are only valid during the call, so the view
+// is reset before it returns to the pool. A non-nil error drops the
+// connection (corrupt peer).
 func (s *Store) deliver(from string, frame []byte) error {
 	v := frameViews.Get().(*codec.FrameView)
 	err := codec.UnpackFrame(frame, len(s.shards), v)
 	switch {
 	case err == nil:
-		err = s.deliverSharded(from, v)
+		s.deliverSharded(from, v)
 	case errors.Is(err, codec.ErrNotSharded):
 		err = s.deliverControl(from, frame)
 	}
@@ -1296,18 +1262,18 @@ func (s *Store) deliver(from string, frame []byte) error {
 
 // deliverSharded applies one unpacked data frame. Each touched shard's
 // lock is taken exactly once per frame — the whole group of that shard's
-// items (across every batch in the frame) is decoded and applied under
-// the single hold — and replies are coalesced per shard group just as
-// syncs are. Replies flush inline on the read goroutine: transmit is a
-// non-blocking enqueue onto the per-peer write pipelines, so no TCP write
-// happens here and two nodes with mutually full send buffers cannot
-// deadlock each other.
+// items (across every batch in the frame), decoded already, is applied
+// under the single hold. What the frame causes to be sent (a drill's
+// answer, this store's side of a digest mismatch) flushes inline on the
+// read goroutine: transmit is a non-blocking enqueue onto the per-peer
+// write pipelines, so no TCP write happens here and two nodes with mutually
+// full send buffers cannot deadlock each other.
 //
 // The frame's link header is handled around the items: the
 // acknowledgement it brings retires what this store sent, and its own
 // sequence number is noted as received — and acknowledged — only once
 // every item has been applied.
-func (s *Store) deliverSharded(from string, v *codec.FrameView) error {
+func (s *Store) deliverSharded(from string, v *codec.FrameView) {
 	d := getDeliverState()
 	defer d.release()
 	lk := s.links[from]
@@ -1315,25 +1281,15 @@ func (s *Store) deliverSharded(from string, v *codec.FrameView) error {
 		s.applyAck(from, lk, &v.Link.Ack, d)
 	}
 	watched := s.hasWatchers()
-	var derr error
 	forward := false // some shard was left with something never sent
 	for _, g := range v.Groups() {
 		sh := s.shards[g.Shard]
-		d.sink.shard = g.Shard
 		var closeMsg *protocol.TreeMsg
 		sh.mu.Lock()
 		s.deliverLocks.Add(1)
 		for i := range g.Items {
 			iv := &g.Items[i]
-			m, err := iv.Msg()
-			if err != nil {
-				// The skip walker accepted what the decoder rejects: a
-				// codec bug, surfaced loudly by dropping the connection.
-				// The partial application is harmless — deliveries are
-				// idempotent joins and the peer resends on reconnect.
-				derr = err
-				break
-			}
+			m, _ := iv.Msg()
 			if iv.Key == nil {
 				// The one bare message stores send inside a data frame is
 				// the TreeMsg that closes a drill, after the states it goes
@@ -1345,15 +1301,10 @@ func (s *Store) deliverSharded(from string, v *codec.FrameView) error {
 				}
 				continue
 			}
-			d.sink.key = iv.Key
-			sh.od.DeliverObject(from, iv.Key, m, d.send)
+			sh.od.DeliverObject(from, iv.Key, m, noReply)
 		}
 		forward = sh.touched() || forward
 		sh.mu.Unlock()
-		d.sink.flush(d.b)
-		if derr != nil {
-			break
-		}
 		// A close that names ranges asks for this store's side of them; one
 		// that names nothing says the drill with its sender is over.
 		if closeMsg != nil && len(closeMsg.Nodes) > 0 {
@@ -1370,27 +1321,19 @@ func (s *Store) deliverSharded(from string, v *codec.FrameView) error {
 		s.stats.DroppedItems += v.Dropped
 		s.statsMu.Unlock()
 	}
-	if derr == nil {
-		// A piggybacked digest vector is an advertisement like any other,
-		// compared after the frame's own items have been merged (they are
-		// part of the state the digests describe). A frame that failed
-		// mid-decode gets no such trust: its digests are skipped.
-		s.handleDigests(from, v.Digests, d.b)
-	}
-	// A frame with an item that failed to decode, or that was dropped for
-	// a shard this store does not have, is not acknowledged: the sender
-	// keeps every entry it carried and sends them again.
-	if lk != nil && v.Link.Seq.Inc != 0 && derr == nil && v.Dropped == 0 {
+	// A piggybacked digest vector is an advertisement like any other,
+	// compared after the frame's own items have been merged (they are
+	// part of the state the digests describe).
+	s.handleDigests(from, v.Digests, d.b)
+	// A frame with an item that was dropped for a shard this store does
+	// not have is not acknowledged: the sender keeps every entry it
+	// carried and sends them again.
+	if lk != nil && v.Link.Seq.Inc != 0 && v.Dropped == 0 {
 		lk.receive(v.Link.Seq)
 	}
 	if forward {
 		s.requestFlush()
 	}
-	// What the engines answered (a Scuttlebutt pull; an acked engine
-	// answers nothing, its acknowledgement is the link's) leaves at once.
-	// Even on error: the replies coalesced here belong to shard groups
-	// that were fully applied — dropping them would discard pull replies
-	// the peers are owed.
 	s.flush(d.b, nil)
 	// The acknowledgement rides the flush that is due — this frame's own
 	// forwards, or an earlier write's — and leaves at once when there is
@@ -1404,7 +1347,6 @@ func (s *Store) deliverSharded(from string, v *codec.FrameView) error {
 	if lk != nil && lk.owed.Load() && (s.manual.Load() || !s.flushWanted.Load()) {
 		s.sendAck(from, lk)
 	}
-	return derr
 }
 
 // applyAck hands the δ-groups of the frames ack settles to their engines,
@@ -1428,34 +1370,28 @@ func (s *Store) applyAck(from string, lk *link, ack *protocol.FrameAck, d *deliv
 		slices.SortStableFunc(items, byShard)
 	}
 	for i := 0; i < len(items); {
-		sh := s.shards[items[i].shard]
-		d.sink.shard = items[i].shard
+		shard := items[i].shard
+		sh := s.shards[shard]
 		sh.mu.Lock()
 		s.deliverLocks.Add(1)
-		for ; i < len(items) && items[i].shard == d.sink.shard; i++ {
+		for ; i < len(items) && items[i].shard == shard; i++ {
 			d.key = append(d.key[:0], items[i].key...)
-			d.sink.key = d.key
 			d.ack.Seqs = items[i].seqs
-			sh.od.DeliverObject(from, d.key, &d.ack, d.send)
+			sh.od.DeliverObject(from, d.key, &d.ack, noReply)
 		}
 		sh.mu.Unlock()
-		d.sink.flush(d.b)
 	}
 	clear(items)
 }
 
 // notifyGroup offers the keys one shard group's items touched to the
-// registered watchers. Pure acknowledgements and anti-entropy digests
-// carry no state, so their items are skipped — classified by wire tag,
-// without decoding; everything else notifies conservatively — a delivery
-// the engine found redundant still counts as a (coalesced) change.
+// registered watchers, conservatively — a delivery the engine found
+// redundant still counts as a (coalesced) change.
 func (s *Store) notifyGroup(g codec.ItemGroup) {
 	for i := range g.Items {
-		iv := &g.Items[i]
-		if iv.Key == nil || codec.IsAckTag(iv.Tag()) {
-			continue
+		if iv := &g.Items[i]; iv.Key != nil {
+			s.notifyWatchers(string(iv.Key))
 		}
-		s.notifyWatchers(string(iv.Key))
 	}
 }
 

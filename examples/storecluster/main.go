@@ -84,7 +84,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var frames, wireBytes, elements, withheld, piggybacked, enqueued, dropped, coalesced, reconnects int
+	var frames, wireBytes, elements, withheld, piggybacked, ackFrames, retransmits, enqueued, dropped, coalesced, reconnects int
 	for _, st := range stores {
 		s := st.Stats()
 		frames += s.Frames
@@ -92,6 +92,8 @@ func main() {
 		elements += s.Sent.Elements
 		withheld += s.Withheld
 		piggybacked += s.PiggybackedDigests
+		ackFrames += s.AckFrames
+		retransmits += s.Retransmits
 		for _, ps := range s.Peers {
 			enqueued += ps.Enqueued
 			dropped += ps.Dropped
@@ -108,8 +110,11 @@ func main() {
 	// engine forwards what it receives on top.
 	fmt.Printf("propagation: %.2f elements on the wire per update (%d replicas), %d forwards withheld on a neighbor's announcement\n",
 		float64(elements)/float64(*keys), *nodes, withheld)
-	fmt.Printf("pipeline: %d frames enqueued, %d dropped, %d coalesced on drain, %d reconnects\n",
-		enqueued, dropped, coalesced, reconnects)
+	// An acknowledgement waits up to half a tick for a data frame to ride;
+	// the ones that found none left alone.
+	fmt.Printf("pipeline: %d frames enqueued, %d dropped, %d coalesced on drain, %d reconnects; per update %.3f acknowledgement-only frames, %.4f retransmissions\n",
+		enqueued, dropped, coalesced, reconnects,
+		float64(ackFrames)/float64(*keys), float64(retransmits)/float64(*keys))
 
 	// The zero-clone read layer sums the whole keyspace without copying
 	// a single counter state: Query visits each shard's live objects

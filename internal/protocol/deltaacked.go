@@ -58,9 +58,9 @@ type ackedEntry struct {
 
 // maxRetransmitGap caps the doubling of the gap between two sends of an
 // unacknowledged entry, in ticks: an entry is sent again 1, 2 and 4
-// ticks after the send before, then every 8. On a lossless link no gap
-// is ever used up (an ack takes a round trip plus at most an eighth of a
-// tick), and the doubling is what keeps a slow or absent peer from being
+// ticks after the send before, then every 8. On a lossless link a gap is
+// seldom used up (an ack takes a round trip plus at most half a tick, the
+// longest a store holds one for a frame to ride), and the doubling is what keeps a slow or absent peer from being
 // re-sent everything in flight on every tick. The cap only shows in the
 // tail: a 3-store mesh, 3000 keys, 15 ms ticks, five seeds each — at 20%
 // frame loss caps 1 to 32 are indistinguishable (converged within one

@@ -105,7 +105,8 @@ type PeerStats struct {
 	// number of numbered frames sent to the peer that it still waits for:
 	// not acknowledged, and younger than the few ticks after which the
 	// link lets the peer's mark pass them (a late acknowledgement still
-	// counts); LastSent the sequence number of the newest of them; LastAcked the peer's cumulative mark, below which it has
+	// counts); LastSent the sequence number of the newest of them;
+	// LastAcked the peer's cumulative mark, below which it has
 	// acknowledged everything; LastReceived the highest sequence number
 	// seen on the peer's own frames. StoreStats.Add sums InFlight and
 	// clears the three sequence numbers, which are not additive.

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -273,57 +274,95 @@ func TestFlushIdleIsFree(t *testing.T) {
 	}
 }
 
-// TestFlushCarriesHeldReplies: the acknowledgement of a frame that
-// arrives while a flush is due leaves with that flush — as a frame of its
-// own to a peer the flush has nothing else for; with none due, or on a
-// store ticked by hand, it leaves at once.
+// TestFlushCarriesHeldReplies: an owed acknowledgement waits, for up to
+// its hold, for a data frame toward its neighbor and rides the first that
+// leaves; when none does it leaves alone at the end of the hold, covering
+// every frame that arrived meanwhile. A store ticked by hand holds nothing.
+// The test is the store's clock: the sync loop's, an hour-long period's,
+// never reaches the end of a hold.
 func TestFlushCarriesHeldReplies(t *testing.T) {
 	s := newTickStore(t)
-	inbound := func(seq uint64, elem string) []byte {
-		k := keysOnShard(s.mask, 0, 1)[0]
-		d := protocol.NewDeltaMsg(crdt.NewGSet(elem))
-		return linkFrame(t, seq, 0, protocol.FrameAck{}, protocol.ShardItem{
+	lk, hold := s.links["p1"], s.ackHold()
+	k := keysOnShard(s.mask, 0, 1)[0]
+	inbound := func(seq uint64) {
+		t.Helper()
+		d := protocol.NewDeltaMsg(crdt.NewGSet(fmt.Sprintf("e%d", seq)))
+		frame := linkFrame(t, seq, 0, protocol.FrameAck{}, protocol.ShardItem{
 			Shard: 0, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: k, Inner: d}}),
 		})
+		if err := s.deliver("p1", frame); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// The delivery itself leaves something to forward (to p2), which
-	// requests the flush its acknowledgement to p1 then leaves with.
-	if err := s.deliver("p1", inbound(1, "e1")); err != nil {
-		t.Fatal(err)
+	check := func(what string, owed bool, ackFrames, toP1 int) {
+		t.Helper()
+		st := s.Stats()
+		if lk.owed.Load() != owed || st.AckFrames != ackFrames || st.Peers["p1"].Enqueued != toP1 {
+			t.Fatalf("%s: owed %v, %d acknowledgement frames, %d frames toward p1; want %v, %d, %d",
+				what, lk.owed.Load(), st.AckFrames, st.Peers["p1"].Enqueued, owed, ackFrames, toP1)
+		}
 	}
-	if st := s.Stats(); st.Frames != 0 || !s.flushWanted.Load() {
-		t.Fatalf("frames = %d, flush wanted = %v: the ack did not wait", st.Frames, s.flushWanted.Load())
-	}
+	// Nothing leaves toward p1 — the flush forwards the δ-group to p2 only —
+	// so the acknowledgement is held to the end of its hold, and no longer.
+	inbound(1)
+	at := lk.owedAt.Load()
 	s.writeFlush()
-	st := s.Stats()
-	if st.Frames != 2 || st.AckFrames != 1 || st.Peers["p1"].Enqueued != 1 || st.Peers["p2"].Enqueued != 1 {
-		t.Fatalf("flush sent %d frames (%+v), want the ack to p1 and the forward to p2", st.Frames, st.Peers)
+	if got := s.Stats().Peers["p2"].Enqueued; got != 1 {
+		t.Fatalf("%d frames forwarded to p2, want 1", got)
 	}
-	// A redundant δ-group leaves nothing to forward and no flush due:
-	// its ack leaves at once.
-	if err := s.deliver("p1", inbound(2, "e1")); err != nil {
-		t.Fatal(err)
+	if next := s.flushAcks(at + hold - 1); next != at+hold {
+		t.Fatalf("the hold ends at %d, want %d", next, at+hold)
 	}
-	if st := s.Stats(); st.Frames != 3 || st.AckFrames != 2 || s.flushWanted.Load() {
-		t.Fatalf("frames = %d, flush wanted = %v: the ack of a redundant group waited", st.Frames, s.flushWanted.Load())
+	check("inside the hold", true, 0, 0)
+	if next := s.flushAcks(at + hold); next != math.MaxInt64 {
+		t.Fatalf("a hold still runs until %d with nothing owed", next)
 	}
-	// A local write toward p1 with a flush due: the next frame's ack
-	// rides the data frame instead of leading one of its own.
+	check("at the end of the hold", false, 1, 1)
+	// A local write flushed inside the hold carries it.
+	inbound(2)
 	s.Update(workload.Add("local", "x"))
-	if err := s.deliver("p1", inbound(3, "e1")); err != nil {
-		t.Fatal(err)
-	}
 	s.writeFlush()
-	if st := s.Stats(); st.Frames != 5 || st.AckFrames != 2 || st.Peers["p1"].Enqueued != 3 {
-		t.Fatalf("frames = %d, %d of them acks alone, %d toward p1: the ack did not ride the data frame", st.Frames, st.AckFrames, st.Peers["p1"].Enqueued)
+	check("a write flushed inside the hold", false, 1, 2)
+	// Three frames inside one hold: one acknowledgement, whose mark covers
+	// all three.
+	inbound(3)
+	at = lk.owedAt.Load()
+	inbound(4)
+	inbound(5)
+	if got := lk.owedAt.Load(); got != at {
+		t.Fatalf("a later frame restarted the hold: %d, want %d", got, at)
 	}
-	// Ticked by hand, the store holds nothing back even with a flush due.
+	s.flushAcks(at + hold)
+	check("three frames, one hold", false, 2, 3)
+	if lk.cum != 5 || lk.nranges != 0 {
+		t.Fatalf("acknowledged up to %d (%d ranges), want 5", lk.cum, lk.nranges)
+	}
+	// Ticked by hand, the store holds nothing back.
 	s.SyncNow()
-	before := s.Stats().Frames
-	if err := s.deliver("p1", inbound(4, "e4")); err != nil {
-		t.Fatal(err)
+	inbound(6)
+	check("a store ticked by hand", false, 3, 4)
+}
+
+// TestCloseShipsHeldAck: a store closing with an acknowledgement on hold
+// sends it, or its peer would go on sending again what the closed store
+// had applied, and never empty its buffers.
+func TestCloseShipsHeldAck(t *testing.T) {
+	stores := flushMesh(t, 2, StoreConfig{SyncEvery: time.Hour})
+	s, peer := stores[0], stores[1]
+	s.Update(workload.Add("k", "x"))
+	s.writeFlush()
+	eventually(t, 10*time.Second, "the peer to owe an acknowledgement", peer.links[s.ID()].owed.Load)
+	if ps := s.Stats().Peers[peer.ID()]; ps.InFlight != 1 || ps.LastAcked != 0 || peer.Get("k") == nil {
+		t.Fatalf("before Close: sender's view %+v, want one frame in flight, applied by the peer", ps)
 	}
-	if got := s.Stats().Frames - before; got != 1 || !s.flushWanted.Load() {
-		t.Fatalf("manual store sent %d frames at once (flush wanted %v), want the ack alone", got, s.flushWanted.Load())
+	if err := peer.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	eventually(t, 10*time.Second, "the held acknowledgement to empty the sender's buffers", func() bool {
+		ps := s.Stats().Peers[peer.ID()]
+		return ps.InFlight == 0 && ps.LastAcked == 1 && s.Memory().BufferBytes == 0
+	})
+	if got := peer.Stats().AckFrames; got != 1 {
+		t.Errorf("the closing store sent %d acknowledgement frames, want 1", got)
 	}
 }

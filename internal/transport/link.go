@@ -93,9 +93,12 @@ type link struct {
 	nranges  int
 	received uint64 // highest sequence number seen
 	// owed is set by a numbered frame's arrival and cleared when an
-	// acknowledgement is taken for sending; read without mu by the
-	// passes, written under it.
-	owed atomic.Bool
+	// acknowledgement is taken for sending. owedAt is when, on the store's
+	// clock, an arrival found none owed: the start of the hold
+	// (ackHoldsPerTick), meaningful while owed is set. Both are read
+	// without mu and written under it, owe's store of owed aside.
+	owed   atomic.Bool
+	owedAt atomic.Int64
 	// catchUp is the digest comparison owed with the neighbor, which has
 	// nothing to do with acknowledgements but is per neighbor too.
 	catchUp catchUp
@@ -238,9 +241,10 @@ func (l *link) acknowledge(ack *protocol.FrameAck, out []ackItem) ([]ackItem, bo
 	return out, true
 }
 
-// receive notes the arrival of a numbered frame whose items have all been
-// applied, and that the neighbor is owed an acknowledgement.
-func (l *link) receive(fs protocol.FrameSeq) {
+// receive notes the arrival, at now on the store's clock, of a numbered
+// frame whose items have all been applied, and that the neighbor is owed an
+// acknowledgement. It reports whether that started a hold: none was owed.
+func (l *link) receive(fs protocol.FrameSeq, now int64) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if fs.Inc != l.peerInc {
@@ -286,7 +290,12 @@ func (l *link) receive(fs protocol.FrameSeq) {
 		l.cum = max(l.cum, l.ranges[0].Hi)
 		l.dropRange(0)
 	}
+	if l.owed.Load() {
+		return false
+	}
+	l.owedAt.Store(now)
 	l.owed.Store(true)
+	return true
 }
 
 func (l *link) dropRange(i int) {
@@ -313,7 +322,9 @@ func (l *link) takeAck() (protocol.FrameAck, bool) {
 	return ack, true
 }
 
-// owe puts back an acknowledgement that was taken and did not leave.
+// owe puts back an acknowledgement that was taken and did not leave. Its
+// hold runs from when it was first owed, as owedAt still says — unless a
+// frame arrived in between, which restarted it a moment later.
 func (l *link) owe() { l.owed.Store(true) }
 
 // fill copies the link's view into the neighbor's stats.

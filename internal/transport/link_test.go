@@ -50,18 +50,21 @@ func TestLinkAckReceiveKeepsMarkAndRanges(t *testing.T) {
 		{protocol.FrameSeq{Inc: 6, Seq: 2, Back: 1}, 0, []rng{r(2, 2)}}, // another life: from 1 again
 	} {
 		lk.owed.Store(false)
-		lk.receive(step.in)
+		started := lk.receive(step.in, int64(i))
 		got := append([]rng(nil), lk.ranges[:lk.nranges]...)
-		if lk.cum != step.cum || !reflect.DeepEqual(got, step.ranges) || !lk.owed.Load() {
-			t.Fatalf("step %d, after %+v: mark %d ranges %v owed %v, want %d %v true",
-				i, step.in, lk.cum, got, lk.owed.Load(), step.cum, step.ranges)
+		if lk.cum != step.cum || !reflect.DeepEqual(got, step.ranges) || !lk.owed.Load() || !started || lk.owedAt.Load() != int64(i) {
+			t.Fatalf("step %d, after %+v: mark %d ranges %v owed %v (hold started %v at %d), want %d %v true",
+				i, step.in, lk.cum, got, lk.owed.Load(), started, lk.owedAt.Load(), step.cum, step.ranges)
 		}
 	}
 	// More gaps than ranges kept: the lowest is forgotten, never the mark
-	// moved past something missing.
+	// moved past something missing. The hold starts with the first frame
+	// and is not restarted by the ones that arrive during it.
 	lk = newLink(1)
 	for seq := uint64(2); seq <= 2*(maxAckRanges+2); seq += 2 {
-		lk.receive(fs(seq, seq-1))
+		if started := lk.receive(fs(seq, seq-1), int64(seq)); started != (seq == 2) || lk.owedAt.Load() != 2 {
+			t.Fatalf("frame %d: hold started %v, owed since %d; want %v, since 2", seq, started, lk.owedAt.Load(), seq == 2)
+		}
 	}
 	if lk.cum != 0 || lk.nranges != maxAckRanges || lk.ranges[0].Lo != 6 {
 		t.Fatalf("mark %d, %d ranges from %d; want 0, %d from 6", lk.cum, lk.nranges, lk.ranges[0].Lo, maxAckRanges)
@@ -470,6 +473,7 @@ func TestLinkAckOneLostFrameResendsOnlyItsEntries(t *testing.T) {
 		t.Cleanup(func() { st.Close() })
 	}
 	s, peer := stores[0], stores[1].ID()
+	stores[1].manual.Store(true) // acknowledge at once, not half an hour later
 	for f := 0; f < frames; f++ {
 		for i := 0; i < perFrame; i++ {
 			s.Update(workload.Add(fmt.Sprintf("k%02d-%d", f, i), "x"))
@@ -529,6 +533,57 @@ func TestLinkAckOneLostFrameResendsOnlyItsEntries(t *testing.T) {
 	holdsNothing(t, "sender", lk)
 	if st := s.Stats(); st.Retransmits != perFrame || st.IgnoredAcks != 0 {
 		t.Errorf("%d retransmissions, %d ignored acknowledgements; want %d and 0", st.Retransmits, st.IgnoredAcks, perFrame)
+	}
+}
+
+// TestLinkAckHeldAckBeatsRetransmission: a receiver holds an
+// acknowledgement for up to half its period, which must still bring it
+// back before the sender's timer sends the entry again — on the next tick
+// for an entry a tick sent, a full period later, and on the second for one
+// a flush sent. The sender is ticked by hand at the receiver's period. The
+// receiver has nothing to send back, so each acknowledgement waits out its
+// whole hold and leaves alone.
+func TestLinkAckHeldAckBeatsRetransmission(t *testing.T) {
+	const period = 400 * time.Millisecond
+	stores, err := LoopbackClusterWith(2, StoreConfig{
+		ID:        "h",
+		Shards:    8,
+		Factory:   protocol.NewDeltaAcked(true, true),
+		ObjType:   func(string) workload.Datatype { return workload.GSetType{} },
+		SyncEvery: period,
+	}, func(i int, _ string, cfg *StoreConfig) {
+		if i == 0 {
+			cfg.SyncEvery = time.Hour // ticked by hand
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range stores {
+		st := st
+		t.Cleanup(func() { st.Close() })
+	}
+	s, peer := stores[0], stores[1]
+	for i, send := range []func(){s.writeFlush, s.tick} {
+		s.Update(workload.Add(fmt.Sprintf("k%d", i), "x"))
+		start := time.Now()
+		send()
+		// Within a period of the send, the engine has retired the entry: the
+		// next tick, whenever a timer would run it, finds nothing to resend.
+		eventually(t, period, "the acknowledgement to retire the entry", func() bool {
+			return s.Stats().Peers[peer.ID()].LastAcked == uint64(i+1) && s.Memory().BufferBytes == 0
+		})
+		if held := time.Since(start); held < period/ackHoldsPerTick {
+			t.Errorf("entry %d acknowledged after %v, inside the receiver's hold", i, held)
+		}
+		s.tick()
+	}
+	s.tick()
+	if st := s.Stats(); st.Retransmits != 0 || st.Peers[peer.ID()].InFlight != 0 {
+		t.Errorf("%d retransmissions, %d frames in flight; want 0 and 0", st.Retransmits, st.Peers[peer.ID()].InFlight)
+	}
+	if got := peer.Stats().AckFrames; got != 2 {
+		t.Errorf("the receiver sent %d acknowledgement frames, want one per entry (2)", got)
 	}
 }
 
@@ -958,6 +1013,7 @@ func TestLinkAckNumberedFramesAreNotCoalesced(t *testing.T) {
 		t.Cleanup(func() { st.Close() })
 	}
 	s, peer := stores[0], stores[1].ID()
+	stores[1].manual.Store(true) // acknowledge each frame at once
 	for i := 0; i < frames; i++ {
 		s.Update(workload.Add(fmt.Sprintf("k%d", i), "x"))
 		s.writeFlush()

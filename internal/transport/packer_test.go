@@ -343,7 +343,7 @@ func TestPackFramesNumbersAckedFrames(t *testing.T) {
 func owingLink() (*link, protocol.FrameAck) {
 	lk := newLink(7)
 	for _, seq := range []uint64{1, 2, 4} {
-		lk.receive(protocol.FrameSeq{Inc: 9, Seq: seq, Back: seq - 1})
+		lk.receive(protocol.FrameSeq{Inc: 9, Seq: seq, Back: seq - 1}, 0)
 	}
 	return lk, protocol.FrameAck{Inc: 9, Cum: 2, Ranges: []protocol.SeqRange{{Lo: 4, Hi: 4}}}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"slices"
@@ -53,8 +54,10 @@ type StoreConfig struct {
 	// triggers a flush of what has never been sent, which runs no earlier
 	// than SyncEvery/8 after the previous flush or tick — so the period
 	// is also the batching budget, at most eight write-triggered flushes
-	// per tick. A period nobody waits out (time.Hour) plus explicit
-	// SyncNow calls is the manual mode: nothing leaves between two calls.
+	// per tick. An acknowledgement waits up to SyncEvery/2 for a data
+	// frame to ride before it leaves alone. A period nobody waits out
+	// (time.Hour) plus explicit SyncNow calls is the manual mode: nothing
+	// leaves between two calls but acknowledgements, which leave at once.
 	SyncEvery time.Duration
 	// PeerQueueLen bounds each peer's outbound queue by frame count
 	// (default 128). transmit is a non-blocking enqueue onto a per-peer
@@ -120,11 +123,15 @@ type StoreStats struct {
 	WriteFlushes int
 	// Retransmits counts δ-buffer entries the acked engine sent again
 	// because a full tick (then 2, 4, … ticks) went by without every
-	// acknowledgement; 0 on a lossless link.
+	// acknowledgement. Loss causes them, and so does an acknowledgement
+	// that arrives after the sender's next tick — held by the receiver for
+	// a frame to ride (up to SyncEvery/2), queued, or delayed by the
+	// scheduler — so on a lossless link they are rare, not absent: ≈0.006
+	// per update on bench's steady workload (5 ms ticks, 2 cores).
 	Retransmits int
 	// AckFrames counts the frames within Frames that carry nothing but an
-	// acknowledgement: the peer was owed one and no data frame was leaving
-	// to carry it.
+	// acknowledgement: the peer was owed one and no data frame left toward
+	// it within the hold (SyncEvery/2) to carry it.
 	AckFrames int
 	// HelloFrames counts the frames within Frames that are a connection's
 	// announcement: the first on every connection, one per connected
@@ -439,8 +446,8 @@ type Store struct {
 	started     time.Time
 	lastSend    atomic.Int64
 	// manual is set by the first SyncNow call: a store ticked by its
-	// owner cannot know when the next tick comes, so it never holds an
-	// acknowledgement back for the pass that is due (see deliverSharded).
+	// owner cannot know when its peers tick next, so it never holds an
+	// acknowledgement back (see ackHold).
 	manual atomic.Bool
 	// snapMu serializes snapshot passes (the ticker loop and explicit
 	// SnapshotNow calls); snapLast holds each shard's content digest at
@@ -897,16 +904,55 @@ func noReply(string, protocol.Msg) {}
 // frames per update when every write waited for the tick).
 const flushesPerTick = 8
 
+// ackHoldsPerTick is the fixed share of SyncEvery an owed acknowledgement
+// waits for a data frame toward its neighbor to ride: at most SyncEvery/2,
+// after which it leaves alone, an 18 B frame (Stats().AckFrames). Since
+// nothing is forwarded on a full mesh (PR 23) such frames were 1.17 per
+// update and ≈21 of the 101 B per update on bench's steady workload when
+// each left at once; the trade is TCP's delayed ACK (RFC 1122 §4.2.3.2).
+// The hold must stay well inside the sender's retransmission timer: an
+// entry sent on a tick is sent again on the next, one full SyncEvery
+// later, so half a tick of hold leaves the other half for the round trip
+// and the timers' slack. Measured on steady (seed 1, one run each; B per
+// update, acknowledgement-only frames and retransmissions per update):
+// none 100.9 / 1.17 / 0.002, a quarter of a tick 90.0 / 0.34 / 0.004, a
+// third 89.3 / 0.29 / 0.004, half 86.7 / 0.12 / 0.006, a whole tick
+// 86.0 / 0.02 / 0.025 — where held acknowledgements start to lose the race
+// against the sender's tick. Half is the knee.
+const ackHoldsPerTick = 2
+
 // requestFlush asks the sync loop for a first-transmission pass. All but
 // the first request since the last pass return after one atomic load.
 func (s *Store) requestFlush() {
 	if s.flushWanted.Load() || !s.flushWanted.CompareAndSwap(false, true) {
 		return
 	}
+	s.poke()
+}
+
+// poke wakes the sync loop, to run a requested flush or to arm its timer
+// for an acknowledgement's hold.
+func (s *Store) poke() {
 	select {
 	case s.wake <- struct{}{}:
 	default:
 	}
+}
+
+// ackHold is how long, on the store's clock, an owed acknowledgement may
+// wait for a data frame to ride. A store ticked by hand holds none — its
+// peers may tick, and send again, at any moment — and nor does one that is
+// closing: its last pass sends everything it owes.
+func (s *Store) ackHold() int64 {
+	select {
+	case <-s.stopping:
+		return 0
+	default:
+	}
+	if s.manual.Load() {
+		return 0
+	}
+	return int64(s.cfg.SyncEvery / ackHoldsPerTick)
 }
 
 // sinceStart is the store's monotonic clock.
@@ -915,10 +961,12 @@ func (s *Store) sinceStart() int64 { return int64(time.Since(s.started)) }
 // SyncNow runs one synchronization tick now, in addition to the timer's.
 // A store whose owner ticks it — the manual mode, with a SyncEvery nobody
 // waits out — sends nothing between two calls, and from the first call on
-// never delays an acknowledgement (see deliverSharded).
+// never holds an acknowledgement back (see ackHold): one still held from
+// before leaves with this tick.
 func (s *Store) SyncNow() {
 	s.manual.Store(true)
 	s.tick()
+	s.flushAcks(s.sinceStart())
 }
 
 // tick runs one synchronization step over the dirty shards and flushes
@@ -956,7 +1004,6 @@ func (s *Store) tick() {
 		}
 	}
 	covered := s.flush(b, ride)
-	s.flushAcks()
 	s.lastSend.Store(s.sinceStart())
 	if vec == nil {
 		return
@@ -995,8 +1042,8 @@ func (s *Store) catchingUp() bool {
 
 // writeFlush is the pass between two ticks: first transmissions only —
 // no retransmission, no digest advertisement, no heartbeat, and Ticks
-// does not advance. A pass that finds no peer owed an acknowledgement and
-// no shard with anything unsent takes no lock and allocates nothing.
+// does not advance. A pass that finds no shard with anything unsent takes
+// no lock and allocates nothing.
 func (s *Store) writeFlush() {
 	s.flushWanted.Store(false) // this pass serves the request
 	if s.anyDue(false) {
@@ -1005,7 +1052,6 @@ func (s *Store) writeFlush() {
 		s.flush(d.b, nil)
 		d.release()
 	}
-	s.flushAcks()
 	s.wire.writeFlushes.Add(1)
 	s.lastSend.Store(s.sinceStart())
 }
@@ -1088,21 +1134,32 @@ func (s *Store) flushTo(to string, items []protocol.ShardItem, vec []uint64, t *
 	return res.digestsAttached
 }
 
-// flushAcks sends every neighbor that is still owed an acknowledgement a
-// frame that carries nothing else. Passes end with it: an acknowledgement
-// waits for the pass that is due and rides its data frame if the pass has
-// one for that neighbor. With nobody owed it costs one atomic load per
-// neighbor.
-func (s *Store) flushAcks() {
+// flushAcks sends, at now on the store's clock, a frame that carries
+// nothing else to every neighbor whose acknowledgement has been owed for
+// its whole hold (ackHold), and returns when the next hold still running
+// ends — math.MaxInt64 when none is. Until then the acknowledgement waits
+// for a data frame toward that neighbor, which takes it (packFrames). The
+// sync loop runs it after every pass and whenever its timer fires; with
+// nobody owed it costs one atomic load per neighbor.
+func (s *Store) flushAcks(now int64) int64 {
+	hold := s.ackHold()
+	next := int64(math.MaxInt64)
 	for i, lk := range s.linkList {
-		if lk.owed.Load() {
+		if !lk.owed.Load() {
+			continue
+		}
+		if due := lk.owedAt.Load() + hold; due > now {
+			next = min(next, due)
+		} else {
 			s.sendAck(s.neighbors[i], lk)
 		}
 	}
+	return next
 }
 
 // sendAck ships the acknowledgement to is owed, if it still is, as a
-// sharded frame with a link header and no items.
+// sharded frame with a link header and no items: the hold is over and no
+// data frame took it.
 func (s *Store) sendAck(to string, lk *link) {
 	ack, ok := lk.takeAck()
 	if !ok {
@@ -1328,24 +1385,26 @@ func (s *Store) deliverSharded(from string, v *codec.FrameView) {
 	// A frame with an item that was dropped for a shard this store does
 	// not have is not acknowledged: the sender keeps every entry it
 	// carried and sends them again.
+	held := false
 	if lk != nil && v.Link.Seq.Inc != 0 && v.Dropped == 0 {
-		lk.receive(v.Link.Seq)
+		held = lk.receive(v.Link.Seq, s.sinceStart())
 	}
 	if forward {
 		s.requestFlush()
 	}
 	s.flush(d.b, nil)
-	// The acknowledgement rides the flush that is due — this frame's own
-	// forwards, or an earlier write's — and leaves at once when there is
-	// none. A due flush runs within SyncEvery/8, far inside the tick a
-	// sender waits before sending an entry again, so riding never causes
-	// a retransmission — provided ticks come from the timer: the peers of
-	// a store that is ticked by hand may tick again at any moment, so such
-	// a store holds nothing. The pass that is due ends with flushAcks and
-	// reads owed after it has cleared flushWanted, so one of the two
-	// always sends it.
-	if lk != nil && lk.owed.Load() && (s.manual.Load() || !s.flushWanted.Load()) {
-		s.sendAck(from, lk)
+	// The acknowledgement rides the first data frame toward from that
+	// leaves within its hold — what this frame made this store answer
+	// (above), a forward, a write — and acknowledges every frame that
+	// arrived meanwhile. A hold that starts here has the sync loop arm its
+	// timer, which sends the acknowledgement alone once the hold is over; a
+	// store that holds nothing sends it now.
+	if lk != nil && lk.owed.Load() {
+		if s.ackHold() == 0 {
+			s.sendAck(from, lk)
+		} else if held {
+			s.poke()
+		}
 	}
 }
 
@@ -1495,7 +1554,8 @@ func (s *Store) echoDigests(from string) {
 
 // syncLoop owns the two clocks: the ticker, and the flush timer that
 // holds a requested flush back until a window has passed since the last
-// pass.
+// pass and an owed acknowledgement until its hold is over, whichever ends
+// first.
 func (s *Store) syncLoop() {
 	defer s.wg.Done()
 	ticker := time.NewTicker(s.cfg.SyncEvery)
@@ -1509,35 +1569,45 @@ func (s *Store) syncLoop() {
 			return
 		case <-ticker.C:
 			s.tick()
-			continue
 		case <-s.wake:
 		case <-flushTimer.C:
 		}
-		if !s.flushWanted.Load() {
-			continue // a tick has shipped what the request was for
-		}
-		if wait := s.lastSend.Load() + window - s.sinceStart(); wait > 0 {
-			if !flushTimer.Stop() {
-				select {
-				case <-flushTimer.C:
-				default:
-				}
+		now := s.sinceStart()
+		next := int64(math.MaxInt64)
+		// Unless a tick has shipped what the request was for.
+		if s.flushWanted.Load() {
+			if at := s.lastSend.Load() + window; at > now {
+				next = at
+			} else {
+				s.writeFlush()
 			}
-			flushTimer.Reset(time.Duration(wait))
+		}
+		if next = min(next, s.flushAcks(now)); next == math.MaxInt64 {
 			continue
 		}
-		s.writeFlush()
+		if !flushTimer.Stop() {
+			select {
+			case <-flushTimer.C:
+			default:
+			}
+		}
+		flushTimer.Reset(time.Duration(next - now))
 	}
 }
 
-// Close ships what is still unsent, stops the loops, closes every watcher
-// (their Events channels close) and every connection. It is idempotent.
+// Close ships what is still unsent and every acknowledgement still owed,
+// stops the loops, closes every watcher (their Events channels close) and
+// every connection. It is idempotent.
 func (s *Store) Close() error {
 	s.stopOnce.Do(func() {
 		close(s.stopping)
 		// The last pass: an Update followed by Close reaches the peers
-		// without a tick in between; net.close drains it.
+		// without a tick in between, and a closing store holds no
+		// acknowledgement (ackHold) — a peer that never got one would go
+		// on sending again what this store has applied. net.close drains
+		// them.
 		s.writeFlush()
+		s.flushAcks(s.sinceStart())
 	})
 	s.closeWatchers()
 	err := s.net.close()

@@ -197,9 +197,11 @@ func WithEngine(e Engine) Option { return func(o *options) { o.engine = e } }
 // of the period after the previous flush or tick — so the period is the
 // maximum delay of a write, the heartbeat, the cadence WithDigestEvery
 // counts in, the clock EngineAcked's retransmissions back off in, and the
-// batching budget: at most eight write-triggered flushes per period. A
-// period nobody waits out (time.Hour) plus explicit SyncNow calls is the
-// manual mode: nothing leaves between two calls.
+// batching budget: at most eight write-triggered flushes per period. An
+// acknowledgement owed to a peer waits up to half the period for data
+// going its way to ride. A period nobody waits out (time.Hour) plus
+// explicit SyncNow calls ticks the store by hand: nothing leaves between
+// two calls but acknowledgements.
 func WithSyncEvery(d time.Duration) Option { return func(o *options) { o.cfg.SyncEvery = d } }
 
 // WithDigestEvery enables digest anti-entropy: every n-th sync tick the
@@ -388,7 +390,9 @@ func (s *Store) WatchBuffered(prefix string, buf int) *Watcher { return s.s.Watc
 
 // SyncNow runs one synchronization tick immediately, in addition to the
 // periodic ones: it ships what is unsent, re-sends what is due, and
-// counts toward WithDigestEvery.
+// counts toward WithDigestEvery. From the first call on the store holds no
+// acknowledgement back — an owner that ticks it cannot say when its peers
+// tick next — so one owed leaves with this tick, and later ones at once.
 func (s *Store) SyncNow() { s.s.SyncNow() }
 
 // SnapshotNow runs one snapshot pass immediately, in addition to the

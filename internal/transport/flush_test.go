@@ -2,10 +2,11 @@ package transport
 
 import (
 	"fmt"
-	"math"
+	"sync"
 	"testing"
 	"time"
 
+	"crdtsync/internal/codec"
 	"crdtsync/internal/crdt"
 	"crdtsync/internal/protocol"
 	"crdtsync/internal/workload"
@@ -13,8 +14,10 @@ import (
 
 // The write-triggered flush: a write leaves when it is written, at most
 // eight times per SyncEvery, and everything periodic stays on the tick.
-// The tests wait on Watch events and on polled conditions with a
-// deadline; none sleeps for a fixed time.
+// What the core decides is tested on a core alone, the test its clock, its
+// network and its sync loop; what the shell adds — the loop, SyncNow and
+// Close — on real stores, waiting on Watch events and on polled conditions
+// with a deadline. None sleeps for a fixed time.
 
 // eventually polls cond until it holds, failing the test at the deadline.
 func eventually(t *testing.T, timeout time.Duration, what string, cond func() bool) {
@@ -46,13 +49,11 @@ func flushMesh(t *testing.T, n int, cfg StoreConfig) []*Store {
 	return stores
 }
 
-// newTickStore builds an acked-engine store with two unreachable peers,
-// so engines have neighbors to emit to but nothing ever arrives from the
-// wire; the sync loop is pushed out to an hour so the tests drive every
-// pass explicitly.
-func newTickStore(t *testing.T) *Store {
-	t.Helper()
-	s, err := StartStore(StoreConfig{
+// tickStoreConfig is a replica "n0" of acked-engine GSets with two
+// neighbors that never answer, so engines have neighbors to emit to but
+// nothing ever arrives from the wire.
+func tickStoreConfig() StoreConfig {
+	return StoreConfig{
 		ID:         "n0",
 		ListenAddr: "127.0.0.1:0",
 		Peers:      map[string]string{"p1": "127.0.0.1:1", "p2": "127.0.0.1:1"},
@@ -61,7 +62,14 @@ func newTickStore(t *testing.T) *Store {
 		Factory:    protocol.NewDeltaAcked(true, true),
 		ObjType:    func(string) workload.Datatype { return workload.GSetType{} },
 		SyncEvery:  time.Hour,
-	})
+	}
+}
+
+// newTickStore starts tickStoreConfig's store, its sync loop pushed out to
+// an hour so the tests drive every pass explicitly.
+func newTickStore(t *testing.T) *Store {
+	t.Helper()
+	s, err := StartStore(tickStoreConfig())
 	if err != nil {
 		t.Fatalf("StartStore: %v", err)
 	}
@@ -69,14 +77,59 @@ func newTickStore(t *testing.T) *Store {
 	return s
 }
 
-// idle waits until a full flush window has passed since s's last pass, so
-// that the next write's flush is due at once.
-func idle(t *testing.T, s *Store) {
+// recorder is the port of a core under test: it keeps the frames handed to
+// it per peer, and every peer is up.
+type recorder map[string][][]byte
+
+func (r recorder) transmit(to string, data []byte) error {
+	r[to] = append(r[to], data)
+	return nil
+}
+
+func (recorder) connect(string) bool { return true }
+func (recorder) announce()           {}
+
+// newTestCore is the core of tickStoreConfig's store with the given period,
+// holding acknowledgements as a running store does, and sending through a
+// recorder.
+func newTestCore(t *testing.T, every time.Duration) (*core, recorder) {
 	t.Helper()
-	window := int64(s.cfg.SyncEvery / flushesPerTick)
-	eventually(t, 10*time.Second, "an idle window", func() bool {
-		return !s.flushWanted.Load() && s.sinceStart()-s.lastSend.Load() > window
-	})
+	cfg := tickStoreConfig()
+	cfg.SyncEvery = every
+	c, err := newCore(cfg.withDefaults(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := recorder{}
+	c.out = rec
+	c.hold.Store(int64(every / ackHoldsPerTick))
+	return c, rec
+}
+
+// wireStats reads a core's wire counters.
+func wireStats(c *core) StoreStats {
+	var st StoreStats
+	c.wire.snapshot(&st)
+	return st
+}
+
+// keysIn returns the distinct keys of the δ-groups in frames.
+func keysIn(t *testing.T, shards int, frames [][]byte) map[string]bool {
+	t.Helper()
+	keys := make(map[string]bool)
+	var v codec.FrameView
+	for _, f := range frames {
+		if err := codec.UnpackFrame(f, shards, &v); err != nil {
+			t.Fatalf("unpack: %v", err)
+		}
+		for _, g := range v.Groups() {
+			for _, iv := range g.Items {
+				keys[string(iv.Key)] = true
+			}
+		}
+		v.Reset()
+	}
+	return keys
 }
 
 // awaitKey blocks until w reports key or the deadline passes.
@@ -98,92 +151,123 @@ func awaitKey(t *testing.T, w *Watcher, key string, timeout time.Duration) {
 	}
 }
 
-// TestFlushWriteVisibleWithinWindow: with a one-second tick, a write on
-// an idle store reaches a peer in well under a tenth of it (it waited
-// for the tick, half a second on average, before the flush existed).
+// TestFlushWriteVisibleWithinWindow: a write on an idle store — a flush
+// window has passed since its last pass — leaves when it is written, not
+// at the next tick; one right behind it leaves when the window ends.
 func TestFlushWriteVisibleWithinWindow(t *testing.T) {
-	stores := flushMesh(t, 3, StoreConfig{SyncEvery: time.Second})
-	w := stores[1].Watch("", 16)
-	defer w.Close()
-	// The first write also dials the connections; measure the second.
-	stores[0].Update(workload.Add("warm", "x"))
-	awaitKey(t, w, "warm", 5*time.Second)
-	idle(t, stores[0])
-	start := time.Now()
-	stores[0].Update(workload.Add("probe", "x"))
-	awaitKey(t, w, "probe", 100*time.Millisecond)
-	if st := stores[0].Stats(); st.WriteFlushes == 0 {
-		t.Errorf("visible after %v without a write-triggered flush: %+v", time.Since(start), st)
+	const period = time.Second
+	c, rec := newTestCore(t, period)
+	window := int64(period / flushesPerTick)
+	now := window // the clock's zero was the last pass
+	if !c.update(workload.Add("probe", "x")) {
+		t.Fatal("a write on an idle store asked for no flush")
+	}
+	if next, _ := c.step(now); next != int64(period) {
+		t.Fatalf("next deadline %d after the flush, want the tick's %d", next, int64(period))
+	}
+	for _, id := range c.neighbors {
+		if got := keysIn(t, len(c.shards), rec[id]); len(rec[id]) != 1 || !got["probe"] {
+			t.Fatalf("toward %s: %d frames carrying %v, want the write in one", id, len(rec[id]), got)
+		}
+	}
+	if got := wireStats(c).WriteFlushes; got != 1 {
+		t.Fatalf("%d write flushes, want 1", got)
+	}
+	now++
+	if !c.update(workload.Add("next", "x")) {
+		t.Fatal("a write after the flush asked for no flush")
+	}
+	if next, _ := c.step(now); next != 2*window || len(rec["p1"]) != 1 {
+		t.Fatalf("a write inside the window: next deadline %d, %d frames toward p1; want %d and 1", next, len(rec["p1"]), 2*window)
+	}
+	if next, _ := c.step(2 * window); next != int64(period) || len(rec["p1"]) != 2 || len(rec["p2"]) != 2 {
+		t.Fatalf("at the window's end: next deadline %d, frames %d and %d; want %d, 2 and 2", next, len(rec["p1"]), len(rec["p2"]), int64(period))
+	}
+	// A write whose window would end after the tick leaves with the tick.
+	c.update(workload.Add("before", "x"))
+	c.step(int64(period) - window/2) // flushed: a window has passed
+	c.update(workload.Add("late", "x"))
+	if next, _ := c.step(int64(period) - window/4); next != int64(period) {
+		t.Fatalf("a window ending after the tick put the next deadline at %d, want the tick's %d", next, int64(period))
+	}
+	if c.step(int64(period)); c.ticks.Load() != 1 || !keysIn(t, len(c.shards), rec["p1"])["late"] {
+		t.Fatalf("the tick (%d run) did not carry the write", c.ticks.Load())
 	}
 }
 
 // TestFlushBurstIsBatched: however many writes land within a period, the
-// store runs at most eight flushes in it, and hands each peer at most one
-// frame per pass.
+// store runs at most eight flushes in it besides the tick, and hands each
+// peer at most one frame per pass. The test is the sync loop: it steps the
+// core when a write asks for it and when the deadline step returned comes.
 func TestFlushBurstIsBatched(t *testing.T) {
-	const writes = 10000
-	stores := flushMesh(t, 3, StoreConfig{SyncEvery: time.Second})
-	start := time.Now()
+	const writes, keys, period = 10000, 500, int64(time.Second)
+	c, rec := newTestCore(t, time.Second)
+	timer := period // armed at start for the first tick
 	for i := 0; i < writes; i++ {
-		stores[0].Update(workload.Add(fmt.Sprintf("k%05d", i%500), fmt.Sprintf("e%d", i)))
-	}
-	if err := WaitConverged(stores, 500, 30*time.Second, nil); err != nil {
-		t.Fatal(err)
-	}
-	st := stores[0].Stats()
-	periods := int(time.Since(start)/time.Second) + 1
-	if st.WriteFlushes == 0 || st.WriteFlushes > (flushesPerTick+1)*periods {
-		t.Errorf("%d write flushes in %d period(s), want 1..%d", st.WriteFlushes, periods, (flushesPerTick+1)*periods)
-	}
-	passes := st.WriteFlushes + int(stores[0].Ticks())
-	for id, ps := range st.Peers {
-		if ps.Enqueued == 0 || ps.Enqueued > passes {
-			t.Errorf("%d frames toward %s from %d passes", ps.Enqueued, id, passes)
+		now := period * int64(i) / writes
+		for timer <= now {
+			timer, _ = c.step(timer)
+		}
+		if c.update(workload.Add(fmt.Sprintf("k%05d", i%keys), fmt.Sprintf("e%d", i))) {
+			timer, _ = c.step(now)
 		}
 	}
-	if st.Retransmits != 0 {
-		t.Errorf("%d retransmissions on a lossless mesh", st.Retransmits)
+	for timer <= period {
+		timer, _ = c.step(timer)
+	}
+	st, ticks := wireStats(c), int(c.ticks.Load())
+	if ticks != 1 || st.WriteFlushes == 0 || st.WriteFlushes > flushesPerTick {
+		t.Errorf("%d write flushes and %d ticks in one period, want 1..%d and 1", st.WriteFlushes, ticks, flushesPerTick)
+	}
+	for _, id := range c.neighbors {
+		if n := len(rec[id]); n == 0 || n > st.WriteFlushes+ticks {
+			t.Errorf("%d frames toward %s from %d passes", n, id, st.WriteFlushes+ticks)
+		}
+		if got := keysIn(t, len(c.shards), rec[id]); len(got) != keys {
+			t.Errorf("%d of %d keys reached %s", len(got), keys, id)
+		}
 	}
 }
 
 // TestFlushLeavesDigestCadenceToTicks: flushes between ticks — with and
 // without writes to ship — neither advertise digests nor advance Ticks,
 // so DigestEvery counts exactly what it counted before the flush existed.
+// (No pass here reads the time it is handed.)
 func TestFlushLeavesDigestCadenceToTicks(t *testing.T) {
 	const every, ticks = 4, 16
-	s := newTickStore(t)
-	s.cfg.DigestEvery = every
-	peers := len(s.neighbors)
+	c, _ := newTestCore(t, time.Hour)
+	c.cfg.DigestEvery = every
+	peers := len(c.neighbors)
 	advertised := func() int {
-		st := s.Stats()
+		st := wireStats(c)
 		return st.DigestFrames + st.PiggybackedDigests
 	}
 	// A writing store: every tick is preceded by two write flushes.
 	for tick := 1; tick <= ticks; tick++ {
 		for f := 0; f < 2; f++ {
-			s.Update(workload.Add(fmt.Sprintf("k%d", tick), fmt.Sprintf("e%d", f)))
-			s.writeFlush()
+			c.update(workload.Add(fmt.Sprintf("k%d", tick), fmt.Sprintf("e%d", f)))
+			c.writeFlush(0)
 		}
-		if got := s.Ticks(); got != uint64(tick-1) {
+		if got := c.ticks.Load(); got != uint64(tick-1) {
 			t.Fatalf("Ticks = %d after flushes before tick %d", got, tick)
 		}
-		s.tick()
+		c.tick(0)
 		if got, want := advertised(), tick/every*peers; got != want {
 			t.Fatalf("after tick %d: %d advertisements, want %d", tick, got, want)
 		}
 	}
-	if st := s.Stats(); st.WriteFlushes != 2*ticks {
+	if st := wireStats(c); st.WriteFlushes != 2*ticks {
 		t.Errorf("write flushes = %d, want %d", st.WriteFlushes, 2*ticks)
 	}
 	// An idle store: exactly one standalone heartbeat per peer per
 	// DigestEvery ticks, whatever flushes run in between.
-	idleStore := newTickStore(t)
-	idleStore.cfg.DigestEvery = every
+	idle, _ := newTestCore(t, time.Hour)
+	idle.cfg.DigestEvery = every
 	for tick := 1; tick <= 2*every; tick++ {
-		idleStore.writeFlush()
-		idleStore.tick()
+		idle.writeFlush(0)
+		idle.tick(0)
 	}
-	if st := idleStore.Stats(); st.DigestFrames != 2*peers || st.Frames != 2*peers {
+	if st := wireStats(idle); st.DigestFrames != 2*peers || st.Frames != 2*peers {
 		t.Errorf("idle store sent %d frames, %d of them heartbeats, want %d", st.Frames, st.DigestFrames, 2*peers)
 	}
 }
@@ -231,26 +315,58 @@ func TestCloseShipsDirtyState(t *testing.T) {
 	}
 }
 
+// TestCloseAfterBurstLosesNoWrite: a store closed straight after a burst of
+// writes, while its sync loop may be shipping a write-triggered flush,
+// delivers every write. Close used to run its last pass beside that flush
+// and close the network under it: the frames the flush had collected were
+// refused, and a closed store sends nothing again.
+func TestCloseAfterBurstLosesNoWrite(t *testing.T) {
+	const iterations, writes = 50, 200
+	// The survivors close in the background: a pipeline toward the closed
+	// store may be backing off, which Close waits out.
+	var closing sync.WaitGroup
+	defer closing.Wait()
+	for it := 0; it < iterations; it++ {
+		stores := flushMesh(t, 3, StoreConfig{SyncEvery: 5 * time.Millisecond})
+		holds := func(n int) bool { return stores[1].NumKeys() == n && stores[2].NumKeys() == n }
+		stores[0].Update(workload.Add("warm", "x"))
+		eventually(t, 10*time.Second, "the first write to arrive", func() bool { return holds(1) })
+		for i := 0; i < writes; i++ {
+			stores[0].Update(workload.Add(fmt.Sprintf("k%03d", i), "x"))
+		}
+		if err := stores[0].Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		eventually(t, 10*time.Second, fmt.Sprintf("iteration %d's writes to arrive", it), func() bool { return holds(writes + 1) })
+		closing.Add(1)
+		go func() {
+			defer closing.Done()
+			stores[1].Close()
+			stores[2].Close()
+		}()
+	}
+}
+
 // TestFlushIdleIsFree: a flush that finds nothing new takes no shard's
 // lock and no link's, and allocates nothing.
 func TestFlushIdleIsFree(t *testing.T) {
-	s := newTickStore(t)
-	// Objects that only wait for acks (their peers are unreachable) are
-	// none of a flush's business.
+	c, _ := newTestCore(t, time.Hour)
+	// Objects that only wait for acks (their peers never answer) are none
+	// of a flush's business.
 	for i := 0; i < 100; i++ {
-		s.Update(workload.Add(fmt.Sprintf("k%d", i), "x"))
+		c.update(workload.Add(fmt.Sprintf("k%d", i), "x"))
 	}
-	s.writeFlush()
-	for _, sh := range s.shards {
+	c.writeFlush(0)
+	for _, sh := range c.shards {
 		sh.mu.Lock()
 	}
-	for _, lk := range s.linkList {
+	for _, lk := range c.linkList {
 		lk.packMu.Lock()
 		lk.mu.Lock()
 	}
 	done := make(chan struct{})
 	go func() {
-		s.writeFlush()
+		c.writeFlush(0)
 		close(done)
 	}()
 	select {
@@ -258,18 +374,18 @@ func TestFlushIdleIsFree(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("an idle flush waited for a shard's or a link's lock")
 	}
-	for _, sh := range s.shards {
+	for _, sh := range c.shards {
 		sh.mu.Unlock()
 	}
-	for _, lk := range s.linkList {
+	for _, lk := range c.linkList {
 		lk.mu.Unlock()
 		lk.packMu.Unlock()
 	}
-	frames := s.Stats().Frames
-	if allocs := testing.AllocsPerRun(100, s.writeFlush); allocs != 0 {
+	frames := wireStats(c).Frames
+	if allocs := testing.AllocsPerRun(100, func() { c.writeFlush(0) }); allocs != 0 {
 		t.Errorf("an idle flush allocates %.1f times", allocs)
 	}
-	if got := s.Stats().Frames; got != frames {
+	if got := wireStats(c).Frames; got != frames {
 		t.Errorf("idle flushes sent %d frames", got-frames)
 	}
 }
@@ -277,70 +393,69 @@ func TestFlushIdleIsFree(t *testing.T) {
 // TestFlushCarriesHeldReplies: an owed acknowledgement waits, for up to
 // its hold, for a data frame toward its neighbor and rides the first that
 // leaves; when none does it leaves alone at the end of the hold, covering
-// every frame that arrived meanwhile. A store ticked by hand holds nothing.
-// The test is the store's clock: the sync loop's, an hour-long period's,
-// never reaches the end of a hold.
+// every frame that arrived meanwhile. Under a hold of 0 — a store ticked
+// by hand, or closing — nothing waits.
 func TestFlushCarriesHeldReplies(t *testing.T) {
-	s := newTickStore(t)
-	lk, hold := s.links["p1"], s.ackHold()
-	k := keysOnShard(s.mask, 0, 1)[0]
-	inbound := func(seq uint64) {
+	c, rec := newTestCore(t, time.Hour)
+	lk, hold := c.links["p1"], c.hold.Load()
+	k := keysOnShard(c.mask, 0, 1)[0]
+	inbound := func(seq uint64, now int64) {
 		t.Helper()
 		d := protocol.NewDeltaMsg(crdt.NewGSet(fmt.Sprintf("e%d", seq)))
 		frame := linkFrame(t, seq, 0, protocol.FrameAck{}, protocol.ShardItem{
 			Shard: 0, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: k, Inner: d}}),
 		})
-		if err := s.deliver("p1", frame); err != nil {
+		if _, err := c.deliver("p1", frame, now); err != nil {
 			t.Fatal(err)
 		}
 	}
 	check := func(what string, owed bool, ackFrames, toP1 int) {
 		t.Helper()
-		st := s.Stats()
-		if lk.owed.Load() != owed || st.AckFrames != ackFrames || st.Peers["p1"].Enqueued != toP1 {
+		st := wireStats(c)
+		if lk.owed.Load() != owed || st.AckFrames != ackFrames || len(rec["p1"]) != toP1 {
 			t.Fatalf("%s: owed %v, %d acknowledgement frames, %d frames toward p1; want %v, %d, %d",
-				what, lk.owed.Load(), st.AckFrames, st.Peers["p1"].Enqueued, owed, ackFrames, toP1)
+				what, lk.owed.Load(), st.AckFrames, len(rec["p1"]), owed, ackFrames, toP1)
 		}
 	}
 	// Nothing leaves toward p1 — the flush forwards the δ-group to p2 only —
 	// so the acknowledgement is held to the end of its hold, and no longer.
-	inbound(1)
-	at := lk.owedAt.Load()
-	s.writeFlush()
-	if got := s.Stats().Peers["p2"].Enqueued; got != 1 {
+	at := int64(time.Second)
+	inbound(1, at)
+	c.writeFlush(at)
+	if got := len(rec["p2"]); got != 1 {
 		t.Fatalf("%d frames forwarded to p2, want 1", got)
 	}
-	if next := s.flushAcks(at + hold - 1); next != at+hold {
+	if next := c.flushAcks(at + hold - 1); next != at+hold {
 		t.Fatalf("the hold ends at %d, want %d", next, at+hold)
 	}
 	check("inside the hold", true, 0, 0)
-	if next := s.flushAcks(at + hold); next != math.MaxInt64 {
+	if next := c.flushAcks(at + hold); next != never {
 		t.Fatalf("a hold still runs until %d with nothing owed", next)
 	}
 	check("at the end of the hold", false, 1, 1)
 	// A local write flushed inside the hold carries it.
-	inbound(2)
-	s.Update(workload.Add("local", "x"))
-	s.writeFlush()
+	at += hold + 1
+	inbound(2, at)
+	c.update(workload.Add("local", "x"))
+	c.writeFlush(at + 1)
 	check("a write flushed inside the hold", false, 1, 2)
 	// Three frames inside one hold: one acknowledgement, whose mark covers
 	// all three.
-	inbound(3)
-	at = lk.owedAt.Load()
-	inbound(4)
-	inbound(5)
+	at += 2
+	inbound(3, at)
+	inbound(4, at+1)
+	inbound(5, at+2)
 	if got := lk.owedAt.Load(); got != at {
 		t.Fatalf("a later frame restarted the hold: %d, want %d", got, at)
 	}
-	s.flushAcks(at + hold)
+	c.flushAcks(at + hold)
 	check("three frames, one hold", false, 2, 3)
 	if lk.cum != 5 || lk.nranges != 0 {
 		t.Fatalf("acknowledged up to %d (%d ranges), want 5", lk.cum, lk.nranges)
 	}
-	// Ticked by hand, the store holds nothing back.
-	s.SyncNow()
-	inbound(6)
-	check("a store ticked by hand", false, 3, 4)
+	c.hold.Store(0)
+	inbound(6, at+hold+1)
+	check("a hold of 0", false, 3, 4)
 }
 
 // TestCloseShipsHeldAck: a store closing with an acknowledgement on hold
@@ -350,7 +465,7 @@ func TestCloseShipsHeldAck(t *testing.T) {
 	stores := flushMesh(t, 2, StoreConfig{SyncEvery: time.Hour})
 	s, peer := stores[0], stores[1]
 	s.Update(workload.Add("k", "x"))
-	s.writeFlush()
+	s.writeFlush(s.now())
 	eventually(t, 10*time.Second, "the peer to owe an acknowledgement", peer.links[s.ID()].owed.Load)
 	if ps := s.Stats().Peers[peer.ID()]; ps.InFlight != 1 || ps.LastAcked != 0 || peer.Get("k") == nil {
 		t.Fatalf("before Close: sender's view %+v, want one frame in flight, applied by the peer", ps)

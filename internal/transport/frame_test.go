@@ -8,6 +8,12 @@ import (
 	"testing"
 )
 
+// readFrame parses one frame into a fresh buffer.
+func readFrame(r io.Reader) (from string, msg []byte, err error) {
+	var buf []byte
+	return readFrameInto(r, &buf)
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	if err := writeFrame(&buf, "node-7", []byte("payload")); err != nil {

@@ -3,7 +3,6 @@ package transport
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"crdtsync/internal/protocol"
 )
@@ -107,9 +106,10 @@ type link struct {
 func newLink(inc uint32) *link { return &link{inc: inc, first: 1, kept: 1} }
 
 // newIncarnation draws the number that tells this life of a store from
-// any other: the clock's nanoseconds folded to 32 bits, never zero.
-func newIncarnation() uint32 {
-	n := uint64(time.Now().UnixNano())
+// any other: the nanoseconds of the shell's clock reading at start,
+// folded to 32 bits, never zero.
+func newIncarnation(ns int64) uint32 {
+	n := uint64(ns)
 	inc := uint32(n) ^ uint32(n>>32)*0x9e3779b1
 	if inc == 0 {
 		inc = 1

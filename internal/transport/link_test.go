@@ -225,7 +225,7 @@ func linkFrame(t testing.TB, seq, back uint64, ack protocol.FrameAck, items ...p
 // not noted as received — its sender keeps every entry it carried.
 func TestLinkAckOnlyAfterEveryItemApplied(t *testing.T) {
 	s := newTickStore(t)
-	s.manual.Store(true) // acknowledge at once, so Frames counts them
+	s.hold.Store(0) // acknowledge at once, so Frames counts them
 	lk := s.links["p1"]
 	k0 := keysOnShard(s.mask, 0, 1)[0]
 	k1 := keysOnShard(s.mask, 1, 1)[0]
@@ -349,7 +349,7 @@ func TestLinkAckAgainstBlackholedPeerStaysBounded(t *testing.T) {
 	s := newTickStore(t)
 	for i := 0; i < maxInflight+50; i++ {
 		s.Update(workload.Add(fmt.Sprintf("k%d", i), "x"))
-		s.writeFlush()
+		s.writeFlush(s.now())
 	}
 	for id, ps := range s.Stats().Peers {
 		if ps.LastSent != maxInflight+50 || ps.InFlight != maxInflight || ps.LastAcked != 0 {
@@ -368,7 +368,7 @@ func TestLinkAckAgainstBlackholedPeerStaysBounded(t *testing.T) {
 		}
 	}
 	for i := 0; i < 5*closeAfter; i++ {
-		s.tick()
+		s.tick(s.now())
 		for id, ps := range s.Stats().Peers {
 			if i >= closeAfter && ps.InFlight > closeAfter {
 				t.Fatalf("tick %d toward %s: %d frames in flight, want at most one per tick of the last %d", i, id, ps.InFlight, closeAfter)
@@ -401,7 +401,7 @@ func TestLinkAckAppliesWithoutAllocating(t *testing.T) {
 	for i := 0; i < keys; i++ {
 		s.Update(workload.Add(fmt.Sprintf("k%d", i), "x"))
 	}
-	s.tick()
+	s.tick(s.now())
 	lk := s.links["p1"]
 	if lk.open != 1 || len(lk.recs[1].items) != keys {
 		t.Fatalf("%d frames open, the first of %d δ-groups; want 1 of %d", lk.open, len(lk.recs[1].items), keys)
@@ -473,12 +473,12 @@ func TestLinkAckOneLostFrameResendsOnlyItsEntries(t *testing.T) {
 		t.Cleanup(func() { st.Close() })
 	}
 	s, peer := stores[0], stores[1].ID()
-	stores[1].manual.Store(true) // acknowledge at once, not half an hour later
+	stores[1].hold.Store(0) // acknowledge at once, not half an hour later
 	for f := 0; f < frames; f++ {
 		for i := 0; i < perFrame; i++ {
 			s.Update(workload.Add(fmt.Sprintf("k%02d-%d", f, i), "x"))
 		}
-		s.writeFlush()
+		s.writeFlush(s.now())
 	}
 	link := func() PeerStats { return s.Stats().Peers[peer] }
 	eventually(t, 10*time.Second, "nine of ten frames to be acknowledged", func() bool {
@@ -494,8 +494,8 @@ func TestLinkAckOneLostFrameResendsOnlyItsEntries(t *testing.T) {
 		t.Fatalf("receiver holds %d keys, want %d", got, (frames-1)*perFrame)
 	}
 	// Two ticks: the first completes no full tick since the flush.
-	s.tick()
-	s.tick()
+	s.tick(s.now())
+	s.tick(s.now())
 	if got := s.Stats().Retransmits; got != perFrame {
 		t.Fatalf("%d retransmissions, want the lost frame's %d entries", got, perFrame)
 	}
@@ -506,7 +506,7 @@ func TestLinkAckOneLostFrameResendsOnlyItsEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < closeAfter; i++ {
-		s.tick()
+		s.tick(s.now())
 	}
 	if st := s.Stats(); st.Retransmits != perFrame || st.Peers[peer].LastSent != frames+1 || st.Peers[peer].InFlight != 0 {
 		t.Errorf("after %d more ticks: %d retransmissions, link %+v; want %d, %d frames sent and none in flight",
@@ -525,7 +525,7 @@ func TestLinkAckOneLostFrameResendsOnlyItsEntries(t *testing.T) {
 			lk.kept, lk.first, lk.rec(lost).closed, lost, frames+2, frames+2)
 	}
 	s.Update(workload.Add("one-more", "x"))
-	s.writeFlush()
+	s.writeFlush(s.now())
 	eventually(t, 10*time.Second, "the receiver's mark to pass the lost number", func() bool {
 		ps := link()
 		return ps.InFlight == 0 && ps.LastAcked == frames+2
@@ -564,10 +564,10 @@ func TestLinkAckHeldAckBeatsRetransmission(t *testing.T) {
 		t.Cleanup(func() { st.Close() })
 	}
 	s, peer := stores[0], stores[1]
-	for i, send := range []func(){s.writeFlush, s.tick} {
+	for i, send := range []func(int64){s.writeFlush, s.tick} {
 		s.Update(workload.Add(fmt.Sprintf("k%d", i), "x"))
 		start := time.Now()
-		send()
+		send(s.now())
 		// Within a period of the send, the engine has retired the entry: the
 		// next tick, whenever a timer would run it, finds nothing to resend.
 		eventually(t, period, "the acknowledgement to retire the entry", func() bool {
@@ -576,9 +576,9 @@ func TestLinkAckHeldAckBeatsRetransmission(t *testing.T) {
 		if held := time.Since(start); held < period/ackHoldsPerTick {
 			t.Errorf("entry %d acknowledged after %v, inside the receiver's hold", i, held)
 		}
-		s.tick()
+		s.tick(s.now())
 	}
-	s.tick()
+	s.tick(s.now())
 	if st := s.Stats(); st.Retransmits != 0 || st.Peers[peer.ID()].InFlight != 0 {
 		t.Errorf("%d retransmissions, %d frames in flight; want 0 and 0", st.Retransmits, st.Peers[peer.ID()].InFlight)
 	}
@@ -1013,10 +1013,10 @@ func TestLinkAckNumberedFramesAreNotCoalesced(t *testing.T) {
 		t.Cleanup(func() { st.Close() })
 	}
 	s, peer := stores[0], stores[1].ID()
-	stores[1].manual.Store(true) // acknowledge each frame at once
+	stores[1].hold.Store(0) // acknowledge each frame at once
 	for i := 0; i < frames; i++ {
 		s.Update(workload.Add(fmt.Sprintf("k%d", i), "x"))
-		s.writeFlush()
+		s.writeFlush(s.now())
 	}
 	close(gate)
 	eventually(t, 10*time.Second, "all six frames to be acknowledged", func() bool {

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"crdtsync/internal/codec"
-	"crdtsync/internal/core"
+	delta "crdtsync/internal/core"
 	"crdtsync/internal/lattice"
 	"crdtsync/internal/protocol"
 )
@@ -202,11 +202,12 @@ func (sh *shard) rangeKeysLocked(leaves *treeBitmap, budget int) ([]keyState, bo
 }
 
 // repairEntry is one shard's drill under way: the peer it runs with —
-// whichever end started it — and when it expires if that peer goes silent.
+// whichever end started it — and when, on the core's clock, it expires if
+// that peer goes silent.
 type repairEntry struct {
 	active  bool
 	peer    string
-	expires time.Time
+	expires int64
 }
 
 // repairTable holds one slot per shard: at most one drill at a time,
@@ -217,7 +218,7 @@ type repairEntry struct {
 // by expiry.
 type repairTable struct {
 	mu       sync.Mutex
-	timeout  time.Duration
+	timeout  int64 // RepairTimeout
 	entries  []repairEntry
 	timeouts int
 }
@@ -229,21 +230,21 @@ type repairTable struct {
 // too), extends the deadline of one held against peer — a message is
 // progress — and is refused only by a slot held against somebody else.
 // Taking over an expired slot counts a timeout.
-func (r *repairTable) claim(shard int, peer string, now time.Time, start bool) bool {
+func (r *repairTable) claim(shard int, peer string, now int64, start bool) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e := &r.entries[shard]
-	if e.active && now.Before(e.expires) {
+	if e.active && now < e.expires {
 		if start || e.peer != peer {
 			return false
 		}
-		e.expires = now.Add(r.timeout)
+		e.expires = now + r.timeout
 		return true
 	}
 	if e.active {
 		r.timeouts++
 	}
-	*e = repairEntry{active: true, peer: peer, expires: now.Add(r.timeout)}
+	*e = repairEntry{active: true, peer: peer, expires: now + r.timeout}
 	return true
 }
 
@@ -318,67 +319,66 @@ var rootNode = []uint32{0}
 // local shards and starts a drill on whichever differ — unless one is
 // already under way on that shard. What the drills ship at once (the
 // whole-shard pulls of shards too small to hash) is left on b.
-func (s *Store) handleDigests(from string, digests []uint64, b *outBatch) {
+func (c *core) handleDigests(from string, digests []uint64, b *outBatch, now int64) {
 	if len(digests) == 0 {
 		return
 	}
-	if len(digests) != len(s.shards) {
+	if len(digests) != len(c.shards) {
 		// Shard-count mismatch: the vectors are not comparable and
 		// anti-entropy cannot repair anything — count it so a
 		// misconfigured cluster says why it never converges.
-		s.statsMu.Lock()
-		s.stats.DigestShardMismatch++
-		s.statsMu.Unlock()
+		c.statsMu.Lock()
+		c.stats.DigestShardMismatch++
+		c.statsMu.Unlock()
 		return
 	}
-	now := time.Now()
 	deduped := 0
 	// Shards this store still has to see match at from, if any.
 	var cu *catchUp
-	if lk := s.links[from]; lk != nil && lk.catchUp.left.Load() > 0 {
+	if lk := c.links[from]; lk != nil && lk.catchUp.left.Load() > 0 {
 		cu = &lk.catchUp
 	}
-	for i, sh := range s.shards {
-		if s.shardDigest(sh) == digests[i] {
+	for i, sh := range c.shards {
+		if c.shardDigest(sh) == digests[i] {
 			if cu != nil {
 				cu.done(i)
 			}
-			if s.repair.clear(i) {
+			if c.repair.clear(i) {
 				sh.mu.Lock()
 				sh.dropLeavesLocked()
 				sh.mu.Unlock()
 			}
 			continue
 		}
-		if !s.repair.claim(i, from, now, true) {
+		if !c.repair.claim(i, from, now, true) {
 			deduped++
 			continue
 		}
-		s.continueDrill(from, uint32(i), 0, rootNode, b)
+		c.continueDrill(from, uint32(i), 0, rootNode, b)
 	}
-	s.countDeduped(deduped)
+	c.countDeduped(deduped)
 }
 
 // countDeduped counts mismatches and drill messages a held slot absorbed.
-func (s *Store) countDeduped(n int) {
+func (c *core) countDeduped(n int) {
 	if n > 0 {
-		s.statsMu.Lock()
-		s.stats.DedupedWants += n
-		s.statsMu.Unlock()
+		c.statsMu.Lock()
+		c.stats.DedupedWants += n
+		c.statsMu.Unlock()
 	}
 }
 
 // transmitMsg encodes one control message and hands it to the peer's
 // write pipeline. Encoding a message the store itself built can only
 // fail on a programming error.
-func (s *Store) transmitMsg(to string, m protocol.Msg, kind frameKind) {
+func (c *core) transmitMsg(to string, m protocol.Msg, kind frameKind) {
 	data, err := codec.EncodeMsg(m)
 	if err != nil {
 		panic(err)
 	}
 	var t wireTally
-	s.transmit(to, data, m.Cost(), kind, &t)
-	s.wire.add(&t)
+	c.transmit(to, data, m.Cost(), kind, &t)
+	c.wire.add(&t)
 }
 
 // handleTree takes a hash push: the peer's hashes of the children of the
@@ -386,20 +386,20 @@ func (s *Store) transmitMsg(to string, m protocol.Msg, kind frameKind) {
 // store's own are where the drill continues. The decoder has checked the
 // message's shape; the checks here are for messages built directly, and
 // for the shard count, which is not wire-negotiated.
-func (s *Store) handleTree(from string, tm *protocol.TreeMsg, b *outBatch) {
+func (c *core) handleTree(from string, tm *protocol.TreeMsg, b *outBatch, now int64) {
 	level := int(tm.Level)
-	if int(tm.Shard) >= len(s.shards) || level >= protocol.TreeDepth ||
+	if int(tm.Shard) >= len(c.shards) || level >= protocol.TreeDepth ||
 		len(tm.Nodes) == 0 || len(tm.Hashes) != protocol.TreeFanout*len(tm.Nodes) {
 		return // shard-map or level skew, or a close outside a sharded frame
 	}
-	if !s.repair.claim(int(tm.Shard), from, time.Now(), false) {
-		s.countDeduped(1) // this shard is busy with another peer's drill
+	if !c.repair.claim(int(tm.Shard), from, now, false) {
+		c.countDeduped(1) // this shard is busy with another peer's drill
 		return
 	}
 	maxNode := uint32(protocol.TreeNodesAt(level))
 	var seen treeBitmap
 	var diff []uint32
-	sh := s.shards[tm.Shard]
+	sh := c.shards[tm.Shard]
 	sh.mu.Lock()
 	sh.ensureLeavesLocked()
 	for i, idx := range tm.Nodes {
@@ -420,12 +420,12 @@ func (s *Store) handleTree(from string, tm *protocol.TreeMsg, b *outBatch) {
 		// other replicas' drills on the shard away until then.
 		sh.dropLeavesLocked()
 		sh.mu.Unlock()
-		s.repair.clearFrom(int(tm.Shard), from)
+		c.repair.clearFrom(int(tm.Shard), from)
 		b.add(tm.Shard, from, protocol.NewTreeMsg(tm.Shard, tm.Level, nil, nil))
 		return
 	}
 	sh.mu.Unlock()
-	s.continueDrill(from, tm.Shard, level+1, diff, b)
+	c.continueDrill(from, tm.Shard, level+1, diff, b)
 }
 
 // continueDrill is the step both ends of a drill take on the nodes at
@@ -434,14 +434,14 @@ func (s *Store) handleTree(from string, tm *protocol.TreeMsg, b *outBatch) {
 // answers with the same step a level down — or stop, and close the drill
 // over these ranges, when that is cheaper (drillStopBytes) or the leaves
 // are reached.
-func (s *Store) continueDrill(peer string, shardIdx uint32, level int, nodes []uint32, b *outBatch) {
+func (c *core) continueDrill(peer string, shardIdx uint32, level int, nodes []uint32, b *outBatch) {
 	var leaves treeBitmap
 	nodes = validNodes(level, nodes, &leaves)
 	budget := noBudget // below the leaves there is nothing to hash
 	if level < protocol.TreeDepth {
 		budget = drillStopBytes * len(nodes)
 	}
-	sh := s.shards[shardIdx]
+	sh := c.shards[shardIdx]
 	sh.mu.Lock()
 	objs, stop := sh.rangeKeysLocked(&leaves, budget)
 	var hashes []uint64
@@ -455,25 +455,25 @@ func (s *Store) continueDrill(peer string, shardIdx uint32, level int, nodes []u
 		}
 	}
 	sh.mu.Unlock()
-	s.statsMu.Lock()
+	c.statsMu.Lock()
 	if level == 0 && stop {
-		s.stats.WantShards++
+		c.stats.WantShards++
 	} else {
-		s.stats.TreeRounds++
+		c.stats.TreeRounds++
 	}
-	s.statsMu.Unlock()
+	c.statsMu.Unlock()
 	if !stop {
-		s.transmitMsg(peer, protocol.NewTreeMsg(shardIdx, uint8(level), nodes, hashes), frameDigest)
+		c.transmitMsg(peer, protocol.NewTreeMsg(shardIdx, uint8(level), nodes, hashes), frameDigest)
 		return
 	}
-	s.shipRange(peer, shardIdx, level, nodes, objs, nil, b)
+	c.shipRange(peer, shardIdx, level, nodes, objs, nil, b)
 }
 
 // answerClose serves the close that ended a drill, once its shard group g
 // — the peer's states for the ranges it names — has been merged: this
 // store's answer is, for every key it holds in those ranges, what the
 // peer's state of it lacks.
-func (s *Store) answerClose(from string, tm *protocol.TreeMsg, g codec.ItemGroup, b *outBatch) {
+func (c *core) answerClose(from string, tm *protocol.TreeMsg, g codec.ItemGroup, b *outBatch, now int64) {
 	level := int(tm.Level)
 	if tm.Shard != g.Shard || level > protocol.TreeDepth {
 		return
@@ -483,8 +483,8 @@ func (s *Store) answerClose(from string, tm *protocol.TreeMsg, g codec.ItemGroup
 	if len(nodes) == 0 {
 		return
 	}
-	if !s.repair.claim(int(g.Shard), from, time.Now(), false) {
-		s.countDeduped(1) // this shard is busy with another peer's drill
+	if !c.repair.claim(int(g.Shard), from, now, false) {
+		c.countDeduped(1) // this shard is busy with another peer's drill
 		return
 	}
 	theirs := make(map[string]lattice.State, len(g.Items))
@@ -495,21 +495,21 @@ func (s *Store) answerClose(from string, tm *protocol.TreeMsg, g codec.ItemGroup
 			theirs[string(iv.Key)] = dm.Delta
 		}
 	}
-	sh := s.shards[g.Shard]
+	sh := c.shards[g.Shard]
 	sh.mu.Lock()
 	objs, _ := sh.rangeKeysLocked(&leaves, noBudget)
 	sh.dropLeavesLocked() // the drill is over
 	sh.mu.Unlock()
-	shipped := s.shipRange(from, g.Shard, level, nil, objs, theirs, b)
-	s.repair.clearFrom(int(g.Shard), from)
+	shipped := c.shipRange(from, g.Shard, level, nil, objs, theirs, b)
+	c.repair.clearFrom(int(g.Shard), from)
 	if shipped {
-		s.statsMu.Lock()
+		c.statsMu.Lock()
 		if level == 0 {
-			s.stats.RepairShards++
+			c.stats.RepairShards++
 		} else {
-			s.stats.RepairRanges += len(nodes)
+			c.stats.RepairRanges += len(nodes)
 		}
-		s.statsMu.Unlock()
+		c.statsMu.Unlock()
 	}
 }
 
@@ -540,9 +540,9 @@ const repairChunkBytes = 1 << 20
 // needs a point-in-time cut); each chunk but the last leaves on its own
 // frame at once, the last and the TreeMsg are left on b. It reports
 // whether any state was shipped.
-func (s *Store) shipRange(to string, shardIdx uint32, level int, want []uint32, objs []keyState, theirs map[string]lattice.State, b *outBatch) bool {
-	sh := s.shards[shardIdx]
-	budget := min(s.maxMsgBytes()/2, repairChunkBytes)
+func (c *core) shipRange(to string, shardIdx uint32, level int, want []uint32, objs []keyState, theirs map[string]lattice.State, b *outBatch) bool {
+	sh := c.shards[shardIdx]
+	budget := min(c.maxMsgBytes()/2, repairChunkBytes)
 	total := 0
 	for i := 0; ; {
 		var items []protocol.ObjectMsg
@@ -552,7 +552,7 @@ func (s *Store) shipRange(to string, shardIdx uint32, level int, want []uint32, 
 			key, st := objs[i].key, objs[i].st
 			t := theirs[key]
 			if t != nil {
-				if st = core.Delta(st, t); st.IsBottom() {
+				if st = delta.Delta(st, t); st.IsBottom() {
 					continue // the peer's state covers this store's
 				}
 			}
@@ -582,12 +582,12 @@ func (s *Store) shipRange(to string, shardIdx uint32, level int, want []uint32, 
 			out.add(shardIdx, to, protocol.NewTreeMsg(shardIdx, uint8(level), want, nil))
 			break
 		}
-		s.flush(out, nil)
+		c.flush(out, nil)
 	}
 	if total > 0 {
-		s.statsMu.Lock()
-		s.stats.RepairBytes += total
-		s.statsMu.Unlock()
+		c.statsMu.Lock()
+		c.stats.RepairBytes += total
+		c.statsMu.Unlock()
 	}
 	return total > 0
 }

@@ -122,7 +122,7 @@ func TestWantStormDedup(t *testing.T) {
 	f0.SetDropRate(1)
 	f1.SetDropRate(1)
 	cfg := repairPairConfig()
-	cfg.RepairTimeout = 500 * time.Millisecond
+	cfg.RepairTimeout = time.Minute // longer than any storm; the clock is moved past it below
 	stores := startFaultyPair(t, cfg, [2]*Fault{f0, f1})
 	s0, s1 := stores[0], stores[1]
 
@@ -160,11 +160,16 @@ func TestWantStormDedup(t *testing.T) {
 		t.Errorf("storm stopped %d drills at the root, want 0", storStats.WantShards)
 	}
 
-	// Heal r-01, let the in-flight (lost) drill expire, and tick once
-	// more: the next drill completes end to end.
+	// Heal r-01 and hand it s0's next advertisement past RepairTimeout on
+	// its clock: the in-flight (lost) drill has expired, and the next one
+	// completes end to end.
 	f1.SetDropRate(0)
-	time.Sleep(600 * time.Millisecond) // > RepairTimeout
-	s0.SyncNow()
+	vec := s0.shardDigests()
+	adv := encodeFrame(t, protocol.NewDigestMsg(vec))
+	s0.putDigestVec(vec)
+	if _, err := s1.core.deliver(s0.ID(), adv, s1.now()+int64(cfg.RepairTimeout)); err != nil {
+		t.Fatal(err)
+	}
 	waitPairConverged(t, stores, sharedKeys+1, 30*time.Second)
 
 	final0 := s0.Stats()
@@ -338,44 +343,45 @@ func TestNotifyGroupNoWatcherAllocs(t *testing.T) {
 	}
 }
 
-// TestRepairTableSemantics covers the slot table directly: a start claims
-// a free slot and is refused by a held one, a drill message claims or
-// extends only its own peer's, only that peer's word ends the drill, and
-// taking over an expired slot counts a timeout.
+// TestRepairTableSemantics covers the slot table directly, on explicit
+// times: a start claims a free slot and is refused by a held one, a drill
+// message claims or extends only its own peer's, only that peer's word ends
+// the drill, and taking over an expired slot counts a timeout.
 func TestRepairTableSemantics(t *testing.T) {
-	r := repairTable{timeout: time.Second, entries: make([]repairEntry, 2)}
-	t0 := time.Unix(1000, 0)
+	const ms, sec = int64(time.Millisecond), int64(time.Second)
+	r := repairTable{timeout: sec, entries: make([]repairEntry, 2)}
+	t0 := 1000 * sec
 	if !r.claim(0, "a", t0, true) {
 		t.Fatal("fresh slot refused")
 	}
-	if r.claim(0, "b", t0.Add(time.Millisecond), true) || r.claim(0, "a", t0.Add(time.Millisecond), true) {
+	if r.claim(0, "b", t0+ms, true) || r.claim(0, "a", t0+ms, true) {
 		t.Error("a start re-claimed a slot in flight")
 	}
 	if !r.claim(1, "b", t0, false) {
 		t.Error("a drill message could not claim a free slot for serving")
 	}
-	if r.claim(0, "b", t0.Add(time.Millisecond), false) {
+	if r.claim(0, "b", t0+ms, false) {
 		t.Error("a foreign peer's drill message was let into the slot")
 	}
 	// A message from the slot's own peer is progress: it extends the
 	// deadline, so the slot still dedups past the original one.
-	if !r.claim(0, "a", t0.Add(900*time.Millisecond), false) {
+	if !r.claim(0, "a", t0+900*ms, false) {
 		t.Error("the slot's own peer was refused")
 	}
-	if r.claim(0, "c", t0.Add(1500*time.Millisecond), true) {
+	if r.claim(0, "c", t0+1500*ms, true) {
 		t.Error("a refreshed slot expired on its original deadline")
 	}
 	// The drill's end releases the slot, on the word of its own peer only.
 	r.clearFrom(0, "b")
-	if r.claim(0, "c", t0.Add(1500*time.Millisecond), true) {
+	if r.claim(0, "c", t0+1500*ms, true) {
 		t.Error("clearFrom with a foreign peer released the slot")
 	}
 	r.clearFrom(0, "a")
-	if !r.claim(0, "c", t0.Add(1500*time.Millisecond), true) {
+	if !r.claim(0, "c", t0+1500*ms, true) {
 		t.Error("the drill's end did not release the slot")
 	}
 	r.clearFrom(1, "b")
-	if !r.claim(1, "c", t0.Add(time.Millisecond), true) {
+	if !r.claim(1, "c", t0+ms, true) {
 		t.Error("the served drill's end did not release the slot")
 	}
 	// Nothing so far expired; taking over a slot past its deadline does,
@@ -383,7 +389,7 @@ func TestRepairTableSemantics(t *testing.T) {
 	if got := r.expired(); got != 0 {
 		t.Errorf("expired = %d before any timeout, want 0", got)
 	}
-	if !r.claim(1, "d", t0.Add(2*time.Second), true) || !r.claim(1, "e", t0.Add(4*time.Second), false) {
+	if !r.claim(1, "d", t0+2*sec, true) || !r.claim(1, "e", t0+4*sec, false) {
 		t.Error("an expired slot still dedups")
 	}
 	if got := r.expired(); got != 2 {
@@ -392,8 +398,25 @@ func TestRepairTableSemantics(t *testing.T) {
 	if !r.clear(1) || r.clear(1) {
 		t.Error("clear must report exactly the held slot")
 	}
-	if !r.claim(1, "f", t0.Add(10*time.Second), true) || r.expired() != 2 {
+	if !r.claim(1, "f", t0+10*sec, true) || r.expired() != 2 {
 		t.Errorf("a cleared slot was counted as a timeout (expired = %d)", r.expired())
+	}
+	// Expiry is exact: a slot claimed at t is held through t+timeout-1, and
+	// at t+timeout a start takes it over and counts one timeout. The taker
+	// holds it from then on: the silent peer's drill messages are turned
+	// away, the taker's own extend it.
+	r = repairTable{timeout: sec, entries: make([]repairEntry, 1)}
+	if !r.claim(0, "a", t0, true) || r.claim(0, "b", t0+sec-1, true) {
+		t.Error("a slot expired before its deadline")
+	}
+	if !r.claim(0, "b", t0+sec, true) || r.expired() != 1 {
+		t.Errorf("taking a slot over at its deadline: expired = %d, want 1", r.expired())
+	}
+	if r.claim(0, "a", t0+sec+1, false) {
+		t.Error("the peer whose drill timed out was let back into the slot")
+	}
+	if !r.claim(0, "b", t0+2*sec-1, false) || r.claim(0, "c", t0+3*sec-2, true) || r.expired() != 1 {
+		t.Error("the taker's own message did not extend the slot")
 	}
 }
 
@@ -476,20 +499,20 @@ func TestHandleTreeHostileInputs(t *testing.T) {
 		protocol.NewTreeMsg(0, 1, []uint32{1}, nil),            // a close outside a data frame
 	}
 	for _, m := range hostile {
-		s.handleTree("peer", m, d.b)
+		s.handleTree("peer", m, d.b, s.now())
 	}
 	if st := s.Stats(); st.TreeRounds != 0 || st.WantShards != 0 || st.DedupedWants != 0 {
 		t.Errorf("malformed pushes moved the drill counters: %+v", st)
 	}
 
 	// A push naming a node twice is one round, not two.
-	s.handleTree("peer", bogusPush(0, 0, 0, 0), d.b)
+	s.handleTree("peer", bogusPush(0, 0, 0, 0), d.b, s.now())
 	if got := s.Stats().TreeRounds; got != 1 {
 		t.Errorf("a push naming the root twice started %d rounds, want 1", got)
 	}
 	// The slot is now held against "peer": another peer's drill on the
 	// shard — a push, or a close arriving in a data frame — is turned away.
-	s.handleTree("other", bogusPush(0, 0, 0), d.b)
+	s.handleTree("other", bogusPush(0, 0, 0), d.b, s.now())
 	if err := s.deliver("other", closeFrame(t, 0, protocol.NewTreeMsg(0, 0, rootNode, nil))); err != nil {
 		t.Fatalf("deliver: %v", err)
 	}
@@ -513,8 +536,8 @@ func TestHandleTreeHostileInputs(t *testing.T) {
 			t.Fatalf("deliver: %v", err)
 		}
 	}
-	s.answerClose("peer", protocol.NewTreeMsg(0, 1, []uint32{protocol.TreeFanout, 1 << 30}, nil), codec.ItemGroup{}, d.b)
-	s.answerClose("peer", protocol.NewTreeMsg(0, 9, wantAll, nil), codec.ItemGroup{}, d.b)
+	s.answerClose("peer", protocol.NewTreeMsg(0, 1, []uint32{protocol.TreeFanout, 1 << 30}, nil), codec.ItemGroup{}, d.b, s.now())
+	s.answerClose("peer", protocol.NewTreeMsg(0, 9, wantAll, nil), codec.ItemGroup{}, d.b, s.now())
 	if got := s.Stats().RepairRanges; got != protocol.TreeFanout {
 		t.Errorf("duplicated want answered %d ranges, want %d", got, protocol.TreeFanout)
 	}
@@ -553,18 +576,18 @@ func TestContinueDrillHostileAnswer(t *testing.T) {
 	defer d.release()
 	// A drill toward the hostile peer is in flight — the state a real one
 	// is in when an answer arrives.
-	if !s.repair.claim(0, "peer", time.Now(), true) {
+	if !s.repair.claim(0, "peer", s.now(), true) {
 		t.Fatal("claim refused a fresh slot")
 	}
 	maxNode := uint32(protocol.TreeNodesAt(1))
 	// Every index out of range for level 1: pre-fix this panicked.
-	s.handleTree("peer", bogusPush(0, 1, maxNode, 1<<30), d.b)
+	s.handleTree("peer", bogusPush(0, 1, maxNode, 1<<30), d.b, s.now())
 	if got := s.Stats().TreeRounds; got != 0 {
 		t.Errorf("an unusable push drilled %d rounds, want 0", got)
 	}
 	// A mixed push drills into its one valid node: one more message, and
 	// it names only that node's children.
-	s.handleTree("peer", bogusPush(0, 1, 3, maxNode), d.b)
+	s.handleTree("peer", bogusPush(0, 1, 3, maxNode), d.b, s.now())
 	if got := s.Stats().TreeRounds; got != 1 {
 		t.Errorf("mixed push drilled %d rounds, want 1 (valid index alone)", got)
 	}

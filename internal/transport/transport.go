@@ -2,9 +2,10 @@
 // connections: a Store owns one per-object protocol engine per shard,
 // listens for frames from its neighbors, ships what a write or a
 // delivery left to send on a write-triggered flush, and drives the
-// engines' periodic synchronization, digest anti-entropy and snapshots
-// on a ticker. Frames are length-prefixed: a 4-byte big-endian length,
-// the sender id (length-prefixed), and one codec-encoded sharded message.
+// engines' periodic synchronization and digest anti-entropy from one
+// timer, and snapshots from another. Frames are length-prefixed: a
+// 4-byte big-endian length, the sender id (length-prefixed), and one
+// codec-encoded sharded message.
 //
 // The simulator (package netsim) remains the measurement substrate for
 // the paper's figures; the store is what crdtsync.Open runs and what
@@ -41,12 +42,6 @@ func writeFrame(w io.Writer, from string, msg []byte) error {
 	}
 	_, err := w.Write(body)
 	return err
-}
-
-// readFrame parses one frame into a fresh buffer.
-func readFrame(r io.Reader) (from string, msg []byte, err error) {
-	var buf []byte
-	return readFrameInto(r, &buf)
 }
 
 // readFrameInto parses one frame into *buf, growing it only when a frame

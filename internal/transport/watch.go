@@ -189,17 +189,17 @@ func (w *Watcher) pump() {
 // atomic load — the hot delivery and update paths check it before doing
 // any notification work (in particular before materializing item keys
 // as strings), so a store nobody watches pays nothing per item.
-func (s *Store) hasWatchers() bool {
-	return s.watcherCount.Load() > 0
+func (c *core) hasWatchers() bool {
+	return c.watcherCount.Load() > 0
 }
 
 // notifyWatchers offers one changed key to every registered watcher.
-func (s *Store) notifyWatchers(key string) {
-	s.watchMu.RLock()
-	for _, w := range s.watchers {
+func (c *core) notifyWatchers(key string) {
+	c.watchMu.RLock()
+	for _, w := range c.watchers {
 		w.offer(key)
 	}
-	s.watchMu.RUnlock()
+	c.watchMu.RUnlock()
 }
 
 // closeWatchers closes every watcher still registered (Store.Close).

@@ -13,8 +13,8 @@ import (
 
 // DialFunc establishes the outbound connection to one peer: id is the
 // peer's identifier, addr its listen address. Fault-injection harnesses
-// wrap the default TCP dialer through StoreConfig.Dial to drop, duplicate
-// or delay frames at the connection layer.
+// wrap the default TCP dialer through StoreConfig.Dial to drop or sever
+// frames at the connection layer (Fault).
 type DialFunc func(id, addr string) (net.Conn, error)
 
 // defaultDial is the production dialer: plain TCP with a bounded timeout.

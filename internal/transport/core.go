@@ -710,6 +710,36 @@ func (w *wireCounters) snapshot(st *StoreStats) {
 	}
 }
 
+// counters returns the core's counters, with each neighbor's link view and
+// announcement filled into peers, the port's own per-peer stats.
+func (c *core) counters(peers map[string]PeerStats) StoreStats {
+	c.statsMu.Lock()
+	st := c.stats
+	c.statsMu.Unlock()
+	c.wire.snapshot(&st)
+	st.RepairTimeouts = c.repair.expired()
+	for _, sh := range c.shards {
+		if r, ok := sh.engine.(interface{ Retransmits() uint64 }); ok {
+			sh.mu.Lock()
+			st.Retransmits += int(r.Retransmits())
+			sh.mu.Unlock()
+		}
+	}
+	st.Peers = peers
+	for i, id := range c.neighbors {
+		ps := st.Peers[id]
+		c.linkList[i].fill(&ps)
+		if c.reach != nil {
+			ps.Reaches = c.reach.Of(id)
+		}
+		st.Peers[id] = ps
+	}
+	if c.reach != nil {
+		st.Withheld = int(c.reach.Withheld())
+	}
+	return st
+}
+
 // transmit hands one frame to the port and tallies it: the wire stats
 // count frames handed to the pipeline. A frame lost downstream shows up in
 // Stats().Peers[to].Dropped, and is resent by an acked engine or repaired

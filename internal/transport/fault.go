@@ -2,82 +2,38 @@ package transport
 
 import (
 	"encoding/binary"
-	"io"
 	"math/rand"
 	"net"
 	"sync"
-	"time"
 )
 
-// Fault is a netsim-style fault injector for the TCP transport. Wrapped
-// around a store's dialer (StoreConfig.Dial) it intercepts every outbound
-// frame; wrapped around its listener (StoreConfig.Listener) it intercepts
-// every inbound frame. Each direction has its own drop / duplicate /
-// delay / reorder policy, severing links entirely simulates partitions,
-// and ForPeer scopes any of the knobs to a single peer, overriding the
-// injector-wide rates for that peer only. Faults act on whole frames —
-// both wrappers reassemble the length-prefixed framing — so injected loss
-// looks like a lost message, never a torn byte stream that would
-// desynchronize the receiver's framing and kill the connection.
+// Fault loses frames on their way out of a store over real TCP. Wrapped
+// around the store's dialer (StoreConfig.Dial) it drops each outbound frame
+// with a seeded probability, and every frame toward a peer a sever function
+// names. It acts on whole frames — the wrapper reassembles the
+// length-prefixed framing — so injected loss looks like a lost message,
+// never a torn byte stream that would desynchronize the receiver's framing
+// and kill the connection. Duplication, delay and reordering have no place
+// here: the tests get them, and per-link schedules, from a deterministic
+// scheduler that drives the store's cores without sockets.
 //
-// All knobs are safe to change while connections are live: each frame
-// consults the current policy, so a partition heals on existing
-// connections without redialing.
+// Both knobs are safe to change while connections are live: each frame
+// consults the current policy, so a partition heals on existing connections
+// without redialing.
 type Fault struct {
-	mu          sync.Mutex
-	rng         *rand.Rand
-	send, recv  faultPolicy
-	sendReorder reorderPolicy
-	recvReorder reorderPolicy
-	perPeer     map[string]*peerOverride
-	sever       func(peer string) bool
-}
-
-// faultPolicy is one direction's frame-fate knobs.
-type faultPolicy struct {
+	mu       sync.Mutex
+	rng      *rand.Rand
 	dropRate float64
-	dupRate  float64
-	delay    time.Duration
+	sever    func(peer string) bool
 }
 
-// reorderPolicy is one direction's reorder-only knobs: with probability
-// rate a frame is held for window while later frames pass it.
-type reorderPolicy struct {
-	rate   float64
-	window time.Duration
-}
-
-// knobOverride holds one peer's one-direction overrides; nil fields fall
-// back to the injector-wide policy, so scoping one knob to a peer leaves
-// its other knobs shared.
-type knobOverride struct {
-	dropRate      *float64
-	dupRate       *float64
-	delay         *time.Duration
-	reorderRate   *float64
-	reorderWindow *time.Duration
-}
-
-// peerOverride is one peer's two-direction overrides.
-type peerOverride struct {
-	send, recv knobOverride
-}
-
-// faultDir is the direction of a frame relative to the store whose
-// injector saw it.
-type faultDir int
-
-const (
-	dirSend faultDir = iota
-	dirRecv
-)
-
-// NewFault returns a fault injector seeded for reproducible fate rates
-// and no faults enabled. The per-frame fate sequence is only fully
-// deterministic when one goroutine writes at a time: with the per-peer
-// write pipelines, writers to different peers interleave their rolls in
-// scheduler order, so the seed fixes the statistics, not which exact
-// frame is hit.
+// NewFault returns an injector with no fault enabled, whose drops are drawn
+// from rand.NewSource(seed): one Float64 per frame while the drop rate is
+// above 0 and the peer is not severed, none otherwise. Through one
+// connection, frame i is dropped iff its draw is below the rate; with the
+// per-peer write pipelines writing at once the draws interleave in
+// scheduler order, so the seed fixes the statistics, not which frame is
+// hit.
 func NewFault(seed int64) *Fault {
 	return &Fault{rng: rand.New(rand.NewSource(seed))}
 }
@@ -87,212 +43,30 @@ func NewFault(seed int64) *Fault {
 func (f *Fault) SetDropRate(r float64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.send.dropRate = r
-}
-
-// SetDupRate makes each surviving outbound frame arrive twice with
-// probability r.
-func (f *Fault) SetDupRate(r float64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.send.dupRate = r
-}
-
-// SetDelay holds every surviving outbound frame for d before writing it,
-// which also reorders frames relative to later undelayed ones.
-func (f *Fault) SetDelay(d time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.send.delay = d
-}
-
-// SetRecvDropRate makes each inbound frame independently vanish with
-// probability r, on connections accepted through Listener. Send and
-// receive rates are independent: a store can lose everything it is told
-// while everything it says still gets out.
-func (f *Fault) SetRecvDropRate(r float64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.recv.dropRate = r
-}
-
-// SetRecvDupRate makes each surviving inbound frame arrive twice with
-// probability r.
-func (f *Fault) SetRecvDupRate(r float64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.recv.dupRate = r
-}
-
-// SetRecvDelay holds each surviving inbound frame for d before delivering
-// it. The hold happens on the connection's read stream, so frames behind
-// the held one are delayed with it.
-func (f *Fault) SetRecvDelay(d time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.recv.delay = d
-}
-
-// SetReorder enables reorder-only mode on the send side: each outbound
-// frame is, with probability r, held for window (on top of any uniform
-// SetDelay) before being written, so later frames overtake it. Unlike
-// SetDropRate/SetDupRate nothing is lost or duplicated while the
-// connection lives — convergence under reorder alone must hold even for
-// engines that assume reliable (but unordered) channels. A held frame
-// whose connection closes before the window elapses is lost like any
-// other in-flight bytes, so drive final ticks to quiescence before
-// closing when the engine has no repair path.
-func (f *Fault) SetReorder(r float64, window time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.sendReorder = reorderPolicy{rate: r, window: window}
-}
-
-// SetRecvReorder enables reorder-only mode on the receive side: each
-// surviving inbound frame is, with probability r, held aside for window
-// while frames behind it are delivered first. Unlike SetRecvDelay the
-// rest of the stream is not delayed with the held frame, so later frames
-// genuinely overtake it; like SetReorder, nothing is lost or duplicated
-// while the connection lives.
-func (f *Fault) SetRecvReorder(r float64, window time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.recvReorder = reorderPolicy{rate: r, window: window}
+	f.dropRate = r
 }
 
 // SetSever installs a per-peer blackhole: while fn returns true for a
-// peer, every frame to or from it is dropped. Partition tests flip this
-// to cut a store off and later heal it.
+// peer, every frame to it is dropped. Partition tests flip this to cut a
+// store off and later heal it.
 func (f *Fault) SetSever(fn func(peer string) bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.sever = fn
 }
 
-// ForPeer returns a handle whose setters scope fault knobs to the one
-// peer, overriding the injector-wide rates for that peer only: a harness
-// can blackhole frames to a single neighbor of a wrapped store while its
-// other links stay clean, instead of every peer sharing one policy. Knobs
-// never set through the handle keep following the injector-wide values.
-func (f *Fault) ForPeer(id string) *PeerFault {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.perPeer == nil {
-		f.perPeer = make(map[string]*peerOverride)
-	}
-	o := f.perPeer[id]
-	if o == nil {
-		o = &peerOverride{}
-		f.perPeer[id] = o
-	}
-	return &PeerFault{f: f, o: o}
-}
-
-// PeerFault scopes fault knobs to one peer of the Fault it came from; the
-// setters mirror Fault's. Obtain one with ForPeer.
-type PeerFault struct {
-	f *Fault
-	o *peerOverride
-}
-
-func (pf *PeerFault) set(fn func(o *peerOverride)) {
-	pf.f.mu.Lock()
-	defer pf.f.mu.Unlock()
-	fn(pf.o)
-}
-
-// SetDropRate drops outbound frames to this peer with probability r.
-func (pf *PeerFault) SetDropRate(r float64) {
-	pf.set(func(o *peerOverride) { o.send.dropRate = &r })
-}
-
-// SetDupRate duplicates surviving outbound frames to this peer with
-// probability r.
-func (pf *PeerFault) SetDupRate(r float64) {
-	pf.set(func(o *peerOverride) { o.send.dupRate = &r })
-}
-
-// SetDelay holds surviving outbound frames to this peer for d.
-func (pf *PeerFault) SetDelay(d time.Duration) {
-	pf.set(func(o *peerOverride) { o.send.delay = &d })
-}
-
-// SetReorder holds outbound frames to this peer for window with
-// probability r while later frames pass.
-func (pf *PeerFault) SetReorder(r float64, window time.Duration) {
-	pf.set(func(o *peerOverride) { o.send.reorderRate = &r; o.send.reorderWindow = &window })
-}
-
-// SetRecvDropRate drops inbound frames from this peer with probability r.
-func (pf *PeerFault) SetRecvDropRate(r float64) {
-	pf.set(func(o *peerOverride) { o.recv.dropRate = &r })
-}
-
-// SetRecvDupRate duplicates surviving inbound frames from this peer with
-// probability r.
-func (pf *PeerFault) SetRecvDupRate(r float64) {
-	pf.set(func(o *peerOverride) { o.recv.dupRate = &r })
-}
-
-// SetRecvDelay holds surviving inbound frames from this peer for d.
-func (pf *PeerFault) SetRecvDelay(d time.Duration) {
-	pf.set(func(o *peerOverride) { o.recv.delay = &d })
-}
-
-// SetRecvReorder holds inbound frames from this peer aside for window
-// with probability r while frames behind them are delivered first.
-func (pf *PeerFault) SetRecvReorder(r float64, window time.Duration) {
-	pf.set(func(o *peerOverride) { o.recv.reorderRate = &r; o.recv.reorderWindow = &window })
-}
-
-// decide rolls the fate of one frame to or from peer: whether it is
-// dropped or duplicated, how long its whole stream is delayed, and how
-// long it alone is held aside for reorder.
-func (f *Fault) decide(dir faultDir, peer string) (drop, dup bool, delay, hold time.Duration) {
+// decide reports whether one outbound frame to peer is dropped.
+func (f *Fault) decide(peer string) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.sever != nil && f.sever(peer) {
-		return true, false, 0, 0
+		return true
 	}
-	pol, ro := f.send, f.sendReorder
-	if dir == dirRecv {
-		pol, ro = f.recv, f.recvReorder
-	}
-	if o := f.perPeer[peer]; o != nil {
-		k := &o.send
-		if dir == dirRecv {
-			k = &o.recv
-		}
-		if k.dropRate != nil {
-			pol.dropRate = *k.dropRate
-		}
-		if k.dupRate != nil {
-			pol.dupRate = *k.dupRate
-		}
-		if k.delay != nil {
-			pol.delay = *k.delay
-		}
-		if k.reorderRate != nil {
-			ro.rate = *k.reorderRate
-		}
-		if k.reorderWindow != nil {
-			ro.window = *k.reorderWindow
-		}
-	}
-	drop = pol.dropRate > 0 && f.rng.Float64() < pol.dropRate
-	if !drop {
-		dup = pol.dupRate > 0 && f.rng.Float64() < pol.dupRate
-	}
-	delay = pol.delay
-	if !drop && ro.rate > 0 && f.rng.Float64() < ro.rate {
-		hold = ro.window
-	}
-	return drop, dup, delay, hold
+	return f.dropRate > 0 && f.rng.Float64() < f.dropRate
 }
 
 // Dialer wraps base (nil for the default TCP dialer) so every connection
-// it establishes passes outbound frames through this injector's
-// send-direction policy.
+// it establishes passes its outbound frames through this injector.
 func (f *Fault) Dialer(base DialFunc) DialFunc {
 	if base == nil {
 		base = defaultDial
@@ -306,18 +80,9 @@ func (f *Fault) Dialer(base DialFunc) DialFunc {
 	}
 }
 
-// Listener wraps ln so every connection it accepts passes inbound frames
-// through this injector's receive-direction policy. Use it as
-// StoreConfig.Listener to fault what a store hears independently of what
-// it says.
-func (f *Fault) Listener(ln net.Listener) net.Listener {
-	return &faultListener{Listener: ln, fault: f}
-}
-
-// faultConn applies the send-direction policy frame by frame on the write
-// side. Reads pass through untouched: each direction of a link is its own
-// TCP connection, and inbound faults are the accepting side's business
-// (see Listener).
+// faultConn decides each outbound frame's fate on the write side. Reads
+// pass through untouched: each direction of a link is its own connection,
+// dialed by its sender.
 type faultConn struct {
 	net.Conn
 	fault *Fault
@@ -327,251 +92,29 @@ type faultConn struct {
 }
 
 // Write buffers until whole frames (4-byte length prefix + body) are
-// assembled, then decides each frame's fate. The caller always sees a
-// full successful write: a dropped frame is loss on the wire, not a send
-// error, exactly like the simulator's lossy channels.
+// assembled, then writes those that survive. The caller always sees a full
+// successful write: a dropped frame is loss on the wire, not a send error,
+// exactly like the simulator's lossy channels.
 func (c *faultConn) Write(p []byte) (int, error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.buf = append(c.buf, p...)
-	var frames [][]byte
-	for {
-		if len(c.buf) < 4 {
+	off := 0
+	for len(c.buf)-off >= 4 {
+		n := 4 + int(binary.BigEndian.Uint32(c.buf[off:]))
+		if len(c.buf)-off < n {
 			break
 		}
-		total := int(binary.BigEndian.Uint32(c.buf[:4]))
-		if total > maxFrameBytes || len(c.buf) < 4+total {
-			break
+		frame := c.buf[off : off+n]
+		off += n
+		if c.fault.decide(c.peer) {
+			continue
 		}
-		frame := make([]byte, 4+total)
-		copy(frame, c.buf[:4+total])
-		c.buf = c.buf[4+total:]
-		frames = append(frames, frame)
-	}
-	c.mu.Unlock()
-	for _, frame := range frames {
-		if err := c.writeFrame(frame); err != nil {
+		if _, err := c.Conn.Write(frame); err != nil {
+			c.buf = c.buf[:0]
 			return len(p), err
 		}
 	}
+	c.buf = c.buf[:copy(c.buf, c.buf[off:])] // the part of a frame still to come
 	return len(p), nil
-}
-
-// writeFrame rolls one frame's fate and performs the surviving writes. A
-// reorder hold behaves exactly like an extra delay here: delayed frames
-// are written from a timer goroutine, so later undelayed frames overtake
-// them.
-func (c *faultConn) writeFrame(frame []byte) error {
-	drop, dup, delay, hold := c.fault.decide(dirSend, c.peer)
-	if drop {
-		return nil
-	}
-	delay += hold
-	copies := 1
-	if dup {
-		copies = 2
-	}
-	if delay > 0 {
-		// Delayed frames are written from a timer goroutine; write
-		// errors there are indistinguishable from frames lost in flight.
-		time.AfterFunc(delay, func() {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			for i := 0; i < copies; i++ {
-				c.Conn.Write(frame)
-			}
-		})
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := 0; i < copies; i++ {
-		if _, err := c.Conn.Write(frame); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// faultListener wraps accepted connections with the receive-side filter.
-type faultListener struct {
-	net.Listener
-	fault *Fault
-}
-
-func (l *faultListener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	rc := &recvFaultConn{Conn: c, fault: l.fault}
-	rc.cond = sync.NewCond(&rc.mu)
-	return rc, nil
-}
-
-// recvFaultConn applies the receive-direction policy frame by frame on
-// the read side. A pump goroutine (started on the first Read) reassembles
-// whole frames from the underlying stream, rolls each frame's fate, and
-// appends the survivors to an output buffer the caller's Reads drain: a
-// dropped frame looks exactly like one the sender never wrote, a delayed
-// frame holds the stream behind it, and a reorder-held frame is parked on
-// a timer while the pump keeps delivering the frames behind it — which is
-// what lets later frames genuinely overtake it on the receive side. The
-// sender id is peeked from each frame for per-peer policies and severing.
-// A frame with a hostile length prefix switches the connection to raw
-// pass-through — the receiver's own bounds check is about to kill it, and
-// the injector must not hide that.
-type recvFaultConn struct {
-	net.Conn
-	fault *Fault
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	out     []byte // surviving bytes awaiting delivery to Read
-	err     error  // terminal pump error, delivered after out drains
-	closed  bool
-	started bool
-}
-
-// recvFaultBufCap is the soft bound on bytes buffered between the pump
-// and the caller's Reads: the pump stops reading the socket while the
-// consumer is more than this far behind, restoring the TCP backpressure
-// a pull-based reader would exert. Reorder-held frames released by their
-// timers may exceed it briefly (a timer cannot block), bounded by what
-// the windows hold.
-const recvFaultBufCap = 1 << 20
-
-func (c *recvFaultConn) Read(p []byte) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.started {
-		c.started = true
-		go c.pump()
-	}
-	for len(c.out) == 0 && c.err == nil {
-		c.cond.Wait()
-	}
-	if len(c.out) == 0 {
-		return 0, c.err
-	}
-	n := copy(p, c.out)
-	c.out = c.out[n:]
-	// The drain may have opened room for a pump parked at the cap.
-	c.cond.Broadcast()
-	return n, nil
-}
-
-// Close tears the connection down and wakes both the pump (possibly
-// parked waiting for buffer room) and any waiting Read.
-func (c *recvFaultConn) Close() error {
-	err := c.Conn.Close()
-	c.mu.Lock()
-	c.closed = true
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	return err
-}
-
-// push appends bytes to the output buffer and wakes a waiting Read.
-func (c *recvFaultConn) push(b []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.out = append(c.out, b...)
-	c.cond.Broadcast()
-}
-
-// waitRoom parks the pump while the consumer is recvFaultBufCap behind.
-func (c *recvFaultConn) waitRoom() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for len(c.out) > recvFaultBufCap && c.err == nil && !c.closed {
-		c.cond.Wait()
-	}
-}
-
-// fail records the pump's terminal error and wakes waiting Reads. Frames
-// still parked on reorder timers may land after it; a Read drains
-// whatever arrived before returning the error, and anything later is
-// in-flight loss at connection teardown — the same caveat as send-side
-// reorder.
-func (c *recvFaultConn) fail(err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err == nil {
-		c.err = err
-	}
-	c.cond.Broadcast()
-}
-
-// pump reads frames off the underlying connection and decides their fate
-// until the stream ends.
-func (c *recvFaultConn) pump() {
-	for {
-		c.waitRoom()
-		var hdr [4]byte
-		if _, err := io.ReadFull(c.Conn, hdr[:]); err != nil {
-			c.fail(err)
-			return
-		}
-		total := binary.BigEndian.Uint32(hdr[:])
-		if total > maxFrameBytes {
-			// Hostile length prefix: stop interpreting the stream and
-			// pass the rest through raw.
-			c.push(hdr[:])
-			buf := make([]byte, 32<<10)
-			for {
-				c.waitRoom()
-				n, err := c.Conn.Read(buf)
-				if n > 0 {
-					c.push(buf[:n])
-				}
-				if err != nil {
-					c.fail(err)
-					return
-				}
-			}
-		}
-		body := make([]byte, total)
-		if _, err := io.ReadFull(c.Conn, body); err != nil {
-			c.fail(err)
-			return
-		}
-		drop, dup, delay, hold := c.fault.decide(dirRecv, peerFromFrame(body))
-		if drop {
-			continue
-		}
-		if delay > 0 {
-			// The hold happens on this connection's read stream, so
-			// frames behind the held one arrive late with it.
-			time.Sleep(delay)
-		}
-		copies := 1
-		if dup {
-			copies = 2
-		}
-		frame := make([]byte, 0, copies*(4+len(body)))
-		for i := 0; i < copies; i++ {
-			frame = append(frame, hdr[:]...)
-			frame = append(frame, body...)
-		}
-		if hold > 0 {
-			// Parked aside while the pump keeps going: the frames behind
-			// this one overtake it.
-			time.AfterFunc(hold, func() { c.push(frame) })
-			continue
-		}
-		c.push(frame)
-	}
-}
-
-// peerFromFrame extracts the sender id from a frame body (2-byte length
-// prefix + id); unparseable bodies report an empty peer.
-func peerFromFrame(body []byte) string {
-	if len(body) < 2 {
-		return ""
-	}
-	n := int(body[0])<<8 | int(body[1])
-	if len(body) < 2+n {
-		return ""
-	}
-	return string(body[2 : 2+n])
 }

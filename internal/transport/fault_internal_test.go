@@ -1,67 +1,53 @@
 package transport
 
 import (
+	"math/rand"
 	"testing"
-	"time"
 )
 
-// TestFaultForPeerScopesKnobs pins the override semantics of ForPeer
-// deterministically, at the decide level: a per-peer knob binds that peer
-// in that direction only, every unset knob keeps following the
-// injector-wide policy, and injector-wide changes keep applying to peers
-// that never had the knob overridden.
-func TestFaultForPeerScopesKnobs(t *testing.T) {
-	f := NewFault(1)
-	f.ForPeer("p1").SetDropRate(1)
-	for i := 0; i < 50; i++ {
-		if drop, _, _, _ := f.decide(dirSend, "p1"); !drop {
-			t.Fatal("p1 send override: frame survived a 100% drop rate")
-		}
-		if drop, _, _, _ := f.decide(dirSend, "p2"); drop {
-			t.Fatal("p1's override leaked onto p2")
-		}
-		if drop, _, _, _ := f.decide(dirRecv, "p1"); drop {
-			t.Fatal("p1's send override leaked onto its receive direction")
+// TestFaultDropIsOneSeededDrawPerFrame pins Fault's fate sequence at the
+// decide level, which is what makes bench's seeded loss reproducible: a
+// severed peer always loses the frame, a drop rate above 0 consumes exactly
+// one rng.Float64 per frame and a rate of 0 none, and frame i is dropped iff
+// the i-th draw of rand.New(rand.NewSource(seed)) is below the rate.
+func TestFaultDropIsOneSeededDrawPerFrame(t *testing.T) {
+	const seed, frames, rate = 42, 1000, 0.3
+	f := NewFault(seed)
+	draws := rand.New(rand.NewSource(seed))
+	// inStep fails the test unless the injector's next draw is the
+	// reference's: both have consumed the same number.
+	inStep := func(what string) {
+		t.Helper()
+		if f.rng.Float64() != draws.Float64() {
+			t.Fatalf("the draws are out of step after %s", what)
 		}
 	}
-
-	// Injector-wide rate with a per-peer exemption: the exempt peer never
-	// drops, everyone else always does.
-	f.SetDropRate(1)
-	f.ForPeer("p2").SetDropRate(0)
-	for i := 0; i < 50; i++ {
-		if drop, _, _, _ := f.decide(dirSend, "p2"); drop {
-			t.Fatal("p2's exemption did not override the global rate")
-		}
-		if drop, _, _, _ := f.decide(dirSend, "p3"); !drop {
-			t.Fatal("global rate stopped applying to unoverridden p3")
+	for i := 0; i < frames; i++ {
+		if f.decide("p") {
+			t.Fatalf("frame %d dropped at rate 0", i)
 		}
 	}
-	f.SetDropRate(0)
-
-	// Unset knobs fall through: p1's delay was never overridden, so a
-	// global delay change reaches it even though its drop rate is pinned.
-	f.ForPeer("p1").SetDropRate(0)
-	f.SetDelay(3 * time.Millisecond)
-	if _, _, delay, _ := f.decide(dirSend, "p1"); delay != 3*time.Millisecond {
-		t.Fatalf("p1 delay = %v, want the global 3ms (knob was never overridden)", delay)
+	inStep("frames at rate 0, which draw nothing")
+	f.SetDropRate(rate)
+	dropped := 0
+	for i := 0; i < frames; i++ {
+		want := draws.Float64() < rate
+		if got := f.decide("p"); got != want {
+			t.Fatalf("frame %d: dropped %v, want %v (its draw against %.1f)", i, got, want, rate)
+		}
+		if want {
+			dropped++
+		}
 	}
-
-	// Reorder override on the receive side only.
-	f.ForPeer("p1").SetRecvReorder(1, 7*time.Millisecond)
-	if _, _, _, hold := f.decide(dirRecv, "p1"); hold != 7*time.Millisecond {
-		t.Fatalf("p1 recv hold = %v, want 7ms", hold)
+	if dropped == 0 || dropped == frames {
+		t.Fatalf("%d of %d frames dropped at %.1f", dropped, frames, rate)
 	}
-	if _, _, _, hold := f.decide(dirRecv, "p2"); hold != 0 {
-		t.Fatalf("p2 recv hold = %v, want 0", hold)
+	inStep("one draw per frame at a rate above 0")
+	f.SetSever(func(peer string) bool { return peer == "cut" })
+	for i := 0; i < frames; i++ {
+		if !f.decide("cut") {
+			t.Fatalf("frame %d to a severed peer survived", i)
+		}
 	}
-	if _, _, _, hold := f.decide(dirSend, "p1"); hold != 0 {
-		t.Fatalf("p1 send hold = %v, want 0 (override is recv-scoped)", hold)
-	}
-
-	// Severing trumps every override.
-	f.SetSever(func(peer string) bool { return peer == "p2" })
-	if drop, _, _, _ := f.decide(dirSend, "p2"); !drop {
-		t.Fatal("sever did not trump p2's drop-rate exemption")
-	}
+	inStep("frames to a severed peer, which draw nothing")
 }

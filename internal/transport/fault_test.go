@@ -226,256 +226,3 @@ func TestStorePartitionHealsToConvergence(t *testing.T) {
 		t.Errorf("digest repair never fired: wants=%d repairs=%d", wants, repairs)
 	}
 }
-
-// TestFaultReorderOnlyIsLossless pins the reorder-only mode: half of all
-// outbound frames are held back 5ms (so later frames overtake them), on
-// top of a 1ms receive-side delay on every store. The cluster runs the
-// plain delta engine with digests DISABLED — an engine with no repair
-// path whatsoever — so exact convergence is only possible if reorder mode
-// truly never drops or duplicates a frame.
-func TestFaultReorderOnlyIsLossless(t *testing.T) {
-	const keys = 80
-	fault := transport.NewFault(11)
-	fault.SetReorder(0.5, 5*time.Millisecond)
-	fault.SetRecvDelay(time.Millisecond)
-	stores := startStoreClusterWith(t, 2, transport.StoreConfig{
-		Shards:      8,
-		Factory:     protocol.NewDeltaBPRR(),
-		ObjType:     gcounters,
-		SyncEvery:   10 * time.Millisecond,
-		DigestEvery: 0, // no repair path: loss would be permanent divergence
-	}, func(i int, id string, cfg *transport.StoreConfig) {
-		cfg.Dial = fault.Dialer(nil)
-		cfg.Listener = fault.Listener(cfg.Listener)
-	})
-	for k := 0; k < keys; k++ {
-		stores[k%2].Update(workload.Op{Kind: workload.KindInc, Key: fmt.Sprintf("key-%03d", k), N: 2})
-		if k%8 == 7 {
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	if err := transport.WaitConverged(stores, keys, 60*time.Second, nil); err != nil {
-		t.Fatalf("reorder-only faults lost or duplicated a frame: %v", err)
-	}
-	for k := 0; k < keys; k++ {
-		key := fmt.Sprintf("key-%03d", k)
-		for _, st := range stores {
-			if v := st.Get(key).(*crdt.GCounter).Value(); v != 2 {
-				t.Errorf("%s on %s = %d, want 2", key, st.ID(), v)
-			}
-		}
-	}
-}
-
-// TestFaultRecvReorderOnlyIsLossless pins receive-side reorder: half of
-// all inbound frames are parked for 5ms while the frames behind them are
-// delivered first — reordering on the receive path, which SetReorder
-// (send-only) could not produce and SetRecvDelay cannot either (it holds
-// the whole stream back, preserving order). The cluster runs the plain
-// delta engine with digests DISABLED — no repair path whatsoever — so
-// exact convergence is only possible if recv reorder truly never drops or
-// duplicates a frame.
-func TestFaultRecvReorderOnlyIsLossless(t *testing.T) {
-	const keys = 80
-	fault := transport.NewFault(13)
-	fault.SetRecvReorder(0.5, 5*time.Millisecond)
-	stores := startStoreClusterWith(t, 2, transport.StoreConfig{
-		Shards:      8,
-		Factory:     protocol.NewDeltaBPRR(),
-		ObjType:     gcounters,
-		SyncEvery:   10 * time.Millisecond,
-		DigestEvery: 0, // no repair path: loss would be permanent divergence
-	}, func(i int, id string, cfg *transport.StoreConfig) {
-		cfg.Listener = fault.Listener(cfg.Listener)
-	})
-	for k := 0; k < keys; k++ {
-		stores[k%2].Update(workload.Op{Kind: workload.KindInc, Key: fmt.Sprintf("key-%03d", k), N: 2})
-		if k%8 == 7 {
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	if err := transport.WaitConverged(stores, keys, 60*time.Second, nil); err != nil {
-		t.Fatalf("recv-reorder faults lost or duplicated a frame: %v", err)
-	}
-	for k := 0; k < keys; k++ {
-		key := fmt.Sprintf("key-%03d", k)
-		for _, st := range stores {
-			if v := st.Get(key).(*crdt.GCounter).Value(); v != 2 {
-				t.Errorf("%s on %s = %d, want 2", key, st.ID(), v)
-			}
-		}
-	}
-}
-
-// TestFaultPerPeerOverrideBlackholesOnePeer drives ForPeer end to end:
-// with only the override (global rates untouched) blackholing s-00's
-// frames to s-01, nothing s-00 says arrives — the plain delta engine
-// clears its buffers, so only digest repair could ever recover — and
-// clearing the override through the same handle heals the link live.
-func TestFaultPerPeerOverrideBlackholesOnePeer(t *testing.T) {
-	const keys = 30
-	fault := transport.NewFault(19)
-	fault.ForPeer("s-01").SetDropRate(1)
-	stores := startStoreClusterWith(t, 2, transport.StoreConfig{
-		Shards:      8,
-		Factory:     protocol.NewDeltaBPRR(),
-		ObjType:     gcounters,
-		SyncEvery:   10 * time.Millisecond,
-		DigestEvery: 2,
-	}, func(i int, id string, cfg *transport.StoreConfig) {
-		if id == "s-00" {
-			cfg.Dial = fault.Dialer(nil)
-		}
-	})
-	for k := 0; k < keys; k++ {
-		stores[0].Update(workload.Op{Kind: workload.KindInc, Key: fmt.Sprintf("key-%03d", k), N: 1})
-	}
-	// The override must hold: s-01 hears nothing, despite its own digest
-	// advertisements making s-00 ask for every shard (the Want replies
-	// are s-00 frames too, and die on the same override).
-	time.Sleep(300 * time.Millisecond)
-	if got := stores[1].NumKeys(); got != 0 {
-		t.Fatalf("per-peer blackhole leaked: s-01 holds %d keys", got)
-	}
-	fault.ForPeer("s-01").SetDropRate(0)
-	if err := transport.WaitConverged(stores, keys, 60*time.Second, nil); err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < keys; k++ {
-		key := fmt.Sprintf("key-%03d", k)
-		if v := stores[1].Get(key).(*crdt.GCounter).Value(); v != 1 {
-			t.Errorf("%s on s-01 = %d, want 1", key, v)
-		}
-	}
-}
-
-// TestFaultRecvDropIsPerDirection proves send and receive policies are
-// independent: with s-00's receive side a total blackhole, everything
-// s-00 says still reaches s-01, while s-00 itself learns nothing — and
-// once the receive side heals, the acked engine retransmits its way to
-// exact convergence.
-func TestFaultRecvDropIsPerDirection(t *testing.T) {
-	fault := transport.NewFault(5)
-	fault.SetRecvDropRate(1)
-	stores := startStoreClusterWith(t, 2, transport.StoreConfig{
-		Shards:      8,
-		Factory:     protocol.NewDeltaAcked(true, true),
-		ObjType:     gcounters,
-		SyncEvery:   10 * time.Millisecond,
-		DigestEvery: 2,
-	}, func(i int, id string, cfg *transport.StoreConfig) {
-		if id == "s-00" {
-			cfg.Listener = fault.Listener(cfg.Listener)
-		}
-	})
-	stores[0].Update(workload.Op{Kind: workload.KindInc, Key: "from-zero", N: 1})
-	stores[1].Update(workload.Op{Kind: workload.KindInc, Key: "from-one", N: 1})
-	// Send direction unaffected: s-01 learns s-00's key.
-	deadline := time.Now().Add(10 * time.Second)
-	for stores[1].Get("from-zero") == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("s-00's sends blocked by its receive-side faults")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// Receive direction blackholed: s-00 must still know only itself,
-	// despite s-01 retransmitting at it the whole time.
-	time.Sleep(200 * time.Millisecond)
-	if got := stores[0].NumKeys(); got != 1 {
-		t.Fatalf("receive blackhole leaked: s-00 holds %d keys, want 1", got)
-	}
-	fault.SetRecvDropRate(0)
-	if err := transport.WaitConverged(stores, 2, 30*time.Second, nil); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"from-zero", "from-one"} {
-		for _, st := range stores {
-			if v := st.Get(key).(*crdt.GCounter).Value(); v != 1 {
-				t.Errorf("%s on %s = %d, want 1", key, st.ID(), v)
-			}
-		}
-	}
-}
-
-// TestStoreConvergesUnderDupAndDelay duplicates 30% of frames and delays
-// every frame by a few milliseconds (which also reorders them relative to
-// replies). Merges are idempotent and acks tolerate replay, so every
-// counter must still end at exactly its written value.
-func TestStoreConvergesUnderDupAndDelay(t *testing.T) {
-	const keys = 60
-	fault := transport.NewFault(7)
-	fault.SetDupRate(0.3)
-	fault.SetDelay(3 * time.Millisecond)
-	shared := func(int, string) *transport.Fault { return fault }
-	stores := startFaultyCluster(t, 3, transport.StoreConfig{
-		Shards:      8,
-		Factory:     protocol.NewDeltaAcked(true, true),
-		ObjType:     func(string) workload.Datatype { return workload.GCounterType{} },
-		SyncEvery:   15 * time.Millisecond,
-		DigestEvery: 2,
-	}, shared)
-	for k := 0; k < keys; k++ {
-		stores[k%3].Update(workload.Op{Kind: workload.KindInc, Key: fmt.Sprintf("key-%03d", k), N: 3})
-	}
-	if err := transport.WaitConverged(stores, keys, 60*time.Second, nil); err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < keys; k++ {
-		key := fmt.Sprintf("key-%03d", k)
-		for _, st := range stores {
-			if v := st.Get(key).(*crdt.GCounter).Value(); v != 3 {
-				t.Errorf("%s on %s = %d, want 3 (duplication double-counted?)", key, st.ID(), v)
-			}
-		}
-	}
-}
-
-// TestStoreConvergesUnderLossReorderAndPartition combines the battery's
-// faults on the acked engine with digests: 20% frame loss and reordering
-// on every link, plus a partition that isolates one store while updates
-// land on both sides, healed mid-run. Every counter must still end at
-// exactly its written value on every store.
-func TestStoreConvergesUnderLossReorderAndPartition(t *testing.T) {
-	const keys = 120
-	var partitioned atomic.Bool
-	partitioned.Store(true)
-	side := map[string]int{"s-00": 0, "s-01": 1, "s-02": 1}
-	faultFor := func(i int, id string) *transport.Fault {
-		f := transport.NewFault(int64(100 + i))
-		f.SetDropRate(0.2)
-		f.SetReorder(0.3, 3*time.Millisecond)
-		f.SetSever(func(peer string) bool {
-			return partitioned.Load() && side[id] != side[peer]
-		})
-		return f
-	}
-	stores := startFaultyCluster(t, 3, transport.StoreConfig{
-		Shards:      16,
-		Factory:     protocol.NewDeltaAcked(true, true),
-		ObjType:     func(string) workload.Datatype { return workload.GCounterType{} },
-		SyncEvery:   15 * time.Millisecond,
-		DigestEvery: 2,
-	}, faultFor)
-	for k := 0; k < keys; k++ {
-		stores[k%3].Update(workload.Inc(fmt.Sprintf("key-%03d", k), 1))
-		if k%12 == 11 {
-			time.Sleep(5 * time.Millisecond) // let ticks run mid-load
-		}
-	}
-	partitioned.Store(false)
-	if err := transport.WaitConverged(stores, keys, 90*time.Second, nil); err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < keys; k++ {
-		key := fmt.Sprintf("key-%03d", k)
-		for _, st := range stores {
-			got := st.Get(key)
-			if got == nil {
-				t.Fatalf("%s missing on %s", key, st.ID())
-			}
-			if v := got.(*crdt.GCounter).Value(); v != 1 {
-				t.Errorf("%s on %s = %d, want 1", key, st.ID(), v)
-			}
-		}
-	}
-}

@@ -26,8 +26,8 @@ type StoreConfig struct {
 	// Listener, when non-nil, is used instead of binding ListenAddr.
 	Listener net.Listener
 	// Dial, when non-nil, replaces the default TCP dialer for outbound
-	// connections; fault-injection harnesses wrap it to drop, duplicate
-	// or delay frames.
+	// connections; fault-injection harnesses (Fault) wrap it to drop or
+	// sever frames.
 	Dial DialFunc
 	// Peers maps neighbor ids to their listen addresses.
 	Peers map[string]string
@@ -527,33 +527,7 @@ func (s *Store) Memory() metrics.Memory {
 
 // Stats returns a snapshot of the wire accounting, including the
 // per-peer write-pipeline counters and connection states.
-func (s *Store) Stats() StoreStats {
-	s.statsMu.Lock()
-	st := s.stats
-	s.statsMu.Unlock()
-	s.wire.snapshot(&st)
-	st.RepairTimeouts = s.repair.expired()
-	for _, sh := range s.shards {
-		if r, ok := sh.engine.(interface{ Retransmits() uint64 }); ok {
-			sh.mu.Lock()
-			st.Retransmits += int(r.Retransmits())
-			sh.mu.Unlock()
-		}
-	}
-	st.Peers = s.net.peerStats()
-	for i, id := range s.neighbors {
-		ps := st.Peers[id]
-		s.linkList[i].fill(&ps)
-		if s.reach != nil {
-			ps.Reaches = s.reach.Of(id)
-		}
-		st.Peers[id] = ps
-	}
-	if s.reach != nil {
-		st.Withheld = int(s.reach.Withheld())
-	}
-	return st
-}
+func (s *Store) Stats() StoreStats { return s.counters(s.net.peerStats()) }
 
 // Ticks returns how many synchronization steps — timer ticks and SyncNow
 // calls, not write-triggered flushes — this store has run.

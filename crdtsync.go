@@ -76,7 +76,7 @@ type State = lattice.State
 type Stats = transport.StoreStats
 
 // PeerStats is the per-peer slice of Stats: one outbound write
-// pipeline's enqueued/dropped/coalesced frame and byte counters plus its
+// pipeline's enqueued/dropped frame and byte counters plus its
 // connection state, and — under EngineAcked — how far behind the peer
 // is (frames in flight, last sequence number sent, acknowledged and
 // received) and which of this store's other peers it last announced it
@@ -212,20 +212,8 @@ func WithSyncEvery(d time.Duration) Option { return func(o *options) { o.cfg.Syn
 // 0 (the default) disables it.
 func WithDigestEvery(n int) Option { return func(o *options) { o.cfg.DigestEvery = n } }
 
-// WithQueueBudget bounds each peer's outbound write queue: frames caps
-// the queue length in frames (default 128), bytes in encoded bytes
-// (default 8 MiB). When a slow peer's queue crosses either bound the
-// oldest frame is evicted and counted in Stats().Peers — backpressure
-// never reaches healthy peers or the sync loop. Zero keeps a default.
-func WithQueueBudget(frames, bytes int) Option {
-	return func(o *options) {
-		o.cfg.PeerQueueLen = frames
-		o.cfg.PeerQueueBytes = bytes
-	}
-}
-
 // WithDial replaces the default TCP dialer for outbound connections;
-// fault-injection harnesses wrap it to drop, duplicate or delay frames.
+// fault-injection harnesses wrap it to drop or sever frames.
 func WithDial(dial DialFunc) Option { return func(o *options) { o.cfg.Dial = dial } }
 
 // WithSnapshotDir enables crash-restart durability: each shard's objects

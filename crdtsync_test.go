@@ -2,6 +2,9 @@ package crdtsync_test
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"sort"
 	"strings"
 	"testing"
@@ -207,6 +210,37 @@ func equalStrings(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// TestPublicOptions pins the knobs Open takes: the exported functions of
+// crdtsync.go that return an Option. Adding or removing one is an edit to
+// this list.
+func TestPublicOptions(t *testing.T) {
+	want := []string{
+		"WithDial", "WithDigestEvery", "WithEngine", "WithID",
+		"WithListenAddr", "WithListener", "WithNodes", "WithPeers",
+		"WithShards", "WithSnapshotDir", "WithSnapshotEvery", "WithSyncEvery",
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), "crdtsync.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range f.Decls {
+		fn, ok := d.(*ast.FuncDecl)
+		if !ok || fn.Recv != nil || !fn.Name.IsExported() || fn.Type.Results == nil {
+			continue
+		}
+		for _, r := range fn.Type.Results.List {
+			if id, ok := r.Type.(*ast.Ident); ok && id.Name == "Option" {
+				got = append(got, fn.Name.Name)
+			}
+		}
+	}
+	sort.Strings(got)
+	if !equalStrings(got, want) {
+		t.Errorf("public options: %v, want the %d in %v", got, len(want), want)
+	}
 }
 
 // BenchmarkRead compares the three read strengths on a 10k-counter

@@ -32,7 +32,6 @@ func main() {
 	shards := flag.Int("shards", 64, "shards per replica")
 	syncEvery := flag.Duration("sync-every", 100*time.Millisecond, "synchronization period")
 	digestEvery := flag.Int("digest-every", 4, "digest heartbeat period in ticks (0 disables)")
-	peerQueue := flag.Int("peer-queue", 0, "per-peer outbound frame queue length (0 = default)")
 	flag.Parse()
 
 	stores, err := crdtsync.Cluster(*nodes,
@@ -43,10 +42,6 @@ func main() {
 		crdtsync.WithEngine(crdtsync.EngineAcked),
 		crdtsync.WithSyncEvery(*syncEvery),
 		crdtsync.WithDigestEvery(*digestEvery),
-		// Each peer gets its own bounded write queue and writer
-		// goroutine, so one slow replica can never stall frames to the
-		// healthy ones.
-		crdtsync.WithQueueBudget(*peerQueue, 0),
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -84,7 +79,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var frames, wireBytes, elements, withheld, piggybacked, ackFrames, retransmits, enqueued, dropped, coalesced, reconnects int
+	var frames, wireBytes, elements, withheld, piggybacked, ackFrames, retransmits, enqueued, dropped, reconnects int
 	for _, st := range stores {
 		s := st.Stats()
 		frames += s.Frames
@@ -97,7 +92,6 @@ func main() {
 		for _, ps := range s.Peers {
 			enqueued += ps.Enqueued
 			dropped += ps.Dropped
-			coalesced += ps.Coalesced
 			reconnects += ps.Reconnects
 		}
 	}
@@ -112,8 +106,8 @@ func main() {
 		float64(elements)/float64(*keys), *nodes, withheld)
 	// An acknowledgement waits up to half a tick for a data frame to ride;
 	// the ones that found none left alone.
-	fmt.Printf("pipeline: %d frames enqueued, %d dropped, %d coalesced on drain, %d reconnects; per update %.3f acknowledgement-only frames, %.4f retransmissions\n",
-		enqueued, dropped, coalesced, reconnects,
+	fmt.Printf("pipeline: %d frames enqueued, %d dropped, %d reconnects; per update %.3f acknowledgement-only frames, %.4f retransmissions\n",
+		enqueued, dropped, reconnects,
 		float64(ackFrames)/float64(*keys), float64(retransmits)/float64(*keys))
 
 	// The zero-clone read layer sums the whole keyspace without copying

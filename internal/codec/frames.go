@@ -185,65 +185,3 @@ func AppendBatchHeader(b []byte, count int) []byte {
 func BatchHeaderSize(count int) int {
 	return 1 + SizeUvarint(uint64(count))
 }
-
-// splitSharded parses an encoded plain ShardedMsg into its item count and
-// raw item bytes. ok is false for any other encoding: the digest-carrying
-// variant, whose vector must not survive a merge — it advertises one
-// instant's shard states, not a range — and the linked variant, whose
-// sequence number names one frame — the unit its receiver acknowledges.
-func splitSharded(d []byte) (count uint64, items []byte, ok bool) {
-	if len(d) == 0 || d[0] != tagShardedMsg {
-		return 0, nil, false
-	}
-	cnt, n, err := readUvarint(d[1:])
-	if err != nil {
-		return 0, nil, false
-	}
-	return cnt, d[1+n:], true
-}
-
-// CanMergeSharded reports whether d is a plain ShardedMsg encoding — the
-// only kind of frame drain coalescing may merge. It is the exact
-// admission predicate of MergeSharded, so a set of frames that each pass
-// it always merges.
-func CanMergeSharded(d []byte) bool {
-	_, _, ok := splitSharded(d)
-	return ok
-}
-
-// MergeSharded concatenates encoded plain ShardedMsg frames into one in a
-// single pass, without re-encoding any item: item counts are summed and
-// the item byte regions appended. The peer write pipeline uses it to
-// coalesce queued frames to the same peer on drain. The merged encoding
-// is never longer than the inputs combined (per-frame tag bytes are saved
-// and uvarint(Σx) never exceeds Σ uvarint(x)), so a size check on the
-// summed input lengths is a safe admission bound. Returns ok=false when
-// any input is not a plain sharded frame (digest-carrying frames,
-// numbered or acknowledging frames, heartbeats, and single-object node
-// frames never merge).
-func MergeSharded(frames [][]byte) ([]byte, bool) {
-	if len(frames) == 0 {
-		return nil, false
-	}
-	var (
-		count uint64
-		total int
-	)
-	parts := make([][]byte, 0, len(frames))
-	for _, f := range frames {
-		n, items, ok := splitSharded(f)
-		if !ok {
-			return nil, false
-		}
-		count += n
-		total += len(items)
-		parts = append(parts, items)
-	}
-	out := make([]byte, 0, 1+SizeUvarint(count)+total)
-	out = append(out, tagShardedMsg)
-	out = binary.AppendUvarint(out, count)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out, true
-}

@@ -196,73 +196,6 @@ func TestShardedDigestMsgHostileCount(t *testing.T) {
 	}
 }
 
-func TestMergeSharded(t *testing.T) {
-	itemsA := []protocol.ShardItem{
-		{Shard: 1, Msg: protocol.NewDeltaMsg(crdt.NewGSet("a"))},
-		{Shard: 2, Msg: protocol.NewDeltaMsg(crdt.NewGSet("b"))},
-	}
-	itemsB := []protocol.ShardItem{
-		{Shard: 9, Msg: protocol.NewDeltaMsg(crdt.NewGSet("c"))},
-	}
-	ma, mb := protocol.NewShardedMsg(itemsA), protocol.NewShardedMsg(itemsB)
-	ea, _ := codec.EncodeMsg(ma)
-	eb, _ := codec.EncodeMsg(mb)
-	if !codec.CanMergeSharded(ea) || !codec.CanMergeSharded(eb) {
-		t.Fatal("plain sharded frames reported unmergeable")
-	}
-	merged, ok := codec.MergeSharded([][]byte{ea, eb})
-	if !ok {
-		t.Fatal("two plain sharded frames refused to merge")
-	}
-	if len(merged) > len(ea)+len(eb) {
-		t.Errorf("merged %d bytes from %d+%d: merging must never grow", len(merged), len(ea), len(eb))
-	}
-	got, n, err := codec.DecodeMsg(merged)
-	if err != nil || n != len(merged) {
-		t.Fatalf("merged frame decode: n=%d err=%v", n, err)
-	}
-	sm := got.(*protocol.ShardedMsg)
-	if len(sm.Items) != 3 || sm.Items[0].Shard != 1 || sm.Items[2].Shard != 9 {
-		t.Fatalf("merged items = %+v", sm.Items)
-	}
-	// The merged frame accounts as what it is: one message on the wire
-	// carrying both frames' items.
-	wantCost := ma.Cost()
-	wantCost.Add(mb.Cost())
-	wantCost.Messages = 1
-	if sm.Cost() != wantCost {
-		t.Errorf("merged cost = %+v, want summed %+v", sm.Cost(), wantCost)
-	}
-	// Non-mergeable inputs: a digest-carrying frame (its vector describes
-	// one instant, not a range) and a non-sharded message. CanMergeSharded
-	// must agree with MergeSharded on every case.
-	ec, _ := codec.EncodeMsg(protocol.NewShardedDigestMsg(itemsB, []uint64{1, 2}))
-	if _, ok := codec.MergeSharded([][]byte{ea, ec}); ok || codec.CanMergeSharded(ec) {
-		t.Error("digest-carrying frame must not merge")
-	}
-	ed, _ := codec.EncodeMsg(protocol.NewDigestMsg([]uint64{1}))
-	if _, ok := codec.MergeSharded([][]byte{ea, ed}); ok || codec.CanMergeSharded(ed) {
-		t.Error("non-sharded frame must not merge")
-	}
-	// Nor does a frame with a link header, numbered or acknowledging: its
-	// receiver acknowledges it as the one frame its number names.
-	for _, link := range []protocol.LinkHeader{
-		{Seq: protocol.FrameSeq{Inc: 7, Seq: 3}},
-		{Ack: protocol.FrameAck{Inc: 7, Cum: 3}},
-	} {
-		el, _ := codec.EncodeMsg(protocol.NewShardedLinkMsg(itemsA, nil, link))
-		if _, ok := codec.MergeSharded([][]byte{ea, el}); ok || codec.CanMergeSharded(el) {
-			t.Errorf("frame with link header %+v must not merge", link)
-		}
-	}
-	if _, ok := codec.MergeSharded([][]byte{nil, ea}); ok {
-		t.Error("empty input must not merge")
-	}
-	if _, ok := codec.MergeSharded(nil); ok {
-		t.Error("empty frame list must not merge")
-	}
-}
-
 func TestShardedMsgCostAggregation(t *testing.T) {
 	inner := protocol.NewDeltaMsg(crdt.NewGSet("x", "y"))
 	m := protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 3, Msg: inner}})

@@ -264,11 +264,14 @@ func (v *FrameView) appendItem(d []byte, shard uint32, keep bool) (int, error) {
 	return n, nil
 }
 
-// group builds the per-shard runs. Conforming senders emit items in shard
-// order (the packer walks shards in index order), so the common case is a
-// single pass over already-grouped items; interleaved frames (a drain
-// coalition splicing several ticks) fall back to a stable counting sort —
-// O(items + shards), order within each shard preserved.
+// group builds the per-shard runs. A tick's or flush's frames list their
+// items in shard order (the packer walks shards in index order), so the
+// common case is a single pass over already-grouped items. A frame a
+// delivery answers with need not be: it can carry the answer to a drill's
+// close on one shard (answerClose) and then the stop of a drill on a lower
+// shard, started from the piggybacked vector of the same inbound frame
+// (handleDigests). Those fall back to a stable counting sort — O(items +
+// shards), order within each shard preserved.
 func (v *FrameView) group(shards int, grouped bool) {
 	items := v.items
 	if !grouped {

@@ -19,7 +19,7 @@ func LoopbackCluster(n int, template StoreConfig) ([]*Store, error) {
 // LoopbackClusterWith is LoopbackCluster with a per-store hook: customize
 // (when non-nil) runs on each store's finished config just before
 // StartStore, with the listener already bound — fault harnesses use it to
-// wrap Dial and to vary queue lengths per store.
+// wrap Dial per store.
 func LoopbackClusterWith(n int, template StoreConfig, customize func(i int, id string, cfg *StoreConfig)) ([]*Store, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("transport: cluster needs at least 1 store")

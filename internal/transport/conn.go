@@ -7,8 +7,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"crdtsync/internal/codec"
 )
 
 // DialFunc establishes the outbound connection to one peer: id is the
@@ -37,12 +35,10 @@ const (
 // queueConfig bounds one peer's outbound queue. Frames vary ~100x in
 // size (a digest heartbeat vs a full repair batch), so the queue is
 // budgeted in bytes as well as frames: eviction fires when either bound
-// is crossed. maxMsg, when positive, lets the writer coalesce queued
-// frames to the same peer into one frame up to that size on drain.
+// is crossed.
 type queueConfig struct {
 	frames int // 0 = defaultPeerQueueLen
 	bytes  int // 0 = defaultPeerQueueBytes
-	maxMsg int // 0 = no drain coalescing
 }
 
 func (q queueConfig) withDefaults() queueConfig {
@@ -84,11 +80,11 @@ type PeerStats struct {
 	// frames are gone for good.
 	Dropped      int
 	DroppedBytes int
-	// Coalesced counts queued frames merged into an earlier frame to the
-	// same peer on drain, incremented only once the merged write lands:
-	// their bytes reached the wire minus the saved per-frame headers —
-	// only their frame identity disappeared. A coalition whose write
-	// fails counts in Dropped instead.
+	// Coalesced is never populated.
+	//
+	// Deprecated: the pipeline writes every frame as it was queued and
+	// merges none; the field stays declared only because the frozen bench/
+	// module compiles against it.
 	Coalesced int
 	// Reconnects counts successful connection establishments after a
 	// failure (the first connect is not a reconnect).
@@ -179,9 +175,9 @@ func (pc *peerConn) enqueue(data []byte) {
 	pc.cond.Signal()
 }
 
-// run is the writer goroutine: it drains the queue — coalescing queued
-// frames to this peer into one when they fit the cap — until the pipeline
-// is closed and empty, or hard-stopped.
+// run is the writer goroutine: it writes the queued frames one by one, as
+// they were handed to transmit, until the pipeline is closed and empty, or
+// hard-stopped.
 func (pc *peerConn) run() {
 	defer pc.p.writers.Done()
 	for {
@@ -195,29 +191,7 @@ func (pc *peerConn) run() {
 			pc.mu.Unlock()
 			return
 		}
-		if frame == nil {
-			pc.write(nil, 0, 0) // the connection, and the hello due on it
-			continue
-		}
-		batch, bytes := pc.coalesceBatch(frame)
-		if len(batch) == 1 {
-			pc.write(frame, 1, len(frame))
-			continue
-		}
-		if merged, ok := codec.MergeSharded(batch); ok {
-			// Coalesced counts only after the write lands: a merged
-			// coalition that dies on the way out is Dropped, not both.
-			if pc.write(merged, len(batch), bytes) {
-				pc.addCoalesced(len(batch) - 1)
-			}
-			continue
-		}
-		// Unreachable — every batch member passed CanMergeSharded, the
-		// exact predicate MergeSharded applies — but a refusal must ship
-		// the popped frames individually, never lose them.
-		for _, f := range batch {
-			pc.write(f, 1, len(f))
-		}
+		pc.write(frame) // nil: the connection, and the hello due on it
 	}
 }
 
@@ -243,49 +217,6 @@ func (pc *peerConn) next() ([]byte, bool) {
 	return f, true
 }
 
-// coalesceBatch pops the run of queued frames that can merge with frame —
-// plain sharded data frames whose summed length stays within the frame
-// cap — so the caller can splice them into one frame (one header and one
-// syscall instead of k). Digest-carrying frames never merge, nor do
-// frames with a link header: a sequence number names one frame, and its
-// receiver acknowledges it as one. The actual
-// byte splicing happens outside the queue lock: merging is O(bytes) work
-// that must not delay a concurrent transmit's enqueue. Coalescing only
-// happens on an established connection — against a down peer each attempt
-// must keep costing exactly one queued frame, not a whole merged
-// coalition per failed dial. bytes is the enqueued length the batch
-// represents: a failed write drops the whole coalition from the
-// accounting, not one frame of it.
-func (pc *peerConn) coalesceBatch(frame []byte) (batch [][]byte, bytes int) {
-	batch, bytes = [][]byte{frame}, len(frame)
-	if pc.qcfg.maxMsg <= 0 || !codec.CanMergeSharded(frame) {
-		return batch, bytes
-	}
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if pc.conn == nil {
-		return batch, bytes
-	}
-	total := len(frame)
-	for len(pc.queue) > 0 && total+len(pc.queue[0]) <= pc.qcfg.maxMsg &&
-		codec.CanMergeSharded(pc.queue[0]) {
-		next := pc.queue[0]
-		pc.queue[0] = nil
-		pc.queue = pc.queue[1:]
-		pc.qbytes -= len(next)
-		batch = append(batch, next)
-		total += len(next)
-		bytes += len(next)
-	}
-	return batch, bytes
-}
-
-func (pc *peerConn) addCoalesced(n int) {
-	pc.mu.Lock()
-	pc.stats.Coalesced += n
-	pc.mu.Unlock()
-}
-
 func (pc *peerConn) hardStopped() bool {
 	select {
 	case <-pc.p.hardStop:
@@ -295,19 +226,17 @@ func (pc *peerConn) hardStopped() bool {
 	}
 }
 
-// write ships one (possibly coalesced) frame — after a hello, if one is
-// due; a nil frame is the hello alone — establishing the connection if
-// needed, and reports whether it landed. A failed dial or write drops
-// the frame (counted per peer, same as overflow — frames and bytes name
-// the enqueued frames it represents) and backs off before the next
-// attempt, so a down peer costs one queued frame per attempt instead of
-// wedging the writer on the oldest frame while drop-oldest evicts
-// everything newer behind it.
-func (pc *peerConn) write(frame []byte, frames, bytes int) bool {
+// write ships one frame — after a hello, if one is due; a nil frame is the
+// hello alone — establishing the connection if needed. A failed dial or
+// write drops the frame (counted per peer, same as overflow) and backs off
+// before the next attempt, so a down peer costs one queued frame per
+// attempt instead of wedging the writer on the oldest frame while
+// drop-oldest evicts everything newer behind it.
+func (pc *peerConn) write(frame []byte) {
 	conn := pc.ensureConn()
 	if conn == nil {
-		pc.dropFrames(frames, bytes)
-		return false
+		pc.dropFrame(frame)
+		return
 	}
 	err := pc.writeHello(conn)
 	if err == nil && frame != nil {
@@ -315,12 +244,11 @@ func (pc *peerConn) write(frame []byte, frames, bytes int) bool {
 	}
 	if err != nil {
 		pc.disconnect(conn)
-		pc.dropFrames(frames, bytes)
+		pc.dropFrame(frame)
 		pc.sleepBackoff()
-		return false
+		return
 	}
 	pc.markHealthy()
-	return true
 }
 
 // writeHello writes the announcement if one is due: the first frame of a
@@ -393,10 +321,15 @@ func (pc *peerConn) disconnect(conn net.Conn) {
 	}
 }
 
-func (pc *peerConn) dropFrames(frames, bytes int) {
+// dropFrame counts a frame lost to a failed dial or write; the hello
+// alone (nil) is not a queued frame and costs nothing.
+func (pc *peerConn) dropFrame(frame []byte) {
+	if frame == nil {
+		return
+	}
 	pc.mu.Lock()
-	pc.stats.Dropped += frames
-	pc.stats.DroppedBytes += bytes
+	pc.stats.Dropped++
+	pc.stats.DroppedBytes += len(frame)
 	pc.mu.Unlock()
 }
 
@@ -609,7 +542,9 @@ func (p *peerNet) acceptLoop() {
 func (p *peerNet) readLoop(conn net.Conn) {
 	defer p.wg.Done()
 	// The connection is its first frame's sender's, for as long as it
-	// lives.
+	// lives: a later frame that names anyone else closes it unread, since
+	// its acknowledgement, reach and drill would be booked to a neighbor
+	// whose connection this is not.
 	var peer string
 	named := false
 	defer func() {
@@ -642,6 +577,8 @@ func (p *peerNet) readLoop(conn net.Conn) {
 			p.mu.Lock()
 			p.inbound[peer]++
 			p.mu.Unlock()
+		} else if from != peer {
+			return
 		}
 		if err := p.deliver(from, data); err != nil {
 			return // corrupt or refused peer; drop the connection

@@ -628,15 +628,11 @@ func (c *core) sendAck(to string, lk *link) {
 	c.wire.add(&t)
 }
 
-// maxMsgFor is the largest encoded message one frame carries under the cap
-// after its header (2-byte sender length and the sender id; receivers do
-// not count the length prefix): the packer's and the coalescer's budget.
-func maxMsgFor(maxFrame int, id string) int {
-	return maxFrame - 2 - len(id)
-}
-
+// maxMsgBytes is the largest encoded message one frame carries under the
+// cap after its header (2-byte sender length and the sender id; receivers
+// do not count the length prefix): the packer's budget.
 func (c *core) maxMsgBytes() int {
-	return maxMsgFor(c.cfg.MaxFrameBytes, c.cfg.ID)
+	return c.cfg.MaxFrameBytes - 2 - len(c.cfg.ID)
 }
 
 // frameKind classifies a frame for the wire accounting: shard items only,
@@ -820,9 +816,9 @@ func (c *core) deliverSharded(from string, v *codec.FrameView, now int64) bool {
 			if iv.Key == nil {
 				// The one bare message stores send inside a data frame is
 				// the TreeMsg that closes a drill, after the states it goes
-				// with; the engines have no use for any other. Should a
-				// drained backlog have spliced two into one group, one that
-				// asks for an answer is the one to keep.
+				// with; the engines have no use for any other. Should one
+				// group hold two, one that asks for an answer is the one to
+				// keep.
 				if tm, ok := m.(*protocol.TreeMsg); ok && (closeMsg == nil || len(tm.Nodes) > 0) {
 					closeMsg = tm
 				}

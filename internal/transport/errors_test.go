@@ -2,7 +2,9 @@ package transport_test
 
 import (
 	"encoding/binary"
+	"errors"
 	"net"
+	"os"
 	"testing"
 	"time"
 
@@ -23,12 +25,13 @@ func dialNode(t *testing.T, addr string) net.Conn {
 }
 
 // expectDrop asserts the server closes the connection (read returns an
-// error once our bytes are processed).
+// error other than our deadline once our bytes are processed).
 func expectDrop(t *testing.T, conn net.Conn) {
 	t.Helper()
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	var one [1]byte
-	if _, err := conn.Read(one[:]); err == nil {
+	_, err := conn.Read(one[:])
+	if err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Error("server kept the connection open, want drop")
 	}
 }
@@ -64,6 +67,29 @@ func TestStoreDropsCorruptFrame(t *testing.T) {
 	expectDrop(t, conn)
 	stores[0].Update(workload.Op{Kind: workload.KindInc, Key: "still-up", N: 1})
 	waitStoresConverged(t, stores, 1, 5*time.Second)
+}
+
+// TestStoreDropsConnectionThatChangesSender: a connection speaks for the
+// neighbor its first frame names. A well-formed data frame that names the
+// other neighbor on it closes the connection before anything in it is
+// applied — else its acknowledgement, reach and drill would be booked to a
+// neighbor whose connection this is not.
+func TestStoreDropsConnectionThatChangesSender(t *testing.T) {
+	stores := startStoreCluster(t, 3, 1, protocol.NewDeltaBPRR(), time.Hour)
+	conn := dialNode(t, stores[0].Addr())
+	defer conn.Close()
+	writeRawFrame(t, conn, "s-01", protocol.NewHelloMsg(protocol.WireVersion, 1, nil))
+	delta := protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("s-02", 1))
+	writeRawFrame(t, conn, "s-02", protocol.NewShardedMsg([]protocol.ShardItem{
+		{Shard: 0, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: "spoofed", Inner: delta}})},
+	}))
+	expectDrop(t, conn)
+	if got := stores[0].Get("spoofed"); got != nil {
+		t.Errorf("a frame naming s-02 on s-01's connection was applied: %v", got)
+	}
+	if got := stores[0].Stats().HelloRefused; got != 0 {
+		t.Errorf("%d hellos refused, want the hello accepted and the second frame the cause", got)
+	}
 }
 
 func TestStoreCloseWhilePeerMidFrame(t *testing.T) {

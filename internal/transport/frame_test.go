@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"net"
 	"testing"
+	"time"
 )
 
 // readFrame parses one frame into a fresh buffer.
@@ -65,6 +67,50 @@ func TestReadFrameBadSenderLength(t *testing.T) {
 		if _, _, err := readFrame(&buf); err == nil {
 			t.Errorf("body %v: want error, got nil", body)
 		}
+	}
+}
+
+// TestPeerNetWritesFramesAsHanded: the write pipeline ships each frame
+// transmit was handed as one transport frame, in order and byte for byte —
+// the backlog that queued up while the reader stalled included. The bytes
+// are arbitrary: the pipeline reads no frame format.
+func TestPeerNetWritesFramesAsHanded(t *testing.T) {
+	const n = 16
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, remote := net.Pipe()
+	defer remote.Close()
+	dial := func(string, string) (net.Conn, error) { return local, nil }
+	p := newPeerNet("a", map[string]string{"b": "pipe"}, ln, dial, queueConfig{})
+	p.start(func(string, []byte) error { return nil }, nil, nil)
+	defer p.close()
+	var sent [][]byte
+	for i := 0; i < n; i++ {
+		f := bytes.Repeat([]byte{byte(i)}, 1+i*7)
+		sent = append(sent, f)
+		if err := p.transmit("b", f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The writer blocks on the first frame until the pipe is read; the rest
+	// wait in the queue.
+	eventually(t, 5*time.Second, "the backlog to queue behind the first frame", func() bool {
+		return p.peerStats()["b"].Queued == n-1
+	})
+	var buf []byte
+	for i, want := range sent {
+		from, got, err := readFrameInto(remote, &buf)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if from != "a" || !bytes.Equal(got, want) {
+			t.Fatalf("frame %d from %q: % x, want % x from \"a\"", i, from, got, want)
+		}
+	}
+	if ps := p.peerStats()["b"]; ps.Enqueued != n || ps.Dropped != 0 || ps.Queued != 0 {
+		t.Errorf("pipeline: %+v, want %d frames enqueued and none dropped", ps, n)
 	}
 }
 

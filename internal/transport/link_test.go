@@ -751,52 +751,78 @@ func (c *gatedConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// TestLinkAckNumberedFramesAreNotCoalesced: frames that queued up behind
-// a blocked write leave one by one — a sequence number names one frame —
-// and each is acknowledged.
-func TestLinkAckNumberedFramesAreNotCoalesced(t *testing.T) {
+// TestLinkAckBacklogDrainsWhole: six passes' frames that queued up behind
+// a blocked write all leave once it unblocks, none dropped, and every key
+// they carry is applied, under either engine. Under the acked one each
+// frame is acknowledged, by an acknowledgement of its own: the receiver
+// holds none back.
+func TestLinkAckBacklogDrainsWhole(t *testing.T) {
 	const frames = 6
-	gate := make(chan struct{})
-	stores, err := LoopbackClusterWith(2, StoreConfig{
-		ID:        "g",
-		Shards:    8,
-		Factory:   protocol.NewDeltaAcked(true, true),
-		ObjType:   func(string) workload.Datatype { return workload.GSetType{} },
-		SyncEvery: time.Hour,
-	}, func(i int, _ string, cfg *StoreConfig) {
-		if i == 0 {
-			cfg.Dial = func(id, addr string) (net.Conn, error) {
-				c, err := defaultDial(id, addr)
-				if err != nil {
-					return nil, err
+	for _, c := range []struct {
+		name    string
+		factory protocol.Factory
+		acked   bool
+	}{
+		{"delta", protocol.NewDeltaBPRR(), false},
+		{"acked", protocol.NewDeltaAcked(true, true), true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			gate := make(chan struct{})
+			stores, err := LoopbackClusterWith(2, StoreConfig{
+				ID:        "g",
+				Shards:    8,
+				Factory:   c.factory,
+				ObjType:   func(string) workload.Datatype { return workload.GCounterType{} },
+				SyncEvery: time.Hour,
+			}, func(i int, _ string, cfg *StoreConfig) {
+				if i == 0 {
+					cfg.Dial = func(id, addr string) (net.Conn, error) {
+						conn, err := defaultDial(id, addr)
+						if err != nil {
+							return nil, err
+						}
+						return &gatedConn{Conn: conn, gate: gate}, nil
+					}
 				}
-				return &gatedConn{Conn: c, gate: gate}, nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range stores {
-		st := st
-		t.Cleanup(func() { st.Close() })
-	}
-	s, peer := stores[0], stores[1].ID()
-	stores[1].hold.Store(0) // acknowledge each frame at once
-	for i := 0; i < frames; i++ {
-		s.Update(workload.Add(fmt.Sprintf("k%d", i), "x"))
-		s.writeFlush(s.now())
-	}
-	close(gate)
-	eventually(t, 10*time.Second, "all six frames to be acknowledged", func() bool {
-		ps := s.Stats().Peers[peer]
-		return ps.InFlight == 0 && ps.LastAcked == frames
-	})
-	if ps := s.Stats().Peers[peer]; ps.Coalesced != 0 || ps.Enqueued != frames || ps.Dropped != 0 {
-		t.Errorf("pipeline toward %s: %+v, want %d frames written one by one", peer, ps, frames)
-	}
-	if got := stores[1].Stats().AckFrames; got != frames {
-		t.Errorf("receiver sent %d acknowledgement frames, want one per frame (%d)", got, frames)
+			for _, st := range stores {
+				st := st
+				t.Cleanup(func() { st.Close() })
+			}
+			s, peer := stores[0], stores[1].ID()
+			stores[1].hold.Store(0) // acknowledge each frame at once
+			// One frame per pass: the writer blocks on the first, so the
+			// rest are queued when the gate opens.
+			for i := 0; i < frames; i++ {
+				s.Update(workload.Op{Kind: workload.KindInc, Key: fmt.Sprintf("k%d", i), N: 1})
+				s.writeFlush(s.now())
+			}
+			close(gate)
+			if err := WaitConverged(stores, frames, 10*time.Second, nil); err != nil {
+				t.Fatal(err)
+			}
+			if c.acked {
+				eventually(t, 10*time.Second, "all six frames to be acknowledged", func() bool {
+					ps := s.Stats().Peers[peer]
+					return ps.InFlight == 0 && ps.LastAcked == frames
+				})
+				if got := stores[1].Stats().AckFrames; got != frames {
+					t.Errorf("receiver sent %d acknowledgement frames, want one per frame (%d)", got, frames)
+				}
+			}
+			if ps := s.Stats().Peers[peer]; ps.Enqueued != frames || ps.Dropped != 0 {
+				t.Errorf("pipeline toward %s: %+v, want %d frames and none dropped", peer, ps, frames)
+			}
+			for i := 0; i < frames; i++ {
+				key := fmt.Sprintf("k%d", i)
+				if st, ok := stores[1].Get(key).(*crdt.GCounter); !ok || st.Value() != 1 {
+					t.Errorf("%s on %s = %v, want 1", key, peer, stores[1].Get(key))
+				}
+			}
+		})
 	}
 }
 

@@ -107,10 +107,17 @@ func TestLinkAckFromAnotherLifeRetiresNothing(t *testing.T) {
 		t.Fatalf("first frame numbered %+v", first)
 	}
 
-	out := dialNode(t, st.Addr())
+	// A connection speaks for the sender its first frame names: the
+	// stranger's acknowledgement comes on a connection of its own.
+	out, strangers := dialNode(t, st.Addr()), dialNode(t, st.Addr())
 	defer out.Close()
+	defer strangers.Close()
 	ack := func(from string, a protocol.FrameAck) {
-		writeRawFrame(t, out, from, protocol.NewShardedLinkMsg(nil, nil, protocol.LinkHeader{Ack: a}))
+		conn := out
+		if from != "p1" {
+			conn = strangers
+		}
+		writeRawFrame(t, conn, from, protocol.NewShardedLinkMsg(nil, nil, protocol.LinkHeader{Ack: a}))
 	}
 	otherLife := first.Inc ^ 0x5a5a5a5a
 	if otherLife == 0 {

@@ -19,8 +19,7 @@ func gcounters(string) workload.Datatype { return workload.GCounterType{} }
 
 // startStoreClusterWith boots n fully meshed stores on loopback ("s-00",
 // "s-01", …), letting customize adjust each store's config (Dial
-// wrappers, Listener wrappers, queue lengths) after the common fields are
-// filled in.
+// wrappers, Listener wrappers) after the common fields are filled in.
 func startStoreClusterWith(t *testing.T, n int, template transport.StoreConfig, customize func(i int, id string, cfg *transport.StoreConfig)) []*transport.Store {
 	t.Helper()
 	template.ID = "s"
@@ -382,67 +381,6 @@ func TestStoreByteBudgetedQueueInvariant(t *testing.T) {
 	}
 	for k := 0; k < keys; k++ {
 		key := fmt.Sprintf("key-%03d", k)
-		if v := stores[1].Get(key).(*crdt.GCounter).Value(); v != 1 {
-			t.Errorf("%s on s-01 = %d, want 1", key, v)
-		}
-	}
-}
-
-// gateConn blocks every write until the gate channel is closed, modeling
-// a peer that accepts the connection but does not make progress; frames
-// pile up in the sender's queue behind the blocked one.
-type gateConn struct {
-	net.Conn
-	gate <-chan struct{}
-}
-
-func (c *gateConn) Write(p []byte) (int, error) {
-	<-c.gate
-	return c.Conn.Write(p)
-}
-
-// TestStoreDrainCoalescesQueuedFrames pins drain coalescing: data frames
-// that piled up behind a blocked write go out merged into fewer, larger
-// frames once the link unblocks (counted per peer in Coalesced), and the
-// receiver decodes the merged frame into exactly the original updates.
-func TestStoreDrainCoalescesQueuedFrames(t *testing.T) {
-	const ticks = 6
-	gate := make(chan struct{})
-	gatedDial := func(id, addr string) (net.Conn, error) {
-		c, err := net.DialTimeout("tcp", addr, 2*time.Second)
-		if err != nil {
-			return nil, err
-		}
-		return &gateConn{Conn: c, gate: gate}, nil
-	}
-	stores := startStoreClusterWith(t, 2, transport.StoreConfig{
-		Shards:    8,
-		Factory:   protocol.NewDeltaBPRR(),
-		ObjType:   gcounters,
-		SyncEvery: time.Hour, // ticks driven manually
-	}, func(i int, id string, cfg *transport.StoreConfig) {
-		if id == "s-00" {
-			cfg.Dial = gatedDial
-		}
-	})
-
-	// Each tick enqueues one data frame; the writer blocks on the first,
-	// so the rest are queued when the gate opens.
-	for i := 0; i < ticks; i++ {
-		stores[0].Update(workload.Op{Kind: workload.KindInc, Key: fmt.Sprintf("key-%03d", i), N: 1})
-		stores[0].SyncNow()
-	}
-	close(gate)
-	waitStoresConverged(t, stores, ticks, 10*time.Second)
-	ps := stores[0].Stats().Peers["s-01"]
-	if ps.Coalesced == 0 {
-		t.Errorf("drain coalesced no frames (enqueued %d): the backlog went out frame by frame", ps.Enqueued)
-	}
-	if ps.Dropped != 0 {
-		t.Errorf("coalescing dropped %d frames, want 0: merging must be lossless", ps.Dropped)
-	}
-	for i := 0; i < ticks; i++ {
-		key := fmt.Sprintf("key-%03d", i)
 		if v := stores[1].Get(key).(*crdt.GCounter).Value(); v != 1 {
 			t.Errorf("%s on s-01 = %d, want 1", key, v)
 		}

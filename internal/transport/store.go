@@ -56,19 +56,21 @@ type StoreConfig struct {
 	// explicit SyncNow calls ticks the store by hand: nothing leaves
 	// between two calls but acknowledgements.
 	SyncEvery time.Duration
-	// PeerQueueLen bounds each peer's outbound queue by frame count
-	// (default 128). transmit is a non-blocking enqueue onto a per-peer
-	// writer goroutine, so a stalled peer delays only its own frames;
-	// when a queue exceeds either bound, the oldest queued frame is
+	// PeerQueueLen bounds each peer's outbound queue by frame count; 0
+	// means the default, 128. transmit is a non-blocking enqueue onto a
+	// per-peer writer goroutine, so a stalled peer delays only its own
+	// frames; when a queue exceeds either bound, the oldest queued frame is
 	// evicted (drop-oldest) and counted in Stats().Peers — acked engines
-	// retransmit the loss and digest anti-entropy repairs the rest.
+	// retransmit the loss and digest anti-entropy repairs the rest. Tests
+	// lower it to make a queue overflow cheaply.
 	PeerQueueLen int
-	// PeerQueueBytes bounds each peer's outbound queue by encoded bytes
-	// (default 8 MiB). Frames vary ~100x in size, so a count bound alone
-	// budgets almost nothing: 128 heartbeats are a few KiB while 128 full
-	// batches can be GiBs. Eviction keeps the queue within whichever
+	// PeerQueueBytes bounds each peer's outbound queue by encoded bytes; 0
+	// means the default, 8 MiB. Frames vary ~100x in size, so a count bound
+	// alone budgets almost nothing: 128 heartbeats are a few KiB while 128
+	// full batches can be GiBs. Eviction keeps the queue within whichever
 	// bound it crosses first, always sparing the newest frame so an
-	// over-budget frame is still shipped rather than wedged.
+	// over-budget frame is still shipped rather than wedged. Tests lower it
+	// to make the byte bound bind before the frame count does.
 	PeerQueueBytes int
 	// DigestEvery enables digest anti-entropy: every DigestEvery-th sync
 	// tick (write-triggered flushes do not count) the store also ships
@@ -110,9 +112,11 @@ type StoreConfig struct {
 
 // StoreStats counts what a store has put on the wire.
 type StoreStats struct {
-	// Frames is the number of TCP frames written (data and digests).
+	// Frames is the number of frames handed to the peers' write pipelines,
+	// counted at enqueue time: data, digests, acknowledgements and hellos.
 	Frames int
-	// WireBytes is the total bytes written, including frame headers.
+	// WireBytes is the total bytes of those frames, transport headers
+	// included, counted at enqueue time as well.
 	WireBytes int
 	// WriteFlushes counts the first-transmission passes that ran between
 	// ticks because a write (or a delivery with something to forward)
@@ -253,12 +257,10 @@ type StoreStats struct {
 	Sent metrics.Transmission
 	// Peers holds the per-peer write-pipeline accounting: frames and
 	// bytes enqueued toward each peer, frames and bytes dropped (queue
-	// overflow or failed sends), frames coalesced on drain, reconnects,
-	// and the pipeline's connection state. Frames/WireBytes above count
-	// at enqueue time: frames later dropped by a sick pipeline, and the
-	// per-frame headers saved when a drained backlog is coalesced, never
-	// reach the wire even though they are counted here — Peers is where
-	// both corrections are visible (Dropped/DroppedBytes, Coalesced).
+	// overflow or failed sends), reconnects, and the pipeline's connection
+	// state. Frames/WireBytes above count at enqueue time: frames later
+	// dropped by a sick pipeline never reach the wire even though they are
+	// counted there — Dropped/DroppedBytes is the correction.
 	Peers map[string]PeerStats
 }
 
@@ -389,10 +391,6 @@ func StartStore(cfg StoreConfig) (*Store, error) {
 		net: newPeerNet(cfg.ID, cfg.Peers, ln, cfg.Dial, queueConfig{
 			frames: cfg.PeerQueueLen,
 			bytes:  cfg.PeerQueueBytes,
-			// Drain-time coalescing must never assemble a frame the
-			// packer would have refused to emit: both budgets come from
-			// the same formula.
-			maxMsg: maxMsgFor(cfg.MaxFrameBytes, cfg.ID),
 		}),
 		started:  started,
 		wake:     make(chan struct{}, 1),

@@ -182,34 +182,54 @@ func TestGoldenFrames(t *testing.T) {
 		t.Errorf("per-object acked frame\n got %s\nwant %s", got, want)
 	}
 	// What an acked store sends: the same δ-groups as plain tagDeltaMsg
-	// items behind a link header.
-	link := protocol.LinkHeader{
-		Seq: protocol.FrameSeq{Inc: 0xa1b2c3d4, Seq: 300, Back: 2},
-		Ack: protocol.FrameAck{Inc: 0x01020304, Cum: 127, Ranges: []protocol.SeqRange{{Lo: 129, Hi: 131}, {Lo: 140, Hi: 140}}},
+	// items behind a link header (wire version 2). The header's shape is its
+	// tag, 0x4e+f for the fields f that follow, in this order: 1 the frame's
+	// sequence number, 2 an acknowledgement, 8 ranges above the
+	// acknowledgement's mark, 4 a digest vector. The sender's incarnation is
+	// not among them: its connection's hello names it.
+	seq := protocol.FrameSeq{Seq: 300, Back: 2}
+	ack := protocol.FrameAck{Inc: 0x01020304, Cum: 127}
+	ranged := protocol.FrameAck{Inc: 0x01020304, Cum: 127, Ranges: []protocol.SeqRange{{Lo: 129, Hi: 131}, {Lo: 140, Hi: 140}}}
+	vec := []uint64{2}
+	const (
+		seqFields = "ac02" + // this frame's sequence number, 300
+			"02" // the sender still waits on frames back to 298
+		ackFields = "01020304" + // the incarnation whose frames are acknowledged
+			"7f" // every one up to 127
+		rangeFields = "02" + // two ranges above the mark:
+			"00" + "02" + // 127+2+0 = 129, two more: 129..131
+			"07" + "00" // 131+2+7 = 140, alone
+		vecFields = "01" + "0000000000000002" // one digest word
+	)
+	for _, c := range []struct {
+		tag, fields string
+		link        protocol.LinkHeader
+		digests     []uint64
+	}{
+		{"4f", seqFields, protocol.LinkHeader{Seq: seq}, nil},
+		{"50", ackFields, protocol.LinkHeader{Ack: ack}, nil},
+		{"51", seqFields + ackFields, protocol.LinkHeader{Seq: seq, Ack: ack}, nil},
+		{"53", seqFields + vecFields, protocol.LinkHeader{Seq: seq}, vec},
+		{"54", ackFields + vecFields, protocol.LinkHeader{Ack: ack}, vec},
+		{"55", seqFields + ackFields + vecFields, protocol.LinkHeader{Seq: seq, Ack: ack}, vec},
+		{"58", ackFields + rangeFields, protocol.LinkHeader{Ack: ranged}, nil},
+		{"59", seqFields + ackFields + rangeFields, protocol.LinkHeader{Seq: seq, Ack: ranged}, nil},
+		{"5c", ackFields + rangeFields + vecFields, protocol.LinkHeader{Ack: ranged}, vec},
+		{"5d", seqFields + ackFields + rangeFields + vecFields, protocol.LinkHeader{Seq: seq, Ack: ranged}, vec},
+	} {
+		frame := codec.AppendShardedHeader(nil, c.link, c.digests, 1)
+		frame, err := codec.AppendLinkShardItem(frame, goldenItems(true)[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := hex.EncodeToString(frame), c.tag+c.fields+"01"+items; got != want { // 1 item
+			t.Errorf("linked frame %s\n got %s\nwant %s", c.tag, got, want)
+		}
 	}
-	frame := codec.AppendShardedHeader(nil, link, nil, 1)
-	frame, err := codec.AppendLinkShardItem(frame, goldenItems(true)[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "4c" + // tagShardedLinkMsg
-		"03" + // flags: sequence number | acknowledgement
-		"a1b2c3d4" + // the sender's incarnation
-		"ac02" + // this frame's sequence number, 300
-		"02" + // the sender still waits on frames back to 298
-		"01020304" + // the incarnation whose frames are acknowledged
-		"7f" + // every one up to 127
-		"02" + // and two ranges above it:
-		"00" + "02" + // 127+2+0 = 129, two more: 129..131
-		"07" + "00" + // 131+2+7 = 140, alone
-		"01" + items // 1 item
-	if got := hex.EncodeToString(frame); got != want {
-		t.Errorf("linked frame\n got %s\nwant %s", got, want)
-	}
-	// With a digest vector: flag 4, the words after the acknowledgement.
-	frame = codec.AppendShardedHeader(nil, protocol.LinkHeader{Ack: protocol.FrameAck{Inc: 9, Cum: 1}}, []uint64{2}, 0)
-	if got, want := hex.EncodeToString(frame), "4c"+"06"+"00000009"+"01"+"00"+"01"+"0000000000000002"+"00"; got != want {
-		t.Errorf("acknowledgement with digests\n got %s\nwant %s", got, want)
+	// An acknowledgement alone, as a store sends one once its hold is over:
+	// 7 bytes of message, 13 on the socket.
+	if got, want := hex.EncodeToString(codec.AppendShardedHeader(nil, protocol.LinkHeader{Ack: ack}, nil, 0)), "50"+ackFields+"00"; got != want {
+		t.Errorf("acknowledgement alone\n got %s\nwant %s", got, want)
 	}
 	// The standalone advertisement: tagDigestMsg, the words, and the empty
 	// shard-request list it ended with when requests shared the message.
@@ -225,9 +245,10 @@ func TestGoldenFrames(t *testing.T) {
 		t.Errorf("asking advertisement\n got %s\nwant %s", got, want)
 	}
 	// A connection's first frame: tagHelloMsg, the wire version, the shard
-	// count, and the ids of the peers the sender's pipelines are up to.
-	if got, want := enc(protocol.NewHelloMsg(protocol.WireVersion, 64, []string{"s-01", "s-02"})),
-		"4d"+"01"+"40"+"02"+"04"+"732d3031"+"04"+"732d3032"; got != want {
+	// count, the sender's incarnation, and the ids of the peers the sender's
+	// pipelines are up to.
+	if got, want := enc(protocol.NewHelloMsg(protocol.WireVersion, 64, 0xa1b2c3d4, []string{"s-01", "s-02"})),
+		"4d"+"02"+"40"+"a1b2c3d4"+"02"+"04"+"732d3031"+"04"+"732d3032"; got != want {
 		t.Errorf("hello\n got %s\nwant %s", got, want)
 	}
 	// A drill's hash push: the children of a node go as the node's index

@@ -10,8 +10,9 @@
 // fail decoding with an error, never a panic.
 //
 // Of the protocol messages, the ones a store puts on a connection have a
-// wire form (msg.go): DeltaMsg, AckedDeltaMsg, BatchMsg, the three
-// ShardedMsg frame variants, DigestMsg, TreeMsg and HelloMsg. StateMsg,
+// wire form (msg.go): DeltaMsg, AckedDeltaMsg, BatchMsg, the ShardedMsg
+// frame variants (plain, with a digest vector, and one tag per shape of
+// link header), DigestMsg, TreeMsg and HelloMsg. StateMsg,
 // AckMsg, SBDigestMsg, SBDeltasMsg and OpsMsg have none — they travel in
 // memory, under internal/netsim and inside the acked engine — and their
 // tags are reserved. Each message has one encoder (appendMsg) and one

@@ -73,23 +73,27 @@ func AppendLinkObjectMsg(b []byte, it protocol.ObjectMsg) ([]byte, error) {
 	return appendMsg(b, it.Inner)
 }
 
-// Link header flags: which fields follow the tagShardedLinkMsg tag, in
-// this order.
+// Link header flags: which fields follow the tag of a frame in the link
+// block (tagLinkMsg-1+flags), in this order.
 const (
 	linkSeq byte = 1 << iota
 	linkAck
 	linkDigests
+	linkRanges
 )
 
-// linkFlags returns the flag byte of a frame header, 0 when the link
-// header is absent and the frame is one of the two plain variants.
+// linkFlags returns the flags of a frame header, 0 when the link header is
+// absent and the frame is one of the two plain variants.
 func linkFlags(link *protocol.LinkHeader, digests []uint64) byte {
 	var f byte
-	if link.Seq.Inc != 0 {
+	if link.Seq.Seq != 0 {
 		f |= linkSeq
 	}
 	if link.Ack.Inc != 0 {
 		f |= linkAck
+		if len(link.Ack.Ranges) > 0 {
+			f |= linkRanges
+		}
 	}
 	if f != 0 && digests != nil {
 		f |= linkDigests
@@ -103,31 +107,34 @@ func linkFlags(link *protocol.LinkHeader, digests []uint64) byte {
 // AppendLinkShardItem) follow it. Without a link header the bytes are
 // those of the two plain variants, tagShardedMsg and tagShardedDigestMsg.
 //
-// The linked variant, after the tag and the flag byte:
+// The linked variants, after the tag that names which fields follow:
 //
-//	seq:     incarnation (4 bytes), sequence number, back (uvarints)
-//	ack:     incarnation (4 bytes), cumulative mark, range count, then
-//	         per range the gap to the mark before it minus 2 and the
-//	         range's length minus 1 (uvarints)
+//	seq:     sequence number, back (uvarints); the sender's incarnation
+//	         is the connection's hello's
+//	ack:     incarnation (4 bytes), cumulative mark (uvarint)
+//	ranges:  range count (uvarint, 1 to protocol.MaxAckRanges), then per
+//	         range the gap to the mark before it minus 2 and the range's
+//	         length minus 1 (uvarints)
 //	digests: word count (uvarint), 8-byte words
 func AppendShardedHeader(b []byte, link protocol.LinkHeader, digests []uint64, count int) []byte {
 	flags := linkFlags(&link, digests)
 	switch {
 	case flags != 0:
-		b = append(b, tagShardedLinkMsg, flags)
+		b = append(b, tagLinkMsg-1+flags)
 	case digests != nil:
 		b = append(b, tagShardedDigestMsg)
 	default:
 		b = append(b, tagShardedMsg)
 	}
 	if flags&linkSeq != 0 {
-		b = binary.BigEndian.AppendUint32(b, link.Seq.Inc)
 		b = binary.AppendUvarint(b, link.Seq.Seq)
 		b = binary.AppendUvarint(b, link.Seq.Back)
 	}
 	if flags&linkAck != 0 {
 		b = binary.BigEndian.AppendUint32(b, link.Ack.Inc)
 		b = binary.AppendUvarint(b, link.Ack.Cum)
+	}
+	if flags&linkRanges != 0 {
 		b = binary.AppendUvarint(b, uint64(len(link.Ack.Ranges)))
 		mark := link.Ack.Cum
 		for _, r := range link.Ack.Ranges {
@@ -156,14 +163,14 @@ func ShardedHeaderSize(link protocol.LinkHeader, digests []uint64, count int) in
 		n += SizeUvarint(uint64(len(digests))) + 8*len(digests)
 	}
 	flags := linkFlags(&link, digests)
-	if flags != 0 {
-		n++
-	}
 	if flags&linkSeq != 0 {
-		n += 4 + SizeUvarint(link.Seq.Seq) + SizeUvarint(link.Seq.Back)
+		n += SizeUvarint(link.Seq.Seq) + SizeUvarint(link.Seq.Back)
 	}
 	if flags&linkAck != 0 {
-		n += 4 + SizeUvarint(link.Ack.Cum) + SizeUvarint(uint64(len(link.Ack.Ranges)))
+		n += 4 + SizeUvarint(link.Ack.Cum)
+	}
+	if flags&linkRanges != 0 {
+		n += SizeUvarint(uint64(len(link.Ack.Ranges)))
 		mark := link.Ack.Cum
 		for _, r := range link.Ack.Ranges {
 			n += SizeUvarint(r.Lo-mark-2) + SizeUvarint(r.Hi-r.Lo)

@@ -94,28 +94,41 @@ func FuzzDecodeMsg(f *testing.F) {
 	f.Add([]byte{73, 255, 255, 255, 255, 15}) // digest, hostile count
 	f.Add([]byte{74, 255, 255, 255, 255, 15}) // sharded+digest, hostile count
 	f.Add([]byte{75, 0, 2, 1, 255, 255, 15})  // tree push, hostile node count
-	// The linked sharded variant: a numbered frame, an acknowledgement
-	// with ranges riding one, and a hostile range count.
+	// The linked sharded variants: a numbered frame, an acknowledgement
+	// with ranges riding one, one alone, and the retired flag-byte form
+	// with a hostile range count.
 	seed(protocol.NewShardedLinkMsg([]protocol.ShardItem{{Shard: 0, Msg: batch}}, nil,
-		protocol.LinkHeader{Seq: protocol.FrameSeq{Inc: 0xfeedbeef, Seq: 300, Back: 2}}))
+		protocol.LinkHeader{Seq: protocol.FrameSeq{Seq: 300, Back: 2}}))
 	seed(protocol.NewShardedLinkMsg([]protocol.ShardItem{{Shard: 1, Msg: batch}}, []uint64{7}, protocol.LinkHeader{
-		Seq: protocol.FrameSeq{Inc: 1, Seq: 1},
+		Seq: protocol.FrameSeq{Seq: 1},
 		Ack: protocol.FrameAck{Inc: 2, Cum: 127, Ranges: []protocol.SeqRange{{Lo: 129, Hi: 129}, {Lo: 140, Hi: 1 << 40}}},
 	}))
 	seed(protocol.NewShardedLinkMsg(nil, nil, protocol.LinkHeader{Ack: protocol.FrameAck{Inc: 3, Cum: 9}}))
 	f.Add([]byte{76, 2, 0, 0, 0, 9, 4, 255, 255, 255, 255, 15})
 	// A numbered frame whose δ-group spells its seqs out all the same.
-	spelled, _ := codec.AppendShardItem(codec.AppendShardedHeader(nil, protocol.LinkHeader{Seq: protocol.FrameSeq{Inc: 1, Seq: 1}}, nil, 1),
+	spelled, _ := codec.AppendShardItem(codec.AppendShardedHeader(nil, protocol.LinkHeader{Seq: protocol.FrameSeq{Seq: 1}}, nil, 1),
 		protocol.ShardItem{Shard: 2, Msg: protocol.NewAckedDeltaMsg(crdt.NewGSet("a"), []uint64{1, 2, 3})})
 	f.Add(spelled)
 	// A connection's hello — reaching two, reaching nobody, with a hostile
 	// id count — and the advertisement that asks for one back.
-	seed(protocol.NewHelloMsg(protocol.WireVersion, 64, []string{"s-01", "s-02"}))
-	seed(protocol.NewHelloMsg(protocol.WireVersion, 1, nil))
-	f.Add([]byte{77, 1, 64, 255, 255, 255, 255, 15, 1, 97})
+	seed(protocol.NewHelloMsg(protocol.WireVersion, 64, 0xa1b2c3d4, []string{"s-01", "s-02"}))
+	seed(protocol.NewHelloMsg(protocol.WireVersion, 1, 1, nil))
+	f.Add([]byte{77, 2, 64, 0, 0, 0, 9, 255, 255, 255, 255, 15, 1, 97})
 	asking := protocol.NewDigestMsg([]uint64{0, ^uint64(0)})
 	asking.Echo = true
 	seed(asking)
+	// Every tag of the link block: each shape of link header, and the
+	// values that name none.
+	for _, m := range linkShapes(batch) {
+		seed(m)
+	}
+	for _, data := range refusedLinkTags() {
+		f.Add(data)
+	}
+	// A version 1 hello, without an incarnation, and a version 2 one whose
+	// incarnation is zero.
+	seed(protocol.NewHelloMsg(1, 64, 0, []string{"s-01"}))
+	f.Add([]byte{77, 2, 64, 0, 0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, n, err := codec.DecodeMsg(data)

@@ -13,9 +13,10 @@ import (
 // Message tags. Stable on the wire: append, never renumber. Only the
 // messages a store sends have a wire form. The tags marked retired belonged
 // to the engines that run under internal/netsim alone (state-based,
-// Scuttlebutt, op-based) and to the per-object acknowledgement the link
-// header replaced: their values stay reserved, EncodeMsg has no format for
-// those messages and the decoders refuse the tags like any unknown one.
+// Scuttlebutt, op-based), to the per-object acknowledgement the link
+// header replaced, and to the link header's wire version 1 form, a flag
+// byte after one tag: their values stay reserved, EncodeMsg has no format
+// for those messages and the decoders refuse the tags like any unknown one.
 const (
 	tagStateMsg byte = iota + 64 // retired
 	tagDeltaMsg
@@ -29,10 +30,25 @@ const (
 	tagDigestMsg
 	tagShardedDigestMsg
 	tagTreeMsg
-	tagShardedLinkMsg
+	tagShardedLinkMsg // retired
 	tagHelloMsg
 	tagDigestEchoMsg
+	// tagLinkMsg opens the block of the sharded frames with a link header:
+	// tagLinkMsg-1+f is the frame whose header has the fields the flags f
+	// name (linkSeq, linkAck, linkDigests, linkRanges), so that the tag is
+	// the whole of what the flag byte said. Of the 15 values, the five that
+	// name neither a sequence number nor an acknowledgement, or ranges
+	// without an acknowledgement, are refused.
+	tagLinkMsg
 )
+
+// tagLinkLast is the last tag of the link header block.
+const tagLinkLast = tagLinkMsg - 1 + (linkSeq | linkAck | linkDigests | linkRanges)
+
+// isShardedTag reports whether tag opens a sharded frame, any variant.
+func isShardedTag(tag byte) bool {
+	return tag == tagShardedMsg || tag == tagShardedDigestMsg || tag >= tagLinkMsg && tag <= tagLinkLast
+}
 
 // maxMsgNesting bounds message nesting during decoding. Legitimate
 // traffic nests at most ShardedMsg → BatchMsg → leaf (depth 3); a hostile
@@ -120,7 +136,7 @@ func appendMsg(b []byte, m protocol.Msg) ([]byte, error) {
 		// A numbered frame has one encoding, the packer's: the number
 		// acknowledges its δ-groups, which carry no seqs of their own.
 		item := AppendShardItem
-		if v.Link.Seq.Inc != 0 {
+		if v.Link.Seq.Seq != 0 {
 			item = AppendLinkShardItem
 		}
 		for _, it := range v.Items {
@@ -155,6 +171,9 @@ func appendMsg(b []byte, m protocol.Msg) ([]byte, error) {
 		b = append(b, tagHelloMsg)
 		b = binary.AppendUvarint(b, uint64(v.Version))
 		b = binary.AppendUvarint(b, uint64(v.Shards))
+		if v.Version >= 2 {
+			b = binary.BigEndian.AppendUint32(b, v.Inc)
+		}
 		return appendStringList(b, v.Reaches), nil
 
 	case *protocol.TreeMsg:
@@ -188,9 +207,10 @@ func appendMsg(b []byte, m protocol.Msg) ([]byte, error) {
 	}
 }
 
-// shardedHeader is a parsed sharded frame header, any of the three
-// variants: the link header, the digest vector still as the raw 8-byte
-// words it arrived in, and the item count. The items follow it.
+// shardedHeader is a parsed sharded frame header, plain, with a digest
+// vector or with a link header: the link header, the digest vector still
+// as the raw 8-byte words it arrived in, and the item count. The items
+// follow it.
 type shardedHeader struct {
 	link    protocol.LinkHeader
 	digests []byte // nil when the frame carries no vector
@@ -207,28 +227,22 @@ var errAckRanges = errors.New("codec: acknowledgement of more than protocol.MaxA
 // to (nil allocates). Every wire-declared count is checked against the
 // bytes that remain before anything is allocated for it.
 func readShardedHeader(tag byte, data []byte, ranges []protocol.SeqRange) (h shardedHeader, n int, err error) {
-	flags := linkDigests
+	var flags byte
 	switch tag {
 	case tagShardedMsg:
-		flags = 0
-	case tagShardedLinkMsg:
-		if len(data) == 0 {
-			return h, 0, ErrTruncated
-		}
-		flags = data[0]
-		n = 1
+	case tagShardedDigestMsg:
+		flags = linkDigests
+	default:
+		flags = tag - (tagLinkMsg - 1)
 		// A header with neither half is one of the plain variants, which
-		// is how it re-encodes; refuse the second spelling.
-		if flags&(linkSeq|linkAck) == 0 || flags > linkSeq|linkAck|linkDigests {
-			return h, 0, fmt.Errorf("codec: link header flags %#x", flags)
+		// is how it re-encodes; refuse the second spelling, and ranges
+		// without the acknowledgement they are above.
+		if flags&(linkSeq|linkAck) == 0 || flags&(linkRanges|linkAck) == linkRanges {
+			return h, 0, fmt.Errorf("codec: link header tag %d names no header", tag)
 		}
 	}
 	if flags&linkSeq != 0 {
 		var m int
-		if h.link.Seq.Inc, m, err = readIncarnation(data[n:]); err != nil {
-			return h, 0, err
-		}
-		n += m
 		if h.link.Seq.Seq, m, err = readUvarint(data[n:]); err != nil {
 			return h, 0, err
 		}
@@ -251,11 +265,18 @@ func readShardedHeader(tag byte, data []byte, ranges []protocol.SeqRange) (h sha
 			return h, 0, err
 		}
 		n += m
+	}
+	if flags&linkRanges != 0 {
 		rcount, m, err := readUvarint(data[n:])
 		if err != nil {
 			return h, 0, err
 		}
 		n += m
+		// The tag says there are ranges: a count of none is a second
+		// spelling of the header without them.
+		if rcount == 0 {
+			return h, 0, fmt.Errorf("codec: acknowledgement with ranges names none")
+		}
 		if rcount > protocol.MaxAckRanges {
 			return h, 0, errAckRanges
 		}
@@ -263,9 +284,7 @@ func readShardedHeader(tag byte, data []byte, ranges []protocol.SeqRange) (h sha
 		if rcount > uint64(len(data)-n)/2 {
 			return h, 0, ErrTruncated
 		}
-		if rcount > 0 {
-			ranges = slices.Grow(ranges[:0], int(rcount))
-		}
+		ranges = slices.Grow(ranges[:0], int(rcount))
 		mark := h.link.Ack.Cum
 		for i := uint64(0); i < rcount; i++ {
 			gap, m, err := readUvarint(data[n:])
@@ -286,9 +305,7 @@ func readShardedHeader(tag byte, data []byte, ranges []protocol.SeqRange) (h sha
 			ranges = append(ranges, protocol.SeqRange{Lo: lo, Hi: hi})
 			mark = hi
 		}
-		if rcount > 0 {
-			h.link.Ack.Ranges = ranges
-		}
+		h.link.Ack.Ranges = ranges
 	}
 	if flags&linkDigests != 0 {
 		dcount, m, err := readUvarint(data[n:])
@@ -312,9 +329,10 @@ func readShardedHeader(tag byte, data []byte, ranges []protocol.SeqRange) (h sha
 	return h, n + m, nil
 }
 
-// readIncarnation reads the 4-byte incarnation that opens either half of
-// a link header. Zero is how a header says the half is absent, so it is
-// never valid on the wire.
+// readIncarnation reads a 4-byte incarnation: a hello's, or the one that
+// opens a link header's acknowledgement. Zero is how a header says the
+// acknowledgement is absent and how a connection says it has heard no
+// hello, so it is never valid on the wire.
 func readIncarnation(data []byte) (uint32, int, error) {
 	if len(data) < 4 {
 		return 0, 0, ErrTruncated
@@ -352,7 +370,30 @@ func readShardItems(data []byte, count uint64, depth int) ([]protocol.ShardItem,
 	return items, n, nil
 }
 
+// readShardedMsg parses a sharded frame, any variant, after its tag.
+func readShardedMsg(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
+	h, n, err := readShardedHeader(tag, data, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	var digests []uint64
+	if h.digests != nil {
+		digests = make([]uint64, len(h.digests)/8)
+		for i := range digests {
+			digests[i] = binary.BigEndian.Uint64(h.digests[8*i:])
+		}
+	}
+	items, m, err := readShardItems(data[n:], h.count, depth)
+	if err != nil {
+		return nil, 0, err
+	}
+	return protocol.NewShardedLinkMsg(items, digests, h.link), n + m, nil
+}
+
 func readMsgBody(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
+	if isShardedTag(tag) {
+		return readShardedMsg(tag, data, depth)
+	}
 	n := 0
 	switch tag {
 	case tagDeltaMsg:
@@ -395,25 +436,6 @@ func readMsgBody(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
 			items = append(items, protocol.ObjectMsg{Key: k, Inner: inner})
 		}
 		return protocol.BatchOf(items), n, nil
-
-	case tagShardedMsg, tagShardedDigestMsg, tagShardedLinkMsg:
-		h, m, err := readShardedHeader(tag, data[n:], nil)
-		if err != nil {
-			return nil, 0, err
-		}
-		n += m
-		var digests []uint64
-		if h.digests != nil {
-			digests = make([]uint64, len(h.digests)/8)
-			for i := range digests {
-				digests[i] = binary.BigEndian.Uint64(h.digests[8*i:])
-			}
-		}
-		items, m, err := readShardItems(data[n:], h.count, depth)
-		if err != nil {
-			return nil, 0, err
-		}
-		return protocol.NewShardedLinkMsg(items, digests, h.link), n + m, nil
 
 	case tagDigestMsg, tagDigestEchoMsg:
 		count, m, err := readUvarint(data[n:])
@@ -458,11 +480,22 @@ func readMsgBody(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
 			fixed[i] = uint32(v)
 			n += m
 		}
+		// A version 1 hello has no incarnation. It decodes all the same, so
+		// that the receiver refuses it by its version, not by its bytes.
+		var inc uint32
+		if fixed[0] >= 2 {
+			v, m, err := readIncarnation(data[n:])
+			if err != nil {
+				return nil, 0, err
+			}
+			inc = v
+			n += m
+		}
 		reaches, m, err := readStringList(data[n:])
 		if err != nil {
 			return nil, 0, err
 		}
-		return protocol.NewHelloMsg(fixed[0], fixed[1], reaches), n + m, nil
+		return protocol.NewHelloMsg(fixed[0], fixed[1], inc, reaches), n + m, nil
 
 	case tagTreeMsg:
 		return readTreeMsg(data)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -230,16 +231,22 @@ func TestDigestMsgRoundTrip(t *testing.T) {
 // accounting, and the advertisement that asks for one back is the plain
 // one under the next tag.
 func TestHelloMsgRoundTrip(t *testing.T) {
-	m := protocol.NewHelloMsg(protocol.WireVersion, 64, []string{"s-01", "s-02"})
+	m := protocol.NewHelloMsg(protocol.WireVersion, 64, 0xa1b2c3d4, []string{"s-01", "s-02"})
 	got := msgRoundTrip(t, m).(*protocol.HelloMsg)
-	if got.Version != protocol.WireVersion || got.Shards != 64 || !slices.Equal(got.Reaches, m.Reaches) {
+	if got.Version != protocol.WireVersion || got.Shards != 64 || got.Inc != 0xa1b2c3d4 || !slices.Equal(got.Reaches, m.Reaches) {
 		t.Errorf("hello = %+v", got)
 	}
-	if c := got.Cost(); c.Messages != 1 || c.MetadataBytes != 8+8 || c.Elements != 0 {
-		t.Errorf("hello cost = %+v, want 16 bytes of metadata", c)
+	if c := got.Cost(); c.Messages != 1 || c.MetadataBytes != 12+8 || c.Elements != 0 {
+		t.Errorf("hello cost = %+v, want 20 bytes of metadata", c)
 	}
-	if got := msgRoundTrip(t, protocol.NewHelloMsg(1, 1, nil)).(*protocol.HelloMsg); len(got.Reaches) != 0 {
+	if got := msgRoundTrip(t, protocol.NewHelloMsg(protocol.WireVersion, 1, 1, nil)).(*protocol.HelloMsg); len(got.Reaches) != 0 {
 		t.Errorf("a hello reaching nobody came back reaching %v", got.Reaches)
+	}
+	// A version 1 hello has no incarnation, and decodes as one that has
+	// none, for its receiver to refuse by its version.
+	old := msgRoundTrip(t, protocol.NewHelloMsg(1, 64, 0, []string{"s-01"})).(*protocol.HelloMsg)
+	if data, _ := codec.EncodeMsg(old); old.Version != 1 || old.Inc != 0 || !bytes.Equal(data, []byte{77, 1, 64, 1, 4, 's', '-', '0', '1'}) {
+		t.Errorf("version 1 hello = %+v, encoded %v", old, data)
 	}
 	ask := protocol.NewDigestMsg([]uint64{7})
 	ask.Echo = true
@@ -260,7 +267,7 @@ func TestHelloMsgRoundTrip(t *testing.T) {
 // remain before anything is allocated for them, and a field beyond
 // uint32 is rejected, never truncated into range.
 func TestDecodeHelloHostileInput(t *testing.T) {
-	header := []byte{77, 1, 4} // tagHelloMsg, version 1, 4 shards
+	header := []byte{77, 2, 4, 0, 0, 0, 9} // tagHelloMsg, version 2, 4 shards, incarnation 9
 	for _, count := range []uint64{1 << 60, 3} {
 		data := binary.AppendUvarint(append([]byte{}, header...), count)
 		data = append(data, 1, 'a', 1, 'b') // two ids
@@ -275,7 +282,9 @@ func TestDecodeHelloHostileInput(t *testing.T) {
 	for _, data := range [][]byte{
 		binary.AppendUvarint([]byte{77}, 1<<32),    // version beyond uint32
 		binary.AppendUvarint([]byte{77, 1}, 1<<40), // shard count beyond uint32
-		{77}, {77, 1}, {77, 1, 4}, // truncated before the ids
+		{77}, {77, 2}, {77, 1, 4}, header, // truncated before the ids
+		{77, 2, 4, 0, 0, 9},                                      // truncated incarnation
+		{77, 2, 4, 0, 0, 0, 0, 0},                                // zero incarnation
 		append(append([]byte{}, header...), 2, 1, 'a'),           // the second id missing
 		{72, 1, 0, 77, 1, 4, 255, 255, 255, 255, 255, 255, 1, 0}, // nested in a sharded frame, hostile count
 	} {
@@ -489,17 +498,31 @@ func TestDecodeHostileCountDoesNotPanic(t *testing.T) {
 	}
 }
 
-// TestShardedLinkRoundTrip: the linked header variant survives
-// EncodeMsg/DecodeMsg with every combination of its fields, its size is
-// what ShardedHeaderSize says, and without a link header the bytes are
-// those of the two plain variants.
+// TestShardedLinkRoundTrip: the linked header variants survive
+// EncodeMsg/DecodeMsg with every combination of their fields, each under
+// a tag of its own, their size is what ShardedHeaderSize says, and without
+// a link header the bytes are those of the two plain variants. The
+// sender's incarnation is not on the wire: it comes back zero.
 func TestShardedLinkRoundTrip(t *testing.T) {
 	items := []protocol.ShardItem{
 		{Shard: 5, Msg: protocol.BatchOf([]protocol.ObjectMsg{
 			{Key: "k", Inner: protocol.NewDeltaMsg(crdt.NewGSet("a"))},
 		})},
 	}
-	seq := protocol.FrameSeq{Inc: 0xdeadbeef, Seq: 1 << 21, Back: 200}
+	seq := protocol.FrameSeq{Seq: 1 << 21, Back: 200}
+	tags := make(map[byte]string)
+	for _, m := range linkShapes(items[0].Msg) {
+		data, _ := codec.EncodeMsg(m)
+		if other, dup := tags[data[0]]; dup || data[0] < 79 || data[0] > 93 {
+			t.Errorf("link header %+v under tag %d (also %s), want its own in 79..93", m.(*protocol.ShardedMsg).Link, data[0], other)
+		}
+		tags[data[0]] = fmt.Sprintf("%+v", m.(*protocol.ShardedMsg).Link)
+		msgRoundTrip(t, m)
+	}
+	numbered := protocol.NewShardedLinkMsg(items, nil, protocol.LinkHeader{Seq: protocol.FrameSeq{Inc: 7, Seq: 1}})
+	if got := msgRoundTrip(t, numbered).(*protocol.ShardedMsg); got.Link.Seq != (protocol.FrameSeq{Seq: 1}) {
+		t.Errorf("sequence half came back %+v, want number 1 of no incarnation", got.Link.Seq)
+	}
 	ack := protocol.FrameAck{Inc: 9, Cum: 16383, Ranges: []protocol.SeqRange{{Lo: 16385, Hi: 16390}, {Lo: 16392, Hi: 16392}}}
 	full := protocol.FrameAck{Inc: 9, Cum: 1} // as many ranges as an acknowledgement may carry
 	for i := uint64(0); i < protocol.MaxAckRanges; i++ {
@@ -572,7 +595,7 @@ func TestLinkItemsCarryNoSeqs(t *testing.T) {
 	}
 	// EncodeMsg writes a numbered frame as the packer does; a frame that
 	// only acknowledges is no such frame, and keeps the old items.
-	numbered := protocol.LinkHeader{Seq: protocol.FrameSeq{Inc: 9, Seq: 2, Back: 1}}
+	numbered := protocol.LinkHeader{Seq: protocol.FrameSeq{Seq: 2, Back: 1}}
 	frame, _ := codec.EncodeMsg(protocol.NewShardedLinkMsg([]protocol.ShardItem{acked}, nil, numbered))
 	if want := append(codec.AppendShardedHeader(nil, numbered, nil, 1), got...); !bytes.Equal(frame, want) {
 		t.Errorf("numbered frame %x, want header and linked item %x", frame, want)
@@ -593,7 +616,13 @@ func TestLinkItemsCarryNoSeqs(t *testing.T) {
 // the eager decoder and the unpacker alike, a range count before anything
 // is allocated for it.
 func TestShardedLinkHostileHeaders(t *testing.T) {
-	const tag = 76
+	// The tags of the link block, by the fields they name.
+	const (
+		seq        = 79
+		ack        = 80
+		ackDigests = 84
+		ackRanges  = 88
+	)
 	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
 	cat := func(parts ...[]byte) []byte {
 		var out []byte
@@ -603,22 +632,25 @@ func TestShardedLinkHostileHeaders(t *testing.T) {
 		return out
 	}
 	inc := []byte{0, 0, 0, 9}
-	for name, data := range map[string][]byte{
-		"truncated flags":       {tag},
-		"no half":               {tag, 4, 0, 0},
-		"unknown flag":          {tag, 9, 0, 0, 0, 9, 1, 0, 0},
-		"zero seq incarnation":  cat([]byte{tag, 1, 0, 0, 0, 0}, uv(1), uv(0), uv(0)),
-		"zero ack incarnation":  cat([]byte{tag, 2, 0, 0, 0, 0}, uv(1), uv(0), uv(0)),
-		"zero sequence number":  cat([]byte{tag, 1}, inc, uv(0), uv(0), uv(0)),
-		"back reaches number":   cat([]byte{tag, 1}, inc, uv(5), uv(5), uv(0)),
-		"truncated incarnation": {tag, 1, 0, 0},
-		"hostile range count":   cat([]byte{tag, 2}, inc, uv(1), uv(1<<40), uv(0)),
-		"range count over rest": cat([]byte{tag, 2}, inc, uv(1), uv(3), uv(0), uv(0), uv(0)),
-		"range count over cap":  cat([]byte{tag, 2}, inc, uv(1), uv(protocol.MaxAckRanges+1), bytes.Repeat([]byte{0}, 2*(protocol.MaxAckRanges+1)), uv(0)),
-		"range overflows":       cat([]byte{tag, 2}, inc, uv(1<<63), uv(1), uv(1<<63), uv(0), uv(0)),
-		"range span overflows":  cat([]byte{tag, 2}, inc, uv(1), uv(1), uv(0), uv(^uint64(0)), uv(0)),
-		"hostile digest count":  cat([]byte{tag, 6}, inc, uv(1), uv(0), uv(1<<40), uv(0)),
-	} {
+	cases := map[string][]byte{
+		"retired flag-byte form": {76, 2, 0, 0, 0, 9, 1, 0, 0},
+		"zero ack incarnation":   cat([]byte{ack, 0, 0, 0, 0}, uv(1), uv(0)),
+		"zero sequence number":   cat([]byte{seq}, uv(0), uv(0), uv(0)),
+		"back reaches number":    cat([]byte{seq}, uv(5), uv(5), uv(0)),
+		"truncated sequence":     {seq},
+		"truncated incarnation":  {ack, 0, 0},
+		"ranges naming none":     cat([]byte{ackRanges}, inc, uv(1), uv(0), uv(0)),
+		"hostile range count":    cat([]byte{ackRanges}, inc, uv(1), uv(1<<40), uv(0)),
+		"range count over rest":  cat([]byte{ackRanges}, inc, uv(1), uv(3), uv(0), uv(0), uv(0)),
+		"range count over cap":   cat([]byte{ackRanges}, inc, uv(1), uv(protocol.MaxAckRanges+1), bytes.Repeat([]byte{0}, 2*(protocol.MaxAckRanges+1)), uv(0)),
+		"range overflows":        cat([]byte{ackRanges}, inc, uv(1<<63), uv(1), uv(1<<63), uv(0), uv(0)),
+		"range span overflows":   cat([]byte{ackRanges}, inc, uv(1), uv(1), uv(0), uv(^uint64(0)), uv(0)),
+		"hostile digest count":   cat([]byte{ackDigests}, inc, uv(1), uv(1<<40), uv(0)),
+	}
+	for i, data := range refusedLinkTags() {
+		cases[fmt.Sprintf("tag %d naming no header (%d)", data[0], i)] = data
+	}
+	for name, data := range cases {
 		if _, _, err := codec.DecodeMsg(data); err == nil {
 			t.Errorf("%s: decoder accepted %x", name, data)
 		}
@@ -628,7 +660,7 @@ func TestShardedLinkHostileHeaders(t *testing.T) {
 		}
 	}
 	// A header-sized frame claiming a billion ranges allocates nothing.
-	hostile := cat([]byte{tag, 2}, inc, uv(1), uv(1<<30), uv(0))
+	hostile := cat([]byte{ackRanges}, inc, uv(1), uv(1<<30), uv(0))
 	var v codec.FrameView
 	if allocs := testing.AllocsPerRun(100, func() { codec.UnpackFrame(hostile, 4, &v) }); allocs != 0 {
 		t.Errorf("rejecting a hostile range count allocates %.1f times", allocs)

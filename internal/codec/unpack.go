@@ -171,7 +171,7 @@ func (v *FrameView) unpack(data []byte, shards int) error {
 		return ErrTruncated
 	}
 	tag := data[0]
-	if tag != tagShardedMsg && tag != tagShardedDigestMsg && tag != tagShardedLinkMsg {
+	if !isShardedTag(tag) {
 		return ErrNotSharded
 	}
 	h, n, err := readShardedHeader(tag, data[1:], v.ranges)

@@ -332,11 +332,12 @@ func TestUnpackHostileItemCount(t *testing.T) {
 	}
 }
 
-// linkedFrames returns sharded frames with every shape of link header
-// over the given batch.
+// linkedFrames returns sharded frames with link headers over the given
+// batch: numbered, acknowledging with ranges, both with a digest vector,
+// an acknowledgement with no items, and one with an empty vector.
 func linkedFrames(batch protocol.Msg) []protocol.Msg {
 	items := []protocol.ShardItem{{Shard: 2, Msg: batch}, {Shard: 0, Msg: batch}}
-	seq := protocol.FrameSeq{Inc: 0xfeedbeef, Seq: 300, Back: 2}
+	seq := protocol.FrameSeq{Seq: 300, Back: 2}
 	ack := protocol.FrameAck{Inc: 0x01020304, Cum: 127, Ranges: []protocol.SeqRange{{Lo: 129, Hi: 129}, {Lo: 140, Hi: 1 << 40}}}
 	return []protocol.Msg{
 		protocol.NewShardedLinkMsg(items, nil, protocol.LinkHeader{Seq: seq}),
@@ -345,6 +346,38 @@ func linkedFrames(batch protocol.Msg) []protocol.Msg {
 		protocol.NewShardedLinkMsg(nil, nil, protocol.LinkHeader{Ack: protocol.FrameAck{Inc: 1, Cum: 0}}),
 		protocol.NewShardedLinkMsg(nil, []uint64{}, protocol.LinkHeader{Ack: ack}),
 	}
+}
+
+// linkShapes returns one sharded frame over batch for each of the ten
+// shapes of link header, and so for each tag of the link block that is
+// not refused: a sequence number, an acknowledgement, with and without
+// ranges, or both; each with and without a digest vector.
+func linkShapes(batch protocol.Msg) []protocol.Msg {
+	items := []protocol.ShardItem{{Shard: 1, Msg: batch}}
+	seq := protocol.FrameSeq{Seq: 41, Back: 3}
+	bare := protocol.FrameAck{Inc: 0x0a0b0c0d, Cum: 40}
+	ranged := protocol.FrameAck{Inc: 0x0a0b0c0d, Cum: 40, Ranges: []protocol.SeqRange{{Lo: 43, Hi: 44}}}
+	var out []protocol.Msg
+	for _, link := range []protocol.LinkHeader{
+		{Seq: seq}, {Ack: bare}, {Ack: ranged}, {Seq: seq, Ack: bare}, {Seq: seq, Ack: ranged},
+	} {
+		out = append(out,
+			protocol.NewShardedLinkMsg(items, nil, link),
+			protocol.NewShardedLinkMsg(items, []uint64{5}, link))
+	}
+	return out
+}
+
+// refusedLinkTags returns a frame under each tag of the link block that
+// names no header — neither a sequence number nor an acknowledgement, or
+// ranges without an acknowledgement — with plausible bytes behind it.
+func refusedLinkTags() [][]byte {
+	const tagLinkMsg = 79
+	var out [][]byte
+	for _, flags := range []byte{4, 8, 9, 12, 13} { // digests, ranges, ranges|seq, ranges|digests, ranges|digests|seq
+		out = append(out, []byte{tagLinkMsg - 1 + flags, 2, 1, 1, 0, 1, 0, 0})
+	}
+	return out
 }
 
 // FuzzUnpackFrame differentially fuzzes the single-pass unpacker against
@@ -396,15 +429,23 @@ func FuzzUnpackFrame(f *testing.F) {
 	for _, m := range linkedFrames(batch) {
 		seed(m)
 	}
-	f.Add([]byte{76, 2, 0, 0, 0, 9, 4, 255, 255, 255, 255, 15}) // hostile range count
-	f.Add([]byte{76, 1, 0, 0, 0, 9, 3, 3, 0})                   // back reaches the number
-	f.Add([]byte{76, 4, 0, 0})                                  // neither half
-	f.Add([]byte{76, 2, 0, 0, 0, 0, 1, 0, 0})                   // zero incarnation
+	f.Add([]byte{88, 0, 0, 0, 9, 4, 255, 255, 255, 255, 15}) // hostile range count
+	f.Add([]byte{79, 3, 3, 0})                               // back reaches the number
+	f.Add([]byte{76, 4, 0, 0})                               // the retired flag-byte form
+	f.Add([]byte{80, 0, 0, 0, 0, 1, 0})                      // zero incarnation
 	// A hello standalone (not sharded), and as an item, whole and with a
 	// hostile id count.
-	seed(protocol.NewHelloMsg(protocol.WireVersion, 4, []string{"s-01"}))
-	seed(protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 1, Msg: protocol.NewHelloMsg(protocol.WireVersion, 4, []string{"s-01", "s-02"})}}))
-	f.Add([]byte{72, 1, 1, 77, 1, 4, 255, 255, 255, 255, 15, 1, 97})
+	seed(protocol.NewHelloMsg(protocol.WireVersion, 4, 7, []string{"s-01"}))
+	seed(protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 1, Msg: protocol.NewHelloMsg(protocol.WireVersion, 4, 7, []string{"s-01", "s-02"})}}))
+	f.Add([]byte{72, 1, 1, 77, 2, 4, 0, 0, 0, 7, 255, 255, 255, 255, 15, 1, 97})
+	// Every tag of the link block: each shape of link header, and the
+	// values that name none.
+	for _, m := range linkShapes(batch) {
+		seed(m)
+	}
+	for _, data := range refusedLinkTags() {
+		f.Add(data)
+	}
 
 	const shards = 4
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -109,18 +109,21 @@ func (r *Reach) withhold(origin string) {
 func (r *Reach) Withheld() uint64 { return r.withheld.Load() }
 
 // WireVersion is what a HelloMsg says of the encoding its sender speaks.
-// A store refuses a connection that announces another.
-const WireVersion = 1
+// A store refuses a connection that announces another. Version 2 moved the
+// sender's incarnation out of every numbered frame and into the hello.
+const WireVersion = 2
 
 // HelloMsg is how a connection introduces itself: the first frame a store
 // writes on every connection it establishes, written again whenever the
 // set it names changes. Version and Shards are what both ends must agree
-// on before any item is routed; Reaches lists the neighbors the sender's
-// write pipelines are currently connected to, which is what the
-// receiver's Reach holds for it.
+// on before any item is routed; Inc is the sender's incarnation, which
+// every numbered frame on the connection is then of (FrameSeq.Inc);
+// Reaches lists the neighbors the sender's write pipelines are currently
+// connected to, which is what the receiver's Reach holds for it.
 type HelloMsg struct {
 	Version uint32
 	Shards  uint32
+	Inc     uint32
 	Reaches []string
 	cost    metrics.Transmission
 }
@@ -132,11 +135,11 @@ func (m *HelloMsg) Kind() string { return "hello" }
 func (m *HelloMsg) Cost() metrics.Transmission { return m.cost }
 
 // NewHelloMsg builds a HelloMsg, all of it metadata: 4 bytes each for the
-// version and the shard count, and the ids.
-func NewHelloMsg(version, shards uint32, reaches []string) *HelloMsg {
-	cost := metrics.Transmission{Messages: 1, MetadataBytes: 8}
+// version, the shard count and the incarnation, and the ids.
+func NewHelloMsg(version, shards, inc uint32, reaches []string) *HelloMsg {
+	cost := metrics.Transmission{Messages: 1, MetadataBytes: 12}
 	for _, id := range reaches {
 		cost.MetadataBytes += len(id)
 	}
-	return &HelloMsg{Version: version, Shards: shards, Reaches: reaches, cost: cost}
+	return &HelloMsg{Version: version, Shards: shards, Inc: inc, Reaches: reaches, cost: cost}
 }

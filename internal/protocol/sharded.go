@@ -46,8 +46,9 @@ func (m *ShardedMsg) Cost() metrics.Transmission { return m.cost }
 // number per frame, as in the δ-buffer anti-entropy of delta-state CRDTs
 // and the lossy-channel variant the paper sketches in §IV: the frame is
 // the unit that is lost, so the frame is the unit that is acknowledged.
-// Either half is absent when its incarnation is zero; a frame with both
-// absent is a plain sharded frame.
+// The sequence half is absent when its Seq is zero, the acknowledgement
+// half when its incarnation is; a frame with both absent is a plain
+// sharded frame.
 type LinkHeader struct {
 	Seq FrameSeq
 	Ack FrameAck
@@ -58,7 +59,11 @@ type LinkHeader struct {
 type FrameSeq struct {
 	// Inc is the sender's incarnation, fixed for the life of a store and
 	// never zero: a restarted store numbers its frames from 1 again, and
-	// the incarnation is how a receiver tells the two sequences apart.
+	// the incarnation is how a receiver tells the two sequences apart. It
+	// is not on the wire: every frame on a connection is of the life the
+	// connection's HelloMsg named, so the receiver fills it in from there,
+	// per connection (a restarted sender's old and new connections can
+	// overlap). Encoders ignore it and decoders leave it zero.
 	Inc uint32
 	// Seq counts the numbered frames the sender has sent this receiver,
 	// from 1.
@@ -76,8 +81,11 @@ type FrameSeq struct {
 // destination: every one up to Cum, and those in Ranges above it.
 type FrameAck struct {
 	// Inc is the incarnation of the store whose frames are acknowledged,
-	// as its frames named it: an acknowledgement minted for one life of a
-	// store retires nothing in the next.
+	// as its hello named it: an acknowledgement minted for one life of a
+	// store retires nothing in the next. Unlike FrameSeq.Inc it is on the
+	// wire: the acknowledgement travels on the acknowledging store's own
+	// connection, whose hello vouches for the acknowledger's life, and its
+	// queue can outlive a restart of the store it acknowledges.
 	Inc uint32
 	// Cum is the highest sequence number below which nothing is missing.
 	Cum uint64
@@ -97,13 +105,14 @@ const MaxAckRanges = 8
 // SeqRange is the closed interval [Lo, Hi] of frame sequence numbers.
 type SeqRange struct{ Lo, Hi uint64 }
 
-// MetadataBytes is the header's share of a frame's accounting: 4 bytes
-// per incarnation and 8 per sequence number, the sizes the rest of the
-// accounting uses.
+// MetadataBytes is the header's share of a frame's accounting: 8 bytes
+// per sequence number and 4 for the acknowledgement's incarnation, the
+// sizes the rest of the accounting uses. The sender's own incarnation is
+// the hello's (HelloMsg), not the frame's.
 func (h LinkHeader) MetadataBytes() int {
 	n := 0
-	if h.Seq.Inc != 0 {
-		n += 4 + 8 + 8
+	if h.Seq.Seq != 0 {
+		n += 8 + 8
 	}
 	if h.Ack.Inc != 0 {
 		n += 4 + 8 + 16*len(h.Ack.Ranges)

@@ -240,7 +240,7 @@ func (pc *peerConn) write(frame []byte) {
 	}
 	err := pc.writeHello(conn)
 	if err == nil && frame != nil {
-		err = writeFrame(conn, pc.p.id, frame)
+		err = writeFrame(conn, "", frame) // the hello named the sender
 	}
 	if err != nil {
 		pc.disconnect(conn)
@@ -254,7 +254,8 @@ func (pc *peerConn) write(frame []byte) {
 // writeHello writes the announcement if one is due: the first frame of a
 // connection, and the next one after the set of connected pipelines has
 // changed or a refresh came round. It goes straight to the socket — the
-// queue's eviction never sees it — naming the pipelines that are up now.
+// queue's eviction never sees it — naming the pipelines that are up now,
+// and it is the one frame that names its sender.
 func (pc *peerConn) writeHello(conn net.Conn) error {
 	pc.mu.Lock()
 	due := pc.helloDue && pc.p.hello != nil
@@ -390,7 +391,7 @@ type peerNet struct {
 	// frame; hello encodes the announcement a connection opens with,
 	// given the peers whose pipelines are up; gone runs when the last
 	// inbound connection from a peer has ended.
-	deliver  func(from string, frame []byte) error
+	deliver  func(from string, inc *uint32, frame []byte) error
 	hello    func(reaches []string) []byte
 	gone     func(from string)
 	stopping chan struct{}
@@ -426,12 +427,15 @@ func newPeerNet(id string, peers map[string]string, ln net.Listener, dial DialFu
 
 // start launches the accept loop and one writer goroutine per peer;
 // deliver runs for every inbound frame, on the connection's read
-// goroutine, with the raw encoded message bytes. The bytes alias the
-// connection's reused read buffer and are valid only for the duration of
-// the call; a non-nil error drops the connection (a corrupt peer, or one
-// whose hello this store refuses). hello and gone may be nil: no
+// goroutine, with the sender the connection's first frame named and the
+// raw encoded message bytes. The bytes alias the connection's reused read
+// buffer and are valid only for the duration of the call; a non-nil error
+// drops the connection (a corrupt peer, or one whose hello this store
+// refuses). inc is the connection's own word, 0 when it opens: the owner
+// records there the incarnation the connection's hello names, and reads
+// it back on every later frame. hello and gone may be nil: no
 // announcement is written, no ending reported.
-func (p *peerNet) start(deliver func(from string, frame []byte) error, hello func(reaches []string) []byte, gone func(from string)) {
+func (p *peerNet) start(deliver func(from string, inc *uint32, frame []byte) error, hello func(reaches []string) []byte, gone func(from string)) {
 	p.deliver, p.hello, p.gone = deliver, hello, gone
 	p.wg.Add(1)
 	go p.acceptLoop()
@@ -542,10 +546,12 @@ func (p *peerNet) acceptLoop() {
 func (p *peerNet) readLoop(conn net.Conn) {
 	defer p.wg.Done()
 	// The connection is its first frame's sender's, for as long as it
-	// lives: a later frame that names anyone else closes it unread, since
-	// its acknowledgement, reach and drill would be booked to a neighbor
-	// whose connection this is not.
+	// lives: a first frame that names nobody, or a later frame that names
+	// anyone else, closes it unread, since its acknowledgement, reach and
+	// drill would be booked to a neighbor whose connection this is not.
+	// Frames that name nobody are the sender's.
 	var peer string
+	var inc uint32 // the owner's, through deliver
 	named := false
 	defer func() {
 		conn.Close()
@@ -572,15 +578,18 @@ func (p *peerNet) readLoop(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		if !named {
-			peer, named = from, true
+		switch {
+		case !named && len(from) == 0:
+			return
+		case !named:
+			peer, named = string(from), true
 			p.mu.Lock()
 			p.inbound[peer]++
 			p.mu.Unlock()
-		} else if from != peer {
+		case len(from) != 0 && string(from) != peer:
 			return
 		}
-		if err := p.deliver(from, data); err != nil {
+		if err := p.deliver(peer, &inc, data); err != nil {
 			return // corrupt or refused peer; drop the connection
 		}
 	}

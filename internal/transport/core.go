@@ -41,6 +41,7 @@ const never = math.MaxInt64
 // the shell's clock.
 type core struct {
 	cfg       StoreConfig
+	inc       uint32 // this life's incarnation, which every hello names
 	out       port
 	shards    []*shard
 	mask      uint32
@@ -131,6 +132,7 @@ func newCore(cfg StoreConfig, inc uint32) (*core, error) {
 	}
 	c := &core{
 		cfg:        cfg,
+		inc:        inc,
 		shards:     shards,
 		mask:       uint32(cfg.Shards - 1),
 		neighbors:  neighbors,
@@ -628,11 +630,12 @@ func (c *core) sendAck(to string, lk *link) {
 	c.wire.add(&t)
 }
 
-// maxMsgBytes is the largest encoded message one frame carries under the
-// cap after its header (2-byte sender length and the sender id; receivers
-// do not count the length prefix): the packer's budget.
+// maxMsgBytes is the largest encoded message one data frame carries under
+// the cap after its header (the 2-byte sender length, of an id only a hello
+// spells out; receivers do not count the length prefix): the packer's
+// budget.
 func (c *core) maxMsgBytes() int {
-	return c.cfg.MaxFrameBytes - 2 - len(c.cfg.ID)
+	return c.cfg.MaxFrameBytes - 2
 }
 
 // frameKind classifies a frame for the wire accounting: shard items only,
@@ -747,10 +750,11 @@ func (c *core) transmit(to string, data []byte, cost metrics.Transmission, kind 
 	c.tally(data, cost, kind, t)
 }
 
-// tally counts one frame of this store's on t.
+// tally counts one frame of this store's on t, as many bytes as it takes on
+// the socket (writeFrame): a hello names the sender, no other frame does.
 func (c *core) tally(data []byte, cost metrics.Transmission, kind frameKind, t *wireTally) {
 	t.frames++
-	t.wireBytes += 4 + 2 + len(c.cfg.ID) + len(data)
+	t.wireBytes += frameHeaderBytes + len(data)
 	switch kind {
 	case frameDigest:
 		t.digestFrames++
@@ -760,25 +764,37 @@ func (c *core) tally(data []byte, cost metrics.Transmission, kind frameKind, t *
 		t.ackFrames++
 	case frameHello:
 		t.helloFrames++
+		t.wireBytes += len(c.cfg.ID)
 	}
 	t.sent.Add(cost)
 }
 
-// deliver routes one inbound frame, arrived at now: sharded data frames
-// through the single-pass unpacker to their shards — applied whole or not
-// at all — anything else (hello, digest and tree frames) through DecodeMsg.
-// The frame bytes alias the connection's read buffer, so the view is reset
-// before it returns to the pool. It reports, as update does, whether step
-// has a new deadline; an error drops the connection (corrupt peer).
-func (c *core) deliver(from string, frame []byte, now int64) (bool, error) {
+// errNoHello refuses a connection whose first frame is not its hello: what
+// it carries cannot be booked to a life of its sender.
+var errNoHello = errors.New("transport: a connection's first frame is not its hello")
+
+// deliver routes one inbound frame, arrived at now on a connection from
+// from: sharded data frames through the single-pass unpacker to their
+// shards — applied whole or not at all — anything else (hello, digest and
+// tree frames) through DecodeMsg. inc is the connection's word for the
+// incarnation its hello named, 0 until the hello has arrived, which
+// handleHello records; the numbered frames on the connection are of that
+// life. The frame bytes alias the connection's read buffer, so the view is
+// reset before it returns to the pool. It reports, as update does, whether
+// step has a new deadline; an error drops the connection (a corrupt peer,
+// or one that has not introduced itself).
+func (c *core) deliver(from string, inc *uint32, frame []byte, now int64) (bool, error) {
 	v := frameViews.Get().(*codec.FrameView)
 	err := codec.UnpackFrame(frame, len(c.shards), v)
 	wake := false
 	switch {
+	case err == nil && *inc == 0:
+		err = errNoHello
 	case err == nil:
+		v.Link.Seq.Inc = *inc
 		wake = c.deliverSharded(from, v, now)
 	case errors.Is(err, codec.ErrNotSharded):
-		err = c.deliverControl(from, frame, now)
+		err = c.deliverControl(from, inc, frame, now)
 	}
 	v.Reset() // drop references to the read buffer before pooling
 	frameViews.Put(v)
@@ -852,7 +868,7 @@ func (c *core) deliverSharded(from string, v *codec.FrameView, now int64) bool {
 	// not have is not acknowledged: the sender keeps every entry it
 	// carried and sends them again.
 	held := false
-	if lk != nil && v.Link.Seq.Inc != 0 && v.Dropped == 0 {
+	if lk != nil && v.Link.Seq.Seq != 0 && v.Dropped == 0 {
 		held = lk.receive(v.Link.Seq, now)
 	}
 	wake := forward && c.requestFlush()
@@ -919,18 +935,23 @@ func (c *core) notifyGroup(g codec.ItemGroup) {
 // HelloMsg a connection opens with, the standalone DigestMsg
 // (advertisement heartbeat) and the TreeMsg hash pushes of a drill.
 // Anything else well-formed is ignored and the connection kept;
-// undecodable bytes, and a hello this store refuses, drop the connection.
-func (c *core) deliverControl(from string, frame []byte, now int64) error {
+// undecodable bytes, a hello this store refuses and anything before the
+// hello drop the connection.
+func (c *core) deliverControl(from string, inc *uint32, frame []byte, now int64) error {
 	msg, _, err := codec.DecodeMsg(frame)
 	if err != nil {
 		return err
+	}
+	if m, ok := msg.(*protocol.HelloMsg); ok {
+		return c.handleHello(from, inc, m)
+	}
+	if *inc == 0 {
+		return errNoHello
 	}
 	d := getDeliverState()
 	defer d.release()
 	echo := false
 	switch m := msg.(type) {
-	case *protocol.HelloMsg:
-		return c.handleHello(from, m)
 	case *protocol.DigestMsg:
 		c.handleDigests(from, m.Digests, d.b, now)
 		echo = m.Echo
@@ -947,10 +968,10 @@ func (c *core) deliverControl(from string, frame []byte, now int64) error {
 }
 
 // hello encodes and counts the announcement a connection of this store's
-// opens with: the wire version, the shard count, and reaches, the peers its
-// pipelines are connected to.
+// opens with: the wire version, the shard count, this life's incarnation,
+// and reaches, the peers its pipelines are connected to.
 func (c *core) hello(reaches []string) []byte {
-	m := protocol.NewHelloMsg(protocol.WireVersion, uint32(len(c.shards)), reaches)
+	m := protocol.NewHelloMsg(protocol.WireVersion, uint32(len(c.shards)), c.inc, reaches)
 	data, err := codec.EncodeMsg(m)
 	if err != nil {
 		panic(err)
@@ -961,11 +982,13 @@ func (c *core) hello(reaches []string) []byte {
 	return data
 }
 
-// handleHello takes a peer's announcement. One that names another shard
-// count or wire version is refused, which closes the connection before
-// any of its items is routed; otherwise what it reaches replaces what
-// from was known to reach.
-func (c *core) handleHello(from string, m *protocol.HelloMsg) error {
+// handleHello takes a peer's announcement on a connection whose word inc
+// is. One that names another shard count or wire version is refused, which
+// closes the connection before any of its items is routed, and so is one
+// that names another incarnation than the connection's first hello did;
+// otherwise the connection is of the life it names, and what it reaches
+// replaces what from was known to reach.
+func (c *core) handleHello(from string, inc *uint32, m *protocol.HelloMsg) error {
 	if m.Version != protocol.WireVersion || int(m.Shards) != len(c.shards) {
 		c.statsMu.Lock()
 		c.stats.HelloRefused++
@@ -973,6 +996,10 @@ func (c *core) handleHello(from string, m *protocol.HelloMsg) error {
 		return fmt.Errorf("transport: %s refuses %s: it speaks wire version %d over %d shards, not %d over %d",
 			c.cfg.ID, from, m.Version, m.Shards, protocol.WireVersion, len(c.shards))
 	}
+	if *inc != 0 && m.Inc != *inc {
+		return fmt.Errorf("transport: %s's connection of incarnation %#x says it is of %#x", from, *inc, m.Inc)
+	}
+	*inc = m.Inc
 	c.setReach(from, m.Reaches)
 	return nil
 }

@@ -65,6 +65,17 @@ func shardBatch(shard uint32, keys ...string) protocol.ShardItem {
 	return protocol.ShardItem{Shard: shard, Msg: protocol.BatchOf(oms)}
 }
 
+// testPeerInc is the incarnation of the sender of every frame handed to a
+// store by deliver: what the hello of the connection it came on named.
+const testPeerInc = 9
+
+// deliver hands s one frame from from, as if it arrived on a connection
+// whose hello named testPeerInc.
+func (s *Store) deliver(from string, frame []byte) error {
+	inc := uint32(testPeerInc)
+	return s.receive(from, &inc, frame)
+}
+
 func encodeFrame(t testing.TB, m protocol.Msg) []byte {
 	t.Helper()
 	data, err := codec.EncodeMsg(m)

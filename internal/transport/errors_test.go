@@ -38,7 +38,7 @@ func expectDrop(t *testing.T, conn net.Conn) {
 
 func TestStoreDropsOversizedFrame(t *testing.T) {
 	stores := startStoreCluster(t, 2, 4, protocol.NewDeltaBPRR(), 20*time.Millisecond)
-	conn := dialNode(t, stores[0].Addr())
+	conn := openRaw(t, stores[0].Addr(), "raw", 4)
 	defer conn.Close()
 	// A length prefix beyond the 64 MiB cap must get the connection
 	// dropped without the store allocating the claimed buffer.
@@ -55,11 +55,11 @@ func TestStoreDropsOversizedFrame(t *testing.T) {
 
 func TestStoreDropsCorruptFrame(t *testing.T) {
 	stores := startStoreCluster(t, 2, 4, protocol.NewDeltaBPRR(), 20*time.Millisecond)
-	conn := dialNode(t, stores[0].Addr())
+	conn := openRaw(t, stores[0].Addr(), "zz", 4)
 	defer conn.Close()
-	// Well-framed garbage: valid length and sender id, unparseable
+	// Well-framed garbage: valid length and no sender id, unparseable
 	// message body (unknown codec tag).
-	body := []byte{0, 2, 'z', 'z', 250, 1, 2, 3}
+	body := []byte{0, 0, 250, 1, 2, 3}
 	frame := append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
 	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
@@ -76,9 +76,8 @@ func TestStoreDropsCorruptFrame(t *testing.T) {
 // neighbor whose connection this is not.
 func TestStoreDropsConnectionThatChangesSender(t *testing.T) {
 	stores := startStoreCluster(t, 3, 1, protocol.NewDeltaBPRR(), time.Hour)
-	conn := dialNode(t, stores[0].Addr())
+	conn := openRaw(t, stores[0].Addr(), "s-01", 1)
 	defer conn.Close()
-	writeRawFrame(t, conn, "s-01", protocol.NewHelloMsg(protocol.WireVersion, 1, nil))
 	delta := protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("s-02", 1))
 	writeRawFrame(t, conn, "s-02", protocol.NewShardedMsg([]protocol.ShardItem{
 		{Shard: 0, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: "spoofed", Inner: delta}})},
@@ -89,6 +88,83 @@ func TestStoreDropsConnectionThatChangesSender(t *testing.T) {
 	}
 	if got := stores[0].Stats().HelloRefused; got != 0 {
 		t.Errorf("%d hellos refused, want the hello accepted and the second frame the cause", got)
+	}
+}
+
+// spoof is a data frame that would create key on any store of one shard.
+func spoof(key string) protocol.Msg {
+	delta := protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("x", 1))
+	return protocol.NewShardedMsg([]protocol.ShardItem{
+		{Shard: 0, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: key, Inner: delta}})},
+	})
+}
+
+// TestHelloFirstFrameOrClose: a connection opens with a hello that names
+// its sender, or it is closed before anything on it is applied — a data
+// frame that comes first, whether or not it names a sender, and a hello
+// that names nobody.
+func TestHelloFirstFrameOrClose(t *testing.T) {
+	stores := startStoreCluster(t, 2, 1, protocol.NewDeltaBPRR(), time.Hour)
+	for name, first := range map[string]func(conn net.Conn){
+		"a data frame naming its sender": func(conn net.Conn) { writeRawFrame(t, conn, "s-01", spoof("first")) },
+		"a data frame naming nobody":     func(conn net.Conn) { writeRawFrame(t, conn, "", spoof("first")) },
+		"a hello naming nobody": func(conn net.Conn) {
+			writeRawFrame(t, conn, "", protocol.NewHelloMsg(protocol.WireVersion, 1, rawInc, nil))
+		},
+	} {
+		conn := dialNode(t, stores[0].Addr())
+		first(conn)
+		writeRawFrame(t, conn, "", spoof("behind"))
+		expectDrop(t, conn)
+		conn.Close()
+		for _, key := range []string{"first", "behind"} {
+			if got := stores[0].Get(key); got != nil {
+				t.Errorf("%s: %s was applied: %v", name, key, got)
+			}
+		}
+	}
+	if got := stores[0].Stats().HelloRefused; got != 0 {
+		t.Errorf("%d hellos refused, want none: no frame was refused for what it said", got)
+	}
+	// The store is as healthy as before.
+	stores[1].Update(workload.Op{Kind: workload.KindInc, Key: "alive", N: 1})
+	stores[1].SyncNow()
+	waitStoresConverged(t, stores, 1, 5*time.Second)
+}
+
+// TestHelloNamesOneSenderAndLife: once a connection's hello has named its
+// sender and the sender's incarnation, a hello naming another sender, or
+// the same sender and another incarnation, closes it — and nothing behind
+// that on the connection is applied. A hello that names them again is a
+// refresh, and what follows it is applied.
+func TestHelloNamesOneSenderAndLife(t *testing.T) {
+	stores := startStoreCluster(t, 3, 1, protocol.NewDeltaBPRR(), time.Hour)
+	for name, c := range map[string]struct {
+		from string
+		inc  uint32
+		drop bool
+	}{
+		"another sender":      {"s-02", rawInc, true},
+		"another incarnation": {"s-01", rawInc + 1, true},
+		"a refresh":           {"s-01", rawInc, false},
+	} {
+		conn := openRaw(t, stores[0].Addr(), "s-01", 1)
+		writeRawFrame(t, conn, c.from, protocol.NewHelloMsg(protocol.WireVersion, 1, c.inc, []string{"s-02"}))
+		key := "behind " + name
+		writeRawFrame(t, conn, "", spoof(key))
+		if !c.drop {
+			waitFor(t, 5*time.Second, func() bool { return stores[0].Get(key) != nil })
+			conn.Close()
+			continue
+		}
+		expectDrop(t, conn)
+		conn.Close()
+		if got := stores[0].Get(key); got != nil {
+			t.Errorf("%s: the frame behind the hello was applied: %v", name, got)
+		}
+	}
+	if got := stores[0].Stats().HelloRefused; got != 0 {
+		t.Errorf("%d hellos refused for their version or shard count, want none", got)
 	}
 }
 
@@ -106,7 +182,7 @@ func TestStoreCloseWhilePeerMidFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn := dialNode(t, st.Addr())
+	conn := openRaw(t, st.Addr(), "raw", 16)
 	defer conn.Close()
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], 100)
@@ -132,11 +208,11 @@ func TestStoreIgnoresNonShardedFrames(t *testing.T) {
 	// the message and keeps the connection: the frame behind it on the
 	// same connection is still delivered.
 	stores := startStoreCluster(t, 2, 4, protocol.NewDeltaBPRR(), 20*time.Millisecond)
-	conn := dialNode(t, stores[0].Addr())
+	conn := openRaw(t, stores[0].Addr(), "legacy", 4)
 	defer conn.Close()
-	writeRawFrame(t, conn, "legacy", protocol.NewDeltaMsg(crdt.NewGSet("x")))
+	writeRawFrame(t, conn, "", protocol.NewDeltaMsg(crdt.NewGSet("x")))
 	// An acknowledgement from a store that is no neighbor is counted.
-	writeRawFrame(t, conn, "legacy", protocol.NewShardedLinkMsg(nil, nil,
+	writeRawFrame(t, conn, "", protocol.NewShardedLinkMsg(nil, nil,
 		protocol.LinkHeader{Ack: protocol.FrameAck{Inc: 1, Cum: 1}}))
 	waitFor(t, 5*time.Second, func() bool { return stores[0].Stats().IgnoredAcks == 1 })
 	if got := stores[0].NumKeys(); got != 0 {

@@ -17,6 +17,12 @@ import (
 // here: the tests get them, and per-link schedules, from a deterministic
 // scheduler that drives the store's cores without sockets.
 //
+// A connection's first frame is never dropped, under either knob: it is
+// the hello that opens the connection, and TCP either completes a
+// connection or fails it — there is no connection whose opening message
+// went missing, so a receiver closes one whose first frame is anything
+// else. Every later frame, a refreshed hello included, is fair game.
+//
 // Both knobs are safe to change while connections are live: each frame
 // consults the current policy, so a partition heals on existing connections
 // without redialing.
@@ -28,12 +34,12 @@ type Fault struct {
 }
 
 // NewFault returns an injector with no fault enabled, whose drops are drawn
-// from rand.NewSource(seed): one Float64 per frame while the drop rate is
-// above 0 and the peer is not severed, none otherwise. Through one
-// connection, frame i is dropped iff its draw is below the rate; with the
-// per-peer write pipelines writing at once the draws interleave in
-// scheduler order, so the seed fixes the statistics, not which frame is
-// hit.
+// from rand.NewSource(seed): one Float64 per frame after a connection's
+// first while the drop rate is above 0 and the peer is not severed, none
+// otherwise. Through one connection, frame i > 0 is dropped iff its draw
+// is below the rate; with the per-peer write pipelines writing at once the
+// draws interleave in scheduler order, so the seed fixes the statistics,
+// not which frame is hit.
 func NewFault(seed int64) *Fault {
 	return &Fault{rng: rand.New(rand.NewSource(seed))}
 }
@@ -47,7 +53,7 @@ func (f *Fault) SetDropRate(r float64) {
 }
 
 // SetSever installs a per-peer blackhole: while fn returns true for a
-// peer, every frame to it is dropped. Partition tests flip this to cut a
+// peer, every frame to it but a connection's first is dropped. Partition tests flip this to cut a
 // store off and later heal it.
 func (f *Fault) SetSever(fn func(peer string) bool) {
 	f.mu.Lock()
@@ -85,10 +91,11 @@ func (f *Fault) Dialer(base DialFunc) DialFunc {
 // dialed by its sender.
 type faultConn struct {
 	net.Conn
-	fault *Fault
-	peer  string
-	mu    sync.Mutex // guards buf and serializes underlying writes
-	buf   []byte
+	fault  *Fault
+	peer   string
+	mu     sync.Mutex // guards buf and opened, and serializes underlying writes
+	buf    []byte
+	opened bool // the connection's first frame has passed
 }
 
 // Write buffers until whole frames (4-byte length prefix + body) are
@@ -107,9 +114,10 @@ func (c *faultConn) Write(p []byte) (int, error) {
 		}
 		frame := c.buf[off : off+n]
 		off += n
-		if c.fault.decide(c.peer) {
+		if c.opened && c.fault.decide(c.peer) {
 			continue
 		}
+		c.opened = true
 		if _, err := c.Conn.Write(frame); err != nil {
 			c.buf = c.buf[:0]
 			return len(p), err

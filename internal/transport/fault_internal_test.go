@@ -2,6 +2,7 @@ package transport
 
 import (
 	"math/rand"
+	"net"
 	"testing"
 )
 
@@ -50,4 +51,57 @@ func TestFaultDropIsOneSeededDrawPerFrame(t *testing.T) {
 		}
 	}
 	inStep("frames to a severed peer, which draw nothing")
+}
+
+// TestFaultNeverDropsAConnectionsFirstFrame: a connection either opens or
+// fails, so its first frame — the hello — passes whatever the injector is
+// set to, and draws nothing; under a drop rate of 1, and toward a severed
+// peer, it passes and every later frame is lost.
+func TestFaultNeverDropsAConnectionsFirstFrame(t *testing.T) {
+	const later = 11
+	for name, c := range map[string]struct {
+		set   func(f *Fault)
+		draws int
+	}{
+		"drop rate 1": {func(f *Fault) { f.SetDropRate(1) }, later},
+		"sever":       {func(f *Fault) { f.SetSever(func(string) bool { return true }) }, 0},
+	} {
+		f := NewFault(1)
+		c.set(f)
+		local, remote := net.Pipe()
+		conn, err := f.Dialer(func(string, string) (net.Conn, error) { return local, nil })("p", "pipe")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(chan [][]byte)
+		go func() {
+			var frames [][]byte
+			var buf []byte
+			for {
+				from, msg, err := readFrameInto(remote, &buf)
+				if err != nil {
+					got <- frames
+					return
+				}
+				frames = append(frames, append(append([]byte(nil), from...), msg...))
+			}
+		}()
+		writeFrame(conn, "s-00", []byte("hello"))
+		for i := 0; i < later-1; i++ {
+			writeFrame(conn, "", []byte("data"))
+		}
+		writeFrame(conn, "s-00", []byte("refresh"))
+		conn.Close()
+		if frames := <-got; len(frames) != 1 || string(frames[0]) != "s-00hello" {
+			t.Errorf("%s: %q arrived, want the opening hello alone", name, frames)
+		}
+		remote.Close()
+		ref := rand.New(rand.NewSource(1))
+		for i := 0; i < c.draws; i++ {
+			ref.Float64()
+		}
+		if f.rng.Float64() != ref.Float64() {
+			t.Errorf("%s: the draws are out of step: want none for the opening frame and %d after it", name, c.draws)
+		}
+	}
 }

@@ -405,7 +405,8 @@ func TestFlushCarriesHeldReplies(t *testing.T) {
 		frame := linkFrame(t, seq, 0, protocol.FrameAck{}, protocol.ShardItem{
 			Shard: 0, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: k, Inner: d}}),
 		})
-		if _, err := c.deliver("p1", frame, now); err != nil {
+		inc := uint32(testPeerInc)
+		if _, err := c.deliver("p1", &inc, frame, now); err != nil {
 			t.Fatal(err)
 		}
 	}

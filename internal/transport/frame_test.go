@@ -4,29 +4,65 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"crdtsync/internal/protocol"
+	"crdtsync/internal/workload"
 )
 
 // readFrame parses one frame into a fresh buffer.
 func readFrame(r io.Reader) (from string, msg []byte, err error) {
 	var buf []byte
-	return readFrameInto(r, &buf)
+	f, msg, err := readFrameInto(r, &buf)
+	return string(f), msg, err
 }
 
+// TestFrameRoundTrip: a frame that names its sender, and one that does
+// not, cost on the socket what the store's accounting says (4 + 2 bytes,
+// and the id), and read back as written.
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, "node-7", []byte("payload")); err != nil {
-		t.Fatal(err)
+	for _, from := range []string{"node-7", ""} {
+		var buf bytes.Buffer
+		if err := writeFrame(&buf, from, []byte("payload")); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := buf.Len(), frameHeaderBytes+len(from)+len("payload"); got != want {
+			t.Errorf("from %q: %d bytes written, want %d", from, got, want)
+		}
+		got, msg, err := readFrame(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != from || string(msg) != "payload" {
+			t.Errorf("got (%q, %q), want (%q, payload)", got, msg, from)
+		}
 	}
-	from, msg, err := readFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestReadFrameAllocatesNothing: a connection's read loop reads frame after
+// frame into its one buffer without an allocation, the sender id included.
+func TestReadFrameAllocatesNothing(t *testing.T) {
+	var stream bytes.Buffer
+	for i := 0; i < 200; i++ {
+		writeFrame(&stream, "s-00", []byte("hello"))
+		writeFrame(&stream, "", []byte("payload"))
 	}
-	if from != "node-7" || string(msg) != "payload" {
-		t.Errorf("got (%q, %q)", from, msg)
+	r := bytes.NewReader(stream.Bytes())
+	buf := make([]byte, 64)
+	allocs := testing.AllocsPerRun(100, func() {
+		for k := 0; k < 2; k++ {
+			if _, _, err := readFrameInto(r, &buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("reading a frame allocates %.1f times", allocs/2)
 	}
 }
 
@@ -84,7 +120,7 @@ func TestPeerNetWritesFramesAsHanded(t *testing.T) {
 	defer remote.Close()
 	dial := func(string, string) (net.Conn, error) { return local, nil }
 	p := newPeerNet("a", map[string]string{"b": "pipe"}, ln, dial, queueConfig{})
-	p.start(func(string, []byte) error { return nil }, nil, nil)
+	p.start(func(string, *uint32, []byte) error { return nil }, nil, nil)
 	defer p.close()
 	var sent [][]byte
 	for i := 0; i < n; i++ {
@@ -105,8 +141,8 @@ func TestPeerNetWritesFramesAsHanded(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if from != "a" || !bytes.Equal(got, want) {
-			t.Fatalf("frame %d from %q: % x, want % x from \"a\"", i, from, got, want)
+		if len(from) != 0 || !bytes.Equal(got, want) {
+			t.Fatalf("frame %d from %q: % x, want % x from nobody (no hello named the sender)", i, from, got, want)
 		}
 	}
 	if ps := p.peerStats()["b"]; ps.Enqueued != n || ps.Dropped != 0 || ps.Queued != 0 {
@@ -125,5 +161,92 @@ func TestTransmitToUnknownPeerIsDropped(t *testing.T) {
 	}
 	if got := len(p.peerStats()); got != 0 {
 		t.Errorf("peer pipelines = %d, want 0", got)
+	}
+}
+
+// countingConn counts the bytes its writes put on the socket.
+type countingConn struct {
+	net.Conn
+	n *atomic.Int64
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+// TestWireBytesAreSocketBytes: what Stats().WireBytes counts is what the
+// sockets carry — the envelope included, the sender id on hellos alone —
+// less the frames a pipeline dropped, over a lossless acked mesh, from its
+// first hello to its last acknowledgement.
+func TestWireBytesAreSocketBytes(t *testing.T) {
+	const keys = 200
+	var written atomic.Int64
+	stores, err := LoopbackClusterWith(3, StoreConfig{
+		ID:        "w",
+		Shards:    8,
+		Factory:   protocol.NewDeltaAcked(true, true),
+		ObjType:   func(string) workload.Datatype { return workload.GSetType{} },
+		SyncEvery: time.Hour, // ticked by hand: no refresh, and no acknowledgement held
+	}, func(_ int, _ string, cfg *StoreConfig) {
+		cfg.Dial = func(id, addr string) (net.Conn, error) {
+			c, err := defaultDial(id, addr)
+			if err != nil {
+				return nil, err
+			}
+			return countingConn{Conn: c, n: &written}, nil
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < keys; i++ {
+		stores[i%3].Update(workload.Add(fmt.Sprintf("k%03d", i), "x"))
+	}
+	for _, st := range stores {
+		st.SyncNow()
+	}
+	if err := WaitConverged(stores, keys, 30*time.Second, nil); err != nil {
+		t.Fatal(err)
+	}
+	// What a δ-group's receiver forwards, and what is sent again, leaves on
+	// a tick.
+	drained := func() bool {
+		for _, st := range stores {
+			for _, ps := range st.Stats().Peers {
+				if ps.InFlight != 0 || ps.Queued != 0 {
+					return false
+				}
+			}
+			if st.Memory().BufferBytes != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	eventually(t, 10*time.Second, "every link to drain", func() bool {
+		if drained() {
+			return true
+		}
+		for _, st := range stores {
+			st.SyncNow()
+		}
+		return false
+	})
+	for _, st := range stores {
+		st.Close()
+	}
+	var total StoreStats
+	for _, st := range stores {
+		total.Add(st.Stats())
+	}
+	lost := 0
+	for _, ps := range total.Peers {
+		lost += ps.DroppedBytes + frameHeaderBytes*ps.Dropped // no hello is queued, so none is dropped
+	}
+	if got, want := int(written.Load()), total.WireBytes-lost; got != want || total.HelloFrames == 0 || total.AckFrames == 0 {
+		t.Errorf("sockets carried %d bytes, Stats say %d (%d counted, %d of them dropped) over %d frames, %d hellos and %d acknowledgements alone",
+			got, want, total.WireBytes, lost, total.Frames, total.HelloFrames, total.AckFrames)
 	}
 }

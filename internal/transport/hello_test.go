@@ -120,12 +120,18 @@ func TestHelloRefusesSkew(t *testing.T) {
 	})
 	t.Run("version", func(t *testing.T) {
 		s := newTickStore(t)
-		hello := protocol.NewHelloMsg(protocol.WireVersion+1, uint32(len(s.shards)), []string{"p2"})
-		if err := s.deliver("p1", encodeFrame(t, hello)); err == nil {
-			t.Error("a hello of another wire version was accepted")
-		}
-		if st := s.Stats(); st.HelloRefused != 1 || len(st.Peers["p1"].Reaches) != 0 {
-			t.Errorf("%d hellos refused, p1 reaches %v; want 1 and nothing", st.HelloRefused, st.Peers["p1"].Reaches)
+		// The version before the incarnation moved into the hello, which
+		// says it the way it did, and one that is yet to come.
+		for i, hello := range []*protocol.HelloMsg{
+			protocol.NewHelloMsg(1, uint32(len(s.shards)), 0, []string{"p2"}),
+			protocol.NewHelloMsg(protocol.WireVersion+1, uint32(len(s.shards)), testPeerInc, []string{"p2"}),
+		} {
+			if err := s.deliver("p1", encodeFrame(t, hello)); err == nil {
+				t.Errorf("a hello of wire version %d was accepted", hello.Version)
+			}
+			if st := s.Stats(); st.HelloRefused != i+1 || len(st.Peers["p1"].Reaches) != 0 {
+				t.Errorf("version %d: %d hellos refused, p1 reaches %v; want %d and nothing", hello.Version, st.HelloRefused, st.Peers["p1"].Reaches, i+1)
+			}
 		}
 	})
 }
@@ -150,7 +156,7 @@ func TestHelloHostile(t *testing.T) {
 		{"unknown, repeated, the receiver, the sender, far too many", "p1", crowd, map[string][]string{"p1": {"p2"}, "p2": nil}},
 		{"empty", "p1", nil, map[string][]string{"p1": nil, "p2": nil}},
 	} {
-		if err := s.deliver(c.from, encodeFrame(t, protocol.NewHelloMsg(protocol.WireVersion, shards, c.ids))); err != nil {
+		if err := s.deliver(c.from, encodeFrame(t, protocol.NewHelloMsg(protocol.WireVersion, shards, testPeerInc, c.ids))); err != nil {
 			t.Fatalf("%s hello: %v", c.name, err)
 		}
 		for id, want := range c.want {
@@ -313,11 +319,14 @@ func TestHelloNonTransitivePartition(t *testing.T) {
 	}
 }
 
-// filterConn drops the whole frames whose message drop picks.
+// filterConn hands each whole frame's message, and whether it opens the
+// connection, to filter, and writes what that returns in its place, under
+// the same sender id: nothing, when it returns nil.
 type filterConn struct {
 	net.Conn
-	drop func(msg []byte) bool
-	buf  []byte
+	filter func(msg []byte, first bool) []byte
+	buf    []byte
+	opened bool
 }
 
 func (c *filterConn) Write(p []byte) (int, error) {
@@ -329,27 +338,38 @@ func (c *filterConn) Write(p []byte) (int, error) {
 		}
 		frame := c.buf[:4+total]
 		idLen := int(binary.BigEndian.Uint16(frame[4:]))
-		if !c.drop(frame[6+idLen:]) {
-			if _, err := c.Conn.Write(frame); err != nil {
+		if msg := c.filter(frame[6+idLen:], !c.opened); msg != nil {
+			if err := writeFrame(c.Conn, string(frame[6:6+idLen]), msg); err != nil {
 				return 0, err
 			}
 		}
+		c.opened = true
 		c.buf = c.buf[4+total:]
 	}
 	return len(p), nil
 }
 
-// TestHelloDroppedCostsBytesNotConvergence: s-01 never hears s-00's hello,
-// so it forwards what s-00 sends exactly as it always did — twice the
-// elements, the same convergence — until the refresh gets through.
+// TestHelloDroppedCostsBytesNotConvergence: s-01 never hears what s-00
+// reaches — the hello that opens s-00's connection arrives reaching nobody,
+// as a connection's first frame always arrives, and the refreshes are lost
+// — so it forwards what s-00 sends exactly as it always did — twice the
+// elements, the same convergence — until a refresh gets through.
 func TestHelloDroppedCostsBytesNotConvergence(t *testing.T) {
 	const keys = 100
 	var eat atomic.Bool
 	eat.Store(true)
-	isHello := func(msg []byte) bool {
+	unheard := func(msg []byte, first bool) []byte {
 		m, _, err := codec.DecodeMsg(msg)
-		_, hello := m.(*protocol.HelloMsg)
-		return err == nil && hello
+		hello, ok := m.(*protocol.HelloMsg)
+		switch {
+		case err != nil || !ok || !eat.Load():
+			return msg
+		case first:
+			data, _ := codec.EncodeMsg(protocol.NewHelloMsg(hello.Version, hello.Shards, hello.Inc, nil))
+			return data
+		default:
+			return nil
+		}
 	}
 	stores := helloMesh(t, 3, func(i int, _ string, cfg *StoreConfig) {
 		if i != 0 {
@@ -360,7 +380,7 @@ func TestHelloDroppedCostsBytesNotConvergence(t *testing.T) {
 			if err != nil || id != "s-01" {
 				return c, err
 			}
-			return &filterConn{Conn: c, drop: func(msg []byte) bool { return eat.Load() && isHello(msg) }}, nil
+			return &filterConn{Conn: c, filter: unheard}, nil
 		}
 	})
 	reachesAt := func(i int, id string) []string { return stores[i].Stats().Peers[id].Reaches }

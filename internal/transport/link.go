@@ -64,7 +64,8 @@ type frameRec struct {
 // link is the acknowledgement state shared with one neighbor, in both
 // directions.
 type link struct {
-	// inc is this store's incarnation.
+	// inc is this store's incarnation, which the neighbor's
+	// acknowledgements must name.
 	inc uint32
 	// packMu is held while a pass packs and enqueues its frames toward
 	// the neighbor, so that frames are numbered and queued by one
@@ -123,10 +124,12 @@ func (l *link) rec(seq uint64) *frameRec { return &l.recs[seq%maxInflight] }
 // number out; commit does that. Callers hold packMu, so the number is the
 // one the frame gets. Back may be stale by then — an acknowledgement may
 // have settled the oldest record meanwhile — which errs on the safe side.
+// The incarnation is left out: the frame travels on a connection whose
+// hello names it.
 func (l *link) next() protocol.FrameSeq {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return protocol.FrameSeq{Inc: l.inc, Seq: l.sent + 1, Back: l.sent + 1 - l.first}
+	return protocol.FrameSeq{Seq: l.sent + 1, Back: l.sent + 1 - l.first}
 }
 
 // commit gives fs, the result of next, out and records items, which the

@@ -5,7 +5,6 @@ import (
 	"net"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -209,13 +208,14 @@ func TestLinkAckClosedFrameIsRetiredOnlyByALateAck(t *testing.T) {
 	holdsNothing(t, "link", lk)
 }
 
-// linkFrame encodes a frame of δ-groups as peer incarnation 9 sends it:
-// numbered seq (0 for not at all), waiting back, acknowledging ack.
+// linkFrame encodes a frame of δ-groups as a peer sends it: numbered seq
+// (0 for not at all), waiting back, acknowledging ack. Its incarnation is
+// the one its connection's hello named (testPeerInc, under deliver).
 func linkFrame(t testing.TB, seq, back uint64, ack protocol.FrameAck, items ...protocol.ShardItem) []byte {
 	t.Helper()
 	var link protocol.LinkHeader
 	if seq != 0 {
-		link.Seq = protocol.FrameSeq{Inc: 9, Seq: seq, Back: back}
+		link.Seq = protocol.FrameSeq{Seq: seq, Back: back}
 	}
 	link.Ack = ack
 	return encodeFrame(t, protocol.NewShardedLinkMsg(items, nil, link))
@@ -290,14 +290,18 @@ func TestLinkAckOnlyAfterEveryItemApplied(t *testing.T) {
 }
 
 // TestLinkAckResendsOnTheGapUnderShardSkew: a receiver with fewer shards
-// that never hears the sender's hello (the fault eats it, and sixteen ticks
-// bring no refresh) drops part of every frame and so acknowledges none;
-// the sender keeps the entries and sends them again 1, 2, 4 and 8 ticks
-// after the send before, exactly as the engine's timer has it.
+// that cannot tell from the sender's hellos (forged on the way to name its
+// own shard count) drops part of every frame and so acknowledges none; the
+// sender keeps the entries and sends them again 1, 2, 4 and 8 ticks after
+// the send before, exactly as the engine's timer has it.
 func TestLinkAckResendsOnTheGapUnderShardSkew(t *testing.T) {
-	var helloSent atomic.Bool
-	noHello := NewFault(1)
-	noHello.SetSever(func(string) bool { return !helloSent.Swap(true) })
+	forged := func(msg []byte, _ bool) []byte {
+		m, _, err := codec.DecodeMsg(msg)
+		if h, ok := m.(*protocol.HelloMsg); err == nil && ok {
+			msg, _ = codec.EncodeMsg(protocol.NewHelloMsg(h.Version, 4, h.Inc, h.Reaches))
+		}
+		return msg
+	}
 	stores, err := LoopbackClusterWith(2, StoreConfig{
 		ID:        "k",
 		Shards:    8,
@@ -306,7 +310,13 @@ func TestLinkAckResendsOnTheGapUnderShardSkew(t *testing.T) {
 		SyncEvery: time.Hour,
 	}, func(i int, _ string, cfg *StoreConfig) {
 		if i == 0 {
-			cfg.Dial = noHello.Dialer(nil)
+			cfg.Dial = func(id, addr string) (net.Conn, error) {
+				c, err := defaultDial(id, addr)
+				if err != nil {
+					return nil, err
+				}
+				return &filterConn{Conn: c, filter: forged}, nil
+			}
 		} else {
 			cfg.Shards = 4
 		}
@@ -693,7 +703,7 @@ func TestLinkAckLosslessMeshShipsEachEntryOnce(t *testing.T) {
 				}
 			}
 		}
-		if v.Link.Seq.Inc != 0 {
+		if v.Link.Seq.Seq != 0 {
 			numbered++
 		} else if v.NumItems() > 0 {
 			t.Fatal("a frame of δ-groups without a sequence number")

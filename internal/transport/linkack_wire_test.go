@@ -8,13 +8,14 @@ import (
 	"time"
 
 	"crdtsync/internal/codec"
+	"crdtsync/internal/crdt"
 	"crdtsync/internal/protocol"
 	"crdtsync/internal/transport"
 	"crdtsync/internal/workload"
 )
 
-// readRawFrame reads one transport frame off conn: the sender id and the
-// codec message.
+// readRawFrame reads one transport frame off conn: the sender id (empty
+// but on a hello) and the codec message.
 func readRawFrame(t *testing.T, conn net.Conn) (from string, msg []byte) {
 	t.Helper()
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -30,7 +31,21 @@ func readRawFrame(t *testing.T, conn net.Conn) (from string, msg []byte) {
 	return string(body[2 : 2+idLen]), body[2+idLen:]
 }
 
-// writeRawFrame writes one transport frame claiming to come from from.
+// rawInc is the incarnation a raw test peer's hello names.
+const rawInc = 9
+
+// openRaw dials a store's listener and opens the connection as a store of
+// shards shards and incarnation rawInc named from would: with a hello.
+func openRaw(t *testing.T, addr, from string, shards uint32) net.Conn {
+	t.Helper()
+	conn := dialNode(t, addr)
+	writeRawFrame(t, conn, from, protocol.NewHelloMsg(protocol.WireVersion, shards, rawInc, nil))
+	return conn
+}
+
+// writeRawFrame writes one transport frame naming from as its sender; a
+// store names itself on its hellos alone, and nobody ("") on every other
+// frame.
 func writeRawFrame(t *testing.T, conn net.Conn, from string, m protocol.Msg) {
 	t.Helper()
 	msg, err := codec.EncodeMsg(m)
@@ -82,23 +97,28 @@ func TestLinkAckFromAnotherLifeRetiresNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer in.Close()
-	// The connection introduces itself before anything else.
-	_, msg := readRawFrame(t, in)
+	// The connection introduces itself before anything else, naming the
+	// store and its life; no later frame names either.
+	from, msg := readRawFrame(t, in)
 	m, _, err := codec.DecodeMsg(msg)
-	if hello, ok := m.(*protocol.HelloMsg); err != nil || !ok || hello.Version != protocol.WireVersion ||
-		hello.Shards != 4 || len(hello.Reaches) != 1 || hello.Reaches[0] != "p1" {
-		t.Fatalf("first frame on the connection: %+v (%v), want the hello: version %d, 4 shards, reaching p1", m, err, protocol.WireVersion)
+	hello, ok := m.(*protocol.HelloMsg)
+	if err != nil || !ok || from != "n0" || hello.Version != protocol.WireVersion || hello.Shards != 4 || hello.Inc == 0 ||
+		len(hello.Reaches) != 1 || hello.Reaches[0] != "p1" {
+		t.Fatalf("first frame on the connection: %+v from %q (%v), want the hello from n0: version %d, 4 shards, an incarnation, reaching p1",
+			m, from, err, protocol.WireVersion)
 	}
+	life := hello.Inc
 	numberedFrame := func() protocol.FrameSeq {
 		from, msg := readRawFrame(t, in)
 		m, _, err := codec.DecodeMsg(msg)
-		if err != nil || from != "n0" {
-			t.Fatalf("frame from %q: %v", from, err)
+		if err != nil || from != "" {
+			t.Fatalf("frame naming %q: %v, want one naming nobody", from, err)
 		}
 		sm := m.(*protocol.ShardedMsg)
 		bm := sm.Items[0].Msg.(*protocol.BatchMsg)
-		if _, plain := bm.Items[0].Inner.(*protocol.DeltaMsg); !plain || bm.Items[0].Key != "k" || sm.Link.Seq.Inc == 0 {
-			t.Fatalf("got %T for %q under link header %+v, want a plain δ-group in a numbered frame", bm.Items[0].Inner, bm.Items[0].Key, sm.Link)
+		if _, plain := bm.Items[0].Inner.(*protocol.DeltaMsg); !plain || bm.Items[0].Key != "k" || sm.Link.Seq.Seq == 0 || sm.Link.Seq.Inc != 0 {
+			t.Fatalf("got %T for %q under link header %+v, want a plain δ-group in a numbered frame of no incarnation of its own",
+				bm.Items[0].Inner, bm.Items[0].Key, sm.Link)
 		}
 		return sm.Link.Seq
 	}
@@ -107,9 +127,9 @@ func TestLinkAckFromAnotherLifeRetiresNothing(t *testing.T) {
 		t.Fatalf("first frame numbered %+v", first)
 	}
 
-	// A connection speaks for the sender its first frame names: the
-	// stranger's acknowledgement comes on a connection of its own.
-	out, strangers := dialNode(t, st.Addr()), dialNode(t, st.Addr())
+	// A connection speaks for the sender its hello names: the stranger's
+	// acknowledgement comes on a connection of its own.
+	out, strangers := openRaw(t, st.Addr(), "p1", 4), openRaw(t, st.Addr(), "stranger", 4)
 	defer out.Close()
 	defer strangers.Close()
 	ack := func(from string, a protocol.FrameAck) {
@@ -117,9 +137,9 @@ func TestLinkAckFromAnotherLifeRetiresNothing(t *testing.T) {
 		if from != "p1" {
 			conn = strangers
 		}
-		writeRawFrame(t, conn, from, protocol.NewShardedLinkMsg(nil, nil, protocol.LinkHeader{Ack: a}))
+		writeRawFrame(t, conn, "", protocol.NewShardedLinkMsg(nil, nil, protocol.LinkHeader{Ack: a}))
 	}
-	otherLife := first.Inc ^ 0x5a5a5a5a
+	otherLife := life ^ 0x5a5a5a5a
 	if otherLife == 0 {
 		otherLife = 1
 	}
@@ -128,9 +148,9 @@ func TestLinkAckFromAnotherLifeRetiresNothing(t *testing.T) {
 		ack        protocol.FrameAck
 	}{
 		{"another incarnation", "p1", protocol.FrameAck{Inc: otherLife, Cum: 1}},
-		{"a frame never sent", "p1", protocol.FrameAck{Inc: first.Inc, Cum: 2}},
-		{"a range never sent", "p1", protocol.FrameAck{Inc: first.Inc, Ranges: []protocol.SeqRange{{Lo: 2, Hi: 3}}}},
-		{"a non-neighbor", "stranger", protocol.FrameAck{Inc: first.Inc, Cum: 1}},
+		{"a frame never sent", "p1", protocol.FrameAck{Inc: life, Cum: 2}},
+		{"a range never sent", "p1", protocol.FrameAck{Inc: life, Ranges: []protocol.SeqRange{{Lo: 2, Hi: 3}}}},
+		{"a non-neighbor", "stranger", protocol.FrameAck{Inc: life, Cum: 1}},
 	} {
 		ack(c.from, c.ack)
 		deadline := time.Now().Add(5 * time.Second)
@@ -146,14 +166,14 @@ func TestLinkAckFromAnotherLifeRetiresNothing(t *testing.T) {
 	}
 	// A full tick without its acknowledgement: the entry goes out again.
 	st.SyncNow()
-	if second := numberedFrame(); second.Seq != 2 || second.Back != 1 || second.Inc != first.Inc {
+	if second := numberedFrame(); second.Seq != 2 || second.Back != 1 {
 		t.Fatalf("second frame numbered %+v, want 2 waiting back to 1", second)
 	}
 	if got := st.Stats().Retransmits; got != 1 {
 		t.Fatalf("%d retransmissions, want 1", got)
 	}
 	// The acknowledgement that is this life's retires it.
-	ack("p1", protocol.FrameAck{Inc: first.Inc, Cum: 2})
+	ack("p1", protocol.FrameAck{Inc: life, Cum: 2})
 	deadline := time.Now().Add(5 * time.Second)
 	for st.Memory().BufferBytes != 0 {
 		if time.Now().After(deadline) {
@@ -165,5 +185,90 @@ func TestLinkAckFromAnotherLifeRetiresNothing(t *testing.T) {
 	st.SyncNow()
 	if s := st.Stats(); s.Retransmits != 1 || s.IgnoredAcks != 4 || s.Peers["p1"].InFlight != 0 || s.Peers["p1"].LastAcked != 2 {
 		t.Errorf("after the acknowledgement: %d retransmissions, %d ignored, link %+v", s.Retransmits, s.IgnoredAcks, s.Peers["p1"])
+	}
+}
+
+// TestLinkAckTwoLivesOnOverlappingConnections plays a neighbor that
+// restarted while its old connection is still up: each life's frames come
+// on the connection its hello opened, and each is acknowledged under the
+// incarnation that hello named — the life is the connection's, not the
+// neighbor's last word — so the old life's frame after the new one's hello
+// is still acknowledged as the old life's.
+func TestLinkAckTwoLivesOnOverlappingConnections(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	st, err := transport.StartStore(transport.StoreConfig{
+		ID:         "n0",
+		ListenAddr: "127.0.0.1:0",
+		Peers:      map[string]string{"p1": ln.Addr().String()},
+		Shards:     1,
+		Factory:    protocol.NewDeltaAcked(true, true),
+		ObjType:    func(string) workload.Datatype { return workload.GSetType{} },
+		SyncEvery:  time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	st.SyncNow() // from now on no acknowledgement is held back
+
+	life := func(inc uint32) net.Conn {
+		conn := dialNode(t, st.Addr())
+		writeRawFrame(t, conn, "p1", protocol.NewHelloMsg(protocol.WireVersion, 1, inc, nil))
+		return conn
+	}
+	send := func(conn net.Conn, key string, seq uint64) {
+		item := protocol.ShardItem{Msg: protocol.BatchOf([]protocol.ObjectMsg{
+			{Key: key, Inner: protocol.NewDeltaMsg(crdt.NewGSet(key))},
+		})}
+		writeRawFrame(t, conn, "", protocol.NewShardedLinkMsg([]protocol.ShardItem{item}, nil,
+			protocol.LinkHeader{Seq: protocol.FrameSeq{Seq: seq}}))
+	}
+	var in net.Conn
+	nextAck := func() protocol.FrameAck {
+		t.Helper()
+		if in == nil {
+			ln.(*net.TCPListener).SetDeadline(time.Now().Add(5 * time.Second))
+			if in, err = ln.Accept(); err != nil {
+				t.Fatal(err)
+			}
+			if from, _ := readRawFrame(t, in); from != "n0" {
+				t.Fatalf("connection opened by a frame naming %q, want n0's hello", from)
+			}
+		}
+		from, msg := readRawFrame(t, in)
+		m, _, err := codec.DecodeMsg(msg)
+		sm, ok := m.(*protocol.ShardedMsg)
+		if err != nil || !ok || from != "" || len(sm.Items) != 0 || sm.Link.Ack.Inc == 0 {
+			t.Fatalf("frame naming %q: %+v (%v), want an acknowledgement alone", from, m, err)
+		}
+		return sm.Link.Ack
+	}
+	old := life(5)
+	defer old.Close()
+	send(old, "a", 1)
+	if got := nextAck(); got.Inc != 5 || got.Cum != 1 {
+		t.Fatalf("the old life's frame 1 acknowledged as %+v, want incarnation 5 up to 1", got)
+	}
+	restarted := life(6)
+	defer restarted.Close()
+	send(restarted, "b", 1)
+	if got := nextAck(); got.Inc != 6 || got.Cum != 1 {
+		t.Fatalf("the new life's frame 1 acknowledged as %+v, want incarnation 6 up to 1", got)
+	}
+	send(old, "c", 2)
+	if got := nextAck(); got.Inc != 5 || got.Cum != 2 {
+		t.Fatalf("the old life's frame 2, after the new life's hello, acknowledged as %+v, want incarnation 5 up to 2", got)
+	}
+	if in != nil {
+		in.Close()
+	}
+	for _, key := range []string{"a", "b", "c"} {
+		if st.Get(key) == nil {
+			t.Errorf("%s was not applied", key)
+		}
 	}
 }

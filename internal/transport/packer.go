@@ -93,7 +93,7 @@ type framePacker struct {
 // acks among its δ-groups.
 func (p *framePacker) numbered(acks []ackItem) protocol.LinkHeader {
 	link := p.link
-	if len(acks) > 0 && link.Seq.Inc == 0 {
+	if len(acks) > 0 && link.Seq.Seq == 0 {
 		link.Seq = p.lk.next()
 	}
 	return link
@@ -103,7 +103,7 @@ func (p *framePacker) numbered(acks []ackItem) protocol.LinkHeader {
 // returns the header to write; the acknowledgement has then left.
 func (p *framePacker) seal() protocol.LinkHeader {
 	link := p.link
-	if link.Seq.Inc != 0 {
+	if link.Seq.Seq != 0 {
 		p.lk.commit(link.Seq, p.rec)
 		p.rec = nil // the link's now
 	}

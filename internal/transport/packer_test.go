@@ -290,13 +290,14 @@ func checkNumbered(t testing.TB, lk *link, ack protocol.FrameAck, items []protoc
 		pos += len(f.units)
 		fs := f.msg.Link.Seq
 		if len(rec) == 0 {
-			if fs.Inc != 0 {
+			if fs.Seq != 0 {
 				t.Fatalf("frame %d carries no acked δ-group and is numbered %d", i, fs.Seq)
 			}
 			continue
 		}
-		if fs.Inc != lk.inc || fs.Seq != next || fs.Back != next-1 {
-			t.Fatalf("frame %d numbered %+v, want incarnation %d, number %d, back %d", i, fs, lk.inc, next, next-1)
+		// The sender's incarnation is the connection's hello's, not the frame's.
+		if fs.Inc != 0 || fs.Seq != next || fs.Back != next-1 {
+			t.Fatalf("frame %d numbered %+v, want no incarnation, number %d, back %d", i, fs, next, next-1)
 		}
 		got := lk.rec(next).items
 		if len(got) != len(rec) {
@@ -339,7 +340,8 @@ func TestPackFramesNumbersAckedFrames(t *testing.T) {
 }
 
 // owingLink returns a fresh link that has received frames 1, 2 and 4 of
-// its neighbor's incarnation 9, and the acknowledgement it owes for them.
+// its neighbor's incarnation 9 (as the connection's hello named it), and
+// the acknowledgement it owes for them.
 func owingLink() (*link, protocol.FrameAck) {
 	lk := newLink(7)
 	for _, seq := range []uint64{1, 2, 4} {

@@ -167,7 +167,8 @@ func TestWantStormDedup(t *testing.T) {
 	vec := s0.shardDigests()
 	adv := encodeFrame(t, protocol.NewDigestMsg(vec))
 	s0.putDigestVec(vec)
-	if _, err := s1.core.deliver(s0.ID(), adv, s1.now()+int64(cfg.RepairTimeout)); err != nil {
+	inc := s0.inc // as s0's hello named it
+	if _, err := s1.core.deliver(s0.ID(), &inc, adv, s1.now()+int64(cfg.RepairTimeout)); err != nil {
 		t.Fatal(err)
 	}
 	waitPairConverged(t, stores, sharedKeys+1, 30*time.Second)

@@ -272,10 +272,14 @@ func (s *sim) run(until int64) {
 func (s *sim) runTo(n *simNode, local int64) { s.run(local - n.off) }
 
 // arrive delivers a frame, and has the receiver step at once if that gave
-// it a deadline, as a delivery wakes a store's sync loop.
+// it a deadline, as a delivery wakes a store's sync loop. A link is one
+// connection that is always up, so the sender's incarnation, which its
+// hello names on a real one, is handed over out of band: a frame may
+// overtake the hello, or the hello be lost.
 func (s *sim) arrive(f *simFrame) {
 	n := s.nodes[f.to]
-	wake, err := n.deliver(s.nodes[f.from].cfg.ID, f.data, s.now+n.off)
+	inc := s.nodes[f.from].inc
+	wake, err := n.deliver(s.nodes[f.from].cfg.ID, &inc, f.data, s.now+n.off)
 	if err != nil {
 		s.fatalf("%s refused a frame from %s: %v", n.cfg.ID, s.nodes[f.from].cfg.ID, err)
 	}

@@ -94,7 +94,7 @@ func TestStoreSplitsWithinASingleShard(t *testing.T) {
 // dropped and counted — not sent (the receiver would kill the connection
 // reading it) and not left to recurse forever.
 func TestStoreDropsIrreducibleOversizedMessage(t *testing.T) {
-	stores := startCappedPair(t, 24) // msg budget: 24 - 2 - len("s-00") = 18 B
+	stores := startCappedPair(t, 24) // msg budget: 24 - 2 = 22 B (a data frame names no sender)
 	stores[0].Update(workload.Op{Kind: workload.KindInc, Key: "key-far-too-long-to-fit", N: 1})
 	stores[0].SyncNow()
 	st := stores[0].Stats()

@@ -115,8 +115,9 @@ type StoreStats struct {
 	// Frames is the number of frames handed to the peers' write pipelines,
 	// counted at enqueue time: data, digests, acknowledgements and hellos.
 	Frames int
-	// WireBytes is the total bytes of those frames, transport headers
-	// included, counted at enqueue time as well.
+	// WireBytes is the total bytes of those frames as a socket carries
+	// them — the 4-byte length, the 2-byte id length, the sender id on
+	// hellos alone, and the message — counted at enqueue time as well.
 	WireBytes int
 	// WriteFlushes counts the first-transmission passes that ran between
 	// ticks because a write (or a delivery with something to forward)
@@ -354,9 +355,10 @@ func (cfg StoreConfig) withDefaults() StoreConfig {
 
 // ackHoldsPerTick is the share of SyncEvery the core's hold is: an owed
 // acknowledgement waits up to SyncEvery/2 for a data frame toward its
-// neighbor to ride before it leaves alone, an 18 B frame
-// (Stats().AckFrames) — TCP's delayed ACK (RFC 1122 §4.2.3.2). It must
-// stay inside the sender's retransmission timer, a full SyncEvery. Measured
+// neighbor to ride before it leaves alone (Stats().AckFrames), a frame of
+// 12 B on the socket plus the cumulative mark's uvarint — TCP's delayed
+// ACK (RFC 1122 §4.2.3.2). It must stay inside the sender's
+// retransmission timer, a full SyncEvery. Measured
 // on bench's steady workload (seed 1, one run each; B per update,
 // acknowledgement-only frames and retransmissions per update): none 100.9 /
 // 1.17 / 0.002, a quarter of a tick 90.0 / 0.34 / 0.004, half 86.7 / 0.12 /
@@ -406,7 +408,7 @@ func StartStore(cfg StoreConfig) (*Store, error) {
 		s.snapLast = make([]uint64, cfg.Shards)
 		s.restoreSnapshots()
 	}
-	s.net.start(s.deliver, s.hello, s.gone)
+	s.net.start(s.receive, s.hello, s.gone)
 	go s.syncLoop()
 	if cfg.SnapshotDir != "" {
 		s.wg.Add(1)
@@ -436,10 +438,11 @@ func (s *Store) Update(op workload.Op) {
 	}
 }
 
-// deliver hands the core an inbound frame, on its connection's read
-// goroutine, at the time it arrived.
-func (s *Store) deliver(from string, frame []byte) error {
-	wake, err := s.core.deliver(from, frame, s.now())
+// receive hands the core an inbound frame, on its connection's read
+// goroutine, at the time it arrived; inc is the connection's word for the
+// incarnation its hello named (peerNet.start).
+func (s *Store) receive(from string, inc *uint32, frame []byte) error {
+	wake, err := s.core.deliver(from, inc, frame, s.now())
 	if wake {
 		s.poke()
 	}

@@ -3,9 +3,17 @@
 // listens for frames from its neighbors, ships what a write or a
 // delivery left to send on a write-triggered flush, and drives the
 // engines' periodic synchronization and digest anti-entropy from one
-// timer, and snapshots from another. Frames are length-prefixed: a
-// 4-byte big-endian length, the sender id (length-prefixed), and one
-// codec-encoded sharded message.
+// timer, and snapshots from another.
+//
+// Frames are length-prefixed: a 4-byte big-endian length, a 2-byte
+// sender id length, the sender id, and one codec-encoded message. Only a
+// hello — the message every connection opens with — names its sender;
+// every other frame's id is empty, since a connection speaks for the
+// sender its first frame named, and of the incarnation its hello named
+// (the sender's life, which numbered frames do not carry). A
+// connection whose first frame names nobody or is no hello, or one that
+// later names another sender or incarnation, is closed before anything
+// on it is applied.
 //
 // The simulator (package netsim) remains the measurement substrate for
 // the paper's figures; the store is what crdtsync.Open runs and what
@@ -16,6 +24,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"net"
 )
 
 // maxFrameBytes bounds a single frame (64 MiB) to fail fast on corrupt
@@ -26,52 +35,59 @@ const maxFrameBytes = 64 << 20
 // spends two bytes on the sender id's length.
 const maxIDBytes = 1<<16 - 1
 
+// frameHeaderBytes is what a frame costs on the socket beyond its message
+// and sender id: the length and the id's length.
+const frameHeaderBytes = 4 + 2
+
 // ErrFrameTooLarge reports a frame exceeding maxFrameBytes.
 var ErrFrameTooLarge = errors.New("transport: frame too large")
 
-// writeFrame emits [len][from][msg] with a 4-byte big-endian total length.
+// writeFrame emits [len][from][msg] with a 4-byte big-endian total length,
+// in one write: on TCP one writev of the header and the message, neither
+// copied. from is empty for every frame but a hello.
 func writeFrame(w io.Writer, from string, msg []byte) error {
-	body := make([]byte, 0, 2+len(from)+len(msg))
-	body = append(body, byte(len(from)>>8), byte(len(from)))
-	body = append(body, from...)
-	body = append(body, msg...)
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
+	var hdr [frameHeaderBytes]byte
+	binary.BigEndian.PutUint32(hdr[:], uint32(2+len(from)+len(msg)))
+	binary.BigEndian.PutUint16(hdr[4:], uint16(len(from)))
+	bufs := net.Buffers{append(hdr[:], from...), msg}
+	_, err := bufs.WriteTo(w)
 	return err
 }
 
 // readFrameInto parses one frame into *buf, growing it only when a frame
 // exceeds its capacity, so a connection's read loop amortizes one buffer
-// across every frame it ever receives. The returned msg aliases *buf and
-// is valid only until the next call with the same buffer — the deliver
-// path must be done with the bytes (or have copied what it keeps, which
-// the codec's decoders always do) before the loop reads the next frame.
-func readFrameInto(r io.Reader, buf *[]byte) (from string, msg []byte, err error) {
-	var hdr [4]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return "", nil, err
+// across every frame it ever receives. The returned from and msg alias
+// *buf and are valid only until the next call with the same buffer — the
+// deliver path must be done with the bytes (or have copied what it keeps,
+// which the codec's decoders always do) before the loop reads the next
+// frame.
+func readFrameInto(r io.Reader, buf *[]byte) (from, msg []byte, err error) {
+	// The length goes through the buffer too: an array of the loop's own
+	// would escape into the reader and cost an allocation per frame.
+	if cap(*buf) < 4 {
+		*buf = make([]byte, 4)
 	}
-	total := binary.BigEndian.Uint32(hdr[:])
+	hdr := (*buf)[:4]
+	if _, err = io.ReadFull(r, hdr); err != nil {
+		return nil, nil, err
+	}
+	total := binary.BigEndian.Uint32(hdr)
 	if total > maxFrameBytes {
-		return "", nil, ErrFrameTooLarge
+		return nil, nil, ErrFrameTooLarge
 	}
 	if uint32(cap(*buf)) < total {
 		*buf = make([]byte, total)
 	}
 	body := (*buf)[:total]
 	if _, err = io.ReadFull(r, body); err != nil {
-		return "", nil, err
+		return nil, nil, err
 	}
 	if len(body) < 2 {
-		return "", nil, io.ErrUnexpectedEOF
+		return nil, nil, io.ErrUnexpectedEOF
 	}
 	fromLen := int(body[0])<<8 | int(body[1])
 	if len(body) < 2+fromLen {
-		return "", nil, io.ErrUnexpectedEOF
+		return nil, nil, io.ErrUnexpectedEOF
 	}
-	return string(body[2 : 2+fromLen]), body[2+fromLen:], nil
+	return body[2 : 2+fromLen], body[2+fromLen:], nil
 }

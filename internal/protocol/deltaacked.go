@@ -4,10 +4,8 @@ import (
 	"math/bits"
 	"slices"
 
-	"crdtsync/internal/core"
 	"crdtsync/internal/lattice"
 	"crdtsync/internal/metrics"
-	"crdtsync/internal/workload"
 )
 
 // AckedDeltaMsg is a δ-group tagged with the buffer sequence numbers it
@@ -128,43 +126,32 @@ func (b *bitset) len() int {
 // backing array with it, so an idle object keeps no reference to a
 // δ-group it has shipped.
 type deltaAcked struct {
-	*deltaConfig
-	x       lattice.State
+	deltaConfig
+	// nextSeq is the last sequence number handed out, to an entry of any
+	// object this numbers: the objects of a keyspace draw from one counter,
+	// so no object reuses a seq, not even once its buffer has emptied and
+	// been released with everything else it knew about its entries.
 	nextSeq uint64
-	buf     []ackedEntry
+	// resent counts re-sends, over every object this runs.
+	resent uint64
 }
 
-var (
-	_ Flusher        = (*deltaAcked)(nil)
-	_ ReachConsulter = (*deltaAcked)(nil)
-)
-
-// ReachConsulter is implemented by the engines that withhold on
-// Config.Reach, so that whoever runs them knows to keep it up to date and
-// to cover for a neighbor whose word stops holding.
-type ReachConsulter interface{ ConsultsReach() }
-
-// ConsultsReach implements ReachConsulter.
-func (e *deltaAcked) ConsultsReach() {}
+// ReachConsulter is implemented by the delta engines. ConsultsReach
+// reports whether the engine withholds on Config.Reach, so that whoever
+// runs it knows to keep it up to date and to cover for a neighbor whose
+// word stops holding.
+type ReachConsulter interface{ ConsultsReach() bool }
 
 // NewDeltaAcked returns the acknowledgment-based delta engine factory with
 // the given optimizations.
 func NewDeltaAcked(bp, rr bool) Factory {
 	return func(cfg Config) Engine {
-		return (&deltaAcked{deltaConfig: &deltaConfig{cfg: cfg, bp: bp, rr: rr}}).fork()
+		return newObject[[]ackedEntry](&deltaAcked{deltaConfig: deltaConfig{cfg: cfg, bp: bp, rr: rr}})
 	}
 }
 
-// fork implements forker.
-func (e *deltaAcked) fork() Engine {
-	return &deltaAcked{deltaConfig: e.deltaConfig, x: e.cfg.Datatype.New()}
-}
-
-func (e *deltaAcked) ID() string           { return e.cfg.ID }
-func (e *deltaAcked) State() lattice.State { return e.x }
-
-func (e *deltaAcked) store(s lattice.State, origin string) {
-	e.x.Merge(s)
+func (e *deltaAcked) store(x lattice.State, b *[]ackedEntry, s lattice.State, origin string) {
+	x.Merge(s)
 	if e.bp {
 		e.cfg.Reach.withhold(origin)
 	}
@@ -178,55 +165,35 @@ func (e *deltaAcked) store(s lattice.State, origin string) {
 	}
 	e.nextSeq++
 	entry.seq = e.nextSeq
-	e.buf = append(e.buf, entry)
+	*b = append(*b, entry)
 }
 
-func (e *deltaAcked) LocalOp(op workload.Op) {
-	d := e.cfg.Datatype.Delta(e.x, e.cfg.ID, op)
-	if d.IsBottom() {
-		return
-	}
-	e.store(d, e.cfg.ID)
+// unsent: new entries are appended and every send pass covers the whole
+// buffer, so the never-sent ones are a suffix of it.
+func (e *deltaAcked) unsent(b *[]ackedEntry) bool {
+	n := len(*b)
+	return n > 0 && (*b)[n-1].wait == 0
 }
 
-// Sync implements Engine: one tick. Entries never sent go out, entries
-// whose wait runs out on this tick go out again.
-func (e *deltaAcked) Sync(send Sender) { e.ship(send, true) }
+// waiting: a buffered entry is one some neighbor has not acknowledged,
+// which only a later tick can decide to send again.
+func (e *deltaAcked) waiting(b *[]ackedEntry) bool { return len(*b) > 0 }
 
-// Flush implements Flusher: first transmissions only, and no tick passes.
-func (e *deltaAcked) Flush(send Sender) {
-	if e.Unsent() {
-		e.ship(send, false)
-	}
-}
+func (e *deltaAcked) retransmits() uint64 { return e.resent }
 
-// Unsent implements Flusher. New entries are appended and every send pass
-// covers the whole buffer, so the never-sent ones are a suffix of it.
-func (e *deltaAcked) Unsent() bool {
-	n := len(e.buf)
-	return n > 0 && e.buf[n-1].wait == 0
-}
-
-// Waiting implements Flusher: a buffered entry is one some neighbor has
-// not acknowledged, which only a later tick can decide to send again.
-func (e *deltaAcked) Waiting() bool { return len(e.buf) > 0 }
-
-// Retransmits returns how many times an entry has been sent again, over
-// every engine sharing this one's configuration (a keyspace shard's
-// objects of one datatype).
-func (e *deltaAcked) Retransmits() uint64 { return e.retransmits }
-
-// ship marks the entries due on this call, then sends each neighbor the
-// join of the due entries it is owed and has not acknowledged.
-func (e *deltaAcked) ship(send Sender, tick bool) {
+// ship marks the entries due on this pass — those never sent, and on a
+// tick those whose wait runs out — then sends each neighbor the join of
+// the due entries it is owed and has not acknowledged.
+func (e *deltaAcked) ship(b *[]ackedEntry, send Sender, tick bool) {
 	if tick && e.cfg.Reach != nil {
 		// An origin may have announced since the entry was buffered the
 		// last neighbor that had not acknowledged it.
-		e.retire()
+		e.retire(b)
 	}
+	buf := *b
 	due := false
-	for k := range e.buf {
-		entry := &e.buf[k]
+	for k := range buf {
+		entry := &buf[k]
 		switch {
 		case entry.wait == 0:
 			entry.due, entry.gap, entry.wait = true, 1, 1
@@ -240,7 +207,7 @@ func (e *deltaAcked) ship(send Sender, tick bool) {
 			if entry.wait == 0 {
 				entry.gap = min(2*entry.gap, maxRetransmitGap)
 				entry.due, entry.wait = true, entry.gap
-				e.retransmits++
+				e.resent++
 			}
 		}
 		due = due || entry.due
@@ -251,8 +218,8 @@ func (e *deltaAcked) ship(send Sender, tick bool) {
 	for i, j := range e.cfg.Neighbors {
 		var d lattice.State
 		var seqs []uint64
-		for k := range e.buf {
-			entry := &e.buf[k]
+		for k := range buf {
+			entry := &buf[k]
 			if !entry.due || entry.acked.has(i) || !e.owed(entry.origin, i) {
 				continue
 			}
@@ -268,32 +235,15 @@ func (e *deltaAcked) ship(send Sender, tick bool) {
 		}
 		send(j, NewAckedDeltaMsg(d, seqs))
 	}
-	for k := range e.buf {
-		e.buf[k].due = false
+	for k := range buf {
+		buf[k].due = false
 	}
 }
 
-// absorb runs Algorithm 1's receive side on one δ-group: under RR it
-// extracts and stores exactly the part that strictly inflates the local
-// state, otherwise it applies the classic inflation check.
-func (e *deltaAcked) absorb(d lattice.State, from string) {
-	if e.rr {
-		// The subset check recognizes a fully redundant δ-group (the
-		// steady-state re-delivery) without allocating the bottom Δ
-		// would return.
-		if d.Leq(e.x) {
-			return
-		}
-		e.store(core.Delta(d, e.x), from)
-	} else if lattice.StrictlyInflates(d, e.x) {
-		e.store(d, from)
-	}
-}
-
-func (e *deltaAcked) Deliver(from string, m Msg, send Sender) {
+func (e *deltaAcked) deliver(x lattice.State, b *[]ackedEntry, from string, m Msg, send Sender) {
 	switch msg := m.(type) {
 	case *AckedDeltaMsg:
-		e.absorb(msg.Delta, from)
+		absorb(e, x, b, msg.Delta, from)
 		// Acknowledge regardless of redundancy: the data arrived.
 		send(from, NewAckMsg(msg.Seqs))
 	case *DeltaMsg:
@@ -301,9 +251,9 @@ func (e *deltaAcked) Deliver(from string, m Msg, send Sender) {
 		// digest anti-entropy repair path ships full object states this
 		// way. Merge what inflates and propagate it onwards; there is
 		// nothing to acknowledge.
-		e.absorb(msg.Delta, from)
+		absorb(e, x, b, msg.Delta, from)
 	case *AckMsg:
-		e.ack(slices.Index(e.cfg.Neighbors, from), msg.Seqs)
+		e.ack(b, slices.Index(e.cfg.Neighbors, from), msg.Seqs)
 	}
 }
 
@@ -312,7 +262,7 @@ func (e *deltaAcked) Deliver(from string, m Msg, send Sender) {
 // of one AckedDeltaMsg, which ship lists in buffer order, so both sides
 // ascend and one two-pointer walk pairs them; seqs in any other order
 // (never sent by this code) are sorted first.
-func (e *deltaAcked) ack(neighbor int, seqs []uint64) {
+func (e *deltaAcked) ack(b *[]ackedEntry, neighbor int, seqs []uint64) {
 	if neighbor < 0 {
 		return
 	}
@@ -320,8 +270,9 @@ func (e *deltaAcked) ack(neighbor int, seqs []uint64) {
 		seqs = slices.Clone(seqs)
 		slices.Sort(seqs)
 	}
-	for k := range e.buf {
-		entry := &e.buf[k]
+	buf := *b
+	for k := range buf {
+		entry := &buf[k]
 		for len(seqs) > 0 && seqs[0] < entry.seq {
 			seqs = seqs[1:]
 		}
@@ -329,25 +280,26 @@ func (e *deltaAcked) ack(neighbor int, seqs []uint64) {
 			entry.acked.add(neighbor)
 		}
 	}
-	e.retire()
+	e.retire(b)
 }
 
 // retire drops the entries every neighbor they are owed to has
 // acknowledged.
-func (e *deltaAcked) retire() {
+func (e *deltaAcked) retire(b *[]ackedEntry) {
+	buf := *b
 	kept := 0
-	for k := range e.buf {
-		if !e.fullyAcked(&e.buf[k]) {
-			e.buf[kept] = e.buf[k]
+	for k := range buf {
+		if !e.fullyAcked(&buf[k]) {
+			buf[kept] = buf[k]
 			kept++
 		}
 	}
 	if kept == 0 {
-		e.buf = nil
+		*b = nil
 		return
 	}
-	clear(e.buf[kept:]) // the retired entries' δ-groups
-	e.buf = e.buf[:kept]
+	clear(buf[kept:]) // the retired entries' δ-groups
+	*b = buf[:kept]
 }
 
 // owed reports whether the neighbor at position i must receive an entry
@@ -370,15 +322,15 @@ func (e *deltaAcked) fullyAcked(entry *ackedEntry) bool {
 	return true
 }
 
-func (e *deltaAcked) Memory() metrics.Memory {
+func (e *deltaAcked) memory(x lattice.State, b *[]ackedEntry) metrics.Memory {
 	buf, meta := 0, 0
-	for k := range e.buf {
-		entry := &e.buf[k]
+	for k := range *b {
+		entry := &(*b)[k]
 		buf += entry.delta.SizeBytes() + len(entry.origin)
 		meta += 8 + 8*entry.acked.len()
 	}
 	return metrics.Memory{
-		CRDTBytes:     e.x.SizeBytes(),
+		CRDTBytes:     x.SizeBytes(),
 		BufferBytes:   buf,
 		MetadataBytes: meta,
 	}

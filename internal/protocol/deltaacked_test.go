@@ -316,3 +316,81 @@ func TestAckedDeltaTwoNodeBufferDrains(t *testing.T) {
 		t.Errorf("sender's entry not pruned after ack: %d bytes", m.BufferBytes)
 	}
 }
+
+// flushSeqs runs a Flush of a keyspace whose one neighbor is "b" and
+// returns, per key, the seqs the δ-groups it shipped cover.
+func flushSeqs(t *testing.T, e protocol.KeyedEngine) map[string][]uint64 {
+	t.Helper()
+	seqs := map[string][]uint64{}
+	e.(protocol.Flusher).Flush(func(to string, m protocol.Msg) {
+		for _, it := range m.(*protocol.BatchMsg).Items {
+			seqs[it.Key] = append(seqs[it.Key], it.Inner.(*protocol.AckedDeltaMsg).Seqs...)
+		}
+	})
+	return seqs
+}
+
+// buffered counts the entries a keyspace of acked objects with one
+// neighbor holds: each unacknowledged one is 8 bytes of metadata.
+func buffered(e protocol.Engine) int { return e.Memory().MetadataBytes / 8 }
+
+// TestAckedKeyspaceNeverReusesASeq: an object's buffer is released when
+// its last entry is acknowledged, and the seq of its next entry is still
+// one it never had, so a late acknowledgement of the first entry cannot
+// retire the second. Objects of one keyspace never share a seq either:
+// each key's acknowledgements retire its own entries and nobody else's.
+func TestAckedKeyspaceNeverReusesASeq(t *testing.T) {
+	discard := func(string, protocol.Msg) {}
+	t.Run("after the buffer empties", func(t *testing.T) {
+		e := newKeyedEngine(protocol.NewDeltaAcked(true, true))
+		od := e.(protocol.ObjectDeliverer)
+		e.LocalOp(workload.Add("k", "x"))
+		first := flushSeqs(t, e)["k"]
+		od.DeliverObject("b", []byte("k"), protocol.NewAckMsg(first), discard)
+		if n := buffered(e); n != 0 || e.(protocol.Flusher).Waiting() {
+			t.Fatalf("%d entries buffered after the only one was acknowledged", n)
+		}
+		e.LocalOp(workload.Add("k", "y"))
+		second := flushSeqs(t, e)["k"]
+		if len(second) != 1 || slices.Contains(first, second[0]) {
+			t.Fatalf("second entry shipped under seqs %v, the first under %v", second, first)
+		}
+		od.DeliverObject("b", []byte("k"), protocol.NewAckMsg(first), discard) // late
+		if n := buffered(e); n != 1 {
+			t.Fatalf("a late acknowledgement of the first entry left %d entries, want the second", n)
+		}
+		od.DeliverObject("b", []byte("k"), protocol.NewAckMsg(second), discard)
+		if n := buffered(e); n != 0 {
+			t.Fatalf("%d entries buffered after the second was acknowledged", n)
+		}
+	})
+	t.Run("two keys interleaved", func(t *testing.T) {
+		e := newKeyedEngine(protocol.NewDeltaAcked(true, true))
+		od := e.(protocol.ObjectDeliverer)
+		for _, elem := range []string{"1", "2"} {
+			e.LocalOp(workload.Add("k1", elem))
+			e.LocalOp(workload.Add("k2", elem))
+		}
+		seqs := flushSeqs(t, e)
+		k1, k2 := seqs["k1"], seqs["k2"]
+		if len(k1) != 2 || len(k2) != 2 || slices.ContainsFunc(k1, func(s uint64) bool { return slices.Contains(k2, s) }) {
+			t.Fatalf("k1 shipped under seqs %v and k2 under %v, want two each, none shared", k1, k2)
+		}
+		for _, step := range []struct {
+			key  string
+			seqs []uint64
+			want int
+		}{
+			{"k2", k1, 4}, // k1's seqs name nothing of k2's
+			{"k1", k1, 2},
+			{"k1", k2, 2},
+			{"k2", k2[:1], 1},
+			{"k2", k2, 0},
+		} {
+			od.DeliverObject("b", []byte(step.key), protocol.NewAckMsg(step.seqs), discard)
+			if n := buffered(e); n != step.want {
+				t.Fatalf("acknowledging %v for %s left %d entries buffered, want %d", step.seqs, step.key, n, step.want)
+			}
+		}
+	})
+}

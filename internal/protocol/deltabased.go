@@ -4,7 +4,6 @@ import (
 	"crdtsync/internal/core"
 	"crdtsync/internal/lattice"
 	"crdtsync/internal/metrics"
-	"crdtsync/internal/workload"
 )
 
 // DeltaMsg carries one δ-group (the join of buffered deltas).
@@ -32,39 +31,14 @@ func (m *DeltaMsg) Cost() metrics.Transmission { return m.cost }
 // Per the paper's channel assumptions (no loss; duplication and reordering
 // allowed) the buffer is cleared after each synchronization step; each
 // message carries one sequence number per neighbor as metadata.
-type deltaBased struct {
-	*deltaConfig
-	x   lattice.State
-	buf core.Buffer
-}
-
-var _ Flusher = (*deltaBased)(nil)
-
-// deltaConfig is what every instance of one delta engine over one
-// datatype has in common. It is held by pointer, so the per-object
-// engines of a keyspace (forker) share one copy instead of carrying the
-// node's Config each; the configuration proper is immutable.
-type deltaConfig struct {
-	cfg    Config
-	bp, rr bool
-	// retransmits counts the acked engine's re-sends: the one word the
-	// sharing engines write, under whatever serializes their calls (the
-	// shard lock, in a store), kept here because a counter of their own
-	// would cost every key of a keyspace eight bytes.
-	retransmits uint64
-}
+type deltaBased struct{ deltaConfig }
 
 // NewDeltaBased returns a delta-based engine factory with the given
 // optimizations enabled.
 func NewDeltaBased(bp, rr bool) Factory {
 	return func(cfg Config) Engine {
-		return (&deltaBased{deltaConfig: &deltaConfig{cfg: cfg, bp: bp, rr: rr}}).fork()
+		return newObject[core.Buffer](&deltaBased{deltaConfig{cfg: cfg, bp: bp, rr: rr}})
 	}
-}
-
-// fork implements forker.
-func (e *deltaBased) fork() Engine {
-	return &deltaBased{deltaConfig: e.deltaConfig, x: e.cfg.Datatype.New()}
 }
 
 // NewDeltaClassic returns the classic delta-based factory (no BP, no RR).
@@ -73,79 +47,47 @@ func NewDeltaClassic() Factory { return NewDeltaBased(false, false) }
 // NewDeltaBPRR returns the fully optimized delta-based factory (BP + RR).
 func NewDeltaBPRR() Factory { return NewDeltaBased(true, true) }
 
-func (e *deltaBased) ID() string           { return e.cfg.ID }
-func (e *deltaBased) State() lattice.State { return e.x }
-
-// store is Algorithm 1's store(s, o): join into the local state and buffer
-// for further propagation.
-func (e *deltaBased) store(s lattice.State, origin string) {
-	e.x.Merge(s)
-	e.buf.Add(s, origin)
+func (e *deltaBased) store(x lattice.State, b *core.Buffer, s lattice.State, origin string) {
+	x.Merge(s)
+	b.Add(s, origin)
 }
 
-func (e *deltaBased) LocalOp(op workload.Op) {
-	d := e.cfg.Datatype.Delta(e.x, e.cfg.ID, op)
-	if d.IsBottom() {
-		return
+func (e *deltaBased) deliver(x lattice.State, b *core.Buffer, from string, m Msg, _ Sender) {
+	if dm, ok := m.(*DeltaMsg); ok {
+		absorb(e, x, b, dm.Delta, from)
 	}
-	e.store(d, e.cfg.ID)
 }
 
-func (e *deltaBased) Sync(send Sender) {
+// ship sends each neighbor the join of the buffer and clears it. A pass
+// between two ticks does the same: clear-after-send never sends anything
+// twice, so the first-transmission pass is the whole of the tick.
+func (e *deltaBased) ship(b *core.Buffer, send Sender, _ bool) {
 	for _, j := range e.cfg.Neighbors {
 		var d lattice.State
 		if e.bp {
-			d = e.buf.GroupExcluding(j)
+			d = b.GroupExcluding(j)
 		} else {
-			d = e.buf.GroupAll()
+			d = b.GroupAll()
 		}
 		if d == nil || d.IsBottom() {
 			continue
 		}
 		send(j, NewDeltaMsg(d))
 	}
-	e.buf.Clear()
+	b.Clear()
 }
 
-// Flush implements Flusher. Clear-after-send never sends anything twice,
-// so the first-transmission pass is the whole of Sync.
-func (e *deltaBased) Flush(send Sender) { e.Sync(send) }
+func (e *deltaBased) unsent(b *core.Buffer) bool { return b.Len() > 0 }
 
-// Unsent implements Flusher.
-func (e *deltaBased) Unsent() bool { return e.buf.Len() > 0 }
+// waiting: nothing outlives the pass that sent it.
+func (e *deltaBased) waiting(b *core.Buffer) bool { return b.Len() > 0 }
 
-// Waiting implements Flusher: nothing outlives the Sync that sent it.
-func (e *deltaBased) Waiting() bool { return e.buf.Len() > 0 }
+func (e *deltaBased) retransmits() uint64 { return 0 }
 
-func (e *deltaBased) Deliver(from string, m Msg, _ Sender) {
-	dm, ok := m.(*DeltaMsg)
-	if !ok {
-		return
-	}
-	d := dm.Delta
-	if e.rr {
-		// RR: extract exactly what strictly inflates the local state. A
-		// δ-group the state already covers — every re-delivery at steady
-		// state — is recognized by the subset check alone, without
-		// allocating even the bottom Δ would return.
-		if d.Leq(e.x) {
-			return
-		}
-		d = core.Delta(d, e.x)
-		e.store(d, from)
-		return
-	}
-	// Classic: harmless-looking inflation check — the source of most
-	// redundant propagation, as §IV explains.
-	if lattice.StrictlyInflates(d, e.x) {
-		e.store(d, from)
-	}
-}
-
-func (e *deltaBased) Memory() metrics.Memory {
+func (e *deltaBased) memory(x lattice.State, b *core.Buffer) metrics.Memory {
 	return metrics.Memory{
-		CRDTBytes:   e.x.SizeBytes(),
-		BufferBytes: e.buf.SizeBytes(),
+		CRDTBytes:   x.SizeBytes(),
+		BufferBytes: b.SizeBytes(),
 		// One 8-byte sequence counter per neighbor.
 		MetadataBytes: 8 * len(e.cfg.Neighbors),
 	}

@@ -5,26 +5,31 @@ import (
 	"slices"
 	"sort"
 	"strings"
+
+	"crdtsync/internal/lattice"
 )
 
 // rec is everything a per-object engine keeps about one key: the object's
-// engine, where its key bytes are, one word for whoever owns the engine
-// (see KeyedEngine.Rehash) and the flag bits that put the object on the
-// engine's lists. Records are never deleted or moved — the keyspace is
-// grow-only — so a record's position is the object's id.
+// state, its datatype, where its key bytes are, one word for whoever owns
+// the engine (see KeyedEngine.Rehash) and the flag bits that put the
+// object on the engine's lists — 32 bytes; the object's δ-buffer, while it
+// has one, is in the engine's side table. Records are never deleted or
+// moved — the keyspace is grow-only — so a record's position is the
+// object's id.
 type rec struct {
-	eng  Engine
+	x    lattice.State
 	hash uint64
 	// off locates the key: chunk<<chunkBits | offset for a key in a chunk,
 	// an index into keyIndex.big for one that is flagBig.
 	off   uint32
 	klen  uint16 // length of a key in a chunk
 	flags uint8
+	dt    uint8 // the object's datatype: an index into perObject.types
 }
 
 const (
 	flagBig    = 1 << iota // the key is in big, not in a chunk
-	flagActive             // the next Sync must visit the object
+	flagActive             // the object has a δ-buffer: the next Sync must visit it
 	flagListed             // the id is on perObject.active (flagActive may be gone)
 	flagQueued             // the id is on perObject.unsent
 )
@@ -107,8 +112,9 @@ func find[K string | []byte](x *keyIndex, h uint64, key K) (uint32, bool) {
 }
 
 // add appends the record of a key find has just missed and returns its
-// id; the caller fills in the engine. The key is copied whole, whatever
-// its length: into the current chunk when it fits one, into big otherwise.
+// id; the caller fills in the state and datatype. The key is copied whole,
+// whatever its length: into the current chunk when it fits one, into big
+// otherwise.
 func add[K string | []byte](x *keyIndex, h uint64, key K) uint32 {
 	if (len(x.recs)+1)*4 > len(x.table)*3 {
 		x.grow()

@@ -7,7 +7,16 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 )
+
+// TestRecordSize pins what every key of a keyspace pays for its record: a
+// field added to rec grows every key of every store.
+func TestRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(rec{}); got != 32 {
+		t.Errorf("a key record is %d bytes, want 32", got)
+	}
+}
 
 // indexModel drives a keyIndex beside the map and the sorted list it
 // replaced.

@@ -4,6 +4,7 @@ import (
 	"hash/maphash"
 	"math/bits"
 
+	"crdtsync/internal/core"
 	"crdtsync/internal/lattice"
 	"crdtsync/internal/metrics"
 	"crdtsync/internal/workload"
@@ -32,38 +33,42 @@ func (m *BatchMsg) Kind() string { return "batch" }
 func (m *BatchMsg) Cost() metrics.Transmission { return m.cost }
 
 // perObject synchronizes a keyspace of independent CRDT objects, each with
-// its own instance of an inner protocol engine — the deployment model of
-// the paper's Retwis evaluation (§V-C), where 30 000 objects each have
-// their own δ-buffer and the per-object inflation check is what lets
-// classic delta-based behave almost optimally at low contention.
-type perObject struct {
-	cfg     Config
-	inner   Factory
+// its own state and δ-buffer — the deployment model of the paper's Retwis
+// evaluation (§V-C), where 30 000 objects each have their own δ-buffer and
+// the per-object inflation check is what lets classic delta-based behave
+// almost optimally at low contention. Every object runs one algorithm, the
+// keyspace's: its state is in the key's record, its δ-buffer in bufs while
+// it holds anything, and nothing else is kept per key.
+type perObject[B any] struct {
+	alg     algorithm[B]
 	objType func(key string) workload.Datatype
-	// ix is the key record table: every object's engine, key and flags,
-	// by id. It is the only index there is.
+	// types lists the datatypes of the objects, one per Datatype.Name, in
+	// order of first appearance; a record's dt indexes it.
+	types []workload.Datatype
+	// ix is the key record table: every object's state, key and flags, by
+	// id. It is the only index there is.
 	ix keyIndex
-	// protos holds, per datatype name, the first object engine the inner
-	// factory built for that type, if it can be forked: every further
-	// object of the type is stamped out of it and shares its
-	// configuration, instead of carrying a Config copy of its own.
-	protos map[string]forker
-	// active lists the objects the next Sync must visit: those touched by
-	// LocalOp/Deliver since the last one, plus those whose engine is
-	// still Waiting (unacknowledged entries that a tick may have to
-	// send again) or, for an engine that is no Flusher, emitted on its
-	// last visit (Scuttlebutt digests). Quiescent objects are skipped,
-	// making Sync O(changed) instead of O(keyspace): the large-keyspace
-	// win the Retwis evaluation relies on. flagActive is the membership;
-	// the list may lag behind it — a Flush that leaves an object quiescent
-	// clears the flag and the next Sync drops the id — so nActive is the
-	// count. An id is listed at most once (flagListed).
+	// bufs holds the δ-buffer of every object whose buffer is not empty,
+	// by id: a quiescent object pays nothing for its buffer. A buffer that
+	// empties is released, not truncated (core.Buffer.Clear), and so is the
+	// table: nil whenever no object has a buffer. An object is in bufs
+	// exactly when its record is flagActive.
+	bufs map[uint32]B
+	// cur is the buffer a call is working on (load, file); empty between
+	// calls.
+	cur B
+	// active lists the objects the next Sync must visit: those with a
+	// δ-buffer, whether unsent or waiting for acks. Quiescent objects are
+	// skipped, making Sync O(changed) instead of O(keyspace): the
+	// large-keyspace win the Retwis evaluation relies on. flagActive is the
+	// membership; the list may lag behind it — a Flush or an ack that
+	// empties a buffer clears the flag and the next Sync drops the id — so
+	// nActive is the count. An id is listed at most once (flagListed).
 	active  []uint32
 	nActive int
-	// unsent queues the objects (flagQueued) whose engine has something it
-	// has never sent — what Flush walks, so a first-transmission pass never
-	// visits the objects that only wait for an ack. Only Flusher engines
-	// are queued; the rest ship on ticks alone.
+	// unsent queues the objects (flagQueued) whose buffer holds something
+	// never sent — what Flush walks, so a first-transmission pass never
+	// visits the objects that only wait for an ack.
 	unsent []uint32
 	// stale has bit id set when the object's state may have changed since
 	// Rehash last visited it, nStale counts the bits. A bitmap rather than
@@ -76,73 +81,76 @@ type perObject struct {
 	b batcher
 }
 
-// forker is implemented by engines whose configuration is immutable and
-// shareable: fork returns a new engine with a fresh bottom state over
-// the same configuration, without copying it.
-type forker interface {
-	fork() Engine
-}
-
 var (
-	_ KeyedEngine = (*perObject)(nil)
-	_ Flusher     = (*perObject)(nil)
+	_ KeyedEngine     = (*perObject[core.Buffer])(nil)
+	_ Flusher         = (*perObject[core.Buffer])(nil)
+	_ ObjectDeliverer = (*perObject[core.Buffer])(nil)
+	_ ObjectRestorer  = (*perObject[core.Buffer])(nil)
 )
 
-// NewPerObject wraps an inner protocol factory so that every distinct
-// op.Key is replicated as an independent object; objType chooses the
-// datatype of each object from its key. The inner factory is called once
-// per datatype (identified by Datatype.Name), not once per key, when its
-// engines can be forked.
+// NewPerObject wraps a delta engine factory (NewDeltaBased, NewDeltaAcked)
+// so that every distinct op.Key is replicated as an independent object;
+// objType chooses the datatype of each object from its key. The factory is
+// called once per keyspace, for the algorithm and configuration its engine
+// runs, which the keyspace then runs for every key.
 func NewPerObject(inner Factory, objType func(key string) workload.Datatype) Factory {
 	return func(cfg Config) Engine {
-		e := &perObject{
-			cfg:     cfg,
-			inner:   inner,
-			objType: objType,
-			protos:  make(map[string]forker),
+		cfg.Datatype = objType("")
+		// The engine is a probe, discarded: its algorithm is the keyspace's.
+		switch e := inner(cfg).(type) {
+		case *object[core.Buffer]:
+			return newPerObject(e.alg, objType)
+		case *object[[]ackedEntry]:
+			return newPerObject(e.alg, objType)
 		}
-		e.b.pending = make(map[string][]ObjectMsg, len(cfg.Neighbors))
-		e.b.send = e.b.add
-		return e
+		panic("protocol: NewPerObject runs the delta engines only")
 	}
 }
 
-func (e *perObject) ID() string { return e.cfg.ID }
+func newPerObject[B any](alg algorithm[B], objType func(key string) workload.Datatype) *perObject[B] {
+	e := &perObject[B]{alg: alg, objType: objType}
+	e.b.pending = make(map[string][]ObjectMsg, len(alg.config().cfg.Neighbors))
+	e.b.send = e.b.add
+	return e
+}
+
+func (e *perObject[B]) ID() string { return e.alg.config().cfg.ID }
 
 // NumKeys implements KeyedEngine.
-func (e *perObject) NumKeys() int { return len(e.ix.recs) }
+func (e *perObject[B]) NumKeys() int { return len(e.ix.recs) }
 
 // ObjectState implements KeyedEngine.
-func (e *perObject) ObjectState(key string) lattice.State {
+func (e *perObject[B]) ObjectState(key string) lattice.State {
 	id, ok := find(&e.ix, maphash.String(keySeed, key), key)
 	if !ok {
 		return nil
 	}
-	return e.ix.recs[id].eng.State()
+	return e.ix.recs[id].x
 }
 
-// Scan implements KeyedEngine.
-func (e *perObject) Scan(prefix string, fn func(key string, st lattice.State) bool) {
+// Scan implements KeyedEngine. The state handed out is the one the record
+// holds, which every later change merges into in place.
+func (e *perObject[B]) Scan(prefix string, fn func(key string, st lattice.State) bool) {
 	for _, id := range e.ix.withPrefix(prefix) {
 		r := &e.ix.recs[id]
-		if !fn(e.ix.key(r), r.eng.State()) {
+		if !fn(e.ix.key(r), r.x) {
 			return
 		}
 	}
 }
 
 // Stale implements KeyedEngine.
-func (e *perObject) Stale() bool { return e.nStale > 0 }
+func (e *perObject[B]) Stale() bool { return e.nStale > 0 }
 
 // Rehash implements KeyedEngine.
-func (e *perObject) Rehash(fn func(key string, st lattice.State, hash *uint64)) {
+func (e *perObject[B]) Rehash(fn func(key string, st lattice.State, hash *uint64)) {
 	if e.nStale == 0 {
 		return
 	}
 	for w, word := range e.stale {
 		for ; word != 0; word &= word - 1 {
 			r := &e.ix.recs[w<<6|bits.TrailingZeros64(word)]
-			fn(e.ix.key(r), r.eng.State(), &r.hash)
+			fn(e.ix.key(r), r.x, &r.hash)
 		}
 		e.stale[w] = 0
 	}
@@ -150,7 +158,7 @@ func (e *perObject) Rehash(fn func(key string, st lattice.State, hash *uint64)) 
 }
 
 // Hashes implements KeyedEngine.
-func (e *perObject) Hashes(fn func(key string, hash uint64)) {
+func (e *perObject[B]) Hashes(fn func(key string, hash uint64)) {
 	for i := range e.ix.recs {
 		r := &e.ix.recs[i]
 		fn(e.ix.key(r), r.hash)
@@ -159,7 +167,7 @@ func (e *perObject) Hashes(fn func(key string, hash uint64)) {
 
 // State aggregates all object states into a map keyed by object key.
 // Object states are shared, not cloned; callers must not mutate them.
-func (e *perObject) State() lattice.State {
+func (e *perObject[B]) State() lattice.State {
 	m := lattice.NewMap()
 	e.Scan("", func(key string, s lattice.State) bool {
 		if !s.IsBottom() {
@@ -170,40 +178,101 @@ func (e *perObject) State() lattice.State {
 	return m
 }
 
-// obj returns the id of one object, creating its record and engine if
-// need be; h is the key's table hash. The key is only read: a new
+// obj returns the id of one object, creating its record and bottom state
+// if need be; h is the key's table hash. The key is only read: a new
 // record copies it, and the copy is what objType is shown.
-func obj[K string | []byte](e *perObject, h uint64, key K) uint32 {
+func obj[K string | []byte, B any](e *perObject[B], h uint64, key K) uint32 {
 	if id, ok := find(&e.ix, h, key); ok {
 		return id
 	}
 	id := add(&e.ix, h, key)
-	dt := e.objType(e.ix.keyOf(id))
-	var eng Engine
-	if proto, ok := e.protos[dt.Name()]; ok {
-		eng = proto.fork()
-	} else {
-		cfg := e.cfg
-		cfg.Datatype = dt
-		eng = e.inner(cfg)
-		if f, ok := eng.(forker); ok {
-			e.protos[dt.Name()] = f
-		}
-	}
-	e.ix.recs[id].eng = eng
+	dt := e.typeIndex(e.objType(e.ix.keyOf(id)))
+	r := &e.ix.recs[id]
+	r.dt, r.x = dt, e.types[dt].New()
 	e.mutated(id) // a new key is a change, whatever created it
 	return id
 }
 
-func (e *perObject) LocalOp(op workload.Op) {
+// typeIndex returns the index in types of the datatype named like dt,
+// adding dt if it is the first of its name.
+func (e *perObject[B]) typeIndex(dt workload.Datatype) uint8 {
+	name := dt.Name()
+	for i, t := range e.types {
+		if t.Name() == name {
+			return uint8(i)
+		}
+	}
+	if len(e.types) == 256 { // what rec.dt can index
+		panic("protocol: a keyspace holds at most 256 datatypes")
+	}
+	e.types = append(e.types, dt)
+	return uint8(len(e.types) - 1)
+}
+
+// load puts the δ-buffer of the object id in cur, where a call works on
+// it: its entry in bufs, or the empty buffer when it has none — without a
+// lookup. The algorithm is handed the buffer by pointer, and a pointer to
+// a local would escape through the interface call: cur costs no
+// allocation. The call files it when it is done, and nothing it sends may
+// call back into the engine meanwhile.
+func (e *perObject[B]) load(id uint32) *B {
+	if e.ix.recs[id].flags&flagActive != 0 {
+		e.cur = e.bufs[id]
+	}
+	return &e.cur
+}
+
+// file puts cur back as the δ-buffer of id, and keeps the active set with
+// it: an object whose buffer holds anything is in bufs and active, one
+// whose buffer is empty is in neither.
+func (e *perObject[B]) file(id uint32) {
+	r := &e.ix.recs[id]
+	switch {
+	case e.alg.waiting(&e.cur):
+		if e.bufs == nil {
+			e.bufs = make(map[uint32]B)
+		}
+		e.bufs[id] = e.cur
+		if r.flags&flagActive == 0 {
+			r.flags |= flagActive
+			e.nActive++
+			if r.flags&flagListed == 0 {
+				r.flags |= flagListed
+				e.active = append(e.active, id)
+			}
+		}
+	case r.flags&flagActive != 0:
+		if delete(e.bufs, id); len(e.bufs) == 0 {
+			e.bufs = nil // a map never shrinks
+		}
+		r.flags &^= flagActive
+		e.nActive--
+	}
+	e.cur = *new(B)
+}
+
+// touched files what a LocalOp or a Deliver just did to the buffer of the
+// object id, and queues the object for the next Flush when the buffer
+// holds something never sent. An ack or a redundant δ-group gives a pass
+// nothing new to do.
+func (e *perObject[B]) touched(id uint32) {
+	if r := &e.ix.recs[id]; r.flags&flagQueued == 0 && e.alg.unsent(&e.cur) {
+		r.flags |= flagQueued
+		e.unsent = append(e.unsent, id)
+	}
+	e.file(id)
+}
+
+func (e *perObject[B]) LocalOp(op workload.Op) {
 	id := obj(e, maphash.String(keySeed, op.Key), op.Key)
-	e.ix.recs[id].eng.LocalOp(op)
+	r := &e.ix.recs[id]
+	localOp(e.alg, e.types[r.dt], r.x, e.load(id), op)
 	e.mutated(id)
 	e.touched(id)
 }
 
 // mutated marks the object id, whose state may just have changed, stale.
-func (e *perObject) mutated(id uint32) {
+func (e *perObject[B]) mutated(id uint32) {
 	w, bit := int(id>>6), uint64(1)<<(id&63)
 	for w >= len(e.stale) {
 		e.stale = append(e.stale, 0)
@@ -214,45 +283,16 @@ func (e *perObject) mutated(id uint32) {
 	}
 }
 
-// touched records in the active set what a LocalOp or a Deliver just
-// handed to the object id. A Flusher is queued for the next Flush when it
-// holds something never sent, and otherwise stays as it was: an ack or a
-// redundant δ-group gives a tick nothing new to do. Any other engine is
-// activated for the next Sync, as ever.
-func (e *perObject) touched(id uint32) {
-	r := &e.ix.recs[id]
-	if r.flags&flagQueued != 0 {
-		return
-	}
-	if f, ok := r.eng.(Flusher); ok {
-		if !f.Unsent() {
-			return
-		}
-		r.flags |= flagQueued
-		e.unsent = append(e.unsent, id)
-	}
-	if r.flags&flagActive == 0 {
-		r.flags |= flagActive
-		e.nActive++
-		if r.flags&flagListed == 0 {
-			r.flags |= flagListed
-			e.active = append(e.active, id)
-		}
-	}
-}
-
 // batcher accumulates inner sends per destination and flushes them as
 // BatchMsgs. key is the object being visited; send is add, bound once.
 type batcher struct {
 	key     string
-	emitted bool // add ran since the caller last cleared it
 	pending map[string][]ObjectMsg
 	order   []string
 	send    Sender
 }
 
 func (b *batcher) add(to string, m Msg) {
-	b.emitted = true
 	items := b.pending[to]
 	if len(items) == 0 {
 		b.order = append(b.order, to)
@@ -296,7 +336,7 @@ func BatchOf(items []ObjectMsg) *BatchMsg {
 
 // Sync implements Engine: one tick over every active object, in key
 // order.
-func (e *perObject) Sync(send Sender) {
+func (e *perObject[B]) Sync(send Sender) {
 	if e.nActive == 0 {
 		return
 	}
@@ -305,22 +345,13 @@ func (e *perObject) Sync(send Sender) {
 		if r := &e.ix.recs[id]; r.flags&flagActive != 0 {
 			ids = append(ids, id)
 		} else {
-			r.flags &^= flagListed // a Flush left it quiescent
+			r.flags &^= flagListed // a Flush or an ack left it quiescent
 		}
 	}
 	e.active = ids
 	e.ix.sortByKey(ids)
 	for _, id := range ids {
-		eng := e.ix.recs[id].eng
-		e.b.key, e.b.emitted = e.ix.keyOf(id), false
-		eng.Sync(e.b.send)
-		// An engine that cannot say whether it waits is revisited for
-		// as long as it has something to say.
-		keep := e.b.emitted
-		if f, ok := eng.(Flusher); ok {
-			keep = f.Waiting()
-		}
-		e.settle(id, keep)
+		e.visit(id, true)
 	}
 	e.unsent = e.unsent[:0] // a tick ships everything a flush would have
 	e.b.flush(send)
@@ -329,51 +360,39 @@ func (e *perObject) Sync(send Sender) {
 // Flush implements Flusher: the first-transmission pass over the queued
 // objects, in key order. It finds nothing to do, and allocates nothing,
 // when no LocalOp or Deliver has left anything new since the last pass.
-func (e *perObject) Flush(send Sender) {
+func (e *perObject[B]) Flush(send Sender) {
 	if len(e.unsent) == 0 {
 		return
 	}
 	e.ix.sortByKey(e.unsent)
 	for _, id := range e.unsent {
-		f := e.ix.recs[id].eng.(Flusher) // nothing else is ever queued
-		e.b.key = e.ix.keyOf(id)
-		f.Flush(e.b.send)
-		e.settle(id, f.Waiting())
+		e.visit(id, false)
 	}
 	e.unsent = e.unsent[:0]
 	e.b.flush(send)
 }
 
-// settle records a visited object as no longer queued: still active when
-// a later tick has to keep visiting it, quiescent until the next LocalOp
-// or Deliver touches it otherwise.
-func (e *perObject) settle(id uint32, keep bool) {
-	r := &e.ix.recs[id]
-	r.flags &^= flagQueued
-	if !keep {
-		r.flags &^= flagActive
-		e.nActive--
-	}
+// visit runs one send pass over the object id into the batcher. The object
+// is no longer queued after it, and stays active only while its buffer
+// still waits for a later tick.
+func (e *perObject[B]) visit(id uint32, tick bool) {
+	e.b.key = e.ix.keyOf(id)
+	e.alg.ship(e.load(id), e.b.send, tick)
+	e.ix.recs[id].flags &^= flagQueued
+	e.file(id)
 }
 
 // Unsent implements Flusher.
-func (e *perObject) Unsent() bool { return len(e.unsent) > 0 }
+func (e *perObject[B]) Unsent() bool { return len(e.unsent) > 0 }
 
 // Waiting implements Flusher.
-func (e *perObject) Waiting() bool { return e.nActive > 0 }
+func (e *perObject[B]) Waiting() bool { return e.nActive > 0 }
 
-// Retransmits sums the re-sends the object engines have counted.
-func (e *perObject) Retransmits() uint64 {
-	var n uint64
-	for _, proto := range e.protos {
-		if r, ok := proto.(interface{ Retransmits() uint64 }); ok {
-			n += r.Retransmits()
-		}
-	}
-	return n
-}
+// Retransmits returns how many times an entry of any object has been sent
+// again.
+func (e *perObject[B]) Retransmits() uint64 { return e.alg.retransmits() }
 
-func (e *perObject) Deliver(from string, m Msg, send Sender) {
+func (e *perObject[B]) Deliver(from string, m Msg, send Sender) {
 	bm, ok := m.(*BatchMsg)
 	if !ok {
 		return
@@ -382,20 +401,19 @@ func (e *perObject) Deliver(from string, m Msg, send Sender) {
 		e.b.key = it.Key
 		e.DeliverObject(from, []byte(it.Key), it.Inner, e.b.send)
 	}
-	// Replies (e.g. Scuttlebutt pulls) are batched and sent onwards.
+	// Replies (an acked engine's acknowledgements) are batched and sent
+	// onwards.
 	e.b.flush(send)
 }
-
-var _ ObjectDeliverer = (*perObject)(nil)
 
 // DeliverObject implements ObjectDeliverer: one object's inbound message,
 // delivered without batch materialization. The key view is hashed and
 // compared in place, so the steady state — an existing object that an ack
 // or a redundant δ-group leaves with nothing new to send — allocates
 // nothing here; the key is copied only when the object is new.
-func (e *perObject) DeliverObject(from string, key []byte, m Msg, send Sender) {
+func (e *perObject[B]) DeliverObject(from string, key []byte, m Msg, send Sender) {
 	id := obj(e, maphash.Bytes(keySeed, key), key)
-	e.ix.recs[id].eng.Deliver(from, m, send)
+	e.alg.deliver(e.ix.recs[id].x, e.load(id), from, m, send)
 	// An acknowledgement retires buffer entries and leaves the state alone.
 	if _, ack := m.(*AckMsg); !ack {
 		e.mutated(id)
@@ -403,11 +421,12 @@ func (e *perObject) DeliverObject(from string, key []byte, m Msg, send Sender) {
 	e.touched(id)
 }
 
-func (e *perObject) Memory() metrics.Memory {
+func (e *perObject[B]) Memory() metrics.Memory {
 	var total metrics.Memory
 	for i := range e.ix.recs {
 		r := &e.ix.recs[i]
-		m := r.eng.Memory()
+		m := e.alg.memory(r.x, e.load(uint32(i)))
+		e.cur = *new(B)
 		total.CRDTBytes += m.CRDTBytes + len(e.ix.key(r))
 		total.BufferBytes += m.BufferBytes
 		total.MetadataBytes += m.MetadataBytes

@@ -127,8 +127,8 @@ func TestRedundantDeliverObjectAllocs(t *testing.T) {
 
 // TestPerObjectKeysStayOrdered pins the lazily ordered key index: keys
 // created in any order, before, between and after ordered visits, come
-// back ascending and complete, and one engine configuration is shared by
-// all objects of a datatype rather than copied per key.
+// back ascending and complete, and each holds a state of the datatype its
+// key names.
 func TestPerObjectKeysStayOrdered(t *testing.T) {
 	e := protocol.NewPerObject(protocol.NewDeltaBPRR(), storeObjType)(
 		protocol.Config{ID: "r0", Neighbors: []string{"r1"}, Nodes: []string{"r0", "r1"}}).(protocol.KeyedEngine)
@@ -162,9 +162,9 @@ func TestPerObjectKeysStayOrdered(t *testing.T) {
 		check()
 	}
 	if st, ok := e.ObjectState(storeOp(3).Key).(*crdt.GCounter); !ok || st.Value() == 0 {
-		t.Errorf("counter object of a forked engine = %v", e.ObjectState(storeOp(3).Key))
+		t.Errorf("counter object = %v", e.ObjectState(storeOp(3).Key))
 	}
 	if st, ok := e.ObjectState(storeOp(6).Key).(*crdt.GSet); !ok || st.Len() != 1 {
-		t.Errorf("set object of a forked engine = %v", e.ObjectState(storeOp(6).Key))
+		t.Errorf("set object = %v", e.ObjectState(storeOp(6).Key))
 	}
 }

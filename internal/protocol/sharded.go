@@ -164,8 +164,9 @@ type KeyedEngine interface {
 	// Scan visits, in ascending key order, the objects whose key starts
 	// with prefix — every object, for the empty prefix — until fn returns
 	// false. States are shared as ObjectState's are, and an object's state
-	// is the same lattice.State for as long as the engine lives. fn must
-	// not call back into the engine.
+	// is the same lattice.State for as long as the engine lives: every
+	// change merges into it in place. fn must not call back into the
+	// engine.
 	Scan(prefix string, fn func(key string, st lattice.State) bool)
 	// Rehash visits, in no particular order, each object that a LocalOp,
 	// a Deliver or a restore has touched since the last call, once. hash
@@ -188,8 +189,9 @@ type KeyedEngine interface {
 // engine — no ObjectMsg slice, no batch materialization, and (key being a
 // byte view into the frame buffer) no key allocation when the object
 // already exists. Replies go to send exactly as they would from Deliver;
-// the caller wraps them for the wire. The key view is only read during
-// the call — implementations copy it if the object is new.
+// the caller wraps them for the wire, and send must not call back into the
+// engine. The key view is only read during the call — implementations copy
+// it if the object is new.
 type ObjectDeliverer interface {
 	DeliverObject(from string, key []byte, m Msg, send Sender)
 }

@@ -110,7 +110,7 @@ func newCore(cfg StoreConfig, inc uint32) (*core, error) {
 	// table of what the neighbors have said.
 	var reach *protocol.Reach
 	probe := cfg.Factory(protocol.Config{ID: cfg.ID, Neighbors: neighbors, Nodes: nodes, Datatype: cfg.ObjType("")})
-	if _, ok := probe.(protocol.ReachConsulter); ok {
+	if rc, ok := probe.(protocol.ReachConsulter); ok && rc.ConsultsReach() {
 		reach = protocol.NewReach(neighbors)
 	}
 	factory := protocol.NewPerObject(cfg.Factory, cfg.ObjType)

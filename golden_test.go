@@ -148,16 +148,19 @@ func goldenItems(acked bool) []protocol.ShardItem {
 	return []protocol.ShardItem{{Shard: 3, Msg: protocol.BatchOf(oms)}}
 }
 
-// TestGoldenFrames pins the store's data frames byte for byte. The two
-// plain variants are what a delta-engine store has always sent and were
-// captured before acknowledgement moved to the link; the linked variant is
-// what an acked store sends since, and is the only place its layout may
-// change.
+// TestGoldenFrames pins the store's data frames byte for byte, at wire
+// version 3. The two plain variants are what a delta-engine store sends;
+// the linked variants are what an acked store sends, the same items behind
+// a link header. Version 3 changed the keyed items alone: each δ-group is
+// its state, where versions 1 and 2 put a DeltaMsg tag (0x41) before it.
+// The per-object acked form, the headers, the hello's layout and the bare
+// items such as a drill's close did not move.
 func TestGoldenFrames(t *testing.T) {
-	// shard 3 | batch of 2 | "hits" δ(GCounter r0:7) | "tags" δ(GSet a b)
+	// shard 3 | batch of 2 | "hits" δ(GCounter r0:7) | "tags" δ(GSet a b):
+	// each keyed δ-group is its key, then its state alone.
 	const items = "03" + "4702" +
-		"0468697473" + "41" + "0501027230" + "07" +
-		"0474616773" + "41" + "070201610162"
+		"0468697473" + "0501027230" + "07" +
+		"0474616773" + "070201610162"
 	enc := func(m protocol.Msg) string {
 		data, err := codec.EncodeMsg(m)
 		if err != nil {
@@ -174,19 +177,19 @@ func TestGoldenFrames(t *testing.T) {
 		"4a"+"02"+"0000000000000001"+"ffffffffffffffff"+"01"+items; got != want {
 		t.Errorf("digest frame\n got %s\nwant %s", got, want)
 	}
-	// The per-object encoding of the acked engine's δ-groups, which Node
-	// and pairsync still speak: tagAckedDeltaMsg, the entry seqs, the δ.
+	// The per-object encoding of the acked engine's δ-groups, which an
+	// unnumbered frame keeps: tagAckedDeltaMsg, the entry seqs, the δ.
 	if got, want := enc(protocol.NewShardedMsg(goldenItems(true))), "48"+"01"+"03"+"4702"+
 		"0468697473"+"42"+"020405"+"0501027230"+"07"+
 		"0474616773"+"42"+"0109"+"070201610162"; got != want {
 		t.Errorf("per-object acked frame\n got %s\nwant %s", got, want)
 	}
-	// What an acked store sends: the same δ-groups as plain tagDeltaMsg
-	// items behind a link header (wire version 2). The header's shape is its
-	// tag, 0x4e+f for the fields f that follow, in this order: 1 the frame's
-	// sequence number, 2 an acknowledgement, 8 ranges above the
-	// acknowledgement's mark, 4 a digest vector. The sender's incarnation is
-	// not among them: its connection's hello names it.
+	// What an acked store sends: the same δ-groups as the plain items
+	// behind a link header. The header's shape is its tag, 0x4e+f for the
+	// fields f that follow, in this order: 1 the frame's sequence number, 2
+	// an acknowledgement, 8 ranges above the acknowledgement's mark, 4 a
+	// digest vector. The sender's incarnation is not among them: its
+	// connection's hello names it.
 	seq := protocol.FrameSeq{Seq: 300, Back: 2}
 	ack := protocol.FrameAck{Inc: 0x01020304, Cum: 127}
 	ranged := protocol.FrameAck{Inc: 0x01020304, Cum: 127, Ranges: []protocol.SeqRange{{Lo: 129, Hi: 131}, {Lo: 140, Hi: 140}}}
@@ -244,11 +247,11 @@ func TestGoldenFrames(t *testing.T) {
 	if got, want := enc(asking), "4e"+"02"+"0000000000000001"+"ffffffffffffffff"+"00"; got != want {
 		t.Errorf("asking advertisement\n got %s\nwant %s", got, want)
 	}
-	// A connection's first frame: tagHelloMsg, the wire version, the shard
-	// count, the sender's incarnation, and the ids of the peers the sender's
-	// pipelines are up to.
+	// A connection's first frame: tagHelloMsg, the wire version (3), the
+	// shard count, the sender's incarnation, and the ids of the peers the
+	// sender's pipelines are up to.
 	if got, want := enc(protocol.NewHelloMsg(protocol.WireVersion, 64, 0xa1b2c3d4, []string{"s-01", "s-02"})),
-		"4d"+"02"+"40"+"a1b2c3d4"+"02"+"04"+"732d3031"+"04"+"732d3032"; got != want {
+		"4d"+"03"+"40"+"a1b2c3d4"+"02"+"04"+"732d3031"+"04"+"732d3032"; got != want {
 		t.Errorf("hello\n got %s\nwant %s", got, want)
 	}
 	// A drill's hash push: the children of a node go as the node's index
@@ -268,5 +271,78 @@ func TestGoldenFrames(t *testing.T) {
 	if got, want := enc(protocol.NewShardedMsg(closing)), "48"+"02"+items+
 		"03"+"4b"+"03"+"02"+"00"+"02"+"09"+"c801"; got != want { // shard | tagTreeMsg, shard, level, close, 2 nodes: 9, 200
 		t.Errorf("close\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestItemBytesByDatatype pins one δ-group item of each datatype the store
+// writes, at the keys and values the benchmark draws (a counter, a set and a
+// map field), at wire version 3 and as version 2 wrote it. A counter's and a
+// set's item lost the DeltaMsg tag: 1 byte. A map field's δ-group is the
+// one-entry map {key ↦ register} under the field's own key, which version
+// 2 wrote out whole — the tag, the map's tag and count, and the key a
+// second time — and version 3 writes as tagKeyEntry (0x0b) and the
+// register: 16 bytes. The item is the same in a plain frame and behind a
+// link header, and decodes back to the δ-group under its key.
+func TestItemBytesByDatatype(t *testing.T) {
+	for _, c := range []struct {
+		name, key string
+		delta     lattice.State
+		item, v2  string // key, then the δ-group
+		saved     int
+	}{
+		{"counter", "c/n00000042", crdt.NewGCounter().IncDelta("store-01", 7),
+			"0b632f6e3030303030303432" + "05010873746f72652d303107",
+			"0b632f6e3030303030303432" + "41" + "05010873746f72652d303107", 1},
+		{"set", "s/n00000043", crdt.NewGSet("e137"),
+			"0b732f6e3030303030303433" + "07010465313337",
+			"0b732f6e3030303030303433" + "41" + "07010465313337", 1},
+		{"map field", "m/n000000/f44", lattice.NewMapEntry("m/n000000/f44", &crdt.LWWRegister{TS: 1, Writer: "store-01", Val: "1y2p0ij32e8e7"}),
+			"0d6d2f6e3030303030302f663434" + "0b" + "09010873746f72652d30310d3179327030696a333265386537",
+			"0d6d2f6e3030303030302f663434" + "41" + "04" + "01" + "0d6d2f6e3030303030302f663434" + "09010873746f72652d30310d3179327030696a333265386537", 16},
+	} {
+		if saved := (len(c.v2) - len(c.item)) / 2; saved != c.saved {
+			t.Errorf("%s: %d bytes shorter than version 2, want %d", c.name, saved, c.saved)
+		}
+		plain := protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 5, Msg: protocol.BatchOf([]protocol.ObjectMsg{
+			{Key: c.key, Inner: protocol.NewDeltaMsg(c.delta)},
+		})}})
+		data, err := codec.EncodeMsg(plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// tagShardedMsg, 1 item, shard 5, a batch of 1.
+		if got, want := hex.EncodeToString(data), "48"+"01"+"05"+"4701"+c.item; got != want {
+			t.Errorf("%s, plain frame\n got %s\nwant %s", c.name, got, want)
+		}
+		numbered := protocol.LinkHeader{Seq: protocol.FrameSeq{Seq: 1}}
+		linked, err := codec.AppendLinkShardItem(codec.AppendShardedHeader(nil, numbered, nil, 1),
+			protocol.ShardItem{Shard: 5, Msg: protocol.BatchOf([]protocol.ObjectMsg{
+				{Key: c.key, Inner: protocol.NewAckedDeltaMsg(c.delta, []uint64{1})},
+			})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Frame 1, waiting on nothing before it, 1 item.
+		if got, want := hex.EncodeToString(linked), "4f"+"0100"+"01"+"05"+"4701"+c.item; got != want {
+			t.Errorf("%s, linked frame\n got %s\nwant %s", c.name, got, want)
+		}
+		var v codec.FrameView
+		for _, frame := range [][]byte{data, linked} {
+			m, _, err := codec.DecodeMsg(frame)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			om := m.(*protocol.ShardedMsg).Items[0].Msg.(*protocol.BatchMsg).Items[0]
+			if d, ok := om.Inner.(*protocol.DeltaMsg); !ok || om.Key != c.key || !d.Delta.Equal(c.delta) {
+				t.Errorf("%s: decoded %q ↦ %v, want %q ↦ %v", c.name, om.Key, om.Inner, c.key, c.delta)
+			}
+			if err := codec.UnpackFrame(frame, 8, &v); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			iv := &v.Groups()[0].Items[0]
+			if m, _ := iv.Msg(); string(iv.Key) != c.key || !m.(*protocol.DeltaMsg).Delta.Equal(c.delta) {
+				t.Errorf("%s: unpacked %q ↦ %v, want %q ↦ %v", c.name, iv.Key, m, c.key, c.delta)
+			}
+		}
 	}
 }

@@ -18,6 +18,18 @@
 // tags are reserved. Each message has one encoder (appendMsg) and one
 // decoder (decodeMsg); UnpackFrame (unpack.go) reads a frame's items
 // through that decoder.
+//
+// A keyed item of a per-object batch — the key, then one object's message
+// — says each thing once (wire version 3): a δ-group is its state alone,
+// with no DeltaMsg tag, since state tags (1–10, and tagKeyEntry's 11) and
+// message tags (64 on) do not overlap, and a map field's δ-group, the
+// one-entry map {key ↦ v} under its own key, is tagKeyEntry and v. An
+// AckedDeltaMsg keeps its tag.
+// One writer (appendObjectMsg) and one reader (readObjectMsg) hold the
+// rule, and the reader refuses the second spellings: a DeltaMsg tag, and
+// the long form of a map field. States outside a keyed item — a bare
+// DeltaMsg, a map's values, a snapshot record — keep the context-free
+// encoding.
 package codec
 
 import (
@@ -43,6 +55,10 @@ const (
 	tagTwoPSet
 	tagLWW
 	tagAWSet
+	// tagKeyEntry is no state of its own. Inside a keyed item it is the
+	// one-entry map {item key ↦ value}, a map field's δ-group, followed by
+	// the value alone (readObjectMsg); everywhere else it is refused.
+	tagKeyEntry
 )
 
 // ErrUnknownTag reports an unrecognized type tag in the input.

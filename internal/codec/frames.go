@@ -34,12 +34,13 @@ func AppendShardItem(b []byte, it protocol.ShardItem) ([]byte, error) {
 	return appendMsg(b, it.Msg)
 }
 
-// AppendObjectMsg appends one object message's wire encoding (key + inner
-// message) — the sub-unit used when a single shard's batch must split
-// across frames.
+// AppendObjectMsg appends one object message's wire encoding, a keyed
+// item: the key, then a δ-group as its state alone (a map field's as
+// tagKeyEntry and the field's value), or an AckedDeltaMsg under its tag.
+// It is the sub-unit used when a single shard's batch must split across
+// frames.
 func AppendObjectMsg(b []byte, it protocol.ObjectMsg) ([]byte, error) {
-	b = appendString(b, it.Key)
-	return appendMsg(b, it.Inner)
+	return appendObjectMsg(b, it, false)
 }
 
 // AppendLinkShardItem is AppendShardItem for a frame that is acknowledged
@@ -47,7 +48,8 @@ func AppendObjectMsg(b []byte, it protocol.ObjectMsg) ([]byte, error) {
 // batch — the keyed δ-group a sender records against the frame's number —
 // is written as the plain δ-group a DeltaMsg is. Its entry seqs stay
 // behind, in the sender's record of the frame. Everything else, an
-// AckedDeltaMsg that is the whole item included, is written as ever.
+// AckedDeltaMsg that is the whole item included, is written as
+// AppendShardItem writes it.
 func AppendLinkShardItem(b []byte, it protocol.ShardItem) ([]byte, error) {
 	bm, ok := it.Msg.(*protocol.BatchMsg)
 	if !ok {
@@ -66,11 +68,7 @@ func AppendLinkShardItem(b []byte, it protocol.ShardItem) ([]byte, error) {
 
 // AppendLinkObjectMsg is AppendObjectMsg under the same rule.
 func AppendLinkObjectMsg(b []byte, it protocol.ObjectMsg) ([]byte, error) {
-	b = appendString(b, it.Key)
-	if v, ok := it.Inner.(*protocol.AckedDeltaMsg); ok {
-		return appendState(append(b, tagDeltaMsg), v.Delta), nil
-	}
-	return appendMsg(b, it.Inner)
+	return appendObjectMsg(b, it, true)
 }
 
 // Link header flags: which fields follow the tag of a frame in the link

@@ -129,6 +129,15 @@ func FuzzDecodeMsg(f *testing.F) {
 	// incarnation is zero.
 	seed(protocol.NewHelloMsg(1, 64, 0, []string{"s-01"}))
 	f.Add([]byte{77, 2, 64, 0, 0, 0, 0, 0})
+	// Every form of a keyed item, and every spelling refused in one or of
+	// tagKeyEntry outside one.
+	forms, refused := keyedFrames()
+	for _, data := range forms {
+		f.Add(data)
+	}
+	for _, data := range sortedValues(refused) {
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, n, err := codec.DecodeMsg(data)

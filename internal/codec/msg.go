@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 
+	"crdtsync/internal/lattice"
 	"crdtsync/internal/protocol"
 )
 
@@ -17,6 +18,8 @@ import (
 // header replaced, and to the link header's wire version 1 form, a flag
 // byte after one tag: their values stay reserved, EncodeMsg has no format
 // for those messages and the decoders refuse the tags like any unknown one.
+// Inside a keyed item a DeltaMsg goes without its tag (readObjectMsg), and
+// tagDeltaMsg is refused there too.
 const (
 	tagStateMsg byte = iota + 64 // retired
 	tagDeltaMsg
@@ -205,6 +208,85 @@ func appendMsg(b []byte, m protocol.Msg) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("codec: no wire format for message %T", m)
 	}
+}
+
+// appendObjectMsg appends one keyed item of a per-object batch: the key,
+// then the inner message. A δ-group is its state alone, and a map field's,
+// the one-entry map {key ↦ v}, is tagKeyEntry and v. An AckedDeltaMsg keeps
+// its tag and entry seqs, unless link is set: behind a link header, which
+// acknowledges the frame as a whole, it is the plain δ-group.
+func appendObjectMsg(b []byte, it protocol.ObjectMsg, link bool) ([]byte, error) {
+	b = appendString(b, it.Key)
+	var s lattice.State
+	switch v := it.Inner.(type) {
+	case *protocol.DeltaMsg:
+		s = v.Delta
+	case *protocol.AckedDeltaMsg:
+		if !link {
+			return appendMsg(b, v)
+		}
+		s = v.Delta
+	default:
+		return nil, fmt.Errorf("codec: no keyed wire format for message %T", it.Inner)
+	}
+	if e, ok := soleEntry(s); ok && e.Key == it.Key {
+		return appendState(append(b, tagKeyEntry), e.Val), nil
+	}
+	return appendState(b, s), nil
+}
+
+// soleEntry returns the entry of a one-entry map.
+func soleEntry(s lattice.State) (lattice.MapEntry, bool) {
+	if m, ok := s.(*lattice.Map); ok && m.Len() == 1 {
+		return m.Sorted()[0], true
+	}
+	return lattice.MapEntry{}, false
+}
+
+// readObjectMsg reads the keyed item data starts with, as appendObjectMsg
+// writes it, and returns its key and the inner message's encoding, both
+// aliasing data, the message decoded, and the item's length. The second
+// spellings are refused: a DeltaMsg's tag before a state (ErrUnknownTag,
+// as for any message but an AckedDeltaMsg), the long form of a map field,
+// and the short form of an empty one.
+func readObjectMsg(data []byte) (key, payload []byte, m protocol.Msg, n int, err error) {
+	klen, n, err := readUvarint(data)
+	if err != nil {
+		return nil, nil, nil, 0, err
+	}
+	if klen >= uint64(len(data)-n) { // and at least one byte of message
+		return nil, nil, nil, 0, ErrTruncated
+	}
+	key, data = data[n:n+int(klen)], data[n+int(klen):]
+	n += int(klen)
+	var s lattice.State
+	var sn int
+	switch data[0] {
+	case tagAckedDeltaMsg:
+		if m, sn, err = decodeMsg(data, 0); err != nil {
+			return nil, nil, nil, 0, err
+		}
+		return key, data[:sn], m, n + sn, nil
+	case tagKeyEntry:
+		var v lattice.State
+		v, sn, err = readStateDepth(data[1:], 1)
+		switch {
+		case err != nil:
+		case v.IsBottom():
+			err = fmt.Errorf("codec: map field %q with no value", key)
+		default:
+			s, sn = lattice.NewMapEntry(string(key), v), sn+1
+		}
+	default:
+		s, sn, err = readState(data)
+		if e, ok := soleEntry(s); ok && e.Key == string(key) {
+			err = fmt.Errorf("codec: map field %q in the long form", key)
+		}
+	}
+	if err != nil {
+		return nil, nil, nil, 0, err
+	}
+	return key, data[:sn], protocol.NewDeltaMsg(s), n + sn, nil
 }
 
 // shardedHeader is a parsed sharded frame header, plain, with a digest
@@ -423,17 +505,12 @@ func readMsgBody(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
 		n += m
 		items := make([]protocol.ObjectMsg, 0, capHint(count, data[n:]))
 		for i := uint64(0); i < count; i++ {
-			k, m2, err := readString(data[n:])
+			k, _, inner, m2, err := readObjectMsg(data[n:])
 			if err != nil {
 				return nil, 0, err
 			}
 			n += m2
-			inner, m3, err := decodeMsg(data[n:], depth+1)
-			if err != nil {
-				return nil, 0, err
-			}
-			n += m3
-			items = append(items, protocol.ObjectMsg{Key: k, Inner: inner})
+			items = append(items, protocol.ObjectMsg{Key: string(k), Inner: inner})
 		}
 		return protocol.BatchOf(items), n, nil
 

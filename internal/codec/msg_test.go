@@ -5,12 +5,16 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"reflect"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"crdtsync/internal/codec"
 	"crdtsync/internal/crdt"
+	"crdtsync/internal/lattice"
 	"crdtsync/internal/protocol"
 	"crdtsync/internal/vclock"
 )
@@ -665,4 +669,161 @@ func TestShardedLinkHostileHeaders(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { codec.UnpackFrame(hostile, 4, &v) }); allocs != 0 {
 		t.Errorf("rejecting a hostile range count allocates %.1f times", allocs)
 	}
+}
+
+// lwwBytes is LWWRegister{TS: 1, Writer: "w", Val: "v"} encoded: a map
+// field's value.
+var lwwBytes = []byte{9, 1, 1, 'w', 1, 'v'}
+
+// keyedFrame is a plain sharded frame of one item on shard 0, a batch of
+// one keyed item under key "k" whose message is body.
+func keyedFrame(body ...[]byte) []byte {
+	data := []byte{72, 1, 0, 71, 1, 1, 'k'}
+	for _, b := range body {
+		data = append(data, b...)
+	}
+	return data
+}
+
+// keyedFrames returns, as frames, one keyed item in each form it takes —
+// a counter's, a set's and a map field's δ-group, maps that are no field
+// of their key, and the per-object acked form, plainly and behind a link
+// header — and by name every spelling that is refused: second spellings
+// inside a keyed item, and tagKeyEntry anywhere else.
+func keyedFrames() (forms [][]byte, refused map[string][]byte) {
+	field := lattice.NewMapEntry("m/a/f", &crdt.LWWRegister{TS: 1, Writer: "w", Val: "v"})
+	two := lattice.NewMapEntry("m/a/f", lattice.NewMaxInt(3))
+	two.Set("m/a/g", lattice.NewMaxInt(4))
+	batch := protocol.BatchOf([]protocol.ObjectMsg{
+		{Key: "c/a", Inner: protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("w", 7))},
+		{Key: "s/a", Inner: protocol.NewDeltaMsg(crdt.NewGSet("e1", "e2"))},
+		{Key: "m/a/f", Inner: protocol.NewDeltaMsg(field)},
+		{Key: "m/a/g", Inner: protocol.NewDeltaMsg(field)}, // another key's field
+		{Key: "m/a/f", Inner: protocol.NewDeltaMsg(two)},   // two fields
+		{Key: "m/a/f", Inner: protocol.NewDeltaMsg(lattice.NewMap())},
+		{Key: "m/a/f", Inner: protocol.NewAckedDeltaMsg(field, []uint64{3})},
+	})
+	for _, m := range []protocol.Msg{
+		batch,
+		protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 1, Msg: batch}}),
+		protocol.NewShardedLinkMsg([]protocol.ShardItem{{Shard: 1, Msg: batch}}, nil, protocol.LinkHeader{Seq: protocol.FrameSeq{Seq: 1}}),
+	} {
+		data, err := codec.EncodeMsg(m)
+		if err != nil {
+			panic(err)
+		}
+		forms = append(forms, data)
+	}
+	refused = map[string][]byte{
+		"a DeltaMsg's tag before a state":    keyedFrame([]byte{65, 7, 1, 1, 'a'}),
+		"a map field in the long form":       keyedFrame([]byte{4, 1, 1, 'k'}, lwwBytes),
+		"a map field of no value":            keyedFrame([]byte{11, 7, 0}),
+		"a map field's value a map field":    keyedFrame([]byte{11, 11}, lwwBytes),
+		"the short form as a map's value":    keyedFrame([]byte{4, 1, 1, 'j', 11}, lwwBytes),
+		"the short form behind a DeltaMsg":   keyedFrame([]byte{65, 11}, lwwBytes),
+		"the short form as a bare item":      append([]byte{72, 1, 0, 11}, lwwBytes...),
+		"the short form in a bare DeltaMsg":  append([]byte{72, 1, 0, 65, 11}, lwwBytes...),
+		"the short form in a standalone one": append([]byte{65, 11}, lwwBytes...),
+		"a keyed item with no message":       {72, 1, 0, 71, 1, 1, 'k'},
+	}
+	return forms, refused
+}
+
+// TestKeyedItemSpellings: a keyed item has one spelling. Each form decodes
+// and re-encodes to the same bytes, through DecodeMsg and UnpackFrame
+// alike; every second spelling, and tagKeyEntry outside a keyed item — a
+// bare state, a map's value, a standalone DeltaMsg, a snapshot record — is
+// refused by both.
+func TestKeyedItemSpellings(t *testing.T) {
+	forms, refused := keyedFrames()
+	var v codec.FrameView
+	for i, data := range forms {
+		m, n, err := codec.DecodeMsg(data)
+		if err != nil || n != len(data) {
+			t.Fatalf("form %d: decoded %d of %d bytes: %v", i, n, len(data), err)
+		}
+		if again, _ := codec.EncodeMsg(m); !bytes.Equal(again, data) {
+			t.Errorf("form %d: %x re-encodes as %x", i, data, again)
+		}
+		if data[0] == 71 {
+			continue
+		}
+		if err := codec.UnpackFrame(data, 4, &v); err != nil || v.NumItems() != 7 {
+			t.Errorf("form %d: unpacked %d items: %v", i, v.NumItems(), err)
+		}
+	}
+	for name, data := range refused {
+		if _, _, err := codec.DecodeMsg(data); err == nil {
+			t.Errorf("%s: DecodeMsg accepted %x", name, data)
+		}
+		if err := codec.UnpackFrame(data, 4, &v); err == nil {
+			t.Errorf("%s: UnpackFrame accepted %x", name, data)
+		}
+	}
+	for _, data := range [][]byte{
+		append([]byte{11}, lwwBytes...),
+		append([]byte{4, 1, 1, 'k', 11}, lwwBytes...),
+	} {
+		if _, _, err := codec.Decode(data); !errors.Is(err, codec.ErrUnknownTag) {
+			t.Errorf("Decode(%x): error %v, want ErrUnknownTag", data, err)
+		}
+	}
+	// A DeltaMsg's tag in a keyed item is refused as an unknown one.
+	if _, _, err := codec.DecodeMsg(refused["a DeltaMsg's tag before a state"]); !errors.Is(err, codec.ErrUnknownTag) {
+		t.Errorf("a DeltaMsg's tag in a keyed item: error %v, want ErrUnknownTag", err)
+	}
+	// A snapshot record is a key and a state, read without the key's help.
+	payload := append([]byte{1, 'k', 11}, lwwBytes...)
+	snap := append([]byte("CSNP\x01"), 3, 0, 1, 1)
+	snap = binary.BigEndian.AppendUint32(snap, crc32.Checksum([]byte{0, 1, 1}, crc32.MakeTable(crc32.Castagnoli)))
+	snap = append(binary.AppendUvarint(snap, uint64(len(payload))), payload...)
+	snap = binary.BigEndian.AppendUint32(snap, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	if _, err := codec.DecodeSnapshot(snap, func(string, lattice.State) error { return nil }); !errors.Is(err, codec.ErrSnapshotCorrupt) || !strings.Contains(err.Error(), "unknown type tag") {
+		t.Errorf("a snapshot record in the short form: error %v, want an unknown tag", err)
+	}
+	// Only δ-groups are keyed items.
+	for _, m := range []protocol.Msg{protocol.NewTreeMsg(0, 0, nil, nil), protocol.NewDigestMsg(nil), protocol.BatchOf(nil)} {
+		if _, err := codec.AppendObjectMsg(nil, protocol.ObjectMsg{Key: "k", Inner: m}); err == nil {
+			t.Errorf("%s: encoded as a keyed item", m.Kind())
+		}
+	}
+}
+
+// TestKeyedItemHostileCount: a map field whose value claims 2^40 elements
+// over a few bytes is refused having allocated no more than the bytes that
+// are there: nothing the short form decodes is sized from a count.
+func TestKeyedItemHostileCount(t *testing.T) {
+	data := keyedFrame([]byte{11, 7}, binary.AppendUvarint(nil, 1<<40), []byte{1, 'a', 1, 'b', 1, 'c'})
+	var v codec.FrameView
+	if err := codec.UnpackFrame(data, 4, &v); !errors.Is(err, codec.ErrTruncated) {
+		t.Fatalf("error %v, want ErrTruncated", err)
+	}
+	if _, _, err := codec.DecodeMsg(data); !errors.Is(err, codec.ErrTruncated) {
+		t.Fatalf("eager decode: error %v, want ErrTruncated", err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 100
+	for i := 0; i < runs; i++ {
+		codec.UnpackFrame(data, 4, &v)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 16*uint64(len(data)) {
+		t.Fatalf("refusing %d hostile bytes allocates %d bytes", len(data), per)
+	}
+}
+
+// sortedValues returns m's values in the order of their names, so that a
+// fuzz target's seeds keep their numbers from run to run.
+func sortedValues(m map[string][]byte) [][]byte {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	out := make([][]byte, len(names))
+	for i, name := range names {
+		out[i] = m[name]
+	}
+	return out
 }

@@ -11,17 +11,21 @@ import (
 
 // Single-pass inbound frame unpacking. UnpackFrame is the mirror of the
 // single-pass packer: it walks the raw frame once, decoding each item with
-// the one message decoder (decodeMsg, so the decode is the item's extent
-// and its validation, under the eager decoder's hostile-input bounds),
+// the readers DecodeMsg uses (readObjectMsg for a keyed item, decodeMsg for
+// a bare one, so the decode is the item's extent and its validation, under
+// the eager decoder's hostile-input bounds),
 // flattens batches without materializing the ShardedMsg or BatchMsg
 // wrappers, and groups the items by shard into reusable views. A frame
 // either unpacks — every item decoded — or is refused whole, before its
 // receiver has touched a shard.
 //
-// The messages with a wire form are the ones a store sends: DeltaMsg and
-// AckedDeltaMsg items, batched per shard, a TreeMsg closing a drill, in
-// sharded frames; HelloMsg, DigestMsg and TreeMsg standalone (see the tag
-// block in msg.go for what is retired).
+// The messages with a wire form are the ones a store sends. In sharded
+// frames: keyed items, batched per shard — a δ-group as its state alone, a
+// map field's as tagKeyEntry and its value, an AckedDeltaMsg under its tag
+// (readObjectMsg) — and bare shard items under their message tags, of
+// which a TreeMsg closing a drill is the one stores send. Standalone:
+// HelloMsg, DigestMsg and TreeMsg (see the tag block in msg.go for what is
+// retired).
 //
 // A FrameView and everything it hands out is only valid until the next
 // Unpack on the same view, and an item's Key and Payload alias the frame
@@ -47,14 +51,16 @@ type ItemView struct {
 	// Key is the object key, aliasing the frame buffer; nil when the
 	// item did not come from a per-object batch.
 	Key []byte
-	// Payload is the inner message's full encoding (tag byte included),
-	// aliasing the frame buffer.
+	// Payload is the inner message's full encoding (its first byte
+	// included), aliasing the frame buffer. A keyed δ-group's is its state,
+	// or tagKeyEntry and a map field's value.
 	Payload []byte
 
 	msg protocol.Msg // Payload, decoded by the walk that found its extent
 }
 
-// Tag returns the payload's wire tag.
+// Tag returns the payload's first byte: a message tag, or on a keyed
+// δ-group the state's tag, tagKeyEntry for a map field.
 func (iv *ItemView) Tag() byte { return iv.Payload[0] }
 
 // IsAckTag reports whether tag names a per-object acknowledgement or a
@@ -234,8 +240,8 @@ func (v *FrameView) appendItem(d []byte, shard uint32, keep bool) (int, error) {
 		}
 		return n, nil
 	}
-	// A batch: each (key, inner message) pair becomes its own view, as the
-	// batch case of readMsgBody would read it. The batch-level wrapper is
+	// A batch: each keyed item becomes its own view, read by the reader the
+	// batch case of readMsgBody reads it with. The batch-level wrapper is
 	// never materialized on the receive path.
 	count, n, err := readUvarint(d[1:])
 	if err != nil {
@@ -243,23 +249,14 @@ func (v *FrameView) appendItem(d []byte, shard uint32, keep bool) (int, error) {
 	}
 	n++
 	for i := uint64(0); i < count; i++ {
-		klen, m, err := readUvarint(d[n:])
-		if err != nil {
-			return 0, err
-		}
-		if klen > uint64(len(d)-n-m) {
-			return 0, ErrTruncated
-		}
-		key := d[n+m : n+m+int(klen)]
-		n += m + int(klen)
-		msg, inner, err := decodeMsg(d[n:], 2)
+		key, payload, msg, m, err := readObjectMsg(d[n:])
 		if err != nil {
 			return 0, err
 		}
 		if keep {
-			v.items = append(v.items, ItemView{Shard: shard, Key: key, Payload: d[n : n+inner], msg: msg})
+			v.items = append(v.items, ItemView{Shard: shard, Key: key, Payload: payload, msg: msg})
 		}
-		n += inner
+		n += m
 	}
 	return n, nil
 }

@@ -12,6 +12,7 @@ import (
 
 	"crdtsync/internal/codec"
 	"crdtsync/internal/crdt"
+	"crdtsync/internal/lattice"
 	"crdtsync/internal/protocol"
 )
 
@@ -259,22 +260,33 @@ func TestUnpackFrameHostile(t *testing.T) {
 	})), 4, &v)
 }
 
-// TestItemViewTags: an item's view carries its wire tag, and an item with
-// one of the tags IsAckTag names is not skipped by tag any more — no such
-// message has a wire form, so the frame it sits in is refused whole, what
-// unpacked before it included.
+// TestItemViewTags: an item's view carries its payload's first byte — on a
+// keyed δ-group the state's tag, tagKeyEntry (11) for a map field — and
+// an item with one of the tags IsAckTag names is not skipped by tag any
+// more — no such message has a wire form, so the frame it sits in is
+// refused whole, what unpacked before it included.
 func TestItemViewTags(t *testing.T) {
 	var v codec.FrameView
 	good, err := codec.AppendShardItem(nil, unpackBatch(1, "k"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := append(codec.AppendShardedHeader(nil, protocol.LinkHeader{}, nil, 1), good...)
+	field, err := codec.AppendShardItem(nil, protocol.ShardItem{Shard: 1, Msg: protocol.BatchOf([]protocol.ObjectMsg{
+		{Key: "m/a/f", Inner: protocol.NewDeltaMsg(lattice.NewMapEntry("m/a/f", &crdt.LWWRegister{TS: 1, Writer: "r", Val: "v"}))},
+		{Key: "k", Inner: protocol.NewAckedDeltaMsg(crdt.NewGSet("x"), []uint64{2})},
+	})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := append(codec.AppendShardedHeader(nil, protocol.LinkHeader{}, nil, 2), good...)
+	data = append(data, field...)
 	if err := codec.UnpackFrame(data, 4, &v); err != nil {
 		t.Fatalf("UnpackFrame: %v", err)
 	}
-	if iv := &v.Groups()[0].Items[0]; iv.Tag() != 65 || codec.IsAckTag(iv.Tag()) {
-		t.Fatalf("delta item has tag %d, classified as ack: %v", iv.Tag(), codec.IsAckTag(iv.Tag()))
+	for i, want := range []byte{7, 11, 66} { // GSet state, map field, the per-object acked form
+		if iv := &v.Groups()[0].Items[i]; iv.Tag() != want || codec.IsAckTag(iv.Tag()) {
+			t.Fatalf("item %d has tag %d, classified as ack: %v; want tag %d", i, iv.Tag(), codec.IsAckTag(iv.Tag()), want)
+		}
 	}
 	for _, c := range []struct {
 		tag  byte
@@ -444,6 +456,15 @@ func FuzzUnpackFrame(f *testing.F) {
 		seed(m)
 	}
 	for _, data := range refusedLinkTags() {
+		f.Add(data)
+	}
+	// Every form of a keyed item, and every spelling refused in one or of
+	// tagKeyEntry outside one.
+	forms, refused := keyedFrames()
+	for _, data := range forms {
+		f.Add(data)
+	}
+	for _, data := range sortedValues(refused) {
 		f.Add(data)
 	}
 

@@ -110,8 +110,10 @@ func (r *Reach) Withheld() uint64 { return r.withheld.Load() }
 
 // WireVersion is what a HelloMsg says of the encoding its sender speaks.
 // A store refuses a connection that announces another. Version 2 moved the
-// sender's incarnation out of every numbered frame and into the hello.
-const WireVersion = 2
+// sender's incarnation out of every numbered frame and into the hello;
+// version 3 writes a keyed δ-group as its state alone, and a map field's
+// without its key's second spelling.
+const WireVersion = 3
 
 // HelloMsg is how a connection introduces itself: the first frame a store
 // writes on every connection it establishes, written again whenever the

@@ -146,6 +146,9 @@ type peerConn struct {
 	// queued (connect); it stays set, and the writer keeps trying at the
 	// backoff's pace, until a dial succeeds.
 	dialWanted bool
+	// fw is the writer goroutine's own, unguarded: every frame and hello
+	// leaves through it.
+	fw frameWriter
 }
 
 // enqueue appends one frame, evicting oldest queued frames while either
@@ -240,7 +243,7 @@ func (pc *peerConn) write(frame []byte) {
 	}
 	err := pc.writeHello(conn)
 	if err == nil && frame != nil {
-		err = writeFrame(conn, "", frame) // the hello named the sender
+		err = pc.fw.write(conn, "", frame) // the hello named the sender
 	}
 	if err != nil {
 		pc.disconnect(conn)
@@ -264,7 +267,7 @@ func (pc *peerConn) writeHello(conn net.Conn) error {
 	if !due {
 		return nil
 	}
-	return writeFrame(conn, pc.p.id, pc.p.hello(pc.p.up()))
+	return pc.fw.write(conn, pc.p.id, pc.p.hello(pc.p.up()))
 }
 
 // markHealthy resets the backoff after a successful write — not after a

@@ -751,7 +751,7 @@ func (c *core) transmit(to string, data []byte, cost metrics.Transmission, kind 
 }
 
 // tally counts one frame of this store's on t, as many bytes as it takes on
-// the socket (writeFrame): a hello names the sender, no other frame does.
+// the socket (frameWriter): a hello names the sender, no other frame does.
 func (c *core) tally(data []byte, cost metrics.Transmission, kind frameKind, t *wireTally) {
 	t.frames++
 	t.wireBytes += frameHeaderBytes + len(data)

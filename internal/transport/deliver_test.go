@@ -209,7 +209,8 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 			for _, g := range v.Groups() {
 				for i := range g.Items {
 					iv := &g.Items[i]
-					got = append(got, unit{shard: g.Shard, key: string(iv.Key), enc: string(iv.Payload)})
+					m, _ := iv.Msg()
+					got = append(got, unit{shard: g.Shard, key: string(iv.Key), enc: string(encodeFrame(t, m))})
 				}
 			}
 		}
@@ -241,17 +242,19 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 // decodes: the ways a frame can be bad past its first shard group.
 func corruptLastItem(t testing.TB, frame []byte, key string) map[string][]byte {
 	t.Helper()
-	// The item is: shard, batch tag, count 1, key length, key, message tag
-	// (a DeltaMsg), state tag (a GSet), element count, elements.
+	// The item is: shard, batch tag, count 1, key length, key, and the
+	// δ-group as its state alone: state tag (a GSet), element count,
+	// elements.
 	at := bytes.LastIndex(frame, []byte(key)) + len(key)
-	if at < len(key) || frame[at] != 65 || frame[at+1] != 7 {
+	if at < len(key) || frame[at] != 7 {
 		t.Fatalf("no δ-group of a GSet under key %q at the end of the frame", key)
 	}
 	out := make(map[string][]byte)
 	for name, edit := range map[string]func(item []byte){
-		"unknown state tag":   func(item []byte) { item[1] = 0xee },
-		"truncated set":       func(item []byte) { item[2]++ },    // one element more than there are bytes for
-		"retired message tag": func(item []byte) { item[0] = 64 }, // a StateMsg, whose body was a DeltaMsg's
+		"unknown state tag":   func(item []byte) { item[0] = 0xee },
+		"truncated set":       func(item []byte) { item[1]++ },    // one element more than there are bytes for
+		"retired message tag": func(item []byte) { item[0] = 64 }, // a StateMsg, whose body was a state
+		"a DeltaMsg's tag":    func(item []byte) { item[0] = 65 }, // which a keyed item no longer spells
 	} {
 		bad := bytes.Clone(frame)
 		edit(bad[at:])

@@ -121,9 +121,12 @@ func TestHelloRefusesSkew(t *testing.T) {
 	t.Run("version", func(t *testing.T) {
 		s := newTickStore(t)
 		// The version before the incarnation moved into the hello, which
-		// says it the way it did, and one that is yet to come.
+		// says it the way it did; the one before keyed items went without
+		// the δ-group's tag, whose hello is this version's in all but the
+		// number; and one that is yet to come.
 		for i, hello := range []*protocol.HelloMsg{
 			protocol.NewHelloMsg(1, uint32(len(s.shards)), 0, []string{"p2"}),
+			protocol.NewHelloMsg(2, uint32(len(s.shards)), testPeerInc, []string{"p2"}),
 			protocol.NewHelloMsg(protocol.WireVersion+1, uint32(len(s.shards)), testPeerInc, []string{"p2"}),
 		} {
 			if err := s.deliver("p1", encodeFrame(t, hello)); err == nil {

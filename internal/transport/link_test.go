@@ -680,7 +680,8 @@ func TestLinkAckLosslessMeshShipsEachEntryOnce(t *testing.T) {
 	if got := total.Withheld - warm.Withheld; got == 0 || got > 2*writes {
 		t.Errorf("%d forwards withheld for %d updates, want up to one by each of the two receivers", got, writes)
 	}
-	deltaTag := encodeFrame(t, protocol.NewDeltaMsg(crdt.NewGSet("x")))[0]
+	// A keyed δ-group is its state alone: the item's tag is the GSet's.
+	setTag := codec.Encode(crdt.NewGSet("x"))[0]
 	tap.mu.Lock()
 	defer tap.mu.Unlock()
 	var v codec.FrameView
@@ -698,8 +699,9 @@ func TestLinkAckLosslessMeshShipsEachEntryOnce(t *testing.T) {
 		for _, g := range v.Groups() {
 			for i := range g.Items {
 				groups++
-				if tag := g.Items[i].Tag(); codec.IsAckTag(tag) || tag != deltaTag || g.Items[i].Key == nil {
-					t.Fatalf("item with tag %d (key %q) on the wire, want only keyed δ-groups tagged %d", tag, g.Items[i].Key, deltaTag)
+				m, _ := g.Items[i].Msg()
+				if _, delta := m.(*protocol.DeltaMsg); codec.IsAckTag(g.Items[i].Tag()) || g.Items[i].Tag() != setTag || g.Items[i].Key == nil || !delta {
+					t.Fatalf("%T item with tag %d (key %q) on the wire, want only keyed δ-groups of GSets, tagged %d", m, g.Items[i].Tag(), g.Items[i].Key, setTag)
 				}
 			}
 		}

@@ -8,9 +8,11 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"crdtsync/internal/codec"
 	"crdtsync/internal/lattice"
 	"crdtsync/internal/protocol"
 	"crdtsync/internal/workload"
@@ -115,9 +117,19 @@ func (p simPort) transmit(to string, data []byte) error {
 func (simPort) connect(string) bool { return true }
 func (p simPort) announce()         { p.s.announce(p.from) }
 
-// simType is every scenario's datatype: the sequential join of a counter's
-// increments is its exact written value.
-var simType workload.Datatype = workload.GCounterType{}
+// simObjType is the store's prefix schema, every scenario's: c/ counters,
+// s/ sets, and map fields under every other key, m/<map>/<field> — each
+// with its own one-entry map, and its own δ-group item form on the wire.
+func simObjType(key string) workload.Datatype {
+	switch {
+	case strings.HasPrefix(key, "c/"):
+		return workload.GCounterType{}
+	case strings.HasPrefix(key, "s/"):
+		return workload.GSetType{}
+	default:
+		return workload.LWWMapType{}
+	}
+}
 
 type sim struct {
 	t     testing.TB
@@ -131,8 +143,13 @@ type sim struct {
 	seq   int64
 	// trace hashes (now, from, to, bytes) of every frame handed to a link.
 	trace hash.Hash64
+	// onSend, when not nil, is shown every frame handed to a link.
+	onSend func(data []byte)
 	// ref is the sequential join of every op issued.
 	ref map[string]lattice.State
+	// ops counts the ops issued, which names each set element and field
+	// value: every write changes what it writes to.
+	ops int
 }
 
 // newSim starts n fully meshed replicas of cfg, named s-00, s-01, …, each
@@ -154,7 +171,7 @@ func newSim(t testing.TB, seed int64, n int, cfg StoreConfig) *sim {
 		s.index[ids[i]] = i
 	}
 	cfg.Nodes = ids
-	cfg.ObjType = func(string) workload.Datatype { return simType }
+	cfg.ObjType = simObjType
 	cfg.SyncEvery = time.Duration(simPeriod)
 	for i, id := range ids {
 		cfg.ID = id
@@ -217,6 +234,9 @@ func (s *sim) send(from, to int, data []byte) {
 	binary.BigEndian.PutUint64(hdr[24:], uint64(len(data)))
 	s.trace.Write(hdr[:])
 	s.trace.Write(data)
+	if s.onSend != nil {
+		s.onSend(data)
+	}
 	l := s.links[from][to]
 	l.sent++
 	if l.severed || l.lose != nil && l.lose(l.sent) || l.drop > 0 && s.rng.Float64() < l.drop {
@@ -302,23 +322,39 @@ func (s *sim) step(n *simNode) {
 // update applies op at replica i, and to the sequential join.
 func (s *sim) update(i int, op workload.Op) {
 	n := s.nodes[i]
+	dt := simObjType(op.Key)
 	ref := s.ref[op.Key]
 	if ref == nil {
-		ref = simType.New()
+		ref = dt.New()
 		s.ref[op.Key] = ref
 	}
-	ref.Merge(simType.Delta(ref, n.cfg.ID, op))
+	ref.Merge(dt.Delta(ref, n.cfg.ID, op))
+	s.ops++
 	if n.update(op) {
 		n.due = s.now
 	}
 }
 
-// write increments keys prefix-000, prefix-001, … by by, the k-th from
-// replica k mod n, with up to gap of the clock, drawn from the seed, after
-// each.
+// write writes keys 0 to keys-1 under prefix, the k-th from replica k mod
+// n, with up to gap of the clock, drawn from the seed, after each. Each
+// replica's keys take the three datatypes in turn: counter c/prefix-k,
+// incremented by by; set s/prefix-k, given a new element; map field
+// m/prefix-k/f, given a new value. A field has one writer, as it must for
+// its last writer to be the sequential join's: its LWW version is what the
+// writer has seen, plus one.
 func (s *sim) write(prefix string, keys int, by uint64, gap int64) {
 	for k := 0; k < keys; k++ {
-		s.update(k%len(s.nodes), workload.Inc(fmt.Sprintf("%s-%03d", prefix, k), by))
+		name := fmt.Sprintf("%s-%03d", prefix, k)
+		var op workload.Op
+		switch k / len(s.nodes) % 3 {
+		case 0:
+			op = workload.Inc("c/"+name, by)
+		case 1:
+			op = workload.Add("s/"+name, fmt.Sprintf("e%d", s.ops))
+		default:
+			op = workload.Put("m/"+name+"/f", fmt.Sprintf("v%d", s.ops))
+		}
+		s.update(k%len(s.nodes), op)
 		s.run(s.now + s.rng.Int63n(gap))
 	}
 }
@@ -394,7 +430,7 @@ func (s *sim) settle() {
 			if !lastWords {
 				lastWords = true
 				for i, n := range s.nodes {
-					s.update(i, workload.Inc("last-word-"+n.cfg.ID, 1))
+					s.update(i, workload.Inc("c/last-word-"+n.cfg.ID, 1))
 				}
 			}
 		}
@@ -415,8 +451,9 @@ func simConfig(engine protocol.Factory, digestEvery int) StoreConfig {
 // frames while those behind them go first — or deliver some twice, lose
 // nothing. The plain delta engine with
 // digests off has no repair path at all, so the oracle — every counter its
-// written value on every replica — holds only if neither fault ever loses
-// or double-counts a frame.
+// written value, every set and map field the sequential join, on every
+// replica — holds only if neither fault ever loses or double-counts a
+// frame.
 func TestSimReorderOrDuplicateIsLossless(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -547,10 +584,12 @@ func TestSimOneWayBlackholeHeals(t *testing.T) {
 // simLossReorderPartition is the battery's faults together on the acked
 // engine with digests: a fifth of all frames lost and frames overtaking
 // each other on every link, plus a partition that isolates s-00 while
-// writes land on both sides, healed after them.
-func simLossReorderPartition(t testing.TB, seed int64) *sim {
+// writes land on both sides, healed after them. onSend, when not nil, is
+// shown every frame handed to a link after the first hellos.
+func simLossReorderPartition(t testing.TB, seed int64, onSend func(data []byte)) *sim {
 	const keys = 120
 	s := newSim(t, seed, 3, simConfig(protocol.NewDeltaAcked(true, true), 2))
+	s.onSend = onSend
 	s.eachLink(func(l *simLink) { l.drop, l.jitter = 0.2, simPeriod/5 })
 	for j := 1; j < 3; j++ {
 		s.links[0][j].severed, s.links[j][0].severed = true, true
@@ -568,10 +607,38 @@ func simLossReorderPartition(t testing.TB, seed int64) *sim {
 }
 
 // TestSimLossReorderAndPartitionConverge: under loss, reordering and a
-// partition, every counter ends at exactly its written value on every
-// replica once the partition heals.
+// partition, every counter, set and map field ends at exactly the
+// sequential join of its writes on every replica once the partition heals.
+// The frames carry each datatype's item form: a counter's and a set's
+// δ-group as its state, a map field's in the short form.
 func TestSimLossReorderAndPartitionConverge(t *testing.T) {
-	forSeeds(func(seed int64) { simLossReorderPartition(t, seed) })
+	forms := make(map[byte]int)
+	var v codec.FrameView
+	count := func(data []byte) {
+		if codec.UnpackFrame(data, 8, &v) != nil {
+			return // a hello or an advertisement
+		}
+		for _, g := range v.Groups() {
+			for i := range g.Items {
+				if g.Items[i].Key != nil {
+					forms[g.Items[i].Tag()]++
+				}
+			}
+		}
+	}
+	forSeeds(func(seed int64) {
+		if seed == 1 {
+			simLossReorderPartition(t, seed, count)
+		} else {
+			simLossReorderPartition(t, seed, nil)
+		}
+	})
+	// GCounter, GSet, and tagKeyEntry with an LWW register.
+	for _, tag := range []byte{5, 7, 11} {
+		if forms[tag] == 0 {
+			t.Errorf("no keyed item tagged %d on the wire, among %v", tag, forms)
+		}
+	}
 }
 
 // TestSimIsDeterministic: a run replays from its seed. Two runs of one seed
@@ -580,8 +647,8 @@ func TestSimLossReorderAndPartitionConverge(t *testing.T) {
 func TestSimIsDeterministic(t *testing.T) {
 	var last uint64
 	forSeeds(func(seed int64) {
-		a := simLossReorderPartition(t, seed).trace.Sum64()
-		if b := simLossReorderPartition(t, seed).trace.Sum64(); a != b {
+		a := simLossReorderPartition(t, seed, nil).trace.Sum64()
+		if b := simLossReorderPartition(t, seed, nil).trace.Sum64(); a != b {
 			t.Fatalf("seed %d ran twice: traces %x and %x", seed, a, b)
 		}
 		if a == last {
@@ -613,7 +680,7 @@ func TestSimOneLostFrameResendsOnlyItsEntries(t *testing.T) {
 		s.runTo(sender, simPeriod)
 		for f := 1; f <= frames; f++ {
 			for i := 0; i < perFrame; i++ {
-				s.update(0, workload.Inc(fmt.Sprintf("k%02d-%d", f, i), 1))
+				s.update(0, workload.Inc(fmt.Sprintf("c/k%02d-%d", f, i), 1))
 			}
 			for lk.sent < uint64(f) {
 				s.run(s.now + simPeriod/64)
@@ -659,7 +726,7 @@ func TestSimOneLostFrameResendsOnlyItsEntries(t *testing.T) {
 			s.fatalf("records kept from %d, waited for from %d, the lost one closed at %d; want %d, %d, %d",
 				lk.kept, lk.first, lk.rec(lost).closed, lost, frames+2, frames+2)
 		}
-		s.update(0, workload.Inc("one-more", 1))
+		s.update(0, workload.Inc("c/one-more", 1))
 		s.run(s.now + simPeriod)
 		if ps := link(); ps.InFlight != 0 || ps.LastAcked != frames+2 {
 			s.fatalf("after one more frame: %+v, want the mark at %d", ps, frames+2)

@@ -31,7 +31,7 @@ import (
 // length prefixes.
 const maxFrameBytes = 64 << 20
 
-// maxIDBytes is the longest replica id a frame can carry: writeFrame
+// maxIDBytes is the longest replica id a frame can carry: frameWriter
 // spends two bytes on the sender id's length.
 const maxIDBytes = 1<<16 - 1
 
@@ -42,15 +42,26 @@ const frameHeaderBytes = 4 + 2
 // ErrFrameTooLarge reports a frame exceeding maxFrameBytes.
 var ErrFrameTooLarge = errors.New("transport: frame too large")
 
-// writeFrame emits [len][from][msg] with a 4-byte big-endian total length,
-// in one write: on TCP one writev of the header and the message, neither
+// frameWriter writes frames from buffers that live as long as their one
+// owner, a peer's writer goroutine: the header and the buffer list a
+// writev takes escape to the heap, and cost three allocations a frame when
+// they were each call's own.
+type frameWriter struct {
+	hdr  [frameHeaderBytes]byte
+	list [2][]byte
+	bufs net.Buffers
+}
+
+// write emits [len][from][msg] with a 4-byte big-endian total length, in
+// one write: on TCP one writev of the header and the message, neither
 // copied. from is empty for every frame but a hello.
-func writeFrame(w io.Writer, from string, msg []byte) error {
-	var hdr [frameHeaderBytes]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(2+len(from)+len(msg)))
-	binary.BigEndian.PutUint16(hdr[4:], uint16(len(from)))
-	bufs := net.Buffers{append(hdr[:], from...), msg}
-	_, err := bufs.WriteTo(w)
+func (fw *frameWriter) write(w io.Writer, from string, msg []byte) error {
+	binary.BigEndian.PutUint32(fw.hdr[:], uint32(2+len(from)+len(msg)))
+	binary.BigEndian.PutUint16(fw.hdr[4:], uint16(len(from)))
+	fw.list = [2][]byte{append(fw.hdr[:], from...), msg}
+	fw.bufs = fw.list[:]
+	_, err := fw.bufs.WriteTo(w)
+	fw.list = [2][]byte{} // the message is the caller's
 	return err
 }
 

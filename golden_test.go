@@ -149,18 +149,23 @@ func goldenItems(acked bool) []protocol.ShardItem {
 }
 
 // TestGoldenFrames pins the store's data frames byte for byte, at wire
-// version 3. The two plain variants are what a delta-engine store sends;
+// version 4. The two plain variants are what a delta-engine store sends;
 // the linked variants are what an acked store sends, the same items behind
 // a link header. Version 3 changed the keyed items alone: each δ-group is
 // its state, where versions 1 and 2 put a DeltaMsg tag (0x41) before it.
-// The per-object acked form, the headers, the hello's layout and the bare
-// items such as a drill's close did not move.
+// Version 4 changed the keys of a batch alone: the first is written whole,
+// every later one as the length of the prefix it shares with the key
+// before it, then the rest. "tags" shares nothing with "hits", so its
+// item is 1 byte longer than in version 3. The per-object acked form, the
+// headers, the hello's layout and the bare items such as a drill's close
+// did not move.
 func TestGoldenFrames(t *testing.T) {
 	// shard 3 | batch of 2 | "hits" δ(GCounter r0:7) | "tags" δ(GSet a b):
-	// each keyed δ-group is its key, then its state alone.
+	// each keyed δ-group is its key, then its state alone; the second key
+	// shares 0 bytes with the first, and its rest is all 4.
 	const items = "03" + "4702" +
 		"0468697473" + "0501027230" + "07" +
-		"0474616773" + "070201610162"
+		"00" + "0474616773" + "070201610162"
 	enc := func(m protocol.Msg) string {
 		data, err := codec.EncodeMsg(m)
 		if err != nil {
@@ -181,7 +186,7 @@ func TestGoldenFrames(t *testing.T) {
 	// unnumbered frame keeps: tagAckedDeltaMsg, the entry seqs, the δ.
 	if got, want := enc(protocol.NewShardedMsg(goldenItems(true))), "48"+"01"+"03"+"4702"+
 		"0468697473"+"42"+"020405"+"0501027230"+"07"+
-		"0474616773"+"42"+"0109"+"070201610162"; got != want {
+		"00"+"0474616773"+"42"+"0109"+"070201610162"; got != want {
 		t.Errorf("per-object acked frame\n got %s\nwant %s", got, want)
 	}
 	// What an acked store sends: the same δ-groups as the plain items
@@ -247,11 +252,11 @@ func TestGoldenFrames(t *testing.T) {
 	if got, want := enc(asking), "4e"+"02"+"0000000000000001"+"ffffffffffffffff"+"00"; got != want {
 		t.Errorf("asking advertisement\n got %s\nwant %s", got, want)
 	}
-	// A connection's first frame: tagHelloMsg, the wire version (3), the
+	// A connection's first frame: tagHelloMsg, the wire version (4), the
 	// shard count, the sender's incarnation, and the ids of the peers the
 	// sender's pipelines are up to.
 	if got, want := enc(protocol.NewHelloMsg(protocol.WireVersion, 64, 0xa1b2c3d4, []string{"s-01", "s-02"})),
-		"4d"+"03"+"40"+"a1b2c3d4"+"02"+"04"+"732d3031"+"04"+"732d3032"; got != want {
+		"4d"+"04"+"40"+"a1b2c3d4"+"02"+"04"+"732d3031"+"04"+"732d3032"; got != want {
 		t.Errorf("hello\n got %s\nwant %s", got, want)
 	}
 	// A drill's hash push: the children of a node go as the node's index
@@ -282,7 +287,8 @@ func TestGoldenFrames(t *testing.T) {
 // 2 wrote out whole — the tag, the map's tag and count, and the key a
 // second time — and version 3 writes as tagKeyEntry (0x0b) and the
 // register: 16 bytes. The item is the same in a plain frame and behind a
-// link header, and decodes back to the δ-group under its key.
+// link header, and decodes back to the δ-group under its key. Version 4
+// did not move it: it is the first item of its batch, whose key is whole.
 func TestItemBytesByDatatype(t *testing.T) {
 	for _, c := range []struct {
 		name, key string
@@ -342,6 +348,80 @@ func TestItemBytesByDatatype(t *testing.T) {
 			iv := &v.Groups()[0].Items[0]
 			if m, _ := iv.Msg(); string(iv.Key) != c.key || !m.(*protocol.DeltaMsg).Delta.Equal(c.delta) {
 				t.Errorf("%s: unpacked %q ↦ %v, want %q ↦ %v", c.name, iv.Key, m, c.key, c.delta)
+			}
+		}
+	}
+}
+
+// TestBatchKeysFrontCoded pins a batch of three counter δ-groups at the
+// keys the benchmark draws, at wire version 4 and as version 3 wrote it.
+// The first key is written whole; each later one shares "c/n000000" and
+// "4" with the key before it (0x0a bytes) and writes the one byte that
+// differs (0x01, then the byte), 3 bytes where version 3 wrote 12: 18
+// bytes saved over the batch. The batch is the same in a plain frame and
+// behind a link header, and decodes back to its keys and δ-groups.
+func TestBatchKeysFrontCoded(t *testing.T) {
+	const state = "05010873746f72652d303107" // GCounter store-01:7
+	keys := []string{"c/n00000042", "c/n00000045", "c/n00000048"}
+	const (
+		batch = "4703" +
+			"0b632f6e3030303030303432" + state +
+			"0a" + "0135" + state +
+			"0a" + "0138" + state
+		v3 = "4703" +
+			"0b632f6e3030303030303432" + state +
+			"0b632f6e3030303030303435" + state +
+			"0b632f6e3030303030303438" + state
+	)
+	if saved := (len(v3) - len(batch)) / 2; saved != 18 {
+		t.Errorf("%d bytes shorter than version 3, want 18", saved)
+	}
+	delta := crdt.NewGCounter().IncDelta("store-01", 7)
+	oms := func(acked bool) []protocol.ObjectMsg {
+		out := make([]protocol.ObjectMsg, len(keys))
+		for i, k := range keys {
+			out[i] = protocol.ObjectMsg{Key: k, Inner: protocol.NewDeltaMsg(delta)}
+			if acked {
+				out[i].Inner = protocol.NewAckedDeltaMsg(delta, []uint64{uint64(i + 1)})
+			}
+		}
+		return out
+	}
+	plain, err := codec.EncodeMsg(protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 5, Msg: protocol.BatchOf(oms(false))}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// tagShardedMsg, 1 item, shard 5.
+	if got, want := hex.EncodeToString(plain), "48"+"01"+"05"+batch; got != want {
+		t.Errorf("plain frame\n got %s\nwant %s", got, want)
+	}
+	linked, err := codec.AppendLinkShardItem(codec.AppendShardedHeader(nil, protocol.LinkHeader{Seq: protocol.FrameSeq{Seq: 1}}, nil, 1),
+		protocol.ShardItem{Shard: 5, Msg: protocol.BatchOf(oms(true))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Frame 1, waiting on nothing before it, 1 item, shard 5.
+	if got, want := hex.EncodeToString(linked), "4f"+"0100"+"01"+"05"+batch; got != want {
+		t.Errorf("linked frame\n got %s\nwant %s", got, want)
+	}
+	var v codec.FrameView
+	for _, frame := range [][]byte{plain, linked} {
+		m, _, err := codec.DecodeMsg(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := codec.UnpackFrame(frame, 8, &v); err != nil {
+			t.Fatal(err)
+		}
+		decoded, views := m.(*protocol.ShardedMsg).Items[0].Msg.(*protocol.BatchMsg).Items, v.Groups()[0].Items
+		if len(decoded) != len(keys) || len(views) != len(keys) {
+			t.Fatalf("decoded %d and unpacked %d items, want %d", len(decoded), len(views), len(keys))
+		}
+		for i, k := range keys {
+			um, _ := views[i].Msg()
+			if decoded[i].Key != k || string(views[i].Key) != k ||
+				!decoded[i].Inner.(*protocol.DeltaMsg).Delta.Equal(delta) || !um.(*protocol.DeltaMsg).Delta.Equal(delta) {
+				t.Errorf("item %d: decoded %q, unpacked %q, want %q ↦ %v", i, decoded[i].Key, views[i].Key, k, delta)
 			}
 		}
 	}

@@ -30,6 +30,14 @@
 // the long form of a map field. States outside a keyed item — a bare
 // DeltaMsg, a map's values, a snapshot record — keep the context-free
 // encoding.
+//
+// A batch spells each key once (wire version 4). Its first item writes
+// the key whole; every later one writes the length of the prefix its key
+// shares with the key before it, at most maxShared, then the rest
+// (appendKey, readKey). The shared length has one value, the longest it
+// can be, and a key may not repeat the one before it. A batch that
+// unpacks on its own is a chain: the packer starts a new one in every
+// piece of a split batch. Snapshot records keep their keys whole.
 package codec
 
 import (

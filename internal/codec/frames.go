@@ -9,11 +9,13 @@ import (
 // Incremental frame assembly. The transport's single-pass frame packer
 // builds bounded ShardedMsg frames out of independently encoded pieces:
 // each shard item (and, when one shard's batch alone overflows a frame,
-// each object message inside it) is encoded exactly once, and frames are
-// assembled as header + concatenated pieces. The helpers here expose the
-// two things that requires — per-piece encode-to-buffer and exact header
-// sizes — so the packer never re-encodes a piece to learn what it would
-// cost. AppendMsg for ShardedMsg/BatchMsg is defined in terms of
+// each object message inside it) is encoded once, and frames are
+// assembled as header + concatenated pieces. An object message is written
+// against the key before it in its batch (AppendObjectMsg), so the one
+// that opens a frame of a split batch is encoded a second time, whole.
+// The helpers here expose the two things that requires — per-piece
+// encode-to-buffer and exact header sizes — so the packer never
+// re-encodes a piece to learn what it would cost. AppendMsg for ShardedMsg/BatchMsg is defined in terms of
 // these same helpers, which keeps packed frames byte-identical to what
 // EncodeMsg would produce for the equivalent message.
 
@@ -37,10 +39,12 @@ func AppendShardItem(b []byte, it protocol.ShardItem) ([]byte, error) {
 // AppendObjectMsg appends one object message's wire encoding, a keyed
 // item: the key, then a δ-group as its state alone (a map field's as
 // tagKeyEntry and the field's value), or an AckedDeltaMsg under its tag.
-// It is the sub-unit used when a single shard's batch must split across
-// frames.
-func AppendObjectMsg(b []byte, it protocol.ObjectMsg) ([]byte, error) {
-	return appendObjectMsg(b, it, false)
+// prev is the key of the item before it in its batch, which the key is
+// written against, and nil for a batch's first item, whose key is written
+// whole. It is the sub-unit used when a single shard's batch must split
+// across frames.
+func AppendObjectMsg(b []byte, prev *string, it protocol.ObjectMsg) ([]byte, error) {
+	return appendObjectMsg(b, prev, it, false)
 }
 
 // AppendLinkShardItem is AppendShardItem for a frame that is acknowledged
@@ -56,19 +60,12 @@ func AppendLinkShardItem(b []byte, it protocol.ShardItem) ([]byte, error) {
 		return AppendShardItem(b, it)
 	}
 	b = binary.AppendUvarint(b, uint64(it.Shard))
-	b = AppendBatchHeader(b, len(bm.Items))
-	for _, om := range bm.Items {
-		var err error
-		if b, err = AppendLinkObjectMsg(b, om); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
+	return appendBatch(b, bm, true)
 }
 
 // AppendLinkObjectMsg is AppendObjectMsg under the same rule.
-func AppendLinkObjectMsg(b []byte, it protocol.ObjectMsg) ([]byte, error) {
-	return appendObjectMsg(b, it, true)
+func AppendLinkObjectMsg(b []byte, prev *string, it protocol.ObjectMsg) ([]byte, error) {
+	return appendObjectMsg(b, prev, it, true)
 }
 
 // Link header flags: which fields follow the tag of a frame in the link

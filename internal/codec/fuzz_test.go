@@ -138,6 +138,10 @@ func FuzzDecodeMsg(f *testing.F) {
 	for _, data := range sortedValues(refused) {
 		f.Add(data)
 	}
+	// A batch whose keys after the first are written against the one
+	// before: standalone and in a frame.
+	seed(benchKeyBatch())
+	seed(protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 2, Msg: benchKeyBatch()}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, n, err := codec.DecodeMsg(data)

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -124,15 +125,7 @@ func appendMsg(b []byte, m protocol.Msg) ([]byte, error) {
 		return appendState(b, v.Delta), nil
 
 	case *protocol.BatchMsg:
-		b = AppendBatchHeader(b, len(v.Items))
-		for _, it := range v.Items {
-			var err error
-			b, err = AppendObjectMsg(b, it)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return b, nil
+		return appendBatch(b, v, false)
 
 	case *protocol.ShardedMsg:
 		b = AppendShardedHeader(b, v.Link, v.Digests, len(v.Items))
@@ -210,13 +203,72 @@ func appendMsg(b []byte, m protocol.Msg) ([]byte, error) {
 	}
 }
 
+// appendBatch appends a per-object batch: its header, then each item as
+// the follower of the one before it.
+func appendBatch(b []byte, bm *protocol.BatchMsg, link bool) ([]byte, error) {
+	b = AppendBatchHeader(b, len(bm.Items))
+	for i, it := range bm.Items {
+		var prev *string
+		if i > 0 {
+			prev = &bm.Items[i-1].Key
+		}
+		var err error
+		if b, err = appendObjectMsg(b, prev, it, link); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
+}
+
+// maxShared caps the prefix a keyed item's key takes from the key before
+// it in its batch, and so bounds what a frame can make its receiver build.
+// An item after the first is at least 4 bytes — its shared length, the
+// length of the rest, and a 2-byte state — and rebuilds at most maxShared
+// bytes more than it spells, so the keys a frame rebuilds total at most
+// (maxShared + 4) / 4 = 9 times its length. Without the cap a 64 MiB frame
+// of 4-byte items, each sharing a 64 KB prefix, would rebuild terabytes.
+const maxShared = 32
+
+// sharedLen returns how many bytes of prev key is written against: the
+// length of their common prefix, at most maxShared — the one shared
+// length readKey accepts.
+func sharedLen(prev, key string) int {
+	n := min(len(prev), len(key), maxShared)
+	i := 0
+	for i < n && prev[i] == key[i] {
+		i++
+	}
+	return i
+}
+
+// appendKey appends a keyed item's key. The first item of a batch (prev
+// nil) writes it whole: its length, then its bytes. Every later one writes
+// the length of the prefix it shares with the key before it (sharedLen),
+// then the length and the bytes of the rest. A key the same as the one
+// before it is refused: a batch names each key once.
+func appendKey(b []byte, prev *string, key string) ([]byte, error) {
+	if prev == nil {
+		return appendString(b, key), nil
+	}
+	if key == *prev {
+		return nil, fmt.Errorf("codec: key %q twice in a row in a batch", key)
+	}
+	shared := sharedLen(*prev, key)
+	b = binary.AppendUvarint(b, uint64(shared))
+	return appendString(b, key[shared:]), nil
+}
+
 // appendObjectMsg appends one keyed item of a per-object batch: the key,
-// then the inner message. A δ-group is its state alone, and a map field's,
-// the one-entry map {key ↦ v}, is tagKeyEntry and v. An AckedDeltaMsg keeps
-// its tag and entry seqs, unless link is set: behind a link header, which
-// acknowledges the frame as a whole, it is the plain δ-group.
-func appendObjectMsg(b []byte, it protocol.ObjectMsg, link bool) ([]byte, error) {
-	b = appendString(b, it.Key)
+// written against prev (appendKey), then the inner message. A δ-group is
+// its state alone, and a map field's, the one-entry map {key ↦ v}, is
+// tagKeyEntry and v. An AckedDeltaMsg keeps its tag and entry seqs, unless
+// link is set: behind a link header, which acknowledges the frame as a
+// whole, it is the plain δ-group.
+func appendObjectMsg(b []byte, prev *string, it protocol.ObjectMsg, link bool) ([]byte, error) {
+	b, err := appendKey(b, prev, it.Key)
+	if err != nil {
+		return nil, err
+	}
 	var s lattice.State
 	switch v := it.Inner.(type) {
 	case *protocol.DeltaMsg:
@@ -243,22 +295,60 @@ func soleEntry(s lattice.State) (lattice.MapEntry, bool) {
 	return lattice.MapEntry{}, false
 }
 
+// readKey reads a keyed item's key as appendKey writes it, against prev,
+// the key of the item before it in its batch (nil for the first), and
+// appends it to *keys, which it makes non-nil. key is the appended part:
+// never nil, even when empty. The second spellings are refused: a shared
+// length past prev or maxShared, one shorter than the prefix the key
+// shares with prev up to maxShared, and a key that repeats prev.
+func readKey(data, prev []byte, keys *[]byte) (key []byte, n int, err error) {
+	var shared uint64
+	if prev != nil {
+		if shared, n, err = readUvarint(data); err != nil {
+			return nil, 0, err
+		}
+		if shared > uint64(len(prev)) || shared > maxShared {
+			return nil, 0, fmt.Errorf("codec: key shares %d bytes with one of %d", shared, len(prev))
+		}
+	}
+	rlen, m, err := readUvarint(data[n:])
+	if err != nil {
+		return nil, 0, err
+	}
+	n += m
+	if rlen >= uint64(len(data)-n) { // and at least one byte of message
+		return nil, 0, ErrTruncated
+	}
+	rest := data[n : n+int(rlen)]
+	n += int(rlen)
+	if prev != nil {
+		if shared < maxShared && int(shared) < len(prev) && len(rest) > 0 && rest[0] == prev[shared] {
+			return nil, 0, fmt.Errorf("codec: key shares more than the %d bytes it says with the one before", shared)
+		}
+		if int(shared)+len(rest) == len(prev) && bytes.Equal(rest, prev[shared:]) {
+			return nil, 0, fmt.Errorf("codec: key %q twice in a row in a batch", prev)
+		}
+	}
+	if *keys == nil {
+		*keys = make([]byte, 0, 256)
+	}
+	start := len(*keys)
+	*keys = append(append(*keys, prev[:shared]...), rest...)
+	return (*keys)[start:len(*keys):len(*keys)], n, nil
+}
+
 // readObjectMsg reads the keyed item data starts with, as appendObjectMsg
-// writes it, and returns its key and the inner message's encoding, both
-// aliasing data, the message decoded, and the item's length. The second
-// spellings are refused: a DeltaMsg's tag before a state (ErrUnknownTag,
-// as for any message but an AckedDeltaMsg), the long form of a map field,
-// and the short form of an empty one.
-func readObjectMsg(data []byte) (key, payload []byte, m protocol.Msg, n int, err error) {
-	klen, n, err := readUvarint(data)
+// writes it: its key, rebuilt against prev onto *keys (readKey), the inner
+// message's encoding, aliasing data, the message decoded, and the item's
+// length. The second spellings are refused: a DeltaMsg's tag before a
+// state (ErrUnknownTag, as for any message but an AckedDeltaMsg), the long
+// form of a map field, and the short form of an empty one.
+func readObjectMsg(data, prev []byte, keys *[]byte) (key, payload []byte, m protocol.Msg, n int, err error) {
+	key, n, err = readKey(data, prev, keys)
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}
-	if klen >= uint64(len(data)-n) { // and at least one byte of message
-		return nil, nil, nil, 0, ErrTruncated
-	}
-	key, data = data[n:n+int(klen)], data[n+int(klen):]
-	n += int(klen)
+	data = data[n:]
 	var s lattice.State
 	var sn int
 	switch data[0] {
@@ -504,13 +594,15 @@ func readMsgBody(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
 		}
 		n += m
 		items := make([]protocol.ObjectMsg, 0, capHint(count, data[n:]))
+		var keys, prev []byte
 		for i := uint64(0); i < count; i++ {
-			k, _, inner, m2, err := readObjectMsg(data[n:])
+			k, _, inner, m2, err := readObjectMsg(data[n:], prev, &keys)
 			if err != nil {
 				return nil, 0, err
 			}
 			n += m2
 			items = append(items, protocol.ObjectMsg{Key: string(k), Inner: inner})
+			prev = k
 		}
 		return protocol.BatchOf(items), n, nil
 

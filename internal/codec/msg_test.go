@@ -92,7 +92,7 @@ func TestAckedDeltaAndAckRoundTrip(t *testing.T) {
 		if _, err := codec.EncodeMsg(r.msg); err == nil {
 			t.Errorf("%s: encoded a message without a wire form", kind)
 		}
-		if _, err := codec.AppendObjectMsg(nil, protocol.ObjectMsg{Key: "k", Inner: r.msg}); err == nil {
+		if _, err := codec.AppendObjectMsg(nil, nil, protocol.ObjectMsg{Key: "k", Inner: r.msg}); err == nil {
 			t.Errorf("%s: encoded inside a batch", kind)
 		}
 		inBatch := append([]byte{71, 1, 1, 'k'}, r.wire...)
@@ -609,8 +609,8 @@ func TestLinkItemsCarryNoSeqs(t *testing.T) {
 	if want := append(codec.AppendShardedHeader(nil, acking, nil, 1), withSeqs...); !bytes.Equal(frame, want) {
 		t.Errorf("unnumbered frame %x, want header and per-object item %x", frame, want)
 	}
-	gotObj, _ := codec.AppendLinkObjectMsg(nil, protocol.ObjectMsg{Key: "a", Inner: protocol.NewAckedDeltaMsg(d, []uint64{4})})
-	wantObj, _ := codec.AppendObjectMsg(nil, protocol.ObjectMsg{Key: "a", Inner: protocol.NewDeltaMsg(d)})
+	gotObj, _ := codec.AppendLinkObjectMsg(nil, nil, protocol.ObjectMsg{Key: "a", Inner: protocol.NewAckedDeltaMsg(d, []uint64{4})})
+	wantObj, _ := codec.AppendObjectMsg(nil, nil, protocol.ObjectMsg{Key: "a", Inner: protocol.NewDeltaMsg(d)})
 	if !bytes.Equal(gotObj, wantObj) {
 		t.Errorf("linked object message %x, want %x", gotObj, wantObj)
 	}
@@ -694,14 +694,15 @@ func keyedFrames() (forms [][]byte, refused map[string][]byte) {
 	field := lattice.NewMapEntry("m/a/f", &crdt.LWWRegister{TS: 1, Writer: "w", Val: "v"})
 	two := lattice.NewMapEntry("m/a/f", lattice.NewMaxInt(3))
 	two.Set("m/a/g", lattice.NewMaxInt(4))
+	// Keys after the first share a prefix with the one before, or none.
 	batch := protocol.BatchOf([]protocol.ObjectMsg{
 		{Key: "c/a", Inner: protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("w", 7))},
-		{Key: "s/a", Inner: protocol.NewDeltaMsg(crdt.NewGSet("e1", "e2"))},
-		{Key: "m/a/f", Inner: protocol.NewDeltaMsg(field)},
-		{Key: "m/a/g", Inner: protocol.NewDeltaMsg(field)}, // another key's field
-		{Key: "m/a/f", Inner: protocol.NewDeltaMsg(two)},   // two fields
-		{Key: "m/a/f", Inner: protocol.NewDeltaMsg(lattice.NewMap())},
 		{Key: "m/a/f", Inner: protocol.NewAckedDeltaMsg(field, []uint64{3})},
+		{Key: "m/a/g", Inner: protocol.NewDeltaMsg(field)}, // another key's field
+		{Key: "m/a/f", Inner: protocol.NewDeltaMsg(field)},
+		{Key: "s/a", Inner: protocol.NewDeltaMsg(crdt.NewGSet("e1", "e2"))},
+		{Key: "m/a/f", Inner: protocol.NewDeltaMsg(two)}, // two fields
+		{Key: "m/a/e", Inner: protocol.NewDeltaMsg(lattice.NewMap())},
 	})
 	for _, m := range []protocol.Msg{
 		batch,
@@ -726,7 +727,38 @@ func keyedFrames() (forms [][]byte, refused map[string][]byte) {
 		"the short form in a standalone one": append([]byte{65, 11}, lwwBytes...),
 		"a keyed item with no message":       {72, 1, 0, 71, 1, 1, 'k'},
 	}
+	for name, follower := range map[string][]byte{
+		"a shared length past the key before": {3, 1, 'b'},
+		"a shared length short of the prefix": {0, 2, 'k', 'b'},
+		"a key that repeats the one before":   {2, 0},
+		"a follower's rest past the frame":    {1, 200, 'b'},
+	} {
+		refused[name] = chainFrame("ka", follower)
+	}
+	long := strings.Repeat("k", 40)
+	refused["a shared length past the cap"] = chainFrame(long, []byte{33, 7, 'k', 'k', 'k', 'k', 'k', 'k', 'b'})
+	refused["a key that repeats a long one"] = chainFrame(long, append([]byte{32, 8}, long[:8]...))
 	return forms, refused
+}
+
+// benchKeyBatch is a batch of three counter δ-groups at bench-shaped keys,
+// each after the first sharing ten bytes with the one before.
+func benchKeyBatch() *protocol.BatchMsg {
+	var oms []protocol.ObjectMsg
+	for _, k := range []string{"c/n00000042", "c/n00000045", "c/n00000048"} {
+		oms = append(oms, protocol.ObjectMsg{Key: k, Inner: protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("store-01", 7))})
+	}
+	return protocol.BatchOf(oms)
+}
+
+// chainFrame is a plain sharded frame of one item on shard 0, a batch of
+// two keyed GSet δ-groups: the first under first, the second's key spelled
+// as follower says.
+func chainFrame(first string, follower []byte) []byte {
+	data := append([]byte{72, 1, 0, 71, 2, byte(len(first))}, first...)
+	data = append(data, 7, 1, 1, 'x')
+	data = append(data, follower...)
+	return append(data, 7, 1, 1, 'y')
 }
 
 // TestKeyedItemSpellings: a keyed item has one spelling. Each form decodes
@@ -783,7 +815,7 @@ func TestKeyedItemSpellings(t *testing.T) {
 	}
 	// Only δ-groups are keyed items.
 	for _, m := range []protocol.Msg{protocol.NewTreeMsg(0, 0, nil, nil), protocol.NewDigestMsg(nil), protocol.BatchOf(nil)} {
-		if _, err := codec.AppendObjectMsg(nil, protocol.ObjectMsg{Key: "k", Inner: m}); err == nil {
+		if _, err := codec.AppendObjectMsg(nil, nil, protocol.ObjectMsg{Key: "k", Inner: m}); err == nil {
 			t.Errorf("%s: encoded as a keyed item", m.Kind())
 		}
 	}
@@ -810,6 +842,87 @@ func TestKeyedItemHostileCount(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 16*uint64(len(data)) {
 		t.Fatalf("refusing %d hostile bytes allocates %d bytes", len(data), per)
+	}
+}
+
+// sharedCap returns the longest prefix the encoder lets a key take from
+// the key before it: the shared length it writes for two keys that differ
+// only past 200 bytes.
+func sharedCap(t *testing.T) int {
+	t.Helper()
+	prev := strings.Repeat("x", 200) + "a"
+	item, err := codec.AppendObjectMsg(nil, &prev, protocol.ObjectMsg{Key: prev[:200] + "b", Inner: protocol.NewDeltaMsg(lattice.NewMaxInt(0))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, n := binary.Uvarint(item)
+	if n <= 0 || shared == 0 || shared > 200 {
+		t.Fatalf("the second of two keys sharing 200 bytes is written as %x", item)
+	}
+	return int(shared)
+}
+
+// TestFrontCodedKeysBounded: what a frame can make its receiver build is
+// bounded by the cap on a key's shared prefix. A frame of 2 000 minimal
+// items, each sharing the whole allowed prefix with the key before it and
+// adding one byte, unpacks to keys that total less than 16 times its
+// length, and a warmed view unpacks it allocating less than 16 times its
+// length: the keys cost nothing but the view's buffer, the messages what
+// they take.
+func TestFrontCodedKeysBounded(t *testing.T) {
+	prefix := strings.Repeat("x", sharedCap(t))
+	items := make([]protocol.ObjectMsg, 2000)
+	for i := range items {
+		items[i] = protocol.ObjectMsg{Key: prefix + string(rune('a'+i%2)), Inner: protocol.NewDeltaMsg(lattice.NewMaxInt(0))}
+	}
+	data, err := codec.EncodeMsg(protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 0, Msg: protocol.BatchOf(items)}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v codec.FrameView
+	if err := codec.UnpackFrame(data, 4, &v); err != nil || v.NumItems() != len(items) {
+		t.Fatalf("unpacked %d items: %v", v.NumItems(), err)
+	}
+	rebuilt := 0
+	for _, iv := range v.Groups()[0].Items {
+		rebuilt += len(iv.Key)
+	}
+	if rebuilt > 16*len(data) {
+		t.Fatalf("a %d-byte frame rebuilds %d bytes of keys", len(data), rebuilt)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 20
+	for i := 0; i < runs; i++ {
+		codec.UnpackFrame(data, 4, &v)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 16*uint64(len(data)) {
+		t.Fatalf("unpacking %d bytes of shared prefixes allocates %d bytes", len(data), per)
+	}
+	t.Logf("%d-byte frame: %d bytes of keys rebuilt, %d allocated per unpack", len(data), rebuilt, (after.TotalAlloc-before.TotalAlloc)/runs)
+}
+
+// TestEmptyKeyInABatch: an empty key is a key. It is the first item of a
+// batch or follows another, decodes and unpacks as itself, and its view's
+// Key is empty but not nil — nil is a bare item's.
+func TestEmptyKeyInABatch(t *testing.T) {
+	for _, keys := range [][]string{{"", "a"}, {"a", ""}} {
+		oms := make([]protocol.ObjectMsg, len(keys))
+		for i, k := range keys {
+			oms[i] = protocol.ObjectMsg{Key: k, Inner: protocol.NewDeltaMsg(crdt.NewGSet("e"))}
+		}
+		data, err := codec.EncodeMsg(protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 1, Msg: protocol.BatchOf(oms)}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v codec.FrameView
+		checkUnpacked(t, data, 4, &v)
+		for i, iv := range v.Groups()[0].Items {
+			if iv.Key == nil || string(iv.Key) != keys[i] {
+				t.Errorf("keys %q: item %d has key %q (nil: %v)", keys, i, iv.Key, iv.Key == nil)
+			}
+		}
 	}
 }
 

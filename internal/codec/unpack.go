@@ -20,18 +20,21 @@ import (
 // receiver has touched a shard.
 //
 // The messages with a wire form are the ones a store sends. In sharded
-// frames: keyed items, batched per shard — a δ-group as its state alone, a
-// map field's as tagKeyEntry and its value, an AckedDeltaMsg under its tag
+// frames: keyed items, batched per shard — the first item's key whole,
+// every later one's as the prefix it shares with the key before it and the
+// rest (readKey); then a δ-group as its state alone, a map field's as
+// tagKeyEntry and its value, an AckedDeltaMsg under its tag
 // (readObjectMsg) — and bare shard items under their message tags, of
 // which a TreeMsg closing a drill is the one stores send. Standalone:
 // HelloMsg, DigestMsg and TreeMsg (see the tag block in msg.go for what is
 // retired).
 //
 // A FrameView and everything it hands out is only valid until the next
-// Unpack on the same view, and an item's Key and Payload alias the frame
-// buffer: callers that reuse read buffers must finish with the view before
-// reusing the frame's bytes. Decoded messages never alias the buffer (the
-// decoders copy), so only the views themselves are scoped.
+// Unpack on the same view. An item's Key points into the view, where the
+// walk rebuilt it; its Payload aliases the frame buffer, so callers that
+// reuse read buffers must finish with the view before reusing the frame's
+// bytes. Decoded messages never alias the buffer (the decoders copy), so
+// only the views themselves are scoped.
 
 // ErrNotSharded reports input whose leading tag is not one of the sharded
 // frame encodings. Callers fall back to DecodeMsg for control frames
@@ -40,16 +43,16 @@ var ErrNotSharded = errors.New("codec: not a sharded frame")
 
 // ItemView is one object's message within a sharded frame: the shard it
 // routes to, its key, the raw encoding of its inner message and that
-// message decoded. Key and Payload alias the frame buffer. Key is nil for a
-// shard item that is not a per-object batch (a bare message — the TreeMsg
-// that closes a drill is the one stores send; the keyed engines ignore
-// any other).
+// message decoded. Key is nil for a shard item that is not a per-object
+// batch (a bare message — the TreeMsg that closes a drill is the one
+// stores send; the keyed engines ignore any other).
 type ItemView struct {
 	// Shard is the destination shard index, already bounds-checked
 	// against the receiver's shard count by UnpackFrame.
 	Shard uint32
-	// Key is the object key, aliasing the frame buffer; nil when the
-	// item did not come from a per-object batch.
+	// Key is the object key, rebuilt from the frame into the view and
+	// valid until the view's next unpack; nil when the item did not come
+	// from a per-object batch, and non-nil when it did, even when empty.
 	Key []byte
 	// Payload is the inner message's full encoding (its first byte
 	// included), aliasing the frame buffer. A keyed δ-group's is its state,
@@ -102,6 +105,7 @@ type FrameView struct {
 	Link protocol.LinkHeader
 
 	ranges []protocol.SeqRange // backing of Link.Ack.Ranges
+	keys   []byte              // the items' keys, rebuilt (readKey)
 	items  []ItemView          // wire order
 	sorted []ItemView          // shard order (scratch for the grouping sort)
 	counts []int               // counting-sort scratch, one slot per shard
@@ -126,6 +130,7 @@ func (v *FrameView) reset() {
 	v.Digests = v.Digests[:0]
 	v.Dropped = 0
 	v.Link = protocol.LinkHeader{}
+	v.keys = v.keys[:0]
 	clear(v.items)
 	v.items = v.items[:0]
 	clear(v.sorted)
@@ -140,12 +145,20 @@ func (v *FrameView) reset() {
 // that happened to unpack one.
 const maxRetainedItems = 4096
 
+// maxRetainedKeyBytes is maxRetainedItems for the key buffer: room for
+// that many keys of 16 bytes.
+const maxRetainedKeyBytes = 16 * maxRetainedItems
+
 // Reset clears the view without unpacking a new frame, dropping its
 // references to the last frame's buffer and decoded messages. Callers
 // that pool views call it before Put so an idle pooled view pins nothing;
-// item arrays grown past maxRetainedItems are dropped, not pooled.
+// item arrays grown past maxRetainedItems, and a key buffer past
+// maxRetainedKeyBytes, are dropped, not pooled.
 func (v *FrameView) Reset() {
 	v.reset()
+	if cap(v.keys) > maxRetainedKeyBytes {
+		v.keys = nil
+	}
 	if cap(v.items) > maxRetainedItems {
 		v.items = nil
 	}
@@ -160,8 +173,9 @@ func (v *FrameView) Reset() {
 // frames DecodeMsg accepts — the items go through the same decoder, under
 // the same nesting depth, count-versus-remaining-bytes and index-range
 // bounds, so hostile input fails with an error before any allocation
-// larger than the input — and returns ErrNotSharded for any other message
-// kind, which callers decode eagerly. After an error v is empty: a pooled
+// larger than the input, and the keys it rebuilds are bounded by
+// maxShared — and returns ErrNotSharded for any other message kind, which
+// callers decode eagerly. After an error v is empty: a pooled
 // view never holds the decoded half of a frame that was refused.
 func UnpackFrame(data []byte, shards int, v *FrameView) error {
 	v.reset()
@@ -248,8 +262,9 @@ func (v *FrameView) appendItem(d []byte, shard uint32, keep bool) (int, error) {
 		return 0, err
 	}
 	n++
+	var prev []byte
 	for i := uint64(0); i < count; i++ {
-		key, payload, msg, m, err := readObjectMsg(d[n:])
+		key, payload, msg, m, err := readObjectMsg(d[n:], prev, &v.keys)
 		if err != nil {
 			return 0, err
 		}
@@ -257,6 +272,7 @@ func (v *FrameView) appendItem(d []byte, shard uint32, keep bool) (int, error) {
 			v.items = append(v.items, ItemView{Shard: shard, Key: key, Payload: payload, msg: msg})
 		}
 		n += m
+		prev = key
 	}
 	return n, nil
 }

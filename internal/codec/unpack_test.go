@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -317,9 +319,14 @@ func TestUnpackHostileItemCount(t *testing.T) {
 	huge := binary.AppendUvarint(nil, 1<<40)
 	data := append([]byte{72}, huge...)         // sharded, 2^40 items
 	data = append(append(data, 0, 71), huge...) // shard 0: a batch of 2^40
-	for _, k := range []string{"a", "b", "c"} {
+	keys := []string{"a", "b", "c"}
+	for i, k := range keys {
+		var prev *string
+		if i > 0 {
+			prev = &keys[i-1]
+		}
 		var err error
-		if data, err = codec.AppendObjectMsg(data, protocol.ObjectMsg{Key: k, Inner: unpackGSetDelta(0, 1)}); err != nil {
+		if data, err = codec.AppendObjectMsg(data, prev, protocol.ObjectMsg{Key: k, Inner: unpackGSetDelta(0, 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -398,8 +405,9 @@ func refusedLinkTags() [][]byte {
 // accepted kinds with ErrNotSharded), and on acceptance must produce the
 // same items, digests and drop count — with every view's message
 // encoding to bytes identical to its eager counterpart, still so after
-// the buffer is overwritten (alias safety: views index the input buffer,
-// decodes copy out of it). After any input it rejects the view is empty.
+// the buffer is overwritten (alias safety: payloads index the input
+// buffer, keys are rebuilt into the view, decodes copy out of it). After
+// any input it rejects the view is empty.
 func FuzzUnpackFrame(f *testing.F) {
 	seed := func(m protocol.Msg) {
 		if d, err := codec.EncodeMsg(m); err == nil {
@@ -467,6 +475,9 @@ func FuzzUnpackFrame(f *testing.F) {
 	for _, data := range sortedValues(refused) {
 		f.Add(data)
 	}
+	// A batch whose keys after the first are written against the one
+	// before, behind a link header.
+	seed(protocol.NewShardedLinkMsg([]protocol.ShardItem{{Shard: 2, Msg: benchKeyBatch()}}, nil, protocol.LinkHeader{Seq: protocol.FrameSeq{Seq: 1}}))
 
 	const shards = 4
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -567,6 +578,66 @@ func BenchmarkUnpack(b *testing.B) {
 			}
 			b.ReportMetric(float64(items), "items/op")
 		})
+	}
+}
+
+// bulkShapedFrame builds a frame the shape of a bulk store's: 600 keyed
+// δ-groups over 64 shard batches, ascending within each, counters and sets
+// at the keys the benchmark draws, so every key after a batch's first is
+// written against the one before it. It returns the frame and the
+// allocations its items' messages take to decode, each alone.
+func bulkShapedFrame(t *testing.T) ([]byte, int) {
+	t.Helper()
+	const shards, items = 64, 600
+	batches := make([][]protocol.ObjectMsg, shards)
+	msgAllocs := 0
+	for i := 0; i < items; i++ {
+		key, inner := fmt.Sprintf("c/n%08d", i), protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("store-01", uint64(i+1)))
+		if i%3 == 0 {
+			key, inner = fmt.Sprintf("s/n%08d", i), protocol.NewDeltaMsg(crdt.NewGSet(fmt.Sprintf("e%03d", i%1000)))
+		}
+		alone := encodeMsg(t, inner)
+		msgAllocs += int(testing.AllocsPerRun(10, func() { codec.DecodeMsg(alone) }))
+		batches[i%shards] = append(batches[i%shards], protocol.ObjectMsg{Key: key, Inner: inner})
+	}
+	var sis []protocol.ShardItem
+	for s, b := range batches {
+		slices.SortFunc(b, func(x, y protocol.ObjectMsg) int { return strings.Compare(x.Key, y.Key) })
+		sis = append(sis, protocol.ShardItem{Shard: uint32(s), Msg: protocol.BatchOf(b)})
+	}
+	return encodeMsg(t, protocol.NewShardedMsg(sis)), msgAllocs
+}
+
+// TestUnpackKeysAllocateNothing: a warmed view rebuilds a bulk-shaped
+// frame's keys into its own buffer and allocates nothing for them — an
+// unpack allocates exactly what its items' messages take. Reset keeps that
+// buffer for the next frame, and drops one grown past what a pooled view
+// may retain.
+func TestUnpackKeysAllocateNothing(t *testing.T) {
+	frame, msgAllocs := bulkShapedFrame(t)
+	var v codec.FrameView
+	if err := codec.UnpackFrame(frame, 64, &v); err != nil || v.NumItems() != 600 {
+		t.Fatalf("unpacked %d items: %v", v.NumItems(), err)
+	}
+	if got := testing.AllocsPerRun(20, func() { codec.UnpackFrame(frame, 64, &v) }); int(got) != msgAllocs {
+		t.Errorf("a warmed view unpacks 600 items in %v allocations, want the messages' %d", got, msgAllocs)
+	}
+	v.Reset()
+	if codec.KeyBufferCap(&v) == 0 {
+		t.Error("Reset dropped a bulk frame's key buffer")
+	}
+	long := make([]protocol.ObjectMsg, 0, 3000)
+	for i := 0; i < cap(long); i++ {
+		long = append(long, protocol.ObjectMsg{Key: fmt.Sprintf("%040d", i), Inner: protocol.NewDeltaMsg(crdt.NewGSet("e"))})
+	}
+	if err := codec.UnpackFrame(encodeMsg(t, protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 0, Msg: protocol.BatchOf(long)}})), 64, &v); err != nil {
+		t.Fatal(err)
+	}
+	if codec.KeyBufferCap(&v) <= codec.MaxRetainedKeyBytes {
+		t.Fatalf("3 000 keys of 40 bytes fit a buffer of %d", codec.KeyBufferCap(&v))
+	}
+	if v.Reset(); codec.KeyBufferCap(&v) != 0 {
+		t.Errorf("Reset kept a key buffer of %d bytes, past the %d a pooled view retains", codec.KeyBufferCap(&v), codec.MaxRetainedKeyBytes)
 	}
 }
 

@@ -112,8 +112,9 @@ func (r *Reach) Withheld() uint64 { return r.withheld.Load() }
 // A store refuses a connection that announces another. Version 2 moved the
 // sender's incarnation out of every numbered frame and into the hello;
 // version 3 writes a keyed δ-group as its state alone, and a map field's
-// without its key's second spelling.
-const WireVersion = 3
+// without its key's second spelling; version 4 writes each key of a batch
+// after the first as what it does not share with the key before it.
+const WireVersion = 4
 
 // HelloMsg is how a connection introduces itself: the first frame a store
 // writes on every connection it establishes, written again whenever the

@@ -10,8 +10,9 @@ import (
 
 // The single-pass frame packer. One sync tick's shard items for one peer
 // must go out as frames no larger than the configured cap; the packer
-// encodes each item exactly once (and, when one shard's batch alone
-// overflows a frame, each object message inside it exactly once) and
+// encodes each item once (and, when one shard's batch alone overflows a
+// frame, each object message inside it once, and the one that opens each
+// further frame once more, with its key whole) and
 // greedily accumulates the encoded pieces into frames, so an oversized
 // tick costs O(batch) encoding work. Its predecessor re-encoded the
 // remaining batch at every binary-split level — O(batch · log frames) —
@@ -48,9 +49,11 @@ type packResult struct {
 	// frame they exceed the cap (a single object's message larger than
 	// MaxFrameBytes); shipping them could never succeed.
 	oversized int
-	// encodes counts codec encoding calls performed: exactly one per
-	// shard item, plus one per object message of each batch that had to
-	// split. BenchmarkPack pins this as the no-re-encoding invariant.
+	// encodes counts codec encoding calls performed: one per shard item,
+	// one per object message of each batch that had to split, plus one per
+	// split boundary — the object that opens the next piece, written again
+	// with its key whole. BenchmarkPack pins this as the no-re-encoding
+	// invariant.
 	encodes int
 	// digestsAttached reports that the digest vector rode one of the
 	// frames; when false the caller falls back to a standalone heartbeat.
@@ -233,7 +236,9 @@ func (p *framePacker) pack(items []protocol.ShardItem) error {
 
 // packBatch splits one shard's oversized batch across frames: each object
 // message is encoded once and packed greedily into frames carrying a
-// single shard item (a partial batch for the same shard). Called with the
+// single shard item (a partial batch for the same shard). An object is
+// written against the key before it in its piece; the one that does not
+// fit is written again, whole, as the first of the next. Called with the
 // pending frame empty.
 func (p *framePacker) packBatch(shard uint32, bm *protocol.BatchMsg) error {
 	var (
@@ -267,14 +272,21 @@ func (p *framePacker) packBatch(shard uint32, bm *protocol.BatchMsg) error {
 		count = 0
 		acc = metrics.Transmission{}
 	}
-	for _, om := range bm.Items {
-		scratch = scratch[:0]
+	// prev is the key the next object is written against: the last one the
+	// pending piece took, nil while it has none, so that every piece
+	// starts its own chain and unpacks on its own.
+	var prev *string
+	encode := func(om *protocol.ObjectMsg) error {
 		var err error
-		scratch, err = codec.AppendLinkObjectMsg(scratch, om)
-		if err != nil {
+		scratch, err = codec.AppendLinkObjectMsg(scratch[:0], prev, *om)
+		p.res.encodes++
+		return err
+	}
+	for i := range bm.Items {
+		om := &bm.Items[i]
+		if err := encode(om); err != nil {
 			return err
 		}
-		p.res.encodes++
 		acks := p.acks[:0]
 		if a, ok := om.Inner.(*protocol.AckedDeltaMsg); ok && p.lk != nil {
 			acks = append(acks, ackItem{shard: shard, key: om.Key, seqs: a.Seqs})
@@ -283,6 +295,10 @@ func (p *framePacker) packBatch(shard uint32, bm *protocol.BatchMsg) error {
 		link := p.numbered(acks)
 		if count > 0 && size(link, count+1, len(body)+len(scratch)) > p.limit {
 			flush()
+			prev = nil // it opens the next piece: whole, and encoded again
+			if err := encode(om); err != nil {
+				return err
+			}
 			link = p.numbered(acks)
 		}
 		if size(link, count+1, len(body)+len(scratch)) > p.limit {
@@ -297,6 +313,7 @@ func (p *framePacker) packBatch(shard uint32, bm *protocol.BatchMsg) error {
 		acc.MetadataBytes += len(om.Key)
 		body = append(body, scratch...)
 		count++
+		prev = &om.Key
 	}
 	flush()
 	return nil

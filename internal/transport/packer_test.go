@@ -10,6 +10,7 @@ import (
 	"crdtsync/internal/codec"
 	"crdtsync/internal/crdt"
 	"crdtsync/internal/protocol"
+	"crdtsync/internal/workload"
 )
 
 // unit is the indivisible piece of a packed tick for comparison purposes:
@@ -199,9 +200,10 @@ func checkPackedOn(t testing.TB, items []protocol.ShardItem, digests []uint64, l
 	got, gotVec, digestFrames := decodeFrames(t, res.frames, limit)
 	want := unitsOf(t, items)
 	// One encode per item, plus at most one per object of a batch that
-	// had to split: nothing is encoded twice to learn its size.
-	if res.encodes < len(items) || res.encodes > len(items)+len(want) {
-		t.Fatalf("%d encodes for %d items of %d units", res.encodes, len(items), len(want))
+	// had to split and one per frame it opened: nothing is encoded twice to
+	// learn its size.
+	if res.encodes < len(items) || res.encodes > len(items)+len(want)+len(res.frames) {
+		t.Fatalf("%d encodes for %d items of %d units in %d frames", res.encodes, len(items), len(want), len(res.frames))
 	}
 	if len(got)+res.oversized != len(want) {
 		t.Fatalf("%d units in, %d out + %d oversized", len(want), len(got), res.oversized)
@@ -387,12 +389,71 @@ func TestPackEncodesEachItemOnce(t *testing.T) {
 		t.Fatalf("cap did not force a split: %d frames", len(res.frames))
 	}
 	// One encode for the whole batch (discovering it cannot fit), then
-	// exactly one per object message.
-	if want := 1 + objects; res.encodes != want {
+	// exactly one per object message, and one more for each object that
+	// opens a frame after the first, its key written whole.
+	if want := 1 + objects + len(res.frames) - 1; res.encodes != want {
 		t.Fatalf("encodes = %d, want %d: the packer re-encoded on split", res.encodes, want)
 	}
 	if res.oversized != 0 {
 		t.Fatalf("%d oversized drops, want 0", res.oversized)
+	}
+}
+
+// TestPackSplitPiecesUnpackAlone: a store whose one shard's batch
+// overflows a small MaxFrameBytes splits it across frames, and every piece
+// starts its chain of keys again — its first key whole — so that each
+// frame unpacks on its own, into a fresh view, to the keys and δ-groups
+// that were written, each once, and is the canonical encoding of what it
+// carries.
+func TestPackSplitPiecesUnpackAlone(t *testing.T) {
+	cfg := tickStoreConfig()
+	cfg.Shards = 1
+	cfg.MaxFrameBytes = 256
+	c, err := newCore(cfg.withDefaults(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := recorder{}
+	c.out = rec
+	const keys = 200
+	for i := 0; i < keys; i++ {
+		c.update(workload.Add(fmt.Sprintf("s/n%08d", i*3), fmt.Sprintf("e%d", i)))
+	}
+	c.step(int64(cfg.SyncEvery))
+	frames := rec["p1"]
+	if len(frames) < 4 {
+		t.Fatalf("%d frames toward p1, want the batch split across many", len(frames))
+	}
+	seen := make(map[string]bool)
+	for i, f := range frames {
+		var v codec.FrameView
+		if err := codec.UnpackFrame(f, 1, &v); err != nil {
+			t.Fatalf("frame %d does not unpack on its own: %v", i, err)
+		}
+		m, _, err := codec.DecodeMsg(f)
+		if err != nil {
+			t.Fatalf("frame %d does not decode on its own: %v", i, err)
+		}
+		if again, _ := codec.EncodeMsg(m); !bytes.Equal(again, f) {
+			t.Fatalf("frame %d is not the canonical encoding of its items", i)
+		}
+		for _, g := range v.Groups() {
+			for j := range g.Items {
+				iv := &g.Items[j]
+				var n int
+				if _, err := fmt.Sscanf(string(iv.Key), "s/n%08d", &n); err != nil || n%3 != 0 || seen[string(iv.Key)] {
+					t.Fatalf("frame %d item %d: key %q unknown or repeated", i, j, iv.Key)
+				}
+				seen[string(iv.Key)] = true
+				msg, _ := iv.Msg()
+				if want := crdt.NewGSet(fmt.Sprintf("e%d", n/3)); !msg.(*protocol.DeltaMsg).Delta.Equal(want) {
+					t.Fatalf("key %q carries %v, want %v", iv.Key, msg, want)
+				}
+			}
+		}
+	}
+	if len(seen) != keys {
+		t.Fatalf("%d of %d keys arrived", len(seen), keys)
 	}
 }
 
@@ -476,9 +537,9 @@ func BenchmarkPack(b *testing.B) {
 	for _, it := range items {
 		units += len(it.Msg.(*protocol.BatchMsg).Items)
 	}
-	// Low enough that every shard's ~1.5 KiB batch must split across
+	// Low enough that every shard's ~1.1 KiB batch must split across
 	// frames.
-	const limit = 1024
+	const limit = 512
 	b.Run("greedy", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -488,9 +549,11 @@ func BenchmarkPack(b *testing.B) {
 			}
 			// The invariant, enforced every iteration: every batch had to
 			// split (one probe encode per item), then one encode per
-			// object message — never one per object per split level.
-			if res.encodes != len(items)+units {
-				b.Fatalf("encodes = %d, want %d", res.encodes, len(items)+units)
+			// object message plus one per split boundary (each batch's
+			// frames after its first) — never one per object per split
+			// level.
+			if want := len(items) + units + len(res.frames) - len(items); res.encodes != want {
+				b.Fatalf("encodes = %d, want %d", res.encodes, want)
 			}
 			if res.oversized != 0 {
 				b.Fatalf("oversized = %d", res.oversized)

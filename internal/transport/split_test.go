@@ -41,7 +41,7 @@ func startCappedPair(t *testing.T, maxFrame int) []*transport.Store {
 // have been silently lost).
 func TestStoreSplitsOversizedTickIntoFrames(t *testing.T) {
 	const keys = 300
-	stores := startCappedPair(t, 2048)
+	stores := startCappedPair(t, 1024)
 	for k := 0; k < keys; k++ {
 		stores[0].Update(workload.Op{Kind: workload.KindInc, Key: fmt.Sprintf("key-%04d", k), N: uint64(k + 1)})
 	}

@@ -171,9 +171,9 @@ func WithPeers(peers map[string]string) Option { return func(o *options) { o.cfg
 func WithNodes(nodes []string) Option { return func(o *options) { o.cfg.Nodes = nodes } }
 
 // WithShards sets the shard count, rounded up to a power of two
-// (default 16). Every replica in a cluster must use the same value: the
-// shard index is frame routing metadata, and a connection whose hello
-// names another count is refused (Stats().HelloRefused).
+// (default 16). Every replica in a cluster must use the same value:
+// digests and repair are per shard, and a connection whose hello names
+// another count is refused (Stats().HelloRefused).
 func WithShards(n int) Option { return func(o *options) { o.cfg.Shards = n } }
 
 // WithEngine selects the per-object synchronization algorithm (default

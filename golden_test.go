@@ -148,24 +148,50 @@ func goldenItems(acked bool) []protocol.ShardItem {
 	return []protocol.ShardItem{{Shard: 3, Msg: protocol.BatchOf(oms)}}
 }
 
+// linkedRun is a frame's run as a numbered frame writes it: each item
+// against the key before it, an AckedDeltaMsg as the plain δ-group.
+func linkedRun(t *testing.T, oms []protocol.ObjectMsg) []byte {
+	t.Helper()
+	var run []byte
+	for i, om := range oms {
+		var prev *string
+		if i > 0 {
+			prev = &oms[i-1].Key
+		}
+		var err error
+		if run, err = codec.AppendLinkObjectMsg(run, prev, om); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return run
+}
+
 // TestGoldenFrames pins the store's data frames byte for byte, at wire
-// version 4. The two plain variants are what a delta-engine store sends;
+// version 5. The two plain variants are what a delta-engine store sends;
 // the linked variants are what an acked store sends, the same items behind
 // a link header. Version 3 changed the keyed items alone: each δ-group is
 // its state, where versions 1 and 2 put a DeltaMsg tag (0x41) before it.
 // Version 4 changed the keys of a batch alone: the first is written whole,
 // every later one as the length of the prefix it shares with the key
-// before it, then the rest. "tags" shares nothing with "hits", so its
-// item is 1 byte longer than in version 3. The per-object acked form, the
-// headers, the hello's layout and the bare items such as a drill's close
-// did not move.
+// before it, then the rest. Version 5 writes all of a frame's keyed items
+// as one run in key order, with no shard index, batch tag or count per
+// shard: the header's count is the run's length shifted left one bit, the
+// low bit set when bare items (a drill's close) follow the run, their
+// count after it. This frame's one batch loses its shard index, tag and
+// count: 3 bytes. The per-object acked form, the link headers, the hello's
+// layout and the bare items themselves did not move.
 func TestGoldenFrames(t *testing.T) {
-	// shard 3 | batch of 2 | "hits" δ(GCounter r0:7) | "tags" δ(GSet a b):
+	// A run of 2 (0x04) | "hits" δ(GCounter r0:7) | "tags" δ(GSet a b):
 	// each keyed δ-group is its key, then its state alone; the second key
 	// shares 0 bytes with the first, and its rest is all 4.
-	const items = "03" + "4702" +
-		"0468697473" + "0501027230" + "07" +
-		"00" + "0474616773" + "070201610162"
+	const (
+		run = "0468697473" + "0501027230" + "07" +
+			"00" + "0474616773" + "070201610162"
+		v4 = "01" + "03" + "4702" + run // 1 item: shard 3, a batch of 2
+	)
+	if saved := (len(v4) - len("04"+run)) / 2; saved != 3 {
+		t.Errorf("%d bytes shorter than version 4, want 3", saved)
+	}
 	enc := func(m protocol.Msg) string {
 		data, err := codec.EncodeMsg(m)
 		if err != nil {
@@ -173,18 +199,18 @@ func TestGoldenFrames(t *testing.T) {
 		}
 		return hex.EncodeToString(data)
 	}
-	// tagShardedMsg, 1 item.
-	if got, want := enc(protocol.NewShardedMsg(goldenItems(false))), "48"+"01"+items; got != want {
+	// tagShardedMsg, a run of 2.
+	if got, want := enc(protocol.NewShardedMsg(goldenItems(false))), "48"+"04"+run; got != want {
 		t.Errorf("plain frame\n got %s\nwant %s", got, want)
 	}
-	// tagShardedDigestMsg, 2 digest words, 1 item.
+	// tagShardedDigestMsg, 2 digest words, a run of 2.
 	if got, want := enc(protocol.NewShardedDigestMsg(goldenItems(false), []uint64{1, ^uint64(0)})),
-		"4a"+"02"+"0000000000000001"+"ffffffffffffffff"+"01"+items; got != want {
+		"4a"+"02"+"0000000000000001"+"ffffffffffffffff"+"04"+run; got != want {
 		t.Errorf("digest frame\n got %s\nwant %s", got, want)
 	}
 	// The per-object encoding of the acked engine's δ-groups, which an
 	// unnumbered frame keeps: tagAckedDeltaMsg, the entry seqs, the δ.
-	if got, want := enc(protocol.NewShardedMsg(goldenItems(true))), "48"+"01"+"03"+"4702"+
+	if got, want := enc(protocol.NewShardedMsg(goldenItems(true))), "48"+"04"+
 		"0468697473"+"42"+"020405"+"0501027230"+"07"+
 		"00"+"0474616773"+"42"+"0109"+"070201610162"; got != want {
 		t.Errorf("per-object acked frame\n got %s\nwant %s", got, want)
@@ -209,6 +235,7 @@ func TestGoldenFrames(t *testing.T) {
 			"07" + "00" // 131+2+7 = 140, alone
 		vecFields = "01" + "0000000000000002" // one digest word
 	)
+	acked := goldenItems(true)[0].Msg.(*protocol.BatchMsg).Items
 	for _, c := range []struct {
 		tag, fields string
 		link        protocol.LinkHeader
@@ -225,18 +252,14 @@ func TestGoldenFrames(t *testing.T) {
 		{"5c", ackFields + rangeFields + vecFields, protocol.LinkHeader{Ack: ranged}, vec},
 		{"5d", seqFields + ackFields + rangeFields + vecFields, protocol.LinkHeader{Seq: seq, Ack: ranged}, vec},
 	} {
-		frame := codec.AppendShardedHeader(nil, c.link, c.digests, 1)
-		frame, err := codec.AppendLinkShardItem(frame, goldenItems(true)[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := hex.EncodeToString(frame), c.tag+c.fields+"01"+items; got != want { // 1 item
+		frame := append(codec.AppendShardedHeader(nil, c.link, c.digests, 2, 0), linkedRun(t, acked)...)
+		if got, want := hex.EncodeToString(frame), c.tag+c.fields+"04"+run; got != want { // a run of 2
 			t.Errorf("linked frame %s\n got %s\nwant %s", c.tag, got, want)
 		}
 	}
 	// An acknowledgement alone, as a store sends one once its hold is over:
 	// 7 bytes of message, 13 on the socket.
-	if got, want := hex.EncodeToString(codec.AppendShardedHeader(nil, protocol.LinkHeader{Ack: ack}, nil, 0)), "50"+ackFields+"00"; got != want {
+	if got, want := hex.EncodeToString(codec.AppendShardedHeader(nil, protocol.LinkHeader{Ack: ack}, nil, 0, 0)), "50"+ackFields+"00"; got != want {
 		t.Errorf("acknowledgement alone\n got %s\nwant %s", got, want)
 	}
 	// The standalone advertisement: tagDigestMsg, the words, and the empty
@@ -252,11 +275,11 @@ func TestGoldenFrames(t *testing.T) {
 	if got, want := enc(asking), "4e"+"02"+"0000000000000001"+"ffffffffffffffff"+"00"; got != want {
 		t.Errorf("asking advertisement\n got %s\nwant %s", got, want)
 	}
-	// A connection's first frame: tagHelloMsg, the wire version (4), the
+	// A connection's first frame: tagHelloMsg, the wire version (5), the
 	// shard count, the sender's incarnation, and the ids of the peers the
 	// sender's pipelines are up to.
 	if got, want := enc(protocol.NewHelloMsg(protocol.WireVersion, 64, 0xa1b2c3d4, []string{"s-01", "s-02"})),
-		"4d"+"04"+"40"+"a1b2c3d4"+"02"+"04"+"732d3031"+"04"+"732d3032"; got != want {
+		"4d"+"05"+"40"+"a1b2c3d4"+"02"+"04"+"732d3031"+"04"+"732d3032"; got != want {
 		t.Errorf("hello\n got %s\nwant %s", got, want)
 	}
 	// A drill's hash push: the children of a node go as the node's index
@@ -270,10 +293,11 @@ func TestGoldenFrames(t *testing.T) {
 		"4b"+"03"+"01"+"01"+"01"+"09"+words; got != want { // tagTreeMsg, shard, level, push, 1 node: 9
 		t.Errorf("hash push\n got %s\nwant %s", got, want)
 	}
-	// Its close, the last item of its shard in a data frame: the sender's
-	// states for the ranges, then the nodes it wants the peer's side of.
+	// Its close, a bare item of a data frame, after the frame's run: the
+	// sender's states for the ranges, then the nodes it wants the peer's
+	// side of.
 	closing := append(goldenItems(false), protocol.ShardItem{Shard: 3, Msg: protocol.NewTreeMsg(3, 2, []uint32{9, 200}, nil)})
-	if got, want := enc(protocol.NewShardedMsg(closing)), "48"+"02"+items+
+	if got, want := enc(protocol.NewShardedMsg(closing)), "48"+"05"+"01"+run+ // a run of 2 and bare items: 1
 		"03"+"4b"+"03"+"02"+"00"+"02"+"09"+"c801"; got != want { // shard | tagTreeMsg, shard, level, close, 2 nodes: 9, 200
 		t.Errorf("close\n got %s\nwant %s", got, want)
 	}
@@ -287,8 +311,9 @@ func TestGoldenFrames(t *testing.T) {
 // 2 wrote out whole — the tag, the map's tag and count, and the key a
 // second time — and version 3 writes as tagKeyEntry (0x0b) and the
 // register: 16 bytes. The item is the same in a plain frame and behind a
-// link header, and decodes back to the δ-group under its key. Version 4
-// did not move it: it is the first item of its batch, whose key is whole.
+// link header, and decodes back to the δ-group under its key. Versions 4
+// and 5 did not move it: it opens its frame's run, whose first key is
+// whole; version 5 dropped the shard index, batch tag and count around it.
 func TestItemBytesByDatatype(t *testing.T) {
 	for _, c := range []struct {
 		name, key string
@@ -316,20 +341,15 @@ func TestItemBytesByDatatype(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// tagShardedMsg, 1 item, shard 5, a batch of 1.
-		if got, want := hex.EncodeToString(data), "48"+"01"+"05"+"4701"+c.item; got != want {
+		// tagShardedMsg, a run of 1.
+		if got, want := hex.EncodeToString(data), "48"+"02"+c.item; got != want {
 			t.Errorf("%s, plain frame\n got %s\nwant %s", c.name, got, want)
 		}
 		numbered := protocol.LinkHeader{Seq: protocol.FrameSeq{Seq: 1}}
-		linked, err := codec.AppendLinkShardItem(codec.AppendShardedHeader(nil, numbered, nil, 1),
-			protocol.ShardItem{Shard: 5, Msg: protocol.BatchOf([]protocol.ObjectMsg{
-				{Key: c.key, Inner: protocol.NewAckedDeltaMsg(c.delta, []uint64{1})},
-			})})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Frame 1, waiting on nothing before it, 1 item.
-		if got, want := hex.EncodeToString(linked), "4f"+"0100"+"01"+"05"+"4701"+c.item; got != want {
+		linked := append(codec.AppendShardedHeader(nil, numbered, nil, 1, 0),
+			linkedRun(t, []protocol.ObjectMsg{{Key: c.key, Inner: protocol.NewAckedDeltaMsg(c.delta, []uint64{1})}})...)
+		// Frame 1, waiting on nothing before it, a run of 1.
+		if got, want := hex.EncodeToString(linked), "4f"+"0100"+"02"+c.item; got != want {
 			t.Errorf("%s, linked frame\n got %s\nwant %s", c.name, got, want)
 		}
 		var v codec.FrameView
@@ -338,7 +358,7 @@ func TestItemBytesByDatatype(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
-			om := m.(*protocol.ShardedMsg).Items[0].Msg.(*protocol.BatchMsg).Items[0]
+			om := m.(*protocol.ShardedMsg).Keyed[0]
 			if d, ok := om.Inner.(*protocol.DeltaMsg); !ok || om.Key != c.key || !d.Delta.Equal(c.delta) {
 				t.Errorf("%s: decoded %q ↦ %v, want %q ↦ %v", c.name, om.Key, om.Inner, c.key, c.delta)
 			}
@@ -353,27 +373,28 @@ func TestItemBytesByDatatype(t *testing.T) {
 	}
 }
 
-// TestBatchKeysFrontCoded pins a batch of three counter δ-groups at the
-// keys the benchmark draws, at wire version 4 and as version 3 wrote it.
+// TestBatchKeysFrontCoded pins three counter δ-groups of one shard at the
+// keys the benchmark draws, at wire version 5 and as version 3 wrote them.
 // The first key is written whole; each later one shares "c/n000000" and
 // "4" with the key before it (0x0a bytes) and writes the one byte that
 // differs (0x01, then the byte), 3 bytes where version 3 wrote 12: 18
-// bytes saved over the batch. The batch is the same in a plain frame and
-// behind a link header, and decodes back to its keys and δ-groups.
+// bytes saved over the three. A standalone batch writes them so; a frame
+// writes them so as its run, without the shard index and the batch's tag
+// and count around it that version 4 wrote. The run is the same in a plain
+// frame and behind a link header, and decodes back to its keys and
+// δ-groups.
 func TestBatchKeysFrontCoded(t *testing.T) {
 	const state = "05010873746f72652d303107" // GCounter store-01:7
 	keys := []string{"c/n00000042", "c/n00000045", "c/n00000048"}
 	const (
-		batch = "4703" +
-			"0b632f6e3030303030303432" + state +
+		run = "0b632f6e3030303030303432" + state +
 			"0a" + "0135" + state +
 			"0a" + "0138" + state
-		v3 = "4703" +
-			"0b632f6e3030303030303432" + state +
+		v3 = "0b632f6e3030303030303432" + state +
 			"0b632f6e3030303030303435" + state +
 			"0b632f6e3030303030303438" + state
 	)
-	if saved := (len(v3) - len(batch)) / 2; saved != 18 {
+	if saved := (len(v3) - len(run)) / 2; saved != 18 {
 		t.Errorf("%d bytes shorter than version 3, want 18", saved)
 	}
 	delta := crdt.NewGCounter().IncDelta("store-01", 7)
@@ -387,21 +408,25 @@ func TestBatchKeysFrontCoded(t *testing.T) {
 		}
 		return out
 	}
+	batch, err := codec.EncodeMsg(protocol.BatchOf(oms(false)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// tagBatchMsg, 3 items.
+	if got, want := hex.EncodeToString(batch), "4703"+run; got != want {
+		t.Errorf("standalone batch\n got %s\nwant %s", got, want)
+	}
 	plain, err := codec.EncodeMsg(protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 5, Msg: protocol.BatchOf(oms(false))}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// tagShardedMsg, 1 item, shard 5.
-	if got, want := hex.EncodeToString(plain), "48"+"01"+"05"+batch; got != want {
+	// tagShardedMsg, a run of 3; version 4 wrote 1 item, shard 5, a batch of 3.
+	if got, want := hex.EncodeToString(plain), "48"+"06"+run; got != want {
 		t.Errorf("plain frame\n got %s\nwant %s", got, want)
 	}
-	linked, err := codec.AppendLinkShardItem(codec.AppendShardedHeader(nil, protocol.LinkHeader{Seq: protocol.FrameSeq{Seq: 1}}, nil, 1),
-		protocol.ShardItem{Shard: 5, Msg: protocol.BatchOf(oms(true))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Frame 1, waiting on nothing before it, 1 item, shard 5.
-	if got, want := hex.EncodeToString(linked), "4f"+"0100"+"01"+"05"+batch; got != want {
+	linked := append(codec.AppendShardedHeader(nil, protocol.LinkHeader{Seq: protocol.FrameSeq{Seq: 1}}, nil, 3, 0), linkedRun(t, oms(true))...)
+	// Frame 1, waiting on nothing before it, a run of 3.
+	if got, want := hex.EncodeToString(linked), "4f"+"0100"+"06"+run; got != want {
 		t.Errorf("linked frame\n got %s\nwant %s", got, want)
 	}
 	var v codec.FrameView
@@ -410,10 +435,11 @@ func TestBatchKeysFrontCoded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := codec.UnpackFrame(frame, 8, &v); err != nil {
+		// One shard: the view's one group is the run.
+		if err := codec.UnpackFrame(frame, 1, &v); err != nil {
 			t.Fatal(err)
 		}
-		decoded, views := m.(*protocol.ShardedMsg).Items[0].Msg.(*protocol.BatchMsg).Items, v.Groups()[0].Items
+		decoded, views := m.(*protocol.ShardedMsg).Keyed, v.Groups()[0].Items
 		if len(decoded) != len(keys) || len(views) != len(keys) {
 			t.Fatalf("decoded %d and unpacked %d items, want %d", len(decoded), len(views), len(keys))
 		}
@@ -423,6 +449,96 @@ func TestBatchKeysFrontCoded(t *testing.T) {
 				!decoded[i].Inner.(*protocol.DeltaMsg).Delta.Equal(delta) || !um.(*protocol.DeltaMsg).Delta.Equal(delta) {
 				t.Errorf("item %d: decoded %q, unpacked %q, want %q ↦ %v", i, decoded[i].Key, views[i].Key, k, delta)
 			}
+		}
+	}
+}
+
+// TestFrameKeysFrontCoded pins a frame the shape of bulk-acked's: six
+// fresh keys, three counters, two sets and a map field, each its own
+// shard's only item among 64. Version 4 wrote six shard batches: a shard
+// index, the batch's tag and count, and the key whole, every time.
+// Version 5 writes the six as one run in key order, each key against the
+// one before it in the frame: 43 of 170 bytes saved, 7.2 an item — 18 of
+// shard headers, and 25 of keys, which the three counters' and the two
+// sets' share (10 bytes each after the first of their prefix).
+func TestFrameKeysFrontCoded(t *testing.T) {
+	const (
+		store   = "0873746f72652d3031"                                 // "store-01"
+		field   = "09010873746f72652d30310d3179327030696a333265386537" // LWW {1, store-01, "1y2p0ij32e8e7"}
+		c1201   = "0b632f6e3030303031323031"                           // "c/n00001201", whole
+		c1203   = "632f6e3030303031323033"                             // "c/n00001203"
+		c1206   = "632f6e3030303031323036"                             // "c/n00001206"
+		m2404   = "0d6d2f6e3030303032342f663034"                       // "m/n000024/f04", whole
+		s1202   = "0b732f6e3030303031323032"                           // "s/n00001202", whole
+		s1205   = "732f6e3030303031323035"                             // "s/n00001205"
+		counter = "0501" + store                                       // GCounter store-01:, the value follows
+		set     = "070104"                                             // GSet of one 4-byte element
+	)
+	const v5 = "48" + "0c" + // a run of 6
+		c1201 + counter + "03" +
+		"0a" + "0133" + counter + "05" + // shares "c/n0000120" with the key before
+		"0a" + "0136" + counter + "08" +
+		"00" + m2404 + "0b" + field + // shares nothing: whole
+		"00" + s1202 + set + "65313031" +
+		"0a" + "0135" + set + "65313034"
+	const v4 = "48" + "06" + // 6 items, by shard
+		"1b" + "4701" + "0b" + s1205 + set + "65313034" + // shard 27: a batch of 1
+		"1d" + "4701" + "0b" + c1203 + counter + "05" + // shard 29
+		"2e" + "4701" + m2404 + "0b" + field + // shard 46
+		"37" + "4701" + c1201 + counter + "03" + // shard 55
+		"3a" + "4701" + s1202 + set + "65313031" + // shard 58
+		"3e" + "4701" + "0b" + c1206 + counter + "08" // shard 62
+	if len(v4)/2 != 170 || len(v5)/2 != 127 {
+		t.Fatalf("version 4 frame %d bytes, version 5 %d; want 170 and 127", len(v4)/2, len(v5)/2)
+	}
+	type item struct {
+		key   string
+		delta lattice.State
+	}
+	lww := &crdt.LWWRegister{TS: 1, Writer: "store-01", Val: "1y2p0ij32e8e7"}
+	items := []item{ // as the writes came, one key a shard
+		{"c/n00001201", crdt.NewGCounter().IncDelta("store-01", 3)},
+		{"s/n00001202", crdt.NewGSet("e101")},
+		{"c/n00001203", crdt.NewGCounter().IncDelta("store-01", 5)},
+		{"m/n000024/f04", lattice.NewMapEntry("m/n000024/f04", lww)},
+		{"s/n00001205", crdt.NewGSet("e104")},
+		{"c/n00001206", crdt.NewGCounter().IncDelta("store-01", 8)},
+	}
+	var sis []protocol.ShardItem
+	shards := make(map[uint32]bool)
+	for _, it := range items {
+		sh := protocol.ShardOf(it.key, 64)
+		shards[sh] = true
+		sis = append(sis, protocol.ShardItem{Shard: sh, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: it.key, Inner: protocol.NewDeltaMsg(it.delta)}})})
+	}
+	if len(shards) != len(items) {
+		t.Fatalf("%d keys on %d shards, want one a shard", len(items), len(shards))
+	}
+	data, err := codec.EncodeMsg(protocol.NewShardedMsg(sis))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(data); got != v5 {
+		t.Errorf("frame\n got %s\nwant %s", got, v5)
+	}
+	var v codec.FrameView
+	if err := codec.UnpackFrame(data, 64, &v); err != nil {
+		t.Fatal(err)
+	}
+	if len(v.Groups()) != len(items) {
+		t.Fatalf("%d groups, want %d", len(v.Groups()), len(items))
+	}
+	for _, g := range v.Groups() {
+		iv := &g.Items[0]
+		m, _ := iv.Msg()
+		var want *item
+		for i := range items {
+			if items[i].key == string(iv.Key) {
+				want = &items[i]
+			}
+		}
+		if want == nil || len(g.Items) != 1 || g.Shard != protocol.ShardOf(want.key, 64) || !m.(*protocol.DeltaMsg).Delta.Equal(want.delta) {
+			t.Errorf("shard %d: %d items, the first %q ↦ %v", g.Shard, len(g.Items), iv.Key, m)
 		}
 	}
 }

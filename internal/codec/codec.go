@@ -19,8 +19,8 @@
 // decoder (decodeMsg); UnpackFrame (unpack.go) reads a frame's items
 // through that decoder.
 //
-// A keyed item of a per-object batch — the key, then one object's message
-// — says each thing once (wire version 3): a δ-group is its state alone,
+// A keyed item — the key, then one object's message — says each thing
+// once (wire version 3): a δ-group is its state alone,
 // with no DeltaMsg tag, since state tags (1–10, and tagKeyEntry's 11) and
 // message tags (64 on) do not overlap, and a map field's δ-group, the
 // one-entry map {key ↦ v} under its own key, is tagKeyEntry and v. An
@@ -31,13 +31,15 @@
 // DeltaMsg, a map's values, a snapshot record — keep the context-free
 // encoding.
 //
-// A batch spells each key once (wire version 4). Its first item writes
-// the key whole; every later one writes the length of the prefix its key
-// shares with the key before it, at most maxShared, then the rest
-// (appendKey, readKey). The shared length has one value, the longest it
-// can be, and a key may not repeat the one before it. A batch that
-// unpacks on its own is a chain: the packer starts a new one in every
-// piece of a split batch. Snapshot records keep their keys whole.
+// A frame writes all of its keyed items as one run in strictly ascending
+// key order, with no shard index: the receiver routes each by its key
+// (wire version 5; a standalone BatchMsg is a run too). The run's first
+// item writes the key whole; every later one writes the length of the
+// prefix its key shares with the key before it, at most maxShared, then
+// the rest (appendKey, readKey; wire version 4). The shared length has
+// one value, the longest it can be, and a key must be above the one before
+// it. Every frame's run is a chain of its own: the packer starts a new one
+// in every frame of a split pass. Snapshot records keep their keys whole.
 package codec
 
 import (

@@ -8,16 +8,16 @@ import (
 
 // Incremental frame assembly. The transport's single-pass frame packer
 // builds bounded ShardedMsg frames out of independently encoded pieces:
-// each shard item (and, when one shard's batch alone overflows a frame,
-// each object message inside it) is encoded once, and frames are
-// assembled as header + concatenated pieces. An object message is written
-// against the key before it in its batch (AppendObjectMsg), so the one
-// that opens a frame of a split batch is encoded a second time, whole.
-// The helpers here expose the two things that requires — per-piece
-// encode-to-buffer and exact header sizes — so the packer never
-// re-encodes a piece to learn what it would cost. AppendMsg for ShardedMsg/BatchMsg is defined in terms of
-// these same helpers, which keeps packed frames byte-identical to what
-// EncodeMsg would produce for the equivalent message.
+// each keyed item, written against the key before it in the frame's run
+// (AppendLinkObjectMsg), and each bare item (AppendShardItem) is encoded
+// once, and frames are assembled as header + keyed run + bare items. The
+// item that opens a frame's run is written whole, so the one a split puts
+// first in the next frame is encoded a second time. The helpers here expose
+// the two things that requires — per-piece encode-to-buffer and exact
+// header sizes — so the packer never re-encodes a piece to learn what it
+// would cost. AppendMsg for a ShardedMsg is defined in terms of these same
+// helpers, which keeps packed frames byte-identical to what EncodeMsg
+// would produce for the equivalent message.
 
 // SizeUvarint returns the encoded length of v as a uvarint.
 func SizeUvarint(v uint64) int {
@@ -29,8 +29,8 @@ func SizeUvarint(v uint64) int {
 	return n
 }
 
-// AppendShardItem appends one shard item's wire encoding (shard index +
-// inner message) — the unit the frame packer accumulates.
+// AppendShardItem appends one shard item's encoding: the shard index, then
+// the message. In a frame it is a bare item.
 func AppendShardItem(b []byte, it protocol.ShardItem) ([]byte, error) {
 	b = binary.AppendUvarint(b, uint64(it.Shard))
 	return appendMsg(b, it.Msg)
@@ -39,31 +39,18 @@ func AppendShardItem(b []byte, it protocol.ShardItem) ([]byte, error) {
 // AppendObjectMsg appends one object message's wire encoding, a keyed
 // item: the key, then a δ-group as its state alone (a map field's as
 // tagKeyEntry and the field's value), or an AckedDeltaMsg under its tag.
-// prev is the key of the item before it in its batch, which the key is
-// written against, and nil for a batch's first item, whose key is written
-// whole. It is the sub-unit used when a single shard's batch must split
-// across frames.
+// prev is the key of the item before it in its run, which the key is
+// written against and must be below, and nil for a run's first item, whose
+// key is written whole.
 func AppendObjectMsg(b []byte, prev *string, it protocol.ObjectMsg) ([]byte, error) {
 	return appendObjectMsg(b, prev, it, false)
 }
 
-// AppendLinkShardItem is AppendShardItem for a frame that is acknowledged
-// as a whole, by the sequence number in its header: an AckedDeltaMsg in a
-// batch — the keyed δ-group a sender records against the frame's number —
-// is written as the plain δ-group a DeltaMsg is. Its entry seqs stay
-// behind, in the sender's record of the frame. Everything else, an
-// AckedDeltaMsg that is the whole item included, is written as
-// AppendShardItem writes it.
-func AppendLinkShardItem(b []byte, it protocol.ShardItem) ([]byte, error) {
-	bm, ok := it.Msg.(*protocol.BatchMsg)
-	if !ok {
-		return AppendShardItem(b, it)
-	}
-	b = binary.AppendUvarint(b, uint64(it.Shard))
-	return appendBatch(b, bm, true)
-}
-
-// AppendLinkObjectMsg is AppendObjectMsg under the same rule.
+// AppendLinkObjectMsg is AppendObjectMsg for a frame that is acknowledged
+// as a whole, by the sequence number in its header: an AckedDeltaMsg — the
+// keyed δ-group a sender records against the frame's number — is written as
+// the plain δ-group a DeltaMsg is. Its entry seqs stay behind, in the
+// sender's record of the frame.
 func AppendLinkObjectMsg(b []byte, prev *string, it protocol.ObjectMsg) ([]byte, error) {
 	return appendObjectMsg(b, prev, it, true)
 }
@@ -96,11 +83,23 @@ func linkFlags(link *protocol.LinkHeader, digests []uint64) byte {
 	return f
 }
 
+// itemCounts is the word that ends a frame header: the keyed run's length,
+// shifted left one bit, and in the low bit whether bare items follow the
+// run — their count after the word, never 0.
+func itemCounts(keyed, bare int) uint64 {
+	w := uint64(keyed) << 1
+	if bare > 0 {
+		w |= 1
+	}
+	return w
+}
+
 // AppendShardedHeader appends a ShardedMsg frame header: tag, the link
 // header and the piggybacked digest vector where present, and the item
-// count. The item encodings (AppendShardItem or, behind a link header,
-// AppendLinkShardItem) follow it. Without a link header the bytes are
-// those of the two plain variants, tagShardedMsg and tagShardedDigestMsg.
+// counts, keyed and bare (itemCounts). The keyed run (AppendObjectMsg or,
+// behind a numbered header, AppendLinkObjectMsg) follows it, then the bare
+// items (AppendShardItem). Without a link header the tag is that of
+// one of the two plain variants, tagShardedMsg and tagShardedDigestMsg.
 //
 // The linked variants, after the tag that names which fields follow:
 //
@@ -111,7 +110,7 @@ func linkFlags(link *protocol.LinkHeader, digests []uint64) byte {
 //	         range the gap to the mark before it minus 2 and the range's
 //	         length minus 1 (uvarints)
 //	digests: word count (uvarint), 8-byte words
-func AppendShardedHeader(b []byte, link protocol.LinkHeader, digests []uint64, count int) []byte {
+func AppendShardedHeader(b []byte, link protocol.LinkHeader, digests []uint64, keyed, bare int) []byte {
 	flags := linkFlags(&link, digests)
 	switch {
 	case flags != 0:
@@ -146,14 +145,21 @@ func AppendShardedHeader(b []byte, link protocol.LinkHeader, digests []uint64, c
 			b = binary.BigEndian.AppendUint64(b, d)
 		}
 	}
-	return binary.AppendUvarint(b, uint64(count))
+	b = binary.AppendUvarint(b, itemCounts(keyed, bare))
+	if bare > 0 {
+		b = binary.AppendUvarint(b, uint64(bare))
+	}
+	return b
 }
 
 // ShardedHeaderSize returns the exact encoded length of the header
 // AppendShardedHeader would write — what a packer adds to its accumulated
 // piece bytes to know a candidate frame's final size.
-func ShardedHeaderSize(link protocol.LinkHeader, digests []uint64, count int) int {
-	n := 1 + SizeUvarint(uint64(count))
+func ShardedHeaderSize(link protocol.LinkHeader, digests []uint64, keyed, bare int) int {
+	n := 1 + SizeUvarint(itemCounts(keyed, bare))
+	if bare > 0 {
+		n += SizeUvarint(uint64(bare))
+	}
 	if digests != nil {
 		n += SizeUvarint(uint64(len(digests))) + 8*len(digests)
 	}
@@ -173,17 +179,4 @@ func ShardedHeaderSize(link protocol.LinkHeader, digests []uint64, count int) in
 		}
 	}
 	return n
-}
-
-// AppendBatchHeader appends a BatchMsg header (tag, item count); the item
-// encodings (AppendObjectMsg) follow it.
-func AppendBatchHeader(b []byte, count int) []byte {
-	b = append(b, tagBatchMsg)
-	return binary.AppendUvarint(b, uint64(count))
-}
-
-// BatchHeaderSize returns the exact encoded length of the header
-// AppendBatchHeader would write.
-func BatchHeaderSize(count int) int {
-	return 1 + SizeUvarint(uint64(count))
 }

@@ -76,7 +76,7 @@ func FuzzDecodeMsg(f *testing.F) {
 		{Shard: 0, Msg: batch},
 		{Shard: 7, Msg: protocol.NewDeltaMsg(crdt.NewGSet("q"))},
 	}))
-	f.Add([]byte{72, 2, 0, 65, 7, 1, 1, 97, 7, 67, 1, 9}) // a retired tag as a frame's second item
+	f.Add([]byte{72, 1, 2, 0, 65, 7, 1, 1, 97, 7, 67, 1, 9}) // a retired tag as a frame's second item
 	// The digest-carrying sharded variant (piggybacked anti-entropy).
 	seed(protocol.NewShardedDigestMsg([]protocol.ShardItem{
 		{Shard: 3, Msg: protocol.NewDeltaMsg(crdt.NewGSet("p"))},
@@ -106,7 +106,7 @@ func FuzzDecodeMsg(f *testing.F) {
 	seed(protocol.NewShardedLinkMsg(nil, nil, protocol.LinkHeader{Ack: protocol.FrameAck{Inc: 3, Cum: 9}}))
 	f.Add([]byte{76, 2, 0, 0, 0, 9, 4, 255, 255, 255, 255, 15})
 	// A numbered frame whose δ-group spells its seqs out all the same.
-	spelled, _ := codec.AppendShardItem(codec.AppendShardedHeader(nil, protocol.LinkHeader{Seq: protocol.FrameSeq{Seq: 1}}, nil, 1),
+	spelled, _ := codec.AppendShardItem(codec.AppendShardedHeader(nil, protocol.LinkHeader{Seq: protocol.FrameSeq{Seq: 1}}, nil, 0, 1),
 		protocol.ShardItem{Shard: 2, Msg: protocol.NewAckedDeltaMsg(crdt.NewGSet("a"), []uint64{1, 2, 3})})
 	f.Add(spelled)
 	// A connection's hello — reaching two, reaching nobody, with a hostile
@@ -142,6 +142,13 @@ func FuzzDecodeMsg(f *testing.F) {
 	// before: standalone and in a frame.
 	seed(benchKeyBatch())
 	seed(protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 2, Msg: benchKeyBatch()}}))
+	// A bulk-acked frame's run, its keys from six shards in one chain,
+	// plainly and numbered, and every spelling of a run that is refused.
+	seed(protocol.NewShardedMsg(benchFrameItems()))
+	seed(protocol.NewShardedLinkMsg(benchFrameItems(), nil, protocol.LinkHeader{Seq: protocol.FrameSeq{Seq: 9, Back: 1}}))
+	for _, data := range sortedValues(refusedRuns()) {
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, n, err := codec.DecodeMsg(data)

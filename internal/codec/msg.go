@@ -20,7 +20,9 @@ import (
 // byte after one tag: their values stay reserved, EncodeMsg has no format
 // for those messages and the decoders refuse the tags like any unknown one.
 // Inside a keyed item a DeltaMsg goes without its tag (readObjectMsg), and
-// tagDeltaMsg is refused there too.
+// tagDeltaMsg is refused there too. A BatchMsg has a standalone form
+// alone: in a frame its items are keyed items of the frame's run, and
+// tagBatchMsg is refused as a bare item.
 const (
 	tagStateMsg byte = iota + 64 // retired
 	tagDeltaMsg
@@ -55,7 +57,7 @@ func isShardedTag(tag byte) bool {
 }
 
 // maxMsgNesting bounds message nesting during decoding. Legitimate
-// traffic nests at most ShardedMsg → BatchMsg → leaf (depth 3); a hostile
+// traffic nests at most ShardedMsg → bare item (depth 2); a hostile
 // frame of repeated container prefixes must fail with an error instead of
 // exhausting the goroutine stack.
 const maxMsgNesting = 8
@@ -128,17 +130,18 @@ func appendMsg(b []byte, m protocol.Msg) ([]byte, error) {
 		return appendBatch(b, v, false)
 
 	case *protocol.ShardedMsg:
-		b = AppendShardedHeader(b, v.Link, v.Digests, len(v.Items))
+		b = AppendShardedHeader(b, v.Link, v.Digests, len(v.Keyed), len(v.Items))
 		// A numbered frame has one encoding, the packer's: the number
 		// acknowledges its δ-groups, which carry no seqs of their own.
-		item := AppendShardItem
-		if v.Link.Seq.Seq != 0 {
-			item = AppendLinkShardItem
+		var err error
+		if b, err = appendRun(b, v.Keyed, v.Link.Seq.Seq != 0); err != nil {
+			return nil, err
 		}
 		for _, it := range v.Items {
-			var err error
-			b, err = item(b, it)
-			if err != nil {
+			if _, ok := it.Msg.(*protocol.BatchMsg); ok {
+				return nil, errBareBatch
+			}
+			if b, err = AppendShardItem(b, it); err != nil {
 				return nil, err
 			}
 		}
@@ -203,14 +206,25 @@ func appendMsg(b []byte, m protocol.Msg) ([]byte, error) {
 	}
 }
 
-// appendBatch appends a per-object batch: its header, then each item as
-// the follower of the one before it.
+// errBareBatch refuses a BatchMsg as a frame's bare item: its objects are
+// keyed items, and those have one place in a frame, its run.
+var errBareBatch = errors.New("codec: a batch as a bare item of a frame")
+
+// appendBatch appends a standalone per-object batch: its tag and count,
+// then its items as a run.
 func appendBatch(b []byte, bm *protocol.BatchMsg, link bool) ([]byte, error) {
-	b = AppendBatchHeader(b, len(bm.Items))
-	for i, it := range bm.Items {
+	b = append(b, tagBatchMsg)
+	b = binary.AppendUvarint(b, uint64(len(bm.Items)))
+	return appendRun(b, bm.Items, link)
+}
+
+// appendRun appends keyed items as one run: each written against the key
+// of the item before it, which it must be above (appendKey).
+func appendRun(b []byte, items []protocol.ObjectMsg, link bool) ([]byte, error) {
+	for i, it := range items {
 		var prev *string
 		if i > 0 {
-			prev = &bm.Items[i-1].Key
+			prev = &items[i-1].Key
 		}
 		var err error
 		if b, err = appendObjectMsg(b, prev, it, link); err != nil {
@@ -220,8 +234,28 @@ func appendBatch(b []byte, bm *protocol.BatchMsg, link bool) ([]byte, error) {
 	return b, nil
 }
 
+// readRun reads count keyed items written as one run (appendRun).
+func readRun(data []byte, count uint64) ([]protocol.ObjectMsg, int, error) {
+	var items []protocol.ObjectMsg
+	if count > 0 {
+		items = make([]protocol.ObjectMsg, 0, capHint(count, data))
+	}
+	var keys, prev []byte
+	n := 0
+	for i := uint64(0); i < count; i++ {
+		k, _, inner, m, err := readObjectMsg(data[n:], prev, &keys)
+		if err != nil {
+			return nil, 0, err
+		}
+		n += m
+		items = append(items, protocol.ObjectMsg{Key: string(k), Inner: inner})
+		prev = k
+	}
+	return items, n, nil
+}
+
 // maxShared caps the prefix a keyed item's key takes from the key before
-// it in its batch, and so bounds what a frame can make its receiver build.
+// it in its run, and so bounds what a frame can make its receiver build.
 // An item after the first is at least 4 bytes — its shared length, the
 // length of the rest, and a 2-byte state — and rebuilds at most maxShared
 // bytes more than it spells, so the keys a frame rebuilds total at most
@@ -241,17 +275,17 @@ func sharedLen(prev, key string) int {
 	return i
 }
 
-// appendKey appends a keyed item's key. The first item of a batch (prev
+// appendKey appends a keyed item's key. The first item of a run (prev
 // nil) writes it whole: its length, then its bytes. Every later one writes
 // the length of the prefix it shares with the key before it (sharedLen),
-// then the length and the bytes of the rest. A key the same as the one
-// before it is refused: a batch names each key once.
+// then the length and the bytes of the rest. A key that is not above the
+// one before it is refused: a run names each key once, in ascending order.
 func appendKey(b []byte, prev *string, key string) ([]byte, error) {
 	if prev == nil {
 		return appendString(b, key), nil
 	}
-	if key == *prev {
-		return nil, fmt.Errorf("codec: key %q twice in a row in a batch", key)
+	if key <= *prev {
+		return nil, fmt.Errorf("codec: key %q after %q in a run", key, *prev)
 	}
 	shared := sharedLen(*prev, key)
 	b = binary.AppendUvarint(b, uint64(shared))
@@ -296,11 +330,11 @@ func soleEntry(s lattice.State) (lattice.MapEntry, bool) {
 }
 
 // readKey reads a keyed item's key as appendKey writes it, against prev,
-// the key of the item before it in its batch (nil for the first), and
+// the key of the item before it in its run (nil for the first), and
 // appends it to *keys, which it makes non-nil. key is the appended part:
 // never nil, even when empty. The second spellings are refused: a shared
 // length past prev or maxShared, one shorter than the prefix the key
-// shares with prev up to maxShared, and a key that repeats prev.
+// shares with prev up to maxShared, and a key that is not above prev.
 func readKey(data, prev []byte, keys *[]byte) (key []byte, n int, err error) {
 	var shared uint64
 	if prev != nil {
@@ -325,8 +359,9 @@ func readKey(data, prev []byte, keys *[]byte) (key []byte, n int, err error) {
 		if shared < maxShared && int(shared) < len(prev) && len(rest) > 0 && rest[0] == prev[shared] {
 			return nil, 0, fmt.Errorf("codec: key shares more than the %d bytes it says with the one before", shared)
 		}
-		if int(shared)+len(rest) == len(prev) && bytes.Equal(rest, prev[shared:]) {
-			return nil, 0, fmt.Errorf("codec: key %q twice in a row in a batch", prev)
+		// The key and prev share prev[:shared]: the rest decides.
+		if bytes.Compare(rest, prev[shared:]) <= 0 {
+			return nil, 0, fmt.Errorf("codec: key in a run not above %q", prev)
 		}
 	}
 	if *keys == nil {
@@ -381,12 +416,12 @@ func readObjectMsg(data, prev []byte, keys *[]byte) (key, payload []byte, m prot
 
 // shardedHeader is a parsed sharded frame header, plain, with a digest
 // vector or with a link header: the link header, the digest vector still
-// as the raw 8-byte words it arrived in, and the item count. The items
-// follow it.
+// as the raw 8-byte words it arrived in, and the item counts. The keyed
+// run follows it, then the bare items.
 type shardedHeader struct {
-	link    protocol.LinkHeader
-	digests []byte // nil when the frame carries no vector
-	count   uint64
+	link        protocol.LinkHeader
+	digests     []byte // nil when the frame carries no vector
+	keyed, bare uint64
 }
 
 // errAckRanges rejects an acknowledgement with more ranges than a sender
@@ -494,11 +529,28 @@ func readShardedHeader(tag byte, data []byte, ranges []protocol.SeqRange) (h sha
 		h.digests = data[n : n+8*int(dcount) : n+8*int(dcount)]
 		n += 8 * int(dcount)
 	}
-	var m int
-	if h.count, m, err = readUvarint(data[n:]); err != nil {
+	counts, m, err := readUvarint(data[n:])
+	if err != nil {
 		return h, 0, err
 	}
-	return h, n + m, nil
+	n += m
+	h.keyed = counts >> 1
+	if counts&1 != 0 {
+		if h.bare, m, err = readUvarint(data[n:]); err != nil {
+			return h, 0, err
+		}
+		n += m
+		// The bit says there are bare items: a count of none is a second
+		// spelling of the header without them.
+		if h.bare == 0 {
+			return h, 0, fmt.Errorf("codec: frame with bare items names none")
+		}
+	}
+	// Every item takes at least one byte.
+	if rest := uint64(len(data) - n); h.keyed > rest || h.bare > rest-h.keyed {
+		return h, 0, ErrTruncated
+	}
+	return h, n, nil
 }
 
 // readIncarnation reads a 4-byte incarnation: a hello's, or the one that
@@ -516,20 +568,37 @@ func readIncarnation(data []byte) (uint32, int, error) {
 	return inc, 4, nil
 }
 
-// readShardItems decodes count (shard index, inner message) pairs, the
-// tail of every sharded frame variant.
+// readShardIndex reads a bare item's shard index.
+func readShardIndex(data []byte) (uint32, int, error) {
+	shard, n, err := readUvarint(data)
+	if err != nil {
+		return 0, 0, err
+	}
+	if shard > math.MaxUint32 {
+		// Truncating would alias a corrupt index into the valid shard
+		// range, bypassing the receiver's bounds check.
+		return 0, 0, fmt.Errorf("codec: shard index %d out of range", shard)
+	}
+	if n == len(data) {
+		return 0, 0, ErrTruncated
+	}
+	if data[n] == tagBatchMsg {
+		return 0, 0, errBareBatch
+	}
+	return uint32(shard), n, nil
+}
+
+// readShardItems decodes count bare items, (shard index, message) pairs.
 func readShardItems(data []byte, count uint64, depth int) ([]protocol.ShardItem, int, error) {
 	n := 0
-	items := make([]protocol.ShardItem, 0, capHint(count, data))
+	var items []protocol.ShardItem
+	if count > 0 {
+		items = make([]protocol.ShardItem, 0, capHint(count, data))
+	}
 	for i := uint64(0); i < count; i++ {
-		shard, m, err := readUvarint(data[n:])
+		shard, m, err := readShardIndex(data[n:])
 		if err != nil {
 			return nil, 0, err
-		}
-		if shard > math.MaxUint32 {
-			// Truncating would alias a corrupt index into the valid
-			// shard range, bypassing the receiver's bounds check.
-			return nil, 0, fmt.Errorf("codec: shard index %d out of range", shard)
 		}
 		n += m
 		inner, m2, err := decodeMsg(data[n:], depth+1)
@@ -537,12 +606,13 @@ func readShardItems(data []byte, count uint64, depth int) ([]protocol.ShardItem,
 			return nil, 0, err
 		}
 		n += m2
-		items = append(items, protocol.ShardItem{Shard: uint32(shard), Msg: inner})
+		items = append(items, protocol.ShardItem{Shard: shard, Msg: inner})
 	}
 	return items, n, nil
 }
 
-// readShardedMsg parses a sharded frame, any variant, after its tag.
+// readShardedMsg parses a sharded frame, any variant, after its tag: the
+// header, the keyed run, the bare items.
 func readShardedMsg(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
 	h, n, err := readShardedHeader(tag, data, nil)
 	if err != nil {
@@ -555,11 +625,16 @@ func readShardedMsg(tag byte, data []byte, depth int) (protocol.Msg, int, error)
 			digests[i] = binary.BigEndian.Uint64(h.digests[8*i:])
 		}
 	}
-	items, m, err := readShardItems(data[n:], h.count, depth)
+	keyed, m, err := readRun(data[n:], h.keyed)
 	if err != nil {
 		return nil, 0, err
 	}
-	return protocol.NewShardedLinkMsg(items, digests, h.link), n + m, nil
+	n += m
+	bare, m, err := readShardItems(data[n:], h.bare, depth)
+	if err != nil {
+		return nil, 0, err
+	}
+	return protocol.NewFrameMsg(keyed, bare, digests, h.link), n + m, nil
 }
 
 func readMsgBody(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
@@ -593,18 +668,11 @@ func readMsgBody(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
 			return nil, 0, err
 		}
 		n += m
-		items := make([]protocol.ObjectMsg, 0, capHint(count, data[n:]))
-		var keys, prev []byte
-		for i := uint64(0); i < count; i++ {
-			k, _, inner, m2, err := readObjectMsg(data[n:], prev, &keys)
-			if err != nil {
-				return nil, 0, err
-			}
-			n += m2
-			items = append(items, protocol.ObjectMsg{Key: string(k), Inner: inner})
-			prev = k
+		items, m, err := readRun(data[n:], count)
+		if err != nil {
+			return nil, 0, err
 		}
-		return protocol.BatchOf(items), n, nil
+		return protocol.BatchOf(items), n + m, nil
 
 	case tagDigestMsg, tagDigestEchoMsg:
 		count, m, err := readUvarint(data[n:])

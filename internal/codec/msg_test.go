@@ -79,7 +79,8 @@ func retiredMsgs() []retiredMsg {
 // encoding with the entry seqs spelled out; the acknowledgement it used to
 // be answered with, like every retired message, has none — EncodeMsg
 // refuses the message and the decoders refuse its tag as unknown, bare, in
-// a batch and as a frame's item, never skipping it.
+// a batch, as a frame's bare item and as the message of a keyed item in its
+// run, never skipping it.
 func TestAckedDeltaAndAckRoundTrip(t *testing.T) {
 	m := protocol.NewAckedDeltaMsg(crdt.NewGSet("x"), []uint64{3, 9, 12})
 	got := msgRoundTrip(t, m).(*protocol.AckedDeltaMsg)
@@ -97,10 +98,10 @@ func TestAckedDeltaAndAckRoundTrip(t *testing.T) {
 		}
 		inBatch := append([]byte{71, 1, 1, 'k'}, r.wire...)
 		for name, data := range map[string][]byte{
-			"bare":               r.wire,
-			"in a batch":         inBatch,
-			"as an item":         append([]byte{72, 1, 0}, r.wire...),
-			"in an item's batch": append([]byte{72, 1, 0}, inBatch...),
+			"bare":             r.wire,
+			"in a batch":       inBatch,
+			"as a bare item":   append([]byte{72, 1, 1, 0}, r.wire...),
+			"in a frame's run": append([]byte{72, 2, 1, 'k'}, r.wire...),
 		} {
 			if _, _, err := codec.DecodeMsg(data); !errors.Is(err, codec.ErrUnknownTag) {
 				t.Errorf("%s %s: DecodeMsg error %v, want ErrUnknownTag", kind, name, err)
@@ -141,15 +142,57 @@ func TestShardedMsgRoundTrip(t *testing.T) {
 	}
 	m := protocol.NewShardedMsg(items)
 	got := msgRoundTrip(t, m).(*protocol.ShardedMsg)
-	if len(got.Items) != 2 || got.Items[1].Shard != 13 {
-		t.Fatalf("items = %+v", got.Items)
+	if len(got.Items) != 1 || got.Items[0].Shard != 13 || got.Items[0].Msg.Kind() != "delta" {
+		t.Fatalf("bare items = %+v", got.Items)
 	}
-	inner, ok := got.Items[0].Msg.(*protocol.BatchMsg)
-	if !ok || len(inner.Items) != 2 || inner.Items[1].Key != "user:2" {
-		t.Errorf("nested batch mismatch: %+v", got.Items[0].Msg)
+	if len(got.Keyed) != 2 || got.Keyed[0].Key != "user:1" || got.Keyed[1].Key != "user:2" {
+		t.Errorf("keyed run = %+v", got.Keyed)
 	}
-	if got.Items[1].Msg.Kind() != "delta" {
-		t.Errorf("second item kind = %q, want delta", got.Items[1].Msg.Kind())
+	// A batch is keyed items: as a bare item it is refused both ways.
+	if _, err := codec.EncodeMsg(&protocol.ShardedMsg{Items: items}); err == nil {
+		t.Error("a batch encoded as a bare item")
+	}
+	bare, _ := codec.AppendShardItem([]byte{72, 1, 1}, items[0])
+	if _, _, err := codec.DecodeMsg(bare); err == nil {
+		t.Error("a batch decoded as a bare item")
+	}
+	var v codec.FrameView
+	if err := codec.UnpackFrame(bare, 16, &v); err == nil {
+		t.Error("a batch unpacked as a bare item")
+	}
+}
+
+// TestShardedMsgKeysAscend: a frame's run names each key once, in
+// ascending order. NewShardedMsg sorts the batches' items into one run;
+// the encoder refuses a run that names a key twice, or out of order.
+func TestShardedMsgKeysAscend(t *testing.T) {
+	delta := protocol.NewDeltaMsg(crdt.NewGSet("a"))
+	batch := func(keys ...string) *protocol.BatchMsg {
+		var oms []protocol.ObjectMsg
+		for _, k := range keys {
+			oms = append(oms, protocol.ObjectMsg{Key: k, Inner: delta})
+		}
+		return protocol.BatchOf(oms)
+	}
+	m := protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 3, Msg: batch("c", "e")}, {Shard: 1, Msg: batch("a", "d")}})
+	var keys []string
+	for _, om := range msgRoundTrip(t, m).(*protocol.ShardedMsg).Keyed {
+		keys = append(keys, om.Key)
+	}
+	if !slices.Equal(keys, []string{"a", "c", "d", "e"}) {
+		t.Errorf("run %q, want a c d e", keys)
+	}
+	for _, run := range [][]string{{"a", "a"}, {"b", "a"}, {"ab", "a"}} {
+		if _, err := codec.EncodeMsg(&protocol.ShardedMsg{Keyed: batch(run...).Items}); err == nil {
+			t.Errorf("encoded the run %q", run)
+		}
+		if _, err := codec.EncodeMsg(batch(run...)); err == nil {
+			t.Errorf("encoded the batch %q", run)
+		}
+	}
+	twice := protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 1, Msg: batch("a")}, {Shard: 1, Msg: batch("a", "b")}})
+	if _, err := codec.EncodeMsg(twice); err == nil {
+		t.Error("encoded a key two batches name")
 	}
 }
 
@@ -287,10 +330,10 @@ func TestDecodeHelloHostileInput(t *testing.T) {
 		binary.AppendUvarint([]byte{77}, 1<<32),    // version beyond uint32
 		binary.AppendUvarint([]byte{77, 1}, 1<<40), // shard count beyond uint32
 		{77}, {77, 2}, {77, 1, 4}, header, // truncated before the ids
-		{77, 2, 4, 0, 0, 9},                                      // truncated incarnation
-		{77, 2, 4, 0, 0, 0, 0, 0},                                // zero incarnation
-		append(append([]byte{}, header...), 2, 1, 'a'),           // the second id missing
-		{72, 1, 0, 77, 1, 4, 255, 255, 255, 255, 255, 255, 1, 0}, // nested in a sharded frame, hostile count
+		{77, 2, 4, 0, 0, 9},                                         // truncated incarnation
+		{77, 2, 4, 0, 0, 0, 0, 0},                                   // zero incarnation
+		append(append([]byte{}, header...), 2, 1, 'a'),              // the second id missing
+		{72, 1, 1, 0, 77, 1, 4, 255, 255, 255, 255, 255, 255, 1, 0}, // nested in a sharded frame, hostile count
 	} {
 		if _, _, err := codec.DecodeMsg(data); err == nil {
 			t.Errorf("%v should fail decoding", data)
@@ -445,7 +488,7 @@ func TestDecodeDigestHostileInput(t *testing.T) {
 func TestDecodeShardIndexOutOfRange(t *testing.T) {
 	// A shard index beyond uint32 must be rejected, not truncated into
 	// the valid range where it would bypass the receiver's bounds check.
-	msg := []byte{72, 1}                           // sharded, 1 item
+	msg := []byte{72, 1, 1}                        // sharded, 1 bare item
 	msg = binary.AppendUvarint(msg, uint64(1)<<33) // hostile shard index
 	inner, _ := codec.EncodeMsg(protocol.NewDeltaMsg(crdt.NewGSet("a")))
 	msg = append(msg, inner...)
@@ -459,9 +502,9 @@ func TestDecodeHostileNestingDoesNotPanic(t *testing.T) {
 	// with an error, not exhaust the stack.
 	var msg []byte
 	for i := 0; i < 1000; i++ {
-		msg = append(msg, 72) // tagShardedMsg
-		msg = append(msg, 1)  // one item
-		msg = append(msg, 0)  // shard 0
+		msg = append(msg, 72)   // tagShardedMsg
+		msg = append(msg, 1, 1) // one bare item
+		msg = append(msg, 0)    // shard 0
 	}
 	if _, _, err := codec.DecodeMsg(msg); err == nil {
 		t.Error("deeply nested sharded message should fail")
@@ -492,10 +535,16 @@ func TestDecodeMsgErrors(t *testing.T) {
 func TestDecodeHostileCountDoesNotPanic(t *testing.T) {
 	// A frame declaring an absurd element count (here 2^60 sharded items
 	// in a few bytes) must fail with a decode error, not panic allocating
-	// the claimed capacity. Exercise every counted message shape.
+	// the claimed capacity. Exercise every counted message shape: a frame's
+	// count is its run's, shifted, or with the low bit set, bare items'.
 	hugeCount := binary.AppendUvarint(nil, 1<<60)
-	for _, tag := range []byte{66, 71, 72} { // acked δ-group seqs, batch, sharded
-		data := append([]byte{tag}, hugeCount...)
+	for _, data := range [][]byte{
+		append([]byte{66}, hugeCount...),    // acked δ-group seqs
+		append([]byte{71}, hugeCount...),    // batch
+		append([]byte{72}, hugeCount...),    // sharded, a run
+		append([]byte{72, 1}, hugeCount...), // sharded, bare items
+	} {
+		tag := data[0]
 		if _, _, err := codec.DecodeMsg(data); err == nil {
 			t.Errorf("tag %d: hostile count should fail", tag)
 		}
@@ -547,12 +596,12 @@ func TestShardedLinkRoundTrip(t *testing.T) {
 	} {
 		m := protocol.NewShardedLinkMsg(c.items, c.digests, c.link)
 		got := msgRoundTrip(t, m).(*protocol.ShardedMsg)
-		if !reflect.DeepEqual(got.Link, c.link) || !reflect.DeepEqual(got.Digests, c.digests) || len(got.Items) != len(c.items) {
-			t.Errorf("%s: decoded link %+v digests %v items %d", c.name, got.Link, got.Digests, len(got.Items))
+		if !reflect.DeepEqual(got.Link, c.link) || !reflect.DeepEqual(got.Digests, c.digests) || len(got.Keyed) != len(m.Keyed) {
+			t.Errorf("%s: decoded link %+v digests %v keyed items %d", c.name, got.Link, got.Digests, len(got.Keyed))
 		}
 		data, _ := codec.EncodeMsg(m)
 		body, _ := codec.EncodeMsg(protocol.NewShardedMsg(c.items))
-		if want := codec.ShardedHeaderSize(c.link, c.digests, len(c.items)) + len(body) - 2; len(data) != want {
+		if want := codec.ShardedHeaderSize(c.link, c.digests, len(m.Keyed), 0) + len(body) - 2; len(data) != want {
 			t.Errorf("%s: %d bytes, header size says %d", c.name, len(data), want)
 		}
 	}
@@ -567,47 +616,52 @@ func TestShardedLinkRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLinkItemsCarryNoSeqs: behind a link header a batch's AckedDeltaMsg
-// is the plain δ-group on the wire, and everything else is encoded as it
-// always was — one that is a whole item included, which no record names.
+// TestLinkItemsCarryNoSeqs: behind a numbered link header a keyed
+// AckedDeltaMsg is the plain δ-group on the wire, and everything else is
+// encoded as it always was — a bare one included, which no record names.
 func TestLinkItemsCarryNoSeqs(t *testing.T) {
 	d := crdt.NewGSet("x", "y")
+	b := protocol.ObjectMsg{Key: "b", Inner: protocol.NewDeltaMsg(crdt.NewGSet("z"))}
 	acked := protocol.ShardItem{Shard: 3, Msg: protocol.BatchOf([]protocol.ObjectMsg{
-		{Key: "a", Inner: protocol.NewAckedDeltaMsg(d, []uint64{4, 5})},
-		{Key: "b", Inner: protocol.NewDeltaMsg(crdt.NewGSet("z"))},
+		{Key: "a", Inner: protocol.NewAckedDeltaMsg(d, []uint64{4, 5})}, b,
 	})}
 	plain := protocol.ShardItem{Shard: 3, Msg: protocol.BatchOf([]protocol.ObjectMsg{
-		{Key: "a", Inner: protocol.NewDeltaMsg(d)},
-		{Key: "b", Inner: protocol.NewDeltaMsg(crdt.NewGSet("z"))},
+		{Key: "a", Inner: protocol.NewDeltaMsg(d)}, b,
 	})}
-	got, err := codec.AppendLinkShardItem(nil, acked)
-	if err != nil {
-		t.Fatal(err)
+	run := func(first protocol.ObjectMsg, link bool) []byte {
+		item := codec.AppendObjectMsg
+		if link {
+			item = codec.AppendLinkObjectMsg
+		}
+		out, err := item(nil, nil, first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _ = item(out, &first.Key, b)
+		return out
 	}
-	want, _ := codec.AppendShardItem(nil, plain)
-	if !bytes.Equal(got, want) {
-		t.Errorf("linked item %x, want the plain δ-group %x", got, want)
+	got := run(acked.Msg.(*protocol.BatchMsg).Items[0], true)
+	if want := run(plain.Msg.(*protocol.BatchMsg).Items[0], false); !bytes.Equal(got, want) {
+		t.Errorf("linked run %x, want the plain δ-groups %x", got, want)
 	}
-	withSeqs, _ := codec.AppendShardItem(nil, acked)
+	withSeqs := run(acked.Msg.(*protocol.BatchMsg).Items[0], false)
 	if len(withSeqs) <= len(got) {
 		t.Errorf("per-object encoding (%d bytes) is not longer than the linked one (%d)", len(withSeqs), len(got))
 	}
-	whole := protocol.ShardItem{Shard: 3, Msg: protocol.NewAckedDeltaMsg(d, []uint64{4, 5})}
-	gotWhole, _ := codec.AppendLinkShardItem(nil, whole)
-	if want, _ := codec.AppendShardItem(nil, whole); !bytes.Equal(gotWhole, want) {
-		t.Errorf("an item that is no batch changed: %x, want %x", gotWhole, want)
-	}
 	// EncodeMsg writes a numbered frame as the packer does; a frame that
-	// only acknowledges is no such frame, and keeps the old items.
+	// only acknowledges is no such frame, and keeps the old items, and so
+	// does a bare δ-group in either.
+	whole := protocol.ShardItem{Shard: 3, Msg: protocol.NewAckedDeltaMsg(d, []uint64{4, 5})}
+	wholeBytes, _ := codec.AppendShardItem(nil, whole)
 	numbered := protocol.LinkHeader{Seq: protocol.FrameSeq{Seq: 2, Back: 1}}
-	frame, _ := codec.EncodeMsg(protocol.NewShardedLinkMsg([]protocol.ShardItem{acked}, nil, numbered))
-	if want := append(codec.AppendShardedHeader(nil, numbered, nil, 1), got...); !bytes.Equal(frame, want) {
-		t.Errorf("numbered frame %x, want header and linked item %x", frame, want)
+	frame, _ := codec.EncodeMsg(protocol.NewShardedLinkMsg([]protocol.ShardItem{acked, whole}, nil, numbered))
+	if want := append(append(codec.AppendShardedHeader(nil, numbered, nil, 2, 1), got...), wholeBytes...); !bytes.Equal(frame, want) {
+		t.Errorf("numbered frame %x, want header, linked run and bare item %x", frame, want)
 	}
 	acking := protocol.LinkHeader{Ack: protocol.FrameAck{Inc: 9, Cum: 2}}
-	frame, _ = codec.EncodeMsg(protocol.NewShardedLinkMsg([]protocol.ShardItem{acked}, nil, acking))
-	if want := append(codec.AppendShardedHeader(nil, acking, nil, 1), withSeqs...); !bytes.Equal(frame, want) {
-		t.Errorf("unnumbered frame %x, want header and per-object item %x", frame, want)
+	frame, _ = codec.EncodeMsg(protocol.NewShardedLinkMsg([]protocol.ShardItem{acked, whole}, nil, acking))
+	if want := append(append(codec.AppendShardedHeader(nil, acking, nil, 2, 1), withSeqs...), wholeBytes...); !bytes.Equal(frame, want) {
+		t.Errorf("unnumbered frame %x, want header, per-object run and bare item %x", frame, want)
 	}
 	gotObj, _ := codec.AppendLinkObjectMsg(nil, nil, protocol.ObjectMsg{Key: "a", Inner: protocol.NewAckedDeltaMsg(d, []uint64{4})})
 	wantObj, _ := codec.AppendObjectMsg(nil, nil, protocol.ObjectMsg{Key: "a", Inner: protocol.NewDeltaMsg(d)})
@@ -675,10 +729,10 @@ func TestShardedLinkHostileHeaders(t *testing.T) {
 // field's value.
 var lwwBytes = []byte{9, 1, 1, 'w', 1, 'v'}
 
-// keyedFrame is a plain sharded frame of one item on shard 0, a batch of
-// one keyed item under key "k" whose message is body.
+// keyedFrame is a plain sharded frame whose run is one keyed item under
+// key "k" whose message is body.
 func keyedFrame(body ...[]byte) []byte {
-	data := []byte{72, 1, 0, 71, 1, 1, 'k'}
+	data := []byte{72, 2, 1, 'k'}
 	for _, b := range body {
 		data = append(data, b...)
 	}
@@ -692,17 +746,19 @@ func keyedFrame(body ...[]byte) []byte {
 // inside a keyed item, and tagKeyEntry anywhere else.
 func keyedFrames() (forms [][]byte, refused map[string][]byte) {
 	field := lattice.NewMapEntry("m/a/f", &crdt.LWWRegister{TS: 1, Writer: "w", Val: "v"})
-	two := lattice.NewMapEntry("m/a/f", lattice.NewMaxInt(3))
-	two.Set("m/a/g", lattice.NewMaxInt(4))
-	// Keys after the first share a prefix with the one before, or none.
+	own := lattice.NewMapEntry("m/b/f", &crdt.LWWRegister{TS: 1, Writer: "w", Val: "v"})
+	two := lattice.NewMapEntry("m/c/f", lattice.NewMaxInt(3))
+	two.Set("m/c/g", lattice.NewMaxInt(4))
+	// Keys ascend; each after the first shares a prefix with the one
+	// before, or none.
 	batch := protocol.BatchOf([]protocol.ObjectMsg{
 		{Key: "c/a", Inner: protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("w", 7))},
+		{Key: "m/a/e", Inner: protocol.NewDeltaMsg(lattice.NewMap())},
 		{Key: "m/a/f", Inner: protocol.NewAckedDeltaMsg(field, []uint64{3})},
 		{Key: "m/a/g", Inner: protocol.NewDeltaMsg(field)}, // another key's field
-		{Key: "m/a/f", Inner: protocol.NewDeltaMsg(field)},
+		{Key: "m/b/f", Inner: protocol.NewDeltaMsg(own)},
+		{Key: "m/c/f", Inner: protocol.NewDeltaMsg(two)}, // two fields
 		{Key: "s/a", Inner: protocol.NewDeltaMsg(crdt.NewGSet("e1", "e2"))},
-		{Key: "m/a/f", Inner: protocol.NewDeltaMsg(two)}, // two fields
-		{Key: "m/a/e", Inner: protocol.NewDeltaMsg(lattice.NewMap())},
 	})
 	for _, m := range []protocol.Msg{
 		batch,
@@ -722,16 +778,18 @@ func keyedFrames() (forms [][]byte, refused map[string][]byte) {
 		"a map field's value a map field":    keyedFrame([]byte{11, 11}, lwwBytes),
 		"the short form as a map's value":    keyedFrame([]byte{4, 1, 1, 'j', 11}, lwwBytes),
 		"the short form behind a DeltaMsg":   keyedFrame([]byte{65, 11}, lwwBytes),
-		"the short form as a bare item":      append([]byte{72, 1, 0, 11}, lwwBytes...),
-		"the short form in a bare DeltaMsg":  append([]byte{72, 1, 0, 65, 11}, lwwBytes...),
+		"the short form as a bare item":      append([]byte{72, 1, 1, 0, 11}, lwwBytes...),
+		"the short form in a bare DeltaMsg":  append([]byte{72, 1, 1, 0, 65, 11}, lwwBytes...),
 		"the short form in a standalone one": append([]byte{65, 11}, lwwBytes...),
-		"a keyed item with no message":       {72, 1, 0, 71, 1, 1, 'k'},
+		"a keyed item with no message":       {72, 2, 1, 'k'},
 	}
 	for name, follower := range map[string][]byte{
 		"a shared length past the key before": {3, 1, 'b'},
 		"a shared length short of the prefix": {0, 2, 'k', 'b'},
 		"a key that repeats the one before":   {2, 0},
 		"a follower's rest past the frame":    {1, 200, 'b'},
+		"a key below the one before":          {0, 1, 'a'},
+		"a key the one before extends":        {1, 0},
 	} {
 		refused[name] = chainFrame("ka", follower)
 	}
@@ -751,11 +809,48 @@ func benchKeyBatch() *protocol.BatchMsg {
 	return protocol.BatchOf(oms)
 }
 
-// chainFrame is a plain sharded frame of one item on shard 0, a batch of
-// two keyed GSet δ-groups: the first under first, the second's key spelled
-// as follower says.
+// benchFrameItems is what a bulk-acked pass hands its packer toward one
+// peer: six fresh keys — counters, sets and a map field, as the benchmark
+// draws them — each its own shard's only item among 64.
+func benchFrameItems() []protocol.ShardItem {
+	lww := &crdt.LWWRegister{TS: 1, Writer: "store-01", Val: "1y2p0ij32e8e7"}
+	var items []protocol.ShardItem
+	for _, om := range []protocol.ObjectMsg{
+		{Key: "c/n00001201", Inner: protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("store-01", 3))},
+		{Key: "s/n00001202", Inner: protocol.NewDeltaMsg(crdt.NewGSet("e101"))},
+		{Key: "c/n00001203", Inner: protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("store-01", 5))},
+		{Key: "m/n000024/f04", Inner: protocol.NewDeltaMsg(lattice.NewMapEntry("m/n000024/f04", lww))},
+		{Key: "s/n00001205", Inner: protocol.NewDeltaMsg(crdt.NewGSet("e104"))},
+		{Key: "c/n00001206", Inner: protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("store-01", 8))},
+	} {
+		items = append(items, protocol.ShardItem{Shard: protocol.ShardOf(om.Key, 64), Msg: protocol.BatchOf([]protocol.ObjectMsg{om})})
+	}
+	return items
+}
+
+// refusedRuns returns, by name, frames whose run or counts are spelled in
+// a way both decoders refuse: keys out of order, shared lengths that lie,
+// and counts past the bytes that remain.
+func refusedRuns() map[string][]byte {
+	_, refused := keyedFrames()
+	out := make(map[string][]byte)
+	for name, data := range refused {
+		if strings.Contains(name, "key") || strings.Contains(name, "shared") || strings.Contains(name, "rest") {
+			out[name] = data
+		}
+	}
+	three := chainFrame("ka", []byte{1, 1, 'b'})
+	out["a run one longer than its items"] = append([]byte{72, 6}, three[2:]...)
+	out["a run longer than the bytes left"] = append([]byte{72, 0x80, 0x80, 0x04}, three[2:]...)
+	out["bare items that name none"] = append([]byte{72, 5, 0}, three[2:]...)
+	return out
+}
+
+// chainFrame is a plain sharded frame whose run is two keyed GSet
+// δ-groups: the first under first, the second's key spelled as follower
+// says.
 func chainFrame(first string, follower []byte) []byte {
-	data := append([]byte{72, 1, 0, 71, 2, byte(len(first))}, first...)
+	data := append([]byte{72, 4, byte(len(first))}, first...)
 	data = append(data, 7, 1, 1, 'x')
 	data = append(data, follower...)
 	return append(data, 7, 1, 1, 'y')
@@ -821,6 +916,26 @@ func TestKeyedItemSpellings(t *testing.T) {
 	}
 }
 
+// TestRefusedRuns: a run whose keys are not strictly ascending, whose
+// shared lengths lie, or whose counts promise more than the bytes that
+// remain is refused by DecodeMsg and UnpackFrame alike, and a bulk-acked
+// frame's run is accepted by both.
+func TestRefusedRuns(t *testing.T) {
+	var v codec.FrameView
+	for name, data := range refusedRuns() {
+		if _, _, err := codec.DecodeMsg(data); err == nil {
+			t.Errorf("%s: DecodeMsg accepted %x", name, data)
+		}
+		if err := codec.UnpackFrame(data, 4, &v); err == nil {
+			t.Errorf("%s: UnpackFrame accepted %x", name, data)
+		}
+	}
+	checkUnpacked(t, encodeMsg(t, protocol.NewShardedMsg(benchFrameItems())), 64, &v)
+	if len(v.Groups()) != 6 {
+		t.Errorf("a bulk-acked frame unpacked into %d groups, want 6", len(v.Groups()))
+	}
+}
+
 // TestKeyedItemHostileCount: a map field whose value claims 2^40 elements
 // over a few bytes is refused having allocated no more than the bytes that
 // are there: nothing the short form decodes is sized from a count.
@@ -863,38 +978,48 @@ func sharedCap(t *testing.T) int {
 }
 
 // TestFrontCodedKeysBounded: what a frame can make its receiver build is
-// bounded by the cap on a key's shared prefix. A frame of 2 000 minimal
-// items, each sharing the whole allowed prefix with the key before it and
-// adding one byte, unpacks to keys that total less than 16 times its
+// bounded by the cap on a key's shared prefix. A frame whose run of 2 000
+// minimal items spans the whole frame — the batches of four shards, each
+// key sharing the whole allowed prefix with the key before it in the run
+// and adding two bytes — unpacks to keys that total less than 9 times its
 // length, and a warmed view unpacks it allocating less than 16 times its
 // length: the keys cost nothing but the view's buffer, the messages what
 // they take.
 func TestFrontCodedKeysBounded(t *testing.T) {
+	const shards = 4
 	prefix := strings.Repeat("x", sharedCap(t))
-	items := make([]protocol.ObjectMsg, 2000)
-	for i := range items {
-		items[i] = protocol.ObjectMsg{Key: prefix + string(rune('a'+i%2)), Inner: protocol.NewDeltaMsg(lattice.NewMaxInt(0))}
+	batches := make([][]protocol.ObjectMsg, shards)
+	for i := 0; i < 2000; i++ {
+		k := prefix + string([]byte{byte('a' + i/256), byte(i)})
+		sh := protocol.ShardOf(k, shards)
+		batches[sh] = append(batches[sh], protocol.ObjectMsg{Key: k, Inner: protocol.NewDeltaMsg(lattice.NewMaxInt(0))})
 	}
-	data, err := codec.EncodeMsg(protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 0, Msg: protocol.BatchOf(items)}}))
+	var items []protocol.ShardItem
+	for sh, b := range batches {
+		items = append(items, protocol.ShardItem{Shard: uint32(sh), Msg: protocol.BatchOf(b)})
+	}
+	data, err := codec.EncodeMsg(protocol.NewShardedMsg(items))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var v codec.FrameView
-	if err := codec.UnpackFrame(data, 4, &v); err != nil || v.NumItems() != len(items) {
-		t.Fatalf("unpacked %d items: %v", v.NumItems(), err)
+	if err := codec.UnpackFrame(data, shards, &v); err != nil || v.NumItems() != 2000 || len(v.Groups()) != shards {
+		t.Fatalf("unpacked %d items in %d groups: %v", v.NumItems(), len(v.Groups()), err)
 	}
 	rebuilt := 0
-	for _, iv := range v.Groups()[0].Items {
-		rebuilt += len(iv.Key)
+	for _, g := range v.Groups() {
+		for _, iv := range g.Items {
+			rebuilt += len(iv.Key)
+		}
 	}
-	if rebuilt > 16*len(data) {
+	if rebuilt > 9*len(data) {
 		t.Fatalf("a %d-byte frame rebuilds %d bytes of keys", len(data), rebuilt)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	const runs = 20
 	for i := 0; i < runs; i++ {
-		codec.UnpackFrame(data, 4, &v)
+		codec.UnpackFrame(data, shards, &v)
 	}
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 16*uint64(len(data)) {
@@ -903,26 +1028,28 @@ func TestFrontCodedKeysBounded(t *testing.T) {
 	t.Logf("%d-byte frame: %d bytes of keys rebuilt, %d allocated per unpack", len(data), rebuilt, (after.TotalAlloc-before.TotalAlloc)/runs)
 }
 
-// TestEmptyKeyInABatch: an empty key is a key. It is the first item of a
-// batch or follows another, decodes and unpacks as itself, and its view's
-// Key is empty but not nil — nil is a bare item's.
+// TestEmptyKeyInABatch: an empty key is a key. The lowest of all, it opens
+// its run, whatever batch it came in, decodes and unpacks as itself, and its
+// view's Key is empty but not nil — nil is a bare item's. After another key
+// it is out of order, and refused.
 func TestEmptyKeyInABatch(t *testing.T) {
-	for _, keys := range [][]string{{"", "a"}, {"a", ""}} {
-		oms := make([]protocol.ObjectMsg, len(keys))
-		for i, k := range keys {
-			oms[i] = protocol.ObjectMsg{Key: k, Inner: protocol.NewDeltaMsg(crdt.NewGSet("e"))}
+	delta := protocol.NewDeltaMsg(crdt.NewGSet("e"))
+	data, err := codec.EncodeMsg(protocol.NewShardedMsg([]protocol.ShardItem{
+		{Shard: 1, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: "a", Inner: delta}})},
+		{Shard: 2, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: "", Inner: delta}})},
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v codec.FrameView
+	checkUnpacked(t, data, 1, &v)
+	for i, iv := range v.Groups()[0].Items {
+		if want := []string{"", "a"}[i]; iv.Key == nil || string(iv.Key) != want {
+			t.Errorf("item %d has key %q (nil: %v), want %q", i, iv.Key, iv.Key == nil, want)
 		}
-		data, err := codec.EncodeMsg(protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 1, Msg: protocol.BatchOf(oms)}}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var v codec.FrameView
-		checkUnpacked(t, data, 4, &v)
-		for i, iv := range v.Groups()[0].Items {
-			if iv.Key == nil || string(iv.Key) != keys[i] {
-				t.Errorf("keys %q: item %d has key %q (nil: %v)", keys, i, iv.Key, iv.Key == nil)
-			}
-		}
+	}
+	if _, err := codec.EncodeMsg(protocol.BatchOf([]protocol.ObjectMsg{{Key: "a", Inner: delta}, {Key: "", Inner: delta}})); err == nil {
+		t.Error("encoded an empty key after another")
 	}
 }
 

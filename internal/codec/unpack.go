@@ -1,10 +1,11 @@
 package codec
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 
 	"crdtsync/internal/protocol"
 )
@@ -13,21 +14,21 @@ import (
 // single-pass packer: it walks the raw frame once, decoding each item with
 // the readers DecodeMsg uses (readObjectMsg for a keyed item, decodeMsg for
 // a bare one, so the decode is the item's extent and its validation, under
-// the eager decoder's hostile-input bounds),
-// flattens batches without materializing the ShardedMsg or BatchMsg
-// wrappers, and groups the items by shard into reusable views. A frame
+// the eager decoder's hostile-input bounds), routes each keyed item to the
+// receiver's shard by its key (protocol.ShardOf) without materializing the
+// ShardedMsg, and groups the items by shard into reusable views. A frame
 // either unpacks — every item decoded — or is refused whole, before its
 // receiver has touched a shard.
 //
 // The messages with a wire form are the ones a store sends. In sharded
-// frames: keyed items, batched per shard — the first item's key whole,
-// every later one's as the prefix it shares with the key before it and the
-// rest (readKey); then a δ-group as its state alone, a map field's as
-// tagKeyEntry and its value, an AckedDeltaMsg under its tag
-// (readObjectMsg) — and bare shard items under their message tags, of
-// which a TreeMsg closing a drill is the one stores send. Standalone:
-// HelloMsg, DigestMsg and TreeMsg (see the tag block in msg.go for what is
-// retired).
+// frames: the keyed items as one run in strictly ascending key order — the
+// first key whole, every later one as the prefix it shares with the key
+// before it and the rest (readKey); then a δ-group as its state alone, a
+// map field's as tagKeyEntry and its value, an AckedDeltaMsg under its tag
+// (readObjectMsg) — then bare shard items under their shard index and
+// message tag, of which a TreeMsg closing a drill is the one stores send.
+// Standalone: HelloMsg, DigestMsg and TreeMsg (see the tag block in msg.go
+// for what is retired).
 //
 // A FrameView and everything it hands out is only valid until the next
 // Unpack on the same view. An item's Key points into the view, where the
@@ -41,18 +42,18 @@ import (
 // (digest heartbeats, tree pushes).
 var ErrNotSharded = errors.New("codec: not a sharded frame")
 
-// ItemView is one object's message within a sharded frame: the shard it
+// ItemView is one item's message within a sharded frame: the shard it
 // routes to, its key, the raw encoding of its inner message and that
-// message decoded. Key is nil for a shard item that is not a per-object
-// batch (a bare message — the TreeMsg that closes a drill is the one
-// stores send; the keyed engines ignore any other).
+// message decoded. Key is nil for a bare item (the TreeMsg that closes a
+// drill is the one stores send; the keyed engines ignore any other).
 type ItemView struct {
-	// Shard is the destination shard index, already bounds-checked
-	// against the receiver's shard count by UnpackFrame.
+	// Shard is the destination shard index: a keyed item's, routed by its
+	// key among the receiver's shards; a bare item's as the frame named it,
+	// already bounds-checked against the receiver's shard count.
 	Shard uint32
 	// Key is the object key, rebuilt from the frame into the view and
-	// valid until the view's next unpack; nil when the item did not come
-	// from a per-object batch, and non-nil when it did, even when empty.
+	// valid until the view's next unpack; nil for a bare item, and non-nil
+	// for a keyed one, even when empty.
 	Key []byte
 	// Payload is the inner message's full encoding (its first byte
 	// included), aliasing the frame buffer. A keyed δ-group's is its state,
@@ -96,9 +97,10 @@ type FrameView struct {
 	// Digests is the piggybacked per-shard digest vector; nil when the
 	// frame carried none. The backing array is reused across unpacks.
 	Digests []uint64
-	// Dropped counts items whose shard index was outside the receiver's
-	// shard range — a shard-map mismatch between sender and receiver.
-	// They are decoded, not delivered; the transport surfaces the count.
+	// Dropped counts bare items whose shard index was outside the
+	// receiver's shard range — a shard-map mismatch between sender and
+	// receiver. They are decoded, not delivered; the transport surfaces the
+	// count. A keyed item is never dropped: the receiver routes it.
 	Dropped int
 	// Link is the frame's link header, zero when it carried none. The
 	// acknowledged ranges' backing array is reused across unpacks.
@@ -106,14 +108,15 @@ type FrameView struct {
 
 	ranges []protocol.SeqRange // backing of Link.Ack.Ranges
 	keys   []byte              // the items' keys, rebuilt (readKey)
-	items  []ItemView          // wire order
+	items  []ItemView          // wire order: the run, then bare items
 	sorted []ItemView          // shard order (scratch for the grouping sort)
 	counts []int               // counting-sort scratch, one slot per shard
 	groups []ItemGroup         // contiguous per-shard runs
 }
 
 // Groups returns the frame's items grouped by shard, each shard exactly
-// once, with the frame's per-shard item order preserved inside its group.
+// once, with the frame's per-shard item order preserved inside its group:
+// its keyed items in key order, then its bare items.
 func (v *FrameView) Groups() []ItemGroup { return v.groups }
 
 // NumItems returns the number of item views the unpack kept (flattened
@@ -168,8 +171,9 @@ func (v *FrameView) Reset() {
 }
 
 // UnpackFrame walks one encoded sharded frame (any variant) into v,
-// grouped by shard. shards is the receiver's shard count: items routed
-// beyond it are counted in v.Dropped and left out. It accepts exactly the
+// grouped by shard. shards is the receiver's shard count, a power of two:
+// keyed items are routed among them by key, and bare items that name a
+// shard beyond them are counted in v.Dropped and left out. It accepts exactly the
 // frames DecodeMsg accepts — the items go through the same decoder, under
 // the same nesting depth, count-versus-remaining-bytes and index-range
 // bounds, so hostile input fails with an error before any allocation
@@ -187,6 +191,9 @@ func UnpackFrame(data []byte, shards int, v *FrameView) error {
 }
 
 func (v *FrameView) unpack(data []byte, shards int) error {
+	if shards < 1 {
+		return fmt.Errorf("codec: unpacking for %d shards", shards)
+	}
 	if len(data) == 0 {
 		return ErrTruncated
 	}
@@ -206,88 +213,48 @@ func (v *FrameView) unpack(data []byte, shards int) error {
 	for i := 0; i < len(h.digests); i += 8 {
 		v.Digests = append(v.Digests, binary.BigEndian.Uint64(h.digests[i:]))
 	}
-	grouped := true // items arrive in non-decreasing shard order
-	var lastShard uint32
-	for i := uint64(0); i < h.count; i++ {
-		shard, m, err := readUvarint(data[n:])
-		if err != nil {
-			return err
-		}
-		if shard > math.MaxUint32 {
-			// Truncating would alias a corrupt index into the valid
-			// shard range, bypassing the bounds check below.
-			return fmt.Errorf("codec: shard index %d out of range", shard)
-		}
-		n += m
-		keep := shard < uint64(shards)
-		m, err = v.appendItem(data[n:], uint32(shard), keep)
-		if err != nil {
-			return err
-		}
-		n += m
-		if !keep {
-			v.Dropped++
-			continue
-		}
-		if len(v.items) > 0 && uint32(shard) < lastShard {
-			grouped = false
-		}
-		lastShard = uint32(shard)
-	}
-	v.group(shards, grouped)
-	return nil
-}
-
-// appendItem decodes the shard item that d starts with and returns its
-// length, appending its flattened views to v.items when keep is true (an
-// out-of-range item is decoded all the same, so it costs its sender the
-// full check). A per-object batch flattens into one view per object
-// message; any other message becomes a single keyless view.
-func (v *FrameView) appendItem(d []byte, shard uint32, keep bool) (int, error) {
-	if len(d) == 0 || d[0] != tagBatchMsg {
-		msg, n, err := decodeMsg(d, 1)
-		if err != nil {
-			return 0, err
-		}
-		if keep {
-			v.items = append(v.items, ItemView{Shard: shard, Payload: d[:n], msg: msg})
-		}
-		return n, nil
-	}
-	// A batch: each keyed item becomes its own view, read by the reader the
-	// batch case of readMsgBody reads it with. The batch-level wrapper is
-	// never materialized on the receive path.
-	count, n, err := readUvarint(d[1:])
-	if err != nil {
-		return 0, err
-	}
-	n++
 	var prev []byte
-	for i := uint64(0); i < count; i++ {
-		key, payload, msg, m, err := readObjectMsg(d[n:], prev, &v.keys)
+	for i := uint64(0); i < h.keyed; i++ {
+		key, payload, msg, m, err := readObjectMsg(data[n:], prev, &v.keys)
 		if err != nil {
-			return 0, err
-		}
-		if keep {
-			v.items = append(v.items, ItemView{Shard: shard, Key: key, Payload: payload, msg: msg})
+			return err
 		}
 		n += m
 		prev = key
+		v.items = append(v.items, ItemView{Shard: protocol.ShardOf(key, shards), Key: key, Payload: payload, msg: msg})
 	}
-	return n, nil
+	for i := uint64(0); i < h.bare; i++ {
+		shard, m, err := readShardIndex(data[n:])
+		if err != nil {
+			return err
+		}
+		n += m
+		// An out-of-range item is decoded all the same, so that it costs its
+		// sender the full check.
+		msg, m, err := decodeMsg(data[n:], 1)
+		if err != nil {
+			return err
+		}
+		payload := data[n : n+m]
+		n += m
+		if int64(shard) >= int64(shards) {
+			v.Dropped++
+			continue
+		}
+		v.items = append(v.items, ItemView{Shard: shard, Payload: payload, msg: msg})
+	}
+	v.group(shards)
+	return nil
 }
 
-// group builds the per-shard runs. A tick's or flush's frames list their
-// items in shard order (the packer walks shards in index order), so the
-// common case is a single pass over already-grouped items. A frame a
-// delivery answers with need not be: it can carry the answer to a drill's
-// close on one shard (answerClose) and then the stop of a drill on a lower
-// shard, started from the piggybacked vector of the same inbound frame
-// (handleDigests). Those fall back to a stable counting sort — O(items +
-// shards), order within each shard preserved.
-func (v *FrameView) group(shards int, grouped bool) {
+// group builds the per-shard runs. A frame's keyed items arrive in key
+// order, which hashing scatters over the shards, so a frame that touches
+// more than one shard takes a stable counting sort — O(items + shards),
+// order within each shard preserved; one whose items already arrive in
+// shard order (a single item, a single shard) takes one pass.
+func (v *FrameView) group(shards int) {
 	items := v.items
-	if !grouped {
+	if !slices.IsSortedFunc(items, func(a, b ItemView) int { return cmp.Compare(a.Shard, b.Shard) }) {
 		if cap(v.counts) < shards {
 			v.counts = make([]int, shards)
 		}

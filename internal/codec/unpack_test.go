@@ -26,24 +26,22 @@ type flatItem struct {
 	enc   string
 }
 
-// flattenEager expands a decoded ShardedMsg the way UnpackFrame does:
-// batches become one entry per object message, anything else one keyless
-// entry; items routed beyond the shard count are dropped (and counted).
+// flattenEager expands a decoded ShardedMsg the way UnpackFrame does: the
+// keyed run, one entry per item under the shard its key routes to, then
+// the bare items, one keyless entry each, those that name a shard beyond
+// the shard count dropped (and counted).
 func flattenEager(t testing.TB, sm *protocol.ShardedMsg, shards int) (kept []flatItem, dropped int) {
 	t.Helper()
+	for _, om := range sm.Keyed {
+		enc, err := codec.EncodeMsg(om.Inner)
+		if err != nil {
+			t.Fatalf("encode inner: %v", err)
+		}
+		kept = append(kept, flatItem{shard: protocol.ShardOf(om.Key, shards), key: om.Key, enc: string(enc)})
+	}
 	for _, it := range sm.Items {
 		if it.Shard >= uint32(shards) {
 			dropped++
-			continue
-		}
-		if bm, ok := it.Msg.(*protocol.BatchMsg); ok {
-			for _, om := range bm.Items {
-				enc, err := codec.EncodeMsg(om.Inner)
-				if err != nil {
-					t.Fatalf("encode inner: %v", err)
-				}
-				kept = append(kept, flatItem{shard: it.Shard, key: om.Key, enc: string(enc)})
-			}
 			continue
 		}
 		enc, err := codec.EncodeMsg(it.Msg)
@@ -53,6 +51,19 @@ func flattenEager(t testing.TB, sm *protocol.ShardedMsg, shards int) (kept []fla
 		kept = append(kept, flatItem{shard: it.Shard, enc: string(enc)})
 	}
 	return kept, dropped
+}
+
+// shardsOf returns how many distinct shards among shards the keys route to,
+// with the bare items' shards given.
+func shardsOf(shards int, keys []string, bare ...uint32) int {
+	seen := make(map[uint32]bool)
+	for _, k := range keys {
+		seen[protocol.ShardOf(k, shards)] = true
+	}
+	for _, s := range bare {
+		seen[s] = true
+	}
+	return len(seen)
 }
 
 // flattenView lowers a FrameView's groups into comparison items, checking
@@ -163,9 +174,9 @@ func unpackBatch(shard uint32, keys ...string) protocol.ShardItem {
 	return protocol.ShardItem{Shard: shard, Msg: protocol.BatchOf(oms)}
 }
 
-// TestUnpackFrameGrouped covers the common case: a packer-built frame
-// whose items already arrive in shard order, plus view reuse across
-// frames of both sharded variants.
+// TestUnpackFrameGrouped: a frame's keyed run, in key order, and its bare
+// items regroup into one group per shard the keys route to or the bare
+// items name, and a view is reused across frames of both sharded variants.
 func TestUnpackFrameGrouped(t *testing.T) {
 	var v codec.FrameView
 	first := encodeMsg(t, protocol.NewShardedMsg([]protocol.ShardItem{
@@ -175,8 +186,8 @@ func TestUnpackFrameGrouped(t *testing.T) {
 		unpackBatch(3, "d", "e", "f"),
 	}))
 	checkUnpacked(t, first, 4, &v)
-	if got := len(v.Groups()); got != 3 {
-		t.Fatalf("groups = %d, want 3", got)
+	if got, want := len(v.Groups()), shardsOf(4, []string{"a", "b", "c", "d", "e", "f"}, 1); got != want {
+		t.Fatalf("groups = %d, want %d", got, want)
 	}
 	// Reuse the same view on a digest-carrying frame: everything from the
 	// first unpack must be gone.
@@ -189,9 +200,9 @@ func TestUnpackFrameGrouped(t *testing.T) {
 	}
 }
 
-// TestUnpackFrameInterleaved covers the counting-sort fallback: shard
-// runs split across the frame regroup into one group per shard with the
-// per-shard wire order preserved.
+// TestUnpackFrameInterleaved: batches the sender emitted out of shard
+// order, one shard's in two, join one run and regroup into one group per
+// shard with each shard's items in key order.
 func TestUnpackFrameInterleaved(t *testing.T) {
 	var v codec.FrameView
 	data := encodeMsg(t, protocol.NewShardedMsg([]protocol.ShardItem{
@@ -202,26 +213,33 @@ func TestUnpackFrameInterleaved(t *testing.T) {
 		unpackBatch(0, "a3"),
 	}))
 	checkUnpacked(t, data, 4, &v)
-	if got := len(v.Groups()); got != 3 {
-		t.Fatalf("groups = %d, want 3", got)
+	if got, want := len(v.Groups()), shardsOf(4, []string{"a1", "a2", "a3", "b1", "c1", "c2"}); got != want {
+		t.Fatalf("groups = %d, want %d", got, want)
 	}
 }
 
-// TestUnpackFrameDropped covers shard-map skew: items routed beyond the
-// receiver's shard count are counted and skipped, not delivered.
+// TestUnpackFrameDropped covers shard-map skew: bare items that name a
+// shard beyond the receiver's shard count are counted and skipped, not
+// delivered. Keyed items carry no shard index: whatever shard the sender
+// filed them under, the receiver routes each by its key.
 func TestUnpackFrameDropped(t *testing.T) {
 	var v codec.FrameView
+	closeOn := func(shard uint32) protocol.ShardItem {
+		return protocol.ShardItem{Shard: shard, Msg: protocol.NewTreeMsg(shard, protocol.TreeDepth, []uint32{5}, nil)}
+	}
 	data := encodeMsg(t, protocol.NewShardedMsg([]protocol.ShardItem{
 		unpackBatch(1, "keep"),
-		unpackBatch(9, "drop1", "drop2"),
-		unpackBatch(40_000, "drop3"),
+		unpackBatch(9, "routed1", "routed2"),
+		closeOn(2),
+		closeOn(9),
+		closeOn(40_000),
 	}))
 	checkUnpacked(t, data, 4, &v)
 	if v.Dropped != 2 {
 		t.Fatalf("Dropped = %d, want 2", v.Dropped)
 	}
-	if v.NumItems() != 1 {
-		t.Fatalf("NumItems = %d, want 1", v.NumItems())
+	if v.NumItems() != 4 {
+		t.Fatalf("NumItems = %d, want 4", v.NumItems())
 	}
 }
 
@@ -269,20 +287,22 @@ func TestUnpackFrameHostile(t *testing.T) {
 // refused whole, what unpacked before it included.
 func TestItemViewTags(t *testing.T) {
 	var v codec.FrameView
-	good, err := codec.AppendShardItem(nil, unpackBatch(1, "k"))
+	good, err := codec.AppendObjectMsg(nil, nil, protocol.ObjectMsg{Key: "k", Inner: unpackGSetDelta(0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	field, err := codec.AppendShardItem(nil, protocol.ShardItem{Shard: 1, Msg: protocol.BatchOf([]protocol.ObjectMsg{
-		{Key: "m/a/f", Inner: protocol.NewDeltaMsg(lattice.NewMapEntry("m/a/f", &crdt.LWWRegister{TS: 1, Writer: "r", Val: "v"}))},
-		{Key: "k", Inner: protocol.NewAckedDeltaMsg(crdt.NewGSet("x"), []uint64{2})},
-	})})
+	k, f := "k", "m/a/f"
+	field, err := codec.AppendObjectMsg(nil, &k, protocol.ObjectMsg{Key: f, Inner: protocol.NewDeltaMsg(lattice.NewMapEntry(f, &crdt.LWWRegister{TS: 1, Writer: "r", Val: "v"}))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := append(codec.AppendShardedHeader(nil, protocol.LinkHeader{}, nil, 2), good...)
+	if field, err = codec.AppendObjectMsg(field, &f, protocol.ObjectMsg{Key: "n", Inner: protocol.NewAckedDeltaMsg(crdt.NewGSet("x"), []uint64{2})}); err != nil {
+		t.Fatal(err)
+	}
+	data := append(codec.AppendShardedHeader(nil, protocol.LinkHeader{}, nil, 3, 0), good...)
 	data = append(data, field...)
-	if err := codec.UnpackFrame(data, 4, &v); err != nil {
+	// One shard: the items' group is the run, in key order.
+	if err := codec.UnpackFrame(data, 1, &v); err != nil {
 		t.Fatalf("UnpackFrame: %v", err)
 	}
 	for i, want := range []byte{7, 11, 66} { // GSet state, map field, the per-object acked form
@@ -293,15 +313,20 @@ func TestItemViewTags(t *testing.T) {
 	for _, c := range []struct {
 		tag  byte
 		item []byte
+		bare bool
 	}{
-		{67, []byte{0, 67, 1, 1}},                // shard 0: a per-object acknowledgement
-		{68, []byte{0, 68, 0, 0}},                // shard 0: a Scuttlebutt digest
-		{67, []byte{0, 71, 1, 1, 'k', 67, 1, 1}}, // the acknowledgement inside a batch
+		{67, []byte{0, 67, 1, 1}, true},          // shard 0: a per-object acknowledgement
+		{68, []byte{0, 68, 0, 0}, true},          // shard 0: a Scuttlebutt digest
+		{67, []byte{0, 1, 'l', 67, 1, 1}, false}, // the acknowledgement as a keyed item's message
 	} {
 		if !codec.IsAckTag(c.tag) {
 			t.Fatalf("tag %d is not an ack tag", c.tag)
 		}
-		data := append(codec.AppendShardedHeader(nil, protocol.LinkHeader{}, nil, 2), good...)
+		keyed, bare := 2, 0
+		if c.bare {
+			keyed, bare = 1, 1
+		}
+		data := append(codec.AppendShardedHeader(nil, protocol.LinkHeader{}, nil, keyed, bare), good...)
 		data = append(data, c.item...)
 		if err := codec.UnpackFrame(data, 4, &v); !errors.Is(err, codec.ErrUnknownTag) {
 			t.Fatalf("item %v: error %v, want ErrUnknownTag", c.item, err)
@@ -312,13 +337,12 @@ func TestItemViewTags(t *testing.T) {
 	}
 }
 
-// TestUnpackHostileItemCount: a frame and a batch that each claim 2^40
-// items over a few dozen bytes are refused having allocated what the items
-// that are there decode to — nothing is sized from a count.
+// TestUnpackHostileItemCount: a frame whose run claims 2^40 items, or one
+// more than the bytes that remain, over a few dozen bytes, and a batch that
+// claims 2^40, are refused having allocated what the items that are there
+// decode to — nothing is sized from a count.
 func TestUnpackHostileItemCount(t *testing.T) {
-	huge := binary.AppendUvarint(nil, 1<<40)
-	data := append([]byte{72}, huge...)         // sharded, 2^40 items
-	data = append(append(data, 0, 71), huge...) // shard 0: a batch of 2^40
+	var items []byte
 	keys := []string{"a", "b", "c"}
 	for i, k := range keys {
 		var prev *string
@@ -326,13 +350,26 @@ func TestUnpackHostileItemCount(t *testing.T) {
 			prev = &keys[i-1]
 		}
 		var err error
-		if data, err = codec.AppendObjectMsg(data, prev, protocol.ObjectMsg{Key: k, Inner: unpackGSetDelta(0, 1)}); err != nil {
+		if items, err = codec.AppendObjectMsg(items, prev, protocol.ObjectMsg{Key: k, Inner: unpackGSetDelta(0, 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	frame := func(keyed uint64) []byte {
+		return append(binary.AppendUvarint([]byte{72}, keyed<<1), items...)
+	}
+	data := frame(1 << 40) // sharded, a run of 2^40 items
 	var v codec.FrameView
-	if err := codec.UnpackFrame(data, 4, &v); !errors.Is(err, codec.ErrTruncated) {
-		t.Fatalf("error %v, want ErrTruncated", err)
+	for _, keyed := range []uint64{1 << 40, uint64(len(items)) + 1} {
+		if err := codec.UnpackFrame(frame(keyed), 4, &v); !errors.Is(err, codec.ErrTruncated) {
+			t.Fatalf("a run of %d items: error %v, want ErrTruncated", keyed, err)
+		}
+		if _, _, err := codec.DecodeMsg(frame(keyed)); !errors.Is(err, codec.ErrTruncated) {
+			t.Fatalf("a run of %d items, eager decode: error %v, want ErrTruncated", keyed, err)
+		}
+	}
+	batch := append(binary.AppendUvarint([]byte{71}, 1<<40), items...) // a batch of 2^40
+	if _, _, err := codec.DecodeMsg(batch); !errors.Is(err, codec.ErrTruncated) {
+		t.Fatalf("a batch of 2^40 items: error %v, want ErrTruncated", err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -355,7 +392,8 @@ func TestUnpackHostileItemCount(t *testing.T) {
 // batch: numbered, acknowledging with ranges, both with a digest vector,
 // an acknowledgement with no items, and one with an empty vector.
 func linkedFrames(batch protocol.Msg) []protocol.Msg {
-	items := []protocol.ShardItem{{Shard: 2, Msg: batch}, {Shard: 0, Msg: batch}}
+	other := protocol.BatchOf([]protocol.ObjectMsg{{Key: "p:1", Inner: protocol.NewDeltaMsg(crdt.NewGSet("c"))}})
+	items := []protocol.ShardItem{{Shard: 2, Msg: batch}, {Shard: 0, Msg: other}}
 	seq := protocol.FrameSeq{Seq: 300, Back: 2}
 	ack := protocol.FrameAck{Inc: 0x01020304, Cum: 127, Ranges: []protocol.SeqRange{{Lo: 129, Hi: 129}, {Lo: 140, Hi: 1 << 40}}}
 	return []protocol.Msg{
@@ -424,8 +462,8 @@ func FuzzUnpackFrame(f *testing.F) {
 	}))
 	// A retired tag (a per-object acknowledgement) behind an item that
 	// unpacks, and in an item that is dropped: refused, not skipped.
-	f.Add([]byte{72, 2, 0, 65, 7, 1, 1, 97, 0, 67, 1, 9})
-	f.Add([]byte{72, 1, 7, 67, 1, 9})
+	f.Add([]byte{72, 1, 2, 0, 65, 7, 1, 1, 97, 0, 67, 1, 9})
+	f.Add([]byte{72, 1, 1, 7, 67, 1, 9})
 	seed(protocol.NewShardedDigestMsg([]protocol.ShardItem{
 		{Shard: 3, Msg: protocol.NewDeltaMsg(crdt.NewGSet("p"))},
 		{Shard: 1, Msg: batch}, // out of shard order: counting-sort path
@@ -442,8 +480,8 @@ func FuzzUnpackFrame(f *testing.F) {
 	}))
 	f.Add([]byte{72, 2, 1})                   // sharded, 2 items, truncated
 	f.Add([]byte{74, 255, 255, 255, 255, 15}) // sharded+digest, hostile count
-	f.Add([]byte{72, 1, 3, 70, 1, 1, 97, 64, 1})
-	f.Add([]byte{72, 1, 2, 75, 0, 2, 1, 1, 2, 1, 2, 3}) // embedded tree push, truncated hashes
+	f.Add([]byte{72, 1, 1, 3, 70, 1, 1, 97, 64, 1})
+	f.Add([]byte{72, 1, 1, 2, 75, 0, 2, 1, 1, 2, 1, 2, 3}) // embedded tree push, truncated hashes
 	// The linked variant: numbered, acknowledging with ranges, both with a
 	// digest vector, an acknowledgement with no items, and hostile headers.
 	for _, m := range linkedFrames(batch) {
@@ -457,7 +495,7 @@ func FuzzUnpackFrame(f *testing.F) {
 	// hostile id count.
 	seed(protocol.NewHelloMsg(protocol.WireVersion, 4, 7, []string{"s-01"}))
 	seed(protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 1, Msg: protocol.NewHelloMsg(protocol.WireVersion, 4, 7, []string{"s-01", "s-02"})}}))
-	f.Add([]byte{72, 1, 1, 77, 2, 4, 0, 0, 0, 7, 255, 255, 255, 255, 15, 1, 97})
+	f.Add([]byte{72, 1, 1, 1, 77, 2, 4, 0, 0, 0, 7, 255, 255, 255, 255, 15, 1, 97})
 	// Every tag of the link block: each shape of link header, and the
 	// values that name none.
 	for _, m := range linkShapes(batch) {
@@ -478,6 +516,13 @@ func FuzzUnpackFrame(f *testing.F) {
 	// A batch whose keys after the first are written against the one
 	// before, behind a link header.
 	seed(protocol.NewShardedLinkMsg([]protocol.ShardItem{{Shard: 2, Msg: benchKeyBatch()}}, nil, protocol.LinkHeader{Seq: protocol.FrameSeq{Seq: 1}}))
+	// A bulk-acked frame's run, its keys from six shards in one chain,
+	// plainly and numbered, and every spelling of a run that is refused.
+	seed(protocol.NewShardedMsg(benchFrameItems()))
+	seed(protocol.NewShardedLinkMsg(benchFrameItems(), nil, protocol.LinkHeader{Seq: protocol.FrameSeq{Seq: 9, Back: 1}}))
+	for _, data := range sortedValues(refusedRuns()) {
+		f.Add(data)
+	}
 
 	const shards = 4
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -661,24 +706,13 @@ func smallUnpackTime(t testing.TB, v *codec.FrameView, small []byte, shards int)
 
 // TestUnpackSmallAfterLarge pins that a view's reset costs what its last
 // frame used, not what its largest frame ever used: after one 20 000-item
-// frame (interleaved, so the grouping scratch grows too), a 10-item frame
+// frame (its run over every shard, so the grouping scratch grows too), a 10-item frame
 // must unpack as fast as into a fresh view. Clearing the item arrays at
 // full capacity made every later small frame memclr ~2.9 MB — a third of
 // the steady workload's CPU once a single bulk frame had passed through.
 func TestUnpackSmallAfterLarge(t *testing.T) {
 	const shards = 64
 	large := unpackBenchFrame(t, shards, 313)
-	// The same frame with its shard batches in descending order takes the
-	// counting-sort path.
-	m, _, err := codec.DecodeMsg(large)
-	if err != nil {
-		t.Fatal(err)
-	}
-	items := m.(*protocol.ShardedMsg).Items
-	for i, j := 0, len(items)-1; i < j; i, j = i+1, j-1 {
-		items[i], items[j] = items[j], items[i]
-	}
-	large = encodeMsg(t, protocol.NewShardedMsg(items))
 	small := unpackBenchFrame(t, 2, 5)
 
 	var fresh, used, reset codec.FrameView

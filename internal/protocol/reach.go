@@ -113,8 +113,10 @@ func (r *Reach) Withheld() uint64 { return r.withheld.Load() }
 // sender's incarnation out of every numbered frame and into the hello;
 // version 3 writes a keyed δ-group as its state alone, and a map field's
 // without its key's second spelling; version 4 writes each key of a batch
-// after the first as what it does not share with the key before it.
-const WireVersion = 4
+// after the first as what it does not share with the key before it;
+// version 5 writes all of a data frame's keyed items as one run in key
+// order, with no shard index, which the receiver routes by key (ShardOf).
+const WireVersion = 5
 
 // HelloMsg is how a connection introduces itself: the first frame a store
 // writes on every connection it establishes, written again whenever the

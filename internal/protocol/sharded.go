@@ -1,22 +1,31 @@
 package protocol
 
 import (
+	"cmp"
+	"slices"
+
 	"crdtsync/internal/lattice"
 	"crdtsync/internal/metrics"
 )
 
-// ShardItem is one shard's protocol message inside a sharded frame.
+// ShardItem is one shard's protocol message: what a shard's engine hands
+// the transport, and inside a sharded frame a bare item.
 type ShardItem struct {
 	Shard uint32
 	Msg   Msg
 }
 
-// ShardedMsg coalesces the per-shard messages a multi-object store sends
-// to one neighbor in one synchronization tick into a single wire frame:
-// instead of one TCP frame per shard (or worse, per object), the transport
-// ships one frame carrying deltas for many keys across many shards. The
-// shard index routes each inner message to the peer's matching shard, so
-// both sides must run the same shard count.
+// ShardedMsg coalesces the messages a multi-object store sends to one
+// neighbor in one synchronization tick into a single wire frame: instead of
+// one TCP frame per shard (or worse, per object), the transport ships one
+// frame carrying deltas for many keys across many shards.
+//
+// Keyed holds the frame's keyed items — every δ-group of every shard's
+// batch — as one run in strictly ascending key order, which carries no
+// shard index: the receiver routes each item by its key (ShardOf). Items
+// holds the bare ones, messages that are not a keyed item, each under the
+// shard index it names; a drill's closing TreeMsg is the one stores send.
+// Both ends must run the same shard count.
 //
 // Digests, when non-nil, piggybacks the sender's per-shard digest vector
 // (the anti-entropy advertisement otherwise carried by a standalone
@@ -29,6 +38,7 @@ type ShardItem struct {
 // its own sequence number when it holds δ-groups that want an ack, and
 // the sender's acknowledgement of what it has received the other way.
 type ShardedMsg struct {
+	Keyed   []ObjectMsg
 	Items   []ShardItem
 	Digests []uint64
 	Link    LinkHeader
@@ -120,9 +130,12 @@ func (h LinkHeader) MetadataBytes() int {
 	return n
 }
 
-// NewShardedMsg builds a ShardedMsg, aggregating the inner accounting:
-// one message on the wire, inner elements/payload summed, and 4 bytes of
-// routing metadata per shard index.
+// NewShardedMsg builds a ShardedMsg out of the shard items a pass emitted:
+// the items of every BatchMsg among them join the keyed run, in key order
+// (a stable sort: a key named twice stays twice, for the encoder to
+// refuse), and every other message is a bare item. The accounting is one
+// message on the wire, inner elements and payload summed, a keyed item's
+// key and a bare item's 4 bytes of shard index as routing metadata.
 func NewShardedMsg(items []ShardItem) *ShardedMsg {
 	return NewShardedLinkMsg(items, nil, LinkHeader{})
 }
@@ -138,17 +151,49 @@ func NewShardedDigestMsg(items []ShardItem, digests []uint64) *ShardedMsg {
 // sequence numbers and incarnations are metadata like the digest words.
 // What is acknowledged per frame is not acknowledged per δ-group: a
 // batch's AckedDeltaMsg goes out as the plain δ-group (see
-// codec.AppendLinkShardItem), and a batch's accounting (BatchOf) never
-// counted its entry seqs.
+// codec.AppendLinkObjectMsg), and a keyed item's accounting never counted
+// its entry seqs.
 func NewShardedLinkMsg(items []ShardItem, digests []uint64, link LinkHeader) *ShardedMsg {
-	cost := metrics.Transmission{Messages: 1, MetadataBytes: 8*len(digests) + link.MetadataBytes()}
+	var keyed []ObjectMsg
+	var bare []ShardItem
 	for _, it := range items {
-		ic := it.Msg.Cost()
-		cost.Elements += ic.Elements
-		cost.PayloadBytes += ic.PayloadBytes
-		cost.MetadataBytes += ic.MetadataBytes + 4
+		if bm, ok := it.Msg.(*BatchMsg); ok {
+			keyed = append(keyed, bm.Items...)
+		} else {
+			bare = append(bare, it)
+		}
 	}
-	return &ShardedMsg{Items: items, Digests: digests, Link: link, cost: cost}
+	slices.SortStableFunc(keyed, func(a, b ObjectMsg) int { return cmp.Compare(a.Key, b.Key) })
+	return NewFrameMsg(keyed, bare, digests, link)
+}
+
+// NewFrameMsg builds a ShardedMsg from its parts as they are on the wire:
+// keyed, the run in key order, and bare, the bare items.
+func NewFrameMsg(keyed []ObjectMsg, bare []ShardItem, digests []uint64, link LinkHeader) *ShardedMsg {
+	cost := metrics.Transmission{Messages: 1, MetadataBytes: 8*len(digests) + link.MetadataBytes()}
+	for _, om := range keyed {
+		cost.Add(KeyedCost(om))
+	}
+	for _, it := range bare {
+		cost.Add(BareCost(it))
+	}
+	return &ShardedMsg{Keyed: keyed, Items: bare, Digests: digests, Link: link, cost: cost}
+}
+
+// KeyedCost is one keyed item's share of its frame's accounting: the inner
+// message's elements and payload, and its key as routing metadata.
+func KeyedCost(om ObjectMsg) metrics.Transmission {
+	ic := om.Inner.Cost()
+	return metrics.Transmission{Elements: ic.Elements, PayloadBytes: ic.PayloadBytes, MetadataBytes: len(om.Key)}
+}
+
+// BareCost is one bare item's share of its frame's accounting: the inner
+// message's, plus 4 bytes of shard index.
+func BareCost(it ShardItem) metrics.Transmission {
+	ic := it.Msg.Cost()
+	ic.Messages = 0
+	ic.MetadataBytes += 4
+	return ic
 }
 
 // KeyedEngine is implemented by engines that replicate a keyspace of named

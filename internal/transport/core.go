@@ -44,7 +44,6 @@ type core struct {
 	inc       uint32 // this life's incarnation, which every hello names
 	out       port
 	shards    []*shard
-	mask      uint32
 	neighbors []string // sorted peer ids
 	// links holds the acknowledgement state per neighbor, linkList the
 	// same in neighbors order; both fixed at construction.
@@ -134,7 +133,6 @@ func newCore(cfg StoreConfig, inc uint32) (*core, error) {
 		cfg:        cfg,
 		inc:        inc,
 		shards:     shards,
-		mask:       uint32(cfg.Shards - 1),
 		neighbors:  neighbors,
 		links:      make(map[string]*link, len(neighbors)),
 		linkList:   make([]*link, len(neighbors)),
@@ -222,20 +220,10 @@ func (sh *shard) due(tick bool) bool {
 	return sh.unsent.Load()
 }
 
-// fnv32a is an allocation-free FNV-1a over a key (hash/fnv's hasher
-// escapes through the interface and would allocate on every Update/Get).
-func fnv32a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
-// shardOf routes a key to its shard by FNV-1a hash.
+// shardOf returns the shard key routes to (protocol.ShardOf): the one a
+// local write, a restored key and an inbound keyed item of it all reach.
 func (c *core) shardOf(key string) *shard {
-	return c.shards[fnv32a(key)&c.mask]
+	return c.shards[protocol.ShardOf(key, len(c.shards))]
 }
 
 // update applies one local operation under its key's shard lock alone, and
@@ -624,7 +612,7 @@ func (c *core) sendAck(to string, lk *link) {
 		return
 	}
 	link := protocol.LinkHeader{Ack: ack}
-	data := codec.AppendShardedHeader(make([]byte, 0, codec.ShardedHeaderSize(link, nil, 0)), link, nil, 0)
+	data := codec.AppendShardedHeader(make([]byte, 0, codec.ShardedHeaderSize(link, nil, 0, 0)), link, nil, 0, 0)
 	var t wireTally
 	c.transmit(to, data, metrics.Transmission{Messages: 1, MetadataBytes: link.MetadataBytes()}, frameAck, &t)
 	c.wire.add(&t)
@@ -864,7 +852,7 @@ func (c *core) deliverSharded(from string, v *codec.FrameView, now int64) bool {
 	// compared after the frame's own items have been merged (they are
 	// part of the state the digests describe).
 	c.handleDigests(from, v.Digests, d.b, now)
-	// A frame with an item that was dropped for a shard this store does
+	// A frame with a bare item that was dropped for a shard this store does
 	// not have is not acknowledged: the sender keeps every entry it
 	// carried and sends them again.
 	held := false

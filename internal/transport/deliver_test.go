@@ -2,9 +2,11 @@ package transport
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -42,14 +44,14 @@ func startSoloStoreWith(t testing.TB, shards int, factory protocol.Factory) *Sto
 	return s
 }
 
-// keysOnShard generates n distinct keys that hash-route to the given
-// shard under the store's mask, so test frames carry the same shard
+// keysOnShard generates n distinct keys that route to the given shard of
+// shards (protocol.ShardOf), so test frames carry the same shard
 // assignment a real sender would and Get finds the objects afterwards.
-func keysOnShard(mask uint32, shard uint32, n int) []string {
+func keysOnShard(shards int, shard uint32, n int) []string {
 	var keys []string
 	for i := 0; len(keys) < n; i++ {
 		k := fmt.Sprintf("k%d", i)
-		if fnv32a(k)&mask == shard {
+		if protocol.ShardOf(k, shards) == shard {
 			keys = append(keys, k)
 		}
 	}
@@ -91,15 +93,26 @@ func encodeFrame(t testing.TB, m protocol.Msg) []byte {
 // took one per item.
 func TestDeliverLocksOncePerShard(t *testing.T) {
 	s := startSoloStore(t, 4)
-	sh0 := keysOnShard(s.mask, 0, 2)
-	sh1 := keysOnShard(s.mask, 1, 2)
-	sh3 := keysOnShard(s.mask, 3, 3)
+	sh0 := keysOnShard(len(s.shards), 0, 2)
+	sh1 := keysOnShard(len(s.shards), 1, 2)
+	sh3 := keysOnShard(len(s.shards), 3, 3)
 	frame := encodeFrame(t, protocol.NewShardedMsg([]protocol.ShardItem{
 		shardBatch(0, sh0...),
 		shardBatch(1, sh1[0]),
 		shardBatch(1, sh1[1]), // same shard again: still one lock hold
 		shardBatch(3, sh3...),
 	}))
+	// The frame's run is in key order, which interleaves the shards: the
+	// unpacker regroups it.
+	m, _, err := codec.DecodeMsg(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.IsSortedFunc(m.(*protocol.ShardedMsg).Keyed, func(a, b protocol.ObjectMsg) int {
+		return cmp.Compare(protocol.ShardOf(a.Key, 4), protocol.ShardOf(b.Key, 4))
+	}) {
+		t.Fatal("the frame's keys arrive in shard order; the test wants them interleaved")
+	}
 	if err := s.deliver("peer", frame); err != nil {
 		t.Fatalf("deliver: %v", err)
 	}
@@ -126,16 +139,21 @@ func TestDeliverLocksOncePerShard(t *testing.T) {
 	}
 }
 
-// TestDeliverDroppedItems pins the shard-skew observability satellite:
-// items routed beyond the local shard count are counted in Stats, and
-// in-range items on the same frame still apply.
+// TestDeliverDroppedItems pins what shard skew can still drop: bare items
+// that name a shard beyond the local shard count are counted in Stats, and
+// the frame's other items still apply — keyed ones included whatever shard
+// the sender filed them under, since the receiver routes them by key.
 func TestDeliverDroppedItems(t *testing.T) {
 	s := startSoloStore(t, 4)
-	keep := keysOnShard(s.mask, 2, 1)[0]
+	keep := keysOnShard(len(s.shards), 2, 1)[0]
+	closeOn := func(shard uint32) protocol.ShardItem {
+		return protocol.ShardItem{Shard: shard, Msg: protocol.NewTreeMsg(shard, protocol.TreeDepth, []uint32{5}, nil)}
+	}
 	frame := encodeFrame(t, protocol.NewShardedMsg([]protocol.ShardItem{
 		shardBatch(2, keep),
-		shardBatch(9, "skew1"),
-		shardBatch(63, "skew2"),
+		shardBatch(9, "routed"),
+		closeOn(9),
+		closeOn(63),
 	}))
 	if err := s.deliver("peer", frame); err != nil {
 		t.Fatalf("deliver: %v", err)
@@ -143,11 +161,10 @@ func TestDeliverDroppedItems(t *testing.T) {
 	if got := s.Stats().DroppedItems; got != 2 {
 		t.Fatalf("DroppedItems = %d, want 2", got)
 	}
-	if st := s.Get(keep); st == nil || st.IsBottom() {
-		t.Fatalf("in-range object did not apply")
-	}
-	if st := s.Get("skew1"); st != nil {
-		t.Fatalf("out-of-range object applied: %v", st)
+	for _, k := range []string{keep, "routed"} {
+		if st := s.Get(k); st == nil || st.IsBottom() {
+			t.Fatalf("object %q did not apply", k)
+		}
 	}
 }
 
@@ -203,23 +220,25 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 			if v.Dropped != 0 {
 				t.Fatalf("packer emitted %d out-of-range items", v.Dropped)
 			}
-			// Flatten this frame's groups back into units; within a frame
-			// the packer already emits shards in index order, so group
-			// order is frame order.
 			for _, g := range v.Groups() {
 				for i := range g.Items {
 					iv := &g.Items[i]
 					m, _ := iv.Msg()
-					got = append(got, unit{shard: g.Shard, key: string(iv.Key), enc: string(encodeFrame(t, m))})
+					got = append(got, unit{shard: g.Shard, keyed: iv.Key != nil, key: string(iv.Key), enc: string(encodeFrame(t, m))})
 				}
 			}
 		}
-		// The packer preserves the input unit order on the wire; the
-		// unpacker regroups each frame by shard. Compare as multisets
-		// (mirroring checkPacked, which only does the exact-order check):
-		// counts always honor the oversized drops, and with nothing
-		// dropped the unit multisets must match exactly.
+		// The unpacker regroups each frame by shard, a keyed item under
+		// the shard its key routes to. Compare as multisets (mirroring
+		// checkPacked, which only does the exact-order check): counts always
+		// honor the oversized drops, and with nothing dropped the unit
+		// multisets must match exactly.
 		want := unitsOf(t, items)
+		for i := range want {
+			if want[i].keyed {
+				want[i].shard = protocol.ShardOf(want[i].key, shards)
+			}
+		}
 		if len(got)+res.oversized != len(want) {
 			t.Fatalf("round %d: %d units in, %d out + %d oversized",
 				round, len(want), len(got), res.oversized)
@@ -237,16 +256,27 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	}
 }
 
-// corruptLastItem returns copies of a frame that ends in shardBatch(shard,
-// key), each with one byte of that item changed so that the item no longer
-// decodes: the ways a frame can be bad past its first shard group.
+// corruptLastItem returns copies of a frame whose run ends in a GSet
+// δ-group under key, each with one byte of that item changed so that the
+// item no longer decodes: the ways a frame can be bad past its first shard
+// group.
 func corruptLastItem(t testing.TB, frame []byte, key string) map[string][]byte {
 	t.Helper()
-	// The item is: shard, batch tag, count 1, key length, key, and the
-	// δ-group as its state alone: state tag (a GSet), element count,
-	// elements.
-	at := bytes.LastIndex(frame, []byte(key)) + len(key)
-	if at < len(key) || frame[at] != 7 {
+	// The item ends the run, which only the bare items follow: its key,
+	// then the δ-group as its state alone — state tag (a GSet), element
+	// count, elements.
+	m, _, err := codec.DecodeMsg(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm := m.(*protocol.ShardedMsg)
+	last := sm.Keyed[len(sm.Keyed)-1]
+	at := len(frame) - len(codec.Encode(last.Inner.(*protocol.DeltaMsg).Delta))
+	for _, it := range sm.Items {
+		bare, _ := codec.AppendShardItem(nil, it)
+		at -= len(bare)
+	}
+	if last.Key != key || frame[at] != 7 {
 		t.Fatalf("no δ-group of a GSet under key %q at the end of the frame", key)
 	}
 	out := make(map[string][]byte)
@@ -301,11 +331,11 @@ func startPeeredStore(t testing.TB, factory protocol.Factory) *Store {
 func TestDeliverShardedErrorStillFlushesAndCounts(t *testing.T) {
 	for engine, factory := range engineFactories {
 		s := startPeeredStore(t, factory)
-		k0 := keysOnShard(s.mask, 0, 1)[0]
-		k1 := keysOnShard(s.mask, 1, 1)[0]
+		k0, k1 := ascendingOnShards(len(s.shards), 0, 1)
 		frame := encodeFrame(t, protocol.NewShardedMsg([]protocol.ShardItem{
 			shardBatch(0, k0),
-			shardBatch(9, "skew"), // beyond the shard count: dropped at unpack
+			// Beyond the shard count: dropped at unpack.
+			{Shard: 9, Msg: protocol.NewTreeMsg(9, protocol.TreeDepth, []uint32{5}, nil)},
 			shardBatch(1, k1),
 		}))
 		before := s.Stats()
@@ -334,13 +364,12 @@ func TestDeliverShardedErrorStillFlushesAndCounts(t *testing.T) {
 // on the way out. A δ-group that spells out its entry seqs — the form
 // older than the link header, which the acked engine answers with an
 // AckMsg that no longer encodes — is absorbed and answered with nothing;
-// an item with a retired tag, bare or in a batch, is refused as unknown
-// and its frame applies nothing.
+// an item with a retired tag, bare or keyed in the run, is refused as
+// unknown and its frame applies nothing.
 func TestDeliverRetiredAndLegacyItems(t *testing.T) {
 	for engine, factory := range engineFactories {
 		s := startPeeredStore(t, factory)
-		k0 := keysOnShard(s.mask, 0, 2)
-		k1 := keysOnShard(s.mask, 1, 1)[0]
+		k0 := keysOnShard(len(s.shards), 0, 2)
 		legacy := encodeFrame(t, protocol.NewShardedMsg([]protocol.ShardItem{
 			{Shard: 0, Msg: protocol.BatchOf([]protocol.ObjectMsg{
 				{Key: k0[0], Inner: protocol.NewAckedDeltaMsg(crdt.NewGSet("a", "b"), []uint64{1, 2})},
@@ -357,7 +386,10 @@ func TestDeliverRetiredAndLegacyItems(t *testing.T) {
 		if got := s.Stats().Frames; got != before {
 			t.Fatalf("%s: the δ-group was answered with %d frames", engine, got-before)
 		}
-		good, err := codec.AppendShardItem(nil, shardBatch(0, k0[1]))
+		// The item with a retired tag is bare, or keyed under hi, which
+		// the run puts after lo.
+		lo, hi := k0[1], aboveOnShard(len(s.shards), 1, k0[1])
+		good, err := codec.AppendObjectMsg(nil, nil, protocol.ObjectMsg{Key: lo, Inner: gsetDelta(0, 2)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,20 +400,49 @@ func TestDeliverRetiredAndLegacyItems(t *testing.T) {
 			"sb-deltas": {69, 0},
 			"ops":       {70, 0},
 		} {
-			bare := append([]byte{1}, body...)
-			batched := append(append([]byte{1, 71, 1, byte(len(k1))}, k1...), body...)
-			for form, item := range map[string][]byte{"bare": bare, "in a batch": batched} {
-				frame := codec.AppendShardedHeader(nil, protocol.LinkHeader{}, nil, 2)
-				frame = append(append(frame, good...), item...)
+			bare := append(codec.AppendShardedHeader(nil, protocol.LinkHeader{}, nil, 1, 1), good...)
+			bare = append(append(bare, 1), body...)
+			keyed := append(codec.AppendShardedHeader(nil, protocol.LinkHeader{}, nil, 2, 0), good...)
+			keyed = append(keyed, keyAfter(t, lo, hi)...)
+			keyed = append(keyed, body...)
+			for form, frame := range map[string][]byte{"bare": bare, "in the run": keyed} {
 				if err := s.deliver("peer", frame); !errors.Is(err, codec.ErrUnknownTag) {
 					t.Fatalf("%s, %s %s: deliver error %v, want ErrUnknownTag", engine, name, form, err)
 				}
-				if s.Get(k0[1]) != nil || s.Get(k1) != nil {
+				if s.Get(lo) != nil || s.Get(hi) != nil {
 					t.Fatalf("%s, %s %s: part of a refused frame was applied", engine, name, form)
 				}
 			}
 		}
 	}
+}
+
+// ascendingOnShards returns a key on shard a of shards and one on shard b
+// above it: the first and the last of a run.
+func ascendingOnShards(shards int, a, b uint32) (lo, hi string) {
+	lo = keysOnShard(shards, a, 1)[0]
+	return lo, aboveOnShard(shards, b, lo)
+}
+
+// aboveOnShard returns a key on the given shard of shards above lo.
+func aboveOnShard(shards int, shard uint32, lo string) string {
+	for _, k := range keysOnShard(shards, shard, 50) {
+		if k > lo {
+			return k
+		}
+	}
+	panic("no key above " + lo)
+}
+
+// keyAfter returns key as a run spells it after prev: the shared length,
+// then the rest, ready for a message to follow.
+func keyAfter(t testing.TB, prev, key string) []byte {
+	t.Helper()
+	item, err := codec.AppendObjectMsg(nil, &prev, protocol.ObjectMsg{Key: key, Inner: gsetDelta(0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return item[:len(item)-len(codec.Encode(gsetDelta(0, 1).(*protocol.DeltaMsg).Delta))]
 }
 
 // sortUnits orders units for multiset comparison.

@@ -398,7 +398,7 @@ func TestFlushIdleIsFree(t *testing.T) {
 func TestFlushCarriesHeldReplies(t *testing.T) {
 	c, rec := newTestCore(t, time.Hour)
 	lk, hold := c.links["p1"], c.hold.Load()
-	k := keysOnShard(c.mask, 0, 1)[0]
+	k := keysOnShard(len(c.shards), 0, 1)[0]
 	inbound := func(seq uint64, now int64) {
 		t.Helper()
 		d := protocol.NewDeltaMsg(crdt.NewGSet(fmt.Sprintf("e%d", seq)))

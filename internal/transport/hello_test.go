@@ -122,13 +122,14 @@ func TestHelloRefusesSkew(t *testing.T) {
 		s := newTickStore(t)
 		// The version before the incarnation moved into the hello, which
 		// says it the way it did; the ones before keyed items went without
-		// the δ-group's tag and before a batch's keys were front-coded,
-		// whose hellos are this version's in all but the number; and one
-		// that is yet to come.
+		// the δ-group's tag, before a batch's keys were front-coded and
+		// before a frame's keyed items became one run, whose hellos are this
+		// version's in all but the number; and one that is yet to come.
 		for i, hello := range []*protocol.HelloMsg{
 			protocol.NewHelloMsg(1, uint32(len(s.shards)), 0, []string{"p2"}),
 			protocol.NewHelloMsg(2, uint32(len(s.shards)), testPeerInc, []string{"p2"}),
 			protocol.NewHelloMsg(3, uint32(len(s.shards)), testPeerInc, []string{"p2"}),
+			protocol.NewHelloMsg(4, uint32(len(s.shards)), testPeerInc, []string{"p2"}),
 			protocol.NewHelloMsg(protocol.WireVersion+1, uint32(len(s.shards)), testPeerInc, []string{"p2"}),
 		} {
 			if err := s.deliver("p1", encodeFrame(t, hello)); err == nil {

@@ -24,7 +24,7 @@ func scratchDigest(sh *shard) (digest uint64, leaves leafVec) {
 	sh.engine.Scan("", func(k string, st lattice.State) bool {
 		h := keyHash(k, codec.AppendState(nil, st))
 		digest ^= h
-		leaves[treeLeafIdx(k)] ^= h
+		leaves[protocol.TreeLeafOf(k)] ^= h
 		return true
 	})
 	return digest, leaves
@@ -74,9 +74,14 @@ func TestIncrementalDigestMatchesRecompute(t *testing.T) {
 				case 2:
 					what = "frame"
 					var items []protocol.ShardItem
+					named := make(map[string]bool) // a frame names a key once
 					for n := 1 + rng.Intn(4); n > 0; n-- {
 						k := key()
-						items = append(items, protocol.ShardItem{Shard: fnv32a(k) & s.mask, Msg: protocol.BatchOf([]protocol.ObjectMsg{
+						if named[k] {
+							continue
+						}
+						named[k] = true
+						items = append(items, protocol.ShardItem{Shard: protocol.ShardOf(k, len(s.shards)), Msg: protocol.BatchOf([]protocol.ObjectMsg{
 							{Key: k, Inner: protocol.NewDeltaMsg(crdt.NewGSet(fmt.Sprintf("e%d", rng.Intn(6))))},
 						})})
 					}
@@ -102,7 +107,7 @@ func TestIncrementalDigestMatchesRecompute(t *testing.T) {
 				case 5:
 					what = "close"
 					shard := uint32(rng.Intn(4))
-					keys := keysOnShard(s.mask, shard, 1+rng.Intn(3))
+					keys := keysOnShard(len(s.shards), shard, 1+rng.Intn(3))
 					if err := s.deliver("peer", closeFrame(t, shard, protocol.NewTreeMsg(shard, 0, rootNode, nil), keys...)); err != nil {
 						t.Fatal(err)
 					}
@@ -151,10 +156,10 @@ func sameLeafKeys(salt int) (string, string) {
 	first := map[uint32]string{}
 	for i := 0; ; i++ {
 		k := fmt.Sprintf("c/%d-%d", salt, i)
-		if other, ok := first[treeLeafIdx(k)]; ok {
+		if other, ok := first[protocol.TreeLeafOf(k)]; ok {
 			return other, k
 		}
-		first[treeLeafIdx(k)] = k
+		first[protocol.TreeLeafOf(k)] = k
 	}
 }
 
@@ -193,7 +198,7 @@ func TestSwappedStatesChangeDigestAndLeaf(t *testing.T) {
 		}
 		_, lx := scratchDigest(x.shards[0])
 		_, ly := scratchDigest(y.shards[0])
-		if leaf := treeLeafIdx(ka); lx[leaf] == ly[leaf] {
+		if leaf := protocol.TreeLeafOf(ka); lx[leaf] == ly[leaf] {
 			t.Errorf("pair %d (%s, %s): swapped states, equal leaf %d", pair, ka, kb, leaf)
 		}
 		checkDigests(t, x, "x")
@@ -267,7 +272,7 @@ func TestSnapshotEmptyShardWritesNoFile(t *testing.T) {
 	if files, _ := filepath.Glob(filepath.Join(dir, "*")); len(files) != 0 {
 		t.Fatalf("an empty store wrote %v", files)
 	}
-	for _, k := range keysOnShard(s.mask, 2, 5) {
+	for _, k := range keysOnShard(len(s.shards), 2, 5) {
 		s.Update(workload.Add(k, "v"))
 	}
 	for pass := 0; pass < 2; pass++ {
@@ -308,7 +313,7 @@ func TestStoreHostileKeyLengths(t *testing.T) {
 	for _, k := range keys {
 		a.Update(workload.Add(k, "v"))
 		frame := encodeFrame(t, protocol.NewShardedMsg([]protocol.ShardItem{{
-			Shard: fnv32a(k) & b.mask,
+			Shard: protocol.ShardOf(k, len(b.shards)),
 			Msg:   protocol.BatchOf([]protocol.ObjectMsg{{Key: k, Inner: protocol.NewDeltaMsg(crdt.NewGSet("v"))}}),
 		}}))
 		if err := b.deliver("peer", frame); err != nil {

@@ -115,10 +115,10 @@ func TestLinkAckFromAnotherLifeRetiresNothing(t *testing.T) {
 			t.Fatalf("frame naming %q: %v, want one naming nobody", from, err)
 		}
 		sm := m.(*protocol.ShardedMsg)
-		bm := sm.Items[0].Msg.(*protocol.BatchMsg)
-		if _, plain := bm.Items[0].Inner.(*protocol.DeltaMsg); !plain || bm.Items[0].Key != "k" || sm.Link.Seq.Seq == 0 || sm.Link.Seq.Inc != 0 {
+		om := sm.Keyed[0]
+		if _, plain := om.Inner.(*protocol.DeltaMsg); !plain || om.Key != "k" || sm.Link.Seq.Seq == 0 || sm.Link.Seq.Inc != 0 {
 			t.Fatalf("got %T for %q under link header %+v, want a plain δ-group in a numbered frame of no incarnation of its own",
-				bm.Items[0].Inner, bm.Items[0].Key, sm.Link)
+				om.Inner, om.Key, sm.Link)
 		}
 		return sm.Link.Seq
 	}

@@ -41,7 +41,7 @@ const (
 )
 
 // fnvFold continues an FNV-1a fold over b (allocation-free; hash/fnv's
-// hasher escapes through the interface — same reason as fnv32a).
+// hasher escapes through the interface and would allocate).
 func fnvFold(h uint64, b []byte) uint64 {
 	for i := 0; i < len(b); i++ {
 		h ^= uint64(b[i])
@@ -57,13 +57,6 @@ func fnvFoldString(h uint64, s string) uint64 {
 		h *= fnvPrime64
 	}
 	return h
-}
-
-// treeLeafIdx buckets a key into its shard's hash-tree leaf by the top
-// bits of the same key hash shard routing uses the bottom bits of, so
-// the two partitions stay independent.
-func treeLeafIdx(key string) uint32 {
-	return fnv32a(key) >> (32 - protocol.TreeFanoutBits*protocol.TreeDepth)
 }
 
 // treeBitmap marks tree node/leaf indices; sized for the leaf level, the
@@ -131,7 +124,7 @@ func (sh *shard) ensureLeavesLocked() {
 	sh.digestLocked()
 	leaf := leafVecs.Get().(*leafVec)
 	clear(leaf[:])
-	sh.engine.Hashes(func(k string, hash uint64) { leaf[treeLeafIdx(k)] ^= hash })
+	sh.engine.Hashes(func(k string, hash uint64) { leaf[protocol.TreeLeafOf(k)] ^= hash })
 	sh.leaf = leaf
 }
 
@@ -186,7 +179,7 @@ func (sh *shard) rangeKeysLocked(leaves *treeBitmap, budget int) ([]keyState, bo
 	var objs []keyState
 	within := true
 	sh.engine.Scan("", func(k string, st lattice.State) bool {
-		if !leaves.has(treeLeafIdx(k)) {
+		if !leaves.has(protocol.TreeLeafOf(k)) {
 			return true
 		}
 		if budget != noBudget {

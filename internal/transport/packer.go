@@ -1,26 +1,32 @@
 package transport
 
 import (
-	"encoding/binary"
+	"fmt"
+	"slices"
+	"strings"
 
 	"crdtsync/internal/codec"
+	"crdtsync/internal/lattice"
 	"crdtsync/internal/metrics"
 	"crdtsync/internal/protocol"
 )
 
-// The single-pass frame packer. One sync tick's shard items for one peer
-// must go out as frames no larger than the configured cap; the packer
-// encodes each item once (and, when one shard's batch alone overflows a
-// frame, each object message inside it once, and the one that opens each
-// further frame once more, with its key whole) and
-// greedily accumulates the encoded pieces into frames, so an oversized
-// tick costs O(batch) encoding work. Its predecessor re-encoded the
-// remaining batch at every binary-split level — O(batch · log frames) —
-// which is exactly the kind of outbound-path waste the paper's
-// cost-proportional-to-divergence argument forbids.
+// The single-pass frame packer. One pass's shard items for one peer must go
+// out as frames no larger than the configured cap. Since wire version 5 a
+// frame writes all of its keyed items as one run in ascending key order,
+// with no shard index: the packer merges the destination's per-shard
+// batches, each already in key order (Sync, Flush and a drill's ranges all
+// list their keys in order), into one key-ordered run and packs it
+// greedily, each item encoded once against the key before it. The item
+// that opens a frame's run is written whole, so the one a split moves to
+// the next frame is encoded once more; the bare items (a drill's close)
+// follow the whole run, in the last frames, so that a close never arrives
+// before the states it goes with. A pass therefore costs O(items · log
+// batches) comparisons and O(items) encoding work, however many frames it
+// fills.
 //
 // Frame sizes are computed exactly, not estimated: codec exposes the
-// header size for any (digest vector, item count) combination, so a
+// header size for any (digest vector, item counts) combination, so a
 // candidate frame is admitted or flushed on its true encoded length.
 //
 // Transmission accounting never reaches the wire; the packer sums it per
@@ -29,9 +35,9 @@ import (
 // The packer is also where acknowledgement moves from the object to the
 // link. An AckedDeltaMsg goes out as the plain δ-group; the frame that
 // takes it gets a sequence number in its header, and the link records
-// which entries the number stands for — per frame, split batches
-// included, so that the unit acknowledged is the unit that can be lost.
-// The acknowledgement the destination is owed rides the first frame.
+// which entries the number stands for — per frame, so that the unit
+// acknowledged is the unit that can be lost. The acknowledgement the
+// destination is owed rides the first frame.
 
 // packedFrame is one ready-to-ship frame: the encoded ShardedMsg bytes
 // plus the accounting the store records at enqueue time.
@@ -49,27 +55,167 @@ type packResult struct {
 	// frame they exceed the cap (a single object's message larger than
 	// MaxFrameBytes); shipping them could never succeed.
 	oversized int
-	// encodes counts codec encoding calls performed: one per shard item,
-	// one per object message of each batch that had to split, plus one per
-	// split boundary — the object that opens the next piece, written again
-	// with its key whole. BenchmarkPack pins this as the no-re-encoding
-	// invariant.
+	// encodes counts codec encoding calls performed: one per keyed item,
+	// one per bare item, plus one per split boundary — the keyed item that
+	// opens the next frame, written again with its key whole. BenchmarkPack
+	// pins this as the no-re-encoding invariant.
 	encodes int
 	// digestsAttached reports that the digest vector rode one of the
 	// frames; when false the caller falls back to a standalone heartbeat.
 	digestsAttached bool
 }
 
-// shardItemCost is one item's contribution to its frame's accounting:
-// the inner message's elements/payload/metadata plus 4 bytes of shard
-// routing metadata (matching protocol.NewShardedLinkMsg).
-func shardItemCost(it protocol.ShardItem) metrics.Transmission {
-	ic := it.Msg.Cost()
-	return metrics.Transmission{
-		Elements:      ic.Elements,
-		PayloadBytes:  ic.PayloadBytes,
-		MetadataBytes: ic.MetadataBytes + 4,
+// keyedRun walks the keyed items of a pass's batches toward one peer in
+// key order. Each batch is a run of its own already (one that is not is
+// sorted, on a copy); a tournament tree of losers over the batches' next
+// keys merges them, so an item costs log₂(batches) comparisons and is never
+// copied. A key two batches name — a drill's answer and another drill's
+// stop on the same shard, which only an inbound frame that carries both a
+// close and a digest vector can cause — comes out once, its δ-groups
+// joined (join): a run names each key once, and the encoder refuses one
+// that does not.
+type keyedRun struct {
+	heads []runHead // what is left of each batch, in the pass's order
+	// tree[0] is the batch whose next key is least; tree[n], for n from 1,
+	// the one that lost the match at node n, whose children are nodes 2n
+	// and 2n+1 and batch b sits at len(heads)+b.
+	tree []int32
+}
+
+// runHead is one batch of a pass and how far the walk is into it.
+type runHead struct {
+	shard uint32
+	next  int
+	items []protocol.ObjectMsg
+}
+
+// spent reports whether the walk is through the batch.
+func (h *runHead) spent() bool { return h.next == len(h.items) }
+
+func newKeyedRun(items []protocol.ShardItem) keyedRun {
+	var r keyedRun
+	for _, it := range items {
+		bm, ok := it.Msg.(*protocol.BatchMsg)
+		if !ok || len(bm.Items) == 0 {
+			continue
+		}
+		oms := bm.Items
+		if byKey := func(a, b protocol.ObjectMsg) int { return strings.Compare(a.Key, b.Key) }; !slices.IsSortedFunc(oms, byKey) {
+			oms = slices.Clone(oms)
+			slices.SortStableFunc(oms, byKey)
+		}
+		r.heads = append(r.heads, runHead{shard: it.Shard, items: oms})
 	}
+	if len(r.heads) == 0 {
+		return r
+	}
+	// Each internal node sees two batches arrive: the first waits there,
+	// the second plays it, and the winner goes on up.
+	r.tree = make([]int32, len(r.heads))
+	for n := range r.tree {
+		r.tree[n] = -1
+	}
+	for b := range r.heads {
+		w, n := int32(b), (len(r.heads)+b)/2
+		for ; n > 0; n /= 2 {
+			if r.tree[n] == -1 {
+				r.tree[n] = w
+				break
+			}
+			if r.before(r.tree[n], w) {
+				r.tree[n], w = w, r.tree[n]
+			}
+		}
+		if n == 0 {
+			r.tree[0] = w
+		}
+	}
+	return r
+}
+
+// before reports whether batch a's next key comes before batch b's: a
+// spent batch comes last, and of two with one key the earlier in the pass
+// first, so that a join is deterministic.
+func (r *keyedRun) before(a, b int32) bool {
+	ha, hb := &r.heads[a], &r.heads[b]
+	switch {
+	case ha.spent():
+		return false
+	case hb.spent():
+		return true
+	}
+	if c := strings.Compare(ha.items[ha.next].Key, hb.items[hb.next].Key); c != 0 {
+		return c < 0
+	}
+	return a < b
+}
+
+// pop takes the least next key's item off its batch and replays the
+// batch's matches up to the root; ok is false once every batch is spent.
+func (r *keyedRun) pop() (shard uint32, om protocol.ObjectMsg, ok bool) {
+	if len(r.heads) == 0 {
+		return 0, om, false
+	}
+	w := r.tree[0]
+	h := &r.heads[w]
+	if h.spent() {
+		return 0, om, false
+	}
+	shard, om = h.shard, h.items[h.next]
+	h.next++
+	for n := (len(r.heads) + int(w)) / 2; n > 0; n /= 2 {
+		if r.before(r.tree[n], w) {
+			r.tree[n], w = w, r.tree[n]
+		}
+	}
+	r.tree[0] = w
+	return shard, om, true
+}
+
+// next returns the next keyed item in key order, and false once there is
+// none.
+func (r *keyedRun) next() (uint32, protocol.ObjectMsg, bool, error) {
+	shard, om, ok := r.pop()
+	for ok {
+		if h := &r.heads[r.tree[0]]; h.spent() || h.items[h.next].Key != om.Key {
+			break
+		}
+		_, again, _ := r.pop()
+		m, err := join(om.Inner, again.Inner)
+		if err != nil {
+			return 0, protocol.ObjectMsg{}, false, err
+		}
+		om.Inner = m
+	}
+	return shard, om, ok, nil
+}
+
+// join returns the one δ-group that says what a and b, two δ-groups of one
+// key, say: the join of their states, under the entry seqs of both.
+func join(a, b protocol.Msg) (protocol.Msg, error) {
+	sa, seqsA, okA := deltaGroup(a)
+	sb, seqsB, okB := deltaGroup(b)
+	if !okA || !okB {
+		return nil, fmt.Errorf("transport: no join of %T and %T", a, b)
+	}
+	st := sa.Clone()
+	st.Merge(sb)
+	if seqsA == nil && seqsB == nil {
+		return protocol.NewDeltaMsg(st), nil
+	}
+	return protocol.NewAckedDeltaMsg(st, append(slices.Clip(seqsA), seqsB...)), nil
+}
+
+// deltaGroup returns the state of a δ-group message and, for an acked one,
+// its entry seqs.
+func deltaGroup(m protocol.Msg) (lattice.State, []uint64, bool) {
+	switch v := m.(type) {
+	case *protocol.DeltaMsg:
+		return v.Delta, nil, true
+	case *protocol.AckedDeltaMsg:
+		return v.Delta, v.Seqs, true
+	}
+	return nil, nil, false
 }
 
 // framePacker accumulates encoded pieces into one pending frame.
@@ -79,17 +225,23 @@ type framePacker struct {
 	vec   []uint64 // digest vector still waiting for a frame to ride
 	lk    *link    // the destination's link; nil numbers nothing
 
-	body    []byte // concatenated encoded pieces of the pending frame
-	cost    metrics.Transmission
-	count   int
-	withVec bool // pending frame carries vec
+	// The pending frame: its run and then its bare items, encoded (all the
+	// keyed items are placed before the first bare one), how many of each,
+	// and the key its run ends with, which the next keyed item is written
+	// against.
+	body        []byte
+	nRun, nBare int
+	prev        string
+	cost        metrics.Transmission
+	withVec     bool // pending frame carries vec
+	scratch     []byte
+	acks        []ackItem // scratch: the acks of the item being placed
 	// link is the pending frame's link header: the acknowledgement the
 	// destination is owed, until a frame has taken it, and a sequence
 	// number from the first acked δ-group the frame admits. rec is what
 	// that number stands for.
 	link protocol.LinkHeader
 	rec  []ackItem
-	acks []ackItem // scratch: the acks of the item being placed
 }
 
 // numbered returns the pending frame's link header as it would be with
@@ -114,29 +266,42 @@ func (p *framePacker) seal() protocol.LinkHeader {
 	return link
 }
 
-// tryAdd admits piece, with the acks of the δ-groups in it, into the
+// size returns the pending frame's exact encoded size with a vector of
+// digests, under link, with keyed more keyed items and bare more bare ones
+// that take extra bytes.
+func (p *framePacker) size(link protocol.LinkHeader, digests []uint64, keyed, bare, extra int) int {
+	return codec.ShardedHeaderSize(link, digests, p.nRun+keyed, p.nBare+bare) + len(p.body) + extra
+}
+
+// tryAdd admits the piece in p.scratch — one keyed item when keyed is set,
+// else one bare item — with the acks of the δ-groups in it, into the
 // pending frame if the frame's exact encoded size stays within the cap.
 // The digest vector is not considered here: it attaches to the flush's
 // final frame (see packFrames), so a receiver has merged the whole tick
 // before it compares digests — a vector on an early frame of a split tick
 // would advertise state the remaining frames are still carrying and
 // provoke spurious shard requests.
-func (p *framePacker) tryAdd(piece []byte, c metrics.Transmission, acks []ackItem) bool {
+func (p *framePacker) tryAdd(keyed bool, c metrics.Transmission, acks []ackItem) bool {
 	link := p.numbered(acks)
-	if codec.ShardedHeaderSize(link, nil, p.count+1)+len(p.body)+len(piece) > p.limit {
+	k, b := 0, 1
+	if keyed {
+		k, b = 1, 0
+	}
+	if p.size(link, nil, k, b, len(p.scratch)) > p.limit {
 		return false
 	}
 	p.link = link
 	p.rec = append(p.rec, acks...)
-	p.body = append(p.body, piece...)
+	p.body = append(p.body, p.scratch...)
+	p.nRun += k
+	p.nBare += b
 	p.cost.Add(c)
-	p.count++
 	return true
 }
 
 // flush assembles the pending frame (if any) and resets the accumulator.
 func (p *framePacker) flush() {
-	if p.count == 0 {
+	if p.nRun+p.nBare == 0 {
 		return
 	}
 	var dv []uint64
@@ -144,8 +309,8 @@ func (p *framePacker) flush() {
 		dv = p.vec
 	}
 	link := p.seal()
-	data := make([]byte, 0, codec.ShardedHeaderSize(link, dv, p.count)+len(p.body))
-	data = codec.AppendShardedHeader(data, link, dv, p.count)
+	data := make([]byte, 0, codec.ShardedHeaderSize(link, dv, p.nRun, p.nBare)+len(p.body))
+	data = codec.AppendShardedHeader(data, link, dv, p.nRun, p.nBare)
 	data = append(data, p.body...)
 	c := p.cost
 	c.Messages = 1
@@ -156,20 +321,20 @@ func (p *framePacker) flush() {
 		p.vec = nil
 	}
 	p.body = p.body[:0]
+	p.nRun, p.nBare = 0, 0
 	p.cost = metrics.Transmission{}
-	p.count = 0
 	p.withVec = false
 }
 
 // packFrames encodes items once each and packs them greedily into frames
-// whose encoded ShardedMsg size never exceeds limit. digests, when
-// non-nil, is piggybacked onto the flush's final frame when it has room —
-// after every data piece, so the receiver's digest comparison sees the
-// fully merged tick — and left unattached (for the caller's standalone
-// heartbeat fallback, which likewise follows the data) when it does not.
-// Items are emitted in order; an item whose encoding alone overflows an
-// empty frame is split at the object level when it is a multi-object
-// batch, and dropped (counted) when irreducible.
+// whose encoded ShardedMsg size never exceeds limit: the keyed items of
+// their batches as one key-ordered run (keyedRun), then the other items,
+// bare, in order. digests, when non-nil, is piggybacked onto the flush's
+// final frame when it has room — after every data piece, so the receiver's
+// digest comparison sees the fully merged tick — and left unattached (for
+// the caller's standalone heartbeat fallback, which likewise follows the
+// data) when it does not. A piece whose encoding alone overflows an empty
+// frame is dropped (counted).
 //
 // lk is the destination's link, whose packMu the caller holds: frames
 // that carry acked δ-groups are numbered on it and the first frame takes
@@ -187,134 +352,91 @@ func packFrames(items []protocol.ShardItem, digests []uint64, limit int, lk *lin
 }
 
 func (p *framePacker) pack(items []protocol.ShardItem) error {
-	var scratch []byte
-	for _, it := range items {
-		scratch = scratch[:0]
-		var err error
-		scratch, err = codec.AppendLinkShardItem(scratch, it)
+	run := newKeyedRun(items)
+	for {
+		shard, om, ok, err := run.next()
 		if err != nil {
 			return err
 		}
-		p.res.encodes++
-		c := shardItemCost(it)
-		bm, isBatch := it.Msg.(*protocol.BatchMsg)
-		acks := p.acks[:0]
-		if p.lk != nil && isBatch {
-			for i := range bm.Items {
-				if a, ok := bm.Items[i].Inner.(*protocol.AckedDeltaMsg); ok {
-					acks = append(acks, ackItem{shard: it.Shard, key: bm.Items[i].Key, seqs: a.Seqs})
-				}
-			}
-			p.acks = acks
+		if !ok {
+			break
 		}
-		if p.tryAdd(scratch, c, acks) {
+		if err := p.addKeyed(shard, om); err != nil {
+			return err
+		}
+	}
+	for _, it := range items {
+		if _, keyed := it.Msg.(*protocol.BatchMsg); keyed {
 			continue
 		}
-		p.flush()
-		if p.tryAdd(scratch, c, acks) {
-			continue
-		}
-		// Alone it exceeds the cap: split inside the shard's batch, or
-		// drop an irreducible message.
-		if isBatch && len(bm.Items) > 1 {
-			if err := p.packBatch(it.Shard, bm); err != nil {
-				return err
-			}
-		} else {
-			p.res.oversized++
+		if err := p.addBare(it); err != nil {
+			return err
 		}
 	}
 	// The vector rides the final frame when it fits there.
-	if p.vec != nil && p.count > 0 {
-		if codec.ShardedHeaderSize(p.link, p.vec, p.count)+len(p.body) <= p.limit {
-			p.withVec = true
-		}
+	if p.vec != nil && p.nRun+p.nBare > 0 && p.size(p.link, p.vec, 0, 0, 0) <= p.limit {
+		p.withVec = true
 	}
 	p.flush()
 	return nil
 }
 
-// packBatch splits one shard's oversized batch across frames: each object
-// message is encoded once and packed greedily into frames carrying a
-// single shard item (a partial batch for the same shard). An object is
-// written against the key before it in its piece; the one that does not
-// fit is written again, whole, as the first of the next. Called with the
-// pending frame empty.
-func (p *framePacker) packBatch(shard uint32, bm *protocol.BatchMsg) error {
-	var (
-		scratch []byte
-		body    []byte
-		count   int
-		// acc is the partial batch's accounting, as protocol.BatchOf and
-		// NewShardedLinkMsg would sum it: inner elements and payload, the
-		// keys, one batch sequence number and one shard index.
-		acc metrics.Transmission
-	)
-	size := func(link protocol.LinkHeader, count, bodyLen int) int {
-		return codec.ShardedHeaderSize(link, nil, 1) +
-			codec.SizeUvarint(uint64(shard)) +
-			codec.BatchHeaderSize(count) + bodyLen
-	}
-	flush := func() {
-		if count == 0 {
-			return
-		}
-		link := p.seal()
-		data := make([]byte, 0, size(link, count, len(body)))
-		data = codec.AppendShardedHeader(data, link, nil, 1)
-		data = binary.AppendUvarint(data, uint64(shard))
-		data = codec.AppendBatchHeader(data, count)
-		data = append(data, body...)
-		acc.Messages = 1
-		acc.MetadataBytes += 8 + 4 + link.MetadataBytes()
-		p.res.frames = append(p.res.frames, packedFrame{data: data, cost: acc})
-		body = body[:0]
-		count = 0
-		acc = metrics.Transmission{}
-	}
-	// prev is the key the next object is written against: the last one the
-	// pending piece took, nil while it has none, so that every piece
-	// starts its own chain and unpacks on its own.
+// encodeKeyed writes om into p.scratch against the pending run's last key.
+func (p *framePacker) encodeKeyed(om protocol.ObjectMsg) error {
 	var prev *string
-	encode := func(om *protocol.ObjectMsg) error {
-		var err error
-		scratch, err = codec.AppendLinkObjectMsg(scratch[:0], prev, *om)
-		p.res.encodes++
+	if p.nRun > 0 {
+		prev = &p.prev
+	}
+	var err error
+	p.scratch, err = codec.AppendLinkObjectMsg(p.scratch[:0], prev, om)
+	p.res.encodes++
+	return err
+}
+
+// addKeyed places one keyed item, which shard's engine emitted: in the
+// pending frame, or as the first of the next — written again, whole, if it
+// was written against a key the frame it opens does not have.
+func (p *framePacker) addKeyed(shard uint32, om protocol.ObjectMsg) error {
+	acks := p.acks[:0]
+	if a, ok := om.Inner.(*protocol.AckedDeltaMsg); ok && p.lk != nil {
+		acks = append(acks, ackItem{shard: shard, key: om.Key, seqs: a.Seqs})
+		p.acks = acks
+	}
+	c := protocol.KeyedCost(om)
+	if err := p.encodeKeyed(om); err != nil {
 		return err
 	}
-	for i := range bm.Items {
-		om := &bm.Items[i]
-		if err := encode(om); err != nil {
-			return err
-		}
-		acks := p.acks[:0]
-		if a, ok := om.Inner.(*protocol.AckedDeltaMsg); ok && p.lk != nil {
-			acks = append(acks, ackItem{shard: shard, key: om.Key, seqs: a.Seqs})
-			p.acks = acks
-		}
-		link := p.numbered(acks)
-		if count > 0 && size(link, count+1, len(body)+len(scratch)) > p.limit {
-			flush()
-			prev = nil // it opens the next piece: whole, and encoded again
-			if err := encode(om); err != nil {
+	if !p.tryAdd(true, c, acks) {
+		whole := p.nRun == 0
+		p.flush()
+		if !whole {
+			if err := p.encodeKeyed(om); err != nil {
 				return err
 			}
-			link = p.numbered(acks)
 		}
-		if size(link, count+1, len(body)+len(scratch)) > p.limit {
+		if !p.tryAdd(true, c, acks) {
 			p.res.oversized++ // alone in a frame it still exceeds the cap
-			continue
+			return nil
 		}
-		p.link = link
-		p.rec = append(p.rec, acks...)
-		ic := om.Inner.Cost()
-		acc.Elements += ic.Elements
-		acc.PayloadBytes += ic.PayloadBytes
-		acc.MetadataBytes += len(om.Key)
-		body = append(body, scratch...)
-		count++
-		prev = &om.Key
 	}
-	flush()
+	p.prev = om.Key
+	return nil
+}
+
+// addBare places one bare item: in the pending frame, or the next.
+func (p *framePacker) addBare(it protocol.ShardItem) error {
+	var err error
+	if p.scratch, err = codec.AppendShardItem(p.scratch[:0], it); err != nil {
+		return err
+	}
+	p.res.encodes++
+	c := protocol.BareCost(it)
+	if p.tryAdd(false, c, nil) {
+		return nil
+	}
+	p.flush()
+	if !p.tryAdd(false, c, nil) {
+		p.res.oversized++
+	}
 	return nil
 }

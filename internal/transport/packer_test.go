@@ -5,57 +5,95 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"crdtsync/internal/codec"
 	"crdtsync/internal/crdt"
+	"crdtsync/internal/lattice"
 	"crdtsync/internal/protocol"
 	"crdtsync/internal/workload"
 )
 
 // unit is the indivisible piece of a packed tick for comparison purposes:
-// a non-batch shard message, or one object message of a batch (batches
-// are the only messages the packer may split). key is empty for non-batch
-// units; enc is the canonical encoding of the inner message as a store
-// puts it on the wire — an AckedDeltaMsg as the plain δ-group, with the
-// entry seqs it leaves behind in seqs (empty for everything else, and
-// for everything decoded off a frame).
+// a bare shard message, or one keyed item, an object message of a batch.
+// key is empty for bare units; enc is the canonical encoding of the inner
+// message as a store puts it on the wire — an AckedDeltaMsg as the plain
+// δ-group, with the entry seqs it leaves behind in seqs (empty for
+// everything else, and for everything decoded off a frame). A keyed unit's
+// shard is the one whose batch held it, which only the sender knows.
 type unit struct {
 	shard uint32
+	keyed bool
 	key   string
 	enc   string
 	seqs  string
 }
 
-// onWire strips what never reaches the wire.
-func (u unit) onWire() unit { u.seqs = ""; return u }
+// onWire strips what never reaches the wire: entry seqs, and the shard a
+// keyed item was filed under.
+func (u unit) onWire() unit {
+	u.seqs = ""
+	if u.keyed {
+		u.shard = 0
+	}
+	return u
+}
 
-// unitsOf flattens shard items into comparison units.
+// unitsOf flattens shard items into comparison units in the order the
+// packer puts them on the wire: the batches' keyed items as one run in key
+// order, then the bare items.
 func unitsOf(t testing.TB, items []protocol.ShardItem) []unit {
 	t.Helper()
-	var out []unit
+	var keyed, bare []unit
 	for _, it := range items {
 		if bm, ok := it.Msg.(*protocol.BatchMsg); ok {
 			for _, om := range bm.Items {
-				inner, seqs := om.Inner, ""
-				if a, ok := inner.(*protocol.AckedDeltaMsg); ok {
-					inner, seqs = protocol.NewDeltaMsg(a.Delta), fmt.Sprint(a.Seqs)
-				}
-				enc, err := codec.EncodeMsg(inner)
-				if err != nil {
-					t.Fatalf("encode inner: %v", err)
-				}
-				out = append(out, unit{shard: it.Shard, key: om.Key, enc: string(enc), seqs: seqs})
+				keyed = append(keyed, keyedUnit(t, it.Shard, om))
 			}
 			continue
 		}
-		enc, err := codec.EncodeMsg(it.Msg)
-		if err != nil {
-			t.Fatalf("encode msg: %v", err)
-		}
-		out = append(out, unit{shard: it.Shard, enc: string(enc)})
+		bare = append(bare, bareUnit(t, it))
+	}
+	slices.SortStableFunc(keyed, func(a, b unit) int { return strings.Compare(a.key, b.key) })
+	return append(keyed, bare...)
+}
+
+// frameUnits flattens a decoded frame into comparison units in packing
+// order: its run, then its bare items.
+func frameUnits(t testing.TB, sm *protocol.ShardedMsg) []unit {
+	t.Helper()
+	var out []unit
+	for _, om := range sm.Keyed {
+		out = append(out, keyedUnit(t, 0, om))
+	}
+	for _, it := range sm.Items {
+		out = append(out, bareUnit(t, it))
 	}
 	return out
+}
+
+func keyedUnit(t testing.TB, shard uint32, om protocol.ObjectMsg) unit {
+	t.Helper()
+	inner, seqs := om.Inner, ""
+	if a, ok := inner.(*protocol.AckedDeltaMsg); ok {
+		inner, seqs = protocol.NewDeltaMsg(a.Delta), fmt.Sprint(a.Seqs)
+	}
+	enc, err := codec.EncodeMsg(inner)
+	if err != nil {
+		t.Fatalf("encode inner: %v", err)
+	}
+	return unit{shard: shard, keyed: true, key: om.Key, enc: string(enc), seqs: seqs}
+}
+
+func bareUnit(t testing.TB, it protocol.ShardItem) unit {
+	t.Helper()
+	enc, err := codec.EncodeMsg(it.Msg)
+	if err != nil {
+		t.Fatalf("encode msg: %v", err)
+	}
+	return unit{shard: it.Shard, enc: string(enc)}
 }
 
 // decodeFrames decodes every packed frame (checking the size cap) and
@@ -114,7 +152,7 @@ func decodeEach(t testing.TB, frames []packedFrame, limit int) (out []decodedFra
 		if f.cost != sm.Cost() {
 			t.Fatalf("frame %d: packer accounted %+v, content says %+v", i, f.cost, sm.Cost())
 		}
-		out = append(out, decodedFrame{msg: sm, units: unitsOf(t, sm.Items)})
+		out = append(out, decodedFrame{msg: sm, units: frameUnits(t, sm)})
 	}
 	return out
 }
@@ -199,11 +237,11 @@ func checkPackedOn(t testing.TB, items []protocol.ShardItem, digests []uint64, l
 	}
 	got, gotVec, digestFrames := decodeFrames(t, res.frames, limit)
 	want := unitsOf(t, items)
-	// One encode per item, plus at most one per object of a batch that
-	// had to split and one per frame it opened: nothing is encoded twice to
-	// learn its size.
-	if res.encodes < len(items) || res.encodes > len(items)+len(want)+len(res.frames) {
-		t.Fatalf("%d encodes for %d items of %d units in %d frames", res.encodes, len(items), len(want), len(res.frames))
+	// One encode per unit, plus at most one per frame a keyed item opens
+	// and one per unit dropped oversized: nothing is encoded twice to learn
+	// its size.
+	if res.encodes < len(want) || res.encodes > len(want)+len(res.frames)+res.oversized {
+		t.Fatalf("%d encodes for %d units in %d frames, %d oversized", res.encodes, len(want), len(res.frames), res.oversized)
 	}
 	if len(got)+res.oversized != len(want) {
 		t.Fatalf("%d units in, %d out + %d oversized", len(want), len(got), res.oversized)
@@ -236,8 +274,8 @@ func checkPackedOn(t testing.TB, items []protocol.ShardItem, digests []uint64, l
 
 // TestPackFramesRoundTrip is the packer's property test: across random
 // mixed ticks and frame caps, packed frames always decode to exactly the
-// input batch (order preserved, batches split only at object boundaries)
-// with every frame within the cap.
+// input — the batches' keyed items as one run in key order, then the bare
+// items in order — with every frame within the cap.
 func TestPackFramesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
@@ -325,7 +363,7 @@ func checkNumbered(t testing.TB, lk *link, ack protocol.FrameAck, items []protoc
 // TestPackFramesNumbersAckedFrames is the round-trip property over what an
 // acked store packs: frames flatten back to the input with every
 // AckedDeltaMsg a plain δ-group, and the link's records account for every
-// entry seq, frame by frame, split batches included.
+// entry seq, frame by frame, a run split across frames included.
 func TestPackFramesNumbersAckedFrames(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 300; trial++ {
@@ -364,14 +402,14 @@ func TestPackFramesHugeLimitIsOneFrame(t *testing.T) {
 	if !res.digestsAttached {
 		t.Fatal("digest vector did not ride the single frame")
 	}
-	if res.encodes != len(items) {
-		t.Fatalf("encodes = %d, want one per item (%d)", res.encodes, len(items))
+	if units := len(unitsOf(t, items)); res.encodes != units {
+		t.Fatalf("encodes = %d, want one per keyed and bare item (%d)", res.encodes, units)
 	}
 }
 
 // TestPackEncodesEachItemOnce pins the single-pass invariant the packer
-// exists for: splitting a batch across many frames costs one encoding
-// call per object, not one per object per split level. The predecessor's
+// exists for: splitting a run across many frames costs one encoding call
+// per object, not one per object per split level. An early predecessor's
 // recursive halving re-encoded the remaining batch at every level —
 // O(B log k) — and this counter is what keeps that from coming back.
 func TestPackEncodesEachItemOnce(t *testing.T) {
@@ -388,10 +426,9 @@ func TestPackEncodesEachItemOnce(t *testing.T) {
 	if len(res.frames) < 10 {
 		t.Fatalf("cap did not force a split: %d frames", len(res.frames))
 	}
-	// One encode for the whole batch (discovering it cannot fit), then
-	// exactly one per object message, and one more for each object that
+	// Exactly one per object message, and one more for each object that
 	// opens a frame after the first, its key written whole.
-	if want := 1 + objects + len(res.frames) - 1; res.encodes != want {
+	if want := objects + len(res.frames) - 1; res.encodes != want {
 		t.Fatalf("encodes = %d, want %d: the packer re-encoded on split", res.encodes, want)
 	}
 	if res.oversized != 0 {
@@ -399,15 +436,16 @@ func TestPackEncodesEachItemOnce(t *testing.T) {
 	}
 }
 
-// TestPackSplitPiecesUnpackAlone: a store whose one shard's batch
-// overflows a small MaxFrameBytes splits it across frames, and every piece
-// starts its chain of keys again — its first key whole — so that each
-// frame unpacks on its own, into a fresh view, to the keys and δ-groups
-// that were written, each once, and is the canonical encoding of what it
-// carries.
+// TestPackSplitPiecesUnpackAlone: a store whose tick overflows a small
+// MaxFrameBytes splits its run of keys, all four shards' batches in key
+// order, across frames, and every frame starts its chain of keys again —
+// its first key whole — so that each frame unpacks on its own, into a
+// fresh view, to the keys and δ-groups that were written, each once, in
+// ascending order across the frames, and is the canonical encoding of what
+// it carries.
 func TestPackSplitPiecesUnpackAlone(t *testing.T) {
 	cfg := tickStoreConfig()
-	cfg.Shards = 1
+	cfg.Shards = 4
 	cfg.MaxFrameBytes = 256
 	c, err := newCore(cfg.withDefaults(), 1)
 	if err != nil {
@@ -425,9 +463,10 @@ func TestPackSplitPiecesUnpackAlone(t *testing.T) {
 		t.Fatalf("%d frames toward p1, want the batch split across many", len(frames))
 	}
 	seen := make(map[string]bool)
+	last := ""
 	for i, f := range frames {
 		var v codec.FrameView
-		if err := codec.UnpackFrame(f, 1, &v); err != nil {
+		if err := codec.UnpackFrame(f, cfg.Shards, &v); err != nil {
 			t.Fatalf("frame %d does not unpack on its own: %v", i, err)
 		}
 		m, _, err := codec.DecodeMsg(f)
@@ -436,6 +475,12 @@ func TestPackSplitPiecesUnpackAlone(t *testing.T) {
 		}
 		if again, _ := codec.EncodeMsg(m); !bytes.Equal(again, f) {
 			t.Fatalf("frame %d is not the canonical encoding of its items", i)
+		}
+		for _, om := range m.(*protocol.ShardedMsg).Keyed {
+			if om.Key <= last {
+				t.Fatalf("frame %d: key %q after %q", i, om.Key, last)
+			}
+			last = om.Key
 		}
 		for _, g := range v.Groups() {
 			for j := range g.Items {
@@ -488,9 +533,16 @@ func FuzzPackFrames(f *testing.F) {
 	f.Add(int64(2), uint16(64), true)
 	f.Add(int64(3), uint16(8192), true)
 	f.Add(int64(4), uint16(16), false)
+	// Negative seeds draw bench-shaped passes (benchShapedItems).
+	f.Add(int64(-1), uint16(512), false)
+	f.Add(int64(-2), uint16(96), true)
+	f.Add(int64(-3), uint16(8192), true)
 	f.Fuzz(func(t *testing.T, seed int64, cap16 uint16, withDigests bool) {
 		rng := rand.New(rand.NewSource(seed))
 		items := randomItems(rng)
+		if seed < 0 {
+			items = benchShapedItems(rng)
+		}
 		var vec []uint64
 		if withDigests {
 			vec = make([]uint64, 1+rng.Intn(32))
@@ -505,10 +557,123 @@ func FuzzPackFrames(f *testing.F) {
 		// The same tick as an acked store's, toward a link that owes an
 		// acknowledgement: numbered frames, records, and the ack's ride.
 		acked := ackedItems(rand.New(rand.NewSource(seed)))
+		if seed < 0 {
+			acked = benchShapedItems(rand.New(rand.NewSource(seed)))
+			ackEvery(acked)
+		}
 		lk, ack := owingLink()
 		res := checkPackedOn(t, acked, vec, 16+int(cap16), lk)
 		checkNumbered(t, lk, ack, acked, res, 16+int(cap16))
 	})
+}
+
+// benchShapedItems builds a pass the shape of a bench store's toward one
+// peer: fresh counter, set and map-field keys on 64 shards, one batch a
+// shard in key order, now and then a batch out of order or one holding the
+// empty key, and a drill's close on one shard.
+func benchShapedItems(rng *rand.Rand) []protocol.ShardItem {
+	batches := make(map[uint32][]protocol.ObjectMsg)
+	base := rng.Intn(1 << 20)
+	for i := 0; i < 1+rng.Intn(200); i++ {
+		n := base + i
+		var om protocol.ObjectMsg
+		switch rng.Intn(10) {
+		case 0, 1, 2, 3, 4:
+			om = protocol.ObjectMsg{Key: fmt.Sprintf("c/n%08d", n), Inner: protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("store-01", uint64(1+rng.Intn(9))))}
+		case 5, 6, 7:
+			om = protocol.ObjectMsg{Key: fmt.Sprintf("s/n%08d", n), Inner: protocol.NewDeltaMsg(crdt.NewGSet(fmt.Sprintf("e%03d", rng.Intn(256))))}
+		default:
+			k := fmt.Sprintf("m/n%06d/f%02d", n/50, n%50)
+			om = protocol.ObjectMsg{Key: k, Inner: protocol.NewDeltaMsg(lattice.NewMapEntry(k, &crdt.LWWRegister{TS: 1, Writer: "store-01", Val: fmt.Sprint(rng.Uint64())}))}
+		}
+		sh := protocol.ShardOf(om.Key, 64)
+		batches[sh] = append(batches[sh], om)
+	}
+	if rng.Intn(4) == 0 {
+		batches[protocol.ShardOf("", 64)] = append(batches[protocol.ShardOf("", 64)], protocol.ObjectMsg{Key: "", Inner: gsetDelta(0, 1)})
+	}
+	var items []protocol.ShardItem
+	for sh := uint32(0); sh < 64; sh++ {
+		b := batches[sh]
+		if len(b) == 0 {
+			continue
+		}
+		slices.SortFunc(b, func(x, y protocol.ObjectMsg) int { return strings.Compare(x.Key, y.Key) })
+		if rng.Intn(8) == 0 {
+			slices.Reverse(b)
+		}
+		items = append(items, protocol.ShardItem{Shard: sh, Msg: protocol.BatchOf(b)})
+	}
+	if len(items) > 0 && rng.Intn(2) == 0 {
+		sh := items[rng.Intn(len(items))].Shard
+		items = append(items, protocol.ShardItem{Shard: sh, Msg: protocol.NewTreeMsg(sh, 1, []uint32{3}, nil)})
+	}
+	return items
+}
+
+// ackEvery makes every keyed δ-group of items an acked one, with an entry
+// seq of its own.
+func ackEvery(items []protocol.ShardItem) {
+	seq := uint64(1)
+	for _, it := range items {
+		if bm, ok := it.Msg.(*protocol.BatchMsg); ok {
+			for i, om := range bm.Items {
+				bm.Items[i].Inner = protocol.NewAckedDeltaMsg(om.Inner.(*protocol.DeltaMsg).Delta, []uint64{seq})
+				seq++
+			}
+		}
+	}
+}
+
+// TestPackJoinsAKeyNamedTwice: a pass that names one key in two batches
+// toward a peer — a drill's answer and a new drill's stop on its shard —
+// puts it in the run once, its δ-groups joined and, when acked, its entry
+// seqs both in the link's record of the frame.
+func TestPackJoinsAKeyNamedTwice(t *testing.T) {
+	for _, acked := range []bool{false, true} {
+		delta := func(el string, seq uint64) protocol.Msg {
+			if acked {
+				return protocol.NewAckedDeltaMsg(crdt.NewGSet(el), []uint64{seq})
+			}
+			return protocol.NewDeltaMsg(crdt.NewGSet(el))
+		}
+		items := []protocol.ShardItem{
+			{Shard: 2, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: "a", Inner: delta("x", 1)}, {Key: "c", Inner: delta("z", 2)}})},
+			{Shard: 2, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: "a", Inner: delta("y", 3)}})},
+		}
+		var lk *link
+		if acked {
+			lk = newLink(7)
+		}
+		res, err := packFrames(items, nil, maxFrameBytes, lk)
+		if err != nil || len(res.frames) != 1 {
+			t.Fatalf("acked %v: %d frames: %v", acked, len(res.frames), err)
+		}
+		m, _, err := codec.DecodeMsg(res.frames[0].data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := m.(*protocol.ShardedMsg).Keyed
+		if len(run) != 2 || run[0].Key != "a" || !run[0].Inner.(*protocol.DeltaMsg).Delta.Equal(crdt.NewGSet("x", "y")) || run[1].Key != "c" {
+			t.Fatalf("acked %v: run %+v, want a ↦ {x y}, c", acked, run)
+		}
+		if acked {
+			rec := lk.rec(1).items
+			if len(rec) != 2 || rec[0].key != "a" || fmt.Sprint(rec[0].seqs) != "[1 3]" || rec[1].key != "c" {
+				t.Fatalf("the frame's record %+v, want a's seqs 1 and 3, then c's", rec)
+			}
+		}
+		// The δ-groups the engines handed over are left as they were.
+		if st := items[0].Msg.(*protocol.BatchMsg).Items[0].Inner; !deltaOfMsg(st).Equal(crdt.NewGSet("x")) {
+			t.Fatalf("acked %v: the first δ-group of a became %v", acked, st)
+		}
+	}
+}
+
+// deltaOfMsg returns a δ-group message's state.
+func deltaOfMsg(m protocol.Msg) lattice.State {
+	st, _, _ := deltaGroup(m)
+	return st
 }
 
 // benchItems builds a heavy tick: 64 shards, each a batch of 32 small
@@ -547,12 +712,12 @@ func BenchmarkPack(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			// The invariant, enforced every iteration: every batch had to
-			// split (one probe encode per item), then one encode per
-			// object message plus one per split boundary (each batch's
-			// frames after its first) — never one per object per split
+			// The invariant, enforced every iteration: one encode per keyed
+			// item, one per bare item (none here) and one per split
+			// boundary (the item that opens each frame after the first,
+			// its key written whole) — never one per object per split
 			// level.
-			if want := len(items) + units + len(res.frames) - len(items); res.encodes != want {
+			if want := units + len(res.frames) - 1; res.encodes != want {
 				b.Fatalf("encodes = %d, want %d", res.encodes, want)
 			}
 			if res.oversized != 0 {

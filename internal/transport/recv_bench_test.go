@@ -13,10 +13,9 @@ import (
 // what a real peer of a shards-wide store would emit.
 func benchRecvFrame(tb testing.TB, shards, objectsPerShard int) []byte {
 	tb.Helper()
-	mask := uint32(shards - 1)
 	items := make([]protocol.ShardItem, 0, shards)
 	for sh := 0; sh < shards; sh++ {
-		keys := keysOnShard(mask, uint32(sh), objectsPerShard)
+		keys := keysOnShard(shards, uint32(sh), objectsPerShard)
 		oms := make([]protocol.ObjectMsg, 0, len(keys))
 		for i, k := range keys {
 			// One element per δ-group: the steady-state tick ships what

@@ -310,7 +310,7 @@ func TestDigestShardMismatchCounted(t *testing.T) {
 // the gate saves.)
 func TestNotifyGroupNoWatcherAllocs(t *testing.T) {
 	s := startSoloStore(t, 4)
-	keys := keysOnShard(s.mask, 1, 3)
+	keys := keysOnShard(len(s.shards), 1, 3)
 	frame := encodeFrame(t, protocol.NewShardedMsg([]protocol.ShardItem{
 		shardBatch(1, keys...),
 	}))
@@ -450,7 +450,7 @@ func TestTreeLeafHashesMatchAcrossReplicas(t *testing.T) {
 		t.Error("a mutated shard kept its leaf vector")
 	}
 	lb2 := leavesOf(b)
-	want := treeLeafIdx("extra")
+	want := protocol.TreeLeafOf("extra")
 	for i := range lb2 {
 		if (lb2[i] != lb[i]) != (uint32(i) == want) {
 			t.Fatalf("one-key change altered leaf %d (expected only %d)", i, want)
@@ -485,7 +485,7 @@ func closeFrame(t *testing.T, shard uint32, tm *protocol.TreeMsg, keys ...string
 // not double-serve, and what a stopping store sends along fits one frame.
 func TestHandleTreeHostileInputs(t *testing.T) {
 	s := startSoloStore(t, 2)
-	for _, k := range keysOnShard(s.mask, 0, 20) {
+	for _, k := range keysOnShard(len(s.shards), 0, 20) {
 		s.Update(workload.Add(k, "v"))
 	}
 	d := getDeliverState()
@@ -656,10 +656,10 @@ func keyInNode(prefix string, shared int, crowded bool) string {
 	span := protocol.TreeLeafSpan(2)
 	taken := make(map[uint32]bool)
 	for k := 0; k < shared; k++ {
-		taken[treeLeafIdx(sharedKey(k))/span] = true
+		taken[protocol.TreeLeafOf(sharedKey(k))/span] = true
 	}
 	for i := 0; ; i++ {
-		if k := fmt.Sprintf("%s%d-only", prefix, i); taken[treeLeafIdx(k)/span] == crowded {
+		if k := fmt.Sprintf("%s%d-only", prefix, i); taken[protocol.TreeLeafOf(k)/span] == crowded {
 			return k
 		}
 	}
@@ -791,7 +791,7 @@ func TestDrillRacesWrite(t *testing.T) {
 	// Keys on the very leaf the drill is heading for.
 	var racing []string
 	for i := 0; len(racing) < 4; i++ {
-		if k := fmt.Sprintf("r%d", i); treeLeafIdx(k) == treeLeafIdx(missing) {
+		if k := fmt.Sprintf("r%d", i); protocol.TreeLeafOf(k) == protocol.TreeLeafOf(missing) {
 			racing = append(racing, k)
 		}
 	}

@@ -610,12 +610,12 @@ func simLossReorderPartition(t testing.TB, seed int64, onSend func(data []byte))
 // partition, every counter, set and map field ends at exactly the
 // sequential join of its writes on every replica once the partition heals.
 // The frames carry each datatype's item form: a counter's and a set's
-// δ-group as its state, a map field's in the short form; and batches of
-// more than one, whose keys after the first are written against the one
-// before, most of them sharing a prefix with it.
+// δ-group as its state, a map field's in the short form; and runs of more
+// than one keyed item, whose keys after the first are written against the
+// one before, most of them sharing a prefix with it.
 func TestSimLossReorderAndPartitionConverge(t *testing.T) {
 	forms := make(map[byte]int)
-	var followers, sharing int
+	var frames, keyed, followers, sharing int
 	var v codec.FrameView
 	count := func(data []byte) {
 		if codec.UnpackFrame(data, 8, &v) != nil {
@@ -632,16 +632,15 @@ func TestSimLossReorderAndPartitionConverge(t *testing.T) {
 		if err != nil {
 			t.Fatalf("a frame that unpacks does not decode: %v", err)
 		}
-		for _, it := range m.(*protocol.ShardedMsg).Items {
-			bm, ok := it.Msg.(*protocol.BatchMsg)
-			if !ok {
-				continue
-			}
-			for i := 1; i < len(bm.Items); i++ {
-				followers++
-				if a, b := bm.Items[i-1].Key, bm.Items[i].Key; len(a) > 0 && len(b) > 0 && a[0] == b[0] {
-					sharing++
-				}
+		run := m.(*protocol.ShardedMsg).Keyed
+		if len(run) > 0 {
+			frames++
+			keyed += len(run)
+		}
+		for i := 1; i < len(run); i++ {
+			followers++
+			if a, b := run[i-1].Key, run[i].Key; len(a) > 0 && len(b) > 0 && a[0] == b[0] {
+				sharing++
 			}
 		}
 	}
@@ -659,9 +658,10 @@ func TestSimLossReorderAndPartitionConverge(t *testing.T) {
 		}
 	}
 	if sharing == 0 {
-		t.Errorf("%d keyed items followed another in their batch, none sharing a prefix with it", followers)
+		t.Errorf("%d keyed items followed another in their frame's run, none sharing a prefix with it", followers)
 	}
-	t.Logf("seed 1: %d keyed items followed another in their batch, %d sharing a prefix with it", followers, sharing)
+	t.Logf("seed 1: %d keyed items in %d data frames (%.2f a frame), %d following another in their frame's run, %d sharing a prefix with it",
+		keyed, frames, float64(keyed)/float64(max(frames, 1)), followers, sharing)
 }
 
 // TestSimIsDeterministic: a run replays from its seed. Two runs of one seed

@@ -169,7 +169,7 @@ func TestSnapshotCorruptRestoreFallback(t *testing.T) {
 	const per = 25
 	var perShard [4][]string
 	for i := range perShard {
-		perShard[i] = keysOnShard(s.mask, uint32(i), per)
+		perShard[i] = keysOnShard(len(s.shards), uint32(i), per)
 		for _, k := range perShard[i] {
 			s.Update(workload.Add(k, "v"))
 		}

@@ -35,7 +35,8 @@ type StoreConfig struct {
 	Nodes []string
 	// Shards is the shard count, rounded up to a power of two
 	// (default 16). Every replica in a cluster must use the same value:
-	// the shard index is frame routing metadata.
+	// a receiver routes a frame's keyed items by hashing their keys under
+	// its own count, and digests and drills are per shard.
 	Shards int
 	// Factory builds the inner per-object protocol engine
 	// (e.g. protocol.NewDeltaBPRR()).
@@ -154,9 +155,9 @@ type StoreStats struct {
 	// per-shard digest vector: advertisements that would each have been a
 	// standalone DigestFrame without piggybacking.
 	PiggybackedDigests int
-	// SplitFrames counts the frames that are pieces of a split batch:
-	// a tick whose batch overflowed the cap and went out as k bounded
-	// frames adds k here (0 when every batch fit in one frame).
+	// SplitFrames counts the frames that are pieces of a split pass: a
+	// tick whose items overflowed the cap toward one peer and went out as
+	// k bounded frames adds k here (0 when every pass fit in one frame).
 	SplitFrames int
 	// OversizedDropped counts irreducible messages larger than the frame
 	// cap that had to be dropped (a single object's state exceeding
@@ -219,13 +220,14 @@ type StoreStats struct {
 	// have arrived there: the store advertises its digests to that
 	// neighbor on every tick until each marked shard has matched once.
 	CatchUpShards int
-	// DroppedItems counts inbound shard items discarded because their
-	// shard index was outside this store's shard range — shard-map skew
-	// between sender and receiver (the shard index is frame routing
-	// metadata, so every replica in a cluster must run the same count).
-	// A steadily growing value means misconfiguration: that data never
-	// applies here, and digest vectors of mismatched length are likewise
-	// incomparable, so anti-entropy cannot repair it either.
+	// DroppedItems counts inbound bare items — a drill's close is the one
+	// stores send — discarded because the shard index they name is outside
+	// this store's shard range: shard-map skew between sender and receiver.
+	// Keyed items carry no shard index (this store routes each by its key),
+	// so skew drops none of them; but digests and drills are per shard, so
+	// every replica in a cluster must still run the same count, which the
+	// hello enforces (HelloRefused). A value that grows means a peer that
+	// skipped the hello's check.
 	DroppedItems int
 	// SnapshotsWritten counts shard snapshot files written (shards whose
 	// digest had not moved since their last snapshot are skipped and not

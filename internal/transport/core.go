@@ -888,7 +888,8 @@ func (c *core) applyAck(from string, lk *link, ack *protocol.FrameAck, d *delive
 		return
 	}
 	items := d.acked
-	// One frame's δ-groups are in shard order; several frames' are not.
+	// A frame's δ-groups are in key order, which scatters them over the
+	// shards, unless they are all one shard's.
 	byShard := func(a, b ackItem) int { return cmp.Compare(a.shard, b.shard) }
 	if !slices.IsSortedFunc(items, byShard) {
 		slices.SortStableFunc(items, byShard)

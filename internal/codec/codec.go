@@ -36,10 +36,12 @@
 // (wire version 5; a standalone BatchMsg is a run too). The run's first
 // item writes the key whole; every later one writes the length of the
 // prefix its key shares with the key before it, at most maxShared, then
-// the rest (appendKey, readKey; wire version 4). The shared length has
-// one value, the longest it can be, and a key must be above the one before
-// it. Every frame's run is a chain of its own: the packer starts a new one
-// in every frame of a split pass. Snapshot records keep their keys whole.
+// the rest (appendKey, readKey; wire version 4). A key that shares fewer
+// than minShared bytes with the one before it shares none: it is written
+// whole. The shared length has one value, the longest it can be under
+// those two bounds, and a key must be above the one before it. Every
+// frame's run is a chain of its own: the packer starts a new one in every
+// frame of a split pass. Snapshot records keep their keys whole.
 package codec
 
 import (

@@ -263,22 +263,35 @@ func readRun(data []byte, count uint64) ([]protocol.ObjectMsg, int, error) {
 // of 4-byte items, each sharing a 64 KB prefix, would rebuild terabytes.
 const maxShared = 32
 
+// minShared is the least prefix a key takes from the key before it: one
+// that shares less — at most a namespace such as "c/" — is written whole.
+// Sharing one or two bytes would save that many, and spelling them keeps
+// every name that leaves the one before it at its first byte readable in
+// the frame's raw bytes: where the run enters a namespace, or moves from
+// one family of names to another ("c/n…" to "c/p/…"). The benchmark's
+// traced runs find their probe counters that way.
+const minShared = 3
+
 // sharedLen returns how many bytes of prev key is written against: the
-// length of their common prefix, at most maxShared — the one shared
-// length readKey accepts.
+// length of their common prefix, at most maxShared, or 0 when that is
+// below minShared — the one shared length readKey accepts.
 func sharedLen(prev, key string) int {
 	n := min(len(prev), len(key), maxShared)
 	i := 0
 	for i < n && prev[i] == key[i] {
 		i++
 	}
+	if i < minShared {
+		return 0
+	}
 	return i
 }
 
 // appendKey appends a keyed item's key. The first item of a run (prev
 // nil) writes it whole: its length, then its bytes. Every later one writes
-// the length of the prefix it shares with the key before it (sharedLen),
-// then the length and the bytes of the rest. A key that is not above the
+// the length of the prefix it shares with the key before it (sharedLen, 0
+// for a prefix shorter than minShared), then the length and the bytes of
+// the rest. A key that is not above the
 // one before it is refused: a run names each key once, in ascending order.
 func appendKey(b []byte, prev *string, key string) ([]byte, error) {
 	if prev == nil {
@@ -333,15 +346,17 @@ func soleEntry(s lattice.State) (lattice.MapEntry, bool) {
 // the key of the item before it in its run (nil for the first), and
 // appends it to *keys, which it makes non-nil. key is the appended part:
 // never nil, even when empty. The second spellings are refused: a shared
-// length past prev or maxShared, one shorter than the prefix the key
-// shares with prev up to maxShared, and a key that is not above prev.
+// length past prev or maxShared, or above 0 and below minShared, one
+// shorter than the prefix the key shares with prev up to maxShared (0 when
+// that prefix is at least minShared long), and a key that is not above
+// prev.
 func readKey(data, prev []byte, keys *[]byte) (key []byte, n int, err error) {
 	var shared uint64
 	if prev != nil {
 		if shared, n, err = readUvarint(data); err != nil {
 			return nil, 0, err
 		}
-		if shared > uint64(len(prev)) || shared > maxShared {
+		if shared > uint64(len(prev)) || shared > maxShared || shared > 0 && shared < minShared {
 			return nil, 0, fmt.Errorf("codec: key shares %d bytes with one of %d", shared, len(prev))
 		}
 	}
@@ -356,7 +371,11 @@ func readKey(data, prev []byte, keys *[]byte) (key []byte, n int, err error) {
 	rest := data[n : n+int(rlen)]
 	n += int(rlen)
 	if prev != nil {
-		if shared < maxShared && int(shared) < len(prev) && len(rest) > 0 && rest[0] == prev[shared] {
+		longer := shared < maxShared && int(shared) < len(prev) && len(rest) > 0 && rest[0] == prev[shared]
+		if shared == 0 {
+			longer = len(rest) >= minShared && len(prev) >= minShared && bytes.Equal(rest[:minShared], prev[:minShared])
+		}
+		if longer {
 			return nil, 0, fmt.Errorf("codec: key shares more than the %d bytes it says with the one before", shared)
 		}
 		// The key and prev share prev[:shared]: the rest decides.

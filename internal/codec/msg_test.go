@@ -3,6 +3,7 @@ package codec_test
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -163,8 +164,9 @@ func TestShardedMsgRoundTrip(t *testing.T) {
 }
 
 // TestShardedMsgKeysAscend: a frame's run names each key once, in
-// ascending order. NewShardedMsg sorts the batches' items into one run;
-// the encoder refuses a run that names a key twice, or out of order.
+// ascending order. NewShardedMsg sorts the batches' items into one run,
+// joining the δ-groups of a key two batches name; the encoder refuses a
+// run that names a key twice, or out of order.
 func TestShardedMsgKeysAscend(t *testing.T) {
 	delta := protocol.NewDeltaMsg(crdt.NewGSet("a"))
 	batch := func(keys ...string) *protocol.BatchMsg {
@@ -190,9 +192,13 @@ func TestShardedMsgKeysAscend(t *testing.T) {
 			t.Errorf("encoded the batch %q", run)
 		}
 	}
-	twice := protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 1, Msg: batch("a")}, {Shard: 1, Msg: batch("a", "b")}})
-	if _, err := codec.EncodeMsg(twice); err == nil {
-		t.Error("encoded a key two batches name")
+	// A key two batches name is one item of the run, its δ-groups joined.
+	joined := protocol.NewShardedMsg([]protocol.ShardItem{
+		{Shard: 1, Msg: batch("a")},
+		{Shard: 1, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: "a", Inner: protocol.NewDeltaMsg(crdt.NewGSet("b"))}})},
+	})
+	if run := msgRoundTrip(t, joined).(*protocol.ShardedMsg).Keyed; len(run) != 1 || !run[0].Inner.(*protocol.DeltaMsg).Delta.Equal(crdt.NewGSet("a", "b")) {
+		t.Errorf("a key two batches name came out as %+v, want one a ↦ {a b}", run)
 	}
 }
 
@@ -784,15 +790,18 @@ func keyedFrames() (forms [][]byte, refused map[string][]byte) {
 		"a keyed item with no message":       {72, 2, 1, 'k'},
 	}
 	for name, follower := range map[string][]byte{
-		"a shared length past the key before": {3, 1, 'b'},
-		"a shared length short of the prefix": {0, 2, 'k', 'b'},
-		"a key that repeats the one before":   {2, 0},
-		"a follower's rest past the frame":    {1, 200, 'b'},
+		"a shared length past the key before": {4, 1, 'b'},
+		"a key written whole that shares 3":   {0, 4, 'k', 'a', 'a', 'b'},
+		"a shared length below the least":     {2, 1, 'b'},
+		"a shared length of one":              {1, 2, 'a', 'b'},
+		"a key that repeats the one before":   {3, 0},
+		"a follower's rest past the frame":    {3, 200, 'b'},
 		"a key below the one before":          {0, 1, 'a'},
-		"a key the one before extends":        {1, 0},
+		"a key the one before extends":        {0, 2, 'k', 'a'},
 	} {
-		refused[name] = chainFrame("ka", follower)
+		refused[name] = chainFrame("kaa", follower)
 	}
+	refused["a shared length short of the prefix"] = chainFrame("kaaa", []byte{3, 2, 'a', 'b'})
 	long := strings.Repeat("k", 40)
 	refused["a shared length past the cap"] = chainFrame(long, []byte{33, 7, 'k', 'k', 'k', 'k', 'k', 'k', 'b'})
 	refused["a key that repeats a long one"] = chainFrame(long, append([]byte{32, 8}, long[:8]...))
@@ -839,7 +848,7 @@ func refusedRuns() map[string][]byte {
 			out[name] = data
 		}
 	}
-	three := chainFrame("ka", []byte{1, 1, 'b'})
+	three := chainFrame("ka", []byte{0, 2, 'k', 'b'})
 	out["a run one longer than its items"] = append([]byte{72, 6}, three[2:]...)
 	out["a run longer than the bytes left"] = append([]byte{72, 0x80, 0x80, 0x04}, three[2:]...)
 	out["bare items that name none"] = append([]byte{72, 5, 0}, three[2:]...)
@@ -1051,6 +1060,27 @@ func TestEmptyKeyInABatch(t *testing.T) {
 	if _, err := codec.EncodeMsg(protocol.BatchOf([]protocol.ObjectMsg{{Key: "a", Inner: delta}, {Key: "", Inner: delta}})); err == nil {
 		t.Error("encoded an empty key after another")
 	}
+}
+
+// TestShortSharedPrefixIsWhole: a key that shares fewer than three bytes
+// with the one before it is written whole, so a probe counter after
+// another counter shows "c/p/" in the frame's bytes; the probe after it
+// shares five bytes and takes them.
+func TestShortSharedPrefixIsWhole(t *testing.T) {
+	var oms []protocol.ObjectMsg
+	for _, k := range []string{"c/n00000042", "c/p/07", "c/p/08"} {
+		oms = append(oms, protocol.ObjectMsg{Key: k, Inner: protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("store-01", 7))})
+	}
+	data := encodeMsg(t, protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 0, Msg: protocol.BatchOf(oms)}}))
+	item := "05" + "01" + "08" + hex.EncodeToString([]byte("store-01")) + "07"
+	want := "48" + "06" +
+		"0b" + hex.EncodeToString([]byte("c/n00000042")) + item +
+		"00" + "06" + hex.EncodeToString([]byte("c/p/07")) + item +
+		"05" + "01" + hex.EncodeToString([]byte("8")) + item
+	if got := hex.EncodeToString(data); got != want {
+		t.Fatalf("frame\n%s, want\n%s", got, want)
+	}
+	checkUnpacked(t, data, 1, new(codec.FrameView))
 }
 
 // sortedValues returns m's values in the order of their names, so that a

@@ -130,12 +130,79 @@ func (h LinkHeader) MetadataBytes() int {
 	return n
 }
 
+// KeyedRun returns the items of every BatchMsg among items as one run in
+// strictly ascending key order: gathered into one slice, sorted by key,
+// and the δ-groups of a key two batches name joined into one (joinDeltas).
+// A shard's engine names each key once a pass, but a drill's answer and a
+// new drill's stop on one shard can both land in one pass toward a peer.
+// Two items of one key that are not both δ-groups stay side by side, for
+// the encoder to refuse.
+func KeyedRun(items []ShardItem) []ObjectMsg {
+	n := 0
+	for _, it := range items {
+		if bm, ok := it.Msg.(*BatchMsg); ok {
+			n += len(bm.Items)
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	run := make([]ObjectMsg, 0, n)
+	for _, it := range items {
+		if bm, ok := it.Msg.(*BatchMsg); ok {
+			run = append(run, bm.Items...)
+		}
+	}
+	slices.SortStableFunc(run, func(a, b ObjectMsg) int { return cmp.Compare(a.Key, b.Key) })
+	out := run[:0]
+	for _, om := range run {
+		if last := len(out) - 1; last >= 0 && out[last].Key == om.Key {
+			if m, ok := joinDeltas(out[last].Inner, om.Inner); ok {
+				out[last].Inner = m
+				continue
+			}
+		}
+		out = append(out, om)
+	}
+	clear(run[len(out):])
+	return out
+}
+
+// joinDeltas returns the one δ-group that says what a and b, two δ-groups
+// of one key, say: the join of their states, under the entry seqs of both.
+// It leaves a and b as they were, and reports false when either is not a
+// δ-group.
+func joinDeltas(a, b Msg) (Msg, bool) {
+	sa, seqsA, okA := deltaGroup(a)
+	sb, seqsB, okB := deltaGroup(b)
+	if !okA || !okB {
+		return nil, false
+	}
+	st := sa.Clone()
+	st.Merge(sb)
+	if seqsA == nil && seqsB == nil {
+		return NewDeltaMsg(st), true
+	}
+	return NewAckedDeltaMsg(st, append(slices.Clip(seqsA), seqsB...)), true
+}
+
+// deltaGroup returns the state of a δ-group message and, for an acked one,
+// its entry seqs.
+func deltaGroup(m Msg) (lattice.State, []uint64, bool) {
+	switch v := m.(type) {
+	case *DeltaMsg:
+		return v.Delta, nil, true
+	case *AckedDeltaMsg:
+		return v.Delta, v.Seqs, true
+	}
+	return nil, nil, false
+}
+
 // NewShardedMsg builds a ShardedMsg out of the shard items a pass emitted:
-// the items of every BatchMsg among them join the keyed run, in key order
-// (a stable sort: a key named twice stays twice, for the encoder to
-// refuse), and every other message is a bare item. The accounting is one
-// message on the wire, inner elements and payload summed, a keyed item's
-// key and a bare item's 4 bytes of shard index as routing metadata.
+// the items of every BatchMsg among them are the keyed run (KeyedRun), and
+// every other message is a bare item. The accounting is one message on the
+// wire, inner elements and payload summed, a keyed item's key and a bare
+// item's 4 bytes of shard index as routing metadata.
 func NewShardedMsg(items []ShardItem) *ShardedMsg {
 	return NewShardedLinkMsg(items, nil, LinkHeader{})
 }
@@ -154,17 +221,13 @@ func NewShardedDigestMsg(items []ShardItem, digests []uint64) *ShardedMsg {
 // codec.AppendLinkObjectMsg), and a keyed item's accounting never counted
 // its entry seqs.
 func NewShardedLinkMsg(items []ShardItem, digests []uint64, link LinkHeader) *ShardedMsg {
-	var keyed []ObjectMsg
 	var bare []ShardItem
 	for _, it := range items {
-		if bm, ok := it.Msg.(*BatchMsg); ok {
-			keyed = append(keyed, bm.Items...)
-		} else {
+		if _, ok := it.Msg.(*BatchMsg); !ok {
 			bare = append(bare, it)
 		}
 	}
-	slices.SortStableFunc(keyed, func(a, b ObjectMsg) int { return cmp.Compare(a.Key, b.Key) })
-	return NewFrameMsg(keyed, bare, digests, link)
+	return NewFrameMsg(KeyedRun(items), bare, digests, link)
 }
 
 // NewFrameMsg builds a ShardedMsg from its parts as they are on the wire:

@@ -562,7 +562,7 @@ func (c *core) flushTo(to string, items []protocol.ShardItem, vec []uint64, t *w
 		lk.packMu.Lock()
 		defer lk.packMu.Unlock()
 	}
-	res, err := packFrames(items, vec, c.maxMsgBytes(), lk)
+	res, err := packFrames(items, vec, c.maxMsgBytes(), len(c.shards), lk)
 	if err != nil {
 		// Engines produced an unencodable message: a programming
 		// error in the engine/codec pairing.

@@ -208,7 +208,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 			}
 		}
 		limit := 256 + rng.Intn(4096)
-		res, err := packFrames(items, digests, limit, nil)
+		res, err := packFrames(items, digests, limit, shards, nil)
 		if err != nil {
 			t.Fatalf("pack: %v", err)
 		}

@@ -1,12 +1,7 @@
 package transport
 
 import (
-	"fmt"
-	"slices"
-	"strings"
-
 	"crdtsync/internal/codec"
-	"crdtsync/internal/lattice"
 	"crdtsync/internal/metrics"
 	"crdtsync/internal/protocol"
 )
@@ -14,16 +9,15 @@ import (
 // The single-pass frame packer. One pass's shard items for one peer must go
 // out as frames no larger than the configured cap. Since wire version 5 a
 // frame writes all of its keyed items as one run in ascending key order,
-// with no shard index: the packer merges the destination's per-shard
-// batches, each already in key order (Sync, Flush and a drill's ranges all
-// list their keys in order), into one key-ordered run and packs it
-// greedily, each item encoded once against the key before it. The item
-// that opens a frame's run is written whole, so the one a split moves to
-// the next frame is encoded once more; the bare items (a drill's close)
-// follow the whole run, in the last frames, so that a close never arrives
-// before the states it goes with. A pass therefore costs O(items · log
-// batches) comparisons and O(items) encoding work, however many frames it
-// fills.
+// with no shard index: the packer gathers the destination's per-shard
+// batches into one key-ordered run (protocol.KeyedRun, which NewShardedMsg
+// builds its run with too) and packs it greedily, each item encoded once
+// against the key before it. The item that opens a frame's run is written
+// whole, so the one a split moves to the next frame is encoded once more;
+// the bare items (a drill's close) follow the whole run, in the last
+// frames, so that a close never arrives before the states it goes with. A
+// pass therefore costs one sort of its keyed items and O(items) encoding
+// work, however many frames it fills.
 //
 // Frame sizes are computed exactly, not estimated: codec exposes the
 // header size for any (digest vector, item counts) combination, so a
@@ -65,165 +59,13 @@ type packResult struct {
 	digestsAttached bool
 }
 
-// keyedRun walks the keyed items of a pass's batches toward one peer in
-// key order. Each batch is a run of its own already (one that is not is
-// sorted, on a copy); a tournament tree of losers over the batches' next
-// keys merges them, so an item costs log₂(batches) comparisons and is never
-// copied. A key two batches name — a drill's answer and another drill's
-// stop on the same shard, which only an inbound frame that carries both a
-// close and a digest vector can cause — comes out once, its δ-groups
-// joined (join): a run names each key once, and the encoder refuses one
-// that does not.
-type keyedRun struct {
-	heads []runHead // what is left of each batch, in the pass's order
-	// tree[0] is the batch whose next key is least; tree[n], for n from 1,
-	// the one that lost the match at node n, whose children are nodes 2n
-	// and 2n+1 and batch b sits at len(heads)+b.
-	tree []int32
-}
-
-// runHead is one batch of a pass and how far the walk is into it.
-type runHead struct {
-	shard uint32
-	next  int
-	items []protocol.ObjectMsg
-}
-
-// spent reports whether the walk is through the batch.
-func (h *runHead) spent() bool { return h.next == len(h.items) }
-
-func newKeyedRun(items []protocol.ShardItem) keyedRun {
-	var r keyedRun
-	for _, it := range items {
-		bm, ok := it.Msg.(*protocol.BatchMsg)
-		if !ok || len(bm.Items) == 0 {
-			continue
-		}
-		oms := bm.Items
-		if byKey := func(a, b protocol.ObjectMsg) int { return strings.Compare(a.Key, b.Key) }; !slices.IsSortedFunc(oms, byKey) {
-			oms = slices.Clone(oms)
-			slices.SortStableFunc(oms, byKey)
-		}
-		r.heads = append(r.heads, runHead{shard: it.Shard, items: oms})
-	}
-	if len(r.heads) == 0 {
-		return r
-	}
-	// Each internal node sees two batches arrive: the first waits there,
-	// the second plays it, and the winner goes on up.
-	r.tree = make([]int32, len(r.heads))
-	for n := range r.tree {
-		r.tree[n] = -1
-	}
-	for b := range r.heads {
-		w, n := int32(b), (len(r.heads)+b)/2
-		for ; n > 0; n /= 2 {
-			if r.tree[n] == -1 {
-				r.tree[n] = w
-				break
-			}
-			if r.before(r.tree[n], w) {
-				r.tree[n], w = w, r.tree[n]
-			}
-		}
-		if n == 0 {
-			r.tree[0] = w
-		}
-	}
-	return r
-}
-
-// before reports whether batch a's next key comes before batch b's: a
-// spent batch comes last, and of two with one key the earlier in the pass
-// first, so that a join is deterministic.
-func (r *keyedRun) before(a, b int32) bool {
-	ha, hb := &r.heads[a], &r.heads[b]
-	switch {
-	case ha.spent():
-		return false
-	case hb.spent():
-		return true
-	}
-	if c := strings.Compare(ha.items[ha.next].Key, hb.items[hb.next].Key); c != 0 {
-		return c < 0
-	}
-	return a < b
-}
-
-// pop takes the least next key's item off its batch and replays the
-// batch's matches up to the root; ok is false once every batch is spent.
-func (r *keyedRun) pop() (shard uint32, om protocol.ObjectMsg, ok bool) {
-	if len(r.heads) == 0 {
-		return 0, om, false
-	}
-	w := r.tree[0]
-	h := &r.heads[w]
-	if h.spent() {
-		return 0, om, false
-	}
-	shard, om = h.shard, h.items[h.next]
-	h.next++
-	for n := (len(r.heads) + int(w)) / 2; n > 0; n /= 2 {
-		if r.before(r.tree[n], w) {
-			r.tree[n], w = w, r.tree[n]
-		}
-	}
-	r.tree[0] = w
-	return shard, om, true
-}
-
-// next returns the next keyed item in key order, and false once there is
-// none.
-func (r *keyedRun) next() (uint32, protocol.ObjectMsg, bool, error) {
-	shard, om, ok := r.pop()
-	for ok {
-		if h := &r.heads[r.tree[0]]; h.spent() || h.items[h.next].Key != om.Key {
-			break
-		}
-		_, again, _ := r.pop()
-		m, err := join(om.Inner, again.Inner)
-		if err != nil {
-			return 0, protocol.ObjectMsg{}, false, err
-		}
-		om.Inner = m
-	}
-	return shard, om, ok, nil
-}
-
-// join returns the one δ-group that says what a and b, two δ-groups of one
-// key, say: the join of their states, under the entry seqs of both.
-func join(a, b protocol.Msg) (protocol.Msg, error) {
-	sa, seqsA, okA := deltaGroup(a)
-	sb, seqsB, okB := deltaGroup(b)
-	if !okA || !okB {
-		return nil, fmt.Errorf("transport: no join of %T and %T", a, b)
-	}
-	st := sa.Clone()
-	st.Merge(sb)
-	if seqsA == nil && seqsB == nil {
-		return protocol.NewDeltaMsg(st), nil
-	}
-	return protocol.NewAckedDeltaMsg(st, append(slices.Clip(seqsA), seqsB...)), nil
-}
-
-// deltaGroup returns the state of a δ-group message and, for an acked one,
-// its entry seqs.
-func deltaGroup(m protocol.Msg) (lattice.State, []uint64, bool) {
-	switch v := m.(type) {
-	case *protocol.DeltaMsg:
-		return v.Delta, nil, true
-	case *protocol.AckedDeltaMsg:
-		return v.Delta, v.Seqs, true
-	}
-	return nil, nil, false
-}
-
 // framePacker accumulates encoded pieces into one pending frame.
 type framePacker struct {
-	limit int
-	res   packResult
-	vec   []uint64 // digest vector still waiting for a frame to ride
-	lk    *link    // the destination's link; nil numbers nothing
+	limit  int
+	shards int // the sender's, among which an acked item's record is routed
+	res    packResult
+	vec    []uint64 // digest vector still waiting for a frame to ride
+	lk     *link    // the destination's link; nil numbers nothing
 
 	// The pending frame: its run and then its bare items, encoded (all the
 	// keyed items are placed before the first bare one), how many of each,
@@ -328,8 +170,8 @@ func (p *framePacker) flush() {
 
 // packFrames encodes items once each and packs them greedily into frames
 // whose encoded ShardedMsg size never exceeds limit: the keyed items of
-// their batches as one key-ordered run (keyedRun), then the other items,
-// bare, in order. digests, when non-nil, is piggybacked onto the flush's
+// their batches as one key-ordered run (protocol.KeyedRun), then the other
+// items, bare, in order. digests, when non-nil, is piggybacked onto the flush's
 // final frame when it has room — after every data piece, so the receiver's
 // digest comparison sees the fully merged tick — and left unattached (for
 // the caller's standalone heartbeat fallback, which likewise follows the
@@ -338,9 +180,11 @@ func (p *framePacker) flush() {
 //
 // lk is the destination's link, whose packMu the caller holds: frames
 // that carry acked δ-groups are numbered on it and the first frame takes
-// the acknowledgement it owes. With a nil link nothing is numbered.
-func packFrames(items []protocol.ShardItem, digests []uint64, limit int, lk *link) (packResult, error) {
-	p := &framePacker{limit: limit, vec: digests, lk: lk}
+// the acknowledgement it owes; the record of an acked δ-group names the
+// shard its key routes to among shards. With a nil link nothing is
+// numbered.
+func packFrames(items []protocol.ShardItem, digests []uint64, limit, shards int, lk *link) (packResult, error) {
+	p := &framePacker{limit: limit, shards: shards, vec: digests, lk: lk}
 	if lk != nil {
 		p.link.Ack, _ = lk.takeAck()
 	}
@@ -352,16 +196,8 @@ func packFrames(items []protocol.ShardItem, digests []uint64, limit int, lk *lin
 }
 
 func (p *framePacker) pack(items []protocol.ShardItem) error {
-	run := newKeyedRun(items)
-	for {
-		shard, om, ok, err := run.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		if err := p.addKeyed(shard, om); err != nil {
+	for _, om := range protocol.KeyedRun(items) {
+		if err := p.addKeyed(om); err != nil {
 			return err
 		}
 	}
@@ -393,13 +229,13 @@ func (p *framePacker) encodeKeyed(om protocol.ObjectMsg) error {
 	return err
 }
 
-// addKeyed places one keyed item, which shard's engine emitted: in the
-// pending frame, or as the first of the next — written again, whole, if it
-// was written against a key the frame it opens does not have.
-func (p *framePacker) addKeyed(shard uint32, om protocol.ObjectMsg) error {
+// addKeyed places one keyed item: in the pending frame, or as the first of
+// the next — written again, whole, if it was written against a key the
+// frame it opens does not have.
+func (p *framePacker) addKeyed(om protocol.ObjectMsg) error {
 	acks := p.acks[:0]
 	if a, ok := om.Inner.(*protocol.AckedDeltaMsg); ok && p.lk != nil {
-		acks = append(acks, ackItem{shard: shard, key: om.Key, seqs: a.Seqs})
+		acks = append(acks, ackItem{shard: protocol.ShardOf(om.Key, p.shards), key: om.Key, seqs: a.Seqs})
 		p.acks = acks
 	}
 	c := protocol.KeyedCost(om)

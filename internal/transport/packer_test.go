@@ -16,6 +16,10 @@ import (
 	"crdtsync/internal/workload"
 )
 
+// packShards is the shard count the packer tests' senders run: the one an
+// acked item's record is routed among.
+const packShards = 64
+
 // unit is the indivisible piece of a packed tick for comparison purposes:
 // a bare shard message, or one keyed item, an object message of a batch.
 // key is empty for bare units; enc is the canonical encoding of the inner
@@ -231,7 +235,7 @@ func checkPacked(t testing.TB, items []protocol.ShardItem, digests []uint64, lim
 // checkPackedOn is checkPacked toward a link, nil for none.
 func checkPackedOn(t testing.TB, items []protocol.ShardItem, digests []uint64, limit int, lk *link) packResult {
 	t.Helper()
-	res, err := packFrames(items, digests, limit, lk)
+	res, err := packFrames(items, digests, limit, packShards, lk)
 	if err != nil {
 		t.Fatalf("packFrames: %v", err)
 	}
@@ -324,7 +328,7 @@ func checkNumbered(t testing.TB, lk *link, ack protocol.FrameAck, items []protoc
 		var rec []ackItem
 		for _, u := range want[pos : pos+len(f.units)] {
 			if u.seqs != "" {
-				rec = append(rec, ackItem{shard: u.shard, key: u.key})
+				rec = append(rec, ackItem{key: u.key})
 			}
 		}
 		pos += len(f.units)
@@ -348,7 +352,7 @@ func checkNumbered(t testing.TB, lk *link, ack protocol.FrameAck, items []protoc
 			if u.seqs == "" {
 				continue
 			}
-			if g := got[acked]; g.shard != u.shard || g.key != u.key || fmt.Sprint(g.seqs) != u.seqs {
+			if g := got[acked]; g.shard != protocol.ShardOf(u.key, packShards) || g.key != u.key || fmt.Sprint(g.seqs) != u.seqs {
 				t.Fatalf("frame %d record %d = %+v, want %+v", i, acked, g, u)
 			}
 			acked++
@@ -511,7 +515,7 @@ func TestPackDropsIrreducibleOversized(t *testing.T) {
 		{Shard: 1, Msg: gsetDelta(2, 500)}, // far beyond the cap
 		{Shard: 2, Msg: gsetDelta(3, 1)},
 	}
-	res, err := packFrames(items, nil, 128, nil)
+	res, err := packFrames(items, nil, 128, packShards, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -645,7 +649,7 @@ func TestPackJoinsAKeyNamedTwice(t *testing.T) {
 		if acked {
 			lk = newLink(7)
 		}
-		res, err := packFrames(items, nil, maxFrameBytes, lk)
+		res, err := packFrames(items, nil, maxFrameBytes, packShards, lk)
 		if err != nil || len(res.frames) != 1 {
 			t.Fatalf("acked %v: %d frames: %v", acked, len(res.frames), err)
 		}
@@ -672,8 +676,13 @@ func TestPackJoinsAKeyNamedTwice(t *testing.T) {
 
 // deltaOfMsg returns a δ-group message's state.
 func deltaOfMsg(m protocol.Msg) lattice.State {
-	st, _, _ := deltaGroup(m)
-	return st
+	switch v := m.(type) {
+	case *protocol.DeltaMsg:
+		return v.Delta
+	case *protocol.AckedDeltaMsg:
+		return v.Delta
+	}
+	return nil
 }
 
 // benchItems builds a heavy tick: 64 shards, each a batch of 32 small
@@ -708,7 +717,7 @@ func BenchmarkPack(b *testing.B) {
 	b.Run("greedy", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := packFrames(items, nil, limit, nil)
+			res, err := packFrames(items, nil, limit, packShards, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -242,14 +242,21 @@ func TestCanonicalAcrossRepresentations(t *testing.T) {
 
 // TestAppendStateAllocs pins that encoding the small states a store
 // ships and hashes per key copies nothing: the entries are walked where
-// they lie, already in canonical order.
+// they lie, already in canonical order — at one entry, held in the
+// value's struct, and at 2, 3 and 8, held behind it.
 func TestAppendStateAllocs(t *testing.T) {
-	counter := crdt.NewGCounter()
-	counter.Inc("r0", 3)
-	counter.Inc("r1", 4)
-	field := lattice.NewMapEntry("m/n000001/f01", &crdt.LWWRegister{TS: 2, Writer: "r1", Val: "x"})
-	buf := make([]byte, 0, 256)
-	for _, s := range []lattice.State{counter, crdt.NewGSet("e001", "e002", "e003"), lattice.NewSet("a"), field} {
+	var states []lattice.State
+	for _, n := range []int{1, 2, 3, 8} {
+		counter, set, m := crdt.NewGCounter(), crdt.NewGSet(), lattice.NewMap()
+		for i := n - 1; i >= 0; i-- { // descending: each goes first
+			counter.Inc("r"+strconv.Itoa(i), uint64(i+1))
+			set.Add("e00" + strconv.Itoa(i))
+			m.Set("m/n000001/f0"+strconv.Itoa(i), &crdt.LWWRegister{TS: 2, Writer: "r1", Val: "x"})
+		}
+		states = append(states, counter, set, (*lattice.Set)(set), m)
+	}
+	buf := make([]byte, 0, 1024)
+	for _, s := range states {
 		if n := testing.AllocsPerRun(100, func() { buf = codec.AppendState(buf[:0], s) }); n != 0 {
 			t.Errorf("AppendState(%v) allocates %.0f times, want 0", s, n)
 		}

@@ -21,6 +21,26 @@ func FuzzDecodeState(f *testing.F) {
 	m := lattice.NewMap()
 	m.Set("k", lattice.NewSet("x"))
 	f.Add(codec.Encode(m))
+	// The seams of the small forms: {""}, which the struct's slot cannot
+	// hold; a map that grew to two entries and shrank back to one; a
+	// counter whose later entry sorts first; a set either side of
+	// promotion.
+	f.Add(codec.Encode(crdt.NewGSet("")))
+	f.Add(codec.Encode(lattice.NewSet("", "a")))
+	shrunk := lattice.NewMap()
+	shrunk.Set("b", lattice.NewMaxInt(1))
+	shrunk.Set("a", lattice.NewMaxInt(2))
+	shrunk.Set("b", lattice.NewMaxInt(0))
+	f.Add(codec.Encode(shrunk))
+	c.Inc("m00", 1)
+	f.Add(codec.Encode(c))
+	for _, n := range []int{8, 9} {
+		s := crdt.NewGSet()
+		for i := 0; i < n; i++ {
+			s.Add(string(rune('a' + i)))
+		}
+		f.Add(codec.Encode(s))
+	}
 	aw := crdt.NewAWSet()
 	aw.Add("A", "e")
 	aw.Remove("e")

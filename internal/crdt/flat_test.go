@@ -2,6 +2,7 @@ package crdt_test
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"strconv"
 	"testing"
@@ -125,6 +126,44 @@ func TestGCounterAgainstModel(t *testing.T) {
 		}
 		if !a.IsBottom() && !core.IsIrredundantDecomposition(lattice.Decompose(a), a) {
 			t.Fatalf("⇓%v is not an irredundant join decomposition", a)
+		}
+	}
+}
+
+// TestStateSizes pins what a counter holds on the heap with 1, 2, 3 and 8
+// replicas' entries, replica ids shared and so not counted. A counter one
+// replica has written is one 32-byte object. Two and three entries, what
+// a key written at each of three replicas reaches, cost no more than they
+// did with the slice header in the struct (96 / 144 B); eight are logged.
+func TestStateSizes(t *testing.T) {
+	const n = 20_000
+	ids := make([]string, 8)
+	for i := range ids {
+		ids[i] = "r" + strconv.Itoa(1000+i)
+	}
+	var ms runtime.MemStats
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	limits := map[int]float64{1: 32, 2: 96, 3: 144}
+	for _, k := range []int{1, 2, 3, len(ids)} {
+		keep := make([]*crdt.GCounter, n)
+		before := heap()
+		for i := range keep {
+			c := crdt.NewGCounter()
+			for _, id := range ids[:k] {
+				c.Merge(crdt.NewGCounter().IncDelta(id, 1))
+			}
+			keep[i] = c
+		}
+		per := float64(heap()-before) / n
+		runtime.KeepAlive(keep)
+		t.Logf("counter of %d: %.1f B", k, per)
+		if limit, ok := limits[k]; ok && per > limit+1 {
+			t.Errorf("a counter of %d entries holds %.1f heap bytes, want ≤ %.0f", k, per, limit)
 		}
 	}
 }

@@ -21,17 +21,18 @@ import (
 // replica identifiers to per-replica increment counts, joined entry-wise
 // with max (Figure 2a of the paper).
 //
-// Representation: one slice of (replica, count) entries ascending by
-// replica id, the first of them in the struct itself, so a counter one
-// replica has written is a single 48-byte object. A counter has at most
-// one entry per replica, so unlike the sets and maps it never needs a
-// hashed form: lookups are binary searches, and Merge, Leq and Diff walk
-// both counters in ascending order, each lookup searching only past the
-// previous one. No stored count is zero. The zero value is an empty
-// counter.
+// Representation: the entries ascending by replica id, the first of them
+// in the struct itself and the rest in a slice behind one pointer, so a
+// counter one replica has written is a single 32-byte object. A counter
+// has at most one entry per replica, so unlike the sets and maps it never
+// needs a hashed form: lookups are binary searches, and Merge, Leq and
+// Diff walk both counters in ascending order, each lookup searching only
+// past the previous one. No stored count is zero, and first.n is zero
+// exactly when the counter is empty. Encoding walks Range, so the entries
+// need not be one slice. The zero value is an empty counter.
 type GCounter struct {
-	entries []gcEntry
-	one     [1]gcEntry // backs entries while the counter has a single entry
+	first gcEntry    // the entry with the least replica id
+	rest  *[]gcEntry // the entries after it; nil until there are any
 }
 
 type gcEntry struct {
@@ -42,31 +43,63 @@ type gcEntry struct {
 // NewGCounter returns an empty (bottom) grow-only counter.
 func NewGCounter() *GCounter { return new(GCounter) }
 
-// room returns entries with capacity for n more, the first entry of a
-// counter going into the struct's own slot.
-func (c *GCounter) room(n int) []gcEntry {
-	if c.entries == nil && n == 1 {
-		return c.one[:0]
+// tail returns the entries after the first.
+func (c *GCounter) tail() []gcEntry {
+	if c.rest == nil {
+		return nil
 	}
-	return slices.Grow(c.entries, n)
+	return *c.rest
 }
 
-// search returns the position of replica among entries[from:], or where
-// it would be inserted, and whether it is present. Walks over two
-// counters pass the last position along, so each search covers only what
-// the previous one left.
+// len returns the number of entries.
+func (c *GCounter) len() int {
+	if c.first.n == 0 {
+		return 0
+	}
+	return 1 + len(c.tail())
+}
+
+// at returns entry i, in ascending order of replica id.
+func (c *GCounter) at(i int) *gcEntry {
+	if i == 0 {
+		return &c.first
+	}
+	return &(*c.rest)[i-1]
+}
+
+// search returns the position of replica among the entries from position
+// from on, or where it would be inserted, and whether it is present.
+// Walks over two counters pass the last position along, so each search
+// covers only what the previous one left.
 func (c *GCounter) search(replica string, from int) (int, bool) {
-	s := c.entries
-	lo, hi := from, len(s)
+	n := c.len()
+	lo, hi := from, n
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if s[mid].id < replica {
+		if c.at(mid).id < replica {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(s) && s[lo].id == replica
+	return lo, lo < n && c.at(lo).id == replica
+}
+
+// insert puts e, whose replica the counter lacks, at position i.
+func (c *GCounter) insert(i int, e gcEntry) {
+	switch {
+	case c.first.n == 0:
+		c.first = e
+		return
+	case i == 0:
+		c.first, e = e, c.first // the old first leads the rest
+	default:
+		i--
+	}
+	if c.rest == nil {
+		c.rest = new([]gcEntry)
+	}
+	*c.rest = slices.Insert(*c.rest, i, e)
 }
 
 // IncDelta is the optimal δ-mutator incδᵢ: it returns the single updated
@@ -80,10 +113,7 @@ func (c *GCounter) IncDelta(replica string, n uint64) *GCounter {
 
 // singleEntry returns the join-irreducible counter {replica ↦ n}.
 func singleEntry(replica string, n uint64) *GCounter {
-	d := new(GCounter)
-	d.one[0] = gcEntry{replica, n}
-	d.entries = d.one[:]
-	return d
+	return &GCounter{first: gcEntry{replica, n}}
 }
 
 // Inc applies the standard mutator incᵢ in place and returns the delta that
@@ -96,8 +126,8 @@ func (c *GCounter) Inc(replica string, n uint64) *GCounter {
 
 // Value returns the counter value: the sum of all per-replica entries.
 func (c *GCounter) Value() uint64 {
-	var sum uint64
-	for _, e := range c.entries {
+	sum := c.first.n
+	for _, e := range c.tail() {
 		sum += e.n
 	}
 	return sum
@@ -106,7 +136,7 @@ func (c *GCounter) Value() uint64 {
 // Entry returns the count recorded for the given replica.
 func (c *GCounter) Entry(replica string) uint64 {
 	if i, ok := c.search(replica, 0); ok {
-		return c.entries[i].n
+		return c.at(i).n
 	}
 	return 0
 }
@@ -114,7 +144,10 @@ func (c *GCounter) Entry(replica string) uint64 {
 // Range calls fn for every (replica, count) entry, ascending by replica,
 // until fn returns false.
 func (c *GCounter) Range(fn func(replica string, count uint64) bool) {
-	for _, e := range c.entries {
+	if c.first.n == 0 || !fn(c.first.id, c.first.n) {
+		return
+	}
+	for _, e := range c.tail() {
 		if !fn(e.id, e.n) {
 			return
 		}
@@ -136,12 +169,14 @@ func (c *GCounter) Join(other lattice.State) lattice.State {
 func (c *GCounter) Merge(other lattice.State) {
 	o := mustGCounter("Merge", c, other)
 	j := 0
-	for _, e := range o.entries {
+	for i, n := 0, o.len(); i < n; i++ {
+		e := *o.at(i)
 		var ok bool
 		if j, ok = c.search(e.id, j); ok {
-			c.entries[j].n = max(c.entries[j].n, e.n)
+			p := c.at(j)
+			p.n = max(p.n, e.n)
 		} else {
-			c.entries = slices.Insert(c.room(1), j, e)
+			c.insert(j, e)
 		}
 	}
 }
@@ -149,13 +184,15 @@ func (c *GCounter) Merge(other lattice.State) {
 // Leq reports entry-wise ≤.
 func (c *GCounter) Leq(other lattice.State) bool {
 	o := mustGCounter("Leq", c, other)
-	if len(c.entries) > len(o.entries) {
+	n := c.len()
+	if n > o.len() {
 		return false
 	}
 	j := 0
-	for _, e := range c.entries {
+	for i := 0; i < n; i++ {
+		e := c.at(i)
 		var ok bool
-		if j, ok = o.search(e.id, j); !ok || e.n > o.entries[j].n {
+		if j, ok = o.search(e.id, j); !ok || e.n > o.at(j).n {
 			return false
 		}
 	}
@@ -163,7 +200,7 @@ func (c *GCounter) Leq(other lattice.State) bool {
 }
 
 // IsBottom reports whether no replica has recorded increments.
-func (c *GCounter) IsBottom() bool { return len(c.entries) == 0 }
+func (c *GCounter) IsBottom() bool { return c.first.n == 0 }
 
 // Bottom returns a fresh empty counter.
 func (c *GCounter) Bottom() lattice.State { return NewGCounter() }
@@ -171,11 +208,7 @@ func (c *GCounter) Bottom() lattice.State { return NewGCounter() }
 // Irreducibles yields one single-entry counter per map entry:
 // ⇓p = {{k ↦ v} | k ↦ v ∈ p} (§III-A of the paper).
 func (c *GCounter) Irreducibles(yield func(lattice.State) bool) {
-	for _, e := range c.entries {
-		if !yield(singleEntry(e.id, e.n)) {
-			return
-		}
-	}
+	c.Range(func(id string, n uint64) bool { return yield(singleEntry(id, n)) })
 }
 
 // Diff implements lattice.Differ: Δ(c, b) keeps the entries of c that
@@ -184,10 +217,11 @@ func (c *GCounter) Diff(b lattice.State) lattice.State {
 	o := mustGCounter("Delta", c, b)
 	d := new(GCounter)
 	j := 0
-	for _, e := range c.entries {
+	for i, n := 0, c.len(); i < n; i++ {
+		e := c.at(i)
 		var ok bool
-		if j, ok = o.search(e.id, j); !ok || e.n > o.entries[j].n {
-			d.entries = append(d.room(1), e)
+		if j, ok = o.search(e.id, j); !ok || e.n > o.at(j).n {
+			d.insert(d.len(), *e) // ascending: each goes last
 		}
 	}
 	return d
@@ -196,37 +230,40 @@ func (c *GCounter) Diff(b lattice.State) lattice.State {
 // Equal reports entry-wise equality.
 func (c *GCounter) Equal(other lattice.State) bool {
 	o, ok := other.(*GCounter)
-	return ok && slices.Equal(c.entries, o.entries)
+	return ok && c.first == o.first && slices.Equal(c.tail(), o.tail())
 }
 
 // Clone returns a deep copy.
 func (c *GCounter) Clone() lattice.State {
-	cp := new(GCounter)
-	if n := len(c.entries); n > 0 {
-		cp.entries = append(cp.room(n), c.entries...)
+	cp := &GCounter{first: c.first}
+	if t := c.tail(); len(t) > 0 {
+		rest := slices.Clone(t)
+		cp.rest = &rest
 	}
 	return cp
 }
 
 // Elements returns the number of entries in the map (the paper's GCounter
 // transmission/memory metric, Table I).
-func (c *GCounter) Elements() int { return len(c.entries) }
+func (c *GCounter) Elements() int { return c.len() }
 
 // SizeBytes returns the wire size: per entry, the replica id plus 8 bytes.
 func (c *GCounter) SizeBytes() int {
 	n := 0
-	for _, e := range c.entries {
-		n += len(e.id) + 8
-	}
+	c.Range(func(id string, _ uint64) bool {
+		n += len(id) + 8
+		return true
+	})
 	return n
 }
 
 // String renders the counter in sorted replica order.
 func (c *GCounter) String() string {
-	parts := make([]string, 0, len(c.entries))
-	for _, e := range c.entries {
-		parts = append(parts, fmt.Sprintf("%s:%d", e.id, e.n))
-	}
+	parts := make([]string, 0, c.len())
+	c.Range(func(id string, n uint64) bool {
+		parts = append(parts, fmt.Sprintf("%s:%d", id, n))
+		return true
+	})
 	return "GCounter{" + strings.Join(parts, ",") + "}"
 }
 

@@ -10,10 +10,10 @@ import (
 // with join = union (Figure 2b of the paper).
 //
 // It is lattice.Set under its own name (and wire tag) plus the δ-mutator,
-// and so has that type's representation: an ascending []string, the
-// first element inside the struct, up to the promotion constant
-// lattice.smallMax (its comment cites the benchmark it comes from), a Go
-// map past it.
+// and so has that type's representation: the element of a one-element
+// set inside the struct, more of them ascending in an array behind it up
+// to the promotion constant lattice.smallMax (its comment cites the
+// benchmark it comes from), a Go map past it.
 type GSet lattice.Set
 
 func (s *GSet) set() *lattice.Set { return (*lattice.Set)(s) }

@@ -9,9 +9,9 @@ const SmallMax = smallMax
 func SliceForm(s State) bool {
 	switch v := s.(type) {
 	case *Set:
-		return v.big == nil
+		return v.form().big == nil
 	case *Map:
-		return v.big == nil
+		return v.form().big == nil
 	}
 	panic("lattice: SliceForm of " + s.String())
 }

@@ -52,7 +52,41 @@ func generators() map[string]genFunc {
 		}
 		return s
 	}
+	// The edge generators sit on the seams of the slice form: the element
+	// "" (the struct's slot cannot hold it, so {""} lives in an array), maps
+	// that grow past one entry and shrink back as values go to bottom, and
+	// values of SmallMax or SmallMax+1 entries, either side of promotion.
+	edgeStr := func(r *rand.Rand) string { return []string{"", "a", "b"}[r.Intn(3)] }
+	promoStr := func(r *rand.Rand) string { return "w" + strconv.Itoa(r.Intn(lattice.SmallMax+2)) }
 	return map[string]genFunc{
+		"set-edge": func(r *rand.Rand) lattice.State {
+			s := lattice.NewSet()
+			for i, n := 0, r.Intn(4); i < n; i++ {
+				s.Add(edgeStr(r))
+			}
+			return s
+		},
+		"map-shrink": func(r *rand.Rand) lattice.State {
+			m := lattice.NewMap()
+			for i, n := 0, r.Intn(8); i < n; i++ {
+				m.Set(edgeStr(r), lattice.NewMaxInt(uint64(r.Intn(3)))) // 0 is bottom: a delete
+			}
+			return m
+		},
+		"set-promotion": func(r *rand.Rand) lattice.State {
+			s := lattice.NewSet()
+			for n := lattice.SmallMax + r.Intn(2); s.Len() < n; {
+				s.Add(promoStr(r))
+			}
+			return s
+		},
+		"map-promotion": func(r *rand.Rand) lattice.State {
+			m := lattice.NewMap()
+			for n := lattice.SmallMax + r.Intn(2); m.Len() < n; {
+				m.Set(promoStr(r), lattice.NewMaxInt(uint64(1+r.Intn(3))))
+			}
+			return m
+		},
 		"set-wide": genWideSet,
 		"map-wide": func(r *rand.Rand) lattice.State {
 			m := lattice.NewMap()

@@ -13,17 +13,16 @@ import (
 // Its irredundant join decomposition follows Appendix C of the paper:
 // ⇓f = {{k ↦ v} | k ∈ dom(f) ∧ v ∈ ⇓f(k)}.
 //
-// Representation: as for Set, up to smallMax entries are one slice of
-// (key, value) pairs ascending by key, the first of them in the struct
-// itself — a one-field map is a single 64-byte object plus its value —
+// Representation: as for Set (small.go), up to smallMax entries are the
+// slice form, ascending by key — a one-field map holds its entry in the
+// struct and is a single 48-byte object plus its value; two or more lie
+// in an array behind more, which keeps them when deletes leave fewer —
 // and the insert that would exceed smallMax moves them into a
-// map[string]State for good. Exactly one of small and big holds the
-// entries; no method cares which form its argument is in. The zero value
-// is an empty map.
+// map[string]State behind more, for good. No method cares which form its
+// argument is in. The zero value is an empty map.
 type Map struct {
-	small []MapEntry
-	big   map[string]State
-	one   [1]MapEntry // backs small while the map has a single entry
+	one  [1]MapEntry // the entry of a one-entry map, zero otherwise
+	more any         // nil, the array of the slice form, or the map form
 }
 
 // MapEntry is one k ↦ v pair of a Map.
@@ -32,35 +31,37 @@ type MapEntry struct {
 	Val State
 }
 
-// NewMap returns an empty map lattice.
-func NewMap() *Map { return new(Map) }
+// mapForm is a map's entries where they lie: small, ascending by key,
+// viewing the storage they lie in (its capacity that storage's), or big.
+type mapForm struct {
+	small []MapEntry
+	big   map[string]State
+}
 
-// room returns small with capacity for n more entries, the first entry
-// of a map going into the struct's own slot; see Set.room.
-func (m *Map) room(n int) []MapEntry {
-	if m.small == nil && n == 1 {
-		return m.one[:0]
+func (m *Map) form() mapForm {
+	switch b := m.more.(type) {
+	case nil:
+		if m.one[0].Val == nil {
+			return mapForm{small: m.one[:0]}
+		}
+		return mapForm{small: m.one[:]}
+	case map[string]State:
+		return mapForm{big: b}
 	}
-	s := slices.Grow(m.small, n)
-	// Storage that has moved off the struct's slot must not leave a
-	// reference to the first value behind in it. (While small still is
-	// that slot it is empty here: its capacity is one.)
-	m.one[0] = MapEntry{}
-	return s
+	a := slots[MapEntry](m.more)
+	n := len(a)
+	for n > 0 && a[n-1].Val == nil {
+		n--
+	}
+	return mapForm{small: a[:n]}
 }
 
-// NewMapEntry returns a map holding the single entry {k ↦ v}; a bottom v
-// yields the empty map.
-func NewMapEntry(k string, v State) *Map {
-	m := NewMap()
-	m.Set(k, v)
-	return m
-}
+func (f mapForm) len() int { return len(f.small) + len(f.big) }
 
 // search returns the position of k in the slice form, or where it would
 // be inserted, and whether it is present, looking at small[from:] only.
-func (m *Map) search(k string, from int) (int, bool) {
-	s := m.small
+func (f mapForm) search(k string, from int) (int, bool) {
+	s := f.small
 	lo, hi := from, len(s)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -73,76 +74,113 @@ func (m *Map) search(k string, from int) (int, bool) {
 	return lo, lo < len(s) && s[lo].Key == k
 }
 
-// Get returns the value stored at k, or nil if k is absent (bottom).
-func (m *Map) Get(k string) State {
-	_, v := m.find(k, 0)
-	return v
-}
-
 // find returns the value stored at k, nil if absent. In the slice form
 // the search starts at position from, and next is where the search for
-// any larger key may start; see Set.find.
-func (m *Map) find(k string, from int) (next int, v State) {
-	if m.big != nil {
-		return 0, m.big[k]
+// any larger key may start; see setForm.find.
+func (f mapForm) find(k string, from int) (next int, v State) {
+	if f.big != nil {
+		return 0, f.big[k]
 	}
-	i, ok := m.search(k, from)
+	i, ok := f.search(k, from)
 	if ok {
-		v = m.small[i].Val
+		v = f.small[i].Val
 	}
 	return i, v
+}
+
+// NewMap returns an empty map lattice.
+func NewMap() *Map { return new(Map) }
+
+// NewMapEntry returns a map holding the single entry {k ↦ v}; a bottom v
+// yields the empty map.
+func NewMapEntry(k string, v State) *Map {
+	m := NewMap()
+	m.Set(k, v)
+	return m
+}
+
+// Get returns the value stored at k, or nil if k is absent (bottom).
+func (m *Map) Get(k string) State {
+	_, v := m.form().find(k, 0)
+	return v
 }
 
 // Set stores v at key k in place, dropping the entry when v is bottom.
 // The value is stored as given (not cloned); callers retaining v must
 // clone it themselves.
 func (m *Map) Set(k string, v State) {
-	if v == nil || v.IsBottom() {
-		if m.big != nil {
-			delete(m.big, k)
-		} else if i, ok := m.search(k, 0); ok {
-			m.small = slices.Delete(m.small, i, i+1)
-		}
+	if v != nil && !v.IsBottom() {
+		m.put(k, v, 0)
 		return
 	}
-	m.put(k, v, 0)
+	f := m.form()
+	if f.big != nil {
+		delete(f.big, k)
+	} else if i, ok := f.search(k, 0); ok {
+		n := len(f.small)
+		copy(f.small[i:], f.small[i+1:])
+		f.small[n-1] = MapEntry{}
+	}
 }
 
-// put stores the non-bottom v at k, with find's from and next.
+// ShareKey makes the entry at key k, if the map has one in its slice
+// form, hold k itself: the string is equal, so nothing the map means
+// changes, but the copy of the key the entry was made with is no longer
+// kept alive by it. For an owner that keeps the key anyway — a map
+// field's state is the one-entry map {object key ↦ register} — or wants
+// the entry to hold a key of its own.
+func (m *Map) ShareKey(k string) {
+	if f := m.form(); f.big == nil {
+		if i, ok := f.search(k, 0); ok {
+			f.small[i].Key = k
+		}
+	}
+}
+
+// put stores the non-bottom v at k, with find's from and next. Storage
+// that is full moves to the next larger array, or at smallMax entries to
+// a map.
 func (m *Map) put(k string, v State, from int) (next int) {
-	if m.big != nil {
-		m.big[k] = v
+	f := m.form()
+	if f.big != nil {
+		f.big[k] = v
 		return 0
 	}
-	i, ok := m.search(k, from)
+	i, ok := f.search(k, from)
 	switch {
 	case ok:
-		m.small[i].Val = v
-	case len(m.small) < smallMax:
-		m.small = slices.Insert(m.room(1), i, MapEntry{k, v})
-	default:
-		m.big = make(map[string]State, 2*len(m.small))
-		for _, e := range m.small {
-			m.big[e.Key] = e.Val
+		f.small[i].Val = v
+	case len(f.small) == smallMax:
+		big := make(map[string]State, 2*smallMax)
+		for _, e := range f.small {
+			big[e.Key] = e.Val
 		}
-		m.big[k] = v
-		m.small = nil
+		big[k] = v
+		m.one[0], m.more = MapEntry{}, big
+	default:
+		small := f.small
+		if len(small) == cap(small) {
+			m.more, small = newSlots(small, len(small)+1)
+			m.one[0] = MapEntry{}
+		}
+		insertAt(small, i, MapEntry{k, v})
 	}
 	return i
 }
 
 // Len returns the number of present (non-bottom) keys.
-func (m *Map) Len() int { return len(m.small) + len(m.big) }
+func (m *Map) Len() int { return m.form().len() }
 
 // Sorted returns the entries ascending by key. While the map is in its
 // slice form this is the map's own storage — the caller must not modify
 // it, and it is valid only until the next mutation.
 func (m *Map) Sorted() []MapEntry {
-	if m.big == nil {
-		return m.small
+	f := m.form()
+	if f.big == nil {
+		return f.small
 	}
-	out := make([]MapEntry, 0, len(m.big))
-	for k, v := range m.big {
+	out := make([]MapEntry, 0, len(f.big))
+	for k, v := range f.big {
 		out = append(out, MapEntry{k, v})
 	}
 	slices.SortFunc(out, func(a, b MapEntry) int { return strings.Compare(a.Key, b.Key) })
@@ -152,12 +190,13 @@ func (m *Map) Sorted() []MapEntry {
 // Range calls fn for every entry until fn returns false. Iteration order is
 // unspecified.
 func (m *Map) Range(fn func(k string, v State) bool) {
-	for _, e := range m.small {
+	f := m.form()
+	for _, e := range f.small {
 		if !fn(e.Key, e.Val) {
 			return
 		}
 	}
-	for k, v := range m.big {
+	for k, v := range f.big {
 		if !fn(k, v) {
 			return
 		}
@@ -177,7 +216,7 @@ func (m *Map) Join(other State) State {
 // inserted as clones. A δ on existing keys allocates only what the
 // values' own Merge does.
 func (m *Map) Merge(other State) {
-	o := mustMap("Merge", m, other)
+	o := mustMap("Merge", m, other).form()
 	j := 0
 	for _, e := range o.small {
 		j = m.mergeEntry(e.Key, e.Val, j)
@@ -188,7 +227,7 @@ func (m *Map) Merge(other State) {
 }
 
 func (m *Map) mergeEntry(k string, v State, from int) (next int) {
-	next, cur := m.find(k, from)
+	next, cur := m.form().find(k, from)
 	if cur != nil {
 		cur.Merge(v)
 		return next
@@ -199,19 +238,19 @@ func (m *Map) mergeEntry(k string, v State, from int) (next int) {
 // Leq reports the pointwise order: every entry of m must be ⊑ the
 // corresponding entry of other.
 func (m *Map) Leq(other State) bool {
-	o := mustMap("Leq", m, other)
-	if m.Len() > o.Len() {
+	f, o := m.form(), mustMap("Leq", m, other).form()
+	if f.len() > o.len() {
 		return false
 	}
 	j := 0
-	for _, e := range m.small {
+	for _, e := range f.small {
 		var ov State
 		if j, ov = o.find(e.Key, j); ov == nil || !e.Val.Leq(ov) {
 			return false
 		}
 	}
-	for k, v := range m.big {
-		if ov := o.Get(k); ov == nil || !v.Leq(ov) {
+	for k, v := range f.big {
+		if _, ov := o.find(k, 0); ov == nil || !v.Leq(ov) {
 			return false
 		}
 	}
@@ -241,18 +280,19 @@ func (m *Map) Irreducibles(yield func(State) bool) {
 // whole value (cloned) where b lacks the key, nothing where b's value
 // covers it.
 func (m *Map) Diff(b State) State {
-	o := mustMap("Delta", m, b)
+	f, o := m.form(), mustMap("Delta", m, b).form()
 	d := NewMap()
-	j := 0
-	for _, e := range m.small {
+	j, jd := 0, 0
+	for _, e := range f.small {
 		var ov State
 		j, ov = o.find(e.Key, j)
 		if dv := diffValue(e.Val, ov); dv != nil {
-			d.small = append(d.room(1), MapEntry{e.Key, dv}) // ascending, and no longer than m
+			jd = d.put(e.Key, dv, jd) // ascending: each goes last
 		}
 	}
-	for k, v := range m.big {
-		if dv := diffValue(v, o.Get(k)); dv != nil {
+	for k, v := range f.big {
+		_, ov := o.find(k, 0)
+		if dv := diffValue(v, ov); dv != nil {
 			d.Set(k, dv)
 		}
 	}
@@ -275,18 +315,22 @@ func diffValue(v, bv State) State {
 // Equal reports key-wise structural equality.
 func (m *Map) Equal(other State) bool {
 	o, ok := other.(*Map)
-	if !ok || m.Len() != o.Len() {
+	if !ok {
+		return false
+	}
+	f, g := m.form(), o.form()
+	if f.len() != g.len() {
 		return false
 	}
 	j := 0
-	for _, e := range m.small {
+	for _, e := range f.small {
 		var ov State
-		if j, ov = o.find(e.Key, j); ov == nil || !e.Val.Equal(ov) {
+		if j, ov = g.find(e.Key, j); ov == nil || !e.Val.Equal(ov) {
 			return false
 		}
 	}
-	for k, v := range m.big {
-		if ov := o.Get(k); ov == nil || !v.Equal(ov) {
+	for k, v := range f.big {
+		if _, ov := g.find(k, 0); ov == nil || !v.Equal(ov) {
 			return false
 		}
 	}
@@ -295,19 +339,21 @@ func (m *Map) Equal(other State) bool {
 
 // Clone returns a deep copy of the map.
 func (m *Map) Clone() State {
-	if m.big != nil {
-		c := &Map{big: make(map[string]State, len(m.big))}
-		for k, v := range m.big {
-			c.big[k] = v.Clone()
+	f := m.form()
+	if f.big != nil {
+		big := make(map[string]State, len(f.big))
+		for k, v := range f.big {
+			big[k] = v.Clone()
 		}
-		return c
+		return &Map{more: big}
 	}
 	c := NewMap()
-	if n := len(m.small); n > 0 {
-		c.small = c.room(n)
+	small := c.one[:0]
+	if len(f.small) > 1 {
+		c.more, small = newSlots[MapEntry](nil, len(f.small))
 	}
-	for _, e := range m.small {
-		c.small = append(c.small, MapEntry{e.Key, e.Val.Clone()})
+	for _, e := range f.small {
+		small = append(small, MapEntry{e.Key, e.Val.Clone()}) // within capacity: in place
 	}
 	return c
 }

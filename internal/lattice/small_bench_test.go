@@ -8,13 +8,14 @@ import (
 // BenchmarkSmallVsMap is the crossover measurement smallMax cites: the
 // operations a synchronizing replica runs per δ-group — merge a fresh
 // singleton, merge a covered one, Leq of a small covered δ — on the same
-// n-element set held in each of the two representations, whatever
-// smallMax currently says. Run with
+// n-element set held in each of the two representations. The slice form
+// holds at most smallMax elements, and a fresh one must fit, so n stops
+// one short of it. Run with
 //
 //	go test ./internal/lattice -run '^$' -bench SmallVsMap -benchtime 200000x
 func BenchmarkSmallVsMap(b *testing.B) {
 	elem := func(i int) string { return fmt.Sprintf("element-%04d", i) }
-	for _, n := range []int{1, 4, 8, 12, 16, 24, 32, 64} {
+	for _, n := range []int{1, 2, 4, smallMax - 1} {
 		// Even positions are members; odd ones are the fresh elements,
 		// spread over the whole range.
 		var members []string
@@ -27,8 +28,8 @@ func BenchmarkSmallVsMap(b *testing.B) {
 			name string
 			set  *Set
 		}{
-			{"slice", &Set{small: append(make([]string, 0, 2*n), members...)}},
-			{"map", &Set{big: big}},
+			{"slice", NewSet(members...)},
+			{"map", &Set{more: big}},
 		}
 		fresh := make([]*Set, n)
 		covered := make([]*Set, n)
@@ -45,21 +46,22 @@ func BenchmarkSmallVsMap(b *testing.B) {
 			b.Run(fmt.Sprintf("merge-fresh/%s/%d", f.name, n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					d := fresh[i%n]
-					s.merge(d, 1<<30)
+					e := fresh[i%n].one[0]
+					s.Add(e)
 					// Undo, so the set stays at n elements.
-					if s.big != nil {
-						delete(s.big, d.small[0])
+					if f := s.form(); f.big != nil {
+						delete(f.big, e)
 					} else {
-						j, _ := searchStrings(s.small, 0, d.small[0])
-						s.small = append(s.small[:j], s.small[j+1:]...)
+						j, _ := searchStrings(f.small, 0, e)
+						copy(f.small[j:], f.small[j+1:])
+						f.small[len(f.small)-1] = ""
 					}
 				}
 			})
 			b.Run(fmt.Sprintf("merge-covered/%s/%d", f.name, n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					s.merge(covered[i%n], 1<<30)
+					s.Merge(covered[i%n])
 				}
 			})
 			b.Run(fmt.Sprintf("leq-group/%s/%d", f.name, n), func(b *testing.B) {

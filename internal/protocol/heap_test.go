@@ -123,12 +123,14 @@ func heapAlloc() uint64 {
 // 219 and 241; the key record table read 191 and 207 with an engine object
 // per key (48 and 64 bytes) behind an interface header in its record. With
 // the state in the record and δ-buffers in a side table that holds only the
-// non-empty ones, both read 143.
+// non-empty ones, they read 140 and 143; with a one-entry counter, set or
+// map one small object and a map field's entry holding its record's key,
+// both read 123.
 func TestPerObjectHeapPerKey(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds three 100k-key engines")
 	}
-	const keys, batch, limit = 100_000, 5_000, 150
+	const keys, batch, limit = 100_000, 5_000, 128
 	factories := []struct {
 		name  string
 		inner protocol.Factory
@@ -175,9 +177,10 @@ func TestPerObjectHeapPerKey(t *testing.T) {
 // buffers kept at the size of the burst that filled it. The string-keyed
 // index read 317 here (a map that held every key of a shard as active
 // stays that size); the key record table read 198 with an engine object per
-// key, 149 with the state in the record.
+// key, 149 with the state in the record, 129 with one-entry states one
+// small object and map fields' keys shared with their records.
 func TestPerObjectHeapPerKeySmallShards(t *testing.T) {
-	const shards, perShard, limit = 64, 312, 157
+	const shards, perShard, limit = 64, 312, 134
 	before := heapAlloc()
 	engines := make([]protocol.Engine, shards)
 	f := protocol.NewPerObject(protocol.NewDeltaBPRR(), storeObjType)

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"crdtsync/internal/crdt"
 	"crdtsync/internal/lattice"
@@ -77,6 +78,34 @@ func TestPerObjectHostileKeyLengths(t *testing.T) {
 				t.Errorf("Memory counts %d bytes, the keys alone are %d", mem.CRDTBytes, bytes)
 			}
 		})
+	}
+}
+
+// TestMapFieldHoldsItsRecordsKey: a map field's state is the one-entry
+// map {object key ↦ register}, and whichever door the field came in by,
+// its entry holds the key the record keeps, not the copy it arrived with.
+func TestMapFieldHoldsItsRecordsKey(t *testing.T) {
+	for _, inner := range []protocol.Factory{protocol.NewDeltaBPRR(), protocol.NewDeltaAcked(true, true)} {
+		f := protocol.NewPerObject(inner, func(string) workload.Datatype { return workload.LWWMapType{} })
+		e := f(protocol.Config{ID: "a", Neighbors: []string{"b"}, Nodes: []string{"a", "b"}}).(protocol.KeyedEngine)
+		field := func(key, val string) *lattice.Map {
+			return lattice.NewMapEntry(strings.Clone(key), &crdt.LWWRegister{TS: 1, Writer: "b", Val: val})
+		}
+		e.LocalOp(workload.Put(strings.Clone("m/a/f1"), "x"))
+		e.(protocol.ObjectDeliverer).DeliverObject("b", []byte("m/b/f1"), protocol.NewDeltaMsg(field("m/b/f1", "y")), func(string, protocol.Msg) {})
+		e.(protocol.ObjectRestorer).RestoreObject("m/c/f1", field("m/c/f1", "z"))
+		e.LocalOp(workload.Put(strings.Clone("m/b/f1"), "w")) // a write over a delivered field
+		n := 0
+		e.Scan("", func(key string, st lattice.State) bool {
+			n++
+			if es := st.(*lattice.Map).Sorted(); len(es) != 1 || es[0].Key != key || unsafe.StringData(es[0].Key) != unsafe.StringData(key) {
+				t.Errorf("field %s holds %v, not its record's key", key, es)
+			}
+			return true
+		})
+		if n != 3 {
+			t.Fatalf("%d fields, want 3", n)
+		}
 	}
 }
 

@@ -267,8 +267,20 @@ func (e *perObject[B]) LocalOp(op workload.Op) {
 	id := obj(e, maphash.String(keySeed, op.Key), op.Key)
 	r := &e.ix.recs[id]
 	localOp(e.alg, e.types[r.dt], r.x, e.load(id), op)
+	e.shareKey(id)
 	e.mutated(id)
 	e.touched(id)
+}
+
+// shareKey points the entry of a map field at its record's key: a map
+// field's state is the one-entry map {object key ↦ register}, and the
+// entry a write or a delivery put there holds a second copy of the key
+// (the caller's op.Key, the string a decoder made) that the record's
+// copy makes redundant.
+func (e *perObject[B]) shareKey(id uint32) {
+	if m, ok := e.ix.recs[id].x.(*lattice.Map); ok {
+		m.ShareKey(e.ix.keyOf(id))
+	}
 }
 
 // mutated marks the object id, whose state may just have changed, stale.
@@ -416,6 +428,7 @@ func (e *perObject[B]) DeliverObject(from string, key []byte, m Msg, send Sender
 	e.alg.deliver(e.ix.recs[id].x, e.load(id), from, m, send)
 	// An acknowledgement retires buffer entries and leaves the state alone.
 	if _, ack := m.(*AckMsg); !ack {
+		e.shareKey(id)
 		e.mutated(id)
 	}
 	e.touched(id)

@@ -34,4 +34,5 @@ func (e *perObject[B]) RestoreObject(key string, st lattice.State) {
 	id := obj(e, maphash.String(keySeed, key), key)
 	e.mutated(id)
 	e.ix.recs[id].x.Merge(st)
+	e.shareKey(id)
 }

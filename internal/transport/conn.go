@@ -538,7 +538,18 @@ func (p *peerNet) acceptLoop() {
 				continue
 			}
 		}
+		// close closes stopping, then under mu every accepted connection.
+		// One entered after that pass would park its readLoop for good,
+		// and close's wg.Wait with it, so once stopping is closed a
+		// connection is closed here instead.
 		p.mu.Lock()
+		select {
+		case <-p.stopping:
+			p.mu.Unlock()
+			conn.Close()
+			return
+		default:
+		}
 		p.accepted[conn] = struct{}{}
 		p.mu.Unlock()
 		p.wg.Add(1)

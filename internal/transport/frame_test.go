@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -208,6 +209,85 @@ func TestTransmitToUnknownPeerIsDropped(t *testing.T) {
 	}
 	if got := len(p.peerStats()); got != 0 {
 		t.Errorf("peer pipelines = %d, want 0", got)
+	}
+}
+
+// lateListener hands out its first connection as any listener would and
+// its second only once peerNet.close has begun closing the connections it
+// accepted: a connection accepted before the listener closed but entered
+// after that pass.
+type lateListener struct {
+	early, late net.Conn
+	calls       int           // Accept runs on the accept loop alone
+	entered     chan struct{} // the second Accept began: early is entered
+	swept       chan struct{} // close began closing accepted connections
+	closed      chan struct{}
+	closeOnce   sync.Once
+}
+
+func (l *lateListener) Accept() (net.Conn, error) {
+	switch l.calls++; l.calls {
+	case 1:
+		return l.early, nil
+	case 2:
+		close(l.entered)
+		<-l.swept
+		return l.late, nil
+	}
+	<-l.closed
+	return nil, net.ErrClosed
+}
+
+func (l *lateListener) Close() error {
+	l.closeOnce.Do(func() { close(l.closed) })
+	return nil
+}
+
+func (l *lateListener) Addr() net.Addr { return l.early.LocalAddr() }
+
+// sweptConn reports its first Close on swept.
+type sweptConn struct {
+	net.Conn
+	once  *sync.Once
+	swept chan struct{}
+}
+
+func (c sweptConn) Close() error {
+	c.once.Do(func() { close(c.swept) })
+	return c.Conn.Close()
+}
+
+// TestCloseClosesALateAcceptedConnection: a connection the listener
+// hands over while close is closing the accepted ones is closed by the
+// accept loop, so Close returns instead of waiting on its reader for good.
+func TestCloseClosesALateAcceptedConnection(t *testing.T) {
+	early, earlyPeer := net.Pipe()
+	late, latePeer := net.Pipe()
+	defer earlyPeer.Close()
+	defer latePeer.Close() // frees the reader a failed run leaves parked
+	swept := make(chan struct{})
+	ln := &lateListener{
+		early:   sweptConn{early, new(sync.Once), swept},
+		late:    late,
+		entered: make(chan struct{}),
+		swept:   swept,
+		closed:  make(chan struct{}),
+	}
+	p := newPeerNet("a", nil, ln, nil, queueConfig{})
+	p.start(func(string, *uint32, []byte) error { return nil }, nil, nil)
+	<-ln.entered
+	done := make(chan struct{})
+	go func() {
+		p.close()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * drainTimeout):
+		t.Fatal("Close did not return: the late connection's reader still waits")
+	}
+	if _, err := latePeer.Read(make([]byte, 1)); err == nil {
+		t.Error("the late connection is still open after Close")
 	}
 }
 

@@ -469,7 +469,14 @@ func (s *Store) Get(key string) lattice.State {
 	if st == nil {
 		return nil
 	}
-	return st.Clone()
+	c := st.Clone()
+	if m, ok := c.(*lattice.Map); ok {
+		// A map field's entry holds the record's key, a slice of a key
+		// chunk of up to 64 KB: a clone the caller keeps must not keep
+		// the chunk alive, so it takes the caller's own key instead.
+		m.ShareKey(key)
+	}
+	return c
 }
 
 // NumKeys returns the number of distinct objects across all shards.

@@ -6,8 +6,10 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"crdtsync/internal/crdt"
+	"crdtsync/internal/lattice"
 	"crdtsync/internal/protocol"
 	"crdtsync/internal/transport"
 	"crdtsync/internal/workload"
@@ -275,5 +277,29 @@ func TestStoreIDLengthLimit(t *testing.T) {
 		if (err == nil) != c.ok {
 			t.Errorf("id of %d bytes: err = %v, want started = %v", c.idLen, err, c.ok)
 		}
+	}
+}
+
+// TestGetMapFieldHoldsCallersKey: a map field's state shares its key with
+// the store's key record, a slice of a key chunk of up to 64 KB. The
+// clone Get hands out holds the caller's key instead, so a clone kept
+// past Close keeps no chunk alive.
+func TestGetMapFieldHoldsCallersKey(t *testing.T) {
+	s, err := transport.StartStore(transport.StoreConfig{
+		ID:         "n0",
+		ListenAddr: "127.0.0.1:0",
+		Shards:     1,
+		Factory:    protocol.NewDeltaBPRR(),
+		ObjType:    func(string) workload.Datatype { return workload.LWWMapType{} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Update(workload.Put("m/n000001/f01", "v"))
+	key := strings.Clone("m/n000001/f01")
+	es := s.Get(key).(*lattice.Map).Sorted()
+	if len(es) != 1 || es[0].Key != key || unsafe.StringData(es[0].Key) != unsafe.StringData(key) {
+		t.Errorf("Get(%q) holds %v, not the caller's key", key, es)
 	}
 }

@@ -153,13 +153,14 @@ func goldenItems(acked bool) []protocol.ShardItem {
 func linkedRun(t *testing.T, oms []protocol.ObjectMsg) []byte {
 	t.Helper()
 	var run []byte
+	var nt codec.Names
 	for i, om := range oms {
 		var prev *string
 		if i > 0 {
 			prev = &oms[i-1].Key
 		}
 		var err error
-		if run, err = codec.AppendLinkObjectMsg(run, prev, om); err != nil {
+		if run, err = codec.AppendLinkObjectMsg(run, prev, om, &nt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,7 +168,7 @@ func linkedRun(t *testing.T, oms []protocol.ObjectMsg) []byte {
 }
 
 // TestGoldenFrames pins the store's data frames byte for byte, at wire
-// version 5. The two plain variants are what a delta-engine store sends;
+// version 6. The two plain variants are what a delta-engine store sends;
 // the linked variants are what an acked store sends, the same items behind
 // a link header. Version 3 changed the keyed items alone: each δ-group is
 // its state, where versions 1 and 2 put a DeltaMsg tag (0x41) before it.
@@ -177,20 +178,24 @@ func linkedRun(t *testing.T, oms []protocol.ObjectMsg) []byte {
 // as one run in key order, with no shard index, batch tag or count per
 // shard: the header's count is the run's length shifted left one bit, the
 // low bit set when bare items (a drill's close) follow the run, their
-// count after it. This frame's one batch loses its shard index, tag and
-// count: 3 bytes. The per-object acked form, the link headers, the hello's
-// layout and the bare items themselves did not move.
+// count after it. Version 6 changed the states of the keyed items alone: a
+// one-entry counter is tagCounterEntry (0x0c), its replica's name and the
+// count, with no count of entries — 1 byte — and the name is spelled as its
+// length shifted left one bit (r0: 0x04), which later uses of it in the
+// run refer back to. The per-object acked form, the link headers, the
+// hello's layout and the bare items themselves did not move.
 func TestGoldenFrames(t *testing.T) {
 	// A run of 2 (0x04) | "hits" δ(GCounter r0:7) | "tags" δ(GSet a b):
 	// each keyed δ-group is its key, then its state alone; the second key
 	// shares 0 bytes with the first, and its rest is all 4.
 	const (
-		run = "0468697473" + "0501027230" + "07" +
+		run = "0468697473" + "0c" + "047230" + "07" +
 			"00" + "0474616773" + "070201610162"
-		v4 = "01" + "03" + "4702" + run // 1 item: shard 3, a batch of 2
+		v5 = "0468697473" + "0501027230" + "07" +
+			"00" + "0474616773" + "070201610162"
 	)
-	if saved := (len(v4) - len("04"+run)) / 2; saved != 3 {
-		t.Errorf("%d bytes shorter than version 4, want 3", saved)
+	if saved := (len(v5) - len(run)) / 2; saved != 1 {
+		t.Errorf("%d bytes shorter than version 5, want 1", saved)
 	}
 	enc := func(m protocol.Msg) string {
 		data, err := codec.EncodeMsg(m)
@@ -275,11 +280,11 @@ func TestGoldenFrames(t *testing.T) {
 	if got, want := enc(asking), "4e"+"02"+"0000000000000001"+"ffffffffffffffff"+"00"; got != want {
 		t.Errorf("asking advertisement\n got %s\nwant %s", got, want)
 	}
-	// A connection's first frame: tagHelloMsg, the wire version (5), the
+	// A connection's first frame: tagHelloMsg, the wire version (6), the
 	// shard count, the sender's incarnation, and the ids of the peers the
 	// sender's pipelines are up to.
 	if got, want := enc(protocol.NewHelloMsg(protocol.WireVersion, 64, 0xa1b2c3d4, []string{"s-01", "s-02"})),
-		"4d"+"05"+"40"+"a1b2c3d4"+"02"+"04"+"732d3031"+"04"+"732d3032"; got != want {
+		"4d"+"06"+"40"+"a1b2c3d4"+"02"+"04"+"732d3031"+"04"+"732d3032"; got != want {
 		t.Errorf("hello\n got %s\nwant %s", got, want)
 	}
 	// A drill's hash push: the children of a node go as the node's index
@@ -305,51 +310,85 @@ func TestGoldenFrames(t *testing.T) {
 
 // TestItemBytesByDatatype pins one δ-group item of each datatype the store
 // writes, at the keys and values the benchmark draws (a counter, a set and a
-// map field), at wire version 3 and as version 2 wrote it. A counter's and a
-// set's item lost the DeltaMsg tag: 1 byte. A map field's δ-group is the
-// one-entry map {key ↦ register} under the field's own key, which version
-// 2 wrote out whole — the tag, the map's tag and count, and the key a
-// second time — and version 3 writes as tagKeyEntry (0x0b) and the
-// register: 16 bytes. The item is the same in a plain frame and behind a
-// link header, and decodes back to the δ-group under its key. Versions 4
-// and 5 did not move it: it opens its frame's run, whose first key is
-// whole; version 5 dropped the shard index, batch tag and count around it.
+// map field), and a run of three counters one replica wrote, at wire
+// version 6 and as versions 5 and 2 wrote them. Version 3 took the DeltaMsg
+// tag off a counter's and a set's item: 1 byte; and wrote a map field's
+// δ-group, the one-entry map {key ↦ register} under the field's own key,
+// which version 2 wrote out whole — the tag, the map's tag and count, and
+// the key a second time — as tagKeyEntry (0x0b) and the register: 16 bytes.
+// Versions 4 and 5 did not move a lone item: it opens its frame's run,
+// whose first key is whole; version 5 dropped the shard index, batch tag
+// and count around it. Version 6 writes a one-entry counter and a
+// one-element set with no count of entries (0x0c, 0x0d): 1 byte; and
+// spells a replica name as its length shifted left one bit (store-01:
+// 0x10, where its length was 0x08), the same byte, so the map field's item
+// does not move. In a run, every later use of the name refers back to that
+// spelling: the second and third counters shed the count and 8 of the
+// name's 9 bytes. An item is the same in a plain frame and behind a link
+// header, and decodes back to the δ-group under its key.
 func TestItemBytesByDatatype(t *testing.T) {
+	const (
+		name    = "73746f72652d3031" // "store-01"
+		lww     = "0901" + "10" + name + "0d3179327030696a333265386537"
+		lwwV5   = "0901" + "08" + name + "0d3179327030696a333265386537"
+		counter = "0c" + "10" + name + "07" // store-01:7, its name spelled
+		counted = "0c" + "01" + "07"        // store-01:7, its name referred to
+		countV5 = "0501" + "08" + name + "07"
+	)
+	one := func(key string, delta lattice.State) []protocol.ObjectMsg {
+		return []protocol.ObjectMsg{{Key: key, Inner: protocol.NewDeltaMsg(delta)}}
+	}
+	var three []protocol.ObjectMsg
+	for _, k := range []string{"c/n00000042", "c/n00000045", "c/n00000048"} {
+		three = append(three, protocol.ObjectMsg{Key: k, Inner: protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("store-01", 7))})
+	}
 	for _, c := range []struct {
-		name, key string
-		delta     lattice.State
-		item, v2  string // key, then the δ-group
-		saved     int
+		name              string
+		oms               []protocol.ObjectMsg
+		item, v5, v2      string // keys, then the δ-groups; no v2 for a run
+		saved5, savedToV3 int
 	}{
-		{"counter", "c/n00000042", crdt.NewGCounter().IncDelta("store-01", 7),
-			"0b632f6e3030303030303432" + "05010873746f72652d303107",
-			"0b632f6e3030303030303432" + "41" + "05010873746f72652d303107", 1},
-		{"set", "s/n00000043", crdt.NewGSet("e137"),
-			"0b732f6e3030303030303433" + "07010465313337",
-			"0b732f6e3030303030303433" + "41" + "07010465313337", 1},
-		{"map field", "m/n000000/f44", lattice.NewMapEntry("m/n000000/f44", &crdt.LWWRegister{TS: 1, Writer: "store-01", Val: "1y2p0ij32e8e7"}),
-			"0d6d2f6e3030303030302f663434" + "0b" + "09010873746f72652d30310d3179327030696a333265386537",
-			"0d6d2f6e3030303030302f663434" + "41" + "04" + "01" + "0d6d2f6e3030303030302f663434" + "09010873746f72652d30310d3179327030696a333265386537", 16},
+		{"counter", one("c/n00000042", crdt.NewGCounter().IncDelta("store-01", 7)),
+			"0b632f6e3030303030303432" + counter,
+			"0b632f6e3030303030303432" + countV5,
+			"0b632f6e3030303030303432" + "41" + countV5, 1, 1},
+		{"set", one("s/n00000043", crdt.NewGSet("e137")),
+			"0b732f6e3030303030303433" + "0d" + "0465313337",
+			"0b732f6e3030303030303433" + "0701" + "0465313337",
+			"0b732f6e3030303030303433" + "41" + "0701" + "0465313337", 1, 1},
+		{"map field", one("m/n000000/f44", lattice.NewMapEntry("m/n000000/f44", &crdt.LWWRegister{TS: 1, Writer: "store-01", Val: "1y2p0ij32e8e7"})),
+			"0d6d2f6e3030303030302f663434" + "0b" + lww,
+			"0d6d2f6e3030303030302f663434" + "0b" + lwwV5,
+			"0d6d2f6e3030303030302f663434" + "41" + "04" + "01" + "0d6d2f6e3030303030302f663434" + lwwV5, 0, 16},
+		{"three counters", three,
+			"0b632f6e3030303030303432" + counter + "0a" + "0135" + counted + "0a" + "0138" + counted,
+			"0b632f6e3030303030303432" + countV5 + "0a" + "0135" + countV5 + "0a" + "0138" + countV5,
+			"", 19, 0},
 	} {
-		if saved := (len(c.v2) - len(c.item)) / 2; saved != c.saved {
-			t.Errorf("%s: %d bytes shorter than version 2, want %d", c.name, saved, c.saved)
+		if saved := (len(c.v5) - len(c.item)) / 2; saved != c.saved5 {
+			t.Errorf("%s: %d bytes shorter than version 5, want %d", c.name, saved, c.saved5)
 		}
-		plain := protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 5, Msg: protocol.BatchOf([]protocol.ObjectMsg{
-			{Key: c.key, Inner: protocol.NewDeltaMsg(c.delta)},
-		})}})
+		if saved := (len(c.v2) - len(c.v5)) / 2; c.v2 != "" && saved != c.savedToV3 {
+			t.Errorf("%s: version 3 %d bytes shorter than version 2, want %d", c.name, saved, c.savedToV3)
+		}
+		counts := fmt.Sprintf("%02x", 2*len(c.oms)) // a run of len(c.oms)
+		plain := protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 5, Msg: protocol.BatchOf(c.oms)}})
 		data, err := codec.EncodeMsg(plain)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// tagShardedMsg, a run of 1.
-		if got, want := hex.EncodeToString(data), "48"+"02"+c.item; got != want {
+		// tagShardedMsg, the run.
+		if got, want := hex.EncodeToString(data), "48"+counts+c.item; got != want {
 			t.Errorf("%s, plain frame\n got %s\nwant %s", c.name, got, want)
 		}
 		numbered := protocol.LinkHeader{Seq: protocol.FrameSeq{Seq: 1}}
-		linked := append(codec.AppendShardedHeader(nil, numbered, nil, 1, 0),
-			linkedRun(t, []protocol.ObjectMsg{{Key: c.key, Inner: protocol.NewAckedDeltaMsg(c.delta, []uint64{1})}})...)
-		// Frame 1, waiting on nothing before it, a run of 1.
-		if got, want := hex.EncodeToString(linked), "4f"+"0100"+"02"+c.item; got != want {
+		acked := make([]protocol.ObjectMsg, len(c.oms))
+		for i, om := range c.oms {
+			acked[i] = protocol.ObjectMsg{Key: om.Key, Inner: protocol.NewAckedDeltaMsg(om.Inner.(*protocol.DeltaMsg).Delta, []uint64{uint64(i + 1)})}
+		}
+		linked := append(codec.AppendShardedHeader(nil, numbered, nil, len(c.oms), 0), linkedRun(t, acked)...)
+		// Frame 1, waiting on nothing before it, the run.
+		if got, want := hex.EncodeToString(linked), "4f"+"0100"+counts+c.item; got != want {
 			t.Errorf("%s, linked frame\n got %s\nwant %s", c.name, got, want)
 		}
 		var v codec.FrameView
@@ -358,44 +397,59 @@ func TestItemBytesByDatatype(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
-			om := m.(*protocol.ShardedMsg).Keyed[0]
-			if d, ok := om.Inner.(*protocol.DeltaMsg); !ok || om.Key != c.key || !d.Delta.Equal(c.delta) {
-				t.Errorf("%s: decoded %q ↦ %v, want %q ↦ %v", c.name, om.Key, om.Inner, c.key, c.delta)
-			}
-			if err := codec.UnpackFrame(frame, 8, &v); err != nil {
+			// One shard: the view's one group is the run.
+			if err := codec.UnpackFrame(frame, 1, &v); err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
-			iv := &v.Groups()[0].Items[0]
-			if m, _ := iv.Msg(); string(iv.Key) != c.key || !m.(*protocol.DeltaMsg).Delta.Equal(c.delta) {
-				t.Errorf("%s: unpacked %q ↦ %v, want %q ↦ %v", c.name, iv.Key, m, c.key, c.delta)
+			for i, want := range c.oms {
+				om, iv := m.(*protocol.ShardedMsg).Keyed[i], &v.Groups()[0].Items[i]
+				delta := want.Inner.(*protocol.DeltaMsg).Delta
+				if d, ok := om.Inner.(*protocol.DeltaMsg); !ok || om.Key != want.Key || !d.Delta.Equal(delta) {
+					t.Errorf("%s: decoded %q ↦ %v, want %q ↦ %v", c.name, om.Key, om.Inner, want.Key, delta)
+				}
+				if um, _ := iv.Msg(); string(iv.Key) != want.Key || !um.(*protocol.DeltaMsg).Delta.Equal(delta) {
+					t.Errorf("%s: unpacked %q ↦ %v, want %q ↦ %v", c.name, iv.Key, um, want.Key, delta)
+				}
 			}
 		}
 	}
 }
 
 // TestBatchKeysFrontCoded pins three counter δ-groups of one shard at the
-// keys the benchmark draws, at wire version 5 and as version 3 wrote them.
-// The first key is written whole; each later one shares "c/n000000" and
-// "4" with the key before it (0x0a bytes) and writes the one byte that
+// keys the benchmark draws, at wire version 6 and as versions 5 and 3 wrote
+// them. The first key is written whole; each later one shares "c/n000000"
+// and "4" with the key before it (0x0a bytes) and writes the one byte that
 // differs (0x01, then the byte), 3 bytes where version 3 wrote 12: 18
-// bytes saved over the three. A standalone batch writes them so; a frame
-// writes them so as its run, without the shard index and the batch's tag
-// and count around it that version 4 wrote. The run is the same in a plain
-// frame and behind a link header, and decodes back to its keys and
-// δ-groups.
+// bytes saved over the three by version 4. Version 6 spells the writer's
+// name in the first counter and refers back to it in the later two, each a
+// one-entry counter with no count of entries: 19 bytes more. A standalone
+// batch writes them so; a frame writes them so as its run, without the
+// shard index and the batch's tag and count around it that version 4
+// wrote. The run is the same in a plain frame and behind a link header, and
+// decodes back to its keys and δ-groups.
 func TestBatchKeysFrontCoded(t *testing.T) {
-	const state = "05010873746f72652d303107" // GCounter store-01:7
+	const (
+		spelled  = "0c1073746f72652d303107" // GCounter store-01:7, the name spelled
+		referred = "0c0107"                 // GCounter store-01:7, the name referred to
+		state    = "05010873746f72652d303107"
+	)
 	keys := []string{"c/n00000042", "c/n00000045", "c/n00000048"}
 	const (
-		run = "0b632f6e3030303030303432" + state +
+		run = "0b632f6e3030303030303432" + spelled +
+			"0a" + "0135" + referred +
+			"0a" + "0138" + referred
+		v5 = "0b632f6e3030303030303432" + state +
 			"0a" + "0135" + state +
 			"0a" + "0138" + state
 		v3 = "0b632f6e3030303030303432" + state +
 			"0b632f6e3030303030303435" + state +
 			"0b632f6e3030303030303438" + state
 	)
-	if saved := (len(v3) - len(run)) / 2; saved != 18 {
-		t.Errorf("%d bytes shorter than version 3, want 18", saved)
+	if saved := (len(v3) - len(v5)) / 2; saved != 18 {
+		t.Errorf("version 5 %d bytes shorter than version 3, want 18", saved)
+	}
+	if saved := (len(v5) - len(run)) / 2; saved != 19 {
+		t.Errorf("%d bytes shorter than version 5, want 19", saved)
 	}
 	delta := crdt.NewGCounter().IncDelta("store-01", 7)
 	oms := func(acked bool) []protocol.ObjectMsg {
@@ -460,36 +514,50 @@ func TestBatchKeysFrontCoded(t *testing.T) {
 // Version 5 writes the six as one run in key order, each key against the
 // one before it in the frame: 43 of 170 bytes saved, 7.2 an item — 18 of
 // shard headers, and 25 of keys, which the three counters' and the two
-// sets' share (10 bytes each after the first of their prefix).
+// sets' share (10 bytes each after the first of their prefix). Version 6
+// spells the writer's name once, in the first counter, and refers back to
+// it from the other two and from the map field's register, and writes the
+// counters and sets with no count of entries: 29 bytes more, 127 → 98.
 func TestFrameKeysFrontCoded(t *testing.T) {
 	const (
-		store   = "0873746f72652d3031"                                 // "store-01"
-		field   = "09010873746f72652d30310d3179327030696a333265386537" // LWW {1, store-01, "1y2p0ij32e8e7"}
+		name    = "73746f72652d3031"                                   // "store-01"
+		field   = "0901" + "01" + "0d3179327030696a333265386537"       // LWW {1, store-01 referred to, "1y2p0ij32e8e7"}
+		fieldV5 = "09010873746f72652d30310d3179327030696a333265386537" // LWW {1, store-01, "1y2p0ij32e8e7"}
 		c1201   = "0b632f6e3030303031323031"                           // "c/n00001201", whole
 		c1203   = "632f6e3030303031323033"                             // "c/n00001203"
 		c1206   = "632f6e3030303031323036"                             // "c/n00001206"
 		m2404   = "0d6d2f6e3030303032342f663034"                       // "m/n000024/f04", whole
 		s1202   = "0b732f6e3030303031323032"                           // "s/n00001202", whole
 		s1205   = "732f6e3030303031323035"                             // "s/n00001205"
-		counter = "0501" + store                                       // GCounter store-01:, the value follows
-		set     = "070104"                                             // GSet of one 4-byte element
+		spelled = "0c" + "10" + name                                   // GCounter store-01:, its name spelled; the value follows
+		counter = "0c" + "01"                                          // GCounter store-01:, its name referred to
+		set     = "0d04"                                               // GSet of one 4-byte element
+		countV5 = "0501" + "08" + name
+		setV5   = "070104"
 	)
-	const v5 = "48" + "0c" + // a run of 6
-		c1201 + counter + "03" +
+	const v6 = "48" + "0c" + // a run of 6
+		c1201 + spelled + "03" +
 		"0a" + "0133" + counter + "05" + // shares "c/n0000120" with the key before
 		"0a" + "0136" + counter + "08" +
 		"00" + m2404 + "0b" + field + // shares nothing: whole
 		"00" + s1202 + set + "65313031" +
 		"0a" + "0135" + set + "65313034"
+	const v5 = "48" + "0c" +
+		c1201 + countV5 + "03" +
+		"0a" + "0133" + countV5 + "05" +
+		"0a" + "0136" + countV5 + "08" +
+		"00" + m2404 + "0b" + fieldV5 +
+		"00" + s1202 + setV5 + "65313031" +
+		"0a" + "0135" + setV5 + "65313034"
 	const v4 = "48" + "06" + // 6 items, by shard
-		"1b" + "4701" + "0b" + s1205 + set + "65313034" + // shard 27: a batch of 1
-		"1d" + "4701" + "0b" + c1203 + counter + "05" + // shard 29
-		"2e" + "4701" + m2404 + "0b" + field + // shard 46
-		"37" + "4701" + c1201 + counter + "03" + // shard 55
-		"3a" + "4701" + s1202 + set + "65313031" + // shard 58
-		"3e" + "4701" + "0b" + c1206 + counter + "08" // shard 62
-	if len(v4)/2 != 170 || len(v5)/2 != 127 {
-		t.Fatalf("version 4 frame %d bytes, version 5 %d; want 170 and 127", len(v4)/2, len(v5)/2)
+		"1b" + "4701" + "0b" + s1205 + setV5 + "65313034" + // shard 27: a batch of 1
+		"1d" + "4701" + "0b" + c1203 + countV5 + "05" + // shard 29
+		"2e" + "4701" + m2404 + "0b" + fieldV5 + // shard 46
+		"37" + "4701" + c1201 + countV5 + "03" + // shard 55
+		"3a" + "4701" + s1202 + setV5 + "65313031" + // shard 58
+		"3e" + "4701" + "0b" + c1206 + countV5 + "08" // shard 62
+	if len(v4)/2 != 170 || len(v5)/2 != 127 || len(v6)/2 != 98 {
+		t.Fatalf("version 4 frame %d bytes, version 5 %d, version 6 %d; want 170, 127 and 98", len(v4)/2, len(v5)/2, len(v6)/2)
 	}
 	type item struct {
 		key   string
@@ -518,8 +586,8 @@ func TestFrameKeysFrontCoded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := hex.EncodeToString(data); got != v5 {
-		t.Errorf("frame\n got %s\nwant %s", got, v5)
+	if got := hex.EncodeToString(data); got != v6 {
+		t.Errorf("frame\n got %s\nwant %s", got, v6)
 	}
 	var v codec.FrameView
 	if err := codec.UnpackFrame(data, 64, &v); err != nil {

@@ -9,10 +9,11 @@ import (
 // Incremental frame assembly. The transport's single-pass frame packer
 // builds bounded ShardedMsg frames out of independently encoded pieces:
 // each keyed item, written against the key before it in the frame's run
-// (AppendLinkObjectMsg), and each bare item (AppendShardItem) is encoded
-// once, and frames are assembled as header + keyed run + bare items. The
-// item that opens a frame's run is written whole, so the one a split puts
-// first in the next frame is encoded a second time. The helpers here expose
+// and the replica names the run has spelled (AppendLinkObjectMsg), and
+// each bare item (AppendShardItem) is encoded once, and frames are
+// assembled as header + keyed run + bare items. The item that opens a
+// frame's run is written whole, its key and its names, so the one a split
+// puts first in the next frame is encoded a second time. The helpers here expose
 // the two things that requires — per-piece encode-to-buffer and exact
 // header sizes — so the packer never re-encodes a piece to learn what it
 // would cost. AppendMsg for a ShardedMsg is defined in terms of these same
@@ -41,9 +42,11 @@ func AppendShardItem(b []byte, it protocol.ShardItem) ([]byte, error) {
 // tagKeyEntry and the field's value), or an AckedDeltaMsg under its tag.
 // prev is the key of the item before it in its run, which the key is
 // written against and must be below, and nil for a run's first item, whose
-// key is written whole.
-func AppendObjectMsg(b []byte, prev *string, it protocol.ObjectMsg) ([]byte, error) {
-	return appendObjectMsg(b, prev, it, false)
+// key is written whole. nt is the run's table of replica names, which the
+// δ-group's names are written against and which it adds the ones it spells
+// to; a run's first item takes an empty one.
+func AppendObjectMsg(b []byte, prev *string, it protocol.ObjectMsg, nt *Names) ([]byte, error) {
+	return appendObjectMsg(b, prev, it, false, nt)
 }
 
 // AppendLinkObjectMsg is AppendObjectMsg for a frame that is acknowledged
@@ -51,8 +54,8 @@ func AppendObjectMsg(b []byte, prev *string, it protocol.ObjectMsg) ([]byte, err
 // keyed δ-group a sender records against the frame's number — is written as
 // the plain δ-group a DeltaMsg is. Its entry seqs stay behind, in the
 // sender's record of the frame.
-func AppendLinkObjectMsg(b []byte, prev *string, it protocol.ObjectMsg) ([]byte, error) {
-	return appendObjectMsg(b, prev, it, true)
+func AppendLinkObjectMsg(b []byte, prev *string, it protocol.ObjectMsg, nt *Names) ([]byte, error) {
+	return appendObjectMsg(b, prev, it, true, nt)
 }
 
 // Link header flags: which fields follow the tag of a frame in the link

@@ -169,6 +169,14 @@ func FuzzDecodeMsg(f *testing.F) {
 	for _, data := range sortedValues(refusedRuns()) {
 		f.Add(data)
 	}
+	// A bench-shaped run from three writers, plainly and numbered: names
+	// spelled and referred to, short forms and long; and every spelling of
+	// a name or a lone irreducible that is refused.
+	seed(protocol.NewShardedMsg(benchMixedItems()))
+	seed(protocol.NewShardedLinkMsg(benchMixedItems(), nil, protocol.LinkHeader{Seq: protocol.FrameSeq{Seq: 4, Back: 2}}))
+	for _, data := range sortedValues(refusedNames()) {
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, n, err := codec.DecodeMsg(data)

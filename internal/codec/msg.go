@@ -119,12 +119,12 @@ func appendMsg(b []byte, m protocol.Msg) ([]byte, error) {
 	switch v := m.(type) {
 	case *protocol.DeltaMsg:
 		b = append(b, tagDeltaMsg)
-		return appendState(b, v.Delta), nil
+		return appendState(b, v.Delta, nil), nil
 
 	case *protocol.AckedDeltaMsg:
 		b = append(b, tagAckedDeltaMsg)
 		b = appendSeqs(b, v.Seqs)
-		return appendState(b, v.Delta), nil
+		return appendState(b, v.Delta, nil), nil
 
 	case *protocol.BatchMsg:
 		return appendBatch(b, v, false)
@@ -219,15 +219,17 @@ func appendBatch(b []byte, bm *protocol.BatchMsg, link bool) ([]byte, error) {
 }
 
 // appendRun appends keyed items as one run: each written against the key
-// of the item before it, which it must be above (appendKey).
+// of the item before it, which it must be above (appendKey), and against
+// the names the items before it spelled.
 func appendRun(b []byte, items []protocol.ObjectMsg, link bool) ([]byte, error) {
+	var nt Names
 	for i, it := range items {
 		var prev *string
 		if i > 0 {
 			prev = &items[i-1].Key
 		}
 		var err error
-		if b, err = appendObjectMsg(b, prev, it, link); err != nil {
+		if b, err = appendObjectMsg(b, prev, it, link, &nt); err != nil {
 			return nil, err
 		}
 	}
@@ -241,9 +243,10 @@ func readRun(data []byte, count uint64) ([]protocol.ObjectMsg, int, error) {
 		items = make([]protocol.ObjectMsg, 0, capHint(count, data))
 	}
 	var keys, prev []byte
+	var nt Names
 	n := 0
 	for i := uint64(0); i < count; i++ {
-		k, _, inner, m, err := readObjectMsg(data[n:], prev, &keys)
+		k, _, inner, m, err := readObjectMsg(data[n:], prev, &keys, &nt)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -307,11 +310,12 @@ func appendKey(b []byte, prev *string, key string) ([]byte, error) {
 
 // appendObjectMsg appends one keyed item of a per-object batch: the key,
 // written against prev (appendKey), then the inner message. A δ-group is
-// its state alone, and a map field's, the one-entry map {key ↦ v}, is
-// tagKeyEntry and v. An AckedDeltaMsg keeps its tag and entry seqs, unless
+// its state alone, written against the run's names nt (appendState), and a
+// map field's, the one-entry map {key ↦ v}, is tagKeyEntry and v. An
+// AckedDeltaMsg keeps its tag, entry seqs and context-free state, unless
 // link is set: behind a link header, which acknowledges the frame as a
 // whole, it is the plain δ-group.
-func appendObjectMsg(b []byte, prev *string, it protocol.ObjectMsg, link bool) ([]byte, error) {
+func appendObjectMsg(b []byte, prev *string, it protocol.ObjectMsg, link bool, nt *Names) ([]byte, error) {
 	b, err := appendKey(b, prev, it.Key)
 	if err != nil {
 		return nil, err
@@ -329,9 +333,9 @@ func appendObjectMsg(b []byte, prev *string, it protocol.ObjectMsg, link bool) (
 		return nil, fmt.Errorf("codec: no keyed wire format for message %T", it.Inner)
 	}
 	if e, ok := soleEntry(s); ok && e.Key == it.Key {
-		return appendState(append(b, tagKeyEntry), e.Val), nil
+		return appendState(append(b, tagKeyEntry), e.Val, nt), nil
 	}
-	return appendState(b, s), nil
+	return appendState(b, s, nt), nil
 }
 
 // soleEntry returns the entry of a one-entry map.
@@ -393,11 +397,14 @@ func readKey(data, prev []byte, keys *[]byte) (key []byte, n int, err error) {
 
 // readObjectMsg reads the keyed item data starts with, as appendObjectMsg
 // writes it: its key, rebuilt against prev onto *keys (readKey), the inner
-// message's encoding, aliasing data, the message decoded, and the item's
-// length. The second spellings are refused: a DeltaMsg's tag before a
-// state (ErrUnknownTag, as for any message but an AckedDeltaMsg), the long
-// form of a map field, and the short form of an empty one.
-func readObjectMsg(data, prev []byte, keys *[]byte) (key, payload []byte, m protocol.Msg, n int, err error) {
+// message's encoding, aliasing data, the message decoded against the run's
+// names nt, and the item's length. The second spellings are refused: a
+// DeltaMsg's tag before a state (ErrUnknownTag, as for any message but an
+// AckedDeltaMsg), the long form of a map field, and the short form of an
+// empty one; and, in the state (readState), the long form of a one-entry
+// counter or one-element set, a counter's short form of 0, a reference
+// past the run's names and a second spelling of one.
+func readObjectMsg(data, prev []byte, keys *[]byte, nt *Names) (key, payload []byte, m protocol.Msg, n int, err error) {
 	key, n, err = readKey(data, prev, keys)
 	if err != nil {
 		return nil, nil, nil, 0, err
@@ -413,7 +420,7 @@ func readObjectMsg(data, prev []byte, keys *[]byte) (key, payload []byte, m prot
 		return key, data[:sn], m, n + sn, nil
 	case tagKeyEntry:
 		var v lattice.State
-		v, sn, err = readStateDepth(data[1:], 1)
+		v, sn, err = readState(data[1:], 1, nt)
 		switch {
 		case err != nil:
 		case v.IsBottom():
@@ -422,7 +429,7 @@ func readObjectMsg(data, prev []byte, keys *[]byte) (key, payload []byte, m prot
 			s, sn = lattice.NewMapEntry(string(key), v), sn+1
 		}
 	default:
-		s, sn, err = readState(data)
+		s, sn, err = readState(data, 0, nt)
 		if e, ok := soleEntry(s); ok && e.Key == string(key) {
 			err = fmt.Errorf("codec: map field %q in the long form", key)
 		}
@@ -663,7 +670,7 @@ func readMsgBody(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
 	n := 0
 	switch tag {
 	case tagDeltaMsg:
-		s, m, err := readState(data[n:])
+		s, m, err := readState(data[n:], 0, nil)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -675,7 +682,7 @@ func readMsgBody(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
 			return nil, 0, err
 		}
 		n += m
-		s, m2, err := readState(data[n:])
+		s, m2, err := readState(data[n:], 0, nil)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -94,7 +94,7 @@ func TestAckedDeltaAndAckRoundTrip(t *testing.T) {
 		if _, err := codec.EncodeMsg(r.msg); err == nil {
 			t.Errorf("%s: encoded a message without a wire form", kind)
 		}
-		if _, err := codec.AppendObjectMsg(nil, nil, protocol.ObjectMsg{Key: "k", Inner: r.msg}); err == nil {
+		if _, err := codec.AppendObjectMsg(nil, nil, protocol.ObjectMsg{Key: "k", Inner: r.msg}, new(codec.Names)); err == nil {
 			t.Errorf("%s: encoded inside a batch", kind)
 		}
 		inBatch := append([]byte{71, 1, 1, 'k'}, r.wire...)
@@ -639,11 +639,12 @@ func TestLinkItemsCarryNoSeqs(t *testing.T) {
 		if link {
 			item = codec.AppendLinkObjectMsg
 		}
-		out, err := item(nil, nil, first)
+		var nt codec.Names
+		out, err := item(nil, nil, first, &nt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, _ = item(out, &first.Key, b)
+		out, _ = item(out, &first.Key, b, &nt)
 		return out
 	}
 	got := run(acked.Msg.(*protocol.BatchMsg).Items[0], true)
@@ -669,8 +670,8 @@ func TestLinkItemsCarryNoSeqs(t *testing.T) {
 	if want := append(append(codec.AppendShardedHeader(nil, acking, nil, 2, 1), withSeqs...), wholeBytes...); !bytes.Equal(frame, want) {
 		t.Errorf("unnumbered frame %x, want header, per-object run and bare item %x", frame, want)
 	}
-	gotObj, _ := codec.AppendLinkObjectMsg(nil, nil, protocol.ObjectMsg{Key: "a", Inner: protocol.NewAckedDeltaMsg(d, []uint64{4})})
-	wantObj, _ := codec.AppendObjectMsg(nil, nil, protocol.ObjectMsg{Key: "a", Inner: protocol.NewDeltaMsg(d)})
+	gotObj, _ := codec.AppendLinkObjectMsg(nil, nil, protocol.ObjectMsg{Key: "a", Inner: protocol.NewAckedDeltaMsg(d, []uint64{4})}, new(codec.Names))
+	wantObj, _ := codec.AppendObjectMsg(nil, nil, protocol.ObjectMsg{Key: "a", Inner: protocol.NewDeltaMsg(d)}, new(codec.Names))
 	if !bytes.Equal(gotObj, wantObj) {
 		t.Errorf("linked object message %x, want %x", gotObj, wantObj)
 	}
@@ -731,9 +732,13 @@ func TestShardedLinkHostileHeaders(t *testing.T) {
 	}
 }
 
-// lwwBytes is LWWRegister{TS: 1, Writer: "w", Val: "v"} encoded: a map
-// field's value.
-var lwwBytes = []byte{9, 1, 1, 'w', 1, 'v'}
+// lwwBytes is LWWRegister{TS: 1, Writer: "w", Val: "v"} encoded outside a
+// keyed item, and keyedLWW inside one that has spelled no name before it:
+// the writer spelled (1<<1) where lwwBytes gives its length.
+var (
+	lwwBytes = []byte{9, 1, 1, 'w', 1, 'v'}
+	keyedLWW = []byte{9, 1, 2, 'w', 1, 'v'}
+)
 
 // keyedFrame is a plain sharded frame whose run is one keyed item under
 // key "k" whose message is body.
@@ -745,11 +750,20 @@ func keyedFrame(body ...[]byte) []byte {
 	return data
 }
 
+// namedFrame is a plain sharded frame whose run is two keyed items, under
+// "a" and "b", whose messages are first and second.
+func namedFrame(first, second []byte) []byte {
+	data := append([]byte{72, 4, 1, 'a'}, first...)
+	data = append(data, 0, 1, 'b')
+	return append(data, second...)
+}
+
 // keyedFrames returns, as frames, one keyed item in each form it takes —
-// a counter's, a set's and a map field's δ-group, maps that are no field
-// of their key, and the per-object acked form, plainly and behind a link
-// header — and by name every spelling that is refused: second spellings
-// inside a keyed item, and tagKeyEntry anywhere else.
+// a counter's and a set's δ-group, short and long, a map field's, maps
+// that are no field of their key, and the per-object acked form, plainly
+// and behind a link header — and by name every spelling of a map field
+// that is refused: second spellings inside a keyed item, and tagKeyEntry
+// anywhere else. refusedNames has the rest.
 func keyedFrames() (forms [][]byte, refused map[string][]byte) {
 	field := lattice.NewMapEntry("m/a/f", &crdt.LWWRegister{TS: 1, Writer: "w", Val: "v"})
 	own := lattice.NewMapEntry("m/b/f", &crdt.LWWRegister{TS: 1, Writer: "w", Val: "v"})
@@ -759,12 +773,14 @@ func keyedFrames() (forms [][]byte, refused map[string][]byte) {
 	// before, or none.
 	batch := protocol.BatchOf([]protocol.ObjectMsg{
 		{Key: "c/a", Inner: protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("w", 7))},
+		{Key: "c/b", Inner: protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("v", 1).Join(crdt.NewGCounter().IncDelta("w", 2)))},
 		{Key: "m/a/e", Inner: protocol.NewDeltaMsg(lattice.NewMap())},
 		{Key: "m/a/f", Inner: protocol.NewAckedDeltaMsg(field, []uint64{3})},
 		{Key: "m/a/g", Inner: protocol.NewDeltaMsg(field)}, // another key's field
 		{Key: "m/b/f", Inner: protocol.NewDeltaMsg(own)},
 		{Key: "m/c/f", Inner: protocol.NewDeltaMsg(two)}, // two fields
 		{Key: "s/a", Inner: protocol.NewDeltaMsg(crdt.NewGSet("e1", "e2"))},
+		{Key: "s/b", Inner: protocol.NewDeltaMsg(crdt.NewGSet("e3"))},
 	})
 	for _, m := range []protocol.Msg{
 		batch,
@@ -779,10 +795,10 @@ func keyedFrames() (forms [][]byte, refused map[string][]byte) {
 	}
 	refused = map[string][]byte{
 		"a DeltaMsg's tag before a state":    keyedFrame([]byte{65, 7, 1, 1, 'a'}),
-		"a map field in the long form":       keyedFrame([]byte{4, 1, 1, 'k'}, lwwBytes),
+		"a map field in the long form":       keyedFrame([]byte{4, 1, 1, 'k'}, keyedLWW),
 		"a map field of no value":            keyedFrame([]byte{11, 7, 0}),
-		"a map field's value a map field":    keyedFrame([]byte{11, 11}, lwwBytes),
-		"the short form as a map's value":    keyedFrame([]byte{4, 1, 1, 'j', 11}, lwwBytes),
+		"a map field's value a map field":    keyedFrame([]byte{11, 11}, keyedLWW),
+		"the short form as a map's value":    keyedFrame([]byte{4, 1, 1, 'j', 11}, keyedLWW),
 		"the short form behind a DeltaMsg":   keyedFrame([]byte{65, 11}, lwwBytes),
 		"the short form as a bare item":      append([]byte{72, 1, 1, 0, 11}, lwwBytes...),
 		"the short form in a bare DeltaMsg":  append([]byte{72, 1, 1, 0, 65, 11}, lwwBytes...),
@@ -806,6 +822,31 @@ func keyedFrames() (forms [][]byte, refused map[string][]byte) {
 	refused["a shared length past the cap"] = chainFrame(long, []byte{33, 7, 'k', 'k', 'k', 'k', 'k', 'k', 'b'})
 	refused["a key that repeats a long one"] = chainFrame(long, append([]byte{32, 8}, long[:8]...))
 	return forms, refused
+}
+
+// refusedNames returns, by name, keyed items both decoders refuse since
+// wire version 6: a replica name referred to before it is spelled or
+// spelled after, a lone irreducible in the long form, and the short forms
+// outside a keyed item.
+func refusedNames() map[string][]byte {
+	return map[string][]byte{
+		// Replica names: the first use spells, every later one refers back.
+		"a name referred to before any is spelled": keyedFrame([]byte{12, 1, 7}),
+		"a reference past the names spelled":       namedFrame([]byte{12, 2, 'w', 7}, []byte{12, 3, 8}),
+		"a name spelled twice in a run":            namedFrame([]byte{12, 2, 'w', 7}, []byte{12, 2, 'w', 8}),
+		"a name spelled twice in one counter":      keyedFrame([]byte{5, 2, 2, 'v', 1, 2, 'v', 2}),
+		"a name spelled by a counter and a field":  namedFrame([]byte{12, 2, 'w', 7}, []byte{11, 9, 1, 2, 'w', 1, 'v'}),
+		// A lone irreducible has one spelling in a keyed item, the short
+		// form, and that form has none outside one.
+		"a one-entry counter in the long form":       keyedFrame([]byte{5, 1, 2, 'w', 7}),
+		"a one-element set in the long form":         keyedFrame([]byte{7, 1, 1, 'x'}),
+		"a counter's short form of 0":                keyedFrame([]byte{12, 2, 'w', 0}),
+		"a counter's short form in a standalone one": {65, 12, 1, 'w', 7},
+		"a set's short form in a standalone one":     {65, 13, 1, 'x'},
+		"a counter's short form as a bare item":      {72, 1, 1, 0, 12, 1, 'w', 7},
+		"a set's short form in a bare DeltaMsg":      {72, 1, 1, 0, 65, 13, 1, 'x'},
+		"a set's short form in the acked form":       keyedFrame([]byte{66, 1, 3, 13, 1, 'x'}),
+	}
 }
 
 // benchKeyBatch is a batch of three counter δ-groups at bench-shaped keys,
@@ -837,6 +878,42 @@ func benchFrameItems() []protocol.ShardItem {
 	return items
 }
 
+// benchMixedItems is what a pass of a bench store that forwards its
+// peers' writes hands its packer toward one peer: counters, sets and map
+// fields at the keys the benchmark draws, written by three replicas, one
+// batch a shard among 64 — one-entry counters and one-element sets in
+// their short forms, a counter two replicas wrote and a set of two in their
+// long ones, and every writer's name spelled once and referred to after.
+func benchMixedItems() []protocol.ShardItem {
+	batches := make(map[uint32][]protocol.ObjectMsg)
+	for i := 0; i < 30; i++ {
+		writer := fmt.Sprintf("store-%02d", 1+i%3)
+		key := fmt.Sprintf("c/n%08d", 1200+i)
+		var delta lattice.State = crdt.NewGCounter().IncDelta(writer, uint64(1+i))
+		switch i % 5 {
+		case 1:
+			key, delta = fmt.Sprintf("s/n%08d", 1200+i), crdt.NewGSet(fmt.Sprintf("e%03d", i))
+		case 2:
+			key = fmt.Sprintf("m/n%06d/f%02d", 24, i)
+			delta = lattice.NewMapEntry(key, &crdt.LWWRegister{TS: uint64(i), Writer: writer, Val: fmt.Sprintf("v%d", i)})
+		case 3:
+			delta = delta.Join(crdt.NewGCounter().IncDelta(fmt.Sprintf("store-%02d", 1+(i+1)%3), 2))
+		case 4:
+			key, delta = fmt.Sprintf("s/n%08d", 1200+i), crdt.NewGSet(fmt.Sprintf("e%03d", i), fmt.Sprintf("f%03d", i))
+		}
+		sh := protocol.ShardOf(key, 64)
+		batches[sh] = append(batches[sh], protocol.ObjectMsg{Key: key, Inner: protocol.NewDeltaMsg(delta)})
+	}
+	var items []protocol.ShardItem
+	for sh := uint32(0); sh < 64; sh++ {
+		if b := batches[sh]; len(b) > 0 {
+			slices.SortFunc(b, func(x, y protocol.ObjectMsg) int { return strings.Compare(x.Key, y.Key) })
+			items = append(items, protocol.ShardItem{Shard: sh, Msg: protocol.BatchOf(b)})
+		}
+	}
+	return items
+}
+
 // refusedRuns returns, by name, frames whose run or counts are spelled in
 // a way both decoders refuse: keys out of order, shared lengths that lie,
 // and counts past the bytes that remain.
@@ -855,23 +932,28 @@ func refusedRuns() map[string][]byte {
 	return out
 }
 
-// chainFrame is a plain sharded frame whose run is two keyed GSet
-// δ-groups: the first under first, the second's key spelled as follower
-// says.
+// chainFrame is a plain sharded frame whose run is two keyed one-element
+// GSet δ-groups: the first under first, the second's key spelled as
+// follower says.
 func chainFrame(first string, follower []byte) []byte {
 	data := append([]byte{72, 4, byte(len(first))}, first...)
-	data = append(data, 7, 1, 1, 'x')
+	data = append(data, 13, 1, 'x')
 	data = append(data, follower...)
-	return append(data, 7, 1, 1, 'y')
+	return append(data, 13, 1, 'y')
 }
 
 // TestKeyedItemSpellings: a keyed item has one spelling. Each form decodes
 // and re-encodes to the same bytes, through DecodeMsg and UnpackFrame
-// alike; every second spelling, and tagKeyEntry outside a keyed item — a
-// bare state, a map's value, a standalone DeltaMsg, a snapshot record — is
-// refused by both.
+// alike; every second spelling, every replica name referred to before its
+// spelling or spelled after it, and tagKeyEntry and the short forms of a
+// one-entry counter and a one-element set outside a keyed item — a bare
+// state, a standalone DeltaMsg, a snapshot record, and for tagKeyEntry a
+// map's value — is refused by both.
 func TestKeyedItemSpellings(t *testing.T) {
 	forms, refused := keyedFrames()
+	for name, data := range refusedNames() {
+		refused[name] = data
+	}
 	var v codec.FrameView
 	for i, data := range forms {
 		m, n, err := codec.DecodeMsg(data)
@@ -884,7 +966,7 @@ func TestKeyedItemSpellings(t *testing.T) {
 		if data[0] == 71 {
 			continue
 		}
-		if err := codec.UnpackFrame(data, 4, &v); err != nil || v.NumItems() != 7 {
+		if err := codec.UnpackFrame(data, 4, &v); err != nil || v.NumItems() != 9 {
 			t.Errorf("form %d: unpacked %d items: %v", i, v.NumItems(), err)
 		}
 	}
@@ -896,10 +978,8 @@ func TestKeyedItemSpellings(t *testing.T) {
 			t.Errorf("%s: UnpackFrame accepted %x", name, data)
 		}
 	}
-	for _, data := range [][]byte{
-		append([]byte{11}, lwwBytes...),
-		append([]byte{4, 1, 1, 'k', 11}, lwwBytes...),
-	} {
+	shortForms := [][]byte{append([]byte{11}, lwwBytes...), {12, 1, 'w', 7}, {13, 1, 'x'}}
+	for _, data := range append(shortForms, append([]byte{4, 1, 1, 'k', 11}, lwwBytes...)) {
 		if _, _, err := codec.Decode(data); !errors.Is(err, codec.ErrUnknownTag) {
 			t.Errorf("Decode(%x): error %v, want ErrUnknownTag", data, err)
 		}
@@ -908,18 +988,21 @@ func TestKeyedItemSpellings(t *testing.T) {
 	if _, _, err := codec.DecodeMsg(refused["a DeltaMsg's tag before a state"]); !errors.Is(err, codec.ErrUnknownTag) {
 		t.Errorf("a DeltaMsg's tag in a keyed item: error %v, want ErrUnknownTag", err)
 	}
-	// A snapshot record is a key and a state, read without the key's help.
-	payload := append([]byte{1, 'k', 11}, lwwBytes...)
-	snap := append([]byte("CSNP\x01"), 3, 0, 1, 1)
-	snap = binary.BigEndian.AppendUint32(snap, crc32.Checksum([]byte{0, 1, 1}, crc32.MakeTable(crc32.Castagnoli)))
-	snap = append(binary.AppendUvarint(snap, uint64(len(payload))), payload...)
-	snap = binary.BigEndian.AppendUint32(snap, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
-	if _, err := codec.DecodeSnapshot(snap, func(string, lattice.State) error { return nil }); !errors.Is(err, codec.ErrSnapshotCorrupt) || !strings.Contains(err.Error(), "unknown type tag") {
-		t.Errorf("a snapshot record in the short form: error %v, want an unknown tag", err)
+	// A snapshot record is a key and a state, read without the key's help
+	// and without a run's names.
+	for _, state := range shortForms {
+		payload := append([]byte{1, 'k'}, state...)
+		snap := append([]byte("CSNP\x01"), 3, 0, 1, 1)
+		snap = binary.BigEndian.AppendUint32(snap, crc32.Checksum([]byte{0, 1, 1}, crc32.MakeTable(crc32.Castagnoli)))
+		snap = append(binary.AppendUvarint(snap, uint64(len(payload))), payload...)
+		snap = binary.BigEndian.AppendUint32(snap, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+		if _, err := codec.DecodeSnapshot(snap, func(string, lattice.State) error { return nil }); !errors.Is(err, codec.ErrSnapshotCorrupt) || !strings.Contains(err.Error(), "unknown type tag") {
+			t.Errorf("a snapshot record in the short form %x: error %v, want an unknown tag", state, err)
+		}
 	}
 	// Only δ-groups are keyed items.
 	for _, m := range []protocol.Msg{protocol.NewTreeMsg(0, 0, nil, nil), protocol.NewDigestMsg(nil), protocol.BatchOf(nil)} {
-		if _, err := codec.AppendObjectMsg(nil, nil, protocol.ObjectMsg{Key: "k", Inner: m}); err == nil {
+		if _, err := codec.AppendObjectMsg(nil, nil, protocol.ObjectMsg{Key: "k", Inner: m}, new(codec.Names)); err == nil {
 			t.Errorf("%s: encoded as a keyed item", m.Kind())
 		}
 	}
@@ -975,7 +1058,7 @@ func TestKeyedItemHostileCount(t *testing.T) {
 func sharedCap(t *testing.T) int {
 	t.Helper()
 	prev := strings.Repeat("x", 200) + "a"
-	item, err := codec.AppendObjectMsg(nil, &prev, protocol.ObjectMsg{Key: prev[:200] + "b", Inner: protocol.NewDeltaMsg(lattice.NewMaxInt(0))})
+	item, err := codec.AppendObjectMsg(nil, &prev, protocol.ObjectMsg{Key: prev[:200] + "b", Inner: protocol.NewDeltaMsg(lattice.NewMaxInt(0))}, new(codec.Names))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1072,11 +1155,12 @@ func TestShortSharedPrefixIsWhole(t *testing.T) {
 		oms = append(oms, protocol.ObjectMsg{Key: k, Inner: protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("store-01", 7))})
 	}
 	data := encodeMsg(t, protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 0, Msg: protocol.BatchOf(oms)}}))
-	item := "05" + "01" + "08" + hex.EncodeToString([]byte("store-01")) + "07"
+	// A one-entry counter: its writer spelled (8<<1), then referred to (0<<1|1).
+	spelled, referred := "0c"+"10"+hex.EncodeToString([]byte("store-01"))+"07", "0c"+"01"+"07"
 	want := "48" + "06" +
-		"0b" + hex.EncodeToString([]byte("c/n00000042")) + item +
-		"00" + "06" + hex.EncodeToString([]byte("c/p/07")) + item +
-		"05" + "01" + hex.EncodeToString([]byte("8")) + item
+		"0b" + hex.EncodeToString([]byte("c/n00000042")) + spelled +
+		"00" + "06" + hex.EncodeToString([]byte("c/p/07")) + referred +
+		"05" + "01" + hex.EncodeToString([]byte("8")) + referred
 	if got := hex.EncodeToString(data); got != want {
 		t.Fatalf("frame\n%s, want\n%s", got, want)
 	}

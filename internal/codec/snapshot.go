@@ -98,7 +98,7 @@ func appendSnapshotFrame(b, payload []byte) []byte {
 // programming error as shipping one.
 func (w *SnapshotWriter) Add(key string, st lattice.State) {
 	w.frame = appendString(w.frame, key)
-	w.frame = appendState(w.frame, st)
+	w.frame = appendState(w.frame, st, nil)
 	if len(w.frame) >= snapshotFrameTarget {
 		w.buf = appendSnapshotFrame(w.buf, w.frame)
 		w.frame = w.frame[:0]
@@ -188,7 +188,7 @@ func DecodeSnapshot(data []byte, fn func(key string, st lattice.State) error) (S
 				return info, fmt.Errorf("%w: record key: %v", ErrSnapshotCorrupt, err)
 			}
 			payload = payload[kn:]
-			st, sn, err := readState(payload)
+			st, sn, err := readState(payload, 0, nil)
 			if err != nil {
 				return info, fmt.Errorf("%w: record state: %v", ErrSnapshotCorrupt, err)
 			}

@@ -23,10 +23,11 @@ import (
 // The messages with a wire form are the ones a store sends. In sharded
 // frames: the keyed items as one run in strictly ascending key order — the
 // first key whole, every later one as the prefix it shares with the key
-// before it and the rest (readKey); then a δ-group as its state alone, a
-// map field's as tagKeyEntry and its value, an AckedDeltaMsg under its tag
-// (readObjectMsg) — then bare shard items under their shard index and
-// message tag, of which a TreeMsg closing a drill is the one stores send.
+// before it and the rest (readKey); then a δ-group as its state alone, its
+// replica names against the run's (readName), a map field's as tagKeyEntry
+// and its value, an AckedDeltaMsg under its tag (readObjectMsg) — then
+// bare shard items under their shard index and message tag, of which a
+// TreeMsg closing a drill is the one stores send.
 // Standalone: HelloMsg, DigestMsg and TreeMsg (see the tag block in msg.go
 // for what is retired).
 //
@@ -34,8 +35,9 @@ import (
 // Unpack on the same view. An item's Key points into the view, where the
 // walk rebuilt it; its Payload aliases the frame buffer, so callers that
 // reuse read buffers must finish with the view before reusing the frame's
-// bytes. Decoded messages never alias the buffer (the decoders copy), so
-// only the views themselves are scoped.
+// bytes. Decoded messages never alias the buffer (the decoders copy, and a
+// replica name is copied once per frame, into a string every state that
+// names it shares), so only the views themselves are scoped.
 
 // ErrNotSharded reports input whose leading tag is not one of the sharded
 // frame encodings. Callers fall back to DecodeMsg for control frames
@@ -57,14 +59,16 @@ type ItemView struct {
 	Key []byte
 	// Payload is the inner message's full encoding (its first byte
 	// included), aliasing the frame buffer. A keyed δ-group's is its state,
-	// or tagKeyEntry and a map field's value.
+	// or tagKeyEntry and a map field's value, written against the names
+	// the items before it in the run spelled.
 	Payload []byte
 
 	msg protocol.Msg // Payload, decoded by the walk that found its extent
 }
 
 // Tag returns the payload's first byte: a message tag, or on a keyed
-// δ-group the state's tag, tagKeyEntry for a map field.
+// δ-group the state's tag — tagKeyEntry for a map field, tagCounterEntry
+// and tagSetElement for a one-entry counter and a one-element set.
 func (iv *ItemView) Tag() byte { return iv.Payload[0] }
 
 // IsAckTag reports whether tag names a per-object acknowledgement or a
@@ -108,6 +112,7 @@ type FrameView struct {
 
 	ranges []protocol.SeqRange // backing of Link.Ack.Ranges
 	keys   []byte              // the items' keys, rebuilt (readKey)
+	names  Names               // the replica names the run spelled (readName)
 	items  []ItemView          // wire order: the run, then bare items
 	sorted []ItemView          // shard order (scratch for the grouping sort)
 	counts []int               // counting-sort scratch, one slot per shard
@@ -134,6 +139,7 @@ func (v *FrameView) reset() {
 	v.Dropped = 0
 	v.Link = protocol.LinkHeader{}
 	v.keys = v.keys[:0]
+	v.names.Truncate(0)
 	clear(v.items)
 	v.items = v.items[:0]
 	clear(v.sorted)
@@ -155,12 +161,15 @@ const maxRetainedKeyBytes = 16 * maxRetainedItems
 // Reset clears the view without unpacking a new frame, dropping its
 // references to the last frame's buffer and decoded messages. Callers
 // that pool views call it before Put so an idle pooled view pins nothing;
-// item arrays grown past maxRetainedItems, and a key buffer past
-// maxRetainedKeyBytes, are dropped, not pooled.
+// item arrays and a name table grown past maxRetainedItems, and a key
+// buffer past maxRetainedKeyBytes, are dropped, not pooled.
 func (v *FrameView) Reset() {
 	v.reset()
 	if cap(v.keys) > maxRetainedKeyBytes {
 		v.keys = nil
+	}
+	if cap(v.names.list) > maxRetainedItems {
+		v.names = Names{}
 	}
 	if cap(v.items) > maxRetainedItems {
 		v.items = nil
@@ -177,8 +186,9 @@ func (v *FrameView) Reset() {
 // frames DecodeMsg accepts — the items go through the same decoder, under
 // the same nesting depth, count-versus-remaining-bytes and index-range
 // bounds, so hostile input fails with an error before any allocation
-// larger than the input, and the keys it rebuilds are bounded by
-// maxShared — and returns ErrNotSharded for any other message kind, which
+// larger than the input, the keys it rebuilds are bounded by maxShared,
+// and each replica name is copied once however often the run refers to it
+// — and returns ErrNotSharded for any other message kind, which
 // callers decode eagerly. After an error v is empty: a pooled
 // view never holds the decoded half of a frame that was refused.
 func UnpackFrame(data []byte, shards int, v *FrameView) error {
@@ -215,7 +225,7 @@ func (v *FrameView) unpack(data []byte, shards int) error {
 	}
 	var prev []byte
 	for i := uint64(0); i < h.keyed; i++ {
-		key, payload, msg, m, err := readObjectMsg(data[n:], prev, &v.keys)
+		key, payload, msg, m, err := readObjectMsg(data[n:], prev, &v.keys, &v.names)
 		if err != nil {
 			return err
 		}

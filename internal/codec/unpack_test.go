@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"crdtsync/internal/codec"
 	"crdtsync/internal/crdt"
@@ -281,22 +282,24 @@ func TestUnpackFrameHostile(t *testing.T) {
 }
 
 // TestItemViewTags: an item's view carries its payload's first byte — on a
-// keyed δ-group the state's tag, tagKeyEntry (11) for a map field — and
+// keyed δ-group the state's tag, tagKeyEntry (11) for a map field,
+// tagSetElement (13) for a one-element set — and
 // an item with one of the tags IsAckTag names is not skipped by tag any
 // more — no such message has a wire form, so the frame it sits in is
 // refused whole, what unpacked before it included.
 func TestItemViewTags(t *testing.T) {
 	var v codec.FrameView
-	good, err := codec.AppendObjectMsg(nil, nil, protocol.ObjectMsg{Key: "k", Inner: unpackGSetDelta(0, 1)})
+	var nt codec.Names
+	good, err := codec.AppendObjectMsg(nil, nil, protocol.ObjectMsg{Key: "k", Inner: unpackGSetDelta(0, 1)}, &nt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	k, f := "k", "m/a/f"
-	field, err := codec.AppendObjectMsg(nil, &k, protocol.ObjectMsg{Key: f, Inner: protocol.NewDeltaMsg(lattice.NewMapEntry(f, &crdt.LWWRegister{TS: 1, Writer: "r", Val: "v"}))})
+	field, err := codec.AppendObjectMsg(nil, &k, protocol.ObjectMsg{Key: f, Inner: protocol.NewDeltaMsg(lattice.NewMapEntry(f, &crdt.LWWRegister{TS: 1, Writer: "r", Val: "v"}))}, &nt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if field, err = codec.AppendObjectMsg(field, &f, protocol.ObjectMsg{Key: "n", Inner: protocol.NewAckedDeltaMsg(crdt.NewGSet("x"), []uint64{2})}); err != nil {
+	if field, err = codec.AppendObjectMsg(field, &f, protocol.ObjectMsg{Key: "n", Inner: protocol.NewAckedDeltaMsg(crdt.NewGSet("x"), []uint64{2})}, &nt); err != nil {
 		t.Fatal(err)
 	}
 	data := append(codec.AppendShardedHeader(nil, protocol.LinkHeader{}, nil, 3, 0), good...)
@@ -305,7 +308,7 @@ func TestItemViewTags(t *testing.T) {
 	if err := codec.UnpackFrame(data, 1, &v); err != nil {
 		t.Fatalf("UnpackFrame: %v", err)
 	}
-	for i, want := range []byte{7, 11, 66} { // GSet state, map field, the per-object acked form
+	for i, want := range []byte{13, 11, 66} { // a one-element GSet, map field, the per-object acked form
 		if iv := &v.Groups()[0].Items[i]; iv.Tag() != want || codec.IsAckTag(iv.Tag()) {
 			t.Fatalf("item %d has tag %d, classified as ack: %v; want tag %d", i, iv.Tag(), codec.IsAckTag(iv.Tag()), want)
 		}
@@ -350,7 +353,7 @@ func TestUnpackHostileItemCount(t *testing.T) {
 			prev = &keys[i-1]
 		}
 		var err error
-		if items, err = codec.AppendObjectMsg(items, prev, protocol.ObjectMsg{Key: k, Inner: unpackGSetDelta(0, 1)}); err != nil {
+		if items, err = codec.AppendObjectMsg(items, prev, protocol.ObjectMsg{Key: k, Inner: unpackGSetDelta(0, 1)}, new(codec.Names)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -523,6 +526,14 @@ func FuzzUnpackFrame(f *testing.F) {
 	for _, data := range sortedValues(refusedRuns()) {
 		f.Add(data)
 	}
+	// A bench-shaped run from three writers, plainly and numbered: names
+	// spelled and referred to, short forms and long; and every spelling of
+	// a name or a lone irreducible that is refused.
+	seed(protocol.NewShardedMsg(benchMixedItems()))
+	seed(protocol.NewShardedLinkMsg(benchMixedItems(), nil, protocol.LinkHeader{Seq: protocol.FrameSeq{Seq: 4, Back: 2}}))
+	for _, data := range sortedValues(refusedNames()) {
+		f.Add(data)
+	}
 
 	const shards = 4
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -627,46 +638,63 @@ func BenchmarkUnpack(b *testing.B) {
 }
 
 // bulkShapedFrame builds a frame the shape of a bulk store's: 600 keyed
-// δ-groups over 64 shard batches, ascending within each, counters and sets
-// at the keys the benchmark draws, so every key after a batch's first is
-// written against the one before it. It returns the frame and the
-// allocations its items' messages take to decode, each alone.
-func bulkShapedFrame(t *testing.T) ([]byte, int) {
+// δ-groups over 64 shard batches, ascending within each — counters, sets
+// and map fields at the keys the benchmark draws, written by three
+// replicas — so every key after a batch's first is written against the one
+// before it, and every writer's name is spelled once and referred to after.
+// It returns the frame, the allocations its items take to unpack each alone
+// in a frame of its own, and how many of its items name a writer.
+func bulkShapedFrame(t *testing.T) (frame []byte, aloneAllocs, named int) {
 	t.Helper()
 	const shards, items = 64, 600
 	batches := make([][]protocol.ObjectMsg, shards)
-	msgAllocs := 0
+	var v codec.FrameView
 	for i := 0; i < items; i++ {
-		key, inner := fmt.Sprintf("c/n%08d", i), protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("store-01", uint64(i+1)))
-		if i%3 == 0 {
+		writer := fmt.Sprintf("store-%02d", 1+i%3)
+		key, inner := fmt.Sprintf("c/n%08d", i), protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta(writer, uint64(i+1)))
+		switch i % 5 {
+		case 1:
 			key, inner = fmt.Sprintf("s/n%08d", i), protocol.NewDeltaMsg(crdt.NewGSet(fmt.Sprintf("e%03d", i%1000)))
+		case 3:
+			key = fmt.Sprintf("m/n%06d/f%02d", i/50, i%50)
+			inner = protocol.NewDeltaMsg(lattice.NewMapEntry(key, &crdt.LWWRegister{TS: uint64(i + 1), Writer: writer, Val: fmt.Sprintf("v%d", i)}))
 		}
-		alone := encodeMsg(t, inner)
-		msgAllocs += int(testing.AllocsPerRun(10, func() { codec.DecodeMsg(alone) }))
-		batches[i%shards] = append(batches[i%shards], protocol.ObjectMsg{Key: key, Inner: inner})
+		if i%5 != 1 {
+			named++
+		}
+		om := protocol.ObjectMsg{Key: key, Inner: inner}
+		alone := encodeMsg(t, protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 0, Msg: protocol.BatchOf([]protocol.ObjectMsg{om})}}))
+		codec.UnpackFrame(alone, shards, &v)
+		aloneAllocs += int(testing.AllocsPerRun(10, func() { codec.UnpackFrame(alone, shards, &v) }))
+		batches[i%shards] = append(batches[i%shards], om)
 	}
 	var sis []protocol.ShardItem
 	for s, b := range batches {
 		slices.SortFunc(b, func(x, y protocol.ObjectMsg) int { return strings.Compare(x.Key, y.Key) })
 		sis = append(sis, protocol.ShardItem{Shard: uint32(s), Msg: protocol.BatchOf(b)})
 	}
-	return encodeMsg(t, protocol.NewShardedMsg(sis)), msgAllocs
+	return encodeMsg(t, protocol.NewShardedMsg(sis)), aloneAllocs, named
 }
 
 // TestUnpackKeysAllocateNothing: a warmed view rebuilds a bulk-shaped
-// frame's keys into its own buffer and allocates nothing for them — an
-// unpack allocates exactly what its items' messages take. Reset keeps that
-// buffer for the next frame, and drops one grown past what a pooled view
-// may retain.
+// frame's keys into its own buffer and allocates nothing for them, and
+// allocates each of the frame's three writers' names once, not once for
+// every counter and field that names one — an unpack allocates what its
+// items take to unpack alone, less a name for each item that names a
+// writer, plus the three. Reset keeps the key buffer for the next frame,
+// and drops one grown past what a pooled view may retain.
 func TestUnpackKeysAllocateNothing(t *testing.T) {
-	frame, msgAllocs := bulkShapedFrame(t)
+	const writers = 3
+	frame, aloneAllocs, named := bulkShapedFrame(t)
 	var v codec.FrameView
 	if err := codec.UnpackFrame(frame, 64, &v); err != nil || v.NumItems() != 600 {
 		t.Fatalf("unpacked %d items: %v", v.NumItems(), err)
 	}
-	if got := testing.AllocsPerRun(20, func() { codec.UnpackFrame(frame, 64, &v) }); int(got) != msgAllocs {
-		t.Errorf("a warmed view unpacks 600 items in %v allocations, want the messages' %d", got, msgAllocs)
+	got := testing.AllocsPerRun(20, func() { codec.UnpackFrame(frame, 64, &v) })
+	if want := aloneAllocs - named + writers; int(got) != want {
+		t.Errorf("a warmed view unpacks 600 items in %v allocations, want %d: the items' %d alone, less %d names, plus %d", got, want, aloneAllocs, named, writers)
 	}
+	t.Logf("600 items, %d naming one of %d writers: %.2f allocations an item, %.2f each alone", named, writers, got/600, float64(aloneAllocs)/600)
 	v.Reset()
 	if codec.KeyBufferCap(&v) == 0 {
 		t.Error("Reset dropped a bulk frame's key buffer")
@@ -684,6 +712,81 @@ func TestUnpackKeysAllocateNothing(t *testing.T) {
 	if v.Reset(); codec.KeyBufferCap(&v) != 0 {
 		t.Errorf("Reset kept a key buffer of %d bytes, past the %d a pooled view retains", codec.KeyBufferCap(&v), codec.MaxRetainedKeyBytes)
 	}
+}
+
+// TestReplicaNamesBounded: a frame whose 10 000 counters all name one
+// writer, whose name is 60 KiB long, spells the name once and refers to it
+// 9 999 times, and decodes through either decoder to states that share one
+// copy of it — a string of its own, not a substring of the frame, which
+// would pin the frame. A warmed view allocates no more for the name than
+// twice the bytes it adds to the frame, where a copy per reference would
+// be 600 MB: the unpack allocates at most that much more than for the
+// same frame under a one-byte name.
+func TestReplicaNamesBounded(t *testing.T) {
+	const items = 10000
+	frameOf := func(writer string) []byte {
+		oms := make([]protocol.ObjectMsg, items)
+		for i := range oms {
+			oms[i] = protocol.ObjectMsg{Key: fmt.Sprintf("k%05d", i), Inner: protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta(writer, uint64(1+i%100)))}
+		}
+		return encodeMsg(t, protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 0, Msg: protocol.BatchOf(oms)}}))
+	}
+	long := strings.Repeat("w", 60<<10)
+	data, short := frameOf(long), frameOf("w")
+	if len(data) > len(short)+len(long)+8 {
+		t.Fatalf("a %d-byte name makes the frame %d bytes longer, want it spelled once", len(long), len(data)-len(short))
+	}
+	lo, hi := uintptr(unsafe.Pointer(&data[0])), uintptr(unsafe.Pointer(&data[len(data)-1]))
+	var shared *byte
+	check := func(how string, m protocol.Msg) {
+		m.(*protocol.DeltaMsg).Delta.(*crdt.GCounter).Range(func(id string, _ uint64) bool {
+			p := unsafe.StringData(id)
+			if id != long || uintptr(unsafe.Pointer(p)) >= lo && uintptr(unsafe.Pointer(p)) <= hi {
+				t.Fatalf("%s: a counter names a writer of %d bytes in the frame's buffer: %v", how, len(id), id == long)
+			}
+			if shared == nil {
+				shared = p
+			} else if p != shared {
+				t.Fatalf("%s: two counters hold two copies of the name", how)
+			}
+			return true
+		})
+	}
+	var v codec.FrameView
+	if err := codec.UnpackFrame(data, 4, &v); err != nil || v.NumItems() != items {
+		t.Fatalf("unpacked %d items: %v", v.NumItems(), err)
+	}
+	for _, g := range v.Groups() {
+		for i := range g.Items {
+			m, _ := g.Items[i].Msg()
+			check("UnpackFrame", m)
+		}
+	}
+	m, _, err := codec.DecodeMsg(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared = nil
+	for _, om := range m.(*protocol.ShardedMsg).Keyed {
+		check("DecodeMsg", om.Inner)
+	}
+	allocated := func(frame []byte) uint64 {
+		var v codec.FrameView
+		codec.UnpackFrame(frame, 4, &v)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const runs = 10
+		for i := 0; i < runs; i++ {
+			codec.UnpackFrame(frame, 4, &v)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	withLong, withShort := allocated(data), allocated(short)
+	if grown := uint64(len(data) - len(short)); withLong > withShort+2*grown {
+		t.Fatalf("a name that adds %d bytes to the frame adds %d to what unpacking it allocates", grown, withLong-withShort)
+	}
+	t.Logf("%d-byte frame: %d bytes allocated per unpack, %d under a one-byte name (a %d-byte frame)", len(data), withLong, withShort, len(short))
 }
 
 // smallUnpackTime returns the best-of-five time of one unpack of small

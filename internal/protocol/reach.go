@@ -115,8 +115,11 @@ func (r *Reach) Withheld() uint64 { return r.withheld.Load() }
 // without its key's second spelling; version 4 writes each key of a batch
 // after the first as what it does not share with the key before it;
 // version 5 writes all of a data frame's keyed items as one run in key
-// order, with no shard index, which the receiver routes by key (ShardOf).
-const WireVersion = 5
+// order, with no shard index, which the receiver routes by key (ShardOf);
+// version 6 spells each replica name once in a run and refers back to it
+// after, and writes a one-entry counter and a one-element set with no
+// count.
+const WireVersion = 6
 
 // HelloMsg is how a connection introduces itself: the first frame a store
 // writes on every connection it establishes, written again whenever the

@@ -389,7 +389,7 @@ func TestDeliverRetiredAndLegacyItems(t *testing.T) {
 		// The item with a retired tag is bare, or keyed under hi, which
 		// the run puts after lo.
 		lo, hi := k0[1], aboveOnShard(len(s.shards), 1, k0[1])
-		good, err := codec.AppendObjectMsg(nil, nil, protocol.ObjectMsg{Key: lo, Inner: gsetDelta(0, 2)})
+		good, err := codec.AppendObjectMsg(nil, nil, protocol.ObjectMsg{Key: lo, Inner: gsetDelta(0, 2)}, new(codec.Names))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -438,11 +438,11 @@ func aboveOnShard(shards int, shard uint32, lo string) string {
 // then the rest, ready for a message to follow.
 func keyAfter(t testing.TB, prev, key string) []byte {
 	t.Helper()
-	item, err := codec.AppendObjectMsg(nil, &prev, protocol.ObjectMsg{Key: key, Inner: gsetDelta(0, 1)})
+	item, err := codec.AppendObjectMsg(nil, &prev, protocol.ObjectMsg{Key: key, Inner: gsetDelta(0, 2)}, new(codec.Names))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return item[:len(item)-len(codec.Encode(gsetDelta(0, 1).(*protocol.DeltaMsg).Delta))]
+	return item[:len(item)-len(codec.Encode(gsetDelta(0, 2).(*protocol.DeltaMsg).Delta))]
 }
 
 // sortUnits orders units for multiset comparison.

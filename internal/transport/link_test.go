@@ -671,8 +671,15 @@ func TestLinkAckLosslessMeshShipsEachEntryOnce(t *testing.T) {
 	if got := total.Withheld - warm.Withheld; got == 0 || got > 2*writes {
 		t.Errorf("%d forwards withheld for %d updates, want up to one by each of the two receivers", got, writes)
 	}
-	// A keyed δ-group is its state alone: the item's tag is the GSet's.
-	setTag := codec.Encode(crdt.NewGSet("x"))[0]
+	// A keyed δ-group is its state alone: the item's tag is the GSet's, in
+	// the short form a one-element set takes in a keyed item or the long
+	// form of a bigger one.
+	setTag := codec.Encode(crdt.NewGSet("x", "y"))[0]
+	lone, err := codec.AppendObjectMsg(nil, nil, protocol.ObjectMsg{Key: "k", Inner: protocol.NewDeltaMsg(crdt.NewGSet("x"))}, new(codec.Names))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loneTag := lone[2] // after the key's length and its one byte
 	tap.mu.Lock()
 	defer tap.mu.Unlock()
 	var v codec.FrameView
@@ -691,8 +698,8 @@ func TestLinkAckLosslessMeshShipsEachEntryOnce(t *testing.T) {
 			for i := range g.Items {
 				groups++
 				m, _ := g.Items[i].Msg()
-				if _, delta := m.(*protocol.DeltaMsg); codec.IsAckTag(g.Items[i].Tag()) || g.Items[i].Tag() != setTag || g.Items[i].Key == nil || !delta {
-					t.Fatalf("%T item with tag %d (key %q) on the wire, want only keyed δ-groups of GSets, tagged %d", m, g.Items[i].Tag(), g.Items[i].Key, setTag)
+				if _, delta := m.(*protocol.DeltaMsg); codec.IsAckTag(g.Items[i].Tag()) || g.Items[i].Tag() != setTag && g.Items[i].Tag() != loneTag || g.Items[i].Key == nil || !delta {
+					t.Fatalf("%T item with tag %d (key %q) on the wire, want only keyed δ-groups of GSets, tagged %d or %d", m, g.Items[i].Tag(), g.Items[i].Key, setTag, loneTag)
 				}
 			}
 		}

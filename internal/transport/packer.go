@@ -12,8 +12,10 @@ import (
 // with no shard index: the packer gathers the destination's per-shard
 // batches into one key-ordered run (protocol.KeyedRun, which NewShardedMsg
 // builds its run with too) and packs it greedily, each item encoded once
-// against the key before it. The item that opens a frame's run is written
-// whole, so the one a split moves to the next frame is encoded once more;
+// against the key before it and, since wire version 6, against the replica
+// names the frame's run has spelled (codec.Names). The item that opens a
+// frame's run is written whole, its key and its names, so the one a split
+// moves to the next frame is encoded once more;
 // the bare items (a drill's close) follow the whole run, in the last
 // frames, so that a close never arrives before the states it goes with. A
 // pass therefore costs one sort of its keyed items and O(items) encoding
@@ -69,11 +71,12 @@ type framePacker struct {
 
 	// The pending frame: its run and then its bare items, encoded (all the
 	// keyed items are placed before the first bare one), how many of each,
-	// and the key its run ends with, which the next keyed item is written
-	// against.
+	// the key its run ends with, which the next keyed item is written
+	// against, and the replica names its run has spelled.
 	body        []byte
 	nRun, nBare int
 	prev        string
+	names       codec.Names
 	cost        metrics.Transmission
 	withVec     bool // pending frame carries vec
 	scratch     []byte
@@ -164,6 +167,7 @@ func (p *framePacker) flush() {
 	}
 	p.body = p.body[:0]
 	p.nRun, p.nBare = 0, 0
+	p.names.Truncate(0)
 	p.cost = metrics.Transmission{}
 	p.withVec = false
 }
@@ -224,14 +228,15 @@ func (p *framePacker) encodeKeyed(om protocol.ObjectMsg) error {
 		prev = &p.prev
 	}
 	var err error
-	p.scratch, err = codec.AppendLinkObjectMsg(p.scratch[:0], prev, om)
+	p.scratch, err = codec.AppendLinkObjectMsg(p.scratch[:0], prev, om, &p.names)
 	p.res.encodes++
 	return err
 }
 
 // addKeyed places one keyed item: in the pending frame, or as the first of
-// the next — written again, whole, if it was written against a key the
-// frame it opens does not have.
+// the next — written again, whole, if it was written against a key and
+// names the frame it opens does not have. An item that leaves a frame
+// takes back the names it spelled there.
 func (p *framePacker) addKeyed(om protocol.ObjectMsg) error {
 	acks := p.acks[:0]
 	if a, ok := om.Inner.(*protocol.AckedDeltaMsg); ok && p.lk != nil {
@@ -239,19 +244,23 @@ func (p *framePacker) addKeyed(om protocol.ObjectMsg) error {
 		p.acks = acks
 	}
 	c := protocol.KeyedCost(om)
+	mark := p.names.Len()
 	if err := p.encodeKeyed(om); err != nil {
 		return err
 	}
 	if !p.tryAdd(true, c, acks) {
-		whole := p.nRun == 0
+		p.names.Truncate(mark)
+		if p.nRun == 0 {
+			p.res.oversized++ // alone in a frame it still exceeds the cap
+			return nil
+		}
 		p.flush()
-		if !whole {
-			if err := p.encodeKeyed(om); err != nil {
-				return err
-			}
+		if err := p.encodeKeyed(om); err != nil {
+			return err
 		}
 		if !p.tryAdd(true, c, acks) {
-			p.res.oversized++ // alone in a frame it still exceeds the cap
+			p.names.Truncate(0)
+			p.res.oversized++
 			return nil
 		}
 	}

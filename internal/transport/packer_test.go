@@ -442,13 +442,18 @@ func TestPackEncodesEachItemOnce(t *testing.T) {
 
 // TestPackSplitPiecesUnpackAlone: a store whose tick overflows a small
 // MaxFrameBytes splits its run of keys, all four shards' batches in key
-// order, across frames, and every frame starts its chain of keys again —
-// its first key whole — so that each frame unpacks on its own, into a
+// order, across frames, and every frame starts its chain of keys and its
+// table of replica names again — its first key whole, the first use of each
+// name spelled in full — so that each frame unpacks on its own, into a
 // fresh view, to the keys and δ-groups that were written, each once, in
 // ascending order across the frames, and is the canonical encoding of what
-// it carries.
+// it carries. The tick holds sets, the store's own counters and map fields,
+// and counters two other replicas wrote that it forwards, so three names
+// are spelled before split points and used again after them.
 func TestPackSplitPiecesUnpackAlone(t *testing.T) {
 	cfg := tickStoreConfig()
+	cfg.ID, cfg.Nodes = "w-n0", []string{"w-n0", "p1", "p2"}
+	cfg.ObjType = simObjType
 	cfg.Shards = 4
 	cfg.MaxFrameBytes = 256
 	c, err := newCore(cfg.withDefaults(), 1)
@@ -457,16 +462,46 @@ func TestPackSplitPiecesUnpackAlone(t *testing.T) {
 	}
 	rec := recorder{}
 	c.out = rec
-	const keys = 200
+	const keys = 400
+	want := make(map[string]lattice.State, keys)
+	var forwarded []protocol.ShardItem
 	for i := 0; i < keys; i++ {
-		c.update(workload.Add(fmt.Sprintf("s/n%08d", i*3), fmt.Sprintf("e%d", i)))
+		var key string
+		var delta lattice.State
+		switch i % 4 {
+		case 0:
+			key = fmt.Sprintf("s/n%08d", i)
+			delta = crdt.NewGSet(fmt.Sprintf("e%d", i))
+			c.update(workload.Add(key, fmt.Sprintf("e%d", i)))
+		case 1:
+			key = fmt.Sprintf("c/n%08d", i)
+			delta = crdt.NewGCounter().IncDelta(cfg.ID, uint64(i))
+			c.update(workload.Inc(key, uint64(i)))
+		case 2:
+			key = fmt.Sprintf("m/n%06d/f%d", i/40, i%40)
+			c.update(workload.Put(key, fmt.Sprintf("v%d", i)))
+			delta = c.shardOf(key).engine.(protocol.KeyedEngine).ObjectState(key)
+		case 3:
+			// A counter p2 wrote, and one whose entry a third replica wrote,
+			// each forwarded to p1.
+			key = fmt.Sprintf("c/n%08d", i)
+			delta = crdt.NewGCounter().IncDelta([]string{"w-p2", "w-x9"}[i/4%2], uint64(i))
+			forwarded = append(forwarded, protocol.ShardItem{Shard: protocol.ShardOf(key, cfg.Shards), Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: key, Inner: protocol.NewDeltaMsg(delta)}})})
+		}
+		want[key] = delta
+	}
+	inc := uint32(testPeerInc)
+	if _, err := c.deliver("p2", &inc, linkFrame(t, 1, 0, protocol.FrameAck{}, forwarded...), 0); err != nil {
+		t.Fatal(err)
 	}
 	c.step(int64(cfg.SyncEvery))
 	frames := rec["p1"]
 	if len(frames) < 4 {
-		t.Fatalf("%d frames toward p1, want the batch split across many", len(frames))
+		t.Fatalf("%d frames toward p1, want the run split across many", len(frames))
 	}
+	names := []string{cfg.ID, "w-p2", "w-x9"}
 	seen := make(map[string]bool)
+	spelledAgain := make(map[string]int) // frames after the first that spell a name
 	last := ""
 	for i, f := range frames {
 		var v codec.FrameView
@@ -480,23 +515,34 @@ func TestPackSplitPiecesUnpackAlone(t *testing.T) {
 		if again, _ := codec.EncodeMsg(m); !bytes.Equal(again, f) {
 			t.Fatalf("frame %d is not the canonical encoding of its items", i)
 		}
+		used := make(map[string]int)
 		for _, om := range m.(*protocol.ShardedMsg).Keyed {
 			if om.Key <= last {
 				t.Fatalf("frame %d: key %q after %q", i, om.Key, last)
 			}
 			last = om.Key
+			simReplicaNames(deltaOfMsg(om.Inner), func(name string) { used[name]++ })
+		}
+		// Each name the frame uses is spelled in it once, whatever the
+		// frames before it spelled.
+		for _, name := range names {
+			if n := bytes.Count(f, []byte(name)); used[name] > 0 && n != 1 || used[name] == 0 && n != 0 {
+				t.Fatalf("frame %d uses %s %d times and spells it %d", i, name, used[name], n)
+			}
+			if used[name] > 0 && i > 0 {
+				spelledAgain[name]++
+			}
 		}
 		for _, g := range v.Groups() {
 			for j := range g.Items {
 				iv := &g.Items[j]
-				var n int
-				if _, err := fmt.Sscanf(string(iv.Key), "s/n%08d", &n); err != nil || n%3 != 0 || seen[string(iv.Key)] {
-					t.Fatalf("frame %d item %d: key %q unknown or repeated", i, j, iv.Key)
+				key := string(iv.Key)
+				if want[key] == nil || seen[key] {
+					t.Fatalf("frame %d item %d: key %q unknown or repeated", i, j, key)
 				}
-				seen[string(iv.Key)] = true
-				msg, _ := iv.Msg()
-				if want := crdt.NewGSet(fmt.Sprintf("e%d", n/3)); !msg.(*protocol.DeltaMsg).Delta.Equal(want) {
-					t.Fatalf("key %q carries %v, want %v", iv.Key, msg, want)
+				seen[key] = true
+				if msg, _ := iv.Msg(); !deltaOfMsg(msg).Equal(want[key]) {
+					t.Fatalf("key %q carries %v, want %v", key, msg, want[key])
 				}
 			}
 		}
@@ -504,11 +550,17 @@ func TestPackSplitPiecesUnpackAlone(t *testing.T) {
 	if len(seen) != keys {
 		t.Fatalf("%d of %d keys arrived", len(seen), keys)
 	}
+	for _, name := range names {
+		if spelledAgain[name] == 0 {
+			t.Errorf("%s was spelled in the first frame alone, want it spelled again after a split", name)
+		}
+	}
 }
 
 // TestPackDropsIrreducibleOversized pins the only unpackable case: a
 // single message that alone exceeds the cap is dropped and counted, and
-// everything around it still ships.
+// everything around it still ships — a bare one, and a keyed one whose
+// replica name the next item uses.
 func TestPackDropsIrreducibleOversized(t *testing.T) {
 	items := []protocol.ShardItem{
 		{Shard: 0, Msg: gsetDelta(1, 1)},
@@ -526,6 +578,20 @@ func TestPackDropsIrreducibleOversized(t *testing.T) {
 	if len(units) != 2 {
 		t.Fatalf("%d units survived, want the 2 small ones", len(units))
 	}
+	// A keyed item dropped so takes back the name it spelled: the counter
+	// after it spells its writer again, or its frame would refer to a name
+	// it never spelled.
+	big := lattice.NewMapEntry("a", &crdt.LWWRegister{TS: 1, Writer: "w", Val: strings.Repeat("v", 500)})
+	items = []protocol.ShardItem{{Shard: 0, Msg: protocol.BatchOf([]protocol.ObjectMsg{
+		{Key: "a", Inner: protocol.NewDeltaMsg(big)},
+		{Key: "b", Inner: protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("w", 1))},
+	})}}
+	if res, err = packFrames(items, nil, 128, packShards, nil); err != nil || res.oversized != 1 {
+		t.Fatalf("oversized = %d, want 1: %v", res.oversized, err)
+	}
+	if units, _, _ := decodeFrames(t, res.frames, 128); len(units) != 1 || units[0].key != "b" {
+		t.Fatalf("units %+v survived, want b's", units)
+	}
 }
 
 // FuzzPackFrames drives the packer over fuzz-chosen tick shapes and caps:
@@ -537,15 +603,23 @@ func FuzzPackFrames(f *testing.F) {
 	f.Add(int64(2), uint16(64), true)
 	f.Add(int64(3), uint16(8192), true)
 	f.Add(int64(4), uint16(16), false)
-	// Negative seeds draw bench-shaped passes (benchShapedItems).
+	// Negative seeds draw bench-shaped passes (benchShapedItems): from one
+	// writer down to -100, from three below, whose names a frame spells
+	// once and a split spells again.
 	f.Add(int64(-1), uint16(512), false)
 	f.Add(int64(-2), uint16(96), true)
 	f.Add(int64(-3), uint16(8192), true)
+	f.Add(int64(-101), uint16(512), false)
+	f.Add(int64(-102), uint16(96), true)
 	f.Fuzz(func(t *testing.T, seed int64, cap16 uint16, withDigests bool) {
 		rng := rand.New(rand.NewSource(seed))
 		items := randomItems(rng)
+		writers := 1
+		if seed < -100 {
+			writers = 3
+		}
 		if seed < 0 {
-			items = benchShapedItems(rng)
+			items = benchShapedItems(rng, writers)
 		}
 		var vec []uint64
 		if withDigests {
@@ -562,7 +636,7 @@ func FuzzPackFrames(f *testing.F) {
 		// acknowledgement: numbered frames, records, and the ack's ride.
 		acked := ackedItems(rand.New(rand.NewSource(seed)))
 		if seed < 0 {
-			acked = benchShapedItems(rand.New(rand.NewSource(seed)))
+			acked = benchShapedItems(rand.New(rand.NewSource(seed)), writers)
 			ackEvery(acked)
 		}
 		lk, ack := owingLink()
@@ -572,23 +646,25 @@ func FuzzPackFrames(f *testing.F) {
 }
 
 // benchShapedItems builds a pass the shape of a bench store's toward one
-// peer: fresh counter, set and map-field keys on 64 shards, one batch a
-// shard in key order, now and then a batch out of order or one holding the
-// empty key, and a drill's close on one shard.
-func benchShapedItems(rng *rand.Rand) []protocol.ShardItem {
+// peer: fresh counter, set and map-field keys on 64 shards, the counters
+// and fields written by writers replicas in turn, one batch a shard in key
+// order, now and then a batch out of order or one holding the empty key,
+// and a drill's close on one shard.
+func benchShapedItems(rng *rand.Rand, writers int) []protocol.ShardItem {
 	batches := make(map[uint32][]protocol.ObjectMsg)
 	base := rng.Intn(1 << 20)
 	for i := 0; i < 1+rng.Intn(200); i++ {
 		n := base + i
+		writer := fmt.Sprintf("store-%02d", 1+i%writers)
 		var om protocol.ObjectMsg
 		switch rng.Intn(10) {
 		case 0, 1, 2, 3, 4:
-			om = protocol.ObjectMsg{Key: fmt.Sprintf("c/n%08d", n), Inner: protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("store-01", uint64(1+rng.Intn(9))))}
+			om = protocol.ObjectMsg{Key: fmt.Sprintf("c/n%08d", n), Inner: protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta(writer, uint64(1+rng.Intn(9))))}
 		case 5, 6, 7:
 			om = protocol.ObjectMsg{Key: fmt.Sprintf("s/n%08d", n), Inner: protocol.NewDeltaMsg(crdt.NewGSet(fmt.Sprintf("e%03d", rng.Intn(256))))}
 		default:
 			k := fmt.Sprintf("m/n%06d/f%02d", n/50, n%50)
-			om = protocol.ObjectMsg{Key: k, Inner: protocol.NewDeltaMsg(lattice.NewMapEntry(k, &crdt.LWWRegister{TS: 1, Writer: "store-01", Val: fmt.Sprint(rng.Uint64())}))}
+			om = protocol.ObjectMsg{Key: k, Inner: protocol.NewDeltaMsg(lattice.NewMapEntry(k, &crdt.LWWRegister{TS: 1, Writer: writer, Val: fmt.Sprint(rng.Uint64())}))}
 		}
 		sh := protocol.ShardOf(om.Key, 64)
 		batches[sh] = append(batches[sh], om)

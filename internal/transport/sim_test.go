@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"crdtsync/internal/codec"
+	"crdtsync/internal/crdt"
 	"crdtsync/internal/lattice"
 	"crdtsync/internal/protocol"
 	"crdtsync/internal/workload"
@@ -609,13 +610,15 @@ func simLossReorderPartition(t testing.TB, seed int64, onSend func(data []byte))
 // TestSimLossReorderAndPartitionConverge: under loss, reordering and a
 // partition, every counter, set and map field ends at exactly the
 // sequential join of its writes on every replica once the partition heals.
-// The frames carry each datatype's item form: a counter's and a set's
-// δ-group as its state, a map field's in the short form; and runs of more
-// than one keyed item, whose keys after the first are written against the
-// one before, most of them sharing a prefix with it.
+// The frames carry each datatype's item form: a one-entry counter's and a
+// one-element set's δ-group in its short form, a map field's as tagKeyEntry
+// and its register; runs of more than one keyed item, whose keys after the
+// first are written against the one before, most of them sharing a prefix
+// with it; and replica names, each spelled once in a frame's run and
+// referred to by every later counter entry and register writer there.
 func TestSimLossReorderAndPartitionConverge(t *testing.T) {
 	forms := make(map[byte]int)
-	var frames, keyed, followers, sharing int
+	var frames, keyed, followers, sharing, spelled, referred int
 	var v codec.FrameView
 	count := func(data []byte) {
 		if codec.UnpackFrame(data, 8, &v) != nil {
@@ -637,6 +640,21 @@ func TestSimLossReorderAndPartitionConverge(t *testing.T) {
 			frames++
 			keyed += len(run)
 		}
+		names := make(map[string]bool)
+		for _, om := range run {
+			d, ok := om.Inner.(*protocol.DeltaMsg)
+			if !ok {
+				continue // the per-object acked form names its replicas in full
+			}
+			simReplicaNames(d.Delta, func(name string) {
+				if names[name] {
+					referred++
+				} else {
+					names[name] = true
+					spelled++
+				}
+			})
+		}
 		for i := 1; i < len(run); i++ {
 			followers++
 			if a, b := run[i-1].Key, run[i].Key; len(a) > 0 && len(b) > 0 && a[0] == b[0] {
@@ -651,8 +669,9 @@ func TestSimLossReorderAndPartitionConverge(t *testing.T) {
 			simLossReorderPartition(t, seed, nil)
 		}
 	})
-	// GCounter, GSet, and tagKeyEntry with an LWW register.
-	for _, tag := range []byte{5, 7, 11} {
+	// A one-entry GCounter's and a one-element GSet's short forms, and
+	// tagKeyEntry with an LWW register.
+	for _, tag := range []byte{12, 13, 11} {
 		if forms[tag] == 0 {
 			t.Errorf("no keyed item tagged %d on the wire, among %v", tag, forms)
 		}
@@ -660,8 +679,32 @@ func TestSimLossReorderAndPartitionConverge(t *testing.T) {
 	if sharing == 0 {
 		t.Errorf("%d keyed items followed another in their frame's run, none sharing a prefix with it", followers)
 	}
+	if spelled == 0 || referred == 0 {
+		t.Errorf("%d replica names spelled in full and %d referred to, want both", spelled, referred)
+	}
+	perFrame := func(n int) float64 { return float64(n) / float64(max(frames, 1)) }
 	t.Logf("seed 1: %d keyed items in %d data frames (%.2f a frame), %d following another in their frame's run, %d sharing a prefix with it",
-		keyed, frames, float64(keyed)/float64(max(frames, 1)), followers, sharing)
+		keyed, frames, perFrame(keyed), followers, sharing)
+	t.Logf("seed 1, a data frame: %.2f replica names spelled in full, %.2f referred to, %.2f short forms (%d counters, %d sets over the run)",
+		perFrame(spelled), perFrame(referred), perFrame(forms[12]+forms[13]), forms[12], forms[13])
+}
+
+// simReplicaNames shows fn each replica name a δ-group of the sim's schema
+// writes: a counter's entry ids, a map field's writer.
+func simReplicaNames(s lattice.State, fn func(string)) {
+	switch v := s.(type) {
+	case *crdt.GCounter:
+		v.Range(func(id string, _ uint64) bool {
+			fn(id)
+			return true
+		})
+	case *lattice.Map:
+		for _, e := range v.Sorted() {
+			simReplicaNames(e.Val, fn)
+		}
+	case *crdt.LWWRegister:
+		fn(v.Writer)
+	}
 }
 
 // TestSimIsDeterministic: a run replays from its seed. Two runs of one seed

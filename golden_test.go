@@ -3,6 +3,7 @@ package crdtsync_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -148,23 +149,39 @@ func goldenItems(acked bool) []protocol.ShardItem {
 	return []protocol.ShardItem{{Shard: 3, Msg: protocol.BatchOf(oms)}}
 }
 
-// linkedRun is a frame's run as a numbered frame writes it: each item
-// against the key before it, an AckedDeltaMsg as the plain δ-group.
-func linkedRun(t *testing.T, oms []protocol.ObjectMsg) []byte {
+// packFrame writes the frame a store's packer writes for items, under
+// link and with digests, through the packer's own append functions: the
+// keyed items of their batches as one run in key order (protocol.KeyedRun),
+// each against the key before it, an AckedDeltaMsg as the plain δ-group
+// (codec.AppendLinkObjectMsg), then every other item bare
+// (codec.AppendShardItem).
+func packFrame(t *testing.T, link protocol.LinkHeader, digests []uint64, items ...protocol.ShardItem) []byte {
 	t.Helper()
-	var run []byte
+	run := protocol.KeyedRun(items)
+	var bare []protocol.ShardItem
+	for _, it := range items {
+		if _, keyed := it.Msg.(*protocol.BatchMsg); !keyed {
+			bare = append(bare, it)
+		}
+	}
+	b := codec.AppendShardedHeader(nil, link, digests, len(run), len(bare))
 	var nt codec.Names
-	for i, om := range oms {
+	var err error
+	for i, om := range run {
 		var prev *string
 		if i > 0 {
-			prev = &oms[i-1].Key
+			prev = &run[i-1].Key
 		}
-		var err error
-		if run, err = codec.AppendLinkObjectMsg(run, prev, om, &nt); err != nil {
+		if b, err = codec.AppendLinkObjectMsg(b, prev, om, &nt); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return run
+	for _, it := range bare {
+		if b, err = codec.AppendShardItem(b, it); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b
 }
 
 // TestGoldenFrames pins the store's data frames byte for byte, at wire
@@ -182,8 +199,10 @@ func linkedRun(t *testing.T, oms []protocol.ObjectMsg) []byte {
 // one-entry counter is tagCounterEntry (0x0c), its replica's name and the
 // count, with no count of entries — 1 byte — and the name is spelled as its
 // length shifted left one bit (r0: 0x04), which later uses of it in the
-// run refer back to. The per-object acked form, the link headers, the
-// hello's layout and the bare items themselves did not move.
+// run refer back to. The link headers, the hello's layout and the bare
+// items themselves did not move. The per-object acked form an unnumbered
+// frame of version 6 could still carry is written by no packer and now
+// refused: a frame has the one spelling its packer writes.
 func TestGoldenFrames(t *testing.T) {
 	// A run of 2 (0x04) | "hits" δ(GCounter r0:7) | "tags" δ(GSet a b):
 	// each keyed δ-group is its key, then its state alone; the second key
@@ -204,21 +223,28 @@ func TestGoldenFrames(t *testing.T) {
 		}
 		return hex.EncodeToString(data)
 	}
+	plain := protocol.LinkHeader{}
 	// tagShardedMsg, a run of 2.
-	if got, want := enc(protocol.NewShardedMsg(goldenItems(false))), "48"+"04"+run; got != want {
+	if got, want := hex.EncodeToString(packFrame(t, plain, nil, goldenItems(false)...)), "48"+"04"+run; got != want {
 		t.Errorf("plain frame\n got %s\nwant %s", got, want)
 	}
 	// tagShardedDigestMsg, 2 digest words, a run of 2.
-	if got, want := enc(protocol.NewShardedDigestMsg(goldenItems(false), []uint64{1, ^uint64(0)})),
+	if got, want := hex.EncodeToString(packFrame(t, plain, []uint64{1, ^uint64(0)}, goldenItems(false)...)),
 		"4a"+"02"+"0000000000000001"+"ffffffffffffffff"+"04"+run; got != want {
 		t.Errorf("digest frame\n got %s\nwant %s", got, want)
 	}
-	// The per-object encoding of the acked engine's δ-groups, which an
-	// unnumbered frame keeps: tagAckedDeltaMsg, the entry seqs, the δ.
-	if got, want := enc(protocol.NewShardedMsg(goldenItems(true))), "48"+"04"+
-		"0468697473"+"42"+"020405"+"0501027230"+"07"+
-		"00"+"0474616773"+"42"+"0109"+"070201610162"; got != want {
-		t.Errorf("per-object acked frame\n got %s\nwant %s", got, want)
+	// The per-object encoding of the acked engine's δ-groups that frames
+	// of version 5 and before kept when unnumbered — tagAckedDeltaMsg, the
+	// entry seqs, the δ — is written by no packer, and refused: a frame
+	// acknowledges its δ-groups as a whole.
+	perObject, _ := hex.DecodeString("48" + "04" +
+		"0468697473" + "42" + "020405" + "0501027230" + "07" +
+		"00" + "0474616773" + "42" + "0109" + "070201610162")
+	if err := codec.UnpackFrame(perObject, 4, new(codec.FrameView)); !errors.Is(err, codec.ErrUnknownTag) {
+		t.Errorf("per-object acked frame: error %v, want ErrUnknownTag", err)
+	}
+	if got, want := hex.EncodeToString(packFrame(t, plain, nil, goldenItems(true)...)), "48"+"04"+run; got != want {
+		t.Errorf("acked δ-groups in a plain frame\n got %s\nwant %s", got, want)
 	}
 	// What an acked store sends: the same δ-groups as the plain items
 	// behind a link header. The header's shape is its tag, 0x4e+f for the
@@ -240,7 +266,7 @@ func TestGoldenFrames(t *testing.T) {
 			"07" + "00" // 131+2+7 = 140, alone
 		vecFields = "01" + "0000000000000002" // one digest word
 	)
-	acked := goldenItems(true)[0].Msg.(*protocol.BatchMsg).Items
+	acked := goldenItems(true)
 	for _, c := range []struct {
 		tag, fields string
 		link        protocol.LinkHeader
@@ -257,7 +283,7 @@ func TestGoldenFrames(t *testing.T) {
 		{"5c", ackFields + rangeFields + vecFields, protocol.LinkHeader{Ack: ranged}, vec},
 		{"5d", seqFields + ackFields + rangeFields + vecFields, protocol.LinkHeader{Seq: seq, Ack: ranged}, vec},
 	} {
-		frame := append(codec.AppendShardedHeader(nil, c.link, c.digests, 2, 0), linkedRun(t, acked)...)
+		frame := packFrame(t, c.link, c.digests, acked...)
 		if got, want := hex.EncodeToString(frame), c.tag+c.fields+"04"+run; got != want { // a run of 2
 			t.Errorf("linked frame %s\n got %s\nwant %s", c.tag, got, want)
 		}
@@ -302,7 +328,7 @@ func TestGoldenFrames(t *testing.T) {
 	// sender's states for the ranges, then the nodes it wants the peer's
 	// side of.
 	closing := append(goldenItems(false), protocol.ShardItem{Shard: 3, Msg: protocol.NewTreeMsg(3, 2, []uint32{9, 200}, nil)})
-	if got, want := enc(protocol.NewShardedMsg(closing)), "48"+"05"+"01"+run+ // a run of 2 and bare items: 1
+	if got, want := hex.EncodeToString(packFrame(t, plain, nil, closing...)), "48"+"05"+"01"+run+ // a run of 2 and bare items: 1
 		"03"+"4b"+"03"+"02"+"00"+"02"+"09"+"c801"; got != want { // shard | tagTreeMsg, shard, level, close, 2 nodes: 9, 200
 		t.Errorf("close\n got %s\nwant %s", got, want)
 	}
@@ -372,11 +398,7 @@ func TestItemBytesByDatatype(t *testing.T) {
 			t.Errorf("%s: version 3 %d bytes shorter than version 2, want %d", c.name, saved, c.savedToV3)
 		}
 		counts := fmt.Sprintf("%02x", 2*len(c.oms)) // a run of len(c.oms)
-		plain := protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 5, Msg: protocol.BatchOf(c.oms)}})
-		data, err := codec.EncodeMsg(plain)
-		if err != nil {
-			t.Fatal(err)
-		}
+		data := packFrame(t, protocol.LinkHeader{}, nil, protocol.ShardItem{Shard: 5, Msg: protocol.BatchOf(c.oms)})
 		// tagShardedMsg, the run.
 		if got, want := hex.EncodeToString(data), "48"+counts+c.item; got != want {
 			t.Errorf("%s, plain frame\n got %s\nwant %s", c.name, got, want)
@@ -386,27 +408,20 @@ func TestItemBytesByDatatype(t *testing.T) {
 		for i, om := range c.oms {
 			acked[i] = protocol.ObjectMsg{Key: om.Key, Inner: protocol.NewAckedDeltaMsg(om.Inner.(*protocol.DeltaMsg).Delta, []uint64{uint64(i + 1)})}
 		}
-		linked := append(codec.AppendShardedHeader(nil, numbered, nil, len(c.oms), 0), linkedRun(t, acked)...)
+		linked := packFrame(t, numbered, nil, protocol.ShardItem{Shard: 5, Msg: protocol.BatchOf(acked)})
 		// Frame 1, waiting on nothing before it, the run.
 		if got, want := hex.EncodeToString(linked), "4f"+"0100"+counts+c.item; got != want {
 			t.Errorf("%s, linked frame\n got %s\nwant %s", c.name, got, want)
 		}
 		var v codec.FrameView
 		for _, frame := range [][]byte{data, linked} {
-			m, _, err := codec.DecodeMsg(frame)
-			if err != nil {
-				t.Fatalf("%s: %v", c.name, err)
-			}
 			// One shard: the view's one group is the run.
 			if err := codec.UnpackFrame(frame, 1, &v); err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
 			for i, want := range c.oms {
-				om, iv := m.(*protocol.ShardedMsg).Keyed[i], &v.Groups()[0].Items[i]
+				iv := &v.Groups()[0].Items[i]
 				delta := want.Inner.(*protocol.DeltaMsg).Delta
-				if d, ok := om.Inner.(*protocol.DeltaMsg); !ok || om.Key != want.Key || !d.Delta.Equal(delta) {
-					t.Errorf("%s: decoded %q ↦ %v, want %q ↦ %v", c.name, om.Key, om.Inner, want.Key, delta)
-				}
 				if um, _ := iv.Msg(); string(iv.Key) != want.Key || !um.(*protocol.DeltaMsg).Delta.Equal(delta) {
 					t.Errorf("%s: unpacked %q ↦ %v, want %q ↦ %v", c.name, iv.Key, um, want.Key, delta)
 				}
@@ -470,38 +485,29 @@ func TestBatchKeysFrontCoded(t *testing.T) {
 	if got, want := hex.EncodeToString(batch), "4703"+run; got != want {
 		t.Errorf("standalone batch\n got %s\nwant %s", got, want)
 	}
-	plain, err := codec.EncodeMsg(protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 5, Msg: protocol.BatchOf(oms(false))}}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := packFrame(t, protocol.LinkHeader{}, nil, protocol.ShardItem{Shard: 5, Msg: protocol.BatchOf(oms(false))})
 	// tagShardedMsg, a run of 3; version 4 wrote 1 item, shard 5, a batch of 3.
 	if got, want := hex.EncodeToString(plain), "48"+"06"+run; got != want {
 		t.Errorf("plain frame\n got %s\nwant %s", got, want)
 	}
-	linked := append(codec.AppendShardedHeader(nil, protocol.LinkHeader{Seq: protocol.FrameSeq{Seq: 1}}, nil, 3, 0), linkedRun(t, oms(true))...)
+	linked := packFrame(t, protocol.LinkHeader{Seq: protocol.FrameSeq{Seq: 1}}, nil, protocol.ShardItem{Shard: 5, Msg: protocol.BatchOf(oms(true))})
 	// Frame 1, waiting on nothing before it, a run of 3.
 	if got, want := hex.EncodeToString(linked), "4f"+"0100"+"06"+run; got != want {
 		t.Errorf("linked frame\n got %s\nwant %s", got, want)
 	}
 	var v codec.FrameView
 	for _, frame := range [][]byte{plain, linked} {
-		m, _, err := codec.DecodeMsg(frame)
-		if err != nil {
-			t.Fatal(err)
-		}
 		// One shard: the view's one group is the run.
 		if err := codec.UnpackFrame(frame, 1, &v); err != nil {
 			t.Fatal(err)
 		}
-		decoded, views := m.(*protocol.ShardedMsg).Keyed, v.Groups()[0].Items
-		if len(decoded) != len(keys) || len(views) != len(keys) {
-			t.Fatalf("decoded %d and unpacked %d items, want %d", len(decoded), len(views), len(keys))
+		views := v.Groups()[0].Items
+		if len(views) != len(keys) {
+			t.Fatalf("unpacked %d items, want %d", len(views), len(keys))
 		}
 		for i, k := range keys {
-			um, _ := views[i].Msg()
-			if decoded[i].Key != k || string(views[i].Key) != k ||
-				!decoded[i].Inner.(*protocol.DeltaMsg).Delta.Equal(delta) || !um.(*protocol.DeltaMsg).Delta.Equal(delta) {
-				t.Errorf("item %d: decoded %q, unpacked %q, want %q ↦ %v", i, decoded[i].Key, views[i].Key, k, delta)
+			if um, _ := views[i].Msg(); string(views[i].Key) != k || !um.(*protocol.DeltaMsg).Delta.Equal(delta) {
+				t.Errorf("item %d: unpacked %q, want %q ↦ %v", i, views[i].Key, k, delta)
 			}
 		}
 	}
@@ -582,10 +588,7 @@ func TestFrameKeysFrontCoded(t *testing.T) {
 	if len(shards) != len(items) {
 		t.Fatalf("%d keys on %d shards, want one a shard", len(items), len(shards))
 	}
-	data, err := codec.EncodeMsg(protocol.NewShardedMsg(sis))
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := packFrame(t, protocol.LinkHeader{}, nil, sis...)
 	if got := hex.EncodeToString(data); got != v6 {
 		t.Errorf("frame\n got %s\nwant %s", got, v6)
 	}

@@ -4,32 +4,41 @@
 // lets the examples persist or transport states.
 //
 // The format is type-tagged: one tag byte, then a type-specific body using
-// unsigned varints for lengths and counters; map entries and set elements
-// are written in sorted order so encodings are canonical (equal states
-// encode to equal bytes). Nested states (map values) recurse. Unknown tags
-// fail decoding with an error, never a panic.
+// unsigned varints for lengths and counters; map entries, set elements,
+// counter entries and AW-set atoms are written in strictly ascending order
+// so encodings are canonical (equal states encode to equal bytes). Nested
+// states (map values) recurse. Unknown tags fail decoding with an error,
+// never a panic.
+//
+// Every value has one spelling, and the decoders refuse the others: a
+// uvarint in more bytes than it needs, a list out of order or naming a
+// member twice, a counter entry of 0, a flag byte other than 0 or 1, a
+// map entry with no value. So whatever a decoder accepts re-encodes to
+// exactly the bytes it read — a state through Encode, a message through
+// EncodeMsg, a frame through the packer's append functions (frames.go) —
+// and each δ-group has one set of bytes on the wire, as its irredundant
+// join decomposition is unique. What the encoders can write from a state
+// in memory is never refused, so a snapshot, read through the same
+// readers, still restores.
 //
 // Of the protocol messages, the ones a store puts on a connection have a
-// wire form (msg.go): DeltaMsg, AckedDeltaMsg, BatchMsg, the ShardedMsg
-// frame variants (plain, with a digest vector, and one tag per shape of
-// link header), DigestMsg, TreeMsg and HelloMsg. StateMsg,
-// AckMsg, SBDigestMsg, SBDeltasMsg and OpsMsg have none — they travel in
-// memory, under internal/netsim and inside the acked engine — and their
-// tags are reserved. Each message has one encoder (appendMsg) and one
-// decoder (decodeMsg); UnpackFrame (unpack.go) reads a frame's items
-// through that decoder.
+// wire form (msg.go): the sharded frame (plain, with a digest vector, and
+// one tag per shape of link header), whose keyed items are δ-groups and
+// whose bare items are messages; DigestMsg, TreeMsg and HelloMsg; and
+// DeltaMsg and AckedDeltaMsg as bare items. A BatchMsg's standalone form
+// is write-only. StateMsg, AckMsg, SBDigestMsg, SBDeltasMsg and OpsMsg
+// have none — they travel in memory, under internal/netsim and inside the
+// acked engine — and their tags are reserved. A sharded frame has one
+// reader, UnpackFrame (unpack.go); every other message has one, DecodeMsg.
 //
-// A keyed item — the key, then one object's message — says each thing
-// once (wire version 3): a δ-group is its state alone,
-// with no DeltaMsg tag, since state tags (1–10, and the keyed forms 11–13)
-// and message tags (64 on) do not overlap, and a map field's δ-group, the
-// one-entry map {key ↦ v} under its own key, is tagKeyEntry and v. An
-// AckedDeltaMsg keeps its tag.
-// One writer (appendObjectMsg) and one reader (readObjectMsg) hold the
-// rule, and the reader refuses the second spellings: a DeltaMsg tag, and
-// the long form of a map field. States outside a keyed item — a bare
-// DeltaMsg, a map's values, a snapshot record — keep the context-free
-// encoding.
+// A keyed item — the key, then one object's δ-group — says each thing
+// once (wire version 3): the δ-group is its state alone, with no message
+// tag, since state tags (1–10, and the keyed forms 11–13) and message tags
+// (64 on) do not overlap, and a map field's, the one-entry map {key ↦ v}
+// under its own key, is tagKeyEntry and v. One writer (appendObjectMsg)
+// and one reader (readObjectMsg) hold the rule. States outside a keyed
+// item — a bare DeltaMsg, a map's values, a snapshot record — keep the
+// context-free encoding.
 //
 // A frame writes all of its keyed items as one run in strictly ascending
 // key order, with no shard index: the receiver routes each by its key
@@ -59,16 +68,18 @@
 // two short forms are refused like tagKeyEntry. Names, like the key chain,
 // belong to one run, so every frame still decodes alone; the packer that
 // takes an item back out of a full frame takes back the names it spelled
-// there. The unlinked acked form (tagAckedDeltaMsg), bare items, Encode and
+// there. A standalone batch's acked items, bare items, Encode and
 // AppendState, digests, Merkle leaves and snapshot records keep the
 // context-free encoding.
 package codec
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"crdtsync/internal/crdt"
 	"crdtsync/internal/lattice"
@@ -122,12 +133,6 @@ func AppendState(b []byte, s lattice.State) []byte {
 	return appendState(b, s, nil)
 }
 
-// Decode deserializes one state, returning it and the number of bytes
-// consumed.
-func Decode(data []byte) (lattice.State, int, error) {
-	return readState(data, 0, nil)
-}
-
 // maxStateNesting bounds state nesting during decoding (maps of maps);
 // a hostile chain of map prefixes must fail with an error instead of
 // exhausting the goroutine stack.
@@ -136,11 +141,17 @@ const maxStateNesting = 16
 // ErrNestingTooDeep reports input nested beyond the decoder's limit.
 var ErrNestingTooDeep = errors.New("codec: nesting too deep")
 
+// errZeroEntry refuses a counter entry of 0: a counter holds no replica it
+// has not counted (IncDelta panics on 0), so the encoder never writes one.
+var errZeroEntry = errors.New("codec: a counter entry of 0")
+
 func appendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
 }
 
+// appendStringList appends a count and the strings: a set's elements in
+// ascending order, or a hello's reaches as given.
 func appendStringList(b []byte, ss []string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(ss)))
 	for _, s := range ss {
@@ -149,12 +160,32 @@ func appendStringList(b []byte, ss []string) []byte {
 	return b
 }
 
+// readUvarint reads a uvarint as binary.AppendUvarint writes it: an
+// overlong one, ending in a zero byte, is a second spelling of a shorter.
 func readUvarint(data []byte) (uint64, int, error) {
 	v, n := binary.Uvarint(data)
 	if n <= 0 {
 		return 0, 0, ErrTruncated
 	}
+	if n > 1 && data[n-1] == 0 {
+		return 0, 0, fmt.Errorf("codec: uvarint %d in %d bytes", v, n)
+	}
 	return v, n, nil
+}
+
+// errUnsorted refuses a list whose members are not in strictly ascending
+// order — a set's elements, a map's keys, a counter's replicas, an
+// AW-set's dots: the encoder writes each member once, in order, so any
+// other order is a second spelling of the same state.
+var errUnsorted = errors.New("codec: list not in strictly ascending order")
+
+// ascends is the one check of a list's order: c compares the member before
+// the one being read to it, and means nothing for a list's first.
+func ascends(first bool, c int) error {
+	if !first && c >= 0 {
+		return errUnsorted
+	}
+	return nil
 }
 
 // maxCapHint caps the slice capacity preallocated from a wire-declared
@@ -296,7 +327,9 @@ func readName(data []byte, nt *Names) (string, int, error) {
 	return s, n + len(name), nil
 }
 
-func readStringList(data []byte) ([]string, int, error) {
+// readStringList reads what appendStringList writes: a set's elements
+// when sorted is set, in which case they must ascend, or a hello's reaches.
+func readStringList(data []byte, sorted bool) ([]string, int, error) {
 	count, n, err := readUvarint(data)
 	if err != nil {
 		return nil, 0, err
@@ -306,6 +339,11 @@ func readStringList(data []byte) ([]string, int, error) {
 		s, m, err := readString(data[n:])
 		if err != nil {
 			return nil, 0, err
+		}
+		if sorted && i > 0 {
+			if err := ascends(false, strings.Compare(out[i-1], s)); err != nil {
+				return nil, 0, err
+			}
 		}
 		out = append(out, s)
 		n += m
@@ -468,10 +506,13 @@ func readBody(tag byte, data []byte, depth int, nt *Names) (lattice.State, int, 
 		if len(data) < 1 {
 			return nil, 0, ErrTruncated
 		}
+		if data[0] > 1 {
+			return nil, 0, fmt.Errorf("codec: flag byte %d", data[0])
+		}
 		return lattice.NewFlag(data[0] == 1), 1, nil
 
 	case tagSet:
-		elems, n, err := readStringList(data)
+		elems, n, err := readStringList(data, true)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -483,9 +524,13 @@ func readBody(tag byte, data []byte, depth int, nt *Names) (lattice.State, int, 
 			return nil, 0, err
 		}
 		m := lattice.NewMap()
+		var prev string
 		for i := uint64(0); i < count; i++ {
 			k, kn, err := readString(data[n:])
 			if err != nil {
+				return nil, 0, err
+			}
+			if err := ascends(i == 0, strings.Compare(prev, k)); err != nil {
 				return nil, 0, err
 			}
 			n += kn
@@ -493,8 +538,12 @@ func readBody(tag byte, data []byte, depth int, nt *Names) (lattice.State, int, 
 			if err != nil {
 				return nil, 0, err
 			}
+			if v.IsBottom() {
+				return nil, 0, fmt.Errorf("codec: map entry %q with no value", k)
+			}
 			n += vn
 			m.Set(k, v)
+			prev = k
 		}
 		return m, n, nil
 
@@ -507,9 +556,13 @@ func readBody(tag byte, data []byte, depth int, nt *Names) (lattice.State, int, 
 			return nil, 0, fmt.Errorf("codec: a one-entry counter in the long form")
 		}
 		c := crdt.NewGCounter()
+		var prev string
 		for i := uint64(0); i < count; i++ {
 			id, m, err := readName(data[n:], nt)
 			if err != nil {
+				return nil, 0, err
+			}
+			if err := ascends(i == 0, strings.Compare(prev, id)); err != nil {
 				return nil, 0, err
 			}
 			n += m
@@ -518,9 +571,11 @@ func readBody(tag byte, data []byte, depth int, nt *Names) (lattice.State, int, 
 				return nil, 0, err
 			}
 			n += m2
-			if v > 0 {
-				c.Inc(id, v)
+			if v == 0 {
+				return nil, 0, errZeroEntry
 			}
+			c.Inc(id, v)
+			prev = id
 		}
 		return c, n, nil
 
@@ -530,11 +585,16 @@ func readBody(tag byte, data []byte, depth int, nt *Names) (lattice.State, int, 
 			return nil, 0, err
 		}
 		c := crdt.NewPNCounter()
+		var prev string
 		for i := uint64(0); i < count; i++ {
 			id, m, err := readName(data[n:], nt)
 			if err != nil {
 				return nil, 0, err
 			}
+			if err := ascends(i == 0, strings.Compare(prev, id)); err != nil {
+				return nil, 0, err
+			}
+			prev = id
 			n += m
 			inc, m2, err := readUvarint(data[n:])
 			if err != nil {
@@ -546,6 +606,9 @@ func readBody(tag byte, data []byte, depth int, nt *Names) (lattice.State, int, 
 				return nil, 0, err
 			}
 			n += m3
+			if inc == 0 && dec == 0 {
+				return nil, 0, errZeroEntry
+			}
 			if inc > 0 {
 				c.Inc(id, inc)
 			}
@@ -556,7 +619,7 @@ func readBody(tag byte, data []byte, depth int, nt *Names) (lattice.State, int, 
 		return c, n, nil
 
 	case tagGSet:
-		elems, n, err := readStringList(data)
+		elems, n, err := readStringList(data, true)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -566,11 +629,11 @@ func readBody(tag byte, data []byte, depth int, nt *Names) (lattice.State, int, 
 		return crdt.NewGSet(elems...), n, nil
 
 	case tagTwoPSet:
-		added, n, err := readStringList(data)
+		added, n, err := readStringList(data, true)
 		if err != nil {
 			return nil, 0, err
 		}
-		removed, m, err := readStringList(data[n:])
+		removed, m, err := readStringList(data[n:], true)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -606,6 +669,9 @@ func readBody(tag byte, data []byte, depth int, nt *Names) (lattice.State, int, 
 			return nil, 0, err
 		}
 		s := crdt.NewAWSet()
+		// Each dot once, live under one element or a tombstone, so the
+		// atoms ascend by dot alone.
+		var prev vclock.Dot
 		for i := uint64(0); i < count; i++ {
 			elem, m, err := readString(data[n:])
 			if err != nil {
@@ -622,7 +688,16 @@ func readBody(tag byte, data []byte, depth int, nt *Names) (lattice.State, int, 
 				return nil, 0, err
 			}
 			n += m3
-			s.Merge(crdt.NewAWSetAtom(elem, vclock.Dot{Actor: actor, Seq: seq}))
+			d := vclock.Dot{Actor: actor, Seq: seq}
+			c := strings.Compare(prev.Actor, actor)
+			if c == 0 {
+				c = cmp.Compare(prev.Seq, seq)
+			}
+			if err := ascends(i == 0, c); err != nil {
+				return nil, 0, err
+			}
+			s.Merge(crdt.NewAWSetAtom(elem, d))
+			prev = d
 		}
 		return s, n, nil
 
@@ -639,7 +714,7 @@ func readBody(tag byte, data []byte, depth int, nt *Names) (lattice.State, int, 
 			return nil, 0, err
 		}
 		if v == 0 {
-			return nil, 0, fmt.Errorf("codec: a one-entry counter of 0")
+			return nil, 0, errZeroEntry
 		}
 		return crdt.NewGCounter().IncDelta(id, v), n + m, nil
 

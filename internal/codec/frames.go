@@ -7,7 +7,7 @@ import (
 )
 
 // Incremental frame assembly. The transport's single-pass frame packer
-// builds bounded ShardedMsg frames out of independently encoded pieces:
+// builds bounded sharded frames out of independently encoded pieces:
 // each keyed item, written against the key before it in the frame's run
 // and the replica names the run has spelled (AppendLinkObjectMsg), and
 // each bare item (AppendShardItem) is encoded once, and frames are
@@ -16,12 +16,11 @@ import (
 // puts first in the next frame is encoded a second time. The helpers here expose
 // the two things that requires — per-piece encode-to-buffer and exact
 // header sizes — so the packer never re-encodes a piece to learn what it
-// would cost. AppendMsg for a ShardedMsg is defined in terms of these same
-// helpers, which keeps packed frames byte-identical to what EncodeMsg
-// would produce for the equivalent message.
+// would cost. They are also the definition of a frame's one spelling: a
+// frame UnpackFrame accepts is what they write for its content.
 
-// SizeUvarint returns the encoded length of v as a uvarint.
-func SizeUvarint(v uint64) int {
+// sizeUvarint returns the encoded length of v as a uvarint.
+func sizeUvarint(v uint64) int {
 	n := 1
 	for v >= 0x80 {
 		v >>= 7
@@ -37,23 +36,17 @@ func AppendShardItem(b []byte, it protocol.ShardItem) ([]byte, error) {
 	return appendMsg(b, it.Msg)
 }
 
-// AppendObjectMsg appends one object message's wire encoding, a keyed
-// item: the key, then a δ-group as its state alone (a map field's as
-// tagKeyEntry and the field's value), or an AckedDeltaMsg under its tag.
-// prev is the key of the item before it in its run, which the key is
-// written against and must be below, and nil for a run's first item, whose
-// key is written whole. nt is the run's table of replica names, which the
-// δ-group's names are written against and which it adds the ones it spells
-// to; a run's first item takes an empty one.
-func AppendObjectMsg(b []byte, prev *string, it protocol.ObjectMsg, nt *Names) ([]byte, error) {
-	return appendObjectMsg(b, prev, it, false, nt)
-}
-
-// AppendLinkObjectMsg is AppendObjectMsg for a frame that is acknowledged
-// as a whole, by the sequence number in its header: an AckedDeltaMsg — the
-// keyed δ-group a sender records against the frame's number — is written as
-// the plain δ-group a DeltaMsg is. Its entry seqs stay behind, in the
-// sender's record of the frame.
+// AppendLinkObjectMsg appends one keyed item of a frame's run: the key,
+// then the δ-group as its state alone (a map field's as tagKeyEntry and the
+// field's value). prev is the key of the item before it in its run, which
+// the key is written against and must be below, and nil for a run's first
+// item, whose key is written whole. nt is the run's table of replica
+// names, which the δ-group's names are written against and which it adds
+// the ones it spells to; a run's first item takes an empty one. A frame is
+// acknowledged as a whole, by the sequence number in its header, so an
+// AckedDeltaMsg — the keyed δ-group a sender records against the frame's
+// number — is written as the plain δ-group a DeltaMsg is. Its entry seqs
+// stay behind, in the sender's record of the frame.
 func AppendLinkObjectMsg(b []byte, prev *string, it protocol.ObjectMsg, nt *Names) ([]byte, error) {
 	return appendObjectMsg(b, prev, it, true, nt)
 }
@@ -97,12 +90,13 @@ func itemCounts(keyed, bare int) uint64 {
 	return w
 }
 
-// AppendShardedHeader appends a ShardedMsg frame header: tag, the link
+// AppendShardedHeader appends a sharded frame header: tag, the link
 // header and the piggybacked digest vector where present, and the item
-// counts, keyed and bare (itemCounts). The keyed run (AppendObjectMsg or,
-// behind a numbered header, AppendLinkObjectMsg) follows it, then the bare
-// items (AppendShardItem). Without a link header the tag is that of
-// one of the two plain variants, tagShardedMsg and tagShardedDigestMsg.
+// counts, keyed and bare (itemCounts). The keyed run (AppendLinkObjectMsg)
+// follows it, then the bare items (AppendShardItem). A digest vector has a
+// word per shard of its sender, at least one. Without a link header the
+// tag is that of one of the two plain variants, tagShardedMsg and
+// tagShardedDigestMsg.
 //
 // The linked variants, after the tag that names which fields follow:
 //
@@ -159,25 +153,25 @@ func AppendShardedHeader(b []byte, link protocol.LinkHeader, digests []uint64, k
 // AppendShardedHeader would write — what a packer adds to its accumulated
 // piece bytes to know a candidate frame's final size.
 func ShardedHeaderSize(link protocol.LinkHeader, digests []uint64, keyed, bare int) int {
-	n := 1 + SizeUvarint(itemCounts(keyed, bare))
+	n := 1 + sizeUvarint(itemCounts(keyed, bare))
 	if bare > 0 {
-		n += SizeUvarint(uint64(bare))
+		n += sizeUvarint(uint64(bare))
 	}
 	if digests != nil {
-		n += SizeUvarint(uint64(len(digests))) + 8*len(digests)
+		n += sizeUvarint(uint64(len(digests))) + 8*len(digests)
 	}
 	flags := linkFlags(&link, digests)
 	if flags&linkSeq != 0 {
-		n += SizeUvarint(link.Seq.Seq) + SizeUvarint(link.Seq.Back)
+		n += sizeUvarint(link.Seq.Seq) + sizeUvarint(link.Seq.Back)
 	}
 	if flags&linkAck != 0 {
-		n += 4 + SizeUvarint(link.Ack.Cum)
+		n += 4 + sizeUvarint(link.Ack.Cum)
 	}
 	if flags&linkRanges != 0 {
-		n += SizeUvarint(uint64(len(link.Ack.Ranges)))
+		n += sizeUvarint(uint64(len(link.Ack.Ranges)))
 		mark := link.Ack.Cum
 		for _, r := range link.Ack.Ranges {
-			n += SizeUvarint(r.Lo-mark-2) + SizeUvarint(r.Hi-r.Lo)
+			n += sizeUvarint(r.Lo-mark-2) + sizeUvarint(r.Hi-r.Lo)
 			mark = r.Hi
 		}
 	}

@@ -19,10 +19,10 @@ import (
 // header replaced, and to the link header's wire version 1 form, a flag
 // byte after one tag: their values stay reserved, EncodeMsg has no format
 // for those messages and the decoders refuse the tags like any unknown one.
-// Inside a keyed item a DeltaMsg goes without its tag (readObjectMsg), and
-// tagDeltaMsg is refused there too. A BatchMsg has a standalone form
-// alone: in a frame its items are keyed items of the frame's run, and
-// tagBatchMsg is refused as a bare item.
+// Inside a keyed item a δ-group goes without its tag (readObjectMsg), and
+// both δ-group tags are refused there. A BatchMsg's standalone form is
+// write-only: the benchmark times its encoder, no store sends it, and no
+// decoder reads tagBatchMsg, which in a frame is a run of keyed items.
 const (
 	tagStateMsg byte = iota + 64 // retired
 	tagDeltaMsg
@@ -56,12 +56,6 @@ func isShardedTag(tag byte) bool {
 	return tag == tagShardedMsg || tag == tagShardedDigestMsg || tag >= tagLinkMsg && tag <= tagLinkLast
 }
 
-// maxMsgNesting bounds message nesting during decoding. Legitimate
-// traffic nests at most ShardedMsg → bare item (depth 2); a hostile
-// frame of repeated container prefixes must fail with an error instead of
-// exhausting the goroutine stack.
-const maxMsgNesting = 8
-
 // EncodeMsg serializes a protocol message. Transmission accounting is not
 // part of the format: no receiver reads it, and DecodeMsg rebuilds each
 // message's Cost() from its content with the constructors senders use.
@@ -70,20 +64,15 @@ func EncodeMsg(m protocol.Msg) ([]byte, error) {
 	return appendMsg(b, m)
 }
 
-// DecodeMsg deserializes one protocol message, returning the bytes
-// consumed.
+// DecodeMsg deserializes one standalone message — a hello, digest or tree
+// frame, or a frame's bare item — returning the bytes consumed. A sharded
+// frame is UnpackFrame's: its tag is refused here like any unknown one.
+// What it accepts re-encodes (EncodeMsg) to exactly the bytes it consumed.
 func DecodeMsg(data []byte) (protocol.Msg, int, error) {
-	return decodeMsg(data, 0)
-}
-
-func decodeMsg(data []byte, depth int) (protocol.Msg, int, error) {
-	if depth >= maxMsgNesting {
-		return nil, 0, ErrNestingTooDeep
-	}
 	if len(data) == 0 {
 		return nil, 0, ErrTruncated
 	}
-	m, n, err := readMsgBody(data[0], data[1:], depth)
+	m, n, err := readMsgBody(data[0], data[1:])
 	if err != nil {
 		return nil, 0, err
 	}
@@ -127,25 +116,7 @@ func appendMsg(b []byte, m protocol.Msg) ([]byte, error) {
 		return appendState(b, v.Delta, nil), nil
 
 	case *protocol.BatchMsg:
-		return appendBatch(b, v, false)
-
-	case *protocol.ShardedMsg:
-		b = AppendShardedHeader(b, v.Link, v.Digests, len(v.Keyed), len(v.Items))
-		// A numbered frame has one encoding, the packer's: the number
-		// acknowledges its δ-groups, which carry no seqs of their own.
-		var err error
-		if b, err = appendRun(b, v.Keyed, v.Link.Seq.Seq != 0); err != nil {
-			return nil, err
-		}
-		for _, it := range v.Items {
-			if _, ok := it.Msg.(*protocol.BatchMsg); ok {
-				return nil, errBareBatch
-			}
-			if b, err = AppendShardItem(b, it); err != nil {
-				return nil, err
-			}
-		}
-		return b, nil
+		return appendBatch(b, v)
 
 	case *protocol.DigestMsg:
 		// An advertisement that asks for one back is the same body under
@@ -206,55 +177,26 @@ func appendMsg(b []byte, m protocol.Msg) ([]byte, error) {
 	}
 }
 
-// errBareBatch refuses a BatchMsg as a frame's bare item: its objects are
-// keyed items, and those have one place in a frame, its run.
-var errBareBatch = errors.New("codec: a batch as a bare item of a frame")
-
-// appendBatch appends a standalone per-object batch: its tag and count,
-// then its items as a run.
-func appendBatch(b []byte, bm *protocol.BatchMsg, link bool) ([]byte, error) {
+// appendBatch appends a standalone per-object batch, the write-only form
+// the benchmark times: its tag and count, then its items as one run, each
+// written against the key of the item before it, which it must be above
+// (appendKey), and against the names the items before it spelled. An
+// AckedDeltaMsg keeps its tag and seqs.
+func appendBatch(b []byte, bm *protocol.BatchMsg) ([]byte, error) {
 	b = append(b, tagBatchMsg)
 	b = binary.AppendUvarint(b, uint64(len(bm.Items)))
-	return appendRun(b, bm.Items, link)
-}
-
-// appendRun appends keyed items as one run: each written against the key
-// of the item before it, which it must be above (appendKey), and against
-// the names the items before it spelled.
-func appendRun(b []byte, items []protocol.ObjectMsg, link bool) ([]byte, error) {
 	var nt Names
-	for i, it := range items {
+	for i, it := range bm.Items {
 		var prev *string
 		if i > 0 {
-			prev = &items[i-1].Key
+			prev = &bm.Items[i-1].Key
 		}
 		var err error
-		if b, err = appendObjectMsg(b, prev, it, link, &nt); err != nil {
+		if b, err = appendObjectMsg(b, prev, it, false, &nt); err != nil {
 			return nil, err
 		}
 	}
 	return b, nil
-}
-
-// readRun reads count keyed items written as one run (appendRun).
-func readRun(data []byte, count uint64) ([]protocol.ObjectMsg, int, error) {
-	var items []protocol.ObjectMsg
-	if count > 0 {
-		items = make([]protocol.ObjectMsg, 0, capHint(count, data))
-	}
-	var keys, prev []byte
-	var nt Names
-	n := 0
-	for i := uint64(0); i < count; i++ {
-		k, _, inner, m, err := readObjectMsg(data[n:], prev, &keys, &nt)
-		if err != nil {
-			return nil, 0, err
-		}
-		n += m
-		items = append(items, protocol.ObjectMsg{Key: string(k), Inner: inner})
-		prev = k
-	}
-	return items, n, nil
 }
 
 // maxShared caps the prefix a keyed item's key takes from the key before
@@ -308,13 +250,13 @@ func appendKey(b []byte, prev *string, key string) ([]byte, error) {
 	return appendString(b, key[shared:]), nil
 }
 
-// appendObjectMsg appends one keyed item of a per-object batch: the key,
-// written against prev (appendKey), then the inner message. A δ-group is
-// its state alone, written against the run's names nt (appendState), and a
-// map field's, the one-entry map {key ↦ v}, is tagKeyEntry and v. An
-// AckedDeltaMsg keeps its tag, entry seqs and context-free state, unless
-// link is set: behind a link header, which acknowledges the frame as a
-// whole, it is the plain δ-group.
+// appendObjectMsg appends one keyed item: the key, written against prev
+// (appendKey), then the inner message. A δ-group is its state alone,
+// written against the run's names nt (appendState), and a map field's, the
+// one-entry map {key ↦ v}, is tagKeyEntry and v. An AckedDeltaMsg is the
+// plain δ-group when link is set, as in every frame (AppendLinkObjectMsg),
+// and keeps its tag, entry seqs and context-free state in a standalone
+// batch alone.
 func appendObjectMsg(b []byte, prev *string, it protocol.ObjectMsg, link bool, nt *Names) ([]byte, error) {
 	b, err := appendKey(b, prev, it.Key)
 	if err != nil {
@@ -399,11 +341,12 @@ func readKey(data, prev []byte, keys *[]byte) (key []byte, n int, err error) {
 // writes it: its key, rebuilt against prev onto *keys (readKey), the inner
 // message's encoding, aliasing data, the message decoded against the run's
 // names nt, and the item's length. The second spellings are refused: a
-// DeltaMsg's tag before a state (ErrUnknownTag, as for any message but an
-// AckedDeltaMsg), the long form of a map field, and the short form of an
-// empty one; and, in the state (readState), the long form of a one-entry
-// counter or one-element set, a counter's short form of 0, a reference
-// past the run's names and a second spelling of one.
+// message tag before a state (ErrUnknownTag: a δ-group's tag, or the
+// AckedDeltaMsg form a frame never writes), the long form of a map field,
+// and the short form of an empty one; and, in the state (readState), the
+// long form of a one-entry counter or one-element set, a counter entry of
+// 0, a list out of order, a reference past the run's names and a second
+// spelling of one.
 func readObjectMsg(data, prev []byte, keys *[]byte, nt *Names) (key, payload []byte, m protocol.Msg, n int, err error) {
 	key, n, err = readKey(data, prev, keys)
 	if err != nil {
@@ -413,11 +356,6 @@ func readObjectMsg(data, prev []byte, keys *[]byte, nt *Names) (key, payload []b
 	var s lattice.State
 	var sn int
 	switch data[0] {
-	case tagAckedDeltaMsg:
-		if m, sn, err = decodeMsg(data, 0); err != nil {
-			return nil, nil, nil, 0, err
-		}
-		return key, data[:sn], m, n + sn, nil
 	case tagKeyEntry:
 		var v lattice.State
 		v, sn, err = readState(data[1:], 1, nt)
@@ -550,8 +488,11 @@ func readShardedHeader(tag byte, data []byte, ranges []protocol.SeqRange) (h sha
 		if dcount > uint64(len(data)-n)/8 {
 			return h, 0, ErrTruncated
 		}
-		// Non-nil even when empty: a decoded message must re-encode to
-		// the same variant, and nil selects the one without a vector.
+		// A store's vector has a word per shard: the tag says there is one,
+		// so a vector of none is a second spelling of the plain header.
+		if dcount == 0 {
+			return h, 0, fmt.Errorf("codec: digest vector of no words")
+		}
 		h.digests = data[n : n+8*int(dcount) : n+8*int(dcount)]
 		n += 8 * int(dcount)
 	}
@@ -608,65 +549,10 @@ func readShardIndex(data []byte) (uint32, int, error) {
 	if n == len(data) {
 		return 0, 0, ErrTruncated
 	}
-	if data[n] == tagBatchMsg {
-		return 0, 0, errBareBatch
-	}
 	return uint32(shard), n, nil
 }
 
-// readShardItems decodes count bare items, (shard index, message) pairs.
-func readShardItems(data []byte, count uint64, depth int) ([]protocol.ShardItem, int, error) {
-	n := 0
-	var items []protocol.ShardItem
-	if count > 0 {
-		items = make([]protocol.ShardItem, 0, capHint(count, data))
-	}
-	for i := uint64(0); i < count; i++ {
-		shard, m, err := readShardIndex(data[n:])
-		if err != nil {
-			return nil, 0, err
-		}
-		n += m
-		inner, m2, err := decodeMsg(data[n:], depth+1)
-		if err != nil {
-			return nil, 0, err
-		}
-		n += m2
-		items = append(items, protocol.ShardItem{Shard: shard, Msg: inner})
-	}
-	return items, n, nil
-}
-
-// readShardedMsg parses a sharded frame, any variant, after its tag: the
-// header, the keyed run, the bare items.
-func readShardedMsg(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
-	h, n, err := readShardedHeader(tag, data, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	var digests []uint64
-	if h.digests != nil {
-		digests = make([]uint64, len(h.digests)/8)
-		for i := range digests {
-			digests[i] = binary.BigEndian.Uint64(h.digests[8*i:])
-		}
-	}
-	keyed, m, err := readRun(data[n:], h.keyed)
-	if err != nil {
-		return nil, 0, err
-	}
-	n += m
-	bare, m, err := readShardItems(data[n:], h.bare, depth)
-	if err != nil {
-		return nil, 0, err
-	}
-	return protocol.NewFrameMsg(keyed, bare, digests, h.link), n + m, nil
-}
-
-func readMsgBody(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
-	if isShardedTag(tag) {
-		return readShardedMsg(tag, data, depth)
-	}
+func readMsgBody(tag byte, data []byte) (protocol.Msg, int, error) {
 	n := 0
 	switch tag {
 	case tagDeltaMsg:
@@ -687,18 +573,6 @@ func readMsgBody(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
 			return nil, 0, err
 		}
 		return protocol.NewAckedDeltaMsg(s, seqs), n + m2, nil
-
-	case tagBatchMsg:
-		count, m, err := readUvarint(data[n:])
-		if err != nil {
-			return nil, 0, err
-		}
-		n += m
-		items, m, err := readRun(data[n:], count)
-		if err != nil {
-			return nil, 0, err
-		}
-		return protocol.BatchOf(items), n + m, nil
 
 	case tagDigestMsg, tagDigestEchoMsg:
 		count, m, err := readUvarint(data[n:])
@@ -754,7 +628,7 @@ func readMsgBody(tag byte, data []byte, depth int) (protocol.Msg, int, error) {
 			inc = v
 			n += m
 		}
-		reaches, m, err := readStringList(data[n:])
+		reaches, m, err := readStringList(data[n:], false)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -77,11 +77,11 @@ func retiredMsgs() []retiredMsg {
 }
 
 // TestAckedDeltaAndAckRoundTrip: the acked engine's δ-group keeps its
-// encoding with the entry seqs spelled out; the acknowledgement it used to
-// be answered with, like every retired message, has none — EncodeMsg
-// refuses the message and the decoders refuse its tag as unknown, bare, in
-// a batch, as a frame's bare item and as the message of a keyed item in its
-// run, never skipping it.
+// encoding with the entry seqs spelled out as a bare message; the
+// acknowledgement it used to be answered with, like every retired message,
+// has none — EncodeMsg refuses the message and the decoders refuse its tag
+// as unknown, bare, as a frame's bare item and as the message of a keyed
+// item in its run, never skipping it.
 func TestAckedDeltaAndAckRoundTrip(t *testing.T) {
 	m := protocol.NewAckedDeltaMsg(crdt.NewGSet("x"), []uint64{3, 9, 12})
 	got := msgRoundTrip(t, m).(*protocol.AckedDeltaMsg)
@@ -94,22 +94,16 @@ func TestAckedDeltaAndAckRoundTrip(t *testing.T) {
 		if _, err := codec.EncodeMsg(r.msg); err == nil {
 			t.Errorf("%s: encoded a message without a wire form", kind)
 		}
-		if _, err := codec.AppendObjectMsg(nil, nil, protocol.ObjectMsg{Key: "k", Inner: r.msg}, new(codec.Names)); err == nil {
-			t.Errorf("%s: encoded inside a batch", kind)
+		if _, err := codec.AppendLinkObjectMsg(nil, nil, protocol.ObjectMsg{Key: "k", Inner: r.msg}, new(codec.Names)); err == nil {
+			t.Errorf("%s: encoded as a keyed item", kind)
 		}
-		inBatch := append([]byte{71, 1, 1, 'k'}, r.wire...)
+		if _, _, err := codec.DecodeMsg(r.wire); !errors.Is(err, codec.ErrUnknownTag) {
+			t.Errorf("%s bare: DecodeMsg error %v, want ErrUnknownTag", kind, err)
+		}
 		for name, data := range map[string][]byte{
-			"bare":             r.wire,
-			"in a batch":       inBatch,
 			"as a bare item":   append([]byte{72, 1, 1, 0}, r.wire...),
 			"in a frame's run": append([]byte{72, 2, 1, 'k'}, r.wire...),
 		} {
-			if _, _, err := codec.DecodeMsg(data); !errors.Is(err, codec.ErrUnknownTag) {
-				t.Errorf("%s %s: DecodeMsg error %v, want ErrUnknownTag", kind, name, err)
-			}
-			if data[0] != 72 {
-				continue
-			}
 			if err := codec.UnpackFrame(data, 4, &v); !errors.Is(err, codec.ErrUnknownTag) {
 				t.Errorf("%s %s: UnpackFrame error %v, want ErrUnknownTag", kind, name, err)
 			}
@@ -117,18 +111,24 @@ func TestAckedDeltaAndAckRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBatchMsgRoundTrip: a standalone batch is write-only. It encodes —
+// its tag, its count and its items as a run, a δ-group as a frame's run
+// writes it, an AckedDeltaMsg under its tag and seqs — and no decoder
+// reads it: its tag is unknown to DecodeMsg, and as a frame's bare item.
 func TestBatchMsgRoundTrip(t *testing.T) {
-	items := []protocol.ObjectMsg{
-		{Key: "obj1", Inner: protocol.NewDeltaMsg(crdt.NewGSet("a"))},
-		{Key: "obj2", Inner: protocol.NewAckedDeltaMsg(crdt.NewGCounter(), []uint64{1})},
+	d := protocol.ObjectMsg{Key: "obj1", Inner: protocol.NewDeltaMsg(crdt.NewGSet("a"))}
+	acked := protocol.ObjectMsg{Key: "obj2", Inner: protocol.NewAckedDeltaMsg(crdt.NewGCounter(), []uint64{1})}
+	data := encodeMsg(t, protocol.BatchOf([]protocol.ObjectMsg{d, acked}))
+	first, err := codec.AppendLinkObjectMsg(nil, nil, d, new(codec.Names))
+	if err != nil {
+		t.Fatal(err)
 	}
-	m := protocol.BatchOf(items)
-	got := msgRoundTrip(t, m).(*protocol.BatchMsg)
-	if len(got.Items) != 2 || got.Items[0].Key != "obj1" {
-		t.Fatalf("items = %+v", got.Items)
+	ackedBytes := append([]byte{3, 1, '2'}, encodeMsg(t, acked.Inner)...) // "obj" shared
+	if want := append(append([]byte{71, 2}, first...), ackedBytes...); !bytes.Equal(data, want) {
+		t.Fatalf("batch %x, want %x", data, want)
 	}
-	if got.Items[0].Inner.Kind() != "delta" || got.Items[1].Inner.Kind() != "delta-acked" {
-		t.Error("nested message kinds mismatch")
+	if _, _, err := codec.DecodeMsg(data); !errors.Is(err, codec.ErrUnknownTag) {
+		t.Errorf("DecodeMsg error %v, want ErrUnknownTag", err)
 	}
 }
 
@@ -141,30 +141,24 @@ func TestShardedMsgRoundTrip(t *testing.T) {
 		{Shard: 0, Msg: batch},
 		{Shard: 13, Msg: protocol.NewDeltaMsg(crdt.NewGSet("c"))},
 	}
-	m := protocol.NewShardedMsg(items)
-	got := msgRoundTrip(t, m).(*protocol.ShardedMsg)
-	if len(got.Items) != 1 || got.Items[0].Shard != 13 || got.Items[0].Msg.Kind() != "delta" {
-		t.Fatalf("bare items = %+v", got.Items)
-	}
-	if len(got.Keyed) != 2 || got.Keyed[0].Key != "user:1" || got.Keyed[1].Key != "user:2" {
-		t.Errorf("keyed run = %+v", got.Keyed)
-	}
-	// A batch is keyed items: as a bare item it is refused both ways.
-	if _, err := codec.EncodeMsg(&protocol.ShardedMsg{Items: items}); err == nil {
-		t.Error("a batch encoded as a bare item")
-	}
-	bare, _ := codec.AppendShardItem([]byte{72, 1, 1}, items[0])
-	if _, _, err := codec.DecodeMsg(bare); err == nil {
-		t.Error("a batch decoded as a bare item")
-	}
 	var v codec.FrameView
-	if err := codec.UnpackFrame(bare, 16, &v); err == nil {
-		t.Error("a batch unpacked as a bare item")
+	checkUnpacked(t, packFrame(items, nil, protocol.LinkHeader{}), 16, &v)
+	got := codec.FrameItems(&v)
+	if len(got) != 3 || string(got[0].Key) != "user:1" || string(got[1].Key) != "user:2" {
+		t.Fatalf("unpacked %d items, the run %q %q", len(got), got[0].Key, got[1].Key)
+	}
+	if m, _ := got[2].Msg(); got[2].Key != nil || got[2].Shard != 13 || m.Kind() != "delta" {
+		t.Fatalf("bare item %+v", got[2])
+	}
+	// A batch is keyed items: as a bare item it is refused.
+	bare, _ := codec.AppendShardItem([]byte{72, 1, 1}, items[0])
+	if err := codec.UnpackFrame(bare, 16, &v); !errors.Is(err, codec.ErrUnknownTag) {
+		t.Errorf("a batch unpacked as a bare item: %v", err)
 	}
 }
 
 // TestShardedMsgKeysAscend: a frame's run names each key once, in
-// ascending order. NewShardedMsg sorts the batches' items into one run,
+// ascending order. KeyedRun sorts the batches' items into one run,
 // joining the δ-groups of a key two batches name; the encoder refuses a
 // run that names a key twice, or out of order.
 func TestShardedMsgKeysAscend(t *testing.T) {
@@ -176,16 +170,22 @@ func TestShardedMsgKeysAscend(t *testing.T) {
 		}
 		return protocol.BatchOf(oms)
 	}
-	m := protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 3, Msg: batch("c", "e")}, {Shard: 1, Msg: batch("a", "d")}})
+	keysOf := func(items ...protocol.ShardItem) []codec.ItemView {
+		var v codec.FrameView
+		checkUnpacked(t, packFrame(items, nil, protocol.LinkHeader{}), 4, &v)
+		return slices.Clone(codec.FrameItems(&v))
+	}
 	var keys []string
-	for _, om := range msgRoundTrip(t, m).(*protocol.ShardedMsg).Keyed {
-		keys = append(keys, om.Key)
+	for _, iv := range keysOf(protocol.ShardItem{Shard: 3, Msg: batch("c", "e")}, protocol.ShardItem{Shard: 1, Msg: batch("a", "d")}) {
+		keys = append(keys, string(iv.Key))
 	}
 	if !slices.Equal(keys, []string{"a", "c", "d", "e"}) {
 		t.Errorf("run %q, want a c d e", keys)
 	}
 	for _, run := range [][]string{{"a", "a"}, {"b", "a"}, {"ab", "a"}} {
-		if _, err := codec.EncodeMsg(&protocol.ShardedMsg{Keyed: batch(run...).Items}); err == nil {
+		var nt codec.Names
+		first, _ := codec.AppendLinkObjectMsg(nil, nil, protocol.ObjectMsg{Key: run[0], Inner: delta}, &nt)
+		if _, err := codec.AppendLinkObjectMsg(first, &run[0], protocol.ObjectMsg{Key: run[1], Inner: delta}, &nt); err == nil {
 			t.Errorf("encoded the run %q", run)
 		}
 		if _, err := codec.EncodeMsg(batch(run...)); err == nil {
@@ -193,12 +193,12 @@ func TestShardedMsgKeysAscend(t *testing.T) {
 		}
 	}
 	// A key two batches name is one item of the run, its δ-groups joined.
-	joined := protocol.NewShardedMsg([]protocol.ShardItem{
-		{Shard: 1, Msg: batch("a")},
-		{Shard: 1, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: "a", Inner: protocol.NewDeltaMsg(crdt.NewGSet("b"))}})},
-	})
-	if run := msgRoundTrip(t, joined).(*protocol.ShardedMsg).Keyed; len(run) != 1 || !run[0].Inner.(*protocol.DeltaMsg).Delta.Equal(crdt.NewGSet("a", "b")) {
-		t.Errorf("a key two batches name came out as %+v, want one a ↦ {a b}", run)
+	joined := keysOf(
+		protocol.ShardItem{Shard: 1, Msg: batch("a")},
+		protocol.ShardItem{Shard: 1, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: "a", Inner: protocol.NewDeltaMsg(crdt.NewGSet("b"))}})},
+	)
+	if m, _ := joined[0].Msg(); len(joined) != 1 || !m.(*protocol.DeltaMsg).Delta.Equal(crdt.NewGSet("a", "b")) {
+		t.Errorf("a key two batches name came out as %d items, the first %v, want one a ↦ {a b}", len(joined), m)
 	}
 }
 
@@ -207,33 +207,28 @@ func TestShardedDigestMsgRoundTrip(t *testing.T) {
 		{Shard: 2, Msg: protocol.NewDeltaMsg(crdt.NewGSet("a"))},
 	}
 	vec := []uint64{7, 0, ^uint64(0), 0xfeedface}
-	m := protocol.NewShardedDigestMsg(items, vec)
-	got := msgRoundTrip(t, m).(*protocol.ShardedMsg)
-	if len(got.Items) != 1 || got.Items[0].Shard != 2 {
-		t.Fatalf("items = %+v", got.Items)
+	carrying := packFrame(items, vec, protocol.LinkHeader{})
+	var v codec.FrameView
+	checkUnpacked(t, carrying, 4, &v)
+	if v.NumItems() != 1 || v.Groups()[0].Shard != 2 {
+		t.Fatalf("items = %+v", v.Groups())
 	}
-	if len(got.Digests) != 4 || got.Digests[2] != ^uint64(0) || got.Digests[3] != 0xfeedface {
-		t.Errorf("digests = %v", got.Digests)
+	if !slices.Equal(v.Digests, vec) {
+		t.Errorf("digests = %v", v.Digests)
 	}
-	// The plain and digest-carrying variants use distinct wire tags, so a
-	// nil vector must re-encode to the plain encoding and a non-nil one
-	// (even empty) to the digest-carrying encoding — the canonical fixed
-	// point the fuzz target demands.
-	plain, _ := codec.EncodeMsg(protocol.NewShardedMsg(items))
-	carrying, _ := codec.EncodeMsg(m)
+	// The plain and digest-carrying variants use distinct wire tags, and a
+	// store's vector has a word per shard: the carrying tag with no words
+	// is a second spelling of the plain frame, and refused.
+	plain := packFrame(items, nil, protocol.LinkHeader{})
 	if plain[0] == carrying[0] {
 		t.Error("digest-carrying encoding shares the plain tag")
 	}
-	empty, _ := codec.EncodeMsg(protocol.NewShardedDigestMsg(items, []uint64{}))
-	if empty[0] != carrying[0] {
-		t.Error("empty non-nil vector should keep the digest-carrying tag")
+	checkUnpacked(t, plain, 4, &v)
+	if len(v.Digests) != 0 {
+		t.Errorf("a plain frame after a carrying one unpacked digests %v", v.Digests)
 	}
-	gotEmpty, _, err := codec.DecodeMsg(empty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotEmpty.(*protocol.ShardedMsg).Digests == nil {
-		t.Error("empty vector decoded to nil: re-encode would change tags")
+	if err := codec.UnpackFrame(packFrame(items, []uint64{}, protocol.LinkHeader{}), 4, &v); err == nil {
+		t.Error("unpacked a digest vector of no words")
 	}
 }
 
@@ -241,27 +236,35 @@ func TestShardedDigestMsgHostileCount(t *testing.T) {
 	// The piggybacked vector's count is bounds-checked against the actual
 	// remaining bytes before allocating, like DigestMsg's.
 	header := []byte{74} // tagShardedDigestMsg
+	var v codec.FrameView
 	for _, count := range []uint64{1 << 60, 3} {
 		data := binary.AppendUvarint(append([]byte{}, header...), count)
 		data = append(data, make([]byte, 16)...) // room for only 2 digests
-		if _, _, err := codec.DecodeMsg(data); err == nil {
+		if err := codec.UnpackFrame(data, 4, &v); err == nil {
 			t.Errorf("digest count %d over 16 payload bytes should fail", count)
 		}
 	}
 }
 
+// TestShardedMsgCostAggregation: a frame's accounting is its items'
+// shares summed — a bare item's the inner message's and 4 bytes of shard
+// index, a keyed item's the inner message's elements and payload and its
+// key as metadata — under the one message the frame is on the wire.
 func TestShardedMsgCostAggregation(t *testing.T) {
 	inner := protocol.NewDeltaMsg(crdt.NewGSet("x", "y"))
-	m := protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 3, Msg: inner}})
-	c := m.Cost()
-	if c.Messages != 1 {
-		t.Errorf("messages = %d, want 1 (one frame on the wire)", c.Messages)
+	c := protocol.BareCost(protocol.ShardItem{Shard: 3, Msg: inner})
+	if c.Messages != 0 {
+		t.Errorf("messages = %d, want 0 (the frame is the message)", c.Messages)
 	}
 	if ic := inner.Cost(); c.Elements != 2 || c.Elements != ic.Elements || c.PayloadBytes != ic.PayloadBytes {
 		t.Errorf("payload accounting = %+v, want inner sums %+v", c, ic)
 	}
 	if c.MetadataBytes != 8+4 {
 		t.Errorf("metadata = %d, want inner 8 + 4 routing bytes", c.MetadataBytes)
+	}
+	k := protocol.KeyedCost(protocol.ObjectMsg{Key: "user:1", Inner: inner})
+	if k.Messages != 0 || k.Elements != 2 || k.PayloadBytes != c.PayloadBytes || k.MetadataBytes != len("user:1") {
+		t.Errorf("keyed accounting = %+v, want the inner elements and payload and 6 bytes of key", k)
 	}
 }
 
@@ -498,22 +501,27 @@ func TestDecodeShardIndexOutOfRange(t *testing.T) {
 	msg = binary.AppendUvarint(msg, uint64(1)<<33) // hostile shard index
 	inner, _ := codec.EncodeMsg(protocol.NewDeltaMsg(crdt.NewGSet("a")))
 	msg = append(msg, inner...)
-	if _, _, err := codec.DecodeMsg(msg); err == nil {
+	if err := codec.UnpackFrame(msg, 4, new(codec.FrameView)); err == nil {
 		t.Error("out-of-range shard index should fail decoding")
 	}
 }
 
 func TestDecodeHostileNestingDoesNotPanic(t *testing.T) {
-	// A chain of container prefixes far past legitimate nesting must fail
-	// with an error, not exhaust the stack.
+	// No message holds another: a frame as a frame's bare item is refused
+	// at once, however deep the chain behind it, and a chain of map
+	// prefixes far past legitimate nesting fails with an error, not by
+	// exhausting the stack.
 	var msg []byte
 	for i := 0; i < 1000; i++ {
 		msg = append(msg, 72)   // tagShardedMsg
 		msg = append(msg, 1, 1) // one bare item
 		msg = append(msg, 0)    // shard 0
 	}
-	if _, _, err := codec.DecodeMsg(msg); err == nil {
-		t.Error("deeply nested sharded message should fail")
+	if err := codec.UnpackFrame(msg, 4, new(codec.FrameView)); !errors.Is(err, codec.ErrUnknownTag) {
+		t.Errorf("a frame as a bare item: error %v, want ErrUnknownTag", err)
+	}
+	if _, _, err := codec.DecodeMsg(msg); !errors.Is(err, codec.ErrUnknownTag) {
+		t.Errorf("a frame decoded as a message: error %v, want ErrUnknownTag", err)
 	}
 	var state []byte
 	for i := 0; i < 1000; i++ {
@@ -544,22 +552,22 @@ func TestDecodeHostileCountDoesNotPanic(t *testing.T) {
 	// the claimed capacity. Exercise every counted message shape: a frame's
 	// count is its run's, shifted, or with the low bit set, bare items'.
 	hugeCount := binary.AppendUvarint(nil, 1<<60)
+	if _, _, err := codec.DecodeMsg(append([]byte{66}, hugeCount...)); err == nil { // acked δ-group seqs
+		t.Error("tag 66: hostile count should fail")
+	}
 	for _, data := range [][]byte{
-		append([]byte{66}, hugeCount...),    // acked δ-group seqs
-		append([]byte{71}, hugeCount...),    // batch
 		append([]byte{72}, hugeCount...),    // sharded, a run
 		append([]byte{72, 1}, hugeCount...), // sharded, bare items
 	} {
-		tag := data[0]
-		if _, _, err := codec.DecodeMsg(data); err == nil {
-			t.Errorf("tag %d: hostile count should fail", tag)
+		if err := codec.UnpackFrame(data, 4, new(codec.FrameView)); err == nil {
+			t.Errorf("%x: hostile count should fail", data)
 		}
 	}
 }
 
-// TestShardedLinkRoundTrip: the linked header variants survive
-// EncodeMsg/DecodeMsg with every combination of their fields, each under
-// a tag of its own, their size is what ShardedHeaderSize says, and without
+// TestShardedLinkRoundTrip: the linked header variants survive a
+// pack and unpack with every combination of their fields, each under a
+// tag of its own, their size is what ShardedHeaderSize says, and without
 // a link header the bytes are those of the two plain variants. The
 // sender's incarnation is not on the wire: it comes back zero.
 func TestShardedLinkRoundTrip(t *testing.T) {
@@ -568,25 +576,26 @@ func TestShardedLinkRoundTrip(t *testing.T) {
 			{Key: "k", Inner: protocol.NewDeltaMsg(crdt.NewGSet("a"))},
 		})},
 	}
+	var v codec.FrameView
 	seq := protocol.FrameSeq{Seq: 1 << 21, Back: 200}
-	tags := make(map[byte]string)
-	for _, m := range linkShapes(items[0].Msg) {
-		data, _ := codec.EncodeMsg(m)
-		if other, dup := tags[data[0]]; dup || data[0] < 79 || data[0] > 93 {
-			t.Errorf("link header %+v under tag %d (also %s), want its own in 79..93", m.(*protocol.ShardedMsg).Link, data[0], other)
+	tags := make(map[byte]bool)
+	for _, data := range linkShapes(items[0].Msg) {
+		if tags[data[0]] || data[0] < 79 || data[0] > 93 {
+			t.Errorf("a link header under tag %d, want its own in 79..93", data[0])
 		}
-		tags[data[0]] = fmt.Sprintf("%+v", m.(*protocol.ShardedMsg).Link)
-		msgRoundTrip(t, m)
+		tags[data[0]] = true
+		checkUnpacked(t, data, 8, &v)
 	}
-	numbered := protocol.NewShardedLinkMsg(items, nil, protocol.LinkHeader{Seq: protocol.FrameSeq{Inc: 7, Seq: 1}})
-	if got := msgRoundTrip(t, numbered).(*protocol.ShardedMsg); got.Link.Seq != (protocol.FrameSeq{Seq: 1}) {
-		t.Errorf("sequence half came back %+v, want number 1 of no incarnation", got.Link.Seq)
+	checkUnpacked(t, packFrame(items, nil, protocol.LinkHeader{Seq: protocol.FrameSeq{Inc: 7, Seq: 1}}), 8, &v)
+	if v.Link.Seq != (protocol.FrameSeq{Seq: 1}) {
+		t.Errorf("sequence half came back %+v, want number 1 of no incarnation", v.Link.Seq)
 	}
 	ack := protocol.FrameAck{Inc: 9, Cum: 16383, Ranges: []protocol.SeqRange{{Lo: 16385, Hi: 16390}, {Lo: 16392, Hi: 16392}}}
 	full := protocol.FrameAck{Inc: 9, Cum: 1} // as many ranges as an acknowledgement may carry
 	for i := uint64(0); i < protocol.MaxAckRanges; i++ {
 		full.Ranges = append(full.Ranges, protocol.SeqRange{Lo: 3 + 2*i, Hi: 3 + 2*i})
 	}
+	body := packFrame(items, nil, protocol.LinkHeader{})
 	for _, c := range []struct {
 		name    string
 		link    protocol.LinkHeader
@@ -600,31 +609,32 @@ func TestShardedLinkRoundTrip(t *testing.T) {
 		{"both", protocol.LinkHeader{Seq: seq, Ack: ack}, nil, items},
 		{"both+digests", protocol.LinkHeader{Seq: seq, Ack: ack}, []uint64{1, ^uint64(0)}, items},
 	} {
-		m := protocol.NewShardedLinkMsg(c.items, c.digests, c.link)
-		got := msgRoundTrip(t, m).(*protocol.ShardedMsg)
-		if !reflect.DeepEqual(got.Link, c.link) || !reflect.DeepEqual(got.Digests, c.digests) || len(got.Keyed) != len(m.Keyed) {
-			t.Errorf("%s: decoded link %+v digests %v keyed items %d", c.name, got.Link, got.Digests, len(got.Keyed))
+		data := packFrame(c.items, c.digests, c.link)
+		checkUnpacked(t, data, 8, &v)
+		if !reflect.DeepEqual(v.Link, c.link) || !slices.Equal(v.Digests, c.digests) || v.NumItems() != len(c.items) {
+			t.Errorf("%s: unpacked link %+v digests %v items %d", c.name, v.Link, v.Digests, v.NumItems())
 		}
-		data, _ := codec.EncodeMsg(m)
-		body, _ := codec.EncodeMsg(protocol.NewShardedMsg(c.items))
-		if want := codec.ShardedHeaderSize(c.link, c.digests, len(m.Keyed), 0) + len(body) - 2; len(data) != want {
+		keyed, run := len(c.items), 0
+		if keyed > 0 {
+			run = len(body) - 2
+		}
+		if want := codec.ShardedHeaderSize(c.link, c.digests, keyed, 0) + run; len(data) != want {
 			t.Errorf("%s: %d bytes, header size says %d", c.name, len(data), want)
 		}
 	}
-	// No link header: byte for byte the plain encodings.
-	plain, _ := codec.EncodeMsg(protocol.NewShardedLinkMsg(items, nil, protocol.LinkHeader{}))
-	if want, _ := codec.EncodeMsg(protocol.NewShardedMsg(items)); !bytes.Equal(plain, want) {
-		t.Errorf("empty link header changed the plain frame: %x vs %x", plain, want)
+	// No link header: the plain encodings, under their two tags.
+	if body[0] != 72 {
+		t.Errorf("an empty link header made the plain frame %x", body)
 	}
-	withVec, _ := codec.EncodeMsg(protocol.NewShardedLinkMsg(items, []uint64{3}, protocol.LinkHeader{}))
-	if want, _ := codec.EncodeMsg(protocol.NewShardedDigestMsg(items, []uint64{3})); !bytes.Equal(withVec, want) {
-		t.Errorf("empty link header changed the digest frame: %x vs %x", withVec, want)
+	if withVec := packFrame(items, []uint64{3}, protocol.LinkHeader{}); withVec[0] != 74 {
+		t.Errorf("an empty link header made the digest frame %x", withVec)
 	}
 }
 
-// TestLinkItemsCarryNoSeqs: behind a numbered link header a keyed
-// AckedDeltaMsg is the plain δ-group on the wire, and everything else is
-// encoded as it always was — a bare one included, which no record names.
+// TestLinkItemsCarryNoSeqs: a frame is acknowledged as a whole, by the
+// number in its header, so a keyed AckedDeltaMsg is the plain δ-group on
+// the wire, numbered or not; a bare one keeps its seqs, which no record
+// names.
 func TestLinkItemsCarryNoSeqs(t *testing.T) {
 	d := crdt.NewGSet("x", "y")
 	b := protocol.ObjectMsg{Key: "b", Inner: protocol.NewDeltaMsg(crdt.NewGSet("z"))}
@@ -634,52 +644,39 @@ func TestLinkItemsCarryNoSeqs(t *testing.T) {
 	plain := protocol.ShardItem{Shard: 3, Msg: protocol.BatchOf([]protocol.ObjectMsg{
 		{Key: "a", Inner: protocol.NewDeltaMsg(d)}, b,
 	})}
-	run := func(first protocol.ObjectMsg, link bool) []byte {
-		item := codec.AppendObjectMsg
-		if link {
-			item = codec.AppendLinkObjectMsg
-		}
+	run := func(first protocol.ObjectMsg) []byte {
 		var nt codec.Names
-		out, err := item(nil, nil, first, &nt)
+		out, err := codec.AppendLinkObjectMsg(nil, nil, first, &nt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, _ = item(out, &first.Key, b, &nt)
+		out, _ = codec.AppendLinkObjectMsg(out, &first.Key, b, &nt)
 		return out
 	}
-	got := run(acked.Msg.(*protocol.BatchMsg).Items[0], true)
-	if want := run(plain.Msg.(*protocol.BatchMsg).Items[0], false); !bytes.Equal(got, want) {
+	got := run(acked.Msg.(*protocol.BatchMsg).Items[0])
+	if want := run(plain.Msg.(*protocol.BatchMsg).Items[0]); !bytes.Equal(got, want) {
 		t.Errorf("linked run %x, want the plain δ-groups %x", got, want)
 	}
-	withSeqs := run(acked.Msg.(*protocol.BatchMsg).Items[0], false)
-	if len(withSeqs) <= len(got) {
-		t.Errorf("per-object encoding (%d bytes) is not longer than the linked one (%d)", len(withSeqs), len(got))
-	}
-	// EncodeMsg writes a numbered frame as the packer does; a frame that
-	// only acknowledges is no such frame, and keeps the old items, and so
-	// does a bare δ-group in either.
 	whole := protocol.ShardItem{Shard: 3, Msg: protocol.NewAckedDeltaMsg(d, []uint64{4, 5})}
 	wholeBytes, _ := codec.AppendShardItem(nil, whole)
-	numbered := protocol.LinkHeader{Seq: protocol.FrameSeq{Seq: 2, Back: 1}}
-	frame, _ := codec.EncodeMsg(protocol.NewShardedLinkMsg([]protocol.ShardItem{acked, whole}, nil, numbered))
-	if want := append(append(codec.AppendShardedHeader(nil, numbered, nil, 2, 1), got...), wholeBytes...); !bytes.Equal(frame, want) {
-		t.Errorf("numbered frame %x, want header, linked run and bare item %x", frame, want)
+	if !bytes.Contains(wholeBytes, []byte{66, 2, 4, 5}) {
+		t.Errorf("a bare acked δ-group %x lost its seqs", wholeBytes)
 	}
-	acking := protocol.LinkHeader{Ack: protocol.FrameAck{Inc: 9, Cum: 2}}
-	frame, _ = codec.EncodeMsg(protocol.NewShardedLinkMsg([]protocol.ShardItem{acked, whole}, nil, acking))
-	if want := append(append(codec.AppendShardedHeader(nil, acking, nil, 2, 1), withSeqs...), wholeBytes...); !bytes.Equal(frame, want) {
-		t.Errorf("unnumbered frame %x, want header, per-object run and bare item %x", frame, want)
-	}
-	gotObj, _ := codec.AppendLinkObjectMsg(nil, nil, protocol.ObjectMsg{Key: "a", Inner: protocol.NewAckedDeltaMsg(d, []uint64{4})}, new(codec.Names))
-	wantObj, _ := codec.AppendObjectMsg(nil, nil, protocol.ObjectMsg{Key: "a", Inner: protocol.NewDeltaMsg(d)}, new(codec.Names))
-	if !bytes.Equal(gotObj, wantObj) {
-		t.Errorf("linked object message %x, want %x", gotObj, wantObj)
+	var v codec.FrameView
+	for _, link := range []protocol.LinkHeader{
+		{Seq: protocol.FrameSeq{Seq: 2, Back: 1}},
+		{Ack: protocol.FrameAck{Inc: 9, Cum: 2}},
+	} {
+		frame := packFrame([]protocol.ShardItem{acked, whole}, nil, link)
+		if want := append(append(codec.AppendShardedHeader(nil, link, nil, 2, 1), got...), wholeBytes...); !bytes.Equal(frame, want) {
+			t.Errorf("frame %x, want header, linked run and bare item %x", frame, want)
+		}
+		checkUnpacked(t, frame, 4, &v)
 	}
 }
 
 // TestShardedLinkHostileHeaders: a link header that lies is rejected by
-// the eager decoder and the unpacker alike, a range count before anything
-// is allocated for it.
+// the unpacker, a range count before anything is allocated for it.
 func TestShardedLinkHostileHeaders(t *testing.T) {
 	// The tags of the link block, by the fields they name.
 	const (
@@ -716,9 +713,6 @@ func TestShardedLinkHostileHeaders(t *testing.T) {
 		cases[fmt.Sprintf("tag %d naming no header (%d)", data[0], i)] = data
 	}
 	for name, data := range cases {
-		if _, _, err := codec.DecodeMsg(data); err == nil {
-			t.Errorf("%s: decoder accepted %x", name, data)
-		}
 		var v codec.FrameView
 		if err := codec.UnpackFrame(data, 4, &v); err == nil {
 			t.Errorf("%s: unpacker accepted %x", name, data)
@@ -758,12 +752,13 @@ func namedFrame(first, second []byte) []byte {
 	return append(data, second...)
 }
 
-// keyedFrames returns, as frames, one keyed item in each form it takes —
-// a counter's and a set's δ-group, short and long, a map field's, maps
-// that are no field of their key, and the per-object acked form, plainly
-// and behind a link header — and by name every spelling of a map field
-// that is refused: second spellings inside a keyed item, and tagKeyEntry
-// anywhere else. refusedNames has the rest.
+// keyedFrames returns one keyed item in each form it takes — a counter's
+// and a set's δ-group, short and long, a map field's, maps that are no
+// field of their key, and an acked δ-group — in a standalone batch, which
+// no decoder reads, and in a frame, plainly and behind a link header; and
+// by name every spelling of a map field that is refused: second spellings
+// inside a keyed item, and tagKeyEntry anywhere else. refusedNames and
+// nonCanonical have the rest.
 func keyedFrames() (forms [][]byte, refused map[string][]byte) {
 	field := lattice.NewMapEntry("m/a/f", &crdt.LWWRegister{TS: 1, Writer: "w", Val: "v"})
 	own := lattice.NewMapEntry("m/b/f", &crdt.LWWRegister{TS: 1, Writer: "w", Val: "v"})
@@ -782,16 +777,15 @@ func keyedFrames() (forms [][]byte, refused map[string][]byte) {
 		{Key: "s/a", Inner: protocol.NewDeltaMsg(crdt.NewGSet("e1", "e2"))},
 		{Key: "s/b", Inner: protocol.NewDeltaMsg(crdt.NewGSet("e3"))},
 	})
-	for _, m := range []protocol.Msg{
-		batch,
-		protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 1, Msg: batch}}),
-		protocol.NewShardedLinkMsg([]protocol.ShardItem{{Shard: 1, Msg: batch}}, nil, protocol.LinkHeader{Seq: protocol.FrameSeq{Seq: 1}}),
-	} {
-		data, err := codec.EncodeMsg(m)
-		if err != nil {
-			panic(err)
-		}
-		forms = append(forms, data)
+	data, err := codec.EncodeMsg(batch)
+	if err != nil {
+		panic(err)
+	}
+	items := []protocol.ShardItem{{Shard: 1, Msg: batch}}
+	forms = [][]byte{
+		data,
+		packFrame(items, nil, protocol.LinkHeader{}),
+		packFrame(items, nil, protocol.LinkHeader{Seq: protocol.FrameSeq{Seq: 1}}),
 	}
 	refused = map[string][]byte{
 		"a DeltaMsg's tag before a state":    keyedFrame([]byte{65, 7, 1, 1, 'a'}),
@@ -847,6 +841,69 @@ func refusedNames() map[string][]byte {
 		"a set's short form in a bare DeltaMsg":      {72, 1, 1, 0, 65, 13, 1, 'x'},
 		"a set's short form in the acked form":       keyedFrame([]byte{66, 1, 3, 13, 1, 'x'}),
 	}
+}
+
+// nonCanonicalState is a state spelled another way than the encoder
+// writes it, in the context-free encoding and as a keyed item's state,
+// whose replica names a run spells (length<<1) or refers to (n<<1|1).
+type nonCanonicalState struct{ free, keyed []byte }
+
+// nonCanonicalStates returns, by name, states that spell a value another
+// way than the encoder does: a uvarint in more bytes than it needs, a list
+// out of order or naming a member twice, a counter entry of 0, a flag byte
+// past 1, a map entry with no value.
+func nonCanonicalStates() map[string]nonCanonicalState {
+	same := func(b ...byte) nonCanonicalState { return nonCanonicalState{b, b} }
+	return map[string]nonCanonicalState{
+		"an overlong uvarint":                      same(1, 0x85, 0x00),
+		"a set out of order":                       same(3, 2, 1, 'b', 1, 'a'),
+		"a set naming a member twice":              same(7, 2, 4, '0', '0', '0', '0', 4, '0', '0', '0', '0'),
+		"a two-phase set's tombstones in disorder": same(8, 1, 1, 'a', 2, 1, 'c', 1, 'b'),
+		"a map's keys out of order":                same(4, 2, 1, 'b', 1, 5, 1, 'a', 1, 6),
+		"a map entry with no value":                same(4, 1, 1, 'a', 3, 0),
+		"a flag byte past 1":                       same(2, 2),
+		"a counter's replicas out of order": {
+			[]byte{5, 2, 1, 'w', 1, 1, 'v', 1},
+			[]byte{5, 2, 2, 'w', 1, 2, 'v', 1}},
+		"a counter entry of 0": {
+			[]byte{5, 2, 1, 'v', 0, 1, 'w', 1},
+			[]byte{5, 2, 2, 'v', 0, 2, 'w', 1}},
+		"a PN-counter's replica twice": {
+			[]byte{6, 2, 1, 'v', 1, 0, 1, 'v', 0, 1},
+			[]byte{6, 2, 2, 'v', 1, 0, 1, 0, 1}},
+		"a PN-counter entry of 0 both ways": {
+			[]byte{6, 1, 1, 'v', 0, 0},
+			[]byte{6, 1, 2, 'v', 0, 0}},
+		"an AW-set's dots out of order": {
+			[]byte{10, 2, 1, 'a', 1, 'w', 2, 1, 'b', 1, 'w', 1},
+			[]byte{10, 2, 1, 'a', 2, 'w', 2, 1, 'b', 1, 1}},
+		"an AW-set's dot live and a tombstone": {
+			[]byte{10, 2, 0, 1, 'w', 1, 1, 'a', 1, 'w', 1},
+			[]byte{10, 2, 0, 2, 'w', 1, 1, 'a', 1, 1}},
+		"an AW-set's dot under two elements": {
+			[]byte{10, 2, 1, 'a', 1, 'w', 1, 1, 'b', 1, 'w', 1},
+			[]byte{10, 2, 1, 'a', 2, 'w', 1, 1, 'b', 1, 1}},
+	}
+}
+
+// nonCanonical returns, by name, frames that spell their content another
+// way than the packer writes it: each of nonCanonicalStates as a keyed
+// item's state and in a bare δ-group, and an overlong count, an overlong
+// key length, bytes after the last item and the per-object acked form in
+// the run.
+func nonCanonical() map[string][]byte {
+	out := map[string][]byte{
+		"an overlong frame count":            {72, 0x82, 0x00, 1, 'k', 13, 1, 'x'},
+		"an overlong key length":             {72, 2, 0x81, 0x00, 'k', 13, 1, 'x'},
+		"bytes after the last item":          {0x4f, 0x30, 0x20, 0x00, 0x30},
+		"bytes after the last bare item":     {72, 1, 1, 0, 65, 1, 5, 9},
+		"the per-object acked form in a run": keyedFrame([]byte{66, 1, 3, 7, 1, 1, 'x'}),
+	}
+	for name, st := range nonCanonicalStates() {
+		out[name+" in a bare δ-group"] = append([]byte{72, 1, 1, 0, 65}, st.free...)
+		out[name+" in a keyed item"] = keyedFrame(st.keyed)
+	}
+	return out
 }
 
 // benchKeyBatch is a batch of three counter δ-groups at bench-shaped keys,
@@ -942,32 +999,27 @@ func chainFrame(first string, follower []byte) []byte {
 	return append(data, 13, 1, 'y')
 }
 
-// TestKeyedItemSpellings: a keyed item has one spelling. Each form decodes
-// and re-encodes to the same bytes, through DecodeMsg and UnpackFrame
-// alike; every second spelling, every replica name referred to before its
-// spelling or spelled after it, and tagKeyEntry and the short forms of a
-// one-entry counter and a one-element set outside a keyed item — a bare
-// state, a standalone DeltaMsg, a snapshot record, and for tagKeyEntry a
-// map's value — is refused by both.
+// TestKeyedItemSpellings: a keyed item has one spelling. Each form
+// unpacks and re-packs to the same bytes; every second spelling, every
+// replica name referred to before its spelling or spelled after it,
+// tagKeyEntry and the short forms of a one-entry counter and a one-element
+// set outside a keyed item — a bare state, a standalone DeltaMsg, a
+// snapshot record, and for tagKeyEntry a map's value — and every other
+// spelling the encoders cannot write (nonCanonical) is refused by both
+// decoders.
 func TestKeyedItemSpellings(t *testing.T) {
 	forms, refused := keyedFrames()
 	for name, data := range refusedNames() {
 		refused[name] = data
 	}
+	for name, data := range nonCanonical() {
+		refused[name] = data
+	}
 	var v codec.FrameView
-	for i, data := range forms {
-		m, n, err := codec.DecodeMsg(data)
-		if err != nil || n != len(data) {
-			t.Fatalf("form %d: decoded %d of %d bytes: %v", i, n, len(data), err)
-		}
-		if again, _ := codec.EncodeMsg(m); !bytes.Equal(again, data) {
-			t.Errorf("form %d: %x re-encodes as %x", i, data, again)
-		}
-		if data[0] == 71 {
-			continue
-		}
-		if err := codec.UnpackFrame(data, 4, &v); err != nil || v.NumItems() != 9 {
-			t.Errorf("form %d: unpacked %d items: %v", i, v.NumItems(), err)
+	for i, data := range forms[1:] {
+		checkUnpacked(t, data, 4, &v)
+		if v.NumItems() != 9 {
+			t.Errorf("form %d: unpacked %d items", i, v.NumItems())
 		}
 	}
 	for name, data := range refused {
@@ -978,15 +1030,22 @@ func TestKeyedItemSpellings(t *testing.T) {
 			t.Errorf("%s: UnpackFrame accepted %x", name, data)
 		}
 	}
+	for name, st := range nonCanonicalStates() {
+		if _, _, err := codec.Decode(st.free); err == nil {
+			t.Errorf("%s: Decode accepted %x", name, st.free)
+		}
+	}
 	shortForms := [][]byte{append([]byte{11}, lwwBytes...), {12, 1, 'w', 7}, {13, 1, 'x'}}
 	for _, data := range append(shortForms, append([]byte{4, 1, 1, 'k', 11}, lwwBytes...)) {
 		if _, _, err := codec.Decode(data); !errors.Is(err, codec.ErrUnknownTag) {
 			t.Errorf("Decode(%x): error %v, want ErrUnknownTag", data, err)
 		}
 	}
-	// A DeltaMsg's tag in a keyed item is refused as an unknown one.
-	if _, _, err := codec.DecodeMsg(refused["a DeltaMsg's tag before a state"]); !errors.Is(err, codec.ErrUnknownTag) {
-		t.Errorf("a DeltaMsg's tag in a keyed item: error %v, want ErrUnknownTag", err)
+	// A message's tag in a keyed item is refused as an unknown one.
+	for _, name := range []string{"a DeltaMsg's tag before a state", "the per-object acked form in a run"} {
+		if err := codec.UnpackFrame(refused[name], 4, &v); !errors.Is(err, codec.ErrUnknownTag) {
+			t.Errorf("%s: error %v, want ErrUnknownTag", name, err)
+		}
 	}
 	// A snapshot record is a key and a state, read without the key's help
 	// and without a run's names.
@@ -1002,7 +1061,7 @@ func TestKeyedItemSpellings(t *testing.T) {
 	}
 	// Only δ-groups are keyed items.
 	for _, m := range []protocol.Msg{protocol.NewTreeMsg(0, 0, nil, nil), protocol.NewDigestMsg(nil), protocol.BatchOf(nil)} {
-		if _, err := codec.AppendObjectMsg(nil, nil, protocol.ObjectMsg{Key: "k", Inner: m}, new(codec.Names)); err == nil {
+		if _, err := codec.AppendLinkObjectMsg(nil, nil, protocol.ObjectMsg{Key: "k", Inner: m}, new(codec.Names)); err == nil {
 			t.Errorf("%s: encoded as a keyed item", m.Kind())
 		}
 	}
@@ -1010,19 +1069,16 @@ func TestKeyedItemSpellings(t *testing.T) {
 
 // TestRefusedRuns: a run whose keys are not strictly ascending, whose
 // shared lengths lie, or whose counts promise more than the bytes that
-// remain is refused by DecodeMsg and UnpackFrame alike, and a bulk-acked
-// frame's run is accepted by both.
+// remain is refused, and a bulk-acked frame's run unpacks and re-packs to
+// its bytes.
 func TestRefusedRuns(t *testing.T) {
 	var v codec.FrameView
 	for name, data := range refusedRuns() {
-		if _, _, err := codec.DecodeMsg(data); err == nil {
-			t.Errorf("%s: DecodeMsg accepted %x", name, data)
-		}
 		if err := codec.UnpackFrame(data, 4, &v); err == nil {
 			t.Errorf("%s: UnpackFrame accepted %x", name, data)
 		}
 	}
-	checkUnpacked(t, encodeMsg(t, protocol.NewShardedMsg(benchFrameItems())), 64, &v)
+	checkUnpacked(t, packFrame(benchFrameItems(), nil, protocol.LinkHeader{}), 64, &v)
 	if len(v.Groups()) != 6 {
 		t.Errorf("a bulk-acked frame unpacked into %d groups, want 6", len(v.Groups()))
 	}
@@ -1036,9 +1092,6 @@ func TestKeyedItemHostileCount(t *testing.T) {
 	var v codec.FrameView
 	if err := codec.UnpackFrame(data, 4, &v); !errors.Is(err, codec.ErrTruncated) {
 		t.Fatalf("error %v, want ErrTruncated", err)
-	}
-	if _, _, err := codec.DecodeMsg(data); !errors.Is(err, codec.ErrTruncated) {
-		t.Fatalf("eager decode: error %v, want ErrTruncated", err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -1058,7 +1111,7 @@ func TestKeyedItemHostileCount(t *testing.T) {
 func sharedCap(t *testing.T) int {
 	t.Helper()
 	prev := strings.Repeat("x", 200) + "a"
-	item, err := codec.AppendObjectMsg(nil, &prev, protocol.ObjectMsg{Key: prev[:200] + "b", Inner: protocol.NewDeltaMsg(lattice.NewMaxInt(0))}, new(codec.Names))
+	item, err := codec.AppendLinkObjectMsg(nil, &prev, protocol.ObjectMsg{Key: prev[:200] + "b", Inner: protocol.NewDeltaMsg(lattice.NewMaxInt(0))}, new(codec.Names))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1090,10 +1143,7 @@ func TestFrontCodedKeysBounded(t *testing.T) {
 	for sh, b := range batches {
 		items = append(items, protocol.ShardItem{Shard: uint32(sh), Msg: protocol.BatchOf(b)})
 	}
-	data, err := codec.EncodeMsg(protocol.NewShardedMsg(items))
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := packFrame(items, nil, protocol.LinkHeader{})
 	var v codec.FrameView
 	if err := codec.UnpackFrame(data, shards, &v); err != nil || v.NumItems() != 2000 || len(v.Groups()) != shards {
 		t.Fatalf("unpacked %d items in %d groups: %v", v.NumItems(), len(v.Groups()), err)
@@ -1126,13 +1176,10 @@ func TestFrontCodedKeysBounded(t *testing.T) {
 // it is out of order, and refused.
 func TestEmptyKeyInABatch(t *testing.T) {
 	delta := protocol.NewDeltaMsg(crdt.NewGSet("e"))
-	data, err := codec.EncodeMsg(protocol.NewShardedMsg([]protocol.ShardItem{
+	data := packFrame([]protocol.ShardItem{
 		{Shard: 1, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: "a", Inner: delta}})},
 		{Shard: 2, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: "", Inner: delta}})},
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, nil, protocol.LinkHeader{})
 	var v codec.FrameView
 	checkUnpacked(t, data, 1, &v)
 	for i, iv := range v.Groups()[0].Items {
@@ -1154,7 +1201,7 @@ func TestShortSharedPrefixIsWhole(t *testing.T) {
 	for _, k := range []string{"c/n00000042", "c/p/07", "c/p/08"} {
 		oms = append(oms, protocol.ObjectMsg{Key: k, Inner: protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("store-01", 7))})
 	}
-	data := encodeMsg(t, protocol.NewShardedMsg([]protocol.ShardItem{{Shard: 0, Msg: protocol.BatchOf(oms)}}))
+	data := packFrame([]protocol.ShardItem{{Shard: 0, Msg: protocol.BatchOf(oms)}}, nil, protocol.LinkHeader{})
 	// A one-entry counter: its writer spelled (8<<1), then referred to (0<<1|1).
 	spelled, referred := "0c"+"10"+hex.EncodeToString([]byte("store-01"))+"07", "0c"+"01"+"07"
 	want := "48" + "06" +
@@ -1170,14 +1217,20 @@ func TestShortSharedPrefixIsWhole(t *testing.T) {
 // sortedValues returns m's values in the order of their names, so that a
 // fuzz target's seeds keep their numbers from run to run.
 func sortedValues(m map[string][]byte) [][]byte {
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	slices.Sort(names)
+	names := sortedKeys(m)
 	out := make([][]byte, len(names))
 	for i, name := range names {
 		out[i] = m[name]
 	}
 	return out
+}
+
+// sortedKeys returns m's names in order.
+func sortedKeys[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
 }

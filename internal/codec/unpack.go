@@ -10,23 +10,28 @@ import (
 	"crdtsync/internal/protocol"
 )
 
-// Single-pass inbound frame unpacking. UnpackFrame is the mirror of the
-// single-pass packer: it walks the raw frame once, decoding each item with
-// the readers DecodeMsg uses (readObjectMsg for a keyed item, decodeMsg for
-// a bare one, so the decode is the item's extent and its validation, under
-// the eager decoder's hostile-input bounds), routes each keyed item to the
-// receiver's shard by its key (protocol.ShardOf) without materializing the
-// ShardedMsg, and groups the items by shard into reusable views. A frame
-// either unpacks — every item decoded — or is refused whole, before its
-// receiver has touched a shard.
+// Single-pass inbound frame unpacking. UnpackFrame is the one reader of a
+// sharded frame and the mirror of the single-pass packer: it walks the raw
+// frame once, decoding each item (readObjectMsg for a keyed item, DecodeMsg
+// for a bare one, so the decode is the item's extent and its validation),
+// routes each keyed item to the receiver's shard by its key
+// (protocol.ShardOf), and groups the items by shard into reusable views. A
+// frame either unpacks — every item decoded — or is refused whole, before
+// its receiver has touched a shard.
+//
+// A frame has one spelling: the bytes the packer writes for its content
+// (AppendShardedHeader, then the run through AppendLinkObjectMsg, then the
+// bare items through AppendShardItem). Every other spelling of the same
+// content is refused — an overlong uvarint, a list out of order, a keyed
+// item under a message tag, a byte after the last item — so that a frame
+// UnpackFrame accepts re-packs to exactly its own bytes.
 //
 // The messages with a wire form are the ones a store sends. In sharded
 // frames: the keyed items as one run in strictly ascending key order — the
 // first key whole, every later one as the prefix it shares with the key
 // before it and the rest (readKey); then a δ-group as its state alone, its
 // replica names against the run's (readName), a map field's as tagKeyEntry
-// and its value, an AckedDeltaMsg under its tag (readObjectMsg) — then
-// bare shard items under their shard index and message tag, of which a
+// and its value (readObjectMsg) — then bare shard items under their shard index and message tag, of which a
 // TreeMsg closing a drill is the one stores send.
 // Standalone: HelloMsg, DigestMsg and TreeMsg (see the tag block in msg.go
 // for what is retired).
@@ -98,8 +103,9 @@ type ItemGroup struct {
 // until its next Unpack; pool and reuse it — a steady-state unpack
 // allocates what its items' messages take and nothing for the view.
 type FrameView struct {
-	// Digests is the piggybacked per-shard digest vector; nil when the
-	// frame carried none. The backing array is reused across unpacks.
+	// Digests is the piggybacked per-shard digest vector, never empty
+	// when the frame carried one and empty when it did not. The backing
+	// array is reused across unpacks.
 	Digests []uint64
 	// Dropped counts bare items whose shard index was outside the
 	// receiver's shard range — a shard-map mismatch between sender and
@@ -182,15 +188,16 @@ func (v *FrameView) Reset() {
 // UnpackFrame walks one encoded sharded frame (any variant) into v,
 // grouped by shard. shards is the receiver's shard count, a power of two:
 // keyed items are routed among them by key, and bare items that name a
-// shard beyond them are counted in v.Dropped and left out. It accepts exactly the
-// frames DecodeMsg accepts — the items go through the same decoder, under
-// the same nesting depth, count-versus-remaining-bytes and index-range
-// bounds, so hostile input fails with an error before any allocation
-// larger than the input, the keys it rebuilds are bounded by maxShared,
-// and each replica name is copied once however often the run refers to it
-// — and returns ErrNotSharded for any other message kind, which
-// callers decode eagerly. After an error v is empty: a pooled
-// view never holds the decoded half of a frame that was refused.
+// shard beyond them are counted in v.Dropped and left out. It accepts a
+// frame only in the one spelling the packer writes for its content, so
+// that an accepted frame re-packs to exactly its own bytes; every count is
+// checked against the bytes that remain, so hostile input fails with an
+// error before any allocation larger than the input, the keys it rebuilds
+// are bounded by maxShared, and each replica name is copied once however
+// often the run refers to it. It returns ErrNotSharded for any other
+// message kind, which callers decode with DecodeMsg. After an error v is
+// empty: a pooled view never holds the decoded half of a frame that was
+// refused.
 func UnpackFrame(data []byte, shards int, v *FrameView) error {
 	v.reset()
 	err := v.unpack(data, shards)
@@ -241,7 +248,7 @@ func (v *FrameView) unpack(data []byte, shards int) error {
 		n += m
 		// An out-of-range item is decoded all the same, so that it costs its
 		// sender the full check.
-		msg, m, err := decodeMsg(data[n:], 1)
+		msg, m, err := DecodeMsg(data[n:])
 		if err != nil {
 			return err
 		}
@@ -252,6 +259,9 @@ func (v *FrameView) unpack(data []byte, shards int) error {
 			continue
 		}
 		v.items = append(v.items, ItemView{Shard: shard, Payload: payload, msg: msg})
+	}
+	if n != len(data) {
+		return fmt.Errorf("codec: %d bytes after a frame's last item", len(data)-n)
 	}
 	v.group(shards)
 	return nil

@@ -82,16 +82,42 @@ func (m *mesh) round(t testing.TB) {
 		queue = queue[1:]
 		msg := e.m
 		if !acksOnly(msg) {
-			data, err := codec.EncodeMsg(msg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if msg, _, err = codec.DecodeMsg(data); err != nil {
-				t.Fatal(err)
-			}
+			msg = overTheWire(t, msg.(*protocol.BatchMsg))
 		}
 		m.engines[e.to].Deliver(e.from, msg, sender(e.to))
 	}
+}
+
+// overTheWire returns bm as its receiver reads it out of a frame: its
+// states decoded from the frame's bytes, sharing nothing with the sender's,
+// and an acked δ-group's entry seqs, which a frame leaves to its link
+// header, carried over.
+func overTheWire(t testing.TB, bm *protocol.BatchMsg) protocol.Msg {
+	frame := codec.AppendShardedHeader(nil, protocol.LinkHeader{}, nil, len(bm.Items), 0)
+	var nt codec.Names
+	for i, om := range bm.Items {
+		var prev *string
+		if i > 0 {
+			prev = &bm.Items[i-1].Key
+		}
+		var err error
+		if frame, err = codec.AppendLinkObjectMsg(frame, prev, om, &nt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var v codec.FrameView
+	if err := codec.UnpackFrame(frame, 1, &v); err != nil {
+		t.Fatal(err)
+	}
+	items := make([]protocol.ObjectMsg, len(bm.Items))
+	for i, iv := range v.Groups()[0].Items { // one shard: the run, in order
+		m, _ := iv.Msg()
+		items[i] = protocol.ObjectMsg{Key: string(iv.Key), Inner: m}
+		if a, ok := bm.Items[i].Inner.(*protocol.AckedDeltaMsg); ok {
+			items[i].Inner = protocol.NewAckedDeltaMsg(m.(*protocol.DeltaMsg).Delta, a.Seqs)
+		}
+	}
+	return protocol.BatchOf(items)
 }
 
 // acksOnly reports whether m is a batch of per-object acknowledgements:

@@ -15,41 +15,15 @@ type ShardItem struct {
 	Msg   Msg
 }
 
-// ShardedMsg coalesces the messages a multi-object store sends to one
-// neighbor in one synchronization tick into a single wire frame: instead of
-// one TCP frame per shard (or worse, per object), the transport ships one
-// frame carrying deltas for many keys across many shards.
-//
-// Keyed holds the frame's keyed items — every δ-group of every shard's
-// batch — as one run in strictly ascending key order, which carries no
-// shard index: the receiver routes each item by its key (ShardOf). Items
-// holds the bare ones, messages that are not a keyed item, each under the
-// shard index it names; a drill's closing TreeMsg is the one stores send.
-// Both ends must run the same shard count.
-//
-// Digests, when non-nil, piggybacks the sender's per-shard digest vector
-// (the anti-entropy advertisement otherwise carried by a standalone
-// DigestMsg) onto the data frame, Scuttlebutt-style: a tick that ships
-// data anyway advertises its digests for free instead of paying a second
-// frame. The receiver processes the vector exactly as it would a DigestMsg
-// advertisement.
-//
-// Link carries the acknowledgement state of the link the frame travels:
-// its own sequence number when it holds δ-groups that want an ack, and
-// the sender's acknowledgement of what it has received the other way.
-type ShardedMsg struct {
-	Keyed   []ObjectMsg
-	Items   []ShardItem
-	Digests []uint64
-	Link    LinkHeader
-	cost    metrics.Transmission
-}
-
-// Kind implements Msg.
-func (m *ShardedMsg) Kind() string { return "sharded" }
-
-// Cost implements Msg.
-func (m *ShardedMsg) Cost() metrics.Transmission { return m.cost }
+// A sharded frame is what a store sends one neighbor in one pass: a single
+// wire frame carrying the δ-groups of many keys across many shards. It has
+// no message type: the packer writes it from its parts
+// (codec.AppendShardedHeader) and the receiver reads it into a view
+// (codec.UnpackFrame). Its keyed items are one run in strictly ascending
+// key order (KeyedRun), which the receiver routes by key (ShardOf); its
+// bare items, a drill's closing TreeMsg among them, name a shard index, so
+// both ends must run the same shard count. Its header may piggyback the
+// sender's digest vector, Scuttlebutt-style, and carries a LinkHeader.
 
 // LinkHeader is what a sharded frame says about the link between its
 // sender and its receiver. Acknowledgement is per neighbor, one sequence
@@ -196,51 +170,6 @@ func deltaGroup(m Msg) (lattice.State, []uint64, bool) {
 		return v.Delta, v.Seqs, true
 	}
 	return nil, nil, false
-}
-
-// NewShardedMsg builds a ShardedMsg out of the shard items a pass emitted:
-// the items of every BatchMsg among them are the keyed run (KeyedRun), and
-// every other message is a bare item. The accounting is one message on the
-// wire, inner elements and payload summed, a keyed item's key and a bare
-// item's 4 bytes of shard index as routing metadata.
-func NewShardedMsg(items []ShardItem) *ShardedMsg {
-	return NewShardedLinkMsg(items, nil, LinkHeader{})
-}
-
-// NewShardedDigestMsg builds a ShardedMsg carrying a piggybacked digest
-// vector, charging the standard 8 bytes of metadata per digest word on top
-// of the item accounting.
-func NewShardedDigestMsg(items []ShardItem, digests []uint64) *ShardedMsg {
-	return NewShardedLinkMsg(items, digests, LinkHeader{})
-}
-
-// NewShardedLinkMsg builds a ShardedMsg with a link header, whose
-// sequence numbers and incarnations are metadata like the digest words.
-// What is acknowledged per frame is not acknowledged per δ-group: a
-// batch's AckedDeltaMsg goes out as the plain δ-group (see
-// codec.AppendLinkObjectMsg), and a keyed item's accounting never counted
-// its entry seqs.
-func NewShardedLinkMsg(items []ShardItem, digests []uint64, link LinkHeader) *ShardedMsg {
-	var bare []ShardItem
-	for _, it := range items {
-		if _, ok := it.Msg.(*BatchMsg); !ok {
-			bare = append(bare, it)
-		}
-	}
-	return NewFrameMsg(KeyedRun(items), bare, digests, link)
-}
-
-// NewFrameMsg builds a ShardedMsg from its parts as they are on the wire:
-// keyed, the run in key order, and bare, the bare items.
-func NewFrameMsg(keyed []ObjectMsg, bare []ShardItem, digests []uint64, link LinkHeader) *ShardedMsg {
-	cost := metrics.Transmission{Messages: 1, MetadataBytes: 8*len(digests) + link.MetadataBytes()}
-	for _, om := range keyed {
-		cost.Add(KeyedCost(om))
-	}
-	for _, it := range bare {
-		cost.Add(BareCost(it))
-	}
-	return &ShardedMsg{Keyed: keyed, Items: bare, Digests: digests, Link: link, cost: cost}
 }
 
 // KeyedCost is one keyed item's share of its frame's accounting: the inner

@@ -924,12 +924,15 @@ func (c *core) notifyGroup(g codec.ItemGroup) {
 // HelloMsg a connection opens with, the standalone DigestMsg
 // (advertisement heartbeat) and the TreeMsg hash pushes of a drill.
 // Anything else well-formed is ignored and the connection kept;
-// undecodable bytes, a hello this store refuses and anything before the
-// hello drop the connection.
+// undecodable bytes, bytes after the message, a hello this store refuses
+// and anything before the hello drop the connection.
 func (c *core) deliverControl(from string, inc *uint32, frame []byte, now int64) error {
-	msg, _, err := codec.DecodeMsg(frame)
+	msg, n, err := codec.DecodeMsg(frame)
 	if err != nil {
 		return err
+	}
+	if n != len(frame) {
+		return fmt.Errorf("transport: %d bytes after a %s frame", len(frame)-n, msg.Kind())
 	}
 	if m, ok := msg.(*protocol.HelloMsg); ok {
 		return c.handleHello(from, inc, m)

@@ -5,14 +5,17 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"crdtsync/internal/codec"
 	"crdtsync/internal/crdt"
+	"crdtsync/internal/metrics"
 	"crdtsync/internal/protocol"
 	"crdtsync/internal/workload"
 )
@@ -78,6 +81,7 @@ func (s *Store) deliver(from string, frame []byte) error {
 	return s.receive(from, &inc, frame)
 }
 
+// encodeFrame encodes a standalone message: a hello, digest or tree frame.
 func encodeFrame(t testing.TB, m protocol.Msg) []byte {
 	t.Helper()
 	data, err := codec.EncodeMsg(m)
@@ -85,6 +89,110 @@ func encodeFrame(t testing.TB, m protocol.Msg) []byte {
 		t.Fatalf("encode: %v", err)
 	}
 	return data
+}
+
+// packFrame is the one frame packFrames makes of items and digests under
+// no cap — the keyed items of their batches as one run in key order, then
+// the other items bare — written under link, which a test names itself
+// instead of taking a number from a link. Without items it is the header
+// alone.
+func packFrame(t testing.TB, link protocol.LinkHeader, digests []uint64, items ...protocol.ShardItem) []byte {
+	t.Helper()
+	res, err := packFrames(items, digests, math.MaxInt32, packShards, nil)
+	if err != nil || len(res.frames) > 1 {
+		t.Fatalf("packFrames: %d frames: %v", len(res.frames), err)
+	}
+	keyed, bare := len(protocol.KeyedRun(items)), 0
+	for _, it := range items {
+		if _, ok := it.Msg.(*protocol.BatchMsg); !ok {
+			bare++
+		}
+	}
+	var body []byte
+	if len(res.frames) == 1 {
+		if !res.digestsAttached {
+			digests = nil
+		}
+		body = res.frames[0].data[codec.ShardedHeaderSize(protocol.LinkHeader{}, digests, keyed, bare):]
+	}
+	return append(codec.AppendShardedHeader(nil, link, digests, keyed, bare), body...)
+}
+
+// dataFrame is packFrame with neither a link header nor a digest vector.
+func dataFrame(t testing.TB, items ...protocol.ShardItem) []byte {
+	t.Helper()
+	return packFrame(t, protocol.LinkHeader{}, nil, items...)
+}
+
+// frameContent is what a data frame holds: its link header, its digest
+// vector, its keyed run in key order and its bare items in frame order.
+type frameContent struct {
+	link    protocol.LinkHeader
+	digests []uint64
+	keyed   []protocol.ObjectMsg
+	bare    []protocol.ShardItem
+}
+
+// readShards is the shard count frameOf unpacks for: past every shard
+// index a test's bare items name.
+const readShards = 256
+
+// frameOf unpacks data, a data frame, and returns what it holds, having
+// checked that it is the one spelling of that content: packFrame writes
+// exactly data for it.
+func frameOf(t testing.TB, data []byte) frameContent {
+	t.Helper()
+	var v codec.FrameView
+	if err := codec.UnpackFrame(data, readShards, &v); err != nil {
+		t.Fatalf("frame does not unpack: %v", err)
+	}
+	if v.Dropped != 0 {
+		t.Fatalf("frame names a shard past %d", readShards)
+	}
+	fc := frameContent{link: v.Link, digests: slices.Clone(v.Digests)}
+	var bare []codec.ItemView
+	for _, g := range v.Groups() {
+		for _, iv := range g.Items {
+			m, _ := iv.Msg()
+			if iv.Key == nil {
+				bare = append(bare, iv)
+				continue
+			}
+			fc.keyed = append(fc.keyed, protocol.ObjectMsg{Key: string(iv.Key), Inner: m})
+		}
+	}
+	slices.SortFunc(fc.keyed, func(a, b protocol.ObjectMsg) int { return strings.Compare(a.Key, b.Key) })
+	// A payload aliases the frame: how much of data's capacity it leaves
+	// says where it starts.
+	slices.SortFunc(bare, func(a, b codec.ItemView) int { return cmp.Compare(cap(b.Payload), cap(a.Payload)) })
+	for _, iv := range bare {
+		m, _ := iv.Msg()
+		fc.bare = append(fc.bare, protocol.ShardItem{Shard: iv.Shard, Msg: m})
+	}
+	if len(fc.digests) == 0 {
+		fc.digests = nil
+	}
+	items := slices.Clone(fc.bare)
+	if len(fc.keyed) > 0 {
+		items = append(items, protocol.ShardItem{Msg: protocol.BatchOf(fc.keyed)})
+	}
+	if again := packFrame(t, fc.link, fc.digests, items...); !bytes.Equal(again, data) {
+		t.Fatalf("frame %x re-packs as %x", data, again)
+	}
+	return fc
+}
+
+// cost is the frame's accounting, as the packer sums it: one message, the
+// header's metadata, and each item's share.
+func (fc frameContent) cost() metrics.Transmission {
+	c := metrics.Transmission{Messages: 1, MetadataBytes: 8*len(fc.digests) + fc.link.MetadataBytes()}
+	for _, om := range fc.keyed {
+		c.Add(protocol.KeyedCost(om))
+	}
+	for _, it := range fc.bare {
+		c.Add(protocol.BareCost(it))
+	}
+	return c
 }
 
 // TestDeliverLocksOncePerShard pins the single-pass path's lock
@@ -96,19 +204,15 @@ func TestDeliverLocksOncePerShard(t *testing.T) {
 	sh0 := keysOnShard(len(s.shards), 0, 2)
 	sh1 := keysOnShard(len(s.shards), 1, 2)
 	sh3 := keysOnShard(len(s.shards), 3, 3)
-	frame := encodeFrame(t, protocol.NewShardedMsg([]protocol.ShardItem{
+	frame := dataFrame(t,
 		shardBatch(0, sh0...),
 		shardBatch(1, sh1[0]),
 		shardBatch(1, sh1[1]), // same shard again: still one lock hold
 		shardBatch(3, sh3...),
-	}))
+	)
 	// The frame's run is in key order, which interleaves the shards: the
 	// unpacker regroups it.
-	m, _, err := codec.DecodeMsg(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slices.IsSortedFunc(m.(*protocol.ShardedMsg).Keyed, func(a, b protocol.ObjectMsg) int {
+	if slices.IsSortedFunc(frameOf(t, frame).keyed, func(a, b protocol.ObjectMsg) int {
 		return cmp.Compare(protocol.ShardOf(a.Key, 4), protocol.ShardOf(b.Key, 4))
 	}) {
 		t.Fatal("the frame's keys arrive in shard order; the test wants them interleaved")
@@ -149,12 +253,12 @@ func TestDeliverDroppedItems(t *testing.T) {
 	closeOn := func(shard uint32) protocol.ShardItem {
 		return protocol.ShardItem{Shard: shard, Msg: protocol.NewTreeMsg(shard, protocol.TreeDepth, []uint32{5}, nil)}
 	}
-	frame := encodeFrame(t, protocol.NewShardedMsg([]protocol.ShardItem{
+	frame := dataFrame(t,
 		shardBatch(2, keep),
 		shardBatch(9, "routed"),
 		closeOn(9),
 		closeOn(63),
-	}))
+	)
 	if err := s.deliver("peer", frame); err != nil {
 		t.Fatalf("deliver: %v", err)
 	}
@@ -177,6 +281,7 @@ func TestDeliverCorruptFrame(t *testing.T) {
 		{72, 2, 1},                   // sharded, 2 items, truncated
 		{74, 255, 255, 255, 255, 15}, // hostile digest count
 		{255, 1, 2, 3},               // unknown tag
+		append(encodeFrame(t, protocol.NewDigestMsg(make([]uint64, 4))), 0), // a byte after the message
 	} {
 		if err := s.deliver("peer", frame); err == nil {
 			t.Fatalf("deliver accepted corrupt frame %v", frame)
@@ -265,14 +370,10 @@ func corruptLastItem(t testing.TB, frame []byte, key string) map[string][]byte {
 	// The item ends the run, which only the bare items follow: its key,
 	// then the δ-group as its state alone — state tag (a GSet), element
 	// count, elements.
-	m, _, err := codec.DecodeMsg(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sm := m.(*protocol.ShardedMsg)
-	last := sm.Keyed[len(sm.Keyed)-1]
+	fc := frameOf(t, frame)
+	last := fc.keyed[len(fc.keyed)-1]
 	at := len(frame) - len(codec.Encode(last.Inner.(*protocol.DeltaMsg).Delta))
-	for _, it := range sm.Items {
+	for _, it := range fc.bare {
 		bare, _ := codec.AppendShardItem(nil, it)
 		at -= len(bare)
 	}
@@ -332,12 +433,12 @@ func TestDeliverShardedErrorStillFlushesAndCounts(t *testing.T) {
 	for engine, factory := range engineFactories {
 		s := startPeeredStore(t, factory)
 		k0, k1 := ascendingOnShards(len(s.shards), 0, 1)
-		frame := encodeFrame(t, protocol.NewShardedMsg([]protocol.ShardItem{
+		frame := dataFrame(t,
 			shardBatch(0, k0),
 			// Beyond the shard count: dropped at unpack.
-			{Shard: 9, Msg: protocol.NewTreeMsg(9, protocol.TreeDepth, []uint32{5}, nil)},
+			protocol.ShardItem{Shard: 9, Msg: protocol.NewTreeMsg(9, protocol.TreeDepth, []uint32{5}, nil)},
 			shardBatch(1, k1),
-		}))
+		)
 		before := s.Stats()
 		for name, bad := range corruptLastItem(t, frame, k1) {
 			if err := s.deliver("peer", bad); err == nil {
@@ -361,27 +462,22 @@ func TestDeliverShardedErrorStillFlushesAndCounts(t *testing.T) {
 }
 
 // TestDeliverRetiredAndLegacyItems: nothing a peer sends reaches a panic
-// on the way out. A δ-group that spells out its entry seqs — the form
-// older than the link header, which the acked engine answers with an
-// AckMsg that no longer encodes — is absorbed and answered with nothing;
-// an item with a retired tag, bare or keyed in the run, is refused as
-// unknown and its frame applies nothing.
+// on the way out. A keyed δ-group that spells out its entry seqs — the
+// form older than the link header, which no packer writes — is refused as
+// an unknown tag, and its frame applies nothing and is answered with
+// nothing; so is an item with a retired tag, bare or keyed in the run.
 func TestDeliverRetiredAndLegacyItems(t *testing.T) {
 	for engine, factory := range engineFactories {
 		s := startPeeredStore(t, factory)
 		k0 := keysOnShard(len(s.shards), 0, 2)
-		legacy := encodeFrame(t, protocol.NewShardedMsg([]protocol.ShardItem{
-			{Shard: 0, Msg: protocol.BatchOf([]protocol.ObjectMsg{
-				{Key: k0[0], Inner: protocol.NewAckedDeltaMsg(crdt.NewGSet("a", "b"), []uint64{1, 2})},
-			})},
-		}))
+		legacy := append(codec.AppendShardedHeader(nil, protocol.LinkHeader{}, nil, 1, 0), byte(len(k0[0])))
+		legacy = append(append(legacy, k0[0]...), encodeFrame(t, protocol.NewAckedDeltaMsg(crdt.NewGSet("a", "b"), []uint64{1, 2}))...)
 		before := s.Stats().Frames
-		if err := s.deliver("peer", legacy); err != nil {
-			t.Fatalf("%s: a δ-group with its seqs spelled out: %v", engine, err)
+		if err := s.deliver("peer", legacy); !errors.Is(err, codec.ErrUnknownTag) {
+			t.Fatalf("%s: a δ-group with its seqs spelled out: error %v, want ErrUnknownTag", engine, err)
 		}
-		// Only the acked engine reads the form.
-		if st := s.Get(k0[0]); engine == "acked" && (st == nil || !st.Equal(crdt.NewGSet("a", "b"))) {
-			t.Fatalf("%s: the δ-group left %v", engine, st)
+		if st := s.Get(k0[0]); st != nil {
+			t.Fatalf("%s: the refused δ-group left %v", engine, st)
 		}
 		if got := s.Stats().Frames; got != before {
 			t.Fatalf("%s: the δ-group was answered with %d frames", engine, got-before)
@@ -389,7 +485,7 @@ func TestDeliverRetiredAndLegacyItems(t *testing.T) {
 		// The item with a retired tag is bare, or keyed under hi, which
 		// the run puts after lo.
 		lo, hi := k0[1], aboveOnShard(len(s.shards), 1, k0[1])
-		good, err := codec.AppendObjectMsg(nil, nil, protocol.ObjectMsg{Key: lo, Inner: gsetDelta(0, 2)}, new(codec.Names))
+		good, err := codec.AppendLinkObjectMsg(nil, nil, protocol.ObjectMsg{Key: lo, Inner: gsetDelta(0, 2)}, new(codec.Names))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -438,7 +534,7 @@ func aboveOnShard(shards int, shard uint32, lo string) string {
 // then the rest, ready for a message to follow.
 func keyAfter(t testing.TB, prev, key string) []byte {
 	t.Helper()
-	item, err := codec.AppendObjectMsg(nil, &prev, protocol.ObjectMsg{Key: key, Inner: gsetDelta(0, 2)}, new(codec.Names))
+	item, err := codec.AppendLinkObjectMsg(nil, &prev, protocol.ObjectMsg{Key: key, Inner: gsetDelta(0, 2)}, new(codec.Names))
 	if err != nil {
 		t.Fatal(err)
 	}

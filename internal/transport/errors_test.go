@@ -79,9 +79,9 @@ func TestStoreDropsConnectionThatChangesSender(t *testing.T) {
 	conn := openRaw(t, stores[0].Addr(), "s-01", 1)
 	defer conn.Close()
 	delta := protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("s-02", 1))
-	writeRawFrame(t, conn, "s-02", protocol.NewShardedMsg([]protocol.ShardItem{
-		{Shard: 0, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: "spoofed", Inner: delta}})},
-	}))
+	writeRawFrame(t, conn, "s-02", shardedFrame(t, protocol.LinkHeader{},
+		protocol.ShardItem{Shard: 0, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: "spoofed", Inner: delta}})},
+	))
 	expectDrop(t, conn)
 	if got := stores[0].Get("spoofed"); got != nil {
 		t.Errorf("a frame naming s-02 on s-01's connection was applied: %v", got)
@@ -92,11 +92,11 @@ func TestStoreDropsConnectionThatChangesSender(t *testing.T) {
 }
 
 // spoof is a data frame that would create key on any store of one shard.
-func spoof(key string) protocol.Msg {
+func spoof(t *testing.T, key string) []byte {
 	delta := protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("x", 1))
-	return protocol.NewShardedMsg([]protocol.ShardItem{
-		{Shard: 0, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: key, Inner: delta}})},
-	})
+	return shardedFrame(t, protocol.LinkHeader{},
+		protocol.ShardItem{Shard: 0, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: key, Inner: delta}})},
+	)
 }
 
 // TestHelloFirstFrameOrClose: a connection opens with a hello that names
@@ -106,15 +106,15 @@ func spoof(key string) protocol.Msg {
 func TestHelloFirstFrameOrClose(t *testing.T) {
 	stores := startStoreCluster(t, 2, 1, protocol.NewDeltaBPRR(), time.Hour)
 	for name, first := range map[string]func(conn net.Conn){
-		"a data frame naming its sender": func(conn net.Conn) { writeRawFrame(t, conn, "s-01", spoof("first")) },
-		"a data frame naming nobody":     func(conn net.Conn) { writeRawFrame(t, conn, "", spoof("first")) },
+		"a data frame naming its sender": func(conn net.Conn) { writeRawFrame(t, conn, "s-01", spoof(t, "first")) },
+		"a data frame naming nobody":     func(conn net.Conn) { writeRawFrame(t, conn, "", spoof(t, "first")) },
 		"a hello naming nobody": func(conn net.Conn) {
-			writeRawFrame(t, conn, "", protocol.NewHelloMsg(protocol.WireVersion, 1, rawInc, nil))
+			writeRawFrame(t, conn, "", encodeMsg(t, protocol.NewHelloMsg(protocol.WireVersion, 1, rawInc, nil)))
 		},
 	} {
 		conn := dialNode(t, stores[0].Addr())
 		first(conn)
-		writeRawFrame(t, conn, "", spoof("behind"))
+		writeRawFrame(t, conn, "", spoof(t, "behind"))
 		expectDrop(t, conn)
 		conn.Close()
 		for _, key := range []string{"first", "behind"} {
@@ -149,9 +149,9 @@ func TestHelloNamesOneSenderAndLife(t *testing.T) {
 		"a refresh":           {"s-01", rawInc, false},
 	} {
 		conn := openRaw(t, stores[0].Addr(), "s-01", 1)
-		writeRawFrame(t, conn, c.from, protocol.NewHelloMsg(protocol.WireVersion, 1, c.inc, []string{"s-02"}))
+		writeRawFrame(t, conn, c.from, encodeMsg(t, protocol.NewHelloMsg(protocol.WireVersion, 1, c.inc, []string{"s-02"})))
 		key := "behind " + name
-		writeRawFrame(t, conn, "", spoof(key))
+		writeRawFrame(t, conn, "", spoof(t, key))
 		if !c.drop {
 			waitFor(t, 5*time.Second, func() bool { return stores[0].Get(key) != nil })
 			conn.Close()
@@ -210,10 +210,9 @@ func TestStoreIgnoresNonShardedFrames(t *testing.T) {
 	stores := startStoreCluster(t, 2, 4, protocol.NewDeltaBPRR(), 20*time.Millisecond)
 	conn := openRaw(t, stores[0].Addr(), "legacy", 4)
 	defer conn.Close()
-	writeRawFrame(t, conn, "", protocol.NewDeltaMsg(crdt.NewGSet("x")))
+	writeRawFrame(t, conn, "", encodeMsg(t, protocol.NewDeltaMsg(crdt.NewGSet("x"))))
 	// An acknowledgement from a store that is no neighbor is counted.
-	writeRawFrame(t, conn, "", protocol.NewShardedLinkMsg(nil, nil,
-		protocol.LinkHeader{Ack: protocol.FrameAck{Inc: 1, Cum: 1}}))
+	writeRawFrame(t, conn, "", shardedFrame(t, protocol.LinkHeader{Ack: protocol.FrameAck{Inc: 1, Cum: 1}}))
 	waitFor(t, 5*time.Second, func() bool { return stores[0].Stats().IgnoredAcks == 1 })
 	if got := stores[0].NumKeys(); got != 0 {
 		t.Fatalf("the foreign δ-group created %d keys", got)

@@ -85,7 +85,7 @@ func TestIncrementalDigestMatchesRecompute(t *testing.T) {
 							{Key: k, Inner: protocol.NewDeltaMsg(crdt.NewGSet(fmt.Sprintf("e%d", rng.Intn(6))))},
 						})})
 					}
-					if err := s.deliver("peer", encodeFrame(t, protocol.NewShardedMsg(items))); err != nil {
+					if err := s.deliver("peer", dataFrame(t, items...)); err != nil {
 						t.Fatal(err)
 					}
 				case 3:
@@ -312,10 +312,10 @@ func TestStoreHostileKeyLengths(t *testing.T) {
 	b := startSoloStore(t, 4)
 	for _, k := range keys {
 		a.Update(workload.Add(k, "v"))
-		frame := encodeFrame(t, protocol.NewShardedMsg([]protocol.ShardItem{{
+		frame := dataFrame(t, protocol.ShardItem{
 			Shard: protocol.ShardOf(k, len(b.shards)),
 			Msg:   protocol.BatchOf([]protocol.ObjectMsg{{Key: k, Inner: protocol.NewDeltaMsg(crdt.NewGSet("v"))}}),
-		}}))
+		})
 		if err := b.deliver("peer", frame); err != nil {
 			t.Fatalf("key of %d bytes: frame refused: %v", len(k), err)
 		}

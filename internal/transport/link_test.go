@@ -218,7 +218,7 @@ func linkFrame(t testing.TB, seq, back uint64, ack protocol.FrameAck, items ...p
 		link.Seq = protocol.FrameSeq{Seq: seq, Back: back}
 	}
 	link.Ack = ack
-	return encodeFrame(t, protocol.NewShardedLinkMsg(items, nil, link))
+	return packFrame(t, link, nil, items...)
 }
 
 // TestLinkAckOnlyAfterEveryItemApplied: a frame one of whose items was
@@ -675,7 +675,7 @@ func TestLinkAckLosslessMeshShipsEachEntryOnce(t *testing.T) {
 	// the short form a one-element set takes in a keyed item or the long
 	// form of a bigger one.
 	setTag := codec.Encode(crdt.NewGSet("x", "y"))[0]
-	lone, err := codec.AppendObjectMsg(nil, nil, protocol.ObjectMsg{Key: "k", Inner: protocol.NewDeltaMsg(crdt.NewGSet("x"))}, new(codec.Names))
+	lone, err := codec.AppendLinkObjectMsg(nil, nil, protocol.ObjectMsg{Key: "k", Inner: protocol.NewDeltaMsg(crdt.NewGSet("x"))}, new(codec.Names))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,19 +39,59 @@ const rawInc = 9
 func openRaw(t *testing.T, addr, from string, shards uint32) net.Conn {
 	t.Helper()
 	conn := dialNode(t, addr)
-	writeRawFrame(t, conn, from, protocol.NewHelloMsg(protocol.WireVersion, shards, rawInc, nil))
+	writeRawFrame(t, conn, from, encodeMsg(t, protocol.NewHelloMsg(protocol.WireVersion, shards, rawInc, nil)))
 	return conn
+}
+
+// encodeMsg encodes a standalone message: a hello, or a bare δ-group no
+// store sends.
+func encodeMsg(t *testing.T, m protocol.Msg) []byte {
+	t.Helper()
+	data, err := codec.EncodeMsg(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// shardedFrame writes the frame a store's packer writes for items under
+// link, through the packer's append functions: the keyed items of their
+// batches as one run in key order (protocol.KeyedRun), then every other
+// item bare.
+func shardedFrame(t *testing.T, link protocol.LinkHeader, items ...protocol.ShardItem) []byte {
+	t.Helper()
+	run := protocol.KeyedRun(items)
+	var bare []protocol.ShardItem
+	for _, it := range items {
+		if _, keyed := it.Msg.(*protocol.BatchMsg); !keyed {
+			bare = append(bare, it)
+		}
+	}
+	b := codec.AppendShardedHeader(nil, link, nil, len(run), len(bare))
+	var nt codec.Names
+	var err error
+	for i, om := range run {
+		var prev *string
+		if i > 0 {
+			prev = &run[i-1].Key
+		}
+		if b, err = codec.AppendLinkObjectMsg(b, prev, om, &nt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, it := range bare {
+		if b, err = codec.AppendShardItem(b, it); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b
 }
 
 // writeRawFrame writes one transport frame naming from as its sender; a
 // store names itself on its hellos alone, and nobody ("") on every other
 // frame.
-func writeRawFrame(t *testing.T, conn net.Conn, from string, m protocol.Msg) {
+func writeRawFrame(t *testing.T, conn net.Conn, from string, msg []byte) {
 	t.Helper()
-	msg, err := codec.EncodeMsg(m)
-	if err != nil {
-		t.Fatal(err)
-	}
 	body := binary.BigEndian.AppendUint16(nil, uint16(len(from)))
 	body = append(append(body, from...), msg...)
 	frame := append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
@@ -110,17 +150,20 @@ func TestLinkAckFromAnotherLifeRetiresNothing(t *testing.T) {
 	life := hello.Inc
 	numberedFrame := func() protocol.FrameSeq {
 		from, msg := readRawFrame(t, in)
-		m, _, err := codec.DecodeMsg(msg)
-		if err != nil || from != "" {
-			t.Fatalf("frame naming %q: %v, want one naming nobody", from, err)
+		if from != "" {
+			t.Fatalf("frame naming %q, want one naming nobody", from)
 		}
-		sm := m.(*protocol.ShardedMsg)
-		om := sm.Keyed[0]
-		if _, plain := om.Inner.(*protocol.DeltaMsg); !plain || om.Key != "k" || sm.Link.Seq.Seq == 0 || sm.Link.Seq.Inc != 0 {
+		var v codec.FrameView
+		if err := codec.UnpackFrame(msg, 4, &v); err != nil || v.NumItems() == 0 {
+			t.Fatalf("frame %x unpacks to %d items: %v", msg, v.NumItems(), err)
+		}
+		iv := &v.Groups()[0].Items[0]
+		m, _ := iv.Msg()
+		if _, plain := m.(*protocol.DeltaMsg); !plain || string(iv.Key) != "k" || v.Link.Seq.Seq == 0 || v.Link.Seq.Inc != 0 {
 			t.Fatalf("got %T for %q under link header %+v, want a plain δ-group in a numbered frame of no incarnation of its own",
-				om.Inner, om.Key, sm.Link)
+				m, iv.Key, v.Link)
 		}
-		return sm.Link.Seq
+		return v.Link.Seq
 	}
 	first := numberedFrame()
 	if first.Seq != 1 || first.Back != 0 {
@@ -137,7 +180,7 @@ func TestLinkAckFromAnotherLifeRetiresNothing(t *testing.T) {
 		if from != "p1" {
 			conn = strangers
 		}
-		writeRawFrame(t, conn, "", protocol.NewShardedLinkMsg(nil, nil, protocol.LinkHeader{Ack: a}))
+		writeRawFrame(t, conn, "", shardedFrame(t, protocol.LinkHeader{Ack: a}))
 	}
 	otherLife := life ^ 0x5a5a5a5a
 	if otherLife == 0 {
@@ -217,15 +260,14 @@ func TestLinkAckTwoLivesOnOverlappingConnections(t *testing.T) {
 
 	life := func(inc uint32) net.Conn {
 		conn := dialNode(t, st.Addr())
-		writeRawFrame(t, conn, "p1", protocol.NewHelloMsg(protocol.WireVersion, 1, inc, nil))
+		writeRawFrame(t, conn, "p1", encodeMsg(t, protocol.NewHelloMsg(protocol.WireVersion, 1, inc, nil)))
 		return conn
 	}
 	send := func(conn net.Conn, key string, seq uint64) {
 		item := protocol.ShardItem{Msg: protocol.BatchOf([]protocol.ObjectMsg{
 			{Key: key, Inner: protocol.NewDeltaMsg(crdt.NewGSet(key))},
 		})}
-		writeRawFrame(t, conn, "", protocol.NewShardedLinkMsg([]protocol.ShardItem{item}, nil,
-			protocol.LinkHeader{Seq: protocol.FrameSeq{Seq: seq}}))
+		writeRawFrame(t, conn, "", shardedFrame(t, protocol.LinkHeader{Seq: protocol.FrameSeq{Seq: seq}}, item))
 	}
 	var in net.Conn
 	nextAck := func() protocol.FrameAck {
@@ -240,12 +282,11 @@ func TestLinkAckTwoLivesOnOverlappingConnections(t *testing.T) {
 			}
 		}
 		from, msg := readRawFrame(t, in)
-		m, _, err := codec.DecodeMsg(msg)
-		sm, ok := m.(*protocol.ShardedMsg)
-		if err != nil || !ok || from != "" || len(sm.Items) != 0 || sm.Link.Ack.Inc == 0 {
-			t.Fatalf("frame naming %q: %+v (%v), want an acknowledgement alone", from, m, err)
+		var v codec.FrameView
+		if err := codec.UnpackFrame(msg, 1, &v); err != nil || from != "" || v.NumItems() != 0 || v.Link.Ack.Inc == 0 {
+			t.Fatalf("frame naming %q: %x (%v), want an acknowledgement alone", from, msg, err)
 		}
-		return sm.Link.Ack
+		return v.Link.Ack
 	}
 	old := life(5)
 	defer old.Close()

@@ -10,13 +10,12 @@ import (
 // out as frames no larger than the configured cap. Since wire version 5 a
 // frame writes all of its keyed items as one run in ascending key order,
 // with no shard index: the packer gathers the destination's per-shard
-// batches into one key-ordered run (protocol.KeyedRun, which NewShardedMsg
-// builds its run with too) and packs it greedily, each item encoded once
-// against the key before it and, since wire version 6, against the replica
-// names the frame's run has spelled (codec.Names). The item that opens a
-// frame's run is written whole, its key and its names, so the one a split
-// moves to the next frame is encoded once more;
-// the bare items (a drill's close) follow the whole run, in the last
+// batches into one key-ordered run (protocol.KeyedRun) and packs it
+// greedily, each item encoded once against the key before it and, since
+// wire version 6, against the replica names the frame's run has spelled
+// (codec.Names). The item that opens a frame's run is written whole, its
+// key and its names, so the one a split moves to the next frame is encoded
+// once more; the bare items (a drill's close) follow the whole run, in the last
 // frames, so that a close never arrives before the states it goes with. A
 // pass therefore costs one sort of its keyed items and O(items) encoding
 // work, however many frames it fills.
@@ -35,7 +34,7 @@ import (
 // acknowledged is the unit that can be lost. The acknowledgement the
 // destination is owed rides the first frame.
 
-// packedFrame is one ready-to-ship frame: the encoded ShardedMsg bytes
+// packedFrame is one ready-to-ship frame: the encoded sharded frame's bytes
 // plus the accounting the store records at enqueue time.
 type packedFrame struct {
 	data []byte
@@ -173,7 +172,7 @@ func (p *framePacker) flush() {
 }
 
 // packFrames encodes items once each and packs them greedily into frames
-// whose encoded ShardedMsg size never exceeds limit: the keyed items of
+// whose encoded size never exceeds limit: the keyed items of
 // their batches as one key-ordered run (protocol.KeyedRun), then the other
 // items, bare, in order. digests, when non-nil, is piggybacked onto the flush's
 // final frame when it has room — after every data piece, so the receiver's

@@ -64,15 +64,15 @@ func unitsOf(t testing.TB, items []protocol.ShardItem) []unit {
 	return append(keyed, bare...)
 }
 
-// frameUnits flattens a decoded frame into comparison units in packing
+// frameUnits flattens an unpacked frame into comparison units in packing
 // order: its run, then its bare items.
-func frameUnits(t testing.TB, sm *protocol.ShardedMsg) []unit {
+func frameUnits(t testing.TB, fc frameContent) []unit {
 	t.Helper()
 	var out []unit
-	for _, om := range sm.Keyed {
+	for _, om := range fc.keyed {
 		out = append(out, keyedUnit(t, 0, om))
 	}
-	for _, it := range sm.Items {
+	for _, it := range fc.bare {
 		out = append(out, bareUnit(t, it))
 	}
 	return out
@@ -107,17 +107,17 @@ func decodeFrames(t testing.TB, frames []packedFrame, limit int) (units []unit, 
 	t.Helper()
 	for _, f := range decodeEach(t, frames, limit) {
 		units = append(units, f.units...)
-		if f.msg.Digests != nil {
+		if f.digests != nil {
 			digestFrames++
-			digests = f.msg.Digests
+			digests = f.digests
 		}
 	}
 	return units, digests, digestFrames
 }
 
-// decodedFrame is one packed frame decoded: the message and its units.
+// decodedFrame is one packed frame unpacked: its content and its units.
 type decodedFrame struct {
-	msg   *protocol.ShardedMsg
+	frameContent
 	units []unit
 }
 
@@ -128,35 +128,19 @@ func decodeEach(t testing.TB, frames []packedFrame, limit int) (out []decodedFra
 		if len(f.data) > limit {
 			t.Fatalf("frame %d is %d bytes, cap %d", i, len(f.data), limit)
 		}
-		m, n, err := codec.DecodeMsg(f.data)
-		if err != nil {
-			t.Fatalf("frame %d does not decode: %v", i, err)
-		}
-		if n != len(f.data) {
-			t.Fatalf("frame %d: decoded %d of %d bytes", i, n, len(f.data))
-		}
-		sm, ok := m.(*protocol.ShardedMsg)
-		if !ok {
-			t.Fatalf("frame %d decoded to %T, want *ShardedMsg", i, m)
-		}
-		if got := sm.Digests != nil; got != f.digests {
+		// The frame must unpack and, packed again from what it holds,
+		// reproduce the packed bytes: the packer writes a frame's one
+		// spelling (frameOf).
+		fc := frameOf(t, f.data)
+		if got := fc.digests != nil; got != f.digests {
 			t.Fatalf("frame %d: digest presence %v, packer said %v", i, got, f.digests)
-		}
-		// Re-encoding the decoded frame must reproduce the packed bytes:
-		// the packer writes the same canonical encoding EncodeMsg would.
-		re, err := codec.EncodeMsg(sm)
-		if err != nil {
-			t.Fatalf("frame %d: re-encode: %v", i, err)
-		}
-		if !bytes.Equal(re, f.data) {
-			t.Fatalf("frame %d: packed bytes are not the canonical encoding", i)
 		}
 		// The accounting is not on the wire: the packer's own sums feed
 		// Stats().Sent and must be what the frame's content accounts for.
-		if f.cost != sm.Cost() {
-			t.Fatalf("frame %d: packer accounted %+v, content says %+v", i, f.cost, sm.Cost())
+		if f.cost != fc.cost() {
+			t.Fatalf("frame %d: packer accounted %+v, content says %+v", i, f.cost, fc.cost())
 		}
-		out = append(out, decodedFrame{msg: sm, units: frameUnits(t, sm)})
+		out = append(out, decodedFrame{frameContent: fc, units: frameUnits(t, fc)})
 	}
 	return out
 }
@@ -316,11 +300,11 @@ func checkNumbered(t testing.TB, lk *link, ack protocol.FrameAck, items []protoc
 	}
 	next, pos := uint64(1), 0
 	for i, f := range frames {
-		if wantAck := i == 0; (f.msg.Link.Ack.Inc != 0) != wantAck {
+		if wantAck := i == 0; (f.link.Ack.Inc != 0) != wantAck {
 			t.Fatalf("frame %d: acknowledgement present = %v", i, !wantAck)
 		}
-		if i == 0 && !reflect.DeepEqual(f.msg.Link.Ack, ack) {
-			t.Fatalf("first frame acknowledges %+v, want %+v", f.msg.Link.Ack, ack)
+		if i == 0 && !reflect.DeepEqual(f.link.Ack, ack) {
+			t.Fatalf("first frame acknowledges %+v, want %+v", f.link.Ack, ack)
 		}
 		if res.oversized > 0 {
 			continue // a dropped unit breaks the positional match below
@@ -332,7 +316,7 @@ func checkNumbered(t testing.TB, lk *link, ack protocol.FrameAck, items []protoc
 			}
 		}
 		pos += len(f.units)
-		fs := f.msg.Link.Seq
+		fs := f.link.Seq
 		if len(rec) == 0 {
 			if fs.Seq != 0 {
 				t.Fatalf("frame %d carries no acked δ-group and is numbered %d", i, fs.Seq)
@@ -508,15 +492,8 @@ func TestPackSplitPiecesUnpackAlone(t *testing.T) {
 		if err := codec.UnpackFrame(f, cfg.Shards, &v); err != nil {
 			t.Fatalf("frame %d does not unpack on its own: %v", i, err)
 		}
-		m, _, err := codec.DecodeMsg(f)
-		if err != nil {
-			t.Fatalf("frame %d does not decode on its own: %v", i, err)
-		}
-		if again, _ := codec.EncodeMsg(m); !bytes.Equal(again, f) {
-			t.Fatalf("frame %d is not the canonical encoding of its items", i)
-		}
 		used := make(map[string]int)
-		for _, om := range m.(*protocol.ShardedMsg).Keyed {
+		for _, om := range frameOf(t, f).keyed { // which re-packs to f
 			if om.Key <= last {
 				t.Fatalf("frame %d: key %q after %q", i, om.Key, last)
 			}
@@ -729,11 +706,7 @@ func TestPackJoinsAKeyNamedTwice(t *testing.T) {
 		if err != nil || len(res.frames) != 1 {
 			t.Fatalf("acked %v: %d frames: %v", acked, len(res.frames), err)
 		}
-		m, _, err := codec.DecodeMsg(res.frames[0].data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		run := m.(*protocol.ShardedMsg).Keyed
+		run := frameOf(t, res.frames[0].data).keyed
 		if len(run) != 2 || run[0].Key != "a" || !run[0].Inner.(*protocol.DeltaMsg).Delta.Equal(crdt.NewGSet("x", "y")) || run[1].Key != "c" {
 			t.Fatalf("acked %v: run %+v, want a ↦ {x y}, c", acked, run)
 		}

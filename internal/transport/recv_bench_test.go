@@ -25,7 +25,7 @@ func benchRecvFrame(tb testing.TB, shards, objectsPerShard int) []byte {
 		items = append(items, protocol.ShardItem{Shard: uint32(sh), Msg: protocol.BatchOf(oms)})
 	}
 	sort.Slice(items, func(i, j int) bool { return items[i].Shard < items[j].Shard })
-	return encodeFrame(tb, protocol.NewShardedMsg(items))
+	return dataFrame(tb, items...)
 }
 
 // recvShape is one benchmarked frame shape.

@@ -311,9 +311,7 @@ func TestDigestShardMismatchCounted(t *testing.T) {
 func TestNotifyGroupNoWatcherAllocs(t *testing.T) {
 	s := startSoloStore(t, 4)
 	keys := keysOnShard(len(s.shards), 1, 3)
-	frame := encodeFrame(t, protocol.NewShardedMsg([]protocol.ShardItem{
-		shardBatch(1, keys...),
-	}))
+	frame := dataFrame(t, shardBatch(1, keys...))
 	var v codec.FrameView
 	if err := codec.UnpackFrame(frame, len(s.shards), &v); err != nil {
 		t.Fatalf("unpack: %v", err)
@@ -475,7 +473,7 @@ func closeFrame(t *testing.T, shard uint32, tm *protocol.TreeMsg, keys ...string
 	if len(keys) > 0 {
 		items = append(items, shardBatch(shard, keys...))
 	}
-	return encodeFrame(t, protocol.NewShardedMsg(append(items, protocol.ShardItem{Shard: shard, Msg: tm})))
+	return dataFrame(t, append(items, protocol.ShardItem{Shard: shard, Msg: tm})...)
 }
 
 // TestHandleTreeHostileInputs throws malformed drill messages built

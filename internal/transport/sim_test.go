@@ -631,22 +631,14 @@ func TestSimLossReorderAndPartitionConverge(t *testing.T) {
 				}
 			}
 		}
-		m, _, err := codec.DecodeMsg(data)
-		if err != nil {
-			t.Fatalf("a frame that unpacks does not decode: %v", err)
-		}
-		run := m.(*protocol.ShardedMsg).Keyed
+		run := frameOf(t, data).keyed
 		if len(run) > 0 {
 			frames++
 			keyed += len(run)
 		}
 		names := make(map[string]bool)
 		for _, om := range run {
-			d, ok := om.Inner.(*protocol.DeltaMsg)
-			if !ok {
-				continue // the per-object acked form names its replicas in full
-			}
-			simReplicaNames(d.Delta, func(name string) {
+			simReplicaNames(om.Inner.(*protocol.DeltaMsg).Delta, func(name string) {
 				if names[name] {
 					referred++
 				} else {

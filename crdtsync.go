@@ -60,8 +60,7 @@ const (
 	SetPrefix = "s/"
 	// MapPrefix is the namespace of Map objects; each field of a map
 	// named m is its own object at "m/<m>/<field>", so concurrent writes
-	// to different fields of one map never contend on a lock or a
-	// δ-buffer.
+	// to different fields of one map share no δ-buffer.
 	MapPrefix = "m/"
 )
 
@@ -165,10 +164,12 @@ func WithListener(ln net.Listener) Option { return func(o *options) { o.cfg.List
 // re-dialed with backoff, so peers may come up in any order.
 func WithPeers(peers map[string]string) Option { return func(o *options) { o.cfg.Peers = peers } }
 
-// WithNodes fixes the full cluster membership when it is larger than
-// this replica's direct neighborhood (partial meshes, rings). It
-// defaults to this replica plus its peers.
-func WithNodes(nodes []string) Option { return func(o *options) { o.cfg.Nodes = nodes } }
+// WithNodes has no effect: no engine a store runs reads the cluster
+// membership, on a partial mesh or a ring as on a full mesh.
+//
+// Deprecated: it stays declared only because the frozen bench/ module
+// calls it.
+func WithNodes([]string) Option { return func(*options) {} }
 
 // WithShards sets the shard count, rounded up to a power of two
 // (default 16). Every replica in a cluster must use the same value:
@@ -245,8 +246,8 @@ func objType(key string) workload.Datatype {
 }
 
 // Store is one replica of the replicated keyspace. All methods are safe
-// for concurrent use; updates on keys in different shards proceed in
-// parallel.
+// for concurrent use: writes, deliveries and sync passes take turns on one
+// lock, and reads take only the read lock of the shard they read.
 type Store struct {
 	s *transport.Store
 }

@@ -4,9 +4,8 @@
 // relaying before the whole cluster sees it. The replicas share one
 // grow-only set, mutated and read through the typed Set handle.
 //
-// Note WithNodes: on a partial topology the full membership is larger
-// than any replica's direct neighborhood, and the engines need it to
-// track causality cluster-wide.
+// A replica is told its neighbors and nothing else: the engines need no
+// cluster membership to relay across the ring.
 //
 // Run with: go run ./examples/tcpcluster
 package main
@@ -43,7 +42,6 @@ func main() {
 			crdtsync.WithID(ids[i]),
 			crdtsync.WithListener(listeners[i]),
 			crdtsync.WithPeers(map[string]string{ids[prev]: addrs[prev], ids[next]: addrs[next]}),
-			crdtsync.WithNodes(ids),
 			crdtsync.WithEngine(crdtsync.EngineDelta), // BP+RR, the paper's engine
 			crdtsync.WithSyncEvery(50*time.Millisecond),
 		)

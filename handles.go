@@ -108,8 +108,8 @@ func (s Set) Len() int {
 
 // Map is a typed handle on one map of last-writer-wins registers.
 // Each field is an independent object at "m/<name>/<field>": concurrent
-// Puts to different fields of the same map never contend on a lock, a
-// δ-buffer or a register version, and a map with a million fields costs
+// Puts to different fields of the same map share no δ-buffer or
+// register version, and a map with a million fields costs
 // a sync tick only what its dirty fields cost. Concurrent Puts to the
 // same field resolve last-writer-wins (version, then writer id).
 type Map struct {

@@ -26,9 +26,10 @@
 // one tag per shape of link header), whose keyed items are δ-groups and
 // whose bare items are messages; DigestMsg, TreeMsg and HelloMsg; and
 // DeltaMsg and AckedDeltaMsg as bare items. A BatchMsg's standalone form
-// is write-only. StateMsg, AckMsg, SBDigestMsg, SBDeltasMsg and OpsMsg
-// have none — they travel in memory, under internal/netsim and inside the
-// acked engine — and their tags are reserved. A sharded frame has one
+// is write-only. The full-state message, AckMsg and the Scuttlebutt and
+// op-based messages have none — they travel in memory, under
+// internal/netsim and inside the acked engine — and their tags are
+// reserved. A sharded frame has one
 // reader, UnpackFrame (unpack.go); every other message has one, DecodeMsg.
 //
 // A keyed item — the key, then one object's δ-group — says each thing

@@ -245,7 +245,7 @@ func (e *deltaAcked) deliver(x lattice.State, b *[]ackedEntry, from string, m Ms
 	case *AckedDeltaMsg:
 		absorb(e, x, b, msg.Delta, from)
 		// Acknowledge regardless of redundancy: the data arrived.
-		send(from, NewAckMsg(msg.Seqs))
+		send(from, newAckMsg(msg.Seqs))
 	case *DeltaMsg:
 		// A δ-group outside the acked sequence space: the store-level
 		// digest anti-entropy repair path ships full object states this

@@ -8,17 +8,18 @@ import (
 
 // Message constructors. The accounting of a message is a function of its
 // content, so it is not part of the wire format: the engines that send a
-// message and the decoder that rebuilds it (package codec) call the same
-// constructor and arrive at the same Cost(). The three simulator-only
-// messages at the bottom are the exception on the sending side: their
-// engines account against the configured membership (Config.IDBytes,
-// N-entry vectors whether or not an entry is zero — the paper's Figure 9
-// model), which a receiver cannot know, so a decoded one reports the
-// sizes of what it actually carries.
+// message and the decoder that rebuilds one (package codec, which reads
+// DeltaMsg, AckedDeltaMsg, DigestMsg, TreeMsg and HelloMsg) call the same
+// constructor and arrive at the same Cost(). The messages with no wire form
+// — the full state, the per-object acknowledgement and the three at the
+// bottom — are built here alone, by the engines that send them, and stay
+// unexported. The three simulator-only messages account against the
+// configured membership (Config.IDBytes, N-entry vectors whether or not an
+// entry is zero — the paper's Figure 9 model).
 
-// NewStateMsg builds a StateMsg: a full state needs no metadata.
-func NewStateMsg(s lattice.State) *StateMsg {
-	return &StateMsg{State: s, cost: stateCost(s, 0)}
+// newStateMsg builds a stateMsg: a full state needs no metadata.
+func newStateMsg(s lattice.State) *stateMsg {
+	return &stateMsg{State: s, cost: stateCost(s, 0)}
 }
 
 // NewDeltaMsg builds a DeltaMsg. One sequence number per neighbor is the
@@ -33,43 +34,43 @@ func NewAckedDeltaMsg(d lattice.State, seqs []uint64) *AckedDeltaMsg {
 	return &AckedDeltaMsg{Delta: d, Seqs: seqs, cost: stateCost(d, 8*len(seqs))}
 }
 
-// NewAckMsg builds an AckMsg: 8 bytes of metadata per acknowledged
+// newAckMsg builds an AckMsg: 8 bytes of metadata per acknowledged
 // sequence number, no payload.
-func NewAckMsg(seqs []uint64) *AckMsg {
+func newAckMsg(seqs []uint64) *AckMsg {
 	return &AckMsg{Seqs: seqs, cost: metrics.Transmission{Messages: 1, MetadataBytes: 8 * len(seqs)}}
 }
 
-// NewSBDigestMsg builds an SBDigestMsg accounted by the vector entries it
+// newSBDigestMsg builds an sbDigestMsg accounted by the vector entries it
 // carries.
-func NewSBDigestMsg(vec *vclock.VClock, matrix map[string]*vclock.VClock) *SBDigestMsg {
+func newSBDigestMsg(vec *vclock.VClock, matrix map[string]*vclock.VClock) *sbDigestMsg {
 	cost := metrics.Transmission{Messages: 1, Elements: vec.Len(), MetadataBytes: vec.SizeBytes()}
 	for _, v := range matrix {
 		cost.Elements += v.Len()
 		cost.MetadataBytes += v.SizeBytes()
 	}
-	return &SBDigestMsg{Vec: vec, Matrix: matrix, cost: cost}
+	return &sbDigestMsg{Vec: vec, Matrix: matrix, cost: cost}
 }
 
-// NewSBDeltasMsg builds an SBDeltasMsg accounted by its deltas, plus one
+// newSBDeltasMsg builds an sbDeltasMsg accounted by its deltas, plus one
 // version pair of metadata per item.
-func NewSBDeltasMsg(items []SBItem) *SBDeltasMsg {
+func newSBDeltasMsg(items []sbItem) *sbDeltasMsg {
 	cost := metrics.Transmission{Messages: 1}
 	for _, it := range items {
 		cost.Elements += it.Delta.Elements()
 		cost.PayloadBytes += it.Delta.SizeBytes()
 		cost.MetadataBytes += len(it.Dot.Actor) + 8
 	}
-	return &SBDeltasMsg{Items: items, cost: cost}
+	return &sbDeltasMsg{Items: items, cost: cost}
 }
 
-// NewOpsMsg builds an OpsMsg accounted by its operations, plus each one's
+// newOpsMsg builds an opsMsg accounted by its operations, plus each one's
 // dot and dependency vector as metadata.
-func NewOpsMsg(ops []TaggedOp) *OpsMsg {
+func newOpsMsg(ops []taggedOp) *opsMsg {
 	cost := metrics.Transmission{Messages: 1}
 	for _, op := range ops {
 		cost.Elements += op.Payload.Elements()
 		cost.PayloadBytes += op.OpBytes
 		cost.MetadataBytes += op.Dep.SizeBytes() + len(op.Dot.Actor) + 8
 	}
-	return &OpsMsg{Ops: ops, cost: cost}
+	return &opsMsg{Ops: ops, cost: cost}
 }

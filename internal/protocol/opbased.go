@@ -7,10 +7,10 @@ import (
 	"crdtsync/internal/workload"
 )
 
-// TaggedOp is one operation in flight through the causal broadcast
+// taggedOp is one operation in flight through the causal broadcast
 // middleware: the operation payload tagged with its dot and the vector
 // clock summarizing its causal past.
-type TaggedOp struct {
+type taggedOp struct {
 	Dot vclock.Dot
 	// Dep is the origin's vector clock immediately before the operation.
 	Dep *vclock.VClock
@@ -21,23 +21,23 @@ type TaggedOp struct {
 	OpBytes int
 }
 
-// OpsMsg carries a batch of tagged operations.
-type OpsMsg struct {
-	Ops  []TaggedOp
+// opsMsg carries a batch of tagged operations.
+type opsMsg struct {
+	Ops  []taggedOp
 	cost metrics.Transmission
 }
 
 // Kind implements Msg.
-func (m *OpsMsg) Kind() string { return "ops" }
+func (m *opsMsg) Kind() string { return "ops" }
 
 // Cost implements Msg.
-func (m *OpsMsg) Cost() metrics.Transmission { return m.cost }
+func (m *opsMsg) Cost() metrics.Transmission { return m.cost }
 
 // fwdEntry is a transmission-buffer entry: an operation plus the set of
 // peers known to have it (so unnecessary transmissions are avoided, the
 // best-possible store-and-forward middleware described in §V-B).
 type fwdEntry struct {
-	op   TaggedOp
+	op   taggedOp
 	seen map[string]bool
 }
 
@@ -55,7 +55,7 @@ type opBased struct {
 	// fwdIndex finds transmission-buffer entries by dot.
 	fwdIndex map[vclock.Dot]*fwdEntry
 	// pending holds received but not yet causally deliverable ops.
-	pending map[vclock.Dot]TaggedOp
+	pending map[vclock.Dot]taggedOp
 	// pendingFrom remembers who first sent each pending op.
 	pendingFrom map[vclock.Dot]string
 }
@@ -68,7 +68,7 @@ func NewOpBased() Factory {
 			x:           cfg.Datatype.New(),
 			v:           vclock.New(),
 			fwdIndex:    make(map[vclock.Dot]*fwdEntry),
-			pending:     make(map[vclock.Dot]TaggedOp),
+			pending:     make(map[vclock.Dot]taggedOp),
 			pendingFrom: make(map[vclock.Dot]string),
 		}
 	}
@@ -85,12 +85,12 @@ func (e *opBased) LocalOp(op workload.Op) {
 	dep := e.v.Clone()
 	dot := e.v.Next(e.cfg.ID)
 	e.x.Merge(payload)
-	e.buffer(TaggedOp{Dot: dot, Dep: dep, Payload: payload, OpBytes: e.cfg.Datatype.OpBytes(op)}, e.cfg.ID)
+	e.buffer(taggedOp{Dot: dot, Dep: dep, Payload: payload, OpBytes: e.cfg.Datatype.OpBytes(op)}, e.cfg.ID)
 }
 
 // buffer adds a delivered op to the transmission buffer, marking self and
 // the immediate sender as having seen it.
-func (e *opBased) buffer(op TaggedOp, from string) {
+func (e *opBased) buffer(op taggedOp, from string) {
 	entry := &fwdEntry{op: op, seen: map[string]bool{e.cfg.ID: true}}
 	if from != e.cfg.ID {
 		entry.seen[from] = true
@@ -101,7 +101,7 @@ func (e *opBased) buffer(op TaggedOp, from string) {
 
 func (e *opBased) Sync(send Sender) {
 	for _, j := range e.cfg.Neighbors {
-		var batch []TaggedOp
+		var batch []taggedOp
 		for _, entry := range e.fwd {
 			if !entry.seen[j] {
 				batch = append(batch, entry.op)
@@ -121,7 +121,7 @@ func (e *opBased) Sync(send Sender) {
 			cost.PayloadBytes += op.OpBytes
 			cost.MetadataBytes += e.cfg.vectorBytes() + e.cfg.idBytes() + 8
 		}
-		send(j, &OpsMsg{Ops: batch, cost: cost})
+		send(j, &opsMsg{Ops: batch, cost: cost})
 	}
 	e.pruneFwd()
 }
@@ -148,7 +148,7 @@ func (e *opBased) pruneFwd() {
 }
 
 func (e *opBased) Deliver(from string, m Msg, _ Sender) {
-	om, ok := m.(*OpsMsg)
+	om, ok := m.(*opsMsg)
 	if !ok {
 		return
 	}

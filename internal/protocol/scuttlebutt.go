@@ -9,41 +9,41 @@ import (
 	"crdtsync/internal/workload"
 )
 
-// SBDigestMsg is a Scuttlebutt reconciliation request: the sender's summary
+// sbDigestMsg is a Scuttlebutt reconciliation request: the sender's summary
 // vector, plus (Scuttlebutt-GC only) the matrix of last-seen summary
 // vectors used for safe delta deletion.
-type SBDigestMsg struct {
+type sbDigestMsg struct {
 	Vec    *vclock.VClock
 	Matrix map[string]*vclock.VClock // nil for plain Scuttlebutt
 	cost   metrics.Transmission
 }
 
 // Kind implements Msg.
-func (m *SBDigestMsg) Kind() string { return "sb-digest" }
+func (m *sbDigestMsg) Kind() string { return "sb-digest" }
 
 // Cost implements Msg.
-func (m *SBDigestMsg) Cost() metrics.Transmission { return m.cost }
+func (m *sbDigestMsg) Cost() metrics.Transmission { return m.cost }
 
-// SBItem is one key-delta pair of the Scuttlebutt store: the version pair
+// sbItem is one key-delta pair of the Scuttlebutt store: the version pair
 // ⟨i, s⟩ as key and the optimal delta produced by the original δ-mutator as
 // value.
-type SBItem struct {
+type sbItem struct {
 	Dot   vclock.Dot
 	Delta lattice.State
 }
 
-// SBDeltasMsg is a Scuttlebutt reconciliation reply: all key-delta pairs
+// sbDeltasMsg is a Scuttlebutt reconciliation reply: all key-delta pairs
 // the replier holds that the requester's summary vector does not cover.
-type SBDeltasMsg struct {
-	Items []SBItem
+type sbDeltasMsg struct {
+	Items []sbItem
 	cost  metrics.Transmission
 }
 
 // Kind implements Msg.
-func (m *SBDeltasMsg) Kind() string { return "sb-deltas" }
+func (m *sbDeltasMsg) Kind() string { return "sb-deltas" }
 
 // Cost implements Msg.
-func (m *SBDeltasMsg) Cost() metrics.Transmission { return m.cost }
+func (m *sbDeltasMsg) Cost() metrics.Transmission { return m.cost }
 
 // scuttlebutt implements the Scuttlebutt anti-entropy baseline of §V-B:
 // values are the optimal deltas of δ-mutators, keys are version pairs, and
@@ -110,7 +110,7 @@ func (e *scuttlebutt) LocalOp(op workload.Op) {
 
 func (e *scuttlebutt) Sync(send Sender) {
 	for _, j := range e.cfg.Neighbors {
-		msg := &SBDigestMsg{Vec: e.known.Clone()}
+		msg := &sbDigestMsg{Vec: e.known.Clone()}
 		// The summary vector is itself a map of N entries; it counts
 		// against the paper's "entries transmitted" metric, which is why
 		// Scuttlebutt loses to state-based on GCounter (§V-B1).
@@ -132,14 +132,14 @@ func (e *scuttlebutt) Sync(send Sender) {
 
 func (e *scuttlebutt) Deliver(from string, m Msg, send Sender) {
 	switch msg := m.(type) {
-	case *SBDigestMsg:
+	case *sbDigestMsg:
 		e.deliverDigest(from, msg, send)
-	case *SBDeltasMsg:
+	case *sbDeltasMsg:
 		e.deliverDeltas(msg)
 	}
 }
 
-func (e *scuttlebutt) deliverDigest(from string, msg *SBDigestMsg, send Sender) {
+func (e *scuttlebutt) deliverDigest(from string, msg *sbDigestMsg, send Sender) {
 	if e.gc {
 		// Track what the sender (and, transitively, everyone it heard
 		// about) has seen, then drop deltas seen by all nodes.
@@ -161,10 +161,10 @@ func (e *scuttlebutt) deliverDigest(from string, msg *SBDigestMsg, send Sender) 
 	}
 	// Reply with every key-delta pair the requester does not cover,
 	// in (actor, seq) order so the receiver advances contiguously.
-	items := make([]SBItem, 0)
+	items := make([]sbItem, 0)
 	for dot, d := range e.store {
 		if !msg.Vec.Contains(dot) {
-			items = append(items, SBItem{Dot: dot, Delta: d.Clone()})
+			items = append(items, sbItem{Dot: dot, Delta: d.Clone()})
 		}
 	}
 	if len(items) == 0 {
@@ -182,10 +182,10 @@ func (e *scuttlebutt) deliverDigest(from string, msg *SBDigestMsg, send Sender) 
 		cost.PayloadBytes += it.Delta.SizeBytes()
 		cost.MetadataBytes += e.cfg.idBytes() + 8 // the version pair
 	}
-	send(from, &SBDeltasMsg{Items: items, cost: cost})
+	send(from, &sbDeltasMsg{Items: items, cost: cost})
 }
 
-func (e *scuttlebutt) deliverDeltas(msg *SBDeltasMsg) {
+func (e *scuttlebutt) deliverDeltas(msg *sbDeltasMsg) {
 	for _, it := range msg.Items {
 		if e.known.Contains(it.Dot) {
 			continue

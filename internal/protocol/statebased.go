@@ -6,17 +6,17 @@ import (
 	"crdtsync/internal/workload"
 )
 
-// StateMsg carries a full CRDT state (state-based synchronization).
-type StateMsg struct {
+// stateMsg carries a full CRDT state (state-based synchronization).
+type stateMsg struct {
 	State lattice.State
 	cost  metrics.Transmission
 }
 
 // Kind implements Msg.
-func (m *StateMsg) Kind() string { return "state" }
+func (m *stateMsg) Kind() string { return "state" }
 
 // Cost implements Msg.
-func (m *StateMsg) Cost() metrics.Transmission { return m.cost }
+func (m *stateMsg) Cost() metrics.Transmission { return m.cost }
 
 // stateBased is the classic state-based synchronization baseline: the full
 // local state is periodically shipped to every neighbor and joined on
@@ -47,12 +47,12 @@ func (e *stateBased) Sync(send Sender) {
 		return
 	}
 	for _, j := range e.cfg.Neighbors {
-		send(j, NewStateMsg(e.x.Clone()))
+		send(j, newStateMsg(e.x.Clone()))
 	}
 }
 
 func (e *stateBased) Deliver(_ string, m Msg, _ Sender) {
-	sm, ok := m.(*StateMsg)
+	sm, ok := m.(*stateMsg)
 	if !ok {
 		return
 	}

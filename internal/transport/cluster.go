@@ -56,7 +56,6 @@ func LoopbackClusterWith(n int, template StoreConfig, customize func(i int, id s
 		cfg.Listener = listeners[i]
 		cfg.ListenAddr = ""
 		cfg.Peers = peers
-		cfg.Nodes = ids
 		if customize != nil {
 			customize(i, ids[i], &cfg)
 		}

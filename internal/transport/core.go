@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"crdtsync/internal/codec"
 	"crdtsync/internal/lattice"
@@ -22,7 +21,10 @@ import (
 // driven by calls, each handed the time where a decision needs it: update,
 // deliver, hello and gone, and step (whatever is due). It sends through a
 // port, and reads no clock, arms no timer, starts no goroutine and holds no
-// socket: the shell (Store, store.go) owns all four.
+// socket: the shell (Store, store.go) owns all four. It has one owner at a
+// time: every call runs under core.mu, so the core handles one event at a
+// time, as the paper's Algorithm 1 does, in the order the callers took the
+// lock.
 
 // port is where the core's frames go: peerNet on a running store, a
 // recording fake in tests. transmit never blocks; an error means the frame
@@ -40,6 +42,14 @@ const never = math.MaxInt64
 // core is one replica's state and decisions; its times are nanoseconds on
 // the shell's clock.
 type core struct {
+	// mu is the core's one lock: it guards every field below that changes
+	// after construction, and the shards' and links' own. The shell
+	// holds it around each call it makes — update, step, SyncNow, Close's
+	// last pass, counters, the digests, a snapshot's cut of a shard, the
+	// peer network's hello and gone, watcher registration — and deliver
+	// takes it itself once its frame is unpacked. Readers of the keyspace
+	// never take it: they take a shard's own lock (shard.mu).
+	mu        sync.Mutex
 	cfg       StoreConfig
 	inc       uint32 // this life's incarnation, which every hello names
 	out       port
@@ -54,36 +64,33 @@ type core struct {
 	// and then no neighbor is ever caught up with either (setReach).
 	reach  *protocol.Reach
 	repair repairTable
-	ticks  atomic.Uint64
-	// deliverLocks counts the shard-lock acquisitions of the inbound
-	// delivery path — one per touched shard per frame, an invariant an
-	// instrumented test pins.
-	deliverLocks atomic.Uint64
-	// wire holds the counters every flush bumps, as atomics; stats, under
-	// statsMu, the rest.
-	wire    wireCounters
-	statsMu sync.Mutex
-	stats   StoreStats
+	ticks  uint64
+	// deliverLocks counts the shard write locks of the inbound delivery
+	// path — one per touched shard per frame, an invariant an instrumented
+	// test pins.
+	deliverLocks uint64
+	// stats holds every counter Stats reports but the peer pipelines' and
+	// the engines' own.
+	stats StoreStats
 	// hold is how long an owed acknowledgement waits for a data frame to
 	// ride before it leaves alone; the shell sets it (ackHoldsPerTick).
-	hold atomic.Int64
+	hold int64
 	// The write-triggered flush. flushWanted is set by the first update or
 	// forwarding delivery after a pass and cleared by the next pass (flush
 	// or tick); step runs the flush once lastSend — when the previous pass
 	// ended — is a window in the past. A pass stores its start and the
 	// shell, which can read the clock again, its end, so that slow passes
 	// leave fewer, fuller flushes. nextTick is when step runs the next
-	// tick; only step uses it.
-	flushWanted atomic.Bool
-	lastSend    atomic.Int64
+	// tick.
+	flushWanted bool
+	lastSend    int64
 	nextTick    int64
-	// digestVecs is the free list of digest vectors (see getDigestVec).
-	digestVecs chan []uint64
-	watchMu    sync.RWMutex
-	watchers   []*Watcher
-	// watcherCount mirrors len(watchers) for the lock-free hasWatchers
-	// check on the delivery and update hot paths; written under watchMu.
-	watcherCount atomic.Int32
+	// scratch is what a pass or a delivery collects its sends on, and
+	// digestVec the per-shard digest vector a tick or an echo advertises:
+	// one of each, reused by every call.
+	scratch   scratch
+	digestVec []uint64
+	watchers  []*Watcher
 }
 
 // newCore builds one engine per shard and one link per neighbor from a
@@ -100,15 +107,10 @@ func newCore(cfg StoreConfig, inc uint32) (*core, error) {
 		neighbors = append(neighbors, id)
 	}
 	sort.Strings(neighbors)
-	nodes := cfg.Nodes
-	if nodes == nil {
-		nodes = append([]string{cfg.ID}, neighbors...)
-		sort.Strings(nodes)
-	}
 	// Only an engine that withholds on a neighbor's word is given the
 	// table of what the neighbors have said.
 	var reach *protocol.Reach
-	probe := cfg.Factory(protocol.Config{ID: cfg.ID, Neighbors: neighbors, Nodes: nodes, Datatype: cfg.ObjType("")})
+	probe := cfg.Factory(protocol.Config{ID: cfg.ID, Neighbors: neighbors, Datatype: cfg.ObjType("")})
 	if rc, ok := probe.(protocol.ReachConsulter); ok && rc.ConsultsReach() {
 		reach = protocol.NewReach(neighbors)
 	}
@@ -118,7 +120,6 @@ func newCore(cfg StoreConfig, inc uint32) (*core, error) {
 		eng := factory(protocol.Config{
 			ID:        cfg.ID,
 			Neighbors: neighbors,
-			Nodes:     nodes,
 			Reach:     reach,
 		})
 		keyed, ok1 := eng.(protocol.KeyedEngine)
@@ -130,16 +131,17 @@ func newCore(cfg StoreConfig, inc uint32) (*core, error) {
 		shards[i] = &shard{engine: keyed, od: od, fl: fl}
 	}
 	c := &core{
-		cfg:        cfg,
-		inc:        inc,
-		shards:     shards,
-		neighbors:  neighbors,
-		links:      make(map[string]*link, len(neighbors)),
-		linkList:   make([]*link, len(neighbors)),
-		reach:      reach,
-		repair:     repairTable{timeout: int64(cfg.RepairTimeout), entries: make([]repairEntry, cfg.Shards)},
-		nextTick:   int64(cfg.SyncEvery),
-		digestVecs: make(chan []uint64, 4),
+		cfg:       cfg,
+		inc:       inc,
+		shards:    shards,
+		neighbors: neighbors,
+		links:     make(map[string]*link, len(neighbors)),
+		linkList:  make([]*link, len(neighbors)),
+		reach:     reach,
+		repair:    repairTable{timeout: int64(cfg.RepairTimeout), entries: make([]repairEntry, cfg.Shards)},
+		nextTick:  int64(cfg.SyncEvery),
+		scratch:   scratch{b: newOutBatch()},
+		digestVec: make([]uint64, cfg.Shards),
 	}
 	for i, id := range neighbors {
 		c.linkList[i] = newLink(inc)
@@ -148,16 +150,19 @@ func newCore(cfg StoreConfig, inc uint32) (*core, error) {
 	return c, nil
 }
 
-// shard is one lock domain: a per-object engine (a keyspace partition)
-// plus the mutex that serializes access to it. Updates and syncs on keys
-// hashing to different shards never contend.
+// shard is one partition of the keyspace: a per-object engine, and the
+// flags and hashes the core keeps about it.
 //
-// unsent, dirty and the digest are read without the mutex (atomically),
-// so flushes, ticks and the digest heartbeat skip clean shards without
-// taking their locks; all are only written while holding mu, which keeps
-// the flags coherent with the engine state they describe.
+// mu is for the readers of the keyspace (Get, View, Query, Scan, Keys,
+// NumKeys, Memory), which never take core.mu: a read never waits behind a
+// pass, only behind a change to its own shard. The owner — a caller
+// holding core.mu — takes the write lock around every engine call that
+// changes the engine, always after core.mu; what it only reads it reads
+// without mu, since nobody else writes. The engine's Scan and Memory
+// settle lazy state (the key order, a scratch buffer) and take the write
+// lock too, by readers and owner alike. Every other field is the owner's.
 type shard struct {
-	mu     sync.Mutex
+	mu     sync.RWMutex
 	engine protocol.KeyedEngine
 	// od and fl are the same engine through its per-object delivery and
 	// first-transmission interfaces, asserted once at construction for
@@ -168,56 +173,56 @@ type shard struct {
 	// inbound delivery has left its engine something never sent.
 	// dirty marks a shard a tick must visit: that, or objects still
 	// waiting (for acks, so that the tick can decide to send again).
-	unsent, dirty atomic.Bool
+	unsent, dirty bool
 	// digest is this shard's content digest: the XOR of the content hashes
-	// its engine keeps per key (keyHash), as of the last digestLocked. It is
+	// its engine keeps per key (keyHash), as of the last rehash. It is
 	// current while digestOK — until the engine next has a stale key.
-	digest   atomic.Uint64
-	digestOK atomic.Bool
+	digest   uint64
+	digestOK bool
 	// leaf is the Merkle leaf-hash vector drills read, nil unless one has
-	// folded it since the last mutation (see ensureLeavesLocked). Unlike
-	// the digest it is only touched under mu, so a plain field suffices.
+	// folded it since the last mutation (see ensureLeaves).
 	leaf *leafVec
 }
 
 // touched flags the shard for the passes its engine now needs and, if a
-// key's state may have changed, marks the digest out of date and hands the
-// leaf vector back; callers hold sh.mu having just used the engine. It
-// reports whether a flush has something to ship.
+// key's state may have changed, marks the digest out of date and drops the
+// leaf vector; callers have just changed the engine. It reports whether a
+// flush has something to ship.
 func (sh *shard) touched() bool {
 	if sh.engine.Stale() {
-		sh.digestOK.Store(false)
-		sh.dropLeavesLocked()
+		sh.digestOK = false
+		sh.leaf = nil
 	}
 	if sh.fl.Waiting() {
-		sh.dirty.Store(true)
+		sh.dirty = true
 	}
 	if !sh.fl.Unsent() {
 		return false
 	}
-	sh.unsent.Store(true)
+	sh.unsent = true
 	return true
 }
 
 // pass runs one flush (first transmissions) or tick (Sync) over the
-// shard's engine and re-derives the flags; callers hold sh.mu.
+// shard's engine and re-derives the flags.
 func (sh *shard) pass(tick bool, send protocol.Sender) {
-	sh.unsent.Store(false)
+	sh.unsent = false
+	sh.mu.Lock()
 	if tick {
 		sh.engine.Sync(send)
 	} else {
 		sh.fl.Flush(send)
 	}
-	sh.dirty.Store(sh.fl.Waiting())
+	sh.mu.Unlock()
+	sh.dirty = sh.fl.Waiting()
 }
 
-// due reports, without the lock, whether the given kind of pass has to
-// visit the shard.
+// due reports whether the given kind of pass has to visit the shard.
 func (sh *shard) due(tick bool) bool {
 	if tick {
-		return sh.dirty.Load()
+		return sh.dirty
 	}
-	return sh.unsent.Load()
+	return sh.unsent
 }
 
 // shardOf returns the shard key routes to (protocol.ShardOf): the one a
@@ -226,93 +231,62 @@ func (c *core) shardOf(key string) *shard {
 	return c.shards[protocol.ShardOf(key, len(c.shards))]
 }
 
-// update applies one local operation under its key's shard lock alone, and
-// reports whether it asked for the first flush since the last pass: step
-// then has a deadline the caller's loop does not know of yet.
+// update applies one local operation, and reports whether it asked for
+// the first flush since the last pass: step then has a deadline the
+// caller's loop does not know of yet.
 func (c *core) update(op workload.Op) bool {
 	sh := c.shardOf(op.Key)
 	sh.mu.Lock()
 	sh.engine.LocalOp(op)
-	unsent := sh.touched()
 	sh.mu.Unlock()
-	wake := unsent && c.requestFlush()
-	if c.hasWatchers() {
+	wake := sh.touched() && c.requestFlush()
+	if len(c.watchers) > 0 {
 		c.notifyWatchers(op.Key)
 	}
 	return wake
 }
 
 // requestFlush asks step for a first-transmission pass, reporting whether
-// it is the first request since the last pass (the others cost one load).
+// it is the first request since the last pass.
 func (c *core) requestFlush() bool {
-	return !c.flushWanted.Load() && c.flushWanted.CompareAndSwap(false, true)
+	if c.flushWanted {
+		return false
+	}
+	c.flushWanted = true
+	return true
 }
 
-// shardDigest returns one shard's content digest, without taking the
-// shard lock when no key of it has been touched since the last call — the
-// common case on an idle keyspace.
-func (c *core) shardDigest(sh *shard) uint64 {
-	if sh.digestOK.Load() {
-		return sh.digest.Load()
+// rehash brings the shard's content digest up to date and returns it.
+// Only the keys touched since the last call are encoded and hashed again;
+// each one's old hash leaves the digest as its new one enters (XOR is its
+// own inverse), so a digest costs what changed, not what the shard holds,
+// and nothing on an idle keyspace.
+func (sh *shard) rehash() uint64 {
+	if sh.digestOK {
+		return sh.digest
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.digestLocked()
-}
-
-// digestLocked brings the shard's content digest up to date under an
-// already-held sh.mu — the snapshotter uses it directly so the digest it
-// records and the contents it serializes come from one lock hold. Only
-// the keys touched since the last call are encoded and hashed again; each
-// one's old hash leaves the digest as its new one enters (XOR is its own
-// inverse), so a digest costs what changed, not what the shard holds.
-func (sh *shard) digestLocked() uint64 {
-	d := sh.digest.Load()
-	if sh.digestOK.Load() {
-		return d
-	}
-	var scratch []byte
+	var enc []byte
+	d := sh.digest
+	sh.mu.Lock() // the engine keeps the hashes
 	sh.engine.Rehash(func(k string, st lattice.State, hash *uint64) {
-		scratch = codec.AppendState(scratch[:0], st)
-		h := keyHash(k, scratch)
+		enc = codec.AppendState(enc[:0], st)
+		h := keyHash(k, enc)
 		d ^= *hash ^ h
 		*hash = h
 	})
-	sh.digest.Store(d)
-	sh.digestOK.Store(true)
+	sh.mu.Unlock()
+	sh.digest, sh.digestOK = d, true
 	return d
 }
 
-// shardDigests returns the per-shard digest vector in a pooled slice, to
-// be handed back with putDigestVec. Clean shards — all of them, on an idle
-// store — are read without a lock, allocation-free.
+// shardDigests fills the core's one digest vector, which the caller must
+// be done with before it next calls this; clean shards — all of them, on
+// an idle store — cost a load each.
 func (c *core) shardDigests() []uint64 {
-	vec := c.getDigestVec()
 	for i, sh := range c.shards {
-		vec[i] = c.shardDigest(sh)
+		c.digestVec[i] = sh.rehash()
 	}
-	return vec
-}
-
-// getDigestVec hands out a per-shard digest vector from the free list, a
-// typed channel rather than a sync.Pool so that a cycle allocates nothing
-// (boxing a slice in an interface allocates).
-func (c *core) getDigestVec() []uint64 {
-	select {
-	case v := <-c.digestVecs:
-		return v
-	default:
-		return make([]uint64, len(c.shards))
-	}
-}
-
-// putDigestVec returns a vector once nothing can reference it: after
-// flush, whose packing copies it into frame bytes.
-func (c *core) putDigestVec(v []uint64) {
-	select {
-	case c.digestVecs <- v:
-	default:
-	}
+	return c.digestVec
 }
 
 // outBatch accumulates per-destination shard items in first-send order.
@@ -341,7 +315,7 @@ func (b *outBatch) sender(shardIdx uint32) protocol.Sender {
 }
 
 // reset clears the batch for reuse, keeping the per-destination slice
-// capacity (the items themselves are zeroed so pooled batches do not pin
+// capacity (the items themselves are zeroed so a reused batch does not pin
 // message memory between frames).
 func (b *outBatch) reset() {
 	for _, to := range b.order {
@@ -352,14 +326,10 @@ func (b *outBatch) reset() {
 	b.order = b.order[:0]
 }
 
-// frameViews pools the unpacked-frame views the inbound path fills per
-// frame; a connection at steady state recycles one view (and its item
-// slices) across every frame it receives.
-var frameViews = sync.Pool{New: func() any { return new(codec.FrameView) }}
-
-// deliverState bundles the per-frame delivery scratch, so one pool Get
-// covers the outbound batch and applyAck's buffers.
-type deliverState struct {
+// scratch is the core's per-call scratch: the batch a pass or a delivery
+// collects its sends on, and applyAck's buffers. One call uses it at a
+// time, and hands it back reset.
+type scratch struct {
 	b *outBatch
 	// acked, ack and key are applyAck's scratch: the δ-groups of the
 	// frames an acknowledgement settled, the message each is handed to
@@ -369,14 +339,9 @@ type deliverState struct {
 	key   []byte
 }
 
-var deliverStates = sync.Pool{New: func() any { return &deliverState{b: newOutBatch()} }}
-
-func getDeliverState() *deliverState { return deliverStates.Get().(*deliverState) }
-
-func (d *deliverState) release() {
+func (d *scratch) release() {
 	d.b.reset()
 	d.ack.Seqs = nil
-	deliverStates.Put(d)
 }
 
 // noReply is the Sender a delivery is handed: neither store engine answers
@@ -410,8 +375,8 @@ func (c *core) step(now int64) (next int64, pass bool) {
 	}
 	next = c.nextTick
 	// Unless the tick has shipped what the request was for.
-	if c.flushWanted.Load() {
-		if at := c.lastSend.Load() + period/flushesPerTick; at > now {
+	if c.flushWanted {
+		if at := c.lastSend + period/flushesPerTick; at > now {
 			next = min(next, at) // a tick before then serves the request
 		} else {
 			c.writeFlush(now)
@@ -421,18 +386,17 @@ func (c *core) step(now int64) (next int64, pass bool) {
 	return min(next, c.flushAcks(now)), pass
 }
 
-// tick runs one synchronization step over the dirty shards — clean ones
-// are skipped without their locks — and flushes the coalesced frames: what
-// has never been sent, and what the acked engines decide to send again
-// (retransmissions happen here only). Every DigestEvery ticks the digest
+// tick runs one synchronization step over the dirty shards and flushes
+// the coalesced frames: what has never been sent, and what the acked
+// engines decide to send again (retransmissions happen here only). Every DigestEvery ticks the digest
 // vector goes out with the same flush: piggybacked on a data frame to each
 // peer getting one anyway, standalone to the others.
 func (c *core) tick(now int64) {
-	c.flushWanted.Store(false) // this pass serves the request
-	d := getDeliverState()
-	defer d.release()
-	b := d.b
-	tick := c.ticks.Add(1)
+	c.flushWanted = false // this pass serves the request
+	defer c.scratch.release()
+	b := c.scratch.b
+	c.ticks++
+	tick := c.ticks
 	for _, lk := range c.linkList {
 		lk.age(tick)
 	}
@@ -447,13 +411,12 @@ func (c *core) tick(now int64) {
 	var vec, ride []uint64
 	if regular || c.catchingUp() {
 		vec = c.shardDigests()
-		defer c.putDigestVec(vec)
 		if regular {
 			ride = vec
 		}
 	}
 	covered := c.flush(b, ride)
-	c.lastSend.Store(now)
+	c.lastSend = now
 	if vec == nil {
 		return
 	}
@@ -461,7 +424,7 @@ func (c *core) tick(now int64) {
 		// A neighbor being caught up with is asked for its vector back —
 		// it may advertise on no schedule of its own — once the pipeline to
 		// it is up: one that is gone for good is dialed, not sent to.
-		echo := c.linkList[i].catchUp.left.Load() > 0 && c.out.connect(to)
+		echo := c.linkList[i].catchUp.left > 0 && c.out.connect(to)
 		if _, ok := covered[to]; !echo && (!regular || ok) {
 			continue
 		}
@@ -481,7 +444,7 @@ const helloEvery = 64
 // catchingUp reports whether any neighbor has a shard left to compare.
 func (c *core) catchingUp() bool {
 	for _, lk := range c.linkList {
-		if lk.catchUp.left.Load() > 0 {
+		if lk.catchUp.left > 0 {
 			return true
 		}
 	}
@@ -490,22 +453,20 @@ func (c *core) catchingUp() bool {
 
 // writeFlush is the pass between two ticks: first transmissions only —
 // no retransmission, no digest advertisement, no heartbeat, and Ticks
-// does not advance. A pass that finds no shard with anything unsent takes
-// no lock and allocates nothing.
+// does not advance. A pass that finds no shard with anything unsent
+// allocates nothing.
 func (c *core) writeFlush(now int64) {
-	c.flushWanted.Store(false) // this pass serves the request
+	c.flushWanted = false // this pass serves the request
 	if c.anyDue(false) {
-		d := getDeliverState()
-		c.collect(d.b, false)
-		c.flush(d.b, nil)
-		d.release()
+		c.collect(c.scratch.b, false)
+		c.flush(c.scratch.b, nil)
+		c.scratch.release()
 	}
-	c.wire.writeFlushes.Add(1)
-	c.lastSend.Store(now)
+	c.stats.WriteFlushes++
+	c.lastSend = now
 }
 
-// anyDue reports, without a lock, whether the given kind of pass has a
-// shard to visit.
+// anyDue reports whether the given kind of pass has a shard to visit.
 func (c *core) anyDue(tick bool) bool {
 	for _, sh := range c.shards {
 		if sh.due(tick) {
@@ -518,66 +479,52 @@ func (c *core) anyDue(tick bool) bool {
 // collect runs the per-shard stage of a pass — a tick (engine.Sync over
 // the dirty shards) or a flush (first transmissions over the shards with
 // something unsent) — accumulating every engine emission on b in
-// ascending shard order, each shard's under its own lock.
+// ascending shard order.
 func (c *core) collect(b *outBatch, tick bool) {
 	for i, sh := range c.shards {
-		if !sh.due(tick) {
-			continue
+		if sh.due(tick) {
+			sh.pass(tick, b.sender(uint32(i)))
 		}
-		sh.mu.Lock()
-		sh.pass(tick, b.sender(uint32(i)))
-		sh.mu.Unlock()
 	}
 }
 
 // flush packs the accumulated items into bounded frames per destination
 // and transmits them; vec, when non-nil, is piggybacked onto one frame
 // per destination when it fits, and the returned set names the peers it
-// reached. Callers must not hold any shard lock: a slow peer can then
-// never block updates or inbound handling on other connections.
+// reached.
 func (c *core) flush(b *outBatch, vec []uint64) map[string]struct{} {
-	if len(b.order) == 0 {
-		return nil
-	}
 	var covered map[string]struct{}
-	var t wireTally
 	for _, to := range b.order {
-		if c.flushTo(to, b.perDest[to], vec, &t) {
+		if c.flushTo(to, b.perDest[to], vec) {
 			if covered == nil {
 				covered = make(map[string]struct{})
 			}
 			covered[to] = struct{}{}
 		}
 	}
-	c.wire.add(&t)
 	return covered
 }
 
 // flushTo packs and transmits one destination's items, reporting whether
 // vec rode one of the frames. A neighbor's frames are numbered on its
-// link, whose packMu is held until they are queued, in order.
-func (c *core) flushTo(to string, items []protocol.ShardItem, vec []uint64, t *wireTally) bool {
-	lk := c.links[to]
-	if lk != nil {
-		lk.packMu.Lock()
-		defer lk.packMu.Unlock()
-	}
-	res, err := packFrames(items, vec, c.maxMsgBytes(), len(c.shards), lk)
+// link.
+func (c *core) flushTo(to string, items []protocol.ShardItem, vec []uint64) bool {
+	res, err := packFrames(items, vec, c.maxMsgBytes(), len(c.shards), c.links[to])
 	if err != nil {
 		// Engines produced an unencodable message: a programming
 		// error in the engine/codec pairing.
 		panic(err)
 	}
 	if len(res.frames) > 1 {
-		t.split += len(res.frames)
+		c.stats.SplitFrames += len(res.frames)
 	}
-	t.oversized += res.oversized
+	c.stats.OversizedDropped += res.oversized
 	for _, f := range res.frames {
 		kind := frameData
 		if f.digests {
 			kind = framePiggyback
 		}
-		c.transmit(to, f.data, f.cost, kind, t)
+		c.transmit(to, f.data, f.cost, kind)
 	}
 	return res.digestsAttached
 }
@@ -586,15 +533,14 @@ func (c *core) flushTo(to string, items []protocol.ShardItem, vec []uint64, t *w
 // neighbor whose acknowledgement has been owed for its whole hold, and
 // returns when the next hold still running ends — never when none is.
 // Until then an acknowledgement waits for a data frame toward its
-// neighbor, which takes it (packFrames). With nobody owed it costs one
-// atomic load per neighbor.
+// neighbor, which takes it (packFrames).
 func (c *core) flushAcks(now int64) int64 {
-	hold, next := c.hold.Load(), int64(never)
+	next := int64(never)
 	for i, lk := range c.linkList {
-		if !lk.owed.Load() {
+		if !lk.owed {
 			continue
 		}
-		if due := lk.owedAt.Load() + hold; due > now {
+		if due := lk.owedAt + c.hold; due > now {
 			next = min(next, due)
 		} else {
 			c.sendAck(c.neighbors[i], lk)
@@ -613,9 +559,7 @@ func (c *core) sendAck(to string, lk *link) {
 	}
 	link := protocol.LinkHeader{Ack: ack}
 	data := codec.AppendShardedHeader(make([]byte, 0, codec.ShardedHeaderSize(link, nil, 0, 0)), link, nil, 0, 0)
-	var t wireTally
-	c.transmit(to, data, metrics.Transmission{Messages: 1, MetadataBytes: link.MetadataBytes()}, frameAck, &t)
-	c.wire.add(&t)
+	c.transmit(to, data, metrics.Transmission{Messages: 1, MetadataBytes: link.MetadataBytes()}, frameAck)
 }
 
 // maxMsgBytes is the largest encoded message one data frame carries under
@@ -639,77 +583,14 @@ const (
 	frameHello
 )
 
-// wireCounters are the counters every frame moves, as atomics — passes
-// run on the sync loop and every read goroutine at once — to which a pass
-// adds its wireTally once, however many frames it sent.
-type wireCounters struct {
-	frames, wireBytes, digestFrames, piggybacked atomic.Int64
-	splitFrames, oversized, writeFlushes         atomic.Int64
-	ackFrames, helloFrames                       atomic.Int64
-	messages, elements, payload, metadata        atomic.Int64 // Sent
-}
-
-// wireTally is what one pass handed to the write pipelines.
-type wireTally struct {
-	frames, wireBytes, digestFrames, piggybacked, split, oversized int
-	ackFrames, helloFrames                                         int
-	sent                                                           metrics.Transmission
-}
-
-func (w *wireCounters) add(t *wireTally) {
-	addN(&w.frames, t.frames)
-	addN(&w.wireBytes, t.wireBytes)
-	addN(&w.digestFrames, t.digestFrames)
-	addN(&w.piggybacked, t.piggybacked)
-	addN(&w.ackFrames, t.ackFrames)
-	addN(&w.helloFrames, t.helloFrames)
-	addN(&w.splitFrames, t.split)
-	addN(&w.oversized, t.oversized)
-	addN(&w.messages, t.sent.Messages)
-	addN(&w.elements, t.sent.Elements)
-	addN(&w.payload, t.sent.PayloadBytes)
-	addN(&w.metadata, t.sent.MetadataBytes)
-}
-
-// addN skips the atomic for the counters a pass did not move.
-func addN(c *atomic.Int64, n int) {
-	if n != 0 {
-		c.Add(int64(n))
-	}
-}
-
-// snapshot copies the counters into their StoreStats fields.
-func (w *wireCounters) snapshot(st *StoreStats) {
-	st.Frames = int(w.frames.Load())
-	st.WireBytes = int(w.wireBytes.Load())
-	st.DigestFrames = int(w.digestFrames.Load())
-	st.PiggybackedDigests = int(w.piggybacked.Load())
-	st.AckFrames = int(w.ackFrames.Load())
-	st.HelloFrames = int(w.helloFrames.Load())
-	st.SplitFrames = int(w.splitFrames.Load())
-	st.OversizedDropped = int(w.oversized.Load())
-	st.WriteFlushes = int(w.writeFlushes.Load())
-	st.Sent = metrics.Transmission{
-		Messages:      int(w.messages.Load()),
-		Elements:      int(w.elements.Load()),
-		PayloadBytes:  int(w.payload.Load()),
-		MetadataBytes: int(w.metadata.Load()),
-	}
-}
-
 // counters returns the core's counters, with each neighbor's link view and
 // announcement filled into peers, the port's own per-peer stats.
 func (c *core) counters(peers map[string]PeerStats) StoreStats {
-	c.statsMu.Lock()
 	st := c.stats
-	c.statsMu.Unlock()
-	c.wire.snapshot(&st)
-	st.RepairTimeouts = c.repair.expired()
+	st.RepairTimeouts = c.repair.timeouts
 	for _, sh := range c.shards {
 		if r, ok := sh.engine.(interface{ Retransmits() uint64 }); ok {
-			sh.mu.Lock()
 			st.Retransmits += int(r.Retransmits())
-			sh.mu.Unlock()
 		}
 	}
 	st.Peers = peers
@@ -731,30 +612,31 @@ func (c *core) counters(peers map[string]PeerStats) StoreStats {
 // count frames handed to the pipeline. A frame lost downstream shows up in
 // Stats().Peers[to].Dropped, and is resent by an acked engine or repaired
 // by digest anti-entropy; plain delta without digests loses it.
-func (c *core) transmit(to string, data []byte, cost metrics.Transmission, kind frameKind, t *wireTally) {
+func (c *core) transmit(to string, data []byte, cost metrics.Transmission, kind frameKind) {
 	if err := c.out.transmit(to, data); err != nil {
 		return // neighbor down or unknown; repaired on a later tick
 	}
-	c.tally(data, cost, kind, t)
+	c.tally(data, cost, kind)
 }
 
-// tally counts one frame of this store's on t, as many bytes as it takes on
-// the socket (frameWriter): a hello names the sender, no other frame does.
-func (c *core) tally(data []byte, cost metrics.Transmission, kind frameKind, t *wireTally) {
-	t.frames++
-	t.wireBytes += frameHeaderBytes + len(data)
+// tally counts one frame of this store's, as many bytes as it takes on the
+// socket (frameWriter): a hello names the sender, no other frame does.
+func (c *core) tally(data []byte, cost metrics.Transmission, kind frameKind) {
+	st := &c.stats
+	st.Frames++
+	st.WireBytes += frameHeaderBytes + len(data)
 	switch kind {
 	case frameDigest:
-		t.digestFrames++
+		st.DigestFrames++
 	case framePiggyback:
-		t.piggybacked++
+		st.PiggybackedDigests++
 	case frameAck:
-		t.ackFrames++
+		st.AckFrames++
 	case frameHello:
-		t.helloFrames++
-		t.wireBytes += len(c.cfg.ID)
+		st.HelloFrames++
+		st.WireBytes += len(c.cfg.ID)
 	}
-	t.sent.Add(cost)
+	st.Sent.Add(cost)
 }
 
 // errNoHello refuses a connection whose first frame is not its hello: what
@@ -764,29 +646,30 @@ var errNoHello = errors.New("transport: a connection's first frame is not its he
 // deliver routes one inbound frame, arrived at now on a connection from
 // from: sharded data frames through the single-pass unpacker to their
 // shards — applied whole or not at all — anything else (hello, digest and
-// tree frames) through DecodeMsg. inc is the connection's word for the
-// incarnation its hello named, 0 until the hello has arrived, which
-// handleHello records; the numbered frames on the connection are of that
-// life. The frame bytes alias the connection's read buffer, so the view is
-// reset before it returns to the pool. It reports, as update does, whether
-// step has a new deadline; an error drops the connection (a corrupt peer,
-// or one that has not introduced itself).
-func (c *core) deliver(from string, inc *uint32, frame []byte, now int64) (bool, error) {
-	v := frameViews.Get().(*codec.FrameView)
+// tree frames) through DecodeMsg. The unpack, into the caller's view v,
+// runs before deliver takes core.mu, on the caller's goroutine, and reads
+// nothing of the core's but the shard count; the rest runs under it. inc
+// is the connection's word for the incarnation its hello named, 0 until
+// the hello has arrived, which handleHello records; the numbered frames on
+// the connection are of that life. The frame bytes alias the connection's
+// read buffer, so v is reset before deliver returns. It reports, as update
+// does, whether step has a new deadline; an error drops the connection (a
+// corrupt peer, or one that has not introduced itself).
+func (c *core) deliver(from string, inc *uint32, v *codec.FrameView, frame []byte, now int64) (bool, error) {
+	defer v.Reset()
 	err := codec.UnpackFrame(frame, len(c.shards), v)
-	wake := false
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	switch {
 	case err == nil && *inc == 0:
-		err = errNoHello
+		return false, errNoHello
 	case err == nil:
 		v.Link.Seq.Inc = *inc
-		wake = c.deliverSharded(from, v, now)
+		return c.deliverSharded(from, v, now), nil
 	case errors.Is(err, codec.ErrNotSharded):
-		err = c.deliverControl(from, inc, frame, now)
+		return false, c.deliverControl(from, inc, frame, now)
 	}
-	v.Reset() // drop references to the read buffer before pooling
-	frameViews.Put(v)
-	return wake, err
+	return false, err
 }
 
 // deliverSharded applies one unpacked data frame. Each touched shard's
@@ -801,19 +684,18 @@ func (c *core) deliver(from string, inc *uint32, frame []byte, now int64) (bool,
 // sequence number is noted as received — and acknowledged — only once
 // every item has been applied.
 func (c *core) deliverSharded(from string, v *codec.FrameView, now int64) bool {
-	d := getDeliverState()
+	d := &c.scratch
 	defer d.release()
 	lk := c.links[from]
 	if v.Link.Ack.Inc != 0 {
-		c.applyAck(from, lk, &v.Link.Ack, d)
+		c.applyAck(from, lk, &v.Link.Ack)
 	}
-	watched := c.hasWatchers()
 	forward := false // some shard was left with something never sent
 	for _, g := range v.Groups() {
 		sh := c.shards[g.Shard]
 		var closeMsg *protocol.TreeMsg
 		sh.mu.Lock()
-		c.deliverLocks.Add(1)
+		c.deliverLocks++
 		for i := range g.Items {
 			iv := &g.Items[i]
 			m, _ := iv.Msg()
@@ -830,8 +712,8 @@ func (c *core) deliverSharded(from string, v *codec.FrameView, now int64) bool {
 			}
 			sh.od.DeliverObject(from, iv.Key, m, noReply)
 		}
-		forward = sh.touched() || forward
 		sh.mu.Unlock()
+		forward = sh.touched() || forward
 		// A close that names ranges asks for this store's side of them; one
 		// that names nothing says the drill with its sender is over.
 		if closeMsg != nil && len(closeMsg.Nodes) > 0 {
@@ -839,15 +721,11 @@ func (c *core) deliverSharded(from string, v *codec.FrameView, now int64) bool {
 		} else if closeMsg != nil {
 			c.repair.clearFrom(int(g.Shard), from)
 		}
-		if watched {
+		if len(c.watchers) > 0 {
 			c.notifyGroup(g)
 		}
 	}
-	if v.Dropped > 0 {
-		c.statsMu.Lock()
-		c.stats.DroppedItems += v.Dropped
-		c.statsMu.Unlock()
-	}
+	c.stats.DroppedItems += v.Dropped
 	// A piggybacked digest vector is an advertisement like any other,
 	// compared after the frame's own items have been merged (they are
 	// part of the state the digests describe).
@@ -876,15 +754,14 @@ func (c *core) deliverSharded(from string, v *codec.FrameView, now int64) bool {
 // applyAck hands the δ-groups of the frames ack settles to their engines,
 // each as the AckMsg the engine would have been sent for it, one lock
 // hold per shard. lk is from's link, nil for a non-neighbor.
-func (c *core) applyAck(from string, lk *link, ack *protocol.FrameAck, d *deliverState) {
+func (c *core) applyAck(from string, lk *link, ack *protocol.FrameAck) {
+	d := &c.scratch
 	ok := false
 	if lk != nil {
 		d.acked, ok = lk.acknowledge(ack, d.acked[:0])
 	}
 	if !ok {
-		c.statsMu.Lock()
 		c.stats.IgnoredAcks++
-		c.statsMu.Unlock()
 		return
 	}
 	items := d.acked
@@ -898,7 +775,7 @@ func (c *core) applyAck(from string, lk *link, ack *protocol.FrameAck, d *delive
 		shard := items[i].shard
 		sh := c.shards[shard]
 		sh.mu.Lock()
-		c.deliverLocks.Add(1)
+		c.deliverLocks++
 		for ; i < len(items) && items[i].shard == shard; i++ {
 			d.key = append(d.key[:0], items[i].key...)
 			d.ack.Seqs = items[i].seqs
@@ -940,19 +817,19 @@ func (c *core) deliverControl(from string, inc *uint32, frame []byte, now int64)
 	if *inc == 0 {
 		return errNoHello
 	}
-	d := getDeliverState()
-	defer d.release()
+	b := c.scratch.b
+	defer c.scratch.release()
 	echo := false
 	switch m := msg.(type) {
 	case *protocol.DigestMsg:
-		c.handleDigests(from, m.Digests, d.b, now)
+		c.handleDigests(from, m.Digests, b, now)
 		echo = m.Echo
 	case *protocol.TreeMsg:
-		c.handleTree(from, m, d.b, now)
+		c.handleTree(from, m, b, now)
 	default:
 		return nil // stores speak only sharded, hello, digest and tree frames
 	}
-	c.flush(d.b, nil)
+	c.flush(b, nil)
 	if echo {
 		c.echoDigests(from) // behind what the drills shipped
 	}
@@ -968,9 +845,7 @@ func (c *core) hello(reaches []string) []byte {
 	if err != nil {
 		panic(err)
 	}
-	var t wireTally
-	c.tally(data, m.Cost(), frameHello, &t)
-	c.wire.add(&t)
+	c.tally(data, m.Cost(), frameHello)
 	return data
 }
 
@@ -982,9 +857,7 @@ func (c *core) hello(reaches []string) []byte {
 // replaces what from was known to reach.
 func (c *core) handleHello(from string, inc *uint32, m *protocol.HelloMsg) error {
 	if m.Version != protocol.WireVersion || int(m.Shards) != len(c.shards) {
-		c.statsMu.Lock()
 		c.stats.HelloRefused++
-		c.statsMu.Unlock()
 		return fmt.Errorf("transport: %s refuses %s: it speaks wire version %d over %d shards, not %d over %d",
 			c.cfg.ID, from, m.Version, m.Shards, protocol.WireVersion, len(c.shards))
 	}
@@ -1011,14 +884,8 @@ func (c *core) setReach(w string, ids []string) {
 	if c.reach == nil {
 		return
 	}
-	marked := 0
 	for _, v := range c.reach.Set(w, ids) {
-		marked += c.links[v].catchUp.all(len(c.shards))
-	}
-	if marked > 0 {
-		c.statsMu.Lock()
-		c.stats.CatchUpShards += marked
-		c.statsMu.Unlock()
+		c.stats.CatchUpShards += c.links[v].catchUp.all(len(c.shards))
 	}
 }
 
@@ -1026,10 +893,8 @@ func (c *core) setReach(w string, ids []string) {
 // this store is catching up with from itself and so advertises to it on
 // every tick anyway.
 func (c *core) echoDigests(from string) {
-	if lk := c.links[from]; lk == nil || lk.catchUp.left.Load() > 0 {
+	if lk := c.links[from]; lk == nil || lk.catchUp.left > 0 {
 		return
 	}
-	vec := c.shardDigests()
-	c.transmitMsg(from, protocol.NewDigestMsg(vec), frameDigest)
-	c.putDigestVec(vec)
+	c.transmitMsg(from, protocol.NewDigestMsg(c.shardDigests()), frameDigest)
 }

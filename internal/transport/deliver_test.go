@@ -81,6 +81,21 @@ func (s *Store) deliver(from string, frame []byte) error {
 	return s.receive(from, &inc, frame)
 }
 
+// locked runs f under the core's lock, as the store's own calls into the
+// core do: a test reads a running store's links and counters in it.
+func (c *core) locked(f func()) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	f()
+}
+
+// deliverLocked returns how many shard write locks s's delivery path has
+// taken.
+func (s *Store) deliverLocked() (n uint64) {
+	s.locked(func() { n = s.deliverLocks })
+	return n
+}
+
 // encodeFrame encodes a standalone message: a hello, digest or tree frame.
 func encodeFrame(t testing.TB, m protocol.Msg) []byte {
 	t.Helper()
@@ -220,13 +235,13 @@ func TestDeliverLocksOncePerShard(t *testing.T) {
 	if err := s.deliver("peer", frame); err != nil {
 		t.Fatalf("deliver: %v", err)
 	}
-	if got := s.deliverLocks.Load(); got != 3 {
+	if got := s.deliverLocked(); got != 3 {
 		t.Fatalf("deliverLocks = %d after one frame touching 3 shards, want 3", got)
 	}
 	if err := s.deliver("peer", frame); err != nil {
 		t.Fatalf("redeliver: %v", err)
 	}
-	if got := s.deliverLocks.Load(); got != 6 {
+	if got := s.deliverLocked(); got != 6 {
 		t.Fatalf("deliverLocks = %d after two frames, want 6", got)
 	}
 	// Control frames take no shard locks on the delivery path.
@@ -234,7 +249,7 @@ func TestDeliverLocksOncePerShard(t *testing.T) {
 	if err := s.deliver("peer", dig); err != nil {
 		t.Fatalf("deliver digest: %v", err)
 	}
-	if got := s.deliverLocks.Load(); got != 6 {
+	if got := s.deliverLocked(); got != 6 {
 		t.Fatalf("deliverLocks = %d after a digest frame, want 6", got)
 	}
 	// The frame's objects actually applied.

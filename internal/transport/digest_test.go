@@ -203,9 +203,9 @@ func TestStoreAckedIdleTicksAreHeartbeatOnly(t *testing.T) {
 	}
 }
 
-// TestCleanDigestPathNoAllocs pins the idle-store digest tick at zero
+// TestCleanDigestPathNoAllocs pins the idle-store digest at zero
 // allocations: with every shard's cached digest valid, the digest vector
-// is a lock-free fill of a free-listed slice.
+// is the core's own, filled with a load per shard.
 func TestCleanDigestPathNoAllocs(t *testing.T) {
 	// Peerless: no write pipelines exist, so nothing allocates in the
 	// background while the test measures.
@@ -224,8 +224,8 @@ func TestCleanDigestPathNoAllocs(t *testing.T) {
 	for k := 0; k < 512; k++ {
 		s.Update(workload.Add(fmt.Sprintf("key-%04d", k), "e"))
 	}
-	s.CycleDigestVec() // compute caches, seed the free list
-	if allocs := testing.AllocsPerRun(100, s.CycleDigestVec); allocs != 0 {
+	s.Digest() // compute the caches
+	if allocs := testing.AllocsPerRun(100, func() { s.Digest() }); allocs != 0 {
 		t.Fatalf("clean-store digest path allocates %.1f per run, want 0", allocs)
 	}
 }

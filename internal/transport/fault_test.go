@@ -42,7 +42,6 @@ func startFaultyCluster(t *testing.T, n int, template transport.StoreConfig, fau
 		cfg.ID = ids[i]
 		cfg.Listener = listeners[i]
 		cfg.Peers = peers
-		cfg.Nodes = ids
 		if f := faultFor(i, ids[i]); f != nil {
 			cfg.Dial = f.Dialer(nil)
 		}

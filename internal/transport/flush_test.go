@@ -57,7 +57,6 @@ func tickStoreConfig() StoreConfig {
 		ID:         "n0",
 		ListenAddr: "127.0.0.1:0",
 		Peers:      map[string]string{"p1": "127.0.0.1:1", "p2": "127.0.0.1:1"},
-		Nodes:      []string{"n0", "p1", "p2"},
 		Shards:     64,
 		Factory:    protocol.NewDeltaAcked(true, true),
 		ObjType:    func(string) workload.Datatype { return workload.GSetType{} },
@@ -102,16 +101,12 @@ func newTestCore(t *testing.T, every time.Duration) (*core, recorder) {
 	}
 	rec := recorder{}
 	c.out = rec
-	c.hold.Store(int64(every / ackHoldsPerTick))
+	c.hold = int64(every / ackHoldsPerTick)
 	return c, rec
 }
 
 // wireStats reads a core's wire counters.
-func wireStats(c *core) StoreStats {
-	var st StoreStats
-	c.wire.snapshot(&st)
-	return st
-}
+func wireStats(c *core) StoreStats { return c.stats }
 
 // keysIn returns the distinct keys of the δ-groups in frames.
 func keysIn(t *testing.T, shards int, frames [][]byte) map[string]bool {
@@ -190,8 +185,8 @@ func TestFlushWriteVisibleWithinWindow(t *testing.T) {
 	if next, _ := c.step(int64(period) - window/4); next != int64(period) {
 		t.Fatalf("a window ending after the tick put the next deadline at %d, want the tick's %d", next, int64(period))
 	}
-	if c.step(int64(period)); c.ticks.Load() != 1 || !keysIn(t, len(c.shards), rec["p1"])["late"] {
-		t.Fatalf("the tick (%d run) did not carry the write", c.ticks.Load())
+	if c.step(int64(period)); c.ticks != 1 || !keysIn(t, len(c.shards), rec["p1"])["late"] {
+		t.Fatalf("the tick (%d run) did not carry the write", c.ticks)
 	}
 }
 
@@ -215,7 +210,7 @@ func TestFlushBurstIsBatched(t *testing.T) {
 	for timer <= period {
 		timer, _ = c.step(timer)
 	}
-	st, ticks := wireStats(c), int(c.ticks.Load())
+	st, ticks := wireStats(c), int(c.ticks)
 	if ticks != 1 || st.WriteFlushes == 0 || st.WriteFlushes > flushesPerTick {
 		t.Errorf("%d write flushes and %d ticks in one period, want 1..%d and 1", st.WriteFlushes, ticks, flushesPerTick)
 	}
@@ -248,7 +243,7 @@ func TestFlushLeavesDigestCadenceToTicks(t *testing.T) {
 			c.update(workload.Add(fmt.Sprintf("k%d", tick), fmt.Sprintf("e%d", f)))
 			c.writeFlush(0)
 		}
-		if got := c.ticks.Load(); got != uint64(tick-1) {
+		if got := c.ticks; got != uint64(tick-1) {
 			t.Fatalf("Ticks = %d after flushes before tick %d", got, tick)
 		}
 		c.tick(0)
@@ -348,7 +343,7 @@ func TestCloseAfterBurstLosesNoWrite(t *testing.T) {
 }
 
 // TestFlushIdleIsFree: a flush that finds nothing new takes no shard's
-// lock and no link's, and allocates nothing.
+// lock, and allocates nothing.
 func TestFlushIdleIsFree(t *testing.T) {
 	c, _ := newTestCore(t, time.Hour)
 	// Objects that only wait for acks (their peers never answer) are none
@@ -360,10 +355,6 @@ func TestFlushIdleIsFree(t *testing.T) {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 	}
-	for _, lk := range c.linkList {
-		lk.packMu.Lock()
-		lk.mu.Lock()
-	}
 	done := make(chan struct{})
 	go func() {
 		c.writeFlush(0)
@@ -372,14 +363,10 @@ func TestFlushIdleIsFree(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("an idle flush waited for a shard's or a link's lock")
+		t.Fatal("an idle flush waited for a shard's lock")
 	}
 	for _, sh := range c.shards {
 		sh.mu.Unlock()
-	}
-	for _, lk := range c.linkList {
-		lk.mu.Unlock()
-		lk.packMu.Unlock()
 	}
 	frames := wireStats(c).Frames
 	if allocs := testing.AllocsPerRun(100, func() { c.writeFlush(0) }); allocs != 0 {
@@ -397,31 +384,31 @@ func TestFlushIdleIsFree(t *testing.T) {
 // by hand, or closing — nothing waits.
 func TestFlushCarriesHeldReplies(t *testing.T) {
 	c, rec := newTestCore(t, time.Hour)
-	lk, hold := c.links["p1"], c.hold.Load()
+	lk, hold := c.links["p1"], c.hold
 	k := keysOnShard(len(c.shards), 0, 1)[0]
-	inbound := func(seq uint64, now int64) {
+	arrive := func(seq uint64, now int64) {
 		t.Helper()
 		d := protocol.NewDeltaMsg(crdt.NewGSet(fmt.Sprintf("e%d", seq)))
 		frame := linkFrame(t, seq, 0, protocol.FrameAck{}, protocol.ShardItem{
 			Shard: 0, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: k, Inner: d}}),
 		})
 		inc := uint32(testPeerInc)
-		if _, err := c.deliver("p1", &inc, frame, now); err != nil {
+		if _, err := c.deliver("p1", &inc, new(codec.FrameView), frame, now); err != nil {
 			t.Fatal(err)
 		}
 	}
 	check := func(what string, owed bool, ackFrames, toP1 int) {
 		t.Helper()
 		st := wireStats(c)
-		if lk.owed.Load() != owed || st.AckFrames != ackFrames || len(rec["p1"]) != toP1 {
+		if lk.owed != owed || st.AckFrames != ackFrames || len(rec["p1"]) != toP1 {
 			t.Fatalf("%s: owed %v, %d acknowledgement frames, %d frames toward p1; want %v, %d, %d",
-				what, lk.owed.Load(), st.AckFrames, len(rec["p1"]), owed, ackFrames, toP1)
+				what, lk.owed, st.AckFrames, len(rec["p1"]), owed, ackFrames, toP1)
 		}
 	}
 	// Nothing leaves toward p1 — the flush forwards the δ-group to p2 only —
 	// so the acknowledgement is held to the end of its hold, and no longer.
 	at := int64(time.Second)
-	inbound(1, at)
+	arrive(1, at)
 	c.writeFlush(at)
 	if got := len(rec["p2"]); got != 1 {
 		t.Fatalf("%d frames forwarded to p2, want 1", got)
@@ -436,17 +423,17 @@ func TestFlushCarriesHeldReplies(t *testing.T) {
 	check("at the end of the hold", false, 1, 1)
 	// A local write flushed inside the hold carries it.
 	at += hold + 1
-	inbound(2, at)
+	arrive(2, at)
 	c.update(workload.Add("local", "x"))
 	c.writeFlush(at + 1)
 	check("a write flushed inside the hold", false, 1, 2)
 	// Three frames inside one hold: one acknowledgement, whose mark covers
 	// all three.
 	at += 2
-	inbound(3, at)
-	inbound(4, at+1)
-	inbound(5, at+2)
-	if got := lk.owedAt.Load(); got != at {
+	arrive(3, at)
+	arrive(4, at+1)
+	arrive(5, at+2)
+	if got := lk.owedAt; got != at {
 		t.Fatalf("a later frame restarted the hold: %d, want %d", got, at)
 	}
 	c.flushAcks(at + hold)
@@ -454,8 +441,8 @@ func TestFlushCarriesHeldReplies(t *testing.T) {
 	if lk.cum != 5 || lk.nranges != 0 {
 		t.Fatalf("acknowledged up to %d (%d ranges), want 5", lk.cum, lk.nranges)
 	}
-	c.hold.Store(0)
-	inbound(6, at+hold+1)
+	c.hold = 0
+	arrive(6, at+hold+1)
 	check("a hold of 0", false, 3, 4)
 }
 
@@ -466,8 +453,11 @@ func TestCloseShipsHeldAck(t *testing.T) {
 	stores := flushMesh(t, 2, StoreConfig{SyncEvery: time.Hour})
 	s, peer := stores[0], stores[1]
 	s.Update(workload.Add("k", "x"))
-	s.writeFlush(s.now())
-	eventually(t, 10*time.Second, "the peer to owe an acknowledgement", peer.links[s.ID()].owed.Load)
+	s.locked(func() { s.writeFlush(s.now()) })
+	eventually(t, 10*time.Second, "the peer to owe an acknowledgement", func() (owed bool) {
+		peer.locked(func() { owed = peer.links[s.ID()].owed })
+		return owed
+	})
 	if ps := s.Stats().Peers[peer.ID()]; ps.InFlight != 1 || ps.LastAcked != 0 || peer.Get("k") == nil {
 		t.Fatalf("before Close: sender's view %+v, want one frame in flight, applied by the peer", ps)
 	}

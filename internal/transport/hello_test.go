@@ -227,7 +227,9 @@ func TestHelloOriginDiesMidFlush(t *testing.T) {
 			st.Withheld, st.CatchUpShards, keys, len(stores[1].shards))
 	}
 	awaitQuiet(t, survivors...)
-	if left := stores[1].links["s-02"].catchUp.left.Load(); left != 0 {
+	var left int
+	stores[1].locked(func() { left = stores[1].links["s-02"].catchUp.left })
+	if left != 0 {
 		t.Errorf("s-01 went quiet with %d shards left to compare with s-02", left)
 	}
 }

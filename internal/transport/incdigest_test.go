@@ -30,6 +30,22 @@ func scratchDigest(sh *shard) (digest uint64, leaves leafVec) {
 	return digest, leaves
 }
 
+// shardDigest returns sh's content digest, brought up to date under the
+// core's lock.
+func (s *Store) shardDigest(sh *shard) (d uint64) {
+	s.locked(func() { d = sh.rehash() })
+	return d
+}
+
+// leaves returns sh's leaf vector, folded under the core's lock.
+func (s *Store) leaves(sh *shard) (l leafVec) {
+	s.locked(func() {
+		sh.ensureLeaves()
+		l = *sh.leaf
+	})
+	return l
+}
+
 // checkDigests compares every shard's incremental digest and leaf vector
 // with the recompute from scratch.
 func checkDigests(t *testing.T, s *Store, step string) {
@@ -39,11 +55,7 @@ func checkDigests(t *testing.T, s *Store, step string) {
 		if got := s.shardDigest(sh); got != want {
 			t.Fatalf("%s: shard %d digest %#x, from scratch %#x", step, i, got, want)
 		}
-		sh.mu.Lock()
-		sh.ensureLeavesLocked()
-		got := *sh.leaf
-		sh.mu.Unlock()
-		if got != wantLeaves {
+		if got := s.leaves(sh); got != wantLeaves {
 			t.Fatalf("%s: shard %d leaf vector differs from the recompute", step, i)
 		}
 	}
@@ -225,20 +237,21 @@ func TestDigestAfterOneWriteCostsOneKey(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		k := fmt.Sprintf("k%07d", i*9973)
 		s.Update(workload.Add(k, fmt.Sprintf("w%d", i)))
-		stale := 0
-		for _, sh := range s.shards {
-			if !sh.digestOK.Load() {
-				stale++
+		stale, visited := 0, 0
+		s.locked(func() {
+			for _, sh := range s.shards {
+				if !sh.digestOK {
+					stale++
+				}
 			}
-		}
+			sh := s.shardOf(k)
+			sh.mu.Lock()
+			sh.engine.Rehash(func(_ string, _ lattice.State, _ *uint64) { visited++ })
+			sh.mu.Unlock()
+		})
 		if stale != 1 {
 			t.Fatalf("one write left %d shards out of date", stale)
 		}
-		sh := s.shardOf(k)
-		sh.mu.Lock()
-		visited := 0
-		sh.engine.Rehash(func(_ string, _ lattice.State, _ *uint64) { visited++ })
-		sh.mu.Unlock()
 		if visited != 1 {
 			t.Fatalf("one write left %d keys to hash again", visited)
 		}

@@ -1,11 +1,6 @@
 package transport
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"crdtsync/internal/protocol"
-)
+import "crdtsync/internal/protocol"
 
 // Acknowledgement per link. The acked engine numbers the entries of every
 // object's δ-buffer and wants each entry acknowledged by each neighbor;
@@ -67,13 +62,6 @@ type link struct {
 	// inc is this store's incarnation, which the neighbor's
 	// acknowledgements must name.
 	inc uint32
-	// packMu is held while a pass packs and enqueues its frames toward
-	// the neighbor, so that frames are numbered and queued by one
-	// goroutine at a time: the packer can size a header from the number
-	// the frame will get.
-	packMu sync.Mutex
-
-	mu sync.Mutex
 	// Frames sent. The records of kept..sent are a ring indexed by
 	// sequence number. Those of first..sent are waited for: first is the
 	// oldest unsettled one (sent+1 when none), open counts them, and every
@@ -95,10 +83,9 @@ type link struct {
 	// owed is set by a numbered frame's arrival and cleared when an
 	// acknowledgement is taken for sending. owedAt is when, on the store's
 	// clock, an arrival found none owed: the start of the hold
-	// (ackHoldsPerTick), meaningful while owed is set. Both are read
-	// without mu and written under it, owe's store of owed aside.
-	owed   atomic.Bool
-	owedAt atomic.Int64
+	// (ackHoldsPerTick), meaningful while owed is set.
+	owed   bool
+	owedAt int64
 	// catchUp is the digest comparison owed with the neighbor, which has
 	// nothing to do with acknowledgements but is per neighbor too.
 	catchUp catchUp
@@ -121,22 +108,18 @@ func newIncarnation(ns int64) uint32 {
 func (l *link) rec(seq uint64) *frameRec { return &l.recs[seq%maxInflight] }
 
 // next returns the header of the next numbered frame without giving the
-// number out; commit does that. Callers hold packMu, so the number is the
-// one the frame gets. Back may be stale by then — an acknowledgement may
-// have settled the oldest record meanwhile — which errs on the safe side.
-// The incarnation is left out: the frame travels on a connection whose
-// hello names it.
+// number out; commit does that, within the same pass, so the number is the
+// one the frame gets. Back may be stale by then — commit may drop the
+// oldest record to make room — which errs on the safe side. The
+// incarnation is left out: the frame travels on a connection whose hello
+// names it.
 func (l *link) next() protocol.FrameSeq {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return protocol.FrameSeq{Seq: l.sent + 1, Back: l.sent + 1 - l.first}
 }
 
 // commit gives fs, the result of next, out and records items, which the
 // link keeps, as what the frame carries.
 func (l *link) commit(fs protocol.FrameSeq, items []ackItem) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.recs == nil {
 		l.recs = make([]frameRec, maxInflight)
 	}
@@ -155,8 +138,6 @@ func (l *link) commit(fs protocol.FrameSeq, items []ackItem) {
 // age starts the store's tick-th tick on the link: the frames sent
 // closeAfter ticks ago or earlier are not waited for any longer.
 func (l *link) age(tick uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.tick = tick
 	for l.first <= l.sent {
 		if r := l.rec(l.first); r.items != nil {
@@ -219,8 +200,6 @@ func names(ack *protocol.FrameAck, seq uint64) bool {
 // this frame and never will again: the record is dropped, the entries
 // stay the engine's to send again.
 func (l *link) acknowledge(ack *protocol.FrameAck, out []ackItem) ([]ackItem, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	top := ack.Cum
 	if n := len(ack.Ranges); n > 0 {
 		top = ack.Ranges[n-1].Hi
@@ -248,8 +227,6 @@ func (l *link) acknowledge(ack *protocol.FrameAck, out []ackItem) ([]ackItem, bo
 // frame whose items have all been applied, and that the neighbor is owed an
 // acknowledgement. It reports whether that started a hold: none was owed.
 func (l *link) receive(fs protocol.FrameSeq, now int64) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if fs.Inc != l.peerInc {
 		// Another life of the neighbor: its numbers start over.
 		l.peerInc, l.cum, l.nranges, l.received = fs.Inc, 0, 0, 0
@@ -293,11 +270,10 @@ func (l *link) receive(fs protocol.FrameSeq, now int64) bool {
 		l.cum = max(l.cum, l.ranges[0].Hi)
 		l.dropRange(0)
 	}
-	if l.owed.Load() {
+	if l.owed {
 		return false
 	}
-	l.owedAt.Store(now)
-	l.owed.Store(true)
+	l.owed, l.owedAt = true, now
 	return true
 }
 
@@ -309,15 +285,10 @@ func (l *link) dropRange(i int) {
 // takeAck returns the acknowledgement the neighbor is owed, if any, for a
 // frame that is about to leave; the caller must send it or call owe.
 func (l *link) takeAck() (protocol.FrameAck, bool) {
-	if !l.owed.Load() {
+	if !l.owed {
 		return protocol.FrameAck{}, false
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.owed.Load() {
-		return protocol.FrameAck{}, false
-	}
-	l.owed.Store(false)
+	l.owed = false
 	ack := protocol.FrameAck{Inc: l.peerInc, Cum: l.cum}
 	if l.nranges > 0 {
 		ack.Ranges = append(ack.Ranges, l.ranges[:l.nranges]...)
@@ -328,12 +299,10 @@ func (l *link) takeAck() (protocol.FrameAck, bool) {
 // owe puts back an acknowledgement that was taken and did not leave. Its
 // hold runs from when it was first owed, as owedAt still says — unless a
 // frame arrived in between, which restarted it a moment later.
-func (l *link) owe() { l.owed.Store(true) }
+func (l *link) owe() { l.owed = true }
 
 // fill copies the link's view into the neighbor's stats.
 func (l *link) fill(ps *PeerStats) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	ps.InFlight = l.open
 	ps.LastSent = l.sent
 	ps.LastAcked = l.ackedTo

@@ -49,12 +49,12 @@ func TestLinkAckReceiveKeepsMarkAndRanges(t *testing.T) {
 		{fs(17, 2), 15, []rng{r(17, 17)}},                               // 11, 12, 14 given up on
 		{protocol.FrameSeq{Inc: 6, Seq: 2, Back: 1}, 0, []rng{r(2, 2)}}, // another life: from 1 again
 	} {
-		lk.owed.Store(false)
+		lk.owed = false
 		started := lk.receive(step.in, int64(i))
 		got := append([]rng(nil), lk.ranges[:lk.nranges]...)
-		if lk.cum != step.cum || !reflect.DeepEqual(got, step.ranges) || !lk.owed.Load() || !started || lk.owedAt.Load() != int64(i) {
+		if lk.cum != step.cum || !reflect.DeepEqual(got, step.ranges) || !lk.owed || !started || lk.owedAt != int64(i) {
 			t.Fatalf("step %d, after %+v: mark %d ranges %v owed %v (hold started %v at %d), want %d %v true",
-				i, step.in, lk.cum, got, lk.owed.Load(), started, lk.owedAt.Load(), step.cum, step.ranges)
+				i, step.in, lk.cum, got, lk.owed, started, lk.owedAt, step.cum, step.ranges)
 		}
 	}
 	// More gaps than ranges kept: the lowest is forgotten, never the mark
@@ -62,16 +62,16 @@ func TestLinkAckReceiveKeepsMarkAndRanges(t *testing.T) {
 	// and is not restarted by the ones that arrive during it.
 	lk = newLink(1)
 	for seq := uint64(2); seq <= 2*(maxAckRanges+2); seq += 2 {
-		if started := lk.receive(fs(seq, seq-1), int64(seq)); started != (seq == 2) || lk.owedAt.Load() != 2 {
-			t.Fatalf("frame %d: hold started %v, owed since %d; want %v, since 2", seq, started, lk.owedAt.Load(), seq == 2)
+		if started := lk.receive(fs(seq, seq-1), int64(seq)); started != (seq == 2) || lk.owedAt != 2 {
+			t.Fatalf("frame %d: hold started %v, owed since %d; want %v, since 2", seq, started, lk.owedAt, seq == 2)
 		}
 	}
 	if lk.cum != 0 || lk.nranges != maxAckRanges || lk.ranges[0].Lo != 6 {
 		t.Fatalf("mark %d, %d ranges from %d; want 0, %d from 6", lk.cum, lk.nranges, lk.ranges[0].Lo, maxAckRanges)
 	}
 	ack, ok := lk.takeAck()
-	if !ok || ack.Inc != 5 || ack.Cum != 0 || len(ack.Ranges) != maxAckRanges || lk.owed.Load() {
-		t.Fatalf("took %+v (%v), still owed %v", ack, ok, lk.owed.Load())
+	if !ok || ack.Inc != 5 || ack.Cum != 0 || len(ack.Ranges) != maxAckRanges || lk.owed {
+		t.Fatalf("took %+v (%v), still owed %v", ack, ok, lk.owed)
 	}
 	if _, again := lk.takeAck(); again {
 		t.Fatal("the same acknowledgement was handed out twice")
@@ -127,8 +127,6 @@ func TestLinkAckSettlesExactlyWhatIsNamed(t *testing.T) {
 // the only place it keeps the keys and seq slices of what it shipped.
 func holdsNothing(t *testing.T, who string, lk *link) {
 	t.Helper()
-	lk.mu.Lock()
-	defer lk.mu.Unlock()
 	if lk.open != 0 || lk.first != lk.sent+1 || lk.kept != lk.first {
 		t.Errorf("%s: %d frames open, kept from %d, first %d, sent %d", who, lk.open, lk.kept, lk.first, lk.sent)
 	}
@@ -226,8 +224,18 @@ func linkFrame(t testing.TB, seq, back uint64, ack protocol.FrameAck, items ...p
 // not noted as received — its sender keeps every entry it carried.
 func TestLinkAckOnlyAfterEveryItemApplied(t *testing.T) {
 	s := newTickStore(t)
-	s.hold.Store(0) // acknowledge at once, so Frames counts them
+	s.locked(func() { s.hold = 0 }) // acknowledge at once, so Frames counts them
 	lk := s.links["p1"]
+	// mark reads the link, which the store's sync loop may be using.
+	type mark struct {
+		cum          uint64
+		ranges, open int
+		owed         bool
+	}
+	markOf := func() (m mark) {
+		s.locked(func() { m = mark{lk.cum, lk.nranges, lk.open, lk.owed} })
+		return m
+	}
 	k0 := keysOnShard(len(s.shards), 0, 1)[0]
 	k1 := keysOnShard(len(s.shards), 1, 1)[0]
 	ackFrames := func() int { return s.Stats().AckFrames }
@@ -235,8 +243,8 @@ func TestLinkAckOnlyAfterEveryItemApplied(t *testing.T) {
 	if err := s.deliver("p1", linkFrame(t, 1, 0, protocol.FrameAck{}, shardBatch(0, k0))); err != nil {
 		t.Fatal(err)
 	}
-	if lk.cum != 1 || ackFrames() != 1 {
-		t.Fatalf("a whole frame: mark %d, %d acknowledgement frames; want 1 and 1", lk.cum, ackFrames())
+	if m := markOf(); m.cum != 1 || ackFrames() != 1 {
+		t.Fatalf("a whole frame: mark %d, %d acknowledgement frames; want 1 and 1", m.cum, ackFrames())
 	}
 	// One bare item naming a shard beyond the shard count (shard-count
 	// skew): keyed items are routed by key, and never dropped.
@@ -246,9 +254,9 @@ func TestLinkAckOnlyAfterEveryItemApplied(t *testing.T) {
 	if err := s.deliver("p1", skewed); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); lk.cum != 1 || lk.owed.Load() || st.AckFrames != 1 || st.DroppedItems != 1 {
+	if st, m := s.Stats(), markOf(); m.cum != 1 || m.owed || st.AckFrames != 1 || st.DroppedItems != 1 {
 		t.Fatalf("a frame with a dropped item: mark %d owed %v, %d acknowledgement frames, %d dropped",
-			lk.cum, lk.owed.Load(), st.AckFrames, st.DroppedItems)
+			m.cum, m.owed, st.AckFrames, st.DroppedItems)
 	}
 	if s.Get(k1) == nil {
 		t.Fatal("the item that could be applied was not")
@@ -258,8 +266,8 @@ func TestLinkAckOnlyAfterEveryItemApplied(t *testing.T) {
 	// not noted as received and retires nothing this store sent.
 	s.Update(workload.Add(k1, "mine"))
 	s.SyncNow()
-	if lk.open != 1 {
-		t.Fatalf("%d frames open towards p1 after one write and a tick, want 1", lk.open)
+	if m := markOf(); m.open != 1 {
+		t.Fatalf("%d frames open towards p1 after one write and a tick, want 1", m.open)
 	}
 	k2 := keysOnShard(len(s.shards), 2, 1)[0]
 	third := linkFrame(t, 3, 1, protocol.FrameAck{Inc: lk.inc, Cum: 1}, shardBatch(0, k0), shardBatch(2, k2))
@@ -268,9 +276,9 @@ func TestLinkAckOnlyAfterEveryItemApplied(t *testing.T) {
 		if err := s.deliver("p1", bad); err == nil {
 			t.Fatalf("%s: deliver accepted the frame", name)
 		}
-		if lk.cum != 1 || lk.nranges != 0 || lk.owed.Load() || ackFrames() != acks || lk.open != 1 || s.Get(k2) != nil {
+		if m := markOf(); m.cum != 1 || m.ranges != 0 || m.owed || ackFrames() != acks || m.open != 1 || s.Get(k2) != nil {
 			t.Fatalf("%s: mark %d, %d ranges, owed %v, %d acknowledgement frames, %d open, %v applied",
-				name, lk.cum, lk.nranges, lk.owed.Load(), ackFrames()-acks, lk.open, s.Get(k2))
+				name, m.cum, m.ranges, m.owed, ackFrames()-acks, m.open, s.Get(k2))
 		}
 	}
 	// The same frame as it was encoded is applied, retires the write and is
@@ -278,9 +286,9 @@ func TestLinkAckOnlyAfterEveryItemApplied(t *testing.T) {
 	if err := s.deliver("p1", third); err != nil {
 		t.Fatal(err)
 	}
-	if lk.cum != 1 || lk.nranges != 1 || ackFrames() != acks+1 || lk.open != 0 || s.Get(k2) == nil {
+	if m := markOf(); m.cum != 1 || m.ranges != 1 || ackFrames() != acks+1 || m.open != 0 || s.Get(k2) == nil {
 		t.Fatalf("the whole frame: mark %d, %d ranges, %d acknowledgement frames, %d open, %v applied",
-			lk.cum, lk.nranges, ackFrames()-acks, lk.open, s.Get(k2))
+			m.cum, m.ranges, ackFrames()-acks, m.open, s.Get(k2))
 	}
 	// A frame from a store that is no neighbor applies and is not
 	// acknowledged: there is no link to acknowledge it on.
@@ -353,37 +361,41 @@ func TestLinkAckAgainstBlackholedPeerStaysBounded(t *testing.T) {
 	s := newTickStore(t)
 	for i := 0; i < maxInflight+50; i++ {
 		s.Update(workload.Add(fmt.Sprintf("k%d", i), "x"))
-		s.writeFlush(s.now())
+		s.locked(func() { s.writeFlush(s.now()) })
 	}
 	for id, ps := range s.Stats().Peers {
 		if ps.LastSent != maxInflight+50 || ps.InFlight != maxInflight || ps.LastAcked != 0 {
 			t.Errorf("toward %s: %+v, want %d of %d frames in flight", id, ps, maxInflight, maxInflight+50)
 		}
 	}
-	for id, lk := range s.links {
-		held := 0
-		for _, rec := range lk.recs {
-			if rec.items != nil {
-				held++
+	s.locked(func() {
+		for id, lk := range s.links {
+			held := 0
+			for _, rec := range lk.recs {
+				if rec.items != nil {
+					held++
+				}
+			}
+			if held != maxInflight || len(lk.recs) != maxInflight {
+				t.Errorf("toward %s: %d records held in a ring of %d", id, held, len(lk.recs))
 			}
 		}
-		if held != maxInflight || len(lk.recs) != maxInflight {
-			t.Errorf("toward %s: %d records held in a ring of %d", id, held, len(lk.recs))
-		}
-	}
+	})
 	for i := 0; i < 5*closeAfter; i++ {
-		s.tick(s.now())
+		s.locked(func() { s.tick(s.now()) })
 		for id, ps := range s.Stats().Peers {
 			if i >= closeAfter && ps.InFlight > closeAfter {
 				t.Fatalf("tick %d toward %s: %d frames in flight, want at most one per tick of the last %d", i, id, ps.InFlight, closeAfter)
 			}
 		}
 	}
-	for id, lk := range s.links {
-		if lk.sent-lk.kept >= maxInflight || lk.first <= lk.kept {
-			t.Errorf("toward %s: records kept from %d, waited for from %d, %d sent", id, lk.kept, lk.first, lk.sent)
+	s.locked(func() {
+		for id, lk := range s.links {
+			if lk.sent-lk.kept >= maxInflight || lk.first <= lk.kept {
+				t.Errorf("toward %s: records kept from %d, waited for from %d, %d sent", id, lk.kept, lk.first, lk.sent)
+			}
 		}
-	}
+	})
 	if m := s.Memory(); m.BufferBytes == 0 {
 		t.Error("the engines gave up their entries with the link's records")
 	}
@@ -405,29 +417,28 @@ func TestLinkAckAppliesWithoutAllocating(t *testing.T) {
 	for i := 0; i < keys; i++ {
 		s.Update(workload.Add(fmt.Sprintf("k%d", i), "x"))
 	}
-	s.tick(s.now())
+	s.SyncNow()
 	lk := s.links["p1"]
+	s.mu.Lock()
 	if lk.open != 1 || len(lk.recs[1].items) != keys {
 		t.Fatalf("%d frames open, the first of %d δ-groups; want 1 of %d", lk.open, len(lk.recs[1].items), keys)
 	}
 	rec := append([]ackItem(nil), lk.recs[1].items...)
-	if err := s.deliver("p1", ackAll(t, s, "p1")); err != nil {
+	frame := ackAll(t, s, "p1")
+	s.mu.Unlock()
+	if err := s.deliver("p1", frame); err != nil {
 		t.Fatal(err)
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if lk.open != 0 || s.Memory().BufferBytes == 0 {
 		t.Fatalf("%d frames open after p1's acknowledgement, %d buffered bytes still owed to p2", lk.open, s.Memory().BufferBytes)
 	}
-	// Again and again: the same record committed anew, and acknowledged by
-	// a frame unpacked into a view and applied with scratch the test holds
-	// (the pools the inbound path takes both from give nothing back under
-	// the race detector). The engines look for the entries they have
-	// already retired, at full price.
-	d := getDeliverState()
-	defer d.release()
-	var (
-		frame []byte
-		v     codec.FrameView
-	)
+	// Again and again, with the sync loop held off: the same record
+	// committed anew, and acknowledged by a frame unpacked into a view the
+	// test holds. The engines look for the entries they have already
+	// retired, at full price.
+	var v codec.FrameView
 	allocs := testing.AllocsPerRun(200, func() {
 		lk.commit(lk.next(), rec)
 		ack := protocol.LinkHeader{Ack: protocol.FrameAck{Inc: lk.inc, Cum: lk.sent}}
@@ -435,7 +446,7 @@ func TestLinkAckAppliesWithoutAllocating(t *testing.T) {
 		if err := codec.UnpackFrame(frame, len(s.shards), &v); err != nil {
 			t.Fatal(err)
 		}
-		s.applyAck("p1", lk, &v.Link.Ack, d)
+		s.applyAck("p1", lk, &v.Link.Ack)
 	})
 	if allocs != 0 || lk.open != 0 {
 		t.Errorf("acknowledging a frame of %d δ-groups allocates %.1f times (%d frames left open), want 0", keys, allocs, lk.open)
@@ -473,7 +484,7 @@ func TestLinkAckHeldAckBeatsRetransmission(t *testing.T) {
 	for i, send := range []func(int64){s.writeFlush, s.tick} {
 		s.Update(workload.Add(fmt.Sprintf("k%d", i), "x"))
 		start := time.Now()
-		send(s.now())
+		s.locked(func() { send(s.now()) })
 		// Within a period of the send, the engine has retired the entry: the
 		// next tick, whenever a timer would run it, finds nothing to resend.
 		eventually(t, period, "the acknowledgement to retire the entry", func() bool {
@@ -482,9 +493,9 @@ func TestLinkAckHeldAckBeatsRetransmission(t *testing.T) {
 		if held := time.Since(start); held < period/ackHoldsPerTick {
 			t.Errorf("entry %d acknowledged after %v, inside the receiver's hold", i, held)
 		}
-		s.tick(s.now())
+		s.locked(func() { s.tick(s.now()) })
 	}
-	s.tick(s.now())
+	s.locked(func() { s.tick(s.now()) })
 	if st := s.Stats(); st.Retransmits != 0 || st.Peers[peer.ID()].InFlight != 0 {
 		t.Errorf("%d retransmissions, %d frames in flight; want 0 and 0", st.Retransmits, st.Peers[peer.ID()].InFlight)
 	}
@@ -728,9 +739,11 @@ func TestLinkAckLosslessMeshShipsEachEntryOnce(t *testing.T) {
 			len(tap.frames), ackOnly, hellos, total.Frames, total.AckFrames, total.HelloFrames)
 	}
 	for _, st := range stores {
-		for id, lk := range st.links {
-			holdsNothing(t, st.ID()+"→"+id, lk)
-		}
+		st.locked(func() {
+			for id, lk := range st.links {
+				holdsNothing(t, st.ID()+"→"+id, lk)
+			}
+		})
 	}
 }
 
@@ -803,12 +816,12 @@ func TestLinkAckBacklogDrainsWhole(t *testing.T) {
 				t.Cleanup(func() { st.Close() })
 			}
 			s, peer := stores[0], stores[1].ID()
-			stores[1].hold.Store(0) // acknowledge each frame at once
+			stores[1].locked(func() { stores[1].hold = 0 }) // acknowledge each frame at once
 			// One frame per pass: the writer blocks on the first, so the
 			// rest are queued when the gate opens.
 			for i := 0; i < frames; i++ {
 				s.Update(workload.Op{Kind: workload.KindInc, Key: fmt.Sprintf("k%d", i), N: 1})
-				s.writeFlush(s.now())
+				s.locked(func() { s.writeFlush(s.now()) })
 			}
 			close(gate)
 			if err := WaitConverged(stores, frames, 10*time.Second, nil); err != nil {

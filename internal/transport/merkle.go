@@ -2,8 +2,6 @@ package transport
 
 import (
 	"encoding/binary"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"crdtsync/internal/codec"
@@ -108,33 +106,20 @@ func keyHash(k string, enc []byte) uint64 {
 }
 
 // leafVec is one shard's leaf-hash vector. 32 KB: a shard holds one only
-// from the drill that folds it to the next mutation, and they are
-// recycled, so the heap carries as many as there are drills under way.
+// from the drill that folds it to the next mutation or the drill's end, so
+// the heap carries as many as there are drills under way.
 type leafVec [protocol.TreeLeaves]uint64
 
-var leafVecs = sync.Pool{New: func() any { return new(leafVec) }}
-
-// ensureLeavesLocked folds the keys' content hashes, brought up to date,
-// into the shard's leaf-hash vector, unless the one it holds is still
-// valid. Caller holds sh.mu.
-func (sh *shard) ensureLeavesLocked() {
+// ensureLeaves folds the keys' content hashes, brought up to date, into
+// the shard's leaf-hash vector, unless the one it holds is still valid.
+func (sh *shard) ensureLeaves() {
 	if sh.leaf != nil {
 		return
 	}
-	sh.digestLocked()
-	leaf := leafVecs.Get().(*leafVec)
-	clear(leaf[:])
+	sh.rehash()
+	leaf := new(leafVec)
 	sh.engine.Hashes(func(k string, hash uint64) { leaf[protocol.TreeLeafOf(k)] ^= hash })
 	sh.leaf = leaf
-}
-
-// dropLeavesLocked hands the leaf-hash vector back: a mutation has
-// invalidated it, or no drill is left to read it. Caller holds sh.mu.
-func (sh *shard) dropLeavesLocked() {
-	if sh.leaf != nil {
-		leafVecs.Put(sh.leaf)
-		sh.leaf = nil
-	}
 }
 
 // treeNodeHash folds a node's leaf range into one interior hash:
@@ -153,31 +138,34 @@ func treeNodeHash(leaves []uint64) uint64 {
 	return h
 }
 
-// childHashLocked is the shard's hash of one child of a node at level
-// (an index already validated against the level's node count).
-func (sh *shard) childHashLocked(level int, node uint32, child int) uint64 {
+// childHash is the shard's hash of one child of a node at level (an index
+// already validated against the level's node count), from the leaf vector
+// ensureLeaves folded.
+func (sh *shard) childHash(level int, node uint32, child int) uint64 {
 	span := protocol.TreeLeafSpan(level + 1)
 	lo := (node<<protocol.TreeFanoutBits + uint32(child)) * span
 	return treeNodeHash(sh.leaf[lo : lo+span])
 }
 
-// noBudget makes rangeKeysLocked list the keys without weighing them.
+// noBudget makes rangeKeys list the keys without weighing them.
 const noBudget = -1
 
-// keyState is one object as a drill's close ships it: its key and its
-// live state, to be read under the shard lock only.
+// keyState is one object as a drill's close ships it, or as a Scan visits
+// it: its key and its live state.
 type keyState struct {
 	key string
 	st  lattice.State
 }
 
-// rangeKeysLocked lists the shard's objects whose leaves are marked, in
-// key order. Given a budget it gives up, reporting false, as soon as their
+// rangeKeys lists the shard's objects whose leaves are marked, in key
+// order. Given a budget it gives up, reporting false, as soon as their
 // keys and states weigh more than that many bytes — the drill's stop
 // test, which on a fat range ends after a handful of keys.
-func (sh *shard) rangeKeysLocked(leaves *treeBitmap, budget int) ([]keyState, bool) {
+func (sh *shard) rangeKeys(leaves *treeBitmap, budget int) ([]keyState, bool) {
 	var objs []keyState
 	within := true
+	sh.mu.Lock() // Scan settles the key order
+	defer sh.mu.Unlock()
 	sh.engine.Scan("", func(k string, st lattice.State) bool {
 		if !leaves.has(protocol.TreeLeafOf(k)) {
 			return true
@@ -210,7 +198,6 @@ type repairEntry struct {
 // is over or this store has said so, when the shard's digests re-match, or
 // by expiry.
 type repairTable struct {
-	mu       sync.Mutex
 	timeout  int64 // RepairTimeout
 	entries  []repairEntry
 	timeouts int
@@ -224,8 +211,6 @@ type repairTable struct {
 // progress — and is refused only by a slot held against somebody else.
 // Taking over an expired slot counts a timeout.
 func (r *repairTable) claim(shard int, peer string, now int64, start bool) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	e := &r.entries[shard]
 	if e.active && now < e.expires {
 		if start || e.peer != peer {
@@ -244,64 +229,47 @@ func (r *repairTable) claim(shard int, peer string, now int64, start bool) bool 
 // clearFrom releases the shard's slot if it is held against peer: the
 // drill with peer is over, by its word or by this store's.
 func (r *repairTable) clearFrom(shard int, peer string) {
-	r.mu.Lock()
 	if e := &r.entries[shard]; e.active && e.peer == peer {
 		*e = repairEntry{}
 	}
-	r.mu.Unlock()
 }
 
 // clear releases the shard's slot unconditionally — called when the
 // shard's digests match again, however that happened — and reports
 // whether a drill held it.
 func (r *repairTable) clear(shard int) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	held := r.entries[shard].active
 	r.entries[shard] = repairEntry{}
 	return held
-}
-
-// expired returns how many drills have been given up on.
-func (r *repairTable) expired() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.timeouts
 }
 
 // catchUp is what is left to compare with one neighbor after another
 // stopped reaching it (Store.setReach): bit i is set until an
 // advertisement from the neighbor carries this store's digest of shard i.
 type catchUp struct {
-	// left counts the bits set; ticks and advertisements read it without
-	// the lock, and it is zero all but always.
-	left atomic.Int32
-	mu   sync.Mutex
+	// left counts the bits set; it is zero all but always.
+	left int
 	bits []uint64
 }
 
 // all marks every one of shards and returns how many were not yet.
 func (c *catchUp) all(shards int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.bits == nil {
 		c.bits = make([]uint64, (shards+63)/64)
 	}
-	added := shards - int(c.left.Load())
+	added := shards - c.left
 	for i := 0; i < shards; i++ {
 		c.bits[i/64] |= 1 << (i % 64)
 	}
-	c.left.Store(int32(shards))
+	c.left = shards
 	return added
 }
 
 // done clears shard i's mark, if set.
 func (c *catchUp) done(i int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.bits[i/64]&(1<<(i%64)) != 0 {
 		c.bits[i/64] &^= 1 << (i % 64)
-		c.left.Add(-1)
+		c.left--
 	}
 }
 
@@ -320,44 +288,29 @@ func (c *core) handleDigests(from string, digests []uint64, b *outBatch, now int
 		// Shard-count mismatch: the vectors are not comparable and
 		// anti-entropy cannot repair anything — count it so a
 		// misconfigured cluster says why it never converges.
-		c.statsMu.Lock()
 		c.stats.DigestShardMismatch++
-		c.statsMu.Unlock()
 		return
 	}
-	deduped := 0
 	// Shards this store still has to see match at from, if any.
 	var cu *catchUp
-	if lk := c.links[from]; lk != nil && lk.catchUp.left.Load() > 0 {
+	if lk := c.links[from]; lk != nil && lk.catchUp.left > 0 {
 		cu = &lk.catchUp
 	}
 	for i, sh := range c.shards {
-		if c.shardDigest(sh) == digests[i] {
+		if sh.rehash() == digests[i] {
 			if cu != nil {
 				cu.done(i)
 			}
 			if c.repair.clear(i) {
-				sh.mu.Lock()
-				sh.dropLeavesLocked()
-				sh.mu.Unlock()
+				sh.leaf = nil
 			}
 			continue
 		}
 		if !c.repair.claim(i, from, now, true) {
-			deduped++
+			c.stats.DedupedWants++
 			continue
 		}
 		c.continueDrill(from, uint32(i), 0, rootNode, b)
-	}
-	c.countDeduped(deduped)
-}
-
-// countDeduped counts mismatches and drill messages a held slot absorbed.
-func (c *core) countDeduped(n int) {
-	if n > 0 {
-		c.statsMu.Lock()
-		c.stats.DedupedWants += n
-		c.statsMu.Unlock()
 	}
 }
 
@@ -369,9 +322,7 @@ func (c *core) transmitMsg(to string, m protocol.Msg, kind frameKind) {
 	if err != nil {
 		panic(err)
 	}
-	var t wireTally
-	c.transmit(to, data, m.Cost(), kind, &t)
-	c.wire.add(&t)
+	c.transmit(to, data, m.Cost(), kind)
 }
 
 // handleTree takes a hash push: the peer's hashes of the children of the
@@ -386,22 +337,21 @@ func (c *core) handleTree(from string, tm *protocol.TreeMsg, b *outBatch, now in
 		return // shard-map or level skew, or a close outside a sharded frame
 	}
 	if !c.repair.claim(int(tm.Shard), from, now, false) {
-		c.countDeduped(1) // this shard is busy with another peer's drill
+		c.stats.DedupedWants++ // this shard is busy with another peer's drill
 		return
 	}
 	maxNode := uint32(protocol.TreeNodesAt(level))
 	var seen treeBitmap
 	var diff []uint32
 	sh := c.shards[tm.Shard]
-	sh.mu.Lock()
-	sh.ensureLeavesLocked()
+	sh.ensureLeaves()
 	for i, idx := range tm.Nodes {
 		if idx >= maxNode || seen.has(idx) {
 			continue // each node once, and none the tree does not have
 		}
 		seen.set(idx)
 		for c, theirs := range tm.Hashes[i*protocol.TreeFanout : (i+1)*protocol.TreeFanout] {
-			if sh.childHashLocked(level, idx, c) != theirs {
+			if sh.childHash(level, idx, c) != theirs {
 				diff = append(diff, idx<<protocol.TreeFanoutBits+uint32(c))
 			}
 		}
@@ -411,13 +361,11 @@ func (c *core) handleTree(from string, tm *protocol.TreeMsg, b *outBatch, now in
 		// other way, and the drill ends here. Saying so frees the peer's
 		// slot at once; left to the next matching digest it would turn
 		// other replicas' drills on the shard away until then.
-		sh.dropLeavesLocked()
-		sh.mu.Unlock()
+		sh.leaf = nil
 		c.repair.clearFrom(int(tm.Shard), from)
 		b.add(tm.Shard, from, protocol.NewTreeMsg(tm.Shard, tm.Level, nil, nil))
 		return
 	}
-	sh.mu.Unlock()
 	c.continueDrill(from, tm.Shard, level+1, diff, b)
 }
 
@@ -435,26 +383,22 @@ func (c *core) continueDrill(peer string, shardIdx uint32, level int, nodes []ui
 		budget = drillStopBytes * len(nodes)
 	}
 	sh := c.shards[shardIdx]
-	sh.mu.Lock()
-	objs, stop := sh.rangeKeysLocked(&leaves, budget)
+	objs, stop := sh.rangeKeys(&leaves, budget)
 	var hashes []uint64
 	if !stop {
-		sh.ensureLeavesLocked()
+		sh.ensureLeaves()
 		hashes = make([]uint64, 0, protocol.TreeFanout*len(nodes))
 		for _, idx := range nodes {
 			for c := 0; c < protocol.TreeFanout; c++ {
-				hashes = append(hashes, sh.childHashLocked(level, idx, c))
+				hashes = append(hashes, sh.childHash(level, idx, c))
 			}
 		}
 	}
-	sh.mu.Unlock()
-	c.statsMu.Lock()
 	if level == 0 && stop {
 		c.stats.WantShards++
 	} else {
 		c.stats.TreeRounds++
 	}
-	c.statsMu.Unlock()
 	if !stop {
 		c.transmitMsg(peer, protocol.NewTreeMsg(shardIdx, uint8(level), nodes, hashes), frameDigest)
 		return
@@ -477,7 +421,7 @@ func (c *core) answerClose(from string, tm *protocol.TreeMsg, g codec.ItemGroup,
 		return
 	}
 	if !c.repair.claim(int(g.Shard), from, now, false) {
-		c.countDeduped(1) // this shard is busy with another peer's drill
+		c.stats.DedupedWants++ // this shard is busy with another peer's drill
 		return
 	}
 	theirs := make(map[string]lattice.State, len(g.Items))
@@ -489,20 +433,15 @@ func (c *core) answerClose(from string, tm *protocol.TreeMsg, g codec.ItemGroup,
 		}
 	}
 	sh := c.shards[g.Shard]
-	sh.mu.Lock()
-	objs, _ := sh.rangeKeysLocked(&leaves, noBudget)
-	sh.dropLeavesLocked() // the drill is over
-	sh.mu.Unlock()
+	objs, _ := sh.rangeKeys(&leaves, noBudget)
+	sh.leaf = nil // the drill is over
 	shipped := c.shipRange(from, g.Shard, level, nil, objs, theirs, b)
 	c.repair.clearFrom(int(g.Shard), from)
-	if shipped {
-		c.statsMu.Lock()
-		if level == 0 {
-			c.stats.RepairShards++
-		} else {
-			c.stats.RepairRanges += len(nodes)
-		}
-		c.statsMu.Unlock()
+	switch {
+	case shipped && level == 0:
+		c.stats.RepairShards++
+	case shipped:
+		c.stats.RepairRanges += len(nodes)
 	}
 }
 
@@ -528,19 +467,17 @@ const repairChunkBytes = 1 << 20
 // whole state for any other, as many chunks as it takes, and a TreeMsg
 // naming nothing.
 //
-// The shard lock is released between chunks (the keyspace is grow-only,
-// and a state mutated meanwhile ships its newer value — anti-entropy never
-// needs a point-in-time cut); each chunk but the last leaves on its own
-// frame at once, the last and the TreeMsg are left on b. It reports
-// whether any state was shipped.
+// Each chunk but the last leaves on its own frame at once, the last and the
+// TreeMsg are left on b, and a whole state shipped is a clone: what the
+// caller goes on to apply before it flushes b must not change it. It
+// reports whether any state was shipped.
 func (c *core) shipRange(to string, shardIdx uint32, level int, want []uint32, objs []keyState, theirs map[string]lattice.State, b *outBatch) bool {
-	sh := c.shards[shardIdx]
 	budget := min(c.maxMsgBytes()/2, repairChunkBytes)
 	total := 0
+	var chunk *outBatch
 	for i := 0; ; {
 		var items []protocol.ObjectMsg
 		bytes := 0
-		sh.mu.Lock()
 		for ; i < len(objs); i++ {
 			key, st := objs[i].key, objs[i].st
 			t := theirs[key]
@@ -554,33 +491,27 @@ func (c *core) shipRange(to string, shardIdx uint32, level int, want []uint32, o
 				break // chunk full; an oversized single object still ships alone
 			}
 			if t == nil {
-				st = st.Clone() // the message outlives the lock
+				st = st.Clone()
 			}
 			bytes += sz
 			items = append(items, protocol.ObjectMsg{Key: key, Inner: protocol.NewDeltaMsg(st)})
 		}
-		sh.mu.Unlock()
 		total += bytes
-		last := i == len(objs) || want != nil
-		out := b
-		if !last {
-			// flush must not run under the shard lock, and accumulating
-			// chunks on one batch would defeat the point of chunking.
-			out = newOutBatch()
-		}
-		if len(items) > 0 {
-			out.add(shardIdx, to, protocol.BatchOf(items))
-		}
-		if last {
-			out.add(shardIdx, to, protocol.NewTreeMsg(shardIdx, uint8(level), want, nil))
+		if i == len(objs) || want != nil {
+			if len(items) > 0 {
+				b.add(shardIdx, to, protocol.BatchOf(items))
+			}
+			b.add(shardIdx, to, protocol.NewTreeMsg(shardIdx, uint8(level), want, nil))
 			break
 		}
-		c.flush(out, nil)
+		// Accumulating chunks on b would defeat the point of chunking.
+		if chunk == nil {
+			chunk = newOutBatch()
+		}
+		chunk.add(shardIdx, to, protocol.BatchOf(items))
+		c.flush(chunk, nil)
+		chunk.reset()
 	}
-	if total > 0 {
-		c.statsMu.Lock()
-		c.stats.RepairBytes += total
-		c.statsMu.Unlock()
-	}
+	c.stats.RepairBytes += total
 	return total > 0
 }

@@ -181,9 +181,8 @@ func (p *framePacker) flush() {
 // data) when it does not. A piece whose encoding alone overflows an empty
 // frame is dropped (counted).
 //
-// lk is the destination's link, whose packMu the caller holds: frames
-// that carry acked δ-groups are numbered on it and the first frame takes
-// the acknowledgement it owes; the record of an acked δ-group names the
+// lk is the destination's link: frames that carry acked δ-groups are
+// numbered on it and the first frame takes the acknowledgement it owes; the record of an acked δ-group names the
 // shard its key routes to among shards. With a nil link nothing is
 // numbered.
 func packFrames(items []protocol.ShardItem, digests []uint64, limit, shards int, lk *link) (packResult, error) {

@@ -290,12 +290,12 @@ func checkNumbered(t testing.TB, lk *link, ack protocol.FrameAck, items []protoc
 	want := unitsOf(t, items)
 	frames := decodeEach(t, res.frames, limit)
 	if len(frames) == 0 {
-		if !lk.owed.Load() {
+		if !lk.owed {
 			t.Fatal("no frame left and the acknowledgement is not owed again")
 		}
 		return
 	}
-	if lk.owed.Load() {
+	if lk.owed {
 		t.Fatal("acknowledgement still owed after a frame took it")
 	}
 	next, pos := uint64(1), 0
@@ -436,7 +436,7 @@ func TestPackEncodesEachItemOnce(t *testing.T) {
 // are spelled before split points and used again after them.
 func TestPackSplitPiecesUnpackAlone(t *testing.T) {
 	cfg := tickStoreConfig()
-	cfg.ID, cfg.Nodes = "w-n0", []string{"w-n0", "p1", "p2"}
+	cfg.ID = "w-n0"
 	cfg.ObjType = simObjType
 	cfg.Shards = 4
 	cfg.MaxFrameBytes = 256
@@ -475,7 +475,7 @@ func TestPackSplitPiecesUnpackAlone(t *testing.T) {
 		want[key] = delta
 	}
 	inc := uint32(testPeerInc)
-	if _, err := c.deliver("p2", &inc, linkFrame(t, 1, 0, protocol.FrameAck{}, forwarded...), 0); err != nil {
+	if _, err := c.deliver("p2", &inc, new(codec.FrameView), linkFrame(t, 1, 0, protocol.FrameAck{}, forwarded...), 0); err != nil {
 		t.Fatal(err)
 	}
 	c.step(int64(cfg.SyncEvery))

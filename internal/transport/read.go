@@ -7,7 +7,8 @@ import (
 )
 
 // Query visits every object of one shard under that shard's lock, in
-// sorted key order, without cloning: fn receives each object's live state.
+// sorted key order, without cloning; it never waits for a pass or a write
+// to another shard: fn receives each object's live state.
 // It is the zero-allocation bulk read — Get clones a whole object per
 // call, Query hands out len(shard) states for free — at the price of a
 // narrower contract: fn must not mutate the state, must not retain it
@@ -19,19 +20,19 @@ func (s *Store) Query(shard int, fn func(key string, st lattice.State) bool) {
 		return
 	}
 	sh := s.shards[shard]
-	sh.mu.Lock()
+	sh.mu.Lock() // Scan settles the key order
 	defer sh.mu.Unlock()
 	sh.engine.Scan("", fn)
 }
 
-// View runs fn on one object's live state under its shard lock and
+// View runs fn on one object's live state under its shard's read lock and
 // reports whether the key exists. It is the single-key form of Query,
 // with the same zero-clone contract: fn must not mutate or retain the
 // state and must not call back into the store.
 func (s *Store) View(key string, fn func(st lattice.State)) bool {
 	sh := s.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
 	st := sh.engine.ObjectState(key)
 	if st == nil {
 		return false
@@ -69,9 +70,9 @@ func (s *Store) Scan(prefix string, fn func(key string, st lattice.State) bool) 
 	for heap.Init(&m); len(m.runs) > 0; {
 		r := &m.runs[0]
 		o := m.objs[r.lo]
-		r.sh.mu.Lock()
+		r.sh.mu.RLock()
 		ok := fn(o.key, o.st)
-		r.sh.mu.Unlock()
+		r.sh.mu.RUnlock()
 		if !ok {
 			return
 		}

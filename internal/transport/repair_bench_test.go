@@ -48,8 +48,10 @@ func measureRepair(t *testing.T, keys int, flat bool) repairMeasurement {
 	base0, base1 := s0.Stats(), s1.Stats()
 	if flat {
 		b := newOutBatch()
-		s1.shipRange(s0.ID(), 0, 0, rootNode, nil, nil, b)
-		s1.flush(b, nil)
+		s1.locked(func() {
+			s1.shipRange(s0.ID(), 0, 0, rootNode, nil, nil, b)
+			s1.flush(b, nil)
+		})
 	} else {
 		s0.SyncNow()
 	}

@@ -34,7 +34,6 @@ func startFaultyPair(t *testing.T, template StoreConfig, faults [2]*Fault) [2]*S
 		cfg.ID = ids[i]
 		cfg.Listener = listeners[i]
 		cfg.Peers = map[string]string{ids[1-i]: addrs[1-i]}
-		cfg.Nodes = ids[:]
 		if faults[i] != nil {
 			cfg.Dial = faults[i].Dialer(nil)
 		}
@@ -164,11 +163,10 @@ func TestWantStormDedup(t *testing.T) {
 	// its clock: the in-flight (lost) drill has expired, and the next one
 	// completes end to end.
 	f1.SetDropRate(0)
-	vec := s0.shardDigests()
-	adv := encodeFrame(t, protocol.NewDigestMsg(vec))
-	s0.putDigestVec(vec)
+	var adv []byte
+	s0.locked(func() { adv = encodeFrame(t, protocol.NewDigestMsg(s0.shardDigests())) })
 	inc := s0.inc // as s0's hello named it
-	if _, err := s1.core.deliver(s0.ID(), &inc, adv, s1.now()+int64(cfg.RepairTimeout)); err != nil {
+	if _, err := s1.core.deliver(s0.ID(), &inc, new(codec.FrameView), adv, s1.now()+int64(cfg.RepairTimeout)); err != nil {
 		t.Fatal(err)
 	}
 	waitPairConverged(t, stores, sharedKeys+1, 30*time.Second)
@@ -277,11 +275,6 @@ func TestSmallShardStopsAtRoot(t *testing.T) {
 	}
 }
 
-// CycleDigestVec is one digest advertisement's use of the vector free
-// list — fill, hand back — exported for TestCleanDigestPathNoAllocs in the
-// external test package.
-func (s *Store) CycleDigestVec() { s.putDigestVec(s.shardDigests()) }
-
 // TestDigestShardMismatchCounted pins the misconfiguration satellite: a
 // digest advertisement of foreign width is not comparable, must repair
 // nothing, and must say so in Stats.
@@ -303,7 +296,7 @@ func TestDigestShardMismatchCounted(t *testing.T) {
 }
 
 // TestNotifyGroupNoWatcherAllocs pins the no-watcher deliver path's
-// notification step: gated on the lock-free watcher count, it must cost
+// notification step: gated on the watcher count, it must cost
 // nothing — in particular never materialize an item's key as a string —
 // when nobody watches. (The rest of the deliver path pays inherent
 // per-item decode allocations either way; the notification step is what
@@ -317,12 +310,14 @@ func TestNotifyGroupNoWatcherAllocs(t *testing.T) {
 		t.Fatalf("unpack: %v", err)
 	}
 	g := v.Groups()[0]
+	s.mu.Lock()
 	allocs := testing.AllocsPerRun(100, func() {
 		// Exactly what deliverSharded runs per group when no one watches.
-		if s.hasWatchers() {
+		if len(s.watchers) > 0 {
 			s.notifyGroup(g)
 		}
 	})
+	s.mu.Unlock()
 	if allocs != 0 {
 		t.Errorf("no-watcher notification step allocated %.1f times per group, want 0", allocs)
 	}
@@ -385,20 +380,20 @@ func TestRepairTableSemantics(t *testing.T) {
 	}
 	// Nothing so far expired; taking over a slot past its deadline does,
 	// once per drill given up on, and a digest re-match does not.
-	if got := r.expired(); got != 0 {
+	if got := r.timeouts; got != 0 {
 		t.Errorf("expired = %d before any timeout, want 0", got)
 	}
 	if !r.claim(1, "d", t0+2*sec, true) || !r.claim(1, "e", t0+4*sec, false) {
 		t.Error("an expired slot still dedups")
 	}
-	if got := r.expired(); got != 2 {
+	if got := r.timeouts; got != 2 {
 		t.Errorf("expired = %d after two takeovers, want 2", got)
 	}
 	if !r.clear(1) || r.clear(1) {
 		t.Error("clear must report exactly the held slot")
 	}
-	if !r.claim(1, "f", t0+10*sec, true) || r.expired() != 2 {
-		t.Errorf("a cleared slot was counted as a timeout (expired = %d)", r.expired())
+	if !r.claim(1, "f", t0+10*sec, true) || r.timeouts != 2 {
+		t.Errorf("a cleared slot was counted as a timeout (expired = %d)", r.timeouts)
 	}
 	// Expiry is exact: a slot claimed at t is held through t+timeout-1, and
 	// at t+timeout a start takes it over and counts one timeout. The taker
@@ -408,13 +403,13 @@ func TestRepairTableSemantics(t *testing.T) {
 	if !r.claim(0, "a", t0, true) || r.claim(0, "b", t0+sec-1, true) {
 		t.Error("a slot expired before its deadline")
 	}
-	if !r.claim(0, "b", t0+sec, true) || r.expired() != 1 {
-		t.Errorf("taking a slot over at its deadline: expired = %d, want 1", r.expired())
+	if !r.claim(0, "b", t0+sec, true) || r.timeouts != 1 {
+		t.Errorf("taking a slot over at its deadline: expired = %d, want 1", r.timeouts)
 	}
 	if r.claim(0, "a", t0+sec+1, false) {
 		t.Error("the peer whose drill timed out was let back into the slot")
 	}
-	if !r.claim(0, "b", t0+2*sec-1, false) || r.claim(0, "c", t0+3*sec-2, true) || r.expired() != 1 {
+	if !r.claim(0, "b", t0+2*sec-1, false) || r.claim(0, "c", t0+3*sec-2, true) || r.timeouts != 1 {
 		t.Error("the taker's own message did not extend the slot")
 	}
 }
@@ -432,19 +427,15 @@ func TestTreeLeafHashesMatchAcrossReplicas(t *testing.T) {
 		a.Update(op)
 		b.Update(op)
 	}
-	leavesOf := func(s *Store) leafVec {
-		sh := s.shards[0]
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		sh.ensureLeavesLocked()
-		return *sh.leaf
-	}
+	leavesOf := func(s *Store) leafVec { return s.leaves(s.shards[0]) }
 	la, lb := leavesOf(a), leavesOf(b)
 	if la != lb {
 		t.Fatal("leaf vectors differ on identical stores")
 	}
 	b.Update(workload.Add("extra", "v"))
-	if b.shards[0].leaf != nil {
+	var kept bool
+	b.locked(func() { kept = b.shards[0].leaf != nil })
+	if kept {
 		t.Error("a mutated shard kept its leaf vector")
 	}
 	lb2 := leavesOf(b)
@@ -486,8 +477,7 @@ func TestHandleTreeHostileInputs(t *testing.T) {
 	for _, k := range keysOnShard(len(s.shards), 0, 20) {
 		s.Update(workload.Add(k, "v"))
 	}
-	d := getDeliverState()
-	defer d.release()
+	b := newOutBatch()
 	hostile := []*protocol.TreeMsg{
 		bogusPush(99, 1, 0),                                    // shard skew
 		bogusPush(0, protocol.TreeDepth, 0),                    // a push below the leaves
@@ -498,20 +488,20 @@ func TestHandleTreeHostileInputs(t *testing.T) {
 		protocol.NewTreeMsg(0, 1, []uint32{1}, nil),            // a close outside a data frame
 	}
 	for _, m := range hostile {
-		s.handleTree("peer", m, d.b, s.now())
+		s.locked(func() { s.handleTree("peer", m, b, s.now()) })
 	}
 	if st := s.Stats(); st.TreeRounds != 0 || st.WantShards != 0 || st.DedupedWants != 0 {
 		t.Errorf("malformed pushes moved the drill counters: %+v", st)
 	}
 
 	// A push naming a node twice is one round, not two.
-	s.handleTree("peer", bogusPush(0, 0, 0, 0), d.b, s.now())
+	s.locked(func() { s.handleTree("peer", bogusPush(0, 0, 0, 0), b, s.now()) })
 	if got := s.Stats().TreeRounds; got != 1 {
 		t.Errorf("a push naming the root twice started %d rounds, want 1", got)
 	}
 	// The slot is now held against "peer": another peer's drill on the
 	// shard — a push, or a close arriving in a data frame — is turned away.
-	s.handleTree("other", bogusPush(0, 0, 0), d.b, s.now())
+	s.locked(func() { s.handleTree("other", bogusPush(0, 0, 0), b, s.now()) })
 	if err := s.deliver("other", closeFrame(t, 0, protocol.NewTreeMsg(0, 0, rootNode, nil))); err != nil {
 		t.Fatalf("deliver: %v", err)
 	}
@@ -535,8 +525,10 @@ func TestHandleTreeHostileInputs(t *testing.T) {
 			t.Fatalf("deliver: %v", err)
 		}
 	}
-	s.answerClose("peer", protocol.NewTreeMsg(0, 1, []uint32{protocol.TreeFanout, 1 << 30}, nil), codec.ItemGroup{}, d.b, s.now())
-	s.answerClose("peer", protocol.NewTreeMsg(0, 9, wantAll, nil), codec.ItemGroup{}, d.b, s.now())
+	s.locked(func() {
+		s.answerClose("peer", protocol.NewTreeMsg(0, 1, []uint32{protocol.TreeFanout, 1 << 30}, nil), codec.ItemGroup{}, b, s.now())
+	})
+	s.locked(func() { s.answerClose("peer", protocol.NewTreeMsg(0, 9, wantAll, nil), codec.ItemGroup{}, b, s.now()) })
 	if got := s.Stats().RepairRanges; got != protocol.TreeFanout {
 		t.Errorf("duplicated want answered %d ranges, want %d", got, protocol.TreeFanout)
 	}
@@ -554,7 +546,7 @@ func TestHandleTreeHostileInputs(t *testing.T) {
 		allLeaves[i] = uint32(i)
 		big.Update(workload.Add(fmt.Sprintf("k%06d", i), "v"))
 	}
-	big.continueDrill("peer", 0, protocol.TreeDepth, allLeaves, d.b)
+	big.locked(func() { big.continueDrill("peer", 0, protocol.TreeDepth, allLeaves, b) })
 	if got, limit := big.Stats().RepairBytes, big.maxMsgBytes()/2; got == 0 || got > limit {
 		t.Errorf("a forced stop sent %d bytes along, want 1..%d (half a frame)", got, limit)
 	}
@@ -571,22 +563,23 @@ func TestContinueDrillHostileAnswer(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		s.Update(workload.Add(fmt.Sprintf("k%06d", i), "v"))
 	}
-	d := getDeliverState()
-	defer d.release()
+	b := newOutBatch()
 	// A drill toward the hostile peer is in flight — the state a real one
 	// is in when an answer arrives.
-	if !s.repair.claim(0, "peer", s.now(), true) {
+	claimed := false
+	s.locked(func() { claimed = s.repair.claim(0, "peer", s.now(), true) })
+	if !claimed {
 		t.Fatal("claim refused a fresh slot")
 	}
 	maxNode := uint32(protocol.TreeNodesAt(1))
 	// Every index out of range for level 1: pre-fix this panicked.
-	s.handleTree("peer", bogusPush(0, 1, maxNode, 1<<30), d.b, s.now())
+	s.locked(func() { s.handleTree("peer", bogusPush(0, 1, maxNode, 1<<30), b, s.now()) })
 	if got := s.Stats().TreeRounds; got != 0 {
 		t.Errorf("an unusable push drilled %d rounds, want 0", got)
 	}
 	// A mixed push drills into its one valid node: one more message, and
 	// it names only that node's children.
-	s.handleTree("peer", bogusPush(0, 1, 3, maxNode), d.b, s.now())
+	s.locked(func() { s.handleTree("peer", bogusPush(0, 1, 3, maxNode), b, s.now()) })
 	if got := s.Stats().TreeRounds; got != 1 {
 		t.Errorf("mixed push drilled %d rounds, want 1 (valid index alone)", got)
 	}
@@ -634,8 +627,8 @@ func sharedKey(k int) string { return fmt.Sprintf("k%07d-shared", k) }
 
 // slotHeld reports whether a drill holds the store's shard-0 slot.
 func slotHeld(s *Store) bool {
-	s.repair.mu.Lock()
-	defer s.repair.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.repair.entries[0].active
 }
 

@@ -67,6 +67,8 @@ type simLink struct {
 	// the first.
 	lose func(n int) bool
 	sent int
+	// view is what the receiving core unpacks the link's frames into.
+	view codec.FrameView
 }
 
 // simFrame is a frame on the wire; seq keeps the order of frames due at
@@ -171,7 +173,6 @@ func newSim(t testing.TB, seed int64, n int, cfg StoreConfig) *sim {
 		ids[i] = fmt.Sprintf("s-%02d", i)
 		s.index[ids[i]] = i
 	}
-	cfg.Nodes = ids
 	cfg.ObjType = simObjType
 	cfg.SyncEvery = time.Duration(simPeriod)
 	for i, id := range ids {
@@ -189,7 +190,7 @@ func newSim(t testing.TB, seed int64, n int, cfg StoreConfig) *sim {
 			t.Fatal(err)
 		}
 		c.out = simPort{s, i}
-		c.hold.Store(simPeriod / ackHoldsPerTick)
+		c.hold = simPeriod / ackHoldsPerTick
 		off := s.rng.Int63n(simPeriod)
 		s.nodes = append(s.nodes, &simNode{core: c, st: &Store{core: c}, off: off, due: simPeriod - off})
 	}
@@ -300,7 +301,7 @@ func (s *sim) runTo(n *simNode, local int64) { s.run(local - n.off) }
 func (s *sim) arrive(f *simFrame) {
 	n := s.nodes[f.to]
 	inc := s.nodes[f.from].inc
-	wake, err := n.deliver(s.nodes[f.from].cfg.ID, &inc, f.data, s.now+n.off)
+	wake, err := n.deliver(s.nodes[f.from].cfg.ID, &inc, &s.links[f.from][f.to].view, f.data, s.now+n.off)
 	if err != nil {
 		s.fatalf("%s refused a frame from %s: %v", n.cfg.ID, s.nodes[f.from].cfg.ID, err)
 	}
@@ -315,7 +316,7 @@ func (s *sim) step(n *simNode) {
 	now := s.now + n.off
 	next, pass := n.core.step(now)
 	if pass {
-		n.lastSend.Store(now)
+		n.lastSend = now
 	}
 	n.due = next - n.off
 }

@@ -46,11 +46,11 @@ func (s *Store) snapshotLoop() {
 }
 
 // SnapshotNow runs one snapshot pass: each shard whose content digest
-// moved since its last snapshot is serialized under its own lock and
-// written to a temp file renamed into place, one shard at a time — the
-// sync loop and inbound deliveries only ever wait on the single shard
-// currently being encoded, never on I/O (the write happens after the
-// lock is released). Returns the first write error; the pass still
+// moved since its last snapshot is serialized, and written to a temp file
+// renamed into place, one shard at a time — the writes, deliveries and
+// passes that take turns under core.mu wait on the single shard currently
+// being encoded, never on I/O (the write happens after the lock is
+// released). Returns the first write error; the pass still
 // visits every shard. Note Close does not snapshot: an explicit
 // SnapshotNow before a planned shutdown is what makes the restart
 // lossless, a crash restores the last periodic pass and repairs the gap.
@@ -77,28 +77,28 @@ func (s *Store) SnapshotNow() error {
 		written++
 		bytes += len(data)
 	}
-	if written > 0 {
-		s.statsMu.Lock()
-		s.stats.SnapshotsWritten += written
-		s.stats.SnapshotBytes += bytes
-		s.statsMu.Unlock()
-	}
+	s.mu.Lock()
+	s.stats.SnapshotsWritten += written
+	s.stats.SnapshotBytes += bytes
+	s.mu.Unlock()
 	return firstErr
 }
 
-// encodeShardSnapshot serializes one shard under a single lock hold, so
-// the digest recorded against snapLast and the contents on disk are the
+// encodeShardSnapshot serializes one shard under a single hold of core.mu,
+// so the digest recorded against snapLast and the contents on disk are the
 // same cut. changed is false when the shard's digest equals its last
 // written snapshot's — nothing to do. snapLast starts at zero, which is
 // the digest of the empty shard: a shard nothing has been written to gets
 // no file, and no file is what restores as the empty shard.
 func (s *Store) encodeShardSnapshot(i int, sh *shard) (data []byte, digest uint64, changed bool) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	d := sh.digestLocked()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	d := sh.rehash()
 	if d == s.snapLast[i] {
 		return nil, d, false
 	}
+	sh.mu.Lock() // Scan settles the key order
+	defer sh.mu.Unlock()
 	w := codec.NewSnapshotWriter(i, len(s.shards), sh.engine.NumKeys())
 	sh.engine.Scan("", func(k string, st lattice.State) bool {
 		w.Add(k, st)
@@ -136,8 +136,8 @@ func writeFileAtomic(path string, data []byte) error {
 
 // restoreSnapshots loads every readable, valid snapshot file from
 // SnapshotDir into the engines. Called from StartStore before the
-// listener starts delivering, so no locks are contended and the first
-// digest advertisement already describes the restored keyspace.
+// listener starts delivering, so the first digest advertisement already
+// describes the restored keyspace.
 //
 // Each file is two-phase: fully decoded (every frame checksummed, the
 // record count checked against the manifest) into memory first, applied
@@ -155,7 +155,8 @@ func (s *Store) restoreSnapshots() {
 		key string
 		st  lattice.State
 	}
-	restored, corrupt := 0, 0
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, ent := range entries {
 		name := ent.Name()
 		if ent.IsDir() || filepath.Ext(name) != ".snap" {
@@ -163,7 +164,7 @@ func (s *Store) restoreSnapshots() {
 		}
 		data, err := os.ReadFile(filepath.Join(s.cfg.SnapshotDir, name))
 		if err != nil {
-			corrupt++
+			s.stats.SnapshotRestoreErrors++
 			continue
 		}
 		var recs []record
@@ -171,7 +172,7 @@ func (s *Store) restoreSnapshots() {
 			recs = append(recs, record{key, st})
 			return nil
 		}); err != nil {
-			corrupt++
+			s.stats.SnapshotRestoreErrors++
 			continue
 		}
 		for _, r := range recs {
@@ -179,16 +180,10 @@ func (s *Store) restoreSnapshots() {
 			if or, ok := sh.engine.(protocol.ObjectRestorer); ok {
 				sh.mu.Lock()
 				or.RestoreObject(r.key, r.st)
-				sh.touched()
 				sh.mu.Unlock()
+				sh.touched()
 			}
 		}
-		restored += len(recs)
-	}
-	if restored > 0 || corrupt > 0 {
-		s.statsMu.Lock()
-		s.stats.SnapshotRestoredKeys += restored
-		s.stats.SnapshotRestoreErrors += corrupt
-		s.statsMu.Unlock()
+		s.stats.SnapshotRestoredKeys += len(recs)
 	}
 }

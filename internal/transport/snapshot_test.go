@@ -246,7 +246,6 @@ func TestKillRestartUnderTraffic(t *testing.T) {
 			ID:        ids[i],
 			Listener:  ln,
 			Peers:     map[string]string{ids[1-i]: addrs[1-i]},
-			Nodes:     ids[:],
 			Shards:    4,
 			Factory:   protocol.NewDeltaAcked(true, true),
 			ObjType:   func(string) workload.Datatype { return workload.GSetType{} },
@@ -361,7 +360,6 @@ func measureStaleRepair(t *testing.T, stale int) (repairBytes, fullBytes int) {
 		cfg.ID = ids[i]
 		cfg.Listener = ln
 		cfg.Peers = map[string]string{ids[1-i]: addrs[1-i]}
-		cfg.Nodes = ids[:]
 		cfg.Dial = faults[i].Dialer(nil)
 		if i == 1 {
 			cfg.SnapshotDir = dir

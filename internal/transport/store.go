@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"crdtsync/internal/codec"
 	"crdtsync/internal/lattice"
 	"crdtsync/internal/metrics"
 	"crdtsync/internal/protocol"
@@ -31,8 +32,6 @@ type StoreConfig struct {
 	Dial DialFunc
 	// Peers maps neighbor ids to their listen addresses.
 	Peers map[string]string
-	// Nodes is the full membership (sorted); defaults to ID + peers.
-	Nodes []string
 	// Shards is the shard count, rounded up to a power of two
 	// (default 16). Every replica in a cluster must use the same value:
 	// a receiver routes a frame's keyed items by hashing their keys under
@@ -300,23 +299,24 @@ func addCounts(s, o any) {
 }
 
 // Store is a live replica of a sharded multi-object keyspace: N shards,
-// each holding a map of named CRDT objects with its own engine instance,
-// mutex, and δ-buffers. Keys are routed to shards by hash; per-shard
-// outgoing deltas are coalesced into bounded batched frames per neighbor
-// on each flush or sync tick. Per-shard flags make either pass O(shards
-// with something to do), not O(shards): clean shards are skipped without
-// taking their locks. With DigestEvery set, replicas additionally exchange
-// per-shard digest vectors and, on a mismatch, drill down to the ranges
-// that differ and exchange those (merkle.go), so even divergence invisible
-// to the inner engines is repaired while a converged idle cluster
-// exchanges only constant-size heartbeats.
+// each holding a map of named CRDT objects with its own engine instance
+// and δ-buffers. Keys are routed to shards by hash; per-shard outgoing
+// deltas are coalesced into bounded batched frames per neighbor on each
+// flush or sync tick. Per-shard flags make either pass O(shards with
+// something to do), not O(shards). With DigestEvery set, replicas
+// additionally exchange per-shard digest vectors and, on a mismatch, drill
+// down to the ranges that differ and exchange those (merkle.go), so even
+// divergence invisible to the inner engines is repaired while a converged
+// idle cluster exchanges only constant-size heartbeats.
 //
 // This is the deployment model of the paper's Retwis evaluation: many
 // independent objects, each with its own δ-buffer, synchronized together.
 //
 // Store is the shell around the core (core.go): the config defaults, the
 // peer network, the clock, the sync loop's one timer, the snapshot loop and
-// the public methods.
+// the public methods. Every call it makes into the core holds core.mu, so
+// writes, deliveries, passes and stats reads take turns; the reads of the
+// keyspace take only their shard's lock.
 type Store struct {
 	*core
 	net     *peerNet
@@ -402,7 +402,7 @@ func StartStore(cfg StoreConfig) (*Store, error) {
 		loopDone: make(chan struct{}),
 	}
 	c.out = s.net
-	c.hold.Store(int64(cfg.SyncEvery / ackHoldsPerTick))
+	c.hold = int64(cfg.SyncEvery / ackHoldsPerTick)
 	if cfg.SnapshotDir != "" {
 		// Restore strictly before joining the mesh: the first digest
 		// advertisement must describe the restored keyspace, so peers
@@ -410,7 +410,7 @@ func StartStore(cfg StoreConfig) (*Store, error) {
 		s.snapLast = make([]uint64, cfg.Shards)
 		s.restoreSnapshots()
 	}
-	s.net.start(s.receive, s.hello, s.gone)
+	s.net.start(s.receive, s.greet, s.part)
 	go s.syncLoop()
 	if cfg.SnapshotDir != "" {
 		s.wg.Add(1)
@@ -431,24 +431,50 @@ func (s *Store) ID() string { return s.cfg.ID }
 // NumShards returns the effective (power-of-two) shard count.
 func (s *Store) NumShards() int { return len(s.shards) }
 
-// Update applies one local operation to the object named by op.Key.
-// Only that key's shard is locked; updates on different shards proceed
-// concurrently.
+// Update applies one local operation to the object named by op.Key. It
+// takes its turn with the store's other writers — deliveries and passes —
+// and returns once the operation is applied: a read that follows sees it.
 func (s *Store) Update(op workload.Op) {
-	if s.update(op) {
+	s.mu.Lock()
+	wake := s.update(op)
+	s.mu.Unlock()
+	if wake {
 		s.poke()
 	}
 }
+
+// frameViews pools the views inbound frames are unpacked into: only the
+// read goroutines delivering at the moment hold one, and an idle store
+// keeps none past a GC, where a view kept per connection would hold a
+// large frame's item arrays for as long as the connection lives.
+var frameViews = sync.Pool{New: func() any { return new(codec.FrameView) }}
 
 // receive hands the core an inbound frame, on its connection's read
 // goroutine, at the time it arrived; inc is the connection's word for the
 // incarnation its hello named (peerNet.start).
 func (s *Store) receive(from string, inc *uint32, frame []byte) error {
-	wake, err := s.core.deliver(from, inc, frame, s.now())
+	v := frameViews.Get().(*codec.FrameView)
+	wake, err := s.core.deliver(from, inc, v, frame, s.now())
+	frameViews.Put(v)
 	if wake {
 		s.poke()
 	}
 	return err
+}
+
+// greet encodes the hello a connection opens with, on its writer
+// goroutine.
+func (s *Store) greet(reaches []string) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.hello(reaches)
+}
+
+// part takes the end of the last inbound connection from a neighbor.
+func (s *Store) part(from string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.gone(from)
 }
 
 // poke wakes the sync loop for a step before its timer's deadline.
@@ -463,8 +489,8 @@ func (s *Store) poke() {
 // unknown.
 func (s *Store) Get(key string) lattice.State {
 	sh := s.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
 	st := sh.engine.ObjectState(key)
 	if st == nil {
 		return nil
@@ -483,9 +509,9 @@ func (s *Store) Get(key string) lattice.State {
 func (s *Store) NumKeys() int {
 	total := 0
 	for _, sh := range s.shards {
-		sh.mu.Lock()
+		sh.mu.RLock()
 		total += sh.engine.NumKeys()
-		sh.mu.Unlock()
+		sh.mu.RUnlock()
 	}
 	return total
 }
@@ -512,10 +538,12 @@ func (s *Store) Keys() []string {
 // written since the last call) otherwise. (The codec is canonical: equal
 // states encode to equal bytes.)
 func (s *Store) Digest() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	h := uint64(fnvOffset64)
 	var word [8]byte
-	for _, sh := range s.shards {
-		binary.BigEndian.PutUint64(word[:], s.shardDigest(sh))
+	for _, d := range s.shardDigests() {
+		binary.BigEndian.PutUint64(word[:], d)
 		h = fnvFold(h, word[:])
 	}
 	return h
@@ -525,7 +553,7 @@ func (s *Store) Digest() uint64 {
 func (s *Store) Memory() metrics.Memory {
 	var total metrics.Memory
 	for _, sh := range s.shards {
-		sh.mu.Lock()
+		sh.mu.Lock() // the engine's Memory uses its scratch buffer
 		m := sh.engine.Memory()
 		sh.mu.Unlock()
 		total.CRDTBytes += m.CRDTBytes
@@ -537,11 +565,20 @@ func (s *Store) Memory() metrics.Memory {
 
 // Stats returns a snapshot of the wire accounting, including the
 // per-peer write-pipeline counters and connection states.
-func (s *Store) Stats() StoreStats { return s.counters(s.net.peerStats()) }
+func (s *Store) Stats() StoreStats {
+	peers := s.net.peerStats()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.counters(peers)
+}
 
 // Ticks returns how many synchronization steps — timer ticks and SyncNow
 // calls, not write-triggered flushes — this store has run.
-func (s *Store) Ticks() uint64 { return s.ticks.Load() }
+func (s *Store) Ticks() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ticks
+}
 
 // SyncNow runs one synchronization tick now, in addition to the timer's.
 // An owner that ticks the store itself — with a SyncEvery nobody waits
@@ -549,10 +586,12 @@ func (s *Store) Ticks() uint64 { return s.ticks.Load() }
 // tick next, so from the first call on the store holds no acknowledgement
 // back: the core's hold is 0, and one still held leaves with this tick.
 func (s *Store) SyncNow() {
-	s.hold.Store(0)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.hold = 0
 	now := s.now()
 	s.tick(now)
-	s.lastSend.Store(s.now()) // the pass has ended
+	s.lastSend = s.now() // the pass has ended
 	s.flushAcks(now)
 }
 
@@ -570,11 +609,13 @@ func (s *Store) syncLoop() {
 		case <-s.wake:
 		case <-timer.C:
 		}
+		s.mu.Lock()
 		next, pass := s.step(s.now())
 		now := s.now()
 		if pass {
-			s.lastSend.Store(now) // the pass has ended
+			s.lastSend = now // the pass has ended
 		}
+		s.mu.Unlock()
 		if !timer.Stop() {
 			select {
 			case <-timer.C:
@@ -595,11 +636,13 @@ func (s *Store) Close() error {
 		// A peer never acknowledged would go on sending again what this
 		// store has applied; a pass the loop is still running ships what it
 		// collected before the network closes, and net.close drains both.
-		s.hold.Store(0)
 		<-s.loopDone
+		s.mu.Lock()
+		s.hold = 0
 		now := s.now()
 		s.writeFlush(now)
 		s.flushAcks(now)
+		s.mu.Unlock()
 	})
 	s.closeWatchers()
 	err := s.net.close()

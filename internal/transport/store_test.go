@@ -222,7 +222,7 @@ func isUseOfClosed(err error) bool {
 }
 
 // TestStoreLineMultiHop: s-00 — s-01 — s-02 — s-03, each store peered
-// with its line neighbors only while Nodes names the full membership. A
+// with its line neighbors only. A
 // write at one end must relay through the two middle stores to the other.
 func TestStoreLineMultiHop(t *testing.T) {
 	for name, factory := range map[string]protocol.Factory{
@@ -240,7 +240,8 @@ func TestStoreLineMultiHop(t *testing.T) {
 				line := make(map[string]string, 2)
 				for _, j := range []int{i - 1, i + 1} {
 					if j >= 0 && j < n {
-						line[cfg.Nodes[j]] = cfg.Peers[cfg.Nodes[j]]
+						id := fmt.Sprintf("s-%02d", j)
+						line[id] = cfg.Peers[id]
 					}
 				}
 				cfg.Peers = line

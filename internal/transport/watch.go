@@ -76,19 +76,18 @@ func (s *Store) Watch(prefix string, buf int) *Watcher {
 	// that snapshot (and gets closed by it) or observes stopping closed
 	// here — a pump goroutine can never outlive Close's wg.Wait, and
 	// wg.Add never races a Wait that could have seen a zero counter.
-	s.watchMu.Lock()
+	s.mu.Lock()
 	select {
 	case <-s.stopping:
-		s.watchMu.Unlock()
+		s.mu.Unlock()
 		w.closeOnce.Do(func() { close(w.done) })
 		close(w.out) // the pump, which normally closes out, never starts
 		return w
 	default:
 	}
 	s.watchers = append(s.watchers, w)
-	s.watcherCount.Store(int32(len(s.watchers)))
 	s.wg.Add(1)
-	s.watchMu.Unlock()
+	s.mu.Unlock()
 	go w.pump()
 	return w
 }
@@ -102,22 +101,21 @@ func (w *Watcher) Events() <-chan WatchEvent { return w.out }
 func (w *Watcher) Close() {
 	w.closeOnce.Do(func() {
 		s := w.store
-		s.watchMu.Lock()
+		s.mu.Lock()
 		for i, o := range s.watchers {
 			if o == w {
 				s.watchers = append(s.watchers[:i], s.watchers[i+1:]...)
 				break
 			}
 		}
-		s.watcherCount.Store(int32(len(s.watchers)))
-		s.watchMu.Unlock()
+		s.mu.Unlock()
 		close(w.done)
 	})
 }
 
 // offer records one change notification: coalesced if the key is already
 // pending, dropped (and marked lagged) if the pending set is full. It
-// runs on update and delivery paths and never blocks.
+// runs on update and delivery paths, under core.mu, and never blocks.
 func (w *Watcher) offer(key string) {
 	if !strings.HasPrefix(key, w.prefix) {
 		return
@@ -134,9 +132,7 @@ func (w *Watcher) offer(key string) {
 	}
 	w.mu.Unlock()
 	if dropped {
-		w.store.statsMu.Lock()
 		w.store.stats.WatchDropped++
-		w.store.statsMu.Unlock()
 		return
 	}
 	select {
@@ -185,28 +181,20 @@ func (w *Watcher) pump() {
 	}
 }
 
-// hasWatchers reports whether any watcher is registered. It is a single
-// atomic load — the hot delivery and update paths check it before doing
-// any notification work (in particular before materializing item keys
-// as strings), so a store nobody watches pays nothing per item.
-func (c *core) hasWatchers() bool {
-	return c.watcherCount.Load() > 0
-}
-
-// notifyWatchers offers one changed key to every registered watcher.
+// notifyWatchers offers one changed key to every registered watcher. The
+// update and delivery paths call it only when there is one, so a store
+// nobody watches materializes no item key as a string.
 func (c *core) notifyWatchers(key string) {
-	c.watchMu.RLock()
 	for _, w := range c.watchers {
 		w.offer(key)
 	}
-	c.watchMu.RUnlock()
 }
 
 // closeWatchers closes every watcher still registered (Store.Close).
 func (s *Store) closeWatchers() {
-	s.watchMu.RLock()
+	s.mu.Lock()
 	open := append([]*Watcher(nil), s.watchers...)
-	s.watchMu.RUnlock()
+	s.mu.Unlock()
 	for _, w := range open {
 		w.Close()
 	}

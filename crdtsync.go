@@ -194,15 +194,17 @@ func WithEngine(e Engine) Option { return func(o *options) { o.engine = e } }
 
 // WithSyncEvery sets the synchronization period (default 1s): the
 // interval of the sync tick. A write does not wait for it — an Update
-// triggers a flush of what has never been sent, no earlier than an eighth
-// of the period after the previous flush or tick — so the period is the
+// triggers a flush of what has never been sent — so the period is the
 // maximum delay of a write, the heartbeat, the cadence WithDigestEvery
 // counts in, the clock EngineAcked's retransmissions back off in, and the
-// batching budget: at most eight write-triggered flushes per period. An
-// acknowledgement owed to a peer waits up to half the period for data
-// going its way to ride. A period nobody waits out (time.Hour) plus
-// explicit SyncNow calls ticks the store by hand: nothing leaves between
-// two calls but acknowledgements.
+// batching budget: flushes and ticks run at eight per period on average,
+// one per eighth of it. A store saves up to four of them while idle, so a
+// write on a quiet store leaves at once, and a busy one gets a pass an
+// eighth of the period after the last — at most eleven write-triggered
+// flushes in any one period. An acknowledgement owed to a peer waits up
+// to half the period for data going its way to ride. A period nobody
+// waits out (time.Hour) plus explicit SyncNow calls ticks the store by
+// hand: nothing leaves between two calls but acknowledgements.
 func WithSyncEvery(d time.Duration) Option { return func(o *options) { o.cfg.SyncEvery = d } }
 
 // WithDigestEvery enables digest anti-entropy: every n-th sync tick the

@@ -12,8 +12,9 @@ import (
 	"crdtsync/internal/workload"
 )
 
-// The write-triggered flush: a write leaves when it is written, at most
-// eight times per SyncEvery, and everything periodic stays on the tick.
+// The write-triggered flush: a write leaves when it is written, within a
+// budget of eight passes per SyncEvery that saves up to flushBurst of them
+// while the store is idle, and everything periodic stays on the tick.
 // What the core decides is tested on a core alone, the test its clock, its
 // network and its sync loop; what the shell adds — the loop, SyncNow and
 // Close — on real stores, waiting on Watch events and on polled conditions
@@ -221,6 +222,152 @@ func TestFlushBurstIsBatched(t *testing.T) {
 		if got := keysIn(t, len(c.shards), rec[id]); len(got) != keys {
 			t.Errorf("%d of %d keys reached %s", len(got), keys, id)
 		}
+	}
+}
+
+// TestFlushQuietStoreSpendsItsBudget: a store quiet for flushBurst windows
+// has saved up flushBurst passes. That many writes, each landing right
+// after the previous one's pass, all leave at once, each in a frame of its
+// own; the next waits a window after the last, and a write right behind
+// that one a window more, since a request that waited empties the budget.
+// A tick spends from the budget as well, but never more than it holds.
+func TestFlushQuietStoreSpendsItsBudget(t *testing.T) {
+	const period = time.Second
+	c, rec := newTestCore(t, period)
+	w := int64(period / flushesPerTick)
+	now := flushBurst * w // quiet since the clock's zero
+	write := func(i int) {
+		t.Helper()
+		if !c.update(workload.Add(fmt.Sprintf("k%d", i), "x")) {
+			t.Fatalf("write %d asked for no flush", i)
+		}
+	}
+	for i := 1; i <= flushBurst; i++ {
+		write(i)
+		if next, pass := c.step(now); !pass || next != int64(period) || len(rec["p1"]) != i {
+			t.Fatalf("write %d of a quiet store: pass %v, next deadline %d, %d frames toward p1; want a pass, %d and %d",
+				i, pass, next, len(rec["p1"]), int64(period), i)
+		}
+	}
+	write(flushBurst + 1)
+	if next, pass := c.step(now); pass || next != now+w {
+		t.Fatalf("a write past the budget: pass %v, next deadline %d; want none and %d", pass, next, now+w)
+	}
+	now += w
+	if next, pass := c.step(now); !pass || next != int64(period) {
+		t.Fatalf("at the window's end: pass %v, next deadline %d; want a pass and %d", pass, next, int64(period))
+	}
+	write(flushBurst + 2)
+	if next, _ := c.step(now); next != now+w {
+		t.Fatalf("a write right behind one that waited: next deadline %d, want %d", next, now+w)
+	}
+	if st := wireStats(c); st.WriteFlushes != flushBurst+1 || len(rec["p1"]) != flushBurst+1 || len(rec["p2"]) != flushBurst+1 {
+		t.Errorf("%d write flushes, %d and %d frames; want %d of each", st.WriteFlushes, len(rec["p1"]), len(rec["p2"]), flushBurst+1)
+	}
+	// A tick runs whatever the budget holds. Half a window behind a pass
+	// that emptied it, it leaves the budget empty, no emptier: a write
+	// behind the tick waits one window, as behind any pass.
+	c.step(now + w) // serves the write above
+	write(flushBurst + 3)
+	c.step(now + w)         // put off a window
+	c.step(now + 2*w + w/2) // and stepped half a window late
+	c.step(int64(period))   // the tick, half a window after that pass
+	write(flushBurst + 4)
+	if next, _ := c.step(int64(period)); next != int64(period)+w {
+		t.Errorf("a write behind a tick on an empty budget: next deadline %d, want %d", next, int64(period)+w)
+	}
+}
+
+// spacing is the rule the flush budget replaced, kept as the reference a
+// writer that never pauses is held to: a requested flush runs once a window
+// has passed since the previous pass, flush or tick. It counts the passes
+// and the frames each peer is sent — one per pass that finds a write.
+type spacing struct {
+	period, window, last, nextTick int64
+	wanted, dirty                  bool
+	flushes, ticks, frames         int
+}
+
+func (m *spacing) update() bool {
+	m.dirty = true
+	asked := !m.wanted
+	m.wanted = true
+	return asked
+}
+
+func (m *spacing) pass(now int64) {
+	m.wanted, m.last = false, now
+	if m.dirty {
+		m.dirty = false
+		m.frames++
+	}
+}
+
+func (m *spacing) step(now int64) int64 {
+	if now >= m.nextTick {
+		m.ticks++
+		m.pass(now)
+		m.nextTick += m.period * ((now-m.nextTick)/m.period + 1)
+	}
+	next := m.nextTick
+	if m.wanted {
+		if at := m.last + m.window; at > now {
+			next = min(next, at)
+		} else {
+			m.flushes++
+			m.pass(now)
+		}
+	}
+	return next
+}
+
+// TestFlushLateTimerSavesNothing: a writer that never pauses, on a store
+// whose timer fires every deadline 0.65 ms late — as Go's do under load —
+// gets exactly the passes and frames the fixed spacing gave it. A budget
+// that also filled while a timer was late would run a pass every window
+// instead of every window plus the lateness: more frames, each fuller.
+func TestFlushLateTimerSavesNothing(t *testing.T) {
+	const period, late, gap, periods = 20 * time.Millisecond, 650 * time.Microsecond, 100 * time.Microsecond, 20
+	cfg := tickStoreConfig()
+	cfg.SyncEvery = period
+	cfg.Factory = protocol.NewDeltaBPRR() // no retransmissions: a frame is a pass that found a write
+	c, err := newCore(cfg.withDefaults(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := recorder{}
+	c.out = rec
+	ref := &spacing{period: int64(period), window: int64(period / flushesPerTick), nextTick: int64(period)}
+	timer, refTimer := int64(period+late), int64(period+late)
+	end := int64(periods * period)
+	for i := 0; int64(i)*int64(gap) < end; i++ {
+		now := int64(i) * int64(gap)
+		for timer <= now {
+			next, _ := c.step(timer)
+			timer = next + int64(late)
+		}
+		for refTimer <= now {
+			refTimer = ref.step(refTimer) + int64(late)
+		}
+		if c.update(workload.Add(fmt.Sprintf("k%03d", i%500), fmt.Sprintf("e%d", i))) {
+			next, _ := c.step(now)
+			timer = next + int64(late)
+		}
+		if ref.update() {
+			refTimer = ref.step(now) + int64(late)
+		}
+	}
+	st := wireStats(c)
+	if st.WriteFlushes != ref.flushes || int(c.ticks) != ref.ticks {
+		t.Errorf("%d write flushes and %d ticks, want the spacing's %d and %d", st.WriteFlushes, c.ticks, ref.flushes, ref.ticks)
+	}
+	for _, id := range c.neighbors {
+		if got := len(rec[id]); got != ref.frames {
+			t.Errorf("%d frames toward %s, want the spacing's %d", got, id, ref.frames)
+		}
+	}
+	if ref.flushes < periods*flushesPerTick/2 {
+		t.Fatalf("the reference ran %d flushes in %d periods: the writer paused", ref.flushes, periods)
 	}
 }
 

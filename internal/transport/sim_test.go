@@ -310,14 +310,11 @@ func (s *sim) arrive(f *simFrame) {
 	}
 }
 
-// step runs a replica's step as its sync loop does: a pass's end is
-// stamped, and the next step is due at the deadline returned.
+// step runs a replica's step as its sync loop does, and the next step is
+// due at the deadline returned. The loop adds a pass's duration to the
+// flush budget's sendAt; a pass takes no simulated time, so that adds 0.
 func (s *sim) step(n *simNode) {
-	now := s.now + n.off
-	next, pass := n.core.step(now)
-	if pass {
-		n.lastSend = now
-	}
+	next, _ := n.core.step(s.now + n.off)
 	n.due = next - n.off
 }
 
@@ -734,8 +731,8 @@ func TestSimOneLostFrameResendsOnlyItsEntries(t *testing.T) {
 		lk := sender.links["s-01"]
 		link := func() PeerStats { return sender.stats().Peers["s-01"] }
 		// From the sender's first tick on, each write leaves in a frame of
-		// its own, a flush window after the last: the ten fill the first
-		// tick period and a quarter of the second.
+		// its own, at once while the flush budget lasts and then a flush
+		// window after the last: the ten leave well before the third tick.
 		s.runTo(sender, simPeriod)
 		for f := 1; f <= frames; f++ {
 			for i := 0; i < perFrame; i++ {

@@ -47,10 +47,12 @@ type StoreConfig struct {
 	// heartbeat, the clock DigestEvery counts and the clock the acked
 	// engine's retransmissions back off in. A write does not wait for
 	// it: an Update (or a delivery that leaves something to forward)
-	// triggers a flush of what has never been sent, which runs no earlier
-	// than SyncEvery/8 after the previous flush or tick — so the period
-	// is also the batching budget, at most eight write-triggered flushes
-	// per tick. An acknowledgement waits up to SyncEvery/2 for a data
+	// triggers a flush of what has never been sent, which spends the flush
+	// budget — so the period is also the batching budget: flushes and
+	// ticks run at eight per period on average, up to four saved while the
+	// store is idle leave back to back, and a request that finds the
+	// budget spent runs at most SyncEvery/8 after the previous pass (see
+	// WriteFlushes). An acknowledgement waits up to SyncEvery/2 for a data
 	// frame to ride before it leaves alone, and not at all once the owner
 	// has called SyncNow. A period nobody waits out (time.Hour) plus
 	// explicit SyncNow calls ticks the store by hand: nothing leaves
@@ -121,7 +123,9 @@ type StoreStats struct {
 	WireBytes int
 	// WriteFlushes counts the first-transmission passes that ran between
 	// ticks because a write (or a delivery with something to forward)
-	// asked for one: at most eight per SyncEvery.
+	// asked for one. With the ticks they run at eight per SyncEvery on
+	// average, and at most eleven of them run in any one SyncEvery: eight,
+	// plus three more of the four a quiet store saves up.
 	WriteFlushes int
 	// Retransmits counts δ-buffer entries the acked engine sent again
 	// because a full tick (then 2, 4, … ticks) went by without every
@@ -591,7 +595,7 @@ func (s *Store) SyncNow() {
 	s.hold = 0
 	now := s.now()
 	s.tick(now)
-	s.lastSend = s.now() // the pass has ended
+	s.sendAt += s.now() - now // the pass's own duration
 	s.flushAcks(now)
 }
 
@@ -610,10 +614,11 @@ func (s *Store) syncLoop() {
 		case <-timer.C:
 		}
 		s.mu.Lock()
-		next, pass := s.step(s.now())
+		start := s.now()
+		next, pass := s.step(start)
 		now := s.now()
 		if pass {
-			s.lastSend = now // the pass has ended
+			s.sendAt += now - start // the pass's own duration
 		}
 		s.mu.Unlock()
 		if !timer.Stop() {

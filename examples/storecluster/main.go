@@ -1,10 +1,12 @@
 // Storecluster runs a sharded multi-object store on a real TCP cluster
 // through the public crdtsync API: three replicas, each owning 64 shards
 // of a 100 000-counter keyspace, synchronized with acked delta-based
-// BP+RR per object. Updates on different keys never contend (shard-level
-// locking), and each sync tick coalesces every dirty object's delta into
-// bounded batched frames per peer — the deployment shape of the paper's
-// Retwis evaluation (§V-C), scaled past it.
+// BP+RR per object. Updates take turns on their replica's one core lock
+// whatever their keys — the store handles one event at a time, as the
+// paper's Algorithm 1 does — while reads take only the read lock of the
+// shard they read; each flush or sync tick coalesces every dirty object's
+// delta into bounded batched frames per peer — the deployment shape of
+// the paper's Retwis evaluation (§V-C), scaled past it.
 //
 // On top of the delta traffic the replicas run digest anti-entropy:
 // every few ticks each ships its per-shard digest vector, and peers pull

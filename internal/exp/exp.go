@@ -2,6 +2,8 @@
 // evaluation (§V). Each runner executes the corresponding experiment on
 // the netsim substrate and returns a Table whose rows mirror what the
 // paper plots, so the repository regenerates every figure as text series.
+// RunStore runs the store itself, on the transport package's
+// deterministic scheduler, over any topology.
 //
 // Absolute numbers differ from the paper's Emulab cluster (our substrate is
 // a simulator), but the shapes — who wins, by what factor, where the

@@ -4,6 +4,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"crdtsync/internal/topology"
 )
 
 // cell parses a float cell, failing on render errors.
@@ -200,5 +203,29 @@ func TestTableII(t *testing.T) {
 	// Post performs at least 1 update (1 + #followers).
 	if u := cell(t, tab, 1, 1); u < 1 {
 		t.Errorf("tab2: post updates %.2f, want ≥ 1", u)
+	}
+}
+
+// TestRunStoreFullMesh: on three fully meshed replicas with digests off,
+// the acked engine ships each update to the writer's two neighbors and no
+// further, since each has heard that the other reaches the writer, and the
+// plain delta engine forwards it once more from each: 2.00 and 4.00
+// elements per update. A run replays from its seed.
+func TestRunStoreFullMesh(t *testing.T) {
+	for engine, want := range map[string]float64{"acked": 2, "delta": 4} {
+		r := StoreRun{Graph: topology.Full(3), Engine: engine, Shards: 8, SyncEvery: 50 * time.Millisecond, Keys: 300, Seed: 1}
+		a, err := RunStore(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cell(t, a, rowIdx(t, a, "elements per update"), 1); got != want {
+			t.Errorf("%s engine shipped %.2f elements per update, want %.2f", engine, got, want)
+		}
+		if b, err := RunStore(r); err != nil || b.String() != a.String() {
+			t.Errorf("%s engine ran twice:\n%s\nthen (%v):\n%s", engine, a, err, b)
+		}
+	}
+	if _, err := RunStore(StoreRun{Graph: topology.Full(3), Engine: "scuttlebutt"}); err == nil {
+		t.Error("an unknown engine ran")
 	}
 }

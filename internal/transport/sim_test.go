@@ -1,13 +1,7 @@
 package transport
 
 import (
-	"container/heap"
-	"encoding/binary"
 	"fmt"
-	"hash"
-	"hash/fnv"
-	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -16,28 +10,17 @@ import (
 	"crdtsync/internal/crdt"
 	"crdtsync/internal/lattice"
 	"crdtsync/internal/protocol"
+	"crdtsync/internal/topology"
 	"crdtsync/internal/workload"
 )
 
-// A deterministic network for the store's cores. One goroutine owns every
-// core and a simulated clock. The cores send through ports that put their
-// frames on directed links, and the scheduler takes the earliest event —
-// a frame's arrival, handed to deliver, or the deadline a core's last step
-// returned — until the time it is asked to run to. What befalls each frame
-// on its link (lost, duplicated, late, overtaken, severed), the links'
-// latencies and the cores' clock phases are all drawn from the run's seed,
-// so a run replays from its seed alone. Every run ends with the oracle
-// (settle): each replica equals the sequential join of the ops, digests
-// agree, every link has drained and every δ-buffer is empty.
-//
-// The scenarios are the fault battery's that need more than a socket that
-// loses frames, which is all transport.Fault does.
+// The scenarios run the store's cores on the deterministic scheduler
+// (sim.go): the fault battery's cases that need more than a socket that
+// loses frames, which is all transport.Fault does, and the store on the
+// graphs the paper evaluates.
 
 // simPeriod is every scenario's SyncEvery; only ratios to it matter.
 const simPeriod = int64(10 * time.Millisecond)
-
-// simSettlePeriods bounds how long settle waits for the oracle to hold.
-const simSettlePeriods = 500
 
 // simSeeds is the seed table every scenario runs: 1 to simSeeds().
 func simSeeds() int64 {
@@ -54,72 +37,6 @@ func forSeeds(scenario func(seed int64)) {
 	}
 }
 
-// simLink is one directed link: how long a frame takes, and what may
-// befall it on the way.
-type simLink struct {
-	latency int64   // every frame spends this long on the wire
-	jitter  int64   // and up to this much more, uniformly: frames overtake each other
-	park    float64 // the chance a frame is held back half a period, overtaken by those behind it
-	drop    float64 // the chance a frame is lost
-	dup     float64 // the chance a frame that is not lost arrives twice
-	severed bool    // every frame is lost
-	// lose, when set, loses the n-th frame handed to the link; a hello is
-	// the first.
-	lose func(n int) bool
-	sent int
-	// view is what the receiving core unpacks the link's frames into.
-	view codec.FrameView
-}
-
-// simFrame is a frame on the wire; seq keeps the order of frames due at
-// the same time.
-type simFrame struct {
-	at, seq  int64
-	from, to int
-	data     []byte
-}
-
-// simWire is the frames on the wire, earliest first.
-type simWire []*simFrame
-
-func (w simWire) Len() int { return len(w) }
-func (w simWire) Less(i, j int) bool {
-	return w[i].at < w[j].at || w[i].at == w[j].at && w[i].seq < w[j].seq
-}
-func (w simWire) Swap(i, j int) { w[i], w[j] = w[j], w[i] }
-func (w *simWire) Push(x any)   { *w = append(*w, x.(*simFrame)) }
-func (w *simWire) Pop() any {
-	f := (*w)[len(*w)-1]
-	*w = (*w)[:len(*w)-1]
-	return f
-}
-
-// simNode is one replica: its core, and a Store shell around the core with
-// no network, clock or loop, for the read methods the oracle uses.
-type simNode struct {
-	*core
-	st  *Store
-	off int64 // the core's clock reads the scheduler's plus off
-	due int64 // when, on the scheduler's clock, the core's next step runs
-}
-
-func (n *simNode) stats() StoreStats { return n.counters(make(map[string]PeerStats)) }
-
-// simPort is a core's port: every neighbor is connected, and the frames go
-// on the links.
-type simPort struct {
-	s    *sim
-	from int
-}
-
-func (p simPort) transmit(to string, data []byte) error {
-	p.s.send(p.from, p.s.index[to], data)
-	return nil
-}
-
-func (simPort) connect(string) bool { return true }
-func (p simPort) announce()         { p.s.announce(p.from) }
-
 // simObjType is the store's prefix schema, every scenario's: c/ counters,
 // s/ sets, and map fields under every other key, m/<map>/<field> — each
 // with its own one-entry map, and its own δ-group item form on the wire.
@@ -134,203 +51,57 @@ func simObjType(key string) workload.Datatype {
 	}
 }
 
+// sim is a Sim that fails its test on the run's first failure.
 type sim struct {
-	t     testing.TB
-	seed  int64
-	rng   *rand.Rand
-	now   int64
-	nodes []*simNode
-	index map[string]int
-	links [][]*simLink // [from][to], nil on the diagonal
-	wire  simWire
-	seq   int64
-	// trace hashes (now, from, to, bytes) of every frame handed to a link.
-	trace hash.Hash64
-	// onSend, when not nil, is shown every frame handed to a link.
-	onSend func(data []byte)
-	// ref is the sequential join of every op issued.
-	ref map[string]lattice.State
-	// ops counts the ops issued, which names each set element and field
-	// value: every write changes what it writes to.
-	ops int
+	*Sim
+	t testing.TB
 }
 
-// newSim starts n fully meshed replicas of cfg, named s-00, s-01, …, each
-// core built as StartStore builds it, and puts a hello on every link.
+// newSim starts n fully meshed replicas of cfg, named s-00, s-01, ….
 func newSim(t testing.TB, seed int64, n int, cfg StoreConfig) *sim {
 	t.Helper()
-	s := &sim{
-		t:     t,
-		seed:  seed,
-		rng:   rand.New(rand.NewSource(seed)),
-		index: make(map[string]int, n),
-		links: make([][]*simLink, n),
-		trace: fnv.New64a(),
-		ref:   make(map[string]lattice.State),
-	}
-	ids := make([]string, n)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("s-%02d", i)
-		s.index[ids[i]] = i
-	}
-	cfg.ObjType = simObjType
-	cfg.SyncEvery = time.Duration(simPeriod)
-	for i, id := range ids {
-		cfg.ID = id
-		cfg.Peers = make(map[string]string, n-1)
-		s.links[i] = make([]*simLink, n)
-		for j, peer := range ids {
-			if j != i {
-				cfg.Peers[peer] = ""
-				s.links[i][j] = &simLink{latency: simPeriod/100 + s.rng.Int63n(simPeriod/25)}
-			}
+	g := topology.NewGraph()
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			g.AddEdge(fmt.Sprintf("s-%02d", i), fmt.Sprintf("s-%02d", j))
 		}
-		c, err := newCore(cfg.withDefaults(), newIncarnation(s.rng.Int63()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.out = simPort{s, i}
-		c.hold = simPeriod / ackHoldsPerTick
-		off := s.rng.Int63n(simPeriod)
-		s.nodes = append(s.nodes, &simNode{core: c, st: &Store{core: c}, off: off, due: simPeriod - off})
 	}
-	for i := range s.nodes {
-		s.announce(i)
+	return newSimOn(t, g, seed, cfg)
+}
+
+// newSimOn starts a replica of cfg on every node of g.
+func newSimOn(t testing.TB, g *topology.Graph, seed int64, cfg StoreConfig) *sim {
+	t.Helper()
+	s, err := NewSim(g, cfg, seed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return s
+	return &sim{s, t}
 }
 
 // fatalf fails the test, naming the seed that replays the run and how far
 // into it the failure came.
 func (s *sim) fatalf(format string, args ...any) {
 	s.t.Helper()
-	s.t.Fatalf("seed %d, %.2f periods in: %s", s.seed, float64(s.now)/float64(simPeriod), fmt.Sprintf(format, args...))
+	s.t.Fatal(s.errorf(format, args...))
 }
 
-// eachLink applies set to every link.
-func (s *sim) eachLink(set func(l *simLink)) {
-	for _, row := range s.links {
-		for _, l := range row {
-			if l != nil {
-				set(l)
-			}
-		}
-	}
-}
-
-// announce puts a hello on each of replica i's links, naming every
-// neighbor: all of them are connected.
-func (s *sim) announce(i int) {
-	n := s.nodes[i]
-	for _, to := range n.neighbors {
-		s.send(i, s.index[to], n.hello(n.neighbors))
-	}
-}
-
-// send hands a frame to the link from → to, which decides its fate.
-func (s *sim) send(from, to int, data []byte) {
-	var hdr [32]byte
-	binary.BigEndian.PutUint64(hdr[0:], uint64(s.now))
-	binary.BigEndian.PutUint64(hdr[8:], uint64(from))
-	binary.BigEndian.PutUint64(hdr[16:], uint64(to))
-	binary.BigEndian.PutUint64(hdr[24:], uint64(len(data)))
-	s.trace.Write(hdr[:])
-	s.trace.Write(data)
-	if s.onSend != nil {
-		s.onSend(data)
-	}
-	l := s.links[from][to]
-	l.sent++
-	if l.severed || l.lose != nil && l.lose(l.sent) || l.drop > 0 && s.rng.Float64() < l.drop {
-		return
-	}
-	copies := 1
-	if l.dup > 0 && s.rng.Float64() < l.dup {
-		copies = 2
-	}
-	for ; copies > 0; copies-- {
-		at := s.now + l.latency
-		if l.jitter > 0 {
-			at += s.rng.Int63n(l.jitter)
-		}
-		if l.park > 0 && s.rng.Float64() < l.park {
-			at += simPeriod / 2
-		}
-		s.seq++
-		heap.Push(&s.wire, &simFrame{at: at, seq: s.seq, from: from, to: to, data: data})
-	}
-}
-
-// run takes the events due up to until in time order — at one instant,
-// arrivals before steps, and a lower replica's step first — and leaves the
-// clock at until.
+// run runs the scheduler until the time given.
 func (s *sim) run(until int64) {
-	for {
-		n := s.nodes[0]
-		for _, m := range s.nodes[1:] {
-			if m.due < n.due {
-				n = m
-			}
-		}
-		if len(s.wire) > 0 && s.wire[0].at <= n.due {
-			if s.wire[0].at > until {
-				break
-			}
-			f := heap.Pop(&s.wire).(*simFrame)
-			s.now = f.at
-			s.arrive(f)
-			continue
-		}
-		if n.due > until {
-			break
-		}
-		s.now = n.due
-		s.step(n)
+	s.t.Helper()
+	if err := s.Run(until); err != nil {
+		s.t.Fatal(err)
 	}
-	s.now = until
 }
 
 // runTo runs until n's clock reads local.
 func (s *sim) runTo(n *simNode, local int64) { s.run(local - n.off) }
 
-// arrive delivers a frame, and has the receiver step at once if that gave
-// it a deadline, as a delivery wakes a store's sync loop. A link is one
-// connection that is always up, so the sender's incarnation, which its
-// hello names on a real one, is handed over out of band: a frame may
-// overtake the hello, or the hello be lost.
-func (s *sim) arrive(f *simFrame) {
-	n := s.nodes[f.to]
-	inc := s.nodes[f.from].inc
-	wake, err := n.deliver(s.nodes[f.from].cfg.ID, &inc, &s.links[f.from][f.to].view, f.data, s.now+n.off)
-	if err != nil {
-		s.fatalf("%s refused a frame from %s: %v", n.cfg.ID, s.nodes[f.from].cfg.ID, err)
-	}
-	if wake {
-		n.due = s.now
-	}
-}
-
-// step runs a replica's step as its sync loop does, and the next step is
-// due at the deadline returned. The loop adds a pass's duration to the
-// flush budget's sendAt; a pass takes no simulated time, so that adds 0.
-func (s *sim) step(n *simNode) {
-	next, _ := n.core.step(s.now + n.off)
-	n.due = next - n.off
-}
-
-// update applies op at replica i, and to the sequential join.
-func (s *sim) update(i int, op workload.Op) {
-	n := s.nodes[i]
-	dt := simObjType(op.Key)
-	ref := s.ref[op.Key]
-	if ref == nil {
-		ref = dt.New()
-		s.ref[op.Key] = ref
-	}
-	ref.Merge(dt.Delta(ref, n.cfg.ID, op))
-	s.ops++
-	if n.update(op) {
-		n.due = s.now
+// settle ends a run with the oracle.
+func (s *sim) settle() {
+	s.t.Helper()
+	if err := s.Settle(); err != nil {
+		s.t.Fatal(err)
 	}
 }
 
@@ -340,8 +111,10 @@ func (s *sim) update(i int, op workload.Op) {
 // incremented by by; set s/prefix-k, given a new element; map field
 // m/prefix-k/f, given a new value. A field has one writer, as it must for
 // its last writer to be the sequential join's: its LWW version is what the
-// writer has seen, plus one.
+// writer has seen, plus one. Every write changes what it writes to: the
+// count of ops issued names each set element and field value.
 func (s *sim) write(prefix string, keys int, by uint64, gap int64) {
+	s.t.Helper()
 	for k := 0; k < keys; k++ {
 		name := fmt.Sprintf("%s-%03d", prefix, k)
 		var op workload.Op
@@ -353,96 +126,16 @@ func (s *sim) write(prefix string, keys int, by uint64, gap int64) {
 		default:
 			op = workload.Put("m/"+name+"/f", fmt.Sprintf("v%d", s.ops))
 		}
-		s.update(k%len(s.nodes), op)
+		s.Update(k%len(s.nodes), op)
 		s.run(s.now + s.rng.Int63n(gap))
 	}
 }
 
-// diverged names what keeps the replicas from the oracle's end state, or
-// returns "": each replica holds the sequential join, digests agree, no
-// link waits for a frame and every δ-buffer is empty.
-func (s *sim) diverged() string {
-	keys := make([]string, 0, len(s.ref))
-	for k := range s.ref {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	digest := s.nodes[0].st.Digest()
-	for _, n := range s.nodes {
-		id := n.cfg.ID
-		if got := n.st.NumKeys(); got != len(keys) {
-			return fmt.Sprintf("%s holds %d keys, want %d", id, got, len(keys))
-		}
-		for _, k := range keys {
-			equal := false
-			n.st.View(k, func(st lattice.State) { equal = st.Equal(s.ref[k]) })
-			if !equal {
-				return fmt.Sprintf("%s's %s is not the sequential join %v", id, k, s.ref[k])
-			}
-		}
-		if d := n.st.Digest(); d != digest {
-			return fmt.Sprintf("%s's digest %x, %s's %x", id, d, s.nodes[0].cfg.ID, digest)
-		}
-		if b := n.st.Memory().BufferBytes; b != 0 {
-			return fmt.Sprintf("%s's δ-buffers hold %d bytes", id, b)
-		}
-		for peer, ps := range n.stats().Peers {
-			if ps.InFlight != 0 {
-				return fmt.Sprintf("%s waits for %d frames to %s", id, ps.InFlight, peer)
-			}
-		}
-	}
-	return ""
-}
-
-// lagging names a link whose last numbered frame is not acknowledged, or
-// returns "".
-func (s *sim) lagging() string {
-	for _, n := range s.nodes {
-		for peer, ps := range n.stats().Peers {
-			if ps.LastAcked != ps.LastSent {
-				return fmt.Sprintf("%s→%s acknowledged to %d of %d", n.cfg.ID, peer, ps.LastAcked, ps.LastSent)
-			}
-		}
-	}
-	return ""
-}
-
-// settle ends a run. It mends every link — nothing is lost from here on;
-// latency, jitter and duplication stay — and runs until the oracle holds,
-// failing the test if it does not within simSettlePeriods. The neighbor's
-// mark passes a lost frame's number only once a later frame says it is not
-// waited for any more, so when everything else holds and a mark still lags,
-// every replica writes a last word to a key of its own: a last numbered
-// frame on each of its links.
-func (s *sim) settle() {
-	s.t.Helper()
-	s.eachLink(func(l *simLink) { l.severed, l.drop, l.lose = false, 0, nil })
-	lastWords := false
-	for deadline := s.now + simSettlePeriods*simPeriod; ; {
-		s.run(s.now + simPeriod)
-		why := s.diverged()
-		if why == "" {
-			if why = s.lagging(); why == "" {
-				return
-			}
-			if !lastWords {
-				lastWords = true
-				for i, n := range s.nodes {
-					s.update(i, workload.Inc("c/last-word-"+n.cfg.ID, 1))
-				}
-			}
-		}
-		if s.now >= deadline {
-			s.fatalf("not settled after %d periods: %s", simSettlePeriods, why)
-		}
-	}
-}
-
-// simConfig is the scenarios' replica: eight shards of engine, digests
-// every DigestEvery ticks (0: none).
+// simConfig is the scenarios' replica: eight shards of engine on the
+// prefix schema, a tick every simPeriod, digests every digestEvery ticks
+// (0: none).
 func simConfig(engine protocol.Factory, digestEvery int) StoreConfig {
-	return StoreConfig{Shards: 8, Factory: engine, DigestEvery: digestEvery}
+	return StoreConfig{Shards: 8, Factory: engine, DigestEvery: digestEvery, ObjType: simObjType, SyncEvery: time.Duration(simPeriod)}
 }
 
 // TestSimReorderOrDuplicateIsLossless: links that let frames overtake each
@@ -577,6 +270,48 @@ func TestSimOneWayBlackholeHeals(t *testing.T) {
 				s.settle()
 			})
 		})
+	}
+}
+
+// TestSimTopologies: the store converges on each graph of netsim's reach
+// tests — a line, a ring, a tree, a full mesh and the paper's 15-node
+// partial mesh — under both engines on lossless links, with digests off,
+// so every write a replica's neighbors do not make reaches it hop by hop
+// through the engines alone. Seeds 1–20 on every run; it logs the elements
+// shipped per update on each graph, beside what netsim ships there.
+func TestSimTopologies(t *testing.T) {
+	for _, gr := range []struct {
+		name string
+		g    *topology.Graph
+	}{
+		{"line", topology.Line(5)},
+		{"ring", topology.Ring(7)},
+		{"tree", topology.Tree(15, 2)},
+		{"full", topology.Full(5)},
+		{"partial", topology.PartialMesh(15, 4, 1)},
+	} {
+		for _, e := range []struct {
+			name   string
+			engine protocol.Factory
+		}{
+			{"delta", protocol.NewDeltaBPRR()},
+			{"acked", protocol.NewDeltaAcked(true, true)},
+		} {
+			t.Run(gr.name+"/"+e.name, func(t *testing.T) {
+				var elements, updates int
+				for seed := int64(1); seed <= 20; seed++ {
+					s := newSimOn(t, gr.g, seed, simConfig(e.engine, 0))
+					s.write("key", 60, 1, simPeriod/4)
+					s.settle()
+					for i := range s.nodes {
+						elements += s.Stats(i).Sent.Elements
+					}
+					updates += s.ops
+				}
+				t.Logf("%s (%d nodes, %d edges), %s engine: %.2f elements shipped per update",
+					gr.name, gr.g.NumNodes(), gr.g.NumEdges(), e.name, float64(elements)/float64(updates))
+			})
+		}
 	}
 }
 
@@ -736,7 +471,7 @@ func TestSimOneLostFrameResendsOnlyItsEntries(t *testing.T) {
 		s.runTo(sender, simPeriod)
 		for f := 1; f <= frames; f++ {
 			for i := 0; i < perFrame; i++ {
-				s.update(0, workload.Inc(fmt.Sprintf("c/k%02d-%d", f, i), 1))
+				s.Update(0, workload.Inc(fmt.Sprintf("c/k%02d-%d", f, i), 1))
 			}
 			for lk.sent < uint64(f) {
 				s.run(s.now + simPeriod/64)
@@ -782,7 +517,7 @@ func TestSimOneLostFrameResendsOnlyItsEntries(t *testing.T) {
 			s.fatalf("records kept from %d, waited for from %d, the lost one closed at %d; want %d, %d, %d",
 				lk.kept, lk.first, lk.rec(lost).closed, lost, frames+2, frames+2)
 		}
-		s.update(0, workload.Inc("c/one-more", 1))
+		s.Update(0, workload.Inc("c/one-more", 1))
 		s.run(s.now + simPeriod)
 		if ps := link(); ps.InFlight != 0 || ps.LastAcked != frames+2 {
 			s.fatalf("after one more frame: %+v, want the mark at %d", ps, frames+2)

@@ -15,9 +15,11 @@
 // later names another sender or incarnation, is closed before anything
 // on it is applied.
 //
-// The simulator (package netsim) remains the measurement substrate for
-// the paper's figures; the store is what crdtsync.Open runs and what
-// bench/ measures.
+// NewSim (sim.go) runs one core per node of a topology.Graph on a seeded
+// scheduler, with simulated links and clocks, for crdtsim -store and the
+// TestSim scenarios. The simulator of bare engines (package netsim)
+// remains the measurement substrate for the paper's figures; the store is
+// what crdtsync.Open runs and what bench/ measures.
 package transport
 
 import (

@@ -125,19 +125,6 @@ func (e Engine) factory() (protocol.Factory, error) {
 	}
 }
 
-// ParseEngine maps the command-line names of the engines ("acked",
-// "delta") to Engine values.
-func ParseEngine(name string) (Engine, error) {
-	switch name {
-	case "", "acked":
-		return EngineAcked, nil
-	case "delta":
-		return EngineDelta, nil
-	default:
-		return 0, fmt.Errorf("crdtsync: unknown engine %q (want acked or delta)", name)
-	}
-}
-
 // Option configures Open.
 type Option func(*options)
 

@@ -24,8 +24,9 @@ type StoreRun struct {
 	Seed        int64
 }
 
-// storeEngines maps the names crdtsync.ParseEngine takes to the engines
-// they select there; crdtsync keeps its factories unexported.
+// storeEngines maps the engine names crdtsim's -engine flag takes ("acked",
+// "delta") to the engines crdtsync.EngineAcked and EngineDelta select;
+// crdtsync keeps its factories unexported.
 var storeEngines = map[string]protocol.Factory{
 	"acked": protocol.NewDeltaAcked(true, true),
 	"delta": protocol.NewDeltaBPRR(),

@@ -13,14 +13,14 @@ import (
 // Benchmarks, examples and tests share this bootstrap. On error, stores
 // already started are closed.
 func LoopbackCluster(n int, template StoreConfig) ([]*Store, error) {
-	return LoopbackClusterWith(n, template, nil)
+	return loopbackCluster(n, template, nil)
 }
 
-// LoopbackClusterWith is LoopbackCluster with a per-store hook: customize
+// loopbackCluster is LoopbackCluster with a per-store hook: customize
 // (when non-nil) runs on each store's finished config just before
-// StartStore, with the listener already bound — fault harnesses use it to
-// wrap Dial per store.
-func LoopbackClusterWith(n int, template StoreConfig, customize func(i int, id string, cfg *StoreConfig)) ([]*Store, error) {
+// StartStore, with the listener already bound — the tests use it to wrap
+// Dial per store.
+func loopbackCluster(n int, template StoreConfig, customize func(i int, id string, cfg *StoreConfig)) ([]*Store, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("transport: cluster needs at least 1 store")
 	}

@@ -10,9 +10,9 @@ import (
 )
 
 // DialFunc establishes the outbound connection to one peer: id is the
-// peer's identifier, addr its listen address. Fault-injection harnesses
-// wrap the default TCP dialer through StoreConfig.Dial to drop or sever
-// frames at the connection layer (Fault).
+// peer's identifier, addr its listen address. The fault injector (Fault)
+// and the tests wrap the default TCP dialer through StoreConfig.Dial to
+// drop or rewrite frames at the connection layer.
 type DialFunc func(id, addr string) (net.Conn, error)
 
 // defaultDial is the production dialer: plain TCP with a bounded timeout.

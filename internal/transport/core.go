@@ -140,7 +140,7 @@ func newCore(cfg StoreConfig, inc uint32) (*core, error) {
 		links:     make(map[string]*link, len(neighbors)),
 		linkList:  make([]*link, len(neighbors)),
 		reach:     reach,
-		repair:    repairTable{timeout: int64(cfg.RepairTimeout), entries: make([]repairEntry, cfg.Shards)},
+		repair:    repairTable{timeout: int64(repairTimeout), entries: make([]repairEntry, cfg.Shards)},
 		sendAt:    flushBurst * int64(cfg.SyncEvery/flushesPerTick), // an empty budget
 		nextTick:  int64(cfg.SyncEvery),
 		scratch:   scratch{b: newOutBatch()},

@@ -7,39 +7,38 @@ import (
 	"sync"
 )
 
-// Fault loses frames on their way out of a store over real TCP. Wrapped
-// around the store's dialer (StoreConfig.Dial) it drops each outbound frame
-// with a seeded probability, and every frame toward a peer a sever function
-// names. It acts on whole frames — the wrapper reassembles the
+// Fault loses frames on their way out of a store over real TCP: bench's
+// repair workload puts its loss on the wire with it. Wrapped around the
+// store's dialer (StoreConfig.Dial) it drops each outbound frame with a
+// seeded probability. It acts on whole frames — the wrapper reassembles the
 // length-prefixed framing — so injected loss looks like a lost message,
 // never a torn byte stream that would desynchronize the receiver's framing
-// and kill the connection. Duplication, delay and reordering have no place
-// here: the tests get them, and per-link schedules, from a deterministic
-// scheduler that drives the store's cores without sockets.
+// and kill the connection. Every other fault — partitions, one-way
+// blackholes, duplication, delay and reordering — and the tests of the
+// protocol under loss run on the deterministic scheduler (sim.go), which
+// drives the store's cores without sockets.
 //
-// A connection's first frame is never dropped, under either knob: it is
-// the hello that opens the connection, and TCP either completes a
-// connection or fails it — there is no connection whose opening message
-// went missing, so a receiver closes one whose first frame is anything
-// else. Every later frame, a refreshed hello included, is fair game.
+// A connection's first frame is never dropped: it is the hello that opens
+// the connection, and TCP either completes a connection or fails it —
+// there is no connection whose opening message went missing, so a receiver
+// closes one whose first frame is anything else. Every later frame, a
+// refreshed hello included, is fair game.
 //
-// Both knobs are safe to change while connections are live: each frame
-// consults the current policy, so a partition heals on existing connections
-// without redialing.
+// The drop rate is safe to change while connections are live: each frame
+// consults the current rate.
 type Fault struct {
 	mu       sync.Mutex
 	rng      *rand.Rand
 	dropRate float64
-	sever    func(peer string) bool
 }
 
-// NewFault returns an injector with no fault enabled, whose drops are drawn
+// NewFault returns an injector that drops nothing, whose drops are drawn
 // from rand.NewSource(seed): one Float64 per frame after a connection's
-// first while the drop rate is above 0 and the peer is not severed, none
-// otherwise. Through one connection, frame i > 0 is dropped iff its draw
-// is below the rate; with the per-peer write pipelines writing at once the
-// draws interleave in scheduler order, so the seed fixes the statistics,
-// not which frame is hit.
+// first while the drop rate is above 0, none otherwise. Through one
+// connection, frame i > 0 is dropped iff its draw is below the rate; with
+// the per-peer write pipelines writing at once the draws interleave in
+// scheduler order, so the seed fixes the statistics, not which frame is
+// hit.
 func NewFault(seed int64) *Fault {
 	return &Fault{rng: rand.New(rand.NewSource(seed))}
 }
@@ -52,22 +51,10 @@ func (f *Fault) SetDropRate(r float64) {
 	f.dropRate = r
 }
 
-// SetSever installs a per-peer blackhole: while fn returns true for a
-// peer, every frame to it but a connection's first is dropped. Partition tests flip this to cut a
-// store off and later heal it.
-func (f *Fault) SetSever(fn func(peer string) bool) {
+// decide reports whether one outbound frame is dropped.
+func (f *Fault) decide() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.sever = fn
-}
-
-// decide reports whether one outbound frame to peer is dropped.
-func (f *Fault) decide(peer string) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.sever != nil && f.sever(peer) {
-		return true
-	}
 	return f.dropRate > 0 && f.rng.Float64() < f.dropRate
 }
 
@@ -82,7 +69,7 @@ func (f *Fault) Dialer(base DialFunc) DialFunc {
 		if err != nil {
 			return nil, err
 		}
-		return &faultConn{Conn: c, fault: f, peer: id}, nil
+		return &faultConn{Conn: c, fault: f}, nil
 	}
 }
 
@@ -92,7 +79,6 @@ func (f *Fault) Dialer(base DialFunc) DialFunc {
 type faultConn struct {
 	net.Conn
 	fault  *Fault
-	peer   string
 	mu     sync.Mutex // guards buf and opened, and serializes underlying writes
 	buf    []byte
 	opened bool // the connection's first frame has passed
@@ -114,7 +100,7 @@ func (c *faultConn) Write(p []byte) (int, error) {
 		}
 		frame := c.buf[off : off+n]
 		off += n
-		if c.opened && c.fault.decide(c.peer) {
+		if c.opened && c.fault.decide() {
 			continue
 		}
 		c.opened = true

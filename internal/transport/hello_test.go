@@ -8,18 +8,18 @@ import (
 	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"crdtsync/internal/codec"
 	"crdtsync/internal/protocol"
 	"crdtsync/internal/workload"
 )
 
 // The hello, what the acked engine withholds on its word, and the digest
 // catch-up that covers for a word that stops holding — over real stores
-// and TCP. Every wait is a polled condition with a deadline.
+// and TCP where a connection's opening, its end or a refused peer is the
+// point, every wait a polled condition with a deadline; a lost hello on
+// the deterministic scheduler (sim.go).
 
 // helloMesh starts n fully meshed acked-engine stores of GSets, ids s-00,
 // s-01, …, digests off.
@@ -196,11 +196,24 @@ func TestHelloHostile(t *testing.T) {
 // configured, until the two agree, and then both go quiet.
 func TestHelloOriginDiesMidFlush(t *testing.T) {
 	const keys = 200
-	fault := NewFault(1)
-	fault.SetSever(func(peer string) bool { return peer == "s-02" })
+	// Every frame but the hello that opens a connection vanishes on the way
+	// from s-00 to s-02.
+	opensOnly := func(msg []byte, first bool) []byte {
+		if first {
+			return msg
+		}
+		return nil
+	}
 	stores := helloMesh(t, 3, func(i int, _ string, cfg *StoreConfig) {
-		if i == 0 {
-			cfg.Dial = fault.Dialer(nil)
+		if i != 0 {
+			return
+		}
+		cfg.Dial = func(id, addr string) (net.Conn, error) {
+			c, err := defaultDial(id, addr)
+			if err != nil || id != "s-02" {
+				return c, err
+			}
+			return &filterConn{Conn: c, filter: opensOnly}, nil
 		}
 	})
 	// The first write brings s-00's pipelines up, and its hellos out.
@@ -235,8 +248,9 @@ func TestHelloOriginDiesMidFlush(t *testing.T) {
 }
 
 // cutDialer dials connections that can be cut: closed, and refused until
-// healed. That is a partition as TCP shows it once it has noticed; Fault's
-// sever swallows frames and leaves the connection up.
+// healed. That is a partition as TCP shows it once it has noticed; a
+// filterConn that drops every frame swallows them and leaves the
+// connection up.
 type cutDialer struct {
 	mu    sync.Mutex
 	cut   map[string]bool
@@ -360,80 +374,52 @@ func (c *filterConn) Write(p []byte) (int, error) {
 }
 
 // TestHelloDroppedCostsBytesNotConvergence: s-01 never hears what s-00
-// reaches — the hello that opens s-00's connection arrives reaching nobody,
-// as a connection's first frame always arrives, and the refreshes are lost
-// — so it forwards what s-00 sends exactly as it always did — twice the
-// elements, the same convergence — until a refresh gets through.
+// reaches — the hello NewSim put on the link from s-00 is lost — so it
+// forwards what s-00 sends exactly as it always did — twice the elements,
+// the same convergence — until s-00's refresh gets through, on its
+// helloEvery-th tick.
 func TestHelloDroppedCostsBytesNotConvergence(t *testing.T) {
 	const keys = 100
-	var eat atomic.Bool
-	eat.Store(true)
-	unheard := func(msg []byte, first bool) []byte {
-		m, _, err := codec.DecodeMsg(msg)
-		hello, ok := m.(*protocol.HelloMsg)
-		switch {
-		case err != nil || !ok || !eat.Load():
-			return msg
-		case first:
-			data, _ := codec.EncodeMsg(protocol.NewHelloMsg(hello.Version, hello.Shards, hello.Inc, nil))
-			return data
-		default:
-			return nil
+	forSeeds(func(seed int64) {
+		s := newSim(t, seed, 3, simConfig(protocol.NewDeltaAcked(true, true), 0))
+		s.loseHello(0, 1)
+		reachesAt := func(i int, id string) []string { return s.Stats(i).Peers[id].Reaches }
+		s.run(s.period)
+		if len(reachesAt(0, "s-01")) != 1 || len(reachesAt(0, "s-02")) != 1 || len(reachesAt(2, "s-00")) != 1 ||
+			len(reachesAt(2, "s-01")) != 1 || len(reachesAt(1, "s-02")) != 1 {
+			s.fatalf("a hello but the lost one did not arrive")
 		}
-	}
-	stores := helloMesh(t, 3, func(i int, _ string, cfg *StoreConfig) {
-		if i != 0 {
-			return
+		if got := reachesAt(1, "s-00"); len(got) != 0 {
+			s.fatalf("s-01 has s-00 reaching %v without ever hearing its hello", got)
 		}
-		cfg.Dial = func(id, addr string) (net.Conn, error) {
-			c, err := defaultDial(id, addr)
-			if err != nil || id != "s-01" {
-				return c, err
+		write := func(prefix string) {
+			for k := 0; k < keys; k++ {
+				s.Update(0, workload.Add(fmt.Sprintf("s/%s-%03d", prefix, k), "x"))
+				s.run(s.now + s.rng.Int63n(simPeriod/16))
 			}
-			return &filterConn{Conn: c, filter: unheard}, nil
+			s.converge(simSettlePeriods)
 		}
+		before := s.Stats(1)
+		write("unheard")
+		mid := s.Stats(1)
+		if got := mid.Sent.Elements - before.Sent.Elements; got != keys {
+			s.fatalf("s-01 forwarded %d of s-00's %d elements to s-02, want all: nobody told it not to", got, keys)
+		}
+		if s.nodes[0].ticks >= helloEvery {
+			s.fatalf("s-00 refreshed its hello before the unheard writes were done")
+		}
+		s.runTo(s.nodes[0], helloEvery*simPeriod)
+		s.await("the refreshed hello to reach s-01", simPeriod, func() bool {
+			return reflect.DeepEqual(reachesAt(1, "s-00"), []string{"s-02"})
+		})
+		write("heard")
+		after := s.Stats(1)
+		if got := after.Sent.Elements - mid.Sent.Elements; got != 0 {
+			s.fatalf("s-01 still forwarded %d elements after hearing that s-00 reaches s-02", got)
+		}
+		if got := after.Withheld - mid.Withheld; got != keys {
+			s.fatalf("s-01 withheld %d forwards, want %d", got, keys)
+		}
+		s.settle()
 	})
-	reachesAt := func(i int, id string) []string { return stores[i].Stats().Peers[id].Reaches }
-	for i, st := range stores {
-		st.Update(workload.Add(fmt.Sprintf("warm-%d", i), "x"))
-	}
-	eventually(t, 10*time.Second, "every hello but the eaten ones to arrive", func() bool {
-		return len(reachesAt(0, "s-01")) == 1 && len(reachesAt(0, "s-02")) == 1 &&
-			len(reachesAt(2, "s-00")) == 1 && len(reachesAt(2, "s-01")) == 1 && len(reachesAt(1, "s-02")) == 1
-	})
-	if got := reachesAt(1, "s-00"); len(got) != 0 {
-		t.Fatalf("s-01 has s-00 reaching %v without ever hearing its hello", got)
-	}
-	if err := WaitConverged(stores, 3, 30*time.Second, nil); err != nil {
-		t.Fatal(err)
-	}
-	awaitDrained(t, stores...)
-
-	before := stores[1].Stats()
-	writeKeys(stores[0], "unheard", keys)
-	if err := WaitConverged(stores, 3+keys, 30*time.Second, nil); err != nil {
-		t.Fatal(err)
-	}
-	awaitDrained(t, stores...)
-	mid := stores[1].Stats()
-	if got := mid.Sent.Elements - before.Sent.Elements; got != keys {
-		t.Errorf("s-01 forwarded %d of s-00's %d elements to s-02, want all: nobody told it not to", got, keys)
-	}
-
-	eat.Store(false)
-	eventually(t, 10*time.Second, "the refreshed hello to reach s-01", func() bool {
-		return reflect.DeepEqual(reachesAt(1, "s-00"), []string{"s-02"})
-	})
-	writeKeys(stores[0], "heard", keys)
-	if err := WaitConverged(stores, 3+2*keys, 30*time.Second, nil); err != nil {
-		t.Fatal(err)
-	}
-	awaitDrained(t, stores...)
-	after := stores[1].Stats()
-	if got := after.Sent.Elements - mid.Sent.Elements; got != 0 {
-		t.Errorf("s-01 still forwarded %d elements after hearing that s-00 reaches s-02", got)
-	}
-	if got := after.Withheld - mid.Withheld; got != keys {
-		t.Errorf("s-01 withheld %d forwards, want %d", got, keys)
-	}
 }

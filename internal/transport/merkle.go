@@ -17,12 +17,15 @@ import (
 // that keeps a shard to one drill at a time.
 
 const (
-	// defaultRepairTimeout bounds how long one shard's drill may hold its
-	// slot without a message from the peer before the next digest mismatch
-	// may start another. It is also the retry cadence when a drill's frame
-	// is lost, so it stays close to the scale of a round trip plus a shard
-	// ship; starting over early only costs a duplicate idempotent merge.
-	defaultRepairTimeout = time.Second
+	// repairTimeout bounds how long one shard's drill — started here or
+	// served — may hold its slot without a message from the peer before
+	// the next digest mismatch may start another. While a drill is under
+	// way further mismatching heartbeats for that shard, and other peers'
+	// drills on it, are deduplicated rather than run. It is also the retry
+	// cadence when a drill's frame is lost, so it stays close to the scale
+	// of a round trip plus a shard ship; starting over early only costs a
+	// duplicate idempotent merge.
+	repairTimeout = time.Second
 	// drillStopBytes is where a drill stops descending: one more level
 	// costs TreeFanout hashes of 8 bytes — 128 B — per differing node, and
 	// a frame, so an end whose keys and states in the differing ranges add
@@ -198,7 +201,7 @@ type repairEntry struct {
 // is over or this store has said so, when the shard's digests re-match, or
 // by expiry.
 type repairTable struct {
-	timeout  int64 // RepairTimeout
+	timeout  int64 // repairTimeout
 	entries  []repairEntry
 	timeouts int
 }
@@ -276,10 +279,13 @@ func (c *catchUp) done(i int) {
 // rootNode is where every drill starts: level 0's only node, the shard.
 var rootNode = []uint32{0}
 
-// handleDigests compares a peer's digest advertisement against the
+// handleDigests compares a neighbor's digest advertisement against the
 // local shards and starts a drill on whichever differ — unless one is
 // already under way on that shard. What the drills ship at once (the
-// whole-shard pulls of shards too small to hash) is left on b.
+// whole-shard pulls of shards too small to hash) is left on b. A store
+// drills with its neighbors only: nothing it sends anybody else leaves
+// (transmit), so a drill with a stranger would hold the shard's slot for
+// repairTimeout and turn the neighbors' drills away.
 func (c *core) handleDigests(from string, digests []uint64, b *outBatch, now int64) {
 	if len(digests) == 0 {
 		return
@@ -291,9 +297,13 @@ func (c *core) handleDigests(from string, digests []uint64, b *outBatch, now int
 		c.stats.DigestShardMismatch++
 		return
 	}
+	lk := c.links[from]
+	if lk == nil {
+		return
+	}
 	// Shards this store still has to see match at from, if any.
 	var cu *catchUp
-	if lk := c.links[from]; lk != nil && lk.catchUp.left > 0 {
+	if lk.catchUp.left > 0 {
 		cu = &lk.catchUp
 	}
 	for i, sh := range c.shards {
@@ -325,16 +335,16 @@ func (c *core) transmitMsg(to string, m protocol.Msg, kind frameKind) {
 	c.transmit(to, data, m.Cost(), kind)
 }
 
-// handleTree takes a hash push: the peer's hashes of the children of the
-// nodes the drill has found to differ so far. Those that differ from this
-// store's own are where the drill continues. The decoder has checked the
-// message's shape; the checks here are for messages built directly, and
-// for the shard count, which is not wire-negotiated.
+// handleTree takes a hash push: the neighbor's hashes of the children of
+// the nodes the drill has found to differ so far. Those that differ from
+// this store's own are where the drill continues. The decoder has checked
+// the message's shape; the checks here are for messages built directly,
+// and for the shard count, which is not wire-negotiated.
 func (c *core) handleTree(from string, tm *protocol.TreeMsg, b *outBatch, now int64) {
 	level := int(tm.Level)
-	if int(tm.Shard) >= len(c.shards) || level >= protocol.TreeDepth ||
+	if c.links[from] == nil || int(tm.Shard) >= len(c.shards) || level >= protocol.TreeDepth ||
 		len(tm.Nodes) == 0 || len(tm.Hashes) != protocol.TreeFanout*len(tm.Nodes) {
-		return // shard-map or level skew, or a close outside a sharded frame
+		return // a stranger, shard-map or level skew, or a close outside a sharded frame
 	}
 	if !c.repair.claim(int(tm.Shard), from, now, false) {
 		c.stats.DedupedWants++ // this shard is busy with another peer's drill
@@ -407,12 +417,12 @@ func (c *core) continueDrill(peer string, shardIdx uint32, level int, nodes []ui
 }
 
 // answerClose serves the close that ended a drill, once its shard group g
-// — the peer's states for the ranges it names — has been merged: this
+// — the neighbor's states for the ranges it names — has been merged: this
 // store's answer is, for every key it holds in those ranges, what the
-// peer's state of it lacks.
+// neighbor's state of it lacks.
 func (c *core) answerClose(from string, tm *protocol.TreeMsg, g codec.ItemGroup, b *outBatch, now int64) {
 	level := int(tm.Level)
-	if tm.Shard != g.Shard || level > protocol.TreeDepth {
+	if c.links[from] == nil || tm.Shard != g.Shard || level > protocol.TreeDepth {
 		return
 	}
 	var leaves treeBitmap

@@ -34,26 +34,6 @@ func startStoreClusterWith(t *testing.T, n int, template transport.StoreConfig, 
 	return stores
 }
 
-// waitQueuesDrained polls until every peer pipeline of st has an empty
-// queue — every enqueued frame has been written or dropped.
-func waitQueuesDrained(t *testing.T, st *transport.Store, timeout time.Duration) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for {
-		queued := 0
-		for _, ps := range st.Stats().Peers {
-			queued += ps.Queued
-		}
-		if queued == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s: %d frames still queued after %s", st.ID(), queued, timeout)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 // stallConn delays every Write by delay while stalled, modeling a peer
 // whose link is up but pathologically slow. Healing (closing the healed
 // channel) releases in-flight and future writes immediately.

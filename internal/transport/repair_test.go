@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"crdtsync/internal/codec"
+	"crdtsync/internal/crdt"
 	"crdtsync/internal/protocol"
 	"crdtsync/internal/workload"
 )
@@ -103,89 +104,92 @@ func waitPairConverged(t *testing.T, stores [2]*Store, wantKeys int, timeout tim
 	}
 }
 
-// TestWantStormDedup is the Want-storm regression test: a store
+// drillConfig is the drill scenarios' replica: one shard, so every key is
+// in the diverged shard, of the plain delta engine on the prefix schema,
+// with no digest schedule: each advertisement is one the scenario sends
+// (advertise).
+func drillConfig() StoreConfig {
+	cfg := simConfig(protocol.NewDeltaBPRR(), 0)
+	cfg.Shards = 1
+	return cfg
+}
+
+// drillMesh is the drill scenarios' rig: n fully meshed replicas of
+// drillConfig, all holding the same shared sets — restored, as from a
+// snapshot, which buffers nothing to send — and whatever stage adds to
+// some of them, with every δ-buffer drained into a black hole, so that
+// only anti-entropy can repair what differs. The links are mended when it
+// returns.
+func drillMesh(t *testing.T, seed int64, n, shared int, stage func(s *sim)) *sim {
+	t.Helper()
+	s := newSim(t, seed, n, drillConfig())
+	for k := 0; k < shared; k++ {
+		key := sharedKey(k)
+		for _, node := range s.nodes {
+			sh := node.shardOf(key)
+			sh.engine.(protocol.ObjectRestorer).RestoreObject(key, crdt.NewGSet("v"))
+			sh.touched()
+		}
+		s.ref[key] = crdt.NewGSet("v")
+	}
+	s.sever(true)
+	stage(s)
+	s.run(s.now + 2*simPeriod)
+	s.sever(false)
+	return s
+}
+
+// TestWantStormDedup is the Want-storm regression test: a replica
 // receiving digest heartbeats faster than repair completes must start
 // exactly one drill per diverged shard, dedup the rest, and still get
 // each diverged range exactly once when the repair finally completes.
-// Run under -race in CI, it also exercises the repair table's locking
-// against concurrent heartbeats.
 func TestWantStormDedup(t *testing.T) {
 	const (
 		sharedKeys = 600
 		storm      = 15
 	)
-	// Both directions black-holed while state is staged; r-01's outbound
-	// stays dark through the storm so its first hash push is lost and
-	// the drill stays in flight.
-	f0, f1 := NewFault(1), NewFault(2)
-	f0.SetDropRate(1)
-	f1.SetDropRate(1)
-	cfg := repairPairConfig()
-	cfg.RepairTimeout = time.Minute // longer than any storm; the clock is moved past it below
-	stores := startFaultyPair(t, cfg, [2]*Fault{f0, f1})
-	s0, s1 := stores[0], stores[1]
-
-	loadIdentical(stores, sharedKeys)
-	drainInto(t, s0)
-	drainInto(t, s1)
-	// Diverge: one key exists only on s0, its deltas lost to the black
-	// hole — only digest anti-entropy can see it.
-	s0.Update(workload.Add("k-diverged", "v"))
-	drainInto(t, s0)
-	if got := s1.NumKeys(); got != sharedKeys {
-		t.Fatalf("black hole leaked: s1 holds %d keys, want %d", got, sharedKeys)
-	}
-
-	// Heal s0's outbound only and storm heartbeats: each tick ships one
-	// digest advertisement to s1, whose hash push cannot get out.
-	f0.SetDropRate(0)
-	for i := 0; i < storm; i++ {
-		s0.SyncNow()
-		// Wait for this heartbeat to be processed before the next, so
-		// each is a distinct observation of the in-flight drill.
-		eventually(t, 5*time.Second, "the heartbeat to be processed", func() bool {
-			st := s1.Stats()
-			return st.TreeRounds+st.DedupedWants >= i+1
-		})
-	}
-	storStats := s1.Stats()
-	if storStats.TreeRounds != 1 {
-		t.Errorf("storm started %d drills, want exactly 1", storStats.TreeRounds)
-	}
-	if storStats.DedupedWants != storm-1 {
-		t.Errorf("DedupedWants = %d, want %d", storStats.DedupedWants, storm-1)
-	}
-	if storStats.WantShards != 0 {
-		t.Errorf("storm stopped %d drills at the root, want 0", storStats.WantShards)
-	}
-
-	// Heal r-01 and hand it s0's next advertisement past RepairTimeout on
-	// its clock: the in-flight (lost) drill has expired, and the next one
-	// completes end to end.
-	f1.SetDropRate(0)
-	var adv []byte
-	s0.locked(func() { adv = encodeFrame(t, protocol.NewDigestMsg(s0.shardDigests())) })
-	inc := s0.inc // as s0's hello named it
-	if _, err := s1.core.deliver(s0.ID(), &inc, new(codec.FrameView), adv, s1.now()+int64(cfg.RepairTimeout)); err != nil {
-		t.Fatal(err)
-	}
-	waitPairConverged(t, stores, sharedKeys+1, 30*time.Second)
-
-	final0 := s0.Stats()
-	if final0.RepairShards != 0 {
-		t.Errorf("repair shipped %d full shards, want 0 (range repair only)", final0.RepairShards)
-	}
-	// One diverged key lives in exactly one range, and that range must
-	// have been answered exactly once.
-	if final0.RepairRanges != 1 {
-		t.Errorf("RepairRanges = %d, want exactly 1 answer for 1 diverged range", final0.RepairRanges)
-	}
-	if final0.RepairBytes <= 0 {
-		t.Errorf("RepairBytes = %d, want > 0", final0.RepairBytes)
-	}
-	if got := s1.Stats().RepairTimeouts; got != 1 {
-		t.Errorf("RepairTimeouts = %d, want 1: the drill whose push was lost", got)
-	}
+	forSeeds(func(seed int64) {
+		// One key exists only on s-00, its δ-groups lost to the black
+		// hole: only digest anti-entropy can see it.
+		s := drillMesh(t, seed, 2, sharedKeys, func(s *sim) { s.Update(0, workload.Add("s/k-diverged", "v")) })
+		s0, s1 := s.nodes[0], s.nodes[1]
+		if got := s1.st.NumKeys(); got != sharedKeys {
+			s.fatalf("black hole leaked: s-01 holds %d keys, want %d", got, sharedKeys)
+		}
+		// s-01's outbound stays dark through the storm, so its first hash
+		// push is lost and the drill stays in flight; each heartbeat is
+		// processed before the next, a distinct observation of it.
+		s.links[1][0].severed = true
+		for i := 0; i < storm; i++ {
+			s.advertise(0)
+			s.await("the heartbeat to be processed", simPeriod, func() bool {
+				st := s1.stats()
+				return st.TreeRounds+st.DedupedWants >= i+1
+			})
+		}
+		if st := s1.stats(); st.TreeRounds != 1 || st.DedupedWants != storm-1 || st.WantShards != 0 {
+			s.fatalf("storm started %d drills, want exactly 1; DedupedWants = %d, want %d; stopped %d at the root, want 0",
+				st.TreeRounds, st.DedupedWants, storm-1, st.WantShards)
+		}
+		// Mended, and past repairTimeout: the in-flight (lost) drill has
+		// expired, and the next advertisement's completes end to end.
+		s.links[1][0].severed = false
+		s.run(s.now + int64(repairTimeout))
+		s.advertise(0)
+		s.settle()
+		final0 := s0.stats()
+		if final0.RepairShards != 0 {
+			s.fatalf("repair shipped %d full shards, want 0 (range repair only)", final0.RepairShards)
+		}
+		// One diverged key lives in exactly one range, and that range must
+		// have been answered exactly once.
+		if final0.RepairRanges != 1 || final0.RepairBytes <= 0 {
+			s.fatalf("RepairRanges = %d, RepairBytes = %d; want exactly 1 answer for 1 diverged range, and bytes", final0.RepairRanges, final0.RepairBytes)
+		}
+		if got := s1.stats().RepairTimeouts; got != 1 {
+			s.fatalf("RepairTimeouts = %d, want 1: the drill whose push was lost", got)
+		}
+	})
 }
 
 // TestTreeRepairConvergence drills multiple diverged keys end to end:
@@ -196,50 +200,95 @@ func TestTreeRepairConvergence(t *testing.T) {
 		sharedKeys   = 400
 		divergedKeys = 5
 	)
-	f0, f1 := NewFault(3), NewFault(4)
-	f0.SetDropRate(1)
-	f1.SetDropRate(1)
-	stores := startFaultyPair(t, repairPairConfig(), [2]*Fault{f0, f1})
-	s0, s1 := stores[0], stores[1]
-
-	loadIdentical(stores, sharedKeys)
-	drainInto(t, s0)
-	drainInto(t, s1)
-	divergedBytes := 0
-	for i := 0; i < divergedKeys; i++ {
-		k := fmt.Sprintf("k-diverged-%d", i)
-		s0.Update(workload.Add(k, "v"))
-		divergedBytes += len(k) + s0.Get(k).SizeBytes()
-	}
-	drainInto(t, s0)
-
-	f0.SetDropRate(0)
-	f1.SetDropRate(0)
-	s0.SyncNow()
-	waitPairConverged(t, stores, sharedKeys+divergedKeys, 30*time.Second)
-
-	st0, st1 := s0.Stats(), s1.Stats()
-	if st0.RepairShards != 0 || st1.RepairShards != 0 {
-		t.Errorf("repair shipped %d+%d full shards, want 0", st0.RepairShards, st1.RepairShards)
-	}
-	if st0.RepairRanges < 1 || st0.RepairRanges > divergedKeys {
-		t.Errorf("RepairRanges = %d, want 1..%d (at most one per diverged key)", st0.RepairRanges, divergedKeys)
-	}
-	// s0 never stopped the drill, so all it shipped is its answer: the
-	// diverged keys' states, and none of the keys the two agree on.
-	if st0.RepairBytes != divergedBytes {
-		t.Errorf("s0 shipped %d repair bytes, want the diverged keys' %d", st0.RepairBytes, divergedBytes)
-	}
-	// One frame per level, alternating ends: s1 pushed level 1, s0 level
-	// 2, s1 closed.
-	if st1.TreeRounds != 2 || st0.TreeRounds != 1 {
-		t.Errorf("TreeRounds = %d at s1, %d at s0, want 2 and 1", st1.TreeRounds, st0.TreeRounds)
-	}
-	for i := 0; i < divergedKeys; i++ {
-		k := fmt.Sprintf("k-diverged-%d", i)
-		if st := s1.Get(k); st == nil || st.IsBottom() {
-			t.Errorf("diverged key %q missing on s1 after repair", k)
+	forSeeds(func(seed int64) {
+		var diverged []string
+		for i := 0; i < divergedKeys; i++ {
+			diverged = append(diverged, fmt.Sprintf("s/k-diverged-%d", i))
 		}
+		s := drillMesh(t, seed, 2, sharedKeys, func(s *sim) {
+			for _, k := range diverged {
+				s.Update(0, workload.Add(k, "v"))
+			}
+		})
+		s0, s1 := s.nodes[0], s.nodes[1]
+		s.advertise(0)
+		s.settle()
+		st0, st1 := s0.stats(), s1.stats()
+		if st0.RepairShards != 0 || st1.RepairShards != 0 {
+			s.fatalf("repair shipped %d+%d full shards, want 0", st0.RepairShards, st1.RepairShards)
+		}
+		if st0.RepairRanges < 1 || st0.RepairRanges > divergedKeys {
+			s.fatalf("RepairRanges = %d, want 1..%d (at most one per diverged key)", st0.RepairRanges, divergedKeys)
+		}
+		// s-00 never stopped the drill, so all it shipped is its answer:
+		// the diverged keys' states, and none of the keys the two agree on.
+		if got, want := st0.RepairBytes, weigh(s0.st, diverged...); got != want {
+			s.fatalf("s-00 shipped %d repair bytes, want the diverged keys' %d", got, want)
+		}
+		// One frame per level, alternating ends: s-01 pushed level 1, s-00
+		// level 2, s-01 closed.
+		if st1.TreeRounds != 2 || st0.TreeRounds != 1 {
+			s.fatalf("TreeRounds = %d at s-01, %d at s-00, want 2 and 1", st1.TreeRounds, st0.TreeRounds)
+		}
+	})
+}
+
+// startDrillStore is a replica "n0" of GSets under the plain delta engine,
+// ticked by hand, whose two neighbors, "peer" and "other", never answer: a
+// store drills with its neighbors only, and what it sends these goes
+// nowhere, so a drill with either stays in flight.
+func startDrillStore(t *testing.T, shards int) *Store {
+	t.Helper()
+	s, err := StartStore(StoreConfig{
+		ID:         "n0",
+		ListenAddr: "127.0.0.1:0",
+		Peers:      map[string]string{"peer": "127.0.0.1:1", "other": "127.0.0.1:1"},
+		Shards:     shards,
+		Factory:    protocol.NewDeltaBPRR(),
+		ObjType:    func(string) workload.Datatype { return workload.GSetType{} },
+		SyncEvery:  time.Hour,
+	})
+	if err != nil {
+		t.Fatalf("StartStore: %v", err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// TestStrangerStartsNoDrill: an advertisement from a store that is no
+// neighbor starts no drill and holds no slot — what the drill would send
+// it goes nowhere, and a held slot would turn the neighbors' drills away
+// for repairTimeout — so the next neighbor's advertisement drills every
+// shard that differs.
+func TestStrangerStartsNoDrill(t *testing.T) {
+	s := newTickStore(t) // n0, neighbors p1 and p2
+	writeKeys(s, "k", 200)
+	ad := encodeFrame(t, protocol.NewDigestMsg(make([]uint64, len(s.shards))))
+	if err := s.deliver("stranger", ad); err != nil {
+		t.Fatal(err)
+	}
+	held, differ := 0, 0
+	s.locked(func() {
+		for i, d := range s.shardDigests() {
+			if s.repair.entries[i].active {
+				held++
+			}
+			if d != 0 {
+				differ++
+			}
+		}
+	})
+	if held != 0 {
+		t.Errorf("a stranger's advertisement left %d of %d repair slots held", held, len(s.shards))
+	}
+	before := s.Stats()
+	if err := s.deliver("p1", ad); err != nil {
+		t.Fatal(err)
+	}
+	after := s.Stats()
+	started := after.TreeRounds + after.WantShards - before.TreeRounds - before.WantShards
+	if deduped := after.DedupedWants - before.DedupedWants; started != differ || deduped != 0 {
+		t.Errorf("p1's advertisement started %d drills and deduped %d, want %d and 0", started, deduped, differ)
 	}
 }
 
@@ -252,7 +301,7 @@ func TestSmallShardStopsAtRoot(t *testing.T) {
 		{keys: 5, wants: 1, rounds: 0},
 		{keys: 600, wants: 0, rounds: 1},
 	} {
-		s := startSoloStore(t, 1)
+		s := startDrillStore(t, 1)
 		for i := 0; i < tc.keys; i++ {
 			s.Update(workload.Add(fmt.Sprintf("k%06d", i), "v"))
 		}
@@ -473,7 +522,7 @@ func closeFrame(t *testing.T, shard uint32, tm *protocol.TreeMsg, keys ...string
 // a busy slot turns other peers' drills away, hostile duplicate wants must
 // not double-serve, and what a stopping store sends along fits one frame.
 func TestHandleTreeHostileInputs(t *testing.T) {
-	s := startSoloStore(t, 2)
+	s := startDrillStore(t, 2)
 	for _, k := range keysOnShard(len(s.shards), 0, 20) {
 		s.Update(workload.Add(k, "v"))
 	}
@@ -559,7 +608,7 @@ func TestHandleTreeHostileInputs(t *testing.T) {
 // push must land on a drill in flight, be dropped harmlessly, and a mixed
 // one must still drill on its valid index alone.
 func TestContinueDrillHostileAnswer(t *testing.T) {
-	s := startSoloStore(t, 1)
+	s := startDrillStore(t, 1)
 	for i := 0; i < 600; i++ {
 		s.Update(workload.Add(fmt.Sprintf("k%06d", i), "v"))
 	}
@@ -585,45 +634,10 @@ func TestContinueDrillHostileAnswer(t *testing.T) {
 	}
 }
 
-// drillMesh is the drill tests' rig: three fully meshed single-shard
-// stores of GSets under the plain delta engine, ticked by hand with a
-// digest advertisement on every tick, all holding the same shared keys —
-// and whatever stage adds to some of them — with every δ-buffer drained
-// into a black hole, so that only anti-entropy can repair what differs.
-func drillMesh(t *testing.T, shared int, stage func(stores []*Store)) []*Store {
-	t.Helper()
-	fault := NewFault(7)
-	fault.SetDropRate(1)
-	cfg := repairPairConfig()
-	cfg.ID = "d"
-	stores, err := LoopbackClusterWith(3, cfg, func(_ int, _ string, cfg *StoreConfig) {
-		cfg.Dial = fault.Dialer(nil)
-	})
-	if err != nil {
-		t.Fatalf("cluster: %v", err)
-	}
-	for _, st := range stores {
-		st := st
-		t.Cleanup(func() { st.Close() })
-	}
-	for k := 0; k < shared; k++ {
-		op := workload.Add(sharedKey(k), "v")
-		for _, st := range stores {
-			st.Update(op)
-		}
-	}
-	stage(stores)
-	for _, st := range stores {
-		drainInto(t, st)
-	}
-	fault.SetDropRate(0)
-	return stores
-}
-
 // sharedKey names the drill tests' k-th shared key. The suffix matters: a
 // key's leaf is the top bits of its FNV-1a hash, which keys differing only
 // in their last characters share, and the tests want an evenly filled tree.
-func sharedKey(k int) string { return fmt.Sprintf("k%07d-shared", k) }
+func sharedKey(k int) string { return fmt.Sprintf("s/k%07d-shared", k) }
 
 // slotHeld reports whether a drill holds the store's shard-0 slot.
 func slotHeld(s *Store) bool {
@@ -650,7 +664,7 @@ func keyInNode(prefix string, shared int, crowded bool) string {
 		taken[protocol.TreeLeafOf(sharedKey(k))/span] = true
 	}
 	for i := 0; ; i++ {
-		if k := fmt.Sprintf("%s%d-only", prefix, i); taken[protocol.TreeLeafOf(k)/span] == crowded {
+		if k := fmt.Sprintf("s/%s%d-only", prefix, i); taken[protocol.TreeLeafOf(k)/span] == crowded {
 			return k
 		}
 	}
@@ -666,137 +680,143 @@ func weigh(s *Store, keys ...string) int {
 }
 
 // TestDrillOneMissingKey is the drill's budget: one key missing at one of
-// three replicas costs one drill cluster-wide — a frame per level,
-// alternating ends, then the two closes — which ships that key's state
-// one way, the stopping side's few neighbours of it the other, and no
-// state the two already agreed on back.
+// three replicas costs one drill — a frame per level, alternating ends,
+// then the two closes — which ships that key's state one way, the stopping
+// side's few neighbours of it the other, and no state the two already
+// agreed on back.
 func TestDrillOneMissingKey(t *testing.T) {
 	const shared = 400
 	missing := keyInNode("m", shared, true)
-	stores := drillMesh(t, shared, func(stores []*Store) {
-		stores[0].Update(workload.Add(missing, "v"))
-		stores[1].Update(workload.Add(missing, "v"))
+	forSeeds(func(seed int64) {
+		s := drillMesh(t, seed, 3, shared, func(s *sim) {
+			s.Update(0, workload.Add(missing, "v"))
+			s.Update(1, workload.Add(missing, "v"))
+		})
+		s0, s2 := s.nodes[0].st, s.nodes[2].st
+		base := s.total()
+		// One advertisement, from a replica that has the key: s-01 agrees
+		// with it, s-02 does not and drills.
+		s.advertise(0)
+		s.await("the drill to close", simPeriod, func() bool {
+			return s2.Get(missing) != nil && !slotHeld(s2) && !slotHeld(s0)
+		})
+		after := s.total()
+		if got := after.Frames - base.Frames; got != 2+4+1 {
+			s.fatalf("the repair took %d frames, want 7: two advertisements, two hash pushes, two closes, and s-02 passing the key on to s-01, which BP cannot know has it", got)
+		}
+		if got := after.TreeRounds - base.TreeRounds; got != 3 {
+			s.fatalf("TreeRounds = %d, want 3: level 1, level 2, close", got)
+		}
+		if after.RepairRanges != 1 || after.RepairShards != 0 || after.WantShards != 0 {
+			s.fatalf("RepairRanges = %d, RepairShards = %d, WantShards = %d, want 1, 0, 0",
+				after.RepairRanges, after.RepairShards, after.WantShards)
+		}
+		// The answering side shipped the missing key and not one stale
+		// state; the stopping side the neighbours it sent along, less than
+		// a level of hashes' worth.
+		if got, want := s.Stats(0).RepairBytes, weigh(s0, missing); got != want {
+			s.fatalf("s-00 answered with %d bytes, want the missing key's %d", got, want)
+		}
+		if got := s.Stats(2).RepairBytes; got == 0 || got > drillStopBytes {
+			s.fatalf("s-02 sent %d bytes along with its close, want 1..%d", got, drillStopBytes)
+		}
+		// Everybody advertises: nobody finds anything left to drill for.
+		for i := range s.nodes {
+			s.advertise(i)
+		}
+		s.settle()
+		if final := s.total(); final.TreeRounds != after.TreeRounds || final.RepairBytes != after.RepairBytes || final.RepairTimeouts != 0 {
+			s.fatalf("converged replicas drilled again: TreeRounds %d -> %d, RepairBytes %d -> %d, RepairTimeouts %d",
+				after.TreeRounds, final.TreeRounds, after.RepairBytes, final.RepairBytes, final.RepairTimeouts)
+		}
 	})
-	base := clusterStats(stores)
-	// One advertisement, from a store that has the key: d-01 agrees with
-	// it, d-02 does not and drills.
-	stores[0].SyncNow()
-	eventually(t, 10*time.Second, "the drill to close", func() bool {
-		return stores[2].Get(missing) != nil && !slotHeld(stores[2]) && !slotHeld(stores[0])
-	})
-	after := clusterStats(stores)
-	if got := after.Frames - base.Frames; got != 2+4 {
-		t.Errorf("the repair took %d frames, want 6: two advertisements, two hash pushes, two closes", got)
-	}
-	if got := after.TreeRounds - base.TreeRounds; got != 3 {
-		t.Errorf("TreeRounds = %d, want 3: level 1, level 2, close", got)
-	}
-	if after.RepairRanges != 1 || after.RepairShards != 0 || after.WantShards != 0 {
-		t.Errorf("RepairRanges = %d, RepairShards = %d, WantShards = %d, want 1, 0, 0",
-			after.RepairRanges, after.RepairShards, after.WantShards)
-	}
-	// The answering side shipped the missing key and not one stale state;
-	// the stopping side the neighbours it sent along, less than a level of
-	// hashes' worth.
-	if got, want := stores[0].Stats().RepairBytes, weigh(stores[0], missing); got != want {
-		t.Errorf("d-00 answered with %d bytes, want the missing key's %d", got, want)
-	}
-	if got := stores[2].Stats().RepairBytes; got == 0 || got > drillStopBytes {
-		t.Errorf("d-02 sent %d bytes along with its close, want 1..%d", got, drillStopBytes)
-	}
-	// Everybody advertises: nobody finds anything left to drill for.
-	for _, st := range stores {
-		st.SyncNow()
-	}
-	if err := WaitConverged(stores, shared+1, 10*time.Second, nil); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(100 * time.Millisecond) // let any (unexpected) drill start
-	if final := clusterStats(stores); final.TreeRounds != after.TreeRounds || final.RepairBytes != after.RepairBytes || final.RepairTimeouts != 0 {
-		t.Errorf("a converged cluster drilled again: TreeRounds %d -> %d, RepairBytes %d -> %d, RepairTimeouts %d",
-			after.TreeRounds, final.TreeRounds, after.RepairBytes, final.RepairBytes, final.RepairTimeouts)
-	}
 }
 
 // TestDrillRepairsBothDirections: the close is the paper's state-driven
-// synchronisation, so the one drill d-02 starts also carries what only
-// d-02 has to d-00 — including when one side of a differing range is
+// synchronisation, so the one drill s-02 starts also carries what only
+// s-02 has to s-00 — including when one side of a differing range is
 // empty, where the answer, or what is sent along with the close, is
 // nothing but the TreeMsg.
 func TestDrillRepairsBothDirections(t *testing.T) {
 	const shared = 400
 	for _, tc := range []struct {
 		name       string
-		only0      []string // keys d-02 lacks (d-01 has them too, so only d-02 drills)
-		only2      []string // keys only d-02, the drilling store, holds
-		answerless bool     // d-00 has nothing to answer with
+		only0      []string // keys s-02 lacks (s-01 has them too, so only s-02 drills)
+		only2      []string // keys only s-02, the drilling replica, holds
+		answerless bool     // s-00 has nothing to answer with
 	}{
 		{name: "both", only0: []string{keyInNode("a", shared, true)}, only2: []string{keyInNode("b", shared, true)}},
 		{name: "empty-at-starter", only0: []string{keyInNode("a", shared, false)}},
 		{name: "empty-at-server", only2: []string{keyInNode("b", shared, false)}, answerless: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			stores := drillMesh(t, shared, func(stores []*Store) {
-				for _, k := range tc.only0 {
-					stores[0].Update(workload.Add(k, "v"))
-					stores[1].Update(workload.Add(k, "v"))
+			forSeeds(func(seed int64) {
+				s := drillMesh(t, seed, 3, shared, func(s *sim) {
+					for _, k := range tc.only0 {
+						s.Update(0, workload.Add(k, "v"))
+						s.Update(1, workload.Add(k, "v"))
+					}
+					for _, k := range tc.only2 {
+						s.Update(2, workload.Add(k, "v"))
+					}
+				})
+				s0, s2 := s.nodes[0].st, s.nodes[2].st
+				s.advertise(0)
+				s.await("the drill to close", simPeriod, func() bool {
+					return s0.Digest() == s2.Digest() && !slotHeld(s2) && !slotHeld(s0)
+				})
+				for _, k := range append(tc.only0, tc.only2...) {
+					if s0.Get(k) == nil || s2.Get(k) == nil {
+						s.fatalf("%q did not reach both ends of the drill", k)
+					}
 				}
-				for _, k := range tc.only2 {
-					stores[2].Update(workload.Add(k, "v"))
+				st0, st2 := s.Stats(0), s.Stats(2)
+				if st0.TreeRounds+st2.TreeRounds != 3 || st0.RepairTimeouts+st2.RepairTimeouts != 0 {
+					s.fatalf("TreeRounds = %d, RepairTimeouts = %d, want one drill of 3 rounds and no timeout",
+						st0.TreeRounds+st2.TreeRounds, st0.RepairTimeouts+st2.RepairTimeouts)
 				}
+				if got, want := st0.RepairBytes, weigh(s0, tc.only0...); got != want {
+					s.fatalf("s-00 answered with %d bytes, want %d: what s-02 lacked and nothing else", got, want)
+				}
+				if tc.answerless != (st0.RepairRanges == 0) {
+					s.fatalf("RepairRanges = %d at s-00 (answerless: %v)", st0.RepairRanges, tc.answerless)
+				}
+				s.settle()
 			})
-			s0, s2 := stores[0], stores[2]
-			s0.SyncNow()
-			eventually(t, 10*time.Second, "the drill to close", func() bool {
-				return s0.Digest() == s2.Digest() && !slotHeld(s2) && !slotHeld(s0)
-			})
-			for _, k := range append(tc.only0, tc.only2...) {
-				if s0.Get(k) == nil || s2.Get(k) == nil {
-					t.Errorf("%q did not reach both ends of the drill", k)
-				}
-			}
-			st0, st2 := s0.Stats(), s2.Stats()
-			if st0.TreeRounds+st2.TreeRounds != 3 || st0.RepairTimeouts+st2.RepairTimeouts != 0 {
-				t.Errorf("TreeRounds = %d, RepairTimeouts = %d, want one drill of 3 rounds and no timeout",
-					st0.TreeRounds+st2.TreeRounds, st0.RepairTimeouts+st2.RepairTimeouts)
-			}
-			if got, want := st0.RepairBytes, weigh(s0, tc.only0...); got != want {
-				t.Errorf("d-00 answered with %d bytes, want %d: what d-02 lacked and nothing else", got, want)
-			}
-			if tc.answerless != (st0.RepairRanges == 0) {
-				t.Errorf("RepairRanges = %d at d-00 (answerless: %v)", st0.RepairRanges, tc.answerless)
-			}
 		})
 	}
 }
 
 // TestDrillRacesWrite: a write that lands on a leaf while a drill is
-// comparing it moves the hashes under the drill's feet. Whatever the
-// interleaving, the cluster converges once the dust has settled.
+// comparing it moves the hashes under the drill's feet. Wherever in the
+// drill the writes land — the seed draws the moment — the replicas
+// converge once every replica has advertised again until none differ.
 func TestDrillRacesWrite(t *testing.T) {
 	const shared = 400
 	missing := keyInNode("m", shared, true)
-	stores := drillMesh(t, shared, func(stores []*Store) {
-		stores[0].Update(workload.Add(missing, "v"))
-	})
 	// Keys on the very leaf the drill is heading for.
 	var racing []string
 	for i := 0; len(racing) < 4; i++ {
-		if k := fmt.Sprintf("r%d", i); protocol.TreeLeafOf(k) == protocol.TreeLeafOf(missing) {
+		if k := fmt.Sprintf("s/r%d", i); protocol.TreeLeafOf(k) == protocol.TreeLeafOf(missing) {
 			racing = append(racing, k)
 		}
 	}
-	stores[0].SyncNow()
-	for i, k := range racing {
-		stores[i%2*2].Update(workload.Add(k, "v")) // d-00 and d-02, the drill's two ends
-	}
-	deadline := time.Now().Add(20 * time.Second)
-	for WaitConverged(stores, shared+1+len(racing), 50*time.Millisecond, nil) != nil {
-		if time.Now().After(deadline) {
-			t.Fatal("a write racing the drill kept the cluster from converging")
+	forSeeds(func(seed int64) {
+		s := drillMesh(t, seed, 3, shared, func(s *sim) { s.Update(0, workload.Add(missing, "v")) })
+		s.advertise(0)
+		s.run(s.now + s.rng.Int63n(simPeriod/4))
+		for i, k := range racing {
+			s.Update(i%2*2, workload.Add(k, "v")) // s-00 and s-02, the drill's two ends
 		}
-		for _, st := range stores {
-			st.SyncNow()
+		for rounds := 0; s.diverged() != ""; rounds++ {
+			if rounds == 20 {
+				s.fatalf("a write racing the drill kept the replicas from converging: %s", s.diverged())
+			}
+			s.run(s.now + simPeriod)
+			for i := range s.nodes {
+				s.advertise(i)
+			}
 		}
-	}
+		s.settle()
+	})
 }

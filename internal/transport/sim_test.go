@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"container/heap"
 	"fmt"
 	"strings"
 	"testing"
@@ -15,12 +16,20 @@ import (
 )
 
 // The scenarios run the store's cores on the deterministic scheduler
-// (sim.go): the fault battery's cases that need more than a socket that
-// loses frames, which is all transport.Fault does, and the store on the
-// graphs the paper evaluates.
+// (sim.go): the fault battery — loss, duplication, reordering, one-way
+// blackholes and partitions — and the digest traffic it costs, and the
+// store on the graphs the paper evaluates. The drill's, the link
+// acknowledgements' and the hello's scenarios are beside the socket tests
+// of the same code (repair_test.go, link_test.go, hello_test.go).
 
 // simPeriod is every scenario's SyncEvery; only ratios to it matter.
 const simPeriod = int64(10 * time.Millisecond)
+
+// simLossyPeriods bounds how long a scenario waits for convergence while
+// its links lose frames: a drill whose frame is lost holds its slot for
+// repairTimeout, a hundred periods, before the next may start, and some
+// seeds lose several in a row.
+const simLossyPeriods = 6000
 
 // simSeeds is the seed table every scenario runs: 1 to simSeeds().
 func simSeeds() int64 {
@@ -129,6 +138,73 @@ func (s *sim) write(prefix string, keys int, by uint64, gap int64) {
 		s.Update(k%len(s.nodes), op)
 		s.run(s.now + s.rng.Int63n(gap))
 	}
+}
+
+// converge runs a period at a time, the links as they are, until the
+// oracle holds — each replica the sequential join, digests agreeing, no
+// link waiting for a frame and every δ-buffer empty — failing after
+// periods periods.
+func (s *sim) converge(periods int) {
+	s.t.Helper()
+	agree := func() bool {
+		for i, n := range s.nodes {
+			if n.st.NumKeys() != len(s.ref) || s.Digest(i) != s.Digest(0) {
+				return false
+			}
+		}
+		return s.diverged() == ""
+	}
+	for deadline := s.now + int64(periods)*s.period; !agree(); {
+		if s.now >= deadline {
+			s.fatalf("not converged after %d periods: %s", periods, s.diverged())
+		}
+		s.run(s.now + s.period)
+	}
+}
+
+// await runs the scheduler a hundredth of a period at a time until cond
+// holds, failing if it does not within the time given.
+func (s *sim) await(what string, within int64, cond func() bool) {
+	s.t.Helper()
+	for deadline := s.now + within; !cond(); {
+		if s.now >= deadline {
+			s.fatalf("%s did not happen within %.2f periods", what, float64(within)/float64(s.period))
+		}
+		s.run(s.now + s.period/100)
+	}
+}
+
+// sever cuts, or mends, every link.
+func (s *sim) sever(cut bool) { s.eachLink(func(l *simLink) { l.severed = cut }) }
+
+// advertise has replica i send its digest vector to every neighbor, as a
+// tick on a digest schedule does when it has nothing else to ship.
+func (s *sim) advertise(i int) {
+	n := s.nodes[i]
+	for _, to := range n.neighbors {
+		n.transmitMsg(to, protocol.NewDigestMsg(n.shardDigests()), frameDigest)
+	}
+}
+
+// loseHello loses the hello NewSim put on the link from → to, which is
+// the link's first frame.
+func (s *sim) loseHello(from, to int) {
+	for i, f := range s.wire {
+		if f.from == from && f.to == to {
+			heap.Remove(&s.wire, i)
+			return
+		}
+	}
+	s.fatalf("no hello on the link from %d to %d", from, to)
+}
+
+// total sums the replicas' counters.
+func (s *sim) total() StoreStats {
+	var t StoreStats
+	for _, n := range s.nodes {
+		t.Add(n.stats())
+	}
+	return t
 }
 
 // simConfig is the scenarios' replica: eight shards of engine on the
@@ -525,6 +601,326 @@ func TestSimOneLostFrameResendsOnlyItsEntries(t *testing.T) {
 		holdsNothing(t, "sender", lk)
 		if st := sender.stats(); st.Retransmits != perFrame || st.IgnoredAcks != 0 {
 			s.fatalf("%d retransmissions, %d ignored acknowledgements; want %d and 0", st.Retransmits, st.IgnoredAcks, perFrame)
+		}
+		s.settle()
+	})
+}
+
+// TestStoreAckedDeltaConvergence: the loss-tolerant engine the store
+// examples use, acks flowing back through the same batched frames as the
+// deltas, converges a full mesh of three, and once every delta is acked
+// the δ-buffers drain.
+func TestStoreAckedDeltaConvergence(t *testing.T) {
+	forSeeds(func(seed int64) {
+		s := newSim(t, seed, 3, simConfig(protocol.NewDeltaAcked(true, true), 0))
+		s.write("key", 100, 1, simPeriod/4)
+		s.converge(simSettlePeriods)
+		for _, n := range s.nodes {
+			if b := n.st.Memory().BufferBytes; b != 0 {
+				s.fatalf("%s's δ-buffers hold %d bytes after every delta was acked", n.cfg.ID, b)
+			}
+		}
+		s.settle()
+	})
+}
+
+// TestStoreLineMultiHop: n00 — n01 — n02 — n03, each replica peered with
+// its line neighbors only. A write at one end relays through the two
+// middle replicas to the other, under both engines.
+func TestStoreLineMultiHop(t *testing.T) {
+	for _, e := range []struct {
+		name   string
+		engine protocol.Factory
+	}{
+		{"acked", protocol.NewDeltaAcked(true, true)},
+		{"delta", protocol.NewDeltaBPRR()},
+	} {
+		t.Run(e.name, func(t *testing.T) {
+			forSeeds(func(seed int64) {
+				const n = 4
+				s := newSimOn(t, topology.Line(n), seed, simConfig(e.engine, 0))
+				s.Update(0, workload.Inc("c/end-to-end", 3))
+				s.converge(simSettlePeriods)
+				var got uint64
+				s.nodes[n-1].st.View("c/end-to-end", func(st lattice.State) { got = st.(*crdt.GCounter).Value() })
+				if got != 3 {
+					s.fatalf("far end holds %d, want 3", got)
+				}
+				s.settle()
+			})
+		})
+	}
+}
+
+// TestStoreConvergesUnderFrameLoss: with a fifth of all frames lost on
+// every link, the replicas converge exactly while the loss lasts. The
+// plain delta engine forgets a δ-group once sent, so a lost frame is gone
+// for good at the protocol level and only digest anti-entropy can see and
+// repair the divergence; the acked engine sends again, alone and with the
+// digests beside it.
+func TestStoreConvergesUnderFrameLoss(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		engine      protocol.Factory
+		digestEvery int
+	}{
+		{"digest-repairs-plain-delta", protocol.NewDeltaBPRR(), 1},
+		{"acked-retransmits", protocol.NewDeltaAcked(true, true), 0},
+		{"acked-plus-digest", protocol.NewDeltaAcked(true, true), 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			forSeeds(func(seed int64) {
+				s := newSim(t, seed, 3, simConfig(tc.engine, tc.digestEvery))
+				s.eachLink(func(l *simLink) { l.drop = 0.2 })
+				s.write("key", 90, 1, simPeriod/4)
+				s.converge(simLossyPeriods)
+				s.settle()
+			})
+		})
+	}
+}
+
+// TestStoreConvergesUnderHalfFrameLoss is the README's claim as a test:
+// the plain delta engine — which forgets a δ-group once sent, so every
+// lost frame is divergence only anti-entropy can see — converges 3
+// replicas of 20 000 keys with half of all frames lost on every link. A
+// drill is four frames, so one in sixteen survives end to end; what
+// carries the replicas is that each one that does repairs both directions
+// of everything the two ends differ in on that shard, and that a drill
+// whose frame is lost costs one repairTimeout, not a demotion to some
+// other path. A few seeds: each is 60 000 writes and some 40 simulated
+// seconds.
+func TestStoreConvergesUnderHalfFrameLoss(t *testing.T) {
+	if testing.Short() {
+		t.Skip("20k keys under 50% frame loss; skipped under -short")
+	}
+	const keys, seeds = 20000, 2
+	for seed := int64(1); seed <= seeds; seed++ {
+		cfg := simConfig(protocol.NewDeltaBPRR(), 4)
+		cfg.Shards = 64
+		s := newSim(t, seed, 3, cfg)
+		s.eachLink(func(l *simLink) { l.drop = 0.5 })
+		s.write("key", keys, 1, simPeriod/500)
+		start := s.now
+		s.converge(10 * simLossyPeriods)
+		total := s.total()
+		if total.RepairBytes == 0 || total.DedupedWants == 0 {
+			s.fatalf("convergence without anti-entropy under 50%% loss: %d repair bytes, %d deduped", total.RepairBytes, total.DedupedWants)
+		}
+		t.Logf("seed %d: converged %.1f simulated s after the last write; tree rounds %d, whole-shard wants %d, ranges answered %d, repair bytes %d, deduped %d, drills given up %d",
+			seed, float64(s.now-start)/1e9, total.TreeRounds, total.WantShards, total.RepairRanges, total.RepairBytes, total.DedupedWants, total.RepairTimeouts)
+		s.settle()
+	}
+}
+
+// TestStorePartitionHealsToConvergence cuts s-00 off from the other two
+// in both directions while all three write, and demands convergence once
+// the partition heals. With the plain delta engine every frame sent into
+// the partition is cleared from the δ-buffers and lost, so healing relies
+// entirely on the digest exchange noticing that shard digests differ and
+// the drills it starts.
+func TestStorePartitionHealsToConvergence(t *testing.T) {
+	const keys = 60
+	forSeeds(func(seed int64) {
+		s := newSim(t, seed, 3, simConfig(protocol.NewDeltaBPRR(), 1))
+		for j := 1; j < 3; j++ {
+			s.links[0][j].severed, s.links[j][0].severed = true, true
+		}
+		s.write("key", keys, 1, simPeriod/4)
+		// The majority side converges among itself while the minority is
+		// cut off: s-01 and s-02 learn each other's keys but never s-00's
+		// third, and s-00 learns nothing.
+		s01, s02 := s.nodes[1].st, s.nodes[2].st
+		s.await("the majority side to converge", 10*simPeriod, func() bool {
+			return s01.NumKeys() == keys-keys/3 && s02.NumKeys() == keys-keys/3 && s01.Digest() == s02.Digest()
+		})
+		if got := s.nodes[0].st.NumKeys(); got != keys/3 {
+			s.fatalf("partitioned s-00 holds %d keys, want only its own %d", got, keys/3)
+		}
+		s.sever(false)
+		s.converge(simSettlePeriods)
+		// The digest path must actually have fired: somebody observed
+		// divergence and somebody served full shards.
+		if total := s.total(); total.WantShards == 0 || total.RepairShards == 0 {
+			s.fatalf("digest repair never fired: wants=%d repairs=%d", total.WantShards, total.RepairShards)
+		}
+		s.settle()
+	})
+}
+
+// TestStoreDigestIdleTrafficBeatsFullShip is the steady-state wire cost of
+// digest anti-entropy: once two replicas have converged, an idle tick ships
+// only the per-shard digest vector, at least 10x smaller than shipping the
+// shards themselves — what an anti-entropy scheme without digests would pay
+// every tick. Both sides of the comparison are frames the core counted:
+// the full ship is the digest repair of a replica whose every δ-group was
+// lost, which ships every shard in full. s-01 advertises nothing, so every
+// frame counted is s-00's tick or the repair it causes.
+func TestStoreDigestIdleTrafficBeatsFullShip(t *testing.T) {
+	const keys, idleTicks = 400, 20
+	forSeeds(func(seed int64) {
+		s := newSim(t, seed, 2, simConfig(protocol.NewDeltaBPRR(), 1))
+		s.nodes[1].cfg.DigestEvery = 0
+		s0, s1 := s.nodes[0], s.nodes[1]
+		// The whole keyspace is written on s-00 and shipped into a black
+		// hole: the plain delta engine clears its δ-buffer after the send,
+		// so the data now exists only in s-00's shards.
+		s.links[0][1].severed = true
+		for k := 0; k < keys; k++ {
+			s.Update(0, workload.Inc(fmt.Sprintf("c/key-%04d", k), 1))
+		}
+		s.run(s.now + 2*simPeriod)
+		if got := s1.st.NumKeys(); got != 0 {
+			s.fatalf("black hole leaked: s-01 holds %d keys", got)
+		}
+		// Mended, s-00's next tick advertises, s-01 asks for every
+		// differing shard and s-00 serves them in full: what an always-ship
+		// scheme would put on the wire every tick.
+		s.links[0][1].severed = false
+		base := s0.stats()
+		s.converge(10)
+		repair := s0.stats()
+		fullShip := repair.WireBytes - base.WireBytes
+		if repair.RepairShards != s.NumShards() {
+			s.fatalf("repair served %d shards, want all %d", repair.RepairShards, s.NumShards())
+		}
+		// Converged and idle: each further tick ships the digest heartbeat
+		// and nothing else, and s-01 never sees divergence again.
+		idleBase, wants := s0.stats(), s1.stats().WantShards
+		s.run(s.now + idleTicks*simPeriod)
+		idle := s0.stats()
+		if got := s1.stats().WantShards; got != wants {
+			s.fatalf("converged idle ticks still triggered %d shard requests", got-wants)
+		}
+		frames := (idle.Frames - idle.HelloFrames) - (idleBase.Frames - idleBase.HelloFrames)
+		if frames != idleTicks || idle.DigestFrames-idleBase.DigestFrames != idleTicks {
+			s.fatalf("idle ticks sent %d frames, %d of them heartbeats; want exactly %d heartbeats",
+				frames, idle.DigestFrames-idleBase.DigestFrames, idleTicks)
+		}
+		perTick := (idle.WireBytes - idleBase.WireBytes) / idleTicks
+		if seed == 1 {
+			t.Logf("idle digest tick = %d B, full ship = %d B (%.0fx)", perTick, fullShip, float64(fullShip)/float64(perTick))
+		}
+		if perTick*10 > fullShip {
+			s.fatalf("idle tick = %d B is not 10x below full ship = %d B", perTick, fullShip)
+		}
+		s.settle()
+	})
+}
+
+// TestStoreAckedIdleTicksAreHeartbeatOnly: in the production engine
+// configuration — acked deltas plus digests — once the replicas have
+// converged and every link has drained, ticks ship digest heartbeats and
+// nothing else, hello refreshes aside, for a whole refresh cycle.
+func TestStoreAckedIdleTicksAreHeartbeatOnly(t *testing.T) {
+	forSeeds(func(seed int64) {
+		s := newSim(t, seed, 3, simConfig(protocol.NewDeltaAcked(true, true), 4))
+		s.write("key", 90, 1, simPeriod/4)
+		s.settle()
+		s.run(s.now + 2*simPeriod) // a drill that crossed the last writes ends
+		before := make([]StoreStats, len(s.nodes))
+		for i, n := range s.nodes {
+			before[i] = n.stats()
+		}
+		s.run(s.now + helloEvery*simPeriod)
+		for i, n := range s.nodes {
+			a, b := n.stats(), before[i]
+			data := func(st StoreStats) int { return st.Frames - st.DigestFrames - st.HelloFrames }
+			if got := data(a) - data(b); got != 0 {
+				s.fatalf("%s sent %d data frames while idle (digest frames %d, wire +%d B, wants +%d, repairs +%d)",
+					n.cfg.ID, got, a.DigestFrames-b.DigestFrames, a.WireBytes-b.WireBytes, a.WantShards-b.WantShards, a.RepairShards-b.RepairShards)
+			}
+			if a.DigestFrames == b.DigestFrames {
+				s.fatalf("%s sent no heartbeat in %d idle ticks", n.cfg.ID, helloEvery)
+			}
+		}
+	})
+}
+
+// TestStorePiggybackedDigestsReplaceHeartbeats: while a replica has data to
+// ship, every digest advertisement rides a data frame (PiggybackedDigests)
+// and no standalone heartbeat goes out; once it falls idle, the
+// advertisement falls back to the standalone heartbeat (DigestFrames), one
+// frame per tick and nothing else. The busy ticks are driven by hand, each
+// after a fresh write, between two of s-00's own; s-01 advertises nothing.
+func TestStorePiggybackedDigestsReplaceHeartbeats(t *testing.T) {
+	const busyTicks, idleTicks = 10, 10
+	forSeeds(func(seed int64) {
+		s := newSim(t, seed, 2, simConfig(protocol.NewDeltaBPRR(), 1))
+		s.nodes[1].cfg.DigestEvery = 0
+		s0 := s.nodes[0]
+		s.runTo(s0, simPeriod)
+		base := s0.stats()
+		for i := 0; i < busyTicks; i++ {
+			s.Update(0, workload.Inc(fmt.Sprintf("c/key-%03d", i), 1))
+			s0.tick(s.now + s0.off)
+			s.run(s.now + simPeriod/16)
+		}
+		busy := s0.stats()
+		if got := busy.PiggybackedDigests - base.PiggybackedDigests; got != busyTicks {
+			s.fatalf("busy phase piggybacked %d digests, want %d (one per tick)", got, busyTicks)
+		}
+		if got := busy.DigestFrames - base.DigestFrames; got != 0 {
+			s.fatalf("busy phase sent %d standalone digest frames, want 0: piggybacking should replace them", got)
+		}
+		s.converge(10)
+		// Idle: past s-00's next tick, which may still revisit a dirty
+		// shard, there is nothing to ship, so each tick's advertisement is
+		// the standalone heartbeat — exactly one frame, nothing else.
+		s.runTo(s0, (s.now+s0.off)/simPeriod*simPeriod+simPeriod)
+		base = s0.stats()
+		s.run(s.now + idleTicks*simPeriod)
+		idle := s0.stats()
+		if got := idle.DigestFrames - base.DigestFrames; got != idleTicks {
+			s.fatalf("idle phase sent %d standalone heartbeats, want %d", got, idleTicks)
+		}
+		if got := idle.PiggybackedDigests - base.PiggybackedDigests; got != 0 {
+			s.fatalf("idle phase piggybacked %d digests, want 0", got)
+		}
+		if got := (idle.Frames - idle.HelloFrames) - (base.Frames - base.HelloFrames); got != idleTicks {
+			s.fatalf("idle phase sent %d frames, want %d heartbeats only", got, idleTicks)
+		}
+		s.settle()
+	})
+}
+
+// TestStorePiggybackedDigestRepairsDivergence: the piggybacked vector is a
+// full advertisement — the receiver compares it, drills and repairs exactly
+// as for a standalone one. s-00's keys are lost in a black hole; mended,
+// one fresh write goes out on a tick of s-00's, whose one data frame
+// carries the vector, and the repair that advertisement starts completes
+// before s-00's next tick, without a standalone advertisement.
+func TestStorePiggybackedDigestRepairsDivergence(t *testing.T) {
+	const keys = 20
+	forSeeds(func(seed int64) {
+		s := newSim(t, seed, 2, simConfig(protocol.NewDeltaBPRR(), 1))
+		s.nodes[1].cfg.DigestEvery = 0
+		s0, s1 := s.nodes[0], s.nodes[1]
+		s.links[0][1].severed = true
+		for k := 0; k < keys; k++ {
+			s.Update(0, workload.Inc(fmt.Sprintf("c/key-%03d", k), 1))
+		}
+		s.runTo(s0, 3*simPeriod)
+		if got := s1.st.NumKeys(); got != 0 {
+			s.fatalf("black hole leaked: s-01 holds %d keys", got)
+		}
+		s.links[0][1].severed = false
+		base := s0.stats()
+		s.Update(0, workload.Inc("c/fresh", 1))
+		s0.tick(s.now + s0.off)
+		s.runTo(s0, 4*simPeriod-1)
+		after := s0.stats()
+		if got := after.DigestFrames - base.DigestFrames; got != 0 {
+			s.fatalf("repair used %d standalone advertisements, want 0 (piggyback only)", got)
+		}
+		if after.PiggybackedDigests == base.PiggybackedDigests {
+			s.fatalf("healed tick sent no piggybacked digest")
+		}
+		if after.RepairShards == base.RepairShards {
+			s.fatalf("piggybacked advertisement triggered no shard repair")
+		}
+		if got := s1.st.NumKeys(); got != keys+1 {
+			s.fatalf("s-01 holds %d keys before s-00's next tick, want %d", got, keys+1)
 		}
 		s.settle()
 	})

@@ -27,8 +27,8 @@ type StoreConfig struct {
 	// Listener, when non-nil, is used instead of binding ListenAddr.
 	Listener net.Listener
 	// Dial, when non-nil, replaces the default TCP dialer for outbound
-	// connections; fault-injection harnesses (Fault) wrap it to drop or
-	// sever frames.
+	// connections; the fault injector (Fault) and the tests wrap it to
+	// drop or rewrite frames.
 	Dial DialFunc
 	// Peers maps neighbor ids to their listen addresses.
 	Peers map[string]string
@@ -88,13 +88,6 @@ type StoreConfig struct {
 	// anything above the transport-wide maximum means the 64 MiB
 	// transport cap. Tests lower it to exercise packing cheaply.
 	MaxFrameBytes int
-	// RepairTimeout bounds how long one shard's drill — started here or
-	// served — may go without a message from its peer before a digest
-	// mismatch may start another (default 1s). While a drill is under way
-	// further mismatching heartbeats for that shard, and other peers'
-	// drills on it, are deduplicated rather than run — the Want-storm fix.
-	// It doubles as the retry cadence when a drill's frame is lost.
-	RepairTimeout time.Duration
 	// SnapshotDir, when set, enables crash-restart durability: a
 	// background snapshotter periodically serializes each shard's objects
 	// through the canonical codec to an atomic-rename file per shard in
@@ -197,7 +190,7 @@ type StoreStats struct {
 	// rather than shard size.
 	RepairBytes int
 	// RepairTimeouts counts drills given up on: a slot found expired —
-	// RepairTimeout without a message from the peer, and no digest
+	// a second without a message from the peer (repairTimeout), and no digest
 	// re-match in between — when the next drill took it over. Lost frames
 	// show up here.
 	RepairTimeouts int
@@ -349,9 +342,6 @@ func (cfg StoreConfig) withDefaults() StoreConfig {
 	cfg.Shards = 1 << bits.Len(uint(cfg.Shards-1)) // the next power of two
 	if cfg.MaxFrameBytes <= 0 || cfg.MaxFrameBytes > maxFrameBytes {
 		cfg.MaxFrameBytes = maxFrameBytes
-	}
-	if cfg.RepairTimeout <= 0 {
-		cfg.RepairTimeout = defaultRepairTimeout
 	}
 	if cfg.SnapshotDir != "" && cfg.SnapshotEvery <= 0 {
 		cfg.SnapshotEvery = defaultSnapshotEvery

@@ -75,39 +75,6 @@ func TestStoreMultiKeyConvergence(t *testing.T) {
 	}
 }
 
-func TestStoreAckedDeltaConvergence(t *testing.T) {
-	// The loss-tolerant engine the store examples use: acks flow back
-	// through the same batched sharded frames as the deltas.
-	const keys = 100
-	stores := startStoreCluster(t, 3, 8, protocol.NewDeltaAcked(true, true), 20*time.Millisecond)
-	for i, st := range stores {
-		for k := i; k < keys; k += 3 {
-			st.Update(workload.Op{Kind: workload.KindInc, Key: fmt.Sprintf("key-%04d", k), N: 1})
-		}
-	}
-	waitStoresConverged(t, stores, keys, 10*time.Second)
-	// Once every delta is acked, the δ-buffers must drain.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		drained := true
-		for _, st := range stores {
-			if st.Memory().BufferBytes != 0 {
-				drained = false
-			}
-		}
-		if drained {
-			break
-		}
-		if time.Now().After(deadline) {
-			for _, st := range stores {
-				t.Logf("%s: buffer bytes = %d", st.ID(), st.Memory().BufferBytes)
-			}
-			t.Fatal("δ-buffers did not drain after acks")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
 func TestStoreConcurrentUpdates(t *testing.T) {
 	// Hammer every store from several goroutines on overlapping keys
 	// while syncs run; -race must stay silent and the cluster converge.
@@ -219,41 +186,6 @@ func TestStoreCloseIsClean(t *testing.T) {
 
 func isUseOfClosed(err error) bool {
 	return err != nil && strings.Contains(err.Error(), "use of closed")
-}
-
-// TestStoreLineMultiHop: s-00 — s-01 — s-02 — s-03, each store peered
-// with its line neighbors only. A
-// write at one end must relay through the two middle stores to the other.
-func TestStoreLineMultiHop(t *testing.T) {
-	for name, factory := range map[string]protocol.Factory{
-		"acked": protocol.NewDeltaAcked(true, true),
-		"delta": protocol.NewDeltaBPRR(),
-	} {
-		t.Run(name, func(t *testing.T) {
-			const n = 4
-			stores := startStoreClusterWith(t, n, transport.StoreConfig{
-				Shards:    4,
-				Factory:   factory,
-				ObjType:   gcounters,
-				SyncEvery: 20 * time.Millisecond,
-			}, func(i int, _ string, cfg *transport.StoreConfig) {
-				line := make(map[string]string, 2)
-				for _, j := range []int{i - 1, i + 1} {
-					if j >= 0 && j < n {
-						id := fmt.Sprintf("s-%02d", j)
-						line[id] = cfg.Peers[id]
-					}
-				}
-				cfg.Peers = line
-			})
-			stores[0].Update(workload.Op{Kind: workload.KindInc, Key: "end-to-end", N: 3})
-			waitStoresConverged(t, stores, 1, 10*time.Second)
-			got := stores[n-1].Get("end-to-end")
-			if got == nil || got.(*crdt.GCounter).Value() != 3 {
-				t.Fatalf("far end holds %v, want 3", got)
-			}
-		})
-	}
 }
 
 func TestStoreIDLengthLimit(t *testing.T) {

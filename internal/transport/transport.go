@@ -16,8 +16,10 @@
 // on it is applied.
 //
 // NewSim (sim.go) runs one core per node of a topology.Graph on a seeded
-// scheduler, with simulated links and clocks, for crdtsim -store and the
-// TestSim scenarios. The simulator of bare engines (package netsim)
+// scheduler, with simulated links and clocks, for crdtsim -store and every
+// fault scenario of the protocol: loss, partitions, drills, link
+// acknowledgements, digest traffic and lost hellos. Real sockets are
+// tested for what the shell owns. The simulator of bare engines (package netsim)
 // remains the measurement substrate for the paper's figures; the store is
 // what crdtsync.Open runs and what bench/ measures.
 package transport

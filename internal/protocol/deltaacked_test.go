@@ -279,6 +279,35 @@ func TestAckedDeltaBuffersRepairForPropagation(t *testing.T) {
 	}
 }
 
+// TestReachCovers: an origin covers a node's other neighbors once it has
+// announced every one of them — itself excepted, whatever else it names —
+// and no longer when it drops one. A stranger covers nothing, and a node's
+// only neighbor covers the nobody left.
+func TestReachCovers(t *testing.T) {
+	reach := protocol.NewReach([]string{"a", "c", "d"})
+	for _, tc := range []struct {
+		announced []string
+		want      bool
+	}{
+		{nil, false},
+		{[]string{"c"}, false},
+		{[]string{"c", "d"}, true},
+		{[]string{"a", "b", "d", "c", "nobody"}, true},
+		{[]string{"d"}, false},
+	} {
+		reach.Set("a", tc.announced)
+		if got := reach.Covers("a"); got != tc.want {
+			t.Errorf("a announced %v: Covers = %v, want %v", tc.announced, got, tc.want)
+		}
+	}
+	if reach.Covers("z") {
+		t.Error("a stranger covers the neighbors")
+	}
+	if !protocol.NewReach([]string{"a"}).Covers("a") {
+		t.Error("a node's only neighbor does not cover the others, of which there are none")
+	}
+}
+
 func TestAckedDeltaReachForwardsRepairPastAnnounced(t *testing.T) {
 	// The reach sibling of the test above: a repair δ-group from a is
 	// forwarded to exactly the neighbors outside what a reaches.

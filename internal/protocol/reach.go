@@ -1,10 +1,7 @@
 package protocol
 
 import (
-	"maps"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"crdtsync/internal/metrics"
 )
@@ -18,20 +15,19 @@ import (
 // A nil *Reach, or an origin that has announced nothing, is the empty set:
 // Algorithm 1's BP and nothing more.
 //
-// One Reach is shared by every engine of a node. Readers load one pointer;
-// a writer publishes a fresh table, so an announcement in the middle of a
-// pass is seen by the entries tested after it and harms none.
+// One Reach is shared by every engine of a node, and has one owner at a
+// time, as the engines do: a store's core calls them all under its one
+// lock, and the simulator runs every node on one goroutine.
 type Reach struct {
 	neighbors []string
-	mu        sync.Mutex // serializes Set
-	sets      atomic.Pointer[map[string]bitset]
-	withheld  atomic.Uint64
+	sets      map[string]bitset
+	withheld  uint64
 }
 
 // NewReach returns an empty table over a node's neighbors, in the order
 // Config.Neighbors lists them.
 func NewReach(neighbors []string) *Reach {
-	return &Reach{neighbors: neighbors}
+	return &Reach{neighbors: neighbors, sets: make(map[string]bitset, len(neighbors))}
 }
 
 // Set replaces what origin reaches with those of ids that are neighbors of
@@ -48,15 +44,8 @@ func (r *Reach) Set(origin string, ids []string) (left []string) {
 			set.add(i)
 		}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	old := r.set(origin)
-	next := make(map[string]bitset, len(r.neighbors))
-	if cur := r.sets.Load(); cur != nil {
-		maps.Copy(next, *cur)
-	}
-	next[origin] = set
-	r.sets.Store(&next)
+	old := r.sets[origin]
+	r.sets[origin] = set
 	for i, id := range r.neighbors {
 		if old.has(i) && !set.has(i) {
 			left = append(left, id)
@@ -77,16 +66,27 @@ func (r *Reach) Of(origin string) []string {
 	return ids
 }
 
-// set is what origin reaches, by neighbor position: empty for a nil table
-// and for an origin that has announced nothing. The bitset is shared with
-// the table and never written again.
-func (r *Reach) set(origin string) bitset {
-	if r != nil {
-		if sets := r.sets.Load(); sets != nil {
-			return (*sets)[origin]
-		}
+// Covers reports whether origin has announced every neighbor of this node
+// but itself. Then each of them holds what origin sent here or is sent it
+// by origin, and a δ-group from origin forwarded to any of them is
+// redundant there: a store lets such forwards wait for its next pass
+// instead of asking for one.
+func (r *Reach) Covers(origin string) bool {
+	others := len(r.neighbors)
+	if slices.Contains(r.neighbors, origin) {
+		others--
 	}
-	return bitset{}
+	set := r.set(origin)
+	return set.len() == others
+}
+
+// set is what origin reaches, by neighbor position: empty for a nil table
+// and for an origin that has announced nothing.
+func (r *Reach) set(origin string) bitset {
+	if r == nil {
+		return bitset{}
+	}
+	return r.sets[origin]
 }
 
 // has reports whether origin has announced the neighbor at position i.
@@ -100,13 +100,13 @@ func (r *Reach) has(origin string, i int) bool {
 func (r *Reach) withhold(origin string) {
 	set := r.set(origin)
 	if n := set.len(); n > 0 {
-		r.withheld.Add(uint64(n))
+		r.withheld += uint64(n)
 	}
 }
 
 // Withheld returns how many forwards the engines sharing r have not made
 // because the entry's origin reaches the neighbor itself.
-func (r *Reach) Withheld() uint64 { return r.withheld.Load() }
+func (r *Reach) Withheld() uint64 { return r.withheld }
 
 // WireVersion is what a HelloMsg says of the encoding its sender speaks.
 // A store refuses a connection that announces another. Version 2 moved the

@@ -111,8 +111,8 @@ type PeerStats struct {
 	LastAcked    uint64
 	LastReceived uint64
 	// Reaches is what the peer last announced: the neighbors of this store
-	// that the peer's own pipelines were connected to (empty for a store
-	// whose engine takes no notice). Cleared by StoreStats.Add.
+	// that the peer's own pipelines were connected to. Cleared by
+	// StoreStats.Add.
 	Reaches []string
 }
 

@@ -59,12 +59,15 @@ type core struct {
 	// same in neighbors order; both fixed at construction.
 	links    map[string]*link
 	linkList []*link
-	// reach is what the neighbors have announced they reach, shared with
-	// every shard's engines; nil when the engine takes no notice of it,
-	// and then no neighbor is ever caught up with either (setReach).
-	reach  *protocol.Reach
-	repair repairTable
-	ticks  uint64
+	// reach is what the neighbors have announced they reach: a delivery
+	// consults it before it asks for a flush (deliverSharded). withholds
+	// says the engines withhold forwards on it too: only then are they
+	// handed the table, and only then is a neighbor caught up with once a
+	// word stops holding (setReach).
+	reach     *protocol.Reach
+	withholds bool
+	repair    repairTable
+	ticks     uint64
 	// deliverLocks counts the shard write locks of the inbound delivery
 	// path — one per touched shard per frame, an invariant an instrumented
 	// test pins.
@@ -75,14 +78,15 @@ type core struct {
 	// hold is how long an owed acknowledgement waits for a data frame to
 	// ride before it leaves alone; the shell sets it (ackHoldsPerTick).
 	hold int64
-	// The write-triggered flush. flushWanted is set by the first update or
-	// forwarding delivery after a pass and cleared by the next pass (flush
-	// or tick); flushHeld records that step put the request off. sendAt is
-	// the flush budget (flushBurst): a requested flush runs once now
-	// reaches sendAt less flushBurst-1 windows. A pass advances it from its
-	// start, and the shell, which can read the clock again, by the pass's
-	// own duration, so that slow passes leave fewer, fuller flushes.
-	// nextTick is when step runs the next tick.
+	// The write-triggered flush. flushWanted is set by the first update
+	// after a pass, or delivery that leaves a forward owed to a neighbor the
+	// frame's sender does not reach (deliverSharded), and cleared by the
+	// next pass (flush or tick); flushHeld records that step put the
+	// request off. sendAt is the flush budget (flushBurst): a requested
+	// flush runs once now reaches sendAt less flushBurst-1 windows. A pass
+	// advances it from its start, and the shell, which can read the clock
+	// again, by the pass's own duration, so that slow passes leave fewer,
+	// fuller flushes. nextTick is when step runs the next tick.
 	flushWanted bool
 	flushHeld   bool
 	sendAt      int64
@@ -109,12 +113,15 @@ func newCore(cfg StoreConfig, inc uint32) (*core, error) {
 		neighbors = append(neighbors, id)
 	}
 	sort.Strings(neighbors)
-	// Only an engine that withholds on a neighbor's word is given the
-	// table of what the neighbors have said.
-	var reach *protocol.Reach
+	// The core keeps the table of what the neighbors have said whatever the
+	// engine; only one that withholds on a neighbor's word is handed it.
+	reach := protocol.NewReach(neighbors)
 	probe := cfg.Factory(protocol.Config{ID: cfg.ID, Neighbors: neighbors, Datatype: cfg.ObjType("")})
-	if rc, ok := probe.(protocol.ReachConsulter); ok && rc.ConsultsReach() {
-		reach = protocol.NewReach(neighbors)
+	rc, ok := probe.(protocol.ReachConsulter)
+	withholds := ok && rc.ConsultsReach()
+	var engineReach *protocol.Reach
+	if withholds {
+		engineReach = reach
 	}
 	factory := protocol.NewPerObject(cfg.Factory, cfg.ObjType)
 	shards := make([]*shard, cfg.Shards)
@@ -122,7 +129,7 @@ func newCore(cfg StoreConfig, inc uint32) (*core, error) {
 		eng := factory(protocol.Config{
 			ID:        cfg.ID,
 			Neighbors: neighbors,
-			Reach:     reach,
+			Reach:     engineReach,
 		})
 		keyed, ok1 := eng.(protocol.KeyedEngine)
 		od, ok2 := eng.(protocol.ObjectDeliverer)
@@ -140,6 +147,7 @@ func newCore(cfg StoreConfig, inc uint32) (*core, error) {
 		links:     make(map[string]*link, len(neighbors)),
 		linkList:  make([]*link, len(neighbors)),
 		reach:     reach,
+		withholds: withholds,
 		repair:    repairTable{timeout: int64(repairTimeout), entries: make([]repairEntry, cfg.Shards)},
 		sendAt:    flushBurst * int64(cfg.SyncEvery/flushesPerTick), // an empty budget
 		nextTick:  int64(cfg.SyncEvery),
@@ -358,7 +366,10 @@ func noReply(string, protocol.Msg) {}
 // flushes and ticks alike — run at eight per SyncEvery on average, one per
 // window of SyncEvery/8. The window bounds the wait of a write that finds
 // the budget spent and the frames a writer that never pauses can cause
-// (eight per peer and period).
+// (eight per peer and period). Forwards the frame's sender delivers itself
+// spend none of it (deliverSharded): on a full mesh of plain delta
+// replicas each write's forwards would ask for two more passes, and the
+// writes would queue behind them.
 const flushesPerTick = 8
 
 // flushBurst is the depth of the flush budget. A store idle for flushBurst
@@ -627,14 +638,10 @@ func (c *core) counters(peers map[string]PeerStats) StoreStats {
 	for i, id := range c.neighbors {
 		ps := st.Peers[id]
 		c.linkList[i].fill(&ps)
-		if c.reach != nil {
-			ps.Reaches = c.reach.Of(id)
-		}
+		ps.Reaches = c.reach.Of(id)
 		st.Peers[id] = ps
 	}
-	if c.reach != nil {
-		st.Withheld = int(c.reach.Withheld())
-	}
+	st.Withheld = int(c.reach.Withheld())
 	return st
 }
 
@@ -767,7 +774,13 @@ func (c *core) deliverSharded(from string, v *codec.FrameView, now int64) bool {
 	if lk != nil && v.Link.Seq.Seq != 0 && v.Dropped == 0 {
 		held = lk.receive(v.Link.Seq, now)
 	}
-	wake := forward && c.requestFlush()
+	// What the frame left unsent asks for a flush only if some of it may be
+	// owed to a neighbor from has not announced it reaches. Each one from
+	// reaches holds what from sent here or is sent it by from, so forwards
+	// to them — every forward of the plain delta engine's on a full mesh —
+	// wait for the next pass this store runs anyway: a write's flush, or
+	// the tick. The acked engine buffers none of them (deltaAcked.owed).
+	wake := forward && !c.reach.Covers(from) && c.requestFlush()
 	c.flush(d.b, nil)
 	// The acknowledgement rides the first data frame toward from that
 	// leaves within its hold — what this frame made this store answer
@@ -909,12 +922,14 @@ func (c *core) gone(from string) { c.setReach(from, nil) }
 // has been applied (TCP order), so from now on matching digests with v
 // prove that v holds it too. Every shard is marked for that comparison
 // (tick, handleDigests); the drill repairs what differs. A store whose
-// engine withholds nothing has nothing to cover for.
+// engine withholds nothing has nothing to cover for: it only let forwards
+// on w's word wait for its next pass, and sent them then.
 func (c *core) setReach(w string, ids []string) {
-	if c.reach == nil {
+	left := c.reach.Set(w, ids)
+	if !c.withholds {
 		return
 	}
-	for _, v := range c.reach.Set(w, ids) {
+	for _, v := range left {
 		c.stats.CatchUpShards += c.links[v].catchUp.all(len(c.shards))
 	}
 }

@@ -211,15 +211,23 @@ type repairTable struct {
 // is refused while any unexpired drill holds the slot. A drill message
 // from peer claims a free slot (a store serving a drill holds its slot
 // too), extends the deadline of one held against peer — a message is
-// progress — and is refused only by a slot held against somebody else.
-// Taking over an expired slot counts a timeout.
+// progress — and takes over one held against a peer whose id orders after
+// peer's. Only a slot held against a peer that orders before it refuses
+// it. Were every other peer refused, three replicas could each hold a
+// shard's slot against the next — s-00 against s-01, s-01 against s-02,
+// s-02 against s-00 — and turn away every message of each other's drills
+// until the slots expired, then rebuild the same ring from advertisements
+// that arrive in step. Under the order, whoever a replica turns away
+// orders after the peer it waits for, and that cannot hold all the way
+// round a ring. The drill given up is left to its peer's expiry. Taking
+// over an expired slot counts a timeout.
 func (r *repairTable) claim(shard int, peer string, now int64, start bool) bool {
 	e := &r.entries[shard]
 	if e.active && now < e.expires {
-		if start || e.peer != peer {
+		if start || peer > e.peer {
 			return false
 		}
-		e.expires = now + r.timeout
+		e.peer, e.expires = peer, now+r.timeout
 		return true
 	}
 	if e.active {

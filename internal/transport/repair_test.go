@@ -234,7 +234,7 @@ func TestTreeRepairConvergence(t *testing.T) {
 }
 
 // startDrillStore is a replica "n0" of GSets under the plain delta engine,
-// ticked by hand, whose two neighbors, "peer" and "other", never answer: a
+// ticked by hand, whose two neighbors, "peer" and "rival", never answer: a
 // store drills with its neighbors only, and what it sends these goes
 // nowhere, so a drill with either stays in flight.
 func startDrillStore(t *testing.T, shards int) *Store {
@@ -242,7 +242,7 @@ func startDrillStore(t *testing.T, shards int) *Store {
 	s, err := StartStore(StoreConfig{
 		ID:         "n0",
 		ListenAddr: "127.0.0.1:0",
-		Peers:      map[string]string{"peer": "127.0.0.1:1", "other": "127.0.0.1:1"},
+		Peers:      map[string]string{"peer": "127.0.0.1:1", "rival": "127.0.0.1:1"},
 		Shards:     shards,
 		Factory:    protocol.NewDeltaBPRR(),
 		ObjType:    func(string) workload.Datatype { return workload.GSetType{} },
@@ -388,8 +388,9 @@ func TestNotifyGroupNoWatcherAllocs(t *testing.T) {
 
 // TestRepairTableSemantics covers the slot table directly, on explicit
 // times: a start claims a free slot and is refused by a held one, a drill
-// message claims or extends only its own peer's, only that peer's word ends
-// the drill, and taking over an expired slot counts a timeout.
+// message claims a free slot, extends its own peer's and takes over one
+// held against a peer that orders after it, only the slot's peer's word
+// ends the drill, and taking over an expired slot counts a timeout.
 func TestRepairTableSemantics(t *testing.T) {
 	const ms, sec = int64(time.Millisecond), int64(time.Second)
 	r := repairTable{timeout: sec, entries: make([]repairEntry, 2)}
@@ -449,17 +450,31 @@ func TestRepairTableSemantics(t *testing.T) {
 	// holds it from then on: the silent peer's drill messages are turned
 	// away, the taker's own extend it.
 	r = repairTable{timeout: sec, entries: make([]repairEntry, 1)}
-	if !r.claim(0, "a", t0, true) || r.claim(0, "b", t0+sec-1, true) {
+	if !r.claim(0, "b", t0, true) || r.claim(0, "a", t0+sec-1, true) {
 		t.Error("a slot expired before its deadline")
 	}
-	if !r.claim(0, "b", t0+sec, true) || r.timeouts != 1 {
+	if !r.claim(0, "a", t0+sec, true) || r.timeouts != 1 {
 		t.Errorf("taking a slot over at its deadline: expired = %d, want 1", r.timeouts)
 	}
-	if r.claim(0, "a", t0+sec+1, false) {
+	if r.claim(0, "b", t0+sec+1, false) {
 		t.Error("the peer whose drill timed out was let back into the slot")
 	}
-	if !r.claim(0, "b", t0+2*sec-1, false) || r.claim(0, "c", t0+3*sec-2, true) || r.timeouts != 1 {
+	if !r.claim(0, "a", t0+2*sec-1, false) || r.claim(0, "c", t0+3*sec-2, true) || r.timeouts != 1 {
 		t.Error("the taker's own message did not extend the slot")
+	}
+	// A slot held against q yields to a drill message from a peer that
+	// orders before q, and no other: no ring of replicas each holding a
+	// slot against the next can turn every drill away. The peer given up
+	// on is turned away from then on, and nothing timed out.
+	r = repairTable{timeout: sec, entries: make([]repairEntry, 1)}
+	if !r.claim(0, "s-01", t0, true) || r.claim(0, "s-02", t0+ms, false) {
+		t.Error("a drill message from a peer ordering after the slot's was let in")
+	}
+	if !r.claim(0, "s-00", t0+2*ms, false) || r.claim(0, "s-01", t0+3*ms, false) || r.timeouts != 0 {
+		t.Errorf("the slot did not pass to the peer ordering first, or took its old peer back (expired = %d)", r.timeouts)
+	}
+	if !r.claim(0, "s-00", t0+sec+ms, false) || r.claim(0, "s-00", t0+sec+2*ms, true) {
+		t.Error("the new peer's messages did not extend the slot it took over")
 	}
 }
 
@@ -519,7 +534,7 @@ func closeFrame(t *testing.T, shard uint32, tm *protocol.TreeMsg, keys ...string
 // TestHandleTreeHostileInputs throws malformed drill messages built
 // directly (bypassing the decoder's bounds checks) at the handlers:
 // nothing may panic, nothing malformed may take a slot or start a round,
-// a busy slot turns other peers' drills away, hostile duplicate wants must
+// a busy slot turns away the drills of peers ordering after its own, hostile duplicate wants must
 // not double-serve, and what a stopping store sends along fits one frame.
 func TestHandleTreeHostileInputs(t *testing.T) {
 	s := startDrillStore(t, 2)
@@ -548,10 +563,11 @@ func TestHandleTreeHostileInputs(t *testing.T) {
 	if got := s.Stats().TreeRounds; got != 1 {
 		t.Errorf("a push naming the root twice started %d rounds, want 1", got)
 	}
-	// The slot is now held against "peer": another peer's drill on the
-	// shard — a push, or a close arriving in a data frame — is turned away.
-	s.locked(func() { s.handleTree("other", bogusPush(0, 0, 0), b, s.now()) })
-	if err := s.deliver("other", closeFrame(t, 0, protocol.NewTreeMsg(0, 0, rootNode, nil))); err != nil {
+	// The slot is now held against "peer": the drill of a peer that orders
+	// after it on the shard — a push, or a close arriving in a data frame —
+	// is turned away.
+	s.locked(func() { s.handleTree("rival", bogusPush(0, 0, 0), b, s.now()) })
+	if err := s.deliver("rival", closeFrame(t, 0, protocol.NewTreeMsg(0, 0, rootNode, nil))); err != nil {
 		t.Fatalf("deliver: %v", err)
 	}
 	if st := s.Stats(); st.DedupedWants != 2 || st.TreeRounds != 1 || st.RepairShards != 0 {
@@ -683,7 +699,8 @@ func weigh(s *Store, keys ...string) int {
 // three replicas costs one drill — a frame per level, alternating ends,
 // then the two closes — which ships that key's state one way, the stopping
 // side's few neighbours of it the other, and no state the two already
-// agreed on back.
+// agreed on back. The repaired replica's forward of the key rides its next
+// pass rather than asking for one.
 func TestDrillOneMissingKey(t *testing.T) {
 	const shared = 400
 	missing := keyInNode("m", shared, true)
@@ -701,8 +718,8 @@ func TestDrillOneMissingKey(t *testing.T) {
 			return s2.Get(missing) != nil && !slotHeld(s2) && !slotHeld(s0)
 		})
 		after := s.total()
-		if got := after.Frames - base.Frames; got != 2+4+1 {
-			s.fatalf("the repair took %d frames, want 7: two advertisements, two hash pushes, two closes, and s-02 passing the key on to s-01, which BP cannot know has it", got)
+		if got := after.Frames - base.Frames; got != 2+4 {
+			s.fatalf("the repair took %d frames, want 6: two advertisements, two hash pushes and two closes; s-02's forward of the key to s-01 waits for its next pass, since s-00, whose answer brought the key, reaches s-01", got)
 		}
 		if got := after.TreeRounds - base.TreeRounds; got != 3 {
 			s.fatalf("TreeRounds = %d, want 3: level 1, level 2, close", got)

@@ -46,8 +46,8 @@ type StoreConfig struct {
 	// of the sync tick. The tick is the maximum delay of a write, the
 	// heartbeat, the clock DigestEvery counts and the clock the acked
 	// engine's retransmissions back off in. A write does not wait for
-	// it: an Update (or a delivery that leaves something to forward)
-	// triggers a flush of what has never been sent, which spends the flush
+	// it: an Update (or a delivery that leaves something to forward to a
+	// neighbor the frame's sender does not reach) triggers a flush of what has never been sent, which spends the flush
 	// budget — so the period is also the batching budget: flushes and
 	// ticks run at eight per period on average, up to four saved while the
 	// store is idle leave back to back, and a request that finds the
@@ -115,10 +115,14 @@ type StoreStats struct {
 	// hellos alone, and the message — counted at enqueue time as well.
 	WireBytes int
 	// WriteFlushes counts the first-transmission passes that ran between
-	// ticks because a write (or a delivery with something to forward)
-	// asked for one. With the ticks they run at eight per SyncEvery on
-	// average, and at most eleven of them run in any one SyncEvery: eight,
-	// plus three more of the four a quiet store saves up.
+	// ticks because a write asked for one, or a delivery with something to
+	// forward to a neighbor the frame's sender has not announced it
+	// reaches. A forward to a neighbor it reaches rides the next pass: on a
+	// lossless full mesh of plain delta replicas a write causes one flush,
+	// not one at its writer and one at each receiver. With the ticks they
+	// run at eight per SyncEvery on average, and at most eleven of them run
+	// in any one SyncEvery: eight, plus three more of the four a quiet store
+	// saves up.
 	WriteFlushes int
 	// Retransmits counts δ-buffer entries the acked engine sent again
 	// because a full tick (then 2, 4, … ticks) went by without every

@@ -162,7 +162,8 @@ func newCore(cfg StoreConfig, inc uint32) (*core, error) {
 }
 
 // shard is one partition of the keyspace: a per-object engine, and the
-// flags and hashes the core keeps about it.
+// content digest the core keeps of it. What a pass has to visit and whether
+// the digest is current the engine itself says (Unsent, Waiting, Stale).
 //
 // mu is for the readers of the keyspace (Get, View, Query, Scan, Keys,
 // NumKeys, Memory), which never take core.mu: a read never waits behind a
@@ -180,44 +181,15 @@ type shard struct {
 	// the hot paths.
 	od protocol.ObjectDeliverer
 	fl protocol.Flusher
-	// unsent marks a shard a flush must visit: a local update or an
-	// inbound delivery has left its engine something never sent.
-	// dirty marks a shard a tick must visit: that, or objects still
-	// waiting (for acks, so that the tick can decide to send again).
-	unsent, dirty bool
 	// digest is this shard's content digest: the XOR of the content hashes
-	// its engine keeps per key (keyHash), as of the last rehash. It is
-	// current while digestOK — until the engine next has a stale key.
-	digest   uint64
-	digestOK bool
-	// leaf is the Merkle leaf-hash vector drills read, nil unless one has
-	// folded it since the last mutation (see ensureLeaves).
-	leaf *leafVec
-}
-
-// touched flags the shard for the passes its engine now needs and, if a
-// key's state may have changed, marks the digest out of date and drops the
-// leaf vector; callers have just changed the engine. It reports whether a
-// flush has something to ship.
-func (sh *shard) touched() bool {
-	if sh.engine.Stale() {
-		sh.digestOK = false
-		sh.leaf = nil
-	}
-	if sh.fl.Waiting() {
-		sh.dirty = true
-	}
-	if !sh.fl.Unsent() {
-		return false
-	}
-	sh.unsent = true
-	return true
+	// its engine keeps per key (keyHash), as of the last rehash — current
+	// until the engine next has a stale key.
+	digest uint64
 }
 
 // pass runs one flush (first transmissions) or tick (Sync) over the
-// shard's engine and re-derives the flags.
+// shard's engine.
 func (sh *shard) pass(tick bool, send protocol.Sender) {
-	sh.unsent = false
 	sh.mu.Lock()
 	if tick {
 		sh.engine.Sync(send)
@@ -225,15 +197,17 @@ func (sh *shard) pass(tick bool, send protocol.Sender) {
 		sh.fl.Flush(send)
 	}
 	sh.mu.Unlock()
-	sh.dirty = sh.fl.Waiting()
 }
 
-// due reports whether the given kind of pass has to visit the shard.
+// due reports whether the given kind of pass has to visit the shard: a tick
+// one whose engine has objects waiting — to be sent, or for acks, so that
+// the tick can decide to send again — a flush one with something never
+// sent.
 func (sh *shard) due(tick bool) bool {
 	if tick {
-		return sh.dirty
+		return sh.fl.Waiting()
 	}
-	return sh.unsent
+	return sh.fl.Unsent()
 }
 
 // shardOf returns the shard key routes to (protocol.ShardOf): the one a
@@ -250,7 +224,7 @@ func (c *core) update(op workload.Op) bool {
 	sh.mu.Lock()
 	sh.engine.LocalOp(op)
 	sh.mu.Unlock()
-	wake := sh.touched() && c.requestFlush()
+	wake := sh.fl.Unsent() && c.requestFlush()
 	if len(c.watchers) > 0 {
 		c.notifyWatchers(op.Key)
 	}
@@ -273,7 +247,7 @@ func (c *core) requestFlush() bool {
 // own inverse), so a digest costs what changed, not what the shard holds,
 // and nothing on an idle keyspace.
 func (sh *shard) rehash() uint64 {
-	if sh.digestOK {
+	if !sh.engine.Stale() {
 		return sh.digest
 	}
 	var enc []byte
@@ -286,7 +260,7 @@ func (sh *shard) rehash() uint64 {
 		*hash = h
 	})
 	sh.mu.Unlock()
-	sh.digest, sh.digestOK = d, true
+	sh.digest = d
 	return d
 }
 
@@ -357,9 +331,9 @@ func (d *scratch) release() {
 
 // noReply is the Sender a delivery is handed: neither store engine answers
 // one — an acked engine's acknowledgement is the link's (link.go). The one
-// answer either has, an AckMsg to a δ-group that spells out its entry seqs
-// (the per-object form, older than the link header, which a peer may still
-// put in a frame), has no wire form and ends here.
+// message an engine answers, an AckedDeltaMsg that spells out its entry
+// seqs, never reaches one: a keyed item unpacks as a DeltaMsg, and
+// deliverSharded drops every bare item but a drill's TreeMsg.
 func noReply(string, protocol.Msg) {}
 
 // flushesPerTick is the rate of the flush budget: passes — write-triggered
@@ -750,7 +724,7 @@ func (c *core) deliverSharded(from string, v *codec.FrameView, now int64) bool {
 			sh.od.DeliverObject(from, iv.Key, m, noReply)
 		}
 		sh.mu.Unlock()
-		forward = sh.touched() || forward
+		forward = forward || sh.fl.Unsent()
 		// A close that names ranges asks for this store's side of them; one
 		// that names nothing says the drill with its sender is over.
 		if closeMsg != nil && len(closeMsg.Nodes) > 0 {

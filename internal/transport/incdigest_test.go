@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -16,18 +17,25 @@ import (
 	"crdtsync/internal/workload"
 )
 
-// scratchDigest recomputes one shard's digest and leaf vector from its
-// objects alone, ignoring every cached hash.
-func scratchDigest(sh *shard) (digest uint64, leaves leafVec) {
+// scratchDigest recomputes one shard's digest and the hashes of its tree
+// from its objects alone, ignoring every cached hash: nodes[level] holds
+// every node of the level in index order, each the XOR of its keys'
+// content hashes, the leaves at protocol.TreeDepth.
+func scratchDigest(sh *shard) (digest uint64, nodes [protocol.TreeDepth + 1][]uint64) {
+	for level := range nodes {
+		nodes[level] = make([]uint64, protocol.TreeNodesAt(level))
+	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.engine.Scan("", func(k string, st lattice.State) bool {
 		h := keyHash(k, codec.AppendState(nil, st))
 		digest ^= h
-		leaves[protocol.TreeLeafOf(k)] ^= h
+		for level := range nodes {
+			nodes[level][protocol.TreeLeafOf(k)/protocol.TreeLeafSpan(level)] ^= h
+		}
 		return true
 	})
-	return digest, leaves
+	return digest, nodes
 }
 
 // shardDigest returns sh's content digest, brought up to date under the
@@ -37,26 +45,39 @@ func (s *Store) shardDigest(sh *shard) (d uint64) {
 	return d
 }
 
-// leaves returns sh's leaf vector, folded under the core's lock.
-func (s *Store) leaves(sh *shard) (l leafVec) {
-	s.locked(func() {
-		sh.ensureLeaves()
-		l = *sh.leaf
-	})
-	return l
+// childHashes returns what a push from sh at level carries when it names
+// every node of the level: the hashes of every node a level down, in index
+// order.
+func (s *Store) childHashes(sh *shard, level int) (h []uint64) {
+	nodes := make([]uint32, protocol.TreeNodesAt(level))
+	for i := range nodes {
+		nodes[i] = uint32(i)
+	}
+	s.locked(func() { h = sh.childHashes(level, nodes) })
+	return h
 }
 
-// checkDigests compares every shard's incremental digest and leaf vector
-// with the recompute from scratch.
+// checkDigests compares every shard's incremental digest, and its child
+// hashes at every level a push is made from, with the recompute from
+// scratch; the hashes a push from the root carries add up to the digest.
 func checkDigests(t *testing.T, s *Store, step string) {
 	t.Helper()
 	for i, sh := range s.shards {
-		want, wantLeaves := scratchDigest(sh)
+		want, wantNodes := scratchDigest(sh)
 		if got := s.shardDigest(sh); got != want {
 			t.Fatalf("%s: shard %d digest %#x, from scratch %#x", step, i, got, want)
 		}
-		if got := s.leaves(sh); got != wantLeaves {
-			t.Fatalf("%s: shard %d leaf vector differs from the recompute", step, i)
+		for level := 0; level < protocol.TreeDepth; level++ {
+			if got := s.childHashes(sh, level); !slices.Equal(got, wantNodes[level+1]) {
+				t.Fatalf("%s: shard %d: the child hashes of level %d differ from the recompute", step, i, level)
+			}
+		}
+		sum := uint64(0)
+		for _, h := range s.childHashes(sh, 0) {
+			sum ^= h
+		}
+		if sum != want {
+			t.Fatalf("%s: shard %d: the root's child hashes XOR to %#x, the digest is %#x", step, i, sum, want)
 		}
 	}
 }
@@ -65,9 +86,10 @@ func checkDigests(t *testing.T, s *Store, step string) {
 // every way a key's state changes or seems to — Update, a delivered frame
 // of δ-groups (fresh, redundant, for new keys), acknowledgements, a
 // restored record, the range merge that closes a drill — and after every
-// step holds the incremental shard digests and every leaf against a
-// recompute from scratch. Digests are asked for at random points too, so
-// stale sets of every size get folded in.
+// step holds the incremental shard digests and the child hashes a push
+// carries at every level against a recompute from scratch. Digests are
+// asked for at random points too, so stale sets of every size get folded
+// in.
 func TestIncrementalDigestMatchesRecompute(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		for name, factory := range map[string]protocol.Factory{
@@ -106,7 +128,6 @@ func TestIncrementalDigestMatchesRecompute(t *testing.T) {
 					sh := s.shardOf(k)
 					sh.mu.Lock()
 					sh.od.DeliverObject("peer", []byte(k), &protocol.AckMsg{Seqs: []uint64{uint64(rng.Intn(5))}}, func(string, protocol.Msg) {})
-					sh.touched()
 					sh.mu.Unlock()
 				case 4:
 					what = "restore"
@@ -114,7 +135,6 @@ func TestIncrementalDigestMatchesRecompute(t *testing.T) {
 					sh := s.shardOf(k)
 					sh.mu.Lock()
 					sh.engine.(protocol.ObjectRestorer).RestoreObject(k, crdt.NewGSet("r", fmt.Sprintf("e%d", rng.Intn(6))))
-					sh.touched()
 					sh.mu.Unlock()
 				case 5:
 					what = "close"
@@ -208,9 +228,9 @@ func TestSwappedStatesChangeDigestAndLeaf(t *testing.T) {
 		if dx, dy := x.Digest(), y.Digest(); dx == dy {
 			t.Errorf("pair %d (%s, %s): swapped states, equal store digests %#x", pair, ka, kb, dx)
 		}
-		_, lx := scratchDigest(x.shards[0])
-		_, ly := scratchDigest(y.shards[0])
-		if leaf := protocol.TreeLeafOf(ka); lx[leaf] == ly[leaf] {
+		_, nx := scratchDigest(x.shards[0])
+		_, ny := scratchDigest(y.shards[0])
+		if leaf := protocol.TreeLeafOf(ka); nx[protocol.TreeDepth][leaf] == ny[protocol.TreeDepth][leaf] {
 			t.Errorf("pair %d (%s, %s): swapped states, equal leaf %d", pair, ka, kb, leaf)
 		}
 		checkDigests(t, x, "x")
@@ -240,7 +260,7 @@ func TestDigestAfterOneWriteCostsOneKey(t *testing.T) {
 		stale, visited := 0, 0
 		s.locked(func() {
 			for _, sh := range s.shards {
-				if !sh.digestOK {
+				if sh.engine.Stale() {
 					stale++
 				}
 			}

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/binary"
 	"time"
 
 	"crdtsync/internal/codec"
@@ -86,18 +85,19 @@ func validNodes(level int, nodes []uint32, leaves *treeBitmap) []uint32 {
 }
 
 // keyHash is one key's content hash: an FNV-1a fold over (key bytes,
-// canonical encoding), passed through a 64-bit finalizer. A shard's digest
-// and its tree leaves combine these by XOR (an empty shard or leaf is 0)
-// — order-independent and updatable one key at a time, the incremental
-// hashing of Bellare and Micciancio — and a commutative combination needs
-// the finalizer. The bare fold ends in (h ^ lastByte) * prime, so for two
-// keys whose encodings differ only in their last byte (counters holding 2
-// and 3) swapping the states moves each key's hash by ±prime: summed, the
-// moves cancel for one pair of keys in two, and XORed still for one of
-// the 64 pairs TestSwappedStatesChangeDigestAndLeaf tries — two replicas
-// that differ and advertise the same digest.
-// Hashes are only ever compared between replicas running the same code,
-// so the scheme is free to change between versions.
+// canonical encoding), passed through a 64-bit finalizer. Every node of a
+// shard's tree is the XOR of its keys' hashes, and the root is the shard's
+// digest (an empty node is 0): order-independent and updatable one key at
+// a time, the incremental hashing of Bellare and Micciancio. A commutative
+// combination needs the finalizer. The bare fold ends in
+// (h ^ lastByte) * prime, so for two keys whose encodings differ only in
+// their last byte (counters holding 2 and 3) swapping the states moves
+// each key's hash by ±prime: summed, the moves cancel for one pair of keys
+// in two, and XORed still for one of the 64 pairs
+// TestSwappedStatesChangeDigestAndLeaf tries — two replicas that differ
+// and advertise the same digest. Hashes are only ever compared between
+// replicas running the same code, so the scheme is free to change between
+// versions.
 func keyHash(k string, enc []byte) uint64 {
 	h := fnvFold(fnvFoldString(fnvOffset64, k), enc)
 	h ^= h >> 33 // MurmurHash3's fmix64
@@ -108,46 +108,28 @@ func keyHash(k string, enc []byte) uint64 {
 	return h
 }
 
-// leafVec is one shard's leaf-hash vector. 32 KB: a shard holds one only
-// from the drill that folds it to the next mutation or the drill's end, so
-// the heap carries as many as there are drills under way.
-type leafVec [protocol.TreeLeaves]uint64
-
-// ensureLeaves folds the keys' content hashes, brought up to date, into
-// the shard's leaf-hash vector, unless the one it holds is still valid.
-func (sh *shard) ensureLeaves() {
-	if sh.leaf != nil {
-		return
-	}
+// childHashes returns the shard's hashes of the children of nodes — valid
+// indices at level, each listed once — TreeFanout per node in child order,
+// as a hash push carries them. A node's hash, at every level, is the XOR of
+// its keys' content hashes, as the shard's digest (the root's) is: one pass
+// over the hashes the engine keeps, brought up to date, yields every child
+// of every node, and nothing is kept between pushes.
+func (sh *shard) childHashes(level int, nodes []uint32) []uint64 {
 	sh.rehash()
-	leaf := new(leafVec)
-	sh.engine.Hashes(func(k string, hash uint64) { leaf[protocol.TreeLeafOf(k)] ^= hash })
-	sh.leaf = leaf
-}
-
-// treeNodeHash folds a node's leaf range into one interior hash:
-// FNV-1a over the big-endian words of its leaves. At the leaf level the
-// range has one element and the hash is the leaf itself.
-func treeNodeHash(leaves []uint64) uint64 {
-	if len(leaves) == 1 {
-		return leaves[0]
+	// slot holds, by node index, the node's place in nodes plus one.
+	slot := make([]uint16, protocol.TreeNodesAt(level))
+	for i, idx := range nodes {
+		slot[idx] = uint16(i + 1)
 	}
-	h := uint64(fnvOffset64)
-	var w [8]byte
-	for _, l := range leaves {
-		binary.BigEndian.PutUint64(w[:], l)
-		h = fnvFold(h, w[:])
-	}
-	return h
-}
-
-// childHash is the shard's hash of one child of a node at level (an index
-// already validated against the level's node count), from the leaf vector
-// ensureLeaves folded.
-func (sh *shard) childHash(level int, node uint32, child int) uint64 {
-	span := protocol.TreeLeafSpan(level + 1)
-	lo := (node<<protocol.TreeFanoutBits + uint32(child)) * span
-	return treeNodeHash(sh.leaf[lo : lo+span])
+	hashes := make([]uint64, protocol.TreeFanout*len(nodes))
+	shift := protocol.TreeFanoutBits * (protocol.TreeDepth - level - 1)
+	sh.engine.Hashes(func(k string, hash uint64) {
+		child := protocol.TreeLeafOf(k) >> shift
+		if i := slot[child>>protocol.TreeFanoutBits]; i != 0 {
+			hashes[int(i-1)<<protocol.TreeFanoutBits|int(child&(protocol.TreeFanout-1))] ^= hash
+		}
+	})
+	return hashes
 }
 
 // noBudget makes rangeKeys list the keys without weighing them.
@@ -245,13 +227,10 @@ func (r *repairTable) clearFrom(shard int, peer string) {
 	}
 }
 
-// clear releases the shard's slot unconditionally — called when the
-// shard's digests match again, however that happened — and reports
-// whether a drill held it.
-func (r *repairTable) clear(shard int) bool {
-	held := r.entries[shard].active
+// clear releases the shard's slot unconditionally: the shard's digests
+// match again, however that happened.
+func (r *repairTable) clear(shard int) {
 	r.entries[shard] = repairEntry{}
-	return held
 }
 
 // catchUp is what is left to compare with one neighbor after another
@@ -319,9 +298,7 @@ func (c *core) handleDigests(from string, digests []uint64, b *outBatch, now int
 			if cu != nil {
 				cu.done(i)
 			}
-			if c.repair.clear(i) {
-				sh.leaf = nil
-			}
+			c.repair.clear(i)
 			continue
 		}
 		if !c.repair.claim(i, from, now, true) {
@@ -358,20 +335,23 @@ func (c *core) handleTree(from string, tm *protocol.TreeMsg, b *outBatch, now in
 		c.stats.DedupedWants++ // this shard is busy with another peer's drill
 		return
 	}
+	// Each node once, and none the tree does not have.
 	maxNode := uint32(protocol.TreeNodesAt(level))
 	var seen treeBitmap
-	var diff []uint32
-	sh := c.shards[tm.Shard]
-	sh.ensureLeaves()
+	var nodes []uint32
+	var theirs []uint64
 	for i, idx := range tm.Nodes {
-		if idx >= maxNode || seen.has(idx) {
-			continue // each node once, and none the tree does not have
+		if idx < maxNode && !seen.has(idx) {
+			seen.set(idx)
+			nodes = append(nodes, idx)
+			theirs = append(theirs, tm.Hashes[i*protocol.TreeFanout:(i+1)*protocol.TreeFanout]...)
 		}
-		seen.set(idx)
-		for c, theirs := range tm.Hashes[i*protocol.TreeFanout : (i+1)*protocol.TreeFanout] {
-			if sh.childHash(level, idx, c) != theirs {
-				diff = append(diff, idx<<protocol.TreeFanoutBits+uint32(c))
-			}
+	}
+	sh := c.shards[tm.Shard]
+	var diff []uint32
+	for i, h := range sh.childHashes(level, nodes) {
+		if h != theirs[i] {
+			diff = append(diff, nodes[i/protocol.TreeFanout]<<protocol.TreeFanoutBits+uint32(i%protocol.TreeFanout))
 		}
 	}
 	if len(diff) == 0 {
@@ -379,7 +359,6 @@ func (c *core) handleTree(from string, tm *protocol.TreeMsg, b *outBatch, now in
 		// other way, and the drill ends here. Saying so frees the peer's
 		// slot at once; left to the next matching digest it would turn
 		// other replicas' drills on the shard away until then.
-		sh.leaf = nil
 		c.repair.clearFrom(int(tm.Shard), from)
 		b.add(tm.Shard, from, protocol.NewTreeMsg(tm.Shard, tm.Level, nil, nil))
 		return
@@ -402,23 +381,13 @@ func (c *core) continueDrill(peer string, shardIdx uint32, level int, nodes []ui
 	}
 	sh := c.shards[shardIdx]
 	objs, stop := sh.rangeKeys(&leaves, budget)
-	var hashes []uint64
-	if !stop {
-		sh.ensureLeaves()
-		hashes = make([]uint64, 0, protocol.TreeFanout*len(nodes))
-		for _, idx := range nodes {
-			for c := 0; c < protocol.TreeFanout; c++ {
-				hashes = append(hashes, sh.childHash(level, idx, c))
-			}
-		}
-	}
 	if level == 0 && stop {
 		c.stats.WantShards++
 	} else {
 		c.stats.TreeRounds++
 	}
 	if !stop {
-		c.transmitMsg(peer, protocol.NewTreeMsg(shardIdx, uint8(level), nodes, hashes), frameDigest)
+		c.transmitMsg(peer, protocol.NewTreeMsg(shardIdx, uint8(level), nodes, sh.childHashes(level, nodes)), frameDigest)
 		return
 	}
 	c.shipRange(peer, shardIdx, level, nodes, objs, nil, b)
@@ -452,7 +421,6 @@ func (c *core) answerClose(from string, tm *protocol.TreeMsg, g codec.ItemGroup,
 	}
 	sh := c.shards[g.Shard]
 	objs, _ := sh.rangeKeys(&leaves, noBudget)
-	sh.leaf = nil // the drill is over
 	shipped := c.shipRange(from, g.Shard, level, nil, objs, theirs, b)
 	c.repair.clearFrom(int(g.Shard), from)
 	switch {

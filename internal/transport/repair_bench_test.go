@@ -1,8 +1,9 @@
 package transport
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
-	"time"
 
 	"crdtsync/internal/protocol"
 	"crdtsync/internal/workload"
@@ -20,61 +21,45 @@ type repairMeasurement struct {
 	RepairPayloadBytes int
 }
 
-// measureRepair stages two stores that agree on keys single-shard
-// GSet objects, diverges exactly one key on the first through a black
-// hole, heals, and measures the wire cost of repairing it — by the drill
-// an advertisement starts or (flat) by the same exchange closed at the
-// root with nothing sent along: the second store asks for the first's
-// whole shard, which is what repair costs without the tree.
+// measureRepair stages, on the scheduler, two replicas that hold the same
+// keys set objects in their one shard, and one more key on s-00 alone, its
+// δ-groups lost to a black hole; then it measures the wire cost of
+// repairing that key, up to the oracle's convergence — by the drill s-00's
+// advertisement starts or (flat) by the same exchange closed at the root
+// with nothing sent along: s-01 asks for s-00's whole shard, which is what
+// repair costs without the tree.
 func measureRepair(t *testing.T, keys int, flat bool) repairMeasurement {
 	t.Helper()
-	f0, f1 := NewFault(11), NewFault(12)
-	f0.SetDropRate(1)
-	f1.SetDropRate(1)
-	stores := startFaultyPair(t, repairPairConfig(), [2]*Fault{f0, f1})
-	s0, s1 := stores[0], stores[1]
-
-	loadIdentical(stores, keys)
-	drainInto(t, s0)
-	drainInto(t, s1)
-	s0.Update(workload.Add("k-diverged", "v"))
-	drainInto(t, s0)
-	if got := s1.NumKeys(); got != keys {
-		t.Fatalf("black hole leaked: s1 holds %d keys, want %d", got, keys)
+	s := drillMesh(t, 1, 2, keys, func(s *sim) { s.Update(0, workload.Add("s/k-diverged", "v")) })
+	s0, s1 := s.nodes[0], s.nodes[1]
+	if got := s1.st.NumKeys(); got != keys {
+		s.fatalf("black hole leaked: s-01 holds %d keys, want %d", got, keys)
 	}
-
-	f0.SetDropRate(0)
-	f1.SetDropRate(0)
-	base0, base1 := s0.Stats(), s1.Stats()
+	base := s.total()
 	if flat {
 		b := newOutBatch()
-		s1.locked(func() {
-			s1.shipRange(s0.ID(), 0, 0, rootNode, nil, nil, b)
-			s1.flush(b, nil)
-		})
+		s1.shipRange(s0.cfg.ID, 0, 0, rootNode, nil, nil, b)
+		s1.flush(b, nil)
 	} else {
-		s0.SyncNow()
+		s.advertise(0)
 	}
-	waitPairConverged(t, stores, keys+1, 5*time.Minute)
-	st0, st1 := s0.Stats(), s1.Stats()
+	s.converge(simSettlePeriods)
+	st := s.total()
 	return repairMeasurement{
 		Keys:               keys,
-		WireBytes:          (st0.WireBytes - base0.WireBytes) + (st1.WireBytes - base1.WireBytes),
-		TreeRounds:         (st0.TreeRounds - base0.TreeRounds) + (st1.TreeRounds - base1.TreeRounds),
-		RepairPayloadBytes: (st0.RepairBytes - base0.RepairBytes) + (st1.RepairBytes - base1.RepairBytes),
+		WireBytes:          st.WireBytes - base.WireBytes,
+		TreeRounds:         st.TreeRounds - base.TreeRounds,
+		RepairPayloadBytes: st.RepairBytes - base.RepairBytes,
 	}
 }
 
 // TestRepairBytesProportionalToDivergence is the pinned guarantee of
 // the Merkle drill-down: repairing one diverged key in a large shard
 // costs O(log n) hash exchange plus one key's payload, at least 100x
-// below the flat anti-entropy's full-shard ship. The shard here is kept
-// to tens of thousands of keys so the pin runs in the ordinary test
-// suite.
+// below the flat anti-entropy's full-shard ship. On the scheduler the
+// 40 000-key shard costs well under a second, so the pin runs under -short
+// too.
 func TestRepairBytesProportionalToDivergence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("repair ratio pin stages ~50k-key stores; skipped under -short")
-	}
 	const keys = 40000
 	tree := measureRepair(t, keys, false)
 	flat := measureRepair(t, keys, true)
@@ -90,3 +75,37 @@ func TestRepairBytesProportionalToDivergence(t *testing.T) {
 		t.Errorf("TreeRounds = %d, want at most one per level and the close", tree.TreeRounds)
 	}
 }
+
+// drillPushKeys is about what one shard of bench's repair workload
+// holds: 21 000 keys over 64 shards.
+const drillPushKeys = 330
+
+// BenchmarkDrillPush times the hashes of a level-0 push — the shard's 16
+// children, from one pass over the hashes its engine keeps — on a shard of
+// drillPushKeys keys, and fails if a push allocates more than 4 KB: it
+// allocates its 16 hashes and a few words of bookkeeping, where a 32 KB
+// leaf vector folded per drill would show at once.
+func BenchmarkDrillPush(b *testing.B) {
+	c, err := newCore(StoreConfig{ID: "n0", Shards: 1, Factory: protocol.NewDeltaBPRR(), ObjType: simObjType}.withDefaults(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < drillPushKeys; i++ {
+		c.update(workload.Add(fmt.Sprintf("s/k%04d", i), "v"))
+	}
+	sh := c.shards[0]
+	sh.rehash()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		drillPushSink = sh.childHashes(0, rootNode)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / uint64(b.N); per > 4<<10 {
+		b.Fatalf("a level-0 push allocates %d B, want at most 4 KB", per)
+	}
+}
+
+var drillPushSink []uint64

@@ -2,7 +2,7 @@ package transport
 
 import (
 	"fmt"
-	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,54 +11,6 @@ import (
 	"crdtsync/internal/protocol"
 	"crdtsync/internal/workload"
 )
-
-// startFaultyPair starts two real stores wired through per-store fault
-// injectors (either may be nil), with manual ticks and per-tick digest
-// advertisements — the repair tests' standard rig. The returned stores
-// are s[0] ("r-00") and s[1] ("r-01").
-func startFaultyPair(t *testing.T, template StoreConfig, faults [2]*Fault) [2]*Store {
-	t.Helper()
-	ids := [2]string{"r-00", "r-01"}
-	var addrs [2]string
-	var listeners [2]net.Listener
-	for i := range ids {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	var stores [2]*Store
-	for i := range stores {
-		cfg := template
-		cfg.ID = ids[i]
-		cfg.Listener = listeners[i]
-		cfg.Peers = map[string]string{ids[1-i]: addrs[1-i]}
-		if faults[i] != nil {
-			cfg.Dial = faults[i].Dialer(nil)
-		}
-		st, err := StartStore(cfg)
-		if err != nil {
-			t.Fatalf("start %s: %v", ids[i], err)
-		}
-		stores[i] = st
-		t.Cleanup(func() { st.Close() })
-	}
-	return stores
-}
-
-// repairPairConfig is the template the repair tests share: one shard so
-// every key is in the diverged shard, manual ticks, digests every tick.
-func repairPairConfig() StoreConfig {
-	return StoreConfig{
-		Shards:      1,
-		Factory:     protocol.NewDeltaBPRR(),
-		ObjType:     func(string) workload.Datatype { return workload.GSetType{} },
-		SyncEvery:   time.Hour, // ticks driven manually
-		DigestEvery: 1,
-	}
-}
 
 // loadIdentical applies the same GSet adds to both stores directly, so
 // their states — and digests — are identical without any wire traffic.
@@ -95,15 +47,6 @@ func drainInto(t *testing.T, s *Store) {
 	}
 }
 
-// waitPairConverged polls until both stores hold wantKeys keys with
-// equal digests.
-func waitPairConverged(t *testing.T, stores [2]*Store, wantKeys int, timeout time.Duration) {
-	t.Helper()
-	if err := WaitConverged(stores[:], wantKeys, timeout, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // drillConfig is the drill scenarios' replica: one shard, so every key is
 // in the diverged shard, of the plain delta engine on the prefix schema,
 // with no digest schedule: each advertisement is one the scenario sends
@@ -128,7 +71,6 @@ func drillMesh(t *testing.T, seed int64, n, shared int, stage func(s *sim)) *sim
 		for _, node := range s.nodes {
 			sh := node.shardOf(key)
 			sh.engine.(protocol.ObjectRestorer).RestoreObject(key, crdt.NewGSet("v"))
-			sh.touched()
 		}
 		s.ref[key] = crdt.NewGSet("v")
 	}
@@ -439,9 +381,7 @@ func TestRepairTableSemantics(t *testing.T) {
 	if got := r.timeouts; got != 2 {
 		t.Errorf("expired = %d after two takeovers, want 2", got)
 	}
-	if !r.clear(1) || r.clear(1) {
-		t.Error("clear must report exactly the held slot")
-	}
+	r.clear(1)
 	if !r.claim(1, "f", t0+10*sec, true) || r.timeouts != 2 {
 		t.Errorf("a cleared slot was counted as a timeout (expired = %d)", r.timeouts)
 	}
@@ -480,9 +420,9 @@ func TestRepairTableSemantics(t *testing.T) {
 
 // TestTreeLeafHashesMatchAcrossReplicas pins the canonical-hash
 // discipline the drill depends on: two stores holding the same keys in
-// the same states compute identical leaf vectors, and a one-key
-// difference shows up in exactly that key's leaf. A mutation hands the
-// vector back.
+// the same states push identical hashes at every level, each the XOR
+// recomputed from scratch, and a one-key difference shows up in exactly
+// the one child, at each level, whose range holds the key.
 func TestTreeLeafHashesMatchAcrossReplicas(t *testing.T) {
 	a := startSoloStore(t, 1)
 	b := startSoloStore(t, 1)
@@ -491,22 +431,24 @@ func TestTreeLeafHashesMatchAcrossReplicas(t *testing.T) {
 		a.Update(op)
 		b.Update(op)
 	}
-	leavesOf := func(s *Store) leafVec { return s.leaves(s.shards[0]) }
-	la, lb := leavesOf(a), leavesOf(b)
-	if la != lb {
-		t.Fatal("leaf vectors differ on identical stores")
+	var before [protocol.TreeDepth][]uint64
+	for level := range before {
+		ha, hb := a.childHashes(a.shards[0], level), b.childHashes(b.shards[0], level)
+		if !slices.Equal(ha, hb) {
+			t.Fatalf("level %d: child hashes differ on identical stores", level)
+		}
+		before[level] = hb
 	}
+	checkDigests(t, a, "a")
 	b.Update(workload.Add("extra", "v"))
-	var kept bool
-	b.locked(func() { kept = b.shards[0].leaf != nil })
-	if kept {
-		t.Error("a mutated shard kept its leaf vector")
-	}
-	lb2 := leavesOf(b)
-	want := protocol.TreeLeafOf("extra")
-	for i := range lb2 {
-		if (lb2[i] != lb[i]) != (uint32(i) == want) {
-			t.Fatalf("one-key change altered leaf %d (expected only %d)", i, want)
+	checkDigests(t, b, "b")
+	leaf := protocol.TreeLeafOf("extra")
+	for level, hb := range before {
+		want := leaf / protocol.TreeLeafSpan(level+1)
+		for i, h := range b.childHashes(b.shards[0], level) {
+			if (h != hb[i]) != (uint32(i) == want) {
+				t.Fatalf("level %d: one-key change altered child %d (expected only %d)", level, i, want)
+			}
 		}
 	}
 }

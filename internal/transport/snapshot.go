@@ -181,7 +181,6 @@ func (s *Store) restoreSnapshots() {
 				sh.mu.Lock()
 				or.RestoreObject(r.key, r.st)
 				sh.mu.Unlock()
-				sh.touched()
 			}
 		}
 		s.stats.SnapshotRestoredKeys += len(recs)

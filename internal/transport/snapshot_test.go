@@ -356,8 +356,14 @@ func measureStaleRepair(t *testing.T, stale int) (repairBytes, fullBytes int) {
 	}
 	dir := t.TempDir()
 	start := func(i int, ln net.Listener) *Store {
-		cfg := repairPairConfig()
-		cfg.ID = ids[i]
+		cfg := StoreConfig{
+			ID:          ids[i],
+			Shards:      1,
+			Factory:     protocol.NewDeltaBPRR(),
+			ObjType:     func(string) workload.Datatype { return workload.GSetType{} },
+			SyncEvery:   time.Hour, // ticks driven manually
+			DigestEvery: 1,
+		}
 		cfg.Listener = ln
 		cfg.Peers = map[string]string{ids[1-i]: addrs[1-i]}
 		cfg.Dial = faults[i].Dialer(nil)

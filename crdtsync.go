@@ -174,9 +174,11 @@ func WithShards(n int) Option { return func(o *options) { o.cfg.Shards = n } }
 // neighbor's connection ends, or it names fewer peers) the store compares
 // digests with whoever was dropped, whatever WithDigestEvery says, until
 // they match. EngineDelta never sends anything twice, so a forward is its
-// only redundancy under loss: it takes no notice of announcements,
-// forwards as Algorithm 1 does and runs no such comparison. Both refuse a
-// connection whose hello names another shard count.
+// only redundancy under loss: it takes no notice of announcements and runs
+// no such comparison. Both engines forward as Algorithm 1 does, with one
+// more rule: a neighbor whose own δ-group covered a buffered one is not
+// sent it, since it holds what it sent. Both refuse a connection whose
+// hello names another shard count.
 func WithEngine(e Engine) Option { return func(o *options) { o.engine = e } }
 
 // WithSyncEvery sets the synchronization period (default 1s): the

@@ -7,14 +7,22 @@ import "crdtsync/internal/lattice"
 // replica that does not track origins). Origin tags implement the BP
 // optimization: at each synchronization step with neighbor j, entries whose
 // Origin equals j are filtered out (Algorithm 1, lines 5, 11, 20).
+//
+// Held extends BP from the neighbor an entry came from to every neighbor
+// that has since sent a δ-group covering it (MarkHeld): bit i is set once
+// the neighbor at position i is known to hold the entry, and a group for
+// that neighbor leaves the entry out. Algorithm 1 marks nothing; only an
+// engine that prunes by receipt does.
 type Entry struct {
 	Delta  lattice.State
 	Origin string
+	Held   uint64
 }
 
 // Buffer is the outbound δ-buffer Bᵢ of Algorithm 1: an ordered collection
-// of origin-tagged δ-groups accumulated between synchronization steps.
-// The zero value is an empty buffer ready for use.
+// of origin-tagged δ-groups accumulated between synchronization steps,
+// each with the neighbors marked as already holding it. The zero value is
+// an empty buffer ready for use.
 type Buffer struct {
 	entries []Entry
 }
@@ -45,17 +53,19 @@ func (b *Buffer) Clear() { b.entries = nil }
 // GroupAll returns the join of every buffered δ-group, or nil if the buffer
 // is empty. This is the classic δ-group d = ⊔Bᵢ (Algorithm 1, line 11).
 func (b *Buffer) GroupAll() lattice.State {
-	return b.GroupExcluding("")
+	return b.GroupExcluding("", -1)
 }
 
-// GroupExcluding returns the join of buffered δ-groups whose origin differs
-// from exclude, or nil if no such entry exists. With exclude set to the
-// destination neighbor this implements the BP optimization:
-// d = ⊔{s | ⟨s, o⟩ ∈ Bᵢ ∧ o ≠ j}.
-func (b *Buffer) GroupExcluding(exclude string) lattice.State {
+// GroupExcluding returns the join of the buffered δ-groups whose origin
+// differs from exclude and that the neighbor at position i is not marked
+// as holding, or nil if no such entry exists. With exclude set to the
+// destination neighbor j this implements the BP optimization,
+// d = ⊔{s | ⟨s, o⟩ ∈ Bᵢ ∧ o ≠ j}; i is j's position, or -1 to skip no
+// marked entry.
+func (b *Buffer) GroupExcluding(exclude string, i int) lattice.State {
 	var acc lattice.State
 	for _, e := range b.entries {
-		if exclude != "" && e.Origin == exclude {
+		if exclude != "" && e.Origin == exclude || i >= 0 && i < 64 && e.Held&(1<<i) != 0 {
 			continue
 		}
 		if acc == nil {
@@ -65,6 +75,21 @@ func (b *Buffer) GroupExcluding(exclude string) lattice.State {
 		}
 	}
 	return acc
+}
+
+// MarkHeld marks every buffered entry that d covers as held by the
+// neighbor at position i, which has just sent d: a replica holds every
+// δ-group it sends. A position outside [0, 64) marks nothing, and so
+// does a d that covers only part of an entry.
+func (b *Buffer) MarkHeld(d lattice.State, i int) {
+	if i < 0 || i >= 64 {
+		return
+	}
+	for k := range b.entries {
+		if e := &b.entries[k]; e.Held&(1<<i) == 0 && e.Delta.Leq(d) {
+			e.Held |= 1 << i
+		}
+	}
 }
 
 // Entries returns the buffered entries; the caller must not mutate them.

@@ -30,7 +30,7 @@ func TestBufferGroupExcludingImplementsBP(t *testing.T) {
 	b.Add(lattice.NewSet("c"), "me") // local mutation
 
 	// Sending to n1 must not back-propagate n1's own δ-group.
-	g := b.GroupExcluding("n1").(*lattice.Set)
+	g := b.GroupExcluding("n1", -1).(*lattice.Set)
 	if g.Contains("a") {
 		t.Error("BP violated: δ-group sent back to its origin")
 	}
@@ -41,7 +41,7 @@ func TestBufferGroupExcludingImplementsBP(t *testing.T) {
 	// A neighbor that contributed everything gets nothing.
 	var only core.Buffer
 	only.Add(lattice.NewSet("x"), "n1")
-	if g := only.GroupExcluding("n1"); g != nil {
+	if g := only.GroupExcluding("n1", -1); g != nil {
 		t.Errorf("group = %v, want nil when all entries excluded", g)
 	}
 }
@@ -92,5 +92,50 @@ func TestBufferEntriesExposed(t *testing.T) {
 	es := b.Entries()
 	if len(es) != 1 || es[0].Origin != "n1" {
 		t.Fatalf("Entries = %+v", es)
+	}
+}
+
+func TestBufferMarkHeldLeavesHolderOut(t *testing.T) {
+	var b core.Buffer
+	b.Add(lattice.NewSet("a"), "me")
+	b.Add(lattice.NewSet("b", "c"), "me")
+	// The neighbor at position 1 sent {a, b}: it holds the first entry,
+	// and only part of the second.
+	b.MarkHeld(lattice.NewSet("a", "b"), 1)
+	g := b.GroupExcluding("n1", 1).(*lattice.Set)
+	if g.Contains("a") || !g.Contains("b") || !g.Contains("c") {
+		t.Errorf("group for the holder = %v, want {b,c}", g)
+	}
+	if g := b.GroupExcluding("n0", 0); g.Elements() != 3 {
+		t.Errorf("group for another neighbor = %v, want all three", g)
+	}
+	if g := b.GroupAll(); g.Elements() != 3 {
+		t.Errorf("GroupAll = %v, want all three", g)
+	}
+	// No position outside one word is marked.
+	b.MarkHeld(lattice.NewSet("a", "b", "c"), 64)
+	b.MarkHeld(lattice.NewSet("a", "b", "c"), -1)
+	for _, e := range b.Entries() {
+		if e.Held&^(1<<1) != 0 {
+			t.Errorf("entry %v marked held by %b", e.Delta, e.Held)
+		}
+	}
+}
+
+// TestBufferMarkHeldAllocatesNothing: a delivery marks the entries its
+// δ-group covers in place, one subset check each.
+func TestBufferMarkHeldAllocatesNothing(t *testing.T) {
+	var b core.Buffer
+	b.Add(lattice.NewSet("a"), "me")
+	b.Add(lattice.NewSet("b", "c"), "n0")
+	d := lattice.NewSet("a", "b", "c", "d")
+	i := 0
+	if n := testing.AllocsPerRun(63, func() { b.MarkHeld(d, i); i++ }); n != 0 {
+		t.Errorf("MarkHeld allocates %.1f times a call", n)
+	}
+	for _, e := range b.Entries() {
+		if e.Held != 1<<64-1 {
+			t.Errorf("entry %v held by %b, want all 64 positions", e.Delta, e.Held)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"slices"
+
 	"crdtsync/internal/core"
 	"crdtsync/internal/lattice"
 	"crdtsync/internal/metrics"
@@ -44,6 +46,16 @@ type deltaConfig struct {
 }
 
 func (c *deltaConfig) config() *deltaConfig { return c }
+
+// holder is the position among the neighbors of from, whose δ-group has
+// just arrived, when the engine prunes by receipt (Config.PruneOnReceipt);
+// -1 when it does not, and for a sender that is no neighbor.
+func (c *deltaConfig) holder(from string) int {
+	if !c.cfg.PruneOnReceipt {
+		return -1
+	}
+	return slices.Index(c.cfg.Neighbors, from)
+}
 
 // localOp is Algorithm 1's local update (lines 6–8): the δ-mutator of dt
 // runs on x, and what it returns is stored unless it is bottom.

@@ -43,7 +43,7 @@ type ackedEntry struct {
 	seq    uint64
 	delta  lattice.State
 	origin string
-	acked  bitset // by position in Config.Neighbors
+	acked  bitset // by position in Config.Neighbors; held by receipt counts
 	// wait is the number of ticks until the entry is sent again to the
 	// neighbors still owing its ack; 0 means it has never been sent.
 	// gap is the wait the last send armed: 1 on the first send, doubled
@@ -119,7 +119,9 @@ func (b *bitset) len() int {
 //
 // BP and RR compose with acknowledgments exactly as in Algorithm 1, and BP
 // extends from the neighbor an entry came from to the neighbors that one
-// says it delivers to itself (owed).
+// says it delivers to itself (owed). Under Config.PruneOnReceipt a
+// neighbor whose δ-group covers an entry counts as having acknowledged
+// it (markHeld).
 //
 // The buffer holds its entries by value, ascending by seq, and is nil
 // whenever it is empty: the ack that retires the last entry releases the
@@ -243,6 +245,7 @@ func (e *deltaAcked) ship(b *[]ackedEntry, send Sender, tick bool) {
 func (e *deltaAcked) deliver(x lattice.State, b *[]ackedEntry, from string, m Msg, send Sender) {
 	switch msg := m.(type) {
 	case *AckedDeltaMsg:
+		e.markHeld(b, msg.Delta, from)
 		absorb(e, x, b, msg.Delta, from)
 		// Acknowledge regardless of redundancy: the data arrived.
 		send(from, newAckMsg(msg.Seqs))
@@ -251,6 +254,7 @@ func (e *deltaAcked) deliver(x lattice.State, b *[]ackedEntry, from string, m Ms
 		// digest anti-entropy repair path ships full object states this
 		// way. Merge what inflates and propagate it onwards; there is
 		// nothing to acknowledge.
+		e.markHeld(b, msg.Delta, from)
 		absorb(e, x, b, msg.Delta, from)
 	case *AckMsg:
 		e.ack(b, slices.Index(e.cfg.Neighbors, from), msg.Seqs)
@@ -281,6 +285,30 @@ func (e *deltaAcked) ack(b *[]ackedEntry, neighbor int, seqs []uint64) {
 		}
 	}
 	e.retire(b)
+}
+
+// markHeld counts from, whose δ-group d has just arrived, as having
+// acknowledged every buffered entry d covers, and retires the entries
+// that leaves fully acknowledged (Config.PruneOnReceipt): from holds
+// whatever it sends, so none of them is ever sent, or resent, to it.
+func (e *deltaAcked) markHeld(b *[]ackedEntry, d lattice.State, from string) {
+	if len(*b) == 0 {
+		return
+	}
+	i := e.holder(from)
+	if i < 0 {
+		return
+	}
+	marked := false
+	for k := range *b {
+		if entry := &(*b)[k]; !entry.acked.has(i) && entry.delta.Leq(d) {
+			entry.acked.add(i)
+			marked = true
+		}
+	}
+	if marked {
+		e.retire(b)
+	}
 }
 
 // retire drops the entries every neighbor they are owed to has

@@ -54,21 +54,25 @@ func (e *deltaBased) store(x lattice.State, b *core.Buffer, s lattice.State, ori
 
 func (e *deltaBased) deliver(x lattice.State, b *core.Buffer, from string, m Msg, _ Sender) {
 	if dm, ok := m.(*DeltaMsg); ok {
+		if b.Len() > 0 {
+			b.MarkHeld(dm.Delta, e.holder(from))
+		}
 		absorb(e, x, b, dm.Delta, from)
 	}
 }
 
 // ship sends each neighbor the join of the buffer and clears it. A pass
 // between two ticks does the same: clear-after-send never sends anything
-// twice, so the first-transmission pass is the whole of the tick.
+// twice, so the first-transmission pass is the whole of the tick. An
+// entry a neighbor is marked as holding (Config.PruneOnReceipt) is left
+// out of its group.
 func (e *deltaBased) ship(b *core.Buffer, send Sender, _ bool) {
-	for _, j := range e.cfg.Neighbors {
-		var d lattice.State
+	for i, j := range e.cfg.Neighbors {
+		exclude := ""
 		if e.bp {
-			d = b.GroupExcluding(j)
-		} else {
-			d = b.GroupAll()
+			exclude = j
 		}
+		d := b.GroupExcluding(exclude, i)
 		if d == nil || d.IsBottom() {
 			continue
 		}

@@ -53,6 +53,13 @@ type Config struct {
 	// Reach, when non-nil, is what the neighbors have announced they reach
 	// themselves; only the acked delta engine consults it.
 	Reach *Reach
+	// PruneOnReceipt has the delta engines take a δ-group that arrives
+	// from a neighbor as proof that the neighbor holds every buffered entry
+	// the group covers, redundant or not: no later send pass ships such an
+	// entry to it, as BP ships none back to its origin. Algorithm 1 prunes
+	// on the origin alone, so only the store's core sets it; the engines
+	// netsim and the paper's figures run stay exact.
+	PruneOnReceipt bool
 }
 
 // idBytes returns the accounting size of one id.

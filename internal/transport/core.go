@@ -126,10 +126,13 @@ func newCore(cfg StoreConfig, inc uint32) (*core, error) {
 	factory := protocol.NewPerObject(cfg.Factory, cfg.ObjType)
 	shards := make([]*shard, cfg.Shards)
 	for i := range shards {
+		// A store's engines prune by receipt: a neighbor that sent a
+		// δ-group is not sent back what it covered.
 		eng := factory(protocol.Config{
-			ID:        cfg.ID,
-			Neighbors: neighbors,
-			Reach:     engineReach,
+			ID:             cfg.ID,
+			Neighbors:      neighbors,
+			Reach:          engineReach,
+			PruneOnReceipt: true,
 		})
 		keyed, ok1 := eng.(protocol.KeyedEngine)
 		od, ok2 := eng.(protocol.ObjectDeliverer)
@@ -753,7 +756,9 @@ func (c *core) deliverSharded(from string, v *codec.FrameView, now int64) bool {
 	// reaches holds what from sent here or is sent it by from, so forwards
 	// to them — every forward of the plain delta engine's on a full mesh —
 	// wait for the next pass this store runs anyway: a write's flush, or
-	// the tick. The acked engine buffers none of them (deltaAcked.owed).
+	// the tick; one whose neighbor sends its own copy here meanwhile is not
+	// made at all (Config.PruneOnReceipt). The acked engine buffers none of
+	// them (deltaAcked.owed).
 	wake := forward && !c.reach.Covers(from) && c.requestFlush()
 	c.flush(d.b, nil)
 	// The acknowledgement rides the first data frame toward from that

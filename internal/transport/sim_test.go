@@ -354,19 +354,27 @@ func TestSimOneWayBlackholeHeals(t *testing.T) {
 // partial mesh — under both engines on lossless links, with digests off,
 // so every write a replica's neighbors do not make reaches it hop by hop
 // through the engines alone. Seeds 1–20 on every run; it logs the elements
-// shipped per update on each graph, beside what netsim ships there.
+// shipped per update on each graph and holds them to what the store ships
+// there, which Algorithm 1 alone exceeds wherever a graph has cycles: a
+// store sends no neighbor what that neighbor's own δ-group covered
+// (Config.PruneOnReceipt), so the ring's 8.00, the full mesh's 16.00 under
+// the delta engine and the partial mesh's 46.00 and 38.62 are 7.79, 10.50,
+// 42.80 and 36.36.
 func TestSimTopologies(t *testing.T) {
 	for _, gr := range []struct {
 		name string
 		g    *topology.Graph
+		// most is the elements the delta and the acked engine ship at most
+		// for the 1 200 updates of seeds 1–20.
+		most [2]int
 	}{
-		{"line", topology.Line(5)},
-		{"ring", topology.Ring(7)},
-		{"tree", topology.Tree(15, 2)},
-		{"full", topology.Full(5)},
-		{"partial", topology.PartialMesh(15, 4, 1)},
+		{"line", topology.Line(5), [2]int{4800, 4800}},
+		{"ring", topology.Ring(7), [2]int{9346, 9346}},
+		{"tree", topology.Tree(15, 2), [2]int{16800, 16800}},
+		{"full", topology.Full(5), [2]int{12596, 4800}},
+		{"partial", topology.PartialMesh(15, 4, 1), [2]int{51366, 43633}},
 	} {
-		for _, e := range []struct {
+		for k, e := range []struct {
 			name   string
 			engine protocol.Factory
 		}{
@@ -386,6 +394,9 @@ func TestSimTopologies(t *testing.T) {
 				}
 				t.Logf("%s (%d nodes, %d edges), %s engine: %.2f elements shipped per update",
 					gr.name, gr.g.NumNodes(), gr.g.NumEdges(), e.name, float64(elements)/float64(updates))
+				if elements > gr.most[k] {
+					t.Errorf("%d elements shipped for %d updates, want at most %d", elements, updates, gr.most[k])
+				}
 			})
 		}
 	}
@@ -430,9 +441,12 @@ func TestSimRepairSlotsNeverWaitInARing(t *testing.T) {
 // neighbor that it reaches the others, so a forward asks for no flush of
 // its own: the writes' flushes are all the flushes there are, at most one
 // per update where each receiver's forwards used to cost two more (2.13
-// per update over these seeds). The forwards are deferred, not dropped:
-// each update still ships 4.00 elements, two from its writer and one
-// forward from each receiver.
+// per update over these seeds). The forwards are deferred, not dropped,
+// and a deferred one the other receiver's forward overtook is not made at
+// all: a receiver whose neighbor sent it the δ-group sends that neighbor
+// nothing back (Config.PruneOnReceipt). Each update ships its writer's two
+// elements and fewer than two forwards, where Algorithm 1 ships 4.00;
+// seed 1 ships exactly 952 for 300 updates.
 func TestSimDeltaForwardsRideTheNextPass(t *testing.T) {
 	var flushes, elements, updates int
 	forSeeds(func(seed int64) {
@@ -445,8 +459,11 @@ func TestSimDeltaForwardsRideTheNextPass(t *testing.T) {
 		if total.WriteFlushes > s.ops {
 			s.fatalf("%d write flushes for %d updates: a forward its sender delivers asked for a flush", total.WriteFlushes, s.ops)
 		}
-		if total.Sent.Elements != 4*s.ops {
-			s.fatalf("%d elements shipped for %d updates, want 4 each", total.Sent.Elements, s.ops)
+		if got := total.Sent.Elements; got < 2*s.ops || got >= 4*s.ops {
+			s.fatalf("%d elements shipped for %d updates, want at least 2 and under 4 each", got, s.ops)
+		}
+		if got := total.Sent.Elements; seed == 1 && got != 952 {
+			s.fatalf("%d elements shipped for %d updates, want exactly 952", got, s.ops)
 		}
 		flushes += total.WriteFlushes
 		elements += total.Sent.Elements

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
 
 	"crdtsync/internal/core"
@@ -137,5 +138,152 @@ func TestBufferMarkHeldAllocatesNothing(t *testing.T) {
 		if e.Held != 1<<64-1 {
 			t.Errorf("entry %v held by %b, want all 64 positions", e.Delta, e.Held)
 		}
+	}
+}
+
+// step runs one synchronization step over b as the plain delta engine
+// does, with BP: each neighbor's group, then Sent. It returns the group
+// each neighbor was sent, by name.
+func step(b *core.Buffer, neighbors []string) map[string]lattice.State {
+	sent := map[string]lattice.State{}
+	for i, j := range neighbors {
+		if d := b.GroupExcluding(j, i); d != nil {
+			sent[j] = d
+		}
+	}
+	b.Sent()
+	return sent
+}
+
+// only reports whether sent holds one group, {elem}, for to.
+func only(sent map[string]lattice.State, to, elem string) bool {
+	g, ok := sent[to].(*lattice.Set)
+	return len(sent) == 1 && ok && g.Elements() == 1 && g.Contains(elem)
+}
+
+// TestBufferDeferredNeighborWaitsOneStep: an entry from n0 whose forward
+// to n1 is deferred goes to n2 on the first step and to n1 on the second,
+// then leaves; one deferred for no neighbor leaves after the first.
+func TestBufferDeferredNeighborWaitsOneStep(t *testing.T) {
+	neighbors := []string{"n0", "n1", "n2"}
+	var b core.Buffer
+	b.AddDeferred(lattice.NewSet("a"), "n0", 1<<1)
+	b.Add(lattice.NewSet("b"), "n0")
+	if sent := step(&b, neighbors); len(sent) != 2 || sent["n1"].Elements() != 1 || sent["n2"].Elements() != 2 {
+		t.Fatalf("first step sent %v, want b to n1 and a, b to n2", sent)
+	}
+	if b.Len() != 1 {
+		t.Fatalf("%d entries left after the first step, want the deferred one", b.Len())
+	}
+	if sent := step(&b, neighbors); !only(sent, "n1", "a") {
+		t.Fatalf("second step sent %v, want a to n1 alone", sent)
+	}
+	if b.Len() != 0 || cap(b.Entries()) != 0 {
+		t.Fatalf("%d entries (capacity %d) left after the second step", b.Len(), cap(b.Entries()))
+	}
+}
+
+// TestBufferDeferredEntryDroppedOnReceipt: a deferred neighbor that sends
+// the entry back between the two steps is never sent it, and the entry
+// leaves the buffer; one that holds it before the first step lets it
+// leave then.
+func TestBufferDeferredEntryDroppedOnReceipt(t *testing.T) {
+	neighbors := []string{"n0", "n1", "n2"}
+	var b core.Buffer
+	b.AddDeferred(lattice.NewSet("a"), "n0", 1<<1)
+	if sent := step(&b, neighbors); !only(sent, "n2", "a") {
+		t.Fatalf("first step sent %v, want a to n2 alone", sent)
+	}
+	b.MarkHeld(lattice.NewSet("a", "z"), 1)
+	if sent := step(&b, neighbors); len(sent) != 0 || b.Len() != 0 {
+		t.Fatalf("second step sent %v and left %d entries, want nothing and none", sent, b.Len())
+	}
+
+	b.AddDeferred(lattice.NewSet("a"), "n0", 1<<1)
+	b.MarkHeld(lattice.NewSet("a"), 1)
+	if sent := step(&b, neighbors); !only(sent, "n2", "a") || b.Len() != 0 {
+		t.Fatalf("step sent %v and left %d entries, want a to n2 alone and none", sent, b.Len())
+	}
+}
+
+// TestBufferEntryLeavesOnceEveryOwedNeighborHolds: an entry from n3
+// deferred for n0 and n1 stays while either has not been sent it or sent
+// it back: n2 is sent it on the first step, n0 sends it back, n1 is sent
+// it on the second, and it leaves.
+func TestBufferEntryLeavesOnceEveryOwedNeighborHolds(t *testing.T) {
+	neighbors := []string{"n0", "n1", "n2", "n3"}
+	var b core.Buffer
+	b.AddDeferred(lattice.NewSet("a"), "n3", 1<<0|1<<1)
+	if sent := step(&b, neighbors); !only(sent, "n2", "a") || b.Len() != 1 {
+		t.Fatalf("first step sent %v and left %d entries, want a to n2 alone and one", sent, b.Len())
+	}
+	b.MarkHeld(lattice.NewSet("a"), 0)
+	if b.Len() != 1 {
+		t.Fatal("the entry left before n1 held it")
+	}
+	if sent := step(&b, neighbors); !only(sent, "n1", "a") || b.Len() != 0 {
+		t.Fatalf("second step sent %v and left %d entries, want a to n1 alone and none", sent, b.Len())
+	}
+}
+
+// TestBufferPositionsPastTheWordNeverDeferred: of 70 neighbors, those past
+// the 64 positions Held and Defer name are sent an entry on its first step
+// and never again, while the one it is deferred for gets it on the second.
+func TestBufferPositionsPastTheWordNeverDeferred(t *testing.T) {
+	neighbors := make([]string, 70)
+	for i := range neighbors {
+		neighbors[i] = fmt.Sprintf("n%02d", i)
+	}
+	var b core.Buffer
+	b.AddDeferred(lattice.NewSet("a"), "n00", 1<<5)
+	first := step(&b, neighbors)
+	if len(first) != 68 || first["n05"] != nil || first["n69"] == nil {
+		t.Fatalf("first step sent %d neighbors, want all 68 but the origin and n05", len(first))
+	}
+	b.Add(lattice.NewSet("b"), "n00")
+	second := step(&b, neighbors)
+	if g := second["n05"]; g == nil || g.Elements() != 2 {
+		t.Fatalf("second step sent n05 %v, want a and b", g)
+	}
+	for _, j := range neighbors[64:] {
+		if g, ok := second[j].(*lattice.Set); !ok || g.Contains("a") || !g.Contains("b") {
+			t.Errorf("second step sent %s %v, want b alone", j, second[j])
+		}
+	}
+}
+
+// TestBufferStepAllocatesOnlyItsGroups: a step with deferred entries
+// allocates the groups it sends and nothing else — no copy of the buffer,
+// no per-neighbor state.
+func TestBufferStepAllocatesOnlyItsGroups(t *testing.T) {
+	neighbors := []string{"n0", "n1", "n2"}
+	a, c := lattice.NewSet("a"), lattice.NewSet("c")
+	var b core.Buffer
+	fill := func() {
+		b.AddDeferred(a, "n0", 1<<1)
+		b.AddDeferred(c, "n2", 1<<0)
+	}
+	pass := func() {
+		for i, j := range neighbors {
+			b.GroupExcluding(j, i)
+		}
+		b.Sent()
+	}
+	groups := testing.AllocsPerRun(100, func() {
+		// What the two steps send: c to n1 and a to n2, then a to n1 and
+		// c to n0.
+		c.Clone()
+		a.Clone()
+		a.Clone()
+		c.Clone()
+	})
+	filled := testing.AllocsPerRun(100, func() { fill(); b.Clear() })
+	stepped := testing.AllocsPerRun(100, func() { fill(); pass(); pass() })
+	if b.Len() != 0 {
+		t.Fatalf("%d entries left after two steps", b.Len())
+	}
+	t.Logf("filling %.1f, two steps %.1f beyond it, their groups %.1f", filled, stepped-filled, groups)
+	if stepped > filled+groups {
+		t.Errorf("two steps allocate %.1f times beyond filling the buffer, their groups %.1f", stepped-filled, groups)
 	}
 }

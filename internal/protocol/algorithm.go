@@ -136,7 +136,8 @@ func (e *object[B]) Memory() metrics.Memory { return e.alg.memory(e.x, &e.buf) }
 func (e *object[B]) Retransmits() uint64 { return e.alg.retransmits() }
 
 // ConsultsReach implements ReachConsulter: the acked engine withholds on
-// Config.Reach, the clear-after-send one never reads it.
+// Config.Reach; the plain one reads it only to defer a forward by one
+// step under Config.PruneOnReceipt, and withholds nothing.
 func (e *object[B]) ConsultsReach() bool {
 	_, ok := any(e.alg).(*deltaAcked)
 	return ok

@@ -139,9 +139,11 @@ type deltaAcked struct {
 }
 
 // ReachConsulter is implemented by the delta engines. ConsultsReach
-// reports whether the engine withholds on Config.Reach, so that whoever
-// runs it knows to keep it up to date and to cover for a neighbor whose
-// word stops holding.
+// reports whether the engine withholds forwards on Config.Reach, so that
+// whoever runs it knows to cover for a neighbor whose word stops holding.
+// An engine that only defers a forward on it (the plain one, under
+// Config.PruneOnReceipt) makes the forward a step later, and owes no
+// cover.
 type ReachConsulter interface{ ConsultsReach() bool }
 
 // NewDeltaAcked returns the acknowledgment-based delta engine factory with

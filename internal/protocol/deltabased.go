@@ -30,7 +30,11 @@ func (m *DeltaMsg) Cost() metrics.Transmission { return m.cost }
 //
 // Per the paper's channel assumptions (no loss; duplication and reordering
 // allowed) the buffer is cleared after each synchronization step; each
-// message carries one sequence number per neighbor as metadata.
+// message carries one sequence number per neighbor as metadata. Under
+// Config.PruneOnReceipt an entry instead leaves once every neighbor it is
+// owed to holds it: a step sends it to every neighbor its forward is not
+// deferred for (deferred), and the next step to a deferred one that has
+// not sent the entry back meanwhile.
 type deltaBased struct{ deltaConfig }
 
 // NewDeltaBased returns a delta-based engine factory with the given
@@ -49,7 +53,29 @@ func NewDeltaBPRR() Factory { return NewDeltaBased(true, true) }
 
 func (e *deltaBased) store(x lattice.State, b *core.Buffer, s lattice.State, origin string) {
 	x.Merge(s)
-	b.Add(s, origin)
+	b.AddDeferred(s, origin, e.deferred(origin))
+}
+
+// deferred is the set of neighbors, by position, that the forward of an
+// entry from origin waits one step for, under Config.PruneOnReceipt alone.
+// They are those origin has announced it reaches (Config.Reach) whose id
+// orders before this node's. Each of them is sent the δ-group by origin and forwards it
+// here at its next step, which lets this node's forward go unmade
+// (MarkHeld); of the two receivers of one δ-group, the one that orders
+// first forwards at once and the other waits. Positions past 64 are
+// never deferred.
+func (e *deltaBased) deferred(origin string) uint64 {
+	if !e.cfg.PruneOnReceipt {
+		return 0
+	}
+	reach := e.cfg.Reach.set(origin)
+	var d uint64
+	for i, j := range e.cfg.Neighbors[:min(64, len(e.cfg.Neighbors))] {
+		if reach.lo&(1<<i) != 0 && j < e.cfg.ID {
+			d |= 1 << i
+		}
+	}
+	return d
 }
 
 func (e *deltaBased) deliver(x lattice.State, b *core.Buffer, from string, m Msg, _ Sender) {
@@ -61,11 +87,12 @@ func (e *deltaBased) deliver(x lattice.State, b *core.Buffer, from string, m Msg
 	}
 }
 
-// ship sends each neighbor the join of the buffer and clears it. A pass
-// between two ticks does the same: clear-after-send never sends anything
-// twice, so the first-transmission pass is the whole of the tick. An
-// entry a neighbor is marked as holding (Config.PruneOnReceipt) is left
-// out of its group.
+// ship sends each neighbor the join of the buffered entries it is owed
+// and ends the step (core.Buffer.Sent). A pass between two ticks does the
+// same: nothing is ever sent twice, so the first-transmission pass is the
+// whole of the tick. An entry a neighbor is marked as holding, or whose
+// forward to it is deferred (Config.PruneOnReceipt), is left out of its
+// group.
 func (e *deltaBased) ship(b *core.Buffer, send Sender, _ bool) {
 	for i, j := range e.cfg.Neighbors {
 		exclude := ""
@@ -78,12 +105,13 @@ func (e *deltaBased) ship(b *core.Buffer, send Sender, _ bool) {
 		}
 		send(j, NewDeltaMsg(d))
 	}
-	b.Clear()
+	b.Sent()
 }
 
+// unsent and waiting: a buffered entry is owed to some neighbor at the
+// next step, be it a flush or a tick.
 func (e *deltaBased) unsent(b *core.Buffer) bool { return b.Len() > 0 }
 
-// waiting: nothing outlives the pass that sent it.
 func (e *deltaBased) waiting(b *core.Buffer) bool { return b.Len() > 0 }
 
 func (e *deltaBased) retransmits() uint64 { return 0 }

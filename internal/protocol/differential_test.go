@@ -47,12 +47,22 @@ type emitted struct {
 	m       protocol.Msg
 }
 
-func newTwin(t *testing.T, seed int64, inner protocol.Factory, acked bool) *twin {
+// newTwin builds the twin of r0, whose neighbor r1 reaches r2 under the
+// acked engine; under prune it is r2 instead, pruning by receipt, whose
+// neighbors r0 and r1 reach each other, so that it defers every forward
+// of what either sends it.
+func newTwin(t *testing.T, seed int64, inner protocol.Factory, acked, prune bool) *twin {
 	nodes := []string{"r0", "r1", "r2"}
 	cfg := protocol.Config{ID: "r0", Neighbors: nodes[1:], Nodes: nodes}
 	if acked {
 		cfg.Reach = protocol.NewReach(cfg.Neighbors)
 		cfg.Reach.Set("r1", []string{"r2"})
+	}
+	if prune {
+		cfg = protocol.Config{ID: "r2", Neighbors: nodes[:2], Nodes: nodes, PruneOnReceipt: true}
+		cfg.Reach = protocol.NewReach(cfg.Neighbors)
+		cfg.Reach.Set("r0", []string{"r1"})
+		cfg.Reach.Set("r1", []string{"r0"})
 	}
 	return &twin{
 		t: t, rng: rand.New(rand.NewSource(seed)), inner: inner, acked: acked, cfg: cfg,
@@ -350,23 +360,25 @@ func (w *twin) check(step int) {
 // forms hold the same states, say the same of Unsent and Waiting, ship
 // each neighbor the same δ-groups (seqs compared up to each object's
 // order: the keyspace numbers from one counter), count the same Memory and
-// the same retransmissions.
+// the same retransmissions. The delta engine runs once more pruning by
+// receipt, where a pass leaves deferred forwards queued for the next.
 func TestKeyspaceMatchesStandaloneEngines(t *testing.T) {
 	seeds, steps := 4, 1500
 	if testing.Short() {
 		seeds = 1
 	}
 	for _, c := range []struct {
-		name  string
-		inner protocol.Factory
-		acked bool
+		name         string
+		inner        protocol.Factory
+		acked, prune bool
 	}{
-		{"delta", protocol.NewDeltaBPRR(), false},
-		{"acked", protocol.NewDeltaAcked(true, true), true},
+		{"delta", protocol.NewDeltaBPRR(), false, false},
+		{"acked", protocol.NewDeltaAcked(true, true), true, false},
+		{"delta/prune", protocol.NewDeltaBPRR(), false, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			for seed := int64(1); seed <= int64(seeds); seed++ {
-				w := newTwin(t, seed, c.inner, c.acked)
+				w := newTwin(t, seed, c.inner, c.acked, c.prune)
 				for step := 0; step < steps; step++ {
 					switch p := w.rng.Intn(100); {
 					case p < 35:

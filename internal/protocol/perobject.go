@@ -67,8 +67,9 @@ type perObject[B any] struct {
 	active  []uint32
 	nActive int
 	// unsent queues the objects (flagQueued) whose buffer holds something
-	// never sent — what Flush walks, so a first-transmission pass never
-	// visits the objects that only wait for an ack.
+	// the next pass sends — never sent, or a forward the last pass
+	// deferred — which is what Flush walks, so a first-transmission pass
+	// never visits the objects that only wait for an ack.
 	unsent []uint32
 	// stale has bit id set when the object's state may have changed since
 	// Rehash last visited it, nStale counts the bits. A bitmap rather than
@@ -362,10 +363,15 @@ func (e *perObject[B]) Sync(send Sender) {
 	}
 	e.active = ids
 	e.ix.sortByKey(ids)
+	// A tick ships everything a flush would have: the objects queued after
+	// it are those it left something to send at the next pass.
+	queued := e.unsent[:0]
 	for _, id := range ids {
-		e.visit(id, true)
+		if e.visit(id, true) {
+			queued = append(queued, id)
+		}
 	}
-	e.unsent = e.unsent[:0] // a tick ships everything a flush would have
+	e.unsent = queued
 	e.b.flush(send)
 }
 
@@ -377,21 +383,31 @@ func (e *perObject[B]) Flush(send Sender) {
 		return
 	}
 	e.ix.sortByKey(e.unsent)
+	queued := e.unsent[:0]
 	for _, id := range e.unsent {
-		e.visit(id, false)
+		if e.visit(id, false) {
+			queued = append(queued, id)
+		}
 	}
-	e.unsent = e.unsent[:0]
+	e.unsent = queued
 	e.b.flush(send)
 }
 
-// visit runs one send pass over the object id into the batcher. The object
-// is no longer queued after it, and stays active only while its buffer
-// still waits for a later tick.
-func (e *perObject[B]) visit(id uint32, tick bool) {
+// visit runs one send pass over the object id into the batcher, and
+// reports whether the pass left the object something to send at the next
+// one (a forward it deferred): the object stays queued then, and is
+// dequeued otherwise. It stays active only while its buffer still waits
+// for a later pass.
+func (e *perObject[B]) visit(id uint32, tick bool) bool {
 	e.b.key = e.ix.keyOf(id)
-	e.alg.ship(e.load(id), e.b.send, tick)
-	e.ix.recs[id].flags &^= flagQueued
+	b := e.load(id)
+	e.alg.ship(b, e.b.send, tick)
+	left := e.alg.unsent(b)
+	if !left {
+		e.ix.recs[id].flags &^= flagQueued
+	}
 	e.file(id)
+	return left
 }
 
 // Unsent implements Flusher.

@@ -1,7 +1,9 @@
 package protocol_test
 
 import (
+	"fmt"
 	"maps"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -38,6 +40,16 @@ func receiptNode(f protocol.Factory, prune bool) protocol.Engine {
 func sentBy(e protocol.Engine) map[string][]string {
 	sent := map[string][]string{}
 	e.Sync(func(to string, m protocol.Msg) {
+		sent[to] = append(sent[to], deltaOf(m).(*crdt.GSet).Sorted()...)
+		slices.Sort(sent[to])
+	})
+	return sent
+}
+
+// flushedBy is sentBy for a Flush.
+func flushedBy(e protocol.Engine) map[string][]string {
+	sent := map[string][]string{}
+	e.(protocol.Flusher).Flush(func(to string, m protocol.Msg) {
 		sent[to] = append(sent[to], deltaOf(m).(*crdt.GSet).Sorted()...)
 		slices.Sort(sent[to])
 	})
@@ -129,5 +141,82 @@ func TestPruneOnReceiptAckedNeverResendsToTheHolder(t *testing.T) {
 				t.Errorf("entries every neighbor holds not retired: unsent=%v waiting=%v", fl.Unsent(), fl.Waiting())
 			}
 		})
+	}
+}
+
+// reachNode is b pruning by receipt or not, with neighbors a, c and d,
+// where c has announced it reaches a and d.
+func reachNode(prune bool) protocol.Engine {
+	cfg := protocol.Config{ID: "b", Neighbors: []string{"a", "c", "d"}, Nodes: []string{"a", "b", "c", "d"},
+		Datatype: workload.GSetType{}, PruneOnReceipt: prune}
+	cfg.Reach = protocol.NewReach(cfg.Neighbors)
+	cfg.Reach.Set("c", []string{"a", "d"})
+	return protocol.NewDeltaBPRR()(cfg)
+}
+
+// TestPruneOnReceiptDefersToTheFirstReceiver: c's δ-group {y} reaches a, b
+// and d. Of b and d, b orders first and forwards to d at once; of a and
+// b, a does, so b holds its forward to a one step, and makes it then
+// unless a's own copy has arrived meanwhile. b's own write goes to all
+// three at once.
+func TestPruneOnReceiptDefersToTheFirstReceiver(t *testing.T) {
+	for _, arrives := range []bool{false, true} {
+		b := reachNode(true)
+		b.Deliver("c", protocol.NewDeltaMsg(crdt.NewGSet("y")), discard)
+		b.LocalOp(addOp("x"))
+		if got, want := sentBy(b), (map[string][]string{"a": {"x"}, "c": {"x"}, "d": {"x", "y"}}); !sameSends(got, want) {
+			t.Fatalf("first step sent %v, want %v", got, want)
+		}
+		if fl := b.(protocol.Flusher); !fl.Unsent() || !fl.Waiting() {
+			t.Fatalf("deferred forward not owed to the next step: unsent=%v waiting=%v", fl.Unsent(), fl.Waiting())
+		}
+		want := map[string][]string{"a": {"y"}}
+		if arrives {
+			b.Deliver("a", protocol.NewDeltaMsg(crdt.NewGSet("y")), discard)
+			want = map[string][]string{}
+		}
+		if got := sentBy(b); !sameSends(got, want) {
+			t.Errorf("a's copy arrived %v: second step sent %v, want %v", arrives, got, want)
+		}
+		if fl := b.(protocol.Flusher); fl.Unsent() || fl.Waiting() || b.Memory().BufferBytes != 0 {
+			t.Errorf("a's copy arrived %v: entry still buffered after the second step", arrives)
+		}
+	}
+}
+
+// TestPruneOnReceiptOffIsAlgorithm1: without Config.PruneOnReceipt the
+// delta engine ignores Config.Reach. Over seeded histories of local
+// updates, deliveries, flushes and ticks, an engine told that every
+// neighbor reaches every other makes exactly the sends of one told
+// nothing, and an entry leaves the buffer with the step that sends it.
+func TestPruneOnReceiptOffIsAlgorithm1(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		told, untold := reachNode(false), receiptNode(protocol.NewDeltaBPRR(), false)
+		neighbors := []string{"a", "c", "d"}
+		for step := 0; step < 300; step++ {
+			switch p := rng.Intn(10); {
+			case p < 4:
+				op := addOp(fmt.Sprintf("e%d", rng.Intn(40)))
+				told.LocalOp(op)
+				untold.LocalOp(op)
+			case p < 7:
+				from := neighbors[rng.Intn(3)]
+				d := crdt.NewGSet(fmt.Sprintf("e%d", rng.Intn(40)), fmt.Sprintf("e%d", rng.Intn(40)))
+				told.Deliver(from, protocol.NewDeltaMsg(d.Clone()), discard)
+				untold.Deliver(from, protocol.NewDeltaMsg(d), discard)
+			default:
+				pass := sentBy
+				if p == 9 {
+					pass = flushedBy
+				}
+				if got, want := pass(told), pass(untold); !sameSends(got, want) {
+					t.Fatalf("seed %d step %d: sent %v, Algorithm 1 sends %v", seed, step, got, want)
+				}
+				if told.(protocol.Flusher).Waiting() {
+					t.Fatalf("seed %d step %d: an entry outlived the step that sent it", seed, step)
+				}
+			}
+		}
 	}
 }

@@ -60,10 +60,11 @@ type core struct {
 	links    map[string]*link
 	linkList []*link
 	// reach is what the neighbors have announced they reach: a delivery
-	// consults it before it asks for a flush (deliverSharded). withholds
-	// says the engines withhold forwards on it too: only then are they
-	// handed the table, and only then is a neighbor caught up with once a
-	// word stops holding (setReach).
+	// consults it before it asks for a flush (deliverSharded), and every
+	// engine before it forwards. withholds says the engines withhold
+	// forwards on it: only then is a neighbor caught up with once a word
+	// stops holding (setReach). A forward the plain delta engine defers on
+	// it is late, never withheld, and owes no catch-up.
 	reach     *protocol.Reach
 	withholds bool
 	repair    repairTable
@@ -113,16 +114,13 @@ func newCore(cfg StoreConfig, inc uint32) (*core, error) {
 		neighbors = append(neighbors, id)
 	}
 	sort.Strings(neighbors)
-	// The core keeps the table of what the neighbors have said whatever the
-	// engine; only one that withholds on a neighbor's word is handed it.
+	// The core keeps the table of what the neighbors have said, and hands
+	// it to every engine: the acked one withholds on a neighbor's word, the
+	// plain one only defers a forward on it.
 	reach := protocol.NewReach(neighbors)
 	probe := cfg.Factory(protocol.Config{ID: cfg.ID, Neighbors: neighbors, Datatype: cfg.ObjType("")})
 	rc, ok := probe.(protocol.ReachConsulter)
 	withholds := ok && rc.ConsultsReach()
-	var engineReach *protocol.Reach
-	if withholds {
-		engineReach = reach
-	}
 	factory := protocol.NewPerObject(cfg.Factory, cfg.ObjType)
 	shards := make([]*shard, cfg.Shards)
 	for i := range shards {
@@ -131,7 +129,7 @@ func newCore(cfg StoreConfig, inc uint32) (*core, error) {
 		eng := factory(protocol.Config{
 			ID:             cfg.ID,
 			Neighbors:      neighbors,
-			Reach:          engineReach,
+			Reach:          reach,
 			PruneOnReceipt: true,
 		})
 		keyed, ok1 := eng.(protocol.KeyedEngine)
@@ -346,7 +344,9 @@ func noReply(string, protocol.Msg) {}
 // (eight per peer and period). Forwards the frame's sender delivers itself
 // spend none of it (deliverSharded): on a full mesh of plain delta
 // replicas each write's forwards would ask for two more passes, and the
-// writes would queue behind them.
+// writes would queue behind them. Nor does a forward the engine defers
+// (Config.PruneOnReceipt): it leaves with the pass after the one it waited
+// out, whatever runs it.
 const flushesPerTick = 8
 
 // flushBurst is the depth of the flush budget. A store idle for flushBurst
@@ -757,8 +757,9 @@ func (c *core) deliverSharded(from string, v *codec.FrameView, now int64) bool {
 	// to them — every forward of the plain delta engine's on a full mesh —
 	// wait for the next pass this store runs anyway: a write's flush, or
 	// the tick; one whose neighbor sends its own copy here meanwhile is not
-	// made at all (Config.PruneOnReceipt). The acked engine buffers none of
-	// them (deltaAcked.owed).
+	// made at all (Config.PruneOnReceipt), and to a neighbor that orders
+	// before this store the engine holds it one pass more for that copy.
+	// The acked engine buffers none of them (deltaAcked.owed).
 	wake := forward && !c.reach.Covers(from) && c.requestFlush()
 	c.flush(d.b, nil)
 	// The acknowledgement rides the first data frame toward from that

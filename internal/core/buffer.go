@@ -1,6 +1,57 @@
 package core
 
-import "crdtsync/internal/lattice"
+import (
+	"math/bits"
+
+	"crdtsync/internal/lattice"
+)
+
+// Positions is a set of positions among a node's neighbors: one inline
+// word for the positions below 64 (every deployment here), an overflow
+// for the rest. The zero value is the empty set. A copy shares its
+// overflow with the original, so only one of the two may grow past the
+// word.
+type Positions struct {
+	lo uint64
+	hi *[]uint64
+}
+
+// Add puts position i, which must not be negative, in the set.
+func (p *Positions) Add(i int) {
+	if i < 64 {
+		p.lo |= 1 << i
+		return
+	}
+	if p.hi == nil {
+		p.hi = new([]uint64)
+	}
+	w := i/64 - 1
+	if w >= len(*p.hi) {
+		*p.hi = append(*p.hi, make([]uint64, w+1-len(*p.hi))...)
+	}
+	(*p.hi)[w] |= 1 << (i % 64)
+}
+
+// Has reports whether position i, which must not be negative, is in the
+// set.
+func (p Positions) Has(i int) bool {
+	if i < 64 {
+		return p.lo&(1<<i) != 0
+	}
+	w := i/64 - 1
+	return p.hi != nil && w < len(*p.hi) && (*p.hi)[w]&(1<<(i%64)) != 0
+}
+
+// Len returns the number of positions in the set.
+func (p Positions) Len() int {
+	n := bits.OnesCount64(p.lo)
+	if p.hi != nil {
+		for _, w := range *p.hi {
+			n += bits.OnesCount64(w)
+		}
+	}
+	return n
+}
 
 // Entry is one δ-group in a δ-buffer, tagged with the identifier of the
 // replica it was received from ("" origin means a local mutation at a
@@ -9,49 +60,72 @@ import "crdtsync/internal/lattice"
 // Origin equals j are filtered out (Algorithm 1, lines 5, 11, 20).
 //
 // Held extends BP from the neighbor an entry came from to every neighbor
-// known to hold it, by position among the neighbors: bit i is set once the
-// neighbor at position i has sent a δ-group covering the entry (MarkHeld)
-// or has been sent the entry by a synchronization step (Sent). Defer has
-// bit i set while a forward of the entry to the neighbor at position i
-// waits out one step, for that neighbor's own copy to arrive first.
-// Algorithm 1 defers and marks nothing; only an engine that prunes by
-// receipt does.
+// known to hold it, by position among the neighbors: a neighbor that has
+// sent a δ-group covering the entry (MarkHeld), one a lossless step has
+// sent it to, one that has acknowledged it. Defer has bit i set while a
+// forward of the entry to the neighbor at position i waits out one step,
+// for that neighbor's own copy to arrive first; positions past the word
+// are never deferred. Algorithm 1 defers and marks nothing but what it
+// sends; only an engine that prunes by receipt does.
+//
+// Seq, Wait and Gap are the acknowledging engine's: the number a receiver
+// acknowledges the entry by (0 under an engine that numbers nothing), and
+// its resend schedule. Due is set while the next send pass ships the
+// entry: from the time it is buffered, and for the length of a pass that
+// sends it again.
 type Entry struct {
-	Delta  lattice.State
-	Origin string
-	Held   uint64
-	Defer  uint64
+	Delta     lattice.State
+	Origin    string
+	Seq       uint64
+	Held      Positions
+	Defer     uint64
+	Wait, Gap uint8
+	Due       bool
+}
+
+// Pending reports whether one of the first n neighbor positions that owed
+// says must receive the entry does not hold it yet.
+func (e *Entry) Pending(n int, owed func(origin string, i int) bool) bool {
+	for i := 0; i < n; i++ {
+		if !e.Held.Has(i) && owed(e.Origin, i) {
+			return true
+		}
+	}
+	return false
 }
 
 // Buffer is the outbound δ-buffer Bᵢ of Algorithm 1: an ordered collection
 // of origin-tagged δ-groups accumulated between synchronization steps,
-// each with the neighbors marked as already holding it and those its
-// forward waits for. The zero value is an empty buffer ready for use.
+// each with the neighbors known to hold it. The zero value is an empty
+// buffer ready for use.
 type Buffer struct {
 	entries []Entry
-	// shipped is how many of the first entries a step has already sent to
-	// every neighbor past the 64 positions Held and Defer name: only an
-	// entry a step deferred outlives it (Sent), and positions past the
-	// word are never deferred.
-	shipped int
 }
 
 // Add appends a δ-group with the given origin. Bottom deltas are ignored:
 // they carry no information.
-func (b *Buffer) Add(delta lattice.State, origin string) { b.AddDeferred(delta, origin, 0) }
+func (b *Buffer) Add(delta lattice.State, origin string) { b.Push(Entry{Delta: delta, Origin: origin}) }
 
-// AddDeferred appends a δ-group with the given origin whose forward to
-// each neighbor in deferred, by position, waits out the next
-// synchronization step (Sent). Bottom deltas are ignored.
-func (b *Buffer) AddDeferred(delta lattice.State, origin string, deferred uint64) {
-	if delta == nil || delta.IsBottom() {
+// Push appends e, due at the next send pass. An entry with a bottom delta
+// is ignored.
+func (b *Buffer) Push(e Entry) {
+	if e.Delta == nil || e.Delta.IsBottom() {
 		return
 	}
-	b.entries = append(b.entries, Entry{Delta: delta, Origin: origin, Defer: deferred})
+	e.Due = true
+	b.entries = append(b.entries, e)
 }
 
 // Len returns the number of buffered δ-groups.
 func (b *Buffer) Len() int { return len(b.entries) }
+
+// Unsent reports whether the next send pass has an entry to ship. An
+// engine keeps its due entries at the end of the buffer, where Push puts
+// a new one, so the last entry tells.
+func (b *Buffer) Unsent() bool {
+	n := len(b.entries)
+	return n > 0 && b.entries[n-1].Due
+}
 
 // Clear empties the buffer.
 //
@@ -60,20 +134,75 @@ func (b *Buffer) Len() int { return len(b.entries) }
 // truncated array would keep the last δ-group of every object — a second
 // copy of a small state — reachable for as long as the object lives. A
 // per-object store has one Buffer per key, almost all of them empty.
-func (b *Buffer) Clear() { b.entries, b.shipped = nil, 0 }
+func (b *Buffer) Clear() { b.entries = nil }
 
-// Sent ends a synchronization step (Algorithm 1, line 13) that has sent
-// each neighbor its group (GroupExcluding): every neighbor that the step
-// did not defer an entry for now holds it, and the entry leaves the
-// buffer. One that a deferred neighbor has not sent back meanwhile
-// (MarkHeld) stays for one more step, which owes it to that neighbor
-// alone. Without deferrals the buffer is cleared after every step, as
-// Algorithm 1 has it.
-func (b *Buffer) Sent() {
-	kept := 0
+// GroupAll returns the join of every buffered δ-group, or nil if the buffer
+// is empty. This is the classic δ-group d = ⊔Bᵢ (Algorithm 1, line 11).
+func (b *Buffer) GroupAll() lattice.State {
+	var acc lattice.State
 	for _, e := range b.entries {
-		if late := e.Defer &^ e.Held; late != 0 {
-			b.entries[kept] = Entry{Delta: e.Delta, Origin: e.Origin, Held: ^late}
+		acc = join(acc, e.Delta)
+	}
+	return acc
+}
+
+// Group returns the join of the entries the next send pass owes the
+// neighbor at position i — those due, that owed says it must receive,
+// that it is not marked as holding and whose forward to it is not
+// deferred — or nil if there is none. The Seq of each is appended to
+// *seqs unless seqs is nil. With owed leaving out the entries whose origin
+// is the neighbor this implements the BP optimization,
+// d = ⊔{s | ⟨s, o⟩ ∈ Bᵢ ∧ o ≠ j}.
+func (b *Buffer) Group(i int, owed func(origin string, i int) bool, seqs *[]uint64) lattice.State {
+	var acc lattice.State
+	for k := range b.entries {
+		e := &b.entries[k]
+		if !e.Due || i < 64 && e.Defer&(1<<i) != 0 || e.Held.Has(i) || !owed(e.Origin, i) {
+			continue
+		}
+		acc = join(acc, e.Delta)
+		if seqs != nil {
+			*seqs = append(*seqs, e.Seq)
+		}
+	}
+	return acc
+}
+
+// join merges d into acc, or returns a copy of d for a nil acc.
+func join(acc, d lattice.State) lattice.State {
+	if acc == nil {
+		return d.Clone()
+	}
+	acc.Merge(d)
+	return acc
+}
+
+// MarkHeld marks every buffered entry that d covers as held by the
+// neighbor at position i, which has just sent d: a replica holds every
+// δ-group it sends. It reports whether it marked any. A negative position
+// marks nothing, and so does a d that covers only part of an entry.
+func (b *Buffer) MarkHeld(d lattice.State, i int) bool {
+	if i < 0 {
+		return false
+	}
+	marked := false
+	for k := range b.entries {
+		if e := &b.entries[k]; !e.Held.Has(i) && e.Delta.Leq(d) {
+			e.Held.Add(i)
+			marked = true
+		}
+	}
+	return marked
+}
+
+// Drop removes the entries that every one of the first n neighbor
+// positions owed says must receive them holds (Pending), and releases the
+// buffer's array with the last of them (Clear).
+func (b *Buffer) Drop(n int, owed func(origin string, i int) bool) {
+	kept := 0
+	for k := range b.entries {
+		if b.entries[k].Pending(n, owed) {
+			b.entries[kept] = b.entries[k]
 			kept++
 		}
 	}
@@ -82,54 +211,11 @@ func (b *Buffer) Sent() {
 		return
 	}
 	clear(b.entries[kept:]) // the δ-groups that left
-	b.entries, b.shipped = b.entries[:kept], kept
+	b.entries = b.entries[:kept]
 }
 
-// GroupAll returns the join of every buffered δ-group, or nil if the buffer
-// is empty. This is the classic δ-group d = ⊔Bᵢ (Algorithm 1, line 11).
-func (b *Buffer) GroupAll() lattice.State {
-	return b.GroupExcluding("", -1)
-}
-
-// GroupExcluding returns the join of the buffered δ-groups owed to the
-// neighbor at position i — those whose origin differs from exclude, that
-// the neighbor is not marked as holding and whose forward to it is not
-// deferred — or nil if no such entry exists. With exclude set to the
-// destination neighbor j this implements the BP optimization,
-// d = ⊔{s | ⟨s, o⟩ ∈ Bᵢ ∧ o ≠ j}; i is j's position, or -1 to skip no
-// entry for holding or deferral. A position past the 64 that Held and
-// Defer name is never deferred, and is owed no entry an earlier step sent.
-func (b *Buffer) GroupExcluding(exclude string, i int) lattice.State {
-	var acc lattice.State
-	for k, e := range b.entries {
-		if exclude != "" && e.Origin == exclude || i >= 0 && i < 64 && (e.Held|e.Defer)&(1<<i) != 0 || i >= 64 && k < b.shipped {
-			continue
-		}
-		if acc == nil {
-			acc = e.Delta.Clone()
-		} else {
-			acc.Merge(e.Delta)
-		}
-	}
-	return acc
-}
-
-// MarkHeld marks every buffered entry that d covers as held by the
-// neighbor at position i, which has just sent d: a replica holds every
-// δ-group it sends. A position outside [0, 64) marks nothing, and so
-// does a d that covers only part of an entry.
-func (b *Buffer) MarkHeld(d lattice.State, i int) {
-	if i < 0 || i >= 64 {
-		return
-	}
-	for k := range b.entries {
-		if e := &b.entries[k]; e.Held&(1<<i) == 0 && e.Delta.Leq(d) {
-			e.Held |= 1 << i
-		}
-	}
-}
-
-// Entries returns the buffered entries; the caller must not mutate them.
+// Entries returns the buffered entries. The caller may update an entry's
+// Held, Defer and resend schedule in place, and nothing else.
 func (b *Buffer) Entries() []Entry { return b.entries }
 
 // SizeBytes returns the memory footprint of the buffered δ-groups plus the
@@ -138,15 +224,6 @@ func (b *Buffer) SizeBytes() int {
 	n := 0
 	for _, e := range b.entries {
 		n += e.Delta.SizeBytes() + len(e.Origin)
-	}
-	return n
-}
-
-// ElementCount returns the total number of lattice elements buffered.
-func (b *Buffer) ElementCount() int {
-	n := 0
-	for _, e := range b.entries {
-		n += e.Delta.Elements()
 	}
 	return n
 }

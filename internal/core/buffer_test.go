@@ -24,14 +24,24 @@ func TestBufferGroupAll(t *testing.T) {
 	}
 }
 
+// bp is what Group owes a neighbor under BP alone: every entry whose
+// origin is not that neighbor.
+func bp(neighbors []string) func(origin string, i int) bool {
+	return func(origin string, i int) bool { return origin != neighbors[i] }
+}
+
+// all owes every neighbor every entry.
+func all(string, int) bool { return true }
+
 func TestBufferGroupExcludingImplementsBP(t *testing.T) {
+	neighbors := []string{"n1", "n2"}
 	var b core.Buffer
 	b.Add(lattice.NewSet("a"), "n1") // came from n1
 	b.Add(lattice.NewSet("b"), "n2") // came from n2
 	b.Add(lattice.NewSet("c"), "me") // local mutation
 
 	// Sending to n1 must not back-propagate n1's own δ-group.
-	g := b.GroupExcluding("n1", -1).(*lattice.Set)
+	g := b.Group(0, bp(neighbors), nil).(*lattice.Set)
 	if g.Contains("a") {
 		t.Error("BP violated: δ-group sent back to its origin")
 	}
@@ -42,7 +52,7 @@ func TestBufferGroupExcludingImplementsBP(t *testing.T) {
 	// A neighbor that contributed everything gets nothing.
 	var only core.Buffer
 	only.Add(lattice.NewSet("x"), "n1")
-	if g := only.GroupExcluding("n1", -1); g != nil {
+	if g := only.Group(0, bp(neighbors), nil); g != nil {
 		t.Errorf("group = %v, want nil when all entries excluded", g)
 	}
 }
@@ -78,9 +88,6 @@ func TestBufferAccounting(t *testing.T) {
 	var b core.Buffer
 	b.Add(lattice.NewSet("ab"), "n1")
 	b.Add(lattice.NewSet("c", "d"), "n2")
-	if got := b.ElementCount(); got != 3 {
-		t.Errorf("ElementCount = %d, want 3", got)
-	}
 	// 2 bytes ("ab") + 2 bytes ("c","d") + origin tags 2+2.
 	if got := b.SizeBytes(); got != 2+2+2+2 {
 		t.Errorf("SizeBytes = %d, want 8", got)
@@ -102,24 +109,26 @@ func TestBufferMarkHeldLeavesHolderOut(t *testing.T) {
 	b.Add(lattice.NewSet("b", "c"), "me")
 	// The neighbor at position 1 sent {a, b}: it holds the first entry,
 	// and only part of the second.
-	b.MarkHeld(lattice.NewSet("a", "b"), 1)
-	g := b.GroupExcluding("n1", 1).(*lattice.Set)
+	if !b.MarkHeld(lattice.NewSet("a", "b"), 1) {
+		t.Fatal("MarkHeld marked nothing")
+	}
+	g := b.Group(1, all, nil).(*lattice.Set)
 	if g.Contains("a") || !g.Contains("b") || !g.Contains("c") {
 		t.Errorf("group for the holder = %v, want {b,c}", g)
 	}
-	if g := b.GroupExcluding("n0", 0); g.Elements() != 3 {
+	if g := b.Group(0, all, nil); g.Elements() != 3 {
 		t.Errorf("group for another neighbor = %v, want all three", g)
 	}
 	if g := b.GroupAll(); g.Elements() != 3 {
 		t.Errorf("GroupAll = %v, want all three", g)
 	}
-	// No position outside one word is marked.
-	b.MarkHeld(lattice.NewSet("a", "b", "c"), 64)
-	b.MarkHeld(lattice.NewSet("a", "b", "c"), -1)
-	for _, e := range b.Entries() {
-		if e.Held&^(1<<1) != 0 {
-			t.Errorf("entry %v marked held by %b", e.Delta, e.Held)
-		}
+	// A negative position marks nothing, and one marked already is not
+	// marked again.
+	if b.MarkHeld(lattice.NewSet("a", "b", "c"), -1) || b.MarkHeld(lattice.NewSet("a"), 1) {
+		t.Error("MarkHeld reported a mark it did not make")
+	}
+	if es := b.Entries(); es[0].Held.Len() != 1 || !es[0].Held.Has(1) || es[1].Held.Len() != 0 {
+		t.Errorf("entries held by %d and %d neighbors, want the first by position 1 alone", es[0].Held.Len(), es[1].Held.Len())
 	}
 }
 
@@ -135,24 +144,41 @@ func TestBufferMarkHeldAllocatesNothing(t *testing.T) {
 		t.Errorf("MarkHeld allocates %.1f times a call", n)
 	}
 	for _, e := range b.Entries() {
-		if e.Held != 1<<64-1 {
-			t.Errorf("entry %v held by %b, want all 64 positions", e.Delta, e.Held)
+		if e.Held.Len() != 64 {
+			t.Errorf("entry %v held by %d positions, want all 64 of the word", e.Delta, e.Held.Len())
 		}
 	}
 }
 
+// sent ends a step of the plain delta engine: every neighbor the step did
+// not defer an entry for holds it now, the deferrals end, and the entries
+// every neighbor owed them holds leave.
+func sent(b *core.Buffer, neighbors []string) {
+	entries := b.Entries()
+	for k := range entries {
+		e := &entries[k]
+		for i := range neighbors {
+			if i >= 64 || e.Defer&(1<<i) == 0 {
+				e.Held.Add(i)
+			}
+		}
+		e.Defer = 0
+	}
+	b.Drop(len(neighbors), bp(neighbors))
+}
+
 // step runs one synchronization step over b as the plain delta engine
-// does, with BP: each neighbor's group, then Sent. It returns the group
+// does, with BP: each neighbor's group, then sent. It returns the group
 // each neighbor was sent, by name.
 func step(b *core.Buffer, neighbors []string) map[string]lattice.State {
-	sent := map[string]lattice.State{}
+	groups := map[string]lattice.State{}
 	for i, j := range neighbors {
-		if d := b.GroupExcluding(j, i); d != nil {
-			sent[j] = d
+		if d := b.Group(i, bp(neighbors), nil); d != nil {
+			groups[j] = d
 		}
 	}
-	b.Sent()
-	return sent
+	sent(b, neighbors)
+	return groups
 }
 
 // only reports whether sent holds one group, {elem}, for to.
@@ -167,7 +193,7 @@ func only(sent map[string]lattice.State, to, elem string) bool {
 func TestBufferDeferredNeighborWaitsOneStep(t *testing.T) {
 	neighbors := []string{"n0", "n1", "n2"}
 	var b core.Buffer
-	b.AddDeferred(lattice.NewSet("a"), "n0", 1<<1)
+	b.Push(core.Entry{Delta: lattice.NewSet("a"), Origin: "n0", Defer: 1 << 1})
 	b.Add(lattice.NewSet("b"), "n0")
 	if sent := step(&b, neighbors); len(sent) != 2 || sent["n1"].Elements() != 1 || sent["n2"].Elements() != 2 {
 		t.Fatalf("first step sent %v, want b to n1 and a, b to n2", sent)
@@ -190,7 +216,7 @@ func TestBufferDeferredNeighborWaitsOneStep(t *testing.T) {
 func TestBufferDeferredEntryDroppedOnReceipt(t *testing.T) {
 	neighbors := []string{"n0", "n1", "n2"}
 	var b core.Buffer
-	b.AddDeferred(lattice.NewSet("a"), "n0", 1<<1)
+	b.Push(core.Entry{Delta: lattice.NewSet("a"), Origin: "n0", Defer: 1 << 1})
 	if sent := step(&b, neighbors); !only(sent, "n2", "a") {
 		t.Fatalf("first step sent %v, want a to n2 alone", sent)
 	}
@@ -199,7 +225,7 @@ func TestBufferDeferredEntryDroppedOnReceipt(t *testing.T) {
 		t.Fatalf("second step sent %v and left %d entries, want nothing and none", sent, b.Len())
 	}
 
-	b.AddDeferred(lattice.NewSet("a"), "n0", 1<<1)
+	b.Push(core.Entry{Delta: lattice.NewSet("a"), Origin: "n0", Defer: 1 << 1})
 	b.MarkHeld(lattice.NewSet("a"), 1)
 	if sent := step(&b, neighbors); !only(sent, "n2", "a") || b.Len() != 0 {
 		t.Fatalf("step sent %v and left %d entries, want a to n2 alone and none", sent, b.Len())
@@ -213,7 +239,7 @@ func TestBufferDeferredEntryDroppedOnReceipt(t *testing.T) {
 func TestBufferEntryLeavesOnceEveryOwedNeighborHolds(t *testing.T) {
 	neighbors := []string{"n0", "n1", "n2", "n3"}
 	var b core.Buffer
-	b.AddDeferred(lattice.NewSet("a"), "n3", 1<<0|1<<1)
+	b.Push(core.Entry{Delta: lattice.NewSet("a"), Origin: "n3", Defer: 1<<0 | 1<<1})
 	if sent := step(&b, neighbors); !only(sent, "n2", "a") || b.Len() != 1 {
 		t.Fatalf("first step sent %v and left %d entries, want a to n2 alone and one", sent, b.Len())
 	}
@@ -227,15 +253,16 @@ func TestBufferEntryLeavesOnceEveryOwedNeighborHolds(t *testing.T) {
 }
 
 // TestBufferPositionsPastTheWordNeverDeferred: of 70 neighbors, those past
-// the 64 positions Held and Defer name are sent an entry on its first step
-// and never again, while the one it is deferred for gets it on the second.
+// the 64 positions Defer names are never deferred: they are sent an entry
+// on its first step and hold it after, while the one it is deferred for
+// gets it on the second.
 func TestBufferPositionsPastTheWordNeverDeferred(t *testing.T) {
 	neighbors := make([]string, 70)
 	for i := range neighbors {
 		neighbors[i] = fmt.Sprintf("n%02d", i)
 	}
 	var b core.Buffer
-	b.AddDeferred(lattice.NewSet("a"), "n00", 1<<5)
+	b.Push(core.Entry{Delta: lattice.NewSet("a"), Origin: "n00", Defer: 1 << 5})
 	first := step(&b, neighbors)
 	if len(first) != 68 || first["n05"] != nil || first["n69"] == nil {
 		t.Fatalf("first step sent %d neighbors, want all 68 but the origin and n05", len(first))
@@ -252,6 +279,45 @@ func TestBufferPositionsPastTheWordNeverDeferred(t *testing.T) {
 	}
 }
 
+// TestBufferHeldPastTheWord: of 70 neighbors, the one at position 66,
+// past the inline word, that sends an entry back (MarkHeld) is left out
+// of that entry's group, and an entry leaves (Drop) once every position
+// it is owed to holds it, on either side of the word.
+func TestBufferHeldPastTheWord(t *testing.T) {
+	neighbors := make([]string, 70)
+	for i := range neighbors {
+		neighbors[i] = fmt.Sprintf("n%02d", i)
+	}
+	owed := bp(neighbors)
+	var b core.Buffer
+	b.Add(lattice.NewSet("a"), "n00")
+	b.Add(lattice.NewSet("b"), "me")
+	if !b.MarkHeld(lattice.NewSet("a"), 66) {
+		t.Fatal("MarkHeld marked nothing past the word")
+	}
+	if g, ok := b.Group(66, owed, nil).(*lattice.Set); !ok || g.Contains("a") || !g.Contains("b") {
+		t.Errorf("group for position 66 = %v, want b alone", g)
+	}
+	if g := b.Group(65, owed, nil); g == nil || g.Elements() != 2 {
+		t.Errorf("group for position 65 = %v, want a and b", g)
+	}
+	ab := lattice.NewSet("a", "b")
+	for i := 1; i < 69; i++ {
+		b.MarkHeld(ab, i)
+	}
+	if b.Drop(len(neighbors), owed); b.Len() != 2 {
+		t.Fatalf("%d entries left while position 69 holds neither, want both", b.Len())
+	}
+	b.MarkHeld(ab, 69)
+	if b.Drop(len(neighbors), owed); b.Len() != 1 || b.Entries()[0].Origin != "me" {
+		t.Fatalf("%d entries left, want the one position 0 is owed and does not hold", b.Len())
+	}
+	b.MarkHeld(ab, 0)
+	if b.Drop(len(neighbors), owed); b.Len() != 0 || cap(b.Entries()) != 0 {
+		t.Fatalf("%d entries (capacity %d) left once every position holds them", b.Len(), cap(b.Entries()))
+	}
+}
+
 // TestBufferStepAllocatesOnlyItsGroups: a step with deferred entries
 // allocates the groups it sends and nothing else — no copy of the buffer,
 // no per-neighbor state.
@@ -260,14 +326,15 @@ func TestBufferStepAllocatesOnlyItsGroups(t *testing.T) {
 	a, c := lattice.NewSet("a"), lattice.NewSet("c")
 	var b core.Buffer
 	fill := func() {
-		b.AddDeferred(a, "n0", 1<<1)
-		b.AddDeferred(c, "n2", 1<<0)
+		b.Push(core.Entry{Delta: a, Origin: "n0", Defer: 1 << 1})
+		b.Push(core.Entry{Delta: c, Origin: "n2", Defer: 1 << 0})
 	}
+	owed := bp(neighbors)
 	pass := func() {
-		for i, j := range neighbors {
-			b.GroupExcluding(j, i)
+		for i := range neighbors {
+			b.Group(i, owed, nil)
 		}
-		b.Sent()
+		sent(&b, neighbors)
 	}
 	groups := testing.AllocsPerRun(100, func() {
 		// What the two steps send: c to n1 and a to n2, then a to n1 and

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -203,6 +204,38 @@ func TestTableII(t *testing.T) {
 	// Post performs at least 1 update (1 + #followers).
 	if u := cell(t, tab, 1, 1); u < 1 {
 		t.Errorf("tab2: post updates %.2f, want ≥ 1", u)
+	}
+}
+
+// TestRunStorePaperMeshGolden pins what the store sends on the paper's
+// 15-node partial mesh, as crdtsim -store -topology mesh -nodes 15 -keys
+// 2000 runs it (32 shards, 50 ms ticks, digests every 4 ticks, seed 42),
+// under both engines: the frames, the bytes on the wire and the elements
+// shipped, to the unit, and the digest every replica settles on. A change
+// that moves a byte on the wire moves these, and states the new figures
+// and why.
+func TestRunStorePaperMeshGolden(t *testing.T) {
+	for _, want := range []struct {
+		engine                  string
+		frames, bytes, elements int
+	}{
+		{"acked", 17653, 1288741, 61476},
+		{"delta", 17744, 1234902, 68291},
+	} {
+		tab, err := RunStore(StoreRun{Graph: topology.PartialMesh(15, 4, 42), Engine: want.engine, Shards: 32,
+			SyncEvery: 50 * time.Millisecond, DigestEvery: 4, Keys: 2000, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := []int{int(cell(t, tab, rowIdx(t, tab, "frames"), 1)), int(cell(t, tab, rowIdx(t, tab, "wire bytes"), 1)),
+			int(cell(t, tab, rowIdx(t, tab, "elements"), 1))}
+		if !slices.Equal(got, []int{want.frames, want.bytes, want.elements}) {
+			t.Errorf("%s engine: %d frames, %d wire bytes, %d elements; want %d, %d and %d",
+				want.engine, got[0], got[1], got[2], want.frames, want.bytes, want.elements)
+		}
+		if d := tab.Rows[rowIdx(t, tab, "digest")][1]; d != "84d6b7aaeb896f19" {
+			t.Errorf("%s engine settled on digest %s, want 84d6b7aaeb896f19", want.engine, d)
+		}
 	}
 }
 

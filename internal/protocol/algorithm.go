@@ -16,23 +16,22 @@ import (
 // send, *deltaAcked keeps each entry until it is acknowledged. A standalone
 // engine (object) holds one pair (x, b) itself; a keyspace (perObject)
 // holds x in the key's record and b in a side table, only while it is not
-// empty. B is the buffer's type, and its zero value the empty buffer.
-type algorithm[B any] interface {
+// empty.
+type algorithm interface {
 	config() *deltaConfig
 	// store is Algorithm 1's store(s, o): join s into x and buffer it for
 	// further propagation.
-	store(x lattice.State, b *B, s lattice.State, origin string)
+	store(x lattice.State, b *core.Buffer, s lattice.State, origin string)
 	// deliver handles one inbound message for the object; replies go to
 	// send.
-	deliver(x lattice.State, b *B, from string, m Msg, send Sender)
+	deliver(x lattice.State, b *core.Buffer, from string, m Msg, send Sender)
 	// ship is a send pass over b: the tick (Sync) when tick is set, a
-	// first-transmission pass (Flush) otherwise.
-	ship(b *B, send Sender, tick bool)
-	// unsent and waiting are Flusher's Unsent and Waiting for one buffer.
-	unsent(b *B) bool
-	waiting(b *B) bool
+	// first-transmission pass (Flush) otherwise. It leaves the entries the
+	// next pass ships due (core.Buffer.Unsent), and b empty once no later
+	// pass has anything to do.
+	ship(b *core.Buffer, send Sender, tick bool)
 	// memory is the footprint of x and b.
-	memory(x lattice.State, b *B) metrics.Memory
+	memory(x lattice.State, b *core.Buffer) metrics.Memory
 	retransmits() uint64
 }
 
@@ -47,19 +46,20 @@ type deltaConfig struct {
 
 func (c *deltaConfig) config() *deltaConfig { return c }
 
-// holder is the position among the neighbors of from, whose δ-group has
-// just arrived, when the engine prunes by receipt (Config.PruneOnReceipt);
-// -1 when it does not, and for a sender that is no neighbor.
-func (c *deltaConfig) holder(from string) int {
-	if !c.cfg.PruneOnReceipt {
-		return -1
+// received marks the entries of b that d covers as held by from, whose
+// δ-group d has just arrived, when the engine prunes by receipt
+// (Config.PruneOnReceipt), and reports whether it marked any. A sender
+// that is no neighbor marks nothing.
+func (c *deltaConfig) received(b *core.Buffer, d lattice.State, from string) bool {
+	if !c.cfg.PruneOnReceipt || b.Len() == 0 {
+		return false
 	}
-	return slices.Index(c.cfg.Neighbors, from)
+	return b.MarkHeld(d, slices.Index(c.cfg.Neighbors, from))
 }
 
 // localOp is Algorithm 1's local update (lines 6–8): the δ-mutator of dt
 // runs on x, and what it returns is stored unless it is bottom.
-func localOp[B any](a algorithm[B], dt workload.Datatype, x lattice.State, b *B, op workload.Op) {
+func localOp(a algorithm, dt workload.Datatype, x lattice.State, b *core.Buffer, op workload.Op) {
 	id := a.config().cfg.ID
 	if d := dt.Delta(x, id, op); !d.IsBottom() {
 		a.store(x, b, d, id)
@@ -71,7 +71,7 @@ func localOp[B any](a algorithm[B], dt workload.Datatype, x lattice.State, b *B,
 // (lines 15–16, right), otherwise it applies the classic inflation check
 // (line 16, left) — the source of most redundant propagation, as §IV
 // explains.
-func absorb[B any](a algorithm[B], x lattice.State, b *B, d lattice.State, from string) {
+func absorb(a algorithm, x lattice.State, b *core.Buffer, d lattice.State, from string) {
 	if !a.config().rr {
 		if lattice.StrictlyInflates(d, x) {
 			a.store(x, b, d, from)
@@ -88,57 +88,47 @@ func absorb[B any](a algorithm[B], x lattice.State, b *B, d lattice.State, from 
 
 // object is a standalone delta engine: Algorithm 1 over the one state and
 // δ-buffer it holds itself, as the simulator runs one per node.
-type object[B any] struct {
-	alg algorithm[B]
+type object struct {
+	alg algorithm
 	x   lattice.State
-	buf B
+	buf core.Buffer
 }
 
-var (
-	_ Flusher        = (*object[core.Buffer])(nil)
-	_ ReachConsulter = (*object[core.Buffer])(nil)
-)
+var _ Flusher = (*object)(nil)
 
-func newObject[B any](alg algorithm[B]) *object[B] {
-	return &object[B]{alg: alg, x: alg.config().cfg.Datatype.New()}
+func newObject(alg algorithm) *object {
+	return &object{alg: alg, x: alg.config().cfg.Datatype.New()}
 }
 
-func (e *object[B]) ID() string           { return e.alg.config().cfg.ID }
-func (e *object[B]) State() lattice.State { return e.x }
+func (e *object) ID() string           { return e.alg.config().cfg.ID }
+func (e *object) State() lattice.State { return e.x }
 
-func (e *object[B]) LocalOp(op workload.Op) {
+func (e *object) LocalOp(op workload.Op) {
 	localOp(e.alg, e.alg.config().cfg.Datatype, e.x, &e.buf, op)
 }
 
-func (e *object[B]) Deliver(from string, m Msg, send Sender) {
+func (e *object) Deliver(from string, m Msg, send Sender) {
 	e.alg.deliver(e.x, &e.buf, from, m, send)
 }
 
 // Sync implements Engine: one tick.
-func (e *object[B]) Sync(send Sender) { e.alg.ship(&e.buf, send, true) }
+func (e *object) Sync(send Sender) { e.alg.ship(&e.buf, send, true) }
 
 // Flush implements Flusher: first transmissions only, and no tick passes.
-func (e *object[B]) Flush(send Sender) {
+func (e *object) Flush(send Sender) {
 	if e.Unsent() {
 		e.alg.ship(&e.buf, send, false)
 	}
 }
 
 // Unsent implements Flusher.
-func (e *object[B]) Unsent() bool { return e.alg.unsent(&e.buf) }
+func (e *object) Unsent() bool { return e.buf.Unsent() }
 
-// Waiting implements Flusher.
-func (e *object[B]) Waiting() bool { return e.alg.waiting(&e.buf) }
+// Waiting implements Flusher: a buffered entry is owed to some neighbor
+// that does not hold it yet, which only a later pass can settle.
+func (e *object) Waiting() bool { return e.buf.Len() > 0 }
 
-func (e *object[B]) Memory() metrics.Memory { return e.alg.memory(e.x, &e.buf) }
+func (e *object) Memory() metrics.Memory { return e.alg.memory(e.x, &e.buf) }
 
 // Retransmits returns how many times an entry has been sent again.
-func (e *object[B]) Retransmits() uint64 { return e.alg.retransmits() }
-
-// ConsultsReach implements ReachConsulter: the acked engine withholds on
-// Config.Reach; the plain one reads it only to defer a forward by one
-// step under Config.PruneOnReceipt, and withholds nothing.
-func (e *object[B]) ConsultsReach() bool {
-	_, ok := any(e.alg).(*deltaAcked)
-	return ok
-}
+func (e *object) Retransmits() uint64 { return e.alg.retransmits() }

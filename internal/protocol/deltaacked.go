@@ -1,9 +1,9 @@
 package protocol
 
 import (
-	"math/bits"
 	"slices"
 
+	"crdtsync/internal/core"
 	"crdtsync/internal/lattice"
 	"crdtsync/internal/metrics"
 )
@@ -34,26 +34,6 @@ func (m *AckMsg) Kind() string { return "ack" }
 // Cost implements Msg.
 func (m *AckMsg) Cost() metrics.Transmission { return m.cost }
 
-// ackedEntry is one δ-buffer entry awaiting acknowledgment.
-//
-// An entry goes to every neighbor that is owed it in one Flush or Sync,
-// so what has been sent is a property of the entry, not of the
-// (entry, neighbor) pair; acked is what differs per neighbor.
-type ackedEntry struct {
-	seq    uint64
-	delta  lattice.State
-	origin string
-	acked  bitset // by position in Config.Neighbors; held by receipt counts
-	// wait is the number of ticks until the entry is sent again to the
-	// neighbors still owing its ack; 0 means it has never been sent.
-	// gap is the wait the last send armed: 1 on the first send, doubled
-	// by every retransmission up to maxRetransmitGap.
-	wait, gap uint8
-	// due marks the entry for the send pass of the Flush or Sync that is
-	// running; always false between calls.
-	due bool
-}
-
 // maxRetransmitGap caps the doubling of the gap between two sends of an
 // unacknowledged entry, in ticks: an entry is sent again 1, 2 and 4
 // ticks after the send before, then every 8. On a lossless link a gap is
@@ -66,41 +46,6 @@ type ackedEntry struct {
 // last write converges 0.10–0.41 s later with the cap at 8, 0.15–0.61 s
 // at 16, 0.10–0.91 s at 64, for the same 11–16 elements per update.
 const maxRetransmitGap = 8
-
-// bitset is a set of small non-negative integers: one inline word for
-// members below 64 (every deployment here), a slice for the rest.
-type bitset struct {
-	lo uint64
-	hi []uint64
-}
-
-func (b *bitset) add(i int) {
-	if i < 64 {
-		b.lo |= 1 << i
-		return
-	}
-	w := i/64 - 1
-	if w >= len(b.hi) {
-		b.hi = append(b.hi, make([]uint64, w+1-len(b.hi))...)
-	}
-	b.hi[w] |= 1 << (i % 64)
-}
-
-func (b *bitset) has(i int) bool {
-	if i < 64 {
-		return b.lo&(1<<i) != 0
-	}
-	w := i/64 - 1
-	return w < len(b.hi) && b.hi[w]&(1<<(i%64)) != 0
-}
-
-func (b *bitset) len() int {
-	n := bits.OnesCount64(b.lo)
-	for _, w := range b.hi {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
 
 // deltaAcked is the lossy-channel variant of delta-based synchronization
 // the paper sketches in §IV: instead of clearing the δ-buffer after every
@@ -119,14 +64,14 @@ func (b *bitset) len() int {
 //
 // BP and RR compose with acknowledgments exactly as in Algorithm 1, and BP
 // extends from the neighbor an entry came from to the neighbors that one
-// says it delivers to itself (owed). Under Config.PruneOnReceipt a
-// neighbor whose δ-group covers an entry counts as having acknowledged
-// it (markHeld).
+// says it delivers to itself (owed). An acknowledgment marks the entry held
+// by its sender (core.Entry.Held), and so, under Config.PruneOnReceipt,
+// does a neighbor's δ-group that covers it.
 //
-// The buffer holds its entries by value, ascending by seq, and is nil
-// whenever it is empty: the ack that retires the last entry releases the
-// backing array with it, so an idle object keeps no reference to a
-// δ-group it has shipped.
+// The buffer is the plain engine's, ascending by seq: each entry carries
+// its seq and resend schedule besides. It is nil whenever it is empty: the
+// ack that retires the last entry releases the backing array with it, so
+// an idle object keeps no reference to a δ-group it has shipped.
 type deltaAcked struct {
 	deltaConfig
 	// nextSeq is the last sequence number handed out, to an entry of any
@@ -138,29 +83,21 @@ type deltaAcked struct {
 	resent uint64
 }
 
-// ReachConsulter is implemented by the delta engines. ConsultsReach
-// reports whether the engine withholds forwards on Config.Reach, so that
-// whoever runs it knows to cover for a neighbor whose word stops holding.
-// An engine that only defers a forward on it (the plain one, under
-// Config.PruneOnReceipt) makes the forward a step later, and owes no
-// cover.
-type ReachConsulter interface{ ConsultsReach() bool }
-
 // NewDeltaAcked returns the acknowledgment-based delta engine factory with
 // the given optimizations.
 func NewDeltaAcked(bp, rr bool) Factory {
 	return func(cfg Config) Engine {
-		return newObject[[]ackedEntry](&deltaAcked{deltaConfig: deltaConfig{cfg: cfg, bp: bp, rr: rr}})
+		return newObject(&deltaAcked{deltaConfig: deltaConfig{cfg: cfg, bp: bp, rr: rr}})
 	}
 }
 
-func (e *deltaAcked) store(x lattice.State, b *[]ackedEntry, s lattice.State, origin string) {
+func (e *deltaAcked) store(x lattice.State, b *core.Buffer, s lattice.State, origin string) {
 	x.Merge(s)
 	if e.bp {
 		e.cfg.Reach.withhold(origin)
 	}
-	entry := ackedEntry{delta: s, origin: origin}
-	if e.fullyAcked(&entry) {
+	entry := core.Entry{Delta: s, Origin: origin}
+	if !entry.Pending(len(e.cfg.Neighbors), e.owed) {
 		// No neighbor ever needs this entry — e.g. its origin is the
 		// only neighbor under BP or reaches every other one itself, or
 		// the node has no neighbors at all. Buffering it would leak:
@@ -168,87 +105,67 @@ func (e *deltaAcked) store(x lattice.State, b *[]ackedEntry, s lattice.State, or
 		return
 	}
 	e.nextSeq++
-	entry.seq = e.nextSeq
-	*b = append(*b, entry)
+	entry.Seq = e.nextSeq
+	b.Push(entry)
 }
-
-// unsent: new entries are appended and every send pass covers the whole
-// buffer, so the never-sent ones are a suffix of it.
-func (e *deltaAcked) unsent(b *[]ackedEntry) bool {
-	n := len(*b)
-	return n > 0 && (*b)[n-1].wait == 0
-}
-
-// waiting: a buffered entry is one some neighbor has not acknowledged,
-// which only a later tick can decide to send again.
-func (e *deltaAcked) waiting(b *[]ackedEntry) bool { return len(*b) > 0 }
 
 func (e *deltaAcked) retransmits() uint64 { return e.resent }
 
 // ship marks the entries due on this pass — those never sent, and on a
 // tick those whose wait runs out — then sends each neighbor the join of
-// the due entries it is owed and has not acknowledged.
-func (e *deltaAcked) ship(b *[]ackedEntry, send Sender, tick bool) {
+// the due entries it is owed and does not hold. An entry is sent again
+// one full tick after its first send, then 2, 4, … ticks after the one
+// before (maxRetransmitGap): Gap is the last wait armed, Wait the ticks
+// left of it.
+func (e *deltaAcked) ship(b *core.Buffer, send Sender, tick bool) {
+	n := len(e.cfg.Neighbors)
 	if tick && e.cfg.Reach != nil {
 		// An origin may have announced since the entry was buffered the
 		// last neighbor that had not acknowledged it.
-		e.retire(b)
+		b.Drop(n, e.owed)
 	}
-	buf := *b
+	entries := b.Entries()
 	due := false
-	for k := range buf {
-		entry := &buf[k]
+	for k := range entries {
+		entry := &entries[k]
 		switch {
-		case entry.wait == 0:
-			entry.due, entry.gap, entry.wait = true, 1, 1
+		case entry.Due: // never sent
+			entry.Gap, entry.Wait = 1, 1
 			if !tick {
 				// Sent between two ticks: the next tick does not
 				// complete a full one since this send.
-				entry.wait = 2
+				entry.Wait = 2
 			}
 		case tick:
-			entry.wait--
-			if entry.wait == 0 {
-				entry.gap = min(2*entry.gap, maxRetransmitGap)
-				entry.due, entry.wait = true, entry.gap
+			entry.Wait--
+			if entry.Wait == 0 {
+				entry.Gap = min(2*entry.Gap, maxRetransmitGap)
+				entry.Due, entry.Wait = true, entry.Gap
 				e.resent++
 			}
 		}
-		due = due || entry.due
+		due = due || entry.Due
 	}
 	if !due {
 		return
 	}
 	for i, j := range e.cfg.Neighbors {
-		var d lattice.State
 		var seqs []uint64
-		for k := range buf {
-			entry := &buf[k]
-			if !entry.due || entry.acked.has(i) || !e.owed(entry.origin, i) {
-				continue
-			}
-			if d == nil {
-				d = entry.delta.Clone()
-			} else {
-				d.Merge(entry.delta)
-			}
-			seqs = append(seqs, entry.seq)
-		}
+		d := b.Group(i, e.owed, &seqs)
 		if d == nil || d.IsBottom() {
 			continue
 		}
 		send(j, NewAckedDeltaMsg(d, seqs))
 	}
-	for k := range buf {
-		buf[k].due = false
+	for k := range entries {
+		entries[k].Due = false
 	}
 }
 
-func (e *deltaAcked) deliver(x lattice.State, b *[]ackedEntry, from string, m Msg, send Sender) {
+func (e *deltaAcked) deliver(x lattice.State, b *core.Buffer, from string, m Msg, send Sender) {
 	switch msg := m.(type) {
 	case *AckedDeltaMsg:
-		e.markHeld(b, msg.Delta, from)
-		absorb(e, x, b, msg.Delta, from)
+		e.receive(x, b, msg.Delta, from)
 		// Acknowledge regardless of redundancy: the data arrived.
 		send(from, newAckMsg(msg.Seqs))
 	case *DeltaMsg:
@@ -256,19 +173,29 @@ func (e *deltaAcked) deliver(x lattice.State, b *[]ackedEntry, from string, m Ms
 		// digest anti-entropy repair path ships full object states this
 		// way. Merge what inflates and propagate it onwards; there is
 		// nothing to acknowledge.
-		e.markHeld(b, msg.Delta, from)
-		absorb(e, x, b, msg.Delta, from)
+		e.receive(x, b, msg.Delta, from)
 	case *AckMsg:
 		e.ack(b, slices.Index(e.cfg.Neighbors, from), msg.Seqs)
 	}
 }
 
-// ack records neighbor's acknowledgment of seqs and drops the entries
-// that are thereby fully acknowledged. An acknowledgment echoes the seqs
-// of one AckedDeltaMsg, which ship lists in buffer order, so both sides
-// ascend and one two-pointer walk pairs them; seqs in any other order
-// (never sent by this code) are sorted first.
-func (e *deltaAcked) ack(b *[]ackedEntry, neighbor int, seqs []uint64) {
+// receive takes a δ-group d from a neighbor: the entries it covers are
+// held by from, and leave once every neighbor they are owed to holds them
+// (Config.PruneOnReceipt), before d is absorbed.
+func (e *deltaAcked) receive(x lattice.State, b *core.Buffer, d lattice.State, from string) {
+	if e.received(b, d, from) {
+		b.Drop(len(e.cfg.Neighbors), e.owed)
+	}
+	absorb(e, x, b, d, from)
+}
+
+// ack marks the entries whose seqs neighbor acknowledges as held by it,
+// and drops the entries every neighbor they are owed to now holds. An
+// acknowledgement echoes the seqs of one AckedDeltaMsg, which ship lists
+// in buffer order, so both sides ascend and one two-pointer walk pairs
+// them; seqs in any other order (never sent by this code) are sorted
+// first.
+func (e *deltaAcked) ack(b *core.Buffer, neighbor int, seqs []uint64) {
 	if neighbor < 0 {
 		return
 	}
@@ -276,60 +203,17 @@ func (e *deltaAcked) ack(b *[]ackedEntry, neighbor int, seqs []uint64) {
 		seqs = slices.Clone(seqs)
 		slices.Sort(seqs)
 	}
-	buf := *b
-	for k := range buf {
-		entry := &buf[k]
-		for len(seqs) > 0 && seqs[0] < entry.seq {
+	entries := b.Entries()
+	for k := range entries {
+		entry := &entries[k]
+		for len(seqs) > 0 && seqs[0] < entry.Seq {
 			seqs = seqs[1:]
 		}
-		if len(seqs) > 0 && seqs[0] == entry.seq {
-			entry.acked.add(neighbor)
+		if len(seqs) > 0 && seqs[0] == entry.Seq {
+			entry.Held.Add(neighbor)
 		}
 	}
-	e.retire(b)
-}
-
-// markHeld counts from, whose δ-group d has just arrived, as having
-// acknowledged every buffered entry d covers, and retires the entries
-// that leaves fully acknowledged (Config.PruneOnReceipt): from holds
-// whatever it sends, so none of them is ever sent, or resent, to it.
-func (e *deltaAcked) markHeld(b *[]ackedEntry, d lattice.State, from string) {
-	if len(*b) == 0 {
-		return
-	}
-	i := e.holder(from)
-	if i < 0 {
-		return
-	}
-	marked := false
-	for k := range *b {
-		if entry := &(*b)[k]; !entry.acked.has(i) && entry.delta.Leq(d) {
-			entry.acked.add(i)
-			marked = true
-		}
-	}
-	if marked {
-		e.retire(b)
-	}
-}
-
-// retire drops the entries every neighbor they are owed to has
-// acknowledged.
-func (e *deltaAcked) retire(b *[]ackedEntry) {
-	buf := *b
-	kept := 0
-	for k := range buf {
-		if !e.fullyAcked(&buf[k]) {
-			buf[kept] = buf[k]
-			kept++
-		}
-	}
-	if kept == 0 {
-		*b = nil
-		return
-	}
-	clear(buf[kept:]) // the retired entries' δ-groups
-	*b = buf[:kept]
+	b.Drop(len(e.cfg.Neighbors), e.owed)
 }
 
 // owed reports whether the neighbor at position i must receive an entry
@@ -337,31 +221,19 @@ func (e *deltaAcked) retire(b *[]ackedEntry) {
 // and one that origin has announced it sends to (Config.Reach), because
 // origin, or whoever origin had the entry from, up to the node that issued
 // it, holds the entry for that neighbor and sends it until acknowledged.
+// Reach records each neighbor an entry is withheld from so.
 func (e *deltaAcked) owed(origin string, i int) bool {
-	return !e.bp || origin != e.cfg.Neighbors[i] && !e.cfg.Reach.has(origin, i)
+	return !e.bp || origin != e.cfg.Neighbors[i] && !e.cfg.Reach.withholds(origin, i)
 }
 
-// fullyAcked reports whether every neighbor the entry is owed to has
-// acknowledged it.
-func (e *deltaAcked) fullyAcked(entry *ackedEntry) bool {
-	for i := range e.cfg.Neighbors {
-		if !entry.acked.has(i) && e.owed(entry.origin, i) {
-			return false
-		}
-	}
-	return true
-}
-
-func (e *deltaAcked) memory(x lattice.State, b *[]ackedEntry) metrics.Memory {
-	buf, meta := 0, 0
-	for k := range *b {
-		entry := &(*b)[k]
-		buf += entry.delta.SizeBytes() + len(entry.origin)
-		meta += 8 + 8*entry.acked.len()
+func (e *deltaAcked) memory(x lattice.State, b *core.Buffer) metrics.Memory {
+	meta := 0
+	for _, entry := range b.Entries() {
+		meta += 8 + 8*entry.Held.Len()
 	}
 	return metrics.Memory{
 		CRDTBytes:     x.SizeBytes(),
-		BufferBytes:   buf,
+		BufferBytes:   b.SizeBytes(),
 		MetadataBytes: meta,
 	}
 }

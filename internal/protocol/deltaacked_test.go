@@ -225,6 +225,45 @@ func TestAckedDeltaReachSkipsAnnouncedNeighbors(t *testing.T) {
 	}
 }
 
+// TestReachLeftNamesOnlyWithheldNeighbors: Set reports a neighbor as
+// having left an origin's set only if an engine withheld a forward from it
+// on that origin's word since it joined. b, with neighbors a, c and d,
+// buffers a's entry x for c and d; then a announces c. Under the acked
+// engine the next tick lets c go unsent — x was buffered before the word,
+// and no forward was counted as withheld — so c leaving a's set is
+// reported, once: left again, with nothing withheld since it joined, it is
+// not. The plain engine only defers on the table, and has nothing
+// reported.
+func TestReachLeftNamesOnlyWithheldNeighbors(t *testing.T) {
+	neighbors := []string{"a", "c", "d"}
+	discard := func(string, protocol.Msg) {}
+	for _, e := range []struct {
+		name     string
+		factory  protocol.Factory
+		group    protocol.Msg
+		reported []string
+	}{
+		{"acked", protocol.NewDeltaAcked(true, true), protocol.NewAckedDeltaMsg(crdt.NewGSet("x"), []uint64{1}), []string{"c"}},
+		{"delta", protocol.NewDeltaBPRR(), protocol.NewDeltaMsg(crdt.NewGSet("x")), nil},
+	} {
+		reach := protocol.NewReach(neighbors)
+		b := e.factory(protocol.Config{ID: "b", Neighbors: neighbors, Nodes: []string{"a", "b", "c", "d"},
+			Datatype: workload.GSetType{}, Reach: reach, PruneOnReceipt: true})
+		b.Deliver("a", e.group, discard)
+		if left := reach.Set("a", []string{"c"}); left != nil {
+			t.Fatalf("%s: a's first announcement reported %v", e.name, left)
+		}
+		b.Sync(discard)
+		if left := reach.Set("a", nil); !slices.Equal(left, e.reported) {
+			t.Errorf("%s: a stopped reaching c, %v reported, want %v", e.name, left, e.reported)
+		}
+		reach.Set("a", []string{"c", "d"})
+		if left := reach.Set("a", []string{"d"}); left != nil {
+			t.Errorf("%s: c left again with nothing withheld since it joined, %v reported", e.name, left)
+		}
+	}
+}
+
 func TestAckedDeltaMergesRepairDeltaMsg(t *testing.T) {
 	// The store's digest anti-entropy ships full object states as plain
 	// DeltaMsgs outside the acked sequence space. The engine must merge

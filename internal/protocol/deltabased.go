@@ -29,19 +29,20 @@ func (m *DeltaMsg) Cost() metrics.Transmission { return m.cost }
 //     inflates the local state, when RR is on (lines 15–16, right).
 //
 // Per the paper's channel assumptions (no loss; duplication and reordering
-// allowed) the buffer is cleared after each synchronization step; each
-// message carries one sequence number per neighbor as metadata. Under
-// Config.PruneOnReceipt an entry instead leaves once every neighbor it is
-// owed to holds it: a step sends it to every neighbor its forward is not
-// deferred for (deferred), and the next step to a deferred one that has
-// not sent the entry back meanwhile.
+// allowed) a neighbor holds whatever it has been sent, so the buffer is
+// cleared after each synchronization step; each message carries one
+// sequence number per neighbor as metadata. Under Config.PruneOnReceipt
+// an entry instead leaves once every neighbor it is owed to holds it: a
+// step sends it to every neighbor its forward is not deferred for
+// (deferred), and the next step to a deferred one that has not sent the
+// entry back meanwhile.
 type deltaBased struct{ deltaConfig }
 
 // NewDeltaBased returns a delta-based engine factory with the given
 // optimizations enabled.
 func NewDeltaBased(bp, rr bool) Factory {
 	return func(cfg Config) Engine {
-		return newObject[core.Buffer](&deltaBased{deltaConfig{cfg: cfg, bp: bp, rr: rr}})
+		return newObject(&deltaBased{deltaConfig{cfg: cfg, bp: bp, rr: rr}})
 	}
 }
 
@@ -53,7 +54,7 @@ func NewDeltaBPRR() Factory { return NewDeltaBased(true, true) }
 
 func (e *deltaBased) store(x lattice.State, b *core.Buffer, s lattice.State, origin string) {
 	x.Merge(s)
-	b.AddDeferred(s, origin, e.deferred(origin))
+	b.Push(core.Entry{Delta: s, Origin: origin, Defer: e.deferred(origin)})
 }
 
 // deferred is the set of neighbors, by position, that the forward of an
@@ -71,48 +72,50 @@ func (e *deltaBased) deferred(origin string) uint64 {
 	reach := e.cfg.Reach.set(origin)
 	var d uint64
 	for i, j := range e.cfg.Neighbors[:min(64, len(e.cfg.Neighbors))] {
-		if reach.lo&(1<<i) != 0 && j < e.cfg.ID {
+		if reach.Has(i) && j < e.cfg.ID {
 			d |= 1 << i
 		}
 	}
 	return d
 }
 
+// owed reports whether the neighbor at position i must receive an entry
+// that came from origin: under BP, every neighbor but origin.
+func (e *deltaBased) owed(origin string, i int) bool { return !e.bp || origin != e.cfg.Neighbors[i] }
+
 func (e *deltaBased) deliver(x lattice.State, b *core.Buffer, from string, m Msg, _ Sender) {
 	if dm, ok := m.(*DeltaMsg); ok {
-		if b.Len() > 0 {
-			b.MarkHeld(dm.Delta, e.holder(from))
-		}
+		e.received(b, dm.Delta, from)
 		absorb(e, x, b, dm.Delta, from)
 	}
 }
 
 // ship sends each neighbor the join of the buffered entries it is owed
-// and ends the step (core.Buffer.Sent). A pass between two ticks does the
-// same: nothing is ever sent twice, so the first-transmission pass is the
-// whole of the tick. An entry a neighbor is marked as holding, or whose
-// forward to it is deferred (Config.PruneOnReceipt), is left out of its
-// group.
+// (core.Buffer.Group) and ends the step: every neighbor a forward was not
+// deferred for now holds the entry, the deferrals end, and the entries
+// every owed neighbor holds leave. A pass between two ticks does the same:
+// nothing is ever sent twice, so the first-transmission pass is the whole
+// of the tick. An entry a neighbor is marked as holding, or whose forward
+// to it is deferred (Config.PruneOnReceipt), is left out of its group.
 func (e *deltaBased) ship(b *core.Buffer, send Sender, _ bool) {
+	n := len(e.cfg.Neighbors)
 	for i, j := range e.cfg.Neighbors {
-		exclude := ""
-		if e.bp {
-			exclude = j
+		if d := b.Group(i, e.owed, nil); d != nil && !d.IsBottom() {
+			send(j, NewDeltaMsg(d))
 		}
-		d := b.GroupExcluding(exclude, i)
-		if d == nil || d.IsBottom() {
-			continue
-		}
-		send(j, NewDeltaMsg(d))
 	}
-	b.Sent()
+	entries := b.Entries()
+	for k := range entries {
+		en := &entries[k]
+		for i := 0; i < n; i++ {
+			if i >= 64 || en.Defer&(1<<i) == 0 {
+				en.Held.Add(i)
+			}
+		}
+		en.Defer = 0
+	}
+	b.Drop(n, e.owed)
 }
-
-// unsent and waiting: a buffered entry is owed to some neighbor at the
-// next step, be it a flush or a tick.
-func (e *deltaBased) unsent(b *core.Buffer) bool { return b.Len() > 0 }
-
-func (e *deltaBased) waiting(b *core.Buffer) bool { return b.Len() > 0 }
 
 func (e *deltaBased) retransmits() uint64 { return 0 }
 

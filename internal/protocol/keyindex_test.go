@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"unsafe"
+
+	"crdtsync/internal/core"
 )
 
 // TestRecordSize pins what every key of a keyspace pays for its record: a
@@ -15,6 +17,15 @@ import (
 func TestRecordSize(t *testing.T) {
 	if got := unsafe.Sizeof(rec{}); got != 32 {
 		t.Errorf("a key record is %d bytes, want 32", got)
+	}
+}
+
+// TestEntrySize pins what every δ-group in flight pays for its δ-buffer
+// entry, under either engine: a field added to core.Entry grows every
+// buffered entry of every store.
+func TestEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(core.Entry{}); got != 72 {
+		t.Errorf("a δ-buffer entry is %d bytes, want 72", got)
 	}
 }
 

@@ -39,8 +39,8 @@ func (m *BatchMsg) Cost() metrics.Transmission { return m.cost }
 // almost optimally at low contention. Every object runs one algorithm, the
 // keyspace's: its state is in the key's record, its δ-buffer in bufs while
 // it holds anything, and nothing else is kept per key.
-type perObject[B any] struct {
-	alg     algorithm[B]
+type perObject struct {
+	alg     algorithm
 	objType func(key string) workload.Datatype
 	// types lists the datatypes of the objects, one per Datatype.Name, in
 	// order of first appearance; a record's dt indexes it.
@@ -53,10 +53,10 @@ type perObject[B any] struct {
 	// empties is released, not truncated (core.Buffer.Clear), and so is the
 	// table: nil whenever no object has a buffer. An object is in bufs
 	// exactly when its record is flagActive.
-	bufs map[uint32]B
+	bufs map[uint32]core.Buffer
 	// cur is the buffer a call is working on (load, file); empty between
 	// calls.
-	cur B
+	cur core.Buffer
 	// active lists the objects the next Sync must visit: those with a
 	// δ-buffer, whether unsent or waiting for acks. Quiescent objects are
 	// skipped, making Sync O(changed) instead of O(keyspace): the
@@ -83,10 +83,10 @@ type perObject[B any] struct {
 }
 
 var (
-	_ KeyedEngine     = (*perObject[core.Buffer])(nil)
-	_ Flusher         = (*perObject[core.Buffer])(nil)
-	_ ObjectDeliverer = (*perObject[core.Buffer])(nil)
-	_ ObjectRestorer  = (*perObject[core.Buffer])(nil)
+	_ KeyedEngine     = (*perObject)(nil)
+	_ Flusher         = (*perObject)(nil)
+	_ ObjectDeliverer = (*perObject)(nil)
+	_ ObjectRestorer  = (*perObject)(nil)
 )
 
 // NewPerObject wraps a delta engine factory (NewDeltaBased, NewDeltaAcked)
@@ -98,30 +98,27 @@ func NewPerObject(inner Factory, objType func(key string) workload.Datatype) Fac
 	return func(cfg Config) Engine {
 		cfg.Datatype = objType("")
 		// The engine is a probe, discarded: its algorithm is the keyspace's.
-		switch e := inner(cfg).(type) {
-		case *object[core.Buffer]:
-			return newPerObject(e.alg, objType)
-		case *object[[]ackedEntry]:
+		if e, ok := inner(cfg).(*object); ok {
 			return newPerObject(e.alg, objType)
 		}
 		panic("protocol: NewPerObject runs the delta engines only")
 	}
 }
 
-func newPerObject[B any](alg algorithm[B], objType func(key string) workload.Datatype) *perObject[B] {
-	e := &perObject[B]{alg: alg, objType: objType}
+func newPerObject(alg algorithm, objType func(key string) workload.Datatype) *perObject {
+	e := &perObject{alg: alg, objType: objType}
 	e.b.pending = make(map[string][]ObjectMsg, len(alg.config().cfg.Neighbors))
 	e.b.send = e.b.add
 	return e
 }
 
-func (e *perObject[B]) ID() string { return e.alg.config().cfg.ID }
+func (e *perObject) ID() string { return e.alg.config().cfg.ID }
 
 // NumKeys implements KeyedEngine.
-func (e *perObject[B]) NumKeys() int { return len(e.ix.recs) }
+func (e *perObject) NumKeys() int { return len(e.ix.recs) }
 
 // ObjectState implements KeyedEngine.
-func (e *perObject[B]) ObjectState(key string) lattice.State {
+func (e *perObject) ObjectState(key string) lattice.State {
 	id, ok := find(&e.ix, maphash.String(keySeed, key), key)
 	if !ok {
 		return nil
@@ -131,7 +128,7 @@ func (e *perObject[B]) ObjectState(key string) lattice.State {
 
 // Scan implements KeyedEngine. The state handed out is the one the record
 // holds, which every later change merges into in place.
-func (e *perObject[B]) Scan(prefix string, fn func(key string, st lattice.State) bool) {
+func (e *perObject) Scan(prefix string, fn func(key string, st lattice.State) bool) {
 	for _, id := range e.ix.withPrefix(prefix) {
 		r := &e.ix.recs[id]
 		if !fn(e.ix.key(r), r.x) {
@@ -141,10 +138,10 @@ func (e *perObject[B]) Scan(prefix string, fn func(key string, st lattice.State)
 }
 
 // Stale implements KeyedEngine.
-func (e *perObject[B]) Stale() bool { return e.nStale > 0 }
+func (e *perObject) Stale() bool { return e.nStale > 0 }
 
 // Rehash implements KeyedEngine.
-func (e *perObject[B]) Rehash(fn func(key string, st lattice.State, hash *uint64)) {
+func (e *perObject) Rehash(fn func(key string, st lattice.State, hash *uint64)) {
 	if e.nStale == 0 {
 		return
 	}
@@ -159,7 +156,7 @@ func (e *perObject[B]) Rehash(fn func(key string, st lattice.State, hash *uint64
 }
 
 // Hashes implements KeyedEngine.
-func (e *perObject[B]) Hashes(fn func(key string, hash uint64)) {
+func (e *perObject) Hashes(fn func(key string, hash uint64)) {
 	for i := range e.ix.recs {
 		r := &e.ix.recs[i]
 		fn(e.ix.key(r), r.hash)
@@ -168,7 +165,7 @@ func (e *perObject[B]) Hashes(fn func(key string, hash uint64)) {
 
 // State aggregates all object states into a map keyed by object key.
 // Object states are shared, not cloned; callers must not mutate them.
-func (e *perObject[B]) State() lattice.State {
+func (e *perObject) State() lattice.State {
 	m := lattice.NewMap()
 	e.Scan("", func(key string, s lattice.State) bool {
 		if !s.IsBottom() {
@@ -182,7 +179,7 @@ func (e *perObject[B]) State() lattice.State {
 // obj returns the id of one object, creating its record and bottom state
 // if need be; h is the key's table hash. The key is only read: a new
 // record copies it, and the copy is what objType is shown.
-func obj[K string | []byte, B any](e *perObject[B], h uint64, key K) uint32 {
+func obj[K string | []byte](e *perObject, h uint64, key K) uint32 {
 	if id, ok := find(&e.ix, h, key); ok {
 		return id
 	}
@@ -196,7 +193,7 @@ func obj[K string | []byte, B any](e *perObject[B], h uint64, key K) uint32 {
 
 // typeIndex returns the index in types of the datatype named like dt,
 // adding dt if it is the first of its name.
-func (e *perObject[B]) typeIndex(dt workload.Datatype) uint8 {
+func (e *perObject) typeIndex(dt workload.Datatype) uint8 {
 	name := dt.Name()
 	for i, t := range e.types {
 		if t.Name() == name {
@@ -216,7 +213,7 @@ func (e *perObject[B]) typeIndex(dt workload.Datatype) uint8 {
 // a local would escape through the interface call: cur costs no
 // allocation. The call files it when it is done, and nothing it sends may
 // call back into the engine meanwhile.
-func (e *perObject[B]) load(id uint32) *B {
+func (e *perObject) load(id uint32) *core.Buffer {
 	if e.ix.recs[id].flags&flagActive != 0 {
 		e.cur = e.bufs[id]
 	}
@@ -226,12 +223,12 @@ func (e *perObject[B]) load(id uint32) *B {
 // file puts cur back as the δ-buffer of id, and keeps the active set with
 // it: an object whose buffer holds anything is in bufs and active, one
 // whose buffer is empty is in neither.
-func (e *perObject[B]) file(id uint32) {
+func (e *perObject) file(id uint32) {
 	r := &e.ix.recs[id]
 	switch {
-	case e.alg.waiting(&e.cur):
+	case e.cur.Len() > 0:
 		if e.bufs == nil {
-			e.bufs = make(map[uint32]B)
+			e.bufs = make(map[uint32]core.Buffer)
 		}
 		e.bufs[id] = e.cur
 		if r.flags&flagActive == 0 {
@@ -249,22 +246,22 @@ func (e *perObject[B]) file(id uint32) {
 		r.flags &^= flagActive
 		e.nActive--
 	}
-	e.cur = *new(B)
+	e.cur = core.Buffer{}
 }
 
 // touched files what a LocalOp or a Deliver just did to the buffer of the
 // object id, and queues the object for the next Flush when the buffer
 // holds something never sent. An ack or a redundant δ-group gives a pass
 // nothing new to do.
-func (e *perObject[B]) touched(id uint32) {
-	if r := &e.ix.recs[id]; r.flags&flagQueued == 0 && e.alg.unsent(&e.cur) {
+func (e *perObject) touched(id uint32) {
+	if r := &e.ix.recs[id]; r.flags&flagQueued == 0 && e.cur.Unsent() {
 		r.flags |= flagQueued
 		e.unsent = append(e.unsent, id)
 	}
 	e.file(id)
 }
 
-func (e *perObject[B]) LocalOp(op workload.Op) {
+func (e *perObject) LocalOp(op workload.Op) {
 	id := obj(e, maphash.String(keySeed, op.Key), op.Key)
 	r := &e.ix.recs[id]
 	localOp(e.alg, e.types[r.dt], r.x, e.load(id), op)
@@ -278,14 +275,14 @@ func (e *perObject[B]) LocalOp(op workload.Op) {
 // entry a write or a delivery put there holds a second copy of the key
 // (the caller's op.Key, the string a decoder made) that the record's
 // copy makes redundant.
-func (e *perObject[B]) shareKey(id uint32) {
+func (e *perObject) shareKey(id uint32) {
 	if m, ok := e.ix.recs[id].x.(*lattice.Map); ok {
 		m.ShareKey(e.ix.keyOf(id))
 	}
 }
 
 // mutated marks the object id, whose state may just have changed, stale.
-func (e *perObject[B]) mutated(id uint32) {
+func (e *perObject) mutated(id uint32) {
 	w, bit := int(id>>6), uint64(1)<<(id&63)
 	for w >= len(e.stale) {
 		e.stale = append(e.stale, 0)
@@ -349,7 +346,7 @@ func BatchOf(items []ObjectMsg) *BatchMsg {
 
 // Sync implements Engine: one tick over every active object, in key
 // order.
-func (e *perObject[B]) Sync(send Sender) {
+func (e *perObject) Sync(send Sender) {
 	if e.nActive == 0 {
 		return
 	}
@@ -378,7 +375,7 @@ func (e *perObject[B]) Sync(send Sender) {
 // Flush implements Flusher: the first-transmission pass over the queued
 // objects, in key order. It finds nothing to do, and allocates nothing,
 // when no LocalOp or Deliver has left anything new since the last pass.
-func (e *perObject[B]) Flush(send Sender) {
+func (e *perObject) Flush(send Sender) {
 	if len(e.unsent) == 0 {
 		return
 	}
@@ -398,11 +395,11 @@ func (e *perObject[B]) Flush(send Sender) {
 // one (a forward it deferred): the object stays queued then, and is
 // dequeued otherwise. It stays active only while its buffer still waits
 // for a later pass.
-func (e *perObject[B]) visit(id uint32, tick bool) bool {
+func (e *perObject) visit(id uint32, tick bool) bool {
 	e.b.key = e.ix.keyOf(id)
 	b := e.load(id)
 	e.alg.ship(b, e.b.send, tick)
-	left := e.alg.unsent(b)
+	left := b.Unsent()
 	if !left {
 		e.ix.recs[id].flags &^= flagQueued
 	}
@@ -411,16 +408,16 @@ func (e *perObject[B]) visit(id uint32, tick bool) bool {
 }
 
 // Unsent implements Flusher.
-func (e *perObject[B]) Unsent() bool { return len(e.unsent) > 0 }
+func (e *perObject) Unsent() bool { return len(e.unsent) > 0 }
 
 // Waiting implements Flusher.
-func (e *perObject[B]) Waiting() bool { return e.nActive > 0 }
+func (e *perObject) Waiting() bool { return e.nActive > 0 }
 
 // Retransmits returns how many times an entry of any object has been sent
 // again.
-func (e *perObject[B]) Retransmits() uint64 { return e.alg.retransmits() }
+func (e *perObject) Retransmits() uint64 { return e.alg.retransmits() }
 
-func (e *perObject[B]) Deliver(from string, m Msg, send Sender) {
+func (e *perObject) Deliver(from string, m Msg, send Sender) {
 	bm, ok := m.(*BatchMsg)
 	if !ok {
 		return
@@ -439,7 +436,7 @@ func (e *perObject[B]) Deliver(from string, m Msg, send Sender) {
 // compared in place, so the steady state — an existing object that an ack
 // or a redundant δ-group leaves with nothing new to send — allocates
 // nothing here; the key is copied only when the object is new.
-func (e *perObject[B]) DeliverObject(from string, key []byte, m Msg, send Sender) {
+func (e *perObject) DeliverObject(from string, key []byte, m Msg, send Sender) {
 	id := obj(e, maphash.Bytes(keySeed, key), key)
 	e.alg.deliver(e.ix.recs[id].x, e.load(id), from, m, send)
 	// An acknowledgement retires buffer entries and leaves the state alone.
@@ -450,12 +447,12 @@ func (e *perObject[B]) DeliverObject(from string, key []byte, m Msg, send Sender
 	e.touched(id)
 }
 
-func (e *perObject[B]) Memory() metrics.Memory {
+func (e *perObject) Memory() metrics.Memory {
 	var total metrics.Memory
 	for i := range e.ix.recs {
 		r := &e.ix.recs[i]
 		m := e.alg.memory(r.x, e.load(uint32(i)))
-		e.cur = *new(B)
+		e.cur = core.Buffer{}
 		total.CRDTBytes += m.CRDTBytes + len(e.ix.key(r))
 		total.BufferBytes += m.BufferBytes
 		total.MetadataBytes += m.MetadataBytes

@@ -52,13 +52,15 @@ type Config struct {
 	IDBytes int
 	// Reach, when non-nil, is what the neighbors have announced they reach
 	// themselves. The acked delta engine withholds a forward to a neighbor
-	// the entry's origin reaches; under PruneOnReceipt the plain one defers
-	// it one step instead, when that neighbor orders before this node.
+	// the entry's origin reaches, and Reach records that it did; under
+	// PruneOnReceipt the plain one defers it one step instead, when that
+	// neighbor orders before this node, and withholds nothing.
 	Reach *Reach
 	// PruneOnReceipt has the delta engines take a δ-group that arrives
 	// from a neighbor as proof that the neighbor holds every buffered entry
-	// the group covers, redundant or not: no later send pass ships such an
-	// entry to it, as BP ships none back to its origin. The plain engine
+	// the group covers, redundant or not (core.Buffer.MarkHeld): no later
+	// send pass ships such an entry to it, as BP ships none back to its
+	// origin. The plain engine
 	// also holds the forward of an entry one step for each neighbor that
 	// orders before this node and that the entry's origin reaches, so that
 	// of two receivers of one δ-group the first's forward prunes the

@@ -3,6 +3,7 @@ package protocol
 import (
 	"slices"
 
+	"crdtsync/internal/core"
 	"crdtsync/internal/metrics"
 )
 
@@ -20,34 +21,52 @@ import (
 // lock, and the simulator runs every node on one goroutine.
 type Reach struct {
 	neighbors []string
-	sets      map[string]bitset
+	words     map[string]*word
 	withheld  uint64
 }
+
+// word is what one origin has announced, by neighbor position: the
+// neighbors it reaches, and those of them a forward of an entry from it
+// has been withheld from on that word since they last joined the set.
+type word struct{ reaches, spared core.Positions }
 
 // NewReach returns an empty table over a node's neighbors, in the order
 // Config.Neighbors lists them.
 func NewReach(neighbors []string) *Reach {
-	return &Reach{neighbors: neighbors, sets: make(map[string]bitset, len(neighbors))}
+	return &Reach{neighbors: neighbors, words: make(map[string]*word, len(neighbors))}
 }
 
 // Set replaces what origin reaches with those of ids that are neighbors of
-// this node, origin itself excepted, and returns the neighbors that were
-// in the set and no longer are. An origin that is no neighbor is ignored,
-// as are ids this node does not know, and an id named twice counts once.
+// this node, origin itself excepted, and returns the neighbors that leave
+// the set having had a forward withheld from them on origin's word
+// (withholds): origin may not have delivered it, and whoever runs the
+// engines must see that they catch up. An origin that is no neighbor is
+// ignored, as are ids this node does not know, and an id named twice
+// counts once.
 func (r *Reach) Set(origin string, ids []string) (left []string) {
 	if !slices.Contains(r.neighbors, origin) {
 		return nil
 	}
-	var set bitset
+	w := r.words[origin]
+	if w == nil {
+		w = new(word)
+		r.words[origin] = w
+	}
+	w.reaches = core.Positions{}
 	for _, id := range ids {
 		if i := slices.Index(r.neighbors, id); i >= 0 && id != origin {
-			set.add(i)
+			w.reaches.Add(i)
 		}
 	}
-	old := r.sets[origin]
-	r.sets[origin] = set
+	spared := w.spared
+	w.spared = core.Positions{}
 	for i, id := range r.neighbors {
-		if old.has(i) && !set.has(i) {
+		if !spared.Has(i) {
+			continue
+		}
+		if w.reaches.Has(i) {
+			w.spared.Add(i)
+		} else {
 			left = append(left, id)
 		}
 	}
@@ -59,7 +78,7 @@ func (r *Reach) Of(origin string) []string {
 	set := r.set(origin)
 	var ids []string
 	for i, id := range r.neighbors {
-		if set.has(i) {
+		if set.Has(i) {
 			ids = append(ids, id)
 		}
 	}
@@ -76,30 +95,39 @@ func (r *Reach) Covers(origin string) bool {
 	if slices.Contains(r.neighbors, origin) {
 		others--
 	}
-	set := r.set(origin)
-	return set.len() == others
+	return r.set(origin).Len() == others
 }
 
 // set is what origin reaches, by neighbor position: empty for a nil table
 // and for an origin that has announced nothing.
-func (r *Reach) set(origin string) bitset {
-	if r == nil {
-		return bitset{}
+func (r *Reach) set(origin string) core.Positions {
+	if r != nil {
+		if w := r.words[origin]; w != nil {
+			return w.reaches
+		}
 	}
-	return r.sets[origin]
+	return core.Positions{}
 }
 
-// has reports whether origin has announced the neighbor at position i.
-func (r *Reach) has(origin string, i int) bool {
-	set := r.set(origin)
-	return set.has(i)
+// withholds reports whether origin has announced the neighbor at position
+// i, so that an entry from origin need not be sent there, and records that
+// a forward is withheld from it on origin's word (Set).
+func (r *Reach) withholds(origin string, i int) bool {
+	if r == nil {
+		return false
+	}
+	w := r.words[origin]
+	if w == nil || !w.reaches.Has(i) {
+		return false
+	}
+	w.spared.Add(i)
+	return true
 }
 
 // withhold counts the forwards an entry from origin is spared: one per
 // neighbor origin reaches.
 func (r *Reach) withhold(origin string) {
-	set := r.set(origin)
-	if n := set.len(); n > 0 {
+	if n := r.set(origin).Len(); n > 0 {
 		r.withheld += uint64(n)
 	}
 }

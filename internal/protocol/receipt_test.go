@@ -220,3 +220,46 @@ func TestPruneOnReceiptOffIsAlgorithm1(t *testing.T) {
 		}
 	}
 }
+
+// TestPruneOnReceiptPastTheWord: of b's 70 neighbors, n66 — past the
+// inline word of an entry's held set — sends b's own entry back before
+// b's first pass. Under either engine the entry goes to the 69 others and
+// not to n66, and leaves b's buffer once every one of them holds it: at
+// the end of the pass under the plain engine, with the last of the 69
+// acknowledgements under the acked one.
+func TestPruneOnReceiptPastTheWord(t *testing.T) {
+	neighbors := make([]string, 70)
+	for i := range neighbors {
+		neighbors[i] = fmt.Sprintf("n%02d", i)
+	}
+	for _, e := range receiptEngines[:2] {
+		t.Run(e.name, func(t *testing.T) {
+			b := e.factory(protocol.Config{ID: "b", Neighbors: neighbors, Nodes: append([]string{"b"}, neighbors...),
+				Datatype: workload.GSetType{}, PruneOnReceipt: true})
+			b.LocalOp(addOp("x"))
+			b.Deliver("n66", e.group(crdt.NewGSet("x")), discard)
+			if got := sentBy(b); len(got) != 69 || got["n66"] != nil || !slices.Equal(got["n69"], []string{"x"}) {
+				t.Fatalf("sent x to %d neighbors (n66: %v), want the 69 but n66", len(got), got["n66"])
+			}
+			fl := b.(protocol.Flusher)
+			if e.name == "delta" {
+				if fl.Waiting() {
+					t.Error("entry still buffered after the pass that sent it to every neighbor but its holder")
+				}
+				return
+			}
+			for _, j := range neighbors[:69] {
+				if !fl.Waiting() {
+					t.Fatalf("entry retired before %s acknowledged it", j)
+				}
+				if j != "n66" {
+					b.Deliver(j, protocol.NewAckMsg([]uint64{1}), discard)
+				}
+			}
+			b.Deliver("n69", protocol.NewAckMsg([]uint64{1}), discard)
+			if fl.Waiting() {
+				t.Error("entry every neighbor holds still buffered")
+			}
+		})
+	}
+}

@@ -30,7 +30,7 @@ type ObjectRestorer interface {
 // to say, and leaving the keyspace quiescent keeps restart cost
 // O(changed), not O(keyspace) — the same property Sync's active set
 // provides in steady state.
-func (e *perObject[B]) RestoreObject(key string, st lattice.State) {
+func (e *perObject) RestoreObject(key string, st lattice.State) {
 	id := obj(e, maphash.String(keySeed, key), key)
 	e.mutated(id)
 	e.ix.recs[id].x.Merge(st)

@@ -61,14 +61,13 @@ type core struct {
 	linkList []*link
 	// reach is what the neighbors have announced they reach: a delivery
 	// consults it before it asks for a flush (deliverSharded), and every
-	// engine before it forwards. withholds says the engines withhold
-	// forwards on it: only then is a neighbor caught up with once a word
-	// stops holding (setReach). A forward the plain delta engine defers on
-	// it is late, never withheld, and owes no catch-up.
-	reach     *protocol.Reach
-	withholds bool
-	repair    repairTable
-	ticks     uint64
+	// engine before it forwards. It records the neighbors a forward was
+	// withheld from on a word, each of which is caught up with once that
+	// word stops holding (setReach). A forward the plain delta engine
+	// defers on it is late, never withheld, and owes no catch-up.
+	reach  *protocol.Reach
+	repair repairTable
+	ticks  uint64
 	// deliverLocks counts the shard write locks of the inbound delivery
 	// path — one per touched shard per frame, an invariant an instrumented
 	// test pins.
@@ -115,12 +114,10 @@ func newCore(cfg StoreConfig, inc uint32) (*core, error) {
 	}
 	sort.Strings(neighbors)
 	// The core keeps the table of what the neighbors have said, and hands
-	// it to every engine: the acked one withholds on a neighbor's word, the
-	// plain one only defers a forward on it.
+	// it to every engine: the acked one withholds on a neighbor's word,
+	// which the table records for setReach; the plain one only defers a
+	// forward on it.
 	reach := protocol.NewReach(neighbors)
-	probe := cfg.Factory(protocol.Config{ID: cfg.ID, Neighbors: neighbors, Datatype: cfg.ObjType("")})
-	rc, ok := probe.(protocol.ReachConsulter)
-	withholds := ok && rc.ConsultsReach()
 	factory := protocol.NewPerObject(cfg.Factory, cfg.ObjType)
 	shards := make([]*shard, cfg.Shards)
 	for i := range shards {
@@ -148,7 +145,6 @@ func newCore(cfg StoreConfig, inc uint32) (*core, error) {
 		links:     make(map[string]*link, len(neighbors)),
 		linkList:  make([]*link, len(neighbors)),
 		reach:     reach,
-		withholds: withholds,
 		repair:    repairTable{timeout: int64(repairTimeout), entries: make([]repairEntry, cfg.Shards)},
 		sendAt:    flushBurst * int64(cfg.SyncEvery/flushesPerTick), // an empty budget
 		nextTick:  int64(cfg.SyncEvery),
@@ -897,19 +893,16 @@ func (c *core) gone(from string) { c.setReach(from, nil) }
 
 // setReach records what neighbor w says it reaches: ids, or nothing once
 // the last inbound connection from w has ended. Every neighbor v that
-// thereby leaves the set is one the engines may have withheld δ-groups from
-// on w's word, and w may not have delivered them: everything w sent here
-// has been applied (TCP order), so from now on matching digests with v
-// prove that v holds it too. Every shard is marked for that comparison
-// (tick, handleDigests); the drill repairs what differs. A store whose
-// engine withholds nothing has nothing to cover for: it only let forwards
-// on w's word wait for its next pass, and sent them then.
+// thereby leaves the set having had a forward withheld from it on w's word
+// (protocol.Reach.Set) may lack what w has not delivered: everything w
+// sent here has been applied (TCP order), so from now on matching digests
+// with v prove that v holds it too. Every shard is marked for that
+// comparison (tick, handleDigests); the drill repairs what differs. A
+// neighbor nothing was withheld from has nothing to cover for: the plain
+// engine only lets forwards on w's word wait for its next pass, and sends
+// them then.
 func (c *core) setReach(w string, ids []string) {
-	left := c.reach.Set(w, ids)
-	if !c.withholds {
-		return
-	}
-	for _, v := range left {
+	for _, v := range c.reach.Set(w, ids) {
 		c.stats.CatchUpShards += c.links[v].catchUp.all(len(c.shards))
 	}
 }

@@ -37,14 +37,12 @@
 package crdtsync
 
 import (
-	"fmt"
 	"net"
 	"strings"
 	"time"
 
 	"crdtsync/internal/lattice"
 	"crdtsync/internal/metrics"
-	"crdtsync/internal/protocol"
 	"crdtsync/internal/transport"
 	"crdtsync/internal/workload"
 )
@@ -100,37 +98,26 @@ type Watcher = transport.Watcher
 // harnesses override it (WithDial) to inject faults.
 type DialFunc = transport.DialFunc
 
-// Engine selects the per-object synchronization algorithm.
-type Engine int
+// Engine selects the per-object synchronization algorithm (WithEngine).
+// Open and Cluster refuse any value but the two below.
+type Engine = transport.Engine
 
 const (
 	// EngineAcked is delta-based BP+RR with acknowledgements: δ-groups
 	// are retransmitted until acked, so lost frames are repaired by the
 	// engine itself. The default, safe on lossy links.
-	EngineAcked Engine = iota
+	EngineAcked = transport.EngineAcked
 	// EngineDelta is plain delta-based BP+RR, the paper's optimal
 	// engine; it assumes frames are never lost. Pair it with digest
 	// anti-entropy (WithDigestEvery) anywhere loss is possible.
-	EngineDelta
+	EngineDelta = transport.EngineDelta
 )
-
-func (e Engine) factory() (protocol.Factory, error) {
-	switch e {
-	case EngineAcked:
-		return protocol.NewDeltaAcked(true, true), nil
-	case EngineDelta:
-		return protocol.NewDeltaBPRR(), nil
-	default:
-		return nil, fmt.Errorf("crdtsync: unknown engine %d", e)
-	}
-}
 
 // Option configures Open.
 type Option func(*options)
 
 type options struct {
-	cfg    transport.StoreConfig
-	engine Engine
+	cfg transport.StoreConfig
 }
 
 // WithID sets this replica's identifier (default "node"). Ids must be
@@ -179,7 +166,7 @@ func WithShards(n int) Option { return func(o *options) { o.cfg.Shards = n } }
 // more rule: a neighbor whose own δ-group covered a buffered one is not
 // sent it, since it holds what it sent. Both refuse a connection whose
 // hello names another shard count.
-func WithEngine(e Engine) Option { return func(o *options) { o.engine = e } }
+func WithEngine(e Engine) Option { return func(o *options) { o.cfg.Engine = e } }
 
 // WithSyncEvery sets the synchronization period (default 1s): the
 // interval of the sync tick. A write does not wait for it — an Update
@@ -247,13 +234,7 @@ type Store struct {
 // live immediately: it accepts peer frames, runs the sync loop, and
 // serves reads and writes. Close it to stop.
 func Open(opts ...Option) (*Store, error) {
-	o := buildOptions(opts)
-	factory, err := o.engine.factory()
-	if err != nil {
-		return nil, err
-	}
-	o.cfg.Factory = factory
-	st, err := transport.StartStore(o.cfg)
+	st, err := transport.StartStore(buildOptions(opts).cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -282,11 +263,6 @@ func buildOptions(opts []Option) *options {
 // closed.
 func Cluster(n int, opts ...Option) ([]*Store, error) {
 	o := buildOptions(opts)
-	factory, err := o.engine.factory()
-	if err != nil {
-		return nil, err
-	}
-	o.cfg.Factory = factory
 	o.cfg.Listener = nil
 	o.cfg.ListenAddr = ""
 	raw, err := transport.LoopbackCluster(n, o.cfg)

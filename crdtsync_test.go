@@ -243,6 +243,27 @@ func TestPublicOptions(t *testing.T) {
 	}
 }
 
+// TestUnknownEngineRefused: an Engine that names neither EngineAcked nor
+// EngineDelta is an error from Open and Cluster, not a panic.
+func TestUnknownEngineRefused(t *testing.T) {
+	st, err := crdtsync.Open(crdtsync.WithEngine(crdtsync.Engine(7)))
+	if err == nil {
+		st.Close()
+		t.Error("Open ran engine 7")
+	} else if !strings.Contains(err.Error(), "unknown engine 7") {
+		t.Errorf("Open: %v, want an unknown engine", err)
+	}
+	stores, err := crdtsync.Cluster(2, crdtsync.WithEngine(crdtsync.Engine(7)))
+	if err == nil {
+		for _, st := range stores {
+			st.Close()
+		}
+		t.Error("Cluster ran engine 7")
+	} else if !strings.Contains(err.Error(), "unknown engine 7") {
+		t.Errorf("Cluster: %v, want an unknown engine", err)
+	}
+}
+
 // BenchmarkRead compares the three read strengths on a 10k-counter
 // store: Get clones every object, Query visits a shard's live objects
 // with zero allocation, Scan adds the global ordering pass. bench/

@@ -266,7 +266,9 @@ func TestRunStoreFullMesh(t *testing.T) {
 			t.Errorf("%s engine ran twice:\n%s\nthen (%v):\n%s", engine, a, err, b)
 		}
 	}
-	if _, err := RunStore(StoreRun{Graph: topology.Full(3), Engine: "scuttlebutt"}); err == nil {
-		t.Error("an unknown engine ran")
+	for _, engine := range []string{"x", "scuttlebutt"} {
+		if _, err := RunStore(StoreRun{Graph: topology.Full(3), Engine: engine}); err == nil {
+			t.Errorf("the unknown engine %q ran", engine)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"crdtsync/internal/protocol"
 	"crdtsync/internal/topology"
 	"crdtsync/internal/transport"
 	"crdtsync/internal/workload"
@@ -25,11 +24,10 @@ type StoreRun struct {
 }
 
 // storeEngines maps the engine names crdtsim's -engine flag takes ("acked",
-// "delta") to the engines crdtsync.EngineAcked and EngineDelta select;
-// crdtsync keeps its factories unexported.
-var storeEngines = map[string]protocol.Factory{
-	"acked": protocol.NewDeltaAcked(true, true),
-	"delta": protocol.NewDeltaBPRR(),
+// "delta") to the store's engines.
+var storeEngines = map[string]transport.Engine{
+	"acked": transport.EngineAcked,
+	"delta": transport.EngineDelta,
 }
 
 // RunStore runs r and reports its figures, in simulated time: "settled
@@ -38,14 +36,14 @@ var storeEngines = map[string]protocol.Factory{
 // is an unknown engine, a frame a replica refused or a run that did not
 // settle.
 func RunStore(r StoreRun) (*Table, error) {
-	factory, ok := storeEngines[r.Engine]
+	engine, ok := storeEngines[r.Engine]
 	if !ok {
 		return nil, fmt.Errorf("exp: unknown store engine %q (want acked or delta)", r.Engine)
 	}
 	counters := func(string) workload.Datatype { return workload.GCounterType{} }
 	sim, err := transport.NewSim(r.Graph, transport.StoreConfig{
 		Shards:      r.Shards,
-		Factory:     factory,
+		Engine:      engine,
 		ObjType:     counters,
 		SyncEvery:   r.SyncEvery,
 		DigestEvery: r.DigestEvery,

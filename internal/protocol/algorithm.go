@@ -14,7 +14,7 @@ import (
 // δ-buffer b, which the caller holds. Its two implementations are the only
 // code that runs the algorithm: *deltaBased clears the buffer after every
 // send, *deltaAcked keeps each entry until it is acknowledged. A standalone
-// engine (object) holds one pair (x, b) itself; a keyspace (perObject)
+// engine (object) holds one pair (x, b) itself; a keyspace (PerObject)
 // holds x in the key's record and b in a side table, only while it is not
 // empty.
 type algorithm interface {
@@ -94,8 +94,6 @@ type object struct {
 	buf core.Buffer
 }
 
-var _ Flusher = (*object)(nil)
-
 func newObject(alg algorithm) *object {
 	return &object{alg: alg, x: alg.config().cfg.Datatype.New()}
 }
@@ -114,17 +112,18 @@ func (e *object) Deliver(from string, m Msg, send Sender) {
 // Sync implements Engine: one tick.
 func (e *object) Sync(send Sender) { e.alg.ship(&e.buf, send, true) }
 
-// Flush implements Flusher: first transmissions only, and no tick passes.
+// Flush is PerObject.Flush for the one object: first transmissions only,
+// and no tick passes.
 func (e *object) Flush(send Sender) {
 	if e.Unsent() {
 		e.alg.ship(&e.buf, send, false)
 	}
 }
 
-// Unsent implements Flusher.
+// Unsent reports whether Flush would have anything to emit.
 func (e *object) Unsent() bool { return e.buf.Unsent() }
 
-// Waiting implements Flusher: a buffered entry is owed to some neighbor
+// Waiting reports whether a buffered entry is owed to some neighbor
 // that does not hold it yet, which only a later pass can settle.
 func (e *object) Waiting() bool { return e.buf.Len() > 0 }
 

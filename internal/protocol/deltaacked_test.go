@@ -387,10 +387,10 @@ func TestAckedDeltaTwoNodeBufferDrains(t *testing.T) {
 
 // flushSeqs runs a Flush of a keyspace whose one neighbor is "b" and
 // returns, per key, the seqs the δ-groups it shipped cover.
-func flushSeqs(t *testing.T, e protocol.KeyedEngine) map[string][]uint64 {
+func flushSeqs(t *testing.T, e *protocol.PerObject) map[string][]uint64 {
 	t.Helper()
 	seqs := map[string][]uint64{}
-	e.(protocol.Flusher).Flush(func(to string, m protocol.Msg) {
+	e.Flush(func(to string, m protocol.Msg) {
 		for _, it := range m.(*protocol.BatchMsg).Items {
 			seqs[it.Key] = append(seqs[it.Key], it.Inner.(*protocol.AckedDeltaMsg).Seqs...)
 		}
@@ -410,12 +410,11 @@ func buffered(e protocol.Engine) int { return e.Memory().MetadataBytes / 8 }
 func TestAckedKeyspaceNeverReusesASeq(t *testing.T) {
 	discard := func(string, protocol.Msg) {}
 	t.Run("after the buffer empties", func(t *testing.T) {
-		e := newKeyedEngine(protocol.NewDeltaAcked(true, true))
-		od := e.(protocol.ObjectDeliverer)
+		e := newKeyspace(protocol.NewDeltaAcked(true, true))
 		e.LocalOp(workload.Add("k", "x"))
 		first := flushSeqs(t, e)["k"]
-		od.DeliverObject("b", []byte("k"), protocol.NewAckMsg(first), discard)
-		if n := buffered(e); n != 0 || e.(protocol.Flusher).Waiting() {
+		e.DeliverObject("b", []byte("k"), protocol.NewAckMsg(first), discard)
+		if n := buffered(e); n != 0 || e.Waiting() {
 			t.Fatalf("%d entries buffered after the only one was acknowledged", n)
 		}
 		e.LocalOp(workload.Add("k", "y"))
@@ -423,18 +422,17 @@ func TestAckedKeyspaceNeverReusesASeq(t *testing.T) {
 		if len(second) != 1 || slices.Contains(first, second[0]) {
 			t.Fatalf("second entry shipped under seqs %v, the first under %v", second, first)
 		}
-		od.DeliverObject("b", []byte("k"), protocol.NewAckMsg(first), discard) // late
+		e.DeliverObject("b", []byte("k"), protocol.NewAckMsg(first), discard) // late
 		if n := buffered(e); n != 1 {
 			t.Fatalf("a late acknowledgement of the first entry left %d entries, want the second", n)
 		}
-		od.DeliverObject("b", []byte("k"), protocol.NewAckMsg(second), discard)
+		e.DeliverObject("b", []byte("k"), protocol.NewAckMsg(second), discard)
 		if n := buffered(e); n != 0 {
 			t.Fatalf("%d entries buffered after the second was acknowledged", n)
 		}
 	})
 	t.Run("two keys interleaved", func(t *testing.T) {
-		e := newKeyedEngine(protocol.NewDeltaAcked(true, true))
-		od := e.(protocol.ObjectDeliverer)
+		e := newKeyspace(protocol.NewDeltaAcked(true, true))
 		for _, elem := range []string{"1", "2"} {
 			e.LocalOp(workload.Add("k1", elem))
 			e.LocalOp(workload.Add("k2", elem))
@@ -455,7 +453,7 @@ func TestAckedKeyspaceNeverReusesASeq(t *testing.T) {
 			{"k2", k2[:1], 1},
 			{"k2", k2, 0},
 		} {
-			od.DeliverObject("b", []byte(step.key), protocol.NewAckMsg(step.seqs), discard)
+			e.DeliverObject("b", []byte(step.key), protocol.NewAckMsg(step.seqs), discard)
 			if n := buffered(e); n != step.want {
 				t.Fatalf("acknowledging %v for %s left %d entries buffered, want %d", step.seqs, step.key, n, step.want)
 			}

@@ -319,7 +319,7 @@ func (w *twin) drain(step int) {
 // check compares everything either form says about itself.
 func (w *twin) check(step int) {
 	w.t.Helper()
-	ks := w.ks.(protocol.KeyedEngine)
+	ks := w.ks.(*protocol.PerObject)
 	if ks.NumKeys() != len(w.solo) {
 		w.t.Fatalf("step %d: keyspace holds %d keys, standalone %d", step, ks.NumKeys(), len(w.solo))
 	}

@@ -178,7 +178,7 @@ func TestPerObjectHeapPerKey(t *testing.T) {
 			m.round(t) // nothing left to send: every engine goes quiescent
 			perKey := float64(heapAlloc()-before) / (3 * keys)
 			for _, id := range m.ids {
-				if n := m.engines[id].(protocol.KeyedEngine).NumKeys(); n != keys {
+				if n := m.engines[id].(*protocol.PerObject).NumKeys(); n != keys {
 					t.Fatalf("%s holds %d keys, want %d", id, n, keys)
 				}
 				if mem := m.engines[id].Memory(); mem.BufferBytes != 0 {
@@ -218,7 +218,7 @@ func TestPerObjectHeapPerKeySmallShards(t *testing.T) {
 	}
 	for _, e := range engines {
 		e.Sync(func(string, protocol.Msg) {})
-		e.(protocol.KeyedEngine).Scan("", func(string, lattice.State) bool { return true })
+		e.(*protocol.PerObject).Scan("", func(string, lattice.State) bool { return true })
 	}
 	perKey := float64(heapAlloc()-before) / (shards * perShard)
 	t.Logf("%.0f heap bytes per key", perKey)

@@ -15,7 +15,7 @@ import (
 )
 
 // scanKeys collects what an ordered visit by prefix hands out.
-func scanKeys(e protocol.KeyedEngine, prefix string) []string {
+func scanKeys(e *protocol.PerObject, prefix string) []string {
 	var keys []string
 	e.Scan(prefix, func(k string, _ lattice.State) bool {
 		keys = append(keys, k)
@@ -31,24 +31,24 @@ func scanKeys(e protocol.KeyedEngine, prefix string) []string {
 // out whole by the ordered visit, counted whole by Memory.
 func TestPerObjectHostileKeyLengths(t *testing.T) {
 	lengths := []int{0, 1, 255, 256, 257, 65534, 65535, 65536, 65537, 1 << 20}
-	doors := map[string]func(e protocol.KeyedEngine, key string){
-		"LocalOp": func(e protocol.KeyedEngine, key string) {
+	doors := map[string]func(e *protocol.PerObject, key string){
+		"LocalOp": func(e *protocol.PerObject, key string) {
 			e.LocalOp(workload.Op{Kind: workload.KindAdd, Key: key, Elem: "v"})
 		},
-		"DeliverObject": func(e protocol.KeyedEngine, key string) {
+		"DeliverObject": func(e *protocol.PerObject, key string) {
 			view := []byte(key) // as a frame buffer the caller reuses
-			e.(protocol.ObjectDeliverer).DeliverObject("b", view, protocol.NewDeltaMsg(crdt.NewGSet("v")), func(string, protocol.Msg) {})
+			e.DeliverObject("b", view, protocol.NewDeltaMsg(crdt.NewGSet("v")), func(string, protocol.Msg) {})
 			for i := range view {
 				view[i] = '!'
 			}
 		},
-		"RestoreObject": func(e protocol.KeyedEngine, key string) {
-			e.(protocol.ObjectRestorer).RestoreObject(key, crdt.NewGSet("v"))
+		"RestoreObject": func(e *protocol.PerObject, key string) {
+			e.RestoreObject(key, crdt.NewGSet("v"))
 		},
 	}
 	for name, door := range doors {
 		t.Run(name, func(t *testing.T) {
-			e := newKeyedEngine(protocol.NewDeltaBPRR())
+			e := newKeyspace(protocol.NewDeltaBPRR())
 			var want []string
 			bytes := 0
 			for i, n := range lengths {
@@ -87,13 +87,13 @@ func TestPerObjectHostileKeyLengths(t *testing.T) {
 func TestMapFieldHoldsItsRecordsKey(t *testing.T) {
 	for _, inner := range []protocol.Factory{protocol.NewDeltaBPRR(), protocol.NewDeltaAcked(true, true)} {
 		f := protocol.NewPerObject(inner, func(string) workload.Datatype { return workload.LWWMapType{} })
-		e := f(protocol.Config{ID: "a", Neighbors: []string{"b"}, Nodes: []string{"a", "b"}}).(protocol.KeyedEngine)
+		e := f(protocol.Config{ID: "a", Neighbors: []string{"b"}, Nodes: []string{"a", "b"}}).(*protocol.PerObject)
 		field := func(key, val string) *lattice.Map {
 			return lattice.NewMapEntry(strings.Clone(key), &crdt.LWWRegister{TS: 1, Writer: "b", Val: val})
 		}
 		e.LocalOp(workload.Put(strings.Clone("m/a/f1"), "x"))
-		e.(protocol.ObjectDeliverer).DeliverObject("b", []byte("m/b/f1"), protocol.NewDeltaMsg(field("m/b/f1", "y")), func(string, protocol.Msg) {})
-		e.(protocol.ObjectRestorer).RestoreObject("m/c/f1", field("m/c/f1", "z"))
+		e.DeliverObject("b", []byte("m/b/f1"), protocol.NewDeltaMsg(field("m/b/f1", "y")), func(string, protocol.Msg) {})
+		e.RestoreObject("m/c/f1", field("m/c/f1", "z"))
 		e.LocalOp(workload.Put(strings.Clone("m/b/f1"), "w")) // a write over a delivered field
 		n := 0
 		e.Scan("", func(key string, st lattice.State) bool {
@@ -116,7 +116,7 @@ func TestMapFieldHoldsItsRecordsKey(t *testing.T) {
 // keys, one past the last key, one before the first.
 func TestPerObjectScanMatchesSortedModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	e := newKeyedEngine(protocol.NewDeltaAcked(true, true))
+	e := newKeyspace(protocol.NewDeltaAcked(true, true))
 	model := map[string]bool{}
 	check := func(prefix string) {
 		t.Helper()
@@ -148,9 +148,9 @@ func TestPerObjectScanMatchesSortedModel(t *testing.T) {
 		case 0:
 			e.LocalOp(workload.Op{Kind: workload.KindAdd, Key: key, Elem: "v"})
 		case 1:
-			e.(protocol.ObjectDeliverer).DeliverObject("b", []byte(key), protocol.NewDeltaMsg(crdt.NewGSet("w")), func(string, protocol.Msg) {})
+			e.DeliverObject("b", []byte(key), protocol.NewDeltaMsg(crdt.NewGSet("w")), func(string, protocol.Msg) {})
 		case 2:
-			e.(protocol.ObjectRestorer).RestoreObject(key, crdt.NewGSet("r"))
+			e.RestoreObject(key, crdt.NewGSet("r"))
 		}
 		model[key] = true
 		if rng.Intn(5) == 0 {
@@ -175,8 +175,7 @@ func TestPerObjectScanMatchesSortedModel(t *testing.T) {
 // caller left; an acknowledgement is not a change; a restore is a change
 // that activates nothing.
 func TestPerObjectRehashVisitsWhatChanged(t *testing.T) {
-	e := newKeyedEngine(protocol.NewDeltaAcked(true, true))
-	od, or := e.(protocol.ObjectDeliverer), e.(protocol.ObjectRestorer)
+	e := newKeyspace(protocol.NewDeltaAcked(true, true))
 	drop := func(string, protocol.Msg) {}
 	rehash := func() map[string]uint64 {
 		seen := map[string]uint64{}
@@ -200,8 +199,8 @@ func TestPerObjectRehashVisitsWhatChanged(t *testing.T) {
 	}
 	e.LocalOp(workload.Op{Kind: workload.KindAdd, Key: "a", Elem: "1"})
 	e.LocalOp(workload.Op{Kind: workload.KindAdd, Key: "a", Elem: "2"})
-	od.DeliverObject("b", []byte("bb"), protocol.NewDeltaMsg(crdt.NewGSet("x")), drop)
-	or.RestoreObject("ccc", crdt.NewGSet("y"))
+	e.DeliverObject("b", []byte("bb"), protocol.NewDeltaMsg(crdt.NewGSet("x")), drop)
+	e.RestoreObject("ccc", crdt.NewGSet("y"))
 	if !e.Stale() {
 		t.Fatal("three touched keys, none stale")
 	}
@@ -227,11 +226,11 @@ func TestPerObjectRehashVisitsWhatChanged(t *testing.T) {
 	}
 	// An acknowledgement touches the object and changes nothing; a
 	// redundant δ-group may have, for all the engine can tell.
-	od.DeliverObject("b", []byte("a"), &protocol.AckMsg{Seqs: []uint64{1, 2}}, drop)
+	e.DeliverObject("b", []byte("a"), &protocol.AckMsg{Seqs: []uint64{1, 2}}, drop)
 	if e.Stale() {
 		t.Fatal("an acknowledgement made its key stale")
 	}
-	od.DeliverObject("b", []byte("bb"), protocol.NewDeltaMsg(crdt.NewGSet("x")), drop)
+	e.DeliverObject("b", []byte("bb"), protocol.NewDeltaMsg(crdt.NewGSet("x")), drop)
 	if got := rehash(); len(got) != 1 || got["bb"] != 102 {
 		t.Fatalf("after a redundant δ-group Rehash saw %v, want bb with the word left there (102)", got)
 	}

@@ -11,7 +11,7 @@ import (
 
 // rec is everything a per-object engine keeps about one key: the object's
 // state, its datatype, where its key bytes are, one word for whoever owns
-// the engine (see KeyedEngine.Rehash) and the flag bits that put the
+// the engine (see PerObject.Rehash) and the flag bits that put the
 // object on the engine's lists — 32 bytes; the object's δ-buffer, while it
 // has one, is in the engine's side table. Records are never deleted or
 // moved — the keyspace is grow-only — so a record's position is the
@@ -24,14 +24,14 @@ type rec struct {
 	off   uint32
 	klen  uint16 // length of a key in a chunk
 	flags uint8
-	dt    uint8 // the object's datatype: an index into perObject.types
+	dt    uint8 // the object's datatype: an index into PerObject.types
 }
 
 const (
 	flagBig    = 1 << iota // the key is in big, not in a chunk
 	flagActive             // the object has a δ-buffer: the next Sync must visit it
-	flagListed             // the id is on perObject.active (flagActive may be gone)
-	flagQueued             // the id is on perObject.unsent
+	flagListed             // the id is on PerObject.active (flagActive may be gone)
+	flagQueued             // the id is on PerObject.unsent
 )
 
 const (

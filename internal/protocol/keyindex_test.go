@@ -38,7 +38,7 @@ type indexModel struct {
 
 func newIndexModel() *indexModel { return &indexModel{ids: make(map[string]uint32)} }
 
-// put looks key up and adds it if it is new, as perObject's obj does —
+// put looks key up and adds it if it is new, as PerObject's obj does —
 // through the byte-view instantiation when asBytes — and checks the id
 // against the model.
 func (m *indexModel) put(t testing.TB, key string, asBytes bool) {

@@ -32,14 +32,16 @@ func (m *BatchMsg) Kind() string { return "batch" }
 // Cost implements Msg.
 func (m *BatchMsg) Cost() metrics.Transmission { return m.cost }
 
-// perObject synchronizes a keyspace of independent CRDT objects, each with
+// PerObject synchronizes a keyspace of independent CRDT objects, each with
 // its own state and δ-buffer — the deployment model of the paper's Retwis
 // evaluation (§V-C), where 30 000 objects each have their own δ-buffer and
 // the per-object inflation check is what lets classic delta-based behave
 // almost optimally at low contention. Every object runs one algorithm, the
 // keyspace's: its state is in the key's record, its δ-buffer in bufs while
-// it holds anything, and nothing else is kept per key.
-type perObject struct {
+// it holds anything, and nothing else is kept per key. It is the engine a
+// store's shard holds; on top of Engine it reads one object at a time,
+// without the aggregate state map, and ships, delivers and restores one.
+type PerObject struct {
 	alg     algorithm
 	objType func(key string) workload.Datatype
 	// types lists the datatypes of the objects, one per Datatype.Name, in
@@ -82,43 +84,38 @@ type perObject struct {
 	b batcher
 }
 
-var (
-	_ KeyedEngine     = (*perObject)(nil)
-	_ Flusher         = (*perObject)(nil)
-	_ ObjectDeliverer = (*perObject)(nil)
-	_ ObjectRestorer  = (*perObject)(nil)
-)
-
 // NewPerObject wraps a delta engine factory (NewDeltaBased, NewDeltaAcked)
 // so that every distinct op.Key is replicated as an independent object;
-// objType chooses the datatype of each object from its key. The factory is
-// called once per keyspace, for the algorithm and configuration its engine
-// runs, which the keyspace then runs for every key.
+// objType chooses the datatype of each object from its key. Its engines
+// are NewKeyspace's.
 func NewPerObject(inner Factory, objType func(key string) workload.Datatype) Factory {
-	return func(cfg Config) Engine {
-		cfg.Datatype = objType("")
-		// The engine is a probe, discarded: its algorithm is the keyspace's.
-		if e, ok := inner(cfg).(*object); ok {
-			return newPerObject(e.alg, objType)
-		}
-		panic("protocol: NewPerObject runs the delta engines only")
+	return func(cfg Config) Engine { return NewKeyspace(inner, objType, cfg) }
+}
+
+// NewKeyspace builds the keyspace of cfg's node. inner is called once,
+// for the algorithm and configuration its engine runs, which the keyspace
+// then runs for every key; it must be a delta engine's factory.
+func NewKeyspace(inner Factory, objType func(key string) workload.Datatype, cfg Config) *PerObject {
+	cfg.Datatype = objType("")
+	// The engine is a probe, discarded: its algorithm is the keyspace's.
+	e, ok := inner(cfg).(*object)
+	if !ok {
+		panic("protocol: a keyspace runs the delta engines only")
 	}
+	ks := &PerObject{alg: e.alg, objType: objType}
+	ks.b.pending = make(map[string][]ObjectMsg, len(cfg.Neighbors))
+	ks.b.send = ks.b.add
+	return ks
 }
 
-func newPerObject(alg algorithm, objType func(key string) workload.Datatype) *perObject {
-	e := &perObject{alg: alg, objType: objType}
-	e.b.pending = make(map[string][]ObjectMsg, len(alg.config().cfg.Neighbors))
-	e.b.send = e.b.add
-	return e
-}
+func (e *PerObject) ID() string { return e.alg.config().cfg.ID }
 
-func (e *perObject) ID() string { return e.alg.config().cfg.ID }
+// NumKeys returns the number of known objects.
+func (e *PerObject) NumKeys() int { return len(e.ix.recs) }
 
-// NumKeys implements KeyedEngine.
-func (e *perObject) NumKeys() int { return len(e.ix.recs) }
-
-// ObjectState implements KeyedEngine.
-func (e *perObject) ObjectState(key string) lattice.State {
+// ObjectState returns the state of one object, or nil if the key is
+// unknown. The state is shared, not cloned; callers must not mutate it.
+func (e *PerObject) ObjectState(key string) lattice.State {
 	id, ok := find(&e.ix, maphash.String(keySeed, key), key)
 	if !ok {
 		return nil
@@ -126,9 +123,13 @@ func (e *perObject) ObjectState(key string) lattice.State {
 	return e.ix.recs[id].x
 }
 
-// Scan implements KeyedEngine. The state handed out is the one the record
-// holds, which every later change merges into in place.
-func (e *perObject) Scan(prefix string, fn func(key string, st lattice.State) bool) {
+// Scan visits, in ascending key order, the objects whose key starts with
+// prefix — every object, for the empty prefix — until fn returns false.
+// The state handed out is the one the record holds, shared as
+// ObjectState's is, and the same lattice.State for as long as the engine
+// lives: every later change merges into it in place. fn must not call
+// back into the engine.
+func (e *PerObject) Scan(prefix string, fn func(key string, st lattice.State) bool) {
 	for _, id := range e.ix.withPrefix(prefix) {
 		r := &e.ix.recs[id]
 		if !fn(e.ix.key(r), r.x) {
@@ -137,11 +138,16 @@ func (e *perObject) Scan(prefix string, fn func(key string, st lattice.State) bo
 	}
 }
 
-// Stale implements KeyedEngine.
-func (e *perObject) Stale() bool { return e.nStale > 0 }
+// Stale reports whether Rehash has anything to visit.
+func (e *PerObject) Stale() bool { return e.nStale > 0 }
 
-// Rehash implements KeyedEngine.
-func (e *perObject) Rehash(fn func(key string, st lattice.State, hash *uint64)) {
+// Rehash visits, in no particular order, each object that a LocalOp, a
+// Deliver or a restore has touched since the last call, once. hash is a
+// word the engine keeps per object for its owner and never reads: zero in
+// a new object, thereafter whatever fn last left there. A store keeps each
+// object's content hash in it, so that a digest costs what changed — this
+// package cannot hash a state (the codec imports it).
+func (e *PerObject) Rehash(fn func(key string, st lattice.State, hash *uint64)) {
 	if e.nStale == 0 {
 		return
 	}
@@ -155,8 +161,8 @@ func (e *perObject) Rehash(fn func(key string, st lattice.State, hash *uint64)) 
 	e.nStale = 0
 }
 
-// Hashes implements KeyedEngine.
-func (e *perObject) Hashes(fn func(key string, hash uint64)) {
+// Hashes visits every object's key and hash word, in no particular order.
+func (e *PerObject) Hashes(fn func(key string, hash uint64)) {
 	for i := range e.ix.recs {
 		r := &e.ix.recs[i]
 		fn(e.ix.key(r), r.hash)
@@ -165,7 +171,7 @@ func (e *perObject) Hashes(fn func(key string, hash uint64)) {
 
 // State aggregates all object states into a map keyed by object key.
 // Object states are shared, not cloned; callers must not mutate them.
-func (e *perObject) State() lattice.State {
+func (e *PerObject) State() lattice.State {
 	m := lattice.NewMap()
 	e.Scan("", func(key string, s lattice.State) bool {
 		if !s.IsBottom() {
@@ -179,7 +185,7 @@ func (e *perObject) State() lattice.State {
 // obj returns the id of one object, creating its record and bottom state
 // if need be; h is the key's table hash. The key is only read: a new
 // record copies it, and the copy is what objType is shown.
-func obj[K string | []byte](e *perObject, h uint64, key K) uint32 {
+func obj[K string | []byte](e *PerObject, h uint64, key K) uint32 {
 	if id, ok := find(&e.ix, h, key); ok {
 		return id
 	}
@@ -193,7 +199,7 @@ func obj[K string | []byte](e *perObject, h uint64, key K) uint32 {
 
 // typeIndex returns the index in types of the datatype named like dt,
 // adding dt if it is the first of its name.
-func (e *perObject) typeIndex(dt workload.Datatype) uint8 {
+func (e *PerObject) typeIndex(dt workload.Datatype) uint8 {
 	name := dt.Name()
 	for i, t := range e.types {
 		if t.Name() == name {
@@ -213,7 +219,7 @@ func (e *perObject) typeIndex(dt workload.Datatype) uint8 {
 // a local would escape through the interface call: cur costs no
 // allocation. The call files it when it is done, and nothing it sends may
 // call back into the engine meanwhile.
-func (e *perObject) load(id uint32) *core.Buffer {
+func (e *PerObject) load(id uint32) *core.Buffer {
 	if e.ix.recs[id].flags&flagActive != 0 {
 		e.cur = e.bufs[id]
 	}
@@ -223,7 +229,7 @@ func (e *perObject) load(id uint32) *core.Buffer {
 // file puts cur back as the δ-buffer of id, and keeps the active set with
 // it: an object whose buffer holds anything is in bufs and active, one
 // whose buffer is empty is in neither.
-func (e *perObject) file(id uint32) {
+func (e *PerObject) file(id uint32) {
 	r := &e.ix.recs[id]
 	switch {
 	case e.cur.Len() > 0:
@@ -253,7 +259,7 @@ func (e *perObject) file(id uint32) {
 // object id, and queues the object for the next Flush when the buffer
 // holds something never sent. An ack or a redundant δ-group gives a pass
 // nothing new to do.
-func (e *perObject) touched(id uint32) {
+func (e *PerObject) touched(id uint32) {
 	if r := &e.ix.recs[id]; r.flags&flagQueued == 0 && e.cur.Unsent() {
 		r.flags |= flagQueued
 		e.unsent = append(e.unsent, id)
@@ -261,7 +267,7 @@ func (e *perObject) touched(id uint32) {
 	e.file(id)
 }
 
-func (e *perObject) LocalOp(op workload.Op) {
+func (e *PerObject) LocalOp(op workload.Op) {
 	id := obj(e, maphash.String(keySeed, op.Key), op.Key)
 	r := &e.ix.recs[id]
 	localOp(e.alg, e.types[r.dt], r.x, e.load(id), op)
@@ -275,14 +281,14 @@ func (e *perObject) LocalOp(op workload.Op) {
 // entry a write or a delivery put there holds a second copy of the key
 // (the caller's op.Key, the string a decoder made) that the record's
 // copy makes redundant.
-func (e *perObject) shareKey(id uint32) {
+func (e *PerObject) shareKey(id uint32) {
 	if m, ok := e.ix.recs[id].x.(*lattice.Map); ok {
 		m.ShareKey(e.ix.keyOf(id))
 	}
 }
 
 // mutated marks the object id, whose state may just have changed, stale.
-func (e *perObject) mutated(id uint32) {
+func (e *PerObject) mutated(id uint32) {
 	w, bit := int(id>>6), uint64(1)<<(id&63)
 	for w >= len(e.stale) {
 		e.stale = append(e.stale, 0)
@@ -346,7 +352,7 @@ func BatchOf(items []ObjectMsg) *BatchMsg {
 
 // Sync implements Engine: one tick over every active object, in key
 // order.
-func (e *perObject) Sync(send Sender) {
+func (e *PerObject) Sync(send Sender) {
 	if e.nActive == 0 {
 		return
 	}
@@ -372,10 +378,14 @@ func (e *perObject) Sync(send Sender) {
 	e.b.flush(send)
 }
 
-// Flush implements Flusher: the first-transmission pass over the queued
-// objects, in key order. It finds nothing to do, and allocates nothing,
-// when no LocalOp or Deliver has left anything new since the last pass.
-func (e *perObject) Flush(send Sender) {
+// Flush emits what has never been sent, to every neighbor it is owed to,
+// and nothing else: no retransmission, no periodic message. Sync stays the
+// tick — the heartbeat, and the clock retransmissions are counted in;
+// Flush is the pass a store may run between two ticks, as soon as a write
+// has left something to ship. It visits the queued objects in key order,
+// and finds nothing to do, and allocates nothing, when no LocalOp or
+// Deliver has left anything new since the last pass.
+func (e *PerObject) Flush(send Sender) {
 	if len(e.unsent) == 0 {
 		return
 	}
@@ -395,7 +405,7 @@ func (e *perObject) Flush(send Sender) {
 // one (a forward it deferred): the object stays queued then, and is
 // dequeued otherwise. It stays active only while its buffer still waits
 // for a later pass.
-func (e *perObject) visit(id uint32, tick bool) bool {
+func (e *PerObject) visit(id uint32, tick bool) bool {
 	e.b.key = e.ix.keyOf(id)
 	b := e.load(id)
 	e.alg.ship(b, e.b.send, tick)
@@ -407,17 +417,20 @@ func (e *perObject) visit(id uint32, tick bool) bool {
 	return left
 }
 
-// Unsent implements Flusher.
-func (e *perObject) Unsent() bool { return len(e.unsent) > 0 }
+// Unsent reports whether Flush would have anything to emit.
+func (e *PerObject) Unsent() bool { return len(e.unsent) > 0 }
 
-// Waiting implements Flusher.
-func (e *perObject) Waiting() bool { return e.nActive > 0 }
+// Waiting reports whether a later tick still has work here: something is
+// buffered that a neighbor has not been sent or has not acknowledged. A
+// keyspace that is not waiting may be skipped by Sync until the next
+// LocalOp or Deliver.
+func (e *PerObject) Waiting() bool { return e.nActive > 0 }
 
 // Retransmits returns how many times an entry of any object has been sent
 // again.
-func (e *perObject) Retransmits() uint64 { return e.alg.retransmits() }
+func (e *PerObject) Retransmits() uint64 { return e.alg.retransmits() }
 
-func (e *perObject) Deliver(from string, m Msg, send Sender) {
+func (e *PerObject) Deliver(from string, m Msg, send Sender) {
 	bm, ok := m.(*BatchMsg)
 	if !ok {
 		return
@@ -436,7 +449,7 @@ func (e *perObject) Deliver(from string, m Msg, send Sender) {
 // compared in place, so the steady state — an existing object that an ack
 // or a redundant δ-group leaves with nothing new to send — allocates
 // nothing here; the key is copied only when the object is new.
-func (e *perObject) DeliverObject(from string, key []byte, m Msg, send Sender) {
+func (e *PerObject) DeliverObject(from string, key []byte, m Msg, send Sender) {
 	id := obj(e, maphash.Bytes(keySeed, key), key)
 	e.alg.deliver(e.ix.recs[id].x, e.load(id), from, m, send)
 	// An acknowledgement retires buffer entries and leaves the state alone.
@@ -447,7 +460,7 @@ func (e *perObject) DeliverObject(from string, key []byte, m Msg, send Sender) {
 	e.touched(id)
 }
 
-func (e *perObject) Memory() metrics.Memory {
+func (e *PerObject) Memory() metrics.Memory {
 	var total metrics.Memory
 	for i := range e.ix.recs {
 		r := &e.ix.recs[i]

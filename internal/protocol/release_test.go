@@ -131,7 +131,7 @@ func TestRedundantDeliverObjectAllocs(t *testing.T) {
 // key names.
 func TestPerObjectKeysStayOrdered(t *testing.T) {
 	e := protocol.NewPerObject(protocol.NewDeltaBPRR(), storeObjType)(
-		protocol.Config{ID: "r0", Neighbors: []string{"r1"}, Nodes: []string{"r0", "r1"}}).(protocol.KeyedEngine)
+		protocol.Config{ID: "r0", Neighbors: []string{"r1"}, Nodes: []string{"r0", "r1"}}).(*protocol.PerObject)
 	want := 0
 	check := func() {
 		t.Helper()

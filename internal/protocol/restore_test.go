@@ -8,11 +8,10 @@ import (
 	"crdtsync/internal/workload"
 )
 
-// newKeyedEngine builds the per-object engine the store runs per shard.
-func newKeyedEngine(inner protocol.Factory) protocol.KeyedEngine {
-	f := protocol.NewPerObject(inner, func(string) workload.Datatype { return workload.GSetType{} })
-	e := f(protocol.Config{ID: "a", Neighbors: []string{"b"}, Nodes: []string{"a", "b"}})
-	return e.(protocol.KeyedEngine)
+// newKeyspace builds the per-object engine the store runs per shard.
+func newKeyspace(inner protocol.Factory) *protocol.PerObject {
+	return protocol.NewKeyspace(inner, func(string) workload.Datatype { return workload.GSetType{} },
+		protocol.Config{ID: "a", Neighbors: []string{"b"}, Nodes: []string{"a", "b"}})
 }
 
 // TestRestoreObjectQuiescent pins the restore contract for both inner
@@ -25,13 +24,9 @@ func TestRestoreObjectQuiescent(t *testing.T) {
 	}
 	for name, inner := range factories {
 		t.Run(name, func(t *testing.T) {
-			e := newKeyedEngine(inner)
-			r, ok := e.(protocol.ObjectRestorer)
-			if !ok {
-				t.Fatal("per-object engine does not implement ObjectRestorer")
-			}
-			r.RestoreObject("s/k1", crdt.NewGSet("x", "y"))
-			r.RestoreObject("s/k2", crdt.NewGSet("z"))
+			e := newKeyspace(inner)
+			e.RestoreObject("s/k1", crdt.NewGSet("x", "y"))
+			e.RestoreObject("s/k2", crdt.NewGSet("z"))
 			if st := e.ObjectState("s/k1"); st == nil || !st.Equal(crdt.NewGSet("x", "y")) {
 				t.Fatalf("restored state = %v", st)
 			}
@@ -51,8 +46,8 @@ func TestRestoreObjectQuiescent(t *testing.T) {
 // object: a local op after restore ships its delta normally, and the
 // restored portion stays out of the wire traffic.
 func TestRestoreThenUpdatePropagates(t *testing.T) {
-	e := newKeyedEngine(protocol.NewDeltaBPRR())
-	e.(protocol.ObjectRestorer).RestoreObject("s/k", crdt.NewGSet("old1", "old2", "old3"))
+	e := newKeyspace(protocol.NewDeltaBPRR())
+	e.RestoreObject("s/k", crdt.NewGSet("old1", "old2", "old3"))
 	e.LocalOp(workload.Op{Key: "s/k", Kind: workload.KindAdd, Elem: "new"})
 	var sent []protocol.Msg
 	e.Sync(func(_ string, m protocol.Msg) { sent = append(sent, m) })

@@ -188,37 +188,6 @@ func BareCost(it ShardItem) metrics.Transmission {
 	return ic
 }
 
-// KeyedEngine is implemented by engines that replicate a keyspace of named
-// objects (NewPerObject). It adds per-key access on top of Engine, letting
-// callers read one object without materializing the aggregate state map.
-type KeyedEngine interface {
-	Engine
-	// NumKeys returns the number of known objects.
-	NumKeys() int
-	// ObjectState returns the state of one object, or nil if the key is
-	// unknown. The state is shared, not cloned; callers must not mutate.
-	ObjectState(key string) lattice.State
-	// Scan visits, in ascending key order, the objects whose key starts
-	// with prefix — every object, for the empty prefix — until fn returns
-	// false. States are shared as ObjectState's are, and an object's state
-	// is the same lattice.State for as long as the engine lives: every
-	// change merges into it in place. fn must not call back into the
-	// engine.
-	Scan(prefix string, fn func(key string, st lattice.State) bool)
-	// Rehash visits, in no particular order, each object that a LocalOp,
-	// a Deliver or a restore has touched since the last call, once. hash
-	// is a word the engine keeps per object for its owner and never reads:
-	// zero in a new object, thereafter whatever fn last left there. A store
-	// keeps each object's content hash in it, so that a digest costs what
-	// changed — this package cannot hash a state (the codec imports it).
-	Rehash(fn func(key string, st lattice.State, hash *uint64))
-	// Stale reports whether Rehash has anything to visit.
-	Stale() bool
-	// Hashes visits every object's key and hash word, in no particular
-	// order.
-	Hashes(fn func(key string, hash uint64))
-}
-
 // ObjectDeliverer is implemented by keyed engines that accept one object's
 // inbound message directly, without a BatchMsg wrapper. It is the receive
 // path's counterpart to the incremental frame packer: a transport that

@@ -8,7 +8,7 @@ import (
 
 // LoopbackCluster starts n fully meshed stores on 127.0.0.1, binding every
 // listener before any store starts so all peer addresses are known up
-// front. The template supplies Shards, Factory, ObjType and SyncEvery; its
+// front. The template supplies Shards, Engine, ObjType and SyncEvery; its
 // ID is used as the replica-id prefix ("store" → store-00, store-01, …).
 // Benchmarks, examples and tests share this bootstrap. On error, stores
 // already started are closed.

@@ -102,8 +102,17 @@ type core struct {
 // newCore builds one engine per shard and one link per neighbor from a
 // defaulted config; inc is this life's incarnation. out is left to set.
 func newCore(cfg StoreConfig, inc uint32) (*core, error) {
-	if cfg.Factory == nil || cfg.ObjType == nil {
-		return nil, fmt.Errorf("transport: StoreConfig needs Factory and ObjType")
+	if cfg.ObjType == nil {
+		return nil, fmt.Errorf("transport: StoreConfig needs ObjType")
+	}
+	var inner protocol.Factory
+	switch cfg.Engine {
+	case EngineAcked:
+		inner = protocol.NewDeltaAcked(true, true)
+	case EngineDelta:
+		inner = protocol.NewDeltaBPRR()
+	default:
+		return nil, fmt.Errorf("transport: unknown engine %d", cfg.Engine)
 	}
 	if len(cfg.ID) > maxIDBytes {
 		return nil, fmt.Errorf("transport: replica id is %d bytes, a frame carries at most %d", len(cfg.ID), maxIDBytes)
@@ -118,24 +127,16 @@ func newCore(cfg StoreConfig, inc uint32) (*core, error) {
 	// which the table records for setReach; the plain one only defers a
 	// forward on it.
 	reach := protocol.NewReach(neighbors)
-	factory := protocol.NewPerObject(cfg.Factory, cfg.ObjType)
 	shards := make([]*shard, cfg.Shards)
 	for i := range shards {
 		// A store's engines prune by receipt: a neighbor that sent a
 		// δ-group is not sent back what it covered.
-		eng := factory(protocol.Config{
+		shards[i] = &shard{ks: protocol.NewKeyspace(inner, cfg.ObjType, protocol.Config{
 			ID:             cfg.ID,
 			Neighbors:      neighbors,
 			Reach:          reach,
 			PruneOnReceipt: true,
-		})
-		keyed, ok1 := eng.(protocol.KeyedEngine)
-		od, ok2 := eng.(protocol.ObjectDeliverer)
-		fl, ok3 := eng.(protocol.Flusher)
-		if !ok1 || !ok2 || !ok3 {
-			return nil, fmt.Errorf("transport: per-object engine is not a KeyedEngine, ObjectDeliverer and Flusher")
-		}
-		shards[i] = &shard{engine: keyed, od: od, fl: fl}
+		})}
 	}
 	c := &core{
 		cfg:       cfg,
@@ -171,13 +172,8 @@ func newCore(cfg StoreConfig, inc uint32) (*core, error) {
 // settle lazy state (the key order, a scratch buffer) and take the write
 // lock too, by readers and owner alike. Every other field is the owner's.
 type shard struct {
-	mu     sync.RWMutex
-	engine protocol.KeyedEngine
-	// od and fl are the same engine through its per-object delivery and
-	// first-transmission interfaces, asserted once at construction for
-	// the hot paths.
-	od protocol.ObjectDeliverer
-	fl protocol.Flusher
+	mu sync.RWMutex
+	ks *protocol.PerObject
 	// digest is this shard's content digest: the XOR of the content hashes
 	// its engine keeps per key (keyHash), as of the last rehash — current
 	// until the engine next has a stale key.
@@ -189,9 +185,9 @@ type shard struct {
 func (sh *shard) pass(tick bool, send protocol.Sender) {
 	sh.mu.Lock()
 	if tick {
-		sh.engine.Sync(send)
+		sh.ks.Sync(send)
 	} else {
-		sh.fl.Flush(send)
+		sh.ks.Flush(send)
 	}
 	sh.mu.Unlock()
 }
@@ -202,9 +198,9 @@ func (sh *shard) pass(tick bool, send protocol.Sender) {
 // sent.
 func (sh *shard) due(tick bool) bool {
 	if tick {
-		return sh.fl.Waiting()
+		return sh.ks.Waiting()
 	}
-	return sh.fl.Unsent()
+	return sh.ks.Unsent()
 }
 
 // shardOf returns the shard key routes to (protocol.ShardOf): the one a
@@ -219,9 +215,9 @@ func (c *core) shardOf(key string) *shard {
 func (c *core) update(op workload.Op) bool {
 	sh := c.shardOf(op.Key)
 	sh.mu.Lock()
-	sh.engine.LocalOp(op)
+	sh.ks.LocalOp(op)
 	sh.mu.Unlock()
-	wake := sh.fl.Unsent() && c.requestFlush()
+	wake := sh.ks.Unsent() && c.requestFlush()
 	if len(c.watchers) > 0 {
 		c.notifyWatchers(op.Key)
 	}
@@ -244,13 +240,13 @@ func (c *core) requestFlush() bool {
 // own inverse), so a digest costs what changed, not what the shard holds,
 // and nothing on an idle keyspace.
 func (sh *shard) rehash() uint64 {
-	if !sh.engine.Stale() {
+	if !sh.ks.Stale() {
 		return sh.digest
 	}
 	var enc []byte
 	d := sh.digest
 	sh.mu.Lock() // the engine keeps the hashes
-	sh.engine.Rehash(func(k string, st lattice.State, hash *uint64) {
+	sh.ks.Rehash(func(k string, st lattice.State, hash *uint64) {
 		enc = codec.AppendState(enc[:0], st)
 		h := keyHash(k, enc)
 		d ^= *hash ^ h
@@ -581,7 +577,7 @@ func (c *core) sendAck(to string, lk *link) {
 // spells out; receivers do not count the length prefix): the packer's
 // budget.
 func (c *core) maxMsgBytes() int {
-	return c.cfg.MaxFrameBytes - 2
+	return c.cfg.maxFrame - 2
 }
 
 // frameKind classifies a frame for the wire accounting: shard items only,
@@ -603,9 +599,7 @@ func (c *core) counters(peers map[string]PeerStats) StoreStats {
 	st := c.stats
 	st.RepairTimeouts = c.repair.timeouts
 	for _, sh := range c.shards {
-		if r, ok := sh.engine.(interface{ Retransmits() uint64 }); ok {
-			st.Retransmits += int(r.Retransmits())
-		}
+		st.Retransmits += int(sh.ks.Retransmits())
 	}
 	st.Peers = peers
 	for i, id := range c.neighbors {
@@ -720,10 +714,10 @@ func (c *core) deliverSharded(from string, v *codec.FrameView, now int64) bool {
 				}
 				continue
 			}
-			sh.od.DeliverObject(from, iv.Key, m, noReply)
+			sh.ks.DeliverObject(from, iv.Key, m, noReply)
 		}
 		sh.mu.Unlock()
-		forward = forward || sh.fl.Unsent()
+		forward = forward || sh.ks.Unsent()
 		// A close that names ranges asks for this store's side of them; one
 		// that names nothing says the drill with its sender is over.
 		if closeMsg != nil && len(closeMsg.Nodes) > 0 {
@@ -798,7 +792,7 @@ func (c *core) applyAck(from string, lk *link, ack *protocol.FrameAck) {
 		for ; i < len(items) && items[i].shard == shard; i++ {
 			d.key = append(d.key[:0], items[i].key...)
 			d.ack.Seqs = items[i].seqs
-			sh.od.DeliverObject(from, d.key, &d.ack, noReply)
+			sh.ks.DeliverObject(from, d.key, &d.ack, noReply)
 		}
 		sh.mu.Unlock()
 	}

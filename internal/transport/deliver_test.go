@@ -25,19 +25,17 @@ import (
 // are dropped by the peer net exactly as they would be for a vanished
 // neighbor.
 func startSoloStore(t testing.TB, shards int) *Store {
-	return startSoloStoreWith(t, shards, protocol.NewDeltaBPRR())
+	return startSoloStoreWith(t, shards, EngineDelta)
 }
 
-// startSoloStoreWith is startSoloStore with a caller-chosen engine
-// factory (the receive benchmark baselines against a pre-refactor
-// engine replica).
-func startSoloStoreWith(t testing.TB, shards int, factory protocol.Factory) *Store {
+// startSoloStoreWith is startSoloStore with a caller-chosen engine.
+func startSoloStoreWith(t testing.TB, shards int, engine Engine) *Store {
 	t.Helper()
 	s, err := StartStore(StoreConfig{
 		ID:         "n0",
 		ListenAddr: "127.0.0.1:0",
 		Shards:     shards,
-		Factory:    factory,
+		Engine:     engine,
 		ObjType:    func(string) workload.Datatype { return workload.GSetType{} },
 	})
 	if err != nil {
@@ -409,23 +407,23 @@ func corruptLastItem(t testing.TB, frame []byte, key string) map[string][]byte {
 	return out
 }
 
-// engineFactories are the two engines a store runs.
-var engineFactories = map[string]protocol.Factory{
-	"delta": protocol.NewDeltaBPRR(),
-	"acked": protocol.NewDeltaAcked(true, true),
+// storeEngines are the two engines a store runs.
+var storeEngines = map[string]Engine{
+	"delta": EngineDelta,
+	"acked": EngineAcked,
 }
 
 // startPeeredStore builds a store with one configured but unreachable
 // peer: a frame sent to it is enqueued on its pipeline, and counted, and
 // the dial fails lazily later.
-func startPeeredStore(t testing.TB, factory protocol.Factory) *Store {
+func startPeeredStore(t testing.TB, engine Engine) *Store {
 	t.Helper()
 	s, err := StartStore(StoreConfig{
 		ID:         "n0",
 		ListenAddr: "127.0.0.1:0",
 		Peers:      map[string]string{"peer": "127.0.0.1:1"},
 		Shards:     2,
-		Factory:    factory,
+		Engine:     engine,
 		ObjType:    func(string) workload.Datatype { return workload.GSetType{} },
 		SyncEvery:  time.Hour,
 	})
@@ -445,8 +443,8 @@ func startPeeredStore(t testing.TB, factory protocol.Factory) *Store {
 // closes), no key of the first shard was applied, nothing was counted or
 // sent; the same frame uncorrupted then applies and counts its drop.
 func TestDeliverShardedErrorStillFlushesAndCounts(t *testing.T) {
-	for engine, factory := range engineFactories {
-		s := startPeeredStore(t, factory)
+	for engine, e := range storeEngines {
+		s := startPeeredStore(t, e)
 		k0, k1 := ascendingOnShards(len(s.shards), 0, 1)
 		frame := dataFrame(t,
 			shardBatch(0, k0),
@@ -482,8 +480,8 @@ func TestDeliverShardedErrorStillFlushesAndCounts(t *testing.T) {
 // an unknown tag, and its frame applies nothing and is answered with
 // nothing; so is an item with a retired tag, bare or keyed in the run.
 func TestDeliverRetiredAndLegacyItems(t *testing.T) {
-	for engine, factory := range engineFactories {
-		s := startPeeredStore(t, factory)
+	for engine, e := range storeEngines {
+		s := startPeeredStore(t, e)
 		k0 := keysOnShard(len(s.shards), 0, 2)
 		legacy := append(codec.AppendShardedHeader(nil, protocol.LinkHeader{}, nil, 1, 0), byte(len(k0[0])))
 		legacy = append(append(legacy, k0[0]...), encodeFrame(t, protocol.NewAckedDeltaMsg(crdt.NewGSet("a", "b"), []uint64{1, 2}))...)

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"crdtsync/internal/protocol"
 	"crdtsync/internal/transport"
 	"crdtsync/internal/workload"
 )
@@ -14,7 +13,7 @@ import (
 // idle store's SyncNow must produce no data frames at all (digests
 // disabled here), because every clean shard is skipped outright.
 func TestStoreSkipsCleanShards(t *testing.T) {
-	stores := startStoreCluster(t, 2, 8, protocol.NewDeltaBPRR(), time.Hour)
+	stores := startStoreCluster(t, 2, 8, transport.EngineDelta, time.Hour)
 	const keys = 64
 	for k := 0; k < keys; k++ {
 		stores[0].Update(workload.Op{Kind: workload.KindInc, Key: fmt.Sprintf("key-%03d", k), N: 1})
@@ -48,7 +47,7 @@ func TestCleanDigestPathNoAllocs(t *testing.T) {
 		ID:         "n0",
 		ListenAddr: "127.0.0.1:0",
 		Shards:     64,
-		Factory:    protocol.NewDeltaBPRR(),
+		Engine:     transport.EngineDelta,
 		ObjType:    func(string) workload.Datatype { return workload.GSetType{} },
 		SyncEvery:  time.Hour,
 	})

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"crdtsync/internal/lattice"
-	"crdtsync/internal/protocol"
 	"crdtsync/internal/workload"
 )
 
@@ -25,7 +24,7 @@ func TestEveryEntryPointAtOnce(t *testing.T) {
 	stores, err := LoopbackClusterWith(3, StoreConfig{
 		ID:          "e",
 		Shards:      8,
-		Factory:     protocol.NewDeltaAcked(true, true),
+		Engine:      EngineAcked,
 		ObjType:     simObjType,
 		SyncEvery:   5 * time.Millisecond,
 		DigestEvery: 4,

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"net"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
 	"crdtsync/internal/crdt"
 	"crdtsync/internal/protocol"
+	"crdtsync/internal/topology"
 	"crdtsync/internal/transport"
 	"crdtsync/internal/workload"
 )
@@ -36,8 +38,31 @@ func expectDrop(t *testing.T, conn net.Conn) {
 	}
 }
 
+// TestUnknownEngineRefused: a StoreConfig whose Engine names neither
+// EngineAcked nor EngineDelta is an error from StartStore and NewSim, not
+// a panic.
+func TestUnknownEngineRefused(t *testing.T) {
+	cfg := transport.StoreConfig{
+		ID:         "n0",
+		ListenAddr: "127.0.0.1:0",
+		Engine:     7,
+		ObjType:    func(string) workload.Datatype { return workload.GCounterType{} },
+	}
+	if s, err := transport.StartStore(cfg); err == nil {
+		s.Close()
+		t.Error("StartStore ran engine 7")
+	} else if !strings.Contains(err.Error(), "unknown engine 7") {
+		t.Errorf("StartStore: %v, want an unknown engine", err)
+	}
+	if _, err := transport.NewSim(topology.Full(2), cfg, 1); err == nil {
+		t.Error("NewSim ran engine 7")
+	} else if !strings.Contains(err.Error(), "unknown engine 7") {
+		t.Errorf("NewSim: %v, want an unknown engine", err)
+	}
+}
+
 func TestStoreDropsOversizedFrame(t *testing.T) {
-	stores := startStoreCluster(t, 2, 4, protocol.NewDeltaBPRR(), 20*time.Millisecond)
+	stores := startStoreCluster(t, 2, 4, transport.EngineDelta, 20*time.Millisecond)
 	conn := openRaw(t, stores[0].Addr(), "raw", 4)
 	defer conn.Close()
 	// A length prefix beyond the 64 MiB cap must get the connection
@@ -54,7 +79,7 @@ func TestStoreDropsOversizedFrame(t *testing.T) {
 }
 
 func TestStoreDropsCorruptFrame(t *testing.T) {
-	stores := startStoreCluster(t, 2, 4, protocol.NewDeltaBPRR(), 20*time.Millisecond)
+	stores := startStoreCluster(t, 2, 4, transport.EngineDelta, 20*time.Millisecond)
 	conn := openRaw(t, stores[0].Addr(), "zz", 4)
 	defer conn.Close()
 	// Well-framed garbage: valid length and no sender id, unparseable
@@ -75,7 +100,7 @@ func TestStoreDropsCorruptFrame(t *testing.T) {
 // applied — else its acknowledgement, reach and drill would be booked to a
 // neighbor whose connection this is not.
 func TestStoreDropsConnectionThatChangesSender(t *testing.T) {
-	stores := startStoreCluster(t, 3, 1, protocol.NewDeltaBPRR(), time.Hour)
+	stores := startStoreCluster(t, 3, 1, transport.EngineDelta, time.Hour)
 	conn := openRaw(t, stores[0].Addr(), "s-01", 1)
 	defer conn.Close()
 	delta := protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("s-02", 1))
@@ -104,7 +129,7 @@ func spoof(t *testing.T, key string) []byte {
 // frame that comes first, whether or not it names a sender, and a hello
 // that names nobody.
 func TestHelloFirstFrameOrClose(t *testing.T) {
-	stores := startStoreCluster(t, 2, 1, protocol.NewDeltaBPRR(), time.Hour)
+	stores := startStoreCluster(t, 2, 1, transport.EngineDelta, time.Hour)
 	for name, first := range map[string]func(conn net.Conn){
 		"a data frame naming its sender": func(conn net.Conn) { writeRawFrame(t, conn, "s-01", spoof(t, "first")) },
 		"a data frame naming nobody":     func(conn net.Conn) { writeRawFrame(t, conn, "", spoof(t, "first")) },
@@ -138,7 +163,7 @@ func TestHelloFirstFrameOrClose(t *testing.T) {
 // that on the connection is applied. A hello that names them again is a
 // refresh, and what follows it is applied.
 func TestHelloNamesOneSenderAndLife(t *testing.T) {
-	stores := startStoreCluster(t, 3, 1, protocol.NewDeltaBPRR(), time.Hour)
+	stores := startStoreCluster(t, 3, 1, transport.EngineDelta, time.Hour)
 	for name, c := range map[string]struct {
 		from string
 		inc  uint32
@@ -175,7 +200,7 @@ func TestStoreCloseWhilePeerMidFrame(t *testing.T) {
 		ID:         "solo",
 		ListenAddr: "127.0.0.1:0",
 		Peers:      map[string]string{},
-		Factory:    protocol.NewDeltaBPRR(),
+		Engine:     transport.EngineDelta,
 		ObjType:    func(string) workload.Datatype { return workload.GCounterType{} },
 		SyncEvery:  time.Hour,
 	})
@@ -207,7 +232,7 @@ func TestStoreIgnoresNonShardedFrames(t *testing.T) {
 	// one of its control messages (a bare single-object δ-group) ignores
 	// the message and keeps the connection: the frame behind it on the
 	// same connection is still delivered.
-	stores := startStoreCluster(t, 2, 4, protocol.NewDeltaBPRR(), 20*time.Millisecond)
+	stores := startStoreCluster(t, 2, 4, transport.EngineDelta, 20*time.Millisecond)
 	conn := openRaw(t, stores[0].Addr(), "legacy", 4)
 	defer conn.Close()
 	writeRawFrame(t, conn, "", encodeMsg(t, protocol.NewDeltaMsg(crdt.NewGSet("x"))))

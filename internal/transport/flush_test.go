@@ -37,7 +37,7 @@ func flushMesh(t *testing.T, n int, cfg StoreConfig) []*Store {
 	t.Helper()
 	cfg.ID = "f"
 	cfg.Shards = 8
-	cfg.Factory = protocol.NewDeltaAcked(true, true)
+	cfg.Engine = EngineAcked
 	cfg.ObjType = func(string) workload.Datatype { return workload.GSetType{} }
 	stores, err := LoopbackCluster(n, cfg)
 	if err != nil {
@@ -59,7 +59,7 @@ func tickStoreConfig() StoreConfig {
 		ListenAddr: "127.0.0.1:0",
 		Peers:      map[string]string{"p1": "127.0.0.1:1", "p2": "127.0.0.1:1"},
 		Shards:     64,
-		Factory:    protocol.NewDeltaAcked(true, true),
+		Engine:     EngineAcked,
 		ObjType:    func(string) workload.Datatype { return workload.GSetType{} },
 		SyncEvery:  time.Hour,
 	}
@@ -330,7 +330,7 @@ func TestFlushLateTimerSavesNothing(t *testing.T) {
 	const period, late, gap, periods = 20 * time.Millisecond, 650 * time.Microsecond, 100 * time.Microsecond, 20
 	cfg := tickStoreConfig()
 	cfg.SyncEvery = period
-	cfg.Factory = protocol.NewDeltaBPRR() // no retransmissions: a frame is a pass that found a write
+	cfg.Engine = EngineDelta // no retransmissions: a frame is a pass that found a write
 	c, err := newCore(cfg.withDefaults(), 1)
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"crdtsync/internal/protocol"
 	"crdtsync/internal/workload"
 )
 
@@ -313,7 +312,7 @@ func TestWireBytesAreSocketBytes(t *testing.T) {
 	stores, err := LoopbackClusterWith(3, StoreConfig{
 		ID:        "w",
 		Shards:    8,
-		Factory:   protocol.NewDeltaAcked(true, true),
+		Engine:    EngineAcked,
 		ObjType:   func(string) workload.Datatype { return workload.GSetType{} },
 		SyncEvery: time.Hour, // ticked by hand: no refresh, and no acknowledgement held
 	}, func(_ int, _ string, cfg *StoreConfig) {

@@ -28,7 +28,7 @@ func helloMesh(t *testing.T, n int, customize func(i int, id string, cfg *StoreC
 	stores, err := LoopbackClusterWith(n, StoreConfig{
 		ID:        "s",
 		Shards:    8,
-		Factory:   protocol.NewDeltaAcked(true, true),
+		Engine:    EngineAcked,
 		ObjType:   func(string) workload.Datatype { return workload.GSetType{} },
 		SyncEvery: 10 * time.Millisecond,
 	}, customize)
@@ -336,7 +336,8 @@ func TestHelloNonTransitivePartition(t *testing.T) {
 	awaitDrained(t, stores...)
 	after := clusterStats(stores)
 	if got := after.Sent.Elements - healed.Sent.Elements; got != 2*keys {
-		t.Errorf("%d elements on the wire for %d updates after the heal, want 2 each", got, keys)
+		t.Errorf("%d elements on the wire for %d updates after the heal, want 2 each; meanwhile %d retransmissions and %d acknowledgement-only frames",
+			got, keys, after.Retransmits-healed.Retransmits, after.AckFrames-healed.AckFrames)
 	}
 	if after.CatchUpShards == 0 {
 		t.Error("a neighbor stopped reaching another and nobody compared digests")
@@ -381,7 +382,7 @@ func (c *filterConn) Write(p []byte) (int, error) {
 func TestHelloDroppedCostsBytesNotConvergence(t *testing.T) {
 	const keys = 100
 	forSeeds(func(seed int64) {
-		s := newSim(t, seed, 3, simConfig(protocol.NewDeltaAcked(true, true), 0))
+		s := newSim(t, seed, 3, simConfig(EngineAcked, 0))
 		s.loseHello(0, 1)
 		reachesAt := func(i int, id string) []string { return s.Stats(i).Peers[id].Reaches }
 		s.run(s.period)

@@ -27,7 +27,7 @@ func scratchDigest(sh *shard) (digest uint64, nodes [protocol.TreeDepth + 1][]ui
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.engine.Scan("", func(k string, st lattice.State) bool {
+	sh.ks.Scan("", func(k string, st lattice.State) bool {
 		h := keyHash(k, codec.AppendState(nil, st))
 		digest ^= h
 		for level := range nodes {
@@ -92,12 +92,9 @@ func checkDigests(t *testing.T, s *Store, step string) {
 // in.
 func TestIncrementalDigestMatchesRecompute(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		for name, factory := range map[string]protocol.Factory{
-			"delta": protocol.NewDeltaBPRR(),
-			"acked": protocol.NewDeltaAcked(true, true),
-		} {
+		for name, engine := range storeEngines {
 			rng := rand.New(rand.NewSource(seed))
-			s := startSoloStoreWith(t, 4, factory)
+			s := startSoloStoreWith(t, 4, engine)
 			key := func() string { return fmt.Sprintf("k%03d", rng.Intn(150)) }
 			for step := 0; step < 300; step++ {
 				var what string
@@ -127,14 +124,14 @@ func TestIncrementalDigestMatchesRecompute(t *testing.T) {
 					k := key()
 					sh := s.shardOf(k)
 					sh.mu.Lock()
-					sh.od.DeliverObject("peer", []byte(k), &protocol.AckMsg{Seqs: []uint64{uint64(rng.Intn(5))}}, func(string, protocol.Msg) {})
+					sh.ks.DeliverObject("peer", []byte(k), &protocol.AckMsg{Seqs: []uint64{uint64(rng.Intn(5))}}, func(string, protocol.Msg) {})
 					sh.mu.Unlock()
 				case 4:
 					what = "restore"
 					k := key()
 					sh := s.shardOf(k)
 					sh.mu.Lock()
-					sh.engine.(protocol.ObjectRestorer).RestoreObject(k, crdt.NewGSet("r", fmt.Sprintf("e%d", rng.Intn(6))))
+					sh.ks.RestoreObject(k, crdt.NewGSet("r", fmt.Sprintf("e%d", rng.Intn(6))))
 					sh.mu.Unlock()
 				case 5:
 					what = "close"
@@ -207,7 +204,7 @@ func sameLeafKeys(salt int) (string, string) {
 func TestSwappedStatesChangeDigestAndLeaf(t *testing.T) {
 	counters := func(string) workload.Datatype { return workload.GCounterType{} }
 	solo := func() *Store {
-		s, err := StartStore(StoreConfig{ID: "n0", ListenAddr: "127.0.0.1:0", Shards: 1, Factory: protocol.NewDeltaBPRR(), ObjType: counters})
+		s, err := StartStore(StoreConfig{ID: "n0", ListenAddr: "127.0.0.1:0", Shards: 1, Engine: EngineDelta, ObjType: counters})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,13 +257,13 @@ func TestDigestAfterOneWriteCostsOneKey(t *testing.T) {
 		stale, visited := 0, 0
 		s.locked(func() {
 			for _, sh := range s.shards {
-				if sh.engine.Stale() {
+				if sh.ks.Stale() {
 					stale++
 				}
 			}
 			sh := s.shardOf(k)
 			sh.mu.Lock()
-			sh.engine.Rehash(func(_ string, _ lattice.State, _ *uint64) { visited++ })
+			sh.ks.Rehash(func(_ string, _ lattice.State, _ *uint64) { visited++ })
 			sh.mu.Unlock()
 		})
 		if stale != 1 {

@@ -309,7 +309,7 @@ func TestLinkAckResendsOnTheGapWhileAcksAreHeld(t *testing.T) {
 	stores, err := LoopbackCluster(2, StoreConfig{
 		ID:        "k",
 		Shards:    8,
-		Factory:   protocol.NewDeltaAcked(true, true),
+		Engine:    EngineAcked,
 		ObjType:   func(string) workload.Datatype { return workload.GSetType{} },
 		SyncEvery: time.Hour,
 	})
@@ -462,7 +462,7 @@ func TestLinkAckAppliesWithoutAllocating(t *testing.T) {
 // waits out its whole hold and leaves alone.
 func TestLinkAckHeldAckBeatsRetransmission(t *testing.T) {
 	forSeeds(func(seed int64) {
-		s := newSim(t, seed, 2, simConfig(protocol.NewDeltaAcked(true, true), 0))
+		s := newSim(t, seed, 2, simConfig(EngineAcked, 0))
 		sender, peer := s.nodes[0], s.nodes[1]
 		sender.nextTick = never // ticked by hand
 		for i, send := range []func(int64){sender.writeFlush, sender.tick} {
@@ -500,7 +500,7 @@ func TestLinkAckConvergesUnderLoss(t *testing.T) {
 		t.Run(fmt.Sprintf("%.0f%%", 100*loss), func(t *testing.T) {
 			forSeeds(func(seed int64) {
 				const keys, writes = 60, 360
-				s := newSim(t, seed, 3, simConfig(protocol.NewDeltaAcked(true, true), 0))
+				s := newSim(t, seed, 3, simConfig(EngineAcked, 0))
 				s.eachLink(func(l *simLink) { l.drop = loss })
 				for i := 0; i < writes; i++ {
 					s.Update(i%3, workload.Add(fmt.Sprintf("s/k%02d", i%keys), fmt.Sprintf("e%d", i)))
@@ -535,7 +535,7 @@ func TestLinkAckLosslessMeshShipsEachEntryOnce(t *testing.T) {
 	}
 	loneTag := lone[2] // after the key's length and its one byte
 	forSeeds(func(seed int64) {
-		s := newSim(t, seed, 3, simConfig(protocol.NewDeltaAcked(true, true), 0))
+		s := newSim(t, seed, 3, simConfig(EngineAcked, 0))
 		var frames [][]byte
 		s.onSend = func(data []byte) { frames = append(frames, data) }
 		// The hellos NewSim sent tell everybody that everybody reaches
@@ -655,19 +655,19 @@ func (c *gatedConn) Write(p []byte) (int, error) {
 func TestLinkAckBacklogDrainsWhole(t *testing.T) {
 	const frames = 6
 	for _, c := range []struct {
-		name    string
-		factory protocol.Factory
-		acked   bool
+		name   string
+		engine Engine
+		acked  bool
 	}{
-		{"delta", protocol.NewDeltaBPRR(), false},
-		{"acked", protocol.NewDeltaAcked(true, true), true},
+		{"delta", EngineDelta, false},
+		{"acked", EngineAcked, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			gate := make(chan struct{})
 			stores, err := LoopbackClusterWith(2, StoreConfig{
 				ID:        "g",
 				Shards:    8,
-				Factory:   c.factory,
+				Engine:    c.engine,
 				ObjType:   func(string) workload.Datatype { return workload.GCounterType{} },
 				SyncEvery: time.Hour,
 			}, func(i int, _ string, cfg *StoreConfig) {

@@ -122,7 +122,7 @@ func TestLinkAckFromAnotherLifeRetiresNothing(t *testing.T) {
 		ListenAddr: "127.0.0.1:0",
 		Peers:      map[string]string{"p1": ln.Addr().String()},
 		Shards:     4,
-		Factory:    protocol.NewDeltaAcked(true, true),
+		Engine:     transport.EngineAcked,
 		ObjType:    func(string) workload.Datatype { return workload.GSetType{} },
 		SyncEvery:  time.Hour,
 	})
@@ -248,7 +248,7 @@ func TestLinkAckTwoLivesOnOverlappingConnections(t *testing.T) {
 		ListenAddr: "127.0.0.1:0",
 		Peers:      map[string]string{"p1": ln.Addr().String()},
 		Shards:     1,
-		Factory:    protocol.NewDeltaAcked(true, true),
+		Engine:     transport.EngineAcked,
 		ObjType:    func(string) workload.Datatype { return workload.GSetType{} },
 		SyncEvery:  time.Hour,
 	})

@@ -123,7 +123,7 @@ func (sh *shard) childHashes(level int, nodes []uint32) []uint64 {
 	}
 	hashes := make([]uint64, protocol.TreeFanout*len(nodes))
 	shift := protocol.TreeFanoutBits * (protocol.TreeDepth - level - 1)
-	sh.engine.Hashes(func(k string, hash uint64) {
+	sh.ks.Hashes(func(k string, hash uint64) {
 		child := protocol.TreeLeafOf(k) >> shift
 		if i := slot[child>>protocol.TreeFanoutBits]; i != 0 {
 			hashes[int(i-1)<<protocol.TreeFanoutBits|int(child&(protocol.TreeFanout-1))] ^= hash
@@ -151,7 +151,7 @@ func (sh *shard) rangeKeys(leaves *treeBitmap, budget int) ([]keyState, bool) {
 	within := true
 	sh.mu.Lock() // Scan settles the key order
 	defer sh.mu.Unlock()
-	sh.engine.Scan("", func(k string, st lattice.State) bool {
+	sh.ks.Scan("", func(k string, st lattice.State) bool {
 		if !leaves.has(protocol.TreeLeafOf(k)) {
 			return true
 		}

@@ -48,7 +48,7 @@ type packResult struct {
 	frames []packedFrame
 	// oversized counts irreducible pieces dropped because even alone in a
 	// frame they exceed the cap (a single object's message larger than
-	// MaxFrameBytes); shipping them could never succeed.
+	// StoreConfig.maxFrame); shipping them could never succeed.
 	oversized int
 	// encodes counts codec encoding calls performed: one per keyed item,
 	// one per bare item, plus one per split boundary — the keyed item that

@@ -425,7 +425,7 @@ func TestPackEncodesEachItemOnce(t *testing.T) {
 }
 
 // TestPackSplitPiecesUnpackAlone: a store whose tick overflows a small
-// MaxFrameBytes splits its run of keys, all four shards' batches in key
+// frame cap (maxFrame) splits its run of keys, all four shards' batches in key
 // order, across frames, and every frame starts its chain of keys and its
 // table of replica names again — its first key whole, the first use of each
 // name spelled in full — so that each frame unpacks on its own, into a
@@ -439,7 +439,7 @@ func TestPackSplitPiecesUnpackAlone(t *testing.T) {
 	cfg.ID = "w-n0"
 	cfg.ObjType = simObjType
 	cfg.Shards = 4
-	cfg.MaxFrameBytes = 256
+	cfg.maxFrame = 256
 	c, err := newCore(cfg.withDefaults(), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -464,7 +464,7 @@ func TestPackSplitPiecesUnpackAlone(t *testing.T) {
 		case 2:
 			key = fmt.Sprintf("m/n%06d/f%d", i/40, i%40)
 			c.update(workload.Put(key, fmt.Sprintf("v%d", i)))
-			delta = c.shardOf(key).engine.(protocol.KeyedEngine).ObjectState(key)
+			delta = c.shardOf(key).ks.ObjectState(key)
 		case 3:
 			// A counter p2 wrote, and one whose entry a third replica wrote,
 			// each forwarded to p1.

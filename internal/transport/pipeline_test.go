@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"crdtsync/internal/crdt"
-	"crdtsync/internal/protocol"
 	"crdtsync/internal/transport"
 	"crdtsync/internal/workload"
 )
@@ -87,17 +86,16 @@ func TestStoreSlowPeerIsolation(t *testing.T) {
 		}
 		return c, nil
 	}
-	stores := startStoreClusterWith(t, 3, transport.StoreConfig{
+	stores := startStoreClusterWith(t, 3, transport.Limited(transport.StoreConfig{
 		Shards:  8,
-		Factory: protocol.NewDeltaBPRR(),
+		Engine:  transport.EngineDelta,
 		ObjType: gcounters,
 		// Plain deltas are cleared after send, so every frame the stall
 		// queue evicts is protocol-level loss: convergence after heal
 		// proves the digest path repairs what drop-oldest discarded.
-		DigestEvery:  2,
-		SyncEvery:    15 * time.Millisecond,
-		PeerQueueLen: 4,
-	}, func(i int, id string, cfg *transport.StoreConfig) {
+		DigestEvery: 2,
+		SyncEvery:   15 * time.Millisecond,
+	}, 4, 0, 0), func(i int, id string, cfg *transport.StoreConfig) {
 		if id != "s-02" {
 			cfg.Dial = slowDial
 		}
@@ -196,7 +194,7 @@ func TestStoreSlowPeerIsolation(t *testing.T) {
 
 // TestStoreQueueOverflowReconnectAndRepair pins the bounded-queue
 // arithmetic and the reconnect path: against an unreachable peer the
-// pipeline must keep at most PeerQueueLen+1 frames alive (everything else
+// pipeline must keep at most its queue length + 1 frames alive (everything else
 // drop-oldest-evicted and counted), report backoff state, and — once the
 // peer heals — reconnect, drain, and let digest anti-entropy repair the
 // dropped frames to exact convergence.
@@ -213,14 +211,13 @@ func TestStoreQueueOverflowReconnectAndRepair(t *testing.T) {
 		}
 		return net.DialTimeout("tcp", addr, 2*time.Second)
 	}
-	stores := startStoreClusterWith(t, 2, transport.StoreConfig{
-		Shards:       8,
-		Factory:      protocol.NewDeltaBPRR(),
-		ObjType:      gcounters,
-		DigestEvery:  2,
-		SyncEvery:    10 * time.Millisecond,
-		PeerQueueLen: queueLen,
-	}, func(i int, id string, cfg *transport.StoreConfig) {
+	stores := startStoreClusterWith(t, 2, transport.Limited(transport.StoreConfig{
+		Shards:      8,
+		Engine:      transport.EngineDelta,
+		ObjType:     gcounters,
+		DigestEvery: 2,
+		SyncEvery:   10 * time.Millisecond,
+	}, queueLen, 0, 0), func(i int, id string, cfg *transport.StoreConfig) {
 		if id == "s-00" {
 			cfg.Dial = failDial
 		}
@@ -292,7 +289,7 @@ func TestStoreQueueOverflowReconnectAndRepair(t *testing.T) {
 
 // TestStoreByteBudgetedQueueInvariant pins the byte half of the bounded
 // queue: frames vary ~100x in size, so against an unreachable peer the
-// pipeline must keep at most PeerQueueBytes + one frame of enqueued bytes
+// pipeline must keep at most its byte budget + one frame of enqueued bytes
 // alive (everything older evicted by bytes and counted in DroppedBytes),
 // whatever the frame count says — and once the peer heals, drain plus
 // digest repair still reach exact convergence.
@@ -310,15 +307,13 @@ func TestStoreByteBudgetedQueueInvariant(t *testing.T) {
 		}
 		return net.DialTimeout("tcp", addr, 2*time.Second)
 	}
-	stores := startStoreClusterWith(t, 2, transport.StoreConfig{
-		Shards:         8,
-		Factory:        protocol.NewDeltaBPRR(),
-		ObjType:        gcounters,
-		DigestEvery:    2,
-		SyncEvery:      10 * time.Millisecond,
-		MaxFrameBytes:  maxFrame,
-		PeerQueueBytes: budget,
-	}, func(i int, id string, cfg *transport.StoreConfig) {
+	stores := startStoreClusterWith(t, 2, transport.Limited(transport.StoreConfig{
+		Shards:      8,
+		Engine:      transport.EngineDelta,
+		ObjType:     gcounters,
+		DigestEvery: 2,
+		SyncEvery:   10 * time.Millisecond,
+	}, 0, budget, maxFrame), func(i int, id string, cfg *transport.StoreConfig) {
 		if id == "s-00" {
 			cfg.Dial = failDial
 		}
@@ -380,7 +375,7 @@ func TestStoreByteBudgetedQueueInvariant(t *testing.T) {
 func TestStoreCloseDrainsQueuedFrames(t *testing.T) {
 	stores := startStoreClusterWith(t, 2, transport.StoreConfig{
 		Shards:    4,
-		Factory:   protocol.NewDeltaBPRR(),
+		Engine:    transport.EngineDelta,
 		ObjType:   gcounters,
 		SyncEvery: time.Hour, // ticks driven manually
 	}, nil)

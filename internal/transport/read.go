@@ -22,7 +22,7 @@ func (s *Store) Query(shard int, fn func(key string, st lattice.State) bool) {
 	sh := s.shards[shard]
 	sh.mu.Lock() // Scan settles the key order
 	defer sh.mu.Unlock()
-	sh.engine.Scan("", fn)
+	sh.ks.Scan("", fn)
 }
 
 // View runs fn on one object's live state under its shard's read lock and
@@ -33,7 +33,7 @@ func (s *Store) View(key string, fn func(st lattice.State)) bool {
 	sh := s.shardOf(key)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	st := sh.engine.ObjectState(key)
+	st := sh.ks.ObjectState(key)
 	if st == nil {
 		return false
 	}
@@ -58,7 +58,7 @@ func (s *Store) Scan(prefix string, fn func(key string, st lattice.State) bool) 
 	for _, sh := range s.shards {
 		lo := len(m.objs)
 		sh.mu.Lock()
-		sh.engine.Scan(prefix, func(k string, st lattice.State) bool {
+		sh.ks.Scan(prefix, func(k string, st lattice.State) bool {
 			m.objs = append(m.objs, keyState{k, st})
 			return true
 		})

@@ -9,7 +9,6 @@ import (
 
 	"crdtsync/internal/crdt"
 	"crdtsync/internal/lattice"
-	"crdtsync/internal/protocol"
 	"crdtsync/internal/transport"
 	"crdtsync/internal/workload"
 )
@@ -23,7 +22,7 @@ func startSoloStore(t *testing.T, shards int) *transport.Store {
 		ListenAddr: "127.0.0.1:0",
 		Peers:      map[string]string{},
 		Shards:     shards,
-		Factory:    protocol.NewDeltaBPRR(),
+		Engine:     transport.EngineDelta,
 		ObjType:    func(string) workload.Datatype { return workload.GCounterType{} },
 		SyncEvery:  time.Hour, // ticks never fire during the test
 	})

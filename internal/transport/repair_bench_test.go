@@ -86,7 +86,7 @@ const drillPushKeys = 330
 // allocates its 16 hashes and a few words of bookkeeping, where a 32 KB
 // leaf vector folded per drill would show at once.
 func BenchmarkDrillPush(b *testing.B) {
-	c, err := newCore(StoreConfig{ID: "n0", Shards: 1, Factory: protocol.NewDeltaBPRR(), ObjType: simObjType}.withDefaults(), 1)
+	c, err := newCore(StoreConfig{ID: "n0", Shards: 1, Engine: EngineDelta, ObjType: simObjType}.withDefaults(), 1)
 	if err != nil {
 		b.Fatal(err)
 	}

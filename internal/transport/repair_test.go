@@ -52,7 +52,7 @@ func drainInto(t *testing.T, s *Store) {
 // with no digest schedule: each advertisement is one the scenario sends
 // (advertise).
 func drillConfig() StoreConfig {
-	cfg := simConfig(protocol.NewDeltaBPRR(), 0)
+	cfg := simConfig(EngineDelta, 0)
 	cfg.Shards = 1
 	return cfg
 }
@@ -70,7 +70,7 @@ func drillMesh(t *testing.T, seed int64, n, shared int, stage func(s *sim)) *sim
 		key := sharedKey(k)
 		for _, node := range s.nodes {
 			sh := node.shardOf(key)
-			sh.engine.(protocol.ObjectRestorer).RestoreObject(key, crdt.NewGSet("v"))
+			sh.ks.RestoreObject(key, crdt.NewGSet("v"))
 		}
 		s.ref[key] = crdt.NewGSet("v")
 	}
@@ -186,7 +186,7 @@ func startDrillStore(t *testing.T, shards int) *Store {
 		ListenAddr: "127.0.0.1:0",
 		Peers:      map[string]string{"peer": "127.0.0.1:1", "rival": "127.0.0.1:1"},
 		Shards:     shards,
-		Factory:    protocol.NewDeltaBPRR(),
+		Engine:     EngineDelta,
 		ObjType:    func(string) workload.Datatype { return workload.GSetType{} },
 		SyncEvery:  time.Hour,
 	})
@@ -547,7 +547,7 @@ func TestHandleTreeHostileInputs(t *testing.T) {
 	// level can force that — sends one frame's worth and leaves the rest
 	// to the answer.
 	big := startSoloStore(t, 1)
-	big.cfg.MaxFrameBytes = 256
+	big.cfg.maxFrame = 256
 	allLeaves := make([]uint32, protocol.TreeLeaves)
 	for i := range allLeaves {
 		allLeaves[i] = uint32(i)

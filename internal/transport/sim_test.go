@@ -210,8 +210,8 @@ func (s *sim) total() StoreStats {
 // simConfig is the scenarios' replica: eight shards of engine on the
 // prefix schema, a tick every simPeriod, digests every digestEvery ticks
 // (0: none).
-func simConfig(engine protocol.Factory, digestEvery int) StoreConfig {
-	return StoreConfig{Shards: 8, Factory: engine, DigestEvery: digestEvery, ObjType: simObjType, SyncEvery: time.Duration(simPeriod)}
+func simConfig(engine Engine, digestEvery int) StoreConfig {
+	return StoreConfig{Shards: 8, Engine: engine, DigestEvery: digestEvery, ObjType: simObjType, SyncEvery: time.Duration(simPeriod)}
 }
 
 // TestSimReorderOrDuplicateIsLossless: links that let frames overtake each
@@ -233,7 +233,7 @@ func TestSimReorderOrDuplicateIsLossless(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			forSeeds(func(seed int64) {
-				s := newSim(t, seed, 3, simConfig(protocol.NewDeltaBPRR(), 0))
+				s := newSim(t, seed, 3, simConfig(EngineDelta, 0))
 				s.eachLink(tc.fault)
 				s.write("key", 60, 2, simPeriod/4)
 				s.settle()
@@ -261,7 +261,7 @@ func TestSimAckedReorderOrDuplicateResendsNothing(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			forSeeds(func(seed int64) {
-				s := newSim(t, seed, 3, simConfig(protocol.NewDeltaAcked(true, true), 2))
+				s := newSim(t, seed, 3, simConfig(EngineAcked, 2))
 				s.eachLink(tc.fault)
 				for round := 0; round < 3; round++ {
 					s.write("key", 40, 1, simPeriod/4)
@@ -285,7 +285,7 @@ func TestSimAckedReorderOrDuplicateResendsNothing(t *testing.T) {
 // more periods no entry is sent again.
 func TestSimLongRoundTripDrains(t *testing.T) {
 	forSeeds(func(seed int64) {
-		s := newSim(t, seed, 3, simConfig(protocol.NewDeltaAcked(true, true), 0))
+		s := newSim(t, seed, 3, simConfig(EngineAcked, 0))
 		s.eachLink(func(l *simLink) { l.latency = (closeAfter + 4) * simPeriod })
 		for round := 0; round < 4; round++ {
 			s.write("key", 30, 1, simPeriod/5)
@@ -323,10 +323,10 @@ func TestSimLongRoundTripDrains(t *testing.T) {
 func TestSimOneWayBlackholeHeals(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		engine protocol.Factory
+		engine Engine
 	}{
-		{"delta", protocol.NewDeltaBPRR()},
-		{"acked", protocol.NewDeltaAcked(true, true)},
+		{"delta", EngineDelta},
+		{"acked", EngineAcked},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			forSeeds(func(seed int64) {
@@ -379,10 +379,10 @@ func TestSimTopologies(t *testing.T) {
 	} {
 		for k, e := range []struct {
 			name   string
-			engine protocol.Factory
+			engine Engine
 		}{
-			{"delta", protocol.NewDeltaBPRR()},
-			{"acked", protocol.NewDeltaAcked(true, true)},
+			{"delta", EngineDelta},
+			{"acked", EngineAcked},
 		} {
 			t.Run(gr.name+"/"+e.name, func(t *testing.T) {
 				var elements, updates int
@@ -422,7 +422,7 @@ func TestSimRepairSlotsNeverWaitInARing(t *testing.T) {
 	bound := 2*int64(repairTimeout) + 2*digestEvery*int64(syncEvery)
 	var worst int64
 	forSeeds(func(seed int64) {
-		cfg := simConfig(protocol.NewDeltaBPRR(), digestEvery)
+		cfg := simConfig(EngineDelta, digestEvery)
 		cfg.SyncEvery = syncEvery
 		s := newSim(t, seed, 3, cfg)
 		s.write("key", 2000, 1, int64(time.Millisecond)/2)
@@ -455,7 +455,7 @@ func TestSimRepairSlotsNeverWaitInARing(t *testing.T) {
 func TestSimDeltaForwardsRideTheNextPass(t *testing.T) {
 	var flushes, elements, updates int
 	forSeeds(func(seed int64) {
-		cfg := simConfig(protocol.NewDeltaBPRR(), 0)
+		cfg := simConfig(EngineDelta, 0)
 		cfg.SyncEvery = 20 * time.Millisecond
 		s := newSim(t, seed, 3, cfg)
 		s.write("key", 300, 1, int64(4*time.Millisecond))
@@ -490,7 +490,7 @@ func TestSimDeltaForwardsRideTheNextPass(t *testing.T) {
 func TestSimDeltaDenseWritesForwardOncePerPair(t *testing.T) {
 	var elements, updates int
 	for seed := int64(1); seed <= 20; seed++ {
-		cfg := simConfig(protocol.NewDeltaBPRR(), 0)
+		cfg := simConfig(EngineDelta, 0)
 		cfg.SyncEvery = 20 * time.Millisecond
 		s := newSim(t, seed, 3, cfg)
 		s.eachLink(func(l *simLink) { l.latency = int64(time.Millisecond) })
@@ -517,7 +517,7 @@ func TestSimDeltaDenseWritesForwardOncePerPair(t *testing.T) {
 // shown every frame handed to a link after the first hellos.
 func simLossReorderPartition(t testing.TB, seed int64, onSend func(data []byte)) *sim {
 	const keys = 120
-	s := newSim(t, seed, 3, simConfig(protocol.NewDeltaAcked(true, true), 2))
+	s := newSim(t, seed, 3, simConfig(EngineAcked, 2))
 	s.onSend = onSend
 	s.eachLink(func(l *simLink) { l.drop, l.jitter = 0.2, simPeriod/5 })
 	for j := 1; j < 3; j++ {
@@ -655,7 +655,7 @@ func TestSimIsDeterministic(t *testing.T) {
 func TestSimOneLostFrameResendsOnlyItsEntries(t *testing.T) {
 	const frames, perFrame, lost = 10, 3, 5
 	forSeeds(func(seed int64) {
-		s := newSim(t, seed, 2, simConfig(protocol.NewDeltaAcked(true, true), 0))
+		s := newSim(t, seed, 2, simConfig(EngineAcked, 0))
 		s.links[0][1].lose = func(n int) bool { return n == lost+1 }
 		sender, receiver := s.nodes[0], s.nodes[1]
 		lk := sender.links["s-01"]
@@ -731,7 +731,7 @@ func TestSimOneLostFrameResendsOnlyItsEntries(t *testing.T) {
 // the δ-buffers drain.
 func TestStoreAckedDeltaConvergence(t *testing.T) {
 	forSeeds(func(seed int64) {
-		s := newSim(t, seed, 3, simConfig(protocol.NewDeltaAcked(true, true), 0))
+		s := newSim(t, seed, 3, simConfig(EngineAcked, 0))
 		s.write("key", 100, 1, simPeriod/4)
 		s.converge(simSettlePeriods)
 		for _, n := range s.nodes {
@@ -753,10 +753,10 @@ func TestStoreAckedDeltaConvergence(t *testing.T) {
 func TestStoreLineMultiHop(t *testing.T) {
 	for _, e := range []struct {
 		name   string
-		engine protocol.Factory
+		engine Engine
 	}{
-		{"acked", protocol.NewDeltaAcked(true, true)},
-		{"delta", protocol.NewDeltaBPRR()},
+		{"acked", EngineAcked},
+		{"delta", EngineDelta},
 	} {
 		t.Run(e.name, func(t *testing.T) {
 			forSeeds(func(seed int64) {
@@ -783,12 +783,12 @@ func TestStoreLineMultiHop(t *testing.T) {
 func TestStoreConvergesUnderFrameLoss(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
-		engine      protocol.Factory
+		engine      Engine
 		digestEvery int
 	}{
-		{"digest-repairs-plain-delta", protocol.NewDeltaBPRR(), 1},
-		{"acked-retransmits", protocol.NewDeltaAcked(true, true), 0},
-		{"acked-plus-digest", protocol.NewDeltaAcked(true, true), 3},
+		{"digest-repairs-plain-delta", EngineDelta, 1},
+		{"acked-retransmits", EngineAcked, 0},
+		{"acked-plus-digest", EngineAcked, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			forSeeds(func(seed int64) {
@@ -818,7 +818,7 @@ func TestStoreConvergesUnderHalfFrameLoss(t *testing.T) {
 	}
 	const keys, seeds = 20000, 2
 	for seed := int64(1); seed <= seeds; seed++ {
-		cfg := simConfig(protocol.NewDeltaBPRR(), 4)
+		cfg := simConfig(EngineDelta, 4)
 		cfg.Shards = 64
 		s := newSim(t, seed, 3, cfg)
 		s.eachLink(func(l *simLink) { l.drop = 0.5 })
@@ -844,7 +844,7 @@ func TestStoreConvergesUnderHalfFrameLoss(t *testing.T) {
 func TestStorePartitionHealsToConvergence(t *testing.T) {
 	const keys = 60
 	forSeeds(func(seed int64) {
-		s := newSim(t, seed, 3, simConfig(protocol.NewDeltaBPRR(), 1))
+		s := newSim(t, seed, 3, simConfig(EngineDelta, 1))
 		for j := 1; j < 3; j++ {
 			s.links[0][j].severed, s.links[j][0].severed = true, true
 		}
@@ -881,7 +881,7 @@ func TestStorePartitionHealsToConvergence(t *testing.T) {
 func TestStoreDigestIdleTrafficBeatsFullShip(t *testing.T) {
 	const keys, idleTicks = 400, 20
 	forSeeds(func(seed int64) {
-		s := newSim(t, seed, 2, simConfig(protocol.NewDeltaBPRR(), 1))
+		s := newSim(t, seed, 2, simConfig(EngineDelta, 1))
 		s.nodes[1].cfg.DigestEvery = 0
 		s0, s1 := s.nodes[0], s.nodes[1]
 		// The whole keyspace is written on s-00 and shipped into a black
@@ -936,7 +936,7 @@ func TestStoreDigestIdleTrafficBeatsFullShip(t *testing.T) {
 // nothing else, hello refreshes aside, for a whole refresh cycle.
 func TestStoreAckedIdleTicksAreHeartbeatOnly(t *testing.T) {
 	forSeeds(func(seed int64) {
-		s := newSim(t, seed, 3, simConfig(protocol.NewDeltaAcked(true, true), 4))
+		s := newSim(t, seed, 3, simConfig(EngineAcked, 4))
 		s.write("key", 90, 1, simPeriod/4)
 		s.settle()
 		s.run(s.now + 2*simPeriod) // a drill that crossed the last writes ends
@@ -968,7 +968,7 @@ func TestStoreAckedIdleTicksAreHeartbeatOnly(t *testing.T) {
 func TestStorePiggybackedDigestsReplaceHeartbeats(t *testing.T) {
 	const busyTicks, idleTicks = 10, 10
 	forSeeds(func(seed int64) {
-		s := newSim(t, seed, 2, simConfig(protocol.NewDeltaBPRR(), 1))
+		s := newSim(t, seed, 2, simConfig(EngineDelta, 1))
 		s.nodes[1].cfg.DigestEvery = 0
 		s0 := s.nodes[0]
 		s.runTo(s0, simPeriod)
@@ -1015,7 +1015,7 @@ func TestStorePiggybackedDigestsReplaceHeartbeats(t *testing.T) {
 func TestStorePiggybackedDigestRepairsDivergence(t *testing.T) {
 	const keys = 20
 	forSeeds(func(seed int64) {
-		s := newSim(t, seed, 2, simConfig(protocol.NewDeltaBPRR(), 1))
+		s := newSim(t, seed, 2, simConfig(EngineDelta, 1))
 		s.nodes[1].cfg.DigestEvery = 0
 		s0, s1 := s.nodes[0], s.nodes[1]
 		s.links[0][1].severed = true

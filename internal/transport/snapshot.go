@@ -9,7 +9,6 @@ import (
 
 	"crdtsync/internal/codec"
 	"crdtsync/internal/lattice"
-	"crdtsync/internal/protocol"
 )
 
 // This file is the durability layer: a background snapshotter that
@@ -99,8 +98,8 @@ func (s *Store) encodeShardSnapshot(i int, sh *shard) (data []byte, digest uint6
 	}
 	sh.mu.Lock() // Scan settles the key order
 	defer sh.mu.Unlock()
-	w := codec.NewSnapshotWriter(i, len(s.shards), sh.engine.NumKeys())
-	sh.engine.Scan("", func(k string, st lattice.State) bool {
+	w := codec.NewSnapshotWriter(i, len(s.shards), sh.ks.NumKeys())
+	sh.ks.Scan("", func(k string, st lattice.State) bool {
 		w.Add(k, st)
 		return true
 	})
@@ -177,11 +176,9 @@ func (s *Store) restoreSnapshots() {
 		}
 		for _, r := range recs {
 			sh := s.shardOf(r.key)
-			if or, ok := sh.engine.(protocol.ObjectRestorer); ok {
-				sh.mu.Lock()
-				or.RestoreObject(r.key, r.st)
-				sh.mu.Unlock()
-			}
+			sh.mu.Lock()
+			sh.ks.RestoreObject(r.key, r.st)
+			sh.mu.Unlock()
 		}
 		s.stats.SnapshotRestoredKeys += len(recs)
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"crdtsync/internal/protocol"
 	"crdtsync/internal/workload"
 )
 
@@ -22,7 +21,7 @@ func startSnapStore(t testing.TB, shards int, dir string) *Store {
 		ID:            "n0",
 		ListenAddr:    "127.0.0.1:0",
 		Shards:        shards,
-		Factory:       protocol.NewDeltaBPRR(),
+		Engine:        EngineDelta,
 		ObjType:       func(string) workload.Datatype { return workload.GSetType{} },
 		SnapshotDir:   dir,
 		SnapshotEvery: time.Hour,
@@ -247,7 +246,7 @@ func TestKillRestartUnderTraffic(t *testing.T) {
 			Listener:  ln,
 			Peers:     map[string]string{ids[1-i]: addrs[1-i]},
 			Shards:    4,
-			Factory:   protocol.NewDeltaAcked(true, true),
+			Engine:    EngineAcked,
 			ObjType:   func(string) workload.Datatype { return workload.GSetType{} },
 			SyncEvery: 5 * time.Millisecond,
 			// Digest anti-entropy is what repairs the restart's snapshot
@@ -359,7 +358,7 @@ func measureStaleRepair(t *testing.T, stale int) (repairBytes, fullBytes int) {
 		cfg := StoreConfig{
 			ID:          ids[i],
 			Shards:      1,
-			Factory:     protocol.NewDeltaBPRR(),
+			Engine:      EngineDelta,
 			ObjType:     func(string) workload.Datatype { return workload.GSetType{} },
 			SyncEvery:   time.Hour, // ticks driven manually
 			DigestEvery: 1,

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"crdtsync/internal/crdt"
-	"crdtsync/internal/protocol"
 	"crdtsync/internal/transport"
 	"crdtsync/internal/workload"
 )
@@ -15,14 +14,13 @@ import (
 // modest batch overflows it.
 func startCappedPair(t *testing.T, maxFrame int) []*transport.Store {
 	t.Helper()
-	stores, err := transport.LoopbackCluster(2, transport.StoreConfig{
-		ID:            "s",
-		Shards:        8,
-		Factory:       protocol.NewDeltaBPRR(),
-		ObjType:       func(string) workload.Datatype { return workload.GCounterType{} },
-		SyncEvery:     time.Hour,
-		MaxFrameBytes: maxFrame,
-	})
+	stores, err := transport.LoopbackCluster(2, transport.Limited(transport.StoreConfig{
+		ID:        "s",
+		Shards:    8,
+		Engine:    transport.EngineDelta,
+		ObjType:   func(string) workload.Datatype { return workload.GCounterType{} },
+		SyncEvery: time.Hour,
+	}, 0, 0, maxFrame))
 	if err != nil {
 		t.Fatalf("cluster: %v", err)
 	}

@@ -14,7 +14,6 @@ import (
 	"crdtsync/internal/codec"
 	"crdtsync/internal/lattice"
 	"crdtsync/internal/metrics"
-	"crdtsync/internal/protocol"
 	"crdtsync/internal/workload"
 )
 
@@ -37,9 +36,8 @@ type StoreConfig struct {
 	// a receiver routes a frame's keyed items by hashing their keys under
 	// its own count, and digests and drills are per shard.
 	Shards int
-	// Factory builds the inner per-object protocol engine
-	// (e.g. protocol.NewDeltaBPRR()).
-	Factory protocol.Factory
+	// Engine is the algorithm every object runs (default EngineAcked).
+	Engine Engine
 	// ObjType chooses the datatype of each object from its key.
 	ObjType func(key string) workload.Datatype
 	// SyncEvery is the synchronization period (default 1s): the interval
@@ -58,22 +56,6 @@ type StoreConfig struct {
 	// explicit SyncNow calls ticks the store by hand: nothing leaves
 	// between two calls but acknowledgements.
 	SyncEvery time.Duration
-	// PeerQueueLen bounds each peer's outbound queue by frame count; 0
-	// means the default, 128. transmit is a non-blocking enqueue onto a
-	// per-peer writer goroutine, so a stalled peer delays only its own
-	// frames; when a queue exceeds either bound, the oldest queued frame is
-	// evicted (drop-oldest) and counted in Stats().Peers — acked engines
-	// retransmit the loss and digest anti-entropy repairs the rest. Tests
-	// lower it to make a queue overflow cheaply.
-	PeerQueueLen int
-	// PeerQueueBytes bounds each peer's outbound queue by encoded bytes; 0
-	// means the default, 8 MiB. Frames vary ~100x in size, so a count bound
-	// alone budgets almost nothing: 128 heartbeats are a few KiB while 128
-	// full batches can be GiBs. Eviction keeps the queue within whichever
-	// bound it crosses first, always sparing the newest frame so an
-	// over-budget frame is still shipped rather than wedged. Tests lower it
-	// to make the byte bound bind before the frame count does.
-	PeerQueueBytes int
 	// DigestEvery enables digest anti-entropy: every DigestEvery-th sync
 	// tick (write-triggered flushes do not count) the store also ships
 	// its per-shard digest vector to every peer; a peer whose digests
@@ -83,11 +65,6 @@ type StoreConfig struct {
 	// near-constant per-tick cost of 8 bytes per shard once converged.
 	// 0 disables digests (delta traffic only).
 	DigestEvery int
-	// MaxFrameBytes caps the encoded size of one data frame; a sync tick
-	// whose batch exceeds it is packed into multiple bounded frames. 0 or
-	// anything above the transport-wide maximum means the 64 MiB
-	// transport cap. Tests lower it to exercise packing cheaply.
-	MaxFrameBytes int
 	// SnapshotDir, when set, enables crash-restart durability: a
 	// background snapshotter periodically serializes each shard's objects
 	// through the canonical codec to an atomic-rename file per shard in
@@ -103,7 +80,36 @@ type StoreConfig struct {
 	// last snapshot, so a quiescent store's pass costs a few atomic
 	// loads and no I/O.
 	SnapshotEvery time.Duration
+
+	// queue bounds each peer's outbound queue (queueConfig: 128 frames
+	// and 8 MiB by default). transmit is a non-blocking enqueue onto a
+	// per-peer writer goroutine, so a stalled peer delays only its own
+	// frames; past either bound the oldest queued frame is evicted
+	// (drop-oldest), sparing the newest, and counted in Stats().Peers —
+	// acked engines retransmit the loss and digest anti-entropy repairs
+	// the rest. Only tests lower it, to make a queue overflow cheaply.
+	queue queueConfig
+	// maxFrame caps the encoded size of one data frame; a pass whose
+	// batch exceeds it is packed into several bounded frames. 0 or
+	// anything above maxFrameBytes means that transport-wide cap, 64 MiB.
+	// Only tests lower it, to exercise packing cheaply.
+	maxFrame int
 }
+
+// Engine names which of the two variants of the paper's Algorithm 1 a
+// store runs once per object.
+type Engine int
+
+const (
+	// EngineAcked is delta-based BP+RR with acknowledgements: δ-groups
+	// are retransmitted until acked, so lost frames are repaired by the
+	// engine itself. The default, safe on lossy links.
+	EngineAcked Engine = iota
+	// EngineDelta is plain delta-based BP+RR, the paper's optimal
+	// engine; it assumes frames are never lost. Pair it with digest
+	// anti-entropy (DigestEvery) anywhere loss is possible.
+	EngineDelta
+)
 
 // StoreStats counts what a store has put on the wire.
 type StoreStats struct {
@@ -160,11 +166,10 @@ type StoreStats struct {
 	// k bounded frames adds k here (0 when every pass fit in one frame).
 	SplitFrames int
 	// OversizedDropped counts irreducible messages larger than the frame
-	// cap that had to be dropped (a single object's state exceeding
-	// MaxFrameBytes). With digest anti-entropy enabled, a steadily
-	// growing value means an unshippable object is permanently blocking
-	// its shard's convergence — peers will keep requesting the shard
-	// every heartbeat; raise MaxFrameBytes or shrink the object.
+	// cap that had to be dropped (a single object's state). With digest
+	// anti-entropy enabled, a steadily growing value means an unshippable
+	// object is permanently blocking its shard's convergence — peers will
+	// keep requesting the shard every heartbeat; shrink the object.
 	OversizedDropped int
 	// WantShards counts drills this store stopped at the root: a diverged
 	// shard so small here that it sent its side whole and asked for the
@@ -344,8 +349,8 @@ func (cfg StoreConfig) withDefaults() StoreConfig {
 		cfg.Shards = 16
 	}
 	cfg.Shards = 1 << bits.Len(uint(cfg.Shards-1)) // the next power of two
-	if cfg.MaxFrameBytes <= 0 || cfg.MaxFrameBytes > maxFrameBytes {
-		cfg.MaxFrameBytes = maxFrameBytes
+	if cfg.maxFrame <= 0 || cfg.maxFrame > maxFrameBytes {
+		cfg.maxFrame = maxFrameBytes
 	}
 	if cfg.SnapshotDir != "" && cfg.SnapshotEvery <= 0 {
 		cfg.SnapshotEvery = defaultSnapshotEvery
@@ -389,11 +394,8 @@ func StartStore(cfg StoreConfig) (*Store, error) {
 		}
 	}
 	s := &Store{
-		core: c,
-		net: newPeerNet(cfg.ID, cfg.Peers, ln, cfg.Dial, queueConfig{
-			frames: cfg.PeerQueueLen,
-			bytes:  cfg.PeerQueueBytes,
-		}),
+		core:     c,
+		net:      newPeerNet(cfg.ID, cfg.Peers, ln, cfg.Dial, cfg.queue),
 		started:  started,
 		wake:     make(chan struct{}, 1),
 		stopping: make(chan struct{}),
@@ -489,7 +491,7 @@ func (s *Store) Get(key string) lattice.State {
 	sh := s.shardOf(key)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	st := sh.engine.ObjectState(key)
+	st := sh.ks.ObjectState(key)
 	if st == nil {
 		return nil
 	}
@@ -508,7 +510,7 @@ func (s *Store) NumKeys() int {
 	total := 0
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		total += sh.engine.NumKeys()
+		total += sh.ks.NumKeys()
 		sh.mu.RUnlock()
 	}
 	return total
@@ -519,7 +521,7 @@ func (s *Store) Keys() []string {
 	all := make([]string, 0, s.NumKeys())
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		sh.engine.Scan("", func(k string, _ lattice.State) bool {
+		sh.ks.Scan("", func(k string, _ lattice.State) bool {
 			all = append(all, k)
 			return true
 		})
@@ -552,7 +554,7 @@ func (s *Store) Memory() metrics.Memory {
 	var total metrics.Memory
 	for _, sh := range s.shards {
 		sh.mu.Lock() // the engine's Memory uses its scratch buffer
-		m := sh.engine.Memory()
+		m := sh.ks.Memory()
 		sh.mu.Unlock()
 		total.CRDTBytes += m.CRDTBytes
 		total.BufferBytes += m.BufferBytes

@@ -10,19 +10,18 @@ import (
 
 	"crdtsync/internal/crdt"
 	"crdtsync/internal/lattice"
-	"crdtsync/internal/protocol"
 	"crdtsync/internal/transport"
 	"crdtsync/internal/workload"
 )
 
 // startStoreCluster boots n fully meshed stores on loopback, all
-// replicating per-key GCounters with the given inner factory.
-func startStoreCluster(t *testing.T, n, shards int, factory protocol.Factory, syncEvery time.Duration) []*transport.Store {
+// replicating per-key GCounters under the given engine.
+func startStoreCluster(t *testing.T, n, shards int, engine transport.Engine, syncEvery time.Duration) []*transport.Store {
 	t.Helper()
 	stores, err := transport.LoopbackCluster(n, transport.StoreConfig{
 		ID:        "s",
 		Shards:    shards,
-		Factory:   factory,
+		Engine:    engine,
 		ObjType:   func(string) workload.Datatype { return workload.GCounterType{} },
 		SyncEvery: syncEvery,
 	})
@@ -47,7 +46,7 @@ func waitStoresConverged(t *testing.T, stores []*transport.Store, wantKeys int, 
 
 func TestStoreMultiKeyConvergence(t *testing.T) {
 	const keys = 300
-	stores := startStoreCluster(t, 3, 8, protocol.NewDeltaBPRR(), 20*time.Millisecond)
+	stores := startStoreCluster(t, 3, 8, transport.EngineDelta, 20*time.Millisecond)
 	// Each store increments a disjoint third of the keyspace.
 	for i, st := range stores {
 		for k := i; k < keys; k += 3 {
@@ -83,7 +82,7 @@ func TestStoreConcurrentUpdates(t *testing.T) {
 		perWorker = 200
 		keys      = 50
 	)
-	stores := startStoreCluster(t, 3, 4, protocol.NewDeltaBPRR(), 10*time.Millisecond)
+	stores := startStoreCluster(t, 3, 4, transport.EngineDelta, 10*time.Millisecond)
 	var wg sync.WaitGroup
 	for _, st := range stores {
 		for w := 0; w < workers; w++ {
@@ -114,7 +113,7 @@ func TestStoreConcurrentUpdates(t *testing.T) {
 }
 
 func TestStoreBatchesFramesPerTick(t *testing.T) {
-	stores := startStoreCluster(t, 2, 8, protocol.NewDeltaBPRR(), time.Hour)
+	stores := startStoreCluster(t, 2, 8, transport.EngineDelta, time.Hour)
 	const keys = 64
 	for k := 0; k < keys; k++ {
 		stores[0].Update(workload.Op{Kind: workload.KindInc, Key: fmt.Sprintf("key-%03d", k), N: 1})
@@ -144,7 +143,7 @@ func TestStoreShardKeyIsolation(t *testing.T) {
 		ListenAddr: "127.0.0.1:0",
 		Peers:      map[string]string{},
 		Shards:     3, // rounds up to 4
-		Factory:    protocol.NewDeltaBPRR(),
+		Engine:     transport.EngineDelta,
 		ObjType:    func(string) workload.Datatype { return workload.GCounterType{} },
 		SyncEvery:  time.Hour,
 	})
@@ -174,7 +173,7 @@ func TestStoreShardKeyIsolation(t *testing.T) {
 }
 
 func TestStoreCloseIsClean(t *testing.T) {
-	stores := startStoreCluster(t, 2, 4, protocol.NewDeltaBPRR(), 10*time.Millisecond)
+	stores := startStoreCluster(t, 2, 4, transport.EngineDelta, 10*time.Millisecond)
 	stores[0].Update(workload.Op{Kind: workload.KindInc, Key: "k", N: 1})
 	if err := stores[0].Close(); err != nil && !isUseOfClosed(err) {
 		t.Errorf("close: %v", err)
@@ -201,7 +200,7 @@ func TestStoreIDLengthLimit(t *testing.T) {
 		st, err := transport.StartStore(transport.StoreConfig{
 			ID:         strings.Repeat("x", c.idLen),
 			ListenAddr: "127.0.0.1:0",
-			Factory:    protocol.NewDeltaBPRR(),
+			Engine:     transport.EngineDelta,
 			ObjType:    gcounters,
 		})
 		if err == nil {
@@ -222,7 +221,7 @@ func TestGetMapFieldHoldsCallersKey(t *testing.T) {
 		ID:         "n0",
 		ListenAddr: "127.0.0.1:0",
 		Shards:     1,
-		Factory:    protocol.NewDeltaBPRR(),
+		Engine:     transport.EngineDelta,
 		ObjType:    func(string) workload.Datatype { return workload.LWWMapType{} },
 	})
 	if err != nil {

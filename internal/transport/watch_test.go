@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"crdtsync/internal/protocol"
 	"crdtsync/internal/transport"
 	"crdtsync/internal/workload"
 )
@@ -54,7 +53,7 @@ func TestWatchDeliversCoalesced(t *testing.T) {
 // frame delivery notify watchers too: a watcher on replica B sees keys
 // updated on replica A.
 func TestWatchAcrossReplicas(t *testing.T) {
-	stores := startStoreCluster(t, 2, 8, protocol.NewDeltaBPRR(), 10*time.Millisecond)
+	stores := startStoreCluster(t, 2, 8, transport.EngineDelta, 10*time.Millisecond)
 	w := stores[1].Watch("key-", 0)
 	const n = 20
 	for i := 0; i < n; i++ {

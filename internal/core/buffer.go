@@ -63,16 +63,17 @@ func (p Positions) Len() int {
 // known to hold it, by position among the neighbors: a neighbor that has
 // sent a δ-group covering the entry (MarkHeld), one a lossless step has
 // sent it to, one that has acknowledged it. Defer has bit i set while a
-// forward of the entry to the neighbor at position i waits out one step,
-// for that neighbor's own copy to arrive first; positions past the word
-// are never deferred. Algorithm 1 defers and marks nothing but what it
-// sends; only an engine that prunes by receipt does.
+// forward of the entry to the neighbor at position i is held, for that
+// neighbor's own copy to arrive first; positions past the word are never
+// deferred. Ticks counts the ticks the entry has been held through, and
+// ends the hold at the second. Algorithm 1 defers and marks nothing but
+// what it sends; only an engine that prunes by receipt does.
 //
 // Seq, Wait and Gap are the acknowledging engine's: the number a receiver
 // acknowledges the entry by (0 under an engine that numbers nothing), and
 // its resend schedule. Due is set while the next send pass ships the
-// entry: from the time it is buffered, and for the length of a pass that
-// sends it again.
+// entry: from the time it is buffered, for the length of a pass that
+// sends it again, and from the end of a hold to the pass after.
 type Entry struct {
 	Delta     lattice.State
 	Origin    string
@@ -80,6 +81,7 @@ type Entry struct {
 	Held      Positions
 	Defer     uint64
 	Wait, Gap uint8
+	Ticks     uint8
 	Due       bool
 }
 
@@ -121,10 +123,23 @@ func (b *Buffer) Len() int { return len(b.entries) }
 
 // Unsent reports whether the next send pass has an entry to ship. An
 // engine keeps its due entries at the end of the buffer, where Push puts
-// a new one, so the last entry tells.
+// a new one, so the last entry tells — but for a hold ended toward one
+// neighbor, which can leave a due entry before one still held: the owner
+// of a buffer whose holds it ends queues it for the next pass itself.
 func (b *Buffer) Unsent() bool {
 	n := len(b.entries)
 	return n > 0 && b.entries[n-1].Due
+}
+
+// Deferred reports whether a buffered entry's forward is held for some
+// neighbor (Entry.Defer).
+func (b *Buffer) Deferred() bool {
+	for k := range b.entries {
+		if b.entries[k].Defer != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Clear empties the buffer.

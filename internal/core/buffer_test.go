@@ -150,7 +150,8 @@ func TestBufferMarkHeldAllocatesNothing(t *testing.T) {
 	}
 }
 
-// sent ends a step of the plain delta engine: every neighbor the step did
+// sent ends a step that also ends every hold, as the plain delta engine's
+// second tick after an entry's arrival does: every neighbor the step did
 // not defer an entry for holds it now, the deferrals end, and the entries
 // every neighbor owed them holds leave.
 func sent(b *core.Buffer, neighbors []string) {

@@ -30,6 +30,11 @@ type algorithm interface {
 	// next pass ships due (core.Buffer.Unsent), and b empty once no later
 	// pass has anything to do.
 	ship(b *core.Buffer, send Sender, tick bool)
+	// release ends the holds of b's entries toward the neighbors of mask,
+	// by position, before they run out: it leaves each forward it ends due
+	// at the next pass, and reports whether there is one. An engine that
+	// holds no forward ends nothing.
+	release(b *core.Buffer, mask uint64) bool
 	// memory is the footprint of x and b.
 	memory(x lattice.State, b *core.Buffer) metrics.Memory
 	retransmits() uint64

@@ -111,6 +111,10 @@ func (e *deltaAcked) store(x lattice.State, b *core.Buffer, s lattice.State, ori
 
 func (e *deltaAcked) retransmits() uint64 { return e.resent }
 
+// release ends nothing: the acked engine withholds a forward on a
+// neighbor's word (owed) and holds none.
+func (e *deltaAcked) release(*core.Buffer, uint64) bool { return false }
+
 // ship marks the entries due on this pass — those never sent, and on a
 // tick those whose wait runs out — then sends each neighbor the join of
 // the due entries it is owed and does not hold. An entry is sent again

@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"math/bits"
+
 	"crdtsync/internal/core"
 	"crdtsync/internal/lattice"
 	"crdtsync/internal/metrics"
@@ -33,9 +35,10 @@ func (m *DeltaMsg) Cost() metrics.Transmission { return m.cost }
 // cleared after each synchronization step; each message carries one
 // sequence number per neighbor as metadata. Under Config.PruneOnReceipt
 // an entry instead leaves once every neighbor it is owed to holds it: a
-// step sends it to every neighbor its forward is not deferred for
-// (deferred), and the next step to a deferred one that has not sent the
-// entry back meanwhile.
+// pass sends it to every neighbor its forward is not held for (deferred),
+// and a held forward goes at the pass that follows the end of its hold —
+// the second tick after the entry was buffered (holdTicks), or release —
+// unless the neighbor has sent the entry back meanwhile.
 type deltaBased struct{ deltaConfig }
 
 // NewDeltaBased returns a delta-based engine factory with the given
@@ -58,13 +61,15 @@ func (e *deltaBased) store(x lattice.State, b *core.Buffer, s lattice.State, ori
 }
 
 // deferred is the set of neighbors, by position, that the forward of an
-// entry from origin waits one step for, under Config.PruneOnReceipt alone.
-// They are those origin has announced it reaches (Config.Reach) whose id
-// orders before this node's. Each of them is sent the δ-group by origin and forwards it
-// here at its next step, which lets this node's forward go unmade
-// (MarkHeld); of the two receivers of one δ-group, the one that orders
-// first forwards at once and the other waits. Positions past 64 are
-// never deferred.
+// entry from origin is held for, under Config.PruneOnReceipt alone. They
+// are those origin has announced it reaches (Config.Reach) whose id
+// orders before this node's. Each of them is sent the δ-group by origin
+// and forwards it here at its next pass, which lets this node's forward
+// go unmade (MarkHeld); of the two receivers of one δ-group, the one that
+// orders first forwards at once and the other holds its forward until
+// the first's has had a whole period to arrive. A copy that origin's
+// frame lost is covered by the held forward, late but never withheld.
+// Positions past 64 are never deferred.
 func (e *deltaBased) deferred(origin string) uint64 {
 	if !e.cfg.PruneOnReceipt {
 		return 0
@@ -90,31 +95,77 @@ func (e *deltaBased) deliver(x lattice.State, b *core.Buffer, from string, m Msg
 	}
 }
 
-// ship sends each neighbor the join of the buffered entries it is owed
-// (core.Buffer.Group) and ends the step: every neighbor a forward was not
-// deferred for now holds the entry, the deferrals end, and the entries
-// every owed neighbor holds leave. A pass between two ticks does the same:
-// nothing is ever sent twice, so the first-transmission pass is the whole
-// of the tick. An entry a neighbor is marked as holding, or whose forward
-// to it is deferred (Config.PruneOnReceipt), is left out of its group.
-func (e *deltaBased) ship(b *core.Buffer, send Sender, _ bool) {
+// holdTicks is the tick of its own at which a held forward is released:
+// the second after the entry was buffered. The first receiver of the
+// δ-group forwards it at its next pass, and every store ticks once a
+// period, so by then its copy has all but always arrived and pruned the
+// held one — where a hold of one pass lost about half of those races.
+const holdTicks = 2
+
+// ship sends each neighbor the join of the due entries it is owed
+// (core.Buffer.Group) and ends the pass: every neighbor a forward was
+// not held for now holds the entry, an entry still held for some
+// neighbor waits, not due, for its release, and the entries every owed
+// neighbor holds leave. A tick first counts itself against every hold
+// and releases those that reach holdTicks. A pass between two ticks does
+// the same but for the count: nothing is ever sent twice, so the
+// first-transmission pass is the whole of the tick.
+func (e *deltaBased) ship(b *core.Buffer, send Sender, tick bool) {
 	n := len(e.cfg.Neighbors)
+	entries := b.Entries()
+	if tick {
+		for k := range entries {
+			if en := &entries[k]; en.Defer != 0 {
+				if en.Ticks++; en.Ticks >= holdTicks {
+					endHold(en, ^uint64(0))
+				}
+			}
+		}
+	}
 	for i, j := range e.cfg.Neighbors {
 		if d := b.Group(i, e.owed, nil); d != nil && !d.IsBottom() {
 			send(j, NewDeltaMsg(d))
 		}
 	}
-	entries := b.Entries()
 	for k := range entries {
 		en := &entries[k]
+		if !en.Due {
+			continue
+		}
 		for i := 0; i < n; i++ {
 			if i >= 64 || en.Defer&(1<<i) == 0 {
 				en.Held.Add(i)
 			}
 		}
-		en.Defer = 0
+		en.Due = false
 	}
 	b.Drop(n, e.owed)
+}
+
+// release ends the holds of b's entries toward the neighbors of mask, by
+// position, and reports whether one of them did not hold its entry yet:
+// a forward the next pass makes.
+func (e *deltaBased) release(b *core.Buffer, mask uint64) bool {
+	ended := false
+	entries := b.Entries()
+	for k := range entries {
+		if en := &entries[k]; en.Defer&mask != 0 {
+			ended = endHold(en, mask) || ended
+		}
+	}
+	return ended
+}
+
+// endHold ends en's holds toward the neighbors of mask, and reports
+// whether one of them does not hold en yet: en is due then.
+func endHold(en *core.Entry, mask uint64) bool {
+	owed := false
+	for d := en.Defer & mask; d != 0; d &= d - 1 {
+		owed = owed || !en.Held.Has(bits.TrailingZeros64(d))
+	}
+	en.Defer &^= mask
+	en.Due = en.Due || owed
+	return owed
 }
 
 func (e *deltaBased) retransmits() uint64 { return 0 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"crdtsync/internal/crdt"
 	"crdtsync/internal/protocol"
 	"crdtsync/internal/workload"
 )
@@ -247,5 +248,35 @@ func TestFlushAllocatesOnlyItsMessages(t *testing.T) {
 	next := func() { round++; write(round) }
 	if got := mallocs(5, next, func() { fl.Flush(discard) }); got > want {
 		t.Errorf("a flush over %d objects to %d neighbors allocates %d times, want at most %d (its messages)", k, neighbors, got, want)
+	}
+}
+
+// TestFlushSkipsHeldForwards: once the pass that forwards c's δ-groups of
+// 16 objects to d has left only the forwards to a held, b's keyspace
+// queues no object: every later Flush finds nothing to do — visits no
+// object, sends nothing and allocates nothing — until a tick ends the
+// holds, the second after the δ-groups arrived.
+func TestFlushSkipsHeldForwards(t *testing.T) {
+	const k = 16
+	b := reachKeyspace()
+	for i := 0; i < k; i++ {
+		b.DeliverObject("c", []byte(fmt.Sprintf("key-%02d", i)), protocol.NewDeltaMsg(crdt.NewGSet("y")), discard)
+	}
+	if got := flushedBy(b); len(got) != 1 || len(got["d"]) != k {
+		t.Fatalf("the first flush sent %v, want y of every object to d alone", got)
+	}
+	if b.Unsent() || !b.Holds() {
+		t.Fatalf("after the first flush: unsent=%v holds=%v, want no object queued and the forwards held", b.Unsent(), b.Holds())
+	}
+	sends := 0
+	count := func(string, protocol.Msg) { sends++ }
+	if n := testing.AllocsPerRun(100, func() { b.Flush(count) }); n != 0 || sends != 0 {
+		t.Errorf("a flush over held forwards sent %d messages and allocates %.1f times, want none", sends, n)
+	}
+	if got := sentBy(b); len(got) != 0 {
+		t.Fatalf("the first tick sent %v, want nothing", got)
+	}
+	if got := sentBy(b); len(got) != 1 || len(got["a"]) != k || b.Holds() || b.Waiting() {
+		t.Errorf("the second tick sent %v, holds=%v waiting=%v, want y of every object to a and nothing left", got, b.Holds(), b.Waiting())
 	}
 }

@@ -32,6 +32,7 @@ const (
 	flagActive             // the object has a δ-buffer: the next Sync must visit it
 	flagListed             // the id is on PerObject.active (flagActive may be gone)
 	flagQueued             // the id is on PerObject.unsent
+	flagHeld               // the object's δ-buffer holds a forward back (PerObject.nHeld)
 )
 
 const (

@@ -3,6 +3,7 @@ package protocol
 import (
 	"hash/maphash"
 	"math/bits"
+	"slices"
 
 	"crdtsync/internal/core"
 	"crdtsync/internal/lattice"
@@ -69,10 +70,13 @@ type PerObject struct {
 	active  []uint32
 	nActive int
 	// unsent queues the objects (flagQueued) whose buffer holds something
-	// the next pass sends — never sent, or a forward the last pass
-	// deferred — which is what Flush walks, so a first-transmission pass
-	// never visits the objects that only wait for an ack.
+	// the next pass sends — never sent, or a forward whose hold has ended
+	// (EndHolds) — which is what Flush walks, so a first-transmission pass
+	// never visits the objects that only wait for an ack or a tick.
 	unsent []uint32
+	// nHeld counts the objects whose δ-buffer holds a forward back for
+	// some neighbor (flagHeld): those EndHolds has something to end in.
+	nHeld int
 	// stale has bit id set when the object's state may have changed since
 	// Rehash last visited it, nStale counts the bits. A bitmap rather than
 	// one more id list: an engine whose owner never asks for a digest marks
@@ -237,6 +241,7 @@ func (e *PerObject) file(id uint32) {
 			e.bufs = make(map[uint32]core.Buffer)
 		}
 		e.bufs[id] = e.cur
+		e.setHeld(id, e.cur.Deferred())
 		if r.flags&flagActive == 0 {
 			r.flags |= flagActive
 			e.nActive++
@@ -251,8 +256,22 @@ func (e *PerObject) file(id uint32) {
 		}
 		r.flags &^= flagActive
 		e.nActive--
+		e.setHeld(id, false)
 	}
 	e.cur = core.Buffer{}
+}
+
+// setHeld records whether the δ-buffer of the object id holds a forward
+// back.
+func (e *PerObject) setHeld(id uint32, held bool) {
+	switch r := &e.ix.recs[id]; {
+	case held && r.flags&flagHeld == 0:
+		r.flags |= flagHeld
+		e.nHeld++
+	case !held && r.flags&flagHeld != 0:
+		r.flags &^= flagHeld
+		e.nHeld--
+	}
 }
 
 // touched files what a LocalOp or a Deliver just did to the buffer of the
@@ -260,11 +279,18 @@ func (e *PerObject) file(id uint32) {
 // holds something never sent. An ack or a redundant δ-group gives a pass
 // nothing new to do.
 func (e *PerObject) touched(id uint32) {
-	if r := &e.ix.recs[id]; r.flags&flagQueued == 0 && e.cur.Unsent() {
+	if e.cur.Unsent() {
+		e.queue(id)
+	}
+	e.file(id)
+}
+
+// queue puts the object id on the list the next Flush walks, once.
+func (e *PerObject) queue(id uint32) {
+	if r := &e.ix.recs[id]; r.flags&flagQueued == 0 {
 		r.flags |= flagQueued
 		e.unsent = append(e.unsent, id)
 	}
-	e.file(id)
 }
 
 func (e *PerObject) LocalOp(op workload.Op) {
@@ -402,9 +428,9 @@ func (e *PerObject) Flush(send Sender) {
 
 // visit runs one send pass over the object id into the batcher, and
 // reports whether the pass left the object something to send at the next
-// one (a forward it deferred): the object stays queued then, and is
-// dequeued otherwise. It stays active only while its buffer still waits
-// for a later pass.
+// one: the object stays queued then, and is dequeued otherwise — a
+// forward still held included, which no Flush sends. It stays active only
+// while its buffer still waits for a later pass.
 func (e *PerObject) visit(id uint32, tick bool) bool {
 	e.b.key = e.ix.keyOf(id)
 	b := e.load(id)
@@ -419,6 +445,45 @@ func (e *PerObject) visit(id uint32, tick bool) bool {
 
 // Unsent reports whether Flush would have anything to emit.
 func (e *PerObject) Unsent() bool { return len(e.unsent) > 0 }
+
+// Holds reports whether a forward is held back (Config.PruneOnReceipt):
+// a later pass makes it, unless its neighbor sends the entry here first.
+func (e *PerObject) Holds() bool { return e.nHeld > 0 }
+
+// EndHolds ends every hold on a forward toward the neighbor to, or toward
+// every neighbor for the empty id, before its second tick does
+// (Config.PruneOnReceipt): the next pass, a Flush included, makes the
+// forwards whose neighbor has not sent the entry back meanwhile. It
+// reports whether there is one. The engine decides what a hold is and
+// when one runs out; its owner, when to end the holds early — before its
+// digests are compared, as a held forward may be what they differ by.
+func (e *PerObject) EndHolds(to string) bool {
+	if e.nHeld == 0 {
+		return false
+	}
+	mask := ^uint64(0)
+	if to != "" {
+		i := slices.Index(e.alg.config().cfg.Neighbors, to)
+		if i < 0 || i >= 64 {
+			return false // never held
+		}
+		mask = 1 << i
+	}
+	ended := false
+	// A buffer in bufs shares its entries with the copy the loop is
+	// handed, which is all release changes.
+	for id, b := range e.bufs {
+		if e.ix.recs[id].flags&flagHeld == 0 {
+			continue
+		}
+		if e.alg.release(&b, mask) {
+			e.queue(id)
+			ended = true
+		}
+		e.setHeld(id, b.Deferred())
+	}
+	return ended
+}
 
 // Waiting reports whether a later tick still has work here: something is
 // buffered that a neighbor has not been sent or has not acknowledged. A

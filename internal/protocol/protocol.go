@@ -53,20 +53,21 @@ type Config struct {
 	// Reach, when non-nil, is what the neighbors have announced they reach
 	// themselves. The acked delta engine withholds a forward to a neighbor
 	// the entry's origin reaches, and Reach records that it did; under
-	// PruneOnReceipt the plain one defers it one step instead, when that
+	// PruneOnReceipt the plain one holds it back instead, when that
 	// neighbor orders before this node, and withholds nothing.
 	Reach *Reach
 	// PruneOnReceipt has the delta engines take a δ-group that arrives
 	// from a neighbor as proof that the neighbor holds every buffered entry
 	// the group covers, redundant or not (core.Buffer.MarkHeld): no later
 	// send pass ships such an entry to it, as BP ships none back to its
-	// origin. The plain engine
-	// also holds the forward of an entry one step for each neighbor that
-	// orders before this node and that the entry's origin reaches, so that
-	// of two receivers of one δ-group the first's forward prunes the
-	// second's. Algorithm 1 prunes on the origin alone and forwards at
-	// once, so only the store's core sets it; the engines netsim and the
-	// paper's figures run stay exact.
+	// origin. The plain engine also holds the forward of an entry back, for
+	// each neighbor that orders before this node and that the entry's
+	// origin reaches, until its second tick after buffering the entry or
+	// until its owner ends the hold (PerObject.EndHolds), so that of two
+	// receivers of one δ-group the first's forward prunes the second's.
+	// Algorithm 1 prunes on the origin alone and forwards at once, so only
+	// the store's core sets it; the engines netsim and the paper's figures
+	// run stay exact.
 	PruneOnReceipt bool
 }
 

@@ -36,24 +36,35 @@ func receiptNode(f protocol.Factory, prune bool) protocol.Engine {
 }
 
 // sentBy runs one tick of e and returns the elements each neighbor was
-// sent, sorted.
+// sent, sorted: a keyspace's, of every object in its batches.
 func sentBy(e protocol.Engine) map[string][]string {
 	sent := map[string][]string{}
-	e.Sync(func(to string, m protocol.Msg) {
-		sent[to] = append(sent[to], deltaOf(m).(*crdt.GSet).Sorted()...)
-		slices.Sort(sent[to])
-	})
+	e.Sync(recordElements(sent))
 	return sent
 }
 
 // flushedBy is sentBy for a Flush.
 func flushedBy(e protocol.Engine) map[string][]string {
 	sent := map[string][]string{}
-	e.(protocol.Flusher).Flush(func(to string, m protocol.Msg) {
-		sent[to] = append(sent[to], deltaOf(m).(*crdt.GSet).Sorted()...)
-		slices.Sort(sent[to])
-	})
+	e.(protocol.Flusher).Flush(recordElements(sent))
 	return sent
+}
+
+// recordElements is a Sender that adds what it is sent to sent.
+func recordElements(sent map[string][]string) protocol.Sender {
+	return func(to string, m protocol.Msg) {
+		msgs := []protocol.Msg{m}
+		if bm, ok := m.(*protocol.BatchMsg); ok {
+			msgs = msgs[:0]
+			for _, it := range bm.Items {
+				msgs = append(msgs, it.Inner)
+			}
+		}
+		for _, m := range msgs {
+			sent[to] = append(sent[to], deltaOf(m).(*crdt.GSet).Sorted()...)
+		}
+		slices.Sort(sent[to])
+	}
 }
 
 func discard(string, protocol.Msg) {}
@@ -156,19 +167,26 @@ func reachNode(prune bool) protocol.Engine {
 
 // TestPruneOnReceiptDefersToTheFirstReceiver: c's δ-group {y} reaches a, b
 // and d. Of b and d, b orders first and forwards to d at once; of a and
-// b, a does, so b holds its forward to a one step, and makes it then
-// unless a's own copy has arrived meanwhile. b's own write goes to all
-// three at once.
+// b, a does, so b holds its forward to a through any number of flushes
+// and its first tick, and makes it at its second unless a's own copy has
+// arrived meanwhile. b's own write goes to all three at once.
 func TestPruneOnReceiptDefersToTheFirstReceiver(t *testing.T) {
 	for _, arrives := range []bool{false, true} {
 		b := reachNode(true)
 		b.Deliver("c", protocol.NewDeltaMsg(crdt.NewGSet("y")), discard)
 		b.LocalOp(addOp("x"))
-		if got, want := sentBy(b), (map[string][]string{"a": {"x"}, "c": {"x"}, "d": {"x", "y"}}); !sameSends(got, want) {
-			t.Fatalf("first step sent %v, want %v", got, want)
+		if got, want := flushedBy(b), (map[string][]string{"a": {"x"}, "c": {"x"}, "d": {"x", "y"}}); !sameSends(got, want) {
+			t.Fatalf("the flush sent %v, want %v", got, want)
 		}
-		if fl := b.(protocol.Flusher); !fl.Unsent() || !fl.Waiting() {
-			t.Fatalf("deferred forward not owed to the next step: unsent=%v waiting=%v", fl.Unsent(), fl.Waiting())
+		fl := b.(protocol.Flusher)
+		if fl.Unsent() || !fl.Waiting() {
+			t.Fatalf("held forward: unsent=%v waiting=%v, want it a tick's and no flush's", fl.Unsent(), fl.Waiting())
+		}
+		if got := flushedBy(b); len(got) != 0 {
+			t.Fatalf("a second flush sent %v, want nothing", got)
+		}
+		if got := sentBy(b); len(got) != 0 {
+			t.Fatalf("the first tick sent %v, want nothing: the hold lasts through it", got)
 		}
 		want := map[string][]string{"a": {"y"}}
 		if arrives {
@@ -176,10 +194,57 @@ func TestPruneOnReceiptDefersToTheFirstReceiver(t *testing.T) {
 			want = map[string][]string{}
 		}
 		if got := sentBy(b); !sameSends(got, want) {
-			t.Errorf("a's copy arrived %v: second step sent %v, want %v", arrives, got, want)
+			t.Errorf("a's copy arrived %v: the second tick sent %v, want %v", arrives, got, want)
 		}
-		if fl := b.(protocol.Flusher); fl.Unsent() || fl.Waiting() || b.Memory().BufferBytes != 0 {
-			t.Errorf("a's copy arrived %v: entry still buffered after the second step", arrives)
+		if fl.Unsent() || fl.Waiting() || b.Memory().BufferBytes != 0 {
+			t.Errorf("a's copy arrived %v: entry still buffered after the second tick", arrives)
+		}
+	}
+}
+
+// reachKeyspace is reachNode's keyspace: b, pruning by receipt, where c
+// has announced it reaches a and d, with a set for every key.
+func reachKeyspace() *protocol.PerObject {
+	cfg := protocol.Config{ID: "b", Neighbors: []string{"a", "c", "d"}, Nodes: []string{"a", "b", "c", "d"},
+		PruneOnReceipt: true}
+	cfg.Reach = protocol.NewReach(cfg.Neighbors)
+	cfg.Reach.Set("c", []string{"a", "d"})
+	return protocol.NewKeyspace(protocol.NewDeltaBPRR(), func(string) workload.Datatype { return workload.GSetType{} }, cfg)
+}
+
+// TestEndHoldsMakesTheHeldForward: b holds its forward of c's δ-group to a
+// after the flush that sends it to d. EndHolds toward d, which is held
+// nothing, ends nothing; toward a, or toward every neighbor, it ends the
+// hold, and the next Flush makes the forward, before any tick. Once a has
+// sent the δ-group back, there is no hold left to end.
+func TestEndHoldsMakesTheHeldForward(t *testing.T) {
+	for _, to := range []string{"a", ""} {
+		for _, arrives := range []bool{false, true} {
+			b := reachKeyspace()
+			b.DeliverObject("c", []byte("k"), protocol.NewDeltaMsg(crdt.NewGSet("y")), discard)
+			if got := flushedBy(b); !sameSends(got, map[string][]string{"d": {"y"}}) {
+				t.Fatalf("the flush sent %v, want y to d alone", got)
+			}
+			if !b.Holds() || b.Unsent() {
+				t.Fatalf("after the flush: holds=%v unsent=%v, want the forward to a held", b.Holds(), b.Unsent())
+			}
+			if b.EndHolds("d") || b.EndHolds("stranger") || !b.Holds() {
+				t.Fatal("EndHolds toward a neighbor held nothing ended a hold")
+			}
+			want := map[string][]string{"a": {"y"}}
+			if arrives {
+				b.DeliverObject("a", []byte("k"), protocol.NewDeltaMsg(crdt.NewGSet("y")), discard)
+				want = map[string][]string{}
+			}
+			if got := b.EndHolds(to); got != !arrives || b.Holds() || b.Unsent() != !arrives {
+				t.Fatalf("EndHolds(%q), a's copy arrived %v: ended %v, then holds=%v unsent=%v", to, arrives, got, b.Holds(), b.Unsent())
+			}
+			if got := flushedBy(b); !sameSends(got, want) {
+				t.Errorf("EndHolds(%q), a's copy arrived %v: the flush sent %v, want %v", to, arrives, got, want)
+			}
+			if got := sentBy(b); len(got) != 0 || b.Waiting() {
+				t.Errorf("EndHolds(%q), a's copy arrived %v: the tick sent %v, waiting=%v", to, arrives, got, b.Waiting())
+			}
 		}
 	}
 }

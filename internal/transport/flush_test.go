@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -617,5 +618,47 @@ func TestCloseShipsHeldAck(t *testing.T) {
 	})
 	if got := peer.Stats().AckFrames; got != 1 {
 		t.Errorf("the closing store sent %d acknowledgement frames, want 1", got)
+	}
+}
+
+// TestCloseShipsHeldForward: Close's last pass ends every hold, so a held
+// forward is late, never withheld. Of three plain delta stores whose ticks
+// are an hour apart, f-02 holds its forward of f-00's write toward f-01,
+// which orders first and has heard the write too, and whose own forward
+// waits for its tick: nothing but Close ends the hold, and its last pass
+// makes the forward.
+func TestCloseShipsHeldForward(t *testing.T) {
+	stores, err := LoopbackCluster(3, StoreConfig{ID: "f", Shards: 8, Engine: EngineDelta, SyncEvery: time.Hour,
+		ObjType: func(string) workload.Datatype { return workload.GSetType{} }})
+	if err != nil {
+		t.Fatalf("cluster: %v", err)
+	}
+	for _, st := range stores {
+		t.Cleanup(func() { st.Close() })
+	}
+	s, holder := stores[0], stores[2]
+	s.locked(func() {
+		for _, id := range s.neighbors {
+			s.out.connect(id) // the pipelines come up, and the hellos say so
+		}
+	})
+	eventually(t, 10*time.Second, "f-02 to hear that f-00 reaches f-01", func() (ok bool) {
+		holder.locked(func() { ok = slices.Contains(holder.reach.Of("f-00"), "f-01") })
+		return ok
+	})
+	s.Update(workload.Add("k", "x"))
+	s.locked(func() { s.writeFlush(s.now()) })
+	eventually(t, 10*time.Second, "f-02 to hold its forward", func() (held bool) {
+		holder.locked(func() { held = holder.shardOf("k").ks.Holds() })
+		return held
+	})
+	if got := holder.Stats().Sent.Elements; got != 0 {
+		t.Fatalf("f-02 sent %d elements before Close, want its forward held", got)
+	}
+	if err := holder.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if got := holder.Stats().Sent.Elements; got != 1 {
+		t.Errorf("f-02's last pass sent %d elements, want its held forward", got)
 	}
 }

@@ -86,9 +86,12 @@ type link struct {
 	// (ackHoldsPerTick), meaningful while owed is set.
 	owed   bool
 	owedAt int64
-	// catchUp is the digest comparison owed with the neighbor, which has
-	// nothing to do with acknowledgements but is per neighbor too.
+	// catchUp is the digest comparison owed with the neighbor, and matched
+	// has bit i set while the neighbor's last advertisement carried this
+	// store's digest of shard i (handleDigests): neither has to do with
+	// acknowledgements, but both are per neighbor too.
 	catchUp catchUp
+	matched []uint64
 }
 
 func newLink(inc uint32) *link { return &link{inc: inc, first: 1, kept: 1} }

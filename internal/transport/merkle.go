@@ -273,6 +273,19 @@ var rootNode = []uint32{0}
 // drills with its neighbors only: nothing it sends anybody else leaves
 // (transmit), so a drill with a stranger would hold the shard's slot for
 // repairTimeout and turn the neighbors' drills away.
+//
+// A shard that differs first ends this store's holds on forwards toward
+// from (protocol.PerObject.EndHolds): they may be what the two differ by,
+// and the shard's flush puts them on b. Under the plain delta engine a
+// shard that matched at from's last advertisement then waits for its next
+// one before it drills: it most likely differs by what is in flight or
+// held back — here, or at a third replica toward either, whose hold ends
+// within two of its ticks — and a drill now would look for what those
+// forwards are about to repair. The wait is one advertisement in a row at
+// most, so writes that never pause, leaving something in flight at every
+// advertisement, cannot put repair off for good; and none on a new
+// connection, which may carry a restarted neighbor (handleHello). The
+// acked engine holds nothing back and drills at once, as before.
 func (c *core) handleDigests(from string, digests []uint64, b *outBatch, now int64) {
 	if len(digests) == 0 {
 		return
@@ -293,12 +306,20 @@ func (c *core) handleDigests(from string, digests []uint64, b *outBatch, now int
 	if lk.catchUp.left > 0 {
 		cu = &lk.catchUp
 	}
+	wait := c.cfg.Engine == EngineDelta
 	for i, sh := range c.shards {
 		if sh.rehash() == digests[i] {
 			if cu != nil {
 				cu.done(i)
 			}
 			c.repair.clear(i)
+			lk.match(i, true, len(c.shards))
+			continue
+		}
+		if sh.endHolds(from) {
+			sh.pass(false, b.sender(uint32(i)))
+		}
+		if lk.match(i, false, len(c.shards)) && wait {
 			continue
 		}
 		if !c.repair.claim(i, from, now, true) {
@@ -307,6 +328,22 @@ func (c *core) handleDigests(from string, digests []uint64, b *outBatch, now int
 		}
 		c.continueDrill(from, uint32(i), 0, rootNode, b)
 	}
+}
+
+// match records whether the neighbor's advertisement carried this store's
+// digest of shard i, of shards, and reports whether its last one did.
+func (l *link) match(i int, matched bool, shards int) bool {
+	if l.matched == nil {
+		l.matched = make([]uint64, (shards+63)/64)
+	}
+	w, bit := i/64, uint64(1)<<(i%64)
+	was := l.matched[w]&bit != 0
+	if matched {
+		l.matched[w] |= bit
+	} else {
+		l.matched[w] &^= bit
+	}
+	return was
 }
 
 // transmitMsg encodes one control message and hands it to the peer's

@@ -3,6 +3,7 @@ package transport
 import (
 	"container/heap"
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -358,11 +359,12 @@ func TestSimOneWayBlackholeHeals(t *testing.T) {
 // there, which Algorithm 1 alone exceeds wherever a graph has cycles: a
 // store sends no neighbor what that neighbor's own δ-group covered
 // (Config.PruneOnReceipt), so the ring's 8.00, the full mesh's 16.00 under
-// the delta engine and the partial mesh's 46.00 and 38.62 are 7.79, 10.17,
-// 38.27 and 36.36. Of two delta replicas that both hear a δ-group from
-// its origin, the one ordering second waits a pass before forwarding it to
-// the first, whose forward then arrives first and prunes it; the full
-// mesh read 10.50 and the partial mesh 42.80 when both forwarded at once.
+// the delta engine and the partial mesh's 46.00 and 38.62 are 7.79, 10.00,
+// 37.65 and 36.36. Of two delta replicas that both hear a δ-group from
+// its origin, the one ordering second holds its forward to the first until
+// its second tick, and the first's forward arrives meanwhile and prunes
+// it; the full mesh read 10.50 and the partial mesh 42.80 when both
+// forwarded at once, and 10.17 and 38.27 while the hold lasted one pass.
 func TestSimTopologies(t *testing.T) {
 	for _, gr := range []struct {
 		name string
@@ -374,8 +376,8 @@ func TestSimTopologies(t *testing.T) {
 		{"line", topology.Line(5), [2]int{4800, 4800}},
 		{"ring", topology.Ring(7), [2]int{9346, 9346}},
 		{"tree", topology.Tree(15, 2), [2]int{16800, 16800}},
-		{"full", topology.Full(5), [2]int{12201, 4800}},
-		{"partial", topology.PartialMesh(15, 4, 1), [2]int{45921, 43633}},
+		{"full", topology.Full(5), [2]int{12000, 4800}},
+		{"partial", topology.PartialMesh(15, 4, 1), [2]int{45184, 43633}},
 	} {
 		for k, e := range []struct {
 			name   string
@@ -448,10 +450,10 @@ func TestSimRepairSlotsNeverWaitInARing(t *testing.T) {
 // and a deferred one the other receiver's forward overtook is not made at
 // all: a receiver whose neighbor sent it the δ-group sends that neighbor
 // nothing back (Config.PruneOnReceipt), and the receiver ordering second
-// holds its forward one more pass for that. Each update ships its
-// writer's two elements and fewer than two forwards, where Algorithm 1
-// ships 4.00; seed 1 ships exactly 922 for 300 updates (952 while both
-// receivers forwarded at their next pass).
+// holds its forward until its second tick for that. Each update ships its
+// writer's two elements and one forward, where Algorithm 1 ships 4.00;
+// seed 1 ships exactly 900 for 300 updates (952 while both receivers
+// forwarded at their next pass, 922 while the hold lasted one pass).
 func TestSimDeltaForwardsRideTheNextPass(t *testing.T) {
 	var flushes, elements, updates int
 	forSeeds(func(seed int64) {
@@ -467,8 +469,8 @@ func TestSimDeltaForwardsRideTheNextPass(t *testing.T) {
 		if got := total.Sent.Elements; got < 2*s.ops || got >= 4*s.ops {
 			s.fatalf("%d elements shipped for %d updates, want at least 2 and under 4 each", got, s.ops)
 		}
-		if got := total.Sent.Elements; seed == 1 && got != 922 {
-			s.fatalf("%d elements shipped for %d updates, want exactly 922", got, s.ops)
+		if got := total.Sent.Elements; seed == 1 && got != 900 {
+			s.fatalf("%d elements shipped for %d updates, want exactly 900", got, s.ops)
 		}
 		flushes += total.WriteFlushes
 		elements += total.Sent.Elements
@@ -483,10 +485,11 @@ func TestSimDeltaForwardsRideTheNextPass(t *testing.T) {
 // 1 ms on every link, 20 ms ticks), each receiver of a δ-group would pass
 // before the other's forward arrived and forward it too: 3.60 elements
 // per update over seeds 1–20. The receiver ordering second holds its
-// forward one pass, the first's forward lands meanwhile and prunes it
-// (Config.PruneOnReceipt), and each pair of receivers forwards an update
-// about once: at most 3.20 per update over the seeds, 1 997 elements for
-// seed 1's 600 updates.
+// forward until its second tick, the first's forward lands meanwhile and
+// prunes it (Config.PruneOnReceipt), and each pair of receivers forwards
+// an update once: 3.00 per update over the seeds, 1 800 elements for
+// seed 1's 600 updates (3.20 and 1 997 while the hold lasted one pass,
+// which the first's forward often outlasted).
 func TestSimDeltaDenseWritesForwardOncePerPair(t *testing.T) {
 	var elements, updates int
 	for seed := int64(1); seed <= 20; seed++ {
@@ -497,17 +500,166 @@ func TestSimDeltaDenseWritesForwardOncePerPair(t *testing.T) {
 		s.write("key", 600, 1, int64(time.Millisecond)/2)
 		s.settle()
 		got := s.total().Sent.Elements
-		if seed == 1 && got != 1997 {
-			s.fatalf("%d elements shipped for %d updates, want exactly 1997", got, s.ops)
+		if seed == 1 && got != 1800 {
+			s.fatalf("%d elements shipped for %d updates, want exactly 1800", got, s.ops)
 		}
 		elements += got
 		updates += s.ops
 	}
 	per := float64(elements) / float64(updates)
 	t.Logf("%.2f elements shipped per update", per)
-	if per > 3.20 {
-		t.Errorf("%.2f elements shipped per update, want at most 3.20: both receivers of a δ-group forwarded it", per)
+	if per > 3.00 {
+		t.Errorf("%.2f elements shipped per update, want at most 3.00: both receivers of a δ-group forwarded it", per)
 	}
+}
+
+// TestSimDeltaHeldForwardCoversALostCopy: the plain delta engine resends
+// nothing, so a held forward is the cover for a copy its origin's frame
+// lost. On a lossless full mesh of three with digests off, every frame
+// s-00 sends s-01 is lost, and s-00 writes 60 keys: s-02, which orders
+// after s-01, holds each forward to s-01 for s-01's own copy, which never
+// comes, and makes it at its second tick. Within 8 periods of the last
+// write s-01 holds every key; a hold that never ended would leave it none
+// of them.
+func TestSimDeltaHeldForwardCoversALostCopy(t *testing.T) {
+	const keys = 60
+	forSeeds(func(seed int64) {
+		s := newSim(t, seed, 3, simConfig(EngineDelta, 0))
+		s.links[0][1].severed = true
+		for k := 0; k < keys; k++ {
+			s.Update(0, workload.Inc(fmt.Sprintf("c/held-%03d", k), 1))
+			s.run(s.now + s.rng.Int63n(simPeriod/4))
+		}
+		s.run(s.now + 8*s.period)
+		if why := s.lacking(1, s.ref); why != "" {
+			s.fatalf("8 periods after the last write, %s", why)
+		}
+		s.settle()
+	})
+}
+
+// TestSimDeltaDigestTickEndsTheHolds: a replica's own digest tick ends
+// every hold before its pass, so that the held forwards ride the frames
+// of the vector. Every frame s-00 sends s-01 is lost and s-01 sends s-02
+// nothing, so no advertisement from s-01 ends s-02's hold on the forward
+// of s-00's write; with digests on every tick, s-02's first tick after
+// the write makes it, a period before its second would.
+func TestSimDeltaDigestTickEndsTheHolds(t *testing.T) {
+	forSeeds(func(seed int64) {
+		s := newSim(t, seed, 3, simConfig(EngineDelta, 1))
+		s.links[0][1].severed, s.links[1][2].severed = true, true
+		n := s.nodes[2]
+		s.Update(0, workload.Inc("c/held", 1))
+		s.await("s-00's write at s-02", s.period, func() bool { return n.st.NumKeys() == 1 })
+		s.runTo(n, n.nextTick+s.period/10)
+		if got := s.nodes[1].st.NumKeys(); got != 1 {
+			s.fatalf("s-01 holds %d keys after s-02's first tick, want the one s-02 held", got)
+		}
+		s.settle()
+	})
+}
+
+// TestSimDeltaRepairIsNotStarvedByHolds: under the plain delta engine a
+// shard that matched at a neighbor's last advertisement and differs at
+// this one waits for the next before it drills, but never two in a row.
+// Three meshed replicas, digests every fourth tick, write without a pause
+// for 400 periods while every link loses a tenth of its frames, so that
+// nearly every advertisement finds something in flight; every key of the
+// first 80 periods is at every replica by the last write. A wait without
+// the bound leaves keys lost on two links missing for good.
+func TestSimDeltaRepairIsNotStarvedByHolds(t *testing.T) {
+	const first, second = 320, 1280 // writes, a quarter of a period apart on average
+	forSeeds(func(seed int64) {
+		s := newSim(t, seed, 3, simConfig(EngineDelta, 4))
+		s.eachLink(func(l *simLink) { l.drop = 0.1 })
+		s.write("first", first, 1, simPeriod/2)
+		early := maps.Clone(s.ref)
+		s.write("second", second, 1, simPeriod/2)
+		for i := range s.nodes {
+			if why := s.lacking(i, early); why != "" {
+				s.fatalf("at the last write, of the keys written in the first 80 periods %s", why)
+			}
+		}
+		s.settle()
+	})
+}
+
+// TestSimDeltaMismatchPutsTheDrillOffOnce: every frame s-00 sends s-01 is
+// lost, and s-00 writes a key a round to the one shard, so that s-02
+// holds its forward of each toward s-01 when s-01 advertises. The shard
+// differs there, and s-02 ends the hold: the forward leaves at once. The
+// first advertisement that differs after one that matched puts s-02's
+// drill off; the next drills, and so does every one after it until the
+// shard matches again. A new connection from s-01, which may carry a new
+// life of it, drills at the first advertisement that differs.
+func TestSimDeltaMismatchPutsTheDrillOffOnce(t *testing.T) {
+	forSeeds(func(seed int64) {
+		cfg := simConfig(EngineDelta, 0)
+		cfg.Shards = 1 // every round's key in the shard advertised
+		s := newSim(t, seed, 3, cfg)
+		s.links[0][1].severed = true
+		drills := func() int { st := s.Stats(2); return st.TreeRounds + st.WantShards }
+		s.advertise(1) // all empty: the shard matches
+		s.run(s.now + s.period/4)
+		const matchAgain, reconnect = -1, -2
+		for round, want := range []int{0, 1, 2, matchAgain, 2, 3, matchAgain, reconnect, 4} {
+			switch want {
+			case matchAgain:
+				// s-01 catches up through the drills and s-02's forwards,
+				// and advertises a shard that matches again.
+				s.await("s-01 to catch up", 4*s.period, func() bool { return s.Digest(1) == s.Digest(2) })
+				s.advertise(1)
+				s.run(s.now + s.period/4)
+				continue
+			case reconnect:
+				// The first frame of a new connection from s-01: its hello.
+				var inc uint32
+				hello := protocol.NewHelloMsg(protocol.WireVersion, 1, s.nodes[1].inc, s.nodes[1].neighbors)
+				if err := s.nodes[2].handleHello("s-01", &inc, hello); err != nil {
+					s.fatalf("hello: %v", err)
+				}
+				continue
+			}
+			key := fmt.Sprintf("c/round-%d", round)
+			s.Update(0, workload.Inc(key, 1))
+			s.run(s.now + s.period/4)
+			if !s.nodes[2].shardOf(key).ks.Holds() {
+				s.fatalf("round %d: s-02 holds no forward of %s toward s-01", round, key)
+			}
+			s.advertise(1)
+			s.run(s.now + s.period/4)
+			if got := drills(); got != want {
+				s.fatalf("round %d: s-02 has started %d drills with s-01, want %d", round, got, want)
+			}
+			s.await(key+" at s-01", s.period, func() bool {
+				ok := false
+				s.nodes[1].st.View(key, func(st lattice.State) { ok = st != nil })
+				return ok
+			})
+		}
+		s.settle()
+	})
+}
+
+// lacking names the first key of want that replica i does not hold at its
+// value in want, or returns "".
+func (s *sim) lacking(i int, want map[string]lattice.State) string {
+	n := s.nodes[i]
+	held := 0
+	missing := ""
+	for k, st := range want {
+		equal := false
+		n.st.View(k, func(got lattice.State) { equal = got != nil && got.Equal(st) })
+		if equal {
+			held++
+		} else if missing == "" || k < missing {
+			missing = k
+		}
+	}
+	if missing == "" {
+		return ""
+	}
+	return fmt.Sprintf("%s holds %d keys, want %d: %s is not the sequential join", n.cfg.ID, held, len(want), missing)
 }
 
 // simLossReorderPartition is the battery's faults together on the acked

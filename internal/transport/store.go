@@ -628,7 +628,8 @@ func (s *Store) syncLoop() {
 }
 
 // Close stops the sync loop and, once it has returned, runs the last pass:
-// what is still unsent, and every acknowledgement still owed. Then it
+// what is still unsent, every forward still held, and every
+// acknowledgement still owed. Then it
 // closes every watcher (their Events channels close) and every connection.
 // It is idempotent.
 func (s *Store) Close() error {
@@ -641,6 +642,7 @@ func (s *Store) Close() error {
 		s.mu.Lock()
 		s.hold = 0
 		now := s.now()
+		s.endHolds() // a held forward is late, never withheld
 		s.writeFlush(now)
 		s.flushAcks(now)
 		s.mu.Unlock()

@@ -106,8 +106,12 @@ func main() {
 	// engine forwards what it receives on top.
 	fmt.Printf("propagation: %.2f elements on the wire per update (%d replicas), %d forwards withheld on a neighbor's announcement\n",
 		float64(elements)/float64(*keys), *nodes, withheld)
-	// An acknowledgement waits up to half a tick for a data frame to ride;
-	// the ones that found none left alone.
+	// An acknowledgement rides a data frame that leaves one tick or more
+	// after it became owed; the ones that found none in two ticks left
+	// alone. An entry is sent again once the round trip its link has
+	// measured, plus a tick, has gone by, so a burst that saturates the
+	// box resends next to nothing (0.0000 per update in three runs of
+	// -keys 30000 on 2 cores).
 	fmt.Printf("pipeline: %d frames enqueued, %d dropped, %d reconnects; per update %.3f acknowledgement-only frames, %.4f retransmissions\n",
 		enqueued, dropped, reconnects,
 		float64(ackFrames)/float64(*keys), float64(retransmits)/float64(*keys))
@@ -129,8 +133,9 @@ func main() {
 	// Steady state: with every shard clean, ticks cost only the digest
 	// heartbeat (8 bytes per shard per peer, every digest-every ticks).
 	// Wait for the δ-buffers to drain first — right after convergence the
-	// acked engines are still retransmitting entries whose acks are in
-	// flight, which is residual delta traffic, not anti-entropy cost.
+	// acked engines still hold entries whose acks are in flight or held,
+	// and may send some again: residual delta traffic, not anti-entropy
+	// cost.
 	if *digestEvery > 0 {
 		for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); {
 			drained := 0

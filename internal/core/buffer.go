@@ -71,7 +71,8 @@ func (p Positions) Len() int {
 //
 // Seq, Wait and Gap are the acknowledging engine's: the number a receiver
 // acknowledges the entry by (0 under an engine that numbers nothing), and
-// its resend schedule. Due is set while the next send pass ships the
+// its resend schedule: the ticks since its last send, and how often it has
+// been sent again. Due is set while the next send pass ships the
 // entry: from the time it is buffered, for the length of a pass that
 // sends it again, and from the end of a hold to the pass after.
 type Entry struct {

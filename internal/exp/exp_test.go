@@ -221,7 +221,7 @@ func TestRunStorePaperMeshGolden(t *testing.T) {
 		engine                  string
 		frames, bytes, elements int
 	}{
-		{"acked", 17653, 1288741, 61476},
+		{"acked", 17663, 1216805, 61476},
 		{"delta", 15795, 1080242, 67491},
 	} {
 		tab, err := RunStore(StoreRun{Graph: topology.PartialMesh(15, 4, 42), Engine: want.engine, Shards: 32,
@@ -260,9 +260,9 @@ func TestRunStoreMallocsGolden(t *testing.T) {
 		engine string
 		per    float64 // mallocs per update, over the whole run
 	}{
-		{mesh, "acked", 494.370},
+		{mesh, "acked", 479.848},
 		{mesh, "delta", 437.080},
-		{full, "acked", 42.415},
+		{full, "acked", 41.455},
 		{full, "delta", 48.487},
 	} {
 		r := want.run

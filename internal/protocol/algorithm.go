@@ -35,9 +35,16 @@ type algorithm interface {
 	// at the next pass, and reports whether there is one. An engine that
 	// holds no forward ends nothing.
 	release(b *core.Buffer, mask uint64) bool
+	// resendAfter hands the engine the ticks an entry waits for each
+	// neighbor's acknowledgement before it is sent again, by position,
+	// which it reads on every tick (PerObject.ResendAfter). An engine that
+	// sends nothing again ignores them.
+	resendAfter(waits []uint8)
 	// memory is the footprint of x and b.
 	memory(x lattice.State, b *core.Buffer) metrics.Memory
-	retransmits() uint64
+	// retransmits counts the entries sent again, and of those the resends
+	// an acknowledgement showed were not needed.
+	retransmits() (resent, spurious uint64)
 }
 
 // deltaConfig is what every object run by one algorithm has in common. A
@@ -135,4 +142,7 @@ func (e *object) Waiting() bool { return e.buf.Len() > 0 }
 func (e *object) Memory() metrics.Memory { return e.alg.memory(e.x, &e.buf) }
 
 // Retransmits returns how many times an entry has been sent again.
-func (e *object) Retransmits() uint64 { return e.alg.retransmits() }
+func (e *object) Retransmits() uint64 {
+	resent, _ := e.alg.retransmits()
+	return resent
+}

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"math"
 	"slices"
 
 	"crdtsync/internal/core"
@@ -9,10 +10,14 @@ import (
 )
 
 // AckedDeltaMsg is a δ-group tagged with the buffer sequence numbers it
-// covers, so the receiver can acknowledge them.
+// covers, so the receiver can acknowledge them. Retry is set when the pass
+// that made it sent one of the object's entries again, so that the message
+// may not be the first send of all it carries: the sender's own note, never
+// on the wire.
 type AckedDeltaMsg struct {
 	Delta lattice.State
 	Seqs  []uint64
+	Retry bool
 	cost  metrics.Transmission
 }
 
@@ -22,10 +27,13 @@ func (m *AckedDeltaMsg) Kind() string { return "delta-acked" }
 // Cost implements Msg.
 func (m *AckedDeltaMsg) Cost() metrics.Transmission { return m.cost }
 
-// AckMsg acknowledges received δ-buffer entries.
+// AckMsg acknowledges received δ-buffer entries. Retry echoes the
+// acknowledged AckedDeltaMsg's: an acknowledgement of a message that
+// carried first sends only is what tells a resend it was spurious.
 type AckMsg struct {
-	Seqs []uint64
-	cost metrics.Transmission
+	Seqs  []uint64
+	Retry bool
+	cost  metrics.Transmission
 }
 
 // Kind implements Msg.
@@ -35,16 +43,24 @@ func (m *AckMsg) Kind() string { return "ack" }
 func (m *AckMsg) Cost() metrics.Transmission { return m.cost }
 
 // maxRetransmitGap caps the doubling of the gap between two sends of an
-// unacknowledged entry, in ticks: an entry is sent again 1, 2 and 4
-// ticks after the send before, then every 8. On a lossless link a gap is
-// seldom used up (an ack takes a round trip plus at most half a tick, the
-// longest a store holds one for a frame to ride), and the doubling is what keeps a slow or absent peer from being
-// re-sent everything in flight on every tick. The cap only shows in the
-// tail: a 3-store mesh, 3000 keys, 15 ms ticks, five seeds each — at 20%
-// frame loss caps 1 to 32 are indistinguishable (converged within one
-// 50 ms poll of the last write, 5.9–7.0 elements per update); at 50% the
-// last write converges 0.10–0.41 s later with the cap at 8, 0.15–0.61 s
-// at 16, 0.10–0.91 s at 64, for the same 11–16 elements per update.
+// unacknowledged entry, in ticks, unless the wait alone is longer: an
+// entry is sent again w ticks after its first send, then 2w, 4w, … ticks
+// after the send before, never more than max(w, maxRetransmitGap) apart.
+// w is one tick for an engine nobody tells otherwise (netsim's: 1, 2, 4,
+// 8, 8, … ticks), and the store's core sets it from each link's measured
+// round trip (ResendAfter): three or four ticks on a short link, whose
+// receiver holds an acknowledgement between one tick and two. The doubling
+// is what keeps a slow or absent peer from being re-sent everything in
+// flight on every tick. The cap only shows in the tail: a 3-store mesh,
+// 3000 keys, 15 ms ticks and a one-tick w, five seeds each — at 20% frame
+// loss caps 1 to 32 are indistinguishable (converged within one 50 ms poll
+// of the last write, 5.9–7.0 elements per update); at 50% the last write
+// converges 0.10–0.41 s later with the cap at 8, 0.15–0.61 s at 16,
+// 0.10–0.91 s at 64, for the same 11–16 elements per update. A measured w
+// recovers a loss later than one tick does: on TestLinkAckConvergesUnderLoss's
+// 3-mesh the last write converges a median 16, 30 and 135 periods later
+// at 10, 20 and 50% loss, where a one-tick w with a hold of half a tick
+// took 9, 11 and 62.
 const maxRetransmitGap = 8
 
 // deltaAcked is the lossy-channel variant of delta-based synchronization
@@ -57,10 +73,12 @@ const maxRetransmitGap = 8
 // Sending an entry for the first time and sending it again are separate
 // decisions, as in Almeida, Shoker and Baquero's δ-buffer anti-entropy:
 // Flush ships what has never been sent; Sync — the tick — does that too,
-// and re-sends an entry only once a full tick has gone by since it was
-// last sent without every ack arriving, then after 2, 4, … ticks
-// (maxRetransmitGap). The gaps are counted in Sync calls, so a simulator
-// or a test that drives Sync by hand needs no clock.
+// and re-sends an entry only once its wait has gone by since it was last
+// sent without every ack arriving, then twice that, and so on
+// (maxRetransmitGap). The wait is counted in Sync calls, so a simulator or
+// a test that drives Sync by hand needs no clock, and it is read on every
+// tick, so that a wait the owner lengthens holds back what is already in
+// flight (ResendAfter).
 //
 // BP and RR compose with acknowledgments exactly as in Algorithm 1, and BP
 // extends from the neighbor an entry came from to the neighbors that one
@@ -79,8 +97,14 @@ type deltaAcked struct {
 	// so no object reuses a seq, not even once its buffer has emptied and
 	// been released with everything else it knew about its entries.
 	nextSeq uint64
-	// resent counts re-sends, over every object this runs.
-	resent uint64
+	// resent counts re-sends, over every object this runs, and spurious
+	// those an acknowledgement of the entry's first send showed were not
+	// needed (Eifel): the entry had arrived, its acknowledgement had not.
+	resent, spurious uint64
+	// waits holds the ticks an entry waits for each neighbor's
+	// acknowledgement, by position, as the owner measures them
+	// (ResendAfter); nil is one tick each.
+	waits []uint8
 }
 
 // NewDeltaAcked returns the acknowledgment-based delta engine factory with
@@ -109,7 +133,9 @@ func (e *deltaAcked) store(x lattice.State, b *core.Buffer, s lattice.State, ori
 	b.Push(entry)
 }
 
-func (e *deltaAcked) retransmits() uint64 { return e.resent }
+func (e *deltaAcked) retransmits() (resent, spurious uint64) { return e.resent, e.spurious }
+
+func (e *deltaAcked) resendAfter(waits []uint8) { e.waits = waits }
 
 // release ends nothing: the acked engine withholds a forward on a
 // neighbor's word (owed) and holds none.
@@ -117,10 +143,10 @@ func (e *deltaAcked) release(*core.Buffer, uint64) bool { return false }
 
 // ship marks the entries due on this pass — those never sent, and on a
 // tick those whose wait runs out — then sends each neighbor the join of
-// the due entries it is owed and does not hold. An entry is sent again
-// one full tick after its first send, then 2, 4, … ticks after the one
-// before (maxRetransmitGap): Gap is the last wait armed, Wait the ticks
-// left of it.
+// the due entries it is owed and does not hold. Wait counts the ticks an
+// entry has seen since its last send, that send's own tick included, and
+// Gap the times it has been sent again: it is sent again once Wait passes
+// gap, a whole number of ticks after the send.
 func (e *deltaAcked) ship(b *core.Buffer, send Sender, tick bool) {
 	n := len(e.cfg.Neighbors)
 	if tick && e.cfg.Reach != nil {
@@ -129,23 +155,22 @@ func (e *deltaAcked) ship(b *core.Buffer, send Sender, tick bool) {
 		b.Drop(n, e.owed)
 	}
 	entries := b.Entries()
-	due := false
+	due, retry := false, false
 	for k := range entries {
 		entry := &entries[k]
 		switch {
 		case entry.Due: // never sent
-			entry.Gap, entry.Wait = 1, 1
-			if !tick {
-				// Sent between two ticks: the next tick does not
-				// complete a full one since this send.
-				entry.Wait = 2
+			entry.Gap, entry.Wait = 0, 0
+			if tick {
+				entry.Wait = 1
 			}
 		case tick:
-			entry.Wait--
-			if entry.Wait == 0 {
-				entry.Gap = min(2*entry.Gap, maxRetransmitGap)
-				entry.Due, entry.Wait = true, entry.Gap
+			entry.Wait = min(entry.Wait, math.MaxUint8-1) + 1
+			if int(entry.Wait) > e.gap(entry) {
+				entry.Gap = min(entry.Gap+1, maxBackoff)
+				entry.Due, entry.Wait = true, 1
 				e.resent++
+				retry = true
 			}
 		}
 		due = due || entry.Due
@@ -159,11 +184,29 @@ func (e *deltaAcked) ship(b *core.Buffer, send Sender, tick bool) {
 		if d == nil || d.IsBottom() {
 			continue
 		}
-		send(j, NewAckedDeltaMsg(d, seqs))
+		m := NewAckedDeltaMsg(d, seqs)
+		m.Retry = retry
+		send(j, m)
 	}
 	for k := range entries {
 		entries[k].Due = false
 	}
+}
+
+// maxBackoff bounds Gap: past it the doubling has reached any cap.
+const maxBackoff = 8
+
+// gap returns the ticks entry waits, since its last send, before it is
+// sent again: the longest wait of a neighbor it is still owed to, doubled
+// for each send again and capped (maxRetransmitGap).
+func (e *deltaAcked) gap(entry *core.Entry) int {
+	w := 1
+	for i := range e.waits {
+		if !entry.Held.Has(i) && e.owed(entry.Origin, i) {
+			w = max(w, int(e.waits[i]))
+		}
+	}
+	return min(w<<entry.Gap, max(w, maxRetransmitGap))
 }
 
 func (e *deltaAcked) deliver(x lattice.State, b *core.Buffer, from string, m Msg, send Sender) {
@@ -171,7 +214,9 @@ func (e *deltaAcked) deliver(x lattice.State, b *core.Buffer, from string, m Msg
 	case *AckedDeltaMsg:
 		e.receive(x, b, msg.Delta, from)
 		// Acknowledge regardless of redundancy: the data arrived.
-		send(from, newAckMsg(msg.Seqs))
+		ack := newAckMsg(msg.Seqs)
+		ack.Retry = msg.Retry
+		send(from, ack)
 	case *DeltaMsg:
 		// A δ-group outside the acked sequence space: the store-level
 		// digest anti-entropy repair path ships full object states this
@@ -179,7 +224,7 @@ func (e *deltaAcked) deliver(x lattice.State, b *core.Buffer, from string, m Msg
 		// nothing to acknowledge.
 		e.receive(x, b, msg.Delta, from)
 	case *AckMsg:
-		e.ack(b, slices.Index(e.cfg.Neighbors, from), msg.Seqs)
+		e.ack(b, slices.Index(e.cfg.Neighbors, from), msg)
 	}
 }
 
@@ -198,11 +243,13 @@ func (e *deltaAcked) receive(x lattice.State, b *core.Buffer, d lattice.State, f
 // acknowledgement echoes the seqs of one AckedDeltaMsg, which ship lists
 // in buffer order, so both sides ascend and one two-pointer walk pairs
 // them; seqs in any other order (never sent by this code) are sorted
-// first.
-func (e *deltaAcked) ack(b *core.Buffer, neighbor int, seqs []uint64) {
+// first. An entry sent again that an acknowledgement of first sends alone
+// marks had a spurious resend.
+func (e *deltaAcked) ack(b *core.Buffer, neighbor int, m *AckMsg) {
 	if neighbor < 0 {
 		return
 	}
+	seqs := m.Seqs
 	if !slices.IsSorted(seqs) {
 		seqs = slices.Clone(seqs)
 		slices.Sort(seqs)
@@ -213,8 +260,11 @@ func (e *deltaAcked) ack(b *core.Buffer, neighbor int, seqs []uint64) {
 		for len(seqs) > 0 && seqs[0] < entry.Seq {
 			seqs = seqs[1:]
 		}
-		if len(seqs) > 0 && seqs[0] == entry.Seq {
+		if len(seqs) > 0 && seqs[0] == entry.Seq && !entry.Held.Has(neighbor) {
 			entry.Held.Add(neighbor)
+			if entry.Gap > 0 && !m.Retry {
+				e.spurious++
+			}
 		}
 	}
 	b.Drop(len(e.cfg.Neighbors), e.owed)

@@ -460,3 +460,50 @@ func TestAckedKeyspaceNeverReusesASeq(t *testing.T) {
 		}
 	})
 }
+
+// TestAckedDeltaResendsAfterTheWaitItIsTold: a keyspace told that its
+// neighbor's acknowledgement takes three ticks sends an entry again three
+// ticks after its first send, then six, then every eight (the cap), and
+// reads the wait on every tick: lengthened while the entry is in flight, it
+// holds the next resend back. An acknowledgement of a message that carried
+// first sends only, arriving after a resend, shows the resend spurious; one
+// of the resend does not.
+func TestAckedDeltaResendsAfterTheWaitItIsTold(t *testing.T) {
+	e := newKeyspace(protocol.NewDeltaAcked(true, true))
+	waits := []uint8{3}
+	e.ResendAfter(waits)
+	e.LocalOp(workload.Add("k", "x"))
+	var sentOn []int
+	var retry []bool
+	for tick := 1; tick <= 26; tick++ {
+		e.Sync(func(_ string, m protocol.Msg) {
+			sentOn = append(sentOn, tick)
+			retry = append(retry, m.(*protocol.BatchMsg).Items[0].Inner.(*protocol.AckedDeltaMsg).Retry)
+		})
+	}
+	if want := []int{1, 4, 10, 18, 26}; !slices.Equal(sentOn, want) {
+		t.Fatalf("sent on ticks %v, want %v", sentOn, want)
+	}
+	if want := []bool{false, true, true, true, true}; !slices.Equal(retry, want) {
+		t.Fatalf("messages marked as carrying a resend: %v, want %v", retry, want)
+	}
+	waits[0] = 20
+	for tick := 27; tick <= 45; tick++ {
+		e.Sync(func(string, protocol.Msg) { t.Errorf("tick %d: sent again inside a wait of 20 ticks", tick) })
+	}
+	drop := func(string, protocol.Msg) {}
+	e.DeliverObject("b", []byte("k"), &protocol.AckMsg{Seqs: []uint64{1}, Retry: true}, drop)
+	if got := e.SpuriousRetransmits(); got != 0 || e.Waiting() {
+		t.Fatalf("an acknowledgement of a resend: %d spurious, waiting %v; want 0 and the entry retired", got, e.Waiting())
+	}
+
+	e.LocalOp(workload.Add("k", "y"))
+	e.Sync(drop) // the first send
+	waits[0] = 1
+	e.Sync(drop) // and one tick later, the resend
+	e.DeliverObject("b", []byte("k"), &protocol.AckMsg{Seqs: []uint64{2}}, drop)
+	if got, resent := e.SpuriousRetransmits(), e.Retransmits(); got != 1 || resent != 5 || e.Waiting() {
+		t.Fatalf("an acknowledgement of the first send after a resend: %d spurious of %d resends, waiting %v; want 1 of 5, the entry retired",
+			got, resent, e.Waiting())
+	}
+}

@@ -168,7 +168,9 @@ func endHold(en *core.Entry, mask uint64) bool {
 	return owed
 }
 
-func (e *deltaBased) retransmits() uint64 { return 0 }
+func (e *deltaBased) retransmits() (resent, spurious uint64) { return 0, 0 }
+
+func (e *deltaBased) resendAfter([]uint8) {}
 
 func (e *deltaBased) memory(x lattice.State, b *core.Buffer) metrics.Memory {
 	return metrics.Memory{

@@ -493,7 +493,27 @@ func (e *PerObject) Waiting() bool { return e.nActive > 0 }
 
 // Retransmits returns how many times an entry of any object has been sent
 // again.
-func (e *PerObject) Retransmits() uint64 { return e.alg.retransmits() }
+func (e *PerObject) Retransmits() uint64 {
+	resent, _ := e.alg.retransmits()
+	return resent
+}
+
+// SpuriousRetransmits returns how many of those resends were not needed:
+// the entry's first send arrived, as an acknowledgement of it showed once
+// the resend had left (Eifel).
+func (e *PerObject) SpuriousRetransmits() uint64 {
+	_, spurious := e.alg.retransmits()
+	return spurious
+}
+
+// ResendAfter has the acked engine wait waits[i] ticks, since an entry's
+// last send, for the acknowledgement of the neighbor at position i before
+// it sends the entry again; it waits for the longest of the neighbors the
+// entry is still owed to, and doubles that for each send again
+// (maxRetransmitGap). The engine keeps waits and reads it on every tick,
+// so its owner changes the waits in place; without a call each is one
+// tick. The plain engine sends nothing again.
+func (e *PerObject) ResendAfter(waits []uint8) { e.alg.resendAfter(waits) }
 
 func (e *PerObject) Deliver(from string, m Msg, send Sender) {
 	bm, ok := m.(*BatchMsg)

@@ -75,9 +75,15 @@ type core struct {
 	// stats holds every counter Stats reports but the peer pipelines' and
 	// the engines' own.
 	stats StoreStats
-	// hold is how long an owed acknowledgement waits for a data frame to
-	// ride before it leaves alone; the shell sets it (ackHoldsPerTick).
+	// hold is how long an owed acknowledgement waits before it rides a
+	// data frame, and half how long before it leaves alone; the shell sets
+	// it (ackHoldsPerTick).
 	hold int64
+	// waits is the ticks an entry waits for each neighbor's
+	// acknowledgement before it is sent again, in neighbors order: every
+	// engine reads it (protocol.PerObject.ResendAfter), and each tick
+	// refreshes it from the links' round trips (link.wait).
+	waits []uint8
 	// The write-triggered flush. flushWanted is set by the first update
 	// after a pass, or delivery that leaves a forward owed to a neighbor the
 	// frame's sender does not reach (deliverSharded), and cleared by the
@@ -127,6 +133,7 @@ func newCore(cfg StoreConfig, inc uint32) (*core, error) {
 	// which the table records for setReach; the plain one only holds a
 	// forward back on it.
 	reach := protocol.NewReach(neighbors)
+	waits := make([]uint8, len(neighbors))
 	shards := make([]*shard, cfg.Shards)
 	for i := range shards {
 		// A store's engines prune by receipt: a neighbor that sent a
@@ -137,6 +144,7 @@ func newCore(cfg StoreConfig, inc uint32) (*core, error) {
 			Reach:          reach,
 			PruneOnReceipt: true,
 		})}
+		shards[i].ks.ResendAfter(waits)
 	}
 	c := &core{
 		cfg:       cfg,
@@ -146,6 +154,7 @@ func newCore(cfg StoreConfig, inc uint32) (*core, error) {
 		links:     make(map[string]*link, len(neighbors)),
 		linkList:  make([]*link, len(neighbors)),
 		reach:     reach,
+		waits:     waits,
 		repair:    repairTable{timeout: int64(repairTimeout), entries: make([]repairEntry, cfg.Shards)},
 		sendAt:    flushBurst * int64(cfg.SyncEvery/flushesPerTick), // an empty budget
 		nextTick:  int64(cfg.SyncEvery),
@@ -155,6 +164,7 @@ func newCore(cfg StoreConfig, inc uint32) (*core, error) {
 	for i, id := range neighbors {
 		c.linkList[i] = newLink(inc)
 		c.links[id] = c.linkList[i]
+		waits[i] = unsampledWait
 	}
 	return c, nil
 }
@@ -402,8 +412,9 @@ func (c *core) tick(now int64) {
 	b := c.scratch.b
 	c.ticks++
 	tick := c.ticks
-	for _, lk := range c.linkList {
+	for i, lk := range c.linkList {
 		lk.age(tick)
+		c.waits[i] = lk.wait(int64(c.cfg.SyncEvery))
 	}
 	// The digest vector goes to every peer on a DigestEvery tick, riding a
 	// data frame where there is one, and standalone on every tick to the
@@ -425,7 +436,7 @@ func (c *core) tick(now int64) {
 			ride = vec
 		}
 	}
-	covered := c.flush(b, ride)
+	covered := c.flush(b, ride, now)
 	c.spend(now)
 	if vec == nil {
 		return
@@ -477,7 +488,7 @@ func (c *core) writeFlush(now int64) {
 	c.flushWanted = false // this pass serves the request
 	if c.anyDue(false) {
 		c.collect(c.scratch.b, false)
-		c.flush(c.scratch.b, nil)
+		c.flush(c.scratch.b, nil, now)
 		c.scratch.release()
 	}
 	c.stats.WriteFlushes++
@@ -521,13 +532,13 @@ func (c *core) collect(b *outBatch, tick bool) {
 }
 
 // flush packs the accumulated items into bounded frames per destination
-// and transmits them; vec, when non-nil, is piggybacked onto one frame
-// per destination when it fits, and the returned set names the peers it
-// reached.
-func (c *core) flush(b *outBatch, vec []uint64) map[string]struct{} {
+// and transmits them at now; vec, when non-nil, is piggybacked onto one
+// frame per destination when it fits, and the returned set names the peers
+// it reached.
+func (c *core) flush(b *outBatch, vec []uint64, now int64) map[string]struct{} {
 	var covered map[string]struct{}
 	for _, to := range b.order {
-		if c.flushTo(to, b.perDest[to], vec) {
+		if c.flushTo(to, b.perDest[to], vec, now) {
 			if covered == nil {
 				covered = make(map[string]struct{})
 			}
@@ -537,11 +548,12 @@ func (c *core) flush(b *outBatch, vec []uint64) map[string]struct{} {
 	return covered
 }
 
-// flushTo packs and transmits one destination's items, reporting whether
-// vec rode one of the frames. A neighbor's frames are numbered on its
-// link.
-func (c *core) flushTo(to string, items []protocol.ShardItem, vec []uint64) bool {
-	res, err := packFrames(items, vec, c.maxMsgBytes(), len(c.shards), c.links[to])
+// flushTo packs and transmits one destination's items at now, reporting
+// whether vec rode one of the frames. A neighbor's frames are numbered on
+// its link, and the first takes the acknowledgement owed to it once that
+// has been held for c.hold.
+func (c *core) flushTo(to string, items []protocol.ShardItem, vec []uint64, now int64) bool {
+	res, err := packFrames(items, vec, c.maxMsgBytes(), len(c.shards), c.links[to], now, c.hold)
 	if err != nil {
 		// Engines produced an unencodable message: a programming
 		// error in the engine/codec pairing.
@@ -562,20 +574,20 @@ func (c *core) flushTo(to string, items []protocol.ShardItem, vec []uint64) bool
 }
 
 // flushAcks sends, at now, a frame that carries nothing else to every
-// neighbor whose acknowledgement has been owed for its whole hold, and
+// neighbor whose acknowledgement has been owed for twice its hold, and
 // returns when the next hold still running ends — never when none is.
 // Until then an acknowledgement waits for a data frame toward its
-// neighbor, which takes it (packFrames).
+// neighbor, which takes it once it has been owed for the hold (packFrames).
 func (c *core) flushAcks(now int64) int64 {
 	next := int64(never)
 	for i, lk := range c.linkList {
 		if !lk.owed {
 			continue
 		}
-		if due := lk.owedAt + c.hold; due > now {
+		if due := lk.owedAt + 2*c.hold; due > now {
 			next = min(next, due)
 		} else {
-			c.sendAck(c.neighbors[i], lk)
+			c.sendAck(c.neighbors[i], lk, now)
 		}
 	}
 	return next
@@ -584,8 +596,8 @@ func (c *core) flushAcks(now int64) int64 {
 // sendAck ships the acknowledgement to is owed, if it still is, as a
 // sharded frame with a link header and no items: the hold is over and no
 // data frame took it.
-func (c *core) sendAck(to string, lk *link) {
-	ack, ok := lk.takeAck()
+func (c *core) sendAck(to string, lk *link, now int64) {
+	ack, ok := lk.takeAck(now, 0)
 	if !ok {
 		return
 	}
@@ -714,7 +726,7 @@ func (c *core) deliverSharded(from string, v *codec.FrameView, now int64) bool {
 	defer d.release()
 	lk := c.links[from]
 	if v.Link.Ack.Inc != 0 {
-		c.applyAck(from, lk, &v.Link.Ack)
+		c.applyAck(from, lk, &v.Link.Ack, now)
 	}
 	// Some shard was left with something never sent, or holds a forward
 	// back. A held forward leaves with no flush, but the flush it asks for
@@ -781,27 +793,27 @@ func (c *core) deliverSharded(from string, v *codec.FrameView, now int64) bool {
 	// before this store the engine holds it until its second tick for that
 	// copy. The acked engine buffers none of them (deltaAcked.owed).
 	wake := forward && !c.reach.Covers(from) && c.requestFlush()
-	c.flush(d.b, nil)
+	c.flush(d.b, nil, now)
 	// The acknowledgement rides the first data frame toward from that
-	// leaves within its hold — what this frame made this store answer
-	// (above), a forward, a write — and acknowledges every frame that
-	// arrived meanwhile. Once the hold is over it leaves alone: here, under
-	// a hold of 0, or from the step due when it ends, which a hold that
-	// starts here has to tell the caller's loop of.
+	// leaves once it has been held for c.hold — what a later frame makes
+	// this store answer, a forward, a write — and acknowledges every frame
+	// that arrived meanwhile. Once twice the hold is over it leaves alone:
+	// here, under a hold of 0, or from the step due when it ends, which a
+	// hold that starts here has to tell the caller's loop of.
 	if c.flushAcks(now) != never && held {
 		wake = true
 	}
 	return wake
 }
 
-// applyAck hands the δ-groups of the frames ack settles to their engines,
-// each as the AckMsg the engine would have been sent for it, one lock
-// hold per shard. lk is from's link, nil for a non-neighbor.
-func (c *core) applyAck(from string, lk *link, ack *protocol.FrameAck) {
+// applyAck hands the δ-groups of the frames ack, arrived at now, settles
+// to their engines, each as the AckMsg the engine would have been sent for
+// it, one lock hold per shard. lk is from's link, nil for a non-neighbor.
+func (c *core) applyAck(from string, lk *link, ack *protocol.FrameAck, now int64) {
 	d := &c.scratch
 	ok := false
 	if lk != nil {
-		d.acked, ok = lk.acknowledge(ack, d.acked[:0])
+		d.acked, ok = lk.acknowledge(ack, d.acked[:0], now)
 	}
 	if !ok {
 		c.stats.IgnoredAcks++
@@ -821,7 +833,7 @@ func (c *core) applyAck(from string, lk *link, ack *protocol.FrameAck) {
 		c.deliverLocks++
 		for ; i < len(items) && items[i].shard == shard; i++ {
 			d.key = append(d.key[:0], items[i].key...)
-			d.ack.Seqs = items[i].seqs
+			d.ack.Seqs, d.ack.Retry = items[i].seqs, items[i].retry
 			sh.ks.DeliverObject(from, d.key, &d.ack, noReply)
 		}
 		sh.mu.Unlock()
@@ -872,7 +884,7 @@ func (c *core) deliverControl(from string, inc *uint32, frame []byte, now int64)
 	default:
 		return nil // stores speak only sharded, hello, digest and tree frames
 	}
-	c.flush(b, nil)
+	c.flush(b, nil, now)
 	if echo {
 		c.echoDigests(from) // behind what the drills shipped
 	}

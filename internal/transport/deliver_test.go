@@ -111,7 +111,7 @@ func encodeFrame(t testing.TB, m protocol.Msg) []byte {
 // alone.
 func packFrame(t testing.TB, link protocol.LinkHeader, digests []uint64, items ...protocol.ShardItem) []byte {
 	t.Helper()
-	res, err := packFrames(items, digests, math.MaxInt32, packShards, nil)
+	res, err := packFrames(items, digests, math.MaxInt32, packShards, nil, 0, 0)
 	if err != nil || len(res.frames) > 1 {
 		t.Fatalf("packFrames: %d frames: %v", len(res.frames), err)
 	}
@@ -326,7 +326,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 			}
 		}
 		limit := 256 + rng.Intn(4096)
-		res, err := packFrames(items, digests, limit, shards, nil)
+		res, err := packFrames(items, digests, limit, shards, nil, 0, 0)
 		if err != nil {
 			t.Fatalf("pack: %v", err)
 		}

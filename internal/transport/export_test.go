@@ -12,3 +12,7 @@ func Limited(cfg StoreConfig, queueFrames, queueBytes, maxFrame int) StoreConfig
 	cfg.maxFrame = maxFrame
 	return cfg
 }
+
+// UnsampledWait is the ticks an entry waits for its acknowledgement on a
+// link that has measured no round trip yet.
+const UnsampledWait = unsampledWait

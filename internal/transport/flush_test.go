@@ -525,9 +525,9 @@ func TestFlushIdleIsFree(t *testing.T) {
 	}
 }
 
-// TestFlushCarriesHeldReplies: an owed acknowledgement waits, for up to
-// its hold, for a data frame toward its neighbor and rides the first that
-// leaves; when none does it leaves alone at the end of the hold, covering
+// TestFlushCarriesHeldReplies: an owed acknowledgement rides no data
+// frame toward its neighbor within its hold, and the first that leaves
+// after it; when none does it leaves alone at twice the hold, covering
 // every frame that arrived meanwhile. Under a hold of 0 — a store ticked
 // by hand, or closing — nothing waits.
 func TestFlushCarriesHeldReplies(t *testing.T) {
@@ -554,44 +554,48 @@ func TestFlushCarriesHeldReplies(t *testing.T) {
 		}
 	}
 	// Nothing leaves toward p1 — the flush forwards the δ-group to p2 only —
-	// so the acknowledgement is held to the end of its hold, and no longer.
+	// so the acknowledgement is held to twice its hold, and no longer.
 	at := int64(time.Second)
 	arrive(1, at)
 	c.writeFlush(at)
 	if got := len(rec["p2"]); got != 1 {
 		t.Fatalf("%d frames forwarded to p2, want 1", got)
 	}
-	if next := c.flushAcks(at + hold - 1); next != at+hold {
-		t.Fatalf("the hold ends at %d, want %d", next, at+hold)
+	if next := c.flushAcks(at + 2*hold - 1); next != at+2*hold {
+		t.Fatalf("the hold ends at %d, want %d", next, at+2*hold)
 	}
 	check("inside the hold", true, 0, 0)
-	if next := c.flushAcks(at + hold); next != never {
+	if next := c.flushAcks(at + 2*hold); next != never {
 		t.Fatalf("a hold still runs until %d with nothing owed", next)
 	}
 	check("at the end of the hold", false, 1, 1)
-	// A local write flushed inside the hold carries it.
-	at += hold + 1
+	// A local write flushed inside the hold leaves without it; the next,
+	// flushed once the hold is over, carries it.
+	at += 2*hold + 1
 	arrive(2, at)
 	c.update(workload.Add("local", "x"))
 	c.writeFlush(at + 1)
-	check("a write flushed inside the hold", false, 1, 2)
+	check("a write flushed inside the hold", true, 1, 2)
+	c.update(workload.Add("local", "y"))
+	c.writeFlush(at + hold)
+	check("a write flushed after the hold", false, 1, 3)
 	// Three frames inside one hold: one acknowledgement, whose mark covers
 	// all three.
-	at += 2
+	at += hold + 1
 	arrive(3, at)
 	arrive(4, at+1)
 	arrive(5, at+2)
 	if got := lk.owedAt; got != at {
 		t.Fatalf("a later frame restarted the hold: %d, want %d", got, at)
 	}
-	c.flushAcks(at + hold)
-	check("three frames, one hold", false, 2, 3)
+	c.flushAcks(at + 2*hold)
+	check("three frames, one hold", false, 2, 4)
 	if lk.cum != 5 || lk.nranges != 0 {
 		t.Fatalf("acknowledged up to %d (%d ranges), want 5", lk.cum, lk.nranges)
 	}
 	c.hold = 0
-	arrive(6, at+hold+1)
-	check("a hold of 0", false, 3, 4)
+	arrive(6, at+2*hold+1)
+	check("a hold of 0", false, 3, 5)
 }
 
 // TestCloseShipsHeldAck: a store closing with an acknowledgement on hold

@@ -1,6 +1,11 @@
 package transport
 
-import "crdtsync/internal/protocol"
+import (
+	"math"
+	"slices"
+
+	"crdtsync/internal/protocol"
+)
 
 // Acknowledgement per link. The acked engine numbers the entries of every
 // object's δ-buffer and wants each entry acknowledged by each neighbor;
@@ -9,8 +14,10 @@ import "crdtsync/internal/protocol"
 // and the neighbor acknowledges frames: one cumulative mark plus the few
 // ranges above a gap, on whatever frame goes back next. An acknowledged
 // frame's entries are handed to their engines as the AckMsg the engine
-// would have been sent per object; which entry is sent again, and when,
-// stays the engine's decision.
+// would have been sent per object; which entry is sent again stays the
+// engine's decision. When is the link's evidence: the round trips it
+// measures from the acknowledgements (wait), which the core hands the
+// engines on every tick.
 
 // maxInflight bounds the records a link keeps. The oldest is dropped to
 // make room: an acknowledgement that names it later retires nothing and
@@ -37,11 +44,13 @@ const closeAfter = 8
 const maxAckRanges = protocol.MaxAckRanges
 
 // ackItem is one δ-group of a numbered frame: the entries of one object's
-// δ-buffer that the frame's acknowledgement acknowledges.
+// δ-buffer that the frame's acknowledgement acknowledges, and whether the
+// group carried an entry sent before (protocol.AckedDeltaMsg.Retry).
 type ackItem struct {
 	shard uint32
 	key   string
 	seqs  []uint64
+	retry bool
 }
 
 // frameRec is what the link remembers of one numbered frame.
@@ -49,8 +58,10 @@ type frameRec struct {
 	// items is what the frame carried; nil once the record is settled —
 	// retired by an acknowledgement, or dropped.
 	items []ackItem
-	// born is the tick the frame was sent in.
+	// born is the tick the frame was sent in, at the time on the store's
+	// clock.
 	born uint64
+	at   int64
 	// closed, once the link has stopped waiting for the frame, is the
 	// number of the first frame that may have told the neighbor so.
 	closed uint64
@@ -73,6 +84,10 @@ type link struct {
 	tick              uint64
 	open              int
 	ackedTo           uint64 // highest cumulative mark the neighbor has sent
+	// srtt and rttvar are the smoothed round trip and its mean deviation,
+	// in nanoseconds on the store's clock, from the acknowledgements of
+	// frames that carried no resend (sample); srtt is 0 until the first.
+	srtt, rttvar int64
 	// Frames received, of the neighbor's incarnation peerInc: all up to
 	// cum, and ranges[:nranges] above it, ascending and never adjacent.
 	peerInc  uint32
@@ -121,8 +136,8 @@ func (l *link) next() protocol.FrameSeq {
 }
 
 // commit gives fs, the result of next, out and records items, which the
-// link keeps, as what the frame carries.
-func (l *link) commit(fs protocol.FrameSeq, items []ackItem) {
+// link keeps, as what the frame sent at now carries.
+func (l *link) commit(fs protocol.FrameSeq, items []ackItem, now int64) {
 	if l.recs == nil {
 		l.recs = make([]frameRec, maxInflight)
 	}
@@ -133,7 +148,7 @@ func (l *link) commit(fs protocol.FrameSeq, items []ackItem) {
 		l.first = max(l.first, l.kept)
 	}
 	l.sent = fs.Seq
-	*l.rec(fs.Seq) = frameRec{items: items, born: l.tick}
+	*l.rec(fs.Seq) = frameRec{items: items, born: l.tick, at: now}
 	l.open++
 	l.advance()
 }
@@ -202,7 +217,12 @@ func names(ack *protocol.FrameAck, seq uint64) bool {
 // late, at whatever delay — and from closed on the mark means nothing for
 // this frame and never will again: the record is dropped, the entries
 // stay the engine's to send again.
-func (l *link) acknowledge(ack *protocol.FrameAck, out []ackItem) ([]ackItem, bool) {
+//
+// An acknowledgement that arrives at now is also a round-trip sample: of
+// the frames it names, the one sent first, unless it carried an entry sent
+// before — whose acknowledgement may be the earlier send's (Karn). The
+// first sent is the one whose acknowledgement the neighbor held longest.
+func (l *link) acknowledge(ack *protocol.FrameAck, out []ackItem, now int64) ([]ackItem, bool) {
 	top := ack.Cum
 	if n := len(ack.Ranges); n > 0 {
 		top = ack.Ranges[n-1].Hi
@@ -210,6 +230,7 @@ func (l *link) acknowledge(ack *protocol.FrameAck, out []ackItem) ([]ackItem, bo
 	if ack.Inc != l.inc || top > l.sent {
 		return out, false
 	}
+	sampled := false
 	for seq := l.kept; seq <= top; seq++ {
 		r := l.rec(seq)
 		switch {
@@ -217,6 +238,10 @@ func (l *link) acknowledge(ack *protocol.FrameAck, out []ackItem) ([]ackItem, bo
 		case seq < l.first && top >= r.closed:
 			l.settle(seq)
 		case names(ack, seq):
+			if !sampled && !slices.ContainsFunc(r.items, func(it ackItem) bool { return it.retry }) {
+				l.sample(now - r.at)
+				sampled = true
+			}
 			out = append(out, r.items...)
 			l.settle(seq)
 		}
@@ -280,15 +305,60 @@ func (l *link) receive(fs protocol.FrameSeq, now int64) bool {
 	return true
 }
 
+// sample takes one round trip r into the estimate, as RFC 6298 does
+// (Jacobson's estimator): the first sets srtt to r and rttvar to r/2, each
+// later one moves rttvar a quarter of the way to |srtt-r| and srtt an
+// eighth of the way to r.
+func (l *link) sample(r int64) {
+	if l.srtt == 0 {
+		l.srtt, l.rttvar = r, r/2
+		return
+	}
+	dev := l.srtt - r
+	if dev < 0 {
+		dev = -dev
+	}
+	l.rttvar += (dev - l.rttvar) / 4
+	l.srtt += (r - l.srtt) / 8
+}
+
+// unsampledWait is the wait of a link with no round trip measured yet, in
+// ticks. An acknowledgement comes back within a round trip on the wire
+// plus the neighbor's hold, at most two ticks (ackHoldsPerTick), so no
+// first send is resent before it could have arrived on a link whose frames
+// spend up to seven ticks on the wire each way. It costs what it waits only
+// until the first sample: the engines read the wait on every tick, so a
+// frame lost before then is sent again on the sampled wait. The wait the
+// neighbor's hold alone asks for, three ticks, resends what leaves in the
+// first round trip of a longer link: at 1.5 and 3 ticks each way it read
+// 0.06 and 0.26 retransmissions per update (TestSimLatencyTableResendsNothing).
+const unsampledWait = 16
+
+// wait returns the ticks of period an entry sent to the neighbor waits for
+// its acknowledgement before it is sent again: srtt + 4·rttvar plus one
+// hold, rounded up to whole ticks. The neighbor holds an acknowledgement as
+// this store does, between one hold (period/ackHoldsPerTick) and two —
+// unless its owner ticks it, which this store cannot know — and every
+// sample includes that hold: one taken while acknowledgements ride data
+// frames says nothing of one that waited out both, so one hold is added.
+func (l *link) wait(period int64) uint8 {
+	if l.srtt == 0 {
+		return unsampledWait
+	}
+	ticks := (l.srtt + 4*l.rttvar + period/ackHoldsPerTick + period - 1) / period
+	return uint8(min(max(ticks, 1), math.MaxUint8-1))
+}
+
 func (l *link) dropRange(i int) {
 	copy(l.ranges[i:], l.ranges[i+1:l.nranges])
 	l.nranges--
 }
 
 // takeAck returns the acknowledgement the neighbor is owed, if any, for a
-// frame that is about to leave; the caller must send it or call owe.
-func (l *link) takeAck() (protocol.FrameAck, bool) {
-	if !l.owed {
+// frame that is about to leave at now, once it has been owed for hold; the
+// caller must send it or call owe.
+func (l *link) takeAck(now, hold int64) (protocol.FrameAck, bool) {
+	if !l.owed || now-l.owedAt < hold {
 		return protocol.FrameAck{}, false
 	}
 	l.owed = false

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -69,11 +70,16 @@ func TestLinkAckReceiveKeepsMarkAndRanges(t *testing.T) {
 	if lk.cum != 0 || lk.nranges != maxAckRanges || lk.ranges[0].Lo != 6 {
 		t.Fatalf("mark %d, %d ranges from %d; want 0, %d from 6", lk.cum, lk.nranges, lk.ranges[0].Lo, maxAckRanges)
 	}
-	ack, ok := lk.takeAck()
+	// An acknowledgement rides nothing before it has been held for the
+	// hold.
+	if _, early := lk.takeAck(lk.owedAt+9, 10); early || !lk.owed {
+		t.Fatal("an acknowledgement was handed out before its hold was over")
+	}
+	ack, ok := lk.takeAck(lk.owedAt+10, 10)
 	if !ok || ack.Inc != 5 || ack.Cum != 0 || len(ack.Ranges) != maxAckRanges || lk.owed {
 		t.Fatalf("took %+v (%v), still owed %v", ack, ok, lk.owed)
 	}
-	if _, again := lk.takeAck(); again {
+	if _, again := lk.takeAck(lk.owedAt+10, 0); again {
 		t.Fatal("the same acknowledgement was handed out twice")
 	}
 }
@@ -83,7 +89,7 @@ func numbered(lk *link, n int) []ackItem {
 	items := make([]ackItem, n)
 	for i := range items {
 		items[i] = ackItem{shard: uint32(i % 4), key: fmt.Sprintf("k%d", i), seqs: []uint64{uint64(i + 1)}}
-		lk.commit(lk.next(), items[i:i+1])
+		lk.commit(lk.next(), items[i:i+1], 0)
 	}
 	return items
 }
@@ -99,11 +105,11 @@ func TestLinkAckSettlesExactlyWhatIsNamed(t *testing.T) {
 		"mark beyond sent":    {Inc: 7, Cum: 11},
 		"range beyond sent":   {Inc: 7, Cum: 2, Ranges: []protocol.SeqRange{{Lo: 9, Hi: 11}}},
 	} {
-		if out, ok := lk.acknowledge(&ack, nil); ok || len(out) != 0 || lk.open != 10 {
+		if out, ok := lk.acknowledge(&ack, nil, 0); ok || len(out) != 0 || lk.open != 10 {
 			t.Fatalf("%s: ok=%v, retired %d, %d still open", name, ok, len(out), lk.open)
 		}
 	}
-	out, ok := lk.acknowledge(&protocol.FrameAck{Inc: 7, Cum: 3, Ranges: []protocol.SeqRange{{Lo: 5, Hi: 6}, {Lo: 9, Hi: 9}}}, nil)
+	out, ok := lk.acknowledge(&protocol.FrameAck{Inc: 7, Cum: 3, Ranges: []protocol.SeqRange{{Lo: 5, Hi: 6}, {Lo: 9, Hi: 9}}}, nil, 0)
 	want := []ackItem{items[0], items[1], items[2], items[4], items[5], items[8]}
 	if !ok || !reflect.DeepEqual(out, want) {
 		t.Fatalf("retired %+v (%v), want %+v", out, ok, want)
@@ -115,10 +121,10 @@ func TestLinkAckSettlesExactlyWhatIsNamed(t *testing.T) {
 		t.Fatalf("next frame %+v, want number 11 waiting back to 4", fs)
 	}
 	// The same acknowledgement again, and a stale one, retire nothing more.
-	if out, ok := lk.acknowledge(&protocol.FrameAck{Inc: 7, Cum: 3}, nil); !ok || len(out) != 0 {
+	if out, ok := lk.acknowledge(&protocol.FrameAck{Inc: 7, Cum: 3}, nil, 0); !ok || len(out) != 0 {
 		t.Fatalf("a repeated acknowledgement retired %d (%v)", len(out), ok)
 	}
-	if out, _ := lk.acknowledge(&protocol.FrameAck{Inc: 7, Cum: 10}, nil); len(out) != 4 || lk.open != 0 || lk.first != 11 {
+	if out, _ := lk.acknowledge(&protocol.FrameAck{Inc: 7, Cum: 10}, nil, 0); len(out) != 4 || lk.open != 0 || lk.first != 11 {
 		t.Fatalf("retired %d, %d open from %d; want 4, 0 from 11", len(out), lk.open, lk.first)
 	}
 }
@@ -151,10 +157,10 @@ func TestLinkAckTableIsBoundedAndDrains(t *testing.T) {
 	if fs := lk.next(); fs.Back != maxInflight {
 		t.Fatalf("next frame waits back %d, want %d", fs.Back, maxInflight)
 	}
-	if out, ok := lk.acknowledge(&protocol.FrameAck{Inc: 7, Cum: extra}, nil); !ok || len(out) != 0 || lk.open != maxInflight {
+	if out, ok := lk.acknowledge(&protocol.FrameAck{Inc: 7, Cum: extra}, nil, 0); !ok || len(out) != 0 || lk.open != maxInflight {
 		t.Fatalf("acknowledging dropped frames retired %d (%v), %d open", len(out), ok, lk.open)
 	}
-	out, _ := lk.acknowledge(&protocol.FrameAck{Inc: 7, Cum: lk.sent}, nil)
+	out, _ := lk.acknowledge(&protocol.FrameAck{Inc: 7, Cum: lk.sent}, nil, 0)
 	if len(out) != maxInflight {
 		t.Fatalf("retired %d, want %d", len(out), maxInflight)
 	}
@@ -183,13 +189,13 @@ func TestLinkAckClosedFrameIsRetiredOnlyByALateAck(t *testing.T) {
 	}
 	more := numbered(lk, 2) // 5 and 6 tell the neighbor
 	// Minted when 3 was the newest frame seen and 2 had not arrived.
-	out, ok := lk.acknowledge(&protocol.FrameAck{Inc: 7, Cum: 1, Ranges: []protocol.SeqRange{{Lo: 3, Hi: 3}}}, nil)
+	out, ok := lk.acknowledge(&protocol.FrameAck{Inc: 7, Cum: 1, Ranges: []protocol.SeqRange{{Lo: 3, Hi: 3}}}, nil, 0)
 	if want := []ackItem{items[0], items[2]}; !ok || !reflect.DeepEqual(out, want) || lk.kept != 2 {
 		t.Fatalf("a late acknowledgement retired %+v (%v), kept from %d; want %+v, kept from 2", out, ok, lk.kept, want)
 	}
 	// Minted after 5 arrived: the mark is past 2 and 4 whether or not they
 	// ever did.
-	out, ok = lk.acknowledge(&protocol.FrameAck{Inc: 7, Cum: 5}, nil)
+	out, ok = lk.acknowledge(&protocol.FrameAck{Inc: 7, Cum: 5}, nil, 0)
 	if want := []ackItem{more[0]}; !ok || !reflect.DeepEqual(out, want) {
 		t.Fatalf("the mark at 5 retired %+v (%v), want frame 5's %+v alone", out, ok, want)
 	}
@@ -197,10 +203,10 @@ func TestLinkAckClosedFrameIsRetiredOnlyByALateAck(t *testing.T) {
 		t.Fatalf("kept from %d, %d open from %d; want frame 6 alone", lk.kept, lk.open, lk.first)
 	}
 	// Their records are gone: nothing names them any more.
-	if out, ok := lk.acknowledge(&protocol.FrameAck{Inc: 7, Cum: 1, Ranges: []protocol.SeqRange{{Lo: 4, Hi: 4}}}, nil); !ok || len(out) != 0 {
+	if out, ok := lk.acknowledge(&protocol.FrameAck{Inc: 7, Cum: 1, Ranges: []protocol.SeqRange{{Lo: 4, Hi: 4}}}, nil, 0); !ok || len(out) != 0 {
 		t.Fatalf("an acknowledgement later still retired %+v (%v)", out, ok)
 	}
-	if out, _ := lk.acknowledge(&protocol.FrameAck{Inc: 7, Cum: 6}, nil); len(out) != 1 {
+	if out, _ := lk.acknowledge(&protocol.FrameAck{Inc: 7, Cum: 6}, nil, 0); len(out) != 1 {
 		t.Fatalf("retired %d, want frame 6's one", len(out))
 	}
 	holdsNothing(t, "link", lk)
@@ -217,6 +223,55 @@ func linkFrame(t testing.TB, seq, back uint64, ack protocol.FrameAck, items ...p
 	}
 	link.Ack = ack
 	return packFrame(t, link, nil, items...)
+}
+
+// TestLinkRoundTripEstimate: an acknowledgement is one round-trip sample,
+// of the first-sent frame it names that carried no resend (Karn), taken as
+// RFC 6298 takes it; the wait is srtt + 4·rttvar plus one hold (a period
+// here), in whole ticks, and unsampledWait before the first sample.
+func TestLinkRoundTripEstimate(t *testing.T) {
+	const ms = int64(time.Millisecond)
+	period := 10 * ms
+	lk := newLink(7)
+	if got := lk.wait(period); got != unsampledWait {
+		t.Fatalf("wait before a sample: %d ticks, want %d", got, unsampledWait)
+	}
+	send := func(at int64, retry bool) {
+		lk.commit(lk.next(), []ackItem{{key: "k", seqs: []uint64{lk.sent + 1}, retry: retry}}, at)
+	}
+	// Frames 1 (a resend) and 2 to 3: the acknowledgement at 30 ms samples
+	// frame 2, sent at 5 ms.
+	send(0, true)
+	send(5*ms, false)
+	send(8*ms, false)
+	if _, ok := lk.acknowledge(&protocol.FrameAck{Inc: 7, Cum: 3}, nil, 30*ms); !ok {
+		t.Fatal("acknowledgement refused")
+	}
+	if lk.srtt != 25*ms || lk.rttvar != 12500*1000 {
+		t.Fatalf("first sample: srtt %d, rttvar %d; want 25 ms and 12.5 ms", lk.srtt, lk.rttvar)
+	}
+	// 25 + 4·12.5 + 10 ms = 85 ms: 9 ticks.
+	if got := lk.wait(period); got != 9 {
+		t.Fatalf("wait after the first sample: %d ticks, want 9", got)
+	}
+	// A second sample of 9 ms: rttvar moves a quarter of the way to 16 ms,
+	// srtt an eighth of the way to 9 ms.
+	send(40*ms, false)
+	lk.acknowledge(&protocol.FrameAck{Inc: 7, Cum: 4}, nil, 49*ms)
+	if lk.srtt != 23*ms || lk.rttvar != 13375*1000 {
+		t.Fatalf("second sample: srtt %d, rttvar %d; want 23 ms and 13.375 ms", lk.srtt, lk.rttvar)
+	}
+	// An acknowledgement of a resend alone, or of nothing new, is no sample.
+	send(50*ms, true)
+	lk.acknowledge(&protocol.FrameAck{Inc: 7, Cum: 5}, nil, 500*ms)
+	lk.acknowledge(&protocol.FrameAck{Inc: 7, Cum: 5}, nil, 900*ms)
+	if lk.srtt != 23*ms || lk.rttvar != 13375*1000 {
+		t.Fatalf("after a resend's acknowledgement: srtt %d, rttvar %d; want them unchanged", lk.srtt, lk.rttvar)
+	}
+	// 23 + 4·13.375 + 10 ms = 86.5 ms: 9 ticks.
+	if got := lk.wait(period); got != 9 {
+		t.Fatalf("wait after the second sample: %d ticks, want 9", got)
+	}
 }
 
 // TestLinkAckOnlyAfterEveryItemApplied: a frame one of whose items was
@@ -301,10 +356,12 @@ func TestLinkAckOnlyAfterEveryItemApplied(t *testing.T) {
 }
 
 // TestLinkAckResendsOnTheGapWhileAcksAreHeld: a receiver that has nothing
-// to send holds every acknowledgement for half its period (an hour here),
+// to send holds every acknowledgement for twice its period (an hour here),
 // waiting for a data frame to ride, and so acknowledges none; the sender
-// keeps the entries and sends them again 1, 2, 4 and 8 ticks after the
-// send before, exactly as the engine's timer has it.
+// keeps the entries and sends them again unsampledWait ticks after the
+// first send — its link has measured no round trip — and every
+// unsampledWait ticks after that, the doubling capped at the wait, exactly
+// as the engine's timer has it.
 func TestLinkAckResendsOnTheGapWhileAcksAreHeld(t *testing.T) {
 	stores, err := LoopbackCluster(2, StoreConfig{
 		ID:        "k",
@@ -326,10 +383,10 @@ func TestLinkAckResendsOnTheGapWhileAcksAreHeld(t *testing.T) {
 		keys = append(keys, keysOnShard(len(s.shards), shard, 1)[0])
 		s.Update(workload.Add(keys[shard], "x"))
 	}
-	for tick, want := range []int{0, 8, 8, 16, 16, 16, 16, 24, 24, 24, 24, 24, 24, 24, 24, 32} {
+	for tick := 1; tick <= 3*unsampledWait+1; tick++ {
 		s.SyncNow()
-		if got := s.Stats().Retransmits; got != want {
-			t.Fatalf("tick %d: %d retransmissions, want %d", tick+1, got, want)
+		if got, want := s.Stats().Retransmits, 8*((tick-1)/unsampledWait); got != want {
+			t.Fatalf("tick %d: %d retransmissions, want %d", tick, got, want)
 		}
 	}
 	eventually(t, 10*time.Second, "the receiver to apply every key", func() bool {
@@ -341,10 +398,10 @@ func TestLinkAckResendsOnTheGapWhileAcksAreHeld(t *testing.T) {
 		return true
 	})
 	st := s.Stats()
-	// Five frames, none acknowledged; by tick 16 those of ticks 1, 2, 4
-	// and 8 are not waited for any more.
-	if ps := st.Peers[stores[1].ID()]; ps.InFlight != 1 || ps.LastSent != 5 || ps.LastAcked != 0 {
-		t.Errorf("sender's view of the link: %+v, want 5 frames sent, 1 in flight, none acknowledged", ps)
+	// Four frames, none acknowledged; by the last tick those of the three
+	// before are not waited for any more.
+	if ps := st.Peers[stores[1].ID()]; ps.InFlight != 1 || ps.LastSent != 4 || ps.LastAcked != 0 {
+		t.Errorf("sender's view of the link: %+v, want 4 frames sent, 1 in flight, none acknowledged", ps)
 	}
 	if got := stores[1].Stats().AckFrames; got != 0 {
 		t.Errorf("the receiver sent %d acknowledgements it was holding", got)
@@ -440,13 +497,13 @@ func TestLinkAckAppliesWithoutAllocating(t *testing.T) {
 	// retired, at full price.
 	var v codec.FrameView
 	allocs := testing.AllocsPerRun(200, func() {
-		lk.commit(lk.next(), rec)
+		lk.commit(lk.next(), rec, 0)
 		ack := protocol.LinkHeader{Ack: protocol.FrameAck{Inc: lk.inc, Cum: lk.sent}}
 		frame = codec.AppendShardedHeader(frame[:0], ack, nil, 0, 0)
 		if err := codec.UnpackFrame(frame, len(s.shards), &v); err != nil {
 			t.Fatal(err)
 		}
-		s.applyAck("p1", lk, &v.Link.Ack)
+		s.applyAck("p1", lk, &v.Link.Ack, 0)
 	})
 	if allocs != 0 || lk.open != 0 {
 		t.Errorf("acknowledging a frame of %d δ-groups allocates %.1f times (%d frames left open), want 0", keys, allocs, lk.open)
@@ -454,29 +511,35 @@ func TestLinkAckAppliesWithoutAllocating(t *testing.T) {
 }
 
 // TestLinkAckHeldAckBeatsRetransmission: a receiver holds an
-// acknowledgement for up to half its period, which must still bring it
-// back before the sender's timer sends the entry again — on the next tick
-// for an entry a tick sent, a full period later, and on the second for one
-// a flush sent. The sender's ticks are driven by hand at the receiver's
-// period. The receiver has nothing to send back, so each acknowledgement
-// waits out its whole hold and leaves alone.
+// acknowledgement for up to twice its hold, which must still bring it
+// back before the sender's timer sends the entry again — one a flush sent,
+// then one a tick sent, once the link has measured the first's round trip.
+// The sender's ticks are driven by hand, once a period while it waits. The
+// receiver has nothing to send back, so each acknowledgement waits out
+// twice its hold and leaves alone.
 func TestLinkAckHeldAckBeatsRetransmission(t *testing.T) {
 	forSeeds(func(seed int64) {
 		s := newSim(t, seed, 2, simConfig(EngineAcked, 0))
 		sender, peer := s.nodes[0], s.nodes[1]
 		sender.nextTick = never // ticked by hand
+		hold := peer.hold
 		for i, send := range []func(int64){sender.writeFlush, sender.tick} {
 			s.Update(0, workload.Add(fmt.Sprintf("s/k%d", i), "x"))
 			start := s.now
 			send(s.now + sender.off)
-			// Within a period of the send, the engine has retired the entry:
-			// the next tick, whenever a timer would run it, finds nothing to
-			// resend.
-			s.await("the acknowledgement to retire the entry", simPeriod, func() bool {
+			// Within twice the hold and the round trip on the wire, the
+			// engine has retired the entry; the sender's ticks meanwhile
+			// found nothing to resend.
+			tick := start + simPeriod
+			s.await("the acknowledgement to retire the entry", 2*hold+simPeriod/4, func() bool {
+				if s.now >= tick {
+					sender.tick(s.now + sender.off)
+					tick += simPeriod
+				}
 				return sender.stats().Peers["s-01"].LastAcked == uint64(i+1) && sender.st.Memory().BufferBytes == 0
 			})
-			if held := s.now - start; held < sender.hold {
-				s.fatalf("entry %d acknowledged after %d ns, inside the receiver's hold of %d", i, held, sender.hold)
+			if held := s.now - start; held < 2*hold {
+				s.fatalf("entry %d acknowledged after %d ns, inside twice the receiver's hold of %d", i, held, hold)
 			}
 			sender.tick(s.now + sender.off)
 		}
@@ -490,14 +553,18 @@ func TestLinkAckHeldAckBeatsRetransmission(t *testing.T) {
 	})
 }
 
-// TestLinkAckConvergesUnderLoss: with one frame in five, then one in two,
-// lost in each direction — data and acknowledgements alike — and no
-// digests to heal anything, the engines' retransmissions over numbered
-// frames converge the replicas exactly while the loss lasts, and every
-// link drains.
+// TestLinkAckConvergesUnderLoss: with one frame in ten, one in five, then
+// one in two, lost in each direction — data and acknowledgements alike —
+// and no digests to heal anything, the engines' retransmissions over
+// numbered frames converge the replicas exactly while the loss lasts, and
+// every link drains. It logs, per loss, how long after the last write the
+// replicas converged (median and worst over the seeds) and how many
+// resends an acknowledgement of the first send showed were spurious.
 func TestLinkAckConvergesUnderLoss(t *testing.T) {
-	for _, loss := range []float64{0.2, 0.5} {
+	for _, loss := range []float64{0.1, 0.2, 0.5} {
 		t.Run(fmt.Sprintf("%.0f%%", 100*loss), func(t *testing.T) {
+			var after []int64
+			resent, spurious := 0, 0
 			forSeeds(func(seed int64) {
 				const keys, writes = 60, 360
 				s := newSim(t, seed, 3, simConfig(EngineAcked, 0))
@@ -506,12 +573,22 @@ func TestLinkAckConvergesUnderLoss(t *testing.T) {
 					s.Update(i%3, workload.Add(fmt.Sprintf("s/k%02d", i%keys), fmt.Sprintf("e%d", i)))
 					s.run(s.now + s.rng.Int63n(simPeriod/64))
 				}
+				last := s.now
 				s.converge(simLossyPeriods)
-				if s.total().Retransmits == 0 {
+				after = append(after, s.now-last)
+				total := s.total()
+				if total.Retransmits == 0 {
 					s.fatalf("no entry was sent again: the links lost nothing")
+				}
+				resent += total.Retransmits
+				for _, n := range s.nodes {
+					spurious += n.spurious()
 				}
 				s.settle()
 			})
+			slices.Sort(after)
+			t.Logf("%.0f%% loss: converged %.1f periods after the last write (median; worst %.1f), %d resends, %d spurious",
+				100*loss, float64(after[len(after)/2])/float64(simPeriod), float64(after[len(after)-1])/float64(simPeriod), resent, spurious)
 		})
 	}
 }

@@ -110,7 +110,7 @@ func writeRawFrame(t *testing.T, conn net.Conn, from string, msg []byte) {
 // said whose seq 1 it was.) An acknowledgement names the incarnation it
 // was minted for, so the one for another life retires nothing, nor does
 // one for a frame never sent, nor one from a store that is no neighbor;
-// each is counted, and the entry goes out again on its tick.
+// each is counted, and the entry goes out again once its wait is over.
 func TestLinkAckFromAnotherLifeRetiresNothing(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -207,10 +207,19 @@ func TestLinkAckFromAnotherLifeRetiresNothing(t *testing.T) {
 			t.Fatalf("%s retired the entry: link %+v, %d buffered bytes", c.name, ps, st.Memory().BufferBytes)
 		}
 	}
-	// A full tick without its acknowledgement: the entry goes out again.
+	// The wait without its acknowledgement — the link has measured no round
+	// trip — and the entry goes out again.
+	for tick := 1; tick < transport.UnsampledWait; tick++ {
+		st.SyncNow()
+		if got := st.Stats().Retransmits; got != 0 {
+			t.Fatalf("tick %d: %d retransmissions inside the wait", tick+1, got)
+		}
+	}
 	st.SyncNow()
-	if second := numberedFrame(); second.Seq != 2 || second.Back != 1 {
-		t.Fatalf("second frame numbered %+v, want 2 waiting back to 1", second)
+	// The link stopped waiting for the first frame closeAfter ticks after
+	// it: the second waits back to nothing.
+	if second := numberedFrame(); second.Seq != 2 || second.Back != 0 {
+		t.Fatalf("second frame numbered %+v, want 2 waiting back to nothing", second)
 	}
 	if got := st.Stats().Retransmits; got != 1 {
 		t.Fatalf("%d retransmissions, want 1", got)

@@ -326,7 +326,7 @@ func (c *core) handleDigests(from string, digests []uint64, b *outBatch, now int
 			c.stats.DedupedWants++
 			continue
 		}
-		c.continueDrill(from, uint32(i), 0, rootNode, b)
+		c.continueDrill(from, uint32(i), 0, rootNode, b, now)
 	}
 }
 
@@ -400,7 +400,7 @@ func (c *core) handleTree(from string, tm *protocol.TreeMsg, b *outBatch, now in
 		b.add(tm.Shard, from, protocol.NewTreeMsg(tm.Shard, tm.Level, nil, nil))
 		return
 	}
-	c.continueDrill(from, tm.Shard, level+1, diff, b)
+	c.continueDrill(from, tm.Shard, level+1, diff, b, now)
 }
 
 // continueDrill is the step both ends of a drill take on the nodes at
@@ -409,7 +409,7 @@ func (c *core) handleTree(from string, tm *protocol.TreeMsg, b *outBatch, now in
 // answers with the same step a level down — or stop, and close the drill
 // over these ranges, when that is cheaper (drillStopBytes) or the leaves
 // are reached.
-func (c *core) continueDrill(peer string, shardIdx uint32, level int, nodes []uint32, b *outBatch) {
+func (c *core) continueDrill(peer string, shardIdx uint32, level int, nodes []uint32, b *outBatch, now int64) {
 	var leaves treeBitmap
 	nodes = validNodes(level, nodes, &leaves)
 	budget := noBudget // below the leaves there is nothing to hash
@@ -427,7 +427,7 @@ func (c *core) continueDrill(peer string, shardIdx uint32, level int, nodes []ui
 		c.transmitMsg(peer, protocol.NewTreeMsg(shardIdx, uint8(level), nodes, sh.childHashes(level, nodes)), frameDigest)
 		return
 	}
-	c.shipRange(peer, shardIdx, level, nodes, objs, nil, b)
+	c.shipRange(peer, shardIdx, level, nodes, objs, nil, b, now)
 }
 
 // answerClose serves the close that ended a drill, once its shard group g
@@ -458,7 +458,7 @@ func (c *core) answerClose(from string, tm *protocol.TreeMsg, g codec.ItemGroup,
 	}
 	sh := c.shards[g.Shard]
 	objs, _ := sh.rangeKeys(&leaves, noBudget)
-	shipped := c.shipRange(from, g.Shard, level, nil, objs, theirs, b)
+	shipped := c.shipRange(from, g.Shard, level, nil, objs, theirs, b, now)
 	c.repair.clearFrom(int(g.Shard), from)
 	switch {
 	case shipped && level == 0:
@@ -494,7 +494,7 @@ const repairChunkBytes = 1 << 20
 // TreeMsg are left on b, and a whole state shipped is a clone: what the
 // caller goes on to apply before it flushes b must not change it. It
 // reports whether any state was shipped.
-func (c *core) shipRange(to string, shardIdx uint32, level int, want []uint32, objs []keyState, theirs map[string]lattice.State, b *outBatch) bool {
+func (c *core) shipRange(to string, shardIdx uint32, level int, want []uint32, objs []keyState, theirs map[string]lattice.State, b *outBatch, now int64) bool {
 	budget := min(c.maxMsgBytes()/2, repairChunkBytes)
 	total := 0
 	var chunk *outBatch
@@ -532,7 +532,7 @@ func (c *core) shipRange(to string, shardIdx uint32, level int, want []uint32, o
 			chunk = newOutBatch()
 		}
 		chunk.add(shardIdx, to, protocol.BatchOf(items))
-		c.flush(chunk, nil)
+		c.flush(chunk, nil, now)
 		chunk.reset()
 	}
 	c.stats.RepairBytes += total

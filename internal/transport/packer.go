@@ -32,7 +32,8 @@ import (
 // takes it gets a sequence number in its header, and the link records
 // which entries the number stands for — per frame, so that the unit
 // acknowledged is the unit that can be lost. The acknowledgement the
-// destination is owed rides the first frame.
+// destination is owed rides the first frame, once it has been held long
+// enough (ackHoldsPerTick).
 
 // packedFrame is one ready-to-ship frame: the encoded sharded frame's bytes
 // plus the accounting the store records at enqueue time.
@@ -67,6 +68,7 @@ type framePacker struct {
 	res    packResult
 	vec    []uint64 // digest vector still waiting for a frame to ride
 	lk     *link    // the destination's link; nil numbers nothing
+	now    int64    // when the frames leave, on the store's clock
 
 	// The pending frame: its run and then its bare items, encoded (all the
 	// keyed items are placed before the first bare one), how many of each,
@@ -103,7 +105,7 @@ func (p *framePacker) numbered(acks []ackItem) protocol.LinkHeader {
 func (p *framePacker) seal() protocol.LinkHeader {
 	link := p.link
 	if link.Seq.Seq != 0 {
-		p.lk.commit(link.Seq, p.rec)
+		p.lk.commit(link.Seq, p.rec, p.now)
 		p.rec = nil // the link's now
 	}
 	p.link = protocol.LinkHeader{}
@@ -182,13 +184,14 @@ func (p *framePacker) flush() {
 // frame is dropped (counted).
 //
 // lk is the destination's link: frames that carry acked δ-groups are
-// numbered on it and the first frame takes the acknowledgement it owes; the record of an acked δ-group names the
-// shard its key routes to among shards. With a nil link nothing is
-// numbered.
-func packFrames(items []protocol.ShardItem, digests []uint64, limit, shards int, lk *link) (packResult, error) {
-	p := &framePacker{limit: limit, shards: shards, vec: digests, lk: lk}
+// numbered on it, sent at now, and the first frame takes the
+// acknowledgement it owes if that has been owed for hold; the record of an
+// acked δ-group names the shard its key routes to among shards. With a nil
+// link nothing is numbered.
+func packFrames(items []protocol.ShardItem, digests []uint64, limit, shards int, lk *link, now, hold int64) (packResult, error) {
+	p := &framePacker{limit: limit, shards: shards, vec: digests, lk: lk, now: now}
 	if lk != nil {
-		p.link.Ack, _ = lk.takeAck()
+		p.link.Ack, _ = lk.takeAck(now, hold)
 	}
 	err := p.pack(items)
 	if p.link.Ack.Inc != 0 {
@@ -238,7 +241,7 @@ func (p *framePacker) encodeKeyed(om protocol.ObjectMsg) error {
 func (p *framePacker) addKeyed(om protocol.ObjectMsg) error {
 	acks := p.acks[:0]
 	if a, ok := om.Inner.(*protocol.AckedDeltaMsg); ok && p.lk != nil {
-		acks = append(acks, ackItem{shard: protocol.ShardOf(om.Key, p.shards), key: om.Key, seqs: a.Seqs})
+		acks = append(acks, ackItem{shard: protocol.ShardOf(om.Key, p.shards), key: om.Key, seqs: a.Seqs, retry: a.Retry})
 		p.acks = acks
 	}
 	c := protocol.KeyedCost(om)

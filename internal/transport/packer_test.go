@@ -219,7 +219,7 @@ func checkPacked(t testing.TB, items []protocol.ShardItem, digests []uint64, lim
 // checkPackedOn is checkPacked toward a link, nil for none.
 func checkPackedOn(t testing.TB, items []protocol.ShardItem, digests []uint64, limit int, lk *link) packResult {
 	t.Helper()
-	res, err := packFrames(items, digests, limit, packShards, lk)
+	res, err := packFrames(items, digests, limit, packShards, lk, 0, 0)
 	if err != nil {
 		t.Fatalf("packFrames: %v", err)
 	}
@@ -544,7 +544,7 @@ func TestPackDropsIrreducibleOversized(t *testing.T) {
 		{Shard: 1, Msg: gsetDelta(2, 500)}, // far beyond the cap
 		{Shard: 2, Msg: gsetDelta(3, 1)},
 	}
-	res, err := packFrames(items, nil, 128, packShards, nil)
+	res, err := packFrames(items, nil, 128, packShards, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,7 +563,7 @@ func TestPackDropsIrreducibleOversized(t *testing.T) {
 		{Key: "a", Inner: protocol.NewDeltaMsg(big)},
 		{Key: "b", Inner: protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("w", 1))},
 	})}}
-	if res, err = packFrames(items, nil, 128, packShards, nil); err != nil || res.oversized != 1 {
+	if res, err = packFrames(items, nil, 128, packShards, nil, 0, 0); err != nil || res.oversized != 1 {
 		t.Fatalf("oversized = %d, want 1: %v", res.oversized, err)
 	}
 	if units, _, _ := decodeFrames(t, res.frames, 128); len(units) != 1 || units[0].key != "b" {
@@ -702,7 +702,7 @@ func TestPackJoinsAKeyNamedTwice(t *testing.T) {
 		if acked {
 			lk = newLink(7)
 		}
-		res, err := packFrames(items, nil, maxFrameBytes, packShards, lk)
+		res, err := packFrames(items, nil, maxFrameBytes, packShards, lk, 0, 0)
 		if err != nil || len(res.frames) != 1 {
 			t.Fatalf("acked %v: %d frames: %v", acked, len(res.frames), err)
 		}
@@ -766,7 +766,7 @@ func BenchmarkPack(b *testing.B) {
 	b.Run("greedy", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := packFrames(items, nil, limit, packShards, nil)
+			res, err := packFrames(items, nil, limit, packShards, nil, 0, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -38,8 +38,9 @@ func measureRepair(t *testing.T, keys int, flat bool) repairMeasurement {
 	base := s.total()
 	if flat {
 		b := newOutBatch()
-		s1.shipRange(s0.cfg.ID, 0, 0, rootNode, nil, nil, b)
-		s1.flush(b, nil)
+		now := s.now + s1.off
+		s1.shipRange(s0.cfg.ID, 0, 0, rootNode, nil, nil, b, now)
+		s1.flush(b, nil, now)
 	} else {
 		s.advertise(0)
 	}

@@ -553,7 +553,7 @@ func TestHandleTreeHostileInputs(t *testing.T) {
 		allLeaves[i] = uint32(i)
 		big.Update(workload.Add(fmt.Sprintf("k%06d", i), "v"))
 	}
-	big.locked(func() { big.continueDrill("peer", 0, protocol.TreeDepth, allLeaves, b) })
+	big.locked(func() { big.continueDrill("peer", 0, protocol.TreeDepth, allLeaves, b, big.now()) })
 	if got, limit := big.Stats().RepairBytes, big.maxMsgBytes()/2; got == 0 || got > limit {
 		t.Errorf("a forced stop sent %d bytes along, want 1..%d (half a frame)", got, limit)
 	}

@@ -89,6 +89,17 @@ type simNode struct {
 
 func (n *simNode) stats() StoreStats { return n.counters(make(map[string]PeerStats)) }
 
+// spurious counts the replica's resends that an acknowledgement of the
+// entry's first send showed were not needed (Eifel): the retransmission
+// timer's error, which the scenarios read and no stat reports.
+func (n *simNode) spurious() int {
+	count := 0
+	for _, sh := range n.shards {
+		count += int(sh.ks.SpuriousRetransmits())
+	}
+	return count
+}
+
 // simPort is a core's port: every neighbor is connected, and the frames go
 // on the links.
 type simPort struct {

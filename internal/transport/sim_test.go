@@ -248,9 +248,10 @@ func TestSimReorderOrDuplicateIsLossless(t *testing.T) {
 // acknowledged in time, by the ranges and the mark: no entry is ever sent
 // again, no acknowledgement is ignored, and the replicas converge exactly.
 // A frame spends under a quarter of a period on the wire and its
-// acknowledgement is held at most half of one, so it is back before the
-// sender's timer, a full period after the send. With every frame a fifth of
-// a period late, duplicates still count once.
+// acknowledgement is held two periods at most, so it is back before the
+// sender's timer, which allows for the round trips the link has measured
+// and one hold more. With every frame a fifth of a period late, duplicates
+// still count once.
 func TestSimAckedReorderOrDuplicateResendsNothing(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -281,9 +282,13 @@ func TestSimAckedReorderOrDuplicateResendsNothing(t *testing.T) {
 
 // TestSimLongRoundTripDrains: with every frame on the wire for longer than
 // the link waits for one, each acknowledgement arrives for a frame that is
-// closed already — and still retires it. Nothing is lost, so once the
-// writes stop every δ-buffer and every link drains, and over 3·closeAfter
-// more periods no entry is sent again.
+// closed already — and still retires it. Nothing is lost: the entries are
+// sent again at most once each before the drain — those that left before
+// the first round trip was measured, when the link waited unsampledWait
+// ticks for an acknowledgement a round trip of 24 ticks and more brings
+// (five times each, at 1, 3, 7, 15 and 23 ticks, under a timer of one
+// tick) — and once the writes stop every δ-buffer and every link drains,
+// and over 3·closeAfter more periods no entry is sent again.
 func TestSimLongRoundTripDrains(t *testing.T) {
 	forSeeds(func(seed int64) {
 		s := newSim(t, seed, 3, simConfig(EngineAcked, 0))
@@ -298,7 +303,13 @@ func TestSimLongRoundTripDrains(t *testing.T) {
 			}
 			return n
 		}
+		// An entry sent before the link's first sample is sent again once,
+		// unsampledWait ticks on; the sample arrives before the next resend
+		// is due and lengthens the wait past the round trip.
 		before := resent()
+		if before > s.ops {
+			s.fatalf("%d entries sent again for %d updates before the drain, want at most one each", before, s.ops)
+		}
 		s.run(s.now + 3*closeAfter*simPeriod)
 		if after := resent(); after != before {
 			s.fatalf("%d entries sent again after everything was acknowledged", after-before)
@@ -312,6 +323,45 @@ func TestSimLongRoundTripDrains(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSimLatencyTableResendsNothing: on a lossless acked 3-mesh whose
+// links all spend the same time on the wire, from a tenth of a period to
+// three periods each way, an entry is sent again only once the round trip
+// its link has measured, the receiver's hold included, has gone by: at
+// every latency, over seeds 1–10, at most 0.02 retransmissions and 2.05
+// elements per update — each update's element crosses the two links from
+// its origin and nothing more — and no resend is spurious. A timer of one
+// tick read 0.00, 0.30, 1.00, 1.28 and 2.00 retransmissions per update.
+// The writes start once every hello has arrived.
+func TestSimLatencyTableResendsNothing(t *testing.T) {
+	const updates, seeds = 120, 10
+	for _, latency := range []float64{0.1, 0.5, 1, 1.5, 3} {
+		var ops, resent, spurious, elements int
+		for seed := int64(1); seed <= seeds; seed++ {
+			s := newSim(t, seed, 3, simConfig(EngineAcked, 0))
+			oneWay := int64(latency * float64(simPeriod))
+			s.eachLink(func(l *simLink) { l.latency = oneWay })
+			s.run(s.now + oneWay + simPeriod)
+			warm := s.total()
+			s.write("key", updates, 1, simPeriod/4)
+			s.settle()
+			total := s.total()
+			ops += s.ops
+			resent += total.Retransmits - warm.Retransmits
+			elements += total.Sent.Elements - warm.Sent.Elements
+			for _, n := range s.nodes {
+				spurious += n.spurious()
+			}
+		}
+		perUpdate := func(n int) float64 { return float64(n) / float64(ops) }
+		t.Logf("one-way latency %.1f periods: %.3f retransmissions, %.3f elements per update, %d spurious resends",
+			latency, perUpdate(resent), perUpdate(elements), spurious)
+		if perUpdate(resent) > 0.02 || perUpdate(elements) > 2.05 || spurious != 0 {
+			t.Errorf("one-way latency %.1f periods: %.3f retransmissions and %.3f elements per update, %d spurious; want at most 0.02, 2.05 and 0",
+				latency, perUpdate(resent), perUpdate(elements), spurious)
+		}
+	}
 }
 
 // TestSimOneWayBlackholeHeals: with every frame from s-00 to s-01 lost and
@@ -798,12 +848,13 @@ func TestSimIsDeterministic(t *testing.T) {
 
 // TestSimOneLostFrameResendsOnlyItsEntries: of ten frames one link carries,
 // the fifth is lost (the link's sixth, behind the hello). The receiver
-// acknowledges up to the fourth and the range above the gap, so when the
-// engine's timer fires — on the second tick after the send — only the
-// fifth frame's three entries are sent again, nothing else and nothing
-// twice. The lost frame's record is kept until the link stops waiting for
-// it, closeAfter ticks on, and dropped once a later frame has told the
-// receiver so.
+// acknowledges up to the fourth and the range above the gap, in one
+// acknowledgement that is also the link's first round-trip sample, so when
+// the engine's timer fires — on the tick that completes the sampled wait
+// since the send — only the fifth frame's three entries are sent again,
+// nothing else and nothing twice. The lost frame's record is kept until
+// the link stops waiting for it, closeAfter ticks on, and dropped once a
+// later frame has told the receiver so.
 func TestSimOneLostFrameResendsOnlyItsEntries(t *testing.T) {
 	const frames, perFrame, lost = 10, 3, 5
 	forSeeds(func(seed int64) {
@@ -824,50 +875,57 @@ func TestSimOneLostFrameResendsOnlyItsEntries(t *testing.T) {
 				s.run(s.now + simPeriod/64)
 			}
 		}
-		// Just before the third tick, every acknowledgement is back and
-		// nothing has been sent again.
-		s.runTo(sender, 3*simPeriod-1)
-		if ps := link(); ps.LastSent != frames || ps.LastAcked != lost-1 || ps.InFlight != 1 {
+		// The receiver sends nothing back, so its acknowledgement leaves
+		// alone once it has been owed for twice its hold: then every frame
+		// but the lost one is acknowledged, and nothing has been sent again.
+		s.await("the acknowledgement", 3*simPeriod, func() bool { return link().LastAcked == lost-1 })
+		if ps := link(); ps.LastSent != frames || ps.InFlight != 1 {
 			s.fatalf("sender's view: %+v, want %d sent, the mark at %d and one in flight", ps, frames, lost-1)
-		}
-		if got := sender.stats().Retransmits; got != 0 {
-			s.fatalf("%d retransmissions before the timer", got)
 		}
 		if got := receiver.st.NumKeys(); got != (frames-1)*perFrame {
 			s.fatalf("receiver holds %d keys, want %d", got, (frames-1)*perFrame)
 		}
-		// The third tick sends the lost frame's entries again, and they are
-		// acknowledged; the lost frame's own record stays open — its number
-		// will never be acknowledged.
-		s.runTo(sender, 4*simPeriod-1)
-		if ps, st := link(), sender.stats(); st.Retransmits != perFrame || ps.LastSent != frames+1 || ps.InFlight != 1 {
-			s.fatalf("%d retransmissions, link %+v; want the lost frame's %d entries in frame %d, one in flight",
+		// The lost frame left between its tick born and the next; the tick
+		// that completes the sampled wait after that sends its entries
+		// again, and not the one before.
+		resend := int64(lk.rec(lost).born+1) + int64(lk.wait(simPeriod))
+		s.runTo(sender, resend*simPeriod-1)
+		if got := sender.stats().Retransmits; got != 0 {
+			s.fatalf("%d retransmissions before the timer", got)
+		}
+		s.runTo(sender, resend*simPeriod)
+		if ps, st := link(), sender.stats(); st.Retransmits != perFrame || ps.LastSent != frames+1 || ps.LastAcked != lost-1 {
+			s.fatalf("%d retransmissions, link %+v; want the lost frame's %d entries in frame %d, not acknowledged yet",
 				st.Retransmits, ps, perFrame, frames+1)
 		}
+		// The link stopped waiting for the lost frame closeAfter ticks after
+		// its own, which is before the sampled wait ran out: it keeps the
+		// record, for an acknowledgement that is only late, until the
+		// receiver has seen a frame that says it is not waited for — the
+		// resend, whose acknowledgement passes the lost number for that
+		// reason alone and retires nothing of it.
+		if closed := int64(lk.rec(lost).born) + closeAfter; closed > resend {
+			s.fatalf("the lost frame is closed on tick %d, after the resend on %d", closed, resend)
+		}
+		s.await("the resend's acknowledgement", 3*simPeriod, func() bool { return link().LastAcked == frames+1 })
 		if got := receiver.st.NumKeys(); got != frames*perFrame {
 			s.fatalf("receiver holds %d keys, want %d", got, frames*perFrame)
 		}
-		// closeAfter ticks after its own, the link stops waiting for it.
-		s.runTo(sender, (closeAfter+2)*simPeriod)
 		if ps, st := link(), sender.stats(); st.Retransmits != perFrame || ps.LastSent != frames+1 || ps.InFlight != 0 {
-			s.fatalf("after %d more ticks: %d retransmissions, link %+v; want %d, %d frames sent and none in flight",
-				closeAfter, st.Retransmits, ps, perFrame, frames+1)
+			s.fatalf("%d retransmissions, link %+v; want %d, %d frames sent and none in flight",
+				st.Retransmits, ps, perFrame, frames+1)
 		}
 		if m := sender.st.Memory(); m.BufferBytes != 0 {
 			s.fatalf("sender's δ-buffers still hold %d bytes", m.BufferBytes)
 		}
-		// The record is kept, for an acknowledgement that is only late, until
-		// the receiver has seen a frame that says it is not waited for: the
-		// next one, whose acknowledgement passes the lost number for that
-		// reason alone and retires nothing of it.
-		if lk.kept != lost || lk.first != frames+2 || lk.rec(lost).closed != frames+2 {
-			s.fatalf("records kept from %d, waited for from %d, the lost one closed at %d; want %d, %d, %d",
-				lk.kept, lk.first, lk.rec(lost).closed, lost, frames+2, frames+2)
+		if lk.kept != frames+2 || lk.first != frames+2 || lk.rec(lost).items != nil {
+			s.fatalf("records kept from %d, waited for from %d, the lost one held %v; want %d, %d and dropped",
+				lk.kept, lk.first, lk.rec(lost).items, frames+2, frames+2)
 		}
 		s.Update(0, workload.Inc("c/one-more", 1))
-		s.run(s.now + simPeriod)
-		if ps := link(); ps.InFlight != 0 || ps.LastAcked != frames+2 {
-			s.fatalf("after one more frame: %+v, want the mark at %d", ps, frames+2)
+		s.await("one more frame's acknowledgement", 3*simPeriod, func() bool { return link().LastAcked == frames+2 })
+		if ps := link(); ps.InFlight != 0 {
+			s.fatalf("after one more frame: %+v, want nothing in flight", ps)
 		}
 		holdsNothing(t, "sender", lk)
 		if st := sender.stats(); st.Retransmits != perFrame || st.IgnoredAcks != 0 {

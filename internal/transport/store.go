@@ -50,9 +50,9 @@ type StoreConfig struct {
 	// ticks run at eight per period on average, up to four saved while the
 	// store is idle leave back to back, and a request that finds the
 	// budget spent runs at most SyncEvery/8 after the previous pass (see
-	// WriteFlushes). An acknowledgement waits up to SyncEvery/2 for a data
-	// frame to ride before it leaves alone, and not at all once the owner
-	// has called SyncNow. A period nobody waits out (time.Hour) plus
+	// WriteFlushes). An acknowledgement rides the first data frame that
+	// leaves once it has been owed for one SyncEvery, leaves alone after
+	// two, and waits not at all once the owner has called SyncNow. A period nobody waits out (time.Hour) plus
 	// explicit SyncNow calls ticks the store by hand: nothing leaves
 	// between two calls but acknowledgements.
 	SyncEvery time.Duration
@@ -131,16 +131,18 @@ type StoreStats struct {
 	// saves up.
 	WriteFlushes int
 	// Retransmits counts δ-buffer entries the acked engine sent again
-	// because a full tick (then 2, 4, … ticks) went by without every
-	// acknowledgement. Loss causes them, and so does an acknowledgement
-	// that arrives after the sender's next tick — held by the receiver for
-	// a frame to ride (up to SyncEvery/2), queued, or delayed by the
-	// scheduler — so on a lossless link they are rare, not absent: ≈0.006
-	// per update on bench's steady workload (5 ms ticks, 2 cores).
+	// because their wait went by without every acknowledgement: the round
+	// trip the link has measured, plus one hold, in whole ticks (16 before
+	// the link's first sample), then twice that, and so on. Loss causes
+	// them, and so does an acknowledgement later than the link has ever
+	// seen: 0 in the tests' lossless runs, and at most 0.0003 per update
+	// in ten runs of bench's steady workload (5 ms ticks, 2 cores), where
+	// a timer of one tick sent ≈0.003 per update again.
 	Retransmits int
 	// AckFrames counts the frames within Frames that carry nothing but an
 	// acknowledgement: the peer was owed one and no data frame left toward
-	// it within the hold (SyncEvery/2) to carry it.
+	// it between one SyncEvery and two after it became owed
+	// (ackHoldsPerTick) — ≈0.013 per update on bench's steady workload.
 	AckFrames int
 	// HelloFrames counts the frames within Frames that are a connection's
 	// announcement: the first on every connection, one per connected
@@ -358,18 +360,22 @@ func (cfg StoreConfig) withDefaults() StoreConfig {
 	return cfg
 }
 
-// ackHoldsPerTick is the share of SyncEvery the core's hold is: an owed
-// acknowledgement waits up to SyncEvery/2 for a data frame toward its
-// neighbor to ride before it leaves alone (Stats().AckFrames), a frame of
-// 12 B on the socket plus the cumulative mark's uvarint — TCP's delayed
-// ACK (RFC 1122 §4.2.3.2). It must stay inside the sender's
-// retransmission timer, a full SyncEvery. Measured
-// on bench's steady workload (seed 1, one run each; B per update,
-// acknowledgement-only frames and retransmissions per update): none 100.9 /
-// 1.17 / 0.002, a quarter of a tick 90.0 / 0.34 / 0.004, half 86.7 / 0.12 /
-// 0.006, a whole tick 86.0 / 0.02 / 0.025. The hold is 0 once the owner
-// ticks the store (SyncNow) or closes it.
-const ackHoldsPerTick = 2
+// ackHoldsPerTick sets the core's hold, SyncEvery/ackHoldsPerTick: an
+// owed acknowledgement rides the first data frame toward its neighbor that
+// leaves once it has been owed for the hold, and leaves alone, a frame of
+// 12 B on the socket plus the cumulative mark's uvarint
+// (Stats().AckFrames), once it has been owed for twice that — TCP's
+// delayed ACK (RFC 1122 §4.2.3.2), stretched to about one acknowledgement
+// per neighbor and tick. One that rides costs ≈6 B (the incarnation and
+// the mark), so the hold saves bytes by how few ride. The sender's timer
+// allows for it: every round trip the link measures includes the hold, and
+// it waits one hold more (link.wait). On bench's steady workload (seed 1;
+// B per update, acknowledgement-only frames and retransmissions per
+// update), an acknowledgement that rode any data frame and left alone
+// after half a tick, under a timer of one tick, read 61.6 / 0.19 / 0.003;
+// this hold reads 56.2 / 0.013 / 0. The hold is 0 once the owner ticks
+// the store (SyncNow) or closes it.
+const ackHoldsPerTick = 1
 
 // StartStore binds the listener, builds one per-object engine per shard,
 // and launches the accept and synchronization loops.

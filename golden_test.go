@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -146,24 +148,27 @@ func goldenItems(acked bool) []protocol.ShardItem {
 		oms[0].Inner = protocol.NewAckedDeltaMsg(counter, []uint64{4, 5})
 		oms[1].Inner = protocol.NewAckedDeltaMsg(set, []uint64{9})
 	}
-	return []protocol.ShardItem{{Shard: 3, Msg: protocol.BatchOf(oms)}}
+	return []protocol.ShardItem{{Shard: 3, Msg: batchOf(oms)}}
 }
 
 // packFrame writes the frame a store's packer writes for items, under
 // link and with digests, through the packer's own append functions: the
-// keyed items of their batches as one run in key order (protocol.KeyedRun),
-// each against the key before it, an AckedDeltaMsg as the plain δ-group
-// (codec.AppendLinkObjectMsg), then every other item bare
+// keyed items of their batches as one run in key order, each against the
+// key before it, an AckedDeltaMsg as the plain δ-group
+// (codec.AppendKeyed), then every other item bare
 // (codec.AppendShardItem).
 func packFrame(t *testing.T, link protocol.LinkHeader, digests []uint64, items ...protocol.ShardItem) []byte {
 	t.Helper()
-	run := protocol.KeyedRun(items)
+	var run []protocol.ObjectMsg
 	var bare []protocol.ShardItem
 	for _, it := range items {
-		if _, keyed := it.Msg.(*protocol.BatchMsg); !keyed {
+		if bm, keyed := it.Msg.(*protocol.BatchMsg); keyed {
+			run = append(run, bm.Items...)
+		} else {
 			bare = append(bare, it)
 		}
 	}
+	slices.SortStableFunc(run, func(a, b protocol.ObjectMsg) int { return strings.Compare(a.Key, b.Key) })
 	b := codec.AppendShardedHeader(nil, link, digests, len(run), len(bare))
 	var nt codec.Names
 	var err error
@@ -172,7 +177,16 @@ func packFrame(t *testing.T, link protocol.LinkHeader, digests []uint64, items .
 		if i > 0 {
 			prev = &run[i-1].Key
 		}
-		if b, err = codec.AppendLinkObjectMsg(b, prev, om, &nt); err != nil {
+		var st lattice.State
+		switch v := om.Inner.(type) {
+		case *protocol.DeltaMsg:
+			st = v.Delta
+		case *protocol.AckedDeltaMsg:
+			st = v.Delta
+		default:
+			t.Fatalf("no keyed form for %T", om.Inner)
+		}
+		if b, err = codec.AppendKeyed(b, prev, om.Key, st, &nt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -182,6 +196,11 @@ func packFrame(t *testing.T, link protocol.LinkHeader, digests []uint64, items .
 		}
 	}
 	return b
+}
+
+// batchOf is a BatchMsg over oms, the δ-groups of one shard.
+func batchOf(oms []protocol.ObjectMsg) *protocol.BatchMsg {
+	return &protocol.BatchMsg{Items: oms}
 }
 
 // TestGoldenFrames pins the store's data frames byte for byte, at wire
@@ -398,7 +417,7 @@ func TestItemBytesByDatatype(t *testing.T) {
 			t.Errorf("%s: version 3 %d bytes shorter than version 2, want %d", c.name, saved, c.savedToV3)
 		}
 		counts := fmt.Sprintf("%02x", 2*len(c.oms)) // a run of len(c.oms)
-		data := packFrame(t, protocol.LinkHeader{}, nil, protocol.ShardItem{Shard: 5, Msg: protocol.BatchOf(c.oms)})
+		data := packFrame(t, protocol.LinkHeader{}, nil, protocol.ShardItem{Shard: 5, Msg: batchOf(c.oms)})
 		// tagShardedMsg, the run.
 		if got, want := hex.EncodeToString(data), "48"+counts+c.item; got != want {
 			t.Errorf("%s, plain frame\n got %s\nwant %s", c.name, got, want)
@@ -408,7 +427,7 @@ func TestItemBytesByDatatype(t *testing.T) {
 		for i, om := range c.oms {
 			acked[i] = protocol.ObjectMsg{Key: om.Key, Inner: protocol.NewAckedDeltaMsg(om.Inner.(*protocol.DeltaMsg).Delta, []uint64{uint64(i + 1)})}
 		}
-		linked := packFrame(t, numbered, nil, protocol.ShardItem{Shard: 5, Msg: protocol.BatchOf(acked)})
+		linked := packFrame(t, numbered, nil, protocol.ShardItem{Shard: 5, Msg: batchOf(acked)})
 		// Frame 1, waiting on nothing before it, the run.
 		if got, want := hex.EncodeToString(linked), "4f"+"0100"+counts+c.item; got != want {
 			t.Errorf("%s, linked frame\n got %s\nwant %s", c.name, got, want)
@@ -477,7 +496,7 @@ func TestBatchKeysFrontCoded(t *testing.T) {
 		}
 		return out
 	}
-	batch, err := codec.EncodeMsg(protocol.BatchOf(oms(false)))
+	batch, err := codec.EncodeMsg(batchOf(oms(false)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,12 +504,12 @@ func TestBatchKeysFrontCoded(t *testing.T) {
 	if got, want := hex.EncodeToString(batch), "4703"+run; got != want {
 		t.Errorf("standalone batch\n got %s\nwant %s", got, want)
 	}
-	plain := packFrame(t, protocol.LinkHeader{}, nil, protocol.ShardItem{Shard: 5, Msg: protocol.BatchOf(oms(false))})
+	plain := packFrame(t, protocol.LinkHeader{}, nil, protocol.ShardItem{Shard: 5, Msg: batchOf(oms(false))})
 	// tagShardedMsg, a run of 3; version 4 wrote 1 item, shard 5, a batch of 3.
 	if got, want := hex.EncodeToString(plain), "48"+"06"+run; got != want {
 		t.Errorf("plain frame\n got %s\nwant %s", got, want)
 	}
-	linked := packFrame(t, protocol.LinkHeader{Seq: protocol.FrameSeq{Seq: 1}}, nil, protocol.ShardItem{Shard: 5, Msg: protocol.BatchOf(oms(true))})
+	linked := packFrame(t, protocol.LinkHeader{Seq: protocol.FrameSeq{Seq: 1}}, nil, protocol.ShardItem{Shard: 5, Msg: batchOf(oms(true))})
 	// Frame 1, waiting on nothing before it, a run of 3.
 	if got, want := hex.EncodeToString(linked), "4f"+"0100"+"06"+run; got != want {
 		t.Errorf("linked frame\n got %s\nwant %s", got, want)
@@ -583,7 +602,7 @@ func TestFrameKeysFrontCoded(t *testing.T) {
 	for _, it := range items {
 		sh := protocol.ShardOf(it.key, 64)
 		shards[sh] = true
-		sis = append(sis, protocol.ShardItem{Shard: sh, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: it.key, Inner: protocol.NewDeltaMsg(it.delta)}})})
+		sis = append(sis, protocol.ShardItem{Shard: sh, Msg: batchOf([]protocol.ObjectMsg{{Key: it.key, Inner: protocol.NewDeltaMsg(it.delta)}})})
 	}
 	if len(shards) != len(items) {
 		t.Fatalf("%d keys on %d shards, want one a shard", len(items), len(shards))

@@ -36,7 +36,7 @@
 // once (wire version 3): the δ-group is its state alone, with no message
 // tag, since state tags (1–10, and the keyed forms 11–13) and message tags
 // (64 on) do not overlap, and a map field's, the one-entry map {key ↦ v}
-// under its own key, is tagKeyEntry and v. One writer (appendObjectMsg)
+// under its own key, is tagKeyEntry and v. One writer (AppendKeyed)
 // and one reader (readObjectMsg) hold the rule. States outside a keyed
 // item — a bare DeltaMsg, a map's values, a snapshot record — keep the
 // context-free encoding.

@@ -3,13 +3,14 @@ package codec
 import (
 	"encoding/binary"
 
+	"crdtsync/internal/lattice"
 	"crdtsync/internal/protocol"
 )
 
 // Incremental frame assembly. The transport's single-pass frame packer
 // builds bounded sharded frames out of independently encoded pieces:
 // each keyed item, written against the key before it in the frame's run
-// and the replica names the run has spelled (AppendLinkObjectMsg), and
+// and the replica names the run has spelled (AppendKeyed), and
 // each bare item (AppendShardItem) is encoded once, and frames are
 // assembled as header + keyed run + bare items. The item that opens a
 // frame's run is written whole, its key and its names, so the one a split
@@ -36,19 +37,23 @@ func AppendShardItem(b []byte, it protocol.ShardItem) ([]byte, error) {
 	return appendMsg(b, it.Msg)
 }
 
-// AppendLinkObjectMsg appends one keyed item of a frame's run: the key,
-// then the δ-group as its state alone (a map field's as tagKeyEntry and the
+// AppendKeyed appends one keyed item of a frame's run: key, then the
+// δ-group s as its state alone (a map field's as tagKeyEntry and the
 // field's value). prev is the key of the item before it in its run, which
-// the key is written against and must be below, and nil for a run's first
+// key is written against and must be above, and nil for a run's first
 // item, whose key is written whole. nt is the run's table of replica
-// names, which the δ-group's names are written against and which it adds
-// the ones it spells to; a run's first item takes an empty one. A frame is
-// acknowledged as a whole, by the sequence number in its header, so an
-// AckedDeltaMsg — the keyed δ-group a sender records against the frame's
-// number — is written as the plain δ-group a DeltaMsg is. Its entry seqs
-// stay behind, in the sender's record of the frame.
-func AppendLinkObjectMsg(b []byte, prev *string, it protocol.ObjectMsg, nt *Names) ([]byte, error) {
-	return appendObjectMsg(b, prev, it, true, nt)
+// names, which s's names are written against and which it adds the ones it
+// spells to; a run's first item takes an empty one. An acked δ-group's
+// entry seqs stay behind, in the sender's record of the frame.
+func AppendKeyed(b []byte, prev *string, key string, s lattice.State, nt *Names) ([]byte, error) {
+	b, err := appendKey(b, prev, key)
+	if err != nil {
+		return nil, err
+	}
+	if e, ok := soleEntry(s); ok && e.Key == key {
+		return appendState(append(b, tagKeyEntry), e.Val, nt), nil
+	}
+	return appendState(b, s, nt), nil
 }
 
 // Link header flags: which fields follow the tag of a frame in the link
@@ -92,7 +97,7 @@ func itemCounts(keyed, bare int) uint64 {
 
 // AppendShardedHeader appends a sharded frame header: tag, the link
 // header and the piggybacked digest vector where present, and the item
-// counts, keyed and bare (itemCounts). The keyed run (AppendLinkObjectMsg)
+// counts, keyed and bare (itemCounts). The keyed run (AppendKeyed)
 // follows it, then the bare items (AppendShardItem). A digest vector has a
 // word per shard of its sender, at least one. Without a link header the
 // tag is that of one of the two plain variants, tagShardedMsg and

@@ -87,7 +87,7 @@ func FuzzDecodeMsg(f *testing.F) {
 	f.Add([]byte{69, 1, 3, 110, 48, 48, 1, 7, 1, 1, 112})
 	f.Add([]byte{70, 1, 3, 110, 48, 48, 3, 1, 3, 110, 48, 48, 2, 7, 7, 1, 1, 101})
 	// The store's wire frames: batched sharded data and digests.
-	batch := protocol.BatchOf([]protocol.ObjectMsg{
+	batch := batchOf([]protocol.ObjectMsg{
 		{Key: "obj:1", Inner: protocol.NewDeltaMsg(crdt.NewGSet("a"))},
 		{Key: "obj:2", Inner: protocol.NewAckedDeltaMsg(crdt.NewGSet("b"), []uint64{3})},
 	})

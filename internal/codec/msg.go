@@ -180,8 +180,7 @@ func appendMsg(b []byte, m protocol.Msg) ([]byte, error) {
 // appendBatch appends a standalone per-object batch, the write-only form
 // the benchmark times: its tag and count, then its items as one run, each
 // written against the key of the item before it, which it must be above
-// (appendKey), and against the names the items before it spelled. An
-// AckedDeltaMsg keeps its tag and seqs.
+// (appendKey), and against the names the items before it spelled.
 func appendBatch(b []byte, bm *protocol.BatchMsg) ([]byte, error) {
 	b = append(b, tagBatchMsg)
 	b = binary.AppendUvarint(b, uint64(len(bm.Items)))
@@ -192,11 +191,28 @@ func appendBatch(b []byte, bm *protocol.BatchMsg) ([]byte, error) {
 			prev = &bm.Items[i-1].Key
 		}
 		var err error
-		if b, err = appendObjectMsg(b, prev, it, false, &nt); err != nil {
+		if b, err = appendBatchItem(b, prev, it, &nt); err != nil {
 			return nil, err
 		}
 	}
 	return b, nil
+}
+
+// appendBatchItem appends one item of a standalone batch: a DeltaMsg as a
+// frame's keyed item (AppendKeyed), an AckedDeltaMsg as its key, then the
+// message under its tag and seqs, with its context-free state.
+func appendBatchItem(b []byte, prev *string, it protocol.ObjectMsg, nt *Names) ([]byte, error) {
+	switch v := it.Inner.(type) {
+	case *protocol.DeltaMsg:
+		return AppendKeyed(b, prev, it.Key, v.Delta, nt)
+	case *protocol.AckedDeltaMsg:
+		b, err := appendKey(b, prev, it.Key)
+		if err != nil {
+			return nil, err
+		}
+		return appendMsg(b, v)
+	}
+	return nil, fmt.Errorf("codec: no keyed wire format for message %T", it.Inner)
 }
 
 // maxShared caps the prefix a keyed item's key takes from the key before
@@ -248,36 +264,6 @@ func appendKey(b []byte, prev *string, key string) ([]byte, error) {
 	shared := sharedLen(*prev, key)
 	b = binary.AppendUvarint(b, uint64(shared))
 	return appendString(b, key[shared:]), nil
-}
-
-// appendObjectMsg appends one keyed item: the key, written against prev
-// (appendKey), then the inner message. A δ-group is its state alone,
-// written against the run's names nt (appendState), and a map field's, the
-// one-entry map {key ↦ v}, is tagKeyEntry and v. An AckedDeltaMsg is the
-// plain δ-group when link is set, as in every frame (AppendLinkObjectMsg),
-// and keeps its tag, entry seqs and context-free state in a standalone
-// batch alone.
-func appendObjectMsg(b []byte, prev *string, it protocol.ObjectMsg, link bool, nt *Names) ([]byte, error) {
-	b, err := appendKey(b, prev, it.Key)
-	if err != nil {
-		return nil, err
-	}
-	var s lattice.State
-	switch v := it.Inner.(type) {
-	case *protocol.DeltaMsg:
-		s = v.Delta
-	case *protocol.AckedDeltaMsg:
-		if !link {
-			return appendMsg(b, v)
-		}
-		s = v.Delta
-	default:
-		return nil, fmt.Errorf("codec: no keyed wire format for message %T", it.Inner)
-	}
-	if e, ok := soleEntry(s); ok && e.Key == it.Key {
-		return appendState(append(b, tagKeyEntry), e.Val, nt), nil
-	}
-	return appendState(b, s, nt), nil
 }
 
 // soleEntry returns the entry of a one-entry map.
@@ -337,7 +323,7 @@ func readKey(data, prev []byte, keys *[]byte) (key []byte, n int, err error) {
 	return (*keys)[start:len(*keys):len(*keys)], n, nil
 }
 
-// readObjectMsg reads the keyed item data starts with, as appendObjectMsg
+// readObjectMsg reads the keyed item data starts with, as AppendKeyed
 // writes it: its key, rebuilt against prev onto *keys (readKey), the inner
 // message's encoding, aliasing data, the message decoded against the run's
 // names nt, and the item's length. The second spellings are refused: a

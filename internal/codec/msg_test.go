@@ -96,7 +96,7 @@ func TestAckedDeltaAndAckRoundTrip(t *testing.T) {
 		if _, err := codec.EncodeMsg(r.msg); err == nil {
 			t.Errorf("%s: encoded a message without a wire form", kind)
 		}
-		if _, err := codec.AppendLinkObjectMsg(nil, nil, protocol.ObjectMsg{Key: "k", Inner: r.msg}, new(codec.Names)); err == nil {
+		if _, err := codec.EncodeMsg(batchOf([]protocol.ObjectMsg{{Key: "k", Inner: r.msg}})); err == nil {
 			t.Errorf("%s: encoded as a keyed item", kind)
 		}
 		if _, _, err := codec.DecodeMsg(r.wire); !errors.Is(err, codec.ErrUnknownTag) {
@@ -120,8 +120,8 @@ func TestAckedDeltaAndAckRoundTrip(t *testing.T) {
 func TestBatchMsgRoundTrip(t *testing.T) {
 	d := protocol.ObjectMsg{Key: "obj1", Inner: protocol.NewDeltaMsg(crdt.NewGSet("a"))}
 	acked := protocol.ObjectMsg{Key: "obj2", Inner: protocol.NewAckedDeltaMsg(crdt.NewGCounter(), []uint64{1})}
-	data := encodeMsg(t, protocol.BatchOf([]protocol.ObjectMsg{d, acked}))
-	first, err := codec.AppendLinkObjectMsg(nil, nil, d, new(codec.Names))
+	data := encodeMsg(t, batchOf([]protocol.ObjectMsg{d, acked}))
+	first, err := appendKeyedMsg(nil, nil, d, new(codec.Names))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestBatchMsgRoundTrip(t *testing.T) {
 }
 
 func TestShardedMsgRoundTrip(t *testing.T) {
-	batch := protocol.BatchOf([]protocol.ObjectMsg{
+	batch := batchOf([]protocol.ObjectMsg{
 		{Key: "user:1", Inner: protocol.NewDeltaMsg(crdt.NewGSet("a"))},
 		{Key: "user:2", Inner: protocol.NewDeltaMsg(crdt.NewGSet("b"))},
 	})
@@ -160,8 +160,8 @@ func TestShardedMsgRoundTrip(t *testing.T) {
 }
 
 // TestShardedMsgKeysAscend: a frame's run names each key once, in
-// ascending order. KeyedRun sorts the batches' items into one run,
-// joining the δ-groups of a key two batches name; the encoder refuses a
+// ascending order. The packer sorts the batches' items into one run (and
+// joins the δ-groups of a key two batches name); the encoder refuses a
 // run that names a key twice, or out of order.
 func TestShardedMsgKeysAscend(t *testing.T) {
 	delta := protocol.NewDeltaMsg(crdt.NewGSet("a"))
@@ -170,7 +170,7 @@ func TestShardedMsgKeysAscend(t *testing.T) {
 		for _, k := range keys {
 			oms = append(oms, protocol.ObjectMsg{Key: k, Inner: delta})
 		}
-		return protocol.BatchOf(oms)
+		return batchOf(oms)
 	}
 	keysOf := func(items ...protocol.ShardItem) []codec.ItemView {
 		var v codec.FrameView
@@ -186,21 +186,13 @@ func TestShardedMsgKeysAscend(t *testing.T) {
 	}
 	for _, run := range [][]string{{"a", "a"}, {"b", "a"}, {"ab", "a"}} {
 		var nt codec.Names
-		first, _ := codec.AppendLinkObjectMsg(nil, nil, protocol.ObjectMsg{Key: run[0], Inner: delta}, &nt)
-		if _, err := codec.AppendLinkObjectMsg(first, &run[0], protocol.ObjectMsg{Key: run[1], Inner: delta}, &nt); err == nil {
+		first, _ := appendKeyedMsg(nil, nil, protocol.ObjectMsg{Key: run[0], Inner: delta}, &nt)
+		if _, err := appendKeyedMsg(first, &run[0], protocol.ObjectMsg{Key: run[1], Inner: delta}, &nt); err == nil {
 			t.Errorf("encoded the run %q", run)
 		}
 		if _, err := codec.EncodeMsg(batch(run...)); err == nil {
 			t.Errorf("encoded the batch %q", run)
 		}
-	}
-	// A key two batches name is one item of the run, its δ-groups joined.
-	joined := keysOf(
-		protocol.ShardItem{Shard: 1, Msg: batch("a")},
-		protocol.ShardItem{Shard: 1, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: "a", Inner: protocol.NewDeltaMsg(crdt.NewGSet("b"))}})},
-	)
-	if m, _ := joined[0].Msg(); len(joined) != 1 || !m.(*protocol.DeltaMsg).Delta.Equal(crdt.NewGSet("a", "b")) {
-		t.Errorf("a key two batches name came out as %d items, the first %v, want one a ↦ {a b}", len(joined), m)
 	}
 }
 
@@ -263,10 +255,6 @@ func TestShardedMsgCostAggregation(t *testing.T) {
 	}
 	if c.MetadataBytes != 8+4 {
 		t.Errorf("metadata = %d, want inner 8 + 4 routing bytes", c.MetadataBytes)
-	}
-	k := protocol.KeyedCost(protocol.ObjectMsg{Key: "user:1", Inner: inner})
-	if k.Messages != 0 || k.Elements != 2 || k.PayloadBytes != c.PayloadBytes || k.MetadataBytes != len("user:1") {
-		t.Errorf("keyed accounting = %+v, want the inner elements and payload and 6 bytes of key", k)
 	}
 }
 
@@ -574,7 +562,7 @@ func TestDecodeHostileCountDoesNotPanic(t *testing.T) {
 // sender's incarnation is not on the wire: it comes back zero.
 func TestShardedLinkRoundTrip(t *testing.T) {
 	items := []protocol.ShardItem{
-		{Shard: 5, Msg: protocol.BatchOf([]protocol.ObjectMsg{
+		{Shard: 5, Msg: batchOf([]protocol.ObjectMsg{
 			{Key: "k", Inner: protocol.NewDeltaMsg(crdt.NewGSet("a"))},
 		})},
 	}
@@ -640,19 +628,19 @@ func TestShardedLinkRoundTrip(t *testing.T) {
 func TestLinkItemsCarryNoSeqs(t *testing.T) {
 	d := crdt.NewGSet("x", "y")
 	b := protocol.ObjectMsg{Key: "b", Inner: protocol.NewDeltaMsg(crdt.NewGSet("z"))}
-	acked := protocol.ShardItem{Shard: 3, Msg: protocol.BatchOf([]protocol.ObjectMsg{
+	acked := protocol.ShardItem{Shard: 3, Msg: batchOf([]protocol.ObjectMsg{
 		{Key: "a", Inner: protocol.NewAckedDeltaMsg(d, []uint64{4, 5})}, b,
 	})}
-	plain := protocol.ShardItem{Shard: 3, Msg: protocol.BatchOf([]protocol.ObjectMsg{
+	plain := protocol.ShardItem{Shard: 3, Msg: batchOf([]protocol.ObjectMsg{
 		{Key: "a", Inner: protocol.NewDeltaMsg(d)}, b,
 	})}
 	run := func(first protocol.ObjectMsg) []byte {
 		var nt codec.Names
-		out, err := codec.AppendLinkObjectMsg(nil, nil, first, &nt)
+		out, err := appendKeyedMsg(nil, nil, first, &nt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, _ = codec.AppendLinkObjectMsg(out, &first.Key, b, &nt)
+		out, _ = appendKeyedMsg(out, &first.Key, b, &nt)
 		return out
 	}
 	got := run(acked.Msg.(*protocol.BatchMsg).Items[0])
@@ -768,7 +756,7 @@ func keyedFrames() (forms [][]byte, refused map[string][]byte) {
 	two.Set("m/c/g", lattice.NewMaxInt(4))
 	// Keys ascend; each after the first shares a prefix with the one
 	// before, or none.
-	batch := protocol.BatchOf([]protocol.ObjectMsg{
+	batch := batchOf([]protocol.ObjectMsg{
 		{Key: "c/a", Inner: protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("w", 7))},
 		{Key: "c/b", Inner: protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("v", 1).Join(crdt.NewGCounter().IncDelta("w", 2)))},
 		{Key: "m/a/e", Inner: protocol.NewDeltaMsg(lattice.NewMap())},
@@ -915,7 +903,7 @@ func benchKeyBatch() *protocol.BatchMsg {
 	for _, k := range []string{"c/n00000042", "c/n00000045", "c/n00000048"} {
 		oms = append(oms, protocol.ObjectMsg{Key: k, Inner: protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("store-01", 7))})
 	}
-	return protocol.BatchOf(oms)
+	return batchOf(oms)
 }
 
 // benchFrameItems is what a bulk-acked pass hands its packer toward one
@@ -932,7 +920,7 @@ func benchFrameItems() []protocol.ShardItem {
 		{Key: "s/n00001205", Inner: protocol.NewDeltaMsg(crdt.NewGSet("e104"))},
 		{Key: "c/n00001206", Inner: protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("store-01", 8))},
 	} {
-		items = append(items, protocol.ShardItem{Shard: protocol.ShardOf(om.Key, 64), Msg: protocol.BatchOf([]protocol.ObjectMsg{om})})
+		items = append(items, protocol.ShardItem{Shard: protocol.ShardOf(om.Key, 64), Msg: batchOf([]protocol.ObjectMsg{om})})
 	}
 	return items
 }
@@ -967,7 +955,7 @@ func benchMixedItems() []protocol.ShardItem {
 	for sh := uint32(0); sh < 64; sh++ {
 		if b := batches[sh]; len(b) > 0 {
 			slices.SortFunc(b, func(x, y protocol.ObjectMsg) int { return strings.Compare(x.Key, y.Key) })
-			items = append(items, protocol.ShardItem{Shard: sh, Msg: protocol.BatchOf(b)})
+			items = append(items, protocol.ShardItem{Shard: sh, Msg: batchOf(b)})
 		}
 	}
 	return items
@@ -1062,8 +1050,8 @@ func TestKeyedItemSpellings(t *testing.T) {
 		}
 	}
 	// Only δ-groups are keyed items.
-	for _, m := range []protocol.Msg{protocol.NewTreeMsg(0, 0, nil, nil), protocol.NewDigestMsg(nil), protocol.BatchOf(nil)} {
-		if _, err := codec.AppendLinkObjectMsg(nil, nil, protocol.ObjectMsg{Key: "k", Inner: m}, new(codec.Names)); err == nil {
+	for _, m := range []protocol.Msg{protocol.NewTreeMsg(0, 0, nil, nil), protocol.NewDigestMsg(nil), batchOf(nil)} {
+		if _, err := codec.EncodeMsg(batchOf([]protocol.ObjectMsg{{Key: "k", Inner: m}})); err == nil {
 			t.Errorf("%s: encoded as a keyed item", m.Kind())
 		}
 	}
@@ -1113,7 +1101,7 @@ func TestKeyedItemHostileCount(t *testing.T) {
 func sharedCap(t *testing.T) int {
 	t.Helper()
 	prev := strings.Repeat("x", 200) + "a"
-	item, err := codec.AppendLinkObjectMsg(nil, &prev, protocol.ObjectMsg{Key: prev[:200] + "b", Inner: protocol.NewDeltaMsg(lattice.NewMaxInt(0))}, new(codec.Names))
+	item, err := appendKeyedMsg(nil, &prev, protocol.ObjectMsg{Key: prev[:200] + "b", Inner: protocol.NewDeltaMsg(lattice.NewMaxInt(0))}, new(codec.Names))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1143,7 +1131,7 @@ func TestFrontCodedKeysBounded(t *testing.T) {
 	}
 	var items []protocol.ShardItem
 	for sh, b := range batches {
-		items = append(items, protocol.ShardItem{Shard: uint32(sh), Msg: protocol.BatchOf(b)})
+		items = append(items, protocol.ShardItem{Shard: uint32(sh), Msg: batchOf(b)})
 	}
 	data := packFrame(items, nil, protocol.LinkHeader{})
 	var v codec.FrameView
@@ -1179,8 +1167,8 @@ func TestFrontCodedKeysBounded(t *testing.T) {
 func TestEmptyKeyInABatch(t *testing.T) {
 	delta := protocol.NewDeltaMsg(crdt.NewGSet("e"))
 	data := packFrame([]protocol.ShardItem{
-		{Shard: 1, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: "a", Inner: delta}})},
-		{Shard: 2, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: "", Inner: delta}})},
+		{Shard: 1, Msg: batchOf([]protocol.ObjectMsg{{Key: "a", Inner: delta}})},
+		{Shard: 2, Msg: batchOf([]protocol.ObjectMsg{{Key: "", Inner: delta}})},
 	}, nil, protocol.LinkHeader{})
 	var v codec.FrameView
 	checkUnpacked(t, data, 1, &v)
@@ -1189,7 +1177,7 @@ func TestEmptyKeyInABatch(t *testing.T) {
 			t.Errorf("item %d has key %q (nil: %v), want %q", i, iv.Key, iv.Key == nil, want)
 		}
 	}
-	if _, err := codec.EncodeMsg(protocol.BatchOf([]protocol.ObjectMsg{{Key: "a", Inner: delta}, {Key: "", Inner: delta}})); err == nil {
+	if _, err := codec.EncodeMsg(batchOf([]protocol.ObjectMsg{{Key: "a", Inner: delta}, {Key: "", Inner: delta}})); err == nil {
 		t.Error("encoded an empty key after another")
 	}
 }
@@ -1203,7 +1191,7 @@ func TestShortSharedPrefixIsWhole(t *testing.T) {
 	for _, k := range []string{"c/n00000042", "c/p/07", "c/p/08"} {
 		oms = append(oms, protocol.ObjectMsg{Key: k, Inner: protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("store-01", 7))})
 	}
-	data := packFrame([]protocol.ShardItem{{Shard: 0, Msg: protocol.BatchOf(oms)}}, nil, protocol.LinkHeader{})
+	data := packFrame([]protocol.ShardItem{{Shard: 0, Msg: batchOf(oms)}}, nil, protocol.LinkHeader{})
 	// A one-entry counter: its writer spelled (8<<1), then referred to (0<<1|1).
 	spelled, referred := "0c"+"10"+hex.EncodeToString([]byte("store-01"))+"07", "0c"+"01"+"07"
 	want := "48" + "06" +

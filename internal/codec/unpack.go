@@ -20,7 +20,7 @@ import (
 // its receiver has touched a shard.
 //
 // A frame has one spelling: the bytes the packer writes for its content
-// (AppendShardedHeader, then the run through AppendLinkObjectMsg, then the
+// (AppendShardedHeader, then the run through AppendKeyed, then the
 // bare items through AppendShardItem). Every other spelling of the same
 // content is refused — an overlong uvarint, a list out of order, a keyed
 // item under a message tag, a byte after the last item — so that a frame

@@ -28,19 +28,21 @@ type flatItem struct {
 
 // packFrame writes the frame a store's packer writes for items, under
 // link and with digests, through the packer's own append functions: the
-// keyed items of their batches as one run in key order (protocol.KeyedRun),
-// each against the key and the replica names before it
-// (codec.AppendLinkObjectMsg), then every other item bare
-// (codec.AppendShardItem), in order. It panics on an item the packer
-// cannot write.
+// keyed items of their batches as one run in key order, each against the
+// key and the replica names before it (appendKeyedMsg), then every other
+// item bare (codec.AppendShardItem), in order. It panics on an item the
+// packer cannot write.
 func packFrame(items []protocol.ShardItem, digests []uint64, link protocol.LinkHeader) []byte {
-	run := protocol.KeyedRun(items)
+	var run []protocol.ObjectMsg
 	var bare []protocol.ShardItem
 	for _, it := range items {
-		if _, keyed := it.Msg.(*protocol.BatchMsg); !keyed {
+		if bm, keyed := it.Msg.(*protocol.BatchMsg); keyed {
+			run = append(run, bm.Items...)
+		} else {
 			bare = append(bare, it)
 		}
 	}
+	slices.SortStableFunc(run, func(a, b protocol.ObjectMsg) int { return strings.Compare(a.Key, b.Key) })
 	b := codec.AppendShardedHeader(nil, link, digests, len(run), len(bare))
 	var nt codec.Names
 	var err error
@@ -49,7 +51,7 @@ func packFrame(items []protocol.ShardItem, digests []uint64, link protocol.LinkH
 		if i > 0 {
 			prev = &run[i-1].Key
 		}
-		if b, err = codec.AppendLinkObjectMsg(b, prev, om, &nt); err != nil {
+		if b, err = appendKeyedMsg(b, prev, om, &nt); err != nil {
 			panic(err)
 		}
 	}
@@ -59,6 +61,23 @@ func packFrame(items []protocol.ShardItem, digests []uint64, link protocol.LinkH
 		}
 	}
 	return b
+}
+
+// appendKeyedMsg appends om as a frame's keyed item (codec.AppendKeyed):
+// its δ-group's state, an AckedDeltaMsg's entry seqs left behind.
+func appendKeyedMsg(b []byte, prev *string, om protocol.ObjectMsg, nt *codec.Names) ([]byte, error) {
+	switch v := om.Inner.(type) {
+	case *protocol.DeltaMsg:
+		return codec.AppendKeyed(b, prev, om.Key, v.Delta, nt)
+	case *protocol.AckedDeltaMsg:
+		return codec.AppendKeyed(b, prev, om.Key, v.Delta, nt)
+	}
+	return nil, fmt.Errorf("no keyed form for %T", om.Inner)
+}
+
+// batchOf is a BatchMsg over oms, the δ-groups of one shard.
+func batchOf(oms []protocol.ObjectMsg) *protocol.BatchMsg {
+	return &protocol.BatchMsg{Items: oms}
 }
 
 // repack writes what v holds back as a frame (packFrame): its keyed items
@@ -77,7 +96,7 @@ func repack(v *codec.FrameView) []byte {
 		}
 	}
 	if len(keyed) > 0 {
-		items = append(items, protocol.ShardItem{Msg: protocol.BatchOf(keyed)})
+		items = append(items, protocol.ShardItem{Msg: batchOf(keyed)})
 	}
 	var digests []uint64
 	if len(v.Digests) > 0 {
@@ -124,7 +143,7 @@ func flattenView(t testing.TB, v *codec.FrameView, shards int) []flatItem {
 			var enc []byte
 			if iv.Key == nil {
 				enc = encodeMsg(t, m)
-			} else if enc, err = codec.AppendLinkObjectMsg(nil, nil, protocol.ObjectMsg{Key: string(iv.Key), Inner: m}, new(codec.Names)); err != nil {
+			} else if enc, err = appendKeyedMsg(nil, nil, protocol.ObjectMsg{Key: string(iv.Key), Inner: m}, new(codec.Names)); err != nil {
 				t.Fatalf("re-encode decoded item: %v", err)
 			}
 			out = append(out, flatItem{shard: g.Shard, key: string(iv.Key), enc: string(enc)})
@@ -176,7 +195,7 @@ func unpackBatch(shard uint32, keys ...string) protocol.ShardItem {
 	for i, k := range keys {
 		oms = append(oms, protocol.ObjectMsg{Key: k, Inner: unpackGSetDelta(int(shard)*100+i, 1+i)})
 	}
-	return protocol.ShardItem{Shard: shard, Msg: protocol.BatchOf(oms)}
+	return protocol.ShardItem{Shard: shard, Msg: batchOf(oms)}
 }
 
 // TestUnpackFrameGrouped: a frame's keyed run, in key order, and its bare
@@ -261,7 +280,7 @@ func TestUnpackFrameNotSharded(t *testing.T) {
 	for _, m := range []protocol.Msg{
 		unpackGSetDelta(1, 3),
 		protocol.NewDigestMsg([]uint64{1, 2}),
-		protocol.BatchOf(nil),
+		batchOf(nil),
 	} {
 		if err := codec.UnpackFrame(encodeMsg(t, m), 4, &v); !errors.Is(err, codec.ErrNotSharded) {
 			t.Fatalf("%s: err = %v, want ErrNotSharded", m.Kind(), err)
@@ -299,16 +318,16 @@ func TestUnpackFrameHostile(t *testing.T) {
 func TestItemViewTags(t *testing.T) {
 	var v codec.FrameView
 	var nt codec.Names
-	good, err := codec.AppendLinkObjectMsg(nil, nil, protocol.ObjectMsg{Key: "k", Inner: unpackGSetDelta(0, 1)}, &nt)
+	good, err := appendKeyedMsg(nil, nil, protocol.ObjectMsg{Key: "k", Inner: unpackGSetDelta(0, 1)}, &nt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	k, f := "k", "m/a/f"
-	field, err := codec.AppendLinkObjectMsg(nil, &k, protocol.ObjectMsg{Key: f, Inner: protocol.NewDeltaMsg(lattice.NewMapEntry(f, &crdt.LWWRegister{TS: 1, Writer: "r", Val: "v"}))}, &nt)
+	field, err := appendKeyedMsg(nil, &k, protocol.ObjectMsg{Key: f, Inner: protocol.NewDeltaMsg(lattice.NewMapEntry(f, &crdt.LWWRegister{TS: 1, Writer: "r", Val: "v"}))}, &nt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if field, err = codec.AppendLinkObjectMsg(field, &f, protocol.ObjectMsg{Key: "n", Inner: protocol.NewAckedDeltaMsg(crdt.NewGCounter().IncDelta("r", 2), []uint64{2})}, &nt); err != nil {
+	if field, err = appendKeyedMsg(field, &f, protocol.ObjectMsg{Key: "n", Inner: protocol.NewAckedDeltaMsg(crdt.NewGCounter().IncDelta("r", 2), []uint64{2})}, &nt); err != nil {
 		t.Fatal(err)
 	}
 	data := append(codec.AppendShardedHeader(nil, protocol.LinkHeader{}, nil, 3, 0), good...)
@@ -362,7 +381,7 @@ func TestUnpackHostileItemCount(t *testing.T) {
 			prev = &keys[i-1]
 		}
 		var err error
-		if items, err = codec.AppendLinkObjectMsg(items, prev, protocol.ObjectMsg{Key: k, Inner: unpackGSetDelta(0, 1)}, new(codec.Names)); err != nil {
+		if items, err = appendKeyedMsg(items, prev, protocol.ObjectMsg{Key: k, Inner: unpackGSetDelta(0, 1)}, new(codec.Names)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -395,7 +414,7 @@ func TestUnpackHostileItemCount(t *testing.T) {
 // an acknowledgement with no items, and one with an empty vector, which a
 // store's vector never is and the unpacker refuses.
 func linkedFrames(batch protocol.Msg) [][]byte {
-	other := protocol.BatchOf([]protocol.ObjectMsg{{Key: "p:1", Inner: protocol.NewDeltaMsg(crdt.NewGSet("c"))}})
+	other := batchOf([]protocol.ObjectMsg{{Key: "p:1", Inner: protocol.NewDeltaMsg(crdt.NewGSet("c"))}})
 	items := []protocol.ShardItem{{Shard: 2, Msg: batch}, {Shard: 0, Msg: other}}
 	seq := protocol.FrameSeq{Seq: 300, Back: 2}
 	ack := protocol.FrameAck{Inc: 0x01020304, Cum: 127, Ranges: []protocol.SeqRange{{Lo: 129, Hi: 129}, {Lo: 140, Hi: 1 << 40}}}
@@ -453,7 +472,7 @@ func FuzzUnpackFrame(f *testing.F) {
 		}
 	}
 	plain := protocol.LinkHeader{}
-	batch := protocol.BatchOf([]protocol.ObjectMsg{
+	batch := batchOf([]protocol.ObjectMsg{
 		{Key: "obj:1", Inner: protocol.NewDeltaMsg(crdt.NewGSet("a"))},
 		{Key: "obj:2", Inner: protocol.NewAckedDeltaMsg(crdt.NewGSet("b"), []uint64{3})},
 	})
@@ -582,7 +601,7 @@ func unpackBenchFrame(tb testing.TB, shards, objectsPerShard int) []byte {
 				Inner: unpackGSetDelta(sh*100+i, 1),
 			})
 		}
-		items = append(items, protocol.ShardItem{Shard: uint32(sh), Msg: protocol.BatchOf(oms)})
+		items = append(items, protocol.ShardItem{Shard: uint32(sh), Msg: batchOf(oms)})
 	}
 	return packFrame(items, nil, protocol.LinkHeader{})
 }
@@ -646,7 +665,7 @@ func bulkShapedFrame(t *testing.T) (frame []byte, aloneAllocs, named int) {
 			named++
 		}
 		om := protocol.ObjectMsg{Key: key, Inner: inner}
-		alone := packFrame([]protocol.ShardItem{{Shard: 0, Msg: protocol.BatchOf([]protocol.ObjectMsg{om})}}, nil, protocol.LinkHeader{})
+		alone := packFrame([]protocol.ShardItem{{Shard: 0, Msg: batchOf([]protocol.ObjectMsg{om})}}, nil, protocol.LinkHeader{})
 		codec.UnpackFrame(alone, shards, &v)
 		aloneAllocs += int(testing.AllocsPerRun(10, func() { codec.UnpackFrame(alone, shards, &v) }))
 		batches[i%shards] = append(batches[i%shards], om)
@@ -654,7 +673,7 @@ func bulkShapedFrame(t *testing.T) (frame []byte, aloneAllocs, named int) {
 	var sis []protocol.ShardItem
 	for s, b := range batches {
 		slices.SortFunc(b, func(x, y protocol.ObjectMsg) int { return strings.Compare(x.Key, y.Key) })
-		sis = append(sis, protocol.ShardItem{Shard: uint32(s), Msg: protocol.BatchOf(b)})
+		sis = append(sis, protocol.ShardItem{Shard: uint32(s), Msg: batchOf(b)})
 	}
 	return packFrame(sis, nil, protocol.LinkHeader{}), aloneAllocs, named
 }
@@ -686,7 +705,7 @@ func TestUnpackKeysAllocateNothing(t *testing.T) {
 	for i := 0; i < cap(long); i++ {
 		long = append(long, protocol.ObjectMsg{Key: fmt.Sprintf("%040d", i), Inner: protocol.NewDeltaMsg(crdt.NewGSet("e"))})
 	}
-	if err := codec.UnpackFrame(packFrame([]protocol.ShardItem{{Shard: 0, Msg: protocol.BatchOf(long)}}, nil, protocol.LinkHeader{}), 64, &v); err != nil {
+	if err := codec.UnpackFrame(packFrame([]protocol.ShardItem{{Shard: 0, Msg: batchOf(long)}}, nil, protocol.LinkHeader{}), 64, &v); err != nil {
 		t.Fatal(err)
 	}
 	if codec.KeyBufferCap(&v) <= codec.MaxRetainedKeyBytes {
@@ -712,7 +731,7 @@ func TestReplicaNamesBounded(t *testing.T) {
 		for i := range oms {
 			oms[i] = protocol.ObjectMsg{Key: fmt.Sprintf("k%05d", i), Inner: protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta(writer, uint64(1+i%100)))}
 		}
-		return packFrame([]protocol.ShardItem{{Shard: 0, Msg: protocol.BatchOf(oms)}}, nil, protocol.LinkHeader{})
+		return packFrame([]protocol.ShardItem{{Shard: 0, Msg: batchOf(oms)}}, nil, protocol.LinkHeader{})
 	}
 	long := strings.Repeat("w", 60<<10)
 	data, short := frameOf(long), frameOf("w")

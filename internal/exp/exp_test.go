@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"crdtsync/internal/metrics"
 	"crdtsync/internal/topology"
 )
 
@@ -212,22 +213,29 @@ func TestTableII(t *testing.T) {
 // TestRunStorePaperMeshGolden pins what the store sends on the paper's
 // 15-node partial mesh, as crdtsim -store -topology mesh -nodes 15 -keys
 // 2000 runs it (32 shards, 50 ms ticks, digests every 4 ticks, seed 42),
-// under both engines: the frames, the bytes on the wire and the elements
-// shipped, to the unit, and the digest every replica settles on. A change
-// that moves a byte on the wire moves these, and states the new figures
-// and why.
+// under both engines: the frames, the bytes on the wire, the elements
+// shipped and the rest of Stats().Sent — the messages, payload and
+// metadata bytes the packer sums — to the unit, and the digest every
+// replica settles on. A change that moves a byte on the wire or the
+// accounting moves these, and states the new figures and why.
 func TestRunStorePaperMeshGolden(t *testing.T) {
 	for _, want := range []struct {
 		engine                  string
 		frames, bytes, elements int
+		sent                    metrics.Transmission
 	}{
-		{"acked", 17663, 1216805, 61476},
-		{"delta", 15795, 1080242, 67491},
+		{"acked", 17663, 1216805, 61476, metrics.Transmission{Messages: 17663, Elements: 61476, PayloadBytes: 676236, MetadataBytes: 1354906}},
+		{"delta", 15795, 1080242, 67491, metrics.Transmission{Messages: 15795, Elements: 67491, PayloadBytes: 742401, MetadataBytes: 1040168}},
 	} {
-		tab, err := RunStore(StoreRun{Graph: topology.PartialMesh(15, 4, 42), Engine: want.engine, Shards: 32,
+		tab, st, err := runStore(StoreRun{Graph: topology.PartialMesh(15, 4, 42), Engine: want.engine, Shards: 32,
 			SyncEvery: 50 * time.Millisecond, DigestEvery: 4, Keys: 2000, Seed: 42})
 		if err != nil {
 			t.Fatal(err)
+		}
+		// The accounting is the packer's own sum, not the wire's: pinned
+		// apart from the bytes.
+		if st.Sent != want.sent {
+			t.Errorf("%s engine: Stats().Sent %+v, want %+v", want.engine, st.Sent, want.sent)
 		}
 		got := []int{int(cell(t, tab, rowIdx(t, tab, "frames"), 1)), int(cell(t, tab, rowIdx(t, tab, "wire bytes"), 1)),
 			int(cell(t, tab, rowIdx(t, tab, "elements"), 1))}
@@ -260,10 +268,12 @@ func TestRunStoreMallocsGolden(t *testing.T) {
 		engine string
 		per    float64 // mallocs per update, over the whole run
 	}{
-		{mesh, "acked", 479.848},
-		{mesh, "delta", 437.080},
-		{full, "acked", 41.455},
-		{full, "delta", 48.487},
+		// 479.848, 437.080, 41.455 and 48.487 while a pass wrapped each
+		// δ-group in a message and a per-shard batch before the packer.
+		{mesh, "acked", 372.870},
+		{mesh, "delta", 328.169},
+		{full, "acked", 33.723},
+		{full, "delta", 38.820},
 	} {
 		r := want.run
 		r.Engine = want.engine

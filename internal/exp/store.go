@@ -36,9 +36,16 @@ var storeEngines = map[string]transport.Engine{
 // is an unknown engine, a frame a replica refused or a run that did not
 // settle.
 func RunStore(r StoreRun) (*Table, error) {
+	tab, _, err := runStore(r)
+	return tab, err
+}
+
+// runStore is RunStore, with the replicas' summed stats besides.
+func runStore(r StoreRun) (*Table, transport.StoreStats, error) {
+	var st transport.StoreStats
 	engine, ok := storeEngines[r.Engine]
 	if !ok {
-		return nil, fmt.Errorf("exp: unknown store engine %q (want acked or delta)", r.Engine)
+		return nil, st, fmt.Errorf("exp: unknown store engine %q (want acked or delta)", r.Engine)
 	}
 	counters := func(string) workload.Datatype { return workload.GCounterType{} }
 	sim, err := transport.NewSim(r.Graph, transport.StoreConfig{
@@ -49,20 +56,19 @@ func RunStore(r StoreRun) (*Table, error) {
 		DigestEvery: r.DigestEvery,
 	}, r.Seed)
 	if err != nil {
-		return nil, err
+		return nil, st, err
 	}
 	g := r.Graph
 	for k := 0; k < r.Keys; k++ {
 		if err := sim.Run(sim.Now() + int64(r.SyncEvery/64)); err != nil {
-			return nil, err
+			return nil, st, err
 		}
 		sim.Update(k%g.NumNodes(), workload.Inc(fmt.Sprintf("c/key:%07d", k), 1))
 	}
 	lastWrite := sim.Now()
 	if err := sim.Settle(); err != nil {
-		return nil, err
+		return nil, st, err
 	}
-	var st transport.StoreStats
 	for i := 0; i < g.NumNodes(); i++ {
 		st.Add(sim.Stats(i))
 	}
@@ -80,5 +86,5 @@ func RunStore(r StoreRun) (*Table, error) {
 			{"elements", itoa(st.Sent.Elements)},
 			{"elements per update", ratio(float64(st.Sent.Elements), float64(r.Keys))},
 		},
-	}, nil
+	}, st, nil
 }

@@ -25,11 +25,12 @@ type algorithm interface {
 	// deliver handles one inbound message for the object; replies go to
 	// send.
 	deliver(x lattice.State, b *core.Buffer, from string, m Msg, send Sender)
-	// ship is a send pass over b: the tick (Sync) when tick is set, a
-	// first-transmission pass (Flush) otherwise. It leaves the entries the
-	// next pass ships due (core.Buffer.Unsent), and b empty once no later
-	// pass has anything to do.
-	ship(b *core.Buffer, send Sender, tick bool)
+	// ship is a send pass over b, the δ-buffer of key: the tick when tick
+	// is set, a first-transmission pass otherwise (PerObject.Pass). It
+	// hands emit each neighbor's δ-group, leaves the entries the next pass
+	// ships due (core.Buffer.Unsent), and b empty once no later pass has
+	// anything to do.
+	ship(b *core.Buffer, key string, emit Emit, tick bool)
 	// release ends the holds of b's entries toward the neighbors of mask,
 	// by position, before they run out: it leaves each forward it ends due
 	// at the next pass, and reports whether there is one. An engine that
@@ -45,6 +46,25 @@ type algorithm interface {
 	// retransmits counts the entries sent again, and of those the resends
 	// an acknowledgement showed were not needed.
 	retransmits() (resent, spurious uint64)
+}
+
+// Emit takes one δ-group of a send pass (Algorithm 1, line 11), the
+// receiver's to keep: d = ⊔{s | ⟨s,o⟩ ∈ B ∧ o ≠ j} over key's δ-buffer B,
+// for the neighbor j at position to. Under the acked engine seqs lists the
+// entries' sequence numbers and retry says the pass sent one of them
+// again; under the plain engine seqs is nil. A store packs the groups as
+// they are, everything else takes them as messages (groupMsg).
+type Emit func(key string, to int, d lattice.State, seqs []uint64, retry bool)
+
+// groupMsg is the message a δ-group travels as outside a store: an
+// AckedDeltaMsg under the acked engine, a DeltaMsg under the plain one.
+func groupMsg(d lattice.State, seqs []uint64, retry bool) Msg {
+	if seqs == nil {
+		return NewDeltaMsg(d)
+	}
+	m := NewAckedDeltaMsg(d, seqs)
+	m.Retry = retry
+	return m
 }
 
 // deltaConfig is what every object run by one algorithm has in common. A
@@ -122,17 +142,18 @@ func (e *object) Deliver(from string, m Msg, send Sender) {
 }
 
 // Sync implements Engine: one tick.
-func (e *object) Sync(send Sender) { e.alg.ship(&e.buf, send, true) }
+func (e *object) Sync(send Sender) { e.ship(send, true) }
 
-// Flush is PerObject.Flush for the one object: first transmissions only,
-// and no tick passes.
-func (e *object) Flush(send Sender) {
-	if e.Unsent() {
-		e.alg.ship(&e.buf, send, false)
-	}
+// ship runs a send pass and sends each δ-group to its neighbor as its
+// message (groupMsg).
+func (e *object) ship(send Sender, tick bool) {
+	neighbors := e.alg.config().cfg.Neighbors
+	e.alg.ship(&e.buf, "", func(_ string, to int, d lattice.State, seqs []uint64, retry bool) {
+		send(neighbors[to], groupMsg(d, seqs, retry))
+	}, tick)
 }
 
-// Unsent reports whether Flush would have anything to emit.
+// Unsent reports whether a first-transmission pass has anything to emit.
 func (e *object) Unsent() bool { return e.buf.Unsent() }
 
 // Waiting reports whether a buffered entry is owed to some neighbor

@@ -72,11 +72,11 @@ const maxRetransmitGap = 8
 //
 // Sending an entry for the first time and sending it again are separate
 // decisions, as in Almeida, Shoker and Baquero's δ-buffer anti-entropy:
-// Flush ships what has never been sent; Sync — the tick — does that too,
-// and re-sends an entry only once its wait has gone by since it was last
-// sent without every ack arriving, then twice that, and so on
-// (maxRetransmitGap). The wait is counted in Sync calls, so a simulator or
-// a test that drives Sync by hand needs no clock, and it is read on every
+// a first-transmission pass ships what has never been sent; the tick does
+// that too, and re-sends an entry only once its wait has gone by since it
+// was last sent without every ack arriving, then twice that, and so on
+// (maxRetransmitGap). The wait is counted in ticks, so a simulator or a
+// test that drives Sync by hand needs no clock, and it is read on every
 // tick, so that a wait the owner lengthens holds back what is already in
 // flight (ResendAfter).
 //
@@ -142,12 +142,12 @@ func (e *deltaAcked) resendAfter(waits []uint8) { e.waits = waits }
 func (e *deltaAcked) release(*core.Buffer, uint64) bool { return false }
 
 // ship marks the entries due on this pass — those never sent, and on a
-// tick those whose wait runs out — then sends each neighbor the join of
+// tick those whose wait runs out — then emits each neighbor the join of
 // the due entries it is owed and does not hold. Wait counts the ticks an
 // entry has seen since its last send, that send's own tick included, and
 // Gap the times it has been sent again: it is sent again once Wait passes
 // gap, a whole number of ticks after the send.
-func (e *deltaAcked) ship(b *core.Buffer, send Sender, tick bool) {
+func (e *deltaAcked) ship(b *core.Buffer, key string, emit Emit, tick bool) {
 	n := len(e.cfg.Neighbors)
 	if tick && e.cfg.Reach != nil {
 		// An origin may have announced since the entry was buffered the
@@ -178,15 +178,11 @@ func (e *deltaAcked) ship(b *core.Buffer, send Sender, tick bool) {
 	if !due {
 		return
 	}
-	for i, j := range e.cfg.Neighbors {
+	for i := 0; i < n; i++ {
 		var seqs []uint64
-		d := b.Group(i, e.owed, &seqs)
-		if d == nil || d.IsBottom() {
-			continue
+		if d := b.Group(i, e.owed, &seqs); d != nil && !d.IsBottom() {
+			emit(key, i, d, seqs, retry)
 		}
-		m := NewAckedDeltaMsg(d, seqs)
-		m.Retry = retry
-		send(j, m)
 	}
 	for k := range entries {
 		entries[k].Due = false

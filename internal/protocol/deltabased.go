@@ -102,7 +102,7 @@ func (e *deltaBased) deliver(x lattice.State, b *core.Buffer, from string, m Msg
 // held one — where a hold of one pass lost about half of those races.
 const holdTicks = 2
 
-// ship sends each neighbor the join of the due entries it is owed
+// ship emits each neighbor the join of the due entries it is owed
 // (core.Buffer.Group) and ends the pass: every neighbor a forward was
 // not held for now holds the entry, an entry still held for some
 // neighbor waits, not due, for its release, and the entries every owed
@@ -110,7 +110,7 @@ const holdTicks = 2
 // and releases those that reach holdTicks. A pass between two ticks does
 // the same but for the count: nothing is ever sent twice, so the
 // first-transmission pass is the whole of the tick.
-func (e *deltaBased) ship(b *core.Buffer, send Sender, tick bool) {
+func (e *deltaBased) ship(b *core.Buffer, key string, emit Emit, tick bool) {
 	n := len(e.cfg.Neighbors)
 	entries := b.Entries()
 	if tick {
@@ -122,9 +122,9 @@ func (e *deltaBased) ship(b *core.Buffer, send Sender, tick bool) {
 			}
 		}
 	}
-	for i, j := range e.cfg.Neighbors {
+	for i := 0; i < n; i++ {
 		if d := b.Group(i, e.owed, nil); d != nil && !d.IsBottom() {
-			send(j, NewDeltaMsg(d))
+			emit(key, i, d, nil, false)
 		}
 	}
 	for k := range entries {

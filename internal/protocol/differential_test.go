@@ -13,9 +13,11 @@ import (
 	"crdtsync/internal/workload"
 )
 
-// twin is one node run twice over the same history: as one keyspace
-// (NewPerObject) and as one standalone engine per key, the form the
-// simulator runs. The neighbors are played by the test.
+// twin is one node run three times over the same history: as one keyspace
+// (NewPerObject) that sends messages, as one standalone engine per key,
+// the form the simulator runs, and as the keyspace a store runs, whose
+// passes hand their δ-groups over as they are (PerObject.Pass). The
+// neighbors are played by the test.
 type twin struct {
 	t     *testing.T
 	rng   *rand.Rand
@@ -24,6 +26,10 @@ type twin struct {
 	cfg   protocol.Config
 	ks    protocol.Engine
 	solo  map[string]protocol.Engine
+	store *protocol.PerObject
+	// waits is the ticks an entry waits for each neighbor's
+	// acknowledgement, every form's (ResendAfter); nil is one tick each.
+	waits []uint8
 	// remote is what each neighbor holds of each key, δ-groups come from.
 	remote map[[2]string]lattice.State
 	// seqs pairs, per key, the keyspace's seq of an entry with the
@@ -47,6 +53,24 @@ type emitted struct {
 	m       protocol.Msg
 }
 
+// group is one δ-group as a store's pass hands it over (protocol.Emit), or
+// as a message carries it.
+type group struct {
+	to, key string
+	d       lattice.State
+	seqs    []uint64
+	retry   bool
+}
+
+// groupOf is the δ-group an emitted message carries.
+func groupOf(e emitted) group {
+	g := group{to: e.to, key: e.key, d: deltaOf(e.m)}
+	if a, ok := e.m.(*protocol.AckedDeltaMsg); ok {
+		g.seqs, g.retry = a.Seqs, a.Retry
+	}
+	return g
+}
+
 // newTwin builds the twin of r0, whose neighbor r1 reaches r2 under the
 // acked engine; under prune it is r2 instead, pruning by receipt, whose
 // neighbors r0 and r1 reach each other, so that it defers every forward
@@ -68,6 +92,7 @@ func newTwin(t *testing.T, seed int64, inner protocol.Factory, acked, prune bool
 		t: t, rng: rand.New(rand.NewSource(seed)), inner: inner, acked: acked, cfg: cfg,
 		ks:     protocol.NewPerObject(inner, storeObjType)(cfg),
 		solo:   map[string]protocol.Engine{},
+		store:  protocol.NewKeyspace(inner, storeObjType, cfg),
 		remote: map[[2]string]lattice.State{},
 		seqs:   map[string]map[uint64]uint64{},
 	}
@@ -80,6 +105,9 @@ func (w *twin) engine(key string) protocol.Engine {
 		cfg := w.cfg
 		cfg.Datatype = storeObjType(key)
 		e = w.inner(cfg)
+		if w.waits != nil {
+			protocol.ResendAfter(e, w.waits)
+		}
 		w.solo[key] = e
 		w.seqs[key] = map[uint64]uint64{}
 	}
@@ -121,6 +149,33 @@ func (w *twin) localOp() {
 	op := w.op(key)
 	w.engine(key).LocalOp(op)
 	w.ks.LocalOp(op)
+	w.store.LocalOp(op)
+}
+
+// resendAfter has every form wait waits, which the test changes in place,
+// as a store's core does (PerObject.ResendAfter).
+func (w *twin) resendAfter(waits []uint8) {
+	w.waits = waits
+	w.ks.(*protocol.PerObject).ResendAfter(waits)
+	w.store.ResendAfter(waits)
+	for _, e := range w.solo {
+		protocol.ResendAfter(e, waits)
+	}
+}
+
+// endHolds ends every form's holds on forwards toward one neighbor, or
+// toward all of them, and reports whether that left a forward due.
+func (w *twin) endHolds() bool {
+	w.t.Helper()
+	to := []string{"", w.cfg.Neighbors[0], w.cfg.Neighbors[1]}[w.rng.Intn(3)]
+	ks, store, solo := w.ks.(*protocol.PerObject).EndHolds(to), w.store.EndHolds(to), false
+	for _, e := range w.solo {
+		solo = protocol.EndHolds(e, to) || solo
+	}
+	if ks != store || ks != solo {
+		w.t.Fatalf("ending the holds toward %q left a forward due: keyspace %v, store's %v, standalone %v", to, ks, store, solo)
+	}
+	return ks
 }
 
 // deliver hands both forms the same δ-group from a neighbor: a fresh
@@ -151,10 +206,12 @@ func (w *twin) deliver() {
 		}
 		return protocol.NewAckedDeltaMsg(d.Clone(), seqs)
 	}
-	var ksReplies, soloReplies []emitted
+	var ksReplies, soloReplies, storeReplies []emitted
 	w.ks.(protocol.ObjectDeliverer).DeliverObject(from, []byte(key), msg(), record(&ksReplies, key))
 	w.engine(key).Deliver(from, msg(), record(&soloReplies, key))
+	w.store.DeliverObject(from, []byte(key), msg(), record(&storeReplies, key))
 	w.compareReplies(ksReplies, soloReplies)
+	w.compareReplies(ksReplies, storeReplies)
 }
 
 func record(out *[]emitted, key string) protocol.Sender {
@@ -175,8 +232,10 @@ func (w *twin) compareReplies(ks, solo []emitted) {
 	}
 }
 
-// pass runs a Flush or a Sync over both forms and compares what each sent
-// every neighbor: object for object, in key order, the same δ-groups.
+// pass runs a Flush or a Sync over the forms that send messages, and the
+// store's pass over the third, and compares what each sent every neighbor:
+// object for object, in key order, the same δ-groups — and, between the
+// two keyspaces, which number alike, the same entry seqs and retry notes.
 func (w *twin) pass(tick bool) {
 	w.t.Helper()
 	var ks, solo []emitted
@@ -197,6 +256,10 @@ func (w *twin) pass(tick bool) {
 			w.solo[key].(protocol.Flusher).Flush(record(&solo, key))
 		}
 	}
+	var passed []group
+	w.store.Pass(tick, func(key string, to int, d lattice.State, seqs []uint64, retry bool) {
+		passed = append(passed, group{w.cfg.Neighbors[to], key, d, seqs, retry})
+	})
 	for _, to := range w.cfg.Neighbors {
 		a, b := sentTo(ks, to), sentTo(solo, to)
 		if len(a) != len(b) {
@@ -204,6 +267,20 @@ func (w *twin) pass(tick bool) {
 		}
 		for i := range a {
 			w.compareGroup(a[i], b[i])
+		}
+		var p []group
+		for _, g := range passed {
+			if g.to == to {
+				p = append(p, g)
+			}
+		}
+		if len(p) != len(a) {
+			w.t.Fatalf("tick=%v: the store's pass emitted %d δ-groups for %s, Sync and Flush sent %d", tick, len(p), to, len(a))
+		}
+		for i, g := range p {
+			if m := groupOf(a[i]); g.key != m.key || !g.d.Equal(m.d) || !slices.Equal(g.seqs, m.seqs) || g.retry != m.retry {
+				w.t.Fatalf("tick=%v: the store's pass emitted %+v, the keyspace sent %+v", tick, g, m)
+			}
 		}
 	}
 }
@@ -232,6 +309,9 @@ func (w *twin) compareGroup(a, b emitted) {
 		return
 	}
 	bm := b.m.(*protocol.AckedDeltaMsg)
+	if am.Retry != bm.Retry {
+		w.t.Fatalf("to %s: keyspace sent %s with retry %v, standalone %v", a.to, a.key, am.Retry, bm.Retry)
+	}
 	w.pair(a.key, am.Seqs, bm.Seqs)
 	w.pending = append(w.pending, shipped{a.to, a.key, am.Seqs, bm.Seqs})
 }
@@ -290,10 +370,12 @@ func (w *twin) acks() {
 
 // ack delivers the acknowledgement of one shipped δ-group to both forms.
 func (w *twin) ack(g shipped) {
-	var ksReplies, soloReplies []emitted
+	var ksReplies, soloReplies, storeReplies []emitted
 	w.ks.(protocol.ObjectDeliverer).DeliverObject(g.to, []byte(g.key), protocol.NewAckMsg(g.ks), record(&ksReplies, g.key))
 	w.solo[g.key].Deliver(g.to, protocol.NewAckMsg(g.solo), record(&soloReplies, g.key))
+	w.store.DeliverObject(g.to, []byte(g.key), protocol.NewAckMsg(g.ks), record(&storeReplies, g.key))
 	w.compareReplies(ksReplies, soloReplies)
+	w.compareReplies(ksReplies, storeReplies)
 	w.delivered = append(w.delivered, g)
 }
 
@@ -348,6 +430,11 @@ func (w *twin) check(step int) {
 	}
 	if got := w.ks.(interface{ Retransmits() uint64 }).Retransmits(); got != retransmits {
 		w.t.Fatalf("step %d: keyspace retransmitted %d times, standalone %d", step, got, retransmits)
+	}
+	p := w.store
+	if p.Unsent() != unsent || p.Waiting() != waiting || p.Holds() != ks.Holds() || p.Retransmits() != retransmits || p.Memory() != mem {
+		w.t.Fatalf("step %d: the store's keyspace unsent=%v waiting=%v holds=%v, %d retransmits, Memory %+v; the keyspace %v %v %v, %d, %+v",
+			step, p.Unsent(), p.Waiting(), p.Holds(), p.Retransmits(), p.Memory(), unsent, waiting, ks.Holds(), retransmits, mem)
 	}
 }
 
@@ -408,6 +495,73 @@ func TestKeyspaceMatchesStandaloneEngines(t *testing.T) {
 				if w.acked && (len(w.delivered) == 0 || w.ks.(interface{ Retransmits() uint64 }).Retransmits() == 0) {
 					t.Fatal("the history never delivered an acknowledgement or never retransmitted")
 				}
+			}
+		})
+	}
+}
+
+// TestPassMatchesSyncAndFlush: a store's send pass (PerObject.Pass) hands
+// its packer the δ-groups that Sync and Flush, a keyspace's and a
+// standalone engine's, send as messages — the same neighbor, key, state,
+// entry seqs and retry note, pass for pass — so that the store and netsim
+// run one algorithm behind two adapters. The histories of
+// TestKeyspaceMatchesStandaloneEngines run with the owner's two controls
+// besides: under the plain engine, pruning by receipt, a forward is held
+// and its hold ended early (EndHolds) toward one neighbor or all; under
+// the acked engine each neighbor's wait changes between ticks
+// (ResendAfter), so entries are sent again after waits of one to four
+// ticks, and acknowledgements arrive between passes.
+func TestPassMatchesSyncAndFlush(t *testing.T) {
+	seeds, steps := 4, 1500
+	if testing.Short() {
+		seeds = 1
+	}
+	for _, c := range []struct {
+		name         string
+		inner        protocol.Factory
+		acked, prune bool
+	}{
+		{"delta/prune", protocol.NewDeltaBPRR(), false, true},
+		{"acked", protocol.NewDeltaAcked(true, true), true, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			released, waitChanges, resent, acked := 0, 0, uint64(0), 0
+			for seed := int64(1); seed <= int64(seeds); seed++ {
+				w := newTwin(t, seed, c.inner, c.acked, c.prune)
+				if c.acked {
+					w.resendAfter([]uint8{1, 1})
+				}
+				for step := 0; step < steps; step++ {
+					switch p := w.rng.Intn(100); {
+					case p < 35:
+						w.localOp()
+					case p < 55:
+						w.deliver()
+					case p < 67:
+						w.pass(false)
+					case p < 79:
+						w.pass(true)
+					case p < 92:
+						w.acks()
+					case c.acked:
+						// A neighbor's link measures another round trip.
+						w.waits[w.rng.Intn(2)] = uint8(1 + w.rng.Intn(4))
+						waitChanges++
+					default:
+						if w.endHolds() {
+							released++
+						}
+					}
+					w.check(step)
+				}
+				resent += w.store.Retransmits()
+				acked += len(w.delivered)
+			}
+			if c.prune && released == 0 {
+				t.Fatal("no history ended a hold on a forward")
+			}
+			if c.acked && (resent == 0 || acked == 0 || waitChanges == 0) {
+				t.Fatalf("the histories resent %d entries and delivered %d acknowledgements over %d changes of wait", resent, acked, waitChanges)
 			}
 		})
 	}

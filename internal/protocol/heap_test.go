@@ -101,7 +101,7 @@ func overTheWire(t testing.TB, bm *protocol.BatchMsg) protocol.Msg {
 			prev = &bm.Items[i-1].Key
 		}
 		var err error
-		if frame, err = codec.AppendLinkObjectMsg(frame, prev, om, &nt); err != nil {
+		if frame, err = codec.AppendKeyed(frame, prev, om.Key, deltaOf(om.Inner), &nt); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -60,18 +60,18 @@ type PerObject struct {
 	// cur is the buffer a call is working on (load, file); empty between
 	// calls.
 	cur core.Buffer
-	// active lists the objects the next Sync must visit: those with a
+	// active lists the objects the next tick must visit: those with a
 	// δ-buffer, whether unsent or waiting for acks. Quiescent objects are
-	// skipped, making Sync O(changed) instead of O(keyspace): the
+	// skipped, making a tick O(changed) instead of O(keyspace): the
 	// large-keyspace win the Retwis evaluation relies on. flagActive is the
-	// membership; the list may lag behind it — a Flush or an ack that
-	// empties a buffer clears the flag and the next Sync drops the id — so
+	// membership; the list may lag behind it — a pass or an ack that
+	// empties a buffer clears the flag and the next tick drops the id — so
 	// nActive is the count. An id is listed at most once (flagListed).
 	active  []uint32
 	nActive int
 	// unsent queues the objects (flagQueued) whose buffer holds something
 	// the next pass sends — never sent, or a forward whose hold has ended
-	// (EndHolds) — which is what Flush walks, so a first-transmission pass
+	// (EndHolds) — which is what a first-transmission pass walks, so it
 	// never visits the objects that only wait for an ack or a tick.
 	unsent []uint32
 	// nHeld counts the objects whose δ-buffer holds a forward back for
@@ -83,8 +83,7 @@ type PerObject struct {
 	// every object once and never unmarks it, at one bit a key.
 	stale  []uint64
 	nStale int
-	// b is the per-destination batcher, kept across calls like the lists:
-	// a pass allocates the messages it emits and nothing else.
+	// b is Sync's and Deliver's adapter to messages.
 	b batcher
 }
 
@@ -107,8 +106,8 @@ func NewKeyspace(inner Factory, objType func(key string) workload.Datatype, cfg 
 		panic("protocol: a keyspace runs the delta engines only")
 	}
 	ks := &PerObject{alg: e.alg, objType: objType}
-	ks.b.pending = make(map[string][]ObjectMsg, len(cfg.Neighbors))
-	ks.b.send = ks.b.add
+	ks.b = batcher{neighbors: cfg.Neighbors, pending: make(map[string][]ObjectMsg, len(cfg.Neighbors))}
+	ks.b.send, ks.b.emit = ks.b.add, ks.b.group
 	return ks
 }
 
@@ -275,7 +274,7 @@ func (e *PerObject) setHeld(id uint32, held bool) {
 }
 
 // touched files what a LocalOp or a Deliver just did to the buffer of the
-// object id, and queues the object for the next Flush when the buffer
+// object id, and queues the object for the next pass when the buffer
 // holds something never sent. An ack or a redundant δ-group gives a pass
 // nothing new to do.
 func (e *PerObject) touched(id uint32) {
@@ -285,7 +284,8 @@ func (e *PerObject) touched(id uint32) {
 	e.file(id)
 }
 
-// queue puts the object id on the list the next Flush walks, once.
+// queue puts the object id on the list the next first-transmission
+// pass walks, once.
 func (e *PerObject) queue(id uint32) {
 	if r := &e.ix.recs[id]; r.flags&flagQueued == 0 {
 		r.flags |= flagQueued
@@ -325,21 +325,30 @@ func (e *PerObject) mutated(id uint32) {
 	}
 }
 
-// batcher accumulates inner sends per destination and flushes them as
-// BatchMsgs. key is the object being visited; send is add, bound once.
+// batcher is the keyspace's adapter to messages: it turns the δ-groups of
+// Sync (group) and the replies of Deliver (add, for the object key names)
+// into one BatchMsg per destination, each bound once (send, emit).
 type batcher struct {
-	key     string
-	pending map[string][]ObjectMsg
-	order   []string
-	send    Sender
+	neighbors []string
+	key       string
+	pending   map[string][]ObjectMsg
+	order     []string
+	send      Sender
+	emit      Emit
 }
 
-func (b *batcher) add(to string, m Msg) {
+func (b *batcher) add(to string, m Msg) { b.put(to, b.key, m) }
+
+func (b *batcher) group(key string, to int, d lattice.State, seqs []uint64, retry bool) {
+	b.put(b.neighbors[to], key, groupMsg(d, seqs, retry))
+}
+
+func (b *batcher) put(to, key string, m Msg) {
 	items := b.pending[to]
 	if len(items) == 0 {
 		b.order = append(b.order, to)
 	}
-	b.pending[to] = append(items, ObjectMsg{Key: b.key, Inner: m})
+	b.pending[to] = append(items, ObjectMsg{Key: key, Inner: m})
 }
 
 // flush emits one BatchMsg per destination, rebuilding the accounting.
@@ -353,19 +362,17 @@ func (b *batcher) flush(send Sender) {
 		items := b.pending[to]
 		b.pending[to] = nil
 		if len(items) > 0 {
-			send(to, BatchOf(items))
+			send(to, batchOf(items))
 		}
 	}
 	b.order = b.order[:0]
 	b.key = ""
 }
 
-// BatchOf builds a BatchMsg over items with the standard batch accounting:
+// batchOf builds a BatchMsg over items with the standard batch accounting:
 // elements and payload bytes are summed from the inner messages, metadata
-// is one 8-byte sequence number plus the object keys. Transports use it to
-// (re)build batches — e.g. when splitting an oversized batch into several
-// frames, each half needs its accounting recomputed.
-func BatchOf(items []ObjectMsg) *BatchMsg {
+// is one 8-byte sequence number plus the object keys.
+func batchOf(items []ObjectMsg) *BatchMsg {
 	cost := metrics.Transmission{Messages: 1, MetadataBytes: 8}
 	for _, it := range items {
 		ic := it.Inner.Cost()
@@ -376,65 +383,59 @@ func BatchOf(items []ObjectMsg) *BatchMsg {
 	return &BatchMsg{Items: items, cost: cost}
 }
 
-// Sync implements Engine: one tick over every active object, in key
-// order.
+// Sync implements Engine: Pass's tick, its δ-groups sent as one BatchMsg
+// per neighbor.
 func (e *PerObject) Sync(send Sender) {
-	if e.nActive == 0 {
+	e.Pass(true, e.b.emit)
+	e.b.flush(send)
+}
+
+// Pass runs a send pass and hands emit, which must not call back into the
+// engine, each δ-group it makes, in key order. The tick, when tick is set,
+// visits every active object: it is the heartbeat, and the clock
+// retransmissions are counted in. The other pass, which a store runs
+// between two ticks as soon as a write has left something to ship, visits
+// the queued objects alone: it emits what has never been sent, and
+// allocates nothing when nothing new has been left since the last pass.
+func (e *PerObject) Pass(tick bool, emit Emit) {
+	ids := e.unsent
+	if tick {
+		if e.nActive == 0 {
+			return
+		}
+		ids = e.active[:0]
+		for _, id := range e.active {
+			if r := &e.ix.recs[id]; r.flags&flagActive != 0 {
+				ids = append(ids, id)
+			} else {
+				r.flags &^= flagListed // a pass or an ack left it quiescent
+			}
+		}
+		e.active = ids
+	}
+	if len(ids) == 0 {
 		return
 	}
-	ids := e.active[:0]
-	for _, id := range e.active {
-		if r := &e.ix.recs[id]; r.flags&flagActive != 0 {
-			ids = append(ids, id)
-		} else {
-			r.flags &^= flagListed // a Flush or an ack left it quiescent
-		}
-	}
-	e.active = ids
 	e.ix.sortByKey(ids)
 	// A tick ships everything a flush would have: the objects queued after
 	// it are those it left something to send at the next pass.
 	queued := e.unsent[:0]
 	for _, id := range ids {
-		if e.visit(id, true) {
+		if e.visit(id, tick, emit) {
 			queued = append(queued, id)
 		}
 	}
 	e.unsent = queued
-	e.b.flush(send)
 }
 
-// Flush emits what has never been sent, to every neighbor it is owed to,
-// and nothing else: no retransmission, no periodic message. Sync stays the
-// tick — the heartbeat, and the clock retransmissions are counted in;
-// Flush is the pass a store may run between two ticks, as soon as a write
-// has left something to ship. It visits the queued objects in key order,
-// and finds nothing to do, and allocates nothing, when no LocalOp or
-// Deliver has left anything new since the last pass.
-func (e *PerObject) Flush(send Sender) {
-	if len(e.unsent) == 0 {
-		return
-	}
-	e.ix.sortByKey(e.unsent)
-	queued := e.unsent[:0]
-	for _, id := range e.unsent {
-		if e.visit(id, false) {
-			queued = append(queued, id)
-		}
-	}
-	e.unsent = queued
-	e.b.flush(send)
-}
-
-// visit runs one send pass over the object id into the batcher, and
-// reports whether the pass left the object something to send at the next
-// one: the object stays queued then, and is dequeued otherwise — a
-// forward still held included, which no Flush sends. It stays active only
+// visit runs one send pass over the object id, and reports whether the
+// pass left the object something to send at the next one: the object
+// stays queued then, and is dequeued otherwise — a forward still held
+// included, which no first-transmission pass sends. It stays active only
 // while its buffer still waits for a later pass.
-func (e *PerObject) visit(id uint32, tick bool) bool {
-	e.b.key = e.ix.keyOf(id)
+func (e *PerObject) visit(id uint32, tick bool, emit Emit) bool {
 	b := e.load(id)
-	e.alg.ship(b, e.b.send, tick)
+	e.alg.ship(b, e.ix.keyOf(id), emit, tick)
 	left := b.Unsent()
 	if !left {
 		e.ix.recs[id].flags &^= flagQueued
@@ -443,7 +444,7 @@ func (e *PerObject) visit(id uint32, tick bool) bool {
 	return left
 }
 
-// Unsent reports whether Flush would have anything to emit.
+// Unsent reports whether a first-transmission pass has anything to emit.
 func (e *PerObject) Unsent() bool { return len(e.unsent) > 0 }
 
 // Holds reports whether a forward is held back (Config.PruneOnReceipt):
@@ -452,7 +453,7 @@ func (e *PerObject) Holds() bool { return e.nHeld > 0 }
 
 // EndHolds ends every hold on a forward toward the neighbor to, or toward
 // every neighbor for the empty id, before its second tick does
-// (Config.PruneOnReceipt): the next pass, a Flush included, makes the
+// (Config.PruneOnReceipt): the next pass, of either kind, makes the
 // forwards whose neighbor has not sent the entry back meanwhile. It
 // reports whether there is one. The engine decides what a hold is and
 // when one runs out; its owner, when to end the holds early — before its

@@ -1,15 +1,9 @@
 package protocol
 
-import (
-	"cmp"
-	"slices"
+import "crdtsync/internal/metrics"
 
-	"crdtsync/internal/lattice"
-	"crdtsync/internal/metrics"
-)
-
-// ShardItem is one shard's protocol message: what a shard's engine hands
-// the transport, and inside a sharded frame a bare item.
+// ShardItem is one shard's protocol message: inside a sharded frame a bare
+// item, such as the TreeMsg that closes a drill.
 type ShardItem struct {
 	Shard uint32
 	Msg   Msg
@@ -19,8 +13,9 @@ type ShardItem struct {
 // wire frame carrying the δ-groups of many keys across many shards. It has
 // no message type: the packer writes it from its parts
 // (codec.AppendShardedHeader) and the receiver reads it into a view
-// (codec.UnpackFrame). Its keyed items are one run in strictly ascending
-// key order (KeyedRun), which the receiver routes by key (ShardOf); its
+// (codec.UnpackFrame). Its keyed items, the δ-groups a pass emits (Emit),
+// are one run in strictly ascending key order, which the receiver routes
+// by key (ShardOf); its
 // bare items, a drill's closing TreeMsg among them, name a shard index, so
 // both ends must run the same shard count. Its header may piggyback the
 // sender's digest vector, Scuttlebutt-style, and carries a LinkHeader.
@@ -102,81 +97,6 @@ func (h LinkHeader) MetadataBytes() int {
 		n += 4 + 8 + 16*len(h.Ack.Ranges)
 	}
 	return n
-}
-
-// KeyedRun returns the items of every BatchMsg among items as one run in
-// strictly ascending key order: gathered into one slice, sorted by key,
-// and the δ-groups of a key two batches name joined into one (joinDeltas).
-// A shard's engine names each key once a pass, but a drill's answer and a
-// new drill's stop on one shard can both land in one pass toward a peer.
-// Two items of one key that are not both δ-groups stay side by side, for
-// the encoder to refuse.
-func KeyedRun(items []ShardItem) []ObjectMsg {
-	n := 0
-	for _, it := range items {
-		if bm, ok := it.Msg.(*BatchMsg); ok {
-			n += len(bm.Items)
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	run := make([]ObjectMsg, 0, n)
-	for _, it := range items {
-		if bm, ok := it.Msg.(*BatchMsg); ok {
-			run = append(run, bm.Items...)
-		}
-	}
-	slices.SortStableFunc(run, func(a, b ObjectMsg) int { return cmp.Compare(a.Key, b.Key) })
-	out := run[:0]
-	for _, om := range run {
-		if last := len(out) - 1; last >= 0 && out[last].Key == om.Key {
-			if m, ok := joinDeltas(out[last].Inner, om.Inner); ok {
-				out[last].Inner = m
-				continue
-			}
-		}
-		out = append(out, om)
-	}
-	clear(run[len(out):])
-	return out
-}
-
-// joinDeltas returns the one δ-group that says what a and b, two δ-groups
-// of one key, say: the join of their states, under the entry seqs of both.
-// It leaves a and b as they were, and reports false when either is not a
-// δ-group.
-func joinDeltas(a, b Msg) (Msg, bool) {
-	sa, seqsA, okA := deltaGroup(a)
-	sb, seqsB, okB := deltaGroup(b)
-	if !okA || !okB {
-		return nil, false
-	}
-	st := sa.Clone()
-	st.Merge(sb)
-	if seqsA == nil && seqsB == nil {
-		return NewDeltaMsg(st), true
-	}
-	return NewAckedDeltaMsg(st, append(slices.Clip(seqsA), seqsB...)), true
-}
-
-// deltaGroup returns the state of a δ-group message and, for an acked one,
-// its entry seqs.
-func deltaGroup(m Msg) (lattice.State, []uint64, bool) {
-	switch v := m.(type) {
-	case *DeltaMsg:
-		return v.Delta, nil, true
-	case *AckedDeltaMsg:
-		return v.Delta, v.Seqs, true
-	}
-	return nil, nil, false
-}
-
-// KeyedCost is one keyed item's share of its frame's accounting: the inner
-// message's elements and payload, and its key as routing metadata.
-func KeyedCost(om ObjectMsg) metrics.Transmission {
-	ic := om.Inner.Cost()
-	return metrics.Transmission{Elements: ic.Elements, PayloadBytes: ic.PayloadBytes, MetadataBytes: len(om.Key)}
 }
 
 // BareCost is one bare item's share of its frame's accounting: the inner

@@ -158,7 +158,7 @@ func newCore(cfg StoreConfig, inc uint32) (*core, error) {
 		repair:    repairTable{timeout: int64(repairTimeout), entries: make([]repairEntry, cfg.Shards)},
 		sendAt:    flushBurst * int64(cfg.SyncEvery/flushesPerTick), // an empty budget
 		nextTick:  int64(cfg.SyncEvery),
-		scratch:   scratch{b: newOutBatch()},
+		scratch:   scratch{b: newOutBatch(len(neighbors))},
 		digestVec: make([]uint64, cfg.Shards),
 	}
 	for i, id := range neighbors {
@@ -190,15 +190,11 @@ type shard struct {
 	digest uint64
 }
 
-// pass runs one flush (first transmissions) or tick (Sync) over the
-// shard's engine.
-func (sh *shard) pass(tick bool, send protocol.Sender) {
+// pass runs one flush (first transmissions) or tick over the shard's
+// engine, handing emit its δ-groups (protocol.PerObject.Pass).
+func (sh *shard) pass(tick bool, emit protocol.Emit) {
 	sh.mu.Lock()
-	if tick {
-		sh.ks.Sync(send)
-	} else {
-		sh.ks.Flush(send)
-	}
+	sh.ks.Pass(tick, emit)
 	sh.mu.Unlock()
 }
 
@@ -286,42 +282,73 @@ func (c *core) shardDigests() []uint64 {
 	return c.digestVec
 }
 
-// outBatch accumulates per-destination shard items in first-send order.
+// outBatch is what a pass or a delivery has for each neighbor, by
+// position, until it flushes, with the neighbors in first-send order. emit
+// is group, bound once: what a shard's pass hands its δ-groups.
 type outBatch struct {
-	perDest map[string][]protocol.ShardItem
-	order   []string
+	dests []outDest
+	order []int
+	emit  protocol.Emit
 }
 
-func newOutBatch() *outBatch {
-	return &outBatch{perDest: make(map[string][]protocol.ShardItem)}
+// outDest is one neighbor's part of an outBatch, which packFrames packs:
+// the δ-groups of keys, in shard order, and the bare items, the closes of
+// drills. covered is set once the digest vector has ridden its frames.
+type outDest struct {
+	groups  []group
+	bare    []protocol.ShardItem
+	covered bool
 }
 
-// add appends one emission.
-func (b *outBatch) add(shardIdx uint32, to string, m protocol.Msg) {
-	if len(b.perDest[to]) == 0 {
+// group is one key's δ-group, as a pass emits it (protocol.Emit).
+type group struct {
+	key   string
+	delta lattice.State
+	seqs  []uint64
+	retry bool
+}
+
+func newOutBatch(neighbors int) *outBatch {
+	b := &outBatch{dests: make([]outDest, neighbors)}
+	b.emit = b.group
+	return b
+}
+
+// dest returns to's part, noting the first send to it.
+func (b *outBatch) dest(to int) *outDest {
+	d := &b.dests[to]
+	if len(d.groups)+len(d.bare) == 0 {
 		b.order = append(b.order, to)
 	}
-	b.perDest[to] = append(b.perDest[to], protocol.ShardItem{Shard: shardIdx, Msg: m})
+	return d
 }
 
-// sender adapts a shard's engine sends into tagged shard items.
-func (b *outBatch) sender(shardIdx uint32) protocol.Sender {
-	return func(to string, m protocol.Msg) {
-		b.add(shardIdx, to, m)
-	}
+func (b *outBatch) group(key string, to int, delta lattice.State, seqs []uint64, retry bool) {
+	d := b.dest(to)
+	d.groups = append(d.groups, group{key, delta, seqs, retry})
 }
 
-// reset clears the batch for reuse, keeping the per-destination slice
-// capacity (the items themselves are zeroed so a reused batch does not pin
-// message memory between frames).
+// reset clears the batch for reuse, keeping each destination's arrays,
+// zeroed so that a reused batch pins no δ-group's state, unless they hold
+// more than keptGroups δ-groups: a bulk pass leaves thousands toward a
+// peer, which the batch would otherwise hold on to between passes.
 func (b *outBatch) reset() {
 	for _, to := range b.order {
-		items := b.perDest[to]
-		clear(items)
-		b.perDest[to] = items[:0]
+		d := &b.dests[to]
+		clear(d.groups)
+		clear(d.bare)
+		groups := d.groups[:0]
+		if cap(groups) > keptGroups {
+			groups = nil
+		}
+		*d = outDest{groups: groups, bare: d.bare[:0]}
 	}
 	b.order = b.order[:0]
 }
+
+// keptGroups is the most δ-groups toward one neighbor, 16 KB of them, whose
+// array a batch keeps between passes.
+const keptGroups = 256
 
 // scratch is the core's per-call scratch: the batch a pass or a delivery
 // collects its sends on, and applyAck's buffers. One call uses it at a
@@ -436,7 +463,7 @@ func (c *core) tick(now int64) {
 			ride = vec
 		}
 	}
-	covered := c.flush(b, ride, now)
+	c.flush(b, ride, now)
 	c.spend(now)
 	if vec == nil {
 		return
@@ -446,7 +473,7 @@ func (c *core) tick(now int64) {
 		// it may advertise on no schedule of its own — once the pipeline to
 		// it is up: one that is gone for good is dialed, not sent to.
 		echo := c.linkList[i].catchUp.left > 0 && c.out.connect(to)
-		if _, ok := covered[to]; !echo && (!regular || ok) {
+		if !echo && (!regular || b.dests[i].covered) {
 			continue
 		}
 		m := protocol.NewDigestMsg(vec)
@@ -519,41 +546,34 @@ func (c *core) anyDue(tick bool) bool {
 	return false
 }
 
-// collect runs the per-shard stage of a pass — a tick (engine.Sync over
-// the dirty shards) or a flush (first transmissions over the shards with
-// something unsent) — accumulating every engine emission on b in
-// ascending shard order.
+// collect runs the per-shard stage of a pass — a tick over the dirty
+// shards or a flush (first transmissions) over the shards with something
+// unsent — accumulating every δ-group on b in ascending shard order.
 func (c *core) collect(b *outBatch, tick bool) {
-	for i, sh := range c.shards {
+	for _, sh := range c.shards {
 		if sh.due(tick) {
-			sh.pass(tick, b.sender(uint32(i)))
+			sh.pass(tick, b.emit)
 		}
 	}
 }
 
 // flush packs the accumulated items into bounded frames per destination
 // and transmits them at now; vec, when non-nil, is piggybacked onto one
-// frame per destination when it fits, and the returned set names the peers
-// it reached.
-func (c *core) flush(b *outBatch, vec []uint64, now int64) map[string]struct{} {
-	var covered map[string]struct{}
-	for _, to := range b.order {
-		if c.flushTo(to, b.perDest[to], vec, now) {
-			if covered == nil {
-				covered = make(map[string]struct{})
-			}
-			covered[to] = struct{}{}
-		}
+// frame per destination when it fits, which marks the destination's part
+// covered until the batch is reset.
+func (c *core) flush(b *outBatch, vec []uint64, now int64) {
+	for _, i := range b.order {
+		d := &b.dests[i]
+		d.covered = c.flushTo(c.neighbors[i], d, vec, now)
 	}
-	return covered
 }
 
-// flushTo packs and transmits one destination's items at now, reporting
+// flushTo packs and transmits one destination's part at now, reporting
 // whether vec rode one of the frames. A neighbor's frames are numbered on
 // its link, and the first takes the acknowledgement owed to it once that
 // has been held for c.hold.
-func (c *core) flushTo(to string, items []protocol.ShardItem, vec []uint64, now int64) bool {
-	res, err := packFrames(items, vec, c.maxMsgBytes(), len(c.shards), c.links[to], now, c.hold)
+func (c *core) flushTo(to string, d *outDest, vec []uint64, now int64) bool {
+	res, err := packFrames(d, vec, c.maxMsgBytes(), len(c.shards), c.links[to], now, c.hold)
 	if err != nil {
 		// Engines produced an unencodable message: a programming
 		// error in the engine/codec pairing.
@@ -909,7 +929,10 @@ func (c *core) hello(reaches []string) []byte {
 // closes the connection before any of its items is routed, and so is one
 // that names another incarnation than the connection's first hello did;
 // otherwise the connection is of the life it names, and what it reaches
-// replaces what from was known to reach.
+// replaces what from was known to reach. A new life of from is sent this
+// store's digests at once, so that its drills wait for no advertisement.
+// It is not asked for its own back: a drill repairs both ways, and this
+// store drilling the same shards at the same time would double the work.
 func (c *core) handleHello(from string, inc *uint32, m *protocol.HelloMsg) error {
 	if m.Version != protocol.WireVersion || int(m.Shards) != len(c.shards) {
 		c.stats.HelloRefused++
@@ -919,11 +942,17 @@ func (c *core) handleHello(from string, inc *uint32, m *protocol.HelloMsg) error
 	if *inc != 0 && m.Inc != *inc {
 		return fmt.Errorf("transport: %s's connection of incarnation %#x says it is of %#x", from, *inc, m.Inc)
 	}
-	if lk := c.links[from]; *inc == 0 && lk != nil {
-		// A new connection may carry a new life of from, restored from
-		// anywhere: what its digests matched before says nothing now, and
-		// its first advertisement that differs drills at once.
-		clear(lk.matched)
+	if lk := c.links[from]; lk != nil {
+		if *inc == 0 {
+			// A new connection may carry a new life of from, restored from
+			// anywhere: what its digests matched before says nothing now,
+			// and its first advertisement that differs drills at once.
+			clear(lk.matched)
+		}
+		if lk.helloInc != 0 && lk.helloInc != m.Inc && c.cfg.DigestEvery > 0 {
+			c.transmitMsg(from, protocol.NewDigestMsg(c.shardDigests()), frameDigest)
+		}
+		lk.helloInc = m.Inc
 	}
 	*inc = m.Inc
 	c.setReach(from, m.Reaches)

@@ -65,7 +65,7 @@ func shardBatch(shard uint32, keys ...string) protocol.ShardItem {
 	for i, k := range keys {
 		oms = append(oms, protocol.ObjectMsg{Key: k, Inner: gsetDelta(int(shard)*100+i, 2)})
 	}
-	return protocol.ShardItem{Shard: shard, Msg: protocol.BatchOf(oms)}
+	return protocol.ShardItem{Shard: shard, Msg: batchOf(oms)}
 }
 
 // testPeerInc is the incarnation of the sender of every frame handed to a
@@ -111,11 +111,11 @@ func encodeFrame(t testing.TB, m protocol.Msg) []byte {
 // alone.
 func packFrame(t testing.TB, link protocol.LinkHeader, digests []uint64, items ...protocol.ShardItem) []byte {
 	t.Helper()
-	res, err := packFrames(items, digests, math.MaxInt32, packShards, nil, 0, 0)
+	res, err := packFrames(destOf(items), digests, math.MaxInt32, packShards, nil, 0, 0)
 	if err != nil || len(res.frames) > 1 {
 		t.Fatalf("packFrames: %d frames: %v", len(res.frames), err)
 	}
-	keyed, bare := len(protocol.KeyedRun(items)), 0
+	keyed, bare := len(keyedRun(destOf(items).groups)), 0
 	for _, it := range items {
 		if _, ok := it.Msg.(*protocol.BatchMsg); !ok {
 			bare++
@@ -187,7 +187,7 @@ func frameOf(t testing.TB, data []byte) frameContent {
 	}
 	items := slices.Clone(fc.bare)
 	if len(fc.keyed) > 0 {
-		items = append(items, protocol.ShardItem{Msg: protocol.BatchOf(fc.keyed)})
+		items = append(items, protocol.ShardItem{Msg: batchOf(fc.keyed)})
 	}
 	if again := packFrame(t, fc.link, fc.digests, items...); !bytes.Equal(again, data) {
 		t.Fatalf("frame %x re-packs as %x", data, again)
@@ -200,7 +200,8 @@ func frameOf(t testing.TB, data []byte) frameContent {
 func (fc frameContent) cost() metrics.Transmission {
 	c := metrics.Transmission{Messages: 1, MetadataBytes: 8*len(fc.digests) + fc.link.MetadataBytes()}
 	for _, om := range fc.keyed {
-		c.Add(protocol.KeyedCost(om))
+		st := deltaOfMsg(om.Inner)
+		c.Add(metrics.Transmission{Elements: st.Elements(), PayloadBytes: st.SizeBytes(), MetadataBytes: len(om.Key)})
 	}
 	for _, it := range fc.bare {
 		c.Add(protocol.BareCost(it))
@@ -326,7 +327,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 			}
 		}
 		limit := 256 + rng.Intn(4096)
-		res, err := packFrames(items, digests, limit, shards, nil, 0, 0)
+		res, err := packFrames(destOf(items), digests, limit, shards, nil, 0, 0)
 		if err != nil {
 			t.Fatalf("pack: %v", err)
 		}
@@ -498,7 +499,7 @@ func TestDeliverRetiredAndLegacyItems(t *testing.T) {
 		// The item with a retired tag is bare, or keyed under hi, which
 		// the run puts after lo.
 		lo, hi := k0[1], aboveOnShard(len(s.shards), 1, k0[1])
-		good, err := codec.AppendLinkObjectMsg(nil, nil, protocol.ObjectMsg{Key: lo, Inner: gsetDelta(0, 2)}, new(codec.Names))
+		good, err := codec.AppendKeyed(nil, nil, lo, deltaOfMsg(gsetDelta(0, 2)), new(codec.Names))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -547,7 +548,7 @@ func aboveOnShard(shards int, shard uint32, lo string) string {
 // then the rest, ready for a message to follow.
 func keyAfter(t testing.TB, prev, key string) []byte {
 	t.Helper()
-	item, err := codec.AppendLinkObjectMsg(nil, &prev, protocol.ObjectMsg{Key: key, Inner: gsetDelta(0, 2)}, new(codec.Names))
+	item, err := codec.AppendKeyed(nil, &prev, key, deltaOfMsg(gsetDelta(0, 2)), new(codec.Names))
 	if err != nil {
 		t.Fatal(err)
 	}

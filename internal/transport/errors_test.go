@@ -105,7 +105,7 @@ func TestStoreDropsConnectionThatChangesSender(t *testing.T) {
 	defer conn.Close()
 	delta := protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("s-02", 1))
 	writeRawFrame(t, conn, "s-02", shardedFrame(t, protocol.LinkHeader{},
-		protocol.ShardItem{Shard: 0, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: "spoofed", Inner: delta}})},
+		protocol.ShardItem{Shard: 0, Msg: batchOf([]protocol.ObjectMsg{{Key: "spoofed", Inner: delta}})},
 	))
 	expectDrop(t, conn)
 	if got := stores[0].Get("spoofed"); got != nil {
@@ -120,7 +120,7 @@ func TestStoreDropsConnectionThatChangesSender(t *testing.T) {
 func spoof(t *testing.T, key string) []byte {
 	delta := protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("x", 1))
 	return shardedFrame(t, protocol.LinkHeader{},
-		protocol.ShardItem{Shard: 0, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: key, Inner: delta}})},
+		protocol.ShardItem{Shard: 0, Msg: batchOf([]protocol.ObjectMsg{{Key: key, Inner: delta}})},
 	)
 }
 

@@ -538,7 +538,7 @@ func TestFlushCarriesHeldReplies(t *testing.T) {
 		t.Helper()
 		d := protocol.NewDeltaMsg(crdt.NewGSet(fmt.Sprintf("e%d", seq)))
 		frame := linkFrame(t, seq, 0, protocol.FrameAck{}, protocol.ShardItem{
-			Shard: 0, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: k, Inner: d}}),
+			Shard: 0, Msg: batchOf([]protocol.ObjectMsg{{Key: k, Inner: d}}),
 		})
 		inc := uint32(testPeerInc)
 		if _, err := c.deliver("p1", &inc, new(codec.FrameView), frame, now); err != nil {

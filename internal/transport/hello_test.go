@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"crdtsync/internal/codec"
 	"crdtsync/internal/protocol"
 	"crdtsync/internal/workload"
 )
@@ -423,4 +424,55 @@ func TestHelloDroppedCostsBytesNotConvergence(t *testing.T) {
 		}
 		s.settle()
 	})
+}
+
+// TestHelloOfANewLifeAdvertisesAtOnce drives the core through a recording
+// port: a hello that names another life of its neighbor than the
+// neighbor's last hello did is answered at once with this store's digest
+// vector, so that the restarted store's drills wait for no advertisement;
+// it does not ask for the neighbor's back, which would have both ends
+// drill the same shards. A first connection and a reconnect within one
+// life send nothing, and neither does a store that compares no digests.
+func TestHelloOfANewLifeAdvertisesAtOnce(t *testing.T) {
+	for _, every := range []int{4, 0} {
+		cfg := tickStoreConfig()
+		cfg.DigestEvery = every
+		c, err := newCore(cfg.withDefaults(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := recorder{}
+		c.out = rec
+		c.update(workload.Add("k", "v"))
+		hello := func(life uint32) {
+			t.Helper()
+			var inc uint32 // each hello opens a connection of its own
+			m := protocol.NewHelloMsg(protocol.WireVersion, uint32(cfg.Shards), life, nil)
+			if _, err := c.deliver("p1", &inc, new(codec.FrameView), encodeFrame(t, m), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		hello(5)
+		hello(5)
+		if n := len(rec["p1"]); n != 0 {
+			t.Fatalf("digests every %d ticks: a first connection and a reconnect sent %d frames", every, n)
+		}
+		hello(6)
+		if every == 0 {
+			if n := len(rec["p1"]); n != 0 {
+				t.Fatalf("digests off: a new life was sent %d frames", n)
+			}
+			continue
+		}
+		if n := len(rec["p1"]); n != 1 {
+			t.Fatalf("a new life was sent %d frames, want its digest vector", n)
+		}
+		m, _, err := codec.DecodeMsg(rec["p1"][0])
+		if dm, ok := m.(*protocol.DigestMsg); err != nil || !ok || dm.Echo || !reflect.DeepEqual(dm.Digests, c.shardDigests()) {
+			t.Fatalf("a new life was sent %+v (%v), want this store's digests", m, err)
+		}
+		if len(rec["p2"]) != 0 {
+			t.Fatalf("p1's new life sent p2 %d frames", len(rec["p2"]))
+		}
+	}
 }

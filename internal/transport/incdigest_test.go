@@ -112,7 +112,7 @@ func TestIncrementalDigestMatchesRecompute(t *testing.T) {
 							continue
 						}
 						named[k] = true
-						items = append(items, protocol.ShardItem{Shard: protocol.ShardOf(k, len(s.shards)), Msg: protocol.BatchOf([]protocol.ObjectMsg{
+						items = append(items, protocol.ShardItem{Shard: protocol.ShardOf(k, len(s.shards)), Msg: batchOf([]protocol.ObjectMsg{
 							{Key: k, Inner: protocol.NewDeltaMsg(crdt.NewGSet(fmt.Sprintf("e%d", rng.Intn(6))))},
 						})})
 					}
@@ -344,7 +344,7 @@ func TestStoreHostileKeyLengths(t *testing.T) {
 		a.Update(workload.Add(k, "v"))
 		frame := dataFrame(t, protocol.ShardItem{
 			Shard: protocol.ShardOf(k, len(b.shards)),
-			Msg:   protocol.BatchOf([]protocol.ObjectMsg{{Key: k, Inner: protocol.NewDeltaMsg(crdt.NewGSet("v"))}}),
+			Msg:   batchOf([]protocol.ObjectMsg{{Key: k, Inner: protocol.NewDeltaMsg(crdt.NewGSet("v"))}}),
 		})
 		if err := b.deliver("peer", frame); err != nil {
 			t.Fatalf("key of %d bytes: frame refused: %v", len(k), err)

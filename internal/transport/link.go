@@ -101,12 +101,14 @@ type link struct {
 	// (ackHoldsPerTick), meaningful while owed is set.
 	owed   bool
 	owedAt int64
-	// catchUp is the digest comparison owed with the neighbor, and matched
+	// catchUp is the digest comparison owed with the neighbor, matched
 	// has bit i set while the neighbor's last advertisement carried this
-	// store's digest of shard i (handleDigests): neither has to do with
-	// acknowledgements, but both are per neighbor too.
-	catchUp catchUp
-	matched []uint64
+	// store's digest of shard i (handleDigests), and helloInc is the
+	// incarnation its last hello named (handleHello): none has to do with
+	// acknowledgements, but all are per neighbor too.
+	catchUp  catchUp
+	matched  []uint64
+	helloInc uint32
 }
 
 func newLink(inc uint32) *link { return &link{inc: inc, first: 1, kept: 1} }

@@ -606,7 +606,7 @@ func TestLinkAckLosslessMeshShipsEachEntryOnce(t *testing.T) {
 	// the short form a one-element set takes in a keyed item or the long
 	// form of a bigger one.
 	setTag := codec.Encode(crdt.NewGSet("x", "y"))[0]
-	lone, err := codec.AppendLinkObjectMsg(nil, nil, protocol.ObjectMsg{Key: "k", Inner: protocol.NewDeltaMsg(crdt.NewGSet("x"))}, new(codec.Names))
+	lone, err := codec.AppendKeyed(nil, nil, "k", crdt.NewGSet("x"), new(codec.Names))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -56,17 +58,19 @@ func encodeMsg(t *testing.T, m protocol.Msg) []byte {
 
 // shardedFrame writes the frame a store's packer writes for items under
 // link, through the packer's append functions: the keyed items of their
-// batches as one run in key order (protocol.KeyedRun), then every other
-// item bare.
+// batches as one run in key order, then every other item bare.
 func shardedFrame(t *testing.T, link protocol.LinkHeader, items ...protocol.ShardItem) []byte {
 	t.Helper()
-	run := protocol.KeyedRun(items)
+	var run []protocol.ObjectMsg
 	var bare []protocol.ShardItem
 	for _, it := range items {
-		if _, keyed := it.Msg.(*protocol.BatchMsg); !keyed {
+		if bm, keyed := it.Msg.(*protocol.BatchMsg); keyed {
+			run = append(run, bm.Items...)
+		} else {
 			bare = append(bare, it)
 		}
 	}
+	slices.SortStableFunc(run, func(a, b protocol.ObjectMsg) int { return strings.Compare(a.Key, b.Key) })
 	b := codec.AppendShardedHeader(nil, link, nil, len(run), len(bare))
 	var nt codec.Names
 	var err error
@@ -75,7 +79,7 @@ func shardedFrame(t *testing.T, link protocol.LinkHeader, items ...protocol.Shar
 		if i > 0 {
 			prev = &run[i-1].Key
 		}
-		if b, err = codec.AppendLinkObjectMsg(b, prev, om, &nt); err != nil {
+		if b, err = codec.AppendKeyed(b, prev, om.Key, om.Inner.(*protocol.DeltaMsg).Delta, &nt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,6 +89,11 @@ func shardedFrame(t *testing.T, link protocol.LinkHeader, items ...protocol.Shar
 		}
 	}
 	return b
+}
+
+// batchOf is a BatchMsg over oms, the δ-groups of one shard.
+func batchOf(oms []protocol.ObjectMsg) *protocol.BatchMsg {
+	return &protocol.BatchMsg{Items: oms}
 }
 
 // writeRawFrame writes one transport frame naming from as its sender; a
@@ -273,7 +282,7 @@ func TestLinkAckTwoLivesOnOverlappingConnections(t *testing.T) {
 		return conn
 	}
 	send := func(conn net.Conn, key string, seq uint64) {
-		item := protocol.ShardItem{Msg: protocol.BatchOf([]protocol.ObjectMsg{
+		item := protocol.ShardItem{Msg: batchOf([]protocol.ObjectMsg{
 			{Key: key, Inner: protocol.NewDeltaMsg(crdt.NewGSet(key))},
 		})}
 		writeRawFrame(t, conn, "", shardedFrame(t, protocol.LinkHeader{Seq: protocol.FrameSeq{Seq: seq}}, item))

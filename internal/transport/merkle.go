@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"slices"
 	"time"
 
 	"crdtsync/internal/codec"
@@ -317,7 +318,7 @@ func (c *core) handleDigests(from string, digests []uint64, b *outBatch, now int
 			continue
 		}
 		if sh.endHolds(from) {
-			sh.pass(false, b.sender(uint32(i)))
+			sh.pass(false, b.emit)
 		}
 		if lk.match(i, false, len(c.shards)) && wait {
 			continue
@@ -397,7 +398,8 @@ func (c *core) handleTree(from string, tm *protocol.TreeMsg, b *outBatch, now in
 		// slot at once; left to the next matching digest it would turn
 		// other replicas' drills on the shard away until then.
 		c.repair.clearFrom(int(tm.Shard), from)
-		b.add(tm.Shard, from, protocol.NewTreeMsg(tm.Shard, tm.Level, nil, nil))
+		d := b.dest(slices.Index(c.neighbors, from))
+		d.bare = append(d.bare, protocol.ShardItem{Shard: tm.Shard, Msg: protocol.NewTreeMsg(tm.Shard, tm.Level, nil, nil)})
 		return
 	}
 	c.continueDrill(from, tm.Shard, level+1, diff, b, now)
@@ -477,11 +479,10 @@ func (c *core) answerClose(from string, tm *protocol.TreeMsg, g codec.ItemGroup,
 const repairChunkBytes = 1 << 20
 
 // shipRange sends to one end's half of a drill's close over the ranges
-// that objs lie in: a sequence of bounded BatchMsgs of per-key δ-groups,
-// then the TreeMsg that says which half it was. A state is a valid
-// δ-group, so the receiver merges each chunk through the ordinary
-// per-object delivery path (RR extracts exactly the missing part) and
-// propagates anything new onwards.
+// that objs lie in: bounded chunks of per-key δ-groups, then the TreeMsg
+// that says which half it was. A state is a valid δ-group, so the receiver
+// merges each chunk through the ordinary per-object delivery path (RR
+// extracts exactly the missing part) and propagates anything new onwards.
 //
 // With want it is the stopping side's half: whole states, no more than
 // one frame's worth — a state left out is one the answer brings back in
@@ -490,16 +491,15 @@ const repairChunkBytes = 1 << 20
 // whole state for any other, as many chunks as it takes, and a TreeMsg
 // naming nothing.
 //
-// Each chunk but the last leaves on its own frame at once, the last and the
-// TreeMsg are left on b, and a whole state shipped is a clone: what the
-// caller goes on to apply before it flushes b must not change it. It
+// Each chunk but the last leaves on its own frames at once, the last and
+// the TreeMsg are left on b, and a whole state shipped is a clone: what
+// the caller goes on to apply before it flushes b must not change it. It
 // reports whether any state was shipped.
 func (c *core) shipRange(to string, shardIdx uint32, level int, want []uint32, objs []keyState, theirs map[string]lattice.State, b *outBatch, now int64) bool {
 	budget := min(c.maxMsgBytes()/2, repairChunkBytes)
 	total := 0
-	var chunk *outBatch
+	var chunk outDest
 	for i := 0; ; {
-		var items []protocol.ObjectMsg
 		bytes := 0
 		for ; i < len(objs); i++ {
 			key, st := objs[i].key, objs[i].st
@@ -510,30 +510,25 @@ func (c *core) shipRange(to string, shardIdx uint32, level int, want []uint32, o
 				}
 			}
 			sz := len(key) + st.SizeBytes()
-			if len(items) > 0 && bytes+sz > budget {
+			if len(chunk.groups) > 0 && bytes+sz > budget {
 				break // chunk full; an oversized single object still ships alone
 			}
 			if t == nil {
 				st = st.Clone()
 			}
 			bytes += sz
-			items = append(items, protocol.ObjectMsg{Key: key, Inner: protocol.NewDeltaMsg(st)})
+			chunk.groups = append(chunk.groups, group{key: key, delta: st})
 		}
 		total += bytes
 		if i == len(objs) || want != nil {
-			if len(items) > 0 {
-				b.add(shardIdx, to, protocol.BatchOf(items))
-			}
-			b.add(shardIdx, to, protocol.NewTreeMsg(shardIdx, uint8(level), want, nil))
+			d := b.dest(slices.Index(c.neighbors, to))
+			d.groups = append(d.groups, chunk.groups...)
+			d.bare = append(d.bare, protocol.ShardItem{Shard: shardIdx, Msg: protocol.NewTreeMsg(shardIdx, uint8(level), want, nil)})
 			break
 		}
 		// Accumulating chunks on b would defeat the point of chunking.
-		if chunk == nil {
-			chunk = newOutBatch()
-		}
-		chunk.add(shardIdx, to, protocol.BatchOf(items))
-		c.flush(chunk, nil, now)
-		chunk.reset()
+		c.flushTo(to, &chunk, nil, now)
+		chunk.groups = chunk.groups[:0]
 	}
 	c.stats.RepairBytes += total
 	return total > 0

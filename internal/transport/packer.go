@@ -1,24 +1,27 @@
 package transport
 
 import (
+	"cmp"
+	"slices"
+
 	"crdtsync/internal/codec"
 	"crdtsync/internal/metrics"
 	"crdtsync/internal/protocol"
 )
 
-// The single-pass frame packer. One pass's shard items for one peer must go
-// out as frames no larger than the configured cap. Since wire version 5 a
-// frame writes all of its keyed items as one run in ascending key order,
-// with no shard index: the packer gathers the destination's per-shard
-// batches into one key-ordered run (protocol.KeyedRun) and packs it
-// greedily, each item encoded once against the key before it and, since
-// wire version 6, against the replica names the frame's run has spelled
-// (codec.Names). The item that opens a frame's run is written whole, its
-// key and its names, so the one a split moves to the next frame is encoded
-// once more; the bare items (a drill's close) follow the whole run, in the last
-// frames, so that a close never arrives before the states it goes with. A
-// pass therefore costs one sort of its keyed items and O(items) encoding
-// work, however many frames it fills.
+// The single-pass frame packer. One pass's δ-groups and closes for one
+// peer must go out as frames no larger than the configured cap. Since wire
+// version 5 a frame writes all of its keyed items as one run in ascending
+// key order, with no shard index: the packer sorts the δ-groups the
+// shards left in shard order into one run and packs it greedily, each item
+// encoded once against the key before it and, since wire version 6,
+// against the replica names the frame's run has spelled (codec.Names). The
+// item that opens a frame's run is written whole, its key and its names,
+// so the one a split moves to the next frame is encoded once more; the
+// bare items (a drill's close) follow the whole run, in the last frames,
+// so that a close never arrives before the states it goes with. A pass
+// therefore costs one sort of its keyed items and O(items) encoding work,
+// however many frames it fills.
 //
 // Frame sizes are computed exactly, not estimated: codec exposes the
 // header size for any (digest vector, item counts) combination, so a
@@ -28,8 +31,8 @@ import (
 // frame for the sender's own Stats().Sent.
 //
 // The packer is also where acknowledgement moves from the object to the
-// link. An AckedDeltaMsg goes out as the plain δ-group; the frame that
-// takes it gets a sequence number in its header, and the link records
+// link. An acked engine's δ-group goes out as the plain one; the frame
+// that takes it gets a sequence number in its header, and the link records
 // which entries the number stands for — per frame, so that the unit
 // acknowledged is the unit that can be lost. The acknowledgement the
 // destination is owed rides the first frame, once it has been held long
@@ -81,23 +84,12 @@ type framePacker struct {
 	cost        metrics.Transmission
 	withVec     bool // pending frame carries vec
 	scratch     []byte
-	acks        []ackItem // scratch: the acks of the item being placed
 	// link is the pending frame's link header: the acknowledgement the
 	// destination is owed, until a frame has taken it, and a sequence
 	// number from the first acked δ-group the frame admits. rec is what
 	// that number stands for.
 	link protocol.LinkHeader
 	rec  []ackItem
-}
-
-// numbered returns the pending frame's link header as it would be with
-// acks among its δ-groups.
-func (p *framePacker) numbered(acks []ackItem) protocol.LinkHeader {
-	link := p.link
-	if len(acks) > 0 && link.Seq.Seq == 0 {
-		link.Seq = p.lk.next()
-	}
-	return link
 }
 
 // seal gives the pending frame's sequence number out, if it has one, and
@@ -119,25 +111,32 @@ func (p *framePacker) size(link protocol.LinkHeader, digests []uint64, keyed, ba
 	return codec.ShardedHeaderSize(link, digests, p.nRun+keyed, p.nBare+bare) + len(p.body) + extra
 }
 
-// tryAdd admits the piece in p.scratch — one keyed item when keyed is set,
-// else one bare item — with the acks of the δ-groups in it, into the
-// pending frame if the frame's exact encoded size stays within the cap.
-// The digest vector is not considered here: it attaches to the flush's
-// final frame (see packFrames), so a receiver has merged the whole tick
-// before it compares digests — a vector on an early frame of a split tick
-// would advertise state the remaining frames are still carrying and
-// provoke spurious shard requests.
-func (p *framePacker) tryAdd(keyed bool, c metrics.Transmission, acks []ackItem) bool {
-	link := p.numbered(acks)
+// tryAdd admits the piece in p.scratch — the keyed item of g, or a bare
+// item for a nil g — into the pending frame if the frame's exact encoded
+// size stays within the cap. An acked engine's δ-group gives the frame a
+// sequence number, if it has none yet, and its entries join the record of
+// what the number stands for. The digest vector is not considered here:
+// it attaches to the flush's final frame (see packFrames), so a receiver
+// has merged the whole tick before it compares digests — a vector on an
+// early frame of a split tick would advertise state the remaining frames
+// are still carrying and provoke spurious shard requests.
+func (p *framePacker) tryAdd(g *group, c metrics.Transmission) bool {
+	acked := g != nil && len(g.seqs) > 0 && p.lk != nil
+	link := p.link
+	if acked && link.Seq.Seq == 0 {
+		link.Seq = p.lk.next()
+	}
 	k, b := 0, 1
-	if keyed {
+	if g != nil {
 		k, b = 1, 0
 	}
 	if p.size(link, nil, k, b, len(p.scratch)) > p.limit {
 		return false
 	}
 	p.link = link
-	p.rec = append(p.rec, acks...)
+	if acked {
+		p.rec = append(p.rec, ackItem{shard: protocol.ShardOf(g.key, p.shards), key: g.key, seqs: g.seqs, retry: g.retry})
+	}
 	p.body = append(p.body, p.scratch...)
 	p.nRun += k
 	p.nBare += b
@@ -173,11 +172,11 @@ func (p *framePacker) flush() {
 	p.withVec = false
 }
 
-// packFrames encodes items once each and packs them greedily into frames
-// whose encoded size never exceeds limit: the keyed items of
-// their batches as one key-ordered run (protocol.KeyedRun), then the other
-// items, bare, in order. digests, when non-nil, is piggybacked onto the flush's
-// final frame when it has room — after every data piece, so the receiver's
+// packFrames encodes d's δ-groups and bare items once each and packs them
+// greedily into frames whose encoded size never exceeds limit: the
+// δ-groups as one key-ordered run (keyedRun), then the bare items in
+// order. digests, when non-nil, is piggybacked onto the flush's final
+// frame when it has room — after every data piece, so the receiver's
 // digest comparison sees the fully merged tick — and left unattached (for
 // the caller's standalone heartbeat fallback, which likewise follows the
 // data) when it does not. A piece whose encoding alone overflows an empty
@@ -188,28 +187,26 @@ func (p *framePacker) flush() {
 // acknowledgement it owes if that has been owed for hold; the record of an
 // acked δ-group names the shard its key routes to among shards. With a nil
 // link nothing is numbered.
-func packFrames(items []protocol.ShardItem, digests []uint64, limit, shards int, lk *link, now, hold int64) (packResult, error) {
+func packFrames(d *outDest, digests []uint64, limit, shards int, lk *link, now, hold int64) (packResult, error) {
 	p := &framePacker{limit: limit, shards: shards, vec: digests, lk: lk, now: now}
 	if lk != nil {
 		p.link.Ack, _ = lk.takeAck(now, hold)
 	}
-	err := p.pack(items)
+	err := p.pack(d)
 	if p.link.Ack.Inc != 0 {
 		lk.owe() // no frame left to carry it
 	}
 	return p.res, err
 }
 
-func (p *framePacker) pack(items []protocol.ShardItem) error {
-	for _, om := range protocol.KeyedRun(items) {
-		if err := p.addKeyed(om); err != nil {
+func (p *framePacker) pack(d *outDest) error {
+	run := keyedRun(d.groups)
+	for i := range run {
+		if err := p.addKeyed(&run[i]); err != nil {
 			return err
 		}
 	}
-	for _, it := range items {
-		if _, keyed := it.Msg.(*protocol.BatchMsg); keyed {
-			continue
-		}
+	for _, it := range d.bare {
 		if err := p.addBare(it); err != nil {
 			return err
 		}
@@ -222,51 +219,56 @@ func (p *framePacker) pack(items []protocol.ShardItem) error {
 	return nil
 }
 
-// encodeKeyed writes om into p.scratch against the pending run's last key.
-func (p *framePacker) encodeKeyed(om protocol.ObjectMsg) error {
-	var prev *string
-	if p.nRun > 0 {
-		prev = &p.prev
+// keyedRun sorts groups, in place, into one run in strictly ascending key
+// order, and returns it: the groups of a key named twice are joined into
+// one, the join of their states under the entry seqs of both. A shard's
+// engine names each key once a pass, but a drill's answer and a new
+// drill's stop on one shard can both land in one pass toward a peer.
+func keyedRun(groups []group) []group {
+	slices.SortStableFunc(groups, func(a, b group) int { return cmp.Compare(a.key, b.key) })
+	run := groups[:0]
+	for _, g := range groups {
+		if last := len(run) - 1; last >= 0 && run[last].key == g.key {
+			st := run[last].delta.Clone()
+			st.Merge(g.delta)
+			run[last] = group{g.key, st, append(slices.Clip(run[last].seqs), g.seqs...), run[last].retry || g.retry}
+		} else {
+			run = append(run, g)
+		}
 	}
-	var err error
-	p.scratch, err = codec.AppendLinkObjectMsg(p.scratch[:0], prev, om, &p.names)
-	p.res.encodes++
-	return err
+	return run
 }
 
 // addKeyed places one keyed item: in the pending frame, or as the first of
 // the next — written again, whole, if it was written against a key and
 // names the frame it opens does not have. An item that leaves a frame
-// takes back the names it spelled there.
-func (p *framePacker) addKeyed(om protocol.ObjectMsg) error {
-	acks := p.acks[:0]
-	if a, ok := om.Inner.(*protocol.AckedDeltaMsg); ok && p.lk != nil {
-		acks = append(acks, ackItem{shard: protocol.ShardOf(om.Key, p.shards), key: om.Key, seqs: a.Seqs, retry: a.Retry})
-		p.acks = acks
-	}
-	c := protocol.KeyedCost(om)
-	mark := p.names.Len()
-	if err := p.encodeKeyed(om); err != nil {
-		return err
-	}
-	if !p.tryAdd(true, c, acks) {
+// takes back the names it spelled there. Its share of the frame's
+// accounting is its state's elements and payload, and its key as routing
+// metadata.
+func (p *framePacker) addKeyed(g *group) error {
+	c := metrics.Transmission{Elements: g.delta.Elements(), PayloadBytes: g.delta.SizeBytes(), MetadataBytes: len(g.key)}
+	for {
+		var prev *string
+		if p.nRun > 0 {
+			prev = &p.prev
+		}
+		mark := p.names.Len()
+		var err error
+		if p.scratch, err = codec.AppendKeyed(p.scratch[:0], prev, g.key, g.delta, &p.names); err != nil {
+			return err
+		}
+		p.res.encodes++
+		if p.tryAdd(g, c) {
+			p.prev = g.key
+			return nil
+		}
 		p.names.Truncate(mark)
 		if p.nRun == 0 {
 			p.res.oversized++ // alone in a frame it still exceeds the cap
 			return nil
 		}
 		p.flush()
-		if err := p.encodeKeyed(om); err != nil {
-			return err
-		}
-		if !p.tryAdd(true, c, acks) {
-			p.names.Truncate(0)
-			p.res.oversized++
-			return nil
-		}
 	}
-	p.prev = om.Key
-	return nil
 }
 
 // addBare places one bare item: in the pending frame, or the next.
@@ -277,11 +279,11 @@ func (p *framePacker) addBare(it protocol.ShardItem) error {
 	}
 	p.res.encodes++
 	c := protocol.BareCost(it)
-	if p.tryAdd(false, c, nil) {
+	if p.tryAdd(nil, c) {
 		return nil
 	}
 	p.flush()
-	if !p.tryAdd(false, c, nil) {
+	if !p.tryAdd(nil, c) {
 		p.res.oversized++
 	}
 	return nil

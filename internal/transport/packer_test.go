@@ -202,7 +202,7 @@ func randomItems(rng *rand.Rand) []protocol.ShardItem {
 				Inner: gsetDelta(i*100+j, 1+rng.Intn(20)),
 			})
 		}
-		items = append(items, protocol.ShardItem{Shard: shard, Msg: protocol.BatchOf(oms)})
+		items = append(items, protocol.ShardItem{Shard: shard, Msg: batchOf(oms)})
 	}
 	return items
 }
@@ -219,7 +219,7 @@ func checkPacked(t testing.TB, items []protocol.ShardItem, digests []uint64, lim
 // checkPackedOn is checkPacked toward a link, nil for none.
 func checkPackedOn(t testing.TB, items []protocol.ShardItem, digests []uint64, limit int, lk *link) packResult {
 	t.Helper()
-	res, err := packFrames(items, digests, limit, packShards, lk, 0, 0)
+	res, err := packFrames(destOf(items), digests, limit, packShards, lk, 0, 0)
 	if err != nil {
 		t.Fatalf("packFrames: %v", err)
 	}
@@ -409,7 +409,7 @@ func TestPackEncodesEachItemOnce(t *testing.T) {
 			Inner: gsetDelta(j, 4),
 		})
 	}
-	items := []protocol.ShardItem{{Shard: 3, Msg: protocol.BatchOf(oms)}}
+	items := []protocol.ShardItem{{Shard: 3, Msg: batchOf(oms)}}
 	res := checkPacked(t, items, nil, 384)
 	if len(res.frames) < 10 {
 		t.Fatalf("cap did not force a split: %d frames", len(res.frames))
@@ -470,7 +470,7 @@ func TestPackSplitPiecesUnpackAlone(t *testing.T) {
 			// each forwarded to p1.
 			key = fmt.Sprintf("c/n%08d", i)
 			delta = crdt.NewGCounter().IncDelta([]string{"w-p2", "w-x9"}[i/4%2], uint64(i))
-			forwarded = append(forwarded, protocol.ShardItem{Shard: protocol.ShardOf(key, cfg.Shards), Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: key, Inner: protocol.NewDeltaMsg(delta)}})})
+			forwarded = append(forwarded, protocol.ShardItem{Shard: protocol.ShardOf(key, cfg.Shards), Msg: batchOf([]protocol.ObjectMsg{{Key: key, Inner: protocol.NewDeltaMsg(delta)}})})
 		}
 		want[key] = delta
 	}
@@ -544,7 +544,7 @@ func TestPackDropsIrreducibleOversized(t *testing.T) {
 		{Shard: 1, Msg: gsetDelta(2, 500)}, // far beyond the cap
 		{Shard: 2, Msg: gsetDelta(3, 1)},
 	}
-	res, err := packFrames(items, nil, 128, packShards, nil, 0, 0)
+	res, err := packFrames(destOf(items), nil, 128, packShards, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,11 +559,11 @@ func TestPackDropsIrreducibleOversized(t *testing.T) {
 	// after it spells its writer again, or its frame would refer to a name
 	// it never spelled.
 	big := lattice.NewMapEntry("a", &crdt.LWWRegister{TS: 1, Writer: "w", Val: strings.Repeat("v", 500)})
-	items = []protocol.ShardItem{{Shard: 0, Msg: protocol.BatchOf([]protocol.ObjectMsg{
+	items = []protocol.ShardItem{{Shard: 0, Msg: batchOf([]protocol.ObjectMsg{
 		{Key: "a", Inner: protocol.NewDeltaMsg(big)},
 		{Key: "b", Inner: protocol.NewDeltaMsg(crdt.NewGCounter().IncDelta("w", 1))},
 	})}}
-	if res, err = packFrames(items, nil, 128, packShards, nil, 0, 0); err != nil || res.oversized != 1 {
+	if res, err = packFrames(destOf(items), nil, 128, packShards, nil, 0, 0); err != nil || res.oversized != 1 {
 		t.Fatalf("oversized = %d, want 1: %v", res.oversized, err)
 	}
 	if units, _, _ := decodeFrames(t, res.frames, 128); len(units) != 1 || units[0].key != "b" {
@@ -659,7 +659,7 @@ func benchShapedItems(rng *rand.Rand, writers int) []protocol.ShardItem {
 		if rng.Intn(8) == 0 {
 			slices.Reverse(b)
 		}
-		items = append(items, protocol.ShardItem{Shard: sh, Msg: protocol.BatchOf(b)})
+		items = append(items, protocol.ShardItem{Shard: sh, Msg: batchOf(b)})
 	}
 	if len(items) > 0 && rng.Intn(2) == 0 {
 		sh := items[rng.Intn(len(items))].Shard
@@ -695,14 +695,14 @@ func TestPackJoinsAKeyNamedTwice(t *testing.T) {
 			return protocol.NewDeltaMsg(crdt.NewGSet(el))
 		}
 		items := []protocol.ShardItem{
-			{Shard: 2, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: "a", Inner: delta("x", 1)}, {Key: "c", Inner: delta("z", 2)}})},
-			{Shard: 2, Msg: protocol.BatchOf([]protocol.ObjectMsg{{Key: "a", Inner: delta("y", 3)}})},
+			{Shard: 2, Msg: batchOf([]protocol.ObjectMsg{{Key: "a", Inner: delta("x", 1)}, {Key: "c", Inner: delta("z", 2)}})},
+			{Shard: 2, Msg: batchOf([]protocol.ObjectMsg{{Key: "a", Inner: delta("y", 3)}})},
 		}
 		var lk *link
 		if acked {
 			lk = newLink(7)
 		}
-		res, err := packFrames(items, nil, maxFrameBytes, packShards, lk, 0, 0)
+		res, err := packFrames(destOf(items), nil, maxFrameBytes, packShards, lk, 0, 0)
 		if err != nil || len(res.frames) != 1 {
 			t.Fatalf("acked %v: %d frames: %v", acked, len(res.frames), err)
 		}
@@ -747,7 +747,7 @@ func benchItems() []protocol.ShardItem {
 				Inner: gsetDelta(sh*32+j, 3),
 			})
 		}
-		items = append(items, protocol.ShardItem{Shard: uint32(sh), Msg: protocol.BatchOf(oms)})
+		items = append(items, protocol.ShardItem{Shard: uint32(sh), Msg: batchOf(oms)})
 	}
 	return items
 }
@@ -766,7 +766,7 @@ func BenchmarkPack(b *testing.B) {
 	b.Run("greedy", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := packFrames(items, nil, limit, packShards, nil, 0, 0)
+			res, err := packFrames(destOf(items), nil, limit, packShards, nil, 0, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -783,4 +783,32 @@ func BenchmarkPack(b *testing.B) {
 			}
 		}
 	})
+}
+
+// batchOf is a BatchMsg over oms: the tests write the δ-groups a pass
+// leaves toward a peer as batches, one a shard (destOf).
+func batchOf(oms []protocol.ObjectMsg) *protocol.BatchMsg {
+	return &protocol.BatchMsg{Items: oms}
+}
+
+// destOf is items as a store's passes and drills leave them toward one
+// peer: the δ-groups of the batches among items, in order, and every other
+// item bare.
+func destOf(items []protocol.ShardItem) *outDest {
+	d := new(outDest)
+	for _, it := range items {
+		bm, ok := it.Msg.(*protocol.BatchMsg)
+		if !ok {
+			d.bare = append(d.bare, it)
+			continue
+		}
+		for _, om := range bm.Items {
+			g := group{key: om.Key, delta: deltaOfMsg(om.Inner)}
+			if a, ok := om.Inner.(*protocol.AckedDeltaMsg); ok {
+				g.seqs, g.retry = a.Seqs, a.Retry
+			}
+			d.groups = append(d.groups, g)
+		}
+	}
+	return d
 }

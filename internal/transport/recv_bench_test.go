@@ -22,7 +22,7 @@ func benchRecvFrame(tb testing.TB, shards, objectsPerShard int) []byte {
 			// changed since the last one, typically a single op per key.
 			oms = append(oms, protocol.ObjectMsg{Key: k, Inner: gsetDelta(sh*100+i, 1)})
 		}
-		items = append(items, protocol.ShardItem{Shard: uint32(sh), Msg: protocol.BatchOf(oms)})
+		items = append(items, protocol.ShardItem{Shard: uint32(sh), Msg: batchOf(oms)})
 	}
 	sort.Slice(items, func(i, j int) bool { return items[i].Shard < items[j].Shard })
 	return dataFrame(tb, items...)

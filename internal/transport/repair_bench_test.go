@@ -37,7 +37,7 @@ func measureRepair(t *testing.T, keys int, flat bool) repairMeasurement {
 	}
 	base := s.total()
 	if flat {
-		b := newOutBatch()
+		b := newOutBatch(len(s1.neighbors))
 		now := s.now + s1.off
 		s1.shipRange(s0.cfg.ID, 0, 0, rootNode, nil, nil, b, now)
 		s1.flush(b, nil, now)

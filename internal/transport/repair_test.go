@@ -483,7 +483,7 @@ func TestHandleTreeHostileInputs(t *testing.T) {
 	for _, k := range keysOnShard(len(s.shards), 0, 20) {
 		s.Update(workload.Add(k, "v"))
 	}
-	b := newOutBatch()
+	b := newOutBatch(len(s.neighbors))
 	hostile := []*protocol.TreeMsg{
 		bogusPush(99, 1, 0),                                    // shard skew
 		bogusPush(0, protocol.TreeDepth, 0),                    // a push below the leaves
@@ -546,14 +546,16 @@ func TestHandleTreeHostileInputs(t *testing.T) {
 	// A store that has to stop on more than a frame holds — only the leaf
 	// level can force that — sends one frame's worth and leaves the rest
 	// to the answer.
-	big := startSoloStore(t, 1)
+	big := startDrillStore(t, 1)
 	big.cfg.maxFrame = 256
 	allLeaves := make([]uint32, protocol.TreeLeaves)
 	for i := range allLeaves {
 		allLeaves[i] = uint32(i)
 		big.Update(workload.Add(fmt.Sprintf("k%06d", i), "v"))
 	}
-	big.locked(func() { big.continueDrill("peer", 0, protocol.TreeDepth, allLeaves, b, big.now()) })
+	big.locked(func() {
+		big.continueDrill("peer", 0, protocol.TreeDepth, allLeaves, newOutBatch(len(big.neighbors)), big.now())
+	})
 	if got, limit := big.Stats().RepairBytes, big.maxMsgBytes()/2; got == 0 || got > limit {
 		t.Errorf("a forced stop sent %d bytes along, want 1..%d (half a frame)", got, limit)
 	}
@@ -570,7 +572,7 @@ func TestContinueDrillHostileAnswer(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		s.Update(workload.Add(fmt.Sprintf("k%06d", i), "v"))
 	}
-	b := newOutBatch()
+	b := newOutBatch(len(s.neighbors))
 	// A drill toward the hostile peer is in flight — the state a real one
 	// is in when an answer arrives.
 	claimed := false

@@ -829,15 +829,29 @@ func simReplicaNames(s lattice.State, fn func(string)) {
 	}
 }
 
+// simTraces pins the traces of simLossReorderPartition's seeds 1–20: a
+// change that moves a byte a store sends, or when it sends it, moves them,
+// and states the new hashes and why.
+var simTraces = [...]uint64{
+	0x414e2788c1412fc6, 0xabecb5b01c6169dd, 0x333f38daed809341, 0xbc5957d3e01e755f,
+	0x4fb4f6250f1a117a, 0xb10d507794f73502, 0x923f769887881ffc, 0x8d320ede2a70a16a,
+	0xeb3dc4eee3aa0b0d, 0x78c7f964550a629b, 0x1c8da4a6839403d4, 0xc32d12371d15cd59,
+	0x3e600de8070eaac8, 0x51bf7d33567e049d, 0x7c080d31f8bfce7d, 0x2db60696b9089743,
+	0xd782811f4120d3db, 0xc7dca137b39a35fa, 0xa92b3e5494bceb42, 0x2c709c0ee88e5e3b,
+}
+
 // TestSimIsDeterministic: a run replays from its seed. Two runs of one seed
-// hand the same bytes to the same links at the same times, and two seeds
-// make different runs.
+// hand the same bytes to the same links at the same times, two seeds make
+// different runs, and seeds 1–20 make the runs they made (simTraces).
 func TestSimIsDeterministic(t *testing.T) {
 	var last uint64
 	forSeeds(func(seed int64) {
 		a := simLossReorderPartition(t, seed, nil).trace.Sum64()
 		if b := simLossReorderPartition(t, seed, nil).trace.Sum64(); a != b {
 			t.Fatalf("seed %d ran twice: traces %x and %x", seed, a, b)
+		}
+		if seed <= int64(len(simTraces)) && a != simTraces[seed-1] {
+			t.Errorf("seed %d: trace %x, want %x", seed, a, simTraces[seed-1])
 		}
 		if a == last {
 			t.Fatalf("seeds %d and %d ran alike: trace %x", seed-1, seed, a)

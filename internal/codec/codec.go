@@ -26,18 +26,18 @@
 // one tag per shape of link header), whose keyed items are δ-groups and
 // whose bare items are messages; DigestMsg, TreeMsg and HelloMsg; and
 // DeltaMsg and AckedDeltaMsg as bare items. A BatchMsg's standalone form
-// is write-only. The full-state message, AckMsg and the Scuttlebutt and
-// op-based messages have none — they travel in memory, under
-// internal/netsim and inside the acked engine — and their tags are
-// reserved. A sharded frame has one
-// reader, UnpackFrame (unpack.go); every other message has one, DecodeMsg.
+// is write-only. The full-state message, the per-object acknowledgement
+// and the Scuttlebutt and op-based messages have none — they travel in
+// memory, under internal/netsim and inside the acked engine — and their
+// tags are reserved. A sharded frame has one reader, UnpackFrame
+// (unpack.go); every other message has one, DecodeMsg.
 //
 // A keyed item — the key, then one object's δ-group — says each thing
 // once (wire version 3): the δ-group is its state alone, with no message
 // tag, since state tags (1–10, and the keyed forms 11–13) and message tags
 // (64 on) do not overlap, and a map field's, the one-entry map {key ↦ v}
 // under its own key, is tagKeyEntry and v. One writer (AppendKeyed)
-// and one reader (readObjectMsg) hold the rule. States outside a keyed
+// and one reader (readKeyed) hold the rule. States outside a keyed
 // item — a bare DeltaMsg, a map's values, a snapshot record — keep the
 // context-free encoding.
 //
@@ -101,7 +101,7 @@ const (
 	tagAWSet
 	// tagKeyEntry is no state of its own. Inside a keyed item it is the
 	// one-entry map {item key ↦ value}, a map field's δ-group, followed by
-	// the value alone (readObjectMsg); everywhere else it is refused.
+	// the value alone (readKeyed); everywhere else it is refused.
 	tagKeyEntry
 	// tagCounterEntry and tagSetElement are the short forms of a one-entry
 	// GCounter (its replica's name, then the count) and of a one-element

@@ -19,7 +19,7 @@ import (
 // header replaced, and to the link header's wire version 1 form, a flag
 // byte after one tag: their values stay reserved, EncodeMsg has no format
 // for those messages and the decoders refuse the tags like any unknown one.
-// Inside a keyed item a δ-group goes without its tag (readObjectMsg), and
+// Inside a keyed item a δ-group goes without its tag (readKeyed), and
 // both δ-group tags are refused there. A BatchMsg's standalone form is
 // write-only: the benchmark times its encoder, no store sends it, and no
 // decoder reads tagBatchMsg, which in a frame is a run of keyed items.
@@ -323,23 +323,22 @@ func readKey(data, prev []byte, keys *[]byte) (key []byte, n int, err error) {
 	return (*keys)[start:len(*keys):len(*keys)], n, nil
 }
 
-// readObjectMsg reads the keyed item data starts with, as AppendKeyed
-// writes it: its key, rebuilt against prev onto *keys (readKey), the inner
-// message's encoding, aliasing data, the message decoded against the run's
-// names nt, and the item's length. The second spellings are refused: a
-// message tag before a state (ErrUnknownTag: a δ-group's tag, or the
+// readKeyed reads the keyed item data starts with, as AppendKeyed writes
+// it: its key, rebuilt against prev onto *keys (readKey), the δ-group's
+// encoding, aliasing data, the δ-group decoded against the run's names
+// nt, and the item's length. The second spellings are refused: a message
+// tag before a state (ErrUnknownTag: a δ-group's tag, or the
 // AckedDeltaMsg form a frame never writes), the long form of a map field,
 // and the short form of an empty one; and, in the state (readState), the
 // long form of a one-entry counter or one-element set, a counter entry of
 // 0, a list out of order, a reference past the run's names and a second
 // spelling of one.
-func readObjectMsg(data, prev []byte, keys *[]byte, nt *Names) (key, payload []byte, m protocol.Msg, n int, err error) {
+func readKeyed(data, prev []byte, keys *[]byte, nt *Names) (key, payload []byte, s lattice.State, n int, err error) {
 	key, n, err = readKey(data, prev, keys)
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}
 	data = data[n:]
-	var s lattice.State
 	var sn int
 	switch data[0] {
 	case tagKeyEntry:
@@ -361,7 +360,7 @@ func readObjectMsg(data, prev []byte, keys *[]byte, nt *Names) (key, payload []b
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}
-	return key, data[:sn], protocol.NewDeltaMsg(s), n + sn, nil
+	return key, data[:sn], s, n + sn, nil
 }
 
 // shardedHeader is a parsed sharded frame header, plain, with a digest

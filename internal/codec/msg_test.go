@@ -71,7 +71,7 @@ func (unwritable) Cost() metrics.Transmission { return metrics.Transmission{Mess
 func retiredMsgs() []retiredMsg {
 	return []retiredMsg{
 		{unwritable("state"), []byte{64, 7, 2, 1, 'a', 1, 'b'}},
-		{&protocol.AckMsg{Seqs: []uint64{7}}, []byte{67, 1, 7}},
+		{unwritable("ack"), []byte{67, 1, 7}},
 		{unwritable("sb-digest"), []byte{68, 1, 3, 'n', '0', '0', 4, 0}},
 		{unwritable("sb-deltas"), []byte{69, 1, 3, 'n', '0', '0', 3, 7, 1, 1, 'p'}},
 		{unwritable("ops"), []byte{70, 1, 3, 'n', '0', '0', 3, 1, 3, 'n', '0', '0', 2, 7, 7, 1, 1, 'e'}},

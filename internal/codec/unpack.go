@@ -7,12 +7,13 @@ import (
 	"fmt"
 	"slices"
 
+	"crdtsync/internal/lattice"
 	"crdtsync/internal/protocol"
 )
 
 // Single-pass inbound frame unpacking. UnpackFrame is the one reader of a
 // sharded frame and the mirror of the single-pass packer: it walks the raw
-// frame once, decoding each item (readObjectMsg for a keyed item, DecodeMsg
+// frame once, decoding each item (readKeyed for a keyed item, DecodeMsg
 // for a bare one, so the decode is the item's extent and its validation),
 // routes each keyed item to the receiver's shard by its key
 // (protocol.ShardOf), and groups the items by shard into reusable views. A
@@ -31,8 +32,9 @@ import (
 // first key whole, every later one as the prefix it shares with the key
 // before it and the rest (readKey); then a δ-group as its state alone, its
 // replica names against the run's (readName), a map field's as tagKeyEntry
-// and its value (readObjectMsg) — then bare shard items under their shard index and message tag, of which a
-// TreeMsg closing a drill is the one stores send.
+// and its value (readKeyed) — then bare shard items under their shard
+// index and message tag, of which a TreeMsg closing a drill is the one
+// stores send. A keyed item unpacks to its key and state, no message.
 // Standalone: HelloMsg, DigestMsg and TreeMsg (see the tag block in msg.go
 // for what is retired).
 //
@@ -40,19 +42,20 @@ import (
 // Unpack on the same view. An item's Key points into the view, where the
 // walk rebuilt it; its Payload aliases the frame buffer, so callers that
 // reuse read buffers must finish with the view before reusing the frame's
-// bytes. Decoded messages never alias the buffer (the decoders copy, and a
-// replica name is copied once per frame, into a string every state that
-// names it shares), so only the views themselves are scoped.
+// bytes. Decoded states and messages never alias the buffer (the decoders
+// copy, and a replica name is copied once per frame, into a string every
+// state that names it shares), so only the views themselves are scoped.
 
 // ErrNotSharded reports input whose leading tag is not one of the sharded
 // frame encodings. Callers fall back to DecodeMsg for control frames
 // (digest heartbeats, tree pushes).
 var ErrNotSharded = errors.New("codec: not a sharded frame")
 
-// ItemView is one item's message within a sharded frame: the shard it
-// routes to, its key, the raw encoding of its inner message and that
-// message decoded. Key is nil for a bare item (the TreeMsg that closes a
-// drill is the one stores send; the keyed engines ignore any other).
+// ItemView is one item within a sharded frame: the shard it routes to,
+// its key, its raw encoding and what that decodes to — a keyed item's
+// δ-group state, a bare item's message. Key is nil for a bare item (the
+// TreeMsg that closes a drill is the one stores send; the keyed engines
+// ignore any other).
 type ItemView struct {
 	// Shard is the destination shard index: a keyed item's, routed by its
 	// key among the receiver's shards; a bare item's as the frame named it,
@@ -67,8 +70,11 @@ type ItemView struct {
 	// or tagKeyEntry and a map field's value, written against the names
 	// the items before it in the run spelled.
 	Payload []byte
+	// State is a keyed item's δ-group, decoded by the walk that found its
+	// extent; nil for a bare item.
+	State lattice.State
 
-	msg protocol.Msg // Payload, decoded by the walk that found its extent
+	msg protocol.Msg // a bare item's Payload, decoded likewise
 }
 
 // Tag returns the payload's first byte: a message tag, or on a keyed
@@ -84,12 +90,18 @@ func IsAckTag(tag byte) bool {
 	return tag == tagAckMsg || tag == tagSBDigestMsg
 }
 
-// Msg returns the item's message, which UnpackFrame decoded; the error is
-// always nil (the frozen bench/ compiles against the signature). The
-// message owns its memory (the decoders copy out of the input), so it
-// stays valid after the frame buffer is reused — only the view itself is
-// frame-scoped.
-func (iv *ItemView) Msg() (protocol.Msg, error) { return iv.msg, nil }
+// Msg returns the item as a message: a keyed item's State as the DeltaMsg
+// it would travel as outside a store, built on each call, and a bare
+// item's message as UnpackFrame decoded it. The error is always nil (the
+// frozen bench/ compiles against the signature). The message owns its
+// memory (the decoders copy out of the input), so it stays valid after the
+// frame buffer is reused — only the view itself is frame-scoped.
+func (iv *ItemView) Msg() (protocol.Msg, error) {
+	if iv.Key != nil {
+		return protocol.NewDeltaMsg(iv.State), nil
+	}
+	return iv.msg, nil
+}
 
 // ItemGroup is one shard's run of item views within an unpacked frame —
 // the unit the store applies under a single lock hold.
@@ -101,7 +113,7 @@ type ItemGroup struct {
 // FrameView is the reusable result of UnpackFrame: the piggybacked digest
 // vector (if any) and the item views grouped by shard. A view is valid
 // until its next Unpack; pool and reuse it — a steady-state unpack
-// allocates what its items' messages take and nothing for the view.
+// allocates what its items decode to and nothing for the view.
 type FrameView struct {
 	// Digests is the piggybacked per-shard digest vector, never empty
 	// when the frame carried one and empty when it did not. The backing
@@ -135,7 +147,7 @@ func (v *FrameView) Groups() []ItemGroup { return v.groups }
 func (v *FrameView) NumItems() int { return len(v.items) }
 
 // reset clears the view for reuse, releasing references to previously
-// decoded messages and the previous frame's buffer so a pooled view never
+// decoded items and the previous frame's buffer so a pooled view never
 // pins a dead frame or its states. Only the prefix the last unpack wrote
 // is cleared — everything past len is zero already, by induction — so the
 // cost follows the last frame's size, not the largest frame the view has
@@ -155,7 +167,7 @@ func (v *FrameView) reset() {
 }
 
 // maxRetainedItems bounds the item arrays an idle view keeps: one bulk
-// frame (tens of thousands of items, 72 bytes of view each, twice over
+// frame (tens of thousands of items, 88 bytes of view each, twice over
 // with the grouping scratch) must not stay pinned by every pooled view
 // that happened to unpack one.
 const maxRetainedItems = 4096
@@ -165,7 +177,7 @@ const maxRetainedItems = 4096
 const maxRetainedKeyBytes = 16 * maxRetainedItems
 
 // Reset clears the view without unpacking a new frame, dropping its
-// references to the last frame's buffer and decoded messages. Callers
+// references to the last frame's buffer and decoded items. Callers
 // that pool views call it before Put so an idle pooled view pins nothing;
 // item arrays and a name table grown past maxRetainedItems, and a key
 // buffer past maxRetainedKeyBytes, are dropped, not pooled.
@@ -232,13 +244,13 @@ func (v *FrameView) unpack(data []byte, shards int) error {
 	}
 	var prev []byte
 	for i := uint64(0); i < h.keyed; i++ {
-		key, payload, msg, m, err := readObjectMsg(data[n:], prev, &v.keys, &v.names)
+		key, payload, st, m, err := readKeyed(data[n:], prev, &v.keys, &v.names)
 		if err != nil {
 			return err
 		}
 		n += m
 		prev = key
-		v.items = append(v.items, ItemView{Shard: protocol.ShardOf(key, shards), Key: key, Payload: payload, msg: msg})
+		v.items = append(v.items, ItemView{Shard: protocol.ShardOf(key, shards), Key: key, Payload: payload, State: st})
 	}
 	for i := uint64(0); i < h.bare; i++ {
 		shard, m, err := readShardIndex(data[n:])

@@ -10,21 +10,24 @@ import (
 )
 
 // algorithm is Algorithm 1 over one object: what a local update, an
-// inbound message and a send pass do to the object's state x and its
-// δ-buffer b, which the caller holds. Its two implementations are the only
-// code that runs the algorithm: *deltaBased clears the buffer after every
-// send, *deltaAcked keeps each entry until it is acknowledged. A standalone
-// engine (object) holds one pair (x, b) itself; a keyspace (PerObject)
-// holds x in the key's record and b in a side table, only while it is not
-// empty.
+// inbound δ-group or acknowledgement and a send pass do to the object's
+// state x and its δ-buffer b, which the caller holds. Its two
+// implementations are the only code that runs the algorithm: *deltaBased
+// clears the buffer after every send, *deltaAcked keeps each entry until
+// it is acknowledged. A standalone engine (object) holds one pair (x, b)
+// itself; a keyspace (PerObject) holds x in the key's record and b in a
+// side table, only while it is not empty.
 type algorithm interface {
 	config() *deltaConfig
 	// store is Algorithm 1's store(s, o): join s into x and buffer it for
 	// further propagation.
 	store(x lattice.State, b *core.Buffer, s lattice.State, origin string)
-	// deliver handles one inbound message for the object; replies go to
-	// send.
-	deliver(x lattice.State, b *core.Buffer, from string, m Msg, send Sender)
+	// receive is Algorithm 1's receive side (lines 14–16) on the δ-group
+	// d from the neighbor from.
+	receive(x lattice.State, b *core.Buffer, d lattice.State, from string)
+	// ack takes from's acknowledgement of the entries seqs of b, which one
+	// δ-group carried with the retry note retry (Emit).
+	ack(b *core.Buffer, from string, seqs []uint64, retry bool)
 	// ship is a send pass over b, the δ-buffer of key: the tick when tick
 	// is set, a first-transmission pass otherwise (PerObject.Pass). It
 	// hands emit each neighbor's δ-group, leaves the entries the next pass
@@ -65,6 +68,22 @@ func groupMsg(d lattice.State, seqs []uint64, retry bool) Msg {
 	m := NewAckedDeltaMsg(d, seqs)
 	m.Retry = retry
 	return m
+}
+
+// deliverMsg is groupMsg's receive-side twin: it hands receive a message's
+// δ-group and ack an acknowledgement's seqs, and ignores any other
+// message. An AckedDeltaMsg is acknowledged through send, redundant or
+// not: the data arrived. A store has no messages to unwrap (PerObject.Ack).
+func deliverMsg(from string, m Msg, send Sender, receive func(d lattice.State), ack func(seqs []uint64, retry bool)) {
+	switch m := m.(type) {
+	case *DeltaMsg:
+		receive(m.Delta)
+	case *AckedDeltaMsg:
+		receive(m.Delta)
+		send(from, newAckMsg(m.Seqs, m.Retry))
+	case *ackMsg:
+		ack(m.Seqs, m.Retry)
+	}
 }
 
 // deltaConfig is what every object run by one algorithm has in common. A
@@ -138,7 +157,9 @@ func (e *object) LocalOp(op workload.Op) {
 }
 
 func (e *object) Deliver(from string, m Msg, send Sender) {
-	e.alg.deliver(e.x, &e.buf, from, m, send)
+	deliverMsg(from, m, send,
+		func(d lattice.State) { e.alg.receive(e.x, &e.buf, d, from) },
+		func(seqs []uint64, retry bool) { e.alg.ack(&e.buf, from, seqs, retry) })
 }
 
 // Sync implements Engine: one tick.

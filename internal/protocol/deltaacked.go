@@ -27,20 +27,20 @@ func (m *AckedDeltaMsg) Kind() string { return "delta-acked" }
 // Cost implements Msg.
 func (m *AckedDeltaMsg) Cost() metrics.Transmission { return m.cost }
 
-// AckMsg acknowledges received δ-buffer entries. Retry echoes the
+// ackMsg acknowledges received δ-buffer entries. Retry echoes the
 // acknowledged AckedDeltaMsg's: an acknowledgement of a message that
 // carried first sends only is what tells a resend it was spurious.
-type AckMsg struct {
+type ackMsg struct {
 	Seqs  []uint64
 	Retry bool
 	cost  metrics.Transmission
 }
 
 // Kind implements Msg.
-func (m *AckMsg) Kind() string { return "ack" }
+func (m *ackMsg) Kind() string { return "ack" }
 
 // Cost implements Msg.
-func (m *AckMsg) Cost() metrics.Transmission { return m.cost }
+func (m *ackMsg) Cost() metrics.Transmission { return m.cost }
 
 // maxRetransmitGap caps the doubling of the gap between two sends of an
 // unacknowledged entry, in ticks, unless the wait alone is longer: an
@@ -205,28 +205,10 @@ func (e *deltaAcked) gap(entry *core.Entry) int {
 	return min(w<<entry.Gap, max(w, maxRetransmitGap))
 }
 
-func (e *deltaAcked) deliver(x lattice.State, b *core.Buffer, from string, m Msg, send Sender) {
-	switch msg := m.(type) {
-	case *AckedDeltaMsg:
-		e.receive(x, b, msg.Delta, from)
-		// Acknowledge regardless of redundancy: the data arrived.
-		ack := newAckMsg(msg.Seqs)
-		ack.Retry = msg.Retry
-		send(from, ack)
-	case *DeltaMsg:
-		// A δ-group outside the acked sequence space: the store-level
-		// digest anti-entropy repair path ships full object states this
-		// way. Merge what inflates and propagate it onwards; there is
-		// nothing to acknowledge.
-		e.receive(x, b, msg.Delta, from)
-	case *AckMsg:
-		e.ack(b, slices.Index(e.cfg.Neighbors, from), msg)
-	}
-}
-
 // receive takes a δ-group d from a neighbor: the entries it covers are
 // held by from, and leave once every neighbor they are owed to holds them
-// (Config.PruneOnReceipt), before d is absorbed.
+// (Config.PruneOnReceipt), before d is absorbed. Digest repair's whole
+// states, which carry no seqs, are received the same way.
 func (e *deltaAcked) receive(x lattice.State, b *core.Buffer, d lattice.State, from string) {
 	if e.received(b, d, from) {
 		b.Drop(len(e.cfg.Neighbors), e.owed)
@@ -234,18 +216,18 @@ func (e *deltaAcked) receive(x lattice.State, b *core.Buffer, d lattice.State, f
 	absorb(e, x, b, d, from)
 }
 
-// ack marks the entries whose seqs neighbor acknowledges as held by it,
-// and drops the entries every neighbor they are owed to now holds. An
-// acknowledgement echoes the seqs of one AckedDeltaMsg, which ship lists
-// in buffer order, so both sides ascend and one two-pointer walk pairs
-// them; seqs in any other order (never sent by this code) are sorted
-// first. An entry sent again that an acknowledgement of first sends alone
-// marks had a spurious resend.
-func (e *deltaAcked) ack(b *core.Buffer, neighbor int, m *AckMsg) {
+// ack marks the entries whose seqs the neighbor from acknowledges as held
+// by it, and drops the entries every neighbor they are owed to now holds.
+// An acknowledgement echoes the seqs of one δ-group, which ship lists in
+// buffer order, so both sides ascend and one two-pointer walk pairs them;
+// seqs in any other order (never sent by this code) are sorted first. An
+// entry sent again that an acknowledgement of first sends alone (no retry)
+// marks had a spurious resend. A sender that is no neighbor marks nothing.
+func (e *deltaAcked) ack(b *core.Buffer, from string, seqs []uint64, retry bool) {
+	neighbor := slices.Index(e.cfg.Neighbors, from)
 	if neighbor < 0 {
 		return
 	}
-	seqs := m.Seqs
 	if !slices.IsSorted(seqs) {
 		seqs = slices.Clone(seqs)
 		slices.Sort(seqs)
@@ -258,7 +240,7 @@ func (e *deltaAcked) ack(b *core.Buffer, neighbor int, m *AckMsg) {
 		}
 		if len(seqs) > 0 && seqs[0] == entry.Seq && !entry.Held.Has(neighbor) {
 			entry.Held.Add(neighbor)
-			if entry.Gap > 0 && !m.Retry {
+			if entry.Gap > 0 && !retry {
 				e.spurious++
 			}
 		}

@@ -26,7 +26,7 @@ func (m *DeltaMsg) Cost() metrics.Transmission { return m.cost }
 //   - LocalOp runs the δ-mutator and store()s the delta (lines 6–8).
 //   - Sync joins the δ-buffer into one δ-group per neighbor — filtering
 //     entries that originated at that neighbor when BP is on (lines 9–13).
-//   - Deliver either performs the classic inflation check (line 16, left)
+//   - receive either performs the classic inflation check (line 16, left)
 //     or extracts Δ(d, xᵢ), the exact part of the δ-group that strictly
 //     inflates the local state, when RR is on (lines 15–16, right).
 //
@@ -88,12 +88,13 @@ func (e *deltaBased) deferred(origin string) uint64 {
 // that came from origin: under BP, every neighbor but origin.
 func (e *deltaBased) owed(origin string, i int) bool { return !e.bp || origin != e.cfg.Neighbors[i] }
 
-func (e *deltaBased) deliver(x lattice.State, b *core.Buffer, from string, m Msg, _ Sender) {
-	if dm, ok := m.(*DeltaMsg); ok {
-		e.received(b, dm.Delta, from)
-		absorb(e, x, b, dm.Delta, from)
-	}
+func (e *deltaBased) receive(x lattice.State, b *core.Buffer, d lattice.State, from string) {
+	e.received(b, d, from)
+	absorb(e, x, b, d, from)
 }
+
+// ack ignores an acknowledgement: the plain engine numbers no entries.
+func (e *deltaBased) ack(*core.Buffer, string, []uint64, bool) {}
 
 // holdTicks is the tick of its own at which a held forward is released:
 // the second after the entry was buffered. The first receiver of the

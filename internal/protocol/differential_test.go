@@ -14,10 +14,12 @@ import (
 )
 
 // twin is one node run three times over the same history: as one keyspace
-// (NewPerObject) that sends messages, as one standalone engine per key,
-// the form the simulator runs, and as the keyspace a store runs, whose
-// passes hand their δ-groups over as they are (PerObject.Pass). The
-// neighbors are played by the test.
+// (NewPerObject) that sends and is delivered messages, as one standalone
+// engine per key, the form the simulator runs, and as the keyspace a store
+// runs, whose passes hand their δ-groups over as they are (PerObject.Pass)
+// and which receives δ-groups and acknowledgements as they are
+// (PerObject.Receive, PerObject.Ack). The neighbors are played by the
+// test.
 type twin struct {
 	t     *testing.T
 	rng   *rand.Rand
@@ -41,10 +43,12 @@ type twin struct {
 }
 
 // shipped is one object's acked δ-group to one neighbor, under the seqs
-// each form numbered it with.
+// each form numbered it with, and its retry note, which its
+// acknowledgement echoes.
 type shipped struct {
 	to, key  string
 	ks, solo []uint64
+	retry    bool
 }
 
 // emitted is one object message an engine sent.
@@ -178,9 +182,10 @@ func (w *twin) endHolds() bool {
 	return ks
 }
 
-// deliver hands both forms the same δ-group from a neighbor: a fresh
+// deliver hands every form the same δ-group from a neighbor: a fresh
 // update of the neighbor's, or everything the neighbor holds of the key,
-// which may have heard this node's own updates.
+// which may have heard this node's own updates. The forms delivered
+// messages must answer alike; the store's acknowledges nothing itself.
 func (w *twin) deliver() {
 	key, from := w.key(), w.cfg.Neighbors[w.rng.Intn(2)]
 	dt := storeObjType(key)
@@ -206,12 +211,11 @@ func (w *twin) deliver() {
 		}
 		return protocol.NewAckedDeltaMsg(d.Clone(), seqs)
 	}
-	var ksReplies, soloReplies, storeReplies []emitted
+	var ksReplies, soloReplies []emitted
 	w.ks.(protocol.ObjectDeliverer).DeliverObject(from, []byte(key), msg(), record(&ksReplies, key))
 	w.engine(key).Deliver(from, msg(), record(&soloReplies, key))
-	w.store.DeliverObject(from, []byte(key), msg(), record(&storeReplies, key))
+	w.store.Receive(from, []byte(key), d.Clone())
 	w.compareReplies(ksReplies, soloReplies)
-	w.compareReplies(ksReplies, storeReplies)
 }
 
 func record(out *[]emitted, key string) protocol.Sender {
@@ -226,8 +230,9 @@ func (w *twin) compareReplies(ks, solo []emitted) {
 	}
 	for i := range ks {
 		a, b := ks[i].m.(*protocol.AckMsg), solo[i].m.(*protocol.AckMsg)
-		if ks[i].to != solo[i].to || !slices.Equal(a.Seqs, b.Seqs) {
-			w.t.Fatalf("keyspace acknowledged %v to %s, standalone %v to %s", a.Seqs, ks[i].to, b.Seqs, solo[i].to)
+		if ks[i].to != solo[i].to || !slices.Equal(a.Seqs, b.Seqs) || a.Retry != b.Retry {
+			w.t.Fatalf("keyspace acknowledged %v (retry %v) to %s, standalone %v (retry %v) to %s",
+				a.Seqs, a.Retry, ks[i].to, b.Seqs, b.Retry, solo[i].to)
 		}
 	}
 }
@@ -313,7 +318,7 @@ func (w *twin) compareGroup(a, b emitted) {
 		w.t.Fatalf("to %s: keyspace sent %s with retry %v, standalone %v", a.to, a.key, am.Retry, bm.Retry)
 	}
 	w.pair(a.key, am.Seqs, bm.Seqs)
-	w.pending = append(w.pending, shipped{a.to, a.key, am.Seqs, bm.Seqs})
+	w.pending = append(w.pending, shipped{a.to, a.key, am.Seqs, bm.Seqs, am.Retry})
 }
 
 func deltaOf(m protocol.Msg) lattice.State {
@@ -368,14 +373,20 @@ func (w *twin) acks() {
 	}
 }
 
-// ack delivers the acknowledgement of one shipped δ-group to both forms.
+// ack delivers the acknowledgement of one shipped δ-group to every form:
+// as an AckMsg that echoes its retry note to the two that take messages,
+// as its parts to the store's.
 func (w *twin) ack(g shipped) {
-	var ksReplies, soloReplies, storeReplies []emitted
-	w.ks.(protocol.ObjectDeliverer).DeliverObject(g.to, []byte(g.key), protocol.NewAckMsg(g.ks), record(&ksReplies, g.key))
-	w.solo[g.key].Deliver(g.to, protocol.NewAckMsg(g.solo), record(&soloReplies, g.key))
-	w.store.DeliverObject(g.to, []byte(g.key), protocol.NewAckMsg(g.ks), record(&storeReplies, g.key))
+	var ksReplies, soloReplies []emitted
+	ackMsg := func(seqs []uint64) protocol.Msg {
+		m := protocol.NewAckMsg(seqs)
+		m.Retry = g.retry
+		return m
+	}
+	w.ks.(protocol.ObjectDeliverer).DeliverObject(g.to, []byte(g.key), ackMsg(g.ks), record(&ksReplies, g.key))
+	w.solo[g.key].Deliver(g.to, ackMsg(g.solo), record(&soloReplies, g.key))
+	w.store.Ack(g.to, g.key, g.ks, g.retry)
 	w.compareReplies(ksReplies, soloReplies)
-	w.compareReplies(ksReplies, storeReplies)
 	w.delivered = append(w.delivered, g)
 }
 
@@ -407,7 +418,7 @@ func (w *twin) check(step int) {
 	}
 	var mem metrics.Memory
 	var unsent, waiting bool
-	var retransmits uint64
+	var retransmits, spurious uint64
 	for key, e := range w.solo {
 		if st := ks.ObjectState(key); !st.Equal(e.State()) {
 			w.t.Fatalf("step %d: %s is %v in the keyspace, %v standalone", step, key, st, e.State())
@@ -420,6 +431,7 @@ func (w *twin) check(step int) {
 		unsent = unsent || fl.Unsent()
 		waiting = waiting || fl.Waiting()
 		retransmits += e.(interface{ Retransmits() uint64 }).Retransmits()
+		spurious += protocol.SpuriousRetransmits(e)
 	}
 	if got := w.ks.Memory(); got != mem {
 		w.t.Fatalf("step %d: keyspace Memory %+v, standalone engines sum to %+v", step, got, mem)
@@ -428,14 +440,31 @@ func (w *twin) check(step int) {
 	if fl.Unsent() != unsent || fl.Waiting() != waiting {
 		w.t.Fatalf("step %d: keyspace unsent=%v waiting=%v, standalone %v %v", step, fl.Unsent(), fl.Waiting(), unsent, waiting)
 	}
-	if got := w.ks.(interface{ Retransmits() uint64 }).Retransmits(); got != retransmits {
-		w.t.Fatalf("step %d: keyspace retransmitted %d times, standalone %d", step, got, retransmits)
+	if ks.Retransmits() != retransmits || ks.SpuriousRetransmits() != spurious {
+		w.t.Fatalf("step %d: keyspace retransmitted %d times (%d spurious), standalone %d (%d)",
+			step, ks.Retransmits(), ks.SpuriousRetransmits(), retransmits, spurious)
 	}
 	p := w.store
-	if p.Unsent() != unsent || p.Waiting() != waiting || p.Holds() != ks.Holds() || p.Retransmits() != retransmits || p.Memory() != mem {
-		w.t.Fatalf("step %d: the store's keyspace unsent=%v waiting=%v holds=%v, %d retransmits, Memory %+v; the keyspace %v %v %v, %d, %+v",
-			step, p.Unsent(), p.Waiting(), p.Holds(), p.Retransmits(), p.Memory(), unsent, waiting, ks.Holds(), retransmits, mem)
+	if p.Unsent() != unsent || p.Waiting() != waiting || p.Holds() != ks.Holds() || p.Retransmits() != retransmits ||
+		p.SpuriousRetransmits() != spurious || p.Memory() != mem {
+		w.t.Fatalf("step %d: the store's keyspace unsent=%v waiting=%v holds=%v, %d retransmits (%d spurious), Memory %+v; the keyspace %v %v %v, %d (%d), %+v",
+			step, p.Unsent(), p.Waiting(), p.Holds(), p.Retransmits(), p.SpuriousRetransmits(), p.Memory(),
+			unsent, waiting, ks.Holds(), retransmits, spurious, mem)
 	}
+}
+
+// toggleReach has r1 stop or start reaching the node's other neighbor:
+// entries from r1 are owed to that neighbor again, or retired by the next
+// tick.
+func (w *twin) toggleReach() {
+	var reach []string
+	if w.rng.Intn(2) == 0 {
+		reach = []string{w.cfg.Neighbors[0]}
+		if reach[0] == "r1" {
+			reach[0] = w.cfg.Neighbors[1]
+		}
+	}
+	w.cfg.Reach.Set("r1", reach)
 }
 
 // TestKeyspaceMatchesStandaloneEngines: a keyspace runs the same algorithm
@@ -479,13 +508,7 @@ func TestKeyspaceMatchesStandaloneEngines(t *testing.T) {
 					case p < 97:
 						w.acks()
 					case c.acked:
-						// r1 stops or starts reaching r2: entries from r1
-						// are owed to r2 again, or retired by the next tick.
-						var reach []string
-						if w.rng.Intn(2) == 0 {
-							reach = []string{"r2"}
-						}
-						w.cfg.Reach.Set("r1", reach)
+						w.toggleReach()
 					}
 					w.check(step)
 					if step%250 == 249 {
@@ -521,11 +544,12 @@ func TestPassMatchesSyncAndFlush(t *testing.T) {
 		inner        protocol.Factory
 		acked, prune bool
 	}{
+		{"delta", protocol.NewDeltaBPRR(), false, false},
 		{"delta/prune", protocol.NewDeltaBPRR(), false, true},
 		{"acked", protocol.NewDeltaAcked(true, true), true, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			released, waitChanges, resent, acked := 0, 0, uint64(0), 0
+			released, waitChanges, resent, spurious, acked := 0, 0, uint64(0), uint64(0), 0
 			for seed := int64(1); seed <= int64(seeds); seed++ {
 				w := newTwin(t, seed, c.inner, c.acked, c.prune)
 				if c.acked {
@@ -555,13 +579,15 @@ func TestPassMatchesSyncAndFlush(t *testing.T) {
 					w.check(step)
 				}
 				resent += w.store.Retransmits()
+				spurious += w.store.SpuriousRetransmits()
 				acked += len(w.delivered)
 			}
-			if c.prune && released == 0 {
+			if c.prune && !c.acked && released == 0 {
 				t.Fatal("no history ended a hold on a forward")
 			}
-			if c.acked && (resent == 0 || acked == 0 || waitChanges == 0) {
-				t.Fatalf("the histories resent %d entries and delivered %d acknowledgements over %d changes of wait", resent, acked, waitChanges)
+			if c.acked && (resent == 0 || spurious == 0 || acked == 0 || waitChanges == 0) {
+				t.Fatalf("the histories resent %d entries (%d spurious) and delivered %d acknowledgements over %d changes of wait",
+					resent, spurious, acked, waitChanges)
 			}
 		})
 	}

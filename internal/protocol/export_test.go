@@ -2,9 +2,13 @@ package protocol
 
 import "slices"
 
-// NewAckMsg builds the acked engine's per-object acknowledgement for the
-// external tests, which hand it to the engines directly.
-func NewAckMsg(seqs []uint64) *AckMsg { return newAckMsg(seqs) }
+// AckMsg is the acked engine's per-object acknowledgement, which the
+// external tests hand the engines directly and read in their replies.
+type AckMsg = ackMsg
+
+// NewAckMsg builds an AckMsg with its accounting, as the acked engine
+// does.
+func NewAckMsg(seqs []uint64) *AckMsg { return newAckMsg(seqs, false) }
 
 // Flusher is what the standalone delta engines and a keyspace share
 // besides Engine: the first-transmission pass (Flush) and the two
@@ -49,3 +53,10 @@ func EndHolds(e Engine, to string) bool {
 
 // ResendAfter is PerObject.ResendAfter for a standalone engine.
 func ResendAfter(e Engine, waits []uint8) { e.(*object).alg.resendAfter(waits) }
+
+// SpuriousRetransmits is PerObject.SpuriousRetransmits for a standalone
+// engine.
+func SpuriousRetransmits(e Engine) uint64 {
+	_, spurious := e.(*object).alg.retransmits()
+	return spurious
+}

@@ -34,10 +34,10 @@ func NewAckedDeltaMsg(d lattice.State, seqs []uint64) *AckedDeltaMsg {
 	return &AckedDeltaMsg{Delta: d, Seqs: seqs, cost: stateCost(d, 8*len(seqs))}
 }
 
-// newAckMsg builds an AckMsg: 8 bytes of metadata per acknowledged
+// newAckMsg builds an ackMsg: 8 bytes of metadata per acknowledged
 // sequence number, no payload.
-func newAckMsg(seqs []uint64) *AckMsg {
-	return &AckMsg{Seqs: seqs, cost: metrics.Transmission{Messages: 1, MetadataBytes: 8 * len(seqs)}}
+func newAckMsg(seqs []uint64, retry bool) *ackMsg {
+	return &ackMsg{Seqs: seqs, Retry: retry, cost: metrics.Transmission{Messages: 1, MetadataBytes: 8 * len(seqs)}}
 }
 
 // newSBDigestMsg builds an sbDigestMsg accounted by the vector entries it

@@ -107,7 +107,7 @@ func NewKeyspace(inner Factory, objType func(key string) workload.Datatype, cfg 
 	}
 	ks := &PerObject{alg: e.alg, objType: objType}
 	ks.b = batcher{neighbors: cfg.Neighbors, pending: make(map[string][]ObjectMsg, len(cfg.Neighbors))}
-	ks.b.send, ks.b.emit = ks.b.add, ks.b.group
+	ks.b.emit = ks.b.group
 	return ks
 }
 
@@ -273,9 +273,9 @@ func (e *PerObject) setHeld(id uint32, held bool) {
 	}
 }
 
-// touched files what a LocalOp or a Deliver just did to the buffer of the
-// object id, and queues the object for the next pass when the buffer
-// holds something never sent. An ack or a redundant δ-group gives a pass
+// touched files what a LocalOp, a Receive or an Ack just did to the
+// buffer of the object id, and queues the object for the next pass when
+// the buffer holds something never sent. An ack or a redundant δ-group gives a pass
 // nothing new to do.
 func (e *PerObject) touched(id uint32) {
 	if e.cur.Unsent() {
@@ -326,18 +326,14 @@ func (e *PerObject) mutated(id uint32) {
 }
 
 // batcher is the keyspace's adapter to messages: it turns the δ-groups of
-// Sync (group) and the replies of Deliver (add, for the object key names)
-// into one BatchMsg per destination, each bound once (send, emit).
+// Sync (group, bound once as emit) and the replies of Deliver (put) into
+// one BatchMsg per destination.
 type batcher struct {
 	neighbors []string
-	key       string
 	pending   map[string][]ObjectMsg
 	order     []string
-	send      Sender
 	emit      Emit
 }
-
-func (b *batcher) add(to string, m Msg) { b.put(to, b.key, m) }
 
 func (b *batcher) group(key string, to int, d lattice.State, seqs []uint64, retry bool) {
 	b.put(b.neighbors[to], key, groupMsg(d, seqs, retry))
@@ -366,7 +362,6 @@ func (b *batcher) flush(send Sender) {
 		}
 	}
 	b.order = b.order[:0]
-	b.key = ""
 }
 
 // batchOf builds a BatchMsg over items with the standard batch accounting:
@@ -521,28 +516,39 @@ func (e *PerObject) Deliver(from string, m Msg, send Sender) {
 	if !ok {
 		return
 	}
-	for _, it := range bm.Items {
-		e.b.key = it.Key
-		e.DeliverObject(from, []byte(it.Key), it.Inner, e.b.send)
-	}
 	// Replies (an acked engine's acknowledgements) are batched and sent
 	// onwards.
+	for _, it := range bm.Items {
+		e.DeliverObject(from, []byte(it.Key), it.Inner, func(to string, m Msg) { e.b.put(to, it.Key, m) })
+	}
 	e.b.flush(send)
 }
 
 // DeliverObject implements ObjectDeliverer: one object's inbound message,
-// delivered without batch materialization. The key view is hashed and
-// compared in place, so the steady state — an existing object that an ack
-// or a redundant δ-group leaves with nothing new to send — allocates
-// nothing here; the key is copied only when the object is new.
+// handed to Receive or Ack as its parts (deliverMsg).
 func (e *PerObject) DeliverObject(from string, key []byte, m Msg, send Sender) {
+	deliverMsg(from, m, send,
+		func(d lattice.State) { e.Receive(from, key, d) },
+		func(seqs []uint64, retry bool) { e.Ack(from, string(key), seqs, retry) })
+}
+
+// Receive is Algorithm 1's receive side (lines 14–16) on the object key
+// names: the δ-group d from the neighbor from. The key view is hashed and
+// compared in place, so a redundant δ-group to an existing object
+// allocates nothing here; the key is copied only when the object is new.
+func (e *PerObject) Receive(from string, key []byte, d lattice.State) {
 	id := obj(e, maphash.Bytes(keySeed, key), key)
-	e.alg.deliver(e.ix.recs[id].x, e.load(id), from, m, send)
-	// An acknowledgement retires buffer entries and leaves the state alone.
-	if _, ack := m.(*AckMsg); !ack {
-		e.shareKey(id)
-		e.mutated(id)
-	}
+	e.alg.receive(e.ix.recs[id].x, e.load(id), d, from)
+	e.shareKey(id)
+	e.mutated(id)
+	e.touched(id)
+}
+
+// Ack hands the object key names from's acknowledgement of the entries
+// seqs, which one δ-group carried with the retry note retry (Emit).
+func (e *PerObject) Ack(from, key string, seqs []uint64, retry bool) {
+	id := obj(e, maphash.String(keySeed, key), key)
+	e.alg.ack(e.load(id), from, seqs, retry)
 	e.touched(id)
 }
 

@@ -108,16 +108,15 @@ func BareCost(it ShardItem) metrics.Transmission {
 	return ic
 }
 
-// ObjectDeliverer is implemented by keyed engines that accept one object's
-// inbound message directly, without a BatchMsg wrapper. It is the receive
-// path's counterpart to the incremental frame packer: a transport that
-// unpacks a frame into per-object views hands each one straight to the
-// engine — no ObjectMsg slice, no batch materialization, and (key being a
-// byte view into the frame buffer) no key allocation when the object
-// already exists. Replies go to send exactly as they would from Deliver;
-// the caller wraps them for the wire, and send must not call back into the
-// engine. The key view is only read during the call — implementations copy
-// it if the object is new.
+// ObjectDeliverer is a keyed engine's receive side behind messages: one
+// object's DeltaMsg, AckedDeltaMsg or acknowledgement, handed to the engine
+// as the δ-group or the entry seqs it holds (PerObject.Receive,
+// PerObject.Ack), and the acknowledgement an AckedDeltaMsg is owed handed
+// to send, which must not call back into the engine. A store has no
+// messages to unwrap: it receives the δ-groups and acknowledgements its
+// frames hold directly. The benchmark's replay (bench/replay.go) delivers
+// tapped items through this adapter. The key view is only read during the
+// call — implementations copy it if the object is new.
 type ObjectDeliverer interface {
 	DeliverObject(from string, key []byte, m Msg, send Sender)
 }

@@ -97,10 +97,12 @@ type core struct {
 	flushHeld   bool
 	sendAt      int64
 	nextTick    int64
-	// scratch is what a pass or a delivery collects its sends on, and
-	// digestVec the per-shard digest vector a tick or an echo advertises:
-	// one of each, reused by every call.
-	scratch   scratch
+	// batch is what a pass or a delivery collects its sends on, handed
+	// back reset; acked the δ-groups of the frames an acknowledgement
+	// settled (applyAck); digestVec the per-shard digest vector a tick or
+	// an echo advertises: one of each, reused by every call.
+	batch     *outBatch
+	acked     []ackItem
 	digestVec []uint64
 	watchers  []*Watcher
 }
@@ -158,7 +160,7 @@ func newCore(cfg StoreConfig, inc uint32) (*core, error) {
 		repair:    repairTable{timeout: int64(repairTimeout), entries: make([]repairEntry, cfg.Shards)},
 		sendAt:    flushBurst * int64(cfg.SyncEvery/flushesPerTick), // an empty budget
 		nextTick:  int64(cfg.SyncEvery),
-		scratch:   scratch{b: newOutBatch(len(neighbors))},
+		batch:     newOutBatch(len(neighbors)),
 		digestVec: make([]uint64, cfg.Shards),
 	}
 	for i, id := range neighbors {
@@ -350,31 +352,6 @@ func (b *outBatch) reset() {
 // array a batch keeps between passes.
 const keptGroups = 256
 
-// scratch is the core's per-call scratch: the batch a pass or a delivery
-// collects its sends on, and applyAck's buffers. One call uses it at a
-// time, and hands it back reset.
-type scratch struct {
-	b *outBatch
-	// acked, ack and key are applyAck's scratch: the δ-groups of the
-	// frames an acknowledgement settled, the message each is handed to
-	// its engine as, and the key view that goes with it.
-	acked []ackItem
-	ack   protocol.AckMsg
-	key   []byte
-}
-
-func (d *scratch) release() {
-	d.b.reset()
-	d.ack.Seqs = nil
-}
-
-// noReply is the Sender a delivery is handed: neither store engine answers
-// one — an acked engine's acknowledgement is the link's (link.go). The one
-// message an engine answers, an AckedDeltaMsg that spells out its entry
-// seqs, never reaches one: a keyed item unpacks as a DeltaMsg, and
-// deliverSharded drops every bare item but a drill's TreeMsg.
-func noReply(string, protocol.Msg) {}
-
 // flushesPerTick is the rate of the flush budget: passes — write-triggered
 // flushes and ticks alike — run at eight per SyncEvery on average, one per
 // window of SyncEvery/8. The window bounds the wait of a write that finds
@@ -435,8 +412,8 @@ func (c *core) step(now int64) (next int64, pass bool) {
 // peer getting one anyway, standalone to the others.
 func (c *core) tick(now int64) {
 	c.flushWanted = false // this pass serves the request
-	defer c.scratch.release()
-	b := c.scratch.b
+	defer c.batch.reset()
+	b := c.batch
 	c.ticks++
 	tick := c.ticks
 	for i, lk := range c.linkList {
@@ -514,9 +491,9 @@ func (c *core) catchingUp() bool {
 func (c *core) writeFlush(now int64) {
 	c.flushWanted = false // this pass serves the request
 	if c.anyDue(false) {
-		c.collect(c.scratch.b, false)
-		c.flush(c.scratch.b, nil, now)
-		c.scratch.release()
+		c.collect(c.batch, false)
+		c.flush(c.batch, nil, now)
+		c.batch.reset()
 	}
 	c.stats.WriteFlushes++
 	c.spend(now)
@@ -742,8 +719,7 @@ func (c *core) deliver(from string, inc *uint32, v *codec.FrameView, frame []byt
 // sequence number is noted as received — and acknowledged — only once
 // every item has been applied.
 func (c *core) deliverSharded(from string, v *codec.FrameView, now int64) bool {
-	d := &c.scratch
-	defer d.release()
+	defer c.batch.reset()
 	lk := c.links[from]
 	if v.Link.Ack.Inc != 0 {
 		c.applyAck(from, lk, &v.Link.Ack, now)
@@ -764,26 +740,26 @@ func (c *core) deliverSharded(from string, v *codec.FrameView, now int64) bool {
 		c.deliverLocks++
 		for i := range g.Items {
 			iv := &g.Items[i]
-			m, _ := iv.Msg()
 			if iv.Key == nil {
 				// The one bare message stores send inside a data frame is
 				// the TreeMsg that closes a drill, after the states it goes
 				// with; the engines have no use for any other. Should one
 				// group hold two, one that asks for an answer is the one to
 				// keep.
+				m, _ := iv.Msg()
 				if tm, ok := m.(*protocol.TreeMsg); ok && (closeMsg == nil || len(tm.Nodes) > 0) {
 					closeMsg = tm
 				}
 				continue
 			}
-			sh.ks.DeliverObject(from, iv.Key, m, noReply)
+			sh.ks.Receive(from, iv.Key, iv.State) // the link acknowledges
 		}
 		sh.mu.Unlock()
 		forward = forward || sh.ks.Unsent() || sh.ks.Holds()
 		// A close that names ranges asks for this store's side of them; one
 		// that names nothing says the drill with its sender is over.
 		if closeMsg != nil && len(closeMsg.Nodes) > 0 {
-			c.answerClose(from, closeMsg, g, d.b, now)
+			c.answerClose(from, closeMsg, g, c.batch, now)
 		} else if closeMsg != nil {
 			c.repair.clearFrom(int(g.Shard), from)
 		}
@@ -795,7 +771,7 @@ func (c *core) deliverSharded(from string, v *codec.FrameView, now int64) bool {
 	// A piggybacked digest vector is an advertisement like any other,
 	// compared after the frame's own items have been merged (they are
 	// part of the state the digests describe).
-	c.handleDigests(from, v.Digests, d.b, now)
+	c.handleDigests(from, v.Digests, c.batch, now)
 	// A frame with a bare item that was dropped for a shard this store does
 	// not have is not acknowledged: the sender keeps every entry it
 	// carried and sends them again.
@@ -813,7 +789,7 @@ func (c *core) deliverSharded(from string, v *codec.FrameView, now int64) bool {
 	// before this store the engine holds it until its second tick for that
 	// copy. The acked engine buffers none of them (deltaAcked.owed).
 	wake := forward && !c.reach.Covers(from) && c.requestFlush()
-	c.flush(d.b, nil, now)
+	c.flush(c.batch, nil, now)
 	// The acknowledgement rides the first data frame toward from that
 	// leaves once it has been held for c.hold — what a later frame makes
 	// this store answer, a forward, a write — and acknowledges every frame
@@ -827,19 +803,19 @@ func (c *core) deliverSharded(from string, v *codec.FrameView, now int64) bool {
 }
 
 // applyAck hands the δ-groups of the frames ack, arrived at now, settles
-// to their engines, each as the AckMsg the engine would have been sent for
-// it, one lock hold per shard. lk is from's link, nil for a non-neighbor.
+// to their engines, each as the acknowledgement of its entry seqs
+// (protocol.PerObject.Ack), one lock hold per shard. lk is from's link,
+// nil for a non-neighbor.
 func (c *core) applyAck(from string, lk *link, ack *protocol.FrameAck, now int64) {
-	d := &c.scratch
 	ok := false
 	if lk != nil {
-		d.acked, ok = lk.acknowledge(ack, d.acked[:0], now)
+		c.acked, ok = lk.acknowledge(ack, c.acked[:0], now)
 	}
 	if !ok {
 		c.stats.IgnoredAcks++
 		return
 	}
-	items := d.acked
+	items := c.acked
 	// A frame's δ-groups are in key order, which scatters them over the
 	// shards, unless they are all one shard's.
 	byShard := func(a, b ackItem) int { return cmp.Compare(a.shard, b.shard) }
@@ -852,9 +828,8 @@ func (c *core) applyAck(from string, lk *link, ack *protocol.FrameAck, now int64
 		sh.mu.Lock()
 		c.deliverLocks++
 		for ; i < len(items) && items[i].shard == shard; i++ {
-			d.key = append(d.key[:0], items[i].key...)
-			d.ack.Seqs, d.ack.Retry = items[i].seqs, items[i].retry
-			sh.ks.DeliverObject(from, d.key, &d.ack, noReply)
+			it := &items[i]
+			sh.ks.Ack(from, it.key, it.seqs, it.retry)
 		}
 		sh.mu.Unlock()
 	}
@@ -892,8 +867,8 @@ func (c *core) deliverControl(from string, inc *uint32, frame []byte, now int64)
 	if *inc == 0 {
 		return errNoHello
 	}
-	b := c.scratch.b
-	defer c.scratch.release()
+	b := c.batch
+	defer c.batch.reset()
 	echo := false
 	switch m := msg.(type) {
 	case *protocol.DigestMsg:

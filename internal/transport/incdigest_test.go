@@ -124,7 +124,7 @@ func TestIncrementalDigestMatchesRecompute(t *testing.T) {
 					k := key()
 					sh := s.shardOf(k)
 					sh.mu.Lock()
-					sh.ks.DeliverObject("peer", []byte(k), &protocol.AckMsg{Seqs: []uint64{uint64(rng.Intn(5))}}, func(string, protocol.Msg) {})
+					sh.ks.Ack("peer", k, []uint64{uint64(rng.Intn(5))}, false)
 					sh.mu.Unlock()
 				case 4:
 					what = "restore"

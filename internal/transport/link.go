@@ -13,11 +13,11 @@ import (
 // frames it sends a neighbor, remembers which entries each one carried,
 // and the neighbor acknowledges frames: one cumulative mark plus the few
 // ranges above a gap, on whatever frame goes back next. An acknowledged
-// frame's entries are handed to their engines as the AckMsg the engine
-// would have been sent per object; which entry is sent again stays the
-// engine's decision. When is the link's evidence: the round trips it
-// measures from the acknowledgements (wait), which the core hands the
-// engines on every tick.
+// frame's δ-groups are handed to their engines as the acknowledgements
+// of their entry seqs (protocol.PerObject.Ack); which entry is sent again
+// stays the engine's decision. When is the link's evidence: the round
+// trips it measures from the acknowledgements (wait), which the core hands
+// the engines on every tick.
 
 // maxInflight bounds the records a link keeps. The oldest is dropped to
 // make room: an acknowledgement that names it later retires nothing and
@@ -45,7 +45,7 @@ const maxAckRanges = protocol.MaxAckRanges
 
 // ackItem is one δ-group of a numbered frame: the entries of one object's
 // δ-buffer that the frame's acknowledgement acknowledges, and whether the
-// group carried an entry sent before (protocol.AckedDeltaMsg.Retry).
+// group carried an entry sent before (protocol.Emit's retry).
 type ackItem struct {
 	shard uint32
 	key   string

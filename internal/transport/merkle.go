@@ -452,10 +452,8 @@ func (c *core) answerClose(from string, tm *protocol.TreeMsg, g codec.ItemGroup,
 	}
 	theirs := make(map[string]lattice.State, len(g.Items))
 	for i := range g.Items {
-		iv := &g.Items[i]
-		m, _ := iv.Msg()
-		if dm, ok := m.(*protocol.DeltaMsg); ok && iv.Key != nil {
-			theirs[string(iv.Key)] = dm.Delta
+		if iv := &g.Items[i]; iv.Key != nil {
+			theirs[string(iv.Key)] = iv.State
 		}
 	}
 	sh := c.shards[g.Shard]

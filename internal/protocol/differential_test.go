@@ -491,6 +491,7 @@ func TestKeyspaceMatchesStandaloneEngines(t *testing.T) {
 		{"delta", protocol.NewDeltaBPRR(), false, false},
 		{"acked", protocol.NewDeltaAcked(true, true), true, false},
 		{"delta/prune", protocol.NewDeltaBPRR(), false, true},
+		{"acked/prune", protocol.NewDeltaAcked(true, true), true, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			for seed := int64(1); seed <= int64(seeds); seed++ {
@@ -547,6 +548,7 @@ func TestPassMatchesSyncAndFlush(t *testing.T) {
 		{"delta", protocol.NewDeltaBPRR(), false, false},
 		{"delta/prune", protocol.NewDeltaBPRR(), false, true},
 		{"acked", protocol.NewDeltaAcked(true, true), true, false},
+		{"acked/prune", protocol.NewDeltaAcked(true, true), true, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			released, waitChanges, resent, spurious, acked := 0, 0, uint64(0), uint64(0), 0

@@ -412,29 +412,30 @@ func (e *PerObject) Pass(tick bool, emit Emit) {
 		return
 	}
 	e.ix.sortByKey(ids)
-	// A tick ships everything a flush would have: the objects queued after
-	// it are those it left something to send at the next pass.
-	queued := e.unsent[:0]
+	// A tick ships everything a flush would have, so every pass dequeues
+	// each queued object and queues again those it left something to send
+	// at the next pass — a tick also those it does not visit, whose buffer
+	// a neighbor's δ-group or an acknowledgement emptied after they were
+	// queued.
+	for _, id := range e.unsent {
+		e.ix.recs[id].flags &^= flagQueued
+	}
+	e.unsent = e.unsent[:0]
 	for _, id := range ids {
 		if e.visit(id, tick, emit) {
-			queued = append(queued, id)
+			e.queue(id)
 		}
 	}
-	e.unsent = queued
 }
 
 // visit runs one send pass over the object id, and reports whether the
-// pass left the object something to send at the next one: the object
-// stays queued then, and is dequeued otherwise — a forward still held
-// included, which no first-transmission pass sends. It stays active only
-// while its buffer still waits for a later pass.
+// pass left the object something to send at the next one — a forward
+// still held is not, as no first-transmission pass sends it. The object
+// stays active only while its buffer still waits for a later pass.
 func (e *PerObject) visit(id uint32, tick bool, emit Emit) bool {
 	b := e.load(id)
 	e.alg.ship(b, e.ix.keyOf(id), emit, tick)
 	left := b.Unsent()
-	if !left {
-		e.ix.recs[id].flags &^= flagQueued
-	}
 	e.file(id)
 	return left
 }

@@ -328,3 +328,33 @@ func TestPruneOnReceiptPastTheWord(t *testing.T) {
 		})
 	}
 }
+
+// TestEmptiedQueuedObjectIsQueuedAgain: under the acked engine, pruning by
+// receipt, a neighbor's δ-group that covers an object's unsent write
+// empties its buffer while the object is queued for the next
+// first-transmission pass. The tick that follows does not visit the
+// object and leaves it off the queue; the object's next write must queue
+// it again, so that the next first-transmission pass ships that write.
+func TestEmptiedQueuedObjectIsQueuedAgain(t *testing.T) {
+	cfg := protocol.Config{ID: "a", Neighbors: []string{"b"}, Nodes: []string{"a", "b"}, PruneOnReceipt: true}
+	ks := protocol.NewKeyspace(protocol.NewDeltaAcked(true, true), func(string) workload.Datatype { return workload.GSetType{} }, cfg)
+	ks.LocalOp(workload.Add("k", "x"))
+	ks.DeliverObject("b", []byte("k"), protocol.NewDeltaMsg(crdt.NewGSet("x")), discard)
+	ks.LocalOp(workload.Add("j", "y"))
+	var ticked []string
+	ks.Pass(true, func(key string, _ int, _ lattice.State, _ []uint64, _ bool) { ticked = append(ticked, key) })
+	if !slices.Equal(ticked, []string{"j"}) {
+		t.Fatalf("the tick shipped %v, want j alone: b holds k's write", ticked)
+	}
+	ks.LocalOp(workload.Add("k", "z"))
+	if !ks.Unsent() {
+		t.Fatal("k's second write left nothing unsent")
+	}
+	var flushed []string
+	ks.Pass(false, func(key string, _ int, d lattice.State, _ []uint64, _ bool) {
+		flushed = append(flushed, fmt.Sprintf("%s%v", key, d))
+	})
+	if want := []string{"k" + fmt.Sprint(crdt.NewGSet("z"))}; !slices.Equal(flushed, want) {
+		t.Fatalf("the pass after k's second write shipped %v, want %v", flushed, want)
+	}
+}

@@ -472,12 +472,16 @@ func (w *twin) toggleReach() {
 // instead of an engine of its own per key. Over seeded histories of local
 // updates, deliveries, flushes, ticks and acknowledgements — lost, late
 // and repeated ones, then now and then all of them until nothing waits —
-// on 200 keys of the store's three datatypes, both
-// forms hold the same states, say the same of Unsent and Waiting, ship
-// each neighbor the same δ-groups (seqs compared up to each object's
-// order: the keyspace numbers from one counter), count the same Memory and
-// the same retransmissions. The delta engine runs once more pruning by
-// receipt, where a pass leaves deferred forwards queued for the next.
+// on 200 keys of the store's three datatypes, every form holds the same
+// states, says the same of Unsent and Waiting, ships each neighbor the
+// same δ-groups (seqs compared up to each object's order: the keyspace
+// numbers from one counter), counts the same Memory and the same
+// retransmissions, spurious ones included. The forms that take messages
+// answer each acked δ-group alike; the store's form takes δ-groups and
+// acknowledgements as they are (Receive, Ack). Each engine runs once
+// more pruning by receipt, where a neighbor's δ-group may empty a buffer
+// queued for the next pass, and the plain engine's pass leaves deferred
+// forwards queued for the next.
 func TestKeyspaceMatchesStandaloneEngines(t *testing.T) {
 	seeds, steps := 4, 1500
 	if testing.Short() {
@@ -529,12 +533,13 @@ func TestKeyspaceMatchesStandaloneEngines(t *testing.T) {
 // standalone engine's, send as messages — the same neighbor, key, state,
 // entry seqs and retry note, pass for pass — so that the store and netsim
 // run one algorithm behind two adapters. The histories of
-// TestKeyspaceMatchesStandaloneEngines run with the owner's two controls
-// besides: under the plain engine, pruning by receipt, a forward is held
-// and its hold ended early (EndHolds) toward one neighbor or all; under
-// the acked engine each neighbor's wait changes between ticks
-// (ResendAfter), so entries are sent again after waits of one to four
-// ticks, and acknowledgements arrive between passes.
+// TestKeyspaceMatchesStandaloneEngines run, under both engines with and
+// without pruning by receipt, with the owner's two controls besides:
+// under the plain engine, pruning by receipt, a forward is held and its
+// hold ended early (EndHolds) toward one neighbor or all; under the acked
+// engine each neighbor's wait changes between ticks (ResendAfter), so
+// entries are sent again after waits of one to four ticks, and
+// acknowledgements, some of resends, arrive between passes.
 func TestPassMatchesSyncAndFlush(t *testing.T) {
 	seeds, steps := 4, 1500
 	if testing.Short() {

@@ -275,8 +275,8 @@ func (e *PerObject) setHeld(id uint32, held bool) {
 
 // touched files what a LocalOp, a Receive or an Ack just did to the
 // buffer of the object id, and queues the object for the next pass when
-// the buffer holds something never sent. An ack or a redundant δ-group gives a pass
-// nothing new to do.
+// the buffer holds something never sent. An ack or a redundant δ-group
+// gives a pass nothing new to do.
 func (e *PerObject) touched(id uint32) {
 	if e.cur.Unsent() {
 		e.queue(id)
@@ -412,11 +412,11 @@ func (e *PerObject) Pass(tick bool, emit Emit) {
 		return
 	}
 	e.ix.sortByKey(ids)
-	// A tick ships everything a flush would have, so every pass dequeues
-	// each queued object and queues again those it left something to send
-	// at the next pass — a tick also those it does not visit, whose buffer
-	// a neighbor's δ-group or an acknowledgement emptied after they were
-	// queued.
+	// Every pass dequeues each queued object, then queues again those it
+	// leaves something to send at the next one. A tick ships everything a
+	// flush would have, so it also dequeues the queued objects it does not
+	// visit: those whose buffer a neighbor's δ-group or an acknowledgement
+	// emptied after they were queued.
 	for _, id := range e.unsent {
 		e.ix.recs[id].flags &^= flagQueued
 	}

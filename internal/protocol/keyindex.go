@@ -10,12 +10,12 @@ import (
 )
 
 // rec is everything a per-object engine keeps about one key: the object's
-// state, its datatype, where its key bytes are, one word for whoever owns
-// the engine (see PerObject.Rehash) and the flag bits that put the
-// object on the engine's lists — 32 bytes; the object's δ-buffer, while it
-// has one, is in the engine's side table. Records are never deleted or
-// moved — the keyspace is grow-only — so a record's position is the
-// object's id.
+// state, where its key bytes are, one word for whoever owns the engine
+// (see PerObject.Rehash) and the flag bits that put the object on the
+// engine's lists — 32 bytes. The object's datatype is its key's
+// (PerObject.objType), and its δ-buffer, while it has one, is in the
+// engine's side table. Records are never deleted or moved — the keyspace
+// is grow-only — so a record's position is the object's id.
 type rec struct {
 	x    lattice.State
 	hash uint64
@@ -24,13 +24,12 @@ type rec struct {
 	off   uint32
 	klen  uint16 // length of a key in a chunk
 	flags uint8
-	dt    uint8 // the object's datatype: an index into PerObject.types
 }
 
+// Whether an object has a δ-buffer is not a flag: its id is in
+// PerObject.bufs or not.
 const (
 	flagBig    = 1 << iota // the key is in big, not in a chunk
-	flagActive             // the object has a δ-buffer: the next Sync must visit it
-	flagListed             // the id is on PerObject.active (flagActive may be gone)
 	flagQueued             // the id is on PerObject.unsent
 	flagHeld               // the object's δ-buffer holds a forward back (PerObject.nHeld)
 )
@@ -113,7 +112,7 @@ func find[K string | []byte](x *keyIndex, h uint64, key K) (uint32, bool) {
 }
 
 // add appends the record of a key find has just missed and returns its
-// id; the caller fills in the state and datatype. The key is copied whole,
+// id; the caller fills in the state. The key is copied whole,
 // whatever its length: into the current chunk when it fits one, into big
 // otherwise.
 func add[K string | []byte](x *keyIndex, h uint64, key K) uint32 {

@@ -38,37 +38,34 @@ func (m *BatchMsg) Cost() metrics.Transmission { return m.cost }
 // evaluation (§V-C), where 30 000 objects each have their own δ-buffer and
 // the per-object inflation check is what lets classic delta-based behave
 // almost optimally at low contention. Every object runs one algorithm, the
-// keyspace's: its state is in the key's record, its δ-buffer in bufs while
-// it holds anything, and nothing else is kept per key. It is the engine a
-// store's shard holds; on top of Engine it reads one object at a time,
-// without the aggregate state map, and ships, delivers and restores one.
+// keyspace's, on the datatype its key names (objType): its state is in the
+// key's record, its δ-buffer in bufs while it holds anything, and nothing
+// else is kept per key. It is the engine a store's shard holds; on top of
+// Engine it reads one object at a time, without the aggregate state map,
+// and ships, delivers and restores one.
 type PerObject struct {
 	alg     algorithm
 	objType func(key string) workload.Datatype
-	// types lists the datatypes of the objects, one per Datatype.Name, in
-	// order of first appearance; a record's dt indexes it.
-	types []workload.Datatype
 	// ix is the key record table: every object's state, key and flags, by
 	// id. It is the only index there is.
 	ix keyIndex
 	// bufs holds the δ-buffer of every object whose buffer is not empty,
-	// by id: a quiescent object pays nothing for its buffer. A buffer that
+	// by id: a quiescent object pays nothing for its buffer. It is also
+	// the set a tick visits — the objects with something unsent or not yet
+	// acknowledged — so that a tick is O(changed) instead of O(keyspace):
+	// the large-keyspace win the Retwis evaluation relies on. A buffer that
 	// empties is released, not truncated (core.Buffer.Clear), and so is the
-	// table: nil whenever no object has a buffer. An object is in bufs
-	// exactly when its record is flagActive.
+	// table: nil whenever no object has a buffer.
 	bufs map[uint32]core.Buffer
 	// cur is the buffer a call is working on (load, file); empty between
 	// calls.
 	cur core.Buffer
-	// active lists the objects the next tick must visit: those with a
-	// δ-buffer, whether unsent or waiting for acks. Quiescent objects are
-	// skipped, making a tick O(changed) instead of O(keyspace): the
-	// large-keyspace win the Retwis evaluation relies on. flagActive is the
-	// membership; the list may lag behind it — a pass or an ack that
-	// empties a buffer clears the flag and the next tick drops the id — so
-	// nActive is the count. An id is listed at most once (flagListed).
-	active  []uint32
-	nActive int
+	// tickIDs is a tick's scratch: the ids of bufs, in key order.
+	tickIDs []uint32
+	// The lists and counts below each name a subset of bufs a second
+	// time, because each answers a question asked on every write or frame
+	// — Unsent, Holds, Stale — in O(1) rather than by a walk of the table.
+	//
 	// unsent queues the objects (flagQueued) whose buffer holds something
 	// the next pass sends — never sent, or a forward whose hold has ended
 	// (EndHolds) — which is what a first-transmission pass walks, so it
@@ -193,47 +190,25 @@ func obj[K string | []byte](e *PerObject, h uint64, key K) uint32 {
 		return id
 	}
 	id := add(&e.ix, h, key)
-	dt := e.typeIndex(e.objType(e.ix.keyOf(id)))
-	r := &e.ix.recs[id]
-	r.dt, r.x = dt, e.types[dt].New()
+	e.ix.recs[id].x = e.objType(e.ix.keyOf(id)).New()
 	e.mutated(id) // a new key is a change, whatever created it
 	return id
 }
 
-// typeIndex returns the index in types of the datatype named like dt,
-// adding dt if it is the first of its name.
-func (e *PerObject) typeIndex(dt workload.Datatype) uint8 {
-	name := dt.Name()
-	for i, t := range e.types {
-		if t.Name() == name {
-			return uint8(i)
-		}
-	}
-	if len(e.types) == 256 { // what rec.dt can index
-		panic("protocol: a keyspace holds at most 256 datatypes")
-	}
-	e.types = append(e.types, dt)
-	return uint8(len(e.types) - 1)
-}
-
 // load puts the δ-buffer of the object id in cur, where a call works on
-// it: its entry in bufs, or the empty buffer when it has none — without a
-// lookup. The algorithm is handed the buffer by pointer, and a pointer to
-// a local would escape through the interface call: cur costs no
-// allocation. The call files it when it is done, and nothing it sends may
-// call back into the engine meanwhile.
+// it: its entry in bufs, or the empty buffer when it has none. The
+// algorithm is handed the buffer by pointer, and a pointer to a local
+// would escape through the interface call: cur costs no allocation. The
+// call files it when it is done, and nothing it sends may call back into
+// the engine meanwhile.
 func (e *PerObject) load(id uint32) *core.Buffer {
-	if e.ix.recs[id].flags&flagActive != 0 {
-		e.cur = e.bufs[id]
-	}
+	e.cur = e.bufs[id]
 	return &e.cur
 }
 
-// file puts cur back as the δ-buffer of id, and keeps the active set with
-// it: an object whose buffer holds anything is in bufs and active, one
-// whose buffer is empty is in neither.
+// file puts cur back as the δ-buffer of id: an object whose buffer holds
+// anything is in bufs, one whose buffer is empty is not.
 func (e *PerObject) file(id uint32) {
-	r := &e.ix.recs[id]
 	switch {
 	case e.cur.Len() > 0:
 		if e.bufs == nil {
@@ -241,20 +216,10 @@ func (e *PerObject) file(id uint32) {
 		}
 		e.bufs[id] = e.cur
 		e.setHeld(id, e.cur.Deferred())
-		if r.flags&flagActive == 0 {
-			r.flags |= flagActive
-			e.nActive++
-			if r.flags&flagListed == 0 {
-				r.flags |= flagListed
-				e.active = append(e.active, id)
-			}
-		}
-	case r.flags&flagActive != 0:
+	case e.bufs != nil:
 		if delete(e.bufs, id); len(e.bufs) == 0 {
 			e.bufs = nil // a map never shrinks
 		}
-		r.flags &^= flagActive
-		e.nActive--
 		e.setHeld(id, false)
 	}
 	e.cur = core.Buffer{}
@@ -295,8 +260,7 @@ func (e *PerObject) queue(id uint32) {
 
 func (e *PerObject) LocalOp(op workload.Op) {
 	id := obj(e, maphash.String(keySeed, op.Key), op.Key)
-	r := &e.ix.recs[id]
-	localOp(e.alg, e.types[r.dt], r.x, e.load(id), op)
+	localOp(e.alg, e.objType(op.Key), e.ix.recs[id].x, e.load(id), op)
 	e.shareKey(id)
 	e.mutated(id)
 	e.touched(id)
@@ -387,7 +351,7 @@ func (e *PerObject) Sync(send Sender) {
 
 // Pass runs a send pass and hands emit, which must not call back into the
 // engine, each δ-group it makes, in key order. The tick, when tick is set,
-// visits every active object: it is the heartbeat, and the clock
+// visits every object in bufs: it is the heartbeat, and the clock
 // retransmissions are counted in. The other pass, which a store runs
 // between two ticks as soon as a write has left something to ship, visits
 // the queued objects alone: it emits what has never been sent, and
@@ -395,18 +359,14 @@ func (e *PerObject) Sync(send Sender) {
 func (e *PerObject) Pass(tick bool, emit Emit) {
 	ids := e.unsent
 	if tick {
-		if e.nActive == 0 {
+		if len(e.bufs) == 0 {
 			return
 		}
-		ids = e.active[:0]
-		for _, id := range e.active {
-			if r := &e.ix.recs[id]; r.flags&flagActive != 0 {
-				ids = append(ids, id)
-			} else {
-				r.flags &^= flagListed // a pass or an ack left it quiescent
-			}
+		ids = e.tickIDs[:0]
+		for id := range e.bufs {
+			ids = append(ids, id)
 		}
-		e.active = ids
+		e.tickIDs = ids
 	}
 	if len(ids) == 0 {
 		return
@@ -431,7 +391,7 @@ func (e *PerObject) Pass(tick bool, emit Emit) {
 // visit runs one send pass over the object id, and reports whether the
 // pass left the object something to send at the next one — a forward
 // still held is not, as no first-transmission pass sends it. The object
-// stays active only while its buffer still waits for a later pass.
+// stays in bufs only while its buffer still waits for a later pass.
 func (e *PerObject) visit(id uint32, tick bool, emit Emit) bool {
 	b := e.load(id)
 	e.alg.ship(b, e.ix.keyOf(id), emit, tick)
@@ -486,7 +446,7 @@ func (e *PerObject) EndHolds(to string) bool {
 // buffered that a neighbor has not been sent or has not acknowledged. A
 // keyspace that is not waiting may be skipped by Sync until the next
 // LocalOp or Deliver.
-func (e *PerObject) Waiting() bool { return e.nActive > 0 }
+func (e *PerObject) Waiting() bool { return len(e.bufs) > 0 }
 
 // Retransmits returns how many times an entry of any object has been sent
 // again.

@@ -19,10 +19,10 @@ import (
 // object is created on demand (datatype from the key, as everywhere) and
 // the state joins its state directly, bypassing the δ-buffer — no
 // buffering, no sequence number, no ack obligation. Restored keys are
-// deliberately not marked active, only stale: a freshly restored store has
-// nothing new to say, and leaving the keyspace quiescent keeps restart
-// cost O(changed), not O(keyspace) — the same property Sync's active set
-// provides in steady state.
+// deliberately given no δ-buffer, only marked stale: a freshly restored
+// store has nothing new to say, and leaving the keyspace quiescent keeps
+// restart cost O(changed), not O(keyspace) — the same property a tick's
+// walk of the δ-buffer table provides in steady state.
 func (e *PerObject) RestoreObject(key string, st lattice.State) {
 	id := obj(e, maphash.String(keySeed, key), key)
 	e.mutated(id)

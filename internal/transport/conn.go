@@ -149,6 +149,9 @@ type peerConn struct {
 	// fw is the writer goroutine's own, unguarded: every frame and hello
 	// leaves through it.
 	fw frameWriter
+	// wake cuts the backoff sleep short (wakeUp): one token, sent only
+	// while the pipeline is in PeerBackoff.
+	wake chan struct{}
 }
 
 // enqueue appends one frame, evicting oldest queued frames while either
@@ -354,6 +357,10 @@ func (pc *peerConn) sleepBackoff() {
 	wasUp := pc.state == PeerUp
 	pc.state = PeerBackoff
 	pc.hadFailure = true
+	select {
+	case <-pc.wake: // left from an earlier backoff
+	default:
+	}
 	pc.mu.Unlock()
 	if wasUp {
 		pc.p.announce()
@@ -362,7 +369,23 @@ func (pc *peerConn) sleepBackoff() {
 	defer t.Stop()
 	select {
 	case <-t.C:
+	case <-pc.wake:
 	case <-pc.p.hardStop:
+	}
+}
+
+// wakeUp ends the backoff sleep, if the pipeline is in one: the peer has
+// just been heard on a connection of its own, so it is back and the next
+// dial need not wait.
+func (pc *peerConn) wakeUp() {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if pc.state != PeerBackoff {
+		return
+	}
+	select {
+	case pc.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -421,7 +444,7 @@ func newPeerNet(id string, peers map[string]string, ln net.Listener, dial DialFu
 		hardStop: make(chan struct{}),
 	}
 	for pid, addr := range peers {
-		pc := &peerConn{id: pid, addr: addr, p: p, qcfg: qcfg, state: PeerConnecting}
+		pc := &peerConn{id: pid, addr: addr, p: p, qcfg: qcfg, state: PeerConnecting, wake: make(chan struct{}, 1)}
 		pc.cond = sync.NewCond(&pc.mu)
 		p.peers[pid] = pc
 	}
@@ -592,10 +615,11 @@ func (p *peerNet) readLoop(conn net.Conn) {
 		if err != nil {
 			return
 		}
+		first := !named
 		switch {
-		case !named && len(from) == 0:
+		case first && len(from) == 0:
 			return
-		case !named:
+		case first:
 			peer, named = string(from), true
 			p.mu.Lock()
 			p.inbound[peer]++
@@ -605,6 +629,11 @@ func (p *peerNet) readLoop(conn net.Conn) {
 		}
 		if err := p.deliver(peer, &inc, data); err != nil {
 			return // corrupt or refused peer; drop the connection
+		}
+		// A neighbor whose first frame was taken is up, whatever the dials
+		// toward it have met: the pipeline to it stops backing off.
+		if pc := p.peers[peer]; first && pc != nil {
+			pc.wakeUp()
 		}
 	}
 }

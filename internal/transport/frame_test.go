@@ -197,6 +197,56 @@ func TestPeerNetWritesFramesAsHanded(t *testing.T) {
 	}
 }
 
+// TestBackoffEndsWhenThePeerIsHeard: a pipeline whose dials have failed
+// long enough to back off for 640 ms dials again at once when the peer
+// opens a connection of its own and its first frame is taken — a restarted
+// neighbor that says hello is not left waiting out the backoff.
+func TestBackoffEndsWhenThePeerIsHeard(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var up atomic.Bool
+	dialed := make(chan time.Time, 1)
+	dial := func(string, string) (net.Conn, error) {
+		if !up.Load() {
+			return nil, errors.New("refused")
+		}
+		local, remote := net.Pipe()
+		go io.Copy(io.Discard, remote)
+		dialed <- time.Now()
+		return local, nil
+	}
+	p := newPeerNet("a", map[string]string{"b": "b"}, ln, dial, queueConfig{})
+	p.start(func(string, *uint32, []byte) error { return nil }, nil, nil)
+	defer p.close()
+	pc := p.peers["b"]
+	p.connect("b") // dial with nothing queued, until a dial succeeds
+	eventually(t, 5*time.Second, "the backoff to reach 640 ms", func() bool {
+		pc.mu.Lock()
+		defer pc.mu.Unlock()
+		return pc.backoff >= 640*time.Millisecond && pc.state == PeerBackoff
+	})
+	up.Store(true)
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	heard := time.Now()
+	if err := writeFrame(conn, "b", []byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case at := <-dialed:
+		if wait := at.Sub(heard); wait > 100*time.Millisecond {
+			t.Errorf("the next dial came %v after the peer was heard, want within 100ms", wait)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no dial after the peer was heard")
+	}
+}
+
 func TestTransmitToUnknownPeerIsDropped(t *testing.T) {
 	// Transmitting to a peer id that is not configured must fail cleanly
 	// rather than panicking or blocking; the store drops the frame.

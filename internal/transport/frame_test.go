@@ -213,8 +213,11 @@ func TestBackoffEndsWhenThePeerIsHeard(t *testing.T) {
 			return nil, errors.New("refused")
 		}
 		local, remote := net.Pipe()
-		go io.Copy(io.Discard, remote)
-		dialed <- time.Now()
+		go io.Copy(io.Discard, remote) // ends when close closes local
+		select {
+		case dialed <- time.Now():
+		default: // only the first dial is timed
+		}
 		return local, nil
 	}
 	p := newPeerNet("a", map[string]string{"b": "b"}, ln, dial, queueConfig{})
